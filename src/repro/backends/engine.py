@@ -87,9 +87,9 @@ class EngineBackend(Backend):
         The cross-process path: pool workers receive the parent's
         immutable columnar encoding (attached from shared memory or
         unpickled) and adopt it directly instead of re-encoding a
-        forest.  Statistics are collected locally — they are cheap
-        relative to encoding and keep cost-based planning identical to
-        the in-process tier.
+        forest.  Statistics are collected locally — a few reductions
+        over the depth and name-code columns — and keep cost-based
+        planning identical to the in-process tier.
         """
         with self._lock:
             self._check_open()
@@ -105,7 +105,7 @@ class EngineBackend(Backend):
 
         When the recorded revision matches the update's base, the carried
         deltas are spliced into the immutable columnar encoding —
-        O(affected subtree) plus two column copies — and statistics are
+        O(affected subtree) plus one C-level copy per column — and statistics are
         maintained incrementally, so the stats digest is *identical* to a
         fresh collection.  Otherwise (first update after a forest-based
         prepare, or a relabel in the chain) the encoding is rebased from

@@ -132,7 +132,7 @@ def _operator_inputs(scale: float) -> dict[str, Any]:
     people = kernels.select_children(
         kernels.select_children(doc_cols, "<people>"), "<person>")
     roots = kernels.roots(people)
-    root_lefts = list(roots.l)
+    root_lefts = roots.l.tolist()
     blocked = kernels.expand_variable(people, width, root_lefts)
     envs = list(blocked.envs_present(width))
     small = kernels.select_children(
@@ -192,6 +192,11 @@ def bench_operators(scale: float, repeats: int) -> dict[str, dict[str, float]]:
                     lambda: ops._list_reverse(blocked_list, width)),
         "subtrees_dfs": (lambda: kernels.subtrees_dfs(small, width),
                          lambda: ops._list_subtrees_dfs(small_list, width)),
+        "select_descendants": (
+            lambda: kernels.select_descendants(small, width, "<item>"),
+            lambda: ops._list_select_trees(
+                ops._list_subtrees_dfs(small_list, width),
+                lambda s: s == "<item>")),
         "distinct": (lambda: kernels.distinct(blocked, width),
                      lambda: ops._list_distinct(blocked_list, width)),
         "sort": (lambda: kernels.sort(blocked, width),
@@ -880,7 +885,7 @@ def run_bench(scale: float, repeats: int, workers: int = 4,
             "seed": SEED,
             "document_nodes": document.size,
             "repeats": repeats,
-            "numpy": kernels._np is not None,
+            "numpy": kernels.np.__version__,
             "python": platform.python_version(),
         },
         "operators": bench_operators(scale, repeats),

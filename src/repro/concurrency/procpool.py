@@ -164,7 +164,12 @@ class _WorkerState:
             columns = body
         backend = self._scopes[scope]
         backend.invalidate(var)
-        backend.adopt_encoded(var, (columns, width))
+        try:
+            backend.adopt_encoded(var, (columns, width))
+        except BaseException:
+            if attachment is not None:  # never orphan a mapped segment
+                attachment.detach()
+            raise
         old = self._attached.pop((var, scope), None)
         self._attached[(var, scope)] = attachment
         if scope == "full":
@@ -830,12 +835,16 @@ class ProcessQueryPool:
         try:
             worker = self._ensure(index)
             try:
-                return worker.request(message)
+                reply = worker.request(message)
             except WorkerDiedError:
                 self._respawn(index)
                 return None
         finally:
             self._release(index)
+        # A worker that could not act on the message (could not bind the
+        # document, say) must not look like one that did.
+        self._unwrap(reply)
+        return reply
 
     def _acquire_any(self) -> int:
         with self._cv:

@@ -24,7 +24,6 @@ from repro.encoding.interval import (
     IntervalTuple,
     decode,
     encode,
-    encode_columns,
 )
 from repro.errors import EncodingError
 from repro.xml.forest import Forest
@@ -48,37 +47,6 @@ def encode_sequence(forests: Sequence[Forest], width: int | None = None) -> tupl
             )
         rows.extend((s, l + i * width, r + i * width) for (s, l, r) in enc.tuples)
     return list(range(len(forests))), EncodedForest(rows, width, sort=False)
-
-
-def encode_sequence_columns(forests: Sequence[Forest],
-                            width: int | None = None):
-    """Like :func:`encode_sequence`, but straight into columnar form.
-
-    Returns ``(index, IntervalColumns, width)``; each forest is encoded
-    directly into the three engine columns and shifted into its block with
-    one bulk column append — no intermediate tuple lists.
-    """
-    from repro.engine.columns import IntervalColumns, make_int_column
-
-    encodings = [encode_columns(forest) for forest in forests]
-    if width is None:
-        width = max((w for _cols, w in encodings), default=0)
-    labels: list[str] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    for i, (cols, forest_width) in enumerate(encodings):
-        if forest_width > width:
-            raise EncodingError(
-                f"forest {i} needs width {forest_width}, "
-                f"exceeding block width {width}"
-            )
-        offset = i * width
-        labels.extend(cols.s)
-        lefts.extend(x + offset for x in cols.l)
-        rights.extend(x + offset for x in cols.r)
-    columns = IntervalColumns(labels, make_int_column(lefts),
-                              make_int_column(rights))
-    return list(range(len(forests))), columns, width
 
 
 def decode_sequence(

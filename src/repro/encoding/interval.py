@@ -120,34 +120,40 @@ def encode_columns(trees: Forest | Node, start: int = 0):
     """Encode straight into columnar form: ``(IntervalColumns, width)``.
 
     Same DFS counter scheme as :func:`encode`, but the triples land
-    directly in the three parallel columns the DI engine operates on — no
-    intermediate tuple list, no re-copy when the encoding is cached.
+    directly in the columns the DI engine operates on — no intermediate
+    tuple list, no re-copy when the encoding is cached — and the walk
+    records each node's depth on the way, so the engine's ``d`` column
+    costs one append per node and ``c`` one dictionary lookup.
     """
-    from repro.engine.columns import IntervalColumns, make_int_column
+    from repro.engine.columns import IntervalColumns
 
     if isinstance(trees, Node):
         trees = (trees,)
     labels: list[str] = []
     lefts: list[int] = []
     rights: list[int] = []
+    depths: list[int] = []
     counter = start
-    stack: list[tuple[Node, int | None]] = [
-        (tree, None) for tree in reversed(trees)]
+    # Entries are (node, depth) on the way down and (None, row) on the
+    # way back up.
+    stack: list[tuple[Node | None, int]] = [
+        (tree, 0) for tree in reversed(trees)]
     while stack:
-        node, row_index = stack.pop()
-        if row_index is not None:
-            rights[row_index] = counter
+        node, value = stack.pop()
+        if node is None:
+            rights[value] = counter
             counter += 1
             continue
+        stack.append((None, len(labels)))
         labels.append(node.label)
         lefts.append(counter)
         rights.append(-1)
+        depths.append(value)
         counter += 1
-        stack.append((node, len(labels) - 1))
+        value += 1
         for child in reversed(node.children):
-            stack.append((child, None))
-    columns = IntervalColumns(labels, make_int_column(lefts),
-                              make_int_column(rights))
+            stack.append((child, value))
+    columns = IntervalColumns.from_lists(labels, lefts, rights, depths)
     return columns, (counter if counter > start else start)
 
 

@@ -4,10 +4,10 @@ The cost-based planner (:mod:`repro.compiler.cost`) needs a summary of
 each document it plans against: how many nodes there are, how they are
 labelled, how deep the tree is, and how wide the fan-out runs.  All of
 that is derivable from the interval encoding alone — the ``(s, l, r)``
-triples carry the full tree shape — so :func:`collect_stats` runs one
-linear pass over the encoded relation, at the same point where the
-backend shreds the document, and the result rides along on the backend's
-shared document state.
+triples carry the full tree shape, which the columnar encoding keeps as
+its depth and name-code columns — so :func:`collect_stats` reduces those
+columns at the same point where the backend shreds the document, and the
+result rides along on the backend's shared document state.
 
 Every :class:`DocumentStats` carries a stable :attr:`~DocumentStats.digest`
 of its contents.  The digest is the document half of a plan-cache key:
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from repro.xml.forest import is_element_label
@@ -73,59 +73,36 @@ class DocumentStats:
 
 
 def collect_stats(rel, width: int) -> DocumentStats:
-    """One-pass statistics over an encoded relation in document order.
+    """Statistics over an encoded relation in document order.
 
     ``rel`` is either representation — :class:`IntervalColumns` or a list
-    of ``(s, l, r)`` tuples — holding a single environment block.
+    of ``(s, l, r)`` tuples — holding a single environment block.  The
+    tree shape is read off the relation's depth and name-code columns
+    (a tuple list is given them first): the histogram is one
+    ``bincount``, root and element counts are mask sums.
     """
-    labels = getattr(rel, "s", None)
-    if labels is not None:
-        lefts, rights = rel.l, rel.r
-    else:
-        labels = [row[0] for row in rel]
-        lefts = [row[1] for row in rel]
-        rights = [row[2] for row in rel]
+    import numpy as np
 
-    nodes = len(labels)
-    label_counts = dict(Counter(labels))
-    histogram = [0] * min(MAX_DEPTH_BUCKETS, max(nodes, 1))
-    roots = 0
-    elements = 0
-    children_total = 0
-    # Document order means a node's ancestors are exactly the still-open
-    # intervals: maintain a stack of right endpoints.
-    open_rights: list[int] = []
-    for position in range(nodes):
-        left = lefts[position]
-        while open_rights and open_rights[-1] < left:
-            open_rights.pop()
-        depth = len(open_rights)
-        histogram[min(depth, len(histogram) - 1)] += 1
-        if depth == 0:
-            roots += 1
-        else:
-            children_total += 1
-        if is_element_label(labels[position]):
-            elements += 1
-        open_rights.append(rights[position])
+    from repro.engine.columns import ELEMENT, KIND_MASK, as_columns
+
+    rel = as_columns(rel)
+    nodes = len(rel)
+    buckets = min(MAX_DEPTH_BUCKETS, max(nodes, 1))
+    histogram = np.bincount(np.minimum(rel.d, buckets - 1),
+                            minlength=buckets).tolist()
     while histogram and histogram[-1] == 0:
         histogram.pop()
-
-    fanout = children_total / elements if elements else 0.0
+    roots = histogram[0] if histogram else 0
+    elements = int(np.count_nonzero(rel.c & KIND_MASK == ELEMENT))
     stats = DocumentStats(
         nodes=nodes,
         width=int(width),
         roots=roots,
-        label_counts=label_counts,
+        label_counts=dict(Counter(rel.s.tolist())),
         depth_histogram=tuple(histogram),
-        fanout=fanout,
+        fanout=(nodes - roots) / elements if elements else 0.0,
     )
-    return DocumentStats(
-        nodes=stats.nodes, width=stats.width, roots=stats.roots,
-        label_counts=stats.label_counts,
-        depth_histogram=stats.depth_histogram,
-        fanout=stats.fanout, digest=_digest(stats),
-    )
+    return replace(stats, digest=_digest(stats))
 
 
 def apply_delta_to_stats(stats: DocumentStats,
@@ -177,12 +154,7 @@ def apply_delta_to_stats(stats: DocumentStats,
         depth_histogram=tuple(histogram),
         fanout=fanout,
     )
-    return DocumentStats(
-        nodes=updated.nodes, width=updated.width, roots=updated.roots,
-        label_counts=updated.label_counts,
-        depth_histogram=updated.depth_histogram,
-        fanout=updated.fanout, digest=_digest(updated),
-    )
+    return replace(updated, digest=_digest(updated))
 
 
 def _digest(stats: DocumentStats) -> str:

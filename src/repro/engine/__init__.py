@@ -9,7 +9,11 @@ for interval predicates.  This package is that engine:
   representation and block (environment) arithmetic;
 * :mod:`repro.engine.operators` — linear single-pass operators (Roots is
   Algorithm 5.2) plus the per-environment lifted forms of every Figure 2
-  operator;
+  operator, over tuple lists: the reference algebra;
+* :mod:`repro.engine.columns` / :mod:`repro.engine.kernels` — the same
+  relations as five NumPy columns (the triples plus a depth and a
+  name-code column) and the same operators as whole-column kernels,
+  which is what the evaluator runs;
 * :mod:`repro.engine.structural` — ``DeepCompare`` (Algorithm 5.3) and the
   canonical structural keys used for sorting and merge joins;
 * :mod:`repro.engine.evaluator` — evaluation of compiled plans over

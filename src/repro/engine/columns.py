@@ -1,54 +1,60 @@
-"""Columnar interval relations: three parallel columns behind one class.
+"""Columnar interval relations: five parallel columns behind one class.
 
-The DI engine's hot path used to walk ``list[(s, l, r)]`` tuple-by-tuple;
-:class:`IntervalColumns` stores the same document-ordered relation as three
-parallel columns instead — ``s`` (labels, a plain list of strings) and
-``l``/``r`` (endpoints, ``array('q')`` machine integers) — so the operator
-kernels of :mod:`repro.engine.kernels` can shift, slice, and gather whole
-columns per plan node rather than touching every tuple from interpreted
-Python.
+:class:`IntervalColumns` stores a document-ordered relation of ``(s, l, r)``
+triples as five parallel NumPy columns, so the operator kernels of
+:mod:`repro.engine.kernels` evaluate every path step as one vector mask
+instead of touching tuples from interpreted Python:
 
-Design points:
+``s``  labels, an object array of strings;
+``l``, ``r``  interval endpoints, int64;
+``d``  int32 depth of each row below the root of its own tree *in this
+       relation* — roots are exactly the rows with ``d == 0``, a node's
+       children the ``d == 1`` rows inside its interval;
+``c``  int32 name code of the label (:func:`name_code`): node kind in
+       the low two bits, an interned element/attribute name above them,
+       one shared code for every text node.
 
-* **Document order is the invariant** — ``l`` is strictly increasing, so
-  environment blocks are contiguous runs and :meth:`env_bounds` finds them
-  with ``bisect`` on the ``l`` column instead of scanning (zero-copy until
-  a block is actually materialized; array slicing is a C-level ``memcpy``
-  of machine words, never per-tuple Python objects).
-* **Immutability by convention** — every kernel returns fresh columns;
-  nothing mutates a relation after construction.  Backends therefore share
-  one cached encoding across runs and threads (see
-  :class:`repro.backends.engine.EngineBackend`).
-* **Unbounded widths still work** — interval coordinates grow
-  multiplicatively with query nesting and can exceed 64 bits.  When they
-  do, the endpoint columns transparently fall back from ``array('q')`` to
-  plain Python lists (bignum mode); kernels detect the storage kind and
-  take the scalar path.  ``array('q')`` is the fast common case, not a
-  correctness cap (contrast ``SQLITE_MAX_WIDTH``).
+Invariants every producer keeps (``validate_value`` checks them):
+
+* **Document order** — ``l`` is strictly increasing, so environment
+  blocks and subtrees are contiguous runs found by binary search.
+* **Derived columns are functions of the triples** — ``d`` and ``c``
+  always equal what :meth:`IntervalColumns.from_tuples` derives from
+  ``(s, l, r)`` alone; kernels carry them (gather plus a per-run
+  rebase), they never recompute them.
+* **Immutability by convention** — kernels return fresh columns or
+  read-only views of their input; nothing mutates a relation after
+  construction, so backends share one cached encoding across runs and
+  threads.
+* **Unbounded widths still work** — coordinates grow multiplicatively
+  with query nesting and can exceed 64 bits.  An endpoint column that
+  overflows is a plain Python list instead (bignum mode, ``is_array``
+  false) and the kernels route such relations to the list-based
+  reference operators.  ``d`` and ``c`` always fit.
 
 Tuple compatibility: an :class:`IntervalColumns` *is* a sequence of
-``(s, l, r)`` tuples — iteration, indexing, slicing, and equality all
-behave like the old list representation, so ``decode``, ``check_sorted``,
-structural comparison, and the test suite consume either form unchanged.
+``(s, l, r)`` tuples of plain Python values — iteration, indexing,
+slicing and equality behave like the list representation, so ``decode``,
+``check_sorted``, structural comparison and the tests consume either.
 
-Cross-process serving (see :mod:`repro.concurrency.procpool`): an
-``array('q')``-backed relation can be placed in a
-``multiprocessing.shared_memory`` segment with :func:`export_columns`;
-workers attach the segment and get endpoint columns that are zero-copy
-``memoryview('q')`` slices of the shared buffer.  Kernels treat such
-views exactly like arrays (``is_array`` accepts both), and the pickling
-contract below guarantees that *any* relation — array-, view-, or
-list-backed — pickles into a self-contained copy, so query results and
-bignum-mode documents cross process boundaries by value.
+The name dictionary is process-wide and append-only: it holds one entry
+per distinct element/attribute name ever encoded (text never enters it),
+so it is bounded by tag vocabulary and needs no eviction.  Reads are
+lock-free, assignments serialize on one lock.  Codes are process-local;
+:func:`export_columns` ships the names a relation uses so an attaching
+worker can adopt them (or, on a clash, remap its copy of ``c``), and
+pickling re-derives ``c`` on load.  See docs/CONCURRENCY.md.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
+import threading
 from bisect import bisect_left, bisect_right
 from itertools import count as _counter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.encoding.interval import IntervalTuple
 
@@ -57,114 +63,215 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.encoding.updates import UpdateDelta
 
-#: Inclusive bounds of ``array('q')`` storage (two's-complement int64).
+#: Largest value int64 endpoint storage holds.
 INT64_MAX = 2 ** 63 - 1
-INT64_MIN = -(2 ** 63)
+
+# -- name codes ------------------------------------------------------------------
+
+#: Node kinds, the low two bits of a name code.
+TEXT, ELEMENT, ATTRIBUTE = 0, 1, 2
+KIND_MASK = 3
+#: The one code every text node carries.
+TEXT_CODE = TEXT
+
+_names_lock = threading.Lock()
+_label_of: dict[int, str] = {}
+_next_name = _counter(1)
 
 
-def fits64(value: int) -> bool:
-    """Whether ``value`` is representable in an ``array('q')`` column."""
-    return INT64_MIN <= value <= INT64_MAX
+def _label_kind(label: str) -> int:
+    """Kind bits of a label (the ``xml.forest`` label conventions)."""
+    first = label[:1]
+    if first == "<" and label[-1:] == ">" and len(label) > 2:
+        return ELEMENT
+    if first == "@" and len(label) > 1:
+        return ATTRIBUTE
+    return TEXT
 
 
-def make_int_column(values: Iterable[int]) -> "array | list[int]":
-    """An endpoint column: ``array('q')`` or, on overflow, a plain list."""
-    values = list(values)
+class _NameCodes(dict):
+    """label → code; a missing element/attribute name is assigned one."""
+
+    def __missing__(self, label: str) -> int:
+        kind = _label_kind(label)
+        if kind == TEXT:
+            return TEXT_CODE  # never stored: text must not grow the table
+        with _names_lock:
+            code = self.get(label)
+            while code is None:
+                candidate = next(_next_name) << 2 | kind
+                if candidate not in _label_of:  # adopted codes are taken
+                    code = self[label] = candidate
+                    _label_of[code] = label
+        return code
+
+
+_codes = _NameCodes()
+
+
+def name_code(label: str, intern: bool = True) -> int | None:
+    """The name code of ``label``.
+
+    ``intern=False`` is the query side: a name no relation in this
+    process ever carried has no code, and ``None`` says no row matches.
+    """
+    if intern:
+        return _codes[label]
+    code = _codes.get(label)
+    if code is None and _label_kind(label) == TEXT:
+        return TEXT_CODE
+    return code
+
+
+def label_codes(labels: "Sequence[str]") -> np.ndarray:
+    """The ``c`` column for a label sequence (interning new names)."""
+    return np.fromiter(map(_codes.__getitem__, labels), np.int32,
+                       len(labels))
+
+
+def adopt_names(names: "Iterable[tuple[str, int]]") -> dict[int, int]:
+    """Make another process's ``(label, code)`` pairs valid here.
+
+    Unknown names take the foreign code when it is free, so columns that
+    carry them need no translation.  Returns ``{foreign: local}`` for the
+    codes that clash with this process's own assignments (empty in the
+    common case); the caller translates its ``c`` column through it.
+    """
+    remap: dict[int, int] = {}
+    for label, code in names:
+        with _names_lock:
+            if label not in _codes and code not in _label_of:
+                _codes[label] = code
+                _label_of[code] = label
+        local = _codes[label]
+        if local != code:
+            remap[code] = local
+    return remap
+
+
+# -- columns ---------------------------------------------------------------------
+
+
+def make_int_column(values: Iterable[int]) -> "np.ndarray | list[int]":
+    """An endpoint column: int64 array or, on overflow, a plain list."""
+    values = values if isinstance(values, list) else list(values)
     try:
-        return array("q", values)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
         return values
 
 
-def is_word_column(column: object) -> bool:
-    """Whether ``column`` stores machine-word int64s (array or shm view)."""
-    if isinstance(column, array):
-        return column.typecode == "q"
-    return isinstance(column, memoryview) and column.format == "q"
+def _ints(column: "np.ndarray | list[int]") -> list[int]:
+    """An endpoint column as plain Python ints."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
-def _column_state(column: "array | list[int] | memoryview") \
-        -> tuple[str, object]:
-    """The picklable state of one endpoint column (always by value)."""
-    if is_word_column(column):
-        return "q", column.tobytes()
-    return "list", list(column)
+def label_column(labels: "Sequence[str]") -> np.ndarray:
+    out = np.empty(len(labels), dtype=object)
+    out[:] = labels
+    return out
 
 
-def _restore_column(state: tuple[str, object]) -> "array | list[int]":
-    kind, payload = state
-    if kind == "q":
-        column = array("q")
-        column.frombytes(payload)  # type: ignore[arg-type]
-        return column
-    return list(payload)  # type: ignore[arg-type]
+def _derive_depths(lefts: list[int], rights: list[int]) -> np.ndarray:
+    """``d`` from the intervals alone: open ancestors at each row."""
+    depths: list[int] = []
+    open_rights: list[int] = []
+    for left, right in zip(lefts, rights):
+        while open_rights and open_rights[-1] < left:
+            open_rights.pop()
+        depths.append(len(open_rights))
+        open_rights.append(right)
+    return np.array(depths, dtype=np.int32)
 
 
-def _rebuild_columns(s: list[str], l_state: tuple[str, object],
-                     r_state: tuple[str, object]) -> "IntervalColumns":
-    return IntervalColumns(s, _restore_column(l_state),
-                           _restore_column(r_state))
+def _rebuild_columns(s: list[str], l: "bytes | list[int]",
+                     r: "bytes | list[int]", d: bytes) -> "IntervalColumns":
+    def column(state):
+        if isinstance(state, bytes):
+            return np.frombuffer(state, dtype=np.int64)
+        return state
+
+    return IntervalColumns(label_column(s), column(l), column(r),
+                           np.frombuffer(d, dtype=np.int32), label_codes(s))
 
 
 class IntervalColumns:
-    """An interval relation as three parallel columns, sorted by ``l``.
+    """An interval relation as five parallel columns, sorted by ``l``.
 
-    ``s`` is a list of labels; ``l`` and ``r`` are parallel endpoint
-    columns (``array('q')`` normally, plain lists in bignum mode).  The
-    constructor trusts the caller on document order; use
-    :meth:`from_tuples` for arbitrary input.
+    The constructor trusts the caller on document order and on ``d``/``c``
+    matching the triples; use :meth:`from_tuples` for arbitrary input.
     """
 
-    __slots__ = ("s", "l", "r")
+    __slots__ = ("s", "l", "r", "d", "c")
 
-    def __init__(self, s: list[str], l: "array | list[int]",
-                 r: "array | list[int]"):
+    def __init__(self, s: np.ndarray, l: "np.ndarray | list[int]",
+                 r: "np.ndarray | list[int]", d: np.ndarray, c: np.ndarray):
         self.s = s
         self.l = l
         self.r = r
+        self.d = d
+        self.c = c
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
     def from_tuples(cls, rows: Iterable[IntervalTuple],
                     sort: bool = False) -> "IntervalColumns":
-        """Build columns from ``(s, l, r)`` tuples (already in doc order)."""
+        """Build columns from ``(s, l, r)`` tuples (already in doc order).
+
+        This is where ``d`` and ``c`` are *derived*; everything downstream
+        carries them.
+        """
         if isinstance(rows, IntervalColumns):
             return rows
         rows = list(rows)
         if sort:
             rows.sort(key=lambda row: row[1])
-        return cls([row[0] for row in rows],
-                   make_int_column(row[1] for row in rows),
-                   make_int_column(row[2] for row in rows))
+        return cls.from_lists([row[0] for row in rows],
+                              [row[1] for row in rows],
+                              [row[2] for row in rows])
+
+    @classmethod
+    def from_lists(cls, labels: list[str], lefts: list[int],
+                   rights: list[int],
+                   depths: list[int] | None = None) -> "IntervalColumns":
+        """Columns from parallel Python lists in document order.
+
+        ``depths`` is for producers that know them (the encoder's DFS);
+        otherwise they are derived from the intervals.
+        """
+        d = _derive_depths(lefts, rights) if depths is None \
+            else np.array(depths, dtype=np.int32)
+        return cls(label_column(labels), make_int_column(lefts),
+                   make_int_column(rights), d, label_codes(labels))
 
     @classmethod
     def empty(cls) -> "IntervalColumns":
-        return cls([], array("q"), array("q"))
+        return cls(np.empty(0, dtype=object), np.empty(0, dtype=np.int64),
+                   np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
+                   np.empty(0, dtype=np.int32))
 
     def tuples(self) -> list[IntervalTuple]:
-        """Materialize the row form (for legacy/list-based consumers)."""
-        return list(zip(self.s, self.l, self.r))
+        """Materialize the row form (for list-based consumers)."""
+        return list(zip(self.s.tolist(), _ints(self.l), _ints(self.r)))
 
     @property
     def is_array(self) -> bool:
-        """True when both endpoint columns are machine-word storage.
-
-        ``array('q')`` and int64 ``memoryview``s (zero-copy slices of a
-        shared-memory segment, see :func:`export_columns`) both qualify:
-        kernels index, slice, bisect, and ``np.frombuffer`` them
-        identically.
-        """
-        return is_word_column(self.l) and is_word_column(self.r)
+        """True when both endpoint columns are int64 arrays (not bignum)."""
+        return isinstance(self.l, np.ndarray) and isinstance(self.r, np.ndarray)
 
     def __reduce__(self):
         # The pickling contract: every relation pickles self-contained,
-        # by value — shm-view-backed columns rehydrate as array('q')
-        # copies (a memoryview is not otherwise picklable), bignum lists
-        # stay lists.  Cross-process results and serialized documents
-        # depend on this; see docs/CONCURRENCY.md.
-        return (_rebuild_columns, (list(self.s), _column_state(self.l),
-                                   _column_state(self.r)))
+        # by value — views of a shared-memory segment become private
+        # copies, bignum lists stay lists, and ``c`` is re-derived in the
+        # loading process's own name dictionary.  Cross-process results
+        # and serialized documents depend on this; see docs/CONCURRENCY.md.
+        def state(column):
+            return column.tobytes() if isinstance(column, np.ndarray) \
+                else list(column)
+
+        return (_rebuild_columns, (self.s.tolist(), state(self.l),
+                                   state(self.r), self.d.tobytes()))
 
     # -- sequence protocol --------------------------------------------------------
 
@@ -172,57 +279,66 @@ class IntervalColumns:
         return len(self.s)
 
     def __bool__(self) -> bool:
-        return bool(self.s)
+        return len(self.s) > 0
 
     def __iter__(self) -> Iterator[IntervalTuple]:
-        return zip(self.s, self.l, self.r)
+        return iter(self.tuples())
 
     def __getitem__(self, item):
-        if isinstance(item, slice):
-            return IntervalColumns(self.s[item], self.l[item], self.r[item])
-        return (self.s[item], self.l[item], self.r[item])
+        if not isinstance(item, slice):
+            return (self.s[item], int(self.l[item]), int(self.r[item]))
+        if item.step not in (None, 1):
+            return IntervalColumns.from_tuples(self.tuples()[item])
+        d = self.d[item]
+        if len(d) and d[0]:
+            # The slice starts below a root that stays outside it: rows
+            # lose exactly the ancestors cut off, the running minimum.
+            d = d - np.minimum.accumulate(d)
+        return IntervalColumns(self.s[item], self.l[item], self.r[item], d,
+                               self.c[item])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntervalColumns):
-            return (len(self) == len(other) and list(self.l) == list(other.l)
-                    and list(self.r) == list(other.r) and self.s == other.s)
+            return self.tuples() == other.tuples()
         if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(
-                row == mine for row, mine in zip(other, self))
+            return self.tuples() == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        mode = "q" if self.is_array else "bignum"
+        mode = "int64" if self.is_array else "bignum"
         return f"IntervalColumns({len(self)} tuples, {mode})"
 
     # -- block arithmetic ---------------------------------------------------------
 
     def env_bounds(self, width: int, env: int) -> tuple[int, int]:
-        """Index bounds ``[lo, hi)`` of environment ``env`` — O(log n).
-
-        Binary search on the sorted ``l`` column; no scan, no copies.
-        """
+        """Index bounds ``[lo, hi)`` of environment ``env`` — O(log n)."""
         lo = bisect_left(self.l, env * width)
         hi = bisect_left(self.l, (env + 1) * width, lo=lo)
         return lo, hi
 
-    def env_slice(self, width: int, env: int) -> "IntervalColumns":
-        """The columns of environment ``env`` (C-level slice, no tuples)."""
-        lo, hi = self.env_bounds(width, env)
-        return self[lo:hi]
+    def block_bounds(self, width: int):
+        """``(envs, starts, ends)`` arrays of the non-empty environment
+        blocks — one vector compare of neighbouring ``l // width`` (int64
+        mode only; bignum relations iterate with :meth:`iter_env_bounds`)."""
+        env = self.l // width
+        change = np.ones(len(env), dtype=np.bool_)
+        change[1:] = env[1:] != env[:-1]
+        starts = np.flatnonzero(change)
+        return env[starts], starts, np.append(starts[1:], len(env))
 
     def iter_env_bounds(self, width: int) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(env, lo, hi)`` for every non-empty block, in order.
-
-        Each block end is found with one binary search (O(b·log n) for b
-        blocks) instead of rescanning tuples.
-        """
+        """Yield ``(env, lo, hi)`` for every non-empty block, in order."""
         if width <= 0:
-            return
+            return iter(())
+        if isinstance(self.l, np.ndarray):
+            return zip(*(column.tolist()
+                         for column in self.block_bounds(width)))
+        return self._iter_list_bounds(width)
+
+    def _iter_list_bounds(self, width: int) -> Iterator[tuple[int, int, int]]:
         l = self.l
-        size = len(l)
         start = 0
-        while start < size:
+        while start < len(l):
             env = l[start] // width
             end = bisect_left(l, (env + 1) * width, lo=start)
             yield env, start, end
@@ -232,69 +348,32 @@ class IntervalColumns:
         """The sorted environment indices with at least one tuple."""
         return [env for env, _lo, _hi in self.iter_env_bounds(width)]
 
-    def shifted(self, offset: int) -> "IntervalColumns":
-        """Whole-column shift of both endpoints by ``offset``."""
-        if offset == 0:
-            return self
-        return IntervalColumns(
-            self.s,
-            make_int_column(x + offset for x in self.l),
-            make_int_column(x + offset for x in self.r),
-        )
-
     def max_right(self) -> int:
-        """The largest right endpoint (-1 when empty) — O(roots)."""
-        best = -1
-        l = self.l
-        r = self.r
-        position = 0
-        size = len(l)
-        while position < size:
-            right = r[position]
-            if right > best:
-                best = right
-            position = bisect_left(l, right, lo=position + 1)
-        return best
-
-    def root_bounds(self) -> list[tuple[int, int]]:
-        """Index bounds ``[lo, hi)`` of each top-level tree, in order.
-
-        A root's descendants all have ``l`` strictly inside the root's
-        interval, so the next root is the first index with
-        ``l >= r[root]`` — one binary search per root, O(roots · log n).
-        """
-        bounds: list[tuple[int, int]] = []
-        l = self.l
-        r = self.r
-        position = 0
-        size = len(l)
-        while position < size:
-            end = bisect_left(l, r[position], lo=position + 1)
-            bounds.append((position, end))
-            position = end
-        return bounds
+        """The largest right endpoint (-1 when empty)."""
+        if isinstance(self.r, np.ndarray) and len(self.r):
+            return int(self.r.max())
+        return max(self.r, default=-1)
 
     def shard(self, shards: int) -> list["IntervalColumns"]:
         """Split into ≤ ``shards`` contiguous runs of complete root trees.
 
-        Shards are C-level slices in document order, balanced by tuple
+        Shards are zero-copy slices in document order, balanced by tuple
         count, and never cut through a tree — concatenating per-shard
         results of a root-distributive plan in shard order reproduces the
         whole-document result.  Interval coordinates are left untouched,
-        so every shard evaluates under the original document width.  A
-        relation with fewer roots than ``shards`` yields fewer pieces.
+        so every shard evaluates under the original document width, and
+        ``d`` is unchanged because every cut falls on a root.  A relation
+        with fewer roots than ``shards`` yields fewer pieces.
         """
         count = len(self)
+        tree_ends = np.append(np.flatnonzero(self.d == 0)[1:], count)
+        shards = min(shards, len(tree_ends))
         if shards <= 1 or count == 0:
-            return [self]
-        roots = self.root_bounds()
-        shards = min(shards, len(roots))
-        if shards <= 1:
             return [self]
         target = count / shards
         pieces: list[IntervalColumns] = []
         start = 0
-        for _lo, hi in roots:
+        for hi in tree_ends.tolist():
             if len(pieces) == shards - 1:
                 break  # everything left is the final shard
             if hi - start >= target:
@@ -305,24 +384,14 @@ class IntervalColumns:
         return pieces
 
 
-def _concat_int_column(parts: "list[object]") -> "array | list[int]":
-    """Concatenate endpoint-column pieces into one fresh column.
-
-    ``parts`` mixes C-level slices of the source column (``array``,
-    ``list``, or shm ``memoryview``) with small tuples of inserted
-    endpoints; the result is ``array('q')`` when everything fits int64,
-    else a plain list (bignum mode, matching :func:`make_int_column`).
-    """
-    try:
-        out = array("q")
-        for part in parts:
-            out.extend(part)
-        return out
-    except OverflowError:
-        flat: list[int] = []
-        for part in parts:
-            flat.extend(part)
-        return flat
+def _concat_column(parts: "list[object]") -> "np.ndarray | list[int]":
+    """Concatenate endpoint-column pieces; a list when any piece is one."""
+    if all(isinstance(part, np.ndarray) for part in parts):
+        return np.concatenate(parts)
+    flat: list[int] = []
+    for part in parts:
+        flat.extend(_ints(part))
+    return make_int_column(flat)
 
 
 def splice_columns(columns: "IntervalColumns",
@@ -331,10 +400,12 @@ def splice_columns(columns: "IntervalColumns",
 
     The deleted interval ranges and the inserted run's position are
     located with ``bisect`` on the sorted ``l`` column, so only
-    O(log n) comparisons happen at Python speed — everything else is
-    C-level slice copying of machine words (or pointer blocks in bignum
-    mode).  The source relation is never mutated; callers swap the
-    returned relation in atomically.
+    O(log n) comparisons happen at Python speed — everything else is one
+    ``concatenate`` per column.  Whole subtrees leave and arrive, so the
+    depths of the surviving rows stand: the new rows' ``d`` is the
+    delta's ``inserted_depths`` and their ``c`` comes from their labels —
+    no recompute over the document.  The source relation is never
+    mutated; callers swap the returned relation in atomically.
     """
     lows = columns.l
     size = len(lows)
@@ -347,52 +418,48 @@ def splice_columns(columns: "IntervalColumns",
         if start < stop:
             drops.append((start, stop))
     drops.sort()
-    keeps: list[tuple[int, int]] = []
+    spans: list[tuple[int, int] | None] = []  # None marks the inserted run
     cursor = 0
     for start, stop in drops:
         if cursor < start:
-            keeps.append((cursor, start))
+            spans.append((cursor, start))
         cursor = max(cursor, stop)
     if cursor < size:
-        keeps.append((cursor, size))
-    # The inserted run is contiguous in l-order: place it at its bisect
-    # position, splitting the keep-span it falls inside.
-    insert_at = bisect_left(lows, delta.inserted[0][1]) if delta.inserted \
-        else None
-    s_parts: list[list[str] | tuple[str, ...]] = []
-    l_parts: list[object] = []
-    r_parts: list[object] = []
+        spans.append((cursor, size))
+    if delta.inserted:
+        # The inserted run is contiguous in l-order: place it at its
+        # bisect position, splitting the keep-span it falls inside.
+        at = bisect_left(lows, delta.inserted[0][1])
+        placed: list[tuple[int, int] | None] = []
+        for start, stop in spans:
+            if at is not None and at <= start:
+                placed.append(None)
+                at = None
+            if at is not None and at < stop:
+                placed += [(start, at), None, (at, stop)]
+                at = None
+            else:
+                placed.append((start, stop))
+        if at is not None:
+            placed.append(None)
+        spans = placed
+    if not spans:
+        return IntervalColumns.empty()
+    labels = [row[0] for row in delta.inserted]
 
-    def emit(start: int, stop: int) -> None:
-        if start < stop:
-            s_parts.append(columns.s[start:stop])
-            l_parts.append(columns.l[start:stop])
-            r_parts.append(columns.r[start:stop])
+    def pieces(old, new) -> list:
+        return [new if span is None else old[span[0]:span[1]]
+                for span in spans]
 
-    def emit_inserted() -> None:
-        s_parts.append([row[0] for row in delta.inserted])
-        l_parts.append(tuple(row[1] for row in delta.inserted))
-        r_parts.append(tuple(row[2] for row in delta.inserted))
-
-    placed = insert_at is None
-    for start, stop in keeps:
-        if not placed and insert_at <= start:
-            emit_inserted()
-            placed = True
-        if not placed and start < insert_at <= stop:
-            emit(start, insert_at)
-            emit_inserted()
-            placed = True
-            emit(insert_at, stop)
-            continue
-        emit(start, stop)
-    if not placed:
-        emit_inserted()
-    s_out: list[str] = []
-    for part in s_parts:
-        s_out.extend(part)
-    return IntervalColumns(s_out, _concat_int_column(l_parts),
-                           _concat_int_column(r_parts))
+    return IntervalColumns(
+        np.concatenate(pieces(columns.s, label_column(labels))),
+        _concat_column(pieces(columns.l, make_int_column(
+            row[1] for row in delta.inserted))),
+        _concat_column(pieces(columns.r, make_int_column(
+            row[2] for row in delta.inserted))),
+        np.concatenate(pieces(columns.d, np.array(delta.inserted_depths,
+                                                  dtype=np.int32))),
+        np.concatenate(pieces(columns.c, label_codes(labels))))
 
 
 #: Either relation representation, as accepted by the public operators.
@@ -412,44 +479,64 @@ def as_columns(rel: AnyRelation) -> IntervalColumns:
 #: CI leak check greps for it after ``session.close()``.
 SHM_PREFIX = "repro_cols"
 
-_WORD = 8  # bytes per int64 endpoint
-
 #: Monotonic suffix for segment names created by this process.
 _segment_counter = _counter()
+
+
+def _segment_views(buffer: memoryview, count: int) -> list[np.ndarray]:
+    """The ``l``, ``r``, ``d``, ``c`` regions of a segment, zero-copy."""
+    return [np.frombuffer(buffer, np.int64, count, 0),
+            np.frombuffer(buffer, np.int64, count, 8 * count),
+            np.frombuffer(buffer, np.int32, count, 16 * count),
+            np.frombuffer(buffer, np.int32, count, 20 * count)]
+
+
+def _fill_segment(buffer: memoryview, columns: "IntervalColumns") -> None:
+    # A function of its own so that no view outlives the call: the
+    # creator's handle cannot close() while an array exports its buffer.
+    for view, column in zip(_segment_views(buffer, len(columns)),
+                            (columns.l, columns.r, columns.d, columns.c)):
+        view[:] = column
 
 
 class SharedColumns:
     """A picklable descriptor of an :class:`IntervalColumns` in shared memory.
 
     Built by :func:`export_columns`; ship it to a worker process and call
-    :meth:`attach` there.  The descriptor carries only the segment name
-    and layout — attaching maps the creator's bytes, it never copies the
-    endpoint columns.
+    :meth:`attach` there.  The descriptor carries the segment name, the
+    layout, and the ``(label, code)`` pairs of the names the relation's
+    ``c`` column uses — attaching maps the creator's bytes, it never
+    copies the integer columns.
     """
 
-    __slots__ = ("name", "count", "label_bytes")
+    __slots__ = ("name", "count", "label_bytes", "names")
 
-    def __init__(self, name: str, count: int, label_bytes: int):
+    def __init__(self, name: str, count: int, label_bytes: int,
+                 names: tuple[tuple[str, int], ...] = ()):
         self.name = name
         self.count = count
         self.label_bytes = label_bytes
+        self.names = names
 
     def __reduce__(self):
-        return (SharedColumns, (self.name, self.count, self.label_bytes))
+        return (SharedColumns, (self.name, self.count, self.label_bytes,
+                                self.names))
 
     def __repr__(self) -> str:
         return (f"SharedColumns({self.name!r}, {self.count} tuples, "
-                f"{self.label_bytes} label bytes)")
+                f"{self.label_bytes} label bytes, {len(self.names)} names)")
 
     def attach(self) -> "AttachedColumns":
-        """Map the segment and rebuild the relation (endpoints zero-copy).
+        """Map the segment and rebuild the relation (integers zero-copy).
 
-        The endpoint columns of the returned relation are ``memoryview``
-        slices of the shared buffer cast to int64 — no bytes move.  Labels
-        are decoded into a fresh list (Python strings cannot be shared).
-        Keep the returned handle alive as long as the relation is in use
-        and call :meth:`AttachedColumns.detach` when done; the segment is
-        unlinked only by its creator.
+        ``l``, ``r``, ``d`` and ``c`` of the returned relation are arrays
+        over the shared buffer — no bytes move.  Labels are decoded into
+        a fresh array (Python strings cannot be shared), and the shipped
+        names are adopted into this process's dictionary; only when one
+        clashes with a local assignment is ``c`` translated into a
+        private copy.  Keep the returned handle alive as long as the
+        relation is in use and call :meth:`AttachedColumns.detach` when
+        done; the segment is unlinked only by its creator.
         """
         # CPython ≤3.12 registers a segment with the resource tracker on
         # attach as well as on create.  Pool workers are always
@@ -460,50 +547,54 @@ class SharedColumns:
         from multiprocessing.shared_memory import SharedMemory
 
         shm = SharedMemory(name=self.name)
-        words = self.count * _WORD
-        base = memoryview(shm.buf)
-        l = base[0:words].cast("q")
-        r = base[words:2 * words].cast("q")
-        blob = bytes(base[2 * words:2 * words + self.label_bytes])
-        s = blob.decode("utf-8").split("\x00") if self.count else []
-        columns = IntervalColumns(s, l, r)
-        return AttachedColumns(columns, shm, (l, r, base))
+        count = self.count
+        l, r, d, c = _segment_views(shm.buf, count)
+        blob = bytes(shm.buf[24 * count:24 * count + self.label_bytes])
+        s = label_column(blob.decode("utf-8").split("\x00") if count else [])
+        remap = adopt_names(self.names)
+        if remap:
+            foreign, inverse = np.unique(c, return_inverse=True)
+            c = np.array([remap.get(code, code) for code in foreign.tolist()],
+                         dtype=np.int32)[inverse]
+        return AttachedColumns(IntervalColumns(s, l, r, d, c), shm)
 
 
 class AttachedColumns:
-    """A worker-side attachment: the relation plus what must be released.
+    """A worker-side attachment: the relation plus the mapping behind it.
 
-    ``detach`` releases the int64 views before closing the mapping (an
+    ``detach`` drops the relation's arrays before closing the mapping (an
     mmap with exported buffers refuses to close), and never unlinks — the
-    exporting process owns the segment's lifetime.
+    exporting process owns the segment's lifetime.  Every relation
+    derived from the attached one (kernels return views of their input)
+    must be gone by then; a pool worker holds results only for the
+    duration of one request.
     """
 
-    __slots__ = ("columns", "_shm", "_views", "_closed")
+    __slots__ = ("columns", "_shm")
 
-    def __init__(self, columns: IntervalColumns, shm: "SharedMemory",
-                 views: tuple[memoryview, ...]):
+    def __init__(self, columns: IntervalColumns, shm: "SharedMemory"):
         self.columns = columns
         self._shm = shm
-        self._views = views
-        self._closed = False
 
     def detach(self) -> None:
-        if self._closed:
+        shm, self._shm = self._shm, None
+        if shm is None:
             return
-        self._closed = True
-        for view in self._views:
-            view.release()
-        self._shm.close()
+        empty = IntervalColumns.empty()
+        for column in IntervalColumns.__slots__:
+            setattr(self.columns, column, getattr(empty, column))
+        shm.close()
 
 
 def export_columns(columns: IntervalColumns,
                    name: str | None = None) -> "tuple[SharedColumns, SharedMemory]":
-    """Copy an array-backed relation into a new shared-memory segment.
+    """Copy an int64-backed relation into a new shared-memory segment.
 
-    Layout: ``count`` int64 ``l`` words, ``count`` int64 ``r`` words, then
-    the labels as one NUL-joined UTF-8 blob.  Returns the picklable
-    descriptor and the creator-side handle — the caller owns the segment
-    and must ``close()`` + ``unlink()`` it when the document is dropped
+    Layout: ``count`` int64 ``l`` words, ``count`` int64 ``r`` words,
+    ``count`` int32 depths, ``count`` int32 name codes, then the labels
+    as one NUL-joined UTF-8 blob.  Returns the picklable descriptor and
+    the creator-side handle — the caller owns the segment and must
+    ``close()`` + ``unlink()`` it when the document is dropped
     (:class:`repro.concurrency.procpool.ProcessQueryPool` does this on
     ``unregister_document``/``close``).
 
@@ -518,21 +609,19 @@ def export_columns(columns: IntervalColumns,
         raise ValueError(
             "bignum-mode columns cannot be exported to shared memory; "
             "serialize them instead (pickle round-trips any relation)")
-    for label in columns.s:
-        if "\x00" in label:
-            raise ValueError(
-                "labels containing NUL cannot be exported to shared memory; "
-                "serialize the relation instead")
-    l_bytes = columns.l.tobytes()
-    r_bytes = columns.r.tobytes()
-    blob = "\x00".join(columns.s).encode("utf-8")
-    words = len(l_bytes)
-    total = 2 * words + len(blob)
+    blob = "\x00".join(columns.s.tolist()).encode("utf-8")
+    count = len(columns)
+    if blob.count(b"\x00") != max(count - 1, 0):
+        raise ValueError(
+            "labels containing NUL cannot be exported to shared memory; "
+            "serialize the relation instead")
+    names = tuple((_label_of[code], code)
+                  for code in np.unique(columns.c).tolist()
+                  if code != TEXT_CODE)
     if name is None:
         name = f"{SHM_PREFIX}_{os.getpid()}_{next(_segment_counter)}"
-    shm = SharedMemory(create=True, size=max(total, 1), name=name)
-    shm.buf[0:words] = l_bytes
-    shm.buf[words:2 * words] = r_bytes
-    if blob:
-        shm.buf[2 * words:2 * words + len(blob)] = blob
-    return SharedColumns(shm.name, len(columns), len(blob)), shm
+    shm = SharedMemory(create=True, size=max(24 * count + len(blob), 1),
+                       name=name)
+    _fill_segment(shm.buf, columns)
+    shm.buf[24 * count:24 * count + len(blob)] = blob
+    return SharedColumns(shm.name, count, len(blob), names), shm

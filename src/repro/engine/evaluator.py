@@ -62,6 +62,10 @@ _UNARY_OPERATORS = frozenset({
     "tail", "reverse", "subtrees_dfs", "data", "distinct", "sort",
 })
 
+#: Inner XFns that ``select`` fuses with into one kernel (the child and
+#: descendant path steps; see ``DIEngine._eval_fused_select``).
+_FUSED_SELECTS = frozenset({"children", "subtrees_dfs"})
+
 #: Latency buckets for the per-kernel histogram (seconds, exponential).
 _KERNEL_SECONDS_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
@@ -285,46 +289,54 @@ class DIEngine:
     def _eval_fn(self, node: FnNode, seq: EnvSeq) -> Value:
         if self._columnar and node.fn == "select" and len(node.args) == 1 \
                 and isinstance(node.args[0], FnNode) \
-                and node.args[0].fn == "children" \
+                and node.args[0].fn in _FUSED_SELECTS \
                 and len(node.args[0].args) == 1:
             return self._eval_fused_select(node, seq)
         args = [self.evaluate(arg, seq) for arg in node.args]
+        if self.stats is None:  # the hot path allocates no closure
+            return self._apply_fn(node, args, seq)
+        return self._charged(node, lambda: self._apply_fn(node, args, seq))
+
+    def _charged(self, node: FnNode, apply: Callable[[], Value]) -> Value:
+        """Run one XFn application under its Figure 10 category."""
+        if self.stats is None:
+            return apply()
         category = FUNCTION_CATEGORIES.get(node.fn, OTHER)
-        if self.stats is not None:
-            with self.stats.measure(category):
-                result = self._apply_fn(node, args, seq)
-                self.stats.add_tuples(category, len(result[0]))
-                return result
-        return self._apply_fn(node, args, seq)
+        with self.stats.measure(category):
+            result = apply()
+            self.stats.add_tuples(category, len(result[0]))
+            return result
 
     def _eval_fused_select(self, node: FnNode, seq: EnvSeq) -> Value:
-        """``select(children(X), label)`` — the path-step idiom — fused.
+        """The two path-step idioms, each as one kernel.
 
-        On columnar input the combined kernel finds matching depth-1
-        trees directly, skipping the document-sized intermediate the
-        ``children`` copy would materialize.
+        ``select(children(X), label)`` — the child step — finds the
+        matching depth-1 trees directly, skipping the document-sized
+        intermediate a ``children`` copy would materialize;
+        ``select(subtrees_dfs(X), label)`` — what ``//name`` lowers to —
+        emits only the matching subtrees, at ``subtrees_dfs``'s exact
+        output coordinates (width squares), instead of a copy of every
+        subtree of ``X``.
         """
-        rel, width = self.evaluate(node.args[0].args[0], seq)
+        inner = node.args[0]
+        rel, width = self.evaluate(inner.args[0], seq)
         label = node.param("label")
 
         def apply() -> Value:
             if width == 0:
                 return [], 0
-            if isinstance(rel, IntervalColumns):
+            if not isinstance(rel, IntervalColumns):
+                return self._apply_fn(
+                    node, [self._apply_fn(inner, [(rel, width)], seq)], seq)
+            if inner.fn == "children":
                 return self._kernel("select_children",
                                     kernels.select_children,
                                     rel, label), width
-            return self._kernel(
-                "select", ops.select_label,
-                self._kernel("children", ops.children, rel), label), width
+            return self._kernel("select_descendants",
+                                kernels.select_descendants,
+                                rel, width, label), width * width
 
-        category = FUNCTION_CATEGORIES.get(node.fn, OTHER)
-        if self.stats is not None:
-            with self.stats.measure(category):
-                result = apply()
-                self.stats.add_tuples(category, len(result[0]))
-                return result
-        return apply()
+        return self._charged(node, apply)
 
     def _apply_fn(self, node: FnNode, args: list[Value], seq: EnvSeq) -> Value:
         fn = node.fn
@@ -700,7 +712,8 @@ class DIEngine:
 def _root_lefts(roots: Relation) -> list[int]:
     """The root left endpoints — the expanded environment index."""
     if isinstance(roots, IntervalColumns):
-        return list(roots.l)
+        lefts = roots.l  # int64 array, or a list in bignum mode
+        return lefts.tolist() if hasattr(lefts, "tolist") else list(lefts)
     return [row[1] for row in roots]
 
 

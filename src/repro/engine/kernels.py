@@ -3,892 +3,584 @@
 Each kernel is the columnar counterpart of one list-based operator in
 :mod:`repro.engine.operators` (which remain as the reference
 implementations, exercised against these by the property suite in
-``tests/test_columnar_kernels.py``).  Instead of walking ``(s, l, r)``
-tuples in interpreted loops, a kernel computes per-block *runs* with
-binary search on the sorted ``l`` column and then moves whole slices:
-labels with C-level list slicing, endpoints with bulk arithmetic.
+``tests/test_columnar_kernels.py``).  A kernel never walks ``(s, l, r)``
+tuples: it turns the question into a mask over the ``d`` (depth) and ``c``
+(name code) columns, finds the extents of the rows it keeps with binary
+search on the sorted ``l`` column, and materializes the answer through
+one gather.
 
-When NumPy is available (gated — never required), endpoint columns are
-viewed zero-copy via ``frombuffer`` and the scan kernels become genuine
-vector expressions: ``roots`` is one ``maximum.accumulate``, node depths
-(the basis of structural keys, ``data``, ``distinct``, ``sort``) come from
-one argsort over the endpoint events, and subtree extents for *every* node
-at once are one ``searchsorted``.  Without NumPy the kernels fall back to
-pure-Python paths that still operate column-at-a-time (slice + shift
-comprehensions) or, for the scan-shaped operators, to the reference
-list implementation — correct everywhere, fastest where the hardware
-allows.
+What the paper's linear scans became.  Algorithm 5.2 finds roots by
+streaming the relation with a running maximum of right endpoints; that
+scan *is* a depth computation, and it runs exactly once per relation —
+in the encoder's DFS, or in ``IntervalColumns.from_tuples`` — and is
+kept as the ``d`` column.  ``roots`` is then ``d == 0``, ``children`` is
+``d > 0`` (one level shallower), and a child or descendant step with a
+name test is ``(d == 1) & (c == code)`` or ``c == code``: still one
+ordered pass over the relation per operator, as Section 5 requires, but
+a vector compare instead of an interpreted loop, and never a re-scan to
+rediscover structure an earlier operator already knew.
 
-Two fusion rules remove whole passes from the evaluator's hot path:
+:func:`_emit_runs` is the single materialization point: every kernel
+that keeps or moves rows hands it run bounds ``[a, b)`` plus one
+coordinate offset per run, and it gathers all five columns, shifts the
+endpoints, and rebases ``d`` by the depth of each run's first row (so a
+subtree copied out of its context becomes a tree of its own).  A single
+run comes back as a zero-copy view of the input.
 
-* **select→shift** — :func:`expand_variable` places every subtree into its
-  per-root environment in one pass over trees (bulk slice add per tree)
-  instead of a per-tuple root lookup followed by a per-tuple shift;
-* **slice→concat** — :func:`gather_blocks` materializes "copy block of env
-  *a* to env *b*" plans (the quadratic cost of nested-loop iteration) as
-  one preallocated output filled with shifted slices, instead of
-  per-tuple append loops per root/pair.
-
-Overflow discipline: interval coordinates grow multiplicatively with query
-nesting and may exceed ``int64``.  Every coordinate-growing kernel bounds
-its largest output value *before* touching vector arithmetic (NumPy wraps
-silently on int64 overflow — never acceptable here) and falls back to the
-bignum-safe reference path, whose output lands in list-backed columns.
+Overflow discipline: interval coordinates grow multiplicatively with
+query nesting and may exceed ``int64``.  Every coordinate-growing kernel
+bounds its largest output value *before* touching vector arithmetic
+(NumPy wraps silently on int64 overflow — never acceptable here) and
+falls back to the bignum-safe ``_list_*`` reference operator, whose
+output lands in list-backed columns; a relation already in bignum mode
+takes the same route.  That fallback is the only second body.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
+from functools import wraps
 from typing import Callable, Sequence
 
-from repro.engine.columns import (
-    INT64_MAX,
-    IntervalColumns,
-    make_int_column,
-)
-from repro.xml.forest import is_element_label, is_text_label
+import numpy as np
 
-try:  # NumPy accelerates the kernels but is never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _force_scalar tests
-    _np = None
+from repro.engine.columns import (
+    ELEMENT,
+    INT64_MAX,
+    KIND_MASK,
+    TEXT_CODE,
+    IntervalColumns,
+    label_column,
+    label_codes,
+    make_int_column,
+    name_code,
+)
 
 LabelPredicate = Callable[[str], bool]
 
-#: Test hook: set True to exercise the scalar fallbacks with NumPy present.
-_force_scalar = False
 
-
-def _vectorized(cols: IntervalColumns) -> bool:
-    """Whether the NumPy fast path applies to this relation."""
-    return _np is not None and not _force_scalar and cols.is_array
-
-
-def _view(column: array) -> "_np.ndarray":
-    """Zero-copy int64 view of an ``array('q')`` column."""
-    return _np.frombuffer(column, dtype=_np.int64)
-
-
-def _col(values: "_np.ndarray") -> array:
-    """An ``array('q')`` column from an int64 ndarray (one memcpy)."""
-    out = array("q")
-    out.frombytes(_np.ascontiguousarray(values, dtype=_np.int64).tobytes())
-    return out
-
-
-def _reference(name: str, rel: IntervalColumns, *args, **kwargs):
-    """Run the list-based reference operator; re-wrap the result."""
-    from repro.engine import operators as list_ops
-
-    result = getattr(list_ops, "_list_" + name)(rel.tuples(), *args, **kwargs)
+def _wrap(result) -> "IntervalColumns | tuple[IntervalColumns, int]":
+    """Columns from a list operator's result (``rel`` or ``(rel, width)``)."""
+    if isinstance(result, tuple):
+        return IntervalColumns.from_tuples(result[0]), result[1]
     return IntervalColumns.from_tuples(result)
 
 
-def _emit_runs(cols: IntervalColumns, a: "_np.ndarray", b: "_np.ndarray",
-               offsets: "_np.ndarray", total: int) -> IntervalColumns:
-    """Vectorized fused slice→shift→concat over per-run bound arrays.
+def _fallback(rel: IntervalColumns, run: Callable):
+    """``run(list_ops, rows)`` on the list algebra; re-wrap the result."""
+    from repro.engine import operators as list_ops
 
-    ``a``/``b``/``offsets`` hold one entry per run.  Labels move as
-    C-level list slices; endpoints are produced by one gather —
-    ``arange`` mapped back to source positions via ``repeat`` — plus one
-    bulk add, so cost is O(runs + total) with no per-run ndarray slicing.
+    return _wrap(run(list_ops, rel.tuples()))
+
+
+def _reference(name: str, rel: IntervalColumns, *args):
+    """Run the ``_list_<name>`` reference operator; re-wrap the result."""
+    return _fallback(rel, lambda list_ops, rows:
+                     getattr(list_ops, "_list_" + name)(rows, *args))
+
+
+def _falls_back(name: str):
+    """Route bignum-mode input to the ``_list_<name>`` reference operator."""
+    def decorate(kernel):
+        @wraps(kernel)
+        def run(cols: IntervalColumns, *args):
+            if not cols.is_array:
+                return _reference(name, cols, *args)
+            return kernel(cols, *args)
+        return run
+    return decorate
+
+
+def _as_int64(values) -> "np.ndarray | None":
+    """``values`` as an int64 array, or ``None`` when one does not fit."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _rows(cols: IntervalColumns, index: np.ndarray, d=None) -> IntervalColumns:
+    """The rows at sorted positions ``index``; ``d(depths)`` re-roots them.
+
+    A contiguous index — the children of a single root, say — is taken
+    as a slice, which NumPy answers with views instead of copies.
     """
-    if len(a) == 1:
-        # One contiguous run — the shape every selective path step
-        # produces.  Pure C slicing, no index arithmetic at all.
-        x, y, off = int(a[0]), int(b[0]), int(offsets[0])
-        if off == 0:
-            return IntervalColumns(cols.s[x:y], cols.l[x:y], cols.r[x:y])
-        return IntervalColumns(cols.s[x:y], _col(_view(cols.l)[x:y] + off),
-                               _col(_view(cols.r)[x:y] + off))
-    s = cols.s
+    if len(index) and index[-1] - index[0] + 1 == len(index):
+        index = slice(int(index[0]), int(index[-1]) + 1)
+    depths = cols.d[index]
+    return IntervalColumns(cols.s[index], cols.l[index], cols.r[index],
+                           depths if d is None else d(depths), cols.c[index])
+
+
+def _emit_runs(cols: IntervalColumns, a: np.ndarray, b: np.ndarray,
+               offsets: "np.ndarray | None" = None) -> IntervalColumns:
+    """Fused slice→shift→concat: ``cols[a[i]:b[i]] + offsets[i]`` per run.
+
+    Runs come out in the order given (they may repeat or permute input
+    rows).  All five columns move by one gather — ``arange`` mapped back
+    to source positions via ``repeat`` — endpoints get one bulk add, and
+    ``d`` is rebased by the depth of each run's first row.
+    """
     sizes = b - a
-    out_starts = _np.cumsum(sizes) - sizes
-    source = _np.arange(total, dtype=_np.int64) \
-        + _np.repeat(a - out_starts, sizes)
-    shift = _np.repeat(offsets, sizes)
-    out_l = _view(cols.l)[source] + shift
-    out_r = _view(cols.r)[source] + shift
-    if total >= 4 * len(a):
-        labels: list[str] = []
-        for x, y in zip(a.tolist(), b.tolist()):
-            labels.extend(s[x:y])
+    if not sizes.all():  # empty runs may point past the last row
+        keep = sizes > 0
+        a, sizes = a[keep], sizes[keep]
+        offsets = None if offsets is None else offsets[keep]
+    total = int(sizes.sum())
+    if total == 0:
+        return IntervalColumns.empty()
+    base = cols.d[a]
+    if len(a) > 1 and offsets is None and (a[1:] == a[:-1] + sizes[:-1]).all() \
+            and (base == base[0]).all():
+        a, base = a[:1], base[:1]  # back-to-back runs (a step that keeps all)
+    single = len(a) == 1  # one contiguous run: views, no index arithmetic
+    if single:
+        source = slice(int(a[0]), int(a[0]) + total)
     else:
-        # Mostly-tiny runs: one C-level gather beats a Python loop of
-        # slice copies.
-        labels = list(map(s.__getitem__, source.tolist()))
-    return IntervalColumns(labels, _col(out_l), _col(out_r))
+        starts = np.cumsum(sizes) - sizes
+        source = np.arange(total) + np.repeat(a - starts, sizes)
+
+    def spread(per_run: np.ndarray):
+        return per_run[0] if single else np.repeat(per_run, sizes)
+
+    l, r, d = cols.l[source], cols.r[source], cols.d[source]
+    if offsets is not None and offsets.any():
+        shift = spread(offsets)
+        l, r = l + shift, r + shift
+    if base.any():
+        d = d - spread(base)
+    return IntervalColumns(cols.s[source], l, r, d, cols.c[source])
 
 
-def _gather(cols: IntervalColumns, index: "_np.ndarray") -> IntervalColumns:
-    """Select rows by position (bool mask or int index array).
+def _subtree_ends(cols: IntervalColumns, starts: np.ndarray) -> np.ndarray:
+    """End positions of the subtrees rooted at ``starts`` (one searchsorted)."""
+    return np.searchsorted(cols.l, cols.r[starts])
 
-    Positions are regrouped into maximal contiguous runs first: the scan
-    kernels keep long stretches (children drops only roots), so labels
-    copy as a handful of list slices instead of one append per row.
+
+def _subtrees(cols: IntervalColumns, starts: np.ndarray) -> IntervalColumns:
+    """The whole subtrees rooted at positions ``starts``, in order."""
+    return _emit_runs(cols, starts, _subtree_ends(cols, starts))
+
+
+def _trees(cols: IntervalColumns, width: int):
+    """``(starts, ends, envs)`` of every top-level tree, in order."""
+    starts = np.flatnonzero(cols.d == 0)
+    return starts, np.append(starts[1:], len(cols)), cols.l[starts] // width
+
+
+def _match(cols: IntervalColumns, label: str,
+           depth: "int | None" = None) -> np.ndarray:
+    """Positions of the rows labelled ``label`` (at ``depth``, if given).
+
+    One compare on the name-code column.  Text nodes share a code, so a
+    text label is confirmed on the label strings of the candidates only.
     """
-    if index.dtype == _np.bool_:
-        index = _np.flatnonzero(index)
-    total = len(index)
-    if total == 0:
-        return IntervalColumns.empty()
-    breaks = _np.flatnonzero(_np.diff(index) != 1) + 1
-    a = index[_np.concatenate((_np.zeros(1, _np.int64), breaks))]
-    sizes = _np.diff(_np.concatenate((_np.zeros(1, _np.int64), breaks,
-                                      _np.asarray([total], _np.int64))))
-    return _emit_runs(cols, a, a + sizes,
-                      _np.zeros(len(a), dtype=_np.int64), total)
-
-
-def _take_tree_runs(cols: IntervalColumns, starts: "_np.ndarray",
-                    ends: "_np.ndarray") -> IntervalColumns:
-    """Keep the disjoint, ordered runs ``[start, end)`` — straight to the
-    run emitter, without materializing a whole-relation boolean mask."""
-    total = int((ends - starts).sum())
-    if total == 0:
-        return IntervalColumns.empty()
-    return _emit_runs(cols, starts, ends,
-                      _np.zeros(len(starts), dtype=_np.int64), total)
-
-
-def _runs_mask(size: int, starts: "_np.ndarray",
-               ends: "_np.ndarray") -> "_np.ndarray":
-    """Boolean mask covering the disjoint half-open runs [start, end)."""
-    delta = _np.zeros(size + 1, dtype=_np.int64)
-    delta[starts] += 1
-    delta[ends] -= 1
-    return _np.cumsum(delta[:-1]) > 0
-
-
-def _roots_mask(l: "_np.ndarray", r: "_np.ndarray") -> "_np.ndarray":
-    """Algorithm 5.2 as one vector expression: l > running max of r."""
-    mask = _np.empty(len(l), dtype=_np.bool_)
-    if len(l):
-        mask[0] = True
-        mask[1:] = l[1:] > _np.maximum.accumulate(r)[:-1]
-    return mask
-
-
-def depths(cols: IntervalColumns) -> "_np.ndarray | list[int]":
-    """Nesting depth of every node (roots are 0) — one pass.
-
-    Vector form: sort the 2n interval endpoints (all distinct), treat each
-    ``l`` as +1 and each ``r`` as -1, and read each node's depth off the
-    running sum at its own open event.  Blocks are disjoint, so global
-    depths equal per-block depths.
-    """
-    if _vectorized(cols):
-        n = len(cols)
-        if n == 0:
-            return _np.empty(0, dtype=_np.int64)
-        l = _view(cols.l)
-        r = _view(cols.r)
-        events = _np.concatenate([l, r])
-        deltas = _np.concatenate([_np.ones(n, _np.int64),
-                                  _np.full(n, -1, _np.int64)])
-        order = _np.argsort(events, kind="stable")
-        running = _np.cumsum(deltas[order])
-        at_event = _np.empty(2 * n, dtype=_np.int64)
-        at_event[order] = running
-        return at_event[:n] - 1
-    result: list[int] = []
-    open_rights: list[int] = []
-    for left, right in zip(cols.l, cols.r):
-        while open_rights and open_rights[-1] < left:
-            open_rights.pop()
-        result.append(len(open_rights))
-        open_rights.append(right)
-    return result
+    code = name_code(label, intern=False)
+    if code is None:  # a name no relation in this process carries
+        return np.empty(0, dtype=np.intp)
+    mask = cols.c == code
+    if depth is not None:
+        mask &= cols.d == depth
+    hits = np.flatnonzero(mask)
+    if code == TEXT_CODE:
+        hits = hits[cols.s[hits] == label]
+    return hits
 
 
 # -- scan kernels ------------------------------------------------------------------
 
 
+@_falls_back("roots")
 def roots(cols: IntervalColumns) -> IntervalColumns:
-    if not _vectorized(cols):
-        # Scalar path beats the reference scan: hop from root to root with
-        # binary search, O(roots · log n) instead of O(n).
-        runs: list[tuple[int, int, int]] = []
-        l = cols.l
-        position = 0
-        size = len(cols)
-        while position < size:
-            runs.append((position, position + 1, 0))
-            position = bisect_left(l, cols.r[position], lo=position + 1)
-        return _shift_runs(cols, runs, len(runs))
-    return _gather(cols, _roots_mask(_view(cols.l), _view(cols.r)))
+    return _rows(cols, np.flatnonzero(cols.d == 0))
 
 
+@_falls_back("children")
 def children(cols: IntervalColumns) -> IntervalColumns:
-    if not _vectorized(cols):
-        return _reference("children", cols)
-    return _gather(cols, ~_roots_mask(_view(cols.l), _view(cols.r)))
+    return _rows(cols, np.flatnonzero(cols.d > 0), lambda depths: depths - 1)
 
 
+@_falls_back("select_trees")
 def select_trees(cols: IntervalColumns,
                  predicate: LabelPredicate) -> IntervalColumns:
-    """Whole trees whose root label satisfies ``predicate``.
-
-    The predicate runs on root labels only; kept subtrees become runs
-    ``[root, searchsorted(l, root.r))`` marked in bulk.
-    """
-    if not _vectorized(cols):
-        return _reference("select_trees", cols, predicate)
-    l = _view(cols.l)
-    r = _view(cols.r)
-    root_positions = _np.flatnonzero(_roots_mask(l, r))
-    s = cols.s
-    chosen = [p for p in root_positions.tolist() if predicate(s[p])]
-    if not chosen:
-        return IntervalColumns.empty()
-    starts = _np.asarray(chosen, dtype=_np.int64)
-    ends = _np.searchsorted(l, r[starts])
-    return _take_tree_runs(cols, starts, ends)
-
-
-def select_children(cols: IntervalColumns, label: str) -> IntervalColumns:
-    """Fused ``select_label ∘ children`` — the path-step idiom.
-
-    ``children`` drops root rows without shifting coordinates, so the
-    roots of the children relation are exactly the depth-1 nodes of the
-    input: one roots-mask over the non-root subset finds them without
-    materializing the (document-sized) children relation at all.
-    """
-    if not _vectorized(cols):
-        return select_label(children(cols), label)
-    l = _view(cols.l)
-    r = _view(cols.r)
-    nonroot = _np.flatnonzero(~_roots_mask(l, r))
-    if len(nonroot) == 0:
-        return IntervalColumns.empty()
-    child_roots = nonroot[_roots_mask(l[nonroot], r[nonroot])]
-    s = cols.s
-    positions = child_roots.tolist()
-    chosen = [p for p, root_label in zip(positions,
-                                         map(s.__getitem__, positions))
-              if root_label == label]
-    if not chosen:
-        return IntervalColumns.empty()
-    starts = _np.asarray(chosen, dtype=_np.int64)
-    ends = _np.searchsorted(l, r[starts])
-    return _take_tree_runs(cols, starts, ends)
+    """Whole trees whose root label satisfies an arbitrary ``predicate``
+    (called per root; the named tests below are mask compares instead)."""
+    starts = np.flatnonzero(cols.d == 0)
+    keep = [bool(predicate(label)) for label in cols.s[starts].tolist()]
+    return _subtrees(cols, starts[np.array(keep, dtype=np.bool_)])
 
 
 def select_label(cols: IntervalColumns, label: str) -> IntervalColumns:
-    if not _vectorized(cols):
-        return select_trees(cols, lambda s: s == label)
-    # Specialized: equality against root labels without a per-root
-    # predicate call (the most common select, one per path step).
-    l = _view(cols.l)
-    r = _view(cols.r)
-    root_positions = _np.flatnonzero(_roots_mask(l, r))
-    s = cols.s
-    chosen = [p for p, root_label
-              in zip(root_positions.tolist(),
-                     map(s.__getitem__, root_positions.tolist()))
-              if root_label == label]
-    if not chosen:
-        return IntervalColumns.empty()
-    starts = _np.asarray(chosen, dtype=_np.int64)
-    ends = _np.searchsorted(l, r[starts])
-    return _take_tree_runs(cols, starts, ends)
+    """Trees rooted at the exact ``label``."""
+    if not cols.is_array:
+        return _fallback(cols, lambda ops, rows: ops.select_label(rows, label))
+    return _subtrees(cols, _match(cols, label, depth=0))
 
 
-def _select_roots_inline(cols: IntervalColumns, want_text: bool) -> IntervalColumns:
-    """Root filter with the element/attribute test inlined (no per-root
-    function calls): element = ``<…>`` with len > 2, attribute = ``@…``,
-    text = neither."""
-    l = _view(cols.l)
-    r = _view(cols.r)
-    root_positions = _np.flatnonzero(_roots_mask(l, r)).tolist()
-    s = cols.s
-    if want_text:
-        chosen = [p for p, lab in zip(root_positions,
-                                      map(s.__getitem__, root_positions))
-                  if not (lab[:1] == "<" and lab[-1:] == ">" and len(lab) > 2
-                          or lab[:1] == "@" and len(lab) > 1)]
-    else:
-        chosen = [p for p, lab in zip(root_positions,
-                                      map(s.__getitem__, root_positions))
-                  if lab[:1] == "<" and lab[-1:] == ">" and len(lab) > 2]
-    if not chosen:
-        return IntervalColumns.empty()
-    starts = _np.asarray(chosen, dtype=_np.int64)
-    ends = _np.searchsorted(l, r[starts])
-    return _take_tree_runs(cols, starts, ends)
+def select_children(cols: IntervalColumns, label: str) -> IntervalColumns:
+    """Fused ``select_label ∘ children`` — the child path step.
+
+    The children relation's roots are the depth-1 rows of the input, so
+    the step is one mask and one ``searchsorted``; the (document-sized)
+    children relation is never materialized.
+    """
+    if not cols.is_array:
+        return _fallback(cols, lambda ops, rows: ops.select_label(
+            ops.children(rows), label))
+    return _subtrees(cols, _match(cols, label, depth=1))
+
+
+def _dfs_offsets(lefts: np.ndarray, width: int) -> np.ndarray:
+    """Where ``subtrees_dfs`` puts the copy rooted at each ``l``: block
+    offset ``(l mod w)·w`` of the widened block, relative to ``l``."""
+    env = lefts // width
+    return env * (width * width) + (lefts - env * width) * width - lefts
+
+
+def _dfs_overflows(cols: IntervalColumns, width: int) -> bool:
+    return (int(cols.l[-1]) // width + 1) * width * width > INT64_MAX
+
+
+@_falls_back("subtrees_dfs")
+def subtrees_dfs(cols: IntervalColumns, width: int) -> IntervalColumns:
+    """All subtrees in DFS order; output width is ``width²``."""
+    if len(cols) == 0:
+        return cols
+    if _dfs_overflows(cols, width):
+        return _reference("subtrees_dfs", cols, width)
+    starts = np.arange(len(cols))
+    return _emit_runs(cols, starts, _subtree_ends(cols, starts),
+                      _dfs_offsets(cols.l, width))
+
+
+def select_descendants(cols: IntervalColumns, width: int,
+                       label: str) -> IntervalColumns:
+    """Fused ``select_label ∘ subtrees_dfs`` — the descendant path step.
+
+    ``subtrees_dfs`` copies the subtree of *every* node only for the
+    select to keep the few copies whose root matches; this emits just
+    those, at the coordinates ``subtrees_dfs`` would have given them.
+    """
+    if len(cols) == 0:
+        return cols
+    if not cols.is_array or _dfs_overflows(cols, width):
+        return _fallback(cols, lambda ops, rows: ops.select_label(
+            ops.subtrees_dfs(rows, width), label))
+    starts = _match(cols, label)
+    return _emit_runs(cols, starts, _subtree_ends(cols, starts),
+                      _dfs_offsets(cols.l[starts], width))
 
 
 def textnode_trees(cols: IntervalColumns) -> IntervalColumns:
-    if _vectorized(cols):
-        return _select_roots_inline(cols, want_text=True)
-    return select_trees(cols, is_text_label)
+    if not cols.is_array:
+        return _fallback(cols, lambda ops, rows: ops.textnode_trees(rows))
+    return _subtrees(cols, np.flatnonzero(
+        (cols.d == 0) & (cols.c == TEXT_CODE)))
 
 
 def elementnode_trees(cols: IntervalColumns) -> IntervalColumns:
-    if _vectorized(cols):
-        return _select_roots_inline(cols, want_text=False)
-    return select_trees(cols, is_element_label)
+    if not cols.is_array:
+        return _fallback(cols, lambda ops, rows: ops.elementnode_trees(rows))
+    return _subtrees(cols, np.flatnonzero(
+        (cols.d == 0) & (cols.c & KIND_MASK == ELEMENT)))
 
 
-def _block_starts(l: "_np.ndarray", width: int) -> "_np.ndarray":
-    """Positions where a new environment block begins."""
-    env = l // width
-    starts = _np.empty(len(l), dtype=_np.bool_)
-    if len(l):
-        starts[0] = True
-        starts[1:] = env[1:] != env[:-1]
-    return _np.flatnonzero(starts)
-
-
+@_falls_back("head")
 def head(cols: IntervalColumns, width: int) -> IntervalColumns:
-    """The first tree of every environment — block starts + one searchsorted."""
-    if not _vectorized(cols):
-        return _reference("head", cols, width)
-    l = _view(cols.l)
-    starts = _block_starts(l, width)
-    ends = _np.searchsorted(l, _view(cols.r)[starts])
-    return _take_tree_runs(cols, starts, ends)
+    """The first tree of every environment."""
+    _envs, starts, _ends = cols.block_bounds(width)
+    return _subtrees(cols, starts)
 
 
+@_falls_back("tail")
 def tail(cols: IntervalColumns, width: int) -> IntervalColumns:
-    """Everything but each environment's first tree (runs after the head)."""
-    if not _vectorized(cols):
-        return _reference("tail", cols, width)
-    l = _view(cols.l)
-    starts = _block_starts(l, width)
-    first_tree_ends = _np.searchsorted(l, _view(cols.r)[starts])
-    block_ends = _np.append(starts[1:], len(cols))
-    return _take_tree_runs(cols, first_tree_ends, block_ends)
+    """Everything but each environment's first tree."""
+    _envs, starts, ends = cols.block_bounds(width)
+    return _emit_runs(cols, _subtree_ends(cols, starts), ends)
 
 
+@_falls_back("data")
 def data(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Atomization: text roots, and text children of non-text roots."""
-    if not _vectorized(cols):
-        return _reference("data", cols, width)
-    depth = depths(cols)
-    root_positions = _np.flatnonzero(depth == 0)
-    s = cols.s
-    root_is_text = [is_text_label(s[p]) for p in root_positions.tolist()]
-    keep = [p for p, text in zip(root_positions.tolist(), root_is_text)
-            if text]
-    level_one = _np.flatnonzero(depth == 1)
-    governors = _np.searchsorted(root_positions, level_one, side="right") - 1
-    keep.extend(p for p, g in zip(level_one.tolist(), governors.tolist())
-                if not root_is_text[g] and is_text_label(s[p]))
-    keep.sort()
-    return _gather(cols, _np.asarray(keep, dtype=_np.int64))
+    is_root = cols.d == 0
+    is_text = cols.c == TEXT_CODE
+    # Each row's governing root is the latest root at or before it.
+    under_text_root = is_text[np.flatnonzero(is_root)][np.cumsum(is_root) - 1]
+    keep = np.flatnonzero(
+        is_text & (is_root | ((cols.d == 1) & ~under_text_root)))
+    # Kept rows stand alone (their descendants are not emitted).
+    return _rows(cols, keep, np.zeros_like)
 
 
 # -- shift kernels ------------------------------------------------------------------
 
 
-def _shift_runs(cols: IntervalColumns,
-                runs: Sequence[tuple[int, int, int]],
-                total: int) -> IntervalColumns:
-    """Fused slice→shift→concat: emit ``cols[a:b] + offset`` per run.
-
-    ``runs`` are ``(a, b, offset)`` triples in output order; ``total`` is
-    the output length.  Labels move as C-level list slices; endpoints as
-    bulk slice adds (vectorized) or shift comprehensions (scalar).
-    """
-    if _vectorized(cols):
-        if not runs:
-            return IntervalColumns.empty()
-        bounds = _np.asarray(runs, dtype=_np.int64)
-        return _emit_runs(cols, bounds[:, 0], bounds[:, 1], bounds[:, 2],
-                          total)
-    labels: list[str] = []
-    s = cols.s
-    l = cols.l
-    r = cols.r
-    out_l: list[int] = []
-    out_r: list[int] = []
-    for a, b, offset in runs:
-        labels.extend(s[a:b])
-        out_l.extend(x + offset for x in l[a:b])
-        out_r.extend(x + offset for x in r[a:b])
-    return IntervalColumns(labels, make_int_column(out_l),
-                           make_int_column(out_r))
-
-
-def _max_left(cols: IntervalColumns) -> int:
-    return cols.l[-1] if len(cols) else 0
-
-
+@_falls_back("reverse")
 def reverse(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Top-level reversal per environment — one bulk shift per tree."""
-    if len(cols) == 0:
-        return cols
-    l = cols.l
-    r = cols.r
-    runs: list[tuple[int, int, int]] = []
-    for env, lo, hi in cols.iter_env_bounds(width):
-        base = env * width
-        trees: list[tuple[int, int]] = []
-        position = lo
-        while position < hi:
-            end = bisect_left(l, r[position], lo=position + 1, hi=hi)
-            trees.append((position, end))
-            position = end
-        for a, b in reversed(trees):
-            shift = (width - 1) - (r[a] - base) - (l[a] - base)
-            runs.append((a, b, shift))
-    return _shift_runs(cols, runs, len(cols))
+    starts, ends, envs = _trees(cols, width)
+    order = np.lexsort((-starts, envs))  # env ascending, trees backwards
+    a = starts[order]
+    base = envs[order] * width
+    shift = (width - 1) - (cols.r[a] - base) - (cols.l[a] - base)
+    return _emit_runs(cols, a, ends[order], shift)
 
 
-def subtrees_dfs(cols: IntervalColumns, width: int) -> IntervalColumns:
-    """All subtrees in DFS order; output width is ``width²``.
-
-    Subtree extents for every node come from one vectorized
-    ``searchsorted``; each copy is then a single bulk shift run.
-    """
-    wout = width * width
-    if len(cols) == 0:
-        return cols
-    if not cols.is_array or (_max_left(cols) // width + 1) * wout > INT64_MAX:
-        return _reference("subtrees_dfs", cols, width)
-    l = cols.l
-    if _vectorized(cols):
-        l_view = _view(l)
-        ends = _np.searchsorted(l_view, _view(cols.r)).tolist()
-    else:
-        ends = [bisect_left(l, right) for right in cols.r]
-    runs: list[tuple[int, int, int]] = []
-    total = 0
-    for position, end in enumerate(ends):
-        left = l[position]
-        env = left // width
-        base = env * wout + (left - env * width) * width
-        runs.append((position, end, base - left))
-        total += end - position
-    return _shift_runs(cols, runs, total)
-
-
-class _Emitter:
-    """Single-pass output builder: shifted slices from any source relation.
-
-    Preallocates vectorized endpoint buffers when ``total`` is known and
-    every source is array-backed; otherwise accumulates plain lists.  Used
-    by the kernels whose output interleaves runs from several sources
-    (``concat``) or mixes fresh tuples with runs (``xnode``).
-    """
-
-    __slots__ = ("labels", "_l", "_r", "_position", "_vector")
-
-    def __init__(self, total: int, vectorize: bool):
-        self.labels: list[str] = []
-        self._vector = vectorize and _np is not None and not _force_scalar
-        self._position = 0
-        if self._vector:
-            self._l = _np.empty(total, dtype=_np.int64)
-            self._r = _np.empty(total, dtype=_np.int64)
-        else:
-            self._l = []
-            self._r = []
-
-    def run(self, source: IntervalColumns, a: int, b: int,
-            offset: int) -> None:
-        self.labels.extend(source.s[a:b])
-        if self._vector:
-            size = b - a
-            position = self._position
-            self._l[position:position + size] = _view(source.l)[a:b] + offset
-            self._r[position:position + size] = _view(source.r)[a:b] + offset
-            self._position += size
-        else:
-            self._l.extend(x + offset for x in source.l[a:b])
-            self._r.extend(x + offset for x in source.r[a:b])
-
-    def tuple(self, label: str, left: int, right: int) -> None:
-        self.labels.append(label)
-        if self._vector:
-            self._l[self._position] = left
-            self._r[self._position] = right
-            self._position += 1
-        else:
-            self._l.append(left)
-            self._r.append(right)
-
-    def finish(self) -> IntervalColumns:
-        if self._vector:
-            return IntervalColumns(self.labels, _col(self._l), _col(self._r))
-        return IntervalColumns(self.labels, make_int_column(self._l),
-                               make_int_column(self._r))
-
-
-def concat(left: IntervalColumns, left_width: int, right: IntervalColumns,
-           right_width: int) -> IntervalColumns:
-    """Per-env concatenation — a merge over block *bounds*, emitting whole
-    shifted slices; output width is the sum of widths."""
-    width = left_width + right_width
-    max_env = max(_max_left(left) // left_width if left_width else 0,
-                  _max_left(right) // right_width if right_width else 0)
-    if not (left.is_array and right.is_array) \
-            or (max_env + 1) * width > INT64_MAX:
-        from repro.engine import operators as list_ops
-
-        return IntervalColumns.from_tuples(list_ops._list_concat(
-            left.tuples(), left_width, right.tuples(), right_width))
-    if _vectorized(left) and _vectorized(right) \
-            and left_width and right_width and len(left) and len(right):
-        # Fully vectorized: each element's shift depends only on its own
-        # env (left gains env·right_width, right env·left_width +
-        # left_width), and merge positions come from two searchsorteds —
-        # no per-block loop at all.
-        ll, lr = _view(left.l), _view(left.r)
-        rl, rr = _view(right.l), _view(right.r)
-        left_env = ll // left_width
-        right_env = rl // right_width
-        dest_left = _np.arange(len(left), dtype=_np.int64) \
-            + _np.searchsorted(rl, left_env * right_width)
-        dest_right = _np.arange(len(right), dtype=_np.int64) \
-            + _np.searchsorted(ll, (right_env + 1) * left_width)
-        total = len(left) + len(right)
-        out_l = _np.empty(total, dtype=_np.int64)
-        out_r = _np.empty(total, dtype=_np.int64)
-        out_l[dest_left] = ll + left_env * right_width
-        out_r[dest_left] = lr + left_env * right_width
-        out_l[dest_right] = rl + right_env * left_width + left_width
-        out_r[dest_right] = rr + right_env * left_width + left_width
-        labels = _np.empty(total, dtype=object)
-        labels[dest_left] = left.s
-        labels[dest_right] = right.s
-        return IntervalColumns(labels.tolist(), _col(out_l), _col(out_r))
-    left_blocks = list(left.iter_env_bounds(left_width)) if left_width else []
-    right_blocks = (list(right.iter_env_bounds(right_width))
-                    if right_width else [])
-    out = _Emitter(len(left) + len(right),
-                   left.is_array and right.is_array)
-    i = j = 0
-    while i < len(left_blocks) or j < len(right_blocks):
-        left_env = left_blocks[i][0] if i < len(left_blocks) else None
-        right_env = right_blocks[j][0] if j < len(right_blocks) else None
-        env = min(e for e in (left_env, right_env) if e is not None)
-        if left_env == env:
-            _env, lo, hi = left_blocks[i]
-            out.run(left, lo, hi, env * right_width)
-            i += 1
-        if right_env == env:
-            _env, lo, hi = right_blocks[j]
-            out.run(right, lo, hi, env * left_width + left_width)
-            j += 1
-    return out.finish()
-
-
-def xnode(label: str, content: IntervalColumns, content_width: int,
-          index: Sequence[int]) -> tuple[IntervalColumns, int]:
-    """Wrap each environment's content under a new root node."""
-    width = content_width + 2
-    max_env = max(index, default=0)
-    if not content.is_array or (max_env + 1) * width > INT64_MAX:
-        from repro.engine import operators as list_ops
-
-        rel, width = list_ops._list_xnode(label, content.tuples(),
-                                          content_width, index)
-        return IntervalColumns.from_tuples(rel), width
-    if _vectorized(content) and content_width and len(index) \
-            and len(content):
-        envs = _np.asarray(index, dtype=_np.int64)
-        if len(envs) == 1 or bool(_np.all(_np.diff(envs) > 0)):
-            # Vectorized: keep content rows whose env is in ``index``
-            # (one searchsorted membership test), shift them by
-            # 2·env + 1, and scatter roots/content into one output via
-            # computed merge positions.
-            cl, cr = _view(content.l), _view(content.r)
-            env_of = cl // content_width
-            slot = _np.searchsorted(envs, env_of)
-            slot_clipped = _np.minimum(slot, len(envs) - 1)
-            member = envs[slot_clipped] == env_of
-            kept = _np.flatnonzero(member)
-            kept_env = env_of[kept]
-            kept_rank = slot[kept]
-            total = len(envs) + len(kept)
-            dest_root = _np.arange(len(envs), dtype=_np.int64) \
-                + _np.searchsorted(kept_env, envs)
-            dest_content = _np.arange(len(kept), dtype=_np.int64) \
-                + kept_rank + 1
-            out_l = _np.empty(total, dtype=_np.int64)
-            out_r = _np.empty(total, dtype=_np.int64)
-            out_l[dest_root] = envs * width
-            out_r[dest_root] = envs * width + width - 1
-            shift = 2 * kept_env + 1
-            out_l[dest_content] = cl[kept] + shift
-            out_r[dest_content] = cr[kept] + shift
-            labels = _np.empty(total, dtype=object)
-            labels[dest_root] = label
-            s = content.s
-            labels[dest_content] = s if len(kept) == len(content) \
-                else _np.asarray(s, dtype=object)[kept]
-            return (IntervalColumns(labels.tolist(), _col(out_l),
-                                    _col(out_r)), width)
-    blocks: list[tuple[int, int]] = []
-    total = len(index)
-    for env in index:
-        lo, hi = (content.env_bounds(content_width, env)
-                  if content_width else (0, 0))
-        blocks.append((lo, hi))
-        total += hi - lo
-    out = _Emitter(total, content.is_array)
-    for env, (lo, hi) in zip(index, blocks):
-        base = env * width
-        out.tuple(label, base, base + width - 1)
-        if lo < hi:
-            out.run(content, lo, hi, base + 1 - env * content_width)
-    return out.finish(), width
-
-
+@_falls_back("filter_by_index")
 def filter_by_index(cols: IntervalColumns, width: int,
                     index: Sequence[int]) -> IntervalColumns:
     """Keep tuples whose env is in the sorted ``index`` — per-block runs."""
-    runs: list[tuple[int, int, int]] = []
-    total = 0
-    if _vectorized(cols) and index:
-        l = _view(cols.l)
-        targets = _np.asarray(index, dtype=_np.int64)
-        starts = _np.searchsorted(l, targets * width)
-        ends = _np.searchsorted(l, (targets + 1) * width)
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            if a < b:
-                runs.append((a, b, 0))
-                total += b - a
-    else:
-        for env in index:
-            lo, hi = cols.env_bounds(width, env)
-            if lo < hi:
-                runs.append((lo, hi, 0))
-                total += hi - lo
-    return _shift_runs(cols, runs, total)
+    targets = _as_int64(index)
+    if targets is None or len(targets) \
+            and (index[-1] + 1) * width > INT64_MAX:
+        return _reference("filter_by_index", cols, width, index)
+    return _emit_runs(cols, np.searchsorted(cols.l, targets * width),
+                      np.searchsorted(cols.l, (targets + 1) * width))
 
 
+@_falls_back("expand_variable")
 def expand_variable(cols: IntervalColumns, width: int,
                     root_lefts: Sequence[int]) -> IntervalColumns:
     """Fused select→shift: re-block every tree into its per-root env.
 
     ``root_lefts`` are the left endpoints of the relation's roots in
-    order; tree ``k`` shifts so its block index becomes ``root_lefts[k]``
-    (one bulk run per tree, not a per-tuple root lookup).
+    order; tree ``k`` shifts so its block index becomes ``root_lefts[k]``.
+    Rows keep their order, so nothing is gathered: one ``repeat`` spreads
+    the per-tree shifts and the other columns are shared with the input.
     """
     if len(cols) == 0:
         return cols
-    if not cols.is_array or root_lefts and \
-            (root_lefts[-1] + 1) * width > INT64_MAX:
+    lefts = _as_int64(root_lefts)
+    if lefts is None or (root_lefts[-1] + 1) * width > INT64_MAX:
         return _reference("expand_variable", cols, width, root_lefts)
-    l = cols.l
-    runs: list[tuple[int, int, int]] = []
-    position = 0
-    size = len(cols)
-    for root_left in root_lefts:
-        end = bisect_left(l, cols.r[position], lo=position + 1, hi=size)
-        env = root_left // width
-        runs.append((position, end, root_left * width - env * width))
-        position = end
-    return _shift_runs(cols, runs, len(cols))
+    starts, ends, _envs = _trees(cols, width)
+    shift = np.repeat(lefts * width - (lefts // width) * width, ends - starts)
+    return IntervalColumns(cols.s, cols.l + shift, cols.r + shift,
+                           cols.d, cols.c)
 
 
+@_falls_back("gather_blocks")
 def gather_blocks(cols: IntervalColumns, width: int,
                   moves: Sequence[tuple[int, int]]) -> IntervalColumns:
     """Fused slice→concat: copy env blocks to target envs in one pass.
 
     ``moves`` is ``(origin_env, target_env)`` in ascending target order —
     the copy plan behind nested-loop iteration (`_copy_per_root`) and join
-    pair construction (`_copy_pairs`).  One output buffer, one shifted
-    slice per move; the per-tuple append loop this replaces was the
-    engine's single hottest path.
+    pair construction (`_copy_pairs`).
     """
     if not moves or len(cols) == 0:
         return IntervalColumns.empty()
-    max_target = moves[-1][1]
-    if not cols.is_array or (max_target + 1) * width > INT64_MAX:
+    pairs = _as_int64(moves)
+    if pairs is None or (int(pairs.max()) + 1) * width > INT64_MAX:
         return _reference("gather_blocks", cols, width, moves)
-    runs: list[tuple[int, int, int]] = []
-    total = 0
-    if _vectorized(cols):
-        l = _view(cols.l)
-        origins = _np.asarray([origin for origin, _ in moves],
-                              dtype=_np.int64)
-        starts = _np.searchsorted(l, origins * width)
-        ends = _np.searchsorted(l, (origins + 1) * width)
-        for (origin, target), a, b in zip(moves, starts.tolist(),
-                                          ends.tolist()):
-            if a < b:
-                runs.append((a, b, (target - origin) * width))
-                total += b - a
-    else:
-        for origin, target in moves:
-            lo, hi = cols.env_bounds(width, origin)
-            if lo < hi:
-                runs.append((lo, hi, (target - origin) * width))
-                total += hi - lo
-    return _shift_runs(cols, runs, total)
+    origins = pairs[:, 0]
+    return _emit_runs(cols, np.searchsorted(cols.l, origins * width),
+                      np.searchsorted(cols.l, (origins + 1) * width),
+                      (pairs[:, 1] - origins) * width)
 
 
 # -- constructors ------------------------------------------------------------------
 
 
+def _scatter(dest_a: np.ndarray, a, dest_b: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+    """Merge two columns into one, each value at its computed position."""
+    out = np.empty(len(dest_a) + len(dest_b), dtype=b.dtype)
+    out[dest_a] = a
+    out[dest_b] = b
+    return out
+
+
+def concat(left: IntervalColumns, left_width: int, right: IntervalColumns,
+           right_width: int) -> IntervalColumns:
+    """Per-env concatenation; output width is the sum of widths.
+
+    Each row's shift depends only on its own env (left gains
+    env·right_width, right env·left_width + left_width) and its output
+    position is its own index plus the other side's rows before it — two
+    searchsorteds, no per-block loop.
+    """
+    width = left_width + right_width
+    max_env = max(left.l[-1] // left_width if len(left) else 0,
+                  right.l[-1] // right_width if len(right) else 0)
+    if not (left.is_array and right.is_array) \
+            or (int(max_env) + 1) * width > INT64_MAX:
+        return _fallback(left, lambda ops, rows: ops._list_concat(
+            rows, left_width, right.tuples(), right_width))
+    left_env = left.l // max(left_width, 1)
+    right_env = right.l // max(right_width, 1)
+    at_left = np.arange(len(left)) \
+        + np.searchsorted(right.l, left_env * right_width)
+    at_right = np.arange(len(right)) \
+        + np.searchsorted(left.l, (right_env + 1) * left_width)
+    left_shift = left_env * right_width
+    right_shift = right_env * left_width + left_width
+    return IntervalColumns(
+        _scatter(at_left, left.s, at_right, right.s),
+        _scatter(at_left, left.l + left_shift, at_right, right.l + right_shift),
+        _scatter(at_left, left.r + left_shift, at_right, right.r + right_shift),
+        _scatter(at_left, left.d, at_right, right.d),
+        _scatter(at_left, left.c, at_right, right.c))
+
+
+def xnode(label: str, content: IntervalColumns, content_width: int,
+          index: Sequence[int]) -> tuple[IntervalColumns, int]:
+    """Wrap each environment's content under a new root node.
+
+    One root per entry of the (strictly increasing) ``index``; content
+    rows whose env is in the index shift by ``2·env + 1`` and sink one
+    level; roots and content are scattered to computed merge positions.
+    """
+    width = content_width + 2
+    envs = _as_int64(index)
+    if not content.is_array or envs is None \
+            or (max(index, default=0) + 1) * width > INT64_MAX:
+        return _fallback(content, lambda ops, rows: ops._list_xnode(
+            label, rows, content_width, index))
+    if len(envs) == 0:
+        return IntervalColumns.empty(), width
+    env_of = content.l // max(content_width, 1)
+    slot = np.searchsorted(envs, env_of)
+    kept = np.flatnonzero(envs[np.minimum(slot, len(envs) - 1)] == env_of)
+    if len(kept) < len(content):
+        content = _rows(content, kept)
+        env_of, slot = env_of[kept], slot[kept]
+    at_root = np.arange(len(envs)) + np.searchsorted(env_of, envs)
+    at_content = np.arange(len(content)) + slot + 1
+    shift = 2 * env_of + 1
+    return IntervalColumns(
+        _scatter(at_root, label, at_content, content.s),
+        _scatter(at_root, envs * width, at_content, content.l + shift),
+        _scatter(at_root, envs * width + (width - 1), at_content,
+                 content.r + shift),
+        _scatter(at_root, 0, at_content, content.d + 1),
+        _scatter(at_root, name_code(label), at_content, content.c),
+    ), width
+
+
+def _leaves(labels: list[str], index: Sequence[int],
+            codes: np.ndarray) -> tuple[IntervalColumns, int]:
+    """One childless node per environment of ``index``; width 2."""
+    lefts = make_int_column([2 * env for env in index])
+    rights = lefts + 1 if isinstance(lefts, np.ndarray) \
+        else [left + 1 for left in lefts]
+    return IntervalColumns(label_column(labels), lefts, rights,
+                           np.zeros(len(labels), dtype=np.int32), codes), 2
+
+
 def text_const(value: str, index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """A single text node per environment; width 2."""
-    return IntervalColumns(
-        [value] * len(index),
-        make_int_column(2 * env for env in index),
-        make_int_column(2 * env + 1 for env in index),
-    ), 2
+    return _leaves([value] * len(index), index,
+                   np.full(len(index), name_code(value), dtype=np.int32))
 
 
+@_falls_back("count_roots")
 def count_roots(cols: IntervalColumns, width: int,
                 index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """Per-environment root count as a text node; width 2."""
-    counts = dict.fromkeys(index, 0)
-    if _vectorized(cols):
-        l = _view(cols.l)
-        root_envs = l[_roots_mask(l, _view(cols.r))] // width
-        envs, tallies = _np.unique(root_envs, return_counts=True)
-        for env, tally in zip(envs.tolist(), tallies.tolist()):
-            if env in counts:
-                counts[env] = tally
-    else:
-        position = 0
-        size = len(cols)
-        while position < size:
-            env = cols.l[position] // width
-            if env in counts:
-                counts[env] += 1
-            position = bisect_left(cols.l, cols.r[position], lo=position + 1)
-    return IntervalColumns(
-        [str(counts[env]) for env in index],
-        make_int_column(2 * env for env in index),
-        make_int_column(2 * env + 1 for env in index),
-    ), 2
+    envs, tallies = np.unique(cols.l[cols.d == 0] // width,
+                              return_counts=True)
+    counts = dict(zip(envs.tolist(), tallies.tolist()))
+    return _leaves([str(counts.get(env, 0)) for env in index], index,
+                   np.full(len(index), TEXT_CODE, dtype=np.int32))
 
 
+@_falls_back("string_fn")
 def string_fn(cols: IntervalColumns, width: int,
               index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """``string()``: per-env concatenation of text labels; width 2."""
-    parts: dict[int, list[str]] = {env: [] for env in index}
-    s = cols.s
-    l = cols.l
-    for position in range(len(cols)):
-        label = s[position]
-        if is_text_label(label):
-            env = l[position] // width
-            bucket = parts.get(env)
-            if bucket is not None:
-                bucket.append(label)
-    return IntervalColumns(
-        ["".join(parts[env]) for env in index],
-        make_int_column(2 * env for env in index),
-        make_int_column(2 * env + 1 for env in index),
-    ), 2
+    at = np.flatnonzero(cols.c == TEXT_CODE)
+    envs, first = np.unique(cols.l[at] // width, return_index=True)
+    bounds = np.append(first, len(at)).tolist()
+    texts = cols.s[at].tolist()
+    parts = {env: "".join(texts[lo:hi])
+             for env, lo, hi in zip(envs.tolist(), bounds, bounds[1:])}
+    labels = [parts.get(env, "") for env in index]
+    return _leaves(labels, index, label_codes(labels))
 
 
 # -- structural-key kernels ---------------------------------------------------------
 
 
-def _tree_bounds(cols: IntervalColumns, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Top-level tree slices of the block ``[lo, hi)`` (bisect per tree)."""
-    bounds: list[tuple[int, int]] = []
-    position = lo
-    l = cols.l
-    r = cols.r
-    while position < hi:
-        end = bisect_left(l, r[position], lo=position + 1, hi=hi)
-        bounds.append((position, end))
-        position = end
-    return bounds
-
-
 def block_keys(cols: IntervalColumns, width: int):
-    """Canonical structural key per environment — one global depth pass.
+    """Canonical structural key per environment, read off ``d`` and ``s``.
 
     Returns ``{env: key}`` with keys identical to
     :func:`repro.engine.structural.canonical_key` on the block.
     """
-    depth = depths(cols)
-    if _np is not None and isinstance(depth, _np.ndarray):
-        depth = depth.tolist()
-    s = cols.s
+    depth = cols.d.tolist()
+    s = cols.s.tolist()
     return {env: tuple(zip(depth[lo:hi], s[lo:hi]))
             for env, lo, hi in cols.iter_env_bounds(width)}
+
+
+def _tree_spans(cols: IntervalColumns, width: int):
+    """``(env, start, end)`` per top-level tree, plus ``d`` and ``s`` as
+    Python lists to cut structural keys from (bignum mode included)."""
+    starts = np.flatnonzero(cols.d == 0)
+    if cols.is_array:
+        envs = (cols.l[starts] // width).tolist()
+    else:
+        envs = [cols.l[start] // width for start in starts.tolist()]
+    starts = starts.tolist()
+    return (zip(envs, starts, starts[1:] + [len(cols)]),
+            cols.d.tolist(), cols.s.tolist())
 
 
 def block_tree_key_sets(cols: IntervalColumns, width: int):
     """Per-environment *sets* of per-tree structural keys (SomeEqual joins).
 
-    Keys are ``(depth-tuple, label-tuple)`` pairs — equal exactly when the
-    canonical keys are equal, but built as two flat C-level tuple copies
-    per tree instead of one interleaved pair-tuple per node.  Joins only
-    need equality plus *some* total order, and every relation in a run
-    uses this same kernel, so the cheaper shape is safe.
+    Keys are ``(depth-tuple, label-tuple)`` pairs — equal exactly when
+    the canonical keys are equal, but built as two flat C-level tuple
+    copies per tree instead of one interleaved pair-tuple per node.
+    Joins only need equality plus *some* total order, and every relation
+    in a run uses this same kernel, so the cheaper shape is safe.
     """
     result: dict[int, set] = {}
-    if len(cols) == 0:
-        return result
-    depth = depths(cols)
-    s = cols.s
-    if _vectorized(cols):
-        # Tree bounds for the whole relation at once: depth-0 positions
-        # are the tree starts; extents come from one searchsorted.
-        dlist = depth.tolist()
-        l = _view(cols.l)
-        starts = _np.flatnonzero(depth == 0)
-        ends = _np.searchsorted(l, _view(cols.r)[starts])
-        envs = (l[starts] // width).tolist()
-        for a, b, env in zip(starts.tolist(), ends.tolist(), envs):
-            bucket = result.get(env)
-            if bucket is None:
-                bucket = result[env] = set()
-            bucket.add((tuple(dlist[a:b]), tuple(s[a:b])))
-        return result
-    if _np is not None and isinstance(depth, _np.ndarray):
-        depth = depth.tolist()
-    for env, lo, hi in cols.iter_env_bounds(width):
-        result[env] = {(tuple(depth[a:b]), tuple(s[a:b]))
-                       for a, b in _tree_bounds(cols, lo, hi)}
+    spans, depth, s = _tree_spans(cols, width)
+    for env, a, b in spans:
+        bucket = result.get(env)
+        if bucket is None:
+            bucket = result[env] = set()
+        bucket.add((tuple(depth[a:b]), tuple(s[a:b])))
     return result
 
 
+@_falls_back("distinct")
 def distinct(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Structurally distinct trees per env, first occurrence kept."""
-    if len(cols) == 0:
-        return cols
-    depth = depths(cols)
-    if _np is not None and isinstance(depth, _np.ndarray):
-        depth = depth.tolist()
-    s = cols.s
-    runs: list[tuple[int, int, int]] = []
-    total = 0
-    for _env, lo, hi in cols.iter_env_bounds(width):
-        seen: set = set()
-        for a, b in _tree_bounds(cols, lo, hi):
-            key = tuple(zip(depth[a:b], s[a:b]))
-            if key not in seen:
-                seen.add(key)
-                runs.append((a, b, 0))
-                total += b - a
-    return _shift_runs(cols, runs, total)
+    seen: set = set()
+    runs: list[tuple[int, int]] = []
+    spans, depth, s = _tree_spans(cols, width)
+    for env, a, b in spans:
+        key = (env, tuple(depth[a:b]), tuple(s[a:b]))
+        if key not in seen:
+            seen.add(key)
+            runs.append((a, b))
+    bounds = np.array(runs, dtype=np.int64).reshape(-1, 2)
+    return _emit_runs(cols, bounds[:, 0], bounds[:, 1])
 
 
+@_falls_back("sort")
 def sort(cols: IntervalColumns, width: int) -> tuple[IntervalColumns, int]:
     """Per-env stable sort by structural tree order; width squares."""
     wout = width * width
     if len(cols) == 0:
         return cols, wout
-    if not cols.is_array or (_max_left(cols) // width + 1) * wout > INT64_MAX:
-        from repro.engine import operators as list_ops
-
-        rel, wout = list_ops._list_sort(cols.tuples(), width)
-        return IntervalColumns.from_tuples(rel), wout
-    depth = depths(cols)
-    if _np is not None and isinstance(depth, _np.ndarray):
-        depth = depth.tolist()
-    s = cols.s
-    l = cols.l
-    runs: list[tuple[int, int, int]] = []
-    for env, lo, hi in cols.iter_env_bounds(width):
-        trees = [(tuple(zip(depth[a:b], s[a:b])), a, b)
-                 for a, b in _tree_bounds(cols, lo, hi)]
-        trees.sort(key=lambda item: item[0])  # stable: doc order ties
-        base = env * wout
-        for rank, (_key, a, b) in enumerate(trees):
-            runs.append((a, b, base + rank * width - l[a]))
-    return _shift_runs(cols, runs, len(cols)), wout
+    if _dfs_overflows(cols, width):
+        return _reference("sort", cols, width)
+    depth = cols.d.tolist()
+    s = cols.s.tolist()
+    starts, ends, envs = _trees(cols, width)
+    # The interleaved canonical key: its tuple order is the structural
+    # order (the flat join key above is not).
+    keys = [(env, tuple(zip(depth[a:b], s[a:b])))
+            for env, a, b in zip(envs.tolist(), starts.tolist(),
+                                 ends.tolist())]
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__),
+                     dtype=np.int64)  # stable: doc order breaks ties
+    env = envs[order]
+    first = np.searchsorted(env, env)  # sorted position of each env's first
+    rank = np.arange(len(order)) - first
+    a = starts[order]
+    return _emit_runs(cols, a, ends[order],
+                      env * wout + rank * width - cols.l[a]), wout

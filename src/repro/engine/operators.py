@@ -12,7 +12,9 @@ answers in kind:
   implementation (``_list_*`` below — ``roots`` is Algorithm 5.2
   verbatim) and returns a list;
 * an :class:`~repro.engine.columns.IntervalColumns` dispatches to the
-  whole-column kernel of :mod:`repro.engine.kernels` and returns columns.
+  whole-column kernel of :mod:`repro.engine.kernels` and returns columns
+  (the kernels themselves fall back to the ``_list_*`` forms for
+  coordinates beyond int64).
 
 The reference implementations are the semantic ground truth: the property
 suite (``tests/test_columnar_kernels.py``) asserts every kernel is
@@ -29,7 +31,12 @@ from typing import Callable, Sequence
 from repro.encoding.interval import IntervalTuple
 from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
-from repro.engine.relation import Relation, group_by_env, tree_slices
+from repro.engine.relation import (
+    Relation,
+    filter_by_index as _list_filter_by_index,  # noqa: F401 - kernel fallback
+    group_by_env,
+    tree_slices,
+)
 from repro.engine.structural import canonical_key
 from repro.xml.forest import is_element_label, is_text_label
 
@@ -372,17 +379,23 @@ def select_trees(rel: Sequence[IntervalTuple],
 
 def select_label(rel: Sequence[IntervalTuple], label: str) -> Relation:
     """Trees rooted at the exact ``label``."""
-    return select_trees(rel, lambda s: s == label)
+    if isinstance(rel, IntervalColumns):
+        return kernels.select_label(rel, label)
+    return _list_select_trees(rel, lambda s: s == label)
 
 
 def textnode_trees(rel: Sequence[IntervalTuple]) -> Relation:
     """Trees rooted at text nodes (the ``text()`` node test)."""
-    return select_trees(rel, is_text_label)
+    if isinstance(rel, IntervalColumns):
+        return kernels.textnode_trees(rel)
+    return _list_select_trees(rel, is_text_label)
 
 
 def elementnode_trees(rel: Sequence[IntervalTuple]) -> Relation:
     """Trees rooted at elements (the ``*`` node test)."""
-    return select_trees(rel, is_element_label)
+    if isinstance(rel, IntervalColumns):
+        return kernels.elementnode_trees(rel)
+    return _list_select_trees(rel, is_element_label)
 
 
 def head(rel: Sequence[IntervalTuple], width: int) -> Relation:

@@ -50,17 +50,15 @@ def group_by_env(rel: Sequence[IntervalTuple], width: int
     """
     if width <= 0:
         return
-    lows = getattr(rel, "l", None)  # IntervalColumns exposes the raw column
+    if hasattr(rel, "iter_env_bounds"):  # IntervalColumns
+        for env, start, end in rel.iter_env_bounds(width):
+            yield env, rel[start:end]
+        return
     start = 0
     size = len(rel)
     while start < size:
-        left = lows[start] if lows is not None else rel[start][1]
-        env = left // width
-        limit = (env + 1) * width
-        if lows is not None:
-            end = bisect_left(lows, limit, lo=start)
-        else:
-            end = bisect_left(rel, limit, lo=start, key=_left_of)
+        env = rel[start][1] // width
+        end = bisect_left(rel, (env + 1) * width, lo=start, key=_left_of)
         yield env, rel[start:end]
         start = end
 
@@ -74,10 +72,8 @@ def env_blocks(rel: Sequence[IntervalTuple], width: int
 def env_slice(rel: Sequence[IntervalTuple], width: int, env: int
               ) -> Sequence[IntervalTuple]:
     """The block of environment ``env`` via binary search (no full scan)."""
-    lows = getattr(rel, "l", None)
-    if lows is not None:
-        start = bisect_left(lows, env * width)
-        end = bisect_left(lows, (env + 1) * width, lo=start)
+    if hasattr(rel, "env_bounds"):  # IntervalColumns
+        start, end = rel.env_bounds(width, env)
     else:
         start = bisect_left(rel, env * width, key=_left_of)
         end = bisect_left(rel, (env + 1) * width, lo=start, key=_left_of)

@@ -73,16 +73,11 @@ def deep_compare(left: Sequence[IntervalTuple],
 def canonical_key(block: Sequence[IntervalTuple]) -> StructuralKey:
     """The (depth, label) DFS key of an encoded forest — one linear pass.
 
-    Columnar blocks skip tuple materialization entirely: depths come from
-    the vectorized event-sort kernel and zip against the label column.
+    Columnar blocks skip the pass entirely: their ``d`` column already
+    holds every node's depth below its own tree's root.
     """
-    if hasattr(block, "is_array"):  # IntervalColumns (or a slice of one)
-        from repro.engine import kernels
-
-        depth = kernels.depths(block)
-        if not isinstance(depth, list):
-            depth = depth.tolist()
-        return tuple(zip(depth, block.s))
+    if hasattr(block, "d"):  # IntervalColumns (or a slice of one)
+        return tuple(zip(block.d.tolist(), block.s.tolist()))
     key: list[tuple[int, str]] = []
     open_rights: list[int] = []
     for s, l, r in block:

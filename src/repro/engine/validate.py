@@ -1,6 +1,6 @@
 """Runtime invariant checks for engine values (debug mode).
 
-``DIEngine(validate=True)`` verifies, after every plan node, the three
+``DIEngine(validate=True)`` verifies, after every plan node, the
 representation invariants everything else silently relies on:
 
 1. **document order** — the relation is sorted by left endpoint;
@@ -8,7 +8,10 @@ representation invariants everything else silently relies on:
    environment present in the current index, and never crosses a block
    boundary;
 3. **well-formed nesting** — within each block the intervals form a valid
-   Definition 3.1 encoding.
+   Definition 3.1 encoding;
+4. **derived columns** — a columnar relation's depth and name-code
+   columns equal what the ``(s, l, r)`` triples alone determine (kernels
+   carry them instead of recomputing, so drift would otherwise be silent).
 
 The checks are linear passes; they exist for tests and debugging, not for
 production evaluation.
@@ -19,6 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.encoding.interval import IntervalTuple
+from repro.engine.columns import IntervalColumns
 from repro.errors import ExecutionError
 
 
@@ -61,6 +65,15 @@ def validate_value(rel: Sequence[IntervalTuple], width: int,
                 f"tuple ({s!r},{l},{r}) partially overlaps an open "
                 f"interval{where}")
         open_rights.append(r)
+    if isinstance(rel, IntervalColumns):
+        fresh = IntervalColumns.from_tuples(rel.tuples())
+        for column in ("d", "c"):
+            carried = getattr(rel, column).tolist()
+            derived = getattr(fresh, column).tolist()
+            if carried != derived:
+                raise ExecutionError(
+                    f"column {column!r} drifted from the triples{where}: "
+                    f"carried {carried}, derived {derived}")
 
 
 def validate_index(index: Sequence[int], context: str = "") -> None:

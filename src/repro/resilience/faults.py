@@ -236,6 +236,15 @@ class FaultyBackend(Backend):
     # Delegate the whole public surface; the base-class state (prepared
     # maps, closed flag) lives in the inner backend.
 
+    def __getattr__(self, name: str):
+        # Adapter-specific surface the faults do not script
+        # (``adopt_encoded``, ``plan_cache``, ``segment_names`` …): a pool
+        # worker forked inside ``inject_faults`` builds its engine through
+        # the wrapped factory and must still be able to bind documents.
+        if name == "inner":  # not constructed yet: no delegate to ask
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
     def instrument(self, tracer: Tracer | None) -> None:
         self.inner.instrument(tracer)
 

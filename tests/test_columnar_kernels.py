@@ -5,14 +5,17 @@ tuple-at-a-time ``_list_*`` functions (the semantic ground truth, kept in
 :mod:`repro.engine.operators`) and the whole-column kernels of
 :mod:`repro.engine.kernels`.  These properties assert pointwise equality
 (same tuples, same order, same width) on randomized blocked relations,
-in both the NumPy-vectorized and the forced-scalar kernel paths, plus the
-edge cases: empty relations, minimal widths, and bignum (beyond-int64)
-coordinates where the endpoint columns fall back to plain lists.
+on both bodies a kernel has: the vector body over int64 columns, and the
+overflow fallback — the same relation pushed beyond int64, where the
+endpoint columns are plain lists and the kernel routes to the reference
+operator.  After every kernel the carried depth and name-code columns
+must equal what ``from_tuples`` derives from the triples alone.  Edge
+cases: empty relations, minimal widths, outputs that overflow.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,15 +33,18 @@ from tests.strategies import forests
 BIG_ENV = 2 ** 64
 
 
-@contextmanager
-def scalar_mode():
-    """Force the kernels' pure-Python paths even with NumPy installed."""
-    previous = kernels._force_scalar
-    kernels._force_scalar = True
-    try:
-        yield
-    finally:
-        kernels._force_scalar = previous
+def overflowed(rows, width):
+    """The same blocks pushed beyond int64 — the overflow-fallback input."""
+    return [(s, l + BIG_ENV * width, r + BIG_ENV * width)
+            for (s, l, r) in rows]
+
+
+def assert_derived(rel: IntervalColumns) -> None:
+    """The invariant: ``d`` and ``c`` are functions of the triples."""
+    fresh = IntervalColumns.from_tuples(rel.tuples())
+    assert rel.d.tolist() == fresh.d.tolist()
+    assert rel.c.tolist() == fresh.c.tolist()
+    assert len(rel.s) == len(rel.l) == len(rel.r) == len(rel.d) == len(rel.c)
 
 
 @st.composite
@@ -66,95 +72,118 @@ def blocked(draw, max_envs: int = 4):
     return rows, width, index
 
 
-def check(kernel, reference, rows, *args):
-    """Kernel(columns) must equal reference(rows) in both kernel modes."""
-    expected = reference(list(rows), *args)
-    cols = IntervalColumns.from_tuples(rows)
-    results = [kernel(cols, *args)]
-    with scalar_mode():
-        results.append(kernel(cols, *args))
-    for result in results:
+def check(kernel, reference, rows, *args, width=None):
+    """Kernel(columns) must equal reference(rows) on both kernel bodies.
+
+    With ``width`` given the relation is also run shifted beyond int64;
+    kernels that take env-indexed arguments shift those themselves and
+    call this once per body.
+    """
+    inputs = [list(rows)]
+    if width is not None and rows:
+        inputs.append(overflowed(rows, width))
+    for variant in inputs:
+        expected = reference(list(variant), *args)
+        result = kernel(IntervalColumns.from_tuples(variant), *args)
         if isinstance(expected, tuple):  # (relation, width) operators
             assert isinstance(result, tuple)
             assert result[1] == expected[1]
-            assert result[0].tuples() == expected[0]
-        else:
-            assert result.tuples() == expected
-    return results[0]
+            result, expected = result[0], expected[0]
+        assert result.tuples() == expected
+        assert_derived(result)
 
 
 class TestScanKernels:
     @given(blocked())
     def test_roots(self, data):
-        rows, _width, _index = data
-        check(kernels.roots, ops._list_roots, rows)
+        rows, width, _index = data
+        check(kernels.roots, ops._list_roots, rows, width=width)
 
     @given(blocked())
     def test_children(self, data):
-        rows, _width, _index = data
-        check(kernels.children, ops._list_children, rows)
+        rows, width, _index = data
+        check(kernels.children, ops._list_children, rows, width=width)
 
     @given(blocked(), st.sampled_from(["<a>", "<b>", "x", "@id"]))
     def test_select_trees(self, data, label):
-        rows, _width, _index = data
+        rows, width, _index = data
         check(kernels.select_trees, ops._list_select_trees, rows,
-              lambda s: s == label)
+              lambda s: s == label, width=width)
+        check(kernels.select_label,
+              lambda rel, lab: ops._list_select_trees(
+                  rel, lambda s: s == lab), rows, label, width=width)
 
     @given(blocked(), st.sampled_from(["<a>", "<b>", "x", "@id"]))
     def test_select_children_fusion(self, data, label):
         """The fused path-step kernel equals select after children."""
-        rows, _width, _index = data
+        rows, width, _index = data
         check(kernels.select_children,
               lambda rel, lab: ops._list_select_trees(
                   ops._list_children(rel), lambda s: s == lab),
-              rows, label)
+              rows, label, width=width)
+
+    @given(blocked(max_envs=3),
+           st.sampled_from(["<a>", "<b>", "x", "@id", "<never-seen>"]))
+    def test_select_descendants_fusion(self, data, label):
+        """The fused ``//name`` kernel equals select after subtrees_dfs,
+        row for row, on the vector body and on the overflow fallback."""
+        rows, width, _index = data
+        check(kernels.select_descendants,
+              lambda rel, w, lab: ops._list_select_trees(
+                  ops._list_subtrees_dfs(rel, w), lambda s: s == lab),
+              rows, width, label, width=width)
+        cols = IntervalColumns.from_tuples(rows)
+        assert kernels.select_descendants(cols, width, label).tuples() == \
+            kernels.select_label(kernels.subtrees_dfs(cols, width),
+                                 label).tuples()
 
     @given(blocked())
     def test_textnode_and_elementnode_trees(self, data):
-        rows, _width, _index = data
+        rows, width, _index = data
         from repro.xml.forest import is_element_label, is_text_label
         check(kernels.textnode_trees,
-              lambda rel: ops._list_select_trees(rel, is_text_label), rows)
+              lambda rel: ops._list_select_trees(rel, is_text_label), rows,
+              width=width)
         check(kernels.elementnode_trees,
               lambda rel: ops._list_select_trees(rel, is_element_label),
-              rows)
+              rows, width=width)
 
     @given(blocked())
     def test_head(self, data):
         rows, width, _index = data
-        check(kernels.head, ops._list_head, rows, width)
+        check(kernels.head, ops._list_head, rows, width, width=width)
 
     @given(blocked())
     def test_tail(self, data):
         rows, width, _index = data
-        check(kernels.tail, ops._list_tail, rows, width)
+        check(kernels.tail, ops._list_tail, rows, width, width=width)
 
     @given(blocked())
     def test_data(self, data):
         rows, width, _index = data
-        check(kernels.data, ops._list_data, rows, width)
+        check(kernels.data, ops._list_data, rows, width, width=width)
 
 
 class TestShiftKernels:
     @given(blocked())
     def test_reverse(self, data):
         rows, width, _index = data
-        check(kernels.reverse, ops._list_reverse, rows, width)
+        check(kernels.reverse, ops._list_reverse, rows, width, width=width)
 
     @given(blocked(max_envs=3))
     def test_subtrees_dfs(self, data):
         rows, width, _index = data
-        check(kernels.subtrees_dfs, ops._list_subtrees_dfs, rows, width)
+        check(kernels.subtrees_dfs, ops._list_subtrees_dfs, rows, width, width=width)
 
     @given(blocked())
     def test_distinct(self, data):
         rows, width, _index = data
-        check(kernels.distinct, ops._list_distinct, rows, width)
+        check(kernels.distinct, ops._list_distinct, rows, width, width=width)
 
     @given(blocked())
     def test_sort(self, data):
         rows, width, _index = data
-        check(kernels.sort, ops._list_sort, rows, width)
+        check(kernels.sort, ops._list_sort, rows, width, width=width)
 
     @given(blocked(), st.lists(st.integers(min_value=0, max_value=8),
                                unique=True).map(sorted))
@@ -162,6 +191,9 @@ class TestShiftKernels:
         rows, width, _index = data
         check(kernels.filter_by_index, _list_filter_reference, rows,
               width, index)
+        check(kernels.filter_by_index, _list_filter_reference,
+              overflowed(rows, width), width,
+              [env + BIG_ENV for env in index])
 
     @given(blocked())
     def test_expand_variable(self, data):
@@ -169,6 +201,8 @@ class TestShiftKernels:
         root_lefts = [row[1] for row in ops._list_roots(rows)]
         check(kernels.expand_variable, ops._list_expand_variable, rows,
               width, root_lefts)
+        check(kernels.expand_variable, ops._list_expand_variable, rows,
+              width, [left + BIG_ENV * width for left in root_lefts])
 
     @given(blocked(), st.data())
     def test_gather_blocks(self, data, drawn):
@@ -189,29 +223,33 @@ class TestConstructorKernels:
     def test_concat(self, left_data, right_data):
         left_rows, left_width, _li = left_data
         right_rows, right_width, _ri = right_data
-        expected = ops._list_concat(left_rows, left_width,
-                                    right_rows, right_width)
-        left_cols = IntervalColumns.from_tuples(left_rows)
-        right_cols = IntervalColumns.from_tuples(right_rows)
-        assert kernels.concat(left_cols, left_width, right_cols,
-                              right_width).tuples() == expected
-        with scalar_mode():
-            assert kernels.concat(left_cols, left_width, right_cols,
-                                  right_width).tuples() == expected
+        variants = [(left_rows, right_rows)]
+        if left_rows or right_rows:
+            # Same env ids on both sides, so the blocks still pair up.
+            variants.append((overflowed(left_rows, left_width),
+                             overflowed(right_rows, right_width)))
+        for left, right in variants:
+            expected = ops._list_concat(left, left_width, right, right_width)
+            result = kernels.concat(
+                IntervalColumns.from_tuples(left), left_width,
+                IntervalColumns.from_tuples(right), right_width)
+            assert result.tuples() == expected
+            assert_derived(result)
 
     @given(blocked(), st.sampled_from(["<w>", "<a>"]))
     def test_xnode(self, data, label):
         rows, width, index = data
-        expected = ops._list_xnode(label, list(rows), width, index)
-        cols = IntervalColumns.from_tuples(rows)
-        for mode in (None, scalar_mode):
-            if mode is None:
-                result = kernels.xnode(label, cols, width, index)
-            else:
-                with mode():
-                    result = kernels.xnode(label, cols, width, index)
+        variants = [(rows, index)]
+        if rows:
+            variants.append((overflowed(rows, width),
+                             [env + BIG_ENV for env in index]))
+        for variant, envs in variants:
+            expected = ops._list_xnode(label, list(variant), width, envs)
+            result = kernels.xnode(label, IntervalColumns.from_tuples(variant),
+                                   width, envs)
             assert result[1] == expected[1]
             assert result[0].tuples() == expected[0]
+            assert_derived(result[0])
 
     @given(st.lists(st.integers(min_value=0, max_value=40),
                     unique=True).map(sorted),
@@ -221,6 +259,7 @@ class TestConstructorKernels:
         result = kernels.text_const(value, index)
         assert result[1] == expected[1]
         assert result[0].tuples() == expected[0]
+        assert_derived(result[0])
 
     @given(blocked())
     def test_count_roots(self, data):
@@ -235,13 +274,12 @@ class TestConstructorKernels:
 
 class TestStructuralKernels:
     @given(blocked())
-    def test_depths_match_reference(self, data):
+    def test_encoder_depths_match_derivation(self, data):
+        """The encoder's DFS depths are what ``from_tuples`` derives."""
+        from repro.encoding.interval import decode, encode_columns
         rows, _width, _index = data
-        cols = IntervalColumns.from_tuples(rows)
-        with scalar_mode():
-            expected = kernels.depths(cols)
-        vectorized = kernels.depths(cols)
-        assert list(vectorized) == list(expected)
+        cols, _w = encode_columns(decode(rows))
+        assert_derived(cols)
 
     @given(blocked())
     def test_block_keys(self, data):
@@ -250,8 +288,10 @@ class TestStructuralKernels:
         expected = {env: canonical_key(list(block))
                     for env, block in group_by_env(rows, width)}
         assert kernels.block_keys(cols, width) == expected
-        with scalar_mode():
-            assert kernels.block_keys(cols, width) == expected
+        if rows:
+            big = IntervalColumns.from_tuples(overflowed(rows, width))
+            assert kernels.block_keys(big, width) == {
+                env + BIG_ENV: key for env, key in expected.items()}
 
     @given(blocked())
     def test_block_tree_key_sets(self, data):
@@ -265,8 +305,10 @@ class TestStructuralKernels:
                   for key in tree_keys(list(block))}
             for env, block in group_by_env(rows, width)}
         assert kernels.block_tree_key_sets(cols, width) == expected
-        with scalar_mode():
-            assert kernels.block_tree_key_sets(cols, width) == expected
+        if rows:
+            big = IntervalColumns.from_tuples(overflowed(rows, width))
+            assert kernels.block_tree_key_sets(big, width) == {
+                env + BIG_ENV: keys for env, keys in expected.items()}
 
     @given(blocked())
     def test_canonical_key_columnar_fast_path(self, data):
@@ -284,6 +326,159 @@ class TestStructuralKernels:
             got = [list(slice_) for slice_ in tree_slices(block)]
             want = [list(slice_) for slice_ in tree_slices(list(ref))]
             assert got == want
+
+
+class TestDerivedColumns:
+    """``d`` and ``c`` stay functions of the triples wherever a relation
+    goes: through any chain of kernels, slicing, sharding, pickling, and
+    a shared-memory export/attach."""
+
+    #: name → (list form, kernel form) of width-aware unary steps, each
+    #: mapping ``(rel, width)`` to ``(rel, width)``.
+    STEPS = {
+        "roots": (lambda r, w: (ops._list_roots(r), w),
+                  lambda c, w: (kernels.roots(c), w)),
+        "children": (lambda r, w: (ops._list_children(r), w),
+                     lambda c, w: (kernels.children(c), w)),
+        "select": (lambda r, w: (ops._list_select_trees(
+                       r, lambda s: s == "<a>"), w),
+                   lambda c, w: (kernels.select_label(c, "<a>"), w)),
+        "child_step": (lambda r, w: (ops._list_select_trees(
+                           ops._list_children(r), lambda s: s == "<b>"), w),
+                       lambda c, w: (kernels.select_children(c, "<b>"), w)),
+        "descendant_step": (
+            lambda r, w: (ops._list_select_trees(
+                ops._list_subtrees_dfs(r, w), lambda s: s == "<a>"), w * w),
+            lambda c, w: (kernels.select_descendants(c, w, "<a>"), w * w)),
+        "subtrees": (lambda r, w: (ops._list_subtrees_dfs(r, w), w * w),
+                     lambda c, w: (kernels.subtrees_dfs(c, w), w * w)),
+        "elements": (lambda r, w: (ops.elementnode_trees(r), w),
+                     lambda c, w: (kernels.elementnode_trees(c), w)),
+        "head": (lambda r, w: (ops._list_head(r, w), w),
+                 lambda c, w: (kernels.head(c, w), w)),
+        "tail": (lambda r, w: (ops._list_tail(r, w), w),
+                 lambda c, w: (kernels.tail(c, w), w)),
+        "data": (lambda r, w: (ops._list_data(r, w), w),
+                 lambda c, w: (kernels.data(c, w), w)),
+        "reverse": (lambda r, w: (ops._list_reverse(r, w), w),
+                    lambda c, w: (kernels.reverse(c, w), w)),
+        "distinct": (lambda r, w: (ops._list_distinct(r, w), w),
+                     lambda c, w: (kernels.distinct(c, w), w)),
+        "sort": (ops._list_sort, kernels.sort),
+        "twice": (lambda r, w: (ops._list_concat(r, w, r, w), 2 * w),
+                  lambda c, w: (kernels.concat(c, w, c, w), 2 * w)),
+        "wrap": (lambda r, w: ops._list_xnode(
+                     "<w>", r, w, sorted({row[1] // w for row in r})),
+                 lambda c, w: kernels.xnode("<w>", c, w,
+                                            c.envs_present(w))),
+        "expand": (lambda r, w: (ops._list_expand_variable(
+                       r, w, [row[1] for row in ops._list_roots(r)]), w),
+                   lambda c, w: (kernels.expand_variable(
+                       c, w, [row[1] for row in kernels.roots(c)]), w)),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocked(max_envs=3),
+           st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=5))
+    def test_kernel_chains(self, data, chain):
+        """Chains squaring the width a few times run off the end of int64
+        on their own, so the overflow fallback is inside this property."""
+        rows, width, _index = data
+        cols = IntervalColumns.from_tuples(rows)
+        for name in chain:
+            list_step, kernel_step = self.STEPS[name]
+            rows, list_width = list_step(rows, width)
+            cols, width = kernel_step(cols, width)
+            assert width == list_width
+            assert cols.tuples() == rows, name
+            assert_derived(cols)
+
+    @given(blocked(), st.data())
+    def test_slices_shards_and_pickles(self, data, drawn):
+        rows, _width, _index = data
+        cols = IntervalColumns.from_tuples(rows)
+        lo = drawn.draw(st.integers(0, len(rows)))
+        hi = drawn.draw(st.integers(lo, len(rows)))
+        for piece in [cols[lo:hi], cols[::2],
+                      *cols.shard(drawn.draw(st.integers(1, 4)))]:
+            assert_derived(piece)
+        assert cols[lo:hi].tuples() == rows[lo:hi]
+        clone = pickle.loads(pickle.dumps(cols))
+        assert clone == cols
+        assert_derived(clone)
+
+    @settings(max_examples=25, deadline=None)
+    @given(blocked())
+    def test_shared_memory_roundtrip(self, data):
+        from repro.engine.columns import export_columns
+        rows, _width, _index = data
+        cols = IntervalColumns.from_tuples(rows)
+        descriptor, shm = export_columns(cols)
+        try:
+            attachment = pickle.loads(pickle.dumps(descriptor)).attach()
+            try:
+                assert attachment.columns.tuples() == rows
+                assert_derived(attachment.columns)
+            finally:
+                attachment.detach()
+        finally:
+            shm.close()
+            shm.unlink()
+
+    def test_attach_remaps_a_clashing_code(self):
+        """A worker whose dictionary already gave a shipped code to another
+        name translates its private ``c``; agreeing names stay zero-copy."""
+        from repro.engine.columns import export_columns, name_code
+        cols = IntervalColumns.from_tuples(
+            [("<remap-a>", 0, 3), ("<remap-b>", 1, 2)])
+        descriptor, shm = export_columns(cols)
+        try:
+            # Pretend the exporter numbered <remap-b> with the code this
+            # process knows as <remap-a>.
+            clash = name_code("<remap-a>")
+            descriptor.names = tuple(
+                (label, clash if label == "<remap-b>" else code)
+                for label, code in descriptor.names)
+            attachment = descriptor.attach()
+            try:
+                assert attachment.columns.tuples() == cols.tuples()
+                translated = attachment.columns.c.tolist()
+                assert translated[0] == name_code("<remap-b>")
+            finally:
+                attachment.detach()
+        finally:
+            shm.close()
+            shm.unlink()
+
+    def test_validate_value_catches_drift(self):
+        import numpy as np
+        import pytest
+        from repro.engine.validate import validate_value
+        from repro.errors import ExecutionError
+        cols = IntervalColumns.from_tuples([("<a>", 0, 3), ("x", 1, 2)])
+        validate_value(cols, 4, [0])
+        for column in ("d", "c"):
+            broken = IntervalColumns(cols.s, cols.l, cols.r, cols.d, cols.c)
+            setattr(broken, column, np.array([0, 0], dtype=np.int32))
+            with pytest.raises(ExecutionError, match="drifted"):
+                validate_value(broken, 4, [0])
+
+
+class TestNameCodes:
+    def test_codes_agree_across_documents(self):
+        from repro.engine.columns import TEXT_CODE, name_code
+        from repro.encoding.interval import encode_columns
+        from repro.xml.text_parser import parse_forest
+        one, _ = encode_columns(parse_forest("<a k='1'><b>x</b></a>"))
+        two, _ = encode_columns(parse_forest("<b><a k='2'>y</a>z</b>"))
+        for cols in (one, two):
+            for label, code in zip(cols.s.tolist(), cols.c.tolist()):
+                assert code == name_code(label, intern=False)
+        assert name_code("some text", intern=False) == TEXT_CODE
+        assert name_code("<no-such-element>", intern=False) is None
+        # Kind lives in the low two bits; text never enters the table.
+        assert name_code("<a>") & 3 == 1 and name_code("@k") & 3 == 2
+        assert name_code("<a>") != name_code("<b>")
 
 
 class TestBignumFallback:
@@ -328,6 +523,31 @@ class TestBignumFallback:
         result = kernels.subtrees_dfs(cols, width)
         assert result.tuples() == ops._list_subtrees_dfs(rows, width)
         assert not result.is_array
+
+
+    def test_descendant_chain_runs_off_int64(self):
+        """The CI overflow case, ``//a//a//a//a//a``: every ``//`` squares
+        the width, so the chain starts on the fused vector kernel and ends
+        on its fallback — with ``validate=True`` checking the carried
+        columns after every node — and still agrees with the interpreter."""
+        from repro.api import compile_xquery
+        from repro.compiler.planner import compile_plan
+        from repro.engine.evaluator import DIEngine
+        from repro.xml.text_parser import parse_forest
+        from repro.xquery.interpreter import evaluate
+        from repro.xquery.lowering import document_forest
+
+        compiled = compile_xquery('document("w.xml")//a//a//a//a//a')
+        forest = document_forest(parse_forest(
+            "<a><a><b><a><a><a>x</a></a><a/></a></b></a></a>"))
+        bindings = {var: forest for var in compiled.documents.values()}
+        plan = compile_plan(compiled.core,
+                            base_vars=compiled.documents.values())
+        engine = DIEngine(validate=True)
+        rel, width = engine.run_plan_encoded(plan, bindings)
+        assert width > INT64_MAX and not rel.is_array
+        assert engine.run_plan(plan, bindings) == \
+            evaluate(compiled.core, bindings) != ()
 
 
 class TestEmptyAndEdgeCases:

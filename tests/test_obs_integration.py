@@ -120,6 +120,30 @@ class TestTracedRuns:
         assert sum(histogram.count(kernel=name) for name in names) \
             >= len(kernel_spans)
 
+    def test_fused_descendant_step_is_observable(self, session):
+        """``//name`` runs as one ``select_descendants`` kernel, and every
+        account of the run still says so truthfully: the kernel span sits
+        under ``op.select`` in the paths category, ``stats=`` charges it to
+        paths, no ``subtrees_dfs`` copy happened, and EXPLAIN still shows
+        both plan nodes with the step's observed cardinality."""
+        query = 'document("a.xml")//person/name'
+        root = session.run(query, backend="engine", trace=True).trace
+        (kernel,) = [span for span in root.walk()
+                     if span.name == "engine.kernel.select_descendants"]
+        select = next(span for span in root.walk() if span.name == "op.select"
+                      and kernel in span.children)
+        assert select.attributes["category"] == "paths"
+        assert root.find("engine.kernel.subtrees_dfs") is None
+        assert EngineStats.from_trace(root).seconds["paths"] >= kernel.seconds
+        stats = EngineStats()
+        result = session.run(query, backend="engine", stats=stats)
+        assert stats.seconds["paths"] > 0 and stats.tuples["paths"] > 0
+        assert result.to_xml() == \
+            session.run(query, backend="interpreter").to_xml()
+        plan = session.explain(query, analyze=True)
+        assert "Fn:select[label='<person>']" in plan
+        assert "Fn:subtrees_dfs" in plan and "obs" in plan
+
     def test_engine_stats_from_trace(self, session):
         root = session.run(NAMES, backend="engine", trace=True).trace
         stats = EngineStats.from_trace(root)

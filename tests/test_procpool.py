@@ -112,7 +112,7 @@ def echo_child():
 
 
 #: Rows whose endpoints straddle the int64 boundary, so both the
-#: ``array('q')`` / shared-memory path and the bignum list fallback get
+#: int64 / shared-memory path and the bignum list fallback get
 #: exercised by the same property.
 _rows = st.lists(
     st.tuples(
@@ -158,9 +158,12 @@ class TestColumnsAcrossProcesses:
         try:
             attachment = SharedColumns(
                 descriptor.name, descriptor.count,
-                descriptor.label_bytes).attach()
+                descriptor.label_bytes, descriptor.names).attach()
             try:
-                assert isinstance(attachment.columns.l, memoryview)
+                # Arrays over the segment's bytes, not copies of them.
+                assert all(
+                    not getattr(attachment.columns, name).flags.owndata
+                    for name in "lrdc")
                 assert attachment.columns.is_array
                 assert attachment.columns.tuples() == columns.tuples()
             finally:
@@ -316,6 +319,39 @@ class TestProcessQueryPool:
             pool.register_document(_doc_var(NAMES), tiny_encoding)
             forest, _ = pool.execute(NAMES)
             assert forest == _reference(NAMES, tiny_encoding)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_name_codes_agree_with_workers(self, start_method):
+        """Names the parent interns *after* the workers exist — and after
+        a worker interned a name of its own — still select the same rows
+        there: shipped codes are adopted, a clashing one is remapped."""
+        import multiprocessing
+        import uuid
+
+        from repro.xml.text_parser import parse_forest
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable")
+        tag = "n" + uuid.uuid4().hex[:8]
+        first = f'<r><{tag}a>x</{tag}a></r>'
+        second = (f'<r><{tag}b><{tag}c k="1">y</{tag}c></{tag}b>'
+                  f'<{tag}c>z</{tag}c></r>')
+        constructing = (f'for $x in document("auction.xml")/r/{tag}a '
+                        f'return <{tag}worker>{{$x}}</{tag}worker>')
+        descendants = f'document("auction.xml")//{tag}c'
+        var = _doc_var(descendants)
+        with ProcessQueryPool(workers=1, start_method=start_method) as pool:
+            encoding = _encoding(parse_forest(first)[0])
+            pool.register_document(var, encoding)
+            # The worker interns <…worker> by itself: the next code the
+            # parent hands out is already taken over there.
+            forest, _ = pool.execute(constructing)
+            assert forest == _reference(constructing, encoding)
+            encoding = _encoding(parse_forest(second)[0])
+            pool.register_document(var, encoding)
+            forest, _ = pool.execute(descendants)
+            assert len(forest) == 2
+            assert forest == _reference(descendants, encoding)
 
     def test_bignum_document_is_pickled_not_shared(self, pool):
         var = "$bignum"

@@ -10,7 +10,7 @@ against the obvious oracle:
 * ``splice_rows`` over the wrapped delta chain ≡ the update's wrapped
   snapshot rows;
 * ``splice_columns`` over :class:`IntervalColumns` ≡ columns rebuilt
-  from the snapshot;
+  from the snapshot, depth and name-code columns included;
 * ``apply_delta_to_stats`` ≡ ``collect_stats`` on the spliced relation —
   digest included, so the plan cache cannot tell the paths apart;
 * SQLite's ranged ``DELETE`` + batched ``INSERT`` ≡ re-shredding the
@@ -155,6 +155,10 @@ class TestDeltaOracle:
         oracle = IntervalColumns.from_tuples(
             wrap_document_rows(final.encoded))
         assert columns.tuples() == oracle.tuples()
+        # The spliced depth and name-code columns (from the deltas'
+        # inserted_depths, never recomputed) equal the derived ones.
+        assert columns.d.tolist() == oracle.d.tolist()
+        assert columns.c.tolist() == oracle.c.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(edit_scripts())
