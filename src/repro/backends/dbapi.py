@@ -32,8 +32,9 @@ Concurrency comes in two connection disciplines (see
   document once, on whichever thread prepares it.
 * ``isolated=True`` — each connection has private state (stdlib
   ``sqlite3`` ``:memory:`` databases).  Every worker thread must
-  materialize the documents into its own connection; a monotonic
-  per-document generation tells each thread exactly what it is missing.
+  materialize the documents into its own connection; a per-document
+  generation pair (:class:`~repro.backends.deltalog.DeltaLog`) tells each
+  thread exactly what it is missing.
 
 DB-API drivers are in general not safe for concurrent statements on one
 connection, so each connection is only ever driven by its owning thread;
@@ -51,10 +52,11 @@ import sqlite3
 from typing import TYPE_CHECKING, Callable
 
 from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
+from repro.backends.deltalog import DeltaLog
 from repro.backends.registry import register_backend
 from repro.concurrency import ThreadLocalPool
 from repro.encoding.interval import IntervalTuple, decode, encode
-from repro.encoding.updates import UpdateDelta, splice_rows
+from repro.encoding.updates import UpdateDelta
 from repro.errors import ExecutionError
 from repro.sql.sqlite_backend import (
     SQLITE_MAX_WIDTH,
@@ -70,31 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _PLACEHOLDERS = {"qmark": "?", "format": "%s"}
 
-#: Delta-log entries kept per document (see repro.backends.sqlite).
-_DELTA_LOG_LIMIT = 32
-
-
-class _DocState:
-    """Shared state of one prepared document (rows + generation pair).
-
-    Same major/minor protocol as :class:`repro.backends.sqlite._DocState`:
-    full loads bump ``generation``, incremental deltas bump ``minor`` and
-    ride the bounded ``log`` so connections replay the tail instead of
-    re-materializing.  ``rows`` is the authoritative encoded relation,
-    kept current by splicing.
-    """
-
-    __slots__ = ("generation", "rows", "width", "revision", "minor", "log")
-
-    def __init__(self, generation: int, rows: list[IntervalTuple],
-                 width: int):
-        self.generation = generation
-        self.rows = rows
-        self.width = width
-        self.revision: int | None = None
-        self.minor = 0
-        self.log: list[tuple[int, UpdateDelta]] = []
-
 
 class _ThreadConnection:
     """One worker thread's connection plus what it has materialized."""
@@ -105,7 +82,7 @@ class _ThreadConnection:
         self.connection = connection
         #: document name → (major, minor) generation pair materialized
         #: into this connection.
-        self.loaded: dict[str, tuple[int, int]] = {}
+        self.loaded: dict[str, tuple[object, int]] = {}
         #: table names CREATEd on this connection.
         self.created: set[str] = set()
 
@@ -153,8 +130,7 @@ class DBAPIBackend(Backend):
         #: every thread's connection agrees with the shared translation.
         self._tables: dict[str, tuple[str, int]] = {}
         #: name → shared document state; what _sync replays.
-        self._generations: dict[str, _DocState] = {}
-        self._next_generation = 0
+        self._generations: dict[str, DeltaLog] = {}
         #: Tables CREATEd in shared (non-isolated) engines, where table
         #: existence is global across connections; mutated only while the
         #: backend lock is held (prepare path).
@@ -177,35 +153,26 @@ class DBAPIBackend(Backend):
     def _sync(self, state: _ThreadConnection) -> None:
         """Materialize every document ``state`` has not seen yet.
 
-        Connections at the same major generation whose missing minors are
-        all still in the shared delta log replay just the tail (ranged
-        ``DELETE`` + batched ``INSERT``); everything else re-materializes
-        wholesale.  For shared (non-isolated) engines only the preparing
-        or updating thread runs SQL — other connections already see the
-        shared tables, so they merely record the generation pair.
+        Per document, :meth:`DeltaLog.pending_for` picks a delta-tail
+        replay (ranged ``DELETE`` + batched ``INSERT``) or a wholesale
+        re-materialization.  For shared (non-isolated) engines only the
+        preparing or updating thread runs SQL — other connections already
+        see the shared tables, so they merely record the generation pair.
         """
         pending: list[tuple] = []
         with self._lock:
             for name, doc in self._generations.items():
-                current = (doc.generation, doc.minor)
                 have = state.loaded.get(name)
-                if have == current:
-                    continue
-                if (have is not None and have[0] == doc.generation
-                        and doc.minor > have[1]):
-                    tail = [delta for minor, delta in doc.log
-                            if minor > have[1]]
-                    if len(tail) == doc.minor - have[1]:
-                        pending.append((name, current, "delta", tail))
-                        continue
-                pending.append((name, current, "full", doc.rows))
-        for name, current, kind, payload in pending:
+                if have != doc.current:
+                    pending.append((name, doc.current,
+                                    doc.pending_for(have), doc.rows))
+        for name, current, tail, rows in pending:
             if self._isolated:
-                if kind == "delta":
-                    for delta in payload:
+                if tail is not None:
+                    for delta in tail:
                         self._apply_delta(state, name, delta)
                 else:
-                    self._materialize(state, name, payload)
+                    self._materialize(state, name, rows)
             state.loaded[name] = current
 
     def _load(self, name: str, forest: Forest) -> None:
@@ -216,54 +183,33 @@ class DBAPIBackend(Backend):
         else:
             table = self._tables[name][0]
         self._tables[name] = (table, encoded.width)
-        self._next_generation += 1
-        doc = _DocState(self._next_generation, list(encoded.tuples),
-                        encoded.width)
+        doc = DeltaLog(list(encoded.tuples), encoded.width)
         self._generations[name] = doc
         # Materialize eagerly for the calling thread — prepare is the
         # untimed phase.  Shared engines are now fully loaded; isolated
         # ones replay on each other thread via _sync.
         state = self._pool.get()
         self._materialize(state, name, doc.rows)
-        state.loaded[name] = (doc.generation, doc.minor)
+        state.loaded[name] = doc.current
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
         """Delta-patch the shared tables (see repro.backends.sqlite).
 
-        Revision match → append to the shared delta log, splice the
-        authoritative rows forward, bump the minor generation, and run
-        the ranged ``DELETE`` + batched ``INSERT`` on the calling
-        thread's connection (once for shared engines; isolated peers
-        replay the tail from the log on their next sync).  Otherwise →
-        rebase from the update's wrapped snapshot under a new major
-        generation.
+        :meth:`DeltaLog.absorb` appends the deltas or rebases; the
+        calling thread's connection then runs the ranged ``DELETE`` +
+        batched ``INSERT`` (once for shared engines; isolated peers
+        replay the tail from the log on their next sync) or, after a
+        rebase, re-materializes from the new rows.
         """
         with self._lock:
             self._check_open()
             doc = self._generations.get(name)
             if doc is None or name not in self._prepared:
                 return False
-            table = self._tables[name][0]
-            new_deltas: tuple[UpdateDelta, ...] = ()
-            if update.deltas and doc.revision == update.base_revision:
-                new_deltas = update.deltas
-                for delta in new_deltas:
-                    doc.rows = splice_rows(doc.rows, delta)
-                    doc.minor += 1
-                    doc.log.append((doc.minor, delta))
-                doc.width = new_deltas[-1].new_width
-                del doc.log[:-_DELTA_LOG_LIMIT]
-            else:
-                self._next_generation += 1
-                doc.generation = self._next_generation
-                doc.rows = update.rows()
-                doc.width = update.width
-                doc.minor = 0
-                doc.log.clear()
-            doc.revision = update.revision
-            self._tables[name] = (table, doc.width)
+            new_deltas = doc.absorb(update)
+            self._tables[name] = (self._tables[name][0], doc.width)
             self._prepared[name] = ()
-            current = (doc.generation, doc.minor)
+            current = doc.current
             rows = doc.rows
         # Apply eagerly on the calling thread (the untimed phase); for
         # shared engines this is the one application every connection sees.

@@ -1,0 +1,97 @@
+"""The per-document delta log behind the relational adapters.
+
+Both SQL adapters keep one connection per worker thread, so a document
+update has to reach every connection.  A :class:`DeltaLog` is the shared
+(cross-thread) state of one prepared document and the protocol that
+decides, per connection, between replaying a few deltas and reloading:
+
+* the *major* ``generation`` — a fresh token on every full (re)load or
+  rebase, so a connection can never mistake a re-prepared document for
+  the state it loaded before — tells connections to reload wholesale;
+* ``minor`` counts the incremental deltas absorbed since; a connection at
+  the same major whose missing minors are all still in the bounded log
+  replays just that tail (ranged ``DELETE`` + batched ``INSERT``).
+
+The adapters own what differs: where a full load comes from, whether
+connections share tables, and how a delta becomes SQL.  Every method is
+called with the owning backend's lock held.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
+
+from repro.encoding.updates import UpdateDelta, splice_rows
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.encoding.interval import IntervalTuple
+    from repro.encoding.updates import DocumentUpdate
+
+#: Deltas kept per document; a connection farther behind than this
+#: reloads from the authoritative rows instead of replaying the tail.
+DELTA_LOG_LIMIT = 32
+
+
+class DeltaLog:
+    """Generation pair, authoritative rows and bounded delta tail of one
+    prepared document."""
+
+    __slots__ = ("generation", "minor", "rows", "width", "revision", "_tail")
+
+    def __init__(self, rows: "list[IntervalTuple] | None" = None,
+                 width: int | None = None):
+        self.generation = object()
+        self.minor = 0
+        #: The document-wrapped encoded relation, kept current by
+        #: splicing; ``None`` while the adapter still loads from a forest.
+        self.rows = rows
+        self.width = width
+        #: Updatable-document revision the state reflects (delta chaining).
+        self.revision: int | None = None
+        #: The deltas of minors ``minor - len(_tail) + 1 … minor``.
+        self._tail: list[UpdateDelta] = []
+
+    @property
+    def current(self) -> tuple[object, int]:
+        return (self.generation, self.minor)
+
+    def pending_for(self, have: "tuple[object, int] | None",
+                    ) -> "Sequence[UpdateDelta] | None":
+        """The deltas that bring a connection at ``have`` current, or
+        ``None`` when it must reload in full (never loaded, older major,
+        or farther behind than the log reaches)."""
+        if have is None or have[0] is not self.generation:
+            return None
+        behind = self.minor - have[1]
+        if 0 < behind <= len(self._tail):
+            return self._tail[-behind:]
+        return None
+
+    def absorb(self, update: "DocumentUpdate") -> "tuple[UpdateDelta, ...]":
+        """Move to ``update.revision``; returns the deltas appended.
+
+        When the recorded revision is the update's base, its deltas are
+        spliced into ``rows`` and appended to the log — only the minor
+        moves, and every connection replays the same deltas.  Any other
+        update (first after a forest load, relabel or width change in the
+        chain) rebases: ``rows`` become the update's wrapped snapshot
+        under a new major and ``()`` is returned.
+        """
+        deltas = update.deltas
+        if (deltas and self.rows is not None
+                and self.revision == update.base_revision):
+            for delta in deltas:
+                self.rows = splice_rows(self.rows, delta)
+            self._tail.extend(deltas)
+            del self._tail[:-DELTA_LOG_LIMIT]
+            self.minor += len(deltas)
+            self.width = deltas[-1].new_width
+        else:
+            deltas = ()
+            self.generation = object()
+            self.minor = 0
+            self._tail.clear()
+            self.rows = update.rows()
+            self.width = update.width
+        self.revision = update.revision
+        return deltas

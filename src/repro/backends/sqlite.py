@@ -6,48 +6,15 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
+from repro.backends.deltalog import DeltaLog
 from repro.backends.registry import register_backend
 from repro.concurrency import ThreadLocalPool
-from repro.encoding.updates import UpdateDelta, splice_rows
 from repro.sql.sqlite_backend import SQLITE_MAX_WIDTH, SQLiteDatabase
 from repro.xml.forest import Forest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import CompiledQuery
-    from repro.encoding.interval import IntervalTuple
     from repro.encoding.updates import DocumentUpdate
-
-#: Delta-log entries kept per document; a thread farther behind than this
-#: re-shreds from the authoritative rows instead of replaying the tail.
-_DELTA_LOG_LIMIT = 32
-
-
-class _DocState:
-    """Shared (cross-thread) state of one prepared document.
-
-    ``generation`` is the *major* generation — bumped by every full
-    (re)load, telling threads to re-shred wholesale.  ``minor`` counts
-    incremental deltas applied since the last major bump; threads at the
-    same major but an older minor replay just the delta tail from ``log``
-    (ranged ``DELETE`` + batched ``INSERT``) instead of re-shredding.
-    After the first update ``rows``/``width`` hold the authoritative
-    document-wrapped snapshot (kept current by splicing — C-level list
-    copies) and ``forest`` is dropped; before that, ``forest`` is the
-    load source.
-    """
-
-    __slots__ = ("generation", "forest", "rows", "width", "revision",
-                 "minor", "log")
-
-    def __init__(self, generation: int, forest: Forest | None):
-        self.generation = generation
-        self.forest = forest
-        self.rows: "list[IntervalTuple] | None" = None
-        self.width: int | None = None
-        #: Updatable-document revision the state reflects (delta chaining).
-        self.revision: int | None = None
-        self.minor = 0
-        self.log: list[tuple[int, UpdateDelta]] = []
 
 
 class _ThreadDatabase:
@@ -63,7 +30,7 @@ class _ThreadDatabase:
 
     def __init__(self, database: SQLiteDatabase):
         self.database = database
-        self.loaded: dict[str, tuple[int, int]] = {}
+        self.loaded: dict[str, tuple[object, int]] = {}
 
     def close(self) -> None:
         self.database.close()
@@ -79,9 +46,10 @@ class SQLiteBackend(Backend):
       **per connection**, so the backend keeps one
       :class:`~repro.sql.sqlite_backend.SQLiteDatabase` per worker thread
       (lazily, via :class:`~repro.concurrency.ThreadLocalPool`).  Every
-      ``prepare``/``invalidate`` bumps a monotonic per-document
-      generation; each thread re-shreds exactly the documents whose
-      generation it has not materialized yet, so all threads observe a
+      ``prepare``/``invalidate`` moves the document's generation (see
+      :class:`~repro.backends.deltalog.DeltaLog`); each thread re-shreds
+      exactly the documents whose generation it has not materialized
+      yet — or replays the delta tail — so all threads observe a
       consistent snapshot without sharing a connection.
     * a file path — the tables are shared on disk, so all threads share
       one database and executions serialize on an internal lock (the
@@ -106,10 +74,11 @@ class SQLiteBackend(Backend):
         super().__init__()
         self._path = path
         self._mode = mode
-        #: name → shared document state; major generations are globally
-        #: monotonic so per-thread databases know exactly what is stale.
-        self._generations: dict[str, _DocState] = {}
-        self._next_generation = 0
+        #: name → shared document state, what ``_sync`` compares against.
+        self._generations: dict[str, DeltaLog] = {}
+        #: name → forest, the load source until the first update gives
+        #: the document authoritative rows.
+        self._forests: dict[str, Forest] = {}
         self._pool: ThreadLocalPool[_ThreadDatabase] = ThreadLocalPool(
             lambda: _ThreadDatabase(SQLiteDatabase(self._path)))
         # File-backed databases share tables between connections, so all
@@ -140,88 +109,53 @@ class SQLiteBackend(Backend):
     def _sync(self, state: _ThreadDatabase) -> None:
         """Bring ``state`` current: delta-tail replay or full (re)shred.
 
-        A thread at the same major generation whose missing minors are all
-        still in the delta log replays just those deltas — the same ranged
-        ``DELETE`` + batched ``INSERT`` the updating thread ran — instead
-        of re-shredding the document.  Everything else (new document, new
-        major generation, log evicted past the thread's minor) is a full
-        load from the forest or the authoritative row snapshot.
+        The tail is the same ranged ``DELETE`` + batched ``INSERT`` the
+        updating thread ran; a full load comes from the forest or, after
+        the first update, the authoritative row snapshot.
         """
         pending: list[tuple] = []
         with self._lock:
             for name, doc in self._generations.items():
-                current = (doc.generation, doc.minor)
                 have = state.loaded.get(name)
-                if have == current:
-                    continue
-                if (have is not None and have[0] == doc.generation
-                        and doc.minor > have[1]):
-                    tail = [delta for minor, delta in doc.log
-                            if minor > have[1]]
-                    if len(tail) == doc.minor - have[1]:
-                        pending.append((name, current, "delta", tail))
-                        continue
-                if doc.rows is not None:
-                    pending.append((name, current, "rows",
-                                    (doc.rows, doc.width)))
-                else:
-                    pending.append((name, current, "forest", doc.forest))
-        for name, current, kind, payload in pending:
-            if kind == "delta":
-                for delta in payload:
+                if have != doc.current:
+                    pending.append((name, doc.current, doc.pending_for(have),
+                                    doc.rows, doc.width,
+                                    self._forests.get(name)))
+        for name, current, tail, rows, width, forest in pending:
+            if tail is not None:
+                for delta in tail:
                     state.database.apply_delta(name, delta)
-            elif kind == "rows":
-                rows, width = payload
+            elif rows is not None:
                 state.database.load_encoded(name, rows, width)
             else:
-                state.database.load_document(name, payload)
+                state.database.load_document(name, forest)
             state.loaded[name] = current
 
     def _load(self, name: str, forest: Forest) -> None:
-        # Called under the backend lock (base.prepare).  Bump the
-        # generation, then shred eagerly for the calling thread so
+        # Called under the backend lock (base.prepare).  A fresh log is a
+        # new major generation; shred eagerly for the calling thread so
         # prepare stays the untimed phase (benchmark methodology).
-        self._next_generation += 1
-        self._generations[name] = _DocState(self._next_generation, forest)
+        self._generations[name] = DeltaLog()
+        self._forests[name] = forest
         self._thread_database()
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
         """Absorb an update as a delta-log append (or a snapshot rebase).
 
-        When the recorded revision matches the update's base, the carried
-        deltas go onto the shared log and the authoritative row snapshot
-        is spliced forward; only the *minor* generation moves, so every
-        per-thread connection replays the same ranged ``DELETE`` +
-        batched ``INSERT`` instead of re-shredding.  Any other update
-        (first after a forest prepare, relabel/width change in the chain)
-        rebases: the authoritative rows become the update's wrapped
-        snapshot and the *major* generation bumps, telling threads to
-        re-shred wholesale — still without materializing a ``Forest``.
+        :meth:`DeltaLog.absorb` decides which; either way every
+        per-thread connection catches up on its next sync — replaying the
+        deltas or re-shredding from the rebased rows — without a
+        ``Forest`` ever being materialized.
         """
         with self._lock:
             self._check_open()
             doc = self._generations.get(name)
             if doc is None or name not in self._prepared:
                 return False
-            if (update.deltas and doc.rows is not None
-                    and doc.revision == update.base_revision):
-                for delta in update.deltas:
-                    doc.rows = splice_rows(doc.rows, delta)
-                    doc.minor += 1
-                    doc.log.append((doc.minor, delta))
-                doc.width = update.deltas[-1].new_width
-                del doc.log[:-_DELTA_LOG_LIMIT]
-            else:
-                self._next_generation += 1
-                doc.generation = self._next_generation
-                doc.rows = update.rows()
-                doc.width = update.width
-                doc.minor = 0
-                doc.log.clear()
-            doc.forest = None
-            doc.revision = update.revision
-            # The stale forest must not linger in the prepared map; the
-            # empty-tuple sentinel marks prepared-without-forest.
+            doc.absorb(update)
+            # The stale forest must not linger here or in the prepared
+            # map; the empty-tuple sentinel marks prepared-without-forest.
+            self._forests.pop(name, None)
             self._prepared[name] = ()
         # Shred eagerly for the calling thread (outside the backend lock;
         # prepare/update is the untimed phase).
@@ -232,6 +166,7 @@ class SQLiteBackend(Backend):
         # Dropping the generation is enough: per-thread tables for the
         # old contents are replaced wholesale by the next load's sync.
         self._generations.pop(name, None)
+        self._forests.pop(name, None)
 
     def _close(self) -> None:
         if self._serial is not None:

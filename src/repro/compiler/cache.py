@@ -89,6 +89,40 @@ class CacheEntry:
     observed_based: frozenset[int] = frozenset()
 
 
+#: Compiled query texts kept per session and per pool worker; the least
+#: recently used text is dropped past this, so a server fed generated
+#: texts holds a bounded number of parse trees.
+COMPILED_CACHE_SIZE = 256
+
+
+class CompiledCache:
+    """Thread-safe LRU of compiled queries keyed by query text."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[str, object] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, query: str):
+        with self._lock:
+            compiled = self._entries.get(query)
+            if compiled is not None:
+                self._entries.move_to_end(query)
+            return compiled
+
+    def put(self, query: str, compiled):
+        """Cache ``compiled`` unless another thread already cached this
+        text; returns the winner, so concurrent compilers agree on one."""
+        with self._lock:
+            winner = self._entries.setdefault(query, compiled)
+            self._entries.move_to_end(query)
+            while len(self._entries) > COMPILED_CACHE_SIZE:
+                self._entries.popitem(last=False)
+            return winner
+
+
 class PlanCache:
     """Thread-safe LRU cache of optimized plans with feedback storage."""
 

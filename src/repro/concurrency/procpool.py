@@ -50,6 +50,7 @@ import time
 import traceback
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.compiler.cache import CompiledCache
 from repro.engine.columns import (
     IntervalColumns,
     as_columns,
@@ -152,7 +153,7 @@ class _WorkerState:
         self._scopes = {"full": create_backend("engine"),
                         "shard": create_backend("engine")}
         self._attached: dict[tuple[str, str], object] = {}
-        self._compiled: dict[str, object] = {}
+        self._compiled = CompiledCache()
 
     def adopt(self, var: str, scope: str, payload: tuple) -> None:
         kind, body, width = payload
@@ -234,8 +235,7 @@ class _WorkerState:
         if compiled is None:
             from repro.api import compile_xquery
 
-            compiled = compile_xquery(query)
-            self._compiled[query] = compiled
+            compiled = self._compiled.put(query, compile_xquery(query))
         return compiled
 
     def close(self) -> None:

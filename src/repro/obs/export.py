@@ -6,7 +6,10 @@
 * :func:`render_prometheus` — the Prometheus text exposition format,
   with :func:`parse_prometheus` as a strict round-trip validator;
 * :func:`render_span_tree` — a human-readable indented tree with
-  durations and attributes, for terminals and logs.
+  durations and attributes, for terminals and logs;
+* :func:`health_reply` / :func:`retry_after_seconds` — a health snapshot
+  as the ``/healthz`` HTTP status and ``Retry-After`` header, shared by
+  the telemetry server and :mod:`repro.serving`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,39 @@ from repro.obs.trace import Span
 
 class PrometheusFormatError(ReproError):
     """The text under validation is not valid Prometheus exposition."""
+
+
+# -- /healthz ------------------------------------------------------------------
+
+#: ``health()["status"]`` values that flip ``/healthz`` to HTTP 503.
+UNHEALTHY_STATUSES = ("shedding", "unavailable")
+
+
+def retry_after_seconds(hint: object) -> str | None:
+    """A retry hint as an RFC 9110 ``Retry-After`` delta-seconds value.
+
+    ``Retry-After`` is integer seconds; fractional hints round *up* so a
+    compliant client never retries before the hinted instant.  ``None``
+    without a positive numeric hint.
+    """
+    if not isinstance(hint, (int, float)) or hint <= 0:
+        return None
+    return str(math.ceil(hint))
+
+
+def health_reply(health: dict[str, object]) -> tuple[int, dict[str, str]]:
+    """The ``/healthz`` HTTP status and extra headers for one
+    ``session.health()`` snapshot — the one grading both servers use.
+
+    503 for the :data:`UNHEALTHY_STATUSES`, carrying the admission
+    controller's retry hint as ``Retry-After``; 200 otherwise.
+    """
+    if health.get("status") not in UNHEALTHY_STATUSES:
+        return 200, {}
+    admission = health.get("admission")
+    hint = retry_after_seconds(admission.get("retry_after")
+                               if isinstance(admission, dict) else None)
+    return 503, {} if hint is None else {"Retry-After": hint}
 
 
 # -- Chrome trace_event -------------------------------------------------------

@@ -113,11 +113,11 @@ def classify_outcome(error: BaseException | None,
 
 @dataclass(frozen=True, slots=True)
 class AttemptRecord:
-    """One backend attempt inside a resilient run — failures included.
+    """One backend attempt (prepare + execute) of a run — failures included.
 
-    Degraded/fallback runs used to surface only the winning backend's
-    latency; recording every attempt makes the *cost* of falling back
-    (the time burned on the losing backends) visible in the histograms.
+    Every executed run has at least one.  Recording the losing attempts
+    of a fallback chain too makes the *cost* of falling back (the time
+    burned on the losing backends) visible in the histograms.
     """
 
     backend: str
@@ -184,7 +184,8 @@ class QueryRecord:
     outcome: str                    #: ok | degraded | timeout | budget | error
     error: str | None               #: exception class name, when raised
     wall_seconds: float
-    #: Top-level phase durations (compile / prepare / execute …).
+    #: Phase durations: ``compile``, plus ``prepare`` and ``execute``
+    #: summed over the attempts (and ``retry`` backoff, when any).
     phases: dict[str, float] = field(default_factory=dict)
     trees: int | None = None        #: result forest size, when known
     attempts: tuple[AttemptRecord, ...] = ()
@@ -437,21 +438,16 @@ class FlightRecorder:
         outcome = classify_outcome(error, degradations)
         winner = getattr(result, "backend", None) if error is None else None
         phases: dict[str, float] = {}
-        trees: int | None = None
         if root is not None:
             for child in root.children:
-                phases[child.name] = phases.get(child.name, 0.0) \
-                    + child.seconds
-            execute = root.find("execute")
-            if execute is not None:
-                attr = execute.attributes.get("trees")
-                if isinstance(attr, int):
-                    trees = attr
-        if trees is None and result is not None:
-            try:
-                trees = len(result)  # type: ignore[arg-type]
-            except TypeError:
-                trees = None
+                # An attempt's prepare/execute are the run's own phases,
+                # summed over every attempt (retries, fallbacks).
+                for span in (child.children if child.name == "attempt"
+                             else (child,)):
+                    phases[span.name] = phases.get(span.name, 0.0) \
+                        + span.seconds
+        trees = (len(result)  # type: ignore[arg-type]
+                 if result is not None else None)
         guard_verdict: str | None = None
         if guard is not None:
             guard_verdict = outcome if outcome in ("timeout", "budget") \
@@ -486,10 +482,7 @@ class FlightRecorder:
             record.sampled = True
             record.sample_reasons = reasons
             record.trace = root  # tail-sampled: the anomaly keeps its trace
-        if record.outcome != "shed":
-            # A shed never ran: its near-zero wall time would poison the
-            # mean service time that admission's wait estimate is built on.
-            self._observe_latency(record)
+        self._observe_latency(record)
         self.append(record)
         if record.sampled:
             for reason in reasons:
@@ -582,22 +575,17 @@ class FlightRecorder:
     def _observe_latency(self, record: QueryRecord) -> None:
         """Feed the histograms: one observation per backend attempt.
 
-        Plain runs have no attempt list — their single observation is the
-        wall time under the answering (or requested) backend.  Resilient
-        runs observe every attempt, failed ones included, so the latency
-        a fallback chain *spent* is visible, not just what the winner
-        charged.
+        Failed attempts are observed too, so the latency a fallback chain
+        *spent* is visible, not just what the winner charged.  A run that
+        never reached a backend (shed or cancelled at admission, compile
+        error) has no attempt and observes nothing: its near-zero wall
+        time would poison the mean service time that admission's wait
+        estimate is built on.
         """
-        if record.attempts:
-            for attempt in record.attempts:
-                self._h_latency.observe(attempt.seconds,
-                                        fingerprint=record.fingerprint,
-                                        backend=attempt.backend)
-            return
-        backend = record.winner or record.backend
-        self._h_latency.observe(record.wall_seconds,
-                                fingerprint=record.fingerprint,
-                                backend=backend)
+        for attempt in record.attempts:
+            self._h_latency.observe(attempt.seconds,
+                                    fingerprint=record.fingerprint,
+                                    backend=attempt.backend)
 
     # -- operator events ------------------------------------------------------
 

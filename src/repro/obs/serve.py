@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Protocol, runtime_checkable
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.export import render_prometheus
+from repro.obs.export import health_reply, render_prometheus
 from repro.obs.flight import FlightRecorder, render_percentile_table
 from repro.obs.metrics import MetricsRegistry
 
@@ -50,9 +49,6 @@ logger = logging.getLogger("repro.serve")
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 ENDPOINTS = ("/metrics", "/healthz", "/debug/queries")
-
-#: ``health()["status"]`` values that flip ``/healthz`` to HTTP 503.
-UNHEALTHY_STATUSES = ("shedding", "unavailable")
 
 
 @runtime_checkable
@@ -160,13 +156,7 @@ def _make_handler(session: TelemetrySource):
                 self._reply(200, body, PROMETHEUS_CONTENT_TYPE)
             elif route == "/healthz":
                 health = session.health()
-                status = 503 if health.get("status") in UNHEALTHY_STATUSES \
-                    else 200
-                headers = None
-                if status == 503:
-                    hint = _retry_after_header(health)
-                    if hint is not None:
-                        headers = {"Retry-After": hint}
+                status, headers = health_reply(health)
                 self._json(status, health, headers=headers)
             elif route == "/debug/queries":
                 self._debug_queries(parse_qs(parsed.query))
@@ -220,21 +210,6 @@ def _make_handler(session: TelemetrySource):
             self.wfile.write(body)
 
     return Handler
-
-
-def _retry_after_header(health: dict[str, object]) -> str | None:
-    """The admission controller's retry hint as RFC 9110 delta-seconds.
-
-    ``Retry-After`` is integer seconds; sub-second hints round *up* so a
-    compliant client never retries before the hinted instant.
-    """
-    admission = health.get("admission")
-    if not isinstance(admission, dict):
-        return None
-    hint = admission.get("retry_after")
-    if not isinstance(hint, (int, float)) or hint <= 0:
-        return None
-    return str(max(1, math.ceil(hint)))
 
 
 def _first(query: dict[str, list[str]], key: str) -> str | None:

@@ -40,6 +40,7 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
 )
+from repro.obs.export import health_reply, retry_after_seconds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.session import XQuerySession
@@ -174,17 +175,10 @@ class QueryServer:
             return await self._query(payload)
         if route == "/healthz":
             health = self.session.health()
-            shedding = health.get("status") in ("shedding", "unavailable")
-            headers: dict[str, str] = {}
-            if shedding:
-                from repro.obs.serve import _retry_after_header
-
-                hint = _retry_after_header(health)
-                if hint is not None:
-                    headers["Retry-After"] = hint
+            status, headers = health_reply(health)
             body = json.dumps(health, sort_keys=True,
                               default=str).encode("utf-8")
-            return (503 if shedding else 200, body, headers, json_type)
+            return (status, body, headers, json_type)
         if route == "/":
             return (200, b'{"endpoints": ["/query", "/healthz"]}', {},
                     json_type)
@@ -199,10 +193,8 @@ class QueryServer:
         try:
             result = await self.session.run_async(query, **options)
         except OverloadError as error:
-            headers = {}
-            if error.retry_after is not None:
-                headers["Retry-After"] = str(max(1, round(error.retry_after
-                                                          + 0.5)))
+            hint = retry_after_seconds(error.retry_after)
+            headers = {} if hint is None else {"Retry-After": hint}
             return (503, json.dumps({"error": "overloaded",
                                      "detail": str(error)}).encode("utf-8"),
                     headers, json_type)

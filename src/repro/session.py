@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.api import CompiledQuery, DocumentInput, QueryResult, as_forest, compile_xquery
 from repro.backends.base import Backend, ExecutionOptions, coerce_strategy
 from repro.backends.registry import backend_breaker, create_backend
+from repro.compiler.cache import CompiledCache
 from repro.compiler.plan import JoinStrategy
 from repro.concurrency import RWLock
 from repro.encoding.updates import DocumentUpdate, UpdatableDocument
@@ -42,7 +43,6 @@ from repro.errors import (
     OverloadError,
     QueryCancelledError,
     QueryTimeoutError,
-    ResourceBudgetError,
 )
 from repro.obs.flight import SLO, AttemptRecord, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -115,7 +115,7 @@ class XQuerySession:
         self.simplify = simplify
         self._documents: dict[str, Forest] = {}
         self._updatable: dict[str, UpdatableDocument] = {}
-        self._compiled: dict[str, CompiledQuery] = {}
+        self._compiled = CompiledCache()
         self._backends: dict[str, Backend] = {}
         #: Queries hold the read side; document mutations and close hold
         #: the write side (writer-preferring, so updates are not starved).
@@ -358,9 +358,9 @@ class XQuerySession:
         """Compile (and cache) a query."""
         compiled = self._compiled.get(query)
         if compiled is None:
-            # Compile outside any lock (it can be slow); setdefault makes
+            # Compile outside any lock (it can be slow); put() makes
             # concurrent compilers of the same text agree on one winner.
-            compiled = self._compiled.setdefault(
+            compiled = self._compiled.put(
                 query, compile_xquery(query, simplify=self.simplify))
         return compiled
 
@@ -408,65 +408,11 @@ class XQuerySession:
         every guard checkpoint, so cancelling it stops this run whether
         it is still queued or already executing.
         """
-        name = backend or self.backend
-        admission = self.admission
-        if admission is not None:
-            level = admission.brownout.level
-            if level.force_backend is not None:
-                name = level.force_backend
-            if level.budget_scale < 1.0:
-                budget = scale_budget(budget, level.budget_scale)
-        active = self._effective_tracer(trace, tracer)
-        #: ``full`` = the caller asked for tracing; the recorder's private
-        #: phase-level tracer below never instruments backends, never fills
-        #: engine/SQL metrics, and never surfaces on ``QueryResult.trace``.
-        full = active is not None
-        if guard is None and (deadline is not None or budget is not None
-                              or token is not None):
-            guard = QueryGuard(deadline=deadline, budget=budget, token=token)
-        elif guard is not None and token is not None and guard.token is None:
-            guard.token = token
-        if guard is not None and not guard.enabled:
-            guard = None
-        ticket = None
-        if admission is not None:
-            try:
-                # ``remaining`` on a not-yet-started guard is the full
-                # deadline, read without touching the guard's clock; the
-                # controller bounds queue wait on its *own* clock.
-                ticket = admission.try_acquire(
-                    priority,
-                    deadline=guard.remaining if guard is not None else None,
-                    token=token)
-            except (OverloadError, QueryCancelledError) as error:
-                self._record_rejected(query, name, error)
-                raise
-        self._m_queries.inc(backend=name)
-        recorder = self.recorder
-        if recorder is not None and active is None:
-            active = self._phase_tracer()
-        try:
-            with self._state_lock.read_locked():
-                if recorder is not None:
-                    return self._run_recorded(query, name, strategy, stats,
-                                              active, full, guard, fallback,
-                                              retry, recorder)
-                if guard is not None or fallback or retry is not None:
-                    return self._run_resilient(query, name, strategy, stats,
-                                               active, guard, fallback, retry,
-                                               full=full)
-                if active is None:
-                    compiled = self.prepare(query)
-                    target = self.backend_instance(name)
-                    target.prepare(self._prepare_bindings(compiled))
-                    options = ExecutionOptions(
-                        strategy=self._strategy(strategy), stats=stats)
-                    return QueryResult(target.execute(compiled, options),
-                                       backend=name)
-                return self._run_traced(query, name, strategy, stats, active)
-        finally:
-            if ticket is not None:
-                admission.release(ticket)
+        return self._run(query, backend or self.backend,
+                         self._effective_tracer(trace, tracer),
+                         strategy=strategy, stats=stats, deadline=deadline,
+                         budget=budget, guard=guard, fallback=fallback,
+                         retry=retry, priority=priority, token=token)
 
     #: Backends the process tier can substitute for: the ``procpool``
     #: workers run the DI engine, so only engine-family primaries are
@@ -663,61 +609,10 @@ class XQuerySession:
         deadlines/budgets, and flight recording apply exactly as in
         :meth:`run`.
         """
-        name = "procpool"
-        if guard is None and (deadline is not None or budget is not None
-                              or token is not None):
-            guard = QueryGuard(deadline=deadline, budget=budget, token=token)
-        elif guard is not None and token is not None and guard.token is None:
-            guard.token = token
-        if guard is not None and not guard.enabled:
-            guard = None
-        admission = self.admission
-        ticket = None
-        if admission is not None:
-            try:
-                ticket = admission.try_acquire(
-                    priority,
-                    deadline=guard.remaining if guard is not None else None,
-                    token=token)
-            except (OverloadError, QueryCancelledError) as error:
-                self._record_rejected(query, name, error)
-                raise
-        self._m_queries.inc(backend=name)
-        recorder = self.recorder
-        extra: dict[str, object] = {}
-        result: QueryResult | None = None
-        error: BaseException | None = None
-        start = time.perf_counter()
-        try:
-            with self._state_lock.read_locked():
-                compiled = self.prepare(query)
-                target = self.backend_instance(name)
-                target.prepare(self._prepare_bindings(compiled))
-                if guard is not None:
-                    guard.backend = name
-                    guard.start().check_deadline()
-                options = ExecutionOptions(
-                    strategy=self._strategy(strategy), guard=guard,
-                    extra=extra)
-                forest = target.execute_sharded(compiled, options)
-                result = QueryResult(forest, backend=name)
-                return result
-        except BaseException as raised:
-            error = raised
-            raise
-        finally:
-            if ticket is not None:
-                admission.release(ticket)
-            if recorder is not None:
-                wall = time.perf_counter() - start
-                try:
-                    recorder.record_run(query=query, backend=name,
-                                        result=result, error=error,
-                                        wall_seconds=wall, guard=guard,
-                                        extra=extra)
-                except Exception:  # never let telemetry sink a result
-                    logger.exception("flight recorder failed for %.60s",
-                                     query)
+        return self._run(query, "procpool", self._effective_tracer(),
+                         sharded=True,
+                         strategy=strategy, deadline=deadline, budget=budget,
+                         guard=guard, priority=priority, token=token)
 
     def _settle_cancelled(self, futures: "list[Future[QueryResult]]") -> None:
         """Cancel still-queued batch futures without leaking pool gauges.
@@ -778,250 +673,206 @@ class XQuerySession:
                 self._g_pool_workers.set(workers)
             return self._executor
 
-    def _run_recorded(self, query: str, name: str,
-                      strategy: str | JoinStrategy | None,
-                      stats: EngineStats | None,
-                      active: Tracer, full: bool,
-                      guard: QueryGuard | None,
-                      fallback: "tuple[str, ...] | list[str]",
-                      retry: RetryPolicy | None,
-                      recorder: FlightRecorder) -> QueryResult:
-        """Run through the phase-traced paths and report to the recorder.
+    def _run(self, query: str, name: str, active: Tracer | None, *,
+             sharded: bool = False,
+             strategy: str | JoinStrategy | None,
+             stats: EngineStats | None = None,
+             deadline: float | None,
+             budget: "int | ResourceBudget | None",
+             guard: QueryGuard | None,
+             fallback: "tuple[str, ...] | list[str]" = (),
+             retry: RetryPolicy | None = None,
+             priority: str,
+             token: CancellationToken | None) -> QueryResult:
+        """The one run path: resolve → admit → compile → attempt → record.
 
-        The record is written in a ``finally`` — success, degradation, and
-        raised errors all land in the ring buffer.  ``extra`` doubles as
-        the :class:`ExecutionOptions` report channel (the engine backend
-        puts plan-cache facts there) and as the hand-off slot for the root
-        span, so concurrent ``run_many`` workers never read each other's
-        trees off a shared tracer.
+        Every entry point lands here — :meth:`run` (and through it
+        :meth:`run_many` / :meth:`run_async`) and :meth:`run_sharded`,
+        which differs only in ``sharded=True``: the attempt calls the
+        backend's ``execute_sharded`` instead of ``execute``.  ``active``
+        is the caller's tracer or ``None``; only a caller's tracer
+        instruments backends, fills engine/SQL metrics and surfaces on
+        :attr:`QueryResult.trace`.
         """
+        admission = self.admission
+        if admission is not None:
+            level = admission.brownout.level
+            if level.force_backend is not None and not sharded:
+                name = level.force_backend
+            if level.budget_scale < 1.0:
+                budget = scale_budget(budget, level.budget_scale)
+        if guard is None and (deadline is not None or budget is not None
+                              or token is not None):
+            guard = QueryGuard(deadline=deadline, budget=budget, token=token)
+        elif guard is not None and token is not None and guard.token is None:
+            guard.token = token
+        if guard is not None and not guard.enabled:
+            guard = None
+        ticket = None
+        if admission is not None:
+            try:
+                # ``remaining`` on a not-yet-started guard is the full
+                # deadline, read without touching the guard's clock; the
+                # controller bounds queue wait on its *own* clock.
+                ticket = admission.try_acquire(
+                    priority,
+                    deadline=guard.remaining if guard is not None else None,
+                    token=token)
+            except (OverloadError, QueryCancelledError) as error:
+                # Refused before execution: a zero wall time and no
+                # attempt, so the latency histograms never see it.
+                self._record(query, name, error=error, wall_seconds=0.0)
+                raise
+        self._m_queries.inc(backend=name)
+        full = active is not None
+        if full:
+            tr = active
+        elif self.recorder is not None:
+            tr = self._phase_tracer()
+        else:
+            tr = NULL_TRACER
+        options = ExecutionOptions(
+            strategy=self._strategy(strategy), stats=stats,
+            metrics=self.metrics if full else None, guard=guard)
+        # A plain run (no guard, fallback or retry) neither consults nor
+        # feeds a circuit breaker.
+        guarded = guard is not None or bool(fallback) or retry is not None
+        try:
+            with self._state_lock.read_locked():
+                return self._run_chain(
+                    query, build_chain(name, tuple(fallback)), options,
+                    retry if retry is not None else NO_RETRY, tr, full,
+                    guarded, sharded)
+        finally:
+            if ticket is not None:
+                admission.release(ticket)
+
+    def _run_chain(self, query: str, chain: list[str],
+                   options: ExecutionOptions, policy: RetryPolicy,
+                   tr: Tracer, full: bool, guarded: bool,
+                   sharded: bool) -> QueryResult:
+        """Compile, try each backend of ``chain`` in turn, record the run.
+
+        The span tree is the same for every run: ``query`` → ``compile``,
+        then one ``attempt`` (→ ``prepare``, ``execute``) per try, with
+        ``retry`` / ``skip`` markers between them.  The flight record is
+        written in the ``finally`` — success, degradation and raised
+        errors all land in the ring buffer, each with one
+        :class:`AttemptRecord` per try, failures included.
+        """
+        name = chain[0]
+        guard = options.guard
         attempts: list[AttemptRecord] = []
-        extra: dict[str, object] = {}
+        degradations: list[Degradation] = []
         result: QueryResult | None = None
         error: BaseException | None = None
+        if full:
+            logger.debug("traced run on backend %r: %.60s", name, query)
         start = time.perf_counter()
         try:
-            if guard is not None or fallback or retry is not None:
-                result = self._run_resilient(query, name, strategy, stats,
-                                             active, guard, fallback, retry,
-                                             full=full, extra=extra,
-                                             attempts=attempts)
-            else:
-                result = self._run_traced(query, name, strategy, stats,
-                                          active, full=full, extra=extra)
+            with tr.span("query", backend=name) as root:
+                with tr.span("compile") as compile_span:
+                    compiled = self.prepare(query)
+                for backend in chain:
+                    if guard is not None:
+                        guard.backend = backend
+                        guard.start().check()  # never start an attempt past limit
+                    breaker = backend_breaker(backend) if guarded else None
+                    try:
+                        if breaker is not None and not breaker.allow():
+                            tr.record_span("skip", 0.0, backend=backend,
+                                           error="CircuitOpenError")
+                            raise CircuitOpenError(
+                                backend, retry_after=breaker.retry_after)
+                        forest = self._attempt(compiled, backend, options, tr,
+                                               full, breaker, policy,
+                                               attempts, sharded)
+                    except Exception as raised:
+                        if isinstance(raised, QueryTimeoutError):
+                            self._m_timeouts.inc(backend=backend)
+                        # Deadline, budget and cancellation are verdicts on
+                        # the request: no other backend changes them.
+                        if not is_degradable(raised):
+                            raise
+                        logger.debug("degrading from backend %r: %s",
+                                     backend, raised)
+                        degradations.append(
+                            Degradation.from_error(backend, raised))
+                        last_error = raised
+                        continue
+                    finally:
+                        if breaker is not None:
+                            self._g_breaker.set(STATE_VALUES[breaker.state],
+                                                backend=backend)
+                    break
+                else:
+                    raise last_error
+                if degradations:
+                    self._m_fallbacks.inc(source=name, target=backend)
+                root.set(backend=backend, degraded=bool(degradations))
+                # Compilation passes run (and are cached) outside this
+                # trace — parse/lower at the first compile, plan at
+                # whichever execute first planned.  A caller's trace
+                # gets them grafted under the compile span, cached or
+                # not; the recorder's phase-level tree skips them (they
+                # are the most expensive allocations on this path).
+                if full:
+                    for record in compiled.trace.records:
+                        span = tr.record_span(f"pass.{record.name}",
+                                              record.seconds,
+                                              parent=compile_span,
+                                              compiler_pass=record.name)
+                        if record.detail:
+                            span.set(detail=record.detail)
+            result = QueryResult(forest,
+                                 trace=root if full else None,
+                                 tracer=tr if full else None,
+                                 backend=backend,
+                                 degradations=tuple(degradations))
             return result
         except BaseException as raised:
             error = raised
             raise
         finally:
-            wall = time.perf_counter() - start
-            root = extra.pop("root", None)
-            try:
-                recorder.record_run(query=query, backend=name, result=result,
-                                    error=error, wall_seconds=wall,
-                                    root=root, attempts=tuple(attempts),
-                                    guard=guard, extra=extra)
-            except Exception:  # never let telemetry sink a query result
-                logger.exception("flight recorder failed for %.60s", query)
-
-    def _run_traced(self, query: str, name: str,
-                    strategy: str | JoinStrategy | None,
-                    stats: EngineStats | None,
-                    active: Tracer, full: bool = True,
-                    extra: "dict[str, object] | None" = None) -> QueryResult:
-        """One traced run.
-
-        ``full=False`` is the flight recorder's always-on mode: the span
-        tree stays phase-level (no backend instrumentation, no engine/SQL
-        metrics) and the result looks exactly like an untraced one —
-        ``QueryResult.trace`` stays ``None``.
-        """
-        if full:
-            logger.debug("traced run on backend %r: %.60s", name, query)
-        options = ExecutionOptions(strategy=self._strategy(strategy),
-                                   stats=stats,
-                                   metrics=self.metrics if full else None,
-                                   extra=extra if extra is not None else {})
-        with active.span("query", backend=name) as root:
-            if extra is not None:
-                extra["root"] = root  # visible to the recorder on error too
-            with active.span("compile") as compile_span:
-                compiled = self.prepare(query)
-            target = self.backend_instance(name)
-            with active.span("prepare") as prepare_span:
-                target.prepare(self._prepare_bindings(compiled))
-                prepare_span.set(documents=len(compiled.documents))
-            if full:
-                target.instrument(active)
-            try:
-                with active.span("execute") as execute_span:
-                    forest = target.execute(compiled, options)
-                    execute_span.set(trees=len(forest))
-            finally:
-                if full:
-                    target.instrument(None)
-            # Compilation passes run (and are cached) outside this trace —
-            # the parse/lower records from the first compile, the plan
-            # records from whichever execute first planned.  Graft them
-            # all under the compile span so every traced run carries the
-            # complete pipeline, cached or not.  The recorder's
-            # phase-level mode skips the grafting: its records only need
-            # the top-level phases, and the per-pass spans are the most
-            # expensive allocations on this path.
-            if full:
-                for record in compiled.trace.records:
-                    span = active.record_span(f"pass.{record.name}",
-                                              record.seconds,
-                                              parent=compile_span,
-                                              compiler_pass=record.name)
-                    if record.detail:
-                        span.set(detail=record.detail)
-        return QueryResult(forest,
-                           trace=root if full else None,
-                           tracer=active if full else None,
-                           backend=name)
-
-    def _run_resilient(self, query: str, name: str,
-                       strategy: str | JoinStrategy | None,
-                       stats: EngineStats | None,
-                       active: Tracer | None,
-                       guard: QueryGuard | None,
-                       fallback: "tuple[str, ...] | list[str]",
-                       retry: RetryPolicy | None,
-                       full: bool = True,
-                       extra: "dict[str, object] | None" = None,
-                       attempts: "list[AttemptRecord] | None" = None,
-                       ) -> QueryResult:
-        """Execute with guard enforcement, retries, and fallback chain.
-
-        ``full=False`` (the recorder's always-on mode) keeps the span tree
-        phase-level and leaves ``QueryResult.trace`` unset, exactly like
-        :meth:`_run_traced`.  ``attempts``, when given, accumulates one
-        :class:`AttemptRecord` per backend attempt — failures included —
-        so the recorder's histograms price the whole fallback chain, not
-        just the winner.
-        """
-        tracing = full and active is not None
-        tr = active if active is not None else NULL_TRACER
-        policy = retry if retry is not None else NO_RETRY
-        chain = build_chain(name, tuple(fallback))
-        options = ExecutionOptions(
-            strategy=self._strategy(strategy), stats=stats,
-            metrics=self.metrics if tracing else None, guard=guard,
-            extra=extra if extra is not None else {})
-        degradations: list[Degradation] = []
-        last_error: BaseException | None = None
-        winner: str | None = None
-        forest: Forest = ()
-        with tr.span("query", backend=name, resilient=True) as root:
-            if extra is not None:
-                extra["root"] = root
-            with tr.span("compile") as compile_span:
-                compiled = self.prepare(query)
-            for target_name in chain:
-                if guard is not None:
-                    guard.backend = target_name
-                    guard.start().check()  # never start an attempt past limit
-                breaker = backend_breaker(target_name)
-                if not breaker.allow():
-                    error = CircuitOpenError(target_name,
-                                             retry_after=breaker.retry_after)
-                    logger.debug("skipping backend %r: %s", target_name, error)
-                    tr.record_span("skip", 0.0, backend=target_name,
-                                   error="CircuitOpenError")
-                    degradations.append(
-                        Degradation.from_error(target_name, error))
-                    last_error = error
-                    self._record_breaker(target_name, breaker)
-                    continue
-                try:
-                    forest = self._attempt(compiled, target_name, options,
-                                           active, breaker, policy, guard,
-                                           full=full, attempts=attempts)
-                except (QueryTimeoutError, ResourceBudgetError,
-                        QueryCancelledError) as error:
-                    # Request-level verdicts: no other backend changes them.
-                    if isinstance(error, QueryTimeoutError):
-                        self._m_timeouts.inc(backend=target_name)
-                    self._record_breaker(target_name, breaker)
-                    root.set(outcome=type(error).__name__)
-                    raise
-                except Exception as error:
-                    self._record_breaker(target_name, breaker)
-                    if not is_degradable(error):
-                        raise
-                    logger.debug("degrading from backend %r: %s",
-                                 target_name, error)
-                    degradations.append(
-                        Degradation.from_error(target_name, error))
-                    last_error = error
-                    continue
-                winner = target_name
-                self._record_breaker(target_name, breaker)
-                break
-            if winner is None:
-                root.set(outcome="exhausted")
-                assert last_error is not None
-                raise last_error
-            if degradations:
-                self._m_fallbacks.inc(source=name, target=winner)
-            root.set(backend=winner, degraded=bool(degradations))
-            if full:
-                for record in compiled.trace.records:
-                    span = tr.record_span(f"pass.{record.name}",
-                                          record.seconds,
-                                          parent=compile_span,
-                                          compiler_pass=record.name)
-                    if record.detail:
-                        span.set(detail=record.detail)
-        return QueryResult(forest,
-                           trace=root if tracing else None,
-                           tracer=active if tracing else None,
-                           backend=winner,
-                           degradations=tuple(degradations))
+            self._record(query, name, result=result, error=error,
+                         wall_seconds=time.perf_counter() - start,
+                         root=root, attempts=tuple(attempts), guard=guard,
+                         extra=options.extra)
 
     def _attempt(self, compiled: CompiledQuery, name: str,
-                 options: ExecutionOptions, active: Tracer | None,
-                 breaker: "CircuitBreaker", policy: RetryPolicy,
-                 guard: QueryGuard | None, full: bool = True,
-                 attempts: "list[AttemptRecord] | None" = None) -> Forest:
+                 options: ExecutionOptions, tr: Tracer, full: bool,
+                 breaker: "CircuitBreaker | None", policy: RetryPolicy,
+                 attempts: list[AttemptRecord], sharded: bool) -> Forest:
         """One backend's (possibly retried) prepare + execute."""
         target = self.backend_instance(name)
-        instrument = full and active is not None
-        tr = active if active is not None else NULL_TRACER
+        execute = target.execute_sharded if sharded else target.execute
 
         def once() -> Forest:
             begin = time.perf_counter()
+            failure: str | None = None
             try:
                 with tr.span("attempt", backend=name):
+                    with tr.span("prepare") as prepare_span:
+                        target.prepare(self._prepare_bindings(compiled))
+                        prepare_span.set(documents=len(compiled.documents))
+                    if full:
+                        target.instrument(tr)
                     try:
-                        with tr.span("prepare") as prepare_span:
-                            target.prepare(self._prepare_bindings(compiled))
-                            prepare_span.set(
-                                documents=len(compiled.documents))
-                        if instrument:
-                            target.instrument(active)
-                        try:
-                            with tr.span("execute") as execute_span:
-                                result = target.execute(compiled, options)
-                                execute_span.set(trees=len(result))
-                        finally:
-                            if instrument:
-                                target.instrument(None)
-                    except Exception as error:
-                        if counts_against_breaker(error):
-                            breaker.record_failure()
-                        raise
+                        with tr.span("execute") as execute_span:
+                            forest = execute(compiled, options)
+                            execute_span.set(trees=len(forest))
+                    finally:
+                        if full:
+                            target.instrument(None)
+                return forest
             except BaseException as error:
-                if attempts is not None:
-                    attempts.append(AttemptRecord(
-                        name, time.perf_counter() - begin,
-                        type(error).__name__))
+                failure = type(error).__name__
+                if breaker is not None and counts_against_breaker(error):
+                    breaker.record_failure()
                 raise
-            if attempts is not None:
+            finally:
                 attempts.append(AttemptRecord(
-                    name, time.perf_counter() - begin))
-            return result
+                    name, time.perf_counter() - begin, failure))
 
         def on_retry(attempt: int, delay: float, error: BaseException) -> None:
             self._m_retries.inc(backend=name)
@@ -1030,28 +881,19 @@ class XQuerySession:
             logger.debug("retrying backend %r after %s (attempt %d, "
                          "backoff %.3fs)", name, error, attempt, delay)
 
-        result = policy.call(once, guard=guard, on_retry=on_retry)
-        breaker.record_success()
-        return result
+        forest = policy.call(once, guard=options.guard, on_retry=on_retry)
+        if breaker is not None:
+            breaker.record_success()
+        return forest
 
-    def _record_breaker(self, name: str, breaker: "CircuitBreaker") -> None:
-        self._g_breaker.set(STATE_VALUES[breaker.state], backend=name)
-
-    def _record_rejected(self, query: str, name: str,
-                         error: BaseException) -> None:
-        """Flight-record a query refused before execution (shed/cancelled).
-
-        The record carries a zero wall time; the recorder classifies the
-        outcome from the error type and keeps shed records out of the
-        latency histograms and SLO windows.
-        """
+    def _record(self, query: str, name: str, **fields: object) -> None:
+        """Flight-record one run (executed or refused at admission)."""
         recorder = self.recorder
         if recorder is None:
             return
         try:
-            recorder.record_run(query=query, backend=name, error=error,
-                                wall_seconds=0.0)
-        except Exception:  # never let telemetry mask the typed error
+            recorder.record_run(query=query, backend=name, **fields)
+        except Exception:  # never let telemetry sink a query result
             logger.exception("flight recorder failed for %.60s", query)
 
     def _phase_tracer(self) -> Tracer:
@@ -1073,8 +915,8 @@ class XQuerySession:
             tracer.roots.clear()
         return tracer
 
-    def _effective_tracer(self, trace: bool,
-                          tracer: Tracer | None) -> Tracer | None:
+    def _effective_tracer(self, trace: bool = False,
+                          tracer: Tracer | None = None) -> Tracer | None:
         """The tracer a run should use, or None for the untraced path."""
         if tracer is not None:
             return tracer if tracer.enabled else None

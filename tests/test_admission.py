@@ -19,7 +19,7 @@ from repro.errors import (
     QueryCancelledError,
     ResourceBudgetError,
 )
-from repro.obs.flight import SLO, FlightRecorder
+from repro.obs.flight import SLO, AttemptRecord, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     BATCH,
@@ -62,9 +62,12 @@ def violating_record(recorder: FlightRecorder, count: int = 1) -> None:
 
 def healthy_record(recorder: FlightRecorder, count: int = 1,
                    wall: float = 0.001) -> None:
+    # The latency histograms observe attempts, so a run that should move
+    # the mean service time / p99 carries one.
     for _ in range(count):
         recorder.record_run(query="q", backend="engine",
-                            result=(), wall_seconds=wall)
+                            result=(), wall_seconds=wall,
+                            attempts=(AttemptRecord("engine", wall),))
 
 
 # -- configuration ------------------------------------------------------------

@@ -365,6 +365,21 @@ class TestProcessQueryPool:
 
 # -- session wiring ------------------------------------------------------------
 
+def test_worker_compiled_cache_is_bounded():
+    """The worker's compiled-query cache shares the session's LRU bound."""
+    from repro.compiler.cache import COMPILED_CACHE_SIZE
+    from repro.concurrency.procpool import _WorkerState
+
+    state = _WorkerState()
+    try:
+        for extra in range(COMPILED_CACHE_SIZE + 20):
+            state._compile(COUNT + " " * extra)
+        assert len(state._compiled) == COMPILED_CACHE_SIZE
+        assert state._compile(COUNT) is state._compile(COUNT)
+    finally:
+        state.close()
+
+
 @pytest.fixture
 def session(monkeypatch):
     monkeypatch.setenv("REPRO_POOL_WORKERS", "2")

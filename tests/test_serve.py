@@ -176,8 +176,10 @@ class TestDebugQueries:
         (record,) = self.payload(server)["records"]
         assert record["sampled"] is True
         assert record["trace"]["name"] == "query"
-        children = [child["name"] for child in record["trace"]["children"]]
-        assert "execute" in children
+        compile_span, attempt = record["trace"]["children"]
+        assert (compile_span["name"], attempt["name"]) == ("compile", "attempt")
+        assert [child["name"] for child in attempt["children"]] == \
+            ["prepare", "execute"]
 
     def test_traces_false_drops_span_trees(self, session, server):
         session.run(NAMES)
@@ -280,9 +282,18 @@ class TestRetryAfterHeader:
     """The 503 Retry-After plumbing from the admission snapshot."""
 
     def _header(self, health):
-        from repro.obs.serve import _retry_after_header
+        from repro.obs.export import health_reply
 
-        return _retry_after_header(health)
+        status, headers = health_reply({"status": "shedding", **health})
+        assert status == 503
+        return headers.get("Retry-After")
+
+    def test_healthy_statuses_reply_200_without_the_header(self):
+        from repro.obs.export import health_reply
+
+        for status in ("ok", "degraded"):
+            assert health_reply({"status": status, "admission": {
+                "retry_after": 2.0}}) == (200, {})
 
     def test_rounds_sub_second_hints_up(self):
         assert self._header({"admission": {"retry_after": 0.05}}) == "1"

@@ -117,6 +117,26 @@ class TestQueryEndpoint:
         assert int(headers["retry-after"]) >= 1
         assert json.loads(body)["error"] == "overloaded"
 
+    @pytest.mark.parametrize("hint, advertised", [
+        (0.05, "1"), (1.0, "1"), (2.3, "3"), (3.0, "3")])
+    def test_both_routes_advertise_the_same_retry_after(
+            self, session, server, monkeypatch, hint, advertised):
+        """One delta-seconds rule: a shed ``/query`` and a shedding
+        ``/healthz`` round the same hint the same way (integer-valued
+        hints used to come out one second apart)."""
+        monkeypatch.setattr(session.admission, "_retry_after_hint",
+                            lambda: hint)
+        session.admission.begin_drain()
+        try:
+            (_, query_headers, _), (_, health_headers, _) = run(
+                server,
+                http(server, "POST", "/query", NAMES.encode()),
+                http(server, "GET", "/healthz"))
+        finally:
+            session.admission.end_drain()
+        assert query_headers["retry-after"] == advertised
+        assert health_headers["retry-after"] == advertised
+
     def test_requests_interleave_on_one_loop(self, server):
         results = run(server, *[
             http(server, "POST", "/query", NAMES.encode())

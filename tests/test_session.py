@@ -74,6 +74,40 @@ class TestQuerying:
         second = session.prepare(NAMES)
         assert first is second
 
+    def test_compiled_cache_is_bounded(self, session):
+        """Distinct ad-hoc texts do not accumulate: the cache holds the
+        most recent ``COMPILED_CACHE_SIZE`` and an evicted text just
+        compiles again."""
+        from repro.compiler.cache import COMPILED_CACHE_SIZE
+
+        texts = [NAMES + " " * extra
+                 for extra in range(COMPILED_CACHE_SIZE + 20)]
+        oldest = session.prepare(texts[0])
+        for text in texts:
+            session.prepare(text)
+        assert len(session._compiled) == COMPILED_CACHE_SIZE
+        assert session.prepare(texts[-1]) is session.prepare(texts[-1])
+        assert session.prepare(texts[0]) is not oldest  # evicted, recompiled
+        assert session.run(texts[0]).to_xml() == "Jaak TempestiCong Rosca"
+        assert len(session._compiled) == COMPILED_CACHE_SIZE
+
+    def test_concurrent_prepare_agrees_on_one_compiled_query(self, session):
+        import threading
+
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def compile_once():
+            barrier.wait()
+            seen.append(session.prepare(NAMES))
+
+        threads = [threading.Thread(target=compile_once) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len({id(compiled) for compiled in seen}) == 1
+
     def test_plan_cached_per_strategy(self, session):
         session.run(NAMES, strategy="msj")
         session.run(NAMES, strategy="nlj")
