@@ -14,7 +14,6 @@ Run with:  python examples/dynamic_intervals_tour.py
 
 from repro.encoding.interval import decode, encode
 from repro.engine import operators as ops
-from repro.engine.evaluator import DIEngine
 from repro.engine.relation import group_by_env
 from repro.xmark.queries import FIGURE1_SAMPLE
 from repro.xml.serializer import forest_to_xml
@@ -53,8 +52,7 @@ def main() -> None:
     width = encoded.width
     roots = ops.roots(person)
     index = [row[1] for row in roots]
-    engine = DIEngine()
-    expanded = engine._expand_variable(person, width, roots)
+    expanded = ops.expand_variable(person, width, index)
     print(f"3. Entering the for loop: I' = {index} (the roots' left\n"
           f"   endpoints), and T'_p re-blocked at width {width} — compare\n"
           f"   the paper's Figure 7 (person0 at 174, person1 at 2088):\n")

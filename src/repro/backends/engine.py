@@ -123,8 +123,7 @@ class EngineBackend(Backend):
             old_nodes = stats.nodes if stats is not None else 0
             spliced = False
             if (update.deltas and value is not None and stats is not None
-                    and self._revisions.get(name) == update.base_revision
-                    and isinstance(value[0], IntervalColumns)):
+                    and self._revisions.get(name) == update.base_revision):
                 rel, width = value
                 if all(delta.old_width == width for delta in update.deltas):
                     for delta in update.deltas:

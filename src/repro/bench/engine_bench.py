@@ -4,12 +4,8 @@ Writes a ``BENCH_engine.json`` trajectory file recording, on one XMark
 document,
 
 * **operators** — ops/sec for every columnar kernel against its
-  list-based reference implementation (the pre-columnar operator
-  algebra, kept in :mod:`repro.engine.operators` as ``_list_*``), and
-* **queries** — the Figure 8 (Q13) and Figure 9 (Q8/Q9) paper queries
-  run through :class:`~repro.engine.evaluator.DIEngine`, serially and as
-  a concurrent ``run_many``-style batch, for both relation
-  representations, and
+  same-named tuple-list reference in :mod:`repro.engine.operators` (the
+  pre-columnar operator algebra, and the kernels' bignum body), and
 * **planner** — the multi-join Q9 executed on the planning-off
   syntactic plan versus the cost-optimized plan (estimated-cost and
   observed-cost variants), plus cold/warm plan times through the
@@ -49,7 +45,7 @@ job diffs against the committed baseline::
     python -m repro.bench.engine_bench --smoke --out /tmp/bench.json \
         --check BENCH_engine_smoke.json
 
-``--check`` fails (exit 1) when any kernel or query speedup regresses
+``--check`` fails (exit 1) when any kernel or planner speedup regresses
 by more than ``--tolerance`` (default 25%) relative to the baseline,
 with a small absolute slack so near-1.0 ratios cannot flake the build.
 """
@@ -63,7 +59,6 @@ import platform
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.api import compile_xquery
@@ -76,7 +71,6 @@ from repro.engine.relation import group_by_env
 from repro.engine.structural import tree_keys
 from repro.xmark.generator import cached_document
 from repro.xmark.queries import DOCUMENT as XMARK_DOCUMENT, QUERIES
-from repro.xml.forest import is_text_label
 from repro.xquery.lowering import document_forest
 
 #: Paper figure → query mapping (Section 6.1 / 6.2).
@@ -154,7 +148,7 @@ def _operator_inputs(scale: float) -> dict[str, Any]:
 
 
 def bench_operators(scale: float, repeats: int) -> dict[str, dict[str, float]]:
-    """Per-kernel ops/sec: columnar kernel vs ``_list_*`` reference."""
+    """Per-kernel ops/sec: columnar kernel vs its tuple-list reference."""
     inp = _operator_inputs(scale)
     width = inp["width"]
     doc, doc_list = inp["doc"], inp["doc_list"]
@@ -168,63 +162,58 @@ def bench_operators(scale: float, repeats: int) -> dict[str, dict[str, float]]:
 
     cases: dict[str, tuple[Callable[[], Any], Callable[[], Any]]] = {
         "roots": (lambda: kernels.roots(doc),
-                  lambda: ops._list_roots(doc_list)),
+                  lambda: ops.roots(doc_list)),
         "children": (lambda: kernels.children(doc),
-                     lambda: ops._list_children(doc_list)),
+                     lambda: ops.children(doc_list)),
         "select_label": (
             lambda: kernels.select_label(people, "<person>"),
-            lambda: ops._list_select_trees(people_list,
-                                           lambda s: s == "<person>")),
+            lambda: ops.select_label(people_list, "<person>")),
         "select_children": (
             lambda: kernels.select_children(doc, "<site>"),
-            lambda: ops._list_select_trees(ops._list_children(doc_list),
-                                           lambda s: s == "<site>")),
+            lambda: ops.select_label(ops.children(doc_list), "<site>")),
         "textnode_trees": (
             lambda: kernels.textnode_trees(people),
-            lambda: ops._list_select_trees(people_list, is_text_label)),
+            lambda: ops.textnode_trees(people_list)),
         "head": (lambda: kernels.head(blocked, width),
-                 lambda: ops._list_head(blocked_list, width)),
+                 lambda: ops.head(blocked_list, width)),
         "tail": (lambda: kernels.tail(blocked, width),
-                 lambda: ops._list_tail(blocked_list, width)),
+                 lambda: ops.tail(blocked_list, width)),
         "data": (lambda: kernels.data(blocked, width),
-                 lambda: ops._list_data(blocked_list, width)),
+                 lambda: ops.data(blocked_list, width)),
         "reverse": (lambda: kernels.reverse(blocked, width),
-                    lambda: ops._list_reverse(blocked_list, width)),
+                    lambda: ops.reverse(blocked_list, width)),
         "subtrees_dfs": (lambda: kernels.subtrees_dfs(small, width),
-                         lambda: ops._list_subtrees_dfs(small_list, width)),
+                         lambda: ops.subtrees_dfs(small_list, width)),
         "select_descendants": (
             lambda: kernels.select_descendants(small, width, "<item>"),
-            lambda: ops._list_select_trees(
-                ops._list_subtrees_dfs(small_list, width),
-                lambda s: s == "<item>")),
+            lambda: ops.select_label(
+                ops.subtrees_dfs(small_list, width), "<item>")),
         "distinct": (lambda: kernels.distinct(blocked, width),
-                     lambda: ops._list_distinct(blocked_list, width)),
+                     lambda: ops.distinct(blocked_list, width)),
         "sort": (lambda: kernels.sort(blocked, width),
-                 lambda: ops._list_sort(blocked_list, width)),
+                 lambda: ops.sort(blocked_list, width)),
         "concat": (
             lambda: kernels.concat(blocked, width, blocked, width),
-            lambda: ops._list_concat(blocked_list, width,
-                                     blocked_list, width)),
+            lambda: ops.concat(blocked_list, width, blocked_list, width)),
         "xnode": (
             lambda: kernels.xnode("<item>", blocked, width, envs),
-            lambda: ops._list_xnode("<item>", blocked_list, width, envs)),
+            lambda: ops.xnode("<item>", blocked_list, width, envs)),
         "expand_variable": (
             lambda: kernels.expand_variable(people, width, root_lefts),
-            lambda: ops._list_expand_variable(people_list, width,
-                                              root_lefts)),
+            lambda: ops.expand_variable(people_list, width, root_lefts)),
         "gather_blocks": (
             lambda: kernels.gather_blocks(blocked, width, moves),
-            lambda: ops._list_gather_blocks(blocked_list, width, moves)),
+            lambda: ops.gather_blocks(blocked_list, width, moves)),
         "filter_by_index": (
             lambda: kernels.filter_by_index(blocked, width, half),
             lambda: [row for row in blocked_list
                      if row[1] // width in half_set]),
         "count_roots": (
             lambda: kernels.count_roots(blocked, width, envs),
-            lambda: ops._list_count_roots(blocked_list, width, envs)),
+            lambda: ops.count_roots(blocked_list, width, envs)),
         "string_fn": (
             lambda: kernels.string_fn(blocked, width, envs),
-            lambda: ops._list_string_fn(blocked_list, width, envs)),
+            lambda: ops.string_fn(blocked_list, width, envs)),
         "block_tree_key_sets": (
             lambda: kernels.block_tree_key_sets(blocked, width),
             lambda: {env: set(tree_keys(list(block)))
@@ -232,67 +221,6 @@ def bench_operators(scale: float, repeats: int) -> dict[str, dict[str, float]]:
     }
     return {name: _pair(columnar, listform, repeats)
             for name, (columnar, listform) in cases.items()}
-
-
-def _query_setup(query_name: str, scale: float):
-    document = cached_document(scale, seed=SEED)
-    compiled = compile_xquery(QUERIES[query_name])
-    bindings = {var: document_forest((document,))
-                for var in compiled.documents.values()}
-    plan = compile_plan(compiled.core, JoinStrategy.MSJ,
-                        base_vars=compiled.documents.values())
-    columnar = {name: DIEngine.prepare_document(forest)
-                for name, forest in bindings.items()}
-    listform = {name: (list(rel.tuples()), width)
-                for name, (rel, width) in columnar.items()}
-    return plan, columnar, listform
-
-
-def bench_queries(scale: float, repeats: int, workers: int,
-                  batch: int) -> dict[str, Any]:
-    """Figure 8/9 queries through the DI engine, serial and batched.
-
-    The batch mode mirrors ``Session.run_many``: one immutable document
-    encoding shared by ``workers`` pool threads, each running the plan on
-    its own engine — the concurrent-serving path the backends use.
-    """
-    results: dict[str, Any] = {}
-    for bench_name, query_name in FIGURE_QUERIES.items():
-        plan, columnar, listform = _query_setup(query_name, scale)
-
-        def serial(values):
-            engine = DIEngine()
-            return lambda: engine.run_plan_values(plan, dict(values))
-
-        def batched(values):
-            pool = ThreadPoolExecutor(max_workers=workers)
-
-            def run_batch():
-                def one(_ix):
-                    return DIEngine().run_plan_values(plan, dict(values))
-                return list(pool.map(one, range(batch)))
-            return run_batch, pool
-
-        entry: dict[str, Any] = {"query": query_name,
-                                 "strategy": "msj"}
-        entry["serial"] = _pair(serial(columnar), serial(listform), repeats)
-        col_batch, col_pool = batched(columnar)
-        list_batch, list_pool = batched(listform)
-        try:
-            col = _best_seconds(col_batch, max(2, repeats // 2)) / batch
-            ref = _best_seconds(list_batch, max(2, repeats // 2)) / batch
-        finally:
-            col_pool.shutdown()
-            list_pool.shutdown()
-        entry["run_many"] = {
-            "columnar_ops_per_sec": round(1.0 / col, 2),
-            "list_ops_per_sec": round(1.0 / ref, 2),
-            "speedup": round(ref / col, 3),
-            "workers": workers,
-            "batch": batch,
-        }
-        results[bench_name] = entry
-    return results
 
 
 def bench_planner(scale: float, repeats: int) -> dict[str, Any]:
@@ -875,8 +803,7 @@ def bench_updates(scale: float, repeats: int) -> dict[str, Any]:
     return results
 
 
-def run_bench(scale: float, repeats: int, workers: int = 4,
-              batch: int = 8) -> dict[str, Any]:
+def run_bench(scale: float, repeats: int, batch: int = 8) -> dict[str, Any]:
     document = cached_document(scale, seed=SEED)
     return {
         "meta": {
@@ -889,7 +816,6 @@ def run_bench(scale: float, repeats: int, workers: int = 4,
             "python": platform.python_version(),
         },
         "operators": bench_operators(scale, repeats),
-        "queries": bench_queries(scale, repeats, workers, batch),
         "planner": bench_planner(scale, repeats),
         "telemetry": bench_telemetry(scale, repeats),
         "overload": bench_overload(scale, repeats),
@@ -923,14 +849,6 @@ def check_regressions(current: dict[str, Any], baseline: dict[str, Any],
         now = current.get("operators", {}).get(name)
         if now is not None:
             compare("kernel", name, now["speedup"], entry["speedup"])
-    for name, entry in baseline.get("queries", {}).items():
-        now = current.get("queries", {}).get(name)
-        if now is None:
-            continue
-        for mode in ("serial", "run_many"):
-            if mode in entry and mode in now:
-                compare("query", f"{name}/{mode}",
-                        now[mode]["speedup"], entry[mode]["speedup"])
     for name, entry in baseline.get("planner", {}).items():
         now = current.get("planner", {}).get(name)
         if now is None:
@@ -1048,9 +966,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(result, handle, indent=2, sort_keys=False)
         handle.write("\n")
     print(f"wrote {args.out} (scale={scale}, repeats={repeats})")
-    for name, entry in result["queries"].items():
-        print(f"  {name}: serial {entry['serial']['speedup']:.2f}x, "
-              f"run_many {entry['run_many']['speedup']:.2f}x columnar speedup")
     for name, entry in result["planner"].items():
         execution = entry["execution"]
         cache = entry["plan_cache"]

@@ -9,9 +9,11 @@ be served for the new contents — the key itself moves.
 Observed cardinalities live one level up, keyed by shape alone: traced
 runs report actual per-node tuple counts, and those survive document
 updates (a new digest means a new planning round, which *should* start
-from everything the cache has learned about this query so far).  When an
-observation contradicts an entry's estimate badly enough, the entry is
-dropped so the next lookup replans against the corrected numbers.
+from everything the cache has learned about this query so far).  The
+feedback store has the plans' bound: past it, the shape whose last
+observation is oldest is forgotten.  When an observation contradicts an
+entry's estimate badly enough, the entry is dropped so the next lookup
+replans against the corrected numbers.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ class PlanCache:
         self._maxsize = maxsize
         self._lock = threading.RLock()
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
-        self._observed: dict[tuple, dict[int, int]] = {}
+        self._observed: OrderedDict[tuple, dict[int, int]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -238,8 +240,11 @@ class PlanCache:
         if not observed:
             return False
         with self._lock:
-            store = self._observed.setdefault(key.shape_key(), {})
-            store.update(observed)
+            shape = key.shape_key()
+            self._observed.setdefault(shape, {}).update(observed)
+            self._observed.move_to_end(shape)
+            while len(self._observed) > self._maxsize:
+                self._observed.popitem(last=False)
             entry = self._entries.get(key)
             if entry is None:
                 return False

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.compiler.cache import CompiledCache
 from repro.engine.columns import (
     IntervalColumns,
-    as_columns,
     export_columns,
     splice_columns,
 )
@@ -456,7 +455,7 @@ class ProcessQueryPool:
         every worker has adopted the new payload.
         """
         columns, width = value
-        columns = as_columns(columns)
+        columns = IntervalColumns.from_tuples(columns)
         self._check_open()
         payload, segment = self._export(columns, width)
         old_full = self._full_segments.get(var)

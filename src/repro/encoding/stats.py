@@ -75,17 +75,17 @@ class DocumentStats:
 def collect_stats(rel, width: int) -> DocumentStats:
     """Statistics over an encoded relation in document order.
 
-    ``rel`` is either representation — :class:`IntervalColumns` or a list
-    of ``(s, l, r)`` tuples — holding a single environment block.  The
-    tree shape is read off the relation's depth and name-code columns
-    (a tuple list is given them first): the histogram is one
-    ``bincount``, root and element counts are mask sums.
+    ``rel`` holds a single environment block, as
+    :class:`IntervalColumns` (what every backend passes) or as a list of
+    ``(s, l, r)`` tuples, which ``from_tuples`` turns into columns first.
+    The tree shape is read off the depth and name-code columns: the
+    histogram is one ``bincount``, root and element counts are mask sums.
     """
     import numpy as np
 
-    from repro.engine.columns import ELEMENT, KIND_MASK, as_columns
+    from repro.engine.columns import ELEMENT, KIND_MASK, IntervalColumns
 
-    rel = as_columns(rel)
+    rel = IntervalColumns.from_tuples(rel)
     nodes = len(rel)
     buckets = min(MAX_DEPTH_BUCKETS, max(nodes, 1))
     histogram = np.bincount(np.minimum(rel.d, buckets - 1),

@@ -5,15 +5,17 @@ physical operators so that translated XQuery plans run in linear (or
 ``O(n log n)``) time instead of the quadratic time a generic engine needs
 for interval predicates.  This package is that engine:
 
-* :mod:`repro.engine.relation` — the ordered interval-relation
-  representation and block (environment) arithmetic;
-* :mod:`repro.engine.operators` — linear single-pass operators (Roots is
-  Algorithm 5.2) plus the per-environment lifted forms of every Figure 2
-  operator, over tuple lists: the reference algebra;
-* :mod:`repro.engine.columns` / :mod:`repro.engine.kernels` — the same
-  relations as five NumPy columns (the triples plus a depth and a
-  name-code column) and the same operators as whole-column kernels,
-  which is what the evaluator runs;
+* :mod:`repro.engine.columns` / :mod:`repro.engine.kernels` — ordered
+  interval relations as five NumPy columns (the triples plus a depth and
+  a name-code column) and every operator as a whole-column kernel: the
+  one representation and the one algebra the evaluator runs;
+* :mod:`repro.engine.relation` / :mod:`repro.engine.operators` — the
+  same relations as plain tuple lists and the same operators as linear
+  single-pass functions over them (Roots is Algorithm 5.2, plus the
+  per-environment lifted forms of every Figure 2 operator): the
+  reference the kernels are tested against, and the body
+  :mod:`~repro.engine.kernels` — alone — switches to when coordinates
+  outgrow int64;
 * :mod:`repro.engine.structural` — ``DeepCompare`` (Algorithm 5.3) and the
   canonical structural keys used for sorting and merge joins;
 * :mod:`repro.engine.evaluator` — evaluation of compiled plans over

@@ -29,13 +29,17 @@ Invariants every producer keeps (``validate_value`` checks them):
 * **Unbounded widths still work** — coordinates grow multiplicatively
   with query nesting and can exceed 64 bits.  An endpoint column that
   overflows is a plain Python list instead (bignum mode, ``is_array``
-  false) and the kernels route such relations to the list-based
+  false) and the kernels route such relations to the tuple-list
   reference operators.  ``d`` and ``c`` always fit.
 
-Tuple compatibility: an :class:`IntervalColumns` *is* a sequence of
-``(s, l, r)`` tuples of plain Python values — iteration, indexing,
-slicing and equality behave like the list representation, so ``decode``,
-``check_sorted``, structural comparison and the tests consume either.
+Tuple compatibility: an :class:`IntervalColumns` can be *read* as a
+sequence of ``(s, l, r)`` tuples of plain Python values — iteration,
+indexing, slicing and equality behave like a tuple list — which is how a
+result leaves the engine (``decode``, the tests' comparisons).  Nothing
+inside the engine relies on it: the evaluator and the kernels take and
+return columns only, the reference operators take and return lists only,
+and :meth:`IntervalColumns.from_tuples` / :meth:`IntervalColumns.tuples`
+are the two crossings (the first passes columns through unchanged).
 
 The name dictionary is process-wide and append-only: it holds one entry
 per distinct element/attribute name ever encoded (text never enters it),
@@ -460,17 +464,6 @@ def splice_columns(columns: "IntervalColumns",
         np.concatenate(pieces(columns.d, np.array(delta.inserted_depths,
                                                   dtype=np.int32))),
         np.concatenate(pieces(columns.c, label_codes(labels))))
-
-
-#: Either relation representation, as accepted by the public operators.
-AnyRelation = Sequence[IntervalTuple]
-
-
-def as_columns(rel: AnyRelation) -> IntervalColumns:
-    """Coerce any relation form to columns (no copy when already columnar)."""
-    if isinstance(rel, IntervalColumns):
-        return rel
-    return IntervalColumns.from_tuples(rel)
 
 
 # -- shared-memory export / attach ---------------------------------------------

@@ -4,9 +4,11 @@ The evaluator executes physical plans (:mod:`repro.compiler.plan`) against
 an :class:`EnvSeq` — the in-engine form of Definition 3.3: a sorted index
 of environment ids plus one document-ordered interval relation (and width)
 per variable.  Every rule mirrors the SQL translation of Section 4, but
-runs the linear operators of :mod:`repro.engine.operators` instead of
-joins, and executes decorrelated loops with the structural merge join of
-Section 5.
+runs the linear whole-column kernels of :mod:`repro.engine.kernels`
+instead of joins, and executes decorrelated loops with the structural
+merge join of Section 5.  Every relation the evaluator reads or writes
+is an :class:`~repro.engine.columns.IntervalColumns` — the empty
+relation included.
 """
 
 from __future__ import annotations
@@ -38,23 +40,21 @@ from repro.compiler.plan import (
 from repro.compiler.planner import cond_free
 from repro.encoding.interval import decode, encode_columns
 from repro.engine import kernels
-from repro.engine import operators as ops
 from repro.engine.columns import IntervalColumns
-from repro.engine.relation import Relation, filter_by_index, group_by_env
 from repro.engine.stats import (
     EngineStats,
     FUNCTION_CATEGORIES,
     JOIN,
     OTHER,
 )
-from repro.engine.structural import canonical_key, merge_matching_keys, tree_keys
+from repro.engine.structural import merge_matching_keys
 from repro.errors import ExecutionError, PlanError, UnboundVariableError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.xml.forest import Forest
 
 #: The result of evaluating a plan node: (relation, width).
-Value = tuple[Relation, int]
+Value = tuple[IntervalColumns, int]
 
 #: Unary XFns with an engine operator (dispatched in _apply_fn).
 _UNARY_OPERATORS = frozenset({
@@ -150,7 +150,6 @@ class DIEngine:
                 buckets=_KERNEL_SECONDS_BUCKETS)
         else:
             self._m_kernel = None
-        self._columnar = False
 
     # -- public API --------------------------------------------------------------
 
@@ -182,14 +181,12 @@ class DIEngine:
                         values: Mapping[str, Value]) -> Value:
         """Evaluate ``plan`` over already-encoded document values.
 
-        Accepts either relation representation per value; constructors
-        (``text_const`` etc.) answer in kind — columnar when every
-        document binding is columnar, tuple lists otherwise.
+        A value given as a tuple list is turned into columns here, once;
+        columns pass through untouched.
         """
-        self._base = EnvSeq([0], dict(values))
-        self._columnar = bool(values) and all(
-            isinstance(rel, IntervalColumns) for rel, _width in values.values()
-        )
+        self._base = EnvSeq([0], {
+            name: (IntervalColumns.from_tuples(rel), width)
+            for name, (rel, width) in values.items()})
         try:
             return self.evaluate(plan, self._base)
         finally:
@@ -287,7 +284,7 @@ class DIEngine:
         return result
 
     def _eval_fn(self, node: FnNode, seq: EnvSeq) -> Value:
-        if self._columnar and node.fn == "select" and len(node.args) == 1 \
+        if node.fn == "select" and len(node.args) == 1 \
                 and isinstance(node.args[0], FnNode) \
                 and node.args[0].fn in _FUSED_SELECTS \
                 and len(node.args[0].args) == 1:
@@ -324,10 +321,7 @@ class DIEngine:
 
         def apply() -> Value:
             if width == 0:
-                return [], 0
-            if not isinstance(rel, IntervalColumns):
-                return self._apply_fn(
-                    node, [self._apply_fn(inner, [(rel, width)], seq)], seq)
+                return IntervalColumns.empty(), 0
             if inner.fn == "children":
                 return self._kernel("select_children",
                                     kernels.select_children,
@@ -341,66 +335,65 @@ class DIEngine:
     def _apply_fn(self, node: FnNode, args: list[Value], seq: EnvSeq) -> Value:
         fn = node.fn
         if fn == "empty_forest":
-            return [], 0
+            return IntervalColumns.empty(), 0
         if fn == "text_const":
-            return self._kernel("text_const", ops.text_const,
-                                node.param("value"), seq.index,
-                                self._columnar)
+            return self._kernel("text_const", kernels.text_const,
+                                node.param("value"), seq.index)
         if fn == "concat":
             (left, lw), (right, rw) = args
             if lw == 0:
                 return right, rw
             if rw == 0:
                 return left, lw
-            return self._kernel("concat", ops.concat,
+            return self._kernel("concat", kernels.concat,
                                 left, lw, right, rw), lw + rw
         if fn == "xnode":
             (content, width), = args
-            return self._kernel("xnode", ops.xnode, node.param("label"),
+            return self._kernel("xnode", kernels.xnode, node.param("label"),
                                 content, width, seq.index)
         if fn == "count":
             (rel, width), = args
-            return self._kernel("count", ops.count_roots,
+            return self._kernel("count", kernels.count_roots,
                                 rel, width, seq.index)
         if fn == "string_fn":
             (rel, width), = args
             if width == 0:
-                return ops.text_const("", seq.index, self._columnar)
-            return self._kernel("string_fn", ops.string_fn,
+                return kernels.text_const("", seq.index)
+            return self._kernel("string_fn", kernels.string_fn,
                                 rel, width, seq.index)
         if fn not in _UNARY_OPERATORS:
             raise PlanError(f"no engine operator for XFn {fn!r}")
         # Remaining operators yield the empty relation for width-0 input.
         (rel, width), = args
         if width == 0:
-            return [], 0
+            return IntervalColumns.empty(), 0
         if fn == "roots":
-            return self._kernel("roots", ops.roots, rel), width
+            return self._kernel("roots", kernels.roots, rel), width
         if fn == "children":
-            return self._kernel("children", ops.children, rel), width
+            return self._kernel("children", kernels.children, rel), width
         if fn == "select":
-            return self._kernel("select", ops.select_label,
+            return self._kernel("select", kernels.select_label,
                                 rel, node.param("label")), width
         if fn == "textnodes":
-            return self._kernel("textnodes", ops.textnode_trees, rel), width
+            return self._kernel("textnodes", kernels.textnode_trees, rel), width
         if fn == "elementnodes":
-            return self._kernel("elementnodes", ops.elementnode_trees,
+            return self._kernel("elementnodes", kernels.elementnode_trees,
                                 rel), width
         if fn == "head":
-            return self._kernel("head", ops.head, rel, width), width
+            return self._kernel("head", kernels.head, rel, width), width
         if fn == "tail":
-            return self._kernel("tail", ops.tail, rel, width), width
+            return self._kernel("tail", kernels.tail, rel, width), width
         if fn == "reverse":
-            return self._kernel("reverse", ops.reverse, rel, width), width
+            return self._kernel("reverse", kernels.reverse, rel, width), width
         if fn == "subtrees_dfs":
-            return self._kernel("subtrees_dfs", ops.subtrees_dfs,
+            return self._kernel("subtrees_dfs", kernels.subtrees_dfs,
                                 rel, width), width * width
         if fn == "data":
-            return self._kernel("data", ops.data, rel, width), width
+            return self._kernel("data", kernels.data, rel, width), width
         if fn == "distinct":
-            return self._kernel("distinct", ops.distinct, rel, width), width
+            return self._kernel("distinct", kernels.distinct, rel, width), width
         if fn == "sort":
-            return self._kernel("sort", ops.sort, rel, width)
+            return self._kernel("sort", kernels.sort, rel, width)
         raise PlanError(f"no engine operator for XFn {fn!r}")
 
     # -- where ------------------------------------------------------------------------
@@ -423,7 +416,8 @@ class DIEngine:
                     inner_vars[name] = value
                 else:
                     inner_vars[name] = (
-                        self._kernel("filter_by_index", filter_by_index,
+                        self._kernel("filter_by_index",
+                                     kernels.filter_by_index,
                                      rel, width, surviving),
                         width,
                     )
@@ -435,13 +429,8 @@ class DIEngine:
         """The set of environment indices satisfying the condition."""
         if isinstance(condition, EmptyCond):
             rel, width = self.evaluate(condition.expr, seq)
-            if width == 0:
-                occupied: set[int] = set()
-            elif isinstance(rel, IntervalColumns):
-                occupied = set(rel.envs_present(width))
-            else:
-                occupied = {row[1] // width for row in rel}
-            return set(seq.index) - occupied
+            # A width-0 relation has no blocks: every environment is empty.
+            return set(seq.index).difference(rel.envs_present(width))
         if isinstance(condition, EqualCond):
             left_keys = self._forest_keys(condition.left, seq)
             right_keys = self._forest_keys(condition.right, seq)
@@ -477,26 +466,27 @@ class DIEngine:
         rel, width = self.evaluate(node, seq)
         if width == 0:
             return {}
-        return self._kernel("forest_keys", _block_key_map, rel, width)
+        return self._kernel("forest_keys", kernels.block_keys, rel, width)
 
     def _tree_key_sets(self, node: PlanNode, seq: EnvSeq) -> dict[int, set]:
         rel, width = self.evaluate(node, seq)
         if width == 0:
             return {}
-        return self._kernel("tree_key_sets", _block_tree_keys_map, rel, width)
+        return self._kernel("tree_key_sets", kernels.block_tree_key_sets,
+                            rel, width)
 
     # -- iteration ---------------------------------------------------------------------
 
     def _eval_for(self, node: ForNode, seq: EnvSeq) -> Value:
         source_rel, source_width = self.evaluate(node.source, seq)
         if source_width == 0:
-            return [], 0
+            return IntervalColumns.empty(), 0
         if self.stats is not None:
             context = self.stats.measure(JOIN)
         else:
             context = _NullContext()
         with context:
-            roots = self._kernel("roots", ops.roots, source_rel)
+            roots = self._kernel("roots", kernels.roots, source_rel)
             index = _root_lefts(roots)
             bound = self._expand_variable(source_rel, source_width, index)
             inner_vars: dict[str, Value] = {node.var: (bound, source_width)}
@@ -512,21 +502,10 @@ class DIEngine:
         )
         return body_rel, source_width * body_width
 
-    def _expand_variable(self, source_rel: Relation, width: int,
-                         root_lefts) -> Relation:
-        """Build ``T'_x``: one environment per tree, indexed by root left end.
-
-        ``root_lefts`` is the list of root left endpoints; a roots
-        *relation* (either representation) is also accepted.
-        """
-        if root_lefts and not isinstance(root_lefts[0], int):
-            root_lefts = _root_lefts(root_lefts)
-        elif isinstance(root_lefts, IntervalColumns):
-            root_lefts = _root_lefts(root_lefts)
-        if isinstance(source_rel, IntervalColumns):
-            return self._kernel("expand_variable", kernels.expand_variable,
-                                source_rel, width, root_lefts)
-        return self._kernel("expand_variable", ops._list_expand_variable,
+    def _expand_variable(self, source_rel: IntervalColumns, width: int,
+                         root_lefts: list[int]) -> IntervalColumns:
+        """Build ``T'_x``: one environment per tree, indexed by root left end."""
+        return self._kernel("expand_variable", kernels.expand_variable,
                             source_rel, width, root_lefts)
 
     def _copy_per_root(self, value: Value, root_lefts: list[int],
@@ -541,25 +520,17 @@ class DIEngine:
         if width == 0:
             return value
         moves = [(left // source_width, left) for left in root_lefts]
-        return self._gather(rel, width, moves), width
-
-    def _gather(self, rel: Relation, width: int,
-                moves: list[tuple[int, int]]) -> Relation:
-        """Dispatch the block-copy plan to the matching representation."""
-        if isinstance(rel, IntervalColumns):
-            return self._kernel("gather_blocks", kernels.gather_blocks,
-                                rel, width, moves)
-        return self._kernel("gather_blocks", ops._list_gather_blocks,
-                            rel, width, moves)
+        return self._kernel("gather_blocks", kernels.gather_blocks,
+                            rel, width, moves), width
 
     def _eval_join_for(self, node: JoinForNode, seq: EnvSeq) -> Value:
         if self._base is None:
             raise ExecutionError("JoinForNode requires a base environment")
         source_rel, source_width = self.evaluate(node.source, self._base)
         if source_width == 0:
-            return [], 0
+            return IntervalColumns.empty(), 0
         # Expand the source once, against the base environment.
-        roots = self._kernel("roots", ops.roots, source_rel)
+        roots = self._kernel("roots", kernels.roots, source_rel)
         inner_index = _root_lefts(roots)
         bound = self._expand_variable(source_rel, source_width, inner_index)
         inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
@@ -570,7 +541,7 @@ class DIEngine:
             # index, so they cannot sneak back in as empty-key matches).
             satisfied = self._eval_condition(node.inner_filter, inner_seq)
             inner_index = [i for i in inner_index if i in satisfied]
-            bound = self._kernel("filter_by_index", filter_by_index,
+            bound = self._kernel("filter_by_index", kernels.filter_by_index,
                                  bound, source_width, inner_index)
             inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
         inner_rel, inner_width = self.evaluate(node.key_inner, inner_seq)
@@ -610,7 +581,9 @@ class DIEngine:
             satisfied = self._eval_condition(node.residual, pair_seq)
             surviving = [i for i in pair_index if i in satisfied]
             filtered_vars = {
-                name: (filter_by_index(rel, width, surviving), width)
+                name: (self._kernel("filter_by_index",
+                                    kernels.filter_by_index,
+                                    rel, width, surviving), width)
                 for name, (rel, width) in pair_vars.items()
             }
             pair_seq = EnvSeq(surviving, filtered_vars)
@@ -622,18 +595,19 @@ class DIEngine:
             # environment may match many outer environments).
             body_rel, body_width = self.evaluate(node.body, inner_seq)
             if body_width == 0:
-                return [], 0
+                return IntervalColumns.empty(), 0
             surviving_set = set(pair_seq.index)
             moves = [(iy, target)
                      for (_ix, iy), target in zip(pairs, pair_index)
                      if target in surviving_set]
-            return (self._gather(body_rel, body_width, moves),
+            return (self._kernel("gather_blocks", kernels.gather_blocks,
+                                 body_rel, body_width, moves),
                     source_width * body_width)
         body_rel, body_width = self.evaluate(node.body, pair_seq)
         return body_rel, source_width * body_width
 
-    def _match_pairs(self, outer_rel: Relation, outer_width: int,
-                     outer_index: list[int], inner_rel: Relation,
+    def _match_pairs(self, outer_rel: IntervalColumns, outer_width: int,
+                     outer_index: list[int], inner_rel: IntervalColumns,
                      inner_width: int, inner_index: list[int],
                      existential: bool = True,
                      strategy: JoinStrategy = JoinStrategy.MSJ,
@@ -654,15 +628,19 @@ class DIEngine:
             return []
 
         if existential:
-            outer_map = self._kernel("tree_key_sets", _block_tree_keys_map,
+            outer_map = self._kernel("tree_key_sets",
+                                     kernels.block_tree_key_sets,
                                      outer_rel, outer_width)
-            inner_map = self._kernel("tree_key_sets", _block_tree_keys_map,
+            inner_map = self._kernel("tree_key_sets",
+                                     kernels.block_tree_key_sets,
                                      inner_rel, inner_width)
         else:
             outer_map = {env: {key} for env, key in self._kernel(
-                "forest_keys", _block_key_map, outer_rel, outer_width).items()}
+                "forest_keys", kernels.block_keys,
+                outer_rel, outer_width).items()}
             inner_map = {env: {key} for env, key in self._kernel(
-                "forest_keys", _block_key_map, inner_rel, inner_width).items()}
+                "forest_keys", kernels.block_keys,
+                inner_rel, inner_width).items()}
         outer_keys: list[tuple[tuple, int]] = [
             (key, env) for env, keys in outer_map.items() for key in keys]
         inner_keys: list[tuple[tuple, int]] = [
@@ -706,31 +684,14 @@ class DIEngine:
         else:
             moves = [(iy, target)
                      for (_ix, iy), target in zip(pairs, pair_index)]
-        return self._gather(rel, width, moves), width
+        return self._kernel("gather_blocks", kernels.gather_blocks,
+                            rel, width, moves), width
 
 
-def _root_lefts(roots: Relation) -> list[int]:
+def _root_lefts(roots: IntervalColumns) -> list[int]:
     """The root left endpoints — the expanded environment index."""
-    if isinstance(roots, IntervalColumns):
-        lefts = roots.l  # int64 array, or a list in bignum mode
-        return lefts.tolist() if hasattr(lefts, "tolist") else list(lefts)
-    return [row[1] for row in roots]
-
-
-def _block_key_map(rel: Relation, width: int) -> dict[int, tuple]:
-    """Canonical structural key per environment, either representation."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.block_keys(rel, width)
-    return {env: canonical_key(block)
-            for env, block in group_by_env(rel, width)}
-
-
-def _block_tree_keys_map(rel: Relation, width: int) -> dict[int, set]:
-    """Per-environment sets of per-tree keys, either representation."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.block_tree_key_sets(rel, width)
-    return {env: set(tree_keys(block))
-            for env, block in group_by_env(rel, width)}
+    lefts = roots.l  # int64 array, or a list in bignum mode
+    return lefts.tolist() if hasattr(lefts, "tolist") else list(lefts)
 
 
 def _chain_ticks(first: Callable[[], None] | None,

@@ -1,13 +1,14 @@
 """Whole-column operator kernels over :class:`IntervalColumns`.
 
-Each kernel is the columnar counterpart of one list-based operator in
-:mod:`repro.engine.operators` (which remain as the reference
-implementations, exercised against these by the property suite in
-``tests/test_columnar_kernels.py``).  A kernel never walks ``(s, l, r)``
-tuples: it turns the question into a mask over the ``d`` (depth) and ``c``
-(name code) columns, finds the extents of the rows it keeps with binary
-search on the sorted ``l`` column, and materializes the answer through
-one gather.
+This is the production algebra: the evaluator calls these functions and
+nothing else.  Each kernel has a same-named tuple-list function in
+:mod:`repro.engine.operators` — its reference (the kernel property
+suite in ``tests/`` holds the two pointwise equal) and its bignum body
+(see "Overflow discipline" below); this module is the only one that
+imports both.  A kernel never walks ``(s, l, r)`` tuples: it turns the
+question into a mask over the ``d`` (depth) and ``c`` (name code)
+columns, finds the extents of the rows it keeps with binary search on
+the sorted ``l`` column, and materializes the answer through one gather.
 
 What the paper's linear scans became.  Algorithm 5.2 finds roots by
 streaming the relation with a running maximum of right endpoints; that
@@ -31,9 +32,12 @@ Overflow discipline: interval coordinates grow multiplicatively with
 query nesting and may exceed ``int64``.  Every coordinate-growing kernel
 bounds its largest output value *before* touching vector arithmetic
 (NumPy wraps silently on int64 overflow — never acceptable here) and
-falls back to the bignum-safe ``_list_*`` reference operator, whose
-output lands in list-backed columns; a relation already in bignum mode
-takes the same route.  That fallback is the only second body.
+falls back to the bignum-safe reference operator (:func:`_reference`),
+whose output lands in list-backed columns; a relation already in bignum
+mode takes the same route (:func:`_falls_back`).  The four kernels whose
+reference is not one same-named call on their first argument — the two
+fused path steps, ``concat`` and ``xnode`` — make the same ``is_array``
+and bound tests inline.  No other code chooses a body.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.engine import operators as reference
 from repro.engine.columns import (
     ELEMENT,
     INT64_MAX,
@@ -65,21 +70,13 @@ def _wrap(result) -> "IntervalColumns | tuple[IntervalColumns, int]":
     return IntervalColumns.from_tuples(result)
 
 
-def _fallback(rel: IntervalColumns, run: Callable):
-    """``run(list_ops, rows)`` on the list algebra; re-wrap the result."""
-    from repro.engine import operators as list_ops
-
-    return _wrap(run(list_ops, rel.tuples()))
-
-
 def _reference(name: str, rel: IntervalColumns, *args):
-    """Run the ``_list_<name>`` reference operator; re-wrap the result."""
-    return _fallback(rel, lambda list_ops, rows:
-                     getattr(list_ops, "_list_" + name)(rows, *args))
+    """Run the reference operator ``operators.<name>``; re-wrap the result."""
+    return _wrap(getattr(reference, name)(rel.tuples(), *args))
 
 
 def _falls_back(name: str):
-    """Route bignum-mode input to the ``_list_<name>`` reference operator."""
+    """Route bignum-mode input to the reference operator ``<name>``."""
     def decorate(kernel):
         @wraps(kernel)
         def run(cols: IntervalColumns, *args):
@@ -209,10 +206,9 @@ def select_trees(cols: IntervalColumns,
     return _subtrees(cols, starts[np.array(keep, dtype=np.bool_)])
 
 
+@_falls_back("select_label")
 def select_label(cols: IntervalColumns, label: str) -> IntervalColumns:
     """Trees rooted at the exact ``label``."""
-    if not cols.is_array:
-        return _fallback(cols, lambda ops, rows: ops.select_label(rows, label))
     return _subtrees(cols, _match(cols, label, depth=0))
 
 
@@ -224,8 +220,8 @@ def select_children(cols: IntervalColumns, label: str) -> IntervalColumns:
     children relation is never materialized.
     """
     if not cols.is_array:
-        return _fallback(cols, lambda ops, rows: ops.select_label(
-            ops.children(rows), label))
+        return _wrap(reference.select_label(
+            reference.children(cols.tuples()), label))
     return _subtrees(cols, _match(cols, label, depth=1))
 
 
@@ -263,23 +259,21 @@ def select_descendants(cols: IntervalColumns, width: int,
     if len(cols) == 0:
         return cols
     if not cols.is_array or _dfs_overflows(cols, width):
-        return _fallback(cols, lambda ops, rows: ops.select_label(
-            ops.subtrees_dfs(rows, width), label))
+        return _wrap(reference.select_label(
+            reference.subtrees_dfs(cols.tuples(), width), label))
     starts = _match(cols, label)
     return _emit_runs(cols, starts, _subtree_ends(cols, starts),
                       _dfs_offsets(cols.l[starts], width))
 
 
+@_falls_back("textnode_trees")
 def textnode_trees(cols: IntervalColumns) -> IntervalColumns:
-    if not cols.is_array:
-        return _fallback(cols, lambda ops, rows: ops.textnode_trees(rows))
     return _subtrees(cols, np.flatnonzero(
         (cols.d == 0) & (cols.c == TEXT_CODE)))
 
 
+@_falls_back("elementnode_trees")
 def elementnode_trees(cols: IntervalColumns) -> IntervalColumns:
-    if not cols.is_array:
-        return _fallback(cols, lambda ops, rows: ops.elementnode_trees(rows))
     return _subtrees(cols, np.flatnonzero(
         (cols.d == 0) & (cols.c & KIND_MASK == ELEMENT)))
 
@@ -404,8 +398,8 @@ def concat(left: IntervalColumns, left_width: int, right: IntervalColumns,
                   right.l[-1] // right_width if len(right) else 0)
     if not (left.is_array and right.is_array) \
             or (int(max_env) + 1) * width > INT64_MAX:
-        return _fallback(left, lambda ops, rows: ops._list_concat(
-            rows, left_width, right.tuples(), right_width))
+        return _wrap(reference.concat(left.tuples(), left_width,
+                                      right.tuples(), right_width))
     left_env = left.l // max(left_width, 1)
     right_env = right.l // max(right_width, 1)
     at_left = np.arange(len(left)) \
@@ -434,8 +428,8 @@ def xnode(label: str, content: IntervalColumns, content_width: int,
     envs = _as_int64(index)
     if not content.is_array or envs is None \
             or (max(index, default=0) + 1) * width > INT64_MAX:
-        return _fallback(content, lambda ops, rows: ops._list_xnode(
-            label, rows, content_width, index))
+        return _wrap(reference.xnode(label, content.tuples(), content_width,
+                                     index))
     if len(envs) == 0:
         return IntervalColumns.empty(), width
     env_of = content.l // max(content_width, 1)

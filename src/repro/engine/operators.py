@@ -1,25 +1,22 @@
-"""Linear physical operators over document-ordered interval relations.
+"""Linear physical operators over tuple-list interval relations.
 
 Each operator here is the DI-engine counterpart of one SQL template from
 :mod:`repro.sql.templates`: same input/output contract (relations sorted by
 left endpoint, environment = ``l // width``), but implemented as one or two
 linear passes instead of joins with order predicates.
 
-Every public operator accepts **either** relation representation and
-answers in kind:
+This module is the **reference algebra**: every function takes and returns
+plain ``list[(s, l, r)]`` relations and walks them tuple at a time, as the
+paper's pseudo-code does (``roots`` is Algorithm 5.2 verbatim).  It has
+two jobs and the evaluator is neither of them:
 
-* a plain ``list[(s, l, r)]`` runs the tuple-at-a-time reference
-  implementation (``_list_*`` below — ``roots`` is Algorithm 5.2
-  verbatim) and returns a list;
-* an :class:`~repro.engine.columns.IntervalColumns` dispatches to the
-  whole-column kernel of :mod:`repro.engine.kernels` and returns columns
-  (the kernels themselves fall back to the ``_list_*`` forms for
-  coordinates beyond int64).
-
-The reference implementations are the semantic ground truth: the property
-suite (``tests/test_columnar_kernels.py``) asserts every kernel is
-pointwise-equal to them on randomized forests, and the bench trajectory
-(``BENCH_engine.json``) records the throughput of both paths.
+* the semantic ground truth — the kernel property suite in ``tests/``
+  asserts every whole-column kernel of :mod:`repro.engine.kernels` is
+  pointwise-equal to the same-named function here on randomized
+  forests, and ``engine_bench`` times each kernel against it;
+* the bignum body — Python integers never overflow, so a kernel whose
+  coordinates would pass int64 runs the same-named function here instead
+  (``kernels._falls_back`` / ``kernels._reference`` are the one switch).
 
 All operators are pure functions; none mutates its input.
 """
@@ -29,11 +26,10 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.encoding.interval import IntervalTuple
-from repro.engine import kernels
-from repro.engine.columns import IntervalColumns
 from repro.engine.relation import (
     Relation,
-    filter_by_index as _list_filter_by_index,  # noqa: F401 - kernel fallback
+    env_blocks,
+    filter_by_index,  # noqa: F401 - the reference of kernels.filter_by_index
     group_by_env,
     tree_slices,
 )
@@ -43,10 +39,7 @@ from repro.xml.forest import is_element_label, is_text_label
 LabelPredicate = Callable[[str], bool]
 
 
-# -- reference implementations (tuple-at-a-time, the paper's pseudo-code) ----------
-
-
-def _list_roots(rel: Sequence[IntervalTuple]) -> Relation:
+def roots(rel: Sequence[IntervalTuple]) -> Relation:
     """Algorithm 5.2 — root tuples in one pass, O(1) extra space.
 
     Works across environment blocks without knowing the width: blocks are
@@ -61,7 +54,7 @@ def _list_roots(rel: Sequence[IntervalTuple]) -> Relation:
     return result
 
 
-def _list_children(rel: Sequence[IntervalTuple]) -> Relation:
+def children(rel: Sequence[IntervalTuple]) -> Relation:
     """Non-root tuples (the CHILDREN template) in one pass."""
     result: Relation = []
     max_right = -1
@@ -73,8 +66,8 @@ def _list_children(rel: Sequence[IntervalTuple]) -> Relation:
     return result
 
 
-def _list_select_trees(rel: Sequence[IntervalTuple],
-                       predicate: LabelPredicate) -> Relation:
+def select_trees(rel: Sequence[IntervalTuple],
+                 predicate: LabelPredicate) -> Relation:
     """Whole trees whose root label satisfies ``predicate`` — one pass."""
     result: Relation = []
     max_right = -1
@@ -89,7 +82,22 @@ def _list_select_trees(rel: Sequence[IntervalTuple],
     return result
 
 
-def _list_head(rel: Sequence[IntervalTuple], width: int) -> Relation:
+def select_label(rel: Sequence[IntervalTuple], label: str) -> Relation:
+    """Trees rooted at the exact ``label``."""
+    return select_trees(rel, lambda s: s == label)
+
+
+def textnode_trees(rel: Sequence[IntervalTuple]) -> Relation:
+    """Trees rooted at text nodes (the ``text()`` node test)."""
+    return select_trees(rel, is_text_label)
+
+
+def elementnode_trees(rel: Sequence[IntervalTuple]) -> Relation:
+    """Trees rooted at elements (the ``*`` node test)."""
+    return select_trees(rel, is_element_label)
+
+
+def head(rel: Sequence[IntervalTuple], width: int) -> Relation:
     """The first tree of every environment — one pass."""
     result: Relation = []
     current_env = None
@@ -104,7 +112,7 @@ def _list_head(rel: Sequence[IntervalTuple], width: int) -> Relation:
     return result
 
 
-def _list_tail(rel: Sequence[IntervalTuple], width: int) -> Relation:
+def tail(rel: Sequence[IntervalTuple], width: int) -> Relation:
     """Everything but the first tree of every environment — one pass."""
     result: Relation = []
     current_env = None
@@ -119,7 +127,7 @@ def _list_tail(rel: Sequence[IntervalTuple], width: int) -> Relation:
     return result
 
 
-def _list_reverse(rel: Sequence[IntervalTuple], width: int) -> Relation:
+def reverse(rel: Sequence[IntervalTuple], width: int) -> Relation:
     """Top-level reversal within each environment block.
 
     A root with local extent ``[a, b]`` moves to ``[w-1-b, w-1-a]``; its
@@ -136,7 +144,7 @@ def _list_reverse(rel: Sequence[IntervalTuple], width: int) -> Relation:
     return result
 
 
-def _list_subtrees_dfs(rel: Sequence[IntervalTuple], width: int) -> Relation:
+def subtrees_dfs(rel: Sequence[IntervalTuple], width: int) -> Relation:
     """All subtrees in DFS order; output width is ``width²``.
 
     The copy rooted at node ``v`` is placed at block offset
@@ -161,8 +169,8 @@ def _list_subtrees_dfs(rel: Sequence[IntervalTuple], width: int) -> Relation:
     return result
 
 
-def _list_concat(left: Sequence[IntervalTuple], left_width: int,
-                 right: Sequence[IntervalTuple], right_width: int) -> Relation:
+def concat(left: Sequence[IntervalTuple], left_width: int,
+           right: Sequence[IntervalTuple], right_width: int) -> Relation:
     """Per-environment concatenation; output width is the sum of widths.
 
     A merge over the two env-grouped streams keeps the output sorted.
@@ -190,9 +198,9 @@ def _list_concat(left: Sequence[IntervalTuple], left_width: int,
     return result
 
 
-def _list_xnode(label: str, content: Sequence[IntervalTuple],
-                content_width: int,
-                index: Sequence[int]) -> tuple[Relation, int]:
+def xnode(label: str, content: Sequence[IntervalTuple],
+          content_width: int,
+          index: Sequence[int]) -> tuple[Relation, int]:
     """Wrap each environment's content under a new root node.
 
     Emits one root per index entry (environments with empty content still
@@ -212,14 +220,14 @@ def _list_xnode(label: str, content: Sequence[IntervalTuple],
     return result, width
 
 
-def _list_text_const(value: str,
-                     index: Sequence[int]) -> tuple[Relation, int]:
+def text_const(value: str,
+               index: Sequence[int]) -> tuple[Relation, int]:
     """A single text node per environment; width 2."""
     return [(value, env * 2, env * 2 + 1) for env in index], 2
 
 
-def _list_count_roots(rel: Sequence[IntervalTuple], width: int,
-                      index: Sequence[int]) -> tuple[Relation, int]:
+def count_roots(rel: Sequence[IntervalTuple], width: int,
+                index: Sequence[int]) -> tuple[Relation, int]:
     """Per-environment root count as a text node; width 2.
 
     Environments without tuples count zero — the index drives the output.
@@ -235,7 +243,7 @@ def _list_count_roots(rel: Sequence[IntervalTuple], width: int,
     return [(str(counts[env]), env * 2, env * 2 + 1) for env in index], 2
 
 
-def _list_data(rel: Sequence[IntervalTuple], width: int) -> Relation:
+def data(rel: Sequence[IntervalTuple], width: int) -> Relation:
     """Atomization: text roots, and text children of non-text roots.
 
     Matches :func:`repro.xml.operations.data`: kept tuples decode to
@@ -263,8 +271,8 @@ def _list_data(rel: Sequence[IntervalTuple], width: int) -> Relation:
     return result
 
 
-def _list_string_fn(rel: Sequence[IntervalTuple], width: int,
-                    index: Sequence[int]) -> tuple[Relation, int]:
+def string_fn(rel: Sequence[IntervalTuple], width: int,
+              index: Sequence[int]) -> tuple[Relation, int]:
     """``string()``: per-environment concatenation of text labels; width 2.
 
     One pass — text tuples arrive in document order, which is exactly
@@ -280,7 +288,7 @@ def _list_string_fn(rel: Sequence[IntervalTuple], width: int,
             for env in index], 2
 
 
-def _list_distinct(rel: Sequence[IntervalTuple], width: int) -> Relation:
+def distinct(rel: Sequence[IntervalTuple], width: int) -> Relation:
     """Structurally distinct trees per environment, first occurrence kept.
 
     Hash-based on canonical structural keys: linear in total size.
@@ -296,8 +304,8 @@ def _list_distinct(rel: Sequence[IntervalTuple], width: int) -> Relation:
     return result
 
 
-def _list_sort(rel: Sequence[IntervalTuple],
-               width: int) -> tuple[Relation, int]:
+def sort(rel: Sequence[IntervalTuple],
+         width: int) -> tuple[Relation, int]:
     """Per-environment stable sort by structural tree order; width squares.
 
     Tree ranked ``k`` lands at block offset ``k·w`` inside the widened
@@ -318,8 +326,8 @@ def _list_sort(rel: Sequence[IntervalTuple],
     return result, wout
 
 
-def _list_expand_variable(rel: Sequence[IntervalTuple], width: int,
-                          root_lefts: Sequence[int]) -> Relation:
+def expand_variable(rel: Sequence[IntervalTuple], width: int,
+                    root_lefts: Sequence[int]) -> Relation:
     """Re-block each tree into the environment named by its root's left end."""
     result: Relation = []
     position = -1
@@ -336,11 +344,9 @@ def _list_expand_variable(rel: Sequence[IntervalTuple], width: int,
     return result
 
 
-def _list_gather_blocks(rel: Sequence[IntervalTuple], width: int,
-                        moves: Sequence[tuple[int, int]]) -> Relation:
+def gather_blocks(rel: Sequence[IntervalTuple], width: int,
+                  moves: Sequence[tuple[int, int]]) -> Relation:
     """Copy the block of each origin env to its target env, in move order."""
-    from repro.engine.relation import env_blocks
-
     blocks = env_blocks(rel, width)
     result: Relation = []
     for origin, target in moves:
@@ -350,139 +356,3 @@ def _list_gather_blocks(rel: Sequence[IntervalTuple], width: int,
         offset = (target - origin) * width
         result.extend((s, l + offset, r + offset) for (s, l, r) in block)
     return result
-
-
-# -- public operators (representation-polymorphic) ----------------------------------
-
-
-def roots(rel: Sequence[IntervalTuple]) -> Relation:
-    """Root tuples (Algorithm 5.2): one pass / one vector expression."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.roots(rel)
-    return _list_roots(rel)
-
-
-def children(rel: Sequence[IntervalTuple]) -> Relation:
-    """Non-root tuples (the CHILDREN template)."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.children(rel)
-    return _list_children(rel)
-
-
-def select_trees(rel: Sequence[IntervalTuple],
-                 predicate: LabelPredicate) -> Relation:
-    """Whole trees whose root label satisfies ``predicate``."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.select_trees(rel, predicate)
-    return _list_select_trees(rel, predicate)
-
-
-def select_label(rel: Sequence[IntervalTuple], label: str) -> Relation:
-    """Trees rooted at the exact ``label``."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.select_label(rel, label)
-    return _list_select_trees(rel, lambda s: s == label)
-
-
-def textnode_trees(rel: Sequence[IntervalTuple]) -> Relation:
-    """Trees rooted at text nodes (the ``text()`` node test)."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.textnode_trees(rel)
-    return _list_select_trees(rel, is_text_label)
-
-
-def elementnode_trees(rel: Sequence[IntervalTuple]) -> Relation:
-    """Trees rooted at elements (the ``*`` node test)."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.elementnode_trees(rel)
-    return _list_select_trees(rel, is_element_label)
-
-
-def head(rel: Sequence[IntervalTuple], width: int) -> Relation:
-    """The first tree of every environment."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.head(rel, width)
-    return _list_head(rel, width)
-
-
-def tail(rel: Sequence[IntervalTuple], width: int) -> Relation:
-    """Everything but the first tree of every environment."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.tail(rel, width)
-    return _list_tail(rel, width)
-
-
-def reverse(rel: Sequence[IntervalTuple], width: int) -> Relation:
-    """Top-level reversal within each environment block."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.reverse(rel, width)
-    return _list_reverse(rel, width)
-
-
-def subtrees_dfs(rel: Sequence[IntervalTuple], width: int) -> Relation:
-    """All subtrees in DFS order; output width is ``width²``."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.subtrees_dfs(rel, width)
-    return _list_subtrees_dfs(rel, width)
-
-
-def concat(left: Sequence[IntervalTuple], left_width: int,
-           right: Sequence[IntervalTuple], right_width: int) -> Relation:
-    """Per-environment concatenation; output width is the sum of widths."""
-    if isinstance(left, IntervalColumns) or isinstance(right, IntervalColumns):
-        return kernels.concat(IntervalColumns.from_tuples(left), left_width,
-                              IntervalColumns.from_tuples(right), right_width)
-    return _list_concat(left, left_width, right, right_width)
-
-
-def xnode(label: str, content: Sequence[IntervalTuple], content_width: int,
-          index: Sequence[int]) -> tuple[Relation, int]:
-    """Wrap each environment's content under a new root node."""
-    if isinstance(content, IntervalColumns):
-        return kernels.xnode(label, content, content_width, index)
-    return _list_xnode(label, content, content_width, index)
-
-
-def text_const(value: str, index: Sequence[int],
-               columnar: bool = False) -> tuple[Relation, int]:
-    """A single text node per environment; width 2."""
-    if columnar:
-        return kernels.text_const(value, index)
-    return _list_text_const(value, index)
-
-
-def count_roots(rel: Sequence[IntervalTuple], width: int,
-                index: Sequence[int]) -> tuple[Relation, int]:
-    """Per-environment root count as a text node; width 2."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.count_roots(rel, width, index)
-    return _list_count_roots(rel, width, index)
-
-
-def data(rel: Sequence[IntervalTuple], width: int) -> Relation:
-    """Atomization: text roots, and text children of non-text roots."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.data(rel, width)
-    return _list_data(rel, width)
-
-
-def string_fn(rel: Sequence[IntervalTuple], width: int,
-              index: Sequence[int]) -> tuple[Relation, int]:
-    """``string()``: per-environment concatenation of text labels; width 2."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.string_fn(rel, width, index)
-    return _list_string_fn(rel, width, index)
-
-
-def distinct(rel: Sequence[IntervalTuple], width: int) -> Relation:
-    """Structurally distinct trees per environment, first occurrence kept."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.distinct(rel, width)
-    return _list_distinct(rel, width)
-
-
-def sort(rel: Sequence[IntervalTuple], width: int) -> tuple[Relation, int]:
-    """Per-environment stable sort by structural tree order; width squares."""
-    if isinstance(rel, IntervalColumns):
-        return kernels.sort(rel, width)
-    return _list_sort(rel, width)

@@ -1,10 +1,13 @@
-"""Interval-relation representation and block arithmetic for the DI engine.
+"""Tuple-list interval relations and their block arithmetic.
 
-An interval relation is a plain list of ``(s, l, r)`` tuples **sorted by
+An interval relation is a sequence of ``(s, l, r)`` tuples **sorted by
 the left endpoint** — document order.  Every physical operator in the DI
 engine consumes and produces relations in this order (the paper's central
 implementation invariant, Section 5), so multi-pass pipelines never
-re-sort.
+re-sort.  This module is the plain-list form the reference algebra
+(:mod:`repro.engine.operators`) works on; the evaluator's relations are
+:class:`~repro.engine.columns.IntervalColumns`, which carry their own
+block arithmetic.
 
 A relation of width ``w`` encodes a sequence of environments: the tuples
 with ``l // w == i`` form environment ``i``'s forest.
@@ -45,14 +48,10 @@ def group_by_env(rel: Sequence[IntervalTuple], width: int
 
     Block boundaries are found with binary search on the sorted left
     endpoints — O(b·log n) for b blocks instead of an O(n) tuple-by-tuple
-    rescan — and each block is a single slice of the input (columnar
-    inputs yield columnar slices), not a per-block ``list(...)`` re-copy.
+    rescan — and each block is a single slice of the input, not a
+    per-block ``list(...)`` re-copy.
     """
     if width <= 0:
-        return
-    if hasattr(rel, "iter_env_bounds"):  # IntervalColumns
-        for env, start, end in rel.iter_env_bounds(width):
-            yield env, rel[start:end]
         return
     start = 0
     size = len(rel)
@@ -72,11 +71,8 @@ def env_blocks(rel: Sequence[IntervalTuple], width: int
 def env_slice(rel: Sequence[IntervalTuple], width: int, env: int
               ) -> Sequence[IntervalTuple]:
     """The block of environment ``env`` via binary search (no full scan)."""
-    if hasattr(rel, "env_bounds"):  # IntervalColumns
-        start, end = rel.env_bounds(width, env)
-    else:
-        start = bisect_left(rel, env * width, key=_left_of)
-        end = bisect_left(rel, (env + 1) * width, lo=start, key=_left_of)
+    start = bisect_left(rel, env * width, key=_left_of)
+    end = bisect_left(rel, (env + 1) * width, lo=start, key=_left_of)
     return rel[start:end]
 
 
@@ -94,12 +90,8 @@ def filter_by_index(rel: Sequence[IntervalTuple], width: int,
                     index: Sequence[int]) -> Sequence[IntervalTuple]:
     """Keep only tuples whose env belongs to the sorted ``index``.
 
-    Tuple lists get the one-pass merge below; columnar relations get the
-    per-block run kernel (one bulk slice per surviving environment).
+    One pass: a merge of the relation with the index.
     """
-    if hasattr(rel, "env_bounds"):  # IntervalColumns
-        from repro.engine import kernels
-        return kernels.filter_by_index(rel, width, index)
     result: Relation = []
     keep = iter(index)
     current = next(keep, None)
@@ -141,7 +133,4 @@ def subtree_range(rel: Sequence[IntervalTuple], position: int) -> int:
     whose left endpoints stay below the root's right endpoint.
     """
     root_right = rel[position][2]
-    lows = getattr(rel, "l", None)
-    if lows is not None:
-        return bisect_right(lows, root_right, lo=position)
     return bisect_right(rel, root_right, lo=position, key=_left_of)

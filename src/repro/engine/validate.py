@@ -3,15 +3,18 @@
 ``DIEngine(validate=True)`` verifies, after every plan node, the
 representation invariants everything else silently relies on:
 
+0. **one representation** — the relation is an
+   :class:`~repro.engine.columns.IntervalColumns` (in int64 or bignum
+   mode), the empty relation included;
 1. **document order** — the relation is sorted by left endpoint;
 2. **block containment** — every tuple lies inside the block of an
    environment present in the current index, and never crosses a block
    boundary;
 3. **well-formed nesting** — within each block the intervals form a valid
    Definition 3.1 encoding;
-4. **derived columns** — a columnar relation's depth and name-code
-   columns equal what the ``(s, l, r)`` triples alone determine (kernels
-   carry them instead of recomputing, so drift would otherwise be silent).
+4. **derived columns** — the depth and name-code columns equal what the
+   ``(s, l, r)`` triples alone determine (kernels carry them instead of
+   recomputing, so drift would otherwise be silent).
 
 The checks are linear passes; they exist for tests and debugging, not for
 production evaluation.
@@ -21,15 +24,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.encoding.interval import IntervalTuple
 from repro.engine.columns import IntervalColumns
 from repro.errors import ExecutionError
 
 
-def validate_value(rel: Sequence[IntervalTuple], width: int,
+def validate_value(rel: IntervalColumns, width: int,
                    index: Sequence[int], context: str = "") -> None:
     """Raise :class:`ExecutionError` unless the invariants hold."""
     where = f" (after {context})" if context else ""
+    if not isinstance(rel, IntervalColumns):
+        raise ExecutionError(
+            f"relation is a {type(rel).__name__}, not IntervalColumns{where}")
     if width == 0:
         if rel:
             raise ExecutionError(
@@ -65,15 +70,14 @@ def validate_value(rel: Sequence[IntervalTuple], width: int,
                 f"tuple ({s!r},{l},{r}) partially overlaps an open "
                 f"interval{where}")
         open_rights.append(r)
-    if isinstance(rel, IntervalColumns):
-        fresh = IntervalColumns.from_tuples(rel.tuples())
-        for column in ("d", "c"):
-            carried = getattr(rel, column).tolist()
-            derived = getattr(fresh, column).tolist()
-            if carried != derived:
-                raise ExecutionError(
-                    f"column {column!r} drifted from the triples{where}: "
-                    f"carried {carried}, derived {derived}")
+    fresh = IntervalColumns.from_tuples(rel.tuples())
+    for column in ("d", "c"):
+        carried = getattr(rel, column).tolist()
+        derived = getattr(fresh, column).tolist()
+        if carried != derived:
+            raise ExecutionError(
+                f"column {column!r} drifted from the triples{where}: "
+                f"carried {carried}, derived {derived}")
 
 
 def validate_index(index: Sequence[int], context: str = "") -> None:

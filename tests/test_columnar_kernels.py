@@ -1,8 +1,8 @@
 """Property suite: every columnar kernel equals its list-based reference.
 
-For each operator the engine now has two implementations — the original
-tuple-at-a-time ``_list_*`` functions (the semantic ground truth, kept in
-:mod:`repro.engine.operators`) and the whole-column kernels of
+For each operator the engine has two implementations — the original
+tuple-at-a-time functions of :mod:`repro.engine.operators` (the semantic
+ground truth) and the same-named whole-column kernels of
 :mod:`repro.engine.kernels`.  These properties assert pointwise equality
 (same tuples, same order, same width) on randomized blocked relations,
 on both bodies a kernel has: the vector body over int64 columns, and the
@@ -97,20 +97,20 @@ class TestScanKernels:
     @given(blocked())
     def test_roots(self, data):
         rows, width, _index = data
-        check(kernels.roots, ops._list_roots, rows, width=width)
+        check(kernels.roots, ops.roots, rows, width=width)
 
     @given(blocked())
     def test_children(self, data):
         rows, width, _index = data
-        check(kernels.children, ops._list_children, rows, width=width)
+        check(kernels.children, ops.children, rows, width=width)
 
     @given(blocked(), st.sampled_from(["<a>", "<b>", "x", "@id"]))
     def test_select_trees(self, data, label):
         rows, width, _index = data
-        check(kernels.select_trees, ops._list_select_trees, rows,
+        check(kernels.select_trees, ops.select_trees, rows,
               lambda s: s == label, width=width)
         check(kernels.select_label,
-              lambda rel, lab: ops._list_select_trees(
+              lambda rel, lab: ops.select_trees(
                   rel, lambda s: s == lab), rows, label, width=width)
 
     @given(blocked(), st.sampled_from(["<a>", "<b>", "x", "@id"]))
@@ -118,8 +118,8 @@ class TestScanKernels:
         """The fused path-step kernel equals select after children."""
         rows, width, _index = data
         check(kernels.select_children,
-              lambda rel, lab: ops._list_select_trees(
-                  ops._list_children(rel), lambda s: s == lab),
+              lambda rel, lab: ops.select_trees(
+                  ops.children(rel), lambda s: s == lab),
               rows, label, width=width)
 
     @given(blocked(max_envs=3),
@@ -129,8 +129,8 @@ class TestScanKernels:
         row for row, on the vector body and on the overflow fallback."""
         rows, width, _index = data
         check(kernels.select_descendants,
-              lambda rel, w, lab: ops._list_select_trees(
-                  ops._list_subtrees_dfs(rel, w), lambda s: s == lab),
+              lambda rel, w, lab: ops.select_trees(
+                  ops.subtrees_dfs(rel, w), lambda s: s == lab),
               rows, width, label, width=width)
         cols = IntervalColumns.from_tuples(rows)
         assert kernels.select_descendants(cols, width, label).tuples() == \
@@ -142,66 +142,66 @@ class TestScanKernels:
         rows, width, _index = data
         from repro.xml.forest import is_element_label, is_text_label
         check(kernels.textnode_trees,
-              lambda rel: ops._list_select_trees(rel, is_text_label), rows,
+              lambda rel: ops.select_trees(rel, is_text_label), rows,
               width=width)
         check(kernels.elementnode_trees,
-              lambda rel: ops._list_select_trees(rel, is_element_label),
+              lambda rel: ops.select_trees(rel, is_element_label),
               rows, width=width)
 
     @given(blocked())
     def test_head(self, data):
         rows, width, _index = data
-        check(kernels.head, ops._list_head, rows, width, width=width)
+        check(kernels.head, ops.head, rows, width, width=width)
 
     @given(blocked())
     def test_tail(self, data):
         rows, width, _index = data
-        check(kernels.tail, ops._list_tail, rows, width, width=width)
+        check(kernels.tail, ops.tail, rows, width, width=width)
 
     @given(blocked())
     def test_data(self, data):
         rows, width, _index = data
-        check(kernels.data, ops._list_data, rows, width, width=width)
+        check(kernels.data, ops.data, rows, width, width=width)
 
 
 class TestShiftKernels:
     @given(blocked())
     def test_reverse(self, data):
         rows, width, _index = data
-        check(kernels.reverse, ops._list_reverse, rows, width, width=width)
+        check(kernels.reverse, ops.reverse, rows, width, width=width)
 
     @given(blocked(max_envs=3))
     def test_subtrees_dfs(self, data):
         rows, width, _index = data
-        check(kernels.subtrees_dfs, ops._list_subtrees_dfs, rows, width, width=width)
+        check(kernels.subtrees_dfs, ops.subtrees_dfs, rows, width, width=width)
 
     @given(blocked())
     def test_distinct(self, data):
         rows, width, _index = data
-        check(kernels.distinct, ops._list_distinct, rows, width, width=width)
+        check(kernels.distinct, ops.distinct, rows, width, width=width)
 
     @given(blocked())
     def test_sort(self, data):
         rows, width, _index = data
-        check(kernels.sort, ops._list_sort, rows, width, width=width)
+        check(kernels.sort, ops.sort, rows, width, width=width)
 
     @given(blocked(), st.lists(st.integers(min_value=0, max_value=8),
                                unique=True).map(sorted))
     def test_filter_by_index(self, data, index):
         rows, width, _index = data
-        check(kernels.filter_by_index, _list_filter_reference, rows,
+        check(kernels.filter_by_index, ops.filter_by_index, rows,
               width, index)
-        check(kernels.filter_by_index, _list_filter_reference,
+        check(kernels.filter_by_index, ops.filter_by_index,
               overflowed(rows, width), width,
               [env + BIG_ENV for env in index])
 
     @given(blocked())
     def test_expand_variable(self, data):
         rows, width, _index = data
-        root_lefts = [row[1] for row in ops._list_roots(rows)]
-        check(kernels.expand_variable, ops._list_expand_variable, rows,
+        root_lefts = [row[1] for row in ops.roots(rows)]
+        check(kernels.expand_variable, ops.expand_variable, rows,
               width, root_lefts)
-        check(kernels.expand_variable, ops._list_expand_variable, rows,
+        check(kernels.expand_variable, ops.expand_variable, rows,
               width, [left + BIG_ENV * width for left in root_lefts])
 
     @given(blocked(), st.data())
@@ -214,7 +214,7 @@ class TestShiftKernels:
             st.integers(min_value=0, max_value=30),
             min_size=len(origins), max_size=len(origins))))
         moves = list(zip(origins, targets))
-        check(kernels.gather_blocks, ops._list_gather_blocks, rows,
+        check(kernels.gather_blocks, ops.gather_blocks, rows,
               width, moves)
 
 
@@ -229,7 +229,7 @@ class TestConstructorKernels:
             variants.append((overflowed(left_rows, left_width),
                              overflowed(right_rows, right_width)))
         for left, right in variants:
-            expected = ops._list_concat(left, left_width, right, right_width)
+            expected = ops.concat(left, left_width, right, right_width)
             result = kernels.concat(
                 IntervalColumns.from_tuples(left), left_width,
                 IntervalColumns.from_tuples(right), right_width)
@@ -244,7 +244,7 @@ class TestConstructorKernels:
             variants.append((overflowed(rows, width),
                              [env + BIG_ENV for env in index]))
         for variant, envs in variants:
-            expected = ops._list_xnode(label, list(variant), width, envs)
+            expected = ops.xnode(label, list(variant), width, envs)
             result = kernels.xnode(label, IntervalColumns.from_tuples(variant),
                                    width, envs)
             assert result[1] == expected[1]
@@ -255,7 +255,7 @@ class TestConstructorKernels:
                     unique=True).map(sorted),
            st.sampled_from(["", "x", "some text"]))
     def test_text_const(self, index, value):
-        expected = ops._list_text_const(value, index)
+        expected = ops.text_const(value, index)
         result = kernels.text_const(value, index)
         assert result[1] == expected[1]
         assert result[0].tuples() == expected[0]
@@ -264,12 +264,12 @@ class TestConstructorKernels:
     @given(blocked())
     def test_count_roots(self, data):
         rows, width, index = data
-        check(kernels.count_roots, ops._list_count_roots, rows, width, index)
+        check(kernels.count_roots, ops.count_roots, rows, width, index)
 
     @given(blocked())
     def test_string_fn(self, data):
         rows, width, index = data
-        check(kernels.string_fn, ops._list_string_fn, rows, width, index)
+        check(kernels.string_fn, ops.string_fn, rows, width, index)
 
 
 class TestStructuralKernels:
@@ -336,43 +336,43 @@ class TestDerivedColumns:
     #: name → (list form, kernel form) of width-aware unary steps, each
     #: mapping ``(rel, width)`` to ``(rel, width)``.
     STEPS = {
-        "roots": (lambda r, w: (ops._list_roots(r), w),
+        "roots": (lambda r, w: (ops.roots(r), w),
                   lambda c, w: (kernels.roots(c), w)),
-        "children": (lambda r, w: (ops._list_children(r), w),
+        "children": (lambda r, w: (ops.children(r), w),
                      lambda c, w: (kernels.children(c), w)),
-        "select": (lambda r, w: (ops._list_select_trees(
+        "select": (lambda r, w: (ops.select_trees(
                        r, lambda s: s == "<a>"), w),
                    lambda c, w: (kernels.select_label(c, "<a>"), w)),
-        "child_step": (lambda r, w: (ops._list_select_trees(
-                           ops._list_children(r), lambda s: s == "<b>"), w),
+        "child_step": (lambda r, w: (ops.select_trees(
+                           ops.children(r), lambda s: s == "<b>"), w),
                        lambda c, w: (kernels.select_children(c, "<b>"), w)),
         "descendant_step": (
-            lambda r, w: (ops._list_select_trees(
-                ops._list_subtrees_dfs(r, w), lambda s: s == "<a>"), w * w),
+            lambda r, w: (ops.select_trees(
+                ops.subtrees_dfs(r, w), lambda s: s == "<a>"), w * w),
             lambda c, w: (kernels.select_descendants(c, w, "<a>"), w * w)),
-        "subtrees": (lambda r, w: (ops._list_subtrees_dfs(r, w), w * w),
+        "subtrees": (lambda r, w: (ops.subtrees_dfs(r, w), w * w),
                      lambda c, w: (kernels.subtrees_dfs(c, w), w * w)),
         "elements": (lambda r, w: (ops.elementnode_trees(r), w),
                      lambda c, w: (kernels.elementnode_trees(c), w)),
-        "head": (lambda r, w: (ops._list_head(r, w), w),
+        "head": (lambda r, w: (ops.head(r, w), w),
                  lambda c, w: (kernels.head(c, w), w)),
-        "tail": (lambda r, w: (ops._list_tail(r, w), w),
+        "tail": (lambda r, w: (ops.tail(r, w), w),
                  lambda c, w: (kernels.tail(c, w), w)),
-        "data": (lambda r, w: (ops._list_data(r, w), w),
+        "data": (lambda r, w: (ops.data(r, w), w),
                  lambda c, w: (kernels.data(c, w), w)),
-        "reverse": (lambda r, w: (ops._list_reverse(r, w), w),
+        "reverse": (lambda r, w: (ops.reverse(r, w), w),
                     lambda c, w: (kernels.reverse(c, w), w)),
-        "distinct": (lambda r, w: (ops._list_distinct(r, w), w),
+        "distinct": (lambda r, w: (ops.distinct(r, w), w),
                      lambda c, w: (kernels.distinct(c, w), w)),
-        "sort": (ops._list_sort, kernels.sort),
-        "twice": (lambda r, w: (ops._list_concat(r, w, r, w), 2 * w),
+        "sort": (ops.sort, kernels.sort),
+        "twice": (lambda r, w: (ops.concat(r, w, r, w), 2 * w),
                   lambda c, w: (kernels.concat(c, w, c, w), 2 * w)),
-        "wrap": (lambda r, w: ops._list_xnode(
+        "wrap": (lambda r, w: ops.xnode(
                      "<w>", r, w, sorted({row[1] // w for row in r})),
                  lambda c, w: kernels.xnode("<w>", c, w,
                                             c.envs_present(w))),
-        "expand": (lambda r, w: (ops._list_expand_variable(
-                       r, w, [row[1] for row in ops._list_roots(r)]), w),
+        "expand": (lambda r, w: (ops.expand_variable(
+                       r, w, [row[1] for row in ops.roots(r)]), w),
                    lambda c, w: (kernels.expand_variable(
                        c, w, [row[1] for row in kernels.roots(c)]), w)),
     }
@@ -494,11 +494,11 @@ class TestBignumFallback:
         cols = IntervalColumns.from_tuples(shifted)
         if rows:
             assert not cols.is_array  # bignum storage engaged
-        assert kernels.roots(cols).tuples() == ops._list_roots(shifted)
+        assert kernels.roots(cols).tuples() == ops.roots(shifted)
         assert kernels.reverse(cols, width).tuples() == \
-            ops._list_reverse(shifted, width)
+            ops.reverse(shifted, width)
         assert kernels.distinct(cols, width).tuples() == \
-            ops._list_distinct(shifted, width)
+            ops.distinct(shifted, width)
 
     @settings(max_examples=25)
     @given(blocked())
@@ -506,7 +506,7 @@ class TestBignumFallback:
         rows, width, index = data
         moves = [(env, env + BIG_ENV) for env in index]
         cols = IntervalColumns.from_tuples(rows)
-        expected = ops._list_gather_blocks(list(rows), width, moves)
+        expected = ops.gather_blocks(list(rows), width, moves)
         result = kernels.gather_blocks(cols, width, moves)
         assert result.tuples() == expected
         if rows:
@@ -521,7 +521,7 @@ class TestBignumFallback:
         assert cols.is_array
         assert (2 ** 30 + 1) * width * width > INT64_MAX
         result = kernels.subtrees_dfs(cols, width)
-        assert result.tuples() == ops._list_subtrees_dfs(rows, width)
+        assert result.tuples() == ops.subtrees_dfs(rows, width)
         assert not result.is_array
 
 
@@ -588,31 +588,6 @@ class TestEmptyAndEdgeCases:
         assert kernels.roots(cols).tuples() == rows
         assert kernels.children(cols).tuples() == []
         assert kernels.reverse(cols, 2).tuples() == \
-            ops._list_reverse(rows, 2)
+            ops.reverse(rows, 2)
         assert kernels.sort(cols, 2)[0].tuples() == \
-            ops._list_sort(rows, 2)[0]
-
-    def test_operators_dispatch_on_representation(self):
-        # The public operators answer in kind: lists in, lists out;
-        # columns in, columns out.
-        rows = [("<a>", 0, 3), ("x", 1, 2)]
-        assert isinstance(ops.roots(rows), list)
-        result = ops.roots(IntervalColumns.from_tuples(rows))
-        assert isinstance(result, IntervalColumns)
-        assert result.tuples() == ops.roots(rows)
-
-
-def _list_filter_reference(rows, width, index):
-    """The original merge-pass filter (relation.py now dispatches)."""
-    result = []
-    keep = iter(index)
-    current = next(keep, None)
-    for row in rows:
-        env = row[1] // width
-        while current is not None and current < env:
-            current = next(keep, None)
-        if current is None:
-            break
-        if current == env:
-            result.append(row)
-    return result
+            ops.sort(rows, 2)[0]

@@ -232,3 +232,71 @@ class TestTick:
         plan = compile_plan(core, JoinStrategy.MSJ, base_vars=docs.values())
         DIEngine(tick=lambda: counter.append(None)).run_plan(plan, bindings)
         assert counter
+
+
+# -- the empty sequence, everywhere ---------------------------------------------------
+#
+# ``()`` evaluates to a width-0 relation, and inside the engine that is an
+# ``IntervalColumns`` like any other.  Every XFn and every loop form must
+# take it — at top level (one environment) and inside a two-iteration
+# ``for`` (several) — without a NumPy warning (CI runs this file with
+# ``-W error``: a stray ``l // 0`` would raise) and in agreement with the
+# Figure 3 interpreter.
+
+from repro.compiler.planner import explain_plan  # noqa: E402
+from repro.engine.evaluator import _UNARY_OPERATORS  # noqa: E402
+from repro.xquery.ast import (  # noqa: E402
+    Empty, Equal, FnApp, For, Let, Not, SomeEqual, Var, Where)
+
+_EMPTY = FnApp("empty_forest")
+_TWO_CORE, _TWO_DOCS = lower_query(parse_xquery('document("d")/r/a'))
+_TWO_BINDINGS = {var: document_forest(f("<r><a>1</a><a>2<b/></a></r>"))
+                 for var in _TWO_DOCS.values()}
+
+
+def _fn(name, *args, **params):
+    return FnApp(name, args, tuple(params.items()))
+
+
+_ON_EMPTY = {
+    **{fn: _fn(fn, _EMPTY, **({"label": "<a>"} if fn == "select" else {}))
+       for fn in sorted(_UNARY_OPERATORS)},
+    "child_step": _fn("select", _fn("children", _EMPTY), label="<a>"),
+    "descendant_step": _fn("select", _fn("subtrees_dfs", _EMPTY), label="<a>"),
+    "concat": _fn("concat", _EMPTY, _EMPTY),
+    "concat_left": Let("e", _EMPTY, _fn("concat", Var("e"), _TWO_CORE)),
+    "concat_right": _fn("concat", _TWO_CORE, _EMPTY),
+    "xnode": _fn("xnode", _EMPTY, label="<w>"),
+    "count": _fn("count", _EMPTY),
+    "string_fn": _fn("string_fn", _EMPTY),
+    "for_source": For("y", _EMPTY, _fn("xnode", Var("y"), label="<w>")),
+    "for_body": For("y", _TWO_CORE, _EMPTY),
+    "where_true": Where(Empty(_EMPTY), _TWO_CORE),
+    "where_false": Where(Not(Empty(_EMPTY)), _TWO_CORE),
+    "where_equal": Where(Equal(_EMPTY, _EMPTY), _fn("count", _EMPTY)),
+    "join_source": For("y", _EMPTY, Where(
+        SomeEqual(Var("y"), _TWO_CORE), Var("y"))),
+    "join_key": For("y", _TWO_CORE, Where(
+        Equal(_fn("children", Var("y")), _EMPTY), Var("y"))),
+    "join_body": For("y", _TWO_CORE, Where(
+        SomeEqual(Var("y"), _TWO_CORE), _EMPTY)),
+}
+
+
+class TestEmptySequenceEverywhere:
+    @pytest.mark.parametrize("nested", [False, True],
+                             ids=["top_level", "in_for"])
+    @pytest.mark.parametrize("name", sorted(_ON_EMPTY))
+    def test_engine_matches_interpreter(self, name, nested):
+        core = _ON_EMPTY[name]
+        if nested:
+            # An element around each iteration's answer keeps "which
+            # iteration produced what" visible in the comparison.
+            core = For("i", _TWO_CORE, _fn("xnode", core, label="<it>"))
+        expected = evaluate(core, _TWO_BINDINGS)
+        for strategy in (JoinStrategy.NLJ, JoinStrategy.MSJ):
+            plan = compile_plan(core, strategy, base_vars=_TWO_DOCS.values())
+            assert ("JoinFor" in explain_plan(plan)) \
+                == name.startswith("join_")
+            engine = DIEngine(validate=True)
+            assert engine.run_plan(plan, _TWO_BINDINGS) == expected

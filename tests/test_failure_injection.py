@@ -134,12 +134,14 @@ class TestWidthOverflowDegradation:
 class TestEngineFailures:
     def test_corrupt_relation_caught_by_validation(self):
         from repro.compiler.plan import FnNode, VarNode
+        from repro.engine.columns import IntervalColumns
         from repro.engine.evaluator import DIEngine, EnvSeq
 
         engine = DIEngine(validate=True)
         engine._base = EnvSeq([0], {})
-        corrupt = EnvSeq([0], {"x": ([("a", 5, 3)], 10)})  # l > r
-        with pytest.raises(ExecutionError):
+        corrupt = EnvSeq([0], {"x": (
+            IntervalColumns.from_tuples([("a", 5, 3)]), 10)})  # l > r
+        with pytest.raises(ExecutionError, match="degenerate"):
             engine.evaluate(FnNode("children", (VarNode("x"),)), corrupt)
         engine._base = None
 

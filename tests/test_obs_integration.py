@@ -120,6 +120,25 @@ class TestTracedRuns:
         assert sum(histogram.count(kernel=name) for name in names) \
             >= len(kernel_spans)
 
+    def test_residual_filter_runs_as_an_observed_kernel(self, session):
+        """A join's residual conjunct filters every pair variable — here
+        ``$t`` and ``$p`` — and each of those filters is a kernel
+        invocation like any other: one span, one histogram observation
+        (and so one ``tick``, where a deadline is checked)."""
+        query = (
+            'for $p in document("a.xml")/site/people/person '
+            'for $t in document("a.xml")/site/closed_auctions/closed_auction '
+            'where $t/buyer/@person = $p/@id and not($t/price = $p/name) '
+            'return <m>{$p/name/text()}{$t/price/text()}</m>')
+        result = session.run(query, backend="engine", trace=True)
+        assert result.to_xml() == "<m>Cong Rosca42.12</m>"
+        join = result.trace.find("op.joinfor")
+        filters = [span for span in join.children
+                   if span.name == "engine.kernel.filter_by_index"]
+        assert len(filters) == 2
+        histogram = session.metrics.get("repro_engine_kernel_seconds")
+        assert histogram.count(kernel="filter_by_index") == 2
+
     def test_fused_descendant_step_is_observable(self, session):
         """``//name`` runs as one ``select_descendants`` kernel, and every
         account of the run still says so truthfully: the kernel span sits

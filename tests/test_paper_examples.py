@@ -13,6 +13,7 @@ from repro.compiler.plan import JoinStrategy
 from repro.compiler.planner import compile_plan
 from repro.encoding.interval import encode
 from repro.engine import operators as ops
+from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine, EnvSeq
 from repro.xmark.queries import FIGURE1_SAMPLE
 
@@ -22,8 +23,9 @@ PATH_QUERY = 'document("auction.xml")/site/people/person'
 def _base_env(figure1_doc):
     from repro.xquery.lowering import document_forest
     encoded = encode(document_forest((figure1_doc,)))
-    return encoded, EnvSeq([0], {"doc:auction.xml":
-                                 (list(encoded.tuples), encoded.width)})
+    return encoded, EnvSeq([0], {
+        "doc:auction.xml": (IntervalColumns.from_tuples(encoded.tuples),
+                            encoded.width)})
 
 
 class TestFigure4:
@@ -90,7 +92,8 @@ class TestFigure7:
         roots = ops.roots(person_rel)
         index = [row[1] for row in roots]
         assert index == [2, 24]  # the paper's I' = {2, 24}
-        expanded = engine._expand_variable(person_rel, width, roots)
+        expanded = engine._expand_variable(
+            IntervalColumns.from_tuples(person_rel), width, index)
         rows = {(s, l, r) for (s, l, r) in expanded}
         # Paper Figure 7, environment i = 2:
         assert ("<person>", 174, 195) in rows
@@ -112,8 +115,9 @@ class TestFigure7:
                 "<people>")),
             "<person>")
         engine = DIEngine()
-        roots = ops.roots(person_rel)
-        expanded = engine._expand_variable(person_rel, 86, roots)
+        index = [row[1] for row in ops.roots(person_rel)]
+        expanded = engine._expand_variable(
+            IntervalColumns.from_tuples(person_rel), 86, index)
         for s, l, r in expanded:
             block = l // 86
             assert block in (2, 24)

@@ -105,6 +105,21 @@ class TestObservations:
         # ...but the observation itself is retained for the replan.
         assert cache.observations(key) == {7: 10_000}
 
+    def test_feedback_store_is_bounded_like_the_plans(self):
+        cache = PlanCache(maxsize=4)
+        hot = _key(shape="hot")
+        cache.put(hot, _entry())
+        cache.record_observation(hot, {1: 11})
+        for i in range(10):  # more traced shapes than the bound
+            cache.record_observation(_key(shape=f"s{i}"), {0: i})
+            cache.record_observation(hot, {2: i})  # hot keeps being traced
+            assert len(cache._observed) <= 4
+        assert len(cache._observed) == 4
+        assert cache.peek(hot) is not None
+        assert cache.observations(hot) == {1: 11, 2: 9}
+        assert cache.observations(_key(shape="s0")) == {}
+        assert cache.observations(_key(shape="s9")) == {0: 9}
+
     def test_observed_based_estimates_not_second_guessed(self):
         cache = PlanCache()
         key = _key()
