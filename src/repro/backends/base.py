@@ -52,8 +52,9 @@ class BackendCapabilities:
     * ``delta_updates`` — the backend can patch prepared state in place
       from an :class:`~repro.encoding.updates.DocumentUpdate` via
       :meth:`Backend.apply_update`, skipping the full re-encode;
-    * ``max_width`` — largest interval width the backend can represent
-      (``None`` = unbounded, e.g. Python bignums);
+    * ``max_width`` — largest statically inferred interval width the
+      backend can represent (``None`` = no static cap: the interpreter
+      has no widths, the DI engine renormalises them at run time);
     * ``strategies`` — join strategies the backend distinguishes (empty
       when the knob is meaningless, e.g. the SQL translation).
     """

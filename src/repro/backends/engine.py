@@ -53,7 +53,9 @@ class EngineBackend(Backend):
         prepared_documents=True,
         updates=True,
         delta_updates=True,
-        max_width=None,  # Python bignums: width growth is unbounded
+        # No static cap: a width that would leave int64 is renormalised
+        # at run time (twice the largest block, however deep the query).
+        max_width=None,
         strategies=(JoinStrategy.MSJ, JoinStrategy.NLJ),
         description="DI prototype with merge-sort / nested-loop joins",
     )

@@ -5,7 +5,7 @@ document,
 
 * **operators** — ops/sec for every columnar kernel against its
   same-named tuple-list reference in :mod:`repro.engine.operators` (the
-  pre-columnar operator algebra, and the kernels' bignum body), and
+  pre-columnar operator algebra; the engine itself never runs it), and
 * **planner** — the multi-join Q9 executed on the planning-off
   syntactic plan versus the cost-optimized plan (estimated-cost and
   observed-cost variants), plus cold/warm plan times through the

@@ -5,8 +5,9 @@ ordering — are only worth making when the numbers say so.  This module
 supplies those numbers: given per-document :class:`~repro.encoding.stats.
 DocumentStats` (collected once at encode time) it propagates estimated
 cardinalities through plan operators, using exactly the width arithmetic
-the engine itself applies, so interval-endpoint overflow (the bignum
-fallback in the columnar kernels) can be *predicted* rather than suffered.
+the engine itself applies, so interval-endpoint overflow (which costs the
+engine a renormalise pass, or a renumbering of the environment index)
+can be *predicted* rather than suffered.
 
 Estimates are totals over the current environment sequence, mirroring
 the ``tuples`` attribute the engine records on operator spans — which is
@@ -22,8 +23,8 @@ from typing import Mapping, Sequence
 
 from repro.encoding.stats import DocumentStats
 
-#: Largest interval endpoint the columnar kernels handle without falling
-#: back to the Python bignum path (mirrors ``repro.engine.columns``).
+#: Largest interval endpoint the columnar kernels hold; a width that
+#: would pass it is renormalised first (mirrors ``repro.engine.columns``).
 INT64_MAX = 2 ** 63 - 1
 
 #: Stand-in statistics for variables the backend has no stats for (e.g.
@@ -238,8 +239,11 @@ def predict_overflow(index_bound: int, output_width: int) -> bool:
     ``index_bound`` is an exclusive upper bound on the environment indexes
     of the sequence a result re-blocks into; every left endpoint of a
     width-``output_width`` result is below ``index_bound · output_width``.
-    Beyond int64 the columnar kernels fall back to the Python bignum path
-    — the planner treats that cliff as a hard cost penalty.
+    The engine's own trigger is this same bound (``kernels.overflows``):
+    where it trips the evaluator pays an ``O(n log n)`` renormalise of the
+    relation, or renumbers the pair index — no cliff any more, but work
+    the planner can avoid by running the body over the small inner index
+    (join-graph isolation).
     """
     return index_bound * output_width > INT64_MAX
 

@@ -602,8 +602,9 @@ class _Optimizer:
                                if analysis.residual_conjuncts else 1.0)
 
         # Isolation decision: forced when the pair index space would push
-        # interval endpoints past int64 (bignum-fallback cliff), chosen
-        # when enough of the inner side is expected to match anyway.
+        # interval endpoints past int64 (the engine would have to renumber
+        # the pairs and renormalise the bindings it copies into them),
+        # chosen when enough of the inner side is expected to match anyway.
         body_width = self._probe_width(
             node.body, {name: est.width for name, est in pair_scope.items()})
         overflow = cost.predict_overflow(pair_bound,

@@ -159,7 +159,7 @@ class _WorkerState:
         if kind == "shm":
             attachment = body.attach()
             columns = attachment.columns
-        else:  # "pickle": bignum or otherwise unshareable — already a copy
+        else:  # "pickle": a NUL label cannot be shared — already a copy
             attachment = None
             columns = body
         backend = self._scopes[scope]
@@ -448,9 +448,9 @@ class ProcessQueryPool:
     def register_document(self, var: str, value: tuple) -> None:
         """Register (or replace) a replicated document on every worker.
 
-        ``value`` is the engine encoding ``(relation, width)``.  Array-
-        backed relations go through shared memory; bignum relations are
-        pickled to each worker.  Replacing a document drops its shards
+        ``value`` is the engine encoding ``(relation, width)``.  It goes
+        through shared memory (pickled to each worker only when a label
+        contains NUL).  Replacing a document drops its shards
         (they are re-exported lazily) and unlinks the old segments once
         every worker has adopted the new payload.
         """
@@ -742,7 +742,7 @@ class ProcessQueryPool:
 
     def _export(self, columns: IntervalColumns, width: int
                 ) -> "tuple[tuple, SharedMemory | None]":
-        if len(columns) and columns.is_array:
+        if len(columns):
             try:
                 descriptor, shm = export_columns(columns)
                 return ("shm", descriptor, width), shm

@@ -13,9 +13,8 @@ for interval predicates.  This package is that engine:
   same relations as plain tuple lists and the same operators as linear
   single-pass functions over them (Roots is Algorithm 5.2, plus the
   per-environment lifted forms of every Figure 2 operator): the
-  reference the kernels are tested against, and the body
-  :mod:`~repro.engine.kernels` — alone — switches to when coordinates
-  outgrow int64;
+  reference the kernels are tested against, imported by no production
+  module;
 * :mod:`repro.engine.structural` — ``DeepCompare`` (Algorithm 5.3) and the
   canonical structural keys used for sorting and merge joins;
 * :mod:`repro.engine.evaluator` — evaluation of compiled plans over

@@ -26,11 +26,11 @@ Invariants every producer keeps (``validate_value`` checks them):
   read-only views of their input; nothing mutates a relation after
   construction, so backends share one cached encoding across runs and
   threads.
-* **Unbounded widths still work** — coordinates grow multiplicatively
-  with query nesting and can exceed 64 bits.  An endpoint column that
-  overflows is a plain Python list instead (bignum mode, ``is_array``
-  false) and the kernels route such relations to the tuple-list
-  reference operators.  ``d`` and ``c`` always fit.
+* **Endpoints are int64, always** — widths multiply with query nesting,
+  but the rows stay few: the evaluator rank-compresses a relation
+  (``kernels.renormalise``) before a kernel would leave int64, and an
+  endpoint of 2⁶³ or more arriving from outside raises
+  :class:`~repro.errors.WidthOverflowError` at the door.
 
 Tuple compatibility: an :class:`IntervalColumns` can be *read* as a
 sequence of ``(s, l, r)`` tuples of plain Python values — iteration,
@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.encoding.interval import IntervalTuple
+from repro.errors import WidthOverflowError
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.shared_memory import SharedMemory
@@ -156,18 +157,15 @@ def adopt_names(names: "Iterable[tuple[str, int]]") -> dict[int, int]:
 # -- columns ---------------------------------------------------------------------
 
 
-def make_int_column(values: Iterable[int]) -> "np.ndarray | list[int]":
-    """An endpoint column: int64 array or, on overflow, a plain list."""
+def make_int_column(values: Iterable[int]) -> np.ndarray:
+    """An int64 endpoint column; a value that does not fit is an error."""
     values = values if isinstance(values, list) else list(values)
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        return values
-
-
-def _ints(column: "np.ndarray | list[int]") -> list[int]:
-    """An endpoint column as plain Python ints."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
+        raise WidthOverflowError(
+            "interval endpoint beyond int64: the engine stores endpoints "
+            "as 64-bit integers") from None
 
 
 def label_column(labels: "Sequence[str]") -> np.ndarray:
@@ -191,9 +189,10 @@ def _derive_depths(lefts: list[int], rights: list[int]) -> np.ndarray:
 def _rebuild_columns(s: list[str], l: "bytes | list[int]",
                      r: "bytes | list[int]", d: bytes) -> "IntervalColumns":
     def column(state):
+        # Pickles written while endpoint columns could be lists carry one.
         if isinstance(state, bytes):
             return np.frombuffer(state, dtype=np.int64)
-        return state
+        return make_int_column(state)
 
     return IntervalColumns(label_column(s), column(l), column(r),
                            np.frombuffer(d, dtype=np.int32), label_codes(s))
@@ -208,8 +207,8 @@ class IntervalColumns:
 
     __slots__ = ("s", "l", "r", "d", "c")
 
-    def __init__(self, s: np.ndarray, l: "np.ndarray | list[int]",
-                 r: "np.ndarray | list[int]", d: np.ndarray, c: np.ndarray):
+    def __init__(self, s: np.ndarray, l: np.ndarray, r: np.ndarray,
+                 d: np.ndarray, c: np.ndarray):
         self.s = s
         self.l = l
         self.r = r
@@ -257,25 +256,16 @@ class IntervalColumns:
 
     def tuples(self) -> list[IntervalTuple]:
         """Materialize the row form (for list-based consumers)."""
-        return list(zip(self.s.tolist(), _ints(self.l), _ints(self.r)))
-
-    @property
-    def is_array(self) -> bool:
-        """True when both endpoint columns are int64 arrays (not bignum)."""
-        return isinstance(self.l, np.ndarray) and isinstance(self.r, np.ndarray)
+        return list(zip(self.s.tolist(), self.l.tolist(), self.r.tolist()))
 
     def __reduce__(self):
         # The pickling contract: every relation pickles self-contained,
         # by value — views of a shared-memory segment become private
-        # copies, bignum lists stay lists, and ``c`` is re-derived in the
-        # loading process's own name dictionary.  Cross-process results
-        # and serialized documents depend on this; see docs/CONCURRENCY.md.
-        def state(column):
-            return column.tobytes() if isinstance(column, np.ndarray) \
-                else list(column)
-
-        return (_rebuild_columns, (self.s.tolist(), state(self.l),
-                                   state(self.r), self.d.tobytes()))
+        # copies, and ``c`` is re-derived in the loading process's own
+        # name dictionary.  Cross-process results and serialized
+        # documents depend on this; see docs/CONCURRENCY.md.
+        return (_rebuild_columns, (self.s.tolist(), self.l.tobytes(),
+                                   self.r.tobytes(), self.d.tobytes()))
 
     # -- sequence protocol --------------------------------------------------------
 
@@ -309,8 +299,7 @@ class IntervalColumns:
         return NotImplemented
 
     def __repr__(self) -> str:
-        mode = "int64" if self.is_array else "bignum"
-        return f"IntervalColumns({len(self)} tuples, {mode})"
+        return f"IntervalColumns({len(self)} tuples)"
 
     # -- block arithmetic ---------------------------------------------------------
 
@@ -322,8 +311,7 @@ class IntervalColumns:
 
     def block_bounds(self, width: int):
         """``(envs, starts, ends)`` arrays of the non-empty environment
-        blocks — one vector compare of neighbouring ``l // width`` (int64
-        mode only; bignum relations iterate with :meth:`iter_env_bounds`)."""
+        blocks — one vector compare of neighbouring ``l // width``."""
         env = self.l // width
         change = np.ones(len(env), dtype=np.bool_)
         change[1:] = env[1:] != env[:-1]
@@ -334,19 +322,7 @@ class IntervalColumns:
         """Yield ``(env, lo, hi)`` for every non-empty block, in order."""
         if width <= 0:
             return iter(())
-        if isinstance(self.l, np.ndarray):
-            return zip(*(column.tolist()
-                         for column in self.block_bounds(width)))
-        return self._iter_list_bounds(width)
-
-    def _iter_list_bounds(self, width: int) -> Iterator[tuple[int, int, int]]:
-        l = self.l
-        start = 0
-        while start < len(l):
-            env = l[start] // width
-            end = bisect_left(l, (env + 1) * width, lo=start)
-            yield env, start, end
-            start = end
+        return zip(*(column.tolist() for column in self.block_bounds(width)))
 
     def envs_present(self, width: int) -> list[int]:
         """The sorted environment indices with at least one tuple."""
@@ -354,9 +330,7 @@ class IntervalColumns:
 
     def max_right(self) -> int:
         """The largest right endpoint (-1 when empty)."""
-        if isinstance(self.r, np.ndarray) and len(self.r):
-            return int(self.r.max())
-        return max(self.r, default=-1)
+        return int(self.r.max(initial=-1))
 
     def shard(self, shards: int) -> list["IntervalColumns"]:
         """Split into ≤ ``shards`` contiguous runs of complete root trees.
@@ -386,16 +360,6 @@ class IntervalColumns:
         if start < count:
             pieces.append(self[start:count])
         return pieces
-
-
-def _concat_column(parts: "list[object]") -> "np.ndarray | list[int]":
-    """Concatenate endpoint-column pieces; a list when any piece is one."""
-    if all(isinstance(part, np.ndarray) for part in parts):
-        return np.concatenate(parts)
-    flat: list[int] = []
-    for part in parts:
-        flat.extend(_ints(part))
-    return make_int_column(flat)
 
 
 def splice_columns(columns: "IntervalColumns",
@@ -457,9 +421,9 @@ def splice_columns(columns: "IntervalColumns",
 
     return IntervalColumns(
         np.concatenate(pieces(columns.s, label_column(labels))),
-        _concat_column(pieces(columns.l, make_int_column(
+        np.concatenate(pieces(columns.l, make_int_column(
             row[1] for row in delta.inserted))),
-        _concat_column(pieces(columns.r, make_int_column(
+        np.concatenate(pieces(columns.r, make_int_column(
             row[2] for row in delta.inserted))),
         np.concatenate(pieces(columns.d, np.array(delta.inserted_depths,
                                                   dtype=np.int32))),
@@ -581,7 +545,7 @@ class AttachedColumns:
 
 def export_columns(columns: IntervalColumns,
                    name: str | None = None) -> "tuple[SharedColumns, SharedMemory]":
-    """Copy an int64-backed relation into a new shared-memory segment.
+    """Copy a relation into a new shared-memory segment.
 
     Layout: ``count`` int64 ``l`` words, ``count`` int64 ``r`` words,
     ``count`` int32 depths, ``count`` int32 name codes, then the labels
@@ -591,17 +555,13 @@ def export_columns(columns: IntervalColumns,
     (:class:`repro.concurrency.procpool.ProcessQueryPool` does this on
     ``unregister_document``/``close``).
 
-    Raises :class:`ValueError` for relations that cannot be shared
-    structurally — bignum (list-backed) endpoint columns, or a label
-    containing NUL — in which case the caller should pickle the relation
-    instead (the ``__reduce__`` contract above always works).
+    Raises :class:`ValueError` for a relation that cannot be shared
+    structurally — a label containing NUL — in which case the caller
+    should pickle the relation instead (the ``__reduce__`` contract
+    above always works).
     """
     from multiprocessing.shared_memory import SharedMemory
 
-    if not columns.is_array:
-        raise ValueError(
-            "bignum-mode columns cannot be exported to shared memory; "
-            "serialize them instead (pickle round-trips any relation)")
     blob = "\x00".join(columns.s.tolist()).encode("utf-8")
     count = len(columns)
     if blob.count(b"\x00") != max(count - 1, 0):

@@ -8,13 +8,25 @@ runs the linear whole-column kernels of :mod:`repro.engine.kernels`
 instead of joins, and executes decorrelated loops with the structural
 merge join of Section 5.  Every relation the evaluator reads or writes
 is an :class:`~repro.engine.columns.IntervalColumns` — the empty
-relation included.
+relation included — with int64 endpoints.
+
+Widths multiply per nesting level (``w_for = w_e · w_e'``, and ``sort``
+and ``//`` square them) while the rows stay few, so wherever a width
+grows the evaluator first tests the kernels' own bound,
+:func:`repro.engine.kernels.overflows`, against the environment index it
+is working under.  When it trips, :meth:`DIEngine._fit` rank-compresses
+the relation (``kernels.renormalise`` — legal anywhere, Definition 3.1
+fixes only relative order and nesting), and when an iteration's
+environment *numbers* are what no longer fit, ``For``/``JoinFor``
+number their iterations densely instead (:meth:`DIEngine._compact`).
+What fits neither way raises :class:`~repro.errors.WidthOverflowError`
+from the kernel; nothing wraps and nothing switches representation.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.guard import QueryGuard
@@ -283,6 +295,17 @@ class DIEngine:
             histogram.observe(perf_counter() - started, kernel=name)
         return result
 
+    def _fit(self, value: Value, envs: Sequence[int],
+             out_width: int) -> Value:
+        """``value``, renormalised if what is about to be made of it —
+        blocks of ``out_width``, as far out as the last of ``envs`` —
+        would leave int64.  The trigger is the bound the kernels test,
+        nothing else; a relation that does not fit even at its tightest
+        makes the kernel raise ``WidthOverflowError``."""
+        if kernels.overflows(envs, out_width):
+            return self._kernel("renormalise", kernels.renormalise, *value)
+        return value
+
     def _eval_fn(self, node: FnNode, seq: EnvSeq) -> Value:
         if node.fn == "select" and len(node.args) == 1 \
                 and isinstance(node.args[0], FnNode) \
@@ -316,16 +339,18 @@ class DIEngine:
         subtree of ``X``.
         """
         inner = node.args[0]
-        rel, width = self.evaluate(inner.args[0], seq)
+        value = self.evaluate(inner.args[0], seq)
         label = node.param("label")
 
         def apply() -> Value:
+            rel, width = value
             if width == 0:
                 return IntervalColumns.empty(), 0
             if inner.fn == "children":
                 return self._kernel("select_children",
                                     kernels.select_children,
                                     rel, label), width
+            rel, width = self._fit(value, seq.index, width * width)
             return self._kernel("select_descendants",
                                 kernels.select_descendants,
                                 rel, width, label), width * width
@@ -340,7 +365,10 @@ class DIEngine:
             return self._kernel("text_const", kernels.text_const,
                                 node.param("value"), seq.index)
         if fn == "concat":
-            (left, lw), (right, rw) = args
+            left, right = args
+            left = self._fit(left, seq.index, left[1] + right[1])
+            right = self._fit(right, seq.index, left[1] + right[1])
+            (left, lw), (right, rw) = left, right
             if lw == 0:
                 return right, rw
             if rw == 0:
@@ -348,7 +376,7 @@ class DIEngine:
             return self._kernel("concat", kernels.concat,
                                 left, lw, right, rw), lw + rw
         if fn == "xnode":
-            (content, width), = args
+            content, width = self._fit(args[0], seq.index, args[0][1] + 2)
             return self._kernel("xnode", kernels.xnode, node.param("label"),
                                 content, width, seq.index)
         if fn == "count":
@@ -386,6 +414,7 @@ class DIEngine:
         if fn == "reverse":
             return self._kernel("reverse", kernels.reverse, rel, width), width
         if fn == "subtrees_dfs":
+            rel, width = self._fit(args[0], seq.index, width * width)
             return self._kernel("subtrees_dfs", kernels.subtrees_dfs,
                                 rel, width), width * width
         if fn == "data":
@@ -393,6 +422,7 @@ class DIEngine:
         if fn == "distinct":
             return self._kernel("distinct", kernels.distinct, rel, width), width
         if fn == "sort":
+            rel, width = self._fit(args[0], seq.index, width * width)
             return self._kernel("sort", kernels.sort, rel, width)
         raise PlanError(f"no engine operator for XFn {fn!r}")
 
@@ -478,61 +508,89 @@ class DIEngine:
     # -- iteration ---------------------------------------------------------------------
 
     def _eval_for(self, node: ForNode, seq: EnvSeq) -> Value:
-        source_rel, source_width = self.evaluate(node.source, seq)
-        if source_width == 0:
+        source = self.evaluate(node.source, seq)
+        if source[1] == 0:
             return IntervalColumns.empty(), 0
         if self.stats is not None:
             context = self.stats.measure(JOIN)
         else:
             context = _NullContext()
         with context:
+            # Iterations are numbered by root left endpoint (< one block
+            # past the last environment) and get a block of the source's
+            # width each: the width squares.
+            source_rel, source_width = self._fit(
+                source, seq.index, source[1] * source[1])
             roots = self._kernel("roots", kernels.roots, source_rel)
-            index = _root_lefts(roots)
-            bound = self._expand_variable(source_rel, source_width, index)
+            outer = {name: seq.vars[name]
+                     for name in sorted(node.required_outer)
+                     if name in seq.vars}
+            lefts = roots.l.tolist()
+            index, fan = self._compact(lefts, source_width, outer.values())
+            bound = self._kernel("expand_variable", kernels.expand_variable,
+                                 source_rel, source_width, index)
             inner_vars: dict[str, Value] = {node.var: (bound, source_width)}
-            for name in sorted(node.required_outer):
-                value = seq.vars.get(name)
-                if value is None:
-                    continue
-                inner_vars[name] = self._copy_per_root(
-                    value, index, source_width
-                )
+            if outer:
+                # Copying the outer bindings into every iteration is the
+                # quadratic cost of nested-loop evaluation:
+                # |roots| × |binding blocks| tuples.
+                moves = [(left // source_width, env)
+                         for left, env in zip(lefts, index)]
+                for name, value in outer.items():
+                    inner_vars[name] = self._gather(value, moves)
         body_rel, body_width = self.evaluate(
-            node.body, EnvSeq(index, inner_vars)
-        )
-        return body_rel, source_width * body_width
+            node.body, EnvSeq(index, inner_vars))
+        width = fan * body_width
+        return self._fit((body_rel, width), seq.index, width)
 
-    def _expand_variable(self, source_rel: IntervalColumns, width: int,
-                         root_lefts: list[int]) -> IntervalColumns:
-        """Build ``T'_x``: one environment per tree, indexed by root left end."""
-        return self._kernel("expand_variable", kernels.expand_variable,
-                            source_rel, width, root_lefts)
+    def _compact(self, index: list[int], width: int,
+                 outer: Iterable[Value]) -> tuple[list[int], int]:
+        """The iteration numbers a ``For``/``JoinFor`` body runs under.
 
-    def _copy_per_root(self, value: Value, root_lefts: list[int],
-                       source_width: int) -> Value:
-        """Copy an outer binding into every expanded environment.
-
-        This per-root duplication is the quadratic cost of nested-loop
-        iteration: |roots| × |binding blocks| tuples — one
-        ``gather_blocks`` kernel over the move plan.
+        Returns ``(numbers, fan)``: ``fan`` consecutive numbers belong to
+        each enclosing environment, so a body result of width ``w`` is,
+        read at width ``fan · w``, already laid out for the enclosing
+        sequence.  Section 4 numbers iterations ``env · width + offset``
+        (root left endpoints, or ``ix · width + iy`` pairs), which is
+        ``index`` as given, ``fan = width``.  Only when a block of a
+        binding at the last of those numbers would leave int64 — the
+        source's own width, or an ``outer`` binding's — are they replaced
+        by ``env · fan + rank``, ``fan`` the most iterations any one
+        environment has: the same order, with nothing skipped.
         """
-        rel, width = value
-        if width == 0:
+        widest = max([width] + [value[1] for value in outer])
+        if not kernels.overflows(index, widest):
+            return index, width
+        envs = [number // width for number in index]
+        first: dict[int, int] = {}
+        for position, env in enumerate(envs):
+            first.setdefault(env, position)
+        ranks = [position - first[env] for position, env in enumerate(envs)]
+        fan = max(ranks) + 1
+        return [env * fan + rank for env, rank in zip(envs, ranks)], fan
+
+    def _gather(self, value: Value, moves: list[tuple[int, int]]) -> Value:
+        """Copy environment blocks ``(origin, target)``, targets ascending."""
+        if value[1] == 0:
             return value
-        moves = [(left // source_width, left) for left in root_lefts]
+        last_target = [moves[-1][1]] if moves else []
+        rel, width = self._fit(value, last_target, value[1])
         return self._kernel("gather_blocks", kernels.gather_blocks,
                             rel, width, moves), width
 
     def _eval_join_for(self, node: JoinForNode, seq: EnvSeq) -> Value:
         if self._base is None:
             raise ExecutionError("JoinForNode requires a base environment")
-        source_rel, source_width = self.evaluate(node.source, self._base)
-        if source_width == 0:
+        source = self.evaluate(node.source, self._base)
+        if source[1] == 0:
             return IntervalColumns.empty(), 0
         # Expand the source once, against the base environment.
+        source_rel, source_width = self._fit(
+            source, self._base.index, source[1] * source[1])
         roots = self._kernel("roots", kernels.roots, source_rel)
-        inner_index = _root_lefts(roots)
-        bound = self._expand_variable(source_rel, source_width, inner_index)
+        inner_index = roots.l.tolist()
+        bound = self._kernel("expand_variable", kernels.expand_variable,
+                             source_rel, source_width, inner_index)
         inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
         if node.inner_filter is not None:
             # Select pushdown: filter the inner expansion before any key
@@ -558,7 +616,12 @@ class DIEngine:
                 existential=node.existential,
                 strategy=node.strategy,
             )
-            pair_index = [ix * source_width + iy for ix, iy in pairs]
+            outer = {name: seq.vars[name]
+                     for name in sorted(node.required_outer)
+                     if name in seq.vars}
+            pair_index, fan = self._compact(
+                [ix * source_width + iy for ix, iy in pairs], source_width,
+                outer.values())
             # Under isolation the body never reads the pair sequence, so
             # the join variable is only copied if the residual needs it.
             need_var = not node.isolate or (
@@ -566,16 +629,14 @@ class DIEngine:
                 and node.var in cond_free(node.residual))
             pair_vars: dict[str, Value] = {}
             if need_var:
-                pair_vars[node.var] = self._copy_pairs(
-                    (bound, source_width), pairs, pair_index, side="inner"
-                )
-            for name in sorted(node.required_outer):
-                value = seq.vars.get(name)
-                if value is None:
-                    continue
-                pair_vars[name] = self._copy_pairs(
-                    value, pairs, pair_index, side="outer"
-                )
+                pair_vars[node.var] = self._gather(
+                    (bound, source_width),
+                    [(iy, env) for (_ix, iy), env in zip(pairs, pair_index)])
+            if outer:
+                moves = [(ix, env)
+                         for (ix, _iy), env in zip(pairs, pair_index)]
+                for name, value in outer.items():
+                    pair_vars[name] = self._gather(value, moves)
         pair_seq = EnvSeq(pair_index, pair_vars)
         if node.residual is not None:
             satisfied = self._eval_condition(node.residual, pair_seq)
@@ -593,18 +654,15 @@ class DIEngine:
             # small index space — then gather the finished blocks into
             # the surviving pairs.  Duplicate origins are fine (one inner
             # environment may match many outer environments).
-            body_rel, body_width = self.evaluate(node.body, inner_seq)
-            if body_width == 0:
-                return IntervalColumns.empty(), 0
+            body = self.evaluate(node.body, inner_seq)
             surviving_set = set(pair_seq.index)
-            moves = [(iy, target)
-                     for (_ix, iy), target in zip(pairs, pair_index)
-                     if target in surviving_set]
-            return (self._kernel("gather_blocks", kernels.gather_blocks,
-                                 body_rel, body_width, moves),
-                    source_width * body_width)
-        body_rel, body_width = self.evaluate(node.body, pair_seq)
-        return body_rel, source_width * body_width
+            body_rel, body_width = self._gather(
+                body, [(iy, env) for (_ix, iy), env in zip(pairs, pair_index)
+                       if env in surviving_set])
+        else:
+            body_rel, body_width = self.evaluate(node.body, pair_seq)
+        width = fan * body_width
+        return self._fit((body_rel, width), seq.index, width)
 
     def _match_pairs(self, outer_rel: IntervalColumns, outer_width: int,
                      outer_index: list[int], inner_rel: IntervalColumns,
@@ -671,27 +729,6 @@ class DIEngine:
         inner_keys.sort(key=lambda pair: pair[0])
         pairs = set(merge_matching_keys(outer_keys, inner_keys))
         return sorted(pairs)
-
-    def _copy_pairs(self, value: Value, pairs: list[tuple[int, int]],
-                    pair_index: list[int], side: str) -> Value:
-        """Copy per-pair blocks of a binding into the pair sequence."""
-        rel, width = value
-        if width == 0:
-            return value
-        if side == "outer":
-            moves = [(ix, target)
-                     for (ix, _iy), target in zip(pairs, pair_index)]
-        else:
-            moves = [(iy, target)
-                     for (_ix, iy), target in zip(pairs, pair_index)]
-        return self._kernel("gather_blocks", kernels.gather_blocks,
-                            rel, width, moves), width
-
-
-def _root_lefts(roots: IntervalColumns) -> list[int]:
-    """The root left endpoints — the expanded environment index."""
-    lefts = roots.l  # int64 array, or a list in bignum mode
-    return lefts.tolist() if hasattr(lefts, "tolist") else list(lefts)
 
 
 def _chain_ticks(first: Callable[[], None] | None,

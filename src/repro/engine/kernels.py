@@ -1,14 +1,13 @@
 """Whole-column operator kernels over :class:`IntervalColumns`.
 
-This is the production algebra: the evaluator calls these functions and
-nothing else.  Each kernel has a same-named tuple-list function in
-:mod:`repro.engine.operators` — its reference (the kernel property
-suite in ``tests/`` holds the two pointwise equal) and its bignum body
-(see "Overflow discipline" below); this module is the only one that
-imports both.  A kernel never walks ``(s, l, r)`` tuples: it turns the
-question into a mask over the ``d`` (depth) and ``c`` (name code)
-columns, finds the extents of the rows it keeps with binary search on
-the sorted ``l`` column, and materializes the answer through one gather.
+This is the engine's one algebra: the evaluator calls these functions
+and nothing else.  Each kernel has a same-named tuple-list function in
+:mod:`repro.engine.operators`, which the kernel property suite in
+``tests/`` holds it pointwise equal to; nothing here imports it.  A
+kernel never walks ``(s, l, r)`` tuples: it turns the question into a
+mask over the ``d`` (depth) and ``c`` (name code) columns, finds the
+extents of the rows it keeps with binary search on the sorted ``l``
+column, and materializes the answer through one gather.
 
 What the paper's linear scans became.  Algorithm 5.2 finds roots by
 streaming the relation with a running maximum of right endpoints; that
@@ -28,26 +27,24 @@ endpoints, and rebases ``d`` by the depth of each run's first row (so a
 subtree copied out of its context becomes a tree of its own).  A single
 run comes back as a zero-copy view of the input.
 
-Overflow discipline: interval coordinates grow multiplicatively with
-query nesting and may exceed ``int64``.  Every coordinate-growing kernel
-bounds its largest output value *before* touching vector arithmetic
-(NumPy wraps silently on int64 overflow — never acceptable here) and
-falls back to the bignum-safe reference operator (:func:`_reference`),
-whose output lands in list-backed columns; a relation already in bignum
-mode takes the same route (:func:`_falls_back`).  The four kernels whose
-reference is not one same-named call on their first argument — the two
-fused path steps, ``concat`` and ``xnode`` — make the same ``is_array``
-and bound tests inline.  No other code chooses a body.
+Overflow discipline: widths multiply with query nesting while the rows
+stay few, and NumPy wraps silently on int64 overflow — never acceptable
+here.  Every kernel that places blocks tests one bound first,
+:func:`overflows` — a block of the output width at the last environment
+must end inside int64 — and raises :class:`WidthOverflowError` when it
+fails.  The evaluator tests the same bound before it calls and spends
+the freedom Definition 3.1 leaves (only relative order and nesting
+matter): :func:`renormalise` rank-compresses the endpoints inside every
+block, after which the width is twice the largest block and the kernel
+fits.  There is no second body.
 """
 
 from __future__ import annotations
 
-from functools import wraps
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.engine import operators as reference
 from repro.engine.columns import (
     ELEMENT,
     INT64_MAX,
@@ -56,43 +53,68 @@ from repro.engine.columns import (
     IntervalColumns,
     label_column,
     label_codes,
-    make_int_column,
     name_code,
 )
+from repro.errors import WidthOverflowError
 
 LabelPredicate = Callable[[str], bool]
 
 
-def _wrap(result) -> "IntervalColumns | tuple[IntervalColumns, int]":
-    """Columns from a list operator's result (``rel`` or ``(rel, width)``)."""
-    if isinstance(result, tuple):
-        return IntervalColumns.from_tuples(result[0]), result[1]
-    return IntervalColumns.from_tuples(result)
+def overflows(envs: Sequence[int], width: int) -> bool:
+    """Whether a block of ``width`` at the last of the ascending ``envs``
+    ends beyond int64 — the bound behind every :class:`WidthOverflowError`
+    here, and the evaluator's one trigger for :func:`renormalise`.  No
+    ``envs`` stands for environment 0: a width beyond int64 is unusable
+    even by the empty relation."""
+    last = int(envs[-1]) if len(envs) else 0
+    return (last + 1) * width > INT64_MAX
 
 
-def _reference(name: str, rel: IntervalColumns, *args):
-    """Run the reference operator ``operators.<name>``; re-wrap the result."""
-    return _wrap(getattr(reference, name)(rel.tuples(), *args))
+def _check_fits(envs: Sequence[int], width: int, kernel: str) -> None:
+    if overflows(envs, width):
+        raise WidthOverflowError(
+            f"{kernel}: a block of width {width} at the last environment "
+            f"ends beyond int64 (renormalise the input)")
 
 
-def _falls_back(name: str):
-    """Route bignum-mode input to the reference operator ``<name>``."""
-    def decorate(kernel):
-        @wraps(kernel)
-        def run(cols: IntervalColumns, *args):
-            if not cols.is_array:
-                return _reference(name, cols, *args)
-            return kernel(cols, *args)
-        return run
-    return decorate
+def _last_env(cols: IntervalColumns, width: int) -> np.ndarray:
+    """The environment of the last row, as a 0- or 1-element array."""
+    return cols.l[-1:] // max(width, 1)
 
 
-def _as_int64(values) -> "np.ndarray | None":
-    """``values`` as an int64 array, or ``None`` when one does not fit."""
+def _int64(values) -> np.ndarray:
+    """``values`` as an int64 array; one that does not fit is an error."""
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
-        return None
+        raise WidthOverflowError(
+            "environment index beyond int64 (compact the index)") from None
+
+
+def renormalise(cols: IntervalColumns,
+                width: int) -> tuple[IntervalColumns, int]:
+    """Rank-compress the endpoints inside every environment block.
+
+    Definition 3.1 constrains only the relative order and nesting of a
+    block's ``2n`` endpoints, so replacing them by their ranks
+    ``0 … 2n-1`` encodes the same forests: one stable ``argsort``, the
+    ``s``/``d``/``c`` columns are shared with the input, and the new
+    width is twice the largest block — however loose ``width`` was.
+    """
+    count = len(cols)
+    if count == 0:
+        return cols, 0
+    # A block wider than int64 holds every row there can be.
+    envs, starts, ends = cols.block_bounds(min(width, INT64_MAX))
+    sizes = ends - starts
+    tight = 2 * int(sizes.max())
+    rank = np.empty(2 * count, dtype=np.int64)
+    rank[np.argsort(np.concatenate((cols.l, cols.r)), kind="stable")] = \
+        np.arange(2 * count)
+    # Blocks are disjoint and ordered: block k's ranks start at 2·starts[k].
+    base = np.repeat(envs * tight - 2 * starts, sizes)
+    return IntervalColumns(cols.s, rank[:count] + base, rank[count:] + base,
+                           cols.d, cols.c), tight
 
 
 def _rows(cols: IntervalColumns, index: np.ndarray, d=None) -> IntervalColumns:
@@ -186,17 +208,14 @@ def _match(cols: IntervalColumns, label: str,
 # -- scan kernels ------------------------------------------------------------------
 
 
-@_falls_back("roots")
 def roots(cols: IntervalColumns) -> IntervalColumns:
     return _rows(cols, np.flatnonzero(cols.d == 0))
 
 
-@_falls_back("children")
 def children(cols: IntervalColumns) -> IntervalColumns:
     return _rows(cols, np.flatnonzero(cols.d > 0), lambda depths: depths - 1)
 
 
-@_falls_back("select_trees")
 def select_trees(cols: IntervalColumns,
                  predicate: LabelPredicate) -> IntervalColumns:
     """Whole trees whose root label satisfies an arbitrary ``predicate``
@@ -206,7 +225,6 @@ def select_trees(cols: IntervalColumns,
     return _subtrees(cols, starts[np.array(keep, dtype=np.bool_)])
 
 
-@_falls_back("select_label")
 def select_label(cols: IntervalColumns, label: str) -> IntervalColumns:
     """Trees rooted at the exact ``label``."""
     return _subtrees(cols, _match(cols, label, depth=0))
@@ -219,9 +237,6 @@ def select_children(cols: IntervalColumns, label: str) -> IntervalColumns:
     the step is one mask and one ``searchsorted``; the (document-sized)
     children relation is never materialized.
     """
-    if not cols.is_array:
-        return _wrap(reference.select_label(
-            reference.children(cols.tuples()), label))
     return _subtrees(cols, _match(cols, label, depth=1))
 
 
@@ -232,17 +247,16 @@ def _dfs_offsets(lefts: np.ndarray, width: int) -> np.ndarray:
     return env * (width * width) + (lefts - env * width) * width - lefts
 
 
-def _dfs_overflows(cols: IntervalColumns, width: int) -> bool:
-    return (int(cols.l[-1]) // width + 1) * width * width > INT64_MAX
+def _check_squares(cols: IntervalColumns, width: int, kernel: str) -> None:
+    """The widened blocks (``width²``) must still end inside int64."""
+    _check_fits(_last_env(cols, width), width * width, kernel)
 
 
-@_falls_back("subtrees_dfs")
 def subtrees_dfs(cols: IntervalColumns, width: int) -> IntervalColumns:
     """All subtrees in DFS order; output width is ``width²``."""
     if len(cols) == 0:
         return cols
-    if _dfs_overflows(cols, width):
-        return _reference("subtrees_dfs", cols, width)
+    _check_squares(cols, width, "subtrees_dfs")
     starts = np.arange(len(cols))
     return _emit_runs(cols, starts, _subtree_ends(cols, starts),
                       _dfs_offsets(cols.l, width))
@@ -258,41 +272,34 @@ def select_descendants(cols: IntervalColumns, width: int,
     """
     if len(cols) == 0:
         return cols
-    if not cols.is_array or _dfs_overflows(cols, width):
-        return _wrap(reference.select_label(
-            reference.subtrees_dfs(cols.tuples(), width), label))
+    _check_squares(cols, width, "select_descendants")
     starts = _match(cols, label)
     return _emit_runs(cols, starts, _subtree_ends(cols, starts),
                       _dfs_offsets(cols.l[starts], width))
 
 
-@_falls_back("textnode_trees")
 def textnode_trees(cols: IntervalColumns) -> IntervalColumns:
     return _subtrees(cols, np.flatnonzero(
         (cols.d == 0) & (cols.c == TEXT_CODE)))
 
 
-@_falls_back("elementnode_trees")
 def elementnode_trees(cols: IntervalColumns) -> IntervalColumns:
     return _subtrees(cols, np.flatnonzero(
         (cols.d == 0) & (cols.c & KIND_MASK == ELEMENT)))
 
 
-@_falls_back("head")
 def head(cols: IntervalColumns, width: int) -> IntervalColumns:
     """The first tree of every environment."""
     _envs, starts, _ends = cols.block_bounds(width)
     return _subtrees(cols, starts)
 
 
-@_falls_back("tail")
 def tail(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Everything but each environment's first tree."""
     _envs, starts, ends = cols.block_bounds(width)
     return _emit_runs(cols, _subtree_ends(cols, starts), ends)
 
 
-@_falls_back("data")
 def data(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Atomization: text roots, and text children of non-text roots."""
     is_root = cols.d == 0
@@ -308,7 +315,6 @@ def data(cols: IntervalColumns, width: int) -> IntervalColumns:
 # -- shift kernels ------------------------------------------------------------------
 
 
-@_falls_back("reverse")
 def reverse(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Top-level reversal per environment — one bulk shift per tree."""
     starts, ends, envs = _trees(cols, width)
@@ -319,53 +325,52 @@ def reverse(cols: IntervalColumns, width: int) -> IntervalColumns:
     return _emit_runs(cols, a, ends[order], shift)
 
 
-@_falls_back("filter_by_index")
 def filter_by_index(cols: IntervalColumns, width: int,
                     index: Sequence[int]) -> IntervalColumns:
     """Keep tuples whose env is in the sorted ``index`` — per-block runs."""
-    targets = _as_int64(index)
-    if targets is None or len(targets) \
-            and (index[-1] + 1) * width > INT64_MAX:
-        return _reference("filter_by_index", cols, width, index)
+    last = _last_env(cols, width)
+    _check_fits(last, width, "filter_by_index")
+    targets = _int64(index)
+    targets = targets[targets <= last.max(initial=-1)]  # later envs: no rows
     return _emit_runs(cols, np.searchsorted(cols.l, targets * width),
                       np.searchsorted(cols.l, (targets + 1) * width))
 
 
-@_falls_back("expand_variable")
 def expand_variable(cols: IntervalColumns, width: int,
                     root_lefts: Sequence[int]) -> IntervalColumns:
     """Fused select→shift: re-block every tree into its per-root env.
 
-    ``root_lefts`` are the left endpoints of the relation's roots in
-    order; tree ``k`` shifts so its block index becomes ``root_lefts[k]``.
-    Rows keep their order, so nothing is gathered: one ``repeat`` spreads
-    the per-tree shifts and the other columns are shared with the input.
+    Tree ``k`` shifts so its block index becomes ``root_lefts[k]`` — the
+    left endpoint of its root, as Section 4 numbers the iterations, or
+    any other ascending numbering of them (the evaluator passes ranks
+    when blocks at the left endpoints would leave int64).  Rows keep
+    their order, so nothing is gathered: one ``repeat`` spreads the
+    per-tree shifts and the other columns are shared with the input.
     """
     if len(cols) == 0:
         return cols
-    lefts = _as_int64(root_lefts)
-    if lefts is None or (root_lefts[-1] + 1) * width > INT64_MAX:
-        return _reference("expand_variable", cols, width, root_lefts)
-    starts, ends, _envs = _trees(cols, width)
-    shift = np.repeat(lefts * width - (lefts // width) * width, ends - starts)
+    _check_fits(root_lefts, width, "expand_variable")
+    starts, ends, envs = _trees(cols, width)
+    shift = np.repeat((_int64(root_lefts) - envs) * width, ends - starts)
     return IntervalColumns(cols.s, cols.l + shift, cols.r + shift,
                            cols.d, cols.c)
 
 
-@_falls_back("gather_blocks")
 def gather_blocks(cols: IntervalColumns, width: int,
                   moves: Sequence[tuple[int, int]]) -> IntervalColumns:
     """Fused slice→concat: copy env blocks to target envs in one pass.
 
     ``moves`` is ``(origin_env, target_env)`` in ascending target order —
-    the copy plan behind nested-loop iteration (`_copy_per_root`) and join
-    pair construction (`_copy_pairs`).
+    the copy plan behind nested-loop iteration and join pair
+    construction (the evaluator's ``_gather``).
     """
     if not moves or len(cols) == 0:
         return IntervalColumns.empty()
-    pairs = _as_int64(moves)
-    if pairs is None or (int(pairs.max()) + 1) * width > INT64_MAX:
-        return _reference("gather_blocks", cols, width, moves)
+    pairs = _int64(moves)
+    # Origins past the last row name empty blocks; drop them so that only
+    # blocks that exist are multiplied out.
+    pairs = pairs[pairs[:, 0] <= _last_env(cols, width)[0]]
+    _check_fits(pairs[-1:, 1], width, "gather_blocks")
     origins = pairs[:, 0]
     return _emit_runs(cols, np.searchsorted(cols.l, origins * width),
                       np.searchsorted(cols.l, (origins + 1) * width),
@@ -394,12 +399,8 @@ def concat(left: IntervalColumns, left_width: int, right: IntervalColumns,
     searchsorteds, no per-block loop.
     """
     width = left_width + right_width
-    max_env = max(left.l[-1] // left_width if len(left) else 0,
-                  right.l[-1] // right_width if len(right) else 0)
-    if not (left.is_array and right.is_array) \
-            or (int(max_env) + 1) * width > INT64_MAX:
-        return _wrap(reference.concat(left.tuples(), left_width,
-                                      right.tuples(), right_width))
+    _check_fits(_last_env(left, left_width), width, "concat")
+    _check_fits(_last_env(right, right_width), width, "concat")
     left_env = left.l // max(left_width, 1)
     right_env = right.l // max(right_width, 1)
     at_left = np.arange(len(left)) \
@@ -425,11 +426,8 @@ def xnode(label: str, content: IntervalColumns, content_width: int,
     level; roots and content are scattered to computed merge positions.
     """
     width = content_width + 2
-    envs = _as_int64(index)
-    if not content.is_array or envs is None \
-            or (max(index, default=0) + 1) * width > INT64_MAX:
-        return _wrap(reference.xnode(label, content.tuples(), content_width,
-                                     index))
+    _check_fits(index[-1:], width, "xnode")
+    envs = _int64(index)
     if len(envs) == 0:
         return IntervalColumns.empty(), width
     env_of = content.l // max(content_width, 1)
@@ -454,10 +452,9 @@ def xnode(label: str, content: IntervalColumns, content_width: int,
 def _leaves(labels: list[str], index: Sequence[int],
             codes: np.ndarray) -> tuple[IntervalColumns, int]:
     """One childless node per environment of ``index``; width 2."""
-    lefts = make_int_column([2 * env for env in index])
-    rights = lefts + 1 if isinstance(lefts, np.ndarray) \
-        else [left + 1 for left in lefts]
-    return IntervalColumns(label_column(labels), lefts, rights,
+    _check_fits(index[-1:], 2, "leaf constructor")
+    lefts = 2 * _int64(index)
+    return IntervalColumns(label_column(labels), lefts, lefts + 1,
                            np.zeros(len(labels), dtype=np.int32), codes), 2
 
 
@@ -467,7 +464,6 @@ def text_const(value: str, index: Sequence[int]) -> tuple[IntervalColumns, int]:
                    np.full(len(index), name_code(value), dtype=np.int32))
 
 
-@_falls_back("count_roots")
 def count_roots(cols: IntervalColumns, width: int,
                 index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """Per-environment root count as a text node; width 2."""
@@ -478,7 +474,6 @@ def count_roots(cols: IntervalColumns, width: int,
                    np.full(len(index), TEXT_CODE, dtype=np.int32))
 
 
-@_falls_back("string_fn")
 def string_fn(cols: IntervalColumns, width: int,
               index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """``string()``: per-env concatenation of text labels; width 2."""
@@ -509,12 +504,9 @@ def block_keys(cols: IntervalColumns, width: int):
 
 def _tree_spans(cols: IntervalColumns, width: int):
     """``(env, start, end)`` per top-level tree, plus ``d`` and ``s`` as
-    Python lists to cut structural keys from (bignum mode included)."""
+    Python lists to cut structural keys from."""
     starts = np.flatnonzero(cols.d == 0)
-    if cols.is_array:
-        envs = (cols.l[starts] // width).tolist()
-    else:
-        envs = [cols.l[start] // width for start in starts.tolist()]
+    envs = (cols.l[starts] // width).tolist()
     starts = starts.tolist()
     return (zip(envs, starts, starts[1:] + [len(cols)]),
             cols.d.tolist(), cols.s.tolist())
@@ -539,7 +531,6 @@ def block_tree_key_sets(cols: IntervalColumns, width: int):
     return result
 
 
-@_falls_back("distinct")
 def distinct(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Structurally distinct trees per env, first occurrence kept."""
     seen: set = set()
@@ -554,14 +545,12 @@ def distinct(cols: IntervalColumns, width: int) -> IntervalColumns:
     return _emit_runs(cols, bounds[:, 0], bounds[:, 1])
 
 
-@_falls_back("sort")
 def sort(cols: IntervalColumns, width: int) -> tuple[IntervalColumns, int]:
     """Per-env stable sort by structural tree order; width squares."""
     wout = width * width
     if len(cols) == 0:
         return cols, wout
-    if _dfs_overflows(cols, width):
-        return _reference("sort", cols, width)
+    _check_squares(cols, width, "sort")
     depth = cols.d.tolist()
     s = cols.s.tolist()
     starts, ends, envs = _trees(cols, width)

@@ -7,16 +7,13 @@ linear passes instead of joins with order predicates.
 
 This module is the **reference algebra**: every function takes and returns
 plain ``list[(s, l, r)]`` relations and walks them tuple at a time, as the
-paper's pseudo-code does (``roots`` is Algorithm 5.2 verbatim).  It has
-two jobs and the evaluator is neither of them:
-
-* the semantic ground truth — the kernel property suite in ``tests/``
-  asserts every whole-column kernel of :mod:`repro.engine.kernels` is
-  pointwise-equal to the same-named function here on randomized
-  forests, and ``engine_bench`` times each kernel against it;
-* the bignum body — Python integers never overflow, so a kernel whose
-  coordinates would pass int64 runs the same-named function here instead
-  (``kernels._falls_back`` / ``kernels._reference`` are the one switch).
+paper's pseudo-code does (``roots`` is Algorithm 5.2 verbatim).  It is
+the semantic ground truth and nothing else: the kernel property suite in
+``tests/`` asserts every whole-column kernel of
+:mod:`repro.engine.kernels` is pointwise-equal to the same-named function
+here on randomized forests, and ``engine_bench`` times each kernel
+against it.  No production module imports it — the engine runs the
+kernels only, and keeps them inside int64 by renormalising widths.
 
 All operators are pure functions; none mutates its input.
 """

@@ -71,13 +71,7 @@ def deep_compare(left: Sequence[IntervalTuple],
 
 
 def canonical_key(block: Sequence[IntervalTuple]) -> StructuralKey:
-    """The (depth, label) DFS key of an encoded forest — one linear pass.
-
-    Columnar blocks skip the pass entirely: their ``d`` column already
-    holds every node's depth below its own tree's root.
-    """
-    if hasattr(block, "d"):  # IntervalColumns (or a slice of one)
-        return tuple(zip(block.d.tolist(), block.s.tolist()))
+    """The (depth, label) DFS key of an encoded forest — one linear pass."""
     key: list[tuple[int, str]] = []
     open_rights: list[int] = []
     for s, l, r in block:

@@ -4,8 +4,8 @@
 representation invariants everything else silently relies on:
 
 0. **one representation** — the relation is an
-   :class:`~repro.engine.columns.IntervalColumns` (in int64 or bignum
-   mode), the empty relation included;
+   :class:`~repro.engine.columns.IntervalColumns` with int64 endpoint
+   columns, the empty relation included;
 1. **document order** — the relation is sorted by left endpoint;
 2. **block containment** — every tuple lies inside the block of an
    environment present in the current index, and never crosses a block
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.engine.columns import IntervalColumns
 from repro.errors import ExecutionError
 
@@ -35,6 +37,10 @@ def validate_value(rel: IntervalColumns, width: int,
     if not isinstance(rel, IntervalColumns):
         raise ExecutionError(
             f"relation is a {type(rel).__name__}, not IntervalColumns{where}")
+    for column in (rel.l, rel.r):
+        if getattr(column, "dtype", None) != np.int64:
+            raise ExecutionError(
+                f"endpoint column is not an int64 array{where}")
     if width == 0:
         if rel:
             raise ExecutionError(

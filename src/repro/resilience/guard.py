@@ -111,7 +111,11 @@ class ResourceBudget:
     * ``max_tuples`` — total interval tuples produced across all operator
       evaluations;
     * ``max_envs`` — largest environment-sequence index seen at any node;
-    * ``max_width`` — largest dynamic-interval width of any node result.
+    * ``max_width`` — largest dynamic-interval width of any node result,
+      as the engine carries it: the product of Section 4's width rules
+      until a block of that width would leave int64, from there on the
+      renormalised width (twice the rows of the largest environment
+      block) — so beyond roughly 2**62 this caps rows, not nesting depth.
     """
 
     max_tuples: int | None = None

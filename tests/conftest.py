@@ -31,3 +31,38 @@ def xmark_tiny():
 def xmark_small():
     """A deterministic small XMark document (~3000 nodes)."""
     return generate_document(0.002, seed=42)
+
+
+@pytest.fixture
+def shrink_int64(monkeypatch):
+    """Make the engine's int64 only ``bits`` wide, so that documents of
+    tier-1 size do what only large ones do under the real limit: trip
+    the kernels' overflow bound, and with it the evaluator's two
+    remedies.  ``shrink_int64(bits)`` returns a counter of how often
+    each ran (``"renormalise"``, ``"compact"``).
+    """
+    from collections import Counter
+
+    from repro.engine import kernels
+    from repro.engine.evaluator import DIEngine
+
+    def shrink(bits: int) -> Counter:
+        remedies: Counter = Counter()
+        renormalise, compact = kernels.renormalise, DIEngine._compact
+
+        def counted_renormalise(cols, width):
+            remedies["renormalise"] += 1
+            return renormalise(cols, width)
+
+        def counted_compact(self, index, width, outer):
+            numbers, fan = compact(self, index, width, outer)
+            if numbers is not index:
+                remedies["compact"] += 1
+            return numbers, fan
+
+        monkeypatch.setattr(kernels, "INT64_MAX", 2 ** bits - 1)
+        monkeypatch.setattr(kernels, "renormalise", counted_renormalise)
+        monkeypatch.setattr(DIEngine, "_compact", counted_compact)
+        return remedies
+
+    return shrink

@@ -5,38 +5,49 @@ tuple-at-a-time functions of :mod:`repro.engine.operators` (the semantic
 ground truth) and the same-named whole-column kernels of
 :mod:`repro.engine.kernels`.  These properties assert pointwise equality
 (same tuples, same order, same width) on randomized blocked relations,
-on both bodies a kernel has: the vector body over int64 columns, and the
-overflow fallback — the same relation pushed beyond int64, where the
-endpoint columns are plain lists and the kernel routes to the reference
-operator.  After every kernel the carried depth and name-code columns
-must equal what ``from_tuples`` derives from the triples alone.  Edge
-cases: empty relations, minimal widths, outputs that overflow.
+near the origin and far from it (the same blocks 2**40 environments out,
+where a 32-bit slip or a wrapped product would show).  After every
+kernel the carried depth and name-code columns must equal what
+``from_tuples`` derives from the triples alone.  Edge cases: empty
+relations, minimal widths, and outputs that would leave int64 — there
+the kernel must raise, ``renormalise`` must make it fit, and the answer
+must be the reference's forest for forest (``TestOverflow``).
 """
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.interval import encode
+from repro.encoding.interval import decode, encode
 from repro.engine import kernels
 from repro.engine import operators as ops
 from repro.engine.columns import INT64_MAX, IntervalColumns
 from repro.engine.structural import canonical_key, tree_keys
 from repro.engine.relation import group_by_env, tree_slices
+from repro.engine.validate import validate_value
+from repro.errors import WidthOverflowError
 
 from tests.strategies import forests
 
-#: Env shift that pushes every coordinate beyond int64 (bignum mode).
-BIG_ENV = 2 ** 64
+#: Env shift that keeps every coordinate inside int64 but far from zero.
+FAR_ENV = 2 ** 40
 
 
-def overflowed(rows, width):
-    """The same blocks pushed beyond int64 — the overflow-fallback input."""
-    return [(s, l + BIG_ENV * width, r + BIG_ENV * width)
+def far(rows, width):
+    """The same blocks ``FAR_ENV`` environments further out."""
+    return [(s, l + FAR_ENV * width, r + FAR_ENV * width)
             for (s, l, r) in rows]
+
+
+def forests_in_order(rel, width):
+    """The forest of every non-empty environment block, in block order."""
+    return [decode(list(block)) for _env, block in group_by_env(list(rel),
+                                                                width)]
 
 
 def assert_derived(rel: IntervalColumns) -> None:
@@ -73,15 +84,15 @@ def blocked(draw, max_envs: int = 4):
 
 
 def check(kernel, reference, rows, *args, width=None):
-    """Kernel(columns) must equal reference(rows) on both kernel bodies.
+    """Kernel(columns) must equal reference(rows), near and far.
 
-    With ``width`` given the relation is also run shifted beyond int64;
+    With ``width`` given the relation is also run ``FAR_ENV`` blocks out;
     kernels that take env-indexed arguments shift those themselves and
-    call this once per body.
+    call this once per placement.
     """
     inputs = [list(rows)]
     if width is not None and rows:
-        inputs.append(overflowed(rows, width))
+        inputs.append(far(rows, width))
     for variant in inputs:
         expected = reference(list(variant), *args)
         result = kernel(IntervalColumns.from_tuples(variant), *args)
@@ -126,7 +137,7 @@ class TestScanKernels:
            st.sampled_from(["<a>", "<b>", "x", "@id", "<never-seen>"]))
     def test_select_descendants_fusion(self, data, label):
         """The fused ``//name`` kernel equals select after subtrees_dfs,
-        row for row, on the vector body and on the overflow fallback."""
+        row for row."""
         rows, width, _index = data
         check(kernels.select_descendants,
               lambda rel, w, lab: ops.select_trees(
@@ -192,8 +203,7 @@ class TestShiftKernels:
         check(kernels.filter_by_index, ops.filter_by_index, rows,
               width, index)
         check(kernels.filter_by_index, ops.filter_by_index,
-              overflowed(rows, width), width,
-              [env + BIG_ENV for env in index])
+              far(rows, width), width, [env + FAR_ENV for env in index])
 
     @given(blocked())
     def test_expand_variable(self, data):
@@ -201,8 +211,25 @@ class TestShiftKernels:
         root_lefts = [row[1] for row in ops.roots(rows)]
         check(kernels.expand_variable, ops.expand_variable, rows,
               width, root_lefts)
-        check(kernels.expand_variable, ops.expand_variable, rows,
-              width, [left + BIG_ENV * width for left in root_lefts])
+        check(kernels.expand_variable, ops.expand_variable,
+              far(rows, width), width,
+              [left + FAR_ENV * width for left in root_lefts])
+
+    @given(blocked(), st.data())
+    def test_expand_variable_into_any_numbering(self, data, drawn):
+        """Tree ``k`` lands, unchanged, in the block it is told to — the
+        root left endpoints are one ascending numbering among many."""
+        rows, width, _index = data
+        cols = IntervalColumns.from_tuples(rows)
+        trees = [decode(list(tree)) for tree in tree_slices(rows)]
+        targets = sorted(drawn.draw(st.sets(
+            st.integers(min_value=0, max_value=3 * len(trees)),
+            min_size=len(trees), max_size=len(trees))))
+        result = kernels.expand_variable(cols, width, targets)
+        assert_derived(result)
+        assert [(env, decode(list(block))) for env, block
+                in group_by_env(result.tuples(), width)] \
+            == list(zip(targets, trees))
 
     @given(blocked(), st.data())
     def test_gather_blocks(self, data, drawn):
@@ -226,8 +253,8 @@ class TestConstructorKernels:
         variants = [(left_rows, right_rows)]
         if left_rows or right_rows:
             # Same env ids on both sides, so the blocks still pair up.
-            variants.append((overflowed(left_rows, left_width),
-                             overflowed(right_rows, right_width)))
+            variants.append((far(left_rows, left_width),
+                             far(right_rows, right_width)))
         for left, right in variants:
             expected = ops.concat(left, left_width, right, right_width)
             result = kernels.concat(
@@ -241,8 +268,8 @@ class TestConstructorKernels:
         rows, width, index = data
         variants = [(rows, index)]
         if rows:
-            variants.append((overflowed(rows, width),
-                             [env + BIG_ENV for env in index]))
+            variants.append((far(rows, width),
+                             [env + FAR_ENV for env in index]))
         for variant, envs in variants:
             expected = ops.xnode(label, list(variant), width, envs)
             result = kernels.xnode(label, IntervalColumns.from_tuples(variant),
@@ -289,9 +316,9 @@ class TestStructuralKernels:
                     for env, block in group_by_env(rows, width)}
         assert kernels.block_keys(cols, width) == expected
         if rows:
-            big = IntervalColumns.from_tuples(overflowed(rows, width))
+            big = IntervalColumns.from_tuples(far(rows, width))
             assert kernels.block_keys(big, width) == {
-                env + BIG_ENV: key for env, key in expected.items()}
+                env + FAR_ENV: key for env, key in expected.items()}
 
     @given(blocked())
     def test_block_tree_key_sets(self, data):
@@ -306,16 +333,9 @@ class TestStructuralKernels:
             for env, block in group_by_env(rows, width)}
         assert kernels.block_tree_key_sets(cols, width) == expected
         if rows:
-            big = IntervalColumns.from_tuples(overflowed(rows, width))
+            big = IntervalColumns.from_tuples(far(rows, width))
             assert kernels.block_tree_key_sets(big, width) == {
-                env + BIG_ENV: keys for env, keys in expected.items()}
-
-    @given(blocked())
-    def test_canonical_key_columnar_fast_path(self, data):
-        rows, width, _index = data
-        cols = IntervalColumns.from_tuples(rows)
-        for _env, block in group_by_env(cols, width):
-            assert canonical_key(block) == canonical_key(block.tuples())
+                env + FAR_ENV: keys for env, keys in expected.items()}
 
     @given(blocked())
     def test_tree_slices_on_columns(self, data):
@@ -382,15 +402,27 @@ class TestDerivedColumns:
            st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=5))
     def test_kernel_chains(self, data, chain):
         """Chains squaring the width a few times run off the end of int64
-        on their own, so the overflow fallback is inside this property."""
-        rows, width, _index = data
-        cols = IntervalColumns.from_tuples(rows)
+        on their own (the reference side is Python integers and keeps
+        going): there the kernel raises, the chain renormalises as the
+        evaluator would, and from then on the two sides agree forest for
+        forest instead of coordinate for coordinate."""
+        rows, list_width, _index = data
+        cols, width = IntervalColumns.from_tuples(rows), list_width
+        same_coordinates = True
         for name in chain:
             list_step, kernel_step = self.STEPS[name]
-            rows, list_width = list_step(rows, width)
-            cols, width = kernel_step(cols, width)
-            assert width == list_width
-            assert cols.tuples() == rows, name
+            rows, list_width = list_step(rows, list_width)
+            try:
+                cols, width = kernel_step(cols, width)
+            except WidthOverflowError:
+                same_coordinates = False
+                cols, width = kernel_step(*kernels.renormalise(cols, width))
+            if same_coordinates:
+                assert width == list_width
+                assert cols.tuples() == rows, name
+            assert forests_in_order(cols, width) \
+                == forests_in_order(rows, list_width), name
+            assert cols.l.dtype == cols.r.dtype == np.int64
             assert_derived(cols)
 
     @given(blocked(), st.data())
@@ -481,55 +513,106 @@ class TestNameCodes:
         assert name_code("<a>") != name_code("<b>")
 
 
-class TestBignumFallback:
-    """Coordinates beyond int64: columns fall back to lists, kernels to
-    the reference paths, results stay exact (Python bignums)."""
+class TestRenormalise:
+    """``renormalise`` changes coordinates and nothing else."""
 
-    @settings(max_examples=25)
     @given(blocked())
-    def test_shifted_relation_roundtrip(self, data):
+    def test_same_forests_tightest_width(self, data):
         rows, width, _index = data
-        shifted = [(s, l + BIG_ENV * width, r + BIG_ENV * width)
-                   for (s, l, r) in rows]
-        cols = IntervalColumns.from_tuples(shifted)
-        if rows:
-            assert not cols.is_array  # bignum storage engaged
-        assert kernels.roots(cols).tuples() == ops.roots(shifted)
-        assert kernels.reverse(cols, width).tuples() == \
-            ops.reverse(shifted, width)
-        assert kernels.distinct(cols, width).tuples() == \
-            ops.distinct(shifted, width)
+        cols = IntervalColumns.from_tuples(rows)
+        before = [column.copy() for column in (cols.l, cols.r, cols.d, cols.c)]
+        tight, tight_width = kernels.renormalise(cols, width)
+        blocks = list(group_by_env(rows, width))
+        assert tight_width == 2 * max((len(block) for _env, block in blocks),
+                                      default=0)
+        # The same forest in every environment, under the same number.
+        assert [(env, decode(list(block))) for env, block
+                in group_by_env(tight.tuples(), tight_width)] \
+            == [(env, decode(list(block))) for env, block in blocks]
+        assert_derived(tight)
+        validate_value(tight, tight_width, [env for env, _block in blocks])
+        assert tight.l.dtype == tight.r.dtype == np.int64
+        # Idempotent, and the input is not written to.
+        again, again_width = kernels.renormalise(tight, tight_width)
+        assert (again.tuples(), again_width) == (tight.tuples(), tight_width)
+        for column, saved in zip((cols.l, cols.r, cols.d, cols.c), before):
+            assert column.tolist() == saved.tolist()
+        assert tight.s is cols.s and tight.d is cols.d and tight.c is cols.c
+
+    def test_width_beyond_int64_is_one_block(self):
+        rows = [("<a>", 5, 2 ** 62), ("x", 7, 90)]
+        tight, width = kernels.renormalise(
+            IntervalColumns.from_tuples(rows), 2 ** 80)
+        assert (tight.tuples(), width) == ([("<a>", 0, 3), ("x", 1, 2)], 4)
+
+
+class TestOverflow:
+    """Coordinates that would leave int64: nothing wraps and nothing
+    changes representation — input from outside is refused at the door,
+    a kernel whose bound trips raises, and after ``renormalise`` it
+    answers what the reference answers on Python integers."""
+
+    BEYOND = [("<a>", 0, 2 ** 63), ("x", 1, 2)]
+
+    def test_endpoints_beyond_int64_stop_at_the_door(self):
+        from repro.compiler.plan import VarNode
+        from repro.engine.columns import _rebuild_columns, make_int_column
+        from repro.engine.evaluator import DIEngine
+
+        with pytest.raises(WidthOverflowError):
+            IntervalColumns.from_tuples(self.BEYOND)
+        with pytest.raises(WidthOverflowError):
+            make_int_column([0, 2 ** 63])
+        assert make_int_column([0, INT64_MAX]).dtype == np.int64
+        # The state a release with list-backed columns pickled.
+        with pytest.raises(WidthOverflowError):
+            _rebuild_columns(["<a>"], [0], [2 ** 63],
+                             np.zeros(1, dtype=np.int32).tobytes())
+        with pytest.raises(WidthOverflowError):
+            DIEngine().run_plan_values(VarNode("$d"),
+                                       {"$d": (self.BEYOND, 2 ** 64)})
 
     @settings(max_examples=25)
     @given(blocked())
-    def test_gather_blocks_into_bignum_targets(self, data):
+    def test_targets_beyond_int64_raise(self, data):
         rows, width, index = data
-        moves = [(env, env + BIG_ENV) for env in index]
         cols = IntervalColumns.from_tuples(rows)
-        expected = ops.gather_blocks(list(rows), width, moves)
-        result = kernels.gather_blocks(cols, width, moves)
-        assert result.tuples() == expected
-        if rows:
-            assert not result.is_array  # targets exceed int64
+        for shift in (2 ** 64, INT64_MAX // width):  # unstorable, unplaceable
+            moves = [(env, env + shift) for env in index]
+            if rows:
+                with pytest.raises(WidthOverflowError):
+                    kernels.gather_blocks(cols, width, moves)
+                with pytest.raises(WidthOverflowError):
+                    kernels.xnode("<w>", cols, width,
+                                  [env + shift for env in index])
+        for env in (2 ** 64, INT64_MAX // 2):
+            with pytest.raises(WidthOverflowError):
+                kernels.text_const("x", [0, env])
 
     def test_overflow_bound_is_checked_not_wrapped(self):
-        # One block close to the int64 edge: widening must take the
-        # reference path, never silently wrap in vector arithmetic.
+        # One block close to the int64 edge: widening must refuse, never
+        # silently wrap in vector arithmetic — and fit once renormalised.
         width = 2 ** 32
         rows = [("<a>", 0, 1), ("<a>", width * (2 ** 30), width * (2 ** 30) + 1)]
         cols = IntervalColumns.from_tuples(rows)
-        assert cols.is_array
         assert (2 ** 30 + 1) * width * width > INT64_MAX
-        result = kernels.subtrees_dfs(cols, width)
-        assert result.tuples() == ops.subtrees_dfs(rows, width)
-        assert not result.is_array
-
+        for kernel in (kernels.subtrees_dfs, kernels.sort,
+                       lambda c, w: kernels.select_descendants(c, w, "<a>")):
+            with pytest.raises(WidthOverflowError):
+                kernel(cols, width)
+        tight, tight_width = kernels.renormalise(cols, width)
+        assert tight_width == 2
+        result = kernels.subtrees_dfs(tight, tight_width)
+        assert result.l.dtype == np.int64
+        assert forests_in_order(result, tight_width ** 2) \
+            == forests_in_order(ops.subtrees_dfs(rows, width), width ** 2)
 
     def test_descendant_chain_runs_off_int64(self):
         """The CI overflow case, ``//a//a//a//a//a``: every ``//`` squares
-        the width, so the chain starts on the fused vector kernel and ends
-        on its fallback — with ``validate=True`` checking the carried
-        columns after every node — and still agrees with the interpreter."""
+        the width, so the chain's width product runs off int64 and the
+        evaluator renormalises on the way — with ``validate=True``
+        checking the carried columns after every node — and still agrees
+        with the interpreter."""
         from repro.api import compile_xquery
         from repro.compiler.planner import compile_plan
         from repro.engine.evaluator import DIEngine
@@ -545,7 +628,8 @@ class TestBignumFallback:
                             base_vars=compiled.documents.values())
         engine = DIEngine(validate=True)
         rel, width = engine.run_plan_encoded(plan, bindings)
-        assert width > INT64_MAX and not rel.is_array
+        assert width <= INT64_MAX
+        assert rel.l.dtype == rel.r.dtype == np.int64
         assert engine.run_plan(plan, bindings) == \
             evaluate(compiled.core, bindings) != ()
 

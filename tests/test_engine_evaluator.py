@@ -168,6 +168,49 @@ class TestJoins:
         assert values == ["p1", "p2"]
 
 
+class TestDeepNesting:
+    """Four joins deep over ``//`` sources: every level multiplies the
+    pair index by a squared document width, so on a document of a few
+    hundred nodes the Section 4 numbering runs off int64 at the third
+    level.  The engine must answer anyway — by compacting the index,
+    never by raising — and answer what the interpreter answers."""
+
+    DOC = "<r>" + "".join(
+        f"<{tag}><k>{n % 3}</k><v>{tag}{n}</v><pad><x/><x/><x/></pad></{tag}>"
+        for tag in "abceg" for n in range(7)) + "</r>"
+
+    QUERY = (
+        'for $a in document("d")//a return <a>{$a/v/text()}{'
+        ' for $b in document("d")//b where $a/k = $b/k'
+        ' return <b>{$b/v/text()}{'
+        '  for $c in document("d")//c where $b/k = $c/k'
+        '  return <c>{$c/v/text()}{'
+        '   for $e in document("d")//e where $c/k = $e/k'
+        '   return <e>{$e/v/text()}{'
+        '    for $g in document("d")//g where $e/k = $g/k'
+        '    return <g>{$a/v/text()}{$g//v}</g>'
+        '   }</e>}</c>}</b>}</a>')
+
+    def test_four_deep_join_does_not_overflow(self, shrink_int64):
+        remedies = shrink_int64(63)
+        core, docs = lower_query(parse_xquery(self.QUERY))
+        plan = explain_plan(compile_plan(core, base_vars=docs.values()))
+        assert plan.count("JoinFor") == 4  # nested, under the outermost For
+        result = check_query(self.QUERY, {"d": f(self.DOC)})
+        assert len(result) == 7
+        assert remedies["compact"] > 0
+
+
+    def test_width_past_int64_with_nothing_in_it(self):
+        """No iterations, seven squarings: the body's width product runs
+        off int64 over an empty relation, which must stay a non-event
+        (it was a raw ``OverflowError`` from NumPy)."""
+        assert check_query(
+            'for $x in document("d")/r/none '
+            'return count(($x//a//a//a//a//a//a//a)[1])',
+            {"d": f("<r><a><a/></a></r>")}) == ()
+
+
 class TestXMarkQueries:
     @pytest.mark.parametrize("name", ["Q8", "Q8_ORIGINAL", "Q9", "Q13"])
     def test_engine_matches_interpreter(self, name, xmark_tiny):
@@ -284,10 +327,15 @@ _ON_EMPTY = {
 
 
 class TestEmptySequenceEverywhere:
+    # 8 bits: barely room for the document itself, so whatever can
+    # overflow does, with empty relations on one side or both.
+    @pytest.mark.parametrize("bits", [63, 8])
     @pytest.mark.parametrize("nested", [False, True],
                              ids=["top_level", "in_for"])
     @pytest.mark.parametrize("name", sorted(_ON_EMPTY))
-    def test_engine_matches_interpreter(self, name, nested):
+    def test_engine_matches_interpreter(self, name, nested, bits,
+                                        shrink_int64):
+        shrink_int64(bits)
         core = _ON_EMPTY[name]
         if nested:
             # An element around each iteration's answer keeps "which

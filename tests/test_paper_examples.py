@@ -12,6 +12,7 @@ from repro.api import compile_xquery, run_xquery
 from repro.compiler.plan import JoinStrategy
 from repro.compiler.planner import compile_plan
 from repro.encoding.interval import encode
+from repro.engine import kernels
 from repro.engine import operators as ops
 from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine, EnvSeq
@@ -88,11 +89,10 @@ class TestFigure7:
                 "<people>")),
             "<person>")
         width = 86
-        engine = DIEngine()
         roots = ops.roots(person_rel)
         index = [row[1] for row in roots]
         assert index == [2, 24]  # the paper's I' = {2, 24}
-        expanded = engine._expand_variable(
+        expanded = kernels.expand_variable(
             IntervalColumns.from_tuples(person_rel), width, index)
         rows = {(s, l, r) for (s, l, r) in expanded}
         # Paper Figure 7, environment i = 2:
@@ -114,9 +114,8 @@ class TestFigure7:
                     list(encoded.tuples), "<site>")),
                 "<people>")),
             "<person>")
-        engine = DIEngine()
         index = [row[1] for row in ops.roots(person_rel)]
-        expanded = engine._expand_variable(
+        expanded = kernels.expand_variable(
             IntervalColumns.from_tuples(person_rel), 86, index)
         for s, l, r in expanded:
             block = l // 86

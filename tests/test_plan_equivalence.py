@@ -86,12 +86,23 @@ def _engine_pair(query, document, strategy):
 
 
 class TestFixedFamily:
+    # 10 bits: every join of the family overflows on MATCHING_DOC, so
+    # both plans run through renormalise and index compaction.
+    @pytest.mark.parametrize("bits", [63, 10])
     @pytest.mark.parametrize("strategy", ["msj", "nlj"])
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_optimized_equals_syntactic(self, name, strategy):
+    def test_optimized_equals_syntactic(self, name, strategy, bits,
+                                        shrink_int64):
+        remedies = shrink_int64(bits)
         optimized, syntactic = _engine_pair(QUERIES[name], MATCHING_DOC,
                                             strategy)
         assert optimized == syntactic
+        assert (bits == 63) != (remedies["renormalise"] > 0
+                                and remedies["compact"] > 0)
+        with XQuerySession() as session:
+            session.add_document(DOC, MATCHING_DOC)
+            assert optimized == session.run(QUERIES[name],
+                                            backend="interpreter").forest
         if name != "count":
             assert len(optimized) > 0  # the family must not test vacuously
 

@@ -10,7 +10,6 @@ section owns that, gated on multi-core hosts only).
 from __future__ import annotations
 
 import asyncio
-import pickle
 import threading
 import time
 
@@ -93,7 +92,7 @@ def echo_child():
     child.close()
 
     def round_trip(columns: IntervalColumns) -> list:
-        if len(columns) and columns.is_array \
+        if len(columns) \
                 and not any("\x00" in label for label in columns.s):
             descriptor, shm = export_columns(columns)
             try:
@@ -111,14 +110,14 @@ def echo_child():
     parent.close()
 
 
-#: Rows whose endpoints straddle the int64 boundary, so both the
-#: int64 / shared-memory path and the bignum list fallback get
-#: exercised by the same property.
+#: Rows with endpoints up to the top of the int64 range and labels that
+#: may contain NUL, so both the shared-memory path and the pickle path
+#: get exercised by the same property.
 _rows = st.lists(
     st.tuples(
         st.text(alphabet="ab<>/@ xyz\x00é", min_size=0, max_size=6),
-        st.integers(min_value=0, max_value=2 ** 66),
-        st.integers(min_value=0, max_value=2 ** 66),
+        st.integers(min_value=0, max_value=2 ** 62 - 1),
+        st.integers(min_value=0, max_value=2 ** 62 - 1),
     ),
     max_size=12,
 )
@@ -129,22 +128,10 @@ class TestColumnsAcrossProcesses:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=_rows)
     def test_child_process_sees_equal_relation(self, echo_child, rows):
-        """A relation rebuilt in a child — attached zero-copy when it is
-        array-backed, pickled when bignum or NUL-labelled — equals the
-        parent's, row for row."""
+        """A relation rebuilt in a child — attached zero-copy, or pickled
+        when a label contains NUL — equals the parent's, row for row."""
         columns = IntervalColumns.from_tuples(rows, sort=True)
         assert echo_child(columns) == columns.tuples()
-
-    def test_bignum_columns_refuse_shared_memory(self):
-        columns = IntervalColumns.from_tuples(
-            [("<a>", 0, 2 ** 70)], sort=True)
-        assert not columns.is_array
-        with pytest.raises(ValueError, match="bignum"):
-            export_columns(columns)
-        # ...but the pickling contract still round-trips them by value
-        # (only the overflowing column falls back to a list).
-        clone = pickle.loads(pickle.dumps(columns))
-        assert clone == columns and isinstance(clone.r, list)
 
     def test_nul_label_refuses_shared_memory(self):
         columns = IntervalColumns.from_tuples([("a\x00b", 0, 1)])
@@ -164,7 +151,6 @@ class TestColumnsAcrossProcesses:
                 assert all(
                     not getattr(attachment.columns, name).flags.owndata
                     for name in "lrdc")
-                assert attachment.columns.is_array
                 assert attachment.columns.tuples() == columns.tuples()
             finally:
                 attachment.detach()
@@ -353,12 +339,12 @@ class TestProcessQueryPool:
             assert len(forest) == 2
             assert forest == _reference(descendants, encoding)
 
-    def test_bignum_document_is_pickled_not_shared(self, pool):
-        var = "$bignum"
+    def test_nul_labelled_document_is_pickled_not_shared(self, pool):
+        var = "$nul"
         columns = IntervalColumns.from_tuples(
-            [("<a>", 0, 2 ** 70), ("x", 1, 2)], sort=True)
+            [("<a>", 0, 3), ("x\x00y", 1, 2)])
         segments_before = pool.segment_names
-        pool.register_document(var, (columns, 2 ** 70))
+        pool.register_document(var, (columns, 4))
         assert pool.segment_names == segments_before  # no new segment
         pool.unregister_document(var)
 
