@@ -41,7 +41,7 @@ from repro.engine.stats import EngineStats
 from repro.errors import ReproError
 from repro.obs.trace import Span, Tracer
 from repro.sql.translator import TranslationResult, translate_query
-from repro.xml.forest import Forest, Node
+from repro.xml.forest import Forest, Node, PreorderForest
 from repro.xml.serializer import forest_to_xml
 from repro.xml.text_parser import parse_forest
 from repro.xquery.ast import CoreExpr
@@ -51,9 +51,15 @@ from repro.xquery.lowering import document_forest
 DocumentInput: TypeAlias = str | Node | Forest
 
 
-@dataclass
 class QueryResult:
     """The forest produced by a query, with convenience accessors.
+
+    A backend hands over either a tuple of :class:`Node` trees or — the
+    DI engine and its process tier — a
+    :class:`~repro.xml.forest.PreorderForest`, the result's labels and
+    depths with no tree built.  :meth:`to_xml` and ``len`` read that form
+    directly; :attr:`forest`, iteration and comparison against a tuple
+    build the trees, once, on first use.
 
     When the query ran traced (``session.run(…, trace=True)``), ``trace``
     is the root ``query`` span covering compile → prepare → execute, and
@@ -61,16 +67,25 @@ class QueryResult:
     lifecycle; export with :func:`repro.obs.write_chrome_trace`.
     """
 
-    forest: Forest
-    #: Root span of the traced run (None when tracing was off).
-    trace: Span | None = field(default=None, compare=False)
-    #: The tracer that produced :attr:`trace` (for follow-up spans).
-    tracer: Tracer | None = field(default=None, compare=False)
-    #: Name of the backend that actually produced the forest.
-    backend: str | None = field(default=None, compare=False)
-    #: Backends given up on before :attr:`backend` answered (resilient
-    #: runs only; see :mod:`repro.resilience.fallback`).
-    degradations: tuple = field(default=(), compare=False)
+    def __init__(self, forest: "Forest | PreorderForest",
+                 trace: Span | None = None, tracer: Tracer | None = None,
+                 backend: str | None = None, degradations: tuple = ()):
+        self._forest = forest
+        #: Root span of the traced run (None when tracing was off).
+        self.trace = trace
+        #: The tracer that produced :attr:`trace` (for follow-up spans).
+        self.tracer = tracer
+        #: Name of the backend that actually produced the forest.
+        self.backend = backend
+        #: Backends given up on before :attr:`backend` answered (resilient
+        #: runs only; see :mod:`repro.resilience.fallback`).
+        self.degradations = degradations
+
+    @property
+    def forest(self) -> Forest:
+        """The result as a tuple of :class:`Node` trees."""
+        forest = self._forest
+        return forest if isinstance(forest, tuple) else forest.trees()
 
     @property
     def degraded(self) -> bool:
@@ -80,26 +95,31 @@ class QueryResult:
     def to_xml(self, indent: int | None = None) -> str:
         """Serialize the result as XML text."""
         if self.tracer is None or self.trace is None:
-            return forest_to_xml(self.forest, indent=indent)
+            return forest_to_xml(self._forest, indent=indent)
         # The root span is closed by now; parent= grafts the serialize
         # span under it regardless of the tracer's active stack.
         with self.tracer.span("serialize", parent=self.trace) as span:
-            text = forest_to_xml(self.forest, indent=indent)
-            span.set(bytes=len(text), trees=len(self.forest))
+            text = forest_to_xml(self._forest, indent=indent)
+            span.set(bytes=len(text), trees=len(self._forest))
         return text
 
     def __iter__(self):
-        return iter(self.forest)
+        return iter(self._forest)
 
     def __len__(self) -> int:
-        return len(self.forest)
+        return len(self._forest)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QueryResult):
-            return self.forest == other.forest
+            return self._forest == other._forest
         if isinstance(other, tuple):
-            return self.forest == other
+            return self._forest == other
         return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"QueryResult(forest={self._forest!r}, "
+                f"backend={self.backend!r}, "
+                f"degradations={self.degradations!r})")
 
 
 @dataclass

@@ -212,7 +212,12 @@ class Backend(abc.ABC):
 
     def execute(self, compiled: "CompiledQuery",
                 options: ExecutionOptions | None = None) -> Forest:
-        """Evaluate ``compiled`` against the prepared documents."""
+        """Evaluate ``compiled`` against the prepared documents.
+
+        The forest is a tuple of trees or — the DI engine and its process
+        tier — a :class:`~repro.xml.forest.PreorderForest`, which reads
+        like one and builds its trees only when a caller touches them.
+        """
         return self.runner(compiled, options)()
 
     def runner(self, compiled: "CompiledQuery",

@@ -25,7 +25,7 @@ from repro.encoding.stats import (
 )
 from repro.engine.columns import IntervalColumns, splice_columns
 from repro.engine.evaluator import DIEngine, Value
-from repro.xml.forest import Forest
+from repro.xml.forest import Forest, PreorderForest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import CompiledQuery
@@ -293,7 +293,7 @@ class EngineBackend(Backend):
     # -- execution --------------------------------------------------------------
 
     def _runner(self, compiled: "CompiledQuery",
-                options: ExecutionOptions) -> Callable[[], Forest]:
+                options: ExecutionOptions) -> Callable[[], PreorderForest]:
         optimized = self.optimized_for(compiled, options)
         plan = optimized.plan
         values = self._values(compiled)
@@ -305,10 +305,12 @@ class EngineBackend(Backend):
                           metrics=options.metrics, guard=options.guard,
                           observed=feedback)
 
-        def run() -> Forest:
+        def run() -> PreorderForest:
             # Cached encodings are immutable IntervalColumns: every kernel
             # returns fresh columns, so runs (and threads) share the cached
-            # document directly — no per-run re-copy.
+            # document directly — no per-run re-copy.  The result leaves
+            # as plain lists (decode copies them out of the columns), so
+            # it pins no document and no shared-memory segment.
             from repro.encoding.interval import decode
 
             rel, _width = engine.run_plan_values(plan, dict(values))

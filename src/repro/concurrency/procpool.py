@@ -64,13 +64,13 @@ from repro.errors import (
     ResourceBudgetError,
     WorkerDiedError,
 )
+from repro.xml.forest import PreorderForest
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.shared_memory import SharedMemory
 
     from repro.compiler.plan import JoinStrategy
     from repro.resilience.guard import CancellationToken, QueryGuard
-    from repro.xml.forest import Forest
 
 logger = logging.getLogger("repro.procpool")
 
@@ -103,6 +103,10 @@ def _worker_main(conn, documents: "Mapping[tuple[str, str], tuple]") -> None:
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns Ctrl-C
+        # A forked worker inherits the parent's SIGTERM handler; one that
+        # raises (the CLI's, a benchmark runner's) would unwind the
+        # worker mid-teardown, past the detach of its attached segments.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     state = _WorkerState()
@@ -366,22 +370,29 @@ class _Worker:
             pass
 
     def stop(self, timeout: float = 1.0) -> None:
-        """Graceful stop, escalating terminate → kill."""
+        """Graceful stop, escalating terminate → kill.
+
+        The stop ack arrives *before* the worker tears down (closes its
+        backends, detaches its segments), so an acknowledged stop is
+        joined first and the process is signalled only if it is still
+        alive after that.
+        """
+        acknowledged = False
         if self.alive:
             try:
                 self.conn.send(("stop",))
-                self.conn.poll(timeout)
+                acknowledged = self.conn.poll(timeout)
             except (BrokenPipeError, ConnectionResetError, OSError):
                 pass
         self.mark_dead()
+        if acknowledged:
+            self.process.join(timeout=2.0)
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=2.0)
             if self.process.is_alive():  # pragma: no cover - stuck in C code
                 self.process.kill()
                 self.process.join()
-        else:
-            self.process.join(timeout=2.0)
         try:
             self.conn.close()
         except OSError:  # pragma: no cover
@@ -632,8 +643,14 @@ class ProcessQueryPool:
     # -- execution ------------------------------------------------------------
 
     def execute(self, query: str, *, strategy: "JoinStrategy | str" = "msj",
-                guard: "QueryGuard | None" = None) -> "tuple[Forest, str]":
-        """Run one query on one worker; returns ``(forest, worker name)``."""
+                guard: "QueryGuard | None" = None
+                ) -> "tuple[PreorderForest, str]":
+        """Run one query on one worker; returns ``(forest, worker name)``.
+
+        The reply carries the result in preorder form — its labels and
+        depths, two flat lists — so nothing recursive crosses the pipe
+        and the parent serializes it without building a tree.
+        """
         spec = self._spec(query, strategy, guard, scatter=False)
         token, deadline, deadline_at = self._limits(spec, guard)
         index = self._acquire_any()
@@ -656,7 +673,7 @@ class ProcessQueryPool:
 
     def scatter(self, query: str, *, strategy: "JoinStrategy | str" = "msj",
                 guard: "QueryGuard | None" = None
-                ) -> "tuple[Forest, tuple[str, ...]]":
+                ) -> "tuple[PreorderForest, tuple[str, ...]]":
         """Run one query against every worker's shard; concat the results.
 
         Sound for root-distributive plans: each worker holds a contiguous
@@ -684,7 +701,9 @@ class ProcessQueryPool:
                 in_flight.remove((index, worker))
             # Every pipe is clean again; only now surface typed errors.
             parts = [self._unwrap(reply) for reply in replies]
-            forest = tuple(node for part in parts for node in part)
+            forest = PreorderForest(
+                [label for part in parts for label in part.labels],
+                [depth for part in parts for depth in part.depths])
             return forest, tuple(worker.name for worker in workers)
         except BaseException:
             # Abandoned in-flight requests would desynchronize their

@@ -19,10 +19,15 @@ exit, which reproduces Figure 4 of the paper exactly.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import EncodingError
-from repro.xml.forest import Forest, Node
+from repro.xml.forest import Forest, Node, PreorderForest, build_trees
+
+if TYPE_CHECKING:  # pragma: no cover - engine.columns imports this module
+    from repro.engine.columns import IntervalColumns
 
 #: One encoded node: (label, left endpoint, right endpoint).
 IntervalTuple = tuple[str, int, int]
@@ -157,40 +162,84 @@ def encode_columns(trees: Forest | Node, start: int = 0):
     return columns, (counter if counter > start else start)
 
 
-def decode(encoded: EncodedForest | Sequence[IntervalTuple]) -> Forest:
+def decode(encoded: "EncodedForest | Sequence[IntervalTuple] | IntervalColumns"
+           ) -> "Forest | PreorderForest":
     """Decode an interval relation back into an XF forest.
 
     Accepts any valid (possibly non-tight) encoding: only the relative order
     and nesting of intervals matter.  Raises :class:`EncodingError` on
-    overlapping intervals.
+    degenerate (``l >= r``) or partially overlapping intervals.
+
+    Tuple rows (in any order) come back as a tuple of :class:`Node` trees.
+    An :class:`~repro.engine.columns.IntervalColumns` — an engine result —
+    is checked column-wise and comes back in *preorder form*
+    (:class:`~repro.xml.forest.PreorderForest`): its labels and depths as
+    two plain lists, no node built until a caller touches one.
     """
-    rows = list(encoded.tuples if isinstance(encoded, EncodedForest) else encoded)
-    rows.sort(key=lambda row: row[1])
-    top: list[Node] = []
-    # Stack of (right endpoint, label, children collected so far).
-    stack: list[tuple[int, str, list[Node]]] = []
+    from repro.engine.columns import IntervalColumns
+
+    if isinstance(encoded, IntervalColumns):
+        return _decode_columns(encoded)
+    rows = sorted(encoded.tuples if isinstance(encoded, EncodedForest)
+                  else encoded, key=lambda row: row[1])
+    labels: list[str] = []
+    depths: list[int] = []
+    # Right endpoints of the open ancestors; its length is the depth.
+    open_rights: list[int] = []
     for label, left, right in rows:
         if left >= right:
             raise EncodingError(f"interval for {label!r} has l >= r ({left} >= {right})")
-        while stack and stack[-1][0] < left:
-            _close_top(stack, top)
-        if stack and right > stack[-1][0]:
+        while open_rights and open_rights[-1] < left:
+            open_rights.pop()
+        if open_rights and right > open_rights[-1]:
             raise EncodingError(
                 f"interval for {label!r} [{left},{right}] overlaps its parent"
             )
-        stack.append((right, label, []))
-    while stack:
-        _close_top(stack, top)
-    return tuple(top)
+        labels.append(label)
+        depths.append(len(open_rights))
+        open_rights.append(right)
+    return build_trees(labels, depths)
 
 
-def _close_top(stack: list[tuple[int, str, list[Node]]], top: list[Node]) -> None:
-    _, label, children = stack.pop()
-    node = Node(label, children)
-    if stack:
-        stack[-1][2].append(node)
-    else:
-        top.append(node)
+def _decode_columns(rel: "IntervalColumns") -> PreorderForest:
+    """The checks of :func:`decode` as vector compares on the columns.
+
+    Sorted by value, the 2n endpoints of a valid encoding *are* the tag
+    stream of the serialized forest (Example 3.2: ``l`` on entry, ``r`` on
+    exit of one DFS): every interval must close at the nesting level it
+    opened at, and that level is the row's depth.  The serializer trusts
+    the carried ``d`` column, so besides the two checks the row sweep
+    makes, document order and ``d`` itself are verified here.
+    """
+    l, r, d = rel.l, rel.r, rel.d
+    count = len(l)
+
+    def fail(row: int, problem: str) -> None:
+        raise EncodingError(f"interval for {rel.s[row]!r} "
+                            f"[{l[row]},{r[row]}] {problem}")
+
+    bad = l >= r
+    if bad.any():
+        fail(bad.argmax(), "has l >= r")
+    bad = l[1:] <= l[:-1]
+    if bad.any():
+        fail(bad.argmax() + 1, "is out of document order")
+    # Opens (the first half) sort before closes of equal value, the way
+    # the row sweep keeps an interval open while r >= the next l.
+    order = np.argsort(np.concatenate((l, r)), kind="stable")
+    opens = order < count
+    level = np.cumsum(np.where(opens, 1, -1))
+    # l ascends, so the opens are met in row order.
+    opened = level[opens]
+    closes = ~opens
+    closing = order[closes] - count
+    bad = level[closes] != opened[closing] - 1
+    if bad.any():
+        fail(closing[bad.argmax()], "partially overlaps another")
+    bad = opened - 1 != d
+    if bad.any():
+        fail(bad.argmax(), "does not sit at the depth its d column carries")
+    return PreorderForest(rel.s.tolist(), d.tolist())
 
 
 def validate_encoding(rows: Sequence[IntervalTuple], width: int | None = None) -> None:

@@ -34,12 +34,15 @@ Invariants every producer keeps (``validate_value`` checks them):
 
 Tuple compatibility: an :class:`IntervalColumns` can be *read* as a
 sequence of ``(s, l, r)`` tuples of plain Python values — iteration,
-indexing, slicing and equality behave like a tuple list — which is how a
-result leaves the engine (``decode``, the tests' comparisons).  Nothing
-inside the engine relies on it: the evaluator and the kernels take and
-return columns only, the reference operators take and return lists only,
-and :meth:`IntervalColumns.from_tuples` / :meth:`IntervalColumns.tuples`
-are the two crossings (the first passes columns through unchanged).
+indexing, slicing and equality behave like a tuple list — which is what
+the tests' comparisons use.  Nothing inside the engine relies on it: the
+evaluator and the kernels take and return columns only, the reference
+operators take and return lists only, and
+:meth:`IntervalColumns.from_tuples` / :meth:`IntervalColumns.tuples`
+are the two crossings (the first passes columns through unchanged).  A
+result leaves through :func:`repro.encoding.interval.decode`, which reads
+the columns themselves: vector checks on ``l``/``r``/``d``, then ``s``
+and ``d`` copied out as plain lists (no view of a column survives it).
 
 The name dictionary is process-wide and append-only: it holds one entry
 per distinct element/attribute name ever encoded (text never enters it),

@@ -166,7 +166,12 @@ class DIEngine:
     # -- public API --------------------------------------------------------------
 
     def run_plan(self, plan: PlanNode, bindings: Mapping[str, Forest]) -> Forest:
-        """Evaluate ``plan`` against document bindings; decode the result."""
+        """Evaluate ``plan`` against document bindings; decode the result.
+
+        The forest comes back in preorder form
+        (:class:`~repro.xml.forest.PreorderForest`): it reads like the
+        tuple of trees, which are built only if a caller touches them.
+        """
         rel, _width = self.run_plan_encoded(plan, bindings)
         return decode(rel)
 

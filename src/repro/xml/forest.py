@@ -23,7 +23,8 @@ exercised by property-based tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import threading
+from typing import Iterable, Iterator, Sequence
 
 ELEMENT_PREFIX = "<"
 ATTRIBUTE_PREFIX = "@"
@@ -277,6 +278,113 @@ def _dfs_pairs(trees: Forest) -> Iterator[tuple[int, str]]:
         node, depth = stack.pop()
         yield depth, node.label
         stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
+# -- preorder form -------------------------------------------------------------
+
+#: Serializes the first-touch tree build of every :class:`PreorderForest`
+#: (one lock for all: a result is built at most once, rarely contended).
+_build_lock = threading.Lock()
+
+
+class PreorderForest:
+    """A forest as its preorder ``(label, depth)`` stream.
+
+    ``labels`` and ``depths`` are parallel plain lists in document order,
+    roots at depth 0 — the canonical stream of :func:`_dfs_pairs`, which
+    determines the forest.  This is how a result leaves the DI engine
+    (:func:`repro.encoding.interval.decode` on columns): the serializer
+    emits XML straight from the two lists, and they pickle flat.
+
+    Read as a :data:`Forest` it behaves like the tuple of trees it
+    denotes — ``len`` is the number of roots; iteration, indexing, ``==``
+    against a tuple and ``hash`` go through :meth:`trees`, which builds
+    the :class:`Node` trees once, on first touch.
+    """
+
+    __slots__ = ("labels", "depths", "_roots", "_trees")
+
+    def __init__(self, labels: list[str], depths: list[int]):
+        self.labels = labels
+        self.depths = depths
+        self._roots = depths.count(0)
+        self._trees: Forest | None = None
+
+    def __reduce__(self):
+        return (PreorderForest, (self.labels, self.depths))
+
+    def trees(self) -> Forest:
+        """The forest as a real tuple of :class:`Node` trees (cached)."""
+        built = self._trees
+        if built is None:
+            with _build_lock:
+                built = self._trees
+                if built is None:
+                    built = self._trees = build_trees(self.labels,
+                                                      self.depths)
+        return built
+
+    def __len__(self) -> int:
+        return self._roots
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self.trees())
+
+    def __getitem__(self, item):
+        return self.trees()[item]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PreorderForest):
+            return (self.labels == other.labels
+                    and self.depths == other.depths)
+        if isinstance(other, tuple):
+            return self.trees() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.trees())
+
+    def __repr__(self) -> str:
+        return (f"PreorderForest({self._roots} trees, "
+                f"{len(self.labels)} nodes)")
+
+
+def preorder(trees: "Forest | PreorderForest") -> tuple[list[str], list[int]]:
+    """The parallel ``(labels, depths)`` lists of a forest, in document order."""
+    if isinstance(trees, PreorderForest):
+        return trees.labels, trees.depths
+    labels: list[str] = []
+    depths: list[int] = []
+    for depth, label in _dfs_pairs(trees):
+        labels.append(label)
+        depths.append(depth)
+    return labels, depths
+
+
+def build_trees(labels: Sequence[str], depths: Sequence[int]) -> Forest:
+    """Build the :class:`Node` trees of a preorder stream (one stack sweep).
+
+    The only place a decoded relation becomes nodes.  ``depths`` must be
+    a valid preorder depth sequence (first 0, each at most one deeper
+    than its predecessor) — :func:`~repro.encoding.interval.decode`
+    establishes that before handing the lists over.
+    """
+    top: list[Node] = []
+    # One entry per open node: (label, children collected so far); an
+    # entry's position is its depth.
+    stack: list[tuple[str, list[Node]]] = []
+
+    def close() -> None:
+        label, children = stack.pop()
+        (stack[-1][1] if stack else top).append(Node(label, children))
+
+    for label, depth in zip(labels, depths):
+        while len(stack) > depth:
+            close()
+        stack.append((label, []))
+    while stack:
+        close()
+    return tuple(top)
 
 
 def compare_forests(left: Forest, right: Forest) -> int:

@@ -66,3 +66,21 @@ def shrink_int64(monkeypatch):
         return remedies
 
     return shrink
+
+
+@pytest.fixture
+def nodes_built(monkeypatch):
+    """``nodes_built()`` is how many :class:`Node` objects this process
+    has constructed since the fixture was set up — the text-in → XML-out
+    path is required to construct none."""
+    from repro.xml.forest import Node
+
+    built = [0]
+    construct = Node.__init__
+
+    def counted(self, label, children=()):
+        built[0] += 1
+        construct(self, label, children)
+
+    monkeypatch.setattr(Node, "__init__", counted)
+    return lambda: built[0]

@@ -11,27 +11,34 @@ from repro.xml.forest import Node
 ELEMENT_LABELS = ("<a>", "<b>", "<c>")
 ATTRIBUTE_LABELS = ("@id", "@k")
 TEXT_LABELS = ("x", "y", "longer text", "")
+LABELS = ELEMENT_LABELS + ATTRIBUTE_LABELS + TEXT_LABELS
 
 
 @st.composite
-def nodes(draw, max_depth: int = 4, max_children: int = 4):
-    """A random tree with bounded depth and fanout."""
-    label = draw(st.sampled_from(ELEMENT_LABELS + ATTRIBUTE_LABELS
-                                 + TEXT_LABELS))
+def nodes(draw, max_depth: int = 4, max_children: int = 4,
+          labels: tuple[str, ...] = LABELS):
+    """A random tree with bounded depth and fanout.
+
+    Any label may sit anywhere: attributes after content or with
+    element children, text with children, either at the top level.
+    """
+    label = draw(st.sampled_from(labels))
     if max_depth <= 1:
         return Node(label)
     count = draw(st.integers(min_value=0, max_value=max_children))
     children = [draw(nodes(max_depth=max_depth - 1,
-                           max_children=max_children))
+                           max_children=max_children, labels=labels))
                 for _ in range(count)]
     return Node(label, children)
 
 
 @st.composite
-def forests(draw, max_trees: int = 4, max_depth: int = 4):
+def forests(draw, max_trees: int = 4, max_depth: int = 4,
+            labels: tuple[str, ...] = LABELS):
     """A random forest (possibly empty)."""
     count = draw(st.integers(min_value=0, max_value=max_trees))
-    return tuple(draw(nodes(max_depth=max_depth)) for _ in range(count))
+    return tuple(draw(nodes(max_depth=max_depth, labels=labels))
+                 for _ in range(count))
 
 
 @st.composite

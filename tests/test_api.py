@@ -4,7 +4,7 @@ import pytest
 
 from repro import CompiledQuery, QueryResult, ReproError, compile_xquery, run_xquery
 from repro.xmark.queries import FIGURE1_SAMPLE
-from repro.xml.forest import element, text
+from repro.xml.forest import PreorderForest, element, preorder, text
 from repro.xml.text_parser import parse_document
 
 QUERY = 'document("a.xml")/site/people/person/name/text()'
@@ -104,3 +104,32 @@ class TestQueryResult:
     def test_pretty_xml(self):
         result = QueryResult((element("a", (element("b"),)),))
         assert result.to_xml(indent=2) == "<a>\n  <b/>\n</a>"
+
+    def test_forest_of_an_engine_result_is_built_on_first_access(
+            self, nodes_built):
+        trees = (element("a", (element("b"),)), text("c"))
+        result = QueryResult(PreorderForest(*preorder(trees)),
+                             backend="engine")
+        built = nodes_built()  # the expected trees above
+        assert len(result) == 2
+        assert result.to_xml() == "<a><b/></a>c"
+        assert result == QueryResult(PreorderForest(*preorder(trees)))
+        assert "2 trees" in repr(result)
+        assert nodes_built() == built
+        forest = result.forest
+        assert nodes_built() == built + 3
+        assert isinstance(forest, tuple) and forest == trees
+        assert result.forest is forest and list(result) == list(trees)
+        assert result.to_xml(indent=2) == "<a>\n  <b/>\n</a>\nc"
+        assert nodes_built() == built + 3
+
+    def test_equality_is_by_content_across_representations(self):
+        trees = (element("a"), text("b"))
+        lazy = QueryResult(PreorderForest(*preorder(trees)))
+        eager = QueryResult(trees)
+        assert lazy == eager and eager == lazy
+        assert lazy == trees and trees == lazy.forest
+        assert lazy != QueryResult(trees[:1]) and lazy != trees[:1]
+        assert not lazy == "<a/>b"
+        with pytest.raises(TypeError):
+            hash(lazy)

@@ -1,10 +1,16 @@
 """Unit tests for the XF forest model (Definition 2.1)."""
 
+import pickle
+import threading
+
 import pytest
+from hypothesis import given
 
 from repro.xml.forest import (
     Node,
+    PreorderForest,
     attribute,
+    build_trees,
     compare_forests,
     compare_trees,
     element,
@@ -15,9 +21,12 @@ from repro.xml.forest import (
     is_element_label,
     is_text_label,
     iter_forest_dfs,
+    preorder,
     string_value,
     text,
 )
+
+from tests.strategies import forests
 
 
 class TestNodeConstruction:
@@ -213,3 +222,76 @@ class TestIntrospection:
         tree = element("a", (text("x"),))
         assert tree.size == 2
         assert tree.size == 2  # second access hits the cache
+
+
+class TestPreorderForest:
+    """A forest as its (label, depth) stream; trees built on first touch."""
+
+    TREES = (element("a", (element("b", (text("x"),)), element("c"))),
+             text("y"))
+
+    def make(self) -> PreorderForest:
+        return PreorderForest(*preorder(self.TREES))
+
+    def test_preorder_lists(self):
+        assert preorder(self.TREES) == (["<a>", "<b>", "x", "<c>", "y"],
+                                        [0, 1, 2, 1, 0])
+        result = self.make()
+        assert preorder(result) == (result.labels, result.depths)
+
+    @given(forests())
+    def test_build_inverts_preorder(self, trees):
+        assert build_trees(*preorder(trees)) == trees
+
+    def test_reads_like_the_tuple_of_trees(self):
+        result = self.make()
+        assert len(result) == 2 and bool(result)
+        assert tuple(result) == self.TREES
+        assert result[0] == self.TREES[0] and result[-1] == text("y")
+        assert result[1:] == (text("y"),)
+        assert list(reversed(result)) == list(reversed(self.TREES))
+        assert result == self.TREES and self.TREES == result
+        assert result != self.TREES[:1] and not result == "<a/>"
+        assert hash(result) == hash(self.TREES)
+        assert not PreorderForest([], []) and PreorderForest([], []) == ()
+
+    def test_len_equality_and_pickling_build_nothing(self, nodes_built):
+        result, same = self.make(), self.make()
+        assert len(result) == 2
+        assert result == same
+        assert result != PreorderForest(["<a>", "y"], [0, 0])
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert "2 trees, 5 nodes" in repr(result)
+        assert nodes_built() == 0
+
+    def test_trees_are_built_once(self, nodes_built):
+        result = self.make()
+        first = result.trees()
+        assert nodes_built() == 5
+        assert result.trees() is first and tuple(result) == first
+        assert result[0] is first[0]
+        assert nodes_built() == 5
+
+    def test_racing_first_touches_agree(self, nodes_built):
+        result = PreorderForest(["<a>"] * 2000, list(range(2000)))
+        seen: list[tuple] = []
+        start = threading.Barrier(4)
+
+        def touch() -> None:
+            start.wait(timeout=10)
+            seen.append(result.trees())
+
+        threads = [threading.Thread(target=touch) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(seen) == 4 and all(trees is seen[0] for trees in seen)
+        assert nodes_built() == 2000
+
+    def test_pickles_flat(self):
+        # A 5000-deep chain: a Node tree would recurse per level.
+        deep = PreorderForest(["<a>"] * 5000, list(range(5000)))
+        clone = pickle.loads(pickle.dumps(deep))
+        assert (clone.labels, clone.depths) == (deep.labels, deep.depths)
+        assert len(clone) == 1 and clone.trees()[0].depth == 5000

@@ -1,16 +1,45 @@
 """Unit tests for the interval encoding (Definition 3.1, Example 3.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.encoding.interval import (
     EncodedForest,
     decode,
     encode,
+    encode_columns,
     validate_encoding,
 )
+from repro.engine.columns import IntervalColumns
 from repro.errors import EncodingError
-from repro.xml.forest import element, text
+from repro.xml.forest import PreorderForest, element, preorder, text
 from repro.xml.text_parser import parse_forest
+
+from tests.strategies import forests
+
+
+def as_columns(rows) -> IntervalColumns:
+    """The rows as the engine would hold them: sorted, ``d``/``c`` derived."""
+    return IntervalColumns.from_tuples(rows, sort=True)
+
+
+#: Both shapes ``decode`` accepts: tuple rows (the relational backends)
+#: and columns (an engine result).
+BOTH_INPUTS = pytest.mark.parametrize("shape", [list, as_columns],
+                                      ids=["tuples", "columns"])
+
+#: Malformed relations, by the message fragment ``decode`` must raise.
+MALFORMED = {
+    "partial overlap": ("overlaps", [("a", 0, 10), ("b", 5, 15)]),
+    "overlap with a later sibling's subtree": ("overlaps", [
+        ("<a>", 0, 20), ("<b>", 1, 6), ("x", 2, 3), ("<c>", 5, 9)]),
+    "child opening on its parent's close": ("overlaps", [
+        ("a", 0, 4), ("b", 4, 6)]),
+    "l == r": ("l >= r", [("a", 5, 5)]),
+    "l == r under a parent": ("l >= r", [("<p>", 0, 9), ("a", 5, 5)]),
+    "l > r": ("l >= r", [("<p>", 0, 9), ("a", 7, 3)]),
+}
 
 
 class TestEncode:
@@ -88,6 +117,76 @@ class TestDecode:
 
     def test_empty(self):
         assert decode([]) == ()
+
+
+class TestDecodeColumns:
+    """An engine result is checked column-wise and leaves in preorder form."""
+
+    @BOTH_INPUTS
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_relation_rejected_in_either_shape(self, shape, case):
+        message, rows = MALFORMED[case]
+        with pytest.raises(EncodingError, match=message):
+            decode(shape(rows))
+
+    @BOTH_INPUTS
+    def test_empty_in_either_shape(self, shape):
+        assert decode(shape([])) == ()
+
+    def test_preorder_form(self):
+        rel, _width = encode_columns(parse_forest("<a><b>x</b><c/></a>y"))
+        result = decode(rel)
+        assert isinstance(result, PreorderForest)
+        assert result.labels == ["<a>", "<b>", "x", "<c>", "y"]
+        assert result.depths == [0, 1, 2, 1, 0]
+        assert len(result) == 2
+        # Plain lists of plain values: an array (or a NumPy scalar, which
+        # pickles with its dtype) would tie the result to its columns.
+        assert type(result.labels) is type(result.depths) is list
+        assert {type(value) for value in result.labels} == {str}
+        assert {type(value) for value in result.depths} == {int}
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests())
+    def test_round_trip(self, trees):
+        rel, _width = encode_columns(trees)
+        result = decode(rel)
+        assert (result.labels, result.depths) == preorder(trees)
+        assert result == trees == decode(rel.tuples())
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.permutations(range(2 * n))))
+    def test_agrees_with_the_row_sweep_on_arbitrary_intervals(self, ends):
+        # Distinct endpoints paired at random: degenerate (l > r),
+        # partially overlapping, unsorted — and sometimes a forest.
+        rows = [(f"n{i}", ends[2 * i], ends[2 * i + 1])
+                for i in range(len(ends) // 2)]
+
+        def outcome(encoded):
+            try:
+                return decode(encoded)
+            except EncodingError:
+                return EncodingError
+
+        assert outcome(as_columns(rows)) == outcome(rows)
+
+    def test_out_of_order_columns_rejected(self):
+        # Tuple rows are sorted on the way in; columns promise document
+        # order, and the serializer relies on it.
+        rel = IntervalColumns.from_tuples([("b", 2, 3), ("a", 0, 1)])
+        with pytest.raises(EncodingError, match="document order"):
+            decode(rel)
+        assert decode([("b", 2, 3), ("a", 0, 1)]) == (text("a"), text("b"))
+
+    @pytest.mark.parametrize("row, depth", [(0, 1), (1, 0), (2, 1), (3, 2)])
+    def test_tampered_depth_column_rejected(self, row, depth):
+        rel, _width = encode_columns(parse_forest("<a><b>x</b><c/></a>"))
+        tampered = rel.d.copy()
+        assert tampered[row] != depth
+        tampered[row] = depth
+        with pytest.raises(EncodingError, match="depth"):
+            decode(IntervalColumns(rel.s, rel.l, rel.r, tampered, rel.c))
 
 
 class TestValidate:

@@ -10,6 +10,10 @@ section owns that, gated on multi-core hosts only).
 from __future__ import annotations
 
 import asyncio
+import os
+import pickle
+import subprocess
+import sys
 import threading
 import time
 
@@ -201,12 +205,16 @@ class TestProcessQueryPool:
         assert len(forest) > 0  # non-vacuous equality below
         assert forest == _reference(NAMES, tiny_encoding)
 
-    def test_scatter_equals_execute(self, pool):
+    def test_scatter_equals_execute(self, pool, nodes_built):
         whole, _worker = pool.execute(NAMES)
         pool.ensure_sharded(_doc_var(NAMES))
         sharded, workers = pool.scatter(NAMES)
+        # Per-shard results concatenate in shard (= document) order, as
+        # labels and depths: no tree is built to join them.
         assert sharded == whole
+        assert sharded.labels == whole.labels and len(sharded) > 1
         assert len(workers) == pool.size
+        assert nodes_built() == 0
 
     def test_document_replacement_propagates(self, pool):
         var = _doc_var(COUNT)
@@ -350,6 +358,69 @@ class TestProcessQueryPool:
 
 
 # -- session wiring ------------------------------------------------------------
+
+def test_worker_reply_is_flat_lists(tiny_encoding, nodes_built):
+    """What crosses the pipe: the result's labels and depths — no tree,
+    no NumPy array (a view would pin the worker's attached segment)."""
+    from repro.concurrency.procpool import _WorkerState
+
+    state = _WorkerState()
+    try:
+        state.adopt(_doc_var(NAMES), "full", ("pickle", *tiny_encoding))
+        status, forest = state.handle(
+            ("query", {"query": NAMES, "strategy": "msj"}))
+    finally:
+        state.close()
+    assert status == "ok" and len(forest) > 1
+    assert {type(label) for label in forest.labels} == {str}
+    assert {type(depth) for depth in forest.depths} == {int}
+    wire = pickle.dumps((status, forest))
+    assert b"numpy" not in wire
+    assert pickle.loads(wire) == (status, forest)
+    assert nodes_built() == 0
+    assert forest == _reference(NAMES, tiny_encoding).trees()
+
+
+_RAISING_SIGTERM_SCRIPT = """
+import signal
+
+class GracefulShutdown(BaseException):
+    pass
+
+def on_sigterm(signum, frame):
+    raise GracefulShutdown()
+
+signal.signal(signal.SIGTERM, on_sigterm)
+
+from repro.session import XQuerySession
+
+QUERY = 'document("auction.xml")/site/people/person/name'
+with XQuerySession() as session:
+    session.add_xmark_document("auction.xml", 0.0005)
+    results = session.run_many([QUERY] * 4, tier="process")
+    assert all(len(result) for result in results)
+print("closed")
+"""
+
+
+def test_workers_finish_teardown_under_a_raising_sigterm_handler():
+    """A forked worker inherits the parent's SIGTERM handler; the CLI's
+    and the benchmark runner's raise.  ``stop()`` used to terminate the
+    worker the moment it acknowledged, unwinding it mid-teardown — the
+    attached segments were then closed by ``__del__`` with views alive
+    (``BufferError``, printed as ``Exception ignored``)."""
+    env = dict(os.environ, REPRO_POOL_WORKERS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _RAISING_SIGTERM_SCRIPT],
+        cwd=os.path.dirname(os.path.dirname(__file__)),
+        capture_output=True, text=True, env=env, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "closed"
+    for symptom in ("Exception ignored", "BufferError", "Traceback"):
+        assert symptom not in completed.stderr, completed.stderr
+
 
 def test_worker_compiled_cache_is_bounded():
     """The worker's compiled-query cache shares the session's LRU bound."""

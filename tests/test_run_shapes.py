@@ -9,6 +9,11 @@ requested and always has the same shape, and nothing is left behind
 (pool gauges, admission tickets, shared-memory segments).
 
 Span-shape assertions live here and nowhere else.
+
+The second matrix is about how a result *leaves*: on the DI engine and
+its process tier the text-in → XML-out path — every entry point above,
+``POST /query`` included — constructs no :class:`Node`; the trees exist
+only once a caller reads ``result.forest``.
 """
 
 from __future__ import annotations
@@ -21,15 +26,20 @@ import pytest
 from repro import run_xquery
 from repro.obs.flight import query_fingerprint
 from repro.obs.trace import Tracer, use_tracer
-from repro.resilience import RetryPolicy
+from repro.resilience import FaultPlan, RetryPolicy, inject_faults
+from repro.serving import QueryServer
 from repro.session import XQuerySession
-from repro.xmark.queries import FIGURE1_SAMPLE
+from repro.xmark.queries import EXTRA_QUERIES, FIGURE1_SAMPLE, QUERIES
+from repro.xml.serializer import forest_to_xml
+
+from tests.test_serving import http, run as serve
 
 #: Root-distributive, so ``run_sharded`` may answer it too.
 QUERY = 'document("a.xml")//name'
 
-EXPECTED = run_xquery(QUERY, {"a.xml": FIGURE1_SAMPLE},
-                      backend="interpreter").forest
+_ORACLE = run_xquery(QUERY, {"a.xml": FIGURE1_SAMPLE}, backend="interpreter")
+EXPECTED = _ORACLE.forest
+EXPECTED_XML = _ORACLE.to_xml()
 
 
 def _sharded(session: XQuerySession, trace: bool):
@@ -94,6 +104,9 @@ def test_every_run_has_one_shape(mode, record, trace):
             assert [span.name for span in root.children[1].children] == \
                 ["prepare", "execute"]
             assert root.attributes["backend"] == result.backend
+        # After the shape checks: a traced to_xml grafts a serialize span.
+        assert [result.to_xml() for result in results] == \
+            [EXPECTED_XML] * len(results)
 
         if record:
             records = session.recorder.records()
@@ -119,3 +132,89 @@ def test_every_run_has_one_shape(mode, record, trace):
         assert health["admission"]["in_flight"] == 0
         assert health["admission"]["queue_depth"] == 0
     assert _segments() == before
+
+
+@pytest.mark.parametrize("mode", ["fallback", "retry"])
+def test_a_degraded_or_retried_run_serializes_the_same(mode):
+    """The two resilience cells with a fault that really fires: the
+    interpreter's plain ``Node`` forest and the engine's second attempt
+    go through the same emitter as an undisturbed run."""
+    plan = FaultPlan().fail_on("execute", 1)
+    with inject_faults("engine", plan):
+        with XQuerySession() as session:
+            session.add_document("a.xml", FIGURE1_SAMPLE)
+            (result,) = MODES[mode](session, False)
+            attempts = session.recorder.records()[-1].attempts
+    assert len(plan.raised) == 1
+    assert [attempt.error for attempt in attempts] == \
+        ["TransientBackendError", None]
+    assert result.backend == ("interpreter" if mode == "fallback"
+                              else "engine")
+    assert result.degraded == (mode == "fallback")
+    assert result.to_xml() == EXPECTED_XML
+    assert result.forest == EXPECTED
+
+
+# -- how a result leaves ----------------------------------------------------------
+
+#: A small-result aggregate, a construction, the 1:n join, an order-by.
+LEAVING = {name: {**QUERIES, **EXTRA_QUERIES}[name]
+           for name in ("Q6", "Q13", "Q8_ORIGINAL", "Q19")}
+
+
+@pytest.fixture(scope="module")
+def auction():
+    """One session over a tiny XMark document, two pool workers, and the
+    interpreter's answer to every ``LEAVING`` query."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_POOL_WORKERS", "2")
+    try:
+        with XQuerySession(slow_seconds=0.0) as session:
+            session.add_xmark_document("auction.xml", 0.0005)
+            oracle = {name: session.run(query, backend="interpreter").forest
+                      for name, query in LEAVING.items()}
+            assert all(oracle.values())  # non-vacuous
+            # A backend's first prepare wraps the document forest in its
+            # root node; that is loading, not leaving.
+            for backend in ("engine", "procpool"):
+                session.run(LEAVING["Q6"], backend=backend)
+            yield session, oracle
+    finally:
+        patch.undo()
+
+
+@pytest.mark.parametrize("backend", ["engine", "procpool"])
+@pytest.mark.parametrize("name", sorted(LEAVING))
+def test_no_tree_is_built_until_the_forest_is_read(auction, nodes_built,
+                                                   backend, name):
+    session, oracle = auction
+    query = LEAVING[name]
+    expected_xml = forest_to_xml(oracle[name])
+    server = QueryServer(session, port=0, backend=backend)
+
+    before = nodes_built()
+    result = session.run(query, backend=backend)
+    assert len(result) == len(oracle[name])
+    assert result.to_xml() == expected_xml
+    traced = session.run(query, backend=backend, trace=True)
+    assert traced.to_xml() == expected_xml
+    serialize = traced.trace.find("serialize")
+    assert serialize.attributes["trees"] == len(oracle[name])
+    assert serialize.attributes["bytes"] == len(expected_xml)
+    batches = (session.run_many([query] * 2, tier="thread", backend=backend)
+               + session.run_many([query] * 2, tier="process"))
+    assert [r.to_xml() for r in batches] == [expected_xml] * 4
+    assert batches[-1].backend == "procpool"
+    ((status, headers, body),) = serve(
+        server, http(server, "POST", "/query", query.encode()))
+    assert (status, headers["x-backend"]) == (200, backend)
+    assert body == expected_xml.encode()
+    assert session.recorder.records()[-1].trees == len(oracle[name])
+    assert nodes_built() == before
+
+    forest = result.forest
+    built = nodes_built() - before
+    assert built == sum(tree.size for tree in oracle[name])
+    assert isinstance(forest, tuple) and forest == oracle[name]
+    assert result.forest is forest and result == oracle[name]
+    assert result == traced and nodes_built() - before == built
