@@ -2,9 +2,10 @@
 
 The headline experiment: nested-loop evaluation of the inner FLWR loop is
 quadratic (naive interpreter, DI-NLJ), while the structural merge join of
-Section 5 (DI-MSJ) is near-linear.  Even at this micro-benchmark's small
-fixed scale the ordering DI-MSJ < naive < DI-NLJ is already visible; the
-crossover/scale table is in EXPERIMENTS.md
+Section 5 (DI-MSJ) is near-linear.  At this micro-benchmark's small
+fixed scale the two DI plans are still indistinguishable, so the
+ordering is asserted at sf 0.05; the crossover/scale table is in
+EXPERIMENTS.md
 (``python -m repro.bench.run_experiments --figure fig9``).
 """
 
@@ -29,16 +30,17 @@ def test_q8_results_agree(q8_runners):
             == q8_runners.di_msj())
 
 
-def test_q8_msj_beats_nlj(q8_runners):
-    """The asymptotic claim, stated as work: the MSJ plan touches far
-    fewer tuples than the NLJ plan's quadratic expansion."""
+def test_q8_msj_beats_nlj(q8_runners_separated):
+    """The asymptotic claim where one run of each plan can show it: the
+    NLJ plan's quadratic pair loop against the MSJ plan's merge."""
     import time
 
-    start = time.perf_counter()
-    q8_runners.di_nlj()
-    nlj_seconds = time.perf_counter() - start
+    # CPU seconds, as the figure reports: a descheduled run does not count.
+    start = time.process_time()
+    q8_runners_separated.di_nlj()
+    nlj_seconds = time.process_time() - start
 
-    start = time.perf_counter()
-    q8_runners.di_msj()
-    msj_seconds = time.perf_counter() - start
+    start = time.process_time()
+    q8_runners_separated.di_msj()
+    msj_seconds = time.process_time() - start
     assert msj_seconds < nlj_seconds

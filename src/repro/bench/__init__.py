@@ -6,26 +6,16 @@
 * :mod:`repro.bench.reporting` — paper-style tables (Figures 8–11).
 """
 
-from repro.bench.harness import (
-    CONCURRENCY_QUERIES,
-    CellResult,
-    ThroughputResult,
-    measure_concurrent_throughput,
-    run_cell,
-    sweep,
-)
+from repro.bench.harness import CellResult, run_cell, sweep
 from repro.bench.reporting import format_breakdown_table, format_timing_table
 from repro.bench.systems import SYSTEMS, execute_cell
 
 __all__ = [
-    "CONCURRENCY_QUERIES",
     "CellResult",
     "SYSTEMS",
-    "ThroughputResult",
     "execute_cell",
     "format_breakdown_table",
     "format_timing_table",
-    "measure_concurrent_throughput",
     "run_cell",
     "sweep",
 ]

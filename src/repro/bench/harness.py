@@ -10,10 +10,9 @@ as "OV" (a failure mode Section 4.3 predicts for fixed-width integers).
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from repro.bench.systems import execute_cell
 
@@ -51,7 +50,11 @@ class CellResult:
                 return f"{self.seconds:.0f}"
             if self.seconds >= 10:
                 return f"{self.seconds:.1f}"
-            return f"{self.seconds:.2f}"
+            if self.seconds >= 0.1:
+                return f"{self.seconds:.2f}"
+            # The columnar engine answers the small scales in well under
+            # 10 ms; two decimals would print every such cell as 0.00.
+            return f"{self.seconds:.4f}"
         return self.status
 
 
@@ -175,87 +178,6 @@ def run_cell(system: str, query: str, scale: float,
     if kind == "ov":
         return CellResult(system, query, scale, OV, detail=payload)
     return CellResult(system, query, scale, ERROR, detail=payload)
-
-
-#: Default batch for the concurrent-throughput mode: cheap, independent
-#: XMark path queries (the expensive join queries Q8/Q9 would swamp the
-#: batch).  All run on the relational backends, whose C-side execution
-#: releases the GIL — the workload where worker threads actually overlap.
-CONCURRENCY_QUERIES: tuple[str, ...] = (
-    'document("auction.xml")/site/people/person/name',
-    'document("auction.xml")/site/open_auctions/open_auction'
-    '/bidder/increase',
-    'document("auction.xml")/site/closed_auctions/closed_auction/price',
-    'document("auction.xml")/site/regions/europe/item/name',
-)
-
-
-@dataclass
-class ThroughputResult:
-    """Serial vs concurrent wall-clock for one batch of queries."""
-
-    backend: str
-    scale: float
-    workers: int
-    batch_size: int
-    serial_seconds: float
-    concurrent_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        """Serial time over concurrent time (>1 means run_many wins)."""
-        if self.concurrent_seconds <= 0:
-            return float("inf")
-        return self.serial_seconds / self.concurrent_seconds
-
-    @property
-    def display(self) -> str:
-        return (f"{self.backend} sf={self.scale} x{self.batch_size} "
-                f"queries: serial {self.serial_seconds:.2f}s, "
-                f"{self.workers} workers {self.concurrent_seconds:.2f}s "
-                f"({self.speedup:.2f}x)")
-
-
-def measure_concurrent_throughput(
-        scale: float = 0.001,
-        backend: str = "sqlite",
-        workers: int = 8,
-        repeat: int = 4,
-        seed: int = 42,
-        queries: Sequence[str] | None = None) -> ThroughputResult:
-    """Compare a serial loop against ``run_many`` on one warm session.
-
-    The batch is ``queries`` (default :data:`CONCURRENCY_QUERIES`)
-    repeated ``repeat`` times.  Both measurements run against fully
-    warmed state — compiled queries, shredded documents, and the worker
-    pool's per-thread connections — so the timed difference is purely
-    scheduling, the same way :func:`run_cell` excludes document loading.
-    Speedup scales with available cores: the relational backends execute
-    outside the GIL, so on a multi-core host 8 workers on independent
-    queries exceed 2x serial throughput; a single-core host pins the
-    ratio near 1.
-    """
-    from repro.session import XQuerySession
-    from repro.xmark.generator import cached_document
-
-    batch = list(queries if queries is not None else CONCURRENCY_QUERIES)
-    batch *= repeat
-    document = cached_document(scale, seed=seed)
-    with XQuerySession(backend=backend) as session:
-        session.add_document("auction.xml", document)
-        for query in set(batch):  # warm compile cache + prepared documents
-            session.run(query)
-        session.run_many(batch, max_workers=workers)  # warm the pool
-        start = time.perf_counter()
-        for query in batch:
-            session.run(query)
-        serial = time.perf_counter() - start
-        start = time.perf_counter()
-        session.run_many(batch, max_workers=workers)
-        concurrent = time.perf_counter() - start
-    return ThroughputResult(backend=backend, scale=scale, workers=workers,
-                            batch_size=len(batch), serial_seconds=serial,
-                            concurrent_seconds=concurrent)
 
 
 @dataclass

@@ -11,9 +11,9 @@ paper's pseudo-code does (``roots`` is Algorithm 5.2 verbatim).  It is
 the semantic ground truth and nothing else: the kernel property suite in
 ``tests/`` asserts every whole-column kernel of
 :mod:`repro.engine.kernels` is pointwise-equal to the same-named function
-here on randomized forests, and ``engine_bench`` times each kernel
-against it.  No production module imports it — the engine runs the
-kernels only, and keeps them inside int64 by renormalising widths.
+here on randomized forests.  No production module imports it and no
+benchmark times it — the engine runs the kernels only, and keeps them
+inside int64 by renormalising widths.
 
 All operators are pure functions; none mutates its input.
 """

@@ -70,6 +70,7 @@ class TestRunCell:
 
     def test_display_formats(self):
         assert CellResult("s", "q", 1, OK, seconds=0.1234).display == "0.12"
+        assert CellResult("s", "q", 1, OK, seconds=0.00123).display == "0.0012"
         assert CellResult("s", "q", 1, OK, seconds=42.4).display == "42.4"
         assert CellResult("s", "q", 1, OK, seconds=123.4).display == "123"
         assert CellResult("s", "q", 1, DNF).display == DNF
@@ -123,31 +124,6 @@ class TestReporting:
         assert len(series["di-msj"]) == 1
 
 
-class TestEngineBenchTelemetry:
-    def test_telemetry_section_measures_recorder_cost(self):
-        from repro.bench.engine_bench import FIGURE_QUERIES, bench_telemetry
-
-        section = bench_telemetry(scale=0.002, repeats=1)
-        assert set(section) == set(FIGURE_QUERIES)
-        for entry in section.values():
-            assert entry["recorder_on_ops_per_sec"] > 0
-            assert entry["recorder_off_ops_per_sec"] > 0
-            assert entry["overhead_ratio"] > 0
-            # The recorder-on session reports its own histogram estimates
-            # (warm-up run + measured runs all recorded).
-            assert entry["count"] >= 2
-            assert entry["p50_ms"] > 0 and entry["p99_ms"] > 0
-
-    def test_check_regressions_gates_recorder_efficiency(self):
-        from repro.bench.engine_bench import check_regressions
-
-        baseline = {"telemetry": {"fig8_q13": {"overhead_ratio": 1.0}}}
-        grown = {"telemetry": {"fig8_q13": {"overhead_ratio": 4.0}}}
-        failures = check_regressions(grown, baseline)
-        assert any("recorder_efficiency" in failure for failure in failures)
-        assert check_regressions(baseline, baseline) == []
-
-
 class TestRunCellStartMethods:
     def test_spawn_ships_the_document_explicitly(self):
         # macOS/Windows (and Python >= 3.14) default: no fork, no
@@ -164,36 +140,3 @@ class TestRunCellStartMethods:
                            start_method="spawn")
         assert forked.status == spawned.status == OK
         assert forked.result_size == spawned.result_size
-
-
-class TestEngineBenchProcessParallel:
-    def test_section_measures_all_three_modes(self):
-        from repro.bench.engine_bench import (
-            PROCESS_QUERIES, bench_process_parallel)
-
-        section = bench_process_parallel(scale=0.002, repeats=1, batch=4)
-        assert set(section) == {"meta"} | set(PROCESS_QUERIES)
-        assert section["meta"]["cpu_count"] >= 1
-        assert section["meta"]["workers"] >= 2
-        for name in PROCESS_QUERIES:
-            entry = section[name]
-            assert entry["serial_ops_per_sec"] > 0
-            assert entry["thread_ops_per_sec"] > 0
-            assert entry["process_ops_per_sec"] > 0
-            assert entry["process_over_serial"] > 0
-
-    def test_check_gates_only_multicore_hosts(self):
-        from repro.bench.engine_bench import check_regressions
-
-        slow = {"process_parallel": {
-            "meta": {"cpu_count": 4, "workers": 4, "batch": 8},
-            "fig8_q13": {"query": "Q13", "serial_ops_per_sec": 100.0,
-                         "process_ops_per_sec": 80.0,
-                         "process_over_serial": 0.8},
-        }}
-        failures = check_regressions(slow, {})
-        assert any("process_parallel" in failure for failure in failures)
-        # The same numbers on a single-core host are expected, not a
-        # regression: there is no parallelism to buy back the dispatch.
-        slow["process_parallel"]["meta"]["cpu_count"] = 1
-        assert check_regressions(slow, {}) == []

@@ -504,17 +504,3 @@ class TestBackendClose:
         target = session.backend_instance("sqlite")
         run_threads(4, lambda _index: target.close())
         assert target._pool.closed
-
-
-class TestConcurrentThroughputBench:
-    def test_measure_reports_consistent_shape(self):
-        from repro.bench import measure_concurrent_throughput
-
-        result = measure_concurrent_throughput(scale=0.0002, workers=2,
-                                               repeat=1)
-        assert result.batch_size == 4
-        assert result.workers == 2
-        assert result.serial_seconds > 0
-        assert result.concurrent_seconds > 0
-        assert result.speedup > 0
-        assert "workers" in result.display

@@ -1,5 +1,6 @@
 """Documentation guards: files exist, code snippets actually run."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -69,15 +70,15 @@ class TestDocFilesExist:
                      "WorkerDiedError", "root-distributive",
                      "python -m repro serve", "Retry-After",
                      "REPRO_POOL_WORKERS", "REPRO_START_METHOD",
-                     "repro_cols", "process_parallel"):
+                     "repro_cols", "batch_run_many"):
             assert term in text, term
         # README and the API reference both point at the section.
         assert "Process-parallel serving" in (ROOT / "README.md").read_text()
         assert "Process-parallel serving" in \
             (ROOT / "docs/API.md").read_text()
-        # ...and the bench doc explains the multi-core-only gate.
+        # ...and the performance doc says which workload measures it.
         performance = (ROOT / "docs/PERFORMANCE.md").read_text()
-        assert "process_parallel" in performance
+        assert "batch_run_many" in performance
         assert "Process-parallel serving" in performance
 
     def test_updates_covers_incremental_write_path(self):
@@ -94,14 +95,38 @@ class TestDocFilesExist:
         # README and the API reference both point at the doc.
         assert "docs/UPDATES.md" in (ROOT / "README.md").read_text()
         assert "docs/UPDATES.md" in (ROOT / "docs/API.md").read_text()
-        # ...and the benchmark doc of record mentions the gate.
-        assert "updates" in (ROOT / "EXPERIMENTS.md").read_text()
+        # ...and the experiments of record say what a write costs.
+        assert "write_p50_ms" in (ROOT / "EXPERIMENTS.md").read_text()
 
     def test_design_per_experiment_index(self):
         text = (ROOT / "DESIGN.md").read_text()
         for experiment in ("fig8", "fig9", "fig10", "fig11",
                            "ex-structkeys", "ex-widths", "ex-decorr"):
             assert experiment in text
+
+
+class TestDocsNameOnlyWhatExists:
+    """A doc that tells the reader to run a module, or to read a
+    baseline file, must name one the tree still has."""
+
+    DOCS = [ROOT / name for name in ("README.md", "DESIGN.md",
+                                     "EXPERIMENTS.md")]
+    DOCS += sorted((ROOT / "docs").glob("*.md"))
+
+    def test_every_python_m_module_resolves(self):
+        missing = [
+            f"{path.name}: python -m {module}"
+            for path in self.DOCS
+            for module in sorted(set(re.findall(
+                r"python3? -m (repro(?:\.\w+)*)", path.read_text())))
+            if importlib.util.find_spec(module) is None]
+        assert not missing
+
+    def test_no_doc_reads_the_deleted_engine_baseline(self):
+        # perfbench/run.py is the one harness, and its reports are not
+        # committed (perfbench/README.md, "Comparing two commits").
+        assert not [path.name for path in self.DOCS
+                    if "BENCH_engine" in path.read_text()]
 
 
 class TestReadmeSnippets:

@@ -17,9 +17,15 @@ against the obvious oracle:
   table from scratch;
 * the session's incremental ``apply_update`` ≡ the full re-encode path
   (``incremental=False``) on every delta-capable backend.
+
+And one count instead of a timing: on the relational backends a commit
+changes as many table rows as its delta names, on every connection
+(:class:`TestCommitTouchesOnlyTheDeltasRows`).
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -286,3 +292,65 @@ class TestSessionEquivalence:
             assert session._documents["d.xml"] is not None
         finally:
             session.close()
+
+
+class TestCommitTouchesOnlyTheDeltasRows:
+    """O(affected subtree) as a number that repeats exactly.
+
+    ``sqlite3.Connection.total_changes`` counts the rows every INSERT and
+    DELETE on that connection touched.  A commit through the delta path
+    must move it by the delta's own row count — on the committing
+    thread's connection at once, on a peer thread's connection when its
+    next query replays the :class:`DeltaLog` tail — while re-shredding
+    the table would move it by twice the document's.
+    """
+
+    QUERY = 'document("auction.xml")/site/regions/australia/item/name'
+
+    @pytest.mark.parametrize("backend", ["sqlite", "dbapi"])
+    def test_total_changes_grows_by_the_delta_size(self, xmark_small,
+                                                   backend):
+        def connection():
+            target = session.backend_instance(backend)
+            owner = target.database if backend == "sqlite" else target
+            return owner.connection
+
+        def names():
+            return session.run(self.QUERY).to_xml()
+
+        with XQuerySession(backend=backend) as session, \
+                ThreadPoolExecutor(max_workers=1) as peer:
+            session.add_document("auction.xml", xmark_small)
+            names()
+            peer.submit(names).result()
+            # The first commit after updatable() rebases the loaded
+            # tables onto the gapped numbering; deltas chain from there.
+            session.apply_update("auction.xml",
+                                 session.updatable("auction.xml"))
+            mine, theirs = connection(), peer.submit(connection).result()
+            assert mine is not theirs
+
+            doc = session.updatable("auction.xml")
+            document_rows = len(doc.encoded.tuples)
+            australia = next(row for row in doc.encoded.tuples
+                             if row[0] == "<australia>")
+            victim = next(row for row in doc.encoded.tuples
+                          if row[0] == "<item>" and row[1] > australia[1])
+            probe = element("item", [element("name", [text("probe")])])
+            edits = (
+                ("insert", lambda d: d.insert_child(australia[1], 0, probe)),
+                ("delete", lambda d: d.delete_subtree(victim[1])),
+            )
+            for kind, edit in edits:
+                edited = edit(session.updatable("auction.xml"))
+                delta = edited.last_delta
+                assert 0 < delta.size < document_rows // 10, (kind, delta.size)
+                before = mine.total_changes, theirs.total_changes
+                session.apply_update("auction.xml", edited, incremental=True)
+                assert mine.total_changes - before[0] == delta.size, kind
+                assert theirs.total_changes == before[1], kind
+                answer = peer.submit(names).result()
+                assert theirs.total_changes - before[1] == delta.size, kind
+                assert session.recorder.updates()[-1].deltas == 1, kind
+            assert "probe" in answer
+            assert names() == answer
