@@ -2,11 +2,9 @@
 
 Each prepared document is interval-encoded **once** in the parent, then
 published to a persistent :class:`~repro.concurrency.procpool
-.ProcessQueryPool` — array-backed encodings through shared memory
-(zero-copy attach in every worker), bignum encodings by pickle.
-``execute`` fans one query to one warm worker; :meth:`execute_sharded`
-scatters it across every worker's shard of the documents and
-concatenates at the root.
+.ProcessQueryPool` through shared memory (zero-copy attach in every
+worker; a document with a NUL in a label is pickled instead).
+``execute`` fans one query to one warm worker.
 
 The adapter deliberately reuses the whole :class:`Backend` contract:
 sessions prepare/invalidate/close it exactly like the in-process engine
@@ -96,8 +94,8 @@ class ProcPoolBackend(Backend):
         """Splice the update into the pool's shared-memory encodings.
 
         Revision match → each carried delta is spliced into the parent's
-        columns and re-exported (only the touched shard gets a fresh
-        segment; see :meth:`ProcessQueryPool.apply_delta`).  Otherwise the
+        columns and re-exported as one fresh segment (see
+        :meth:`ProcessQueryPool.apply_delta`).  Otherwise the
         document is re-registered wholesale from the update's wrapped
         snapshot — still no ``Forest`` materialization.
         """
@@ -154,26 +152,3 @@ class ProcPoolBackend(Backend):
             return forest
 
         return run
-
-    def execute_sharded(self, compiled: "CompiledQuery",
-                        options: ExecutionOptions | None = None) -> Forest:
-        """Scatter one query over every worker's document shards.
-
-        Sound when the query's result is the concatenation of its
-        results over top-level-tree partitions of the documents
-        (root-distributive plans — path steps, FLWOR over one document;
-        see docs/CONCURRENCY.md for the contract).  Documents are
-        sharded lazily on first use and re-sharded automatically after
-        an update.
-        """
-        self._check_open()
-        options = options or ExecutionOptions()
-        self._bindings(compiled)
-        pool = self._ensure_pool()
-        for var in compiled.documents.values():
-            pool.ensure_sharded(var)
-        forest, workers = pool.scatter(compiled.source,
-                                       strategy=options.strategy,
-                                       guard=options.guard)
-        options.extra["worker"] = "+".join(workers)
-        return forest

@@ -1,15 +1,18 @@
 """Process-parallel query execution over shared-memory columnar encodings.
 
-The GIL caps the thread-based :meth:`XQuerySession.run_many` at roughly
-serial throughput for the pure-Python DI engine.  This module adds the
-process tier behind the ``procpool`` backend:
+Threads of :meth:`XQuerySession.run_many` share one interpreter: the DI
+engine's NumPy kernels may release the GIL, the Python between them
+(plan walking, decode, serialization) runs one thread at a time.  This
+module adds the process tier behind the ``procpool`` backend — whole
+queries fanned out to warm workers, one query per worker at a time:
 
 * **Shared documents, not copied documents.**  The immutable columnar
   encoding (:class:`~repro.engine.columns.IntervalColumns`) is exported
   once into a ``multiprocessing.shared_memory`` segment
   (:func:`~repro.engine.columns.export_columns`); every worker attaches
-  it zero-copy.  Bignum (list-backed) relations fall back to pickling —
-  correctness never depends on shareability.
+  it zero-copy.  A document with a NUL in a label cannot be laid out
+  in a segment and is pickled to each worker instead — correctness
+  never depends on shareability.
 * **Start-method-agnostic workers.**  The worker entry point is a
   top-level function and all state crosses the pipe explicitly, so the
   pool runs identically under ``fork``, ``spawn``, and ``forkserver``
@@ -27,12 +30,6 @@ process tier behind the ``procpool`` backend:
   (:class:`~repro.errors.QueryCancelledError`); deadlines are enforced
   cooperatively by the worker's own :class:`QueryGuard` with a
   parent-side kill after ``grace_seconds`` as the hung-worker backstop.
-* **Sharded scatter/gather.**  :meth:`ProcessQueryPool.ensure_sharded`
-  splits a document into contiguous complete-tree shards
-  (:meth:`IntervalColumns.shard`), one per worker;
-  :meth:`ProcessQueryPool.scatter` runs one query on every shard
-  concurrently and concatenates the per-shard forests in shard order —
-  sound for root-distributive plans (see docs/CONCURRENCY.md).
 
 All segments are unlinked by the exporting process on
 ``unregister_document``/``close`` — after ``session.close()`` no
@@ -64,13 +61,13 @@ from repro.errors import (
     ResourceBudgetError,
     WorkerDiedError,
 )
-from repro.xml.forest import PreorderForest
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.shared_memory import SharedMemory
 
     from repro.compiler.plan import JoinStrategy
     from repro.resilience.guard import CancellationToken, QueryGuard
+    from repro.xml.forest import PreorderForest
 
 logger = logging.getLogger("repro.procpool")
 
@@ -93,7 +90,7 @@ def default_start_method() -> str:
 
 # -- worker process ------------------------------------------------------------
 
-def _worker_main(conn, documents: "Mapping[tuple[str, str], tuple]") -> None:
+def _worker_main(conn, documents: "Mapping[str, tuple]") -> None:
     """One pool worker: adopt the shipped documents, answer requests.
 
     Top level (not a closure, not a lambda) so every start method can
@@ -111,8 +108,8 @@ def _worker_main(conn, documents: "Mapping[tuple[str, str], tuple]") -> None:
         pass
     state = _WorkerState()
     try:
-        for (var, scope), payload in documents.items():
-            state.adopt(var, scope, payload)
+        for var, payload in documents.items():
+            state.adopt(var, payload)
         while True:
             try:
                 message = conn.recv()
@@ -141,24 +138,16 @@ def _worker_main(conn, documents: "Mapping[tuple[str, str], tuple]") -> None:
 
 
 class _WorkerState:
-    """Worker-side documents, backends, and compiled-query cache.
-
-    Two engine backends, one per binding scope: ``full`` holds the
-    replicated whole-document encodings (the fan-out tier), ``shard``
-    holds this worker's shard of each sharded document (the
-    scatter/gather tier) — one query text can therefore run in either
-    scope without rebinding.
-    """
+    """Worker-side documents, engine backend, and compiled-query cache."""
 
     def __init__(self) -> None:
         from repro.backends.registry import create_backend
 
-        self._scopes = {"full": create_backend("engine"),
-                        "shard": create_backend("engine")}
-        self._attached: dict[tuple[str, str], object] = {}
+        self._backend = create_backend("engine")
+        self._attached: dict[str, object] = {}
         self._compiled = CompiledCache()
 
-    def adopt(self, var: str, scope: str, payload: tuple) -> None:
+    def adopt(self, var: str, payload: tuple) -> None:
         kind, body, width = payload
         if kind == "shm":
             attachment = body.attach()
@@ -166,26 +155,21 @@ class _WorkerState:
         else:  # "pickle": a NUL label cannot be shared — already a copy
             attachment = None
             columns = body
-        backend = self._scopes[scope]
-        backend.invalidate(var)
+        self._backend.invalidate(var)
         try:
-            backend.adopt_encoded(var, (columns, width))
+            self._backend.adopt_encoded(var, (columns, width))
         except BaseException:
             if attachment is not None:  # never orphan a mapped segment
                 attachment.detach()
             raise
-        old = self._attached.pop((var, scope), None)
-        self._attached[(var, scope)] = attachment
-        if scope == "full":
-            # A replaced document invalidates its shards by definition;
-            # the parent re-exports them on the next ensure_sharded.
-            self._drop_scope(var, "shard")
+        old = self._attached.get(var)
+        self._attached[var] = attachment
         if old is not None:
             old.detach()
 
-    def _drop_scope(self, var: str, scope: str) -> None:
-        self._scopes[scope].invalidate(var)
-        attachment = self._attached.pop((var, scope), None)
+    def drop(self, var: str) -> None:
+        self._backend.invalidate(var)
+        attachment = self._attached.pop(var, None)
         if attachment is not None:
             attachment.detach()
 
@@ -194,12 +178,11 @@ class _WorkerState:
         if kind == "query":
             return self._query(message[1])
         if kind == "doc":
-            _kind, var, scope, payload = message
-            self.adopt(var, scope, payload)
+            _kind, var, payload = message
+            self.adopt(var, payload)
             return ("ok", None)
         if kind == "drop":
-            for scope in self._scopes:
-                self._drop_scope(message[1], scope)
+            self.drop(message[1])
             return ("ok", None)
         if kind == "warm":
             self._compile(message[1])
@@ -230,8 +213,7 @@ class _WorkerState:
                  if deadline is not None or budget else None)
         options = ExecutionOptions(strategy=JoinStrategy(spec["strategy"]),
                                    guard=guard)
-        backend = self._scopes["shard" if spec.get("scatter") else "full"]
-        return ("ok", backend.execute(compiled, options))
+        return ("ok", self._backend.execute(compiled, options))
 
     def _compile(self, query: str):
         compiled = self._compiled.get(query)
@@ -242,11 +224,10 @@ class _WorkerState:
         return compiled
 
     def close(self) -> None:
-        for backend in self._scopes.values():
-            try:
-                backend.close()
-            except Exception:  # pragma: no cover - exit path
-                pass
+        try:
+            self._backend.close()
+        except Exception:  # pragma: no cover - exit path
+            pass
         for attachment in self._attached.values():
             if attachment is not None:
                 attachment.detach()
@@ -292,7 +273,7 @@ class _Worker:
     """One live worker process and its request pipe (slot held by caller)."""
 
     def __init__(self, context, index: int,
-                 documents: "Mapping[tuple[str, str], tuple]"):
+                 documents: "Mapping[str, tuple]"):
         self.index = index
         self.name = f"procpool-{index}"
         parent_conn, child_conn = context.Pipe()
@@ -436,16 +417,11 @@ class ProcessQueryPool:
         self._workers: "list[_Worker | None]" = [None] * self.size
         self._rotation = 0
         self._closed = False
-        #: var → replicated payload / parent-side value / per-worker shards.
+        #: var → payload shipped to workers / parent-side value (the
+        #: splice source for deltas) / live segment (``None``: pickled).
         self._documents: dict[str, tuple] = {}
         self._values: dict[str, tuple] = {}
-        self._shards: dict[str, list[tuple]] = {}
-        #: var → parent-side shard columns (splice source for deltas).
-        self._shard_values: dict[str, list[IntervalColumns]] = {}
-        #: Live segments, full scope and shard scope kept apart so a
-        #: delta can replace exactly the touched one.
-        self._full_segments: "dict[str, SharedMemory | None]" = {}
-        self._shard_segments: "dict[str, list[SharedMemory | None]]" = {}
+        self._segments: "dict[str, SharedMemory | None]" = {}
         try:
             for index in range(self.size):
                 self._spawn(index)
@@ -457,169 +433,59 @@ class ProcessQueryPool:
     # -- documents ------------------------------------------------------------
 
     def register_document(self, var: str, value: tuple) -> None:
-        """Register (or replace) a replicated document on every worker.
+        """Register (or replace) a document on every worker.
 
         ``value`` is the engine encoding ``(relation, width)``.  It goes
         through shared memory (pickled to each worker only when a label
-        contains NUL).  Replacing a document drops its shards
-        (they are re-exported lazily) and unlinks the old segments once
-        every worker has adopted the new payload.
+        contains NUL).  Replacing a document unlinks the old segment
+        once every worker has adopted the new payload.
         """
         columns, width = value
-        columns = IntervalColumns.from_tuples(columns)
         self._check_open()
-        payload, segment = self._export(columns, width)
-        old_full = self._full_segments.get(var)
-        old_shards = self._shard_segments.pop(var, [])
-        self._documents[var] = payload
-        self._values[var] = (columns, width)
-        self._shards.pop(var, None)
-        self._shard_values.pop(var, None)
-        self._full_segments[var] = segment
-        for index in range(self.size):
-            self._request_worker(index, ("doc", var, "full", payload))
-        if old_full is not None:
-            self._unlink(old_full)
-        for shm in old_shards:
-            if shm is not None:
-                self._unlink(shm)
+        self._publish(var, IntervalColumns.from_tuples(columns), width)
 
     def apply_delta(self, var: str, delta) -> bool:
         """Splice an incremental ``UpdateDelta`` into a registered document.
 
         The parent-side columns are patched copy-on-write
-        (:func:`~repro.engine.columns.splice_columns`) and the replicated
-        scope gets one fresh segment (a single C-level export of the
-        spliced columns).  When the document is sharded, only the shard
-        whose contiguous root-tree run contains the affected interval
-        range is re-exported — the other workers' shard segments are
-        untouched (they merely re-attach).  A delta that is not
-        localizable to one shard (a top-level insert between shard
-        boundaries) drops the shards for lazy re-export.  Returns
-        ``False`` when the delta cannot be spliced (unknown variable,
-        pickled fallback payload, width mismatch) — callers then
-        re-register wholesale.
+        (:func:`~repro.engine.columns.splice_columns`) and every worker
+        adopts one fresh segment (a single C-level export of the spliced
+        columns).  Returns ``False`` when the delta cannot be spliced
+        (unknown variable, non-incremental delta, width mismatch) —
+        callers then re-register wholesale.
         """
         self._check_open()
         if var not in self._values or not delta.incremental:
             return False
         columns, width = self._values[var]
-        if delta.old_width != width or not isinstance(columns,
-                                                      IntervalColumns):
+        if delta.old_width != width:
             return False
-        new_columns = splice_columns(columns, delta)
-        payload, segment = self._export(new_columns, width)
-        old_full = self._full_segments.get(var)
-        self._documents[var] = payload
-        self._values[var] = (new_columns, width)
-        self._full_segments[var] = segment
-
-        old_piece_segment: "SharedMemory | None" = None
-        shard_payloads = self._shards.get(var)
-        if shard_payloads is not None:
-            touched = self._touched_shard(var, delta)
-            if touched is None:
-                self._drop_shards(var)
-                shard_payloads = None
-            else:
-                pieces = self._shard_values[var]
-                new_piece = splice_columns(pieces[touched], delta)
-                piece_payload, piece_segment = self._export(new_piece, width)
-                pieces[touched] = new_piece
-                shard_payloads[touched] = piece_payload
-                segments = self._shard_segments[var]
-                old_piece_segment = segments[touched]
-                segments[touched] = piece_segment
-        for index in range(self.size):
-            self._request_worker(index, ("doc", var, "full", payload))
-            if shard_payloads is not None:
-                # Adopting a full replacement drops the worker's shard
-                # scope; restore it — untouched workers re-attach their
-                # existing segment, the touched one adopts the new piece.
-                self._request_worker(index, ("doc", var, "shard",
-                                             shard_payloads[index]))
-        if old_full is not None:
-            self._unlink(old_full)
-        if old_piece_segment is not None:
-            self._unlink(old_piece_segment)
+        self._publish(var, splice_columns(columns, delta), width)
         return True
 
-    def _touched_shard(self, var: str, delta) -> int | None:
-        """Index of the single shard containing the delta's affected range.
-
-        ``None`` when the range spans shard boundaries or falls between
-        shards (top-level inserts into the gap separating two pieces).
-        """
-        spans: list[tuple[int, int]] = list(delta.deleted_ranges)
-        if delta.inserted:
-            spans.append((delta.inserted[0][1],
-                          max(row[2] for row in delta.inserted)))
-        if not spans:
-            return None
-        low = min(span[0] for span in spans)
-        high = max(span[1] for span in spans)
-        touched = None
-        for index, piece in enumerate(self._shard_values[var]):
-            if not len(piece):
-                continue
-            if piece.l[0] <= low and high <= piece.max_right():
-                if touched is not None:  # pragma: no cover - defensive
-                    return None
-                touched = index
-            elif low <= piece.max_right() and piece.l[0] <= high:
-                return None  # overlaps but is not contained: spans pieces
-        return touched
-
-    def _drop_shards(self, var: str) -> None:
-        self._shards.pop(var, None)
-        self._shard_values.pop(var, None)
-        for shm in self._shard_segments.pop(var, []):
-            if shm is not None:
-                self._unlink(shm)
-
-    def ensure_sharded(self, var: str) -> None:
-        """Export per-worker shards of ``var`` (idempotent until replaced)."""
-        self._check_open()
-        if var in self._shards:
-            return
-        try:
-            columns, width = self._values[var]
-        except KeyError:
-            raise ExecutionError(
-                f"document variable {var!r} is not registered on the "
-                f"process pool") from None
-        pieces = columns.shard(self.size)
-        while len(pieces) < self.size:  # fewer roots than workers
-            pieces.append(IntervalColumns.empty())
-        payloads: list[tuple] = []
-        segments: "list[SharedMemory | None]" = []
-        for piece in pieces:
-            payload, segment = self._export(piece, width)
-            payloads.append(payload)
-            segments.append(segment)
-        self._shards[var] = payloads
-        self._shard_values[var] = pieces
-        self._shard_segments[var] = segments
+    def _publish(self, var: str, columns: IntervalColumns,
+                 width: int) -> None:
+        """Export ``columns``, have every worker adopt them, unlink the old."""
+        payload, segment = self._export(columns, width)
+        old = self._segments.get(var)
+        self._documents[var] = payload
+        self._values[var] = (columns, width)
+        self._segments[var] = segment
         for index in range(self.size):
-            self._request_worker(index, ("doc", var, "shard",
-                                         payloads[index]))
+            self._request_worker(index, ("doc", var, payload))
+        if old is not None:
+            self._unlink(old)
 
     def unregister_document(self, var: str) -> None:
-        """Drop a document everywhere and unlink its segments."""
+        """Drop a document everywhere and unlink its segment."""
         self._documents.pop(var, None)
         self._values.pop(var, None)
-        self._shards.pop(var, None)
-        self._shard_values.pop(var, None)
-        full = self._full_segments.pop(var, None)
-        shard_segments = self._shard_segments.pop(var, [])
+        segment = self._segments.pop(var, None)
         if not self._closed:
             for index in range(self.size):
                 self._request_worker(index, ("drop", var))
-        if full is not None:
-            self._unlink(full)
-        for shm in shard_segments:
-            if shm is not None:
-                self._unlink(shm)
+        if segment is not None:
+            self._unlink(segment)
 
     @property
     def documents(self) -> tuple[str, ...]:
@@ -628,11 +494,8 @@ class ProcessQueryPool:
     @property
     def segment_names(self) -> tuple[str, ...]:
         """Names of every live segment (the shm-leak check reads this)."""
-        names = [shm.name for shm in self._full_segments.values()
-                 if shm is not None]
-        names.extend(shm.name for segments in self._shard_segments.values()
-                     for shm in segments if shm is not None)
-        return tuple(sorted(names))
+        return tuple(sorted(shm.name for shm in self._segments.values()
+                            if shm is not None))
 
     def warmup(self, queries: "Iterable[str]") -> None:
         """Compile (and cache) query texts on every worker ahead of load."""
@@ -651,7 +514,7 @@ class ProcessQueryPool:
         depths, two flat lists — so nothing recursive crosses the pipe
         and the parent serializes it without building a tree.
         """
-        spec = self._spec(query, strategy, guard, scatter=False)
+        spec = self._spec(query, strategy, guard)
         token, deadline, deadline_at = self._limits(spec, guard)
         index = self._acquire_any()
         worker: "_Worker | None" = None
@@ -671,51 +534,6 @@ class ProcessQueryPool:
             self._release(index)
         return self._unwrap(reply), worker.name
 
-    def scatter(self, query: str, *, strategy: "JoinStrategy | str" = "msj",
-                guard: "QueryGuard | None" = None
-                ) -> "tuple[PreorderForest, tuple[str, ...]]":
-        """Run one query against every worker's shard; concat the results.
-
-        Sound for root-distributive plans: each worker holds a contiguous
-        run of complete top-level trees in original document order, so
-        concatenating the per-shard forests in worker order reproduces
-        the whole-document result.  Call :meth:`ensure_sharded` for every
-        referenced document first.
-        """
-        spec = self._spec(query, strategy, guard, scatter=True)
-        token, deadline, deadline_at = self._limits(spec, guard)
-        indexes = list(range(self.size))
-        for index in indexes:
-            self._acquire(index)
-        in_flight: "list[tuple[int, _Worker]]" = []
-        try:
-            workers = [self._ensure(index) for index in indexes]
-            for index, worker in zip(indexes, workers):
-                worker.send(("query", spec))
-                in_flight.append((index, worker))
-            replies = []
-            for index, worker in list(in_flight):
-                replies.append(worker.wait(token=token,
-                                           deadline_at=deadline_at,
-                                           deadline=deadline))
-                in_flight.remove((index, worker))
-            # Every pipe is clean again; only now surface typed errors.
-            parts = [self._unwrap(reply) for reply in replies]
-            forest = PreorderForest(
-                [label for part in parts for label in part.labels],
-                [depth for part in parts for depth in part.depths])
-            return forest, tuple(worker.name for worker in workers)
-        except BaseException:
-            # Abandoned in-flight requests would desynchronize their
-            # pipes' send/recv pairing — kill and respawn those workers.
-            for index, worker in in_flight:
-                worker.kill()
-                self._respawn(index)
-            raise
-        finally:
-            for index in indexes:
-                self._release(index)
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, timeout: float | None = 5.0) -> None:
@@ -733,19 +551,12 @@ class ProcessQueryPool:
             if worker is not None:
                 worker.stop()
             self._workers[index] = None
-        for shm in self._full_segments.values():
+        for shm in self._segments.values():
             if shm is not None:
                 self._unlink(shm)
-        for segments in self._shard_segments.values():
-            for shm in segments:
-                if shm is not None:
-                    self._unlink(shm)
-        self._full_segments.clear()
-        self._shard_segments.clear()
+        self._segments.clear()
         self._documents.clear()
         self._values.clear()
-        self._shards.clear()
-        self._shard_values.clear()
 
     def __enter__(self) -> "ProcessQueryPool":
         return self
@@ -781,11 +592,10 @@ class ProcessQueryPool:
             pass
 
     def _spec(self, query: str, strategy: "JoinStrategy | str",
-              guard: "QueryGuard | None", scatter: bool) -> dict[str, object]:
+              guard: "QueryGuard | None") -> dict[str, object]:
         spec: dict[str, object] = {
             "query": str(query),
             "strategy": getattr(strategy, "value", str(strategy)),
-            "scatter": scatter,
         }
         if guard is not None:
             remaining = guard.remaining
@@ -814,12 +624,7 @@ class ProcessQueryPool:
         raise _rebuild_error(payload)
 
     def _spawn(self, index: int) -> "_Worker":
-        documents: dict[tuple[str, str], tuple] = {}
-        for var, payload in self._documents.items():
-            documents[(var, "full")] = payload
-        for var, payloads in self._shards.items():
-            documents[(var, "shard")] = payloads[index]
-        worker = _Worker(self._context, index, documents)
+        worker = _Worker(self._context, index, self._documents)
         self._workers[index] = worker
         return worker
 

@@ -331,39 +331,6 @@ class IntervalColumns:
         """The sorted environment indices with at least one tuple."""
         return [env for env, _lo, _hi in self.iter_env_bounds(width)]
 
-    def max_right(self) -> int:
-        """The largest right endpoint (-1 when empty)."""
-        return int(self.r.max(initial=-1))
-
-    def shard(self, shards: int) -> list["IntervalColumns"]:
-        """Split into ≤ ``shards`` contiguous runs of complete root trees.
-
-        Shards are zero-copy slices in document order, balanced by tuple
-        count, and never cut through a tree — concatenating per-shard
-        results of a root-distributive plan in shard order reproduces the
-        whole-document result.  Interval coordinates are left untouched,
-        so every shard evaluates under the original document width, and
-        ``d`` is unchanged because every cut falls on a root.  A relation
-        with fewer roots than ``shards`` yields fewer pieces.
-        """
-        count = len(self)
-        tree_ends = np.append(np.flatnonzero(self.d == 0)[1:], count)
-        shards = min(shards, len(tree_ends))
-        if shards <= 1 or count == 0:
-            return [self]
-        target = count / shards
-        pieces: list[IntervalColumns] = []
-        start = 0
-        for hi in tree_ends.tolist():
-            if len(pieces) == shards - 1:
-                break  # everything left is the final shard
-            if hi - start >= target:
-                pieces.append(self[start:hi])
-                start = hi
-        if start < count:
-            pieces.append(self[start:count])
-        return pieces
-
 
 def splice_columns(columns: "IntervalColumns",
                    delta: "UpdateDelta") -> "IntervalColumns":

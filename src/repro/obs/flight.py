@@ -202,8 +202,8 @@ class QueryRecord:
     #: Full span tree, retained only for tail-sampled records.
     trace: "Span | None" = None
     thread: str = ""
-    #: Process-pool worker(s) that evaluated the query (``""`` for
-    #: in-process backends; ``"+"``-joined names for a sharded scatter).
+    #: Process-pool worker that evaluated the query (``""`` for
+    #: in-process backends).
     worker: str = ""
     unix_time: float = 0.0
 

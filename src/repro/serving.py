@@ -14,7 +14,8 @@ Endpoints:
   ``{"query": "...", "backend": "...", "deadline": 1.5}``); the reply is
   the serialized XML result.  Overload sheds map to HTTP 503 with a
   ``Retry-After`` header from the admission controller's hint, timeouts
-  to 504, cancellations to 499, other query errors to 400.
+  to 504, cancellations to 499, other query errors — a malformed option
+  included — to 400, a body over ``MAX_BODY_BYTES`` to 413.
 * ``GET /healthz`` — the session's health snapshot (same grading as the
   telemetry server: 503 + ``Retry-After`` while shedding/unavailable).
 
@@ -35,6 +36,7 @@ import logging
 from typing import TYPE_CHECKING
 
 from repro.errors import (
+    ExecutionError,
     OverloadError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -116,8 +118,10 @@ class QueryServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             request = await self._read_request(reader)
-            if request is None:
-                status, body, headers = 400, b"malformed request", {}
+            if isinstance(request, int):  # refused before reading a body
+                status, headers = request, {}
+                body = (b"malformed request" if status == 400
+                        else b"request body too large")
                 content_type = "text/plain; charset=utf-8"
             else:
                 method, path, payload = request
@@ -145,10 +149,11 @@ class QueryServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
+        """``(method, path, body)``, or the status that refuses the request."""
         request_line = await reader.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return None
+            return 400
         method, path = parts[0].upper(), parts[1]
         length = 0
         while True:
@@ -160,9 +165,11 @@ class QueryServer:
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    return None
+                    return 400
+        if length < 0:
+            return 400
         if length > MAX_BODY_BYTES:
-            return None
+            return 413
         body = await reader.readexactly(length) if length else b""
         return method, path, body
 
@@ -187,10 +194,10 @@ class QueryServer:
 
     async def _query(self, payload: bytes):
         json_type = "application/json; charset=utf-8"
-        query, options = self._parse_query(payload)
-        if query is None:
-            return (400, b'{"error": "empty query"}', {}, json_type)
         try:
+            query, options = self._parse_query(payload)
+            if query is None:
+                return (400, b'{"error": "empty query"}', {}, json_type)
             result = await self.session.run_async(query, **options)
         except OverloadError as error:
             hint = retry_after_seconds(error.retry_after)
@@ -238,7 +245,12 @@ class QueryServer:
                     if knob in data:
                         options[knob] = str(data[knob])
                 if "deadline" in data:
-                    options["deadline"] = float(data["deadline"])  # type: ignore[arg-type]
+                    try:
+                        options["deadline"] = float(data["deadline"])
+                    except (TypeError, ValueError, OverflowError):
+                        raise ExecutionError(
+                            f"deadline must be a number of seconds, got "
+                            f"{data['deadline']!r}") from None
         return (text or None), options
 
 

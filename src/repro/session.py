@@ -453,8 +453,8 @@ class XQuerySession:
         silently falling back to the default size.
 
         ``tier`` picks the execution substrate for engine-family
-        batches:  ``"thread"`` is the classic shared-memory pool above
-        (GIL-bound for pure-Python evaluation), ``"process"`` routes
+        batches:  ``"thread"`` is the thread pool above (one interpreter:
+        only the NumPy kernels can overlap), ``"process"`` routes
         every query to the ``procpool`` backend — a pool of worker
         processes attached zero-copy to shared-memory document encodings
         — and ``"auto"`` (default) promotes engine batches to the
@@ -589,31 +589,6 @@ class XQuerySession:
         return await loop.run_in_executor(
             executor, functools.partial(self.run, query, **kwargs))
 
-    def run_sharded(self, query: str,
-                    strategy: str | JoinStrategy | None = None,
-                    deadline: float | None = None,
-                    budget: "int | ResourceBudget | None" = None,
-                    guard: QueryGuard | None = None,
-                    token: CancellationToken | None = None,
-                    priority: str = INTERACTIVE) -> QueryResult:
-        """Scatter one query across document shards in the process pool.
-
-        Intra-query parallelism for root-distributive queries (the
-        result over a document equals the concatenation of results over
-        its top-level-tree partitions — path steps and single-document
-        FLWOR bodies qualify; queries that *join across* top-level trees
-        or aggregate globally do not, and must use :meth:`run`).  Each
-        pool worker holds a contiguous shard of every referenced
-        document in shared memory; the per-shard forests concatenate in
-        document order at the root.  Admission control, cancellation,
-        deadlines/budgets, and flight recording apply exactly as in
-        :meth:`run`.
-        """
-        return self._run(query, "procpool", self._effective_tracer(),
-                         sharded=True,
-                         strategy=strategy, deadline=deadline, budget=budget,
-                         guard=guard, priority=priority, token=token)
-
     def _settle_cancelled(self, futures: "list[Future[QueryResult]]") -> None:
         """Cancel still-queued batch futures without leaking pool gauges.
 
@@ -674,30 +649,27 @@ class XQuerySession:
             return self._executor
 
     def _run(self, query: str, name: str, active: Tracer | None, *,
-             sharded: bool = False,
              strategy: str | JoinStrategy | None,
-             stats: EngineStats | None = None,
+             stats: EngineStats | None,
              deadline: float | None,
              budget: "int | ResourceBudget | None",
              guard: QueryGuard | None,
-             fallback: "tuple[str, ...] | list[str]" = (),
-             retry: RetryPolicy | None = None,
+             fallback: "tuple[str, ...] | list[str]",
+             retry: RetryPolicy | None,
              priority: str,
              token: CancellationToken | None) -> QueryResult:
         """The one run path: resolve → admit → compile → attempt → record.
 
-        Every entry point lands here — :meth:`run` (and through it
-        :meth:`run_many` / :meth:`run_async`) and :meth:`run_sharded`,
-        which differs only in ``sharded=True``: the attempt calls the
-        backend's ``execute_sharded`` instead of ``execute``.  ``active``
-        is the caller's tracer or ``None``; only a caller's tracer
-        instruments backends, fills engine/SQL metrics and surfaces on
+        Every entry point lands here — :meth:`run`, and through it
+        :meth:`run_many` and :meth:`run_async`.  ``active`` is the
+        caller's tracer or ``None``; only a caller's tracer instruments
+        backends, fills engine/SQL metrics and surfaces on
         :attr:`QueryResult.trace`.
         """
         admission = self.admission
         if admission is not None:
             level = admission.brownout.level
-            if level.force_backend is not None and not sharded:
+            if level.force_backend is not None:
                 name = level.force_backend
             if level.budget_scale < 1.0:
                 budget = scale_budget(budget, level.budget_scale)
@@ -742,15 +714,14 @@ class XQuerySession:
                 return self._run_chain(
                     query, build_chain(name, tuple(fallback)), options,
                     retry if retry is not None else NO_RETRY, tr, full,
-                    guarded, sharded)
+                    guarded)
         finally:
             if ticket is not None:
                 admission.release(ticket)
 
     def _run_chain(self, query: str, chain: list[str],
                    options: ExecutionOptions, policy: RetryPolicy,
-                   tr: Tracer, full: bool, guarded: bool,
-                   sharded: bool) -> QueryResult:
+                   tr: Tracer, full: bool, guarded: bool) -> QueryResult:
         """Compile, try each backend of ``chain`` in turn, record the run.
 
         The span tree is the same for every run: ``query`` → ``compile``,
@@ -786,7 +757,7 @@ class XQuerySession:
                                 backend, retry_after=breaker.retry_after)
                         forest = self._attempt(compiled, backend, options, tr,
                                                full, breaker, policy,
-                                               attempts, sharded)
+                                               attempts)
                     except Exception as raised:
                         if isinstance(raised, QueryTimeoutError):
                             self._m_timeouts.inc(backend=backend)
@@ -842,10 +813,9 @@ class XQuerySession:
     def _attempt(self, compiled: CompiledQuery, name: str,
                  options: ExecutionOptions, tr: Tracer, full: bool,
                  breaker: "CircuitBreaker | None", policy: RetryPolicy,
-                 attempts: list[AttemptRecord], sharded: bool) -> Forest:
+                 attempts: list[AttemptRecord]) -> Forest:
         """One backend's (possibly retried) prepare + execute."""
         target = self.backend_instance(name)
-        execute = target.execute_sharded if sharded else target.execute
 
         def once() -> Forest:
             begin = time.perf_counter()
@@ -859,7 +829,7 @@ class XQuerySession:
                         target.instrument(tr)
                     try:
                         with tr.span("execute") as execute_span:
-                            forest = execute(compiled, options)
+                            forest = target.execute(compiled, options)
                             execute_span.set(trees=len(forest))
                     finally:
                         if full:

@@ -66,7 +66,8 @@ class TestDocFilesExist:
         text = (ROOT / "docs/CONCURRENCY.md").read_text()
         assert "## Process-parallel serving" in text
         for term in ("ProcessQueryPool", "shared_memory", "zero-copy",
-                     'tier="process"', "run_sharded", "run_async",
+                     'tier="process"', "run_async",
+                     "Why there is no intra-query scatter",
                      "WorkerDiedError", "root-distributive",
                      "python -m repro serve", "Retry-After",
                      "REPRO_POOL_WORKERS", "REPRO_START_METHOD",

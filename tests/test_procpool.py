@@ -3,8 +3,8 @@
 Every pool here is tiny (1–2 workers) and short-lived; the container
 running CI may have a single core, so these tests assert *correctness*
 of the process tier — result equality, crash recovery, cancellation,
-segment hygiene — never throughput (the bench's ``process_parallel``
-section owns that, gated on multi-core hosts only).
+segment hygiene — never throughput (perfbench's ``batch_run_many``
+workload owns that).
 """
 
 from __future__ import annotations
@@ -205,17 +205,6 @@ class TestProcessQueryPool:
         assert len(forest) > 0  # non-vacuous equality below
         assert forest == _reference(NAMES, tiny_encoding)
 
-    def test_scatter_equals_execute(self, pool, nodes_built):
-        whole, _worker = pool.execute(NAMES)
-        pool.ensure_sharded(_doc_var(NAMES))
-        sharded, workers = pool.scatter(NAMES)
-        # Per-shard results concatenate in shard (= document) order, as
-        # labels and depths: no tree is built to join them.
-        assert sharded == whole
-        assert sharded.labels == whole.labels and len(sharded) > 1
-        assert len(workers) == pool.size
-        assert nodes_built() == 0
-
     def test_document_replacement_propagates(self, pool):
         var = _doc_var(COUNT)
         before, _ = pool.execute(COUNT)
@@ -286,9 +275,8 @@ class TestProcessQueryPool:
 
         pool = ProcessQueryPool(workers=2)
         pool.register_document(_doc_var(NAMES), tiny_encoding)
-        pool.ensure_sharded(_doc_var(NAMES))
         names = pool.segment_names
-        assert names, "expected live segments for full + shard exports"
+        assert names, "expected a live segment for the registered document"
         pool.close()
         assert pool.segment_names == ()
         for name in names:
@@ -366,7 +354,7 @@ def test_worker_reply_is_flat_lists(tiny_encoding, nodes_built):
 
     state = _WorkerState()
     try:
-        state.adopt(_doc_var(NAMES), "full", ("pickle", *tiny_encoding))
+        state.adopt(_doc_var(NAMES), ("pickle", *tiny_encoding))
         status, forest = state.handle(
             ("query", {"query": NAMES, "strategy": "msj"}))
     finally:
@@ -472,15 +460,6 @@ class TestSessionProcessTier:
         result = asyncio.run(session.run_async(NAMES))
         assert result.to_xml() == expected
 
-    def test_run_sharded_matches_run(self, session):
-        expected = session.run(NAMES).to_xml()
-        result = session.run_sharded(NAMES)
-        assert result.backend == "procpool"
-        assert result.to_xml() == expected
-        record = session.recorder.records()[-1]
-        # Scatter names every participating worker.
-        assert record.worker.count("procpool-") == 2
-
     def test_process_tier_rejects_incompatible_backend(self, session):
         with pytest.raises(ValueError, match="promoted"):
             session.run_many([NAMES] * 2, tier="process", backend="sqlite")
@@ -521,7 +500,6 @@ class TestSessionProcessTier:
         active = XQuerySession()
         active.add_xmark_document("auction.xml", 0.0005)
         active.run_many([NAMES] * 2, tier="process")
-        active.run_sharded(NAMES)
         target = active.backend_instance("procpool")
         names = target.segment_names
         assert names

@@ -25,7 +25,6 @@ import pytest
 
 from repro import run_xquery
 from repro.obs.flight import query_fingerprint
-from repro.obs.trace import Tracer, use_tracer
 from repro.resilience import FaultPlan, RetryPolicy, inject_faults
 from repro.serving import QueryServer
 from repro.session import XQuerySession
@@ -34,21 +33,11 @@ from repro.xml.serializer import forest_to_xml
 
 from tests.test_serving import http, run as serve
 
-#: Root-distributive, so ``run_sharded`` may answer it too.
 QUERY = 'document("a.xml")//name'
 
 _ORACLE = run_xquery(QUERY, {"a.xml": FIGURE1_SAMPLE}, backend="interpreter")
 EXPECTED = _ORACLE.forest
 EXPECTED_XML = _ORACLE.to_xml()
-
-
-def _sharded(session: XQuerySession, trace: bool):
-    # run_sharded has no trace= keyword; the ambient tracer is how a
-    # caller asks it for a span tree.
-    if not trace:
-        return [session.run_sharded(QUERY)]
-    with use_tracer(Tracer()):
-        return [session.run_sharded(QUERY)]
 
 
 #: mode → (session, trace) → list of QueryResult
@@ -65,7 +54,6 @@ MODES = {
         [QUERY, QUERY], tier="thread", trace=trace),
     "run_many_process": lambda s, trace: s.run_many(
         [QUERY, QUERY], tier="process", trace=trace),
-    "run_sharded": _sharded,
     "run_async": lambda s, trace: [
         asyncio.run(s.run_async(QUERY, trace=trace))],
 }

@@ -12,30 +12,35 @@ import json
 
 import pytest
 
-from repro.serving import QueryServer, serve_until_stopped
+from repro.serving import MAX_BODY_BYTES, QueryServer, serve_until_stopped
 from repro.session import XQuerySession
 from repro.xmark.queries import FIGURE1_SAMPLE
 
 NAMES = 'document("a.xml")/site/people/person/name/text()'
 
 
+async def raw(server: QueryServer, request: bytes) -> bytes:
+    """Send ``request`` verbatim; everything the server says back."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(request)
+    await writer.drain()
+    reply = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return reply
+
+
 def http(server: QueryServer, method: str, path: str,
          body: bytes = b"") -> tuple[int, dict[str, str], bytes]:
-    """One raw HTTP exchange against a running server."""
+    """One well-formed HTTP exchange against a running server."""
 
     async def exchange():
-        reader, writer = await asyncio.open_connection(
-            server.host, server.port)
         request = (f"{method} {path} HTTP/1.1\r\n"
                    f"Host: {server.host}\r\n"
                    f"Content-Length: {len(body)}\r\n"
                    f"\r\n").encode("ascii") + body
-        writer.write(request)
-        await writer.drain()
-        raw = await reader.read()
-        writer.close()
-        await writer.wait_closed()
-        head, _, payload = raw.partition(b"\r\n\r\n")
+        reply = await raw(server, request)
+        head, _, payload = reply.partition(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
         status = int(lines[0].split()[1])
         headers = {}
@@ -88,6 +93,17 @@ class TestQueryEndpoint:
             server, http(server, "POST", "/query", payload))
         assert status == 200
         assert b"Jaak" in body
+
+    @pytest.mark.parametrize("deadline", ["soon", None, 10 ** 400],
+                             ids=["text", "null", "huge-int"])
+    def test_non_numeric_deadline_maps_to_400(self, server, deadline):
+        payload = json.dumps({"query": NAMES, "deadline": deadline}).encode()
+        ((status, _headers, body),) = run(
+            server, http(server, "POST", "/query", payload))
+        assert status == 400
+        reply = json.loads(body)
+        assert reply["error"] == "ExecutionError"
+        assert "deadline" in reply["detail"]
 
     def test_bad_query_maps_to_400(self, server):
         ((status, _headers, body),) = run(
@@ -176,18 +192,19 @@ class TestOtherEndpoints:
         assert json.loads(body)["status"] == "shedding"
 
     def test_malformed_request_line_400s(self, server):
-        async def garbage():
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port)
-            writer.write(b"NONSENSE\r\n\r\n")
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return raw
+        (reply,) = run(server, raw(server, b"NONSENSE\r\n\r\n"))
+        assert b"400" in reply.split(b"\r\n", 1)[0]
 
-        (raw,) = run(server, garbage())
-        assert b"400" in raw.split(b"\r\n", 1)[0]
+    @pytest.mark.parametrize("length, status", [
+        (-5, b"400 Bad Request"),
+        (MAX_BODY_BYTES + 1, b"413 Payload Too Large"),
+    ], ids=["negative", "over-the-cap"])
+    def test_unacceptable_content_length_is_answered(self, server, length,
+                                                     status):
+        (reply,) = run(server, raw(
+            server, (f"POST /query HTTP/1.1\r\nContent-Length: {length}"
+                     f"\r\n\r\n").encode("ascii")))
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 " + status
 
 
 class TestLifecycle:

@@ -226,10 +226,18 @@ class TestDeltaOracle:
 
 # -- the session path end to end ---------------------------------------------
 
-DELTA_BACKENDS = ("engine", "sqlite", "dbapi")
+DELTA_BACKENDS = ("engine", "sqlite", "dbapi", "procpool")
 
 
 class TestSessionEquivalence:
+    @pytest.fixture(scope="class", autouse=True)
+    def two_pool_workers(self):
+        """Every session here spawns a pool: keep it at two workers (so a
+        commit is still a broadcast) whatever the host's CPU count."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_POOL_WORKERS", "2")
+            yield
+
     @settings(max_examples=10, deadline=None)
     @given(edit_scripts())
     def test_incremental_commits_match_full_reencode(self, script):
@@ -273,6 +281,10 @@ class TestSessionEquivalence:
                                                    backend=backend).forest)
                           for backend in DELTA_BACKENDS}
                 assert len(set(counts.values())) == 1, counts
+                # Spliced or re-registered, a commit leaves the pool one
+                # live segment per document: the old one is unlinked.
+                pool = session.backend_instance("procpool").pool
+                assert len(pool.segment_names) == len(pool.documents) == 1
             assert counts["engine"] == 6
         finally:
             session.close()
