@@ -66,20 +66,20 @@ def _main_top(argv: list[str]) -> int:
     """``python -m repro top URL`` — one-shot console telemetry summary."""
     parser = argparse.ArgumentParser(
         prog="python -m repro top",
-        description="Render a running telemetry server's percentile table "
-                    "(see --serve-telemetry and docs/OBSERVABILITY.md).",
+        description="Render a running server's percentile table "
+                    "(see `serve`, --serve-telemetry, docs/OBSERVABILITY.md).",
     )
     parser.add_argument("url",
-                        help="telemetry server address: HOST:PORT, a base "
-                             "URL, or the full /debug/queries endpoint")
+                        help="server address: HOST:PORT, a base URL, or "
+                             "the full /debug/queries endpoint")
     args = parser.parse_args(argv)
-    from repro.obs.serve import run_top
+    from repro.serving import run_top
 
     try:
         print(run_top(args.url))
         return 0
     except OSError as error:
-        print(f"error: cannot reach telemetry server at {args.url}: "
+        print(f"error: cannot reach server at {args.url}: "
               f"{error}", file=sys.stderr)
         return 1
 
@@ -99,7 +99,7 @@ def _main_serve(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Serve XQuery over HTTP: POST the query text to "
-                    "/query; GET /healthz for load-balancer health.",
+                    "/query; GET /healthz, /metrics and /debug/queries.",
     )
     parser.add_argument("--doc", action="append", default=[],
                         type=_parse_doc_argument, metavar="URI=PATH",
@@ -123,10 +123,6 @@ def _main_serve(argv: list[str]) -> int:
                         metavar="QUERY",
                         help="query text (or @path) compiled on startup "
                              "before traffic arrives (repeatable)")
-    parser.add_argument("--serve-telemetry", type=int, default=None,
-                        metavar="PORT",
-                        help="also serve /metrics + /debug/queries on this "
-                             "port")
     parser.add_argument("--drain-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="on shutdown, give in-flight requests this "
@@ -144,9 +140,6 @@ def _main_serve(argv: list[str]) -> int:
             session.add_xmark_document(uri, float(scale))
         for warm in args.warm:
             session.prepare(_load_query(warm))
-        if args.serve_telemetry is not None:
-            telemetry = session.serve_telemetry(port=args.serve_telemetry)
-            print(f"telemetry serving on {telemetry.url}", file=sys.stderr)
         server = QueryServer(session, host=args.host, port=args.port,
                              backend=args.backend,
                              default_deadline=args.timeout)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Callable
 
 from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
@@ -40,21 +39,15 @@ class _ThreadDatabase:
 class SQLiteBackend(Backend):
     """Run the single-statement SQL translation on a stock SQLite engine.
 
-    Thread safety hinges on where the shredded tables live:
-
-    * ``:memory:`` (the default) — in-memory SQLite databases are
-      **per connection**, so the backend keeps one
-      :class:`~repro.sql.sqlite_backend.SQLiteDatabase` per worker thread
-      (lazily, via :class:`~repro.concurrency.ThreadLocalPool`).  Every
-      ``prepare``/``invalidate`` moves the document's generation (see
-      :class:`~repro.backends.deltalog.DeltaLog`); each thread re-shreds
-      exactly the documents whose generation it has not materialized
-      yet — or replays the delta tail — so all threads observe a
-      consistent snapshot without sharing a connection.
-    * a file path — the tables are shared on disk, so all threads share
-      one database and executions serialize on an internal lock (the
-      stdlib driver does not support concurrent statements on one
-      connection).
+    The shredded tables live in ``:memory:`` databases, which SQLite
+    keeps **per connection**, so the backend keeps one
+    :class:`~repro.sql.sqlite_backend.SQLiteDatabase` per worker thread
+    (lazily, via :class:`~repro.concurrency.ThreadLocalPool`).  Every
+    ``prepare``/``invalidate`` moves the document's generation (see
+    :class:`~repro.backends.deltalog.DeltaLog`); each thread re-shreds
+    exactly the documents whose generation it has not materialized
+    yet — or replays the delta tail — so all threads observe a
+    consistent snapshot without sharing a connection.
 
     :meth:`~Backend.close` closes every thread's connection in one
     idempotent sweep, from whatever thread calls it.
@@ -70,21 +63,15 @@ class SQLiteBackend(Backend):
         description="Section 4 single-SQL-statement translation on SQLite",
     )
 
-    def __init__(self, path: str = ":memory:", mode: str = "staged") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._path = path
-        self._mode = mode
         #: name → shared document state, what ``_sync`` compares against.
         self._generations: dict[str, DeltaLog] = {}
         #: name → forest, the load source until the first update gives
         #: the document authoritative rows.
         self._forests: dict[str, Forest] = {}
         self._pool: ThreadLocalPool[_ThreadDatabase] = ThreadLocalPool(
-            lambda: _ThreadDatabase(SQLiteDatabase(self._path)))
-        # File-backed databases share tables between connections, so all
-        # threads use one database and serialize on this lock.
-        self._serial = threading.RLock() if path != ":memory:" else None
-        self._shared: _ThreadDatabase | None = None
+            lambda: _ThreadDatabase(SQLiteDatabase()))
 
     # -- per-thread database management ----------------------------------------
 
@@ -94,14 +81,6 @@ class SQLiteBackend(Backend):
         return self._thread_database().database
 
     def _thread_database(self) -> _ThreadDatabase:
-        if self._serial is not None:
-            with self._serial:
-                if self._shared is None:
-                    self._check_open()
-                    self._shared = _ThreadDatabase(SQLiteDatabase(self._path))
-                state = self._shared
-                self._sync(state)
-                return state
         state = self._pool.get()
         self._sync(state)
         return state
@@ -169,11 +148,6 @@ class SQLiteBackend(Backend):
         self._forests.pop(name, None)
 
     def _close(self) -> None:
-        if self._serial is not None:
-            with self._serial:
-                if self._shared is not None:
-                    self._shared.close()
-                    self._shared = None
         self._pool.close_all()
 
     # -- execution --------------------------------------------------------------
@@ -181,24 +155,10 @@ class SQLiteBackend(Backend):
     def _runner(self, compiled: "CompiledQuery",
                 options: ExecutionOptions) -> Callable[[], Forest]:
         self._bindings(compiled)  # uniform missing-document error
-        state = self._thread_database()
-        database = state.database
+        database = self.database
         translation = database.translate(compiled.core)
-        mode = self._mode
-        serial = self._serial
         # self._tracer is read at call time, not build time, so a runner
         # built once can be driven both traced and untraced.
-        if serial is None:
-            return lambda: database.run_translation(
-                translation, mode=mode,
-                tracer=self._tracer, metrics=options.metrics,
-                guard=options.guard)
-
-        def run() -> Forest:
-            with serial:
-                return database.run_translation(
-                    translation, mode=mode,
-                    tracer=self._tracer, metrics=options.metrics,
-                    guard=options.guard)
-
-        return run
+        return lambda: database.run_translation(
+            translation, tracer=self._tracer, metrics=options.metrics,
+            guard=options.guard)

@@ -17,11 +17,10 @@ serialize lifecycle uniformly across every registered backend:
 * :mod:`repro.obs.flight` — the always-on :class:`FlightRecorder` ring
   buffer every ``session.run`` reports into, with tail-based trace
   sampling, per-(fingerprint, backend) latency percentiles, and
-  :class:`SLO` burn-rate gauges;
-* :mod:`repro.obs.serve` — the ``/metrics`` + ``/healthz`` +
-  ``/debug/queries`` introspection HTTP server (imported lazily by
-  ``session.serve_telemetry`` so plain library use never touches
-  ``http.server``).
+  :class:`SLO` burn-rate gauges.
+
+The HTTP side — ``/metrics``, ``/healthz`` and ``/debug/queries`` — is
+:mod:`repro.serving`, the one server that also answers ``/query``.
 
 Entry points: ``XQuerySession.run(query, trace=True)`` returns a
 :class:`~repro.api.QueryResult` whose ``trace`` is the root span;

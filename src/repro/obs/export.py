@@ -8,8 +8,8 @@
 * :func:`render_span_tree` — a human-readable indented tree with
   durations and attributes, for terminals and logs;
 * :func:`health_reply` / :func:`retry_after_seconds` — a health snapshot
-  as the ``/healthz`` HTTP status and ``Retry-After`` header, shared by
-  the telemetry server and :mod:`repro.serving`.
+  as the ``/healthz`` HTTP status and ``Retry-After`` header
+  (:mod:`repro.serving`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def retry_after_seconds(hint: object) -> str | None:
 
 def health_reply(health: dict[str, object]) -> tuple[int, dict[str, str]]:
     """The ``/healthz`` HTTP status and extra headers for one
-    ``session.health()`` snapshot — the one grading both servers use.
+    ``session.health()`` snapshot.
 
     503 for the :data:`UNHEALTHY_STATUSES`, carrying the admission
     controller's retry hint as ``Retry-After``; 200 otherwise.

@@ -527,7 +527,7 @@ class FlightRecorder:
         with self._lock:
             selected = list(self._updates)
         if limit is not None and limit >= 0:
-            selected = selected[len(selected) - limit:] if limit else []
+            selected = selected[-limit:] if limit else []
         return selected
 
     def append(self, record: QueryRecord) -> QueryRecord:
@@ -623,7 +623,7 @@ class FlightRecorder:
         if kind is not None:
             selected = [e for e in selected if e["kind"] == kind]
         if limit is not None and limit >= 0:
-            selected = selected[len(selected) - limit:] if limit else []
+            selected = selected[-limit:] if limit else []
         return selected
 
     # -- reading --------------------------------------------------------------
@@ -646,7 +646,7 @@ class FlightRecorder:
         if sampled is not None:
             selected = [r for r in selected if r.sampled == sampled]
         if limit is not None and limit >= 0:
-            selected = selected[len(selected) - limit:] if limit else []
+            selected = selected[-limit:] if limit else []
         return selected
 
     def snapshot(self, outcome: str | None = None,

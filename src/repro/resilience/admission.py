@@ -2,7 +2,7 @@
 
 PR 3 gave every query a guard; PR 7 made the service observable.  This
 module closes the loop: the session *refuses, sheds, and degrades* under
-load instead of queueing unboundedly behind the GIL-bound pool until
+load instead of queueing unboundedly behind the worker pool until
 every caller blows its deadline at once (Koch's complexity results in
 PAPERS.md guarantee pathological queries exist; traffic bursts guarantee
 pathological arrival rates).  Three cooperating pieces:

@@ -898,23 +898,22 @@ class XQuerySession:
     # -- telemetry -------------------------------------------------------------------
 
     def serve_telemetry(self, port: int = 0, host: str = "127.0.0.1"):
-        """Start the introspection HTTP server for this session.
+        """Start this session's HTTP server on a background thread.
 
-        Exposes ``/metrics`` (Prometheus text), ``/healthz`` (breaker
-        states + pool gauges + recorder stats), and ``/debug/queries``
-        (the flight recorder's ring buffer as JSON, filterable with
-        ``?outcome=…&sampled=…&limit=…``).  ``port=0`` picks a free port;
-        read it back from the returned server's ``.port``.  Idempotent —
-        a second call returns the running server.  :meth:`close` shuts it
-        down.
+        The same :class:`~repro.serving.QueryServer` that ``python -m
+        repro serve`` runs, every route included: ``/metrics``,
+        ``/healthz``, ``/debug/queries`` and ``POST /query`` (see
+        :mod:`repro.serving`).  ``port=0`` picks a free port; read it
+        back from the returned :class:`~repro.serving.ServerThread`'s
+        ``.port``.  Idempotent — a second call returns the running
+        server.  :meth:`close` shuts it down.
         """
-        from repro.obs.serve import TelemetryServer
+        from repro.serving import QueryServer, ServerThread
 
         with self._telemetry_lock:
             if self._telemetry is None:
-                server = TelemetryServer(self, host=host, port=port)
-                server.start()
-                self._telemetry = server
+                self._telemetry = ServerThread(
+                    QueryServer(self, host=host, port=port)).start()
             return self._telemetry
 
     def health(self) -> dict[str, object]:
@@ -926,7 +925,7 @@ class XQuerySession:
         batch-shedding brownout, or within the post-shed hold window);
         ``"unavailable"`` when *every* active backend's breaker is open.
         The HTTP endpoint maps the last two to 503 so a browned-out
-        instance rotates out — see :mod:`repro.obs.serve`.
+        instance rotates out — see :mod:`repro.serving`.
         """
         breakers = {name: backend_breaker(name).state
                     for name in self.active_backends}

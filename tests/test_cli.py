@@ -115,7 +115,7 @@ class TestObservability:
         """While the CLI lingers, /debug/queries shows the batch it ran."""
         import re
         import time as time_module
-        from repro.obs.serve import fetch_json
+        from repro.serving import fetch_json
 
         seen: dict[str, object] = {}
 

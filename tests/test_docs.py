@@ -129,6 +129,15 @@ class TestDocsNameOnlyWhatExists:
         assert not [path.name for path in self.DOCS
                     if "BENCH_engine" in path.read_text()]
 
+    def test_no_doc_names_the_deleted_second_http_server(self):
+        # repro.serving.QueryServer is the one server (OBSERVABILITY.md,
+        # "The introspection endpoint").
+        stale = [f"{path.name}: {name}" for path in self.DOCS
+                 for name in ("repro.obs.serve", "TelemetryServer",
+                              "ThreadingHTTPServer")
+                 if name in path.read_text()]
+        assert not stale
+
 
 class TestReadmeSnippets:
     def test_quickstart_snippet_runs(self):

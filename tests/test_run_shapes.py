@@ -19,6 +19,7 @@ only once a caller reads ``result.forest``.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 
 import pytest
@@ -193,11 +194,14 @@ def test_no_tree_is_built_until_the_forest_is_read(auction, nodes_built,
                + session.run_many([query] * 2, tier="process"))
     assert [r.to_xml() for r in batches] == [expected_xml] * 4
     assert batches[-1].backend == "procpool"
-    ((status, headers, body),) = serve(
-        server, http(server, "POST", "/query", query.encode()))
+    (status, headers, body), (_, _, debug) = serve(
+        server, http(server, "POST", "/query", query.encode()),
+        http(server, "GET", "/debug/queries?limit=1&traces=false"))
     assert (status, headers["x-backend"]) == (200, backend)
     assert body == expected_xml.encode()
-    assert session.recorder.records()[-1].trees == len(oracle[name])
+    # The same listener reports that request's record, still treeless.
+    (record,) = json.loads(debug)["records"]
+    assert record["trees"] == len(oracle[name])
     assert nodes_built() == before
 
     forest = result.forest

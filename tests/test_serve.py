@@ -1,13 +1,18 @@
 """The live introspection endpoint: /metrics, /healthz, /debug/queries.
 
-A real :class:`ThreadingHTTPServer` on an ephemeral port, exercised
-with stdlib urllib — exactly how a scraper or ``repro top`` reaches a
-production session.  ``/metrics`` must round-trip through the strict
-Prometheus validator, and concurrent scrapes during a ``run_many``
-batch must never observe a torn record.
+The session's own :class:`~repro.serving.QueryServer`, started on a
+background thread by ``serve_telemetry`` on an ephemeral port and
+exercised with stdlib urllib — exactly how a scraper or ``repro top``
+reaches a production session.  ``/metrics`` must round-trip through the
+strict Prometheus validator, concurrent scrapes during a ``run_many``
+batch must never observe a torn record, and a scrape that is still
+rendering must not hold up ``/healthz`` or ``/query``.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -16,10 +21,11 @@ import pytest
 
 from repro.obs.export import parse_prometheus
 from repro.obs.flight import query_fingerprint
-from repro.obs.serve import (
+from repro.serving import (
     ENDPOINTS,
     PROMETHEUS_CONTENT_TYPE,
-    TelemetryServer,
+    QueryServer,
+    ServerThread,
     fetch_json,
     render_top,
     run_top,
@@ -69,15 +75,34 @@ class TestServerLifecycle:
         assert not server.running
 
     def test_context_manager(self, session):
-        with TelemetryServer(session) as standalone:
+        with ServerThread(QueryServer(session, port=0)) as standalone:
             status, _headers, _body = get(standalone.url + "/healthz")
             assert status == 200
         assert not standalone.running
 
-    def test_repr(self, server):
+    def test_repr(self, session, server):
         assert server.url in repr(server)
-        assert "stopped" in repr(TelemetryServer.__repr__(
-            TelemetryServer(None)))  # type: ignore[arg-type]
+        assert "stopped" in repr(ServerThread(QueryServer(session, port=0)))
+
+    def test_serving_never_imports_http_server(self):
+        """The one server is asyncio streams; the stdlib's threaded
+        ``http.server`` (≈ 1.5 MB of RSS) stays out of a served process."""
+        script = (
+            "import sys, repro.serving\n"
+            "from repro.session import XQuerySession\n"
+            "with XQuerySession() as session:\n"
+            "    url = session.serve_telemetry(port=0).url\n"
+            "    health = repro.serving.fetch_json(url + '/healthz')\n"
+            "assert health['status'] == 'ok', health\n"
+            "assert 'http.server' not in sys.modules\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=os.path.dirname(os.path.dirname(__file__)),
+            capture_output=True, text=True, env=env, timeout=120)
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestEndpoints:
@@ -201,6 +226,9 @@ class TestDebugQueries:
         assert len(self.payload(server, "?sampled=no")["records"]) == 0
         limited = self.payload(server, "?limit=2")["records"]
         assert [r["seq"] for r in limited] == [1, 2]  # newest two
+        # A limit past what is buffered keeps everything (it used to
+        # keep the newest ``limit - buffered``).
+        assert len(self.payload(server, "?limit=4")["records"]) == 3
 
     def test_bad_limit_400s(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc:
@@ -244,6 +272,42 @@ class TestDebugQueries:
                 scraper.join(timeout=10.0)
         assert not errors
         assert self.payload(server)["stats"]["recorded_total"] == 16
+
+    def test_a_rendering_scrape_holds_up_nothing_else(self, session, server,
+                                                      monkeypatch):
+        """Scrapes render off the loop: with ``/debug/queries`` parked
+        inside ``recorder.snapshot``, the same listener still answers
+        ``/healthz`` and runs a query."""
+        session.run(NAMES)
+        entered, release = threading.Event(), threading.Event()
+        snapshot = session.recorder.snapshot
+
+        def parked_snapshot(**filters):
+            entered.set()
+            assert release.wait(timeout=30.0)
+            return snapshot(**filters)
+
+        monkeypatch.setattr(session.recorder, "snapshot", parked_snapshot)
+        scraped: list[dict] = []
+        scraper = threading.Thread(target=lambda: scraped.append(
+            fetch_json(server.url + "/debug/queries", timeout=60.0)))
+        scraper.start()
+        try:
+            assert entered.wait(timeout=30.0)
+            status, _headers, _body = get(server.url + "/healthz")
+            assert status == 200
+            request = urllib.request.Request(
+                server.url + "/query", data=NAMES.encode(), method="POST")
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 200
+                assert b"Jaak" in response.read()
+            assert not scraped  # still parked: nothing above waited for it
+        finally:
+            release.set()
+            scraper.join(timeout=30.0)
+        assert not scraper.is_alive()
+        (payload,) = scraped
+        assert [r["outcome"] for r in payload["records"]] == ["ok", "ok"]
 
 
 class TestTop:

@@ -9,21 +9,33 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import pytest
 
-from repro.serving import MAX_BODY_BYTES, QueryServer, serve_until_stopped
+from repro.obs.export import parse_prometheus
+from repro.serving import (
+    ENDPOINTS,
+    MAX_BODY_BYTES,
+    QueryServer,
+    run_top,
+    serve_until_stopped,
+)
 from repro.session import XQuerySession
 from repro.xmark.queries import FIGURE1_SAMPLE
 
 NAMES = 'document("a.xml")/site/people/person/name/text()'
 
 
-async def raw(server: QueryServer, request: bytes) -> bytes:
-    """Send ``request`` verbatim; everything the server says back."""
+async def raw(server: QueryServer, request: bytes,
+              hang_up: bool = False) -> bytes:
+    """Send ``request`` verbatim (then, with ``hang_up``, close the
+    sending side); everything the server says back."""
     reader, writer = await asyncio.open_connection(server.host, server.port)
     writer.write(request)
     await writer.drain()
+    if hang_up:
+        writer.write_eof()
     reply = await reader.read()
     writer.close()
     await writer.wait_closed()
@@ -165,7 +177,7 @@ class TestOtherEndpoints:
     def test_index_lists_endpoints(self, server):
         ((status, _headers, body),) = run(server, http(server, "GET", "/"))
         assert status == 200
-        assert json.loads(body)["endpoints"] == ["/query", "/healthz"]
+        assert json.loads(body)["endpoints"] == list(ENDPOINTS)
 
     def test_unknown_path_404s(self, server):
         ((status, _headers, body),) = run(
@@ -205,6 +217,45 @@ class TestOtherEndpoints:
             server, (f"POST /query HTTP/1.1\r\nContent-Length: {length}"
                      f"\r\n\r\n").encode("ascii")))
         assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 " + status
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"POST /query HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    ], ids=["header-line", "request-line"])
+    def test_line_over_the_reader_limit_400s(self, server, caplog,
+                                             request_bytes):
+        """``StreamReader.readline`` raises past 64 KiB; that is the
+        client's malformed request, not a handler failure."""
+        (reply,) = run(server, raw(server, request_bytes))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert body == b"malformed request"
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_client_hanging_up_mid_body_is_not_a_server_failure(
+            self, server, caplog):
+        (reply,) = run(server, raw(
+            server, b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\nabc",
+            hang_up=True))
+        assert reply == b""
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_metrics_and_top_read_the_query_port(self, server):
+        """One listener: the record a ``POST /query`` leaves is on the
+        same port's ``/metrics`` and in ``repro top`` pointed at it."""
+
+        async def top():
+            return await asyncio.to_thread(
+                run_top, f"127.0.0.1:{server.port}")
+
+        (status, _h, _b), (_s, headers, scrape), console = run(
+            server, http(server, "POST", "/query", NAMES.encode()),
+            http(server, "GET", "/metrics"), top())
+        assert status == 200
+        assert headers["content-type"].startswith("text/plain; version=0.0.4")
+        samples = parse_prometheus(scrape.decode("utf-8"))
+        assert samples['repro_flight_records_total{outcome="ok"}'] == 1
+        assert "flight recorder: 1 recorded" in console
 
 
 class TestLifecycle:
