@@ -1,8 +1,10 @@
 """Benchmarks for gap-based updates (the paper's orthogonal concern).
 
-Deletion is pure tuple filtering; insertion into a slack-bearing encoding
-is local; only a slack-exhausted insertion pays a full relabel.  The
-benchmarks pin those cost classes apart.
+Deletion and insertion into a slack-bearing encoding are local: two
+binary searches on the ``l`` column find the rows, the delta carries
+them, and one ``splice_columns`` (a ``concatenate`` per column) builds
+the new state.  Only a slack-exhausted insertion pays a full relabel, a
+rank of all 2n endpoints.  The benchmarks pin those cost classes apart.
 """
 
 import pytest

@@ -47,8 +47,9 @@ from repro.xml.text_parser import parse_forest
 from repro.xquery.ast import CoreExpr
 from repro.xquery.lowering import document_forest
 
-#: Document inputs accepted by the API: XML text, a node, or a forest.
-DocumentInput: TypeAlias = str | Node | Forest
+#: Document inputs accepted by the API: XML text, a node, or a forest
+#: (in either form: ``UpdatableDocument.to_forest()`` gives the preorder one).
+DocumentInput: TypeAlias = str | Node | Forest | PreorderForest
 
 
 class QueryResult:
@@ -240,7 +241,7 @@ def as_forest(value: DocumentInput) -> Forest:
         return parse_forest(value)
     if isinstance(value, Node):
         return (value,)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, PreorderForest)):
         return value
     raise ReproError(
         f"cannot interpret {type(value).__name__} as a document; "

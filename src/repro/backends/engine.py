@@ -23,7 +23,7 @@ from repro.encoding.stats import (
     collect_stats,
     combine_digests,
 )
-from repro.engine.columns import IntervalColumns, splice_columns
+from repro.engine.columns import splice_columns
 from repro.engine.evaluator import DIEngine, Value
 from repro.xml.forest import Forest, PreorderForest
 
@@ -133,7 +133,7 @@ class EngineBackend(Backend):
                         stats = apply_delta_to_stats(stats, delta)
                     spliced = True
             if not spliced:
-                rel = IntervalColumns.from_tuples(update.rows())
+                rel = update.columns()
                 width = update.width
                 stats = collect_stats(rel, width)
             self._encoded[name] = (rel, width)

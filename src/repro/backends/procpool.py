@@ -23,7 +23,6 @@ from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
 from repro.backends.registry import register_backend
 from repro.compiler.plan import JoinStrategy
 from repro.concurrency.procpool import ProcessQueryPool
-from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine
 from repro.xml.forest import Forest
 
@@ -110,8 +109,8 @@ class ProcPoolBackend(Backend):
                 spliced = all(pool.apply_delta(name, delta)
                               for delta in update.deltas)
             if not spliced:
-                columns = IntervalColumns.from_tuples(update.rows())
-                pool.register_document(name, (columns, update.width))
+                pool.register_document(name,
+                                       (update.columns(), update.width))
             self._revisions[name] = update.revision
             self._prepared[name] = ()
         return True

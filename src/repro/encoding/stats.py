@@ -20,9 +20,12 @@ for the old contents.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.xml.forest import is_element_label
 
@@ -39,9 +42,12 @@ class DocumentStats:
     ``label_counts`` maps node labels (``"<person>"``, ``"@id"``, text
     values) to occurrence counts; ``depth_histogram[d]`` counts nodes at
     depth ``d`` (roots are depth 0).  ``fanout`` is the mean child count
-    per element node.  ``avg_subtree`` is the mean subtree size over all
-    nodes — exactly ``Σ(depth+1)/nodes``, since each node contributes one
-    tuple to every ancestor-or-self subtree.
+    per element node, ``elements`` the number of element nodes it divides
+    by.  ``avg_subtree`` is the mean subtree size over all nodes — exactly
+    ``Σ(depth+1)/nodes``, since each node contributes one tuple to every
+    ancestor-or-self subtree.  ``label_hash`` is the label half of the
+    digest: the sum, modulo 2⁶⁴, of one hash per ``(label, count)`` pair,
+    so an update adjusts it for the labels it touches and nothing else.
     """
 
     nodes: int
@@ -51,6 +57,8 @@ class DocumentStats:
     depth_histogram: tuple[int, ...] = ()
     fanout: float = 0.0
     digest: str = ""
+    elements: int = 0
+    label_hash: int = 0
 
     @property
     def max_depth(self) -> int:
@@ -81,8 +89,6 @@ def collect_stats(rel, width: int) -> DocumentStats:
     The tree shape is read off the depth and name-code columns: the
     histogram is one ``bincount``, root and element counts are mask sums.
     """
-    import numpy as np
-
     from repro.engine.columns import ELEMENT, KIND_MASK, IntervalColumns
 
     rel = IntervalColumns.from_tuples(rel)
@@ -90,44 +96,51 @@ def collect_stats(rel, width: int) -> DocumentStats:
     buckets = min(MAX_DEPTH_BUCKETS, max(nodes, 1))
     histogram = np.bincount(np.minimum(rel.d, buckets - 1),
                             minlength=buckets).tolist()
-    while histogram and histogram[-1] == 0:
-        histogram.pop()
-    roots = histogram[0] if histogram else 0
-    elements = int(np.count_nonzero(rel.c & KIND_MASK == ELEMENT))
-    stats = DocumentStats(
-        nodes=nodes,
-        width=int(width),
-        roots=roots,
-        label_counts=dict(Counter(rel.s.tolist())),
-        depth_histogram=tuple(histogram),
-        fanout=(nodes - roots) / elements if elements else 0.0,
-    )
-    return replace(stats, digest=_digest(stats))
+    label_counts = dict(Counter(rel.s.tolist()))
+    return _finished(
+        nodes, width, histogram, label_counts,
+        elements=int(np.count_nonzero(rel.c & KIND_MASK == ELEMENT)),
+        label_hash=int(_pair_hashes(list(label_counts),
+                                    list(label_counts.values())).sum()))
 
 
 def apply_delta_to_stats(stats: DocumentStats,
                          delta: "UpdateDelta") -> DocumentStats:
-    """Statistics after an incremental update, in O(delta) time.
+    """Statistics after an incremental update.
 
     Produces exactly what :func:`collect_stats` would compute over the
     spliced relation — same counts, same histogram folding, same digest —
     without touching the unaffected rows (the property suite in
-    ``tests/test_update_delta.py`` pins the equivalence).  Only valid for
+    ``tests/test_update_delta.py`` pins the equivalence).  The work is
+    O(delta) — at most two pair hashes per distinct label the delta
+    touches — beside one copy of the ``label_counts`` dictionary, which
+    is as large as the document's vocabulary.  Only valid for
     :attr:`~repro.encoding.updates.UpdateDelta.incremental` deltas; a
     relabel moves every endpoint and requires a fresh collection pass.
     """
     if delta.relabeled:
         raise ValueError("relabeled deltas carry no incremental statistics; "
                          "re-collect from the rebased relation")
+    inserted = [row[0] for row in delta.inserted]
+    change = Counter(inserted)
+    change.subtract(delta.deleted_labels)
+    touched = [label for label, difference in change.items() if difference]
     label_counts = dict(stats.label_counts)
-    for label in delta.deleted_labels:
-        remaining = label_counts.get(label, 0) - 1
-        if remaining > 0:
-            label_counts[label] = remaining
+    # The touched labels' (label, count) pairs leave the hash sum as they
+    # were and enter it as they become.
+    before = [label for label in touched if label in label_counts]
+    counts = [label_counts[label] for label in before]
+    for label in touched:
+        count = label_counts.get(label, 0) + change[label]
+        if count > 0:
+            label_counts[label] = count
         else:
             label_counts.pop(label, None)
-    for row in delta.inserted:
-        label_counts[row[0]] = label_counts.get(row[0], 0) + 1
+    after = [label for label in touched if label in label_counts]
+    counts += [label_counts[label] for label in after]
+    hashes = _pair_hashes(before + after, counts)
+    label_hash = (stats.label_hash - int(hashes[:len(before)].sum())
+                  + int(hashes[len(before):].sum())) % 2 ** 64
     histogram = list(stats.depth_histogram)
     # collect_stats folds depths ≥ MAX_DEPTH_BUCKETS into the last bucket
     # (depth never exceeds nodes - 1, so small documents are unaffected).
@@ -139,32 +152,60 @@ def apply_delta_to_stats(stats: DocumentStats,
         histogram[bucket] += 1
     for depth in delta.deleted_depths:
         histogram[min(depth, fold)] -= 1
+    elements = (stats.elements + sum(map(is_element_label, inserted))
+                - sum(map(is_element_label, delta.deleted_labels)))
+    return _finished(
+        stats.nodes + len(inserted) - len(delta.deleted_labels),
+        delta.new_width, histogram, label_counts, elements, label_hash)
+
+
+def _finished(nodes: int, width: int, histogram: list[int],
+              label_counts: dict[str, int], elements: int,
+              label_hash: int) -> DocumentStats:
+    """The statistics record, derived fields and digest (stable across
+    processes, 16 hex characters) filled in."""
     while histogram and histogram[-1] == 0:
         histogram.pop()
-    nodes = stats.nodes + len(delta.inserted) - len(delta.deleted_labels)
     roots = histogram[0] if histogram else 0
-    elements = sum(count for label, count in label_counts.items()
-                   if is_element_label(label))
-    fanout = (nodes - roots) / elements if elements else 0.0
-    updated = DocumentStats(
+    hasher = hashlib.sha256()
+    hasher.update(f"{nodes}|{int(width)}|{roots}|".encode())
+    hasher.update(",".join(map(str, histogram)).encode())
+    hasher.update(f"|{label_hash:016x}".encode())
+    return DocumentStats(
         nodes=nodes,
-        width=int(delta.new_width),
+        width=int(width),
         roots=roots,
         label_counts=label_counts,
         depth_histogram=tuple(histogram),
-        fanout=fanout,
+        fanout=(nodes - roots) / elements if elements else 0.0,
+        digest=hasher.hexdigest()[:16],
+        elements=elements,
+        label_hash=label_hash,
     )
-    return replace(updated, digest=_digest(updated))
 
 
-def _digest(stats: DocumentStats) -> str:
-    """A stable content digest of the statistics (hex, 16 chars)."""
-    hasher = hashlib.sha256()
-    hasher.update(f"{stats.nodes}|{stats.width}|{stats.roots}|".encode())
-    hasher.update(",".join(str(c) for c in stats.depth_histogram).encode())
-    for label in sorted(stats.label_counts):
-        hasher.update(f"|{label}={stats.label_counts[label]}".encode())
-    return hasher.hexdigest()[:16]
+def _pair_hashes(labels: Sequence[str], counts: Sequence[int]) -> np.ndarray:
+    """One 64-bit hash per ``(label, count)`` pair, given as two columns.
+
+    Their sum modulo 2⁶⁴ is the label half of the digest: independent of
+    order, and adjustable pair by pair.  Every process must compute the
+    same values, which rules out ``hash()`` (salted per process), and a
+    ``hashlib`` object per pair costs more than the sorted single-hasher
+    pass this replaces (12.9 against 10.7 ms over 15,411 labels): the two
+    halves of a word are the label's CRC-32 and Adler-32, the count is
+    added times an odd constant, and splitmix64's finaliser scatters it.
+    Nothing here allocates a container per pair — fifteen thousand tuples
+    are enough to set off a full collection over the loaded document.
+    """
+    texts = [label.encode() for label in labels]
+    size = len(texts)
+    word = (np.fromiter(map(zlib.crc32, texts), np.uint64, size)
+            | np.fromiter(map(zlib.adler32, texts), np.uint64, size)
+            << np.uint64(32))
+    word += np.array(counts, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    word = (word ^ word >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    word = (word ^ word >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return word ^ word >> np.uint64(31)
 
 
 def combine_digests(stats_by_var: Mapping[str, DocumentStats],

@@ -21,7 +21,10 @@ emits a typed :class:`UpdateDelta` — the O(affected-subtree) difference
 between the old and new encodings — which the session propagates to
 prepared backends so they can *patch* their document state (columnar
 splice, ranged SQL ``DELETE`` + batched ``INSERT``) instead of
-re-encoding and re-shredding the whole document.  See ``docs/UPDATES.md``.
+re-encoding and re-shredding the whole document.  The document is held
+as the engine holds it, :class:`~repro.engine.columns.IntervalColumns`,
+and an edit's new state is the engine's own ``splice_columns`` of its
+delta.  See ``docs/UPDATES.md``.
 """
 
 from __future__ import annotations
@@ -30,11 +33,21 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.encoding.interval import (
     EncodedForest,
     IntervalTuple,
     decode,
+    encode_columns,
     validate_encoding,
+)
+from repro.engine.columns import (
+    ELEMENT,
+    KIND_MASK,
+    IntervalColumns,
+    name_code,
+    splice_columns,
 )
 from repro.errors import EncodingError
 from repro.xml.forest import Forest, Node
@@ -110,9 +123,10 @@ class UpdateDelta:
 
         Backends bind ``document(uri)`` to the forest wrapped in one
         document node (:func:`repro.xquery.lowering.document_forest`), so
-        their encodings are :func:`wrap_document_rows` of the updatable
-        encoding: every endpoint shifted by +1 under a document-node row
-        spanning ``[0, width + 1]``.  The same fixed shift maps a delta.
+        their encodings are the updatable encoding wrapped the same way
+        (:meth:`DocumentUpdate.columns`): every endpoint shifted by +1
+        under a document-node row spanning ``[0, width + 1]``.  The same
+        fixed shift maps a delta.
         """
         return UpdateDelta(
             inserted=tuple((s, l + 1, r + 1) for (s, l, r) in self.inserted),
@@ -127,23 +141,6 @@ class UpdateDelta:
         )
 
 
-def wrap_document_rows(encoded: EncodedForest) -> list[IntervalTuple]:
-    """The document-wrapped relation of an updatable encoding.
-
-    Every endpoint is shifted by +1 and a document-node row spans
-    ``[0, width + 1]`` (total width ``width + 2``) — structurally the
-    same shape :func:`repro.encoding.interval.encode` produces for
-    ``document_forest(trees)``, just in the updatable document's gappy
-    coordinate system.  The shift is a *fixed* +1, so incremental deltas
-    translate in O(delta) (:meth:`UpdateDelta.wrapped`).
-    """
-    from repro.xquery.lowering import DOCUMENT_LABEL
-
-    rows: list[IntervalTuple] = [(DOCUMENT_LABEL, 0, encoded.width + 1)]
-    rows.extend((s, l + 1, r + 1) for (s, l, r) in encoded.tuples)
-    return rows
-
-
 class DocumentUpdate:
     """Everything a backend needs to bring one prepared document current.
 
@@ -151,12 +148,14 @@ class DocumentUpdate:
     whose recorded revision equals ``base_revision`` applies them as an
     O(affected-subtree) patch; any other backend (first update after a
     forest-based prepare, divergent update branch, relabel in the chain)
-    *rebases* from :meth:`rows` — the wrapped snapshot of the updated
-    encoding, built lazily and shared by every rebasing backend.  Either
-    way no :class:`~repro.xml.forest.Forest` is materialized.
+    *rebases* from the wrapped snapshot of the updated encoding —
+    :meth:`columns` for the engine tiers, :meth:`rows` for the relational
+    adapters' :class:`~repro.backends.deltalog.DeltaLog` — built lazily,
+    the columns once for every rebasing backend.  Either way no
+    :class:`~repro.xml.forest.Forest` is materialized.
     """
 
-    __slots__ = ("revision", "base_revision", "deltas", "_source", "_rows")
+    __slots__ = ("revision", "base_revision", "deltas", "_source", "_columns")
 
     def __init__(self, revision: int, base_revision: int | None,
                  deltas: tuple[UpdateDelta, ...],
@@ -165,38 +164,53 @@ class DocumentUpdate:
         self.base_revision = base_revision if deltas else None
         self.deltas = deltas
         self._source = source
-        self._rows: list[IntervalTuple] | None = None
+        self._columns: IntervalColumns | None = None
 
     @property
     def width(self) -> int:
         """Width of the wrapped snapshot (updatable width + 2)."""
-        return self._source.encoded.width + 2
-
-    @property
-    def delta_rows(self) -> int:
-        """Total affected rows across the carried deltas."""
-        return sum(delta.size for delta in self.deltas)
+        return self._source.width + 2
 
     def rows(self) -> list[IntervalTuple]:
-        """The wrapped snapshot rows (cached; built on first rebase)."""
-        if self._rows is None:
-            self._rows = wrap_document_rows(self._source.encoded)
-        return self._rows
+        """The wrapped snapshot as rows, a fresh list per call."""
+        return self.columns().tuples()
+
+    def columns(self) -> IntervalColumns:
+        """The wrapped snapshot (cached): every endpoint and depth of the
+        source one higher, under a document-node row spanning
+        ``[0, width - 1]`` — the shape ``encode_columns`` produces for
+        ``document_forest(trees)``, in the document's gappy numbering."""
+        if self._columns is None:
+            from repro.xquery.lowering import DOCUMENT_LABEL
+
+            source = self._source.columns
+            self._columns = IntervalColumns(*(
+                np.concatenate((np.array([top], dtype=column.dtype), column))
+                for top, column in ((DOCUMENT_LABEL, source.s),
+                                    (0, source.l + 1),
+                                    (self.width - 1, source.r + 1),
+                                    (0, source.d + 1),
+                                    (name_code(DOCUMENT_LABEL), source.c))))
+        return self._columns
 
 
 class UpdatableDocument:
     """An interval-encoded forest supporting insert/delete of subtrees.
 
-    Nodes are addressed by their left endpoint (unique within an
-    encoding).  ``stride`` controls how much slack a relabeling pass
+    The state is ``columns`` (document order, truthful ``d``/``c``) plus
+    ``width``.  Nodes are addressed by their left endpoint (unique within
+    an encoding).  ``stride`` controls how much slack a relabeling pass
     leaves between endpoints.
     """
 
-    def __init__(self, encoded: EncodedForest, stride: int = DEFAULT_STRIDE):
+    def __init__(self, columns: IntervalColumns, width: int,
+                 stride: int = DEFAULT_STRIDE):
         if stride < 1:
             raise ValueError("stride must be at least 1")
-        self.encoded = encoded
+        self.columns = columns
+        self.width = int(width)
         self.stride = stride
+        self._encoded: EncodedForest | None = None
         self.last_stats = UpdateStats()
         #: Unique id of this state; deltas chain base → derived states.
         self.revision: int = next(_REVISIONS)
@@ -210,10 +224,18 @@ class UpdatableDocument:
     @classmethod
     def from_forest(cls, trees: Forest | Node,
                     stride: int = DEFAULT_STRIDE) -> "UpdatableDocument":
-        if isinstance(trees, Node):
-            trees = (trees,)
-        rows, width = _spread_rows(_encode_flat(trees), stride)
-        return cls(EncodedForest(rows, width, sort=False), stride)
+        tight, _width = encode_columns(trees)
+        return cls(*_with_slack(tight, tight.l, tight.r, stride), stride)
+
+    @property
+    def encoded(self) -> EncodedForest:
+        """The row form of this state, built on first read and cached; no
+        edit reads it, and of the commits only the relational adapters'
+        rebase (:meth:`DocumentUpdate.rows`)."""
+        if self._encoded is None:
+            self._encoded = EncodedForest(self.columns.tuples(), self.width,
+                                          sort=False)
+        return self._encoded
 
     # -- delta chains ----------------------------------------------------------
 
@@ -244,10 +266,10 @@ class UpdatableDocument:
         committed states never anchor their whole update history)."""
         self.base = None
 
-    def _derive(self, encoded: EncodedForest, stats: UpdateStats,
-                delta: UpdateDelta,
+    def _derive(self, columns: IntervalColumns, width: int,
+                stats: UpdateStats, delta: UpdateDelta,
                 stride: int | None = None) -> "UpdatableDocument":
-        result = UpdatableDocument(encoded, stride or self.stride)
+        result = UpdatableDocument(columns, width, stride or self.stride)
         result.last_stats = stats
         result.base = self
         result.last_delta = delta
@@ -256,270 +278,216 @@ class UpdatableDocument:
     # -- inspection ------------------------------------------------------------
 
     def to_forest(self) -> Forest:
-        return decode(self.encoded)
+        return decode(self.columns)
 
     def node_count(self) -> int:
-        return len(self.encoded)
+        return len(self.columns)
 
     def find(self, left: int) -> IntervalTuple:
         """The tuple whose left endpoint is ``left``."""
-        lows = [row[1] for row in self.encoded.tuples]
-        position = bisect_left(lows, left)
-        if position >= len(lows) or lows[position] != left:
+        return self.columns[self._position(left)]
+
+    def _position(self, left: int) -> int:
+        """Row index of the node whose left endpoint is ``left``."""
+        lows = self.columns.l
+        position = int(lows.searchsorted(left))
+        if position == len(lows) or lows[position] != left:
             raise EncodingError(f"no node with left endpoint {left}")
-        return self.encoded.tuples[position]
+        return position
 
     # -- updates ------------------------------------------------------------------
 
     def delete_subtree(self, left: int) -> "UpdatableDocument":
         """Remove the node at ``left`` together with its whole subtree."""
-        root = self.find(left)
-        kept: list[IntervalTuple] = []
-        dropped_labels: list[str] = []
-        dropped_depths: list[int] = []
-        # One pass in document order: the open-rights stack gives each
-        # row's depth, so the delta carries what incremental statistics
-        # maintenance needs without a second scan.
-        open_rights: list[int] = []
-        for row in self.encoded.tuples:
-            while open_rights and open_rights[-1] < row[1]:
-                open_rights.pop()
-            if root[1] <= row[1] and row[2] <= root[2]:
-                dropped_labels.append(row[0])
-                dropped_depths.append(len(open_rights))
-            else:
-                kept.append(row)
-            open_rights.append(row[2])
+        columns = self.columns
+        start = self._position(left)
+        low, high = int(columns.l[start]), int(columns.r[start])
+        # Descendants open strictly inside the root's interval, so the
+        # subtree is the run of rows up to the first ``l`` past ``high``.
+        stop = int(columns.l.searchsorted(high))
         delta = UpdateDelta(
-            deleted_ranges=((root[1], root[2]),),
-            deleted_labels=tuple(dropped_labels),
-            deleted_depths=tuple(dropped_depths),
-            old_width=self.encoded.width,
-            new_width=self.encoded.width,
+            deleted_ranges=((low, high),),
+            deleted_labels=tuple(columns.s[start:stop].tolist()),
+            deleted_depths=tuple(columns.d[start:stop].tolist()),
+            old_width=self.width,
+            new_width=self.width,
         )
-        return self._derive(
-            EncodedForest(kept, self.encoded.width, sort=False),
-            UpdateStats(deleted_nodes=len(dropped_labels)), delta)
+        return self._derive(splice_columns(columns, delta), self.width,
+                            UpdateStats(deleted_nodes=stop - start), delta)
 
     def insert_child(self, parent_left: int, child_index: int,
                      trees: Forest | Node) -> "UpdatableDocument":
         """Insert ``trees`` as children of ``parent_left`` at ``child_index``.
 
         ``child_index`` counts existing children 0-based; anything past
-        the end appends.
+        the end appends.  Only an element takes children: a text or
+        attribute parent is an :class:`EncodingError`.
         """
-        if isinstance(trees, Node):
-            trees = (trees,)
-        parent = self.find(parent_left)
-        boundaries = self._child_boundaries(parent)
-        index = min(child_index, len(boundaries) - 1)
-        low, high = boundaries[index]
-        return self._insert_between(low, high, trees,
-                                    base_depth=self._depth_of(parent_left) + 1)
+        parent = self._position(parent_left)
+        if self.columns.c[parent] & KIND_MASK != ELEMENT:
+            raise EncodingError(
+                f"node {self.columns.s[parent]!r} at {parent_left} is not an "
+                "element and cannot take children")
+        return self._insert(parent, child_index, encode_columns(trees)[0])
 
     def insert_tree(self, position: int,
                     trees: Forest | Node) -> "UpdatableDocument":
         """Insert ``trees`` as new top-level trees at ``position``."""
-        if isinstance(trees, Node):
-            trees = (trees,)
-        roots = self._top_level_roots()
-        position = min(position, len(roots))
-        low = roots[position - 1][2] if position > 0 else -1
-        if position < len(roots):
-            high = roots[position][1]
-        else:
-            high = max(self.encoded.width, low + 1)
-            # Appending may extend past the current width; widen as needed.
-        return self._insert_between(low, high, trees,
-                                    allow_widening=position >= len(roots))
-
-    # -- internals ----------------------------------------------------------------
-
-    def _top_level_roots(self) -> list[IntervalTuple]:
-        result = []
-        max_right = -1
-        for row in self.encoded.tuples:
-            if row[1] > max_right:
-                max_right = row[2]
-                result.append(row)
-        return result
-
-    def _children_of(self, parent: IntervalTuple) -> list[IntervalTuple]:
-        result = []
-        max_right = parent[1]
-        for row in self.encoded.tuples:
-            if parent[1] < row[1] and row[2] < parent[2] and row[1] > max_right:
-                max_right = row[2]
-                result.append(row)
-        return result
-
-    def _child_boundaries(self, parent: IntervalTuple
-                          ) -> list[tuple[int, int]]:
-        """(low, high) exclusive endpoint bounds for each child slot."""
-        children = self._children_of(parent)
-        bounds = []
-        previous = parent[1]
-        for child in children:
-            bounds.append((previous, child[1]))
-            previous = child[2]
-        bounds.append((previous, parent[2]))
-        return bounds
-
-    def _depth_of(self, left: int) -> int:
-        """Depth of the node at ``left`` (one document-order pass)."""
-        open_rights: list[int] = []
-        for row in self.encoded.tuples:
-            while open_rights and open_rights[-1] < row[1]:
-                open_rights.pop()
-            if row[1] == left:
-                return len(open_rights)
-            open_rights.append(row[2])
-        raise EncodingError(f"no node with left endpoint {left}")
-
-    def _insert_between(self, low: int, high: int, trees: Forest,
-                        allow_widening: bool = False,
-                        base_depth: int = 0) -> "UpdatableDocument":
-        new_rows = _encode_flat(trees)
-        needed = 2 * len(new_rows)
-        if needed == 0:
-            return self._derive(
-                self.encoded, UpdateStats(),
-                UpdateDelta(old_width=self.encoded.width,
-                            new_width=self.encoded.width))
-        gap = high - low - 1
-        if allow_widening:
-            gap = max(gap, needed)  # free to extend width at the end
-        if gap >= needed:
-            placed = _place_rows(new_rows, low, high, allow_widening)
-            rows = sorted(self.encoded.tuples + placed,
-                          key=lambda row: row[1])
-            width = max(self.encoded.width,
-                        max(row[2] for row in placed) + 1)
-            validate_encoding(rows, width)
-            delta = UpdateDelta(
-                inserted=tuple(placed),
-                inserted_depths=tuple(base_depth + depth
-                                      for depth in _tight_depths(new_rows)),
-                old_width=self.encoded.width,
-                new_width=width,
-            )
-            return self._derive(EncodedForest(rows, width, sort=False),
-                                UpdateStats(inserted_nodes=len(new_rows)),
-                                delta)
-        # Not enough room: spread the whole document, then retry (the
-        # spread stride guarantees success for this insertion size).
-        # The stride doubles (capped) so a hot insertion point costs
-        # amortized-logarithmic spreads instead of one per insert.
-        stride = min(max(self.stride * 2, needed + 1),
-                     max(_MAX_SPREAD_STRIDE, needed + 1))
-        spread_doc = self.relabel(stride)
-        mapping = _endpoint_mapping(self.encoded.tuples,
-                                    spread_doc.encoded.tuples)
-        retried = spread_doc._insert_between(
-            mapping.get(low, -1 if low < 0 else low * stride + stride - 1),
-            mapping.get(high, spread_doc.encoded.width),
-            trees, allow_widening, base_depth)
-        retried.last_stats = UpdateStats(
-            inserted_nodes=len(new_rows), relabeled=True)
-        # Collapse the spread+retry pair into one relabeled step from
-        # *this* state: every endpoint moved, so the delta is a spread
-        # event and appliers rebase from the snapshot.
-        retried.base = self
-        retried.last_delta = UpdateDelta(
-            old_width=self.encoded.width,
-            new_width=retried.encoded.width,
-            relabeled=True)
-        return retried
+        return self._insert(None, position, encode_columns(trees)[0])
 
     def relabel(self, stride: int | None = None) -> "UpdatableDocument":
         """Re-encode with uniform slack (the paper's cited techniques all
         reduce to some scheme of this kind)."""
         stride = stride or self.stride
-        rows, width = _spread_rows(_encode_flat(self.to_forest()), stride)
-        delta = UpdateDelta(old_width=self.encoded.width, new_width=width,
+        columns = self.columns
+        count = len(columns)
+        # The tight DFS numbering of Example 3.2 gives each endpoint its
+        # rank among all 2n of them (Definition 3.1 keeps them distinct).
+        rank = np.argsort(np.argsort(np.concatenate((columns.l, columns.r))))
+        spread, width = _with_slack(columns, rank[:count], rank[count:],
+                                    stride)
+        delta = UpdateDelta(old_width=self.width, new_width=width,
                             relabeled=True)
-        return self._derive(EncodedForest(rows, width, sort=False),
-                            UpdateStats(relabeled=True), delta,
+        return self._derive(spread, width, UpdateStats(relabeled=True), delta,
                             stride=max(self.stride, stride))
+
+    # -- internals ----------------------------------------------------------------
+
+    def _slot(self, parent: int | None, index: int) -> tuple[int, int, bool]:
+        """``(low, high, appending)``: the open endpoint interval before
+        child ``index`` of the row at ``parent`` (``None``: the top
+        level), or after the last child when ``index`` is past it.
+        ``appending`` marks the slot after the last root, the one place an
+        insert may widen the document instead of fitting a gap."""
+        l, r, d = self.columns.l, self.columns.r, self.columns.d
+        if parent is None:
+            children = np.flatnonzero(d == 0)
+        else:
+            # The parent's run ends at the first ``l`` past its ``r``;
+            # its children are the rows one level down inside it.
+            end = int(l.searchsorted(r[parent]))
+            children = parent + 1 + np.flatnonzero(
+                d[parent + 1:end] == d[parent] + 1)
+        index = min(index, len(children))
+        if index:
+            low = int(r[children[index - 1]])
+        else:
+            low = -1 if parent is None else int(l[parent])
+        if index < len(children):
+            return low, int(l[children[index]]), False
+        if parent is None:
+            return low, max(self.width, low + 1), True
+        return low, int(r[parent]), False
+
+    def _insert(self, parent: int | None, index: int,
+                new: IntervalColumns) -> "UpdatableDocument":
+        """Insert the tight rows ``new`` at child slot ``index`` of the row
+        at ``parent`` (``None``: the top level), spreading if need be."""
+        if index < 0:
+            raise ValueError(f"insert position must not be negative: {index}")
+        if not len(new):
+            return self._derive(
+                self.columns, self.width, UpdateStats(),
+                UpdateDelta(old_width=self.width, new_width=self.width))
+        low, high, appending = self._slot(parent, index)
+        needed = 2 * len(new)
+        if appending or high - low - 1 >= needed:
+            depth = 0 if parent is None else int(self.columns.d[parent]) + 1
+            return self._insert_between(low, high, new, depth, appending)
+        # Not enough room: spread the whole document, then retry (the
+        # spread stride guarantees success for this insertion size, and a
+        # spread keeps every row where it is, so ``parent`` and ``index``
+        # still name the slot).  The stride doubles (capped) so a hot
+        # insertion point costs amortized-logarithmic spreads instead of
+        # one per insert.
+        stride = min(max(self.stride * 2, needed + 1),
+                     max(_MAX_SPREAD_STRIDE, needed + 1))
+        retried = self.relabel(stride)._insert(parent, index, new)
+        retried.last_stats = UpdateStats(
+            inserted_nodes=len(new), relabeled=True)
+        # Collapse the spread+retry pair into one relabeled step from
+        # *this* state: every endpoint moved, so the delta is a spread
+        # event and appliers rebase from the snapshot.
+        retried.base = self
+        retried.last_delta = UpdateDelta(
+            old_width=self.width, new_width=retried.width, relabeled=True)
+        return retried
+
+    def _insert_between(self, low: int, high: int, new: IntervalColumns,
+                        depth: int,
+                        appending: bool = False) -> "UpdatableDocument":
+        """Splice the tight rows ``new`` into the open gap ``(low, high)``:
+        neighbouring child-slot bounds of one parent (:meth:`_slot`), whose
+        children sit at ``depth``."""
+        placed = _place_rows(new, low, high, appending)
+        # Definition 3.1 for the result, given that it holds for the base,
+        # without a pass over the document: the new rows are valid among
+        # themselves, every one of their endpoints lies strictly inside
+        # the gap, and no existing interval opens inside the gap.  None
+        # closes there either: it would have opened at or before ``low``,
+        # which makes it the node ``low`` belongs to or an ancestor of it
+        # — the parent of the slot or something around that parent — and
+        # ``high`` is no further than where that parent closes.  The
+        # width exceeds the new right endpoints by construction.
+        validate_encoding(placed)
+        lows = self.columns.l
+        if lows.searchsorted(low, side="right") != lows.searchsorted(high):
+            raise EncodingError(
+                f"existing rows open inside the gap ({low}, {high})")
+        first = min(row[1] for row in placed)
+        last = max(row[2] for row in placed)
+        if first <= low or (last >= high and not appending):
+            raise EncodingError(f"rows placed at [{first}, {last}], outside "
+                                f"the gap ({low}, {high})")
+        width = max(self.width, last + 1)
+        delta = UpdateDelta(
+            inserted=placed,
+            inserted_depths=tuple((new.d + depth).tolist()),
+            old_width=self.width,
+            new_width=width,
+        )
+        return self._derive(splice_columns(self.columns, delta), width,
+                            UpdateStats(inserted_nodes=len(placed)), delta)
 
 
 def splice_rows(rows: list[IntervalTuple],
                 delta: UpdateDelta) -> list[IntervalTuple]:
     """Apply a delta to a document-ordered ``(s, l, r)`` row list.
 
-    The row-form twin of :func:`repro.engine.columns.splice_columns`:
-    deleted ranges and the inserted run's position are found by bisect on
-    the left endpoints, everything else is C-level list slicing.  The
-    input list is never mutated.
+    The row-form twin of :func:`repro.engine.columns.splice_columns`, in
+    the order its SQL replay runs (ranged deletes, then the insert):
+    positions are found by bisect on the left endpoints, everything else
+    is C-level list slicing.  The input list is never mutated.
     """
-    out: list[IntervalTuple] = []
-    cursor = 0
-    size = len(rows)
-    drops = []
+    def position(left: int) -> int:
+        return bisect_left(out, left, key=lambda row: row[1])
+
+    out = list(rows)
     for lo, hi in delta.deleted_ranges:
-        start = bisect_left(rows, lo, key=lambda row: row[1])
-        stop = bisect_left(rows, hi + 1, lo=start, key=lambda row: row[1])
-        if start < stop:
-            drops.append((start, stop))
-    drops.sort()
-    insert_at = bisect_left(rows, delta.inserted[0][1],
-                            key=lambda row: row[1]) if delta.inserted \
-        else None
-    placed = insert_at is None
-
-    def emit(start: int, stop: int) -> None:
-        nonlocal placed
-        if not placed and start <= insert_at <= stop:
-            out.extend(rows[start:insert_at])
-            out.extend(delta.inserted)
-            placed = True
-            out.extend(rows[insert_at:stop])
-            return
-        out.extend(rows[start:stop])
-
-    for start, stop in drops:
-        if cursor < start:
-            emit(cursor, start)
-        cursor = max(cursor, stop)
-    if cursor < size:
-        emit(cursor, size)
-    if not placed:
-        out.extend(delta.inserted)
+        del out[position(lo):position(hi + 1)]
+    if delta.inserted:
+        at = position(delta.inserted[0][1])
+        out[at:at] = delta.inserted
     return out
 
 
-def _encode_flat(trees: Forest) -> list[IntervalTuple]:
-    """Tight DFS encoding rows for ``trees`` (counter starting at 0)."""
-    from repro.encoding.interval import encode
-
-    return list(encode(trees).tuples)
-
-
-def _tight_depths(rows: list[IntervalTuple]) -> list[int]:
-    """Per-row depths of a document-ordered encoding (relative to it)."""
-    depths: list[int] = []
-    open_rights: list[int] = []
-    for row in rows:
-        while open_rights and open_rights[-1] < row[1]:
-            open_rights.pop()
-        depths.append(len(open_rights))
-        open_rights.append(row[2])
-    return depths
+def _with_slack(columns: IntervalColumns, lefts: np.ndarray,
+                rights: np.ndarray,
+                stride: int) -> tuple[IntervalColumns, int]:
+    """``columns`` renumbered from the tight endpoints ``lefts``/``rights``:
+    endpoint ``e`` becomes ``e·stride + stride - 1`` (uniform slack).
+    Returns the relation and its width."""
+    slack = stride - 1
+    rights = rights * stride + slack
+    spread = IntervalColumns(columns.s, lefts * stride + slack, rights,
+                             columns.d, columns.c)
+    return spread, (int(rights.max()) if len(rights) else 0) + stride
 
 
-def _spread_rows(rows: list[IntervalTuple],
-                 stride: int) -> tuple[list[IntervalTuple], int]:
-    """Map endpoint ``e`` to ``e·stride + stride - 1`` (uniform slack)."""
-    spread = [(s, l * stride + stride - 1, r * stride + stride - 1)
-              for (s, l, r) in rows]
-    width = (max((row[2] for row in spread), default=0)) + stride
-    return spread, width
-
-
-def _place_rows(rows: list[IntervalTuple], low: int, high: int,
-                allow_widening: bool) -> list[IntervalTuple]:
+def _place_rows(new: IntervalColumns, low: int, high: int,
+                allow_widening: bool) -> tuple[IntervalTuple, ...]:
     """Fit tight rows into the open interval (low, high)."""
-    needed = 2 * len(rows)
+    needed = 2 * len(new)
     if allow_widening:
         high = max(high, low + needed + 1)
     gap = high - low - 1
@@ -531,18 +499,7 @@ def _place_rows(rows: list[IntervalTuple], low: int, high: int,
     step = gap // needed
     span = (needed - 1) * step + 1
     start = low + 1 if allow_widening else low + 1 + (gap - span) // 2
-
-    def place(endpoint: int) -> int:
-        return start + endpoint * step
-
-    return [(s, place(l), place(r)) for (s, l, r) in rows]
-
-
-def _endpoint_mapping(old_rows: list[IntervalTuple],
-                      new_rows: list[IntervalTuple]) -> dict[int, int]:
-    """Old endpoint → new endpoint after a relabel (same DFS order)."""
-    mapping: dict[int, int] = {}
-    for (old, new) in zip(old_rows, new_rows):
-        mapping[old[1]] = new[1]
-        mapping[old[2]] = new[2]
-    return mapping
+    # Python integers: exact whatever the gap, and only delta-many.
+    return tuple((s, start + l * step, start + r * step)
+                 for s, l, r in zip(new.s.tolist(), new.l.tolist(),
+                                    new.r.tolist()))

@@ -250,7 +250,7 @@ class XQuerySession:
             return self._updatable.setdefault(uri, built)
 
     def apply_update(self, uri: str, updated: UpdatableDocument, *,
-                     incremental: bool | None = None) -> None:
+                     incremental: bool = True) -> None:
         """Commit an updated encoding back as the document's new state.
 
         Takes the session write lock: in-flight queries finish against
@@ -264,12 +264,9 @@ class XQuerySession:
         own ``Forest`` view is re-materialized lazily on the next
         :meth:`document` call.  Backends that cannot absorb the delta
         fall back to the usual invalidate/close path.  Setting
-        ``incremental=False`` (or the ``REPRO_FULL_REENCODE`` environment
-        variable) forces the original full re-encode path — the oracle
-        the property tests compare against.
+        ``incremental=False`` forces the original full re-encode path —
+        the oracle the property tests compare against.
         """
-        if incremental is None:
-            incremental = not os.environ.get("REPRO_FULL_REENCODE")
         started = time.perf_counter()
         if not incremental:
             forest = updated.to_forest()  # decode outside the write lock

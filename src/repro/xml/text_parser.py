@@ -1,6 +1,6 @@
 """Parse XML text into the XF forest model.
 
-The parser is a small, dependency-free recursive-descent parser for the
+The parser is a small, dependency-free hand-written parser for the
 XML subset used by the paper and the XMark benchmark: elements, attributes,
 character data, comments, processing instructions (skipped), CDATA sections,
 and the five predefined entities.  It deliberately does not implement DTDs,
@@ -60,7 +60,8 @@ def parse_forest(source: str, strip_whitespace: bool = True) -> Forest:
 
 
 class _Parser:
-    """Recursive-descent XML parser over a source string."""
+    """XML parser over a source string (element nesting on an explicit
+    stack, so document depth is not limited by the recursion limit)."""
 
     def __init__(self, source: str, strip_whitespace: bool = True):
         self.source = source
@@ -145,9 +146,16 @@ class _Parser:
         return self.source[start:self.pos]
 
     def parse_content(self, top_level: bool = False) -> list[Node]:
-        """Parse mixed content until a closing tag (or end of input)."""
+        """Parse mixed content until an unmatched closing tag (or end of
+        input).
+
+        Iterative, so nesting depth is not bounded by the interpreter's
+        recursion limit: ``enclosing`` holds one ``(tag, children so far)``
+        entry per element that is open around the content being read.
+        """
         nodes: list[Node] = []
         buffer: list[str] = []
+        enclosing: list[tuple[str, list[Node]]] = []
 
         def flush_text() -> None:
             if buffer:
@@ -159,8 +167,21 @@ class _Parser:
 
         while self.pos < self.length:
             if self.startswith("</"):
-                break
-            if self.startswith("<!--"):
+                if not enclosing:
+                    break
+                flush_text()
+                tag, siblings = enclosing.pop()
+                self.pos += 2
+                closing = self.parse_name()
+                if closing != tag:
+                    raise XMLParseError(
+                        f"mismatched closing tag </{closing}>, expected </{tag}>", self.pos
+                    )
+                self.skip_whitespace()
+                self.expect(">")
+                siblings.append(element(tag, nodes))
+                nodes = siblings
+            elif self.startswith("<!--"):
                 self._skip_until("-->")
             elif self.startswith("<![CDATA["):
                 self.pos += len("<![CDATA[")
@@ -172,14 +193,28 @@ class _Parser:
             elif self.startswith("<?"):
                 self._skip_until("?>")
             elif self.startswith("<!DOCTYPE"):
-                if not top_level:
+                if enclosing or not top_level:
                     raise XMLParseError("DOCTYPE inside element content", self.pos)
                 self._skip_doctype()
             elif self.peek() == "<":
                 flush_text()
-                nodes.append(self.parse_element())
+                self.pos += 1
+                tag = self.parse_name()
+                attributes = self.parse_attributes()
+                self.skip_whitespace()
+                if self.startswith("/>"):
+                    self.pos += 2
+                    nodes.append(element(tag, attributes))
+                else:
+                    self.expect(">")
+                    # The element's children collect behind its
+                    # attributes until its closing tag arrives.
+                    enclosing.append((tag, nodes))
+                    nodes = attributes
             else:
                 buffer.append(self.parse_character_data())
+        if enclosing:
+            self.expect("</")
         flush_text()
         return nodes
 
@@ -216,26 +251,6 @@ class _Parser:
         if name in _ENTITY_MAP:
             return _ENTITY_MAP[name]
         raise XMLParseError(f"unknown entity &{name};", self.pos)
-
-    def parse_element(self) -> Node:
-        self.expect("<")
-        tag = self.parse_name()
-        attributes = self.parse_attributes()
-        self.skip_whitespace()
-        if self.startswith("/>"):
-            self.pos += 2
-            return element(tag, attributes)
-        self.expect(">")
-        content = self.parse_content()
-        self.expect("</")
-        closing = self.parse_name()
-        if closing != tag:
-            raise XMLParseError(
-                f"mismatched closing tag </{closing}>, expected </{tag}>", self.pos
-            )
-        self.skip_whitespace()
-        self.expect(">")
-        return element(tag, tuple(attributes) + tuple(content))
 
     def parse_attributes(self) -> list[Node]:
         attributes: list[Node] = []

@@ -88,7 +88,7 @@ class TestDocFilesExist:
         for term in ("UpdateDelta", "deleted_ranges", "relabeled",
                      "delta.wrapped()", "deltas_since", "delta_updates",
                      "apply_delta_to_stats", "migrate_document",
-                     "REPRO_FULL_REENCODE",
+                     "incremental=False",
                      "repro_session_delta_updates_total",
                      "repro_update_lock_hold_seconds",
                      "major/minor generation"):

@@ -36,12 +36,24 @@ from repro.encoding.updates import (
     DocumentUpdate,
     UpdatableDocument,
     splice_rows,
-    wrap_document_rows,
 )
 from repro.engine.columns import IntervalColumns, splice_columns
 from repro.session import XQuerySession
 from repro.sql.sqlite_backend import SQLiteDatabase
 from repro.xml.forest import element, forest as make_forest, text
+from repro.xquery.lowering import DOCUMENT_LABEL
+from tests.test_updates_model import (
+    assert_columns_equal,
+    assert_state_is_sound,
+)
+
+
+def wrap_document_rows(encoded):
+    """The row-level reference for ``DocumentUpdate.columns()``: every
+    endpoint +1 under a document-node row spanning ``[0, width + 1]``."""
+    return [(DOCUMENT_LABEL, 0, encoded.width + 1)] + [
+        (s, l + 1, r + 1) for (s, l, r) in encoded.tuples]
+
 
 # -- random documents and edit scripts ---------------------------------------
 
@@ -71,7 +83,8 @@ def edit_scripts(draw):
     # Stride 1 leaves no gaps: the first insert must spread, covering
     # the relabeled/non-incremental delta path alongside the common one.
     stride = draw(st.sampled_from((1, 4, 16)))
-    ops = draw(st.lists(st.tuples(st.sampled_from(("insert", "delete")),
+    ops = draw(st.lists(st.tuples(st.sampled_from(("insert", "delete",
+                                                   "append")),
                                   st.integers(0, 10 ** 6),
                                   st.sampled_from(LABELS)),
                         min_size=1, max_size=6))
@@ -79,19 +92,27 @@ def edit_scripts(draw):
 
 
 def _apply_ops(doc: UpdatableDocument, ops) -> UpdatableDocument:
-    """Drive the edit script, skipping ops that became impossible."""
+    """Drive the edit script, skipping ops that became impossible.
+
+    A delete may take any row, the last root included (the document is
+    then empty and only an append applies); an append widens the
+    document.  After every step the state must be sound: Definition 3.1
+    in full, and the carried columns equal to the derived ones.
+    """
     for kind, position, label in ops:
         rows = list(doc.encoded.tuples)
+        new = [element(label, [text("new")])]
+        parents = [row for row in rows if row[0].startswith("<")]
         if kind == "delete":
-            if len(rows) <= 1:
+            if not rows:
                 continue
-            victim = rows[1 + position % (len(rows) - 1)]
-            doc = doc.delete_subtree(victim[1])
+            doc = doc.delete_subtree(rows[position % len(rows)][1])
+        elif kind == "append" or not parents:
+            doc = doc.insert_tree(len(rows), new)
         else:
-            parents = [row for row in rows if row[0].startswith("<")]
             parent = parents[position % len(parents)]
-            doc = doc.insert_child(parent[1], 0,
-                                   [element(label, [text("new")])])
+            doc = doc.insert_child(parent[1], 0, new)
+        assert_state_is_sound(doc)
     return doc
 
 
@@ -168,6 +189,21 @@ class TestDeltaOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(edit_scripts())
+    def test_snapshot_columns_match_snapshot_rows(self, script):
+        """``DocumentUpdate.columns()`` is what ``from_tuples`` derives
+        from the row-level reference, on all five columns."""
+        forest, stride, ops = script
+        final = _apply_ops(
+            UpdatableDocument.from_forest(forest, stride=stride), ops)
+        update = DocumentUpdate(final.revision, None, (), final)
+        oracle = IntervalColumns.from_tuples(
+            wrap_document_rows(final.encoded))
+        assert update.rows() == oracle.tuples()
+        assert update.width == final.encoded.width + 2
+        assert_columns_equal(update.columns(), oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edit_scripts())
     def test_stats_digest_matches_recollect(self, script):
         forest, stride, ops = script
         base = UpdatableDocument.from_forest(forest, stride=stride)
@@ -222,6 +258,123 @@ class TestDeltaOracle:
         stats = collect_stats(IntervalColumns.from_tuples(rows), len(rows))
         with pytest.raises(ValueError):
             apply_delta_to_stats(stats, delta)
+
+
+class TestStatsUpkeepIsDeltaSized:
+    """``apply_delta_to_stats`` along long chains, and what it costs."""
+
+    @staticmethod
+    def _wrapped(doc: UpdatableDocument):
+        update = DocumentUpdate(doc.revision, None, (), doc)
+        return update.columns(), update.width
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_chain_where_labels_leave_and_return(self, seed):
+        """Two dozen deltas and more under one parent, drawn so that
+        labels leave the vocabulary and come back (``<probe>`` starts
+        absent, ``<b>`` and ``y`` with one occurrence each); after every
+        delta every field equals a fresh collection, digest included."""
+        import random
+
+        rng = random.Random(seed)
+        doc = UpdatableDocument.from_forest(make_forest(element("a", [
+            element("b", [text("y")]), element("c", [text("x")]),
+            element("d", [text("x")])])), stride=64)
+        columns, width = self._wrapped(doc)
+        stats = collect_stats(columns, width)
+        pool = [[element("probe", [text("only here")])],
+                [element("b", [text("y")])], [element("c", [text("x")])]]
+        spliced = 0
+        gone, came_back = set(), set()
+        for step in range(40):
+            rows = doc.encoded.tuples
+            if step % 2 == 0 or len(rows) == 1:
+                doc = doc.insert_child(rows[0][1], rng.randrange(4),
+                                       rng.choice(pool))
+            else:
+                doc = doc.delete_subtree(rng.choice(
+                    [row[1] for row in rows
+                     if row[0] in ("<b>", "<c>", "<probe>")]))
+            delta = doc.last_delta.wrapped()
+            if not delta.incremental:  # a spread: rebase, as backends do
+                columns, width = self._wrapped(doc)
+                stats = collect_stats(columns, width)
+                continue
+            spliced += 1
+            columns = splice_columns(columns, delta)
+            stats = apply_delta_to_stats(stats, delta)
+            assert stats == collect_stats(columns, width), step
+            for label in ("<b>", "y", "<probe>", "only here"):
+                if label not in stats.label_counts:
+                    gone.add(label)
+                elif label in gone:
+                    came_back.add(label)
+        assert spliced >= 24 and came_back
+        assert columns.tuples() == self._wrapped(doc)[0].tuples()
+
+    @pytest.mark.parametrize("vocabulary", [3, 3000])
+    def test_hashes_only_the_labels_the_delta_touches(self, monkeypatch,
+                                                      vocabulary):
+        """A count that repeats exactly, whatever the vocabulary: at most
+        two pair hashes (old count out, new count in) per distinct label
+        the delta touches."""
+        from repro.encoding import stats as stats_module
+
+        doc = UpdatableDocument.from_forest(make_forest(element("a", [
+            element("t", [text(f"value {number}")])
+            for number in range(vocabulary)])), stride=64)
+        columns, width = self._wrapped(doc)
+        stats = collect_stats(columns, width)
+        assert len(stats.label_counts) == vocabulary + 3
+        hashed = []
+        pair_hashes = stats_module._pair_hashes
+
+        def counting(labels, counts):
+            hashed.extend(zip(labels, counts))
+            return pair_hashes(labels, counts)
+
+        monkeypatch.setattr(stats_module, "_pair_hashes", counting)
+        # <t> 'value 0' (both known: out and in) and <new> 'fresh' (in).
+        inserted = doc.insert_child(doc.encoded.tuples[0][1], 0, [
+            element("t", [text("value 0")]), element("new", [text("fresh")])])
+        after = apply_delta_to_stats(stats, inserted.last_delta.wrapped())
+        assert sorted(hashed) == [
+            ("<new>", 1), ("<t>", vocabulary), ("<t>", vocabulary + 1),
+            ("fresh", 1), ("value 0", 1), ("value 0", 2)]
+        del hashed[:]
+        victim = inserted.last_delta.inserted[2][1]   # the <new> subtree
+        deleted = inserted.delete_subtree(victim)
+        apply_delta_to_stats(after, deleted.last_delta.wrapped())
+        assert sorted(hashed) == [("<new>", 1), ("fresh", 1)]
+
+
+class TestNoRowFormOnTheWritePath:
+    def test_edit_and_commit_never_build_rows(self, monkeypatch):
+        """With the two doors to the row form nailed shut, an edit and its
+        commit on the engine backend still go through — rebase included."""
+        from repro.encoding.interval import EncodedForest
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("row form built on the write path")
+
+        with XQuerySession(backend="engine") as session:
+            session.add_document("d.xml", "<r><a>1</a><b><a>2</a></b></r>")
+            query = "doc('d.xml')//a"
+            assert len(session.run(query)) == 2
+            monkeypatch.setattr(IntervalColumns, "tuples", refuse)
+            monkeypatch.setattr(EncodedForest, "__init__", refuse)
+            doc = session.updatable("d.xml")
+            session.apply_update("d.xml", doc)     # the rebasing commit
+            parent = int(doc.columns.l[doc.columns.s.tolist().index("<b>")])
+            edited = doc.insert_child(parent, 0, [element("a", [text("3")])])
+            session.apply_update("d.xml", edited)
+            assert session.run(query).to_xml() == "<a>1</a><a>3</a><a>2</a>"
+            victim = edited.last_delta.inserted[0][1]
+            session.apply_update("d.xml", edited.delete_subtree(victim))
+            assert session.run(query).to_xml() == "<a>1</a><a>2</a>"
+            commits = session.recorder.updates()
+            assert [record.deltas for record in commits] == [0, 1, 1]
+            assert all(record.backends_applied == 1 for record in commits)
 
 
 # -- the session path end to end ---------------------------------------------

@@ -6,7 +6,11 @@ A random sequence of insert/delete operations is applied in parallel to
 * a plain in-memory forest model (tuples rebuilt functionally),
 
 and the states must agree after every step.  This is the strongest check
-that interval bookkeeping under updates never corrupts the encoding.
+that interval bookkeeping under updates never corrupts the encoding: the
+document edits its columns with a local validity check only, so the full
+Definition 3.1 sweep and the carried-equals-derived comparison of the
+``d``/``c`` columns run here, after every step
+(:func:`assert_state_is_sound`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,26 @@ import random
 import pytest
 
 from repro.encoding.updates import UpdatableDocument
+from repro.engine.columns import IntervalColumns
 from repro.xml.forest import Forest, Node, element, text
+
+
+def assert_columns_equal(carried: IntervalColumns,
+                         derived: IntervalColumns) -> None:
+    """Same values and same dtypes on all five columns."""
+    for name in IntervalColumns.__slots__:
+        left, right = getattr(carried, name), getattr(derived, name)
+        assert left.dtype == right.dtype, name
+        assert left.tolist() == right.tolist(), name
+
+
+def assert_state_is_sound(document: UpdatableDocument) -> None:
+    """Definition 3.1 holds, and all five columns equal what
+    ``from_tuples`` derives from the rows alone."""
+    document.encoded.validate()
+    derived = IntervalColumns.from_tuples(document.encoded.tuples)
+    assert_columns_equal(document.columns, derived)
+    assert document.node_count() == len(derived)
 
 
 def model_delete(trees: Forest, path: tuple[int, ...]) -> Forest:
@@ -92,12 +115,15 @@ def test_random_update_sequences_match_model(seed):
         if operation < 0.55 or len(paths) <= 1:
             # Insert a small new forest somewhere.
             new = _random_forest(rng, step)
-            if rng.random() < 0.25 or not paths:
+            # Only elements take children (insert_child refuses the rest).
+            parents = [path for path in paths
+                       if _node_at(model, path).is_element()]
+            if rng.random() < 0.25 or not parents:
                 position = rng.randint(0, len(model))
                 model = model_insert(model, (), position, new)
                 document = document.insert_tree(position, new)
             else:
-                target = rng.choice(paths)
+                target = rng.choice(parents)
                 parent_node = _node_at(model, target)
                 position = rng.randint(0, len(parent_node.children))
                 left = left_endpoint_of(document, target)
@@ -108,7 +134,7 @@ def test_random_update_sequences_match_model(seed):
             left = left_endpoint_of(document, target)
             model = model_delete(model, target)
             document = document.delete_subtree(left)
-        document.encoded.validate()
+        assert_state_is_sound(document)
         assert document.to_forest() == model, f"diverged at step {step}"
 
 
