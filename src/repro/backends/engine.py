@@ -90,7 +90,7 @@ class EngineBackend(Backend):
         immutable columnar encoding (attached from shared memory or
         unpickled) and adopt it directly instead of re-encoding a
         forest.  Statistics are collected locally — a few reductions
-        over the depth and name-code columns — and keep cost-based
+        over the depth and label-code columns — and keep cost-based
         planning identical to the in-process tier.
         """
         with self._lock:

@@ -3,8 +3,7 @@
 Each prepared document is interval-encoded **once** in the parent, then
 published to a persistent :class:`~repro.concurrency.procpool
 .ProcessQueryPool` through shared memory (zero-copy attach in every
-worker; a document with a NUL in a label is pickled instead).
-``execute`` fans one query to one warm worker.
+worker).  ``execute`` fans one query to one warm worker.
 
 The adapter deliberately reuses the whole :class:`Backend` contract:
 sessions prepare/invalidate/close it exactly like the in-process engine

@@ -10,9 +10,9 @@ queries fanned out to warm workers, one query per worker at a time:
   encoding (:class:`~repro.engine.columns.IntervalColumns`) is exported
   once into a ``multiprocessing.shared_memory`` segment
   (:func:`~repro.engine.columns.export_columns`); every worker attaches
-  it zero-copy.  A document with a NUL in a label cannot be laid out
-  in a segment and is pickled to each worker instead — correctness
-  never depends on shareability.
+  it zero-copy.  Every relation can be laid out in a segment — the
+  empty one, and labels of any characters — so there is no second way
+  for a document to reach a worker.
 * **Start-method-agnostic workers.**  The worker entry point is a
   top-level function and all state crosses the pipe explicitly, so the
   pool runs identically under ``fork``, ``spawn``, and ``forkserver``
@@ -148,19 +148,13 @@ class _WorkerState:
         self._compiled = CompiledCache()
 
     def adopt(self, var: str, payload: tuple) -> None:
-        kind, body, width = payload
-        if kind == "shm":
-            attachment = body.attach()
-            columns = attachment.columns
-        else:  # "pickle": a NUL label cannot be shared — already a copy
-            attachment = None
-            columns = body
+        descriptor, width = payload
+        attachment = descriptor.attach()
         self._backend.invalidate(var)
         try:
-            self._backend.adopt_encoded(var, (columns, width))
+            self._backend.adopt_encoded(var, (attachment.columns, width))
         except BaseException:
-            if attachment is not None:  # never orphan a mapped segment
-                attachment.detach()
+            attachment.detach()  # never orphan a mapped segment
             raise
         old = self._attached.get(var)
         self._attached[var] = attachment
@@ -229,8 +223,7 @@ class _WorkerState:
         except Exception:  # pragma: no cover - exit path
             pass
         for attachment in self._attached.values():
-            if attachment is not None:
-                attachment.detach()
+            attachment.detach()
         self._attached.clear()
 
 
@@ -418,10 +411,10 @@ class ProcessQueryPool:
         self._rotation = 0
         self._closed = False
         #: var → payload shipped to workers / parent-side value (the
-        #: splice source for deltas) / live segment (``None``: pickled).
+        #: splice source for deltas) / live segment.
         self._documents: dict[str, tuple] = {}
         self._values: dict[str, tuple] = {}
-        self._segments: "dict[str, SharedMemory | None]" = {}
+        self._segments: "dict[str, SharedMemory]" = {}
         try:
             for index in range(self.size):
                 self._spawn(index)
@@ -435,10 +428,9 @@ class ProcessQueryPool:
     def register_document(self, var: str, value: tuple) -> None:
         """Register (or replace) a document on every worker.
 
-        ``value`` is the engine encoding ``(relation, width)``.  It goes
-        through shared memory (pickled to each worker only when a label
-        contains NUL).  Replacing a document unlinks the old segment
-        once every worker has adopted the new payload.
+        ``value`` is the engine encoding ``(relation, width)``; it goes
+        through shared memory.  Replacing a document unlinks the old
+        segment once every worker has adopted the new payload.
         """
         columns, width = value
         self._check_open()
@@ -494,8 +486,7 @@ class ProcessQueryPool:
     @property
     def segment_names(self) -> tuple[str, ...]:
         """Names of every live segment (the shm-leak check reads this)."""
-        return tuple(sorted(shm.name for shm in self._segments.values()
-                            if shm is not None))
+        return tuple(sorted(shm.name for shm in self._segments.values()))
 
     def warmup(self, queries: "Iterable[str]") -> None:
         """Compile (and cache) query texts on every worker ahead of load."""
@@ -552,8 +543,7 @@ class ProcessQueryPool:
                 worker.stop()
             self._workers[index] = None
         for shm in self._segments.values():
-            if shm is not None:
-                self._unlink(shm)
+            self._unlink(shm)
         self._segments.clear()
         self._documents.clear()
         self._values.clear()
@@ -570,15 +560,11 @@ class ProcessQueryPool:
         if self._closed:
             raise ExecutionError("process pool is closed")
 
-    def _export(self, columns: IntervalColumns, width: int
-                ) -> "tuple[tuple, SharedMemory | None]":
-        if len(columns):
-            try:
-                descriptor, shm = export_columns(columns)
-                return ("shm", descriptor, width), shm
-            except ValueError:
-                pass  # NUL label etc. — fall through to pickling
-        return ("pickle", columns, width), None
+    @staticmethod
+    def _export(columns: IntervalColumns, width: int
+                ) -> "tuple[tuple, SharedMemory]":
+        descriptor, shm = export_columns(columns)
+        return (descriptor, width), shm
 
     @staticmethod
     def _unlink(shm: "SharedMemory") -> None:

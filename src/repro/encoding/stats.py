@@ -5,7 +5,7 @@ each document it plans against: how many nodes there are, how they are
 labelled, how deep the tree is, and how wide the fan-out runs.  All of
 that is derivable from the interval encoding alone — the ``(s, l, r)``
 triples carry the full tree shape, which the columnar encoding keeps as
-its depth and name-code columns — so :func:`collect_stats` reduces those
+its depth and label-code columns — so :func:`collect_stats` reduces those
 columns at the same point where the backend shreds the document, and the
 result rides along on the backend's shared document state.
 
@@ -86,7 +86,7 @@ def collect_stats(rel, width: int) -> DocumentStats:
     ``rel`` holds a single environment block, as
     :class:`IntervalColumns` (what every backend passes) or as a list of
     ``(s, l, r)`` tuples, which ``from_tuples`` turns into columns first.
-    The tree shape is read off the depth and name-code columns: the
+    The tree shape is read off the depth and label-code columns: the
     histogram is one ``bincount``, root and element counts are mask sums.
     """
     from repro.engine.columns import ELEMENT, KIND_MASK, IntervalColumns

@@ -7,7 +7,7 @@ for interval predicates.  This package is that engine:
 
 * :mod:`repro.engine.columns` / :mod:`repro.engine.kernels` — ordered
   interval relations as five NumPy columns (the triples plus a depth and
-  a name-code column) and every operator as a whole-column kernel: the
+  a label-code column) and every operator as a whole-column kernel: the
   one representation and the one algebra the evaluator runs;
 * :mod:`repro.engine.relation` / :mod:`repro.engine.operators` — the
   same relations as plain tuple lists and the same operators as linear

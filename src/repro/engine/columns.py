@@ -10,9 +10,10 @@ instead of touching tuples from interpreted Python:
 ``d``  int32 depth of each row below the root of its own tree *in this
        relation* — roots are exactly the rows with ``d == 0``, a node's
        children the ``d == 1`` rows inside its interval;
-``c``  int32 name code of the label (:func:`name_code`): node kind in
-       the low two bits, an interned element/attribute name above them,
-       one shared code for every text node.
+``c``  int32 code of the label (:func:`name_code`): node kind in the low
+       two bits, the label's id in the process-wide dictionary above
+       them — names and text values alike, so ``c`` ↔ ``s`` is a
+       bijection and structural equality is integer equality.
 
 Invariants every producer keeps (``validate_value`` checks them):
 
@@ -44,13 +45,17 @@ result leaves through :func:`repro.encoding.interval.decode`, which reads
 the columns themselves: vector checks on ``l``/``r``/``d``, then ``s``
 and ``d`` copied out as plain lists (no view of a column survives it).
 
-The name dictionary is process-wide and append-only: it holds one entry
-per distinct element/attribute name ever encoded (text never enters it),
-so it is bounded by tag vocabulary and needs no eviction.  Reads are
-lock-free, assignments serialize on one lock.  Codes are process-local;
-:func:`export_columns` ships the names a relation uses so an attaching
-worker can adopt them (or, on a clash, remap its copy of ``c``), and
-pickling re-derives ``c`` on load.  See docs/CONCURRENCY.md.
+The label dictionary is process-wide and append-only: it holds one
+entry per distinct label ever encoded *or constructed* in the process —
+element and attribute names, text values, ``count()`` / ``string()``
+results and query literals — does not shrink when a document is dropped,
+and has room for 2²⁹ ids (``repro_label_dictionary_entries`` is its
+size).  Reads are lock-free, assignments serialize on one lock, which
+is held across ``fork``.  Codes are process-local;
+:func:`export_columns` ships a relation's distinct labels with their
+codes so an attaching worker can adopt them (or, on a clash, remap its
+copy of ``c``), and pickling re-derives ``c`` on load.  See
+docs/CONCURRENCY.md.
 """
 
 from __future__ import annotations
@@ -74,17 +79,20 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Largest value int64 endpoint storage holds.
 INT64_MAX = 2 ** 63 - 1
 
-# -- name codes ------------------------------------------------------------------
+# -- label codes -----------------------------------------------------------------
 
-#: Node kinds, the low two bits of a name code.
+#: Node kinds, the low two bits of a label code.
 TEXT, ELEMENT, ATTRIBUTE = 0, 1, 2
 KIND_MASK = 3
-#: The one code every text node carries.
-TEXT_CODE = TEXT
 
 _names_lock = threading.Lock()
 _label_of: dict[int, str] = {}
 _next_name = _counter(1)
+# A child forked while another thread interns would inherit a held lock
+# and a half-written table: forks wait for the table to be whole.
+os.register_at_fork(before=_names_lock.acquire,
+                    after_in_parent=_names_lock.release,
+                    after_in_child=_names_lock.release)
 
 
 def _label_kind(label: str) -> int:
@@ -97,64 +105,69 @@ def _label_kind(label: str) -> int:
     return TEXT
 
 
-class _NameCodes(dict):
-    """label → code; a missing element/attribute name is assigned one."""
+class _LabelCodes(dict):
+    """label → code; a missing label is assigned one.  Assignment needs
+    ``_names_lock``: writers subscript under it, readers use ``get``."""
 
     def __missing__(self, label: str) -> int:
         kind = _label_kind(label)
-        if kind == TEXT:
-            return TEXT_CODE  # never stored: text must not grow the table
-        with _names_lock:
-            code = self.get(label)
-            while code is None:
-                candidate = next(_next_name) << 2 | kind
-                if candidate not in _label_of:  # adopted codes are taken
-                    code = self[label] = candidate
-                    _label_of[code] = label
-        return code
+        while True:
+            code = next(_next_name) << 2 | kind
+            if code not in _label_of:  # adopted codes are taken
+                _label_of[code] = label
+                self[label] = code
+                return code
 
 
-_codes = _NameCodes()
+_codes = _LabelCodes()
 
 
 def name_code(label: str, intern: bool = True) -> int | None:
-    """The name code of ``label``.
+    """The code of ``label`` — a name or a text value.
 
-    ``intern=False`` is the query side: a name no relation in this
+    ``intern=False`` is the query side: a label no relation in this
     process ever carried has no code, and ``None`` says no row matches.
     """
-    if intern:
-        return _codes[label]
     code = _codes.get(label)
-    if code is None and _label_kind(label) == TEXT:
-        return TEXT_CODE
+    if code is None and intern:
+        with _names_lock:
+            code = _codes[label]
     return code
 
 
+def label_dictionary_entries() -> int:
+    """Distinct labels the process-wide dictionary holds (it only grows)."""
+    return len(_codes)
+
+
 def label_codes(labels: "Sequence[str]") -> np.ndarray:
-    """The ``c`` column for a label sequence (interning new names)."""
-    return np.fromiter(map(_codes.__getitem__, labels), np.int32,
-                       len(labels))
+    """The ``c`` column for a label sequence (interning new labels, all
+    under one acquisition of the lock)."""
+    with _names_lock:
+        return np.fromiter(map(_codes.__getitem__, labels), np.int32,
+                           len(labels))
 
 
-def adopt_names(names: "Iterable[tuple[str, int]]") -> dict[int, int]:
-    """Make another process's ``(label, code)`` pairs valid here.
+def adopt_labels(labels: "Sequence[str]", codes: "Sequence[int]") -> list[int]:
+    """Make another process's label table valid here; the local codes.
 
-    Unknown names take the foreign code when it is free, so columns that
-    carry them need no translation.  Returns ``{foreign: local}`` for the
-    codes that clash with this process's own assignments (empty in the
-    common case); the caller translates its ``c`` column through it.
+    An unknown label takes the foreign code when it is free, so columns
+    that carry it need no translation; where the answer differs from
+    ``codes`` (a label this process numbered otherwise, a code it gave
+    to another label) the caller translates its ``c`` column.
     """
-    remap: dict[int, int] = {}
-    for label, code in names:
-        with _names_lock:
-            if label not in _codes and code not in _label_of:
-                _codes[label] = code
-                _label_of[code] = label
-        local = _codes[label]
-        if local != code:
-            remap[code] = local
-    return remap
+    with _names_lock:
+        local = list(map(_codes.get, labels))
+        for at, code in enumerate(local):
+            if code is None:
+                label, code = labels[at], codes[at]
+                if code in _label_of:  # this process's, for another label
+                    code = _codes[label]
+                else:
+                    _codes[label] = code
+                    _label_of[code] = label
+                local[at] = code
+        return local
 
 
 # -- columns ---------------------------------------------------------------------
@@ -410,60 +423,69 @@ SHM_PREFIX = "repro_cols"
 _segment_counter = _counter()
 
 
-def _segment_views(buffer: memoryview, count: int) -> list[np.ndarray]:
-    """The ``l``, ``r``, ``d``, ``c`` regions of a segment, zero-copy."""
-    return [np.frombuffer(buffer, np.int64, count, 0),
-            np.frombuffer(buffer, np.int64, count, 8 * count),
-            np.frombuffer(buffer, np.int32, count, 16 * count),
-            np.frombuffer(buffer, np.int32, count, 20 * count)]
+def _segment_views(buffer: memoryview, count: int, labels: int,
+                   label_bytes: int) -> list[np.ndarray]:
+    """The regions of a segment, zero-copy, in layout order: ``l``, ``r``
+    (int64), ``d``, ``c`` and each row's position in the label table
+    (int32), then the table — its codes and its label lengths in
+    characters (int32), and the labels' UTF-8 text (bytes)."""
+    views, offset = [], 0
+    for dtype, size in ((np.int64, count), (np.int64, count),
+                        (np.int32, count), (np.int32, count),
+                        (np.int32, count), (np.int32, labels),
+                        (np.int32, labels), (np.uint8, label_bytes)):
+        views.append(np.frombuffer(buffer, dtype, size, offset))
+        offset += views[-1].nbytes
+    return views
 
 
-def _fill_segment(buffer: memoryview, columns: "IntervalColumns") -> None:
+def _fill_segment(buffer: memoryview, regions: Sequence) -> None:
     # A function of its own so that no view outlives the call: the
     # creator's handle cannot close() while an array exports its buffer.
-    for view, column in zip(_segment_views(buffer, len(columns)),
-                            (columns.l, columns.r, columns.d, columns.c)):
-        view[:] = column
+    views = _segment_views(buffer, len(regions[0]), len(regions[-2]),
+                           len(regions[-1]))
+    for view, region in zip(views, regions):
+        view[:] = region
 
 
 class SharedColumns:
     """A picklable descriptor of an :class:`IntervalColumns` in shared memory.
 
     Built by :func:`export_columns`; ship it to a worker process and call
-    :meth:`attach` there.  The descriptor carries the segment name, the
-    layout, and the ``(label, code)`` pairs of the names the relation's
-    ``c`` column uses — attaching maps the creator's bytes, it never
-    copies the integer columns.
+    :meth:`attach` there.  The descriptor carries the segment name and
+    the layout only — rows, distinct labels, bytes of label text; the
+    label table itself is in the segment.
     """
 
-    __slots__ = ("name", "count", "label_bytes", "names")
+    __slots__ = ("name", "count", "labels", "label_bytes")
 
-    def __init__(self, name: str, count: int, label_bytes: int,
-                 names: tuple[tuple[str, int], ...] = ()):
+    def __init__(self, name: str, count: int, labels: int, label_bytes: int):
         self.name = name
         self.count = count
+        self.labels = labels
         self.label_bytes = label_bytes
-        self.names = names
 
     def __reduce__(self):
-        return (SharedColumns, (self.name, self.count, self.label_bytes,
-                                self.names))
+        return (SharedColumns, (self.name, self.count, self.labels,
+                                self.label_bytes))
 
     def __repr__(self) -> str:
         return (f"SharedColumns({self.name!r}, {self.count} tuples, "
-                f"{self.label_bytes} label bytes, {len(self.names)} names)")
+                f"{self.labels} labels, {self.label_bytes} label bytes)")
 
     def attach(self) -> "AttachedColumns":
         """Map the segment and rebuild the relation (integers zero-copy).
 
         ``l``, ``r``, ``d`` and ``c`` of the returned relation are arrays
-        over the shared buffer — no bytes move.  Labels are decoded into
-        a fresh array (Python strings cannot be shared), and the shipped
-        names are adopted into this process's dictionary; only when one
-        clashes with a local assignment is ``c`` translated into a
-        private copy.  Keep the returned handle alive as long as the
-        relation is in use and call :meth:`AttachedColumns.detach` when
-        done; the segment is unlinked only by its creator.
+        over the shared buffer — no bytes move.  The label table is
+        decoded once and adopted into this process's dictionary under one
+        lock acquisition, and ``s`` is one gather through it, by the
+        shipped row positions (Python strings cannot be shared); only
+        when a shipped code clashes with a local assignment is ``c``
+        translated into a private copy.  Keep the returned handle alive
+        as long as the relation is in use and call
+        :meth:`AttachedColumns.detach` when done; the segment is unlinked
+        only by its creator.
         """
         # CPython ≤3.12 registers a segment with the resource tracker on
         # attach as well as on create.  Pool workers are always
@@ -474,16 +496,17 @@ class SharedColumns:
         from multiprocessing.shared_memory import SharedMemory
 
         shm = SharedMemory(name=self.name)
-        count = self.count
-        l, r, d, c = _segment_views(shm.buf, count)
-        blob = bytes(shm.buf[24 * count:24 * count + self.label_bytes])
-        s = label_column(blob.decode("utf-8").split("\x00") if count else [])
-        remap = adopt_names(self.names)
-        if remap:
-            foreign, inverse = np.unique(c, return_inverse=True)
-            c = np.array([remap.get(code, code) for code in foreign.tolist()],
-                         dtype=np.int32)[inverse]
-        return AttachedColumns(IntervalColumns(s, l, r, d, c), shm)
+        l, r, d, c, at, codes, lengths, text = _segment_views(
+            shm.buf, self.count, self.labels, self.label_bytes)
+        text = text.tobytes().decode("utf-8")
+        ends = np.cumsum(lengths).tolist()
+        labels = [text[a:b] for a, b in zip([0] + ends, ends)]
+        shipped = codes.tolist()
+        local = adopt_labels(labels, shipped)
+        if local != shipped:
+            c = np.array(local, dtype=np.int32)[at]
+        return AttachedColumns(
+            IntervalColumns(label_column(labels)[at], l, r, d, c), shm)
 
 
 class AttachedColumns:
@@ -518,33 +541,27 @@ def export_columns(columns: IntervalColumns,
     """Copy a relation into a new shared-memory segment.
 
     Layout: ``count`` int64 ``l`` words, ``count`` int64 ``r`` words,
-    ``count`` int32 depths, ``count`` int32 name codes, then the labels
-    as one NUL-joined UTF-8 blob.  Returns the picklable descriptor and
-    the creator-side handle — the caller owns the segment and must
-    ``close()`` + ``unlink()`` it when the document is dropped
+    ``count`` int32 depths, ``count`` int32 label codes, ``count`` int32
+    positions in the relation's distinct-label table, then that table —
+    each label once: its int32 code (ascending), its int32 length in
+    characters, and last the labels' UTF-8 text, concatenated.  Any
+    label can be shared: nothing separates the entries but the lengths.
+    Returns the picklable descriptor and the creator-side handle — the
+    caller owns the segment and must ``close()`` + ``unlink()`` it when
+    the document is dropped
     (:class:`repro.concurrency.procpool.ProcessQueryPool` does this on
     ``unregister_document``/``close``).
-
-    Raises :class:`ValueError` for a relation that cannot be shared
-    structurally — a label containing NUL — in which case the caller
-    should pickle the relation instead (the ``__reduce__`` contract
-    above always works).
     """
     from multiprocessing.shared_memory import SharedMemory
 
-    blob = "\x00".join(columns.s.tolist()).encode("utf-8")
-    count = len(columns)
-    if blob.count(b"\x00") != max(count - 1, 0):
-        raise ValueError(
-            "labels containing NUL cannot be exported to shared memory; "
-            "serialize the relation instead")
-    names = tuple((_label_of[code], code)
-                  for code in np.unique(columns.c).tolist()
-                  if code != TEXT_CODE)
+    codes, positions = np.unique(columns.c, return_inverse=True)
+    labels = list(map(_label_of.__getitem__, codes.tolist()))
+    text = "".join(labels).encode("utf-8")
     if name is None:
         name = f"{SHM_PREFIX}_{os.getpid()}_{next(_segment_counter)}"
-    shm = SharedMemory(create=True, size=max(24 * count + len(blob), 1),
-                       name=name)
-    _fill_segment(shm.buf, columns)
-    shm.buf[24 * count:24 * count + len(blob)] = blob
-    return SharedColumns(shm.name, count, len(blob), names), shm
+    size = 28 * len(columns) + 8 * len(labels) + len(text)
+    shm = SharedMemory(create=True, size=max(size, 1), name=name)
+    _fill_segment(shm.buf, (columns.l, columns.r, columns.d, columns.c,
+                            positions, codes, list(map(len, labels)),
+                            np.frombuffer(text, np.uint8)))
+    return SharedColumns(shm.name, len(columns), len(labels), len(text)), shm

@@ -59,7 +59,6 @@ from repro.engine.stats import (
     JOIN,
     OTHER,
 )
-from repro.engine.structural import merge_matching_keys
 from repro.errors import ExecutionError, PlanError, UnboundVariableError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -466,22 +465,18 @@ class DIEngine:
             rel, width = self.evaluate(condition.expr, seq)
             # A width-0 relation has no blocks: every environment is empty.
             return set(seq.index).difference(rel.envs_present(width))
-        if isinstance(condition, EqualCond):
-            left_keys = self._forest_keys(condition.left, seq)
-            right_keys = self._forest_keys(condition.right, seq)
-            return {i for i in seq.index
-                    if left_keys.get(i, ()) == right_keys.get(i, ())}
+        if isinstance(condition, (EqualCond, SomeEqualCond)):
+            left = self.evaluate(condition.left, seq)
+            right = self.evaluate(condition.right, seq)
+            return set(self._kernel(
+                "equal_envs", kernels.equal_envs,
+                isinstance(condition, SomeEqualCond),
+                (*left, seq.index), (*right, seq.index)).tolist())
         if isinstance(condition, LessCond):
             left_keys = self._forest_keys(condition.left, seq)
             right_keys = self._forest_keys(condition.right, seq)
             return {i for i in seq.index
                     if left_keys.get(i, ()) < right_keys.get(i, ())}
-        if isinstance(condition, SomeEqualCond):
-            left_sets = self._tree_key_sets(condition.left, seq)
-            right_sets = self._tree_key_sets(condition.right, seq)
-            return {i for i in seq.index
-                    if left_sets.get(i) and right_sets.get(i)
-                    and not left_sets[i].isdisjoint(right_sets[i])}
         if isinstance(condition, NotCond):
             return set(seq.index) - self._eval_condition(condition.condition, seq)
         if isinstance(condition, AndCond):
@@ -502,13 +497,6 @@ class DIEngine:
         if width == 0:
             return {}
         return self._kernel("forest_keys", kernels.block_keys, rel, width)
-
-    def _tree_key_sets(self, node: PlanNode, seq: EnvSeq) -> dict[int, set]:
-        rel, width = self.evaluate(node, seq)
-        if width == 0:
-            return {}
-        return self._kernel("tree_key_sets", kernels.block_tree_key_sets,
-                            rel, width)
 
     # -- iteration ---------------------------------------------------------------------
 
@@ -677,63 +665,39 @@ class DIEngine:
                      ) -> list[tuple[int, int]]:
         """Join key forests into matching (ix, iy) environment pairs.
 
-        Keys are computed per environment — per tree for an existential
-        (SomeEqual) join, per whole forest for a deep-Equal join.  The
-        pair-matching operator is then either
+        Keys are integers (``kernels.key_ids``) — one per tree for an
+        existential (SomeEqual) join, one per whole forest, the empty
+        one included, for a deep-Equal join.  The pair-matching operator
+        is then either
 
-        * **MSJ**: sort both (key, env) lists by structural key and merge
-          in one pass (Section 5: sort by structural order, merge with
-          DeepCompare), or
-        * **NLJ**: compare every (outer, inner) key pair with the streaming
-          DeepCompare — the quadratic operator the paper's DI-NLJ plan uses.
+        * **MSJ**: sort the inner ids and merge the outer ids into them
+          (Section 5: sort by structural order, merge on equality), or
+        * **NLJ**: compare every (outer, inner) key pair — the quadratic
+          operator the paper's DI-NLJ plan uses.
         """
         if outer_width == 0 or inner_width == 0:
             return []
-
-        if existential:
-            outer_map = self._kernel("tree_key_sets",
-                                     kernels.block_tree_key_sets,
-                                     outer_rel, outer_width)
-            inner_map = self._kernel("tree_key_sets",
-                                     kernels.block_tree_key_sets,
-                                     inner_rel, inner_width)
-        else:
-            outer_map = {env: {key} for env, key in self._kernel(
-                "forest_keys", kernels.block_keys,
-                outer_rel, outer_width).items()}
-            inner_map = {env: {key} for env, key in self._kernel(
-                "forest_keys", kernels.block_keys,
-                inner_rel, inner_width).items()}
-        outer_keys: list[tuple[tuple, int]] = [
-            (key, env) for env, keys in outer_map.items() for key in keys]
-        inner_keys: list[tuple[tuple, int]] = [
-            (key, env) for env, keys in inner_map.items() for key in keys]
-        if not existential:
-            # A deep-Equal join must also match environments whose key
-            # forest is empty (they are absent from the grouped stream).
-            outer_present = {env for _, env in outer_keys}
-            outer_keys.extend(((), env) for env in outer_index
-                              if env not in outer_present)
-            inner_present = {env for _, env in inner_keys}
-            inner_keys.extend(((), env) for env in inner_index
-                              if env not in inner_present)
-
+        (outer_envs, outer_ids), (inner_envs, inner_ids) = self._kernel(
+            "key_ids", kernels.key_ids, existential,
+            (outer_rel, outer_width, outer_index),
+            (inner_rel, inner_width, inner_index))
         if strategy is JoinStrategy.NLJ:
+            inner_keys = list(zip(inner_ids.tolist(), inner_envs.tolist()))
             pairs = set()
-            for outer_key, outer_env in outer_keys:
+            for outer_key, outer_env in zip(outer_ids.tolist(),
+                                            outer_envs.tolist()):
                 for inner_key, inner_env in inner_keys:
                     if self._tick is not None:
                         self._tick()
-                    # Element-wise comparison, not hashing: this is the
+                    # One comparison per pair, not hashing: this is the
                     # honest quadratic nested-loop comparison operator.
                     if outer_key == inner_key:
                         pairs.add((outer_env, inner_env))
             return sorted(pairs)
-
-        outer_keys.sort(key=lambda pair: pair[0])
-        inner_keys.sort(key=lambda pair: pair[0])
-        pairs = set(merge_matching_keys(outer_keys, inner_keys))
-        return sorted(pairs)
+        left, right = self._kernel("match_ids", kernels.match_ids,
+                                   outer_ids, inner_ids)
+        return sorted(set(zip(outer_envs[left].tolist(),
+                              inner_envs[right].tolist())))
 
 
 def _chain_ticks(first: Callable[[], None] | None,

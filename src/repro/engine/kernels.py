@@ -5,7 +5,7 @@ and nothing else.  Each kernel has a same-named tuple-list function in
 :mod:`repro.engine.operators`, which the kernel property suite in
 ``tests/`` holds it pointwise equal to; nothing here imports it.  A
 kernel never walks ``(s, l, r)`` tuples: it turns the question into a
-mask over the ``d`` (depth) and ``c`` (name code) columns, finds the
+mask over the ``d`` (depth) and ``c`` (label code) columns, finds the
 extents of the rows it keeps with binary search on the sorted ``l``
 column, and materializes the answer through one gather.
 
@@ -41,6 +41,7 @@ fits.  There is no second body.
 
 from __future__ import annotations
 
+from itertools import count as _counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ from repro.engine.columns import (
     ELEMENT,
     INT64_MAX,
     KIND_MASK,
-    TEXT_CODE,
+    TEXT,
     IntervalColumns,
     label_column,
     label_codes,
@@ -188,21 +189,15 @@ def _trees(cols: IntervalColumns, width: int):
 
 def _match(cols: IntervalColumns, label: str,
            depth: "int | None" = None) -> np.ndarray:
-    """Positions of the rows labelled ``label`` (at ``depth``, if given).
-
-    One compare on the name-code column.  Text nodes share a code, so a
-    text label is confirmed on the label strings of the candidates only.
-    """
+    """Positions of the rows labelled ``label`` (at ``depth``, if given):
+    one compare on the code column, for a name and a text value alike."""
     code = name_code(label, intern=False)
-    if code is None:  # a name no relation in this process carries
+    if code is None:  # a label no relation in this process carries
         return np.empty(0, dtype=np.intp)
     mask = cols.c == code
     if depth is not None:
         mask &= cols.d == depth
-    hits = np.flatnonzero(mask)
-    if code == TEXT_CODE:
-        hits = hits[cols.s[hits] == label]
-    return hits
+    return np.flatnonzero(mask)
 
 
 # -- scan kernels ------------------------------------------------------------------
@@ -280,7 +275,7 @@ def select_descendants(cols: IntervalColumns, width: int,
 
 def textnode_trees(cols: IntervalColumns) -> IntervalColumns:
     return _subtrees(cols, np.flatnonzero(
-        (cols.d == 0) & (cols.c == TEXT_CODE)))
+        (cols.d == 0) & (cols.c & KIND_MASK == TEXT)))
 
 
 def elementnode_trees(cols: IntervalColumns) -> IntervalColumns:
@@ -303,7 +298,7 @@ def tail(cols: IntervalColumns, width: int) -> IntervalColumns:
 def data(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Atomization: text roots, and text children of non-text roots."""
     is_root = cols.d == 0
-    is_text = cols.c == TEXT_CODE
+    is_text = cols.c & KIND_MASK == TEXT
     # Each row's governing root is the latest root at or before it.
     under_text_root = is_text[np.flatnonzero(is_root)][np.cumsum(is_root) - 1]
     keep = np.flatnonzero(
@@ -450,12 +445,13 @@ def xnode(label: str, content: IntervalColumns, content_width: int,
 
 
 def _leaves(labels: list[str], index: Sequence[int],
-            codes: np.ndarray) -> tuple[IntervalColumns, int]:
+            codes: "np.ndarray | None" = None) -> tuple[IntervalColumns, int]:
     """One childless node per environment of ``index``; width 2."""
     _check_fits(index[-1:], 2, "leaf constructor")
     lefts = 2 * _int64(index)
     return IntervalColumns(label_column(labels), lefts, lefts + 1,
-                           np.zeros(len(labels), dtype=np.int32), codes), 2
+                           np.zeros(len(labels), dtype=np.int32),
+                           label_codes(labels) if codes is None else codes), 2
 
 
 def text_const(value: str, index: Sequence[int]) -> tuple[IntervalColumns, int]:
@@ -470,21 +466,19 @@ def count_roots(cols: IntervalColumns, width: int,
     envs, tallies = np.unique(cols.l[cols.d == 0] // width,
                               return_counts=True)
     counts = dict(zip(envs.tolist(), tallies.tolist()))
-    return _leaves([str(counts.get(env, 0)) for env in index], index,
-                   np.full(len(index), TEXT_CODE, dtype=np.int32))
+    return _leaves([str(counts.get(env, 0)) for env in index], index)
 
 
 def string_fn(cols: IntervalColumns, width: int,
               index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """``string()``: per-env concatenation of text labels; width 2."""
-    at = np.flatnonzero(cols.c == TEXT_CODE)
+    at = np.flatnonzero(cols.c & KIND_MASK == TEXT)
     envs, first = np.unique(cols.l[at] // width, return_index=True)
     bounds = np.append(first, len(at)).tolist()
     texts = cols.s[at].tolist()
     parts = {env: "".join(texts[lo:hi])
              for env, lo, hi in zip(envs.tolist(), bounds, bounds[1:])}
-    labels = [parts.get(env, "") for env in index]
-    return _leaves(labels, index, label_codes(labels))
+    return _leaves([parts.get(env, "") for env in index], index)
 
 
 # -- structural-key kernels ---------------------------------------------------------
@@ -502,47 +496,119 @@ def block_keys(cols: IntervalColumns, width: int):
             for env, lo, hi in cols.iter_env_bounds(width)}
 
 
-def _tree_spans(cols: IntervalColumns, width: int):
-    """``(env, start, end)`` per top-level tree, plus ``d`` and ``s`` as
-    Python lists to cut structural keys from."""
-    starts = np.flatnonzero(cols.d == 0)
-    envs = (cols.l[starts] // width).tolist()
-    starts = starts.tolist()
-    return (zip(envs, starts, starts[1:] + [len(cols)]),
-            cols.d.tolist(), cols.s.tolist())
+def span_ids(*sides) -> list[np.ndarray]:
+    """One integer per span of rows, equal exactly when the spans'
+    canonical keys are — across every side, so one call's ids compare.
 
-
-def block_tree_key_sets(cols: IntervalColumns, width: int):
-    """Per-environment *sets* of per-tree structural keys (SomeEqual joins).
-
-    Keys are ``(depth-tuple, label-tuple)`` pairs — equal exactly when
-    the canonical keys are equal, but built as two flat C-level tuple
-    copies per tree instead of one interleaved pair-tuple per node.
-    Joins only need equality plus *some* total order, and every relation
-    in a run uses this same kernel, so the cheaper shape is safe.
+    A side is ``(cols, starts, ends)``; a span starts at a root of the
+    relation, so its ``d`` values are its own depths.  The id of a
+    one-row span is its ``c``.  When any span anywhere is longer (or
+    empty), every span is numbered through one dict over byte slices of
+    the interleaved int32 ``(d, c)`` rows — ``c`` ↔ ``s`` is a
+    bijection, so equal bytes are equal keys; linear in key nodes.
     """
-    result: dict[int, set] = {}
-    spans, depth, s = _tree_spans(cols, width)
-    for env, a, b in spans:
-        bucket = result.get(env)
-        if bucket is None:
-            bucket = result[env] = set()
-        bucket.add((tuple(depth[a:b]), tuple(s[a:b])))
-    return result
+    if all((ends - starts == 1).all() for _cols, starts, ends in sides):
+        return [cols.c[starts] for cols, starts, _ends in sides]
+    ids: dict[bytes, int] = {}
+    fresh = _counter()  # first sightings take a new number, not a dense one
+    numbered = []
+    for cols, starts, ends in sides:
+        blob = np.column_stack((cols.d, cols.c)).tobytes()
+        keys = [blob[a:b] for a, b in zip((8 * starts).tolist(),
+                                          (8 * ends).tolist())]
+        numbered.append(np.fromiter(map(ids.setdefault, keys, fresh),
+                                    np.int64, len(keys)))
+    return numbered
+
+
+def first_occurrences(envs: np.ndarray, ids: np.ndarray):
+    """An index selecting the first of every distinct ``(env, id)`` pair,
+    in order; ``envs`` ascends, and span ids stay below 2³¹."""
+    new_env = np.ones(len(envs), dtype=np.bool_)
+    new_env[1:] = envs[1:] != envs[:-1]
+    if new_env.all():  # one key per environment: nothing can repeat
+        return slice(None)
+    packed = np.cumsum(new_env) << 31 | ids
+    return np.sort(np.unique(packed, return_index=True)[1])
+
+
+def _block_spans(cols: IntervalColumns, width: int, index: Sequence[int]):
+    """``(starts, ends, envs)`` of the block of every environment of
+    ``index``; one that holds no rows is an empty span."""
+    envs = _int64(index)
+    starts = np.zeros(len(envs), dtype=np.intp)
+    ends = starts.copy()
+    if len(cols):
+        present, a, b = cols.block_bounds(width)
+        at = np.searchsorted(envs, present)
+        starts[at], ends[at] = a, b
+    return starts, ends, envs
+
+
+def key_ids(existential: bool, *sides) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(envs, ids)`` of the structural keys of every ``(cols, width,
+    index)`` side, ids comparable across sides.
+
+    Existential (SomeEqual) keys are per top-level tree, repeats within
+    an environment dropped; deep-Equal keys are per environment of the
+    index, the empty forest included.
+    """
+    spans = [_trees(cols, max(width, 1)) if existential
+             else _block_spans(cols, width, index)
+             for cols, width, index in sides]
+    ids = span_ids(*((side[0], starts, ends)
+                     for side, (starts, ends, _envs) in zip(sides, spans)))
+    keyed = []
+    for (_starts, _ends, envs), key in zip(spans, ids):
+        if existential:
+            first = first_occurrences(envs, key)
+            envs, key = envs[first], key[first]
+        keyed.append((envs, key))
+    return keyed
+
+
+def _equal_runs(outer: np.ndarray, inner: np.ndarray):
+    """The merge join on integer keys: one stable argsort of the inner
+    ids, two searchsorteds of the outer ids.  Returns the inner order
+    and, per outer id, the run ``[lo, hi)`` of its equals in that order."""
+    order = np.argsort(inner, kind="stable")
+    ranked = inner[order]
+    return (order, np.searchsorted(ranked, outer, "left"),
+            np.searchsorted(ranked, outer, "right"))
+
+
+def match_ids(outer: np.ndarray, inner: np.ndarray):
+    """Positions ``(i, j)`` of every ``outer[i] == inner[j]``: the equal
+    runs of the merge, expanded by repeat."""
+    order, lo, hi = _equal_runs(outer, inner)
+    runs = hi - lo
+    left = np.repeat(np.arange(len(outer)), runs)
+    skipped = lo - (np.cumsum(runs) - runs)
+    return left, order[np.arange(len(left)) + np.repeat(skipped, runs)]
+
+
+def equal_envs(existential: bool, left, right) -> np.ndarray:
+    """The environments of one index in which ``left`` and ``right`` hold
+    equal forests — or, existentially, some pair of equal trees."""
+    (envs, left_ids), (right_envs, right_ids) = key_ids(
+        existential, left, right)
+    if not existential:  # one key per environment, both sides
+        return envs[left_ids == right_ids]
+    # Equal trees *of one environment*: merge on (rank of env, id), both
+    # below 2³¹; a run that is not empty is a match.
+    index = _int64(left[2])
+    _order, lo, hi = _equal_runs(
+        np.searchsorted(index, envs) << 31 | left_ids,
+        np.searchsorted(index, right_envs) << 31 | right_ids)
+    return envs[hi > lo]
 
 
 def distinct(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Structurally distinct trees per env, first occurrence kept."""
-    seen: set = set()
-    runs: list[tuple[int, int]] = []
-    spans, depth, s = _tree_spans(cols, width)
-    for env, a, b in spans:
-        key = (env, tuple(depth[a:b]), tuple(s[a:b]))
-        if key not in seen:
-            seen.add(key)
-            runs.append((a, b))
-    bounds = np.array(runs, dtype=np.int64).reshape(-1, 2)
-    return _emit_runs(cols, bounds[:, 0], bounds[:, 1])
+    starts, ends, envs = _trees(cols, width)
+    (ids,) = span_ids((cols, starts, ends))
+    keep = first_occurrences(envs, ids)
+    return _emit_runs(cols, starts[keep], ends[keep])
 
 
 def sort(cols: IntervalColumns, width: int) -> tuple[IntervalColumns, int]:
@@ -555,7 +621,7 @@ def sort(cols: IntervalColumns, width: int) -> tuple[IntervalColumns, int]:
     s = cols.s.tolist()
     starts, ends, envs = _trees(cols, width)
     # The interleaved canonical key: its tuple order is the structural
-    # order (the flat join key above is not).
+    # order (a span id is not).
     keys = [(env, tuple(zip(depth[a:b], s[a:b])))
             for env, a, b in zip(envs.tolist(), starts.tolist(),
                                  ends.tolist())]

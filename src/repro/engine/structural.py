@@ -17,8 +17,10 @@ DFS sequence of ``(depth, label)`` pairs.  Tuple comparison of such keys
 coincides with ``deep_compare`` (greater depth at the first difference
 means a *present* sibling where the other forest already closed its
 ancestor, hence greater), which the property-based tests verify.  Keys
-power hash-based ``distinct``, sort keys, and the merge join on structural
-join keys.
+order ``sort`` and ``Less``; what only needs *equality* — joins,
+``distinct``, ``Equal`` / ``SomeEqual`` — compares the integer span ids
+of :func:`repro.engine.kernels.span_ids`, which these keys are the
+reference for.
 """
 
 from __future__ import annotations
@@ -93,40 +95,3 @@ def forests_equal(left: Sequence[IntervalTuple],
                   right: Sequence[IntervalTuple]) -> bool:
     """Structural equality of two encoded forests."""
     return deep_compare(left, right) == EQUAL
-
-
-def merge_matching_keys(
-    left: list[tuple[StructuralKey, int]],
-    right: list[tuple[StructuralKey, int]],
-) -> list[tuple[int, int]]:
-    """Merge-join two *sorted* (key, tag) lists on key equality.
-
-    This is the single-pass structural merge join of Section 5: both
-    inputs sorted by structural key, output is every (left_tag, right_tag)
-    pair with equal keys.  Runs in time linear in input plus output.
-    """
-    pairs: list[tuple[int, int]] = []
-    i = 0
-    j = 0
-    while i < len(left) and j < len(right):
-        left_key = left[i][0]
-        right_key = right[j][0]
-        if left_key < right_key:
-            i += 1
-        elif right_key < left_key:
-            j += 1
-        else:
-            # Equal key runs: emit the cross product of the two runs
-            # (the join result, not the input, pays for this).
-            i_end = i
-            while i_end < len(left) and left[i_end][0] == left_key:
-                i_end += 1
-            j_end = j
-            while j_end < len(right) and right[j_end][0] == right_key:
-                j_end += 1
-            for a in range(i, i_end):
-                for b in range(j, j_end):
-                    pairs.append((left[a][1], right[b][1]))
-            i = i_end
-            j = j_end
-    return pairs

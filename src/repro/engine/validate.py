@@ -12,7 +12,7 @@ representation invariants everything else silently relies on:
    boundary;
 3. **well-formed nesting** — within each block the intervals form a valid
    Definition 3.1 encoding;
-4. **derived columns** — the depth and name-code columns equal what the
+4. **derived columns** — the depth and label-code columns equal what the
    ``(s, l, r)`` triples alone determine (kernels carry them instead of
    recomputing, so drift would otherwise be silent).
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.errors import ReproError
 
@@ -111,9 +111,15 @@ class Gauge(Metric):
                  label_names: tuple[str, ...] = ()):
         super().__init__(name, description, label_names)
         self._values: dict[tuple[str, ...], float] = {}
+        self._read: "Callable[[], float] | None" = None
 
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = float(value)
+
+    def read_from(self, read: "Callable[[], float]") -> None:
+        """Take the (unlabelled) value from ``read()`` each time the gauge
+        is sampled — a quantity someone else keeps, read at scrape time."""
+        self._read = read
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         key = self._key(labels)
@@ -123,11 +129,16 @@ class Gauge(Metric):
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
 
+    def _sampled(self) -> dict[tuple[str, ...], float]:
+        if self._read is not None:
+            self.set(self._read())
+        return self._values
+
     def value(self, **labels: object) -> float:
-        return self._values.get(self._key(labels), 0.0)
+        return self._sampled().get(self._key(labels), 0.0)
 
     def label_sets(self) -> list[tuple[str, ...]]:
-        return sorted(self._values)
+        return sorted(self._sampled())
 
     def samples(self) -> Iterator[tuple[dict[str, str], float]]:
         """(labels dict, value) pairs in sorted label order."""

@@ -36,6 +36,7 @@ from repro.compiler.cache import CompiledCache
 from repro.compiler.plan import JoinStrategy
 from repro.concurrency import RWLock
 from repro.encoding.updates import DocumentUpdate, UpdatableDocument
+from repro.engine.columns import label_dictionary_entries
 from repro.engine.stats import EngineStats
 from repro.errors import (
     CircuitOpenError,
@@ -160,6 +161,10 @@ class XQuerySession:
         self._g_pool_queued = self.metrics.gauge(
             "repro_session_pool_queued",
             "batch queries submitted but not yet started")
+        self.metrics.gauge(
+            "repro_label_dictionary_entries",
+            "distinct labels (names and text values) in the process-wide, "
+            "append-only label dictionary").read_from(label_dictionary_entries)
         #: The always-on flight recorder (``record=False`` opts out; pass
         #: ``recorder`` to share one across sessions).  Every ``run`` /
         #: ``run_many`` call reports into it — see ``docs/OBSERVABILITY.md``.

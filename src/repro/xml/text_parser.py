@@ -8,12 +8,25 @@ namespaces-aware validation, or external entities.
 
 Parsed attributes become ``@name`` nodes holding a single text child, placed
 *before* element-content children, matching Figures 1/4/5 of the paper.
+
+A node's kind is read off its label (``<tag>``, ``@name``, anything else is
+text), so character data that *reads as* a label — a whole text run or
+attribute value such as ``&lt;b&gt;`` or ``@alice`` — cannot be represented
+as text.  The parser refuses it (:class:`XMLParseError`, naming the offset)
+instead of letting it turn into markup downstream.
 """
 
 from __future__ import annotations
 
 from repro.errors import XMLParseError
-from repro.xml.forest import Forest, Node, attribute, element, text
+from repro.xml.forest import (
+    Forest,
+    Node,
+    attribute,
+    element,
+    is_text_label,
+    text,
+)
 
 _ENTITY_MAP = {
     "lt": "<",
@@ -25,6 +38,15 @@ _ENTITY_MAP = {
 
 _NAME_START_EXTRA = "_:"
 _NAME_EXTRA = "_:.-"
+
+#: First characters of the labels that are not text (``xml.forest``).
+_LABEL_STARTS = ("<", "@")
+
+
+def _reads_as_label(value: str, start: int) -> XMLParseError:
+    return XMLParseError(
+        f"character data {value!r} reads as a node label and cannot be "
+        f"represented as text", start)
 
 
 def parse_document(source: str, strip_whitespace: bool = True) -> Node:
@@ -155,6 +177,7 @@ class _Parser:
         """
         nodes: list[Node] = []
         buffer: list[str] = []
+        buffer_start = 0
         enclosing: list[tuple[str, list[Node]]] = []
 
         def flush_text() -> None:
@@ -163,6 +186,8 @@ class _Parser:
                 buffer.clear()
                 if self.strip_whitespace and not value.strip():
                     return
+                if value.startswith(_LABEL_STARTS) and not is_text_label(value):
+                    raise _reads_as_label(value, buffer_start)
                 nodes.append(text(value))
 
         while self.pos < self.length:
@@ -184,6 +209,7 @@ class _Parser:
             elif self.startswith("<!--"):
                 self._skip_until("-->")
             elif self.startswith("<![CDATA["):
+                buffer_start = self.pos if not buffer else buffer_start
                 self.pos += len("<![CDATA[")
                 end = self.source.find("]]>", self.pos)
                 if end < 0:
@@ -212,6 +238,7 @@ class _Parser:
                     enclosing.append((tag, nodes))
                     nodes = attributes
             else:
+                buffer_start = self.pos if not buffer else buffer_start
                 buffer.append(self.parse_character_data())
         if enclosing:
             self.expect("</")
@@ -267,7 +294,11 @@ class _Parser:
             self.skip_whitespace()
             self.expect("=")
             self.skip_whitespace()
-            attributes.append(attribute(name, self.parse_attribute_value()))
+            start = self.pos
+            value = self.parse_attribute_value()
+            if value.startswith(_LABEL_STARTS) and not is_text_label(value):
+                raise _reads_as_label(value, start)
+            attributes.append(attribute(name, value))
 
     def parse_attribute_value(self) -> str:
         """A quoted attribute value, with whitespace normalization.

@@ -91,3 +91,94 @@ def xml_safe_forests(draw, max_trees: int = 3):
             tree = Node("<t>", (tree,))
         trees.append(tree)
     return tuple(trees)
+
+
+# -- join-shaped (document, query) cases ------------------------------------------
+
+#: The document every join case binds.
+JOIN_DOCUMENT = "j.xml"
+
+#: Key values: three letters, so that equal keys are common.  (Here and
+#: below the usual choice comes first in a ``sampled_from``: Hypothesis
+#: starts from, and shrinks toward, the front, and a case where nothing
+#: matches tests little.)
+_KEY_VALUES = st.sampled_from(("a", "b", "c"))
+
+
+@st.composite
+def _key_trees(draw, max_depth: int = 3):
+    """The content of a key: a text value, or a tree of them at most
+    ``max_depth`` levels deep."""
+    if max_depth <= 1 or draw(st.sampled_from((True, False))):
+        return Node(draw(_KEY_VALUES))
+    children = [draw(_key_trees(max_depth=max_depth - 1))
+                for _ in range(draw(st.sampled_from((1, 2))))]
+    # Adjacent text children would merge on a reparse; keep the first.
+    kept = [child for at, child in enumerate(children)
+            if not (at and child.is_text() and children[at - 1].is_text())]
+    return Node("<t>", kept)
+
+
+@st.composite
+def _records(draw, tag: str, number: int, keys: list):
+    """One record: an ``@id``, maybe an ``@k``, and 0–3 ``<k>`` keys out
+    of the document's pool ``keys`` — flat text or tree-valued, possibly
+    repeated; a record may have none."""
+    children = [Node("@id", (Node(f"{tag}{number}"),))]
+    if draw(st.sampled_from((True, False))):
+        children.append(Node("@k", (Node(draw(_KEY_VALUES)),)))
+    children += [Node("<k>", (draw(st.sampled_from(keys)),))
+                 for _ in range(draw(st.sampled_from((1, 2, 0, 3))))]
+    return Node(f"<{tag}>", children)
+
+
+#: The join family over two record collections (``%(A)s``, ``%(B)s``);
+#: ``%(K)s`` is the key step both sides are compared on.
+JOIN_SOURCES = {"A": f'document("{JOIN_DOCUMENT}")/r/as/a',
+            "B": f'document("{JOIN_DOCUMENT}")/r/bs/b'}
+_PAIR = '<p a="{$a/@id/text()}" b="{$b/@id/text()}"/>'
+JOIN_FAMILY = {
+    # Q8: a let-grouped join under a count ...
+    "grouped": 'for $a in %(A)s let $m := for $b in %(B)s '
+               'where $b/%(K)s = $a/%(K)s return $b '
+               'return <o a="{$a/@id/text()}">{count($m)}</o>',
+    # ... and as the paper times it, the inner-join form.
+    "nonempty": 'for $a in %(A)s let $m := for $b in %(B)s '
+                'where $b/%(K)s = $a/%(K)s return $b '
+                'where not(empty($m)) '
+                'return <o a="{$a/@id/text()}">{count($m)}</o>',
+    "flat": 'for $a in %(A)s for $b in %(B)s where $a/%(K)s = $b/%(K)s '
+            'return ' + _PAIR,
+    # Q9: three levels, the innermost join inside the middle one's body.
+    "three_level": 'for $a in %(A)s let $m := for $b in %(B)s '
+                   'let $n := for $c in %(A)s where $b/@k = $c/@k return $c '
+                   'where $a/%(K)s = $b/%(K)s '
+                   'return <i>{$n/@id/text()}</i> '
+                   'where not(empty($m)) '
+                   'return <o a="{$a/@id/text()}">{$m}</o>',
+    "deep_equal": 'for $a in %(A)s for $b in %(B)s '
+                  'where deep-equal($a/%(K)s, $b/%(K)s) return ' + _PAIR,
+    "constant": 'for $a in %(A)s where $a/%(K)s = "a" '
+                'return <o a="{$a/@id/text()}"/>',
+    "negated": 'for $a in %(A)s for $b in %(B)s '
+               'where not($a/%(K)s = $b/%(K)s) return ' + _PAIR,
+    "reflexive": 'for $a in %(A)s where $a/%(K)s = $a/%(K)s '
+                 'return <o a="{$a/@id/text()}"/>',
+    "distinct": 'for $a in %(A)s return <d>{distinct($a/%(K)s)}</d>',
+}
+
+
+@st.composite
+def join_cases(draw, shape: str):
+    """``(query text, document forest)`` — the ``shape`` query of
+    :data:`JOIN_FAMILY`, on a drawn key step, over a two-collection
+    document whose records carry the keys it compares."""
+    # One pool of keys for both collections, so that equal keys — flat
+    # and structured — are common, across records and inside one.
+    keys = [draw(_key_trees()) for _ in range(draw(st.sampled_from((2, 1, 3))))]
+    sides = [[draw(_records(tag, number, keys))
+              for number in range(draw(st.sampled_from((2, 1, 3, 0, 4))))]
+             for tag in ("a", "b")]
+    document = Node("<r>", (Node("<as>", sides[0]), Node("<bs>", sides[1])))
+    step = draw(st.sampled_from(("k", "@k", "k/text()", "k/t")))
+    return JOIN_FAMILY[shape] % {**JOIN_SOURCES, "K": step}, (document,)

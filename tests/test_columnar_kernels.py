@@ -23,16 +23,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.plan import JoinStrategy
 from repro.encoding.interval import decode, encode
 from repro.engine import kernels
 from repro.engine import operators as ops
-from repro.engine.columns import INT64_MAX, IntervalColumns
+from repro.engine.columns import (
+    INT64_MAX,
+    IntervalColumns,
+    label_codes,
+    name_code,
+)
+from repro.engine.evaluator import DIEngine
 from repro.engine.structural import canonical_key, tree_keys
 from repro.engine.relation import group_by_env, tree_slices
 from repro.engine.validate import validate_value
 from repro.errors import WidthOverflowError
 
-from tests.strategies import forests
+from tests.strategies import LABELS, forests
 
 #: Env shift that keeps every coordinate inside int64 but far from zero.
 FAR_ENV = 2 ** 40
@@ -44,6 +51,13 @@ def far(rows, width):
             for (s, l, r) in rows]
 
 
+def near_top(rows, width):
+    """The same blocks with endpoints just below 2**62: environment
+    numbers that no product or packed key may be computed from."""
+    shift = (2 ** 62 // width - 8) * width
+    return [(s, l + shift, r + shift) for (s, l, r) in rows]
+
+
 def forests_in_order(rel, width):
     """The forest of every non-empty environment block, in block order."""
     return [decode(list(block)) for _env, block in group_by_env(list(rel),
@@ -51,24 +65,32 @@ def forests_in_order(rel, width):
 
 
 def assert_derived(rel: IntervalColumns) -> None:
-    """The invariant: ``d`` and ``c`` are functions of the triples."""
+    """The invariant: ``d`` and ``c`` are functions of the triples — and
+    ``c`` of the label alone, names and text values alike."""
     fresh = IntervalColumns.from_tuples(rel.tuples())
     assert rel.d.tolist() == fresh.d.tolist()
-    assert rel.c.tolist() == fresh.c.tolist()
+    assert rel.c.tolist() == fresh.c.tolist() \
+        == label_codes(rel.s.tolist()).tolist() \
+        == [name_code(label, intern=False) for label in rel.s.tolist()]
+    assert len(set(rel.c.tolist())) == len(set(rel.s.tolist()))
     assert len(rel.s) == len(rel.l) == len(rel.r) == len(rel.d) == len(rel.c)
 
 
 @st.composite
-def blocked(draw, max_envs: int = 4):
+def blocked(draw, max_envs: int = 4, max_depth: int = 3,
+            labels: tuple[str, ...] = LABELS):
     """A blocked relation: ``(rows, width, env_index)``.
 
     Random environments (possibly none, possibly with gaps and empty
     forests) at a random — sometimes tight, sometimes slack — width.
+    ``max_depth=1`` makes every tree a single node of any label class.
+    A short ``labels`` alphabet makes structurally equal trees common.
     """
     count = draw(st.integers(min_value=0, max_value=max_envs))
     env_ids = sorted(draw(st.sets(st.integers(min_value=0, max_value=6),
                                   min_size=count, max_size=count)))
-    encodings = [encode(draw(forests(max_trees=3, max_depth=3)))
+    encodings = [encode(draw(forests(max_trees=3, max_depth=max_depth,
+                                     labels=labels)))
                  for _ in env_ids]
     minimum = max((enc.width for enc in encodings), default=0)
     # Width 1 is legal only for all-empty blocks — the smallest interval
@@ -81,6 +103,13 @@ def blocked(draw, max_envs: int = 4):
         rows.extend((s, l + env * width, r + env * width)
                     for (s, l, r) in enc.tuples)
     return rows, width, index
+
+
+#: Join-key relations: flat (every tree one node) or structured, over one
+#: label of each class so that equal keys are common — or over a single
+#: label, so that keys differ in shape alone.
+keyed = blocked(max_depth=1, labels=("<a>", "@k", "x")) \
+    | blocked(labels=("<a>", "@k", "x")) | blocked(labels=("<a>",))
 
 
 def check(kernel, reference, rows, *args, width=None):
@@ -320,22 +349,76 @@ class TestStructuralKernels:
             assert kernels.block_keys(big, width) == {
                 env + FAR_ENV: key for env, key in expected.items()}
 
-    @given(blocked())
-    def test_block_tree_key_sets(self, data):
-        """The kernel's (depth-tuple, label-tuple) keys are the unzip of
-        the canonical keys — a bijection, so they induce exactly the
-        tree-equality classes the SomeEqual joins rely on."""
+    @given(keyed, keyed)
+    def test_span_ids_number_the_canonical_keys(self, outer, inner):
+        """Two spans get one id exactly when their canonical keys are
+        equal — across both sides, flat keys (every tree one node: the
+        id is the label code) and structured ones (one dict over the
+        ``(d, c)`` bytes) alike."""
+        sides, keys = [], []
+        for rows, width, _index in (outer, inner):
+            cols = IntervalColumns.from_tuples(rows)
+            starts, ends, _envs = kernels._trees(cols, width)
+            sides.append((cols, starts, ends))
+            keys += [key for _env, block in group_by_env(rows, width)
+                     for key in tree_keys(list(block))]
+        ids = np.concatenate(kernels.span_ids(*sides)).tolist()
+        assert len(ids) == len(keys)
+        assert len(set(zip(ids, keys))) == len(set(ids)) == len(set(keys))
+
+    def test_span_ids_read_depths_and_whole_spans(self):
+        """The two halves of a structured key: same labels in another
+        shape, and the same root over other children, are other keys."""
+        chain = IntervalColumns.from_tuples(
+            [("<a>", 0, 5), ("<b>", 1, 4), ("x", 2, 3)])
+        fan = IntervalColumns.from_tuples(
+            [("<a>", 0, 5), ("<b>", 1, 2), ("x", 3, 4)])
+        leaf = IntervalColumns.from_tuples([("<a>", 0, 1)])
+        whole = (np.array([0]), np.array([3]))
+        ids = kernels.span_ids((chain, *whole), (fan, *whole),
+                               (leaf, np.array([0]), np.array([1])),
+                               (chain, *whole))
+        assert len({int(one[0]) for one in ids}) == 3
+        assert ids[0] == ids[3]
+
+    @settings(deadline=None)
+    @given(keyed, keyed, st.booleans(), st.sampled_from(list(JoinStrategy)))
+    def test_match_pairs_equal_brute_force(self, outer, inner, existential,
+                                           strategy):
+        """The join matcher against keys compared one pair at a time:
+        per tree (``tree_keys``) for an existential join, per environment
+        of the index — the empty forest included — for a deep-Equal one;
+        near the origin and with environment numbers near 2**62."""
+        def keys(rows, width, index):
+            blocks = {env: list(block)
+                      for env, block in group_by_env(rows, width)}
+            if existential:
+                return {env: set(tree_keys(blocks[env])) for env in blocks}
+            return {env: {canonical_key(blocks.get(env, []))}
+                    for env in index}
+
+        for place in (lambda rows, width: rows, near_top):
+            sides, side_keys = [], []
+            for rows, width, index in (outer, inner):
+                placed = place(rows, width)
+                shift = (placed[0][1] - rows[0][1]) // width if rows else 0
+                index = [env + shift for env in index]
+                sides += [IntervalColumns.from_tuples(placed), width, index]
+                side_keys.append(keys(placed, width, index))
+            expected = sorted(
+                (ix, iy) for ix, mine in side_keys[0].items()
+                for iy, theirs in side_keys[1].items() if mine & theirs)
+            assert DIEngine()._match_pairs(
+                *sides, existential=existential,
+                strategy=strategy) == expected
+
+    @given(keyed)
+    def test_distinct_near_the_top_of_int64(self, data):
         rows, width, _index = data
-        cols = IntervalColumns.from_tuples(rows)
-        expected = {
-            env: {(tuple(d for d, _ in key), tuple(s for _, s in key))
-                  for key in tree_keys(list(block))}
-            for env, block in group_by_env(rows, width)}
-        assert kernels.block_tree_key_sets(cols, width) == expected
-        if rows:
-            big = IntervalColumns.from_tuples(far(rows, width))
-            assert kernels.block_tree_key_sets(big, width) == {
-                env + FAR_ENV: keys for env, keys in expected.items()}
+        placed = near_top(rows, width)
+        result = kernels.distinct(IntervalColumns.from_tuples(placed), width)
+        assert result.tuples() == ops.distinct(placed, width)
+        assert_derived(result)
 
     @given(blocked())
     def test_tree_slices_on_columns(self, data):
@@ -458,23 +541,36 @@ class TestDerivedColumns:
 
     def test_attach_remaps_a_clashing_code(self):
         """A worker whose dictionary already gave a shipped code to another
-        name translates its private ``c``; agreeing names stay zero-copy."""
-        from repro.engine.columns import export_columns, name_code
-        cols = IntervalColumns.from_tuples(
-            [("<remap-a>", 0, 3), ("<remap-b>", 1, 2)])
-        descriptor, shm = export_columns(cols)
+        label — a constructor name, a ``count()`` result — translates its
+        private ``c``; with no clash the column stays zero-copy."""
+        import uuid
+
+        from repro.engine import columns
+        tag = uuid.uuid4().hex[:8]
+        labels = [f"<a-{tag}>", f"<b-{tag}>", f"v-{tag}"]
+        rows = [(labels[0], 0, 5), (labels[1], 1, 4), (labels[2], 2, 3)]
+        descriptor, shm = columns.export_columns(
+            IntervalColumns.from_tuples(rows))
         try:
-            # Pretend the exporter numbered <remap-b> with the code this
-            # process knows as <remap-a>.
-            clash = name_code("<remap-a>")
-            descriptor.names = tuple(
-                (label, clash if label == "<remap-b>" else code)
-                for label, code in descriptor.names)
+            # Become a process that never saw the document's labels and
+            # has numbered two labels of its own with their codes.
+            with columns._names_lock:
+                shipped = [columns._codes.pop(label) for label in labels]
+                for code in shipped:
+                    del columns._label_of[code]
+            own = [f"<w-{tag}>", f"17-{tag}"]
+            assert columns.adopt_labels(own, shipped[1:]) == shipped[1:]
             attachment = descriptor.attach()
             try:
-                assert attachment.columns.tuples() == cols.tuples()
-                translated = attachment.columns.c.tolist()
-                assert translated[0] == name_code("<remap-b>")
+                attached = attachment.columns
+                assert attached.tuples() == rows
+                assert_derived(attached)
+                assert attached.c[0] == shipped[0]  # free: adopted as shipped
+                assert not set(attached.c[1:].tolist()) & set(shipped[1:])
+                assert [name_code(label) for label in own] == shipped[1:]
+                assert kernels.select_label(attached, labels[2]).tuples() \
+                    == [] != kernels.select_descendants(
+                        attached, 6, labels[2]).tuples()
             finally:
                 attachment.detach()
         finally:
@@ -497,19 +593,30 @@ class TestDerivedColumns:
 
 class TestNameCodes:
     def test_codes_agree_across_documents(self):
-        from repro.engine.columns import TEXT_CODE, name_code
+        """One dictionary for names and text values: a label has one code
+        in every relation of the process, two labels never share one, and
+        the query side (``intern=False``) never grows it."""
+        from repro.engine.columns import KIND_MASK, TEXT, _codes, _label_of
         from repro.encoding.interval import encode_columns
         from repro.xml.text_parser import parse_forest
-        one, _ = encode_columns(parse_forest("<a k='1'><b>x</b></a>"))
-        two, _ = encode_columns(parse_forest("<b><a k='2'>y</a>z</b>"))
+        one, _ = encode_columns(parse_forest("<a k='1'><b>x</b>1</a>"))
+        two, _ = encode_columns(parse_forest("<b><a k='2'>y</a>x</b>"))
         for cols in (one, two):
             for label, code in zip(cols.s.tolist(), cols.c.tolist()):
                 assert code == name_code(label, intern=False)
-        assert name_code("some text", intern=False) == TEXT_CODE
+        assert one.c[one.s == "x"].tolist() == two.c[two.s == "x"].tolist()
+        assert len(set(one.c.tolist())) == len(set(one.s.tolist()))
+        size = len(_codes)
+        assert name_code("text no relation carries", intern=False) is None
         assert name_code("<no-such-element>", intern=False) is None
-        # Kind lives in the low two bits; text never enters the table.
-        assert name_code("<a>") & 3 == 1 and name_code("@k") & 3 == 2
-        assert name_code("<a>") != name_code("<b>")
+        assert len(_codes) == len(_label_of) == size
+        # Kind lives in the low two bits, the label's id above them.
+        assert name_code("<a>") & KIND_MASK == 1
+        assert name_code("@k") & KIND_MASK == 2
+        assert name_code("x") & KIND_MASK == name_code("") & KIND_MASK == TEXT
+        assert len({name_code(label) for label in ("<a>", "<b>", "x", "y",
+                                                   "1", "@1", "<1>", "")}) == 8
+        assert all(_label_of[code] == label for label, code in _codes.items())
 
 
 class TestRenormalise:
@@ -652,7 +759,9 @@ class TestEmptyAndEdgeCases:
         assert kernels.expand_variable(empty, 4, []).tuples() == []
         assert kernels.gather_blocks(empty, 4, [(0, 1)]).tuples() == []
         assert kernels.block_keys(empty, 4) == {}
-        assert kernels.block_tree_key_sets(empty, 4) == {}
+        for existential in (True, False):
+            ((envs, ids),) = kernels.key_ids(existential, (empty, 4, []))
+            assert len(envs) == len(ids) == 0
 
     def test_width_one_empty_blocks(self):
         # Width 1 holds only empty forests; constructors must still emit

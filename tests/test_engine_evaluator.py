@@ -218,6 +218,75 @@ class TestXMarkQueries:
         check_query(QUERIES[name], {"auction.xml": (xmark_tiny,)})
 
 
+class TestKeysAreIntegers:
+    """Structural equality is integer equality — held by two counts that
+    repeat exactly, not by a timing."""
+
+    @staticmethod
+    def counted_run(monkeypatch, query, forest):
+        """``(label comparisons, dict entries tried)`` of one engine run:
+        every label of the document counts being compared as a string,
+        and the numbers ``span_ids`` draws — one per ``dict.setdefault``
+        it makes — are counted as they are drawn."""
+        import itertools
+
+        from repro.engine import kernels
+        from repro.engine.columns import IntervalColumns, label_column
+
+        counts = {"compared": 0, "setdefault": 0}
+
+        class Label(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                counts["compared"] += 1
+                return str.__eq__(self, other)
+
+        class Drawn:
+            def __init__(self):
+                self.numbers = itertools.count()
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                counts["setdefault"] += 1
+                return next(self.numbers)
+
+        monkeypatch.setattr(kernels, "_counter", Drawn)
+        core, docs = lower_query(parse_xquery(query))
+        plan = compile_plan(core, JoinStrategy.MSJ, base_vars=docs.values())
+        cols, width = DIEngine.prepare_document(document_forest(forest))
+        spied = IntervalColumns(
+            label_column([Label(label) for label in cols.s.tolist()]),
+            cols.l, cols.r, cols.d, cols.c)
+        assert spied.s[0] == cols.s[0] and counts["compared"] == 1
+        counts["compared"] = 0
+        rel, _width = DIEngine().run_plan_values(
+            plan, {var: (spied, width) for var in docs.values()})
+        assert len(rel) > 0
+        return counts["compared"], counts["setdefault"]
+
+    def test_flat_keys_touch_no_string_and_no_dict(self, monkeypatch,
+                                                   xmark_tiny):
+        """Q8's keys are single attribute values: the id of a key is its
+        label code, the select on ``person`` is a mask compare."""
+        from repro.xmark.queries import Q8, Q9
+        for query in (Q8, Q9):
+            assert self.counted_run(monkeypatch, query, (xmark_tiny,)) \
+                == (0, 0)
+
+    def test_structured_keys_go_through_one_dict_of_bytes(self, monkeypatch):
+        """A deep-equal join compares whole key forests: one entry tried
+        per record — two on each side, the record without keys included
+        — and still no label compared."""
+        query = ('for $a in document("d")/r/a for $b in document("d")/r/b '
+                 'where deep-equal($a/k, $b/k) return $b')
+        forest = f("<r><a><k>x</k><k><t>y</t></k></a><a><k>x</k></a>"
+                   "<b><k>x</k></b><b/></r>")
+        assert self.counted_run(monkeypatch, query, forest) == (0, 4)
+
+
 class TestStats:
     def test_breakdown_sums_to_total(self, xmark_tiny):
         from repro.xmark.queries import Q8

@@ -1,6 +1,9 @@
 """Tests for DeepCompare (Algorithm 5.3) and canonical structural keys."""
 
+import numpy as np
+
 from repro.encoding.interval import encode
+from repro.engine import kernels
 from repro.engine.structural import (
     EQUAL,
     GREATER,
@@ -8,7 +11,6 @@ from repro.engine.structural import (
     canonical_key,
     deep_compare,
     forests_equal,
-    merge_matching_keys,
     tree_keys,
 )
 from repro.xml.forest import compare_forests
@@ -96,6 +98,20 @@ class TestCanonicalKey:
     def test_forests_equal(self):
         assert forests_equal(enc("<a><b/></a>"), [("<a>", 0, 9), ("<b>", 3, 4)])
         assert not forests_equal(enc("<a/>"), enc("<b/>"))
+
+
+def merge_matching_keys(left, right):
+    """The merge join's integer matcher (``kernels.match_ids``) over
+    ``(key, tag)`` lists: keys numbered by first sight, as span ids are."""
+    numbers: dict = {}
+
+    def ids(pairs):
+        return np.array([numbers.setdefault(key, len(numbers))
+                         for key, _tag in pairs], dtype=np.int64)
+
+    at_left, at_right = kernels.match_ids(ids(left), ids(right))
+    return [(left[i][1], right[j][1])
+            for i, j in zip(at_left.tolist(), at_right.tolist())]
 
 
 class TestMergeMatchingKeys:

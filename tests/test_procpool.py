@@ -60,24 +60,20 @@ def _doc_var(query: str) -> str:
 # -- shared-memory columns across a real process boundary ----------------------
 
 def _round_trip_child(conn) -> None:
-    """Echo worker: rebuild whatever relation payload arrives, ship the
-    tuples back by value.  Top-level so spawn can import it."""
+    """Echo worker: attach whatever descriptor arrives, ship the tuples
+    back by value.  Top-level so spawn can import it."""
     while True:
         try:
-            message = conn.recv()
+            descriptor = conn.recv()
         except EOFError:
             break
-        if message is None:
+        if descriptor is None:
             break
-        kind, payload = message
-        if kind == "shm":
-            attachment = payload.attach()
-            try:
-                conn.send(attachment.columns.tuples())
-            finally:
-                attachment.detach()
-        else:
-            conn.send(payload.tuples())
+        attachment = descriptor.attach()
+        try:
+            conn.send(attachment.columns.tuples())
+        finally:
+            attachment.detach()
     conn.close()
 
 
@@ -96,17 +92,13 @@ def echo_child():
     child.close()
 
     def round_trip(columns: IntervalColumns) -> list:
-        if len(columns) \
-                and not any("\x00" in label for label in columns.s):
-            descriptor, shm = export_columns(columns)
-            try:
-                parent.send(("shm", descriptor))
-                return parent.recv()
-            finally:
-                shm.close()
-                shm.unlink()
-        parent.send(("pickle", columns))
-        return parent.recv()
+        descriptor, shm = export_columns(columns)
+        try:
+            parent.send(descriptor)
+            return parent.recv()
+        finally:
+            shm.close()
+            shm.unlink()
 
     yield round_trip
     parent.send(None)
@@ -152,9 +144,10 @@ def test_stats_digest_agrees_across_processes(start_method):
     assert theirs.digest and theirs.label_hash
 
 
-#: Rows with endpoints up to the top of the int64 range and labels that
-#: may contain NUL, so both the shared-memory path and the pickle path
-#: get exercised by the same property.
+#: Rows with endpoints up to the top of the int64 range and labels of
+#: every class that may contain NUL or be empty: the segment's label table
+#: is delimited by lengths, so all of them — and no rows at all — go
+#: through shared memory.
 _rows = st.lists(
     st.tuples(
         st.text(alphabet="ab<>/@ xyz\x00é", min_size=0, max_size=6),
@@ -170,15 +163,14 @@ class TestColumnsAcrossProcesses:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=_rows)
     def test_child_process_sees_equal_relation(self, echo_child, rows):
-        """A relation rebuilt in a child — attached zero-copy, or pickled
-        when a label contains NUL — equals the parent's, row for row."""
+        """A relation attached in a child equals the parent's, row for
+        row."""
         columns = IntervalColumns.from_tuples(rows, sort=True)
         assert echo_child(columns) == columns.tuples()
 
-    def test_nul_label_refuses_shared_memory(self):
-        columns = IntervalColumns.from_tuples([("a\x00b", 0, 1)])
-        with pytest.raises(ValueError, match="NUL"):
-            export_columns(columns)
+    def test_nul_label_goes_through_shared_memory(self, echo_child):
+        rows = [("a\x00b", 0, 1), ("", 2, 3), ("\x00", 4, 5), ("a", 6, 7)]
+        assert echo_child(IntervalColumns.from_tuples(rows)) == rows
 
     def test_attached_view_is_zero_copy(self):
         columns = IntervalColumns.from_tuples(
@@ -186,8 +178,8 @@ class TestColumnsAcrossProcesses:
         descriptor, shm = export_columns(columns)
         try:
             attachment = SharedColumns(
-                descriptor.name, descriptor.count,
-                descriptor.label_bytes, descriptor.names).attach()
+                descriptor.name, descriptor.count, descriptor.labels,
+                descriptor.label_bytes).attach()
             try:
                 # Arrays over the segment's bytes, not copies of them.
                 assert all(
@@ -199,6 +191,58 @@ class TestColumnsAcrossProcesses:
         finally:
             shm.close()
             shm.unlink()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork + threads
+def test_fork_while_another_thread_interns():
+    """``fork`` is the default start method and a pool respawns workers at
+    any time: a child forked while another thread is inside the label
+    dictionary must inherit a whole table and a lock it can take."""
+    import signal
+    import uuid
+
+    from repro.engine import columns
+
+    tag = uuid.uuid4().hex[:8]
+    stop = threading.Event()
+
+    def intern_forever() -> None:
+        labels = [f"<{tag}-{i}>" for i in range(200)]
+        while not stop.is_set():
+            columns.label_codes(labels)
+            with columns._names_lock:  # forgotten again: the table stays small
+                for label in labels:
+                    del columns._label_of[columns._codes.pop(label)]
+
+    def child() -> None:  # never returns
+        signal.alarm(5)  # a deadlock on an inherited lock ends here
+        try:
+            inverse = (len(columns._codes) == len(columns._label_of)
+                       and all(columns._label_of.get(code) == label
+                               for label, code in columns._codes.items()))
+            fresh = columns.name_code(f"<{tag}-child>")
+            os._exit(0 if inverse and columns._label_of[fresh]
+                     == f"<{tag}-child>" else 1)
+        finally:
+            os._exit(2)
+
+    interner = threading.Thread(target=intern_forever, daemon=True)
+    interner.start()
+    statuses = []
+    try:
+        for _ in range(30):
+            pid = os.fork()
+            if pid == 0:
+                child()
+            statuses.append(os.waitpid(pid, 0)[1])
+            if statuses[-1]:
+                break
+    finally:
+        stop.set()
+        interner.join(timeout=10)
+    assert not interner.is_alive()
+    assert statuses == [0] * 30  # 14: SIGALRM ended a deadlocked child
 
 
 # -- the pool itself -----------------------------------------------------------
@@ -373,14 +417,72 @@ class TestProcessQueryPool:
             assert len(forest) == 2
             assert forest == _reference(descendants, encoding)
 
-    def test_nul_labelled_document_is_pickled_not_shared(self, pool):
-        var = "$nul"
-        columns = IntervalColumns.from_tuples(
-            [("<a>", 0, 3), ("x\x00y", 1, 2)])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_value_codes_agree_with_workers(self, start_method):
+        """Text values are numbered like names.  A worker interns a
+        ``count()`` result by itself; the code it took is the one the
+        parent gives the next new document value (under ``fork`` both
+        dictionaries stood at the same number).  The attached relation
+        must not take the two for equal — a literal the worker numbers
+        itself selects the rows it names, no others — and still joins on
+        values."""
+        import multiprocessing
+        import uuid
+
+        from repro.engine.columns import name_code
+        from repro.xml.forest import Node
+        from repro.xml.text_parser import parse_forest
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable")
+        tag = "v" + uuid.uuid4().hex[:8]
+        total = next(n for n in range(1000, 9000)
+                     if name_code(str(n), intern=False) is None)
+        counting = 'count(document("auction.xml")/r/i)'
+        join = ('for $x in document("auction.xml")/r/a '
+                'for $y in document("auction.xml")/r/b '
+                'where $x/k = $y/k return <m>{$y/k/text()}</m>')
+        literal = (f'for $k in document("auction.xml")//k '
+                   f'where $k/text() = "{total}" return $k')
+        var = _doc_var(join)
+        # Every *name* is known before the workers exist; the values of
+        # the second document are the first labels interned after it.
+        first = ("<r><a><k>seed</k></a><b><k>seed</k></b>"
+                 + "<i/>" * total + "</r>")
+        second = ("<r>"
+                  + "".join(f"<a><k>{tag}{i}</k></a>" for i in range(40))
+                  + f"<b><k>{total}</k></b>"
+                  + "".join(f"<b><k>{tag}{i}</k></b>" for i in range(10))
+                  + "</r>")
+        encoding = _encoding(parse_forest(first)[0])
+        with ProcessQueryPool(workers=1, start_method=start_method) as pool:
+            pool.register_document(var, encoding)
+            forest, _ = pool.execute(counting)
+            assert forest == (Node(str(total)),)
+            assert name_code(str(total), intern=False) is None  # theirs only
+            encoding = _encoding(parse_forest(second)[0])
+            pool.register_document(var, encoding)
+            forest, _ = pool.execute(join)
+            assert forest == _reference(join, encoding)
+            assert forest == tuple(Node("<m>", (Node(f"{tag}{i}"),))
+                                   for i in range(10))
+            forest, _ = pool.execute(literal)
+            assert forest == (Node("<k>", (Node(str(total)),)),)
+
+    def test_nul_labelled_and_empty_documents_are_shared(self, pool):
+        """There is one way to a worker: a NUL in a label, or no rows at
+        all, still travels as a segment every worker attaches."""
         segments_before = pool.segment_names
-        pool.register_document(var, (columns, 4))
-        assert pool.segment_names == segments_before  # no new segment
-        pool.unregister_document(var)
+        for var, rows in (("$nul", [("<a>", 0, 3), ("x\x00y", 1, 2)]),
+                          ("$none", [])):
+            pool.register_document(
+                var, (IntervalColumns.from_tuples(rows), 4))
+        assert len(pool.segment_names) == len(segments_before) + 2
+        forest, _ = pool.execute(NAMES)  # the workers are still answering
+        assert len(forest) > 1
+        for var in ("$nul", "$none"):
+            pool.unregister_document(var)
+        assert pool.segment_names == segments_before
 
 
 # -- session wiring ------------------------------------------------------------
@@ -391,12 +493,15 @@ def test_worker_reply_is_flat_lists(tiny_encoding, nodes_built):
     from repro.concurrency.procpool import _WorkerState
 
     state = _WorkerState()
+    descriptor, shm = export_columns(tiny_encoding[0])
     try:
-        state.adopt(_doc_var(NAMES), ("pickle", *tiny_encoding))
+        state.adopt(_doc_var(NAMES), (descriptor, tiny_encoding[1]))
         status, forest = state.handle(
             ("query", {"query": NAMES, "strategy": "msj"}))
     finally:
         state.close()
+        shm.close()
+        shm.unlink()
     assert status == "ok" and len(forest) > 1
     assert {type(label) for label in forest.labels} == {str}
     assert {type(depth) for depth in forest.depths} == {int}

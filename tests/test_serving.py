@@ -257,6 +257,25 @@ class TestOtherEndpoints:
         assert samples['repro_flight_records_total{outcome="ok"}'] == 1
         assert "flight recorder: 1 recorded" in console
 
+    def test_metrics_read_the_label_dictionary_at_scrape_time(self, server):
+        """The dictionary only grows: the gauge is its size *now* — a
+        document with new values shows on the next scrape, nothing has
+        to run in between."""
+        from repro.engine.columns import label_dictionary_entries
+
+        def entries():
+            _s, _h, scrape = run(server, http(server, "GET", "/metrics"))[0]
+            return parse_prometheus(
+                scrape.decode("utf-8"))["repro_label_dictionary_entries"]
+
+        before = entries()
+        assert before == label_dictionary_entries()
+        server.session.add_document(
+            "fresh.xml", "".join(f"<v>gauge-{before}-{i}</v>"
+                                 for i in range(7)))
+        server.session.run('document("fresh.xml")/v')  # encodes it
+        assert entries() == label_dictionary_entries() >= before + 7
+
 
 class TestLifecycle:
     def test_ephemeral_port_and_url(self, server):

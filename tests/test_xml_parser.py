@@ -79,8 +79,9 @@ class TestAttributes:
             parse_forest("<a id=x/>")
 
     def test_attribute_entity(self):
-        trees = parse_forest('<a t="&lt;&amp;&gt;"/>')
-        assert trees[0].children[0].children[0].label == "<&>"
+        # ("<&>" alone would read as an element label and is refused.)
+        trees = parse_forest('<a t="&lt;&amp;&gt;!"/>')
+        assert trees[0].children[0].children[0].label == "<&>!"
 
 
 class TestEntitiesAndCData:
@@ -132,6 +133,43 @@ class TestErrors:
         with pytest.raises(XMLParseError) as excinfo:
             parse_forest("<a></b>")
         assert excinfo.value.position is not None
+
+
+class TestTextThatReadsAsALabel:
+    """Kind is inferred from the label, so ``<b>`` or ``@x`` as character
+    data would come back as markup: ``document("d.xml")/r/a`` answered
+    ``<a><b/></a><a x=""/>`` for the first two sources below, on every
+    backend, ``/r/a/b`` found an element that was never there, and the
+    attribute lost its value.  The parser refuses instead."""
+
+    @pytest.mark.parametrize("source, offset", [
+        ("<r><a>&lt;b&gt;</a><a>plain</a></r>", 6),
+        ("<r><a>@x</a></r>", 6),
+        ('<a k="&lt;b&gt;"/>', 5),
+        ("<a k='@alice'/>", 5),
+        ("<r><a><![CDATA[<b>]]></a></r>", 6),
+        ("<r>x<a/>&#60;b<![CDATA[>]]></r>", 8),
+    ])
+    def test_refused_naming_the_offset(self, source, offset):
+        with pytest.raises(XMLParseError, match="reads as a node label") \
+                as excinfo:
+            parse_forest(source)
+        assert excinfo.value.position == offset
+
+    def test_a_session_refuses_the_document(self):
+        from repro import XQuerySession
+
+        with XQuerySession() as session:
+            with pytest.raises(XMLParseError):
+                session.add_document(
+                    "d.xml", "<r><a>&lt;b&gt;</a><a>@x</a><a>plain</a></r>")
+
+    def test_what_only_begins_like_a_label_is_text(self):
+        (root,) = parse_forest(
+            "<r k='@'><a>&lt;</a><a>@</a><a>&lt;&gt;</a><a> @x</a>"
+            "<a>&lt;b&gt; c</a><a>x&lt;b&gt;</a></r>")
+        assert [node.label for node in root.iter_dfs() if node.is_text()] \
+            == ["@", "<", "@", "<>", " @x", "<b> c", "x<b>"]
 
 
 class TestParseDocument:
