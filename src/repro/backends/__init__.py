@@ -13,15 +13,15 @@ import:
 * ``interpreter`` — the Figure 3 reference semantics (the conformance
   oracle);
 * ``naive`` — the materializing nested-loop competitor baseline;
-* ``dbapi`` — the generic PEP 249 adapter bound to the stdlib ``sqlite3``
-  driver (the verbatim single-statement ``WITH`` path);
 * ``procpool`` — the process-parallel tier: a pool of engine workers
   attached zero-copy to shared-memory columnar document encodings
   (docs/CONCURRENCY.md "Process-parallel serving").
 
-:class:`~repro.backends.dbapi.DBAPIBackend` is the generic PEP 249
-adapter behind ``dbapi`` — instantiate it with any driver's ``connect``
-and register it under a new name to target another engine.
+``sqlite`` is the one relational adapter.  Another engine is targeted
+from the statement itself — :func:`repro.sql.translator.translate_query`
+/ ``CompiledQuery.to_sql()`` emit one standard SQL statement — behind a
+:class:`~repro.backends.base.Backend` subclass registered under a new
+name.
 
 All backends honor :meth:`~repro.backends.base.Backend.instrument`: give
 one a :class:`~repro.obs.trace.Tracer` and executions open spans (engine
@@ -49,13 +49,10 @@ from repro.backends import interpreter as _interpreter  # noqa: F401
 from repro.backends import naive as _naive  # noqa: F401
 from repro.backends import procpool as _procpool  # noqa: F401
 from repro.backends import sqlite as _sqlite  # noqa: F401
-from repro.backends.dbapi import DBAPIBackend, SQLiteDBAPIBackend
 
 __all__ = [
     "Backend",
     "BackendCapabilities",
-    "DBAPIBackend",
-    "SQLiteDBAPIBackend",
     "ExecutionOptions",
     "backend_capabilities",
     "coerce_strategy",

@@ -118,7 +118,7 @@ class Backend(abc.ABC):
       :attr:`prepared` snapshot serialize on an internal lock, so
       concurrent prepares/invalidations never corrupt the prepared map;
     * :meth:`execute` / :meth:`runner` may be called concurrently from
-      any number of threads — relational adapters keep one connection
+      any number of threads — the relational adapter keeps one connection
       per calling thread (see :class:`repro.concurrency.ThreadLocalPool`)
       and in-process adapters keep per-call state only;
     * :meth:`instrument` is **per thread**: each worker attaches its own

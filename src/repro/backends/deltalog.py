@@ -1,6 +1,6 @@
-"""The per-document delta log behind the relational adapters.
+"""The per-document delta log behind the relational adapter.
 
-Both SQL adapters keep one connection per worker thread, so a document
+The SQLite adapter keeps one connection per worker thread, so a document
 update has to reach every connection.  A :class:`DeltaLog` is the shared
 (cross-thread) state of one prepared document and the protocol that
 decides, per connection, between replaying a few deltas and reloading:
@@ -12,9 +12,8 @@ decides, per connection, between replaying a few deltas and reloading:
   the same major whose missing minors are all still in the bounded log
   replays just that tail (ranged ``DELETE`` + batched ``INSERT``).
 
-The adapters own what differs: where a full load comes from, whether
-connections share tables, and how a delta becomes SQL.  Every method is
-called with the owning backend's lock held.
+The adapter owns the rest: where a full load comes from and how a delta
+becomes SQL.  Every method is called with the owning backend's lock held.
 """
 
 from __future__ import annotations
@@ -38,14 +37,13 @@ class DeltaLog:
 
     __slots__ = ("generation", "minor", "rows", "width", "revision", "_tail")
 
-    def __init__(self, rows: "list[IntervalTuple] | None" = None,
-                 width: int | None = None):
+    def __init__(self) -> None:
         self.generation = object()
         self.minor = 0
         #: The document-wrapped encoded relation, kept current by
         #: splicing; ``None`` while the adapter still loads from a forest.
-        self.rows = rows
-        self.width = width
+        self.rows: "list[IntervalTuple] | None" = None
+        self.width: int | None = None
         #: Updatable-document revision the state reflects (delta chaining).
         self.revision: int | None = None
         #: The deltas of minors ``minor - len(_tail) + 1 … minor``.
@@ -67,15 +65,15 @@ class DeltaLog:
             return self._tail[-behind:]
         return None
 
-    def absorb(self, update: "DocumentUpdate") -> "tuple[UpdateDelta, ...]":
-        """Move to ``update.revision``; returns the deltas appended.
+    def absorb(self, update: "DocumentUpdate") -> None:
+        """Move to ``update.revision``.
 
         When the recorded revision is the update's base, its deltas are
         spliced into ``rows`` and appended to the log — only the minor
         moves, and every connection replays the same deltas.  Any other
         update (first after a forest load, relabel or width change in the
         chain) rebases: ``rows`` become the update's wrapped snapshot
-        under a new major and ``()`` is returned.
+        under a new major.
         """
         deltas = update.deltas
         if (deltas and self.rows is not None
@@ -87,11 +85,9 @@ class DeltaLog:
             self.minor += len(deltas)
             self.width = deltas[-1].new_width
         else:
-            deltas = ()
             self.generation = object()
             self.minor = 0
             self._tail.clear()
             self.rows = update.rows()
             self.width = update.width
         self.revision = update.revision
-        return deltas

@@ -1,11 +1,12 @@
 """Per-thread resource pooling with uniform close-all semantics.
 
-DB-API drivers are, in general, only safe to use from the thread that
-opened the connection (stdlib ``sqlite3`` enforces this outright with
-``check_same_thread``).  The relational backends therefore keep **one
-connection per worker thread**, created lazily the first time that thread
-executes, and the owning backend closes *all* of them — from whatever
-thread calls :meth:`Backend.close` — in one idempotent sweep.
+A SQLite connection is only safe to drive from one thread at a time
+(stdlib ``sqlite3`` enforces thread ownership outright with
+``check_same_thread``), and a ``:memory:`` database is private to its
+connection.  The SQLite backend therefore keeps **one connection per
+worker thread**, created lazily the first time that thread executes, and
+closes *all* of them — from whatever thread calls :meth:`Backend.close` —
+in one idempotent sweep.
 
 :class:`ThreadLocalPool` packages that pattern: ``get()`` returns the
 calling thread's resource (creating and registering it on first use),

@@ -150,7 +150,7 @@ class DocumentUpdate:
     forest-based prepare, divergent update branch, relabel in the chain)
     *rebases* from the wrapped snapshot of the updated encoding —
     :meth:`columns` for the engine tiers, :meth:`rows` for the relational
-    adapters' :class:`~repro.backends.deltalog.DeltaLog` — built lazily,
+    adapter's :class:`~repro.backends.deltalog.DeltaLog` — built lazily,
     the columns once for every rebasing backend.  Either way no
     :class:`~repro.xml.forest.Forest` is materialized.
     """
@@ -230,7 +230,7 @@ class UpdatableDocument:
     @property
     def encoded(self) -> EncodedForest:
         """The row form of this state, built on first read and cached; no
-        edit reads it, and of the commits only the relational adapters'
+        edit reads it, and of the commits only the relational adapter's
         rebase (:meth:`DocumentUpdate.rows`)."""
         if self._encoded is None:
             self._encoded = EncodedForest(self.columns.tuples(), self.width,

@@ -154,7 +154,7 @@ class QueryTimeoutError(ExecutionError):
     """Raised when a query runs past its configured deadline.
 
     Enforced cooperatively: the DI engine checks the deadline in its
-    operator loop, SQL backends via the connection's progress handler, and
+    operator loop, the SQL backend via its connection's progress handler, and
     the interpreter/naive evaluators via their step callbacks — the
     in-process analogue of the paper's two-hour benchmark cutoff.
     """

@@ -7,7 +7,7 @@ is keyed by its label values.  The registry is fed by
 * the engine — tuples produced per operator, environment-sequence sizes,
   interval widths (the Koch-style per-environment blow-up, observed
   instead of inferred);
-* the SQL backends — statements executed, rows fetched;
+* the SQL backend — statements executed, rows fetched;
 * the session — queries run, cache invalidations, documents loaded.
 
 Export to Prometheus text format lives in :mod:`repro.obs.export`.

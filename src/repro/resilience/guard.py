@@ -8,7 +8,7 @@ and is checked at cheap points in every evaluator:
   :meth:`QueryGuard.account` per node result;
 * the interpreter and naive evaluators call :meth:`tick` through their
   step callbacks;
-* SQL backends install :meth:`as_progress_handler` on the connection, so
+* the SQL backend installs :meth:`as_progress_handler` on its connection, so
   even a single long-running statement is interrupted mid-flight.
 
 All timing goes through an injectable ``clock`` (monotonic seconds), so

@@ -447,7 +447,7 @@ class XQuerySession:
         order** regardless of completion order.
 
         The pool is persistent: repeated batches reuse the same worker
-        threads, which keeps the relational backends' per-thread
+        threads, which keeps the relational backend's per-thread
         connections warm.  A ``max_workers`` *larger* than the current
         pool grows it (one rebuild); a smaller request reuses the warm
         pool unchanged.  ``max_workers`` must be a positive integer —

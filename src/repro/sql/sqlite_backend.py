@@ -15,7 +15,7 @@ Section 4.3 trade-off of fixed-size machine integers.
 from __future__ import annotations
 
 import sqlite3
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from typing import TYPE_CHECKING, Mapping
 
 from repro.encoding.interval import IntervalTuple, decode, encode
@@ -66,44 +66,33 @@ def wrap_driver_error(error: BaseException, statement: str,
 class _SQLObserver:
     """Per-statement spans and counters for one translated-query run."""
 
-    def __init__(self, tracer: Tracer | None, metrics: MetricsRegistry | None,
-                 backend: str):
+    BACKEND = "sqlite"  # the one relational adapter; labels both counters
+
+    def __init__(self, tracer: Tracer | None, metrics: MetricsRegistry | None):
         self.tracer = tracer if tracer is not None and tracer.enabled else None
-        self.backend = backend
         self._statements = None
         self._rows = None
         if metrics is not None:
             self._statements = metrics.counter(
                 "repro_sql_statements_total",
-                "SQL statements executed by relational backends",
+                "SQL statements executed by the relational backend",
                 ("backend",))
             self._rows = metrics.counter(
                 "repro_sql_rows_total",
-                "rows fetched from relational backends",
+                "rows fetched from the relational backend",
                 ("backend",))
 
     def statement(self, name: str):
         """A span for one statement (a no-op context when untraced)."""
         if self._statements is not None:
-            self._statements.inc(backend=self.backend)
+            self._statements.inc(backend=self.BACKEND)
         if self.tracer is None:
-            return _NULL_CONTEXT
+            return nullcontext()
         return self.tracer.span("sql.statement", cte=name)
 
     def rows_fetched(self, count: int) -> None:
         if self._rows is not None:
-            self._rows.inc(count, backend=self.backend)
-
-
-class _NullContext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
+            self._rows.inc(count, backend=self.BACKEND)
 
 
 @contextmanager
@@ -114,7 +103,8 @@ def _guarded_connection(connection: sqlite3.Connection,
     The handler interrupts long-running statements when the guard's
     deadline or budgets are violated (the violation is stored on the
     guard and re-raised typed by :func:`wrap_driver_error`).  Removed on
-    exit so unguarded runs on the same connection pay nothing.
+    exit so unguarded runs — and the staged path's cleanup — on the same
+    connection are never interrupted.
     """
     if guard is None or not guard.enabled:
         yield
@@ -125,6 +115,7 @@ def _guarded_connection(connection: sqlite3.Connection,
     connection.set_progress_handler(guard.as_progress_handler(),
                                     DEFAULT_PROGRESS_OPCODES)
     try:
+        guard.check()
         yield
     finally:
         connection.set_progress_handler(None, 0)
@@ -157,12 +148,6 @@ class SQLiteDatabase:
         #: ranks ``where`` conjunctions on them (cheapest emitted first).
         self._stats: dict[str, object] = {}
         self._doc_counter = 0
-        # Staged-execution schema cache: translation sql -> [(cte name,
-        # cte sql)] whose temp tables exist on this connection, plus the
-        # owner key of every live temp table (for cross-translation name
-        # collisions).  See _run_staged.
-        self._staged: dict[str, list[tuple[str, str]]] = {}
-        self._staged_owner: dict[str, str] = {}
 
     def close(self) -> None:
         self.connection.close()
@@ -193,9 +178,6 @@ class SQLiteDatabase:
         :class:`~repro.encoding.updates.DocumentUpdate` snapshot is loaded
         without ever materializing (or re-encoding) a ``Forest``.
         """
-        # Cached staged temp tables materialize document contents; any
-        # (re)load makes them stale.
-        self._invalidate_staged()
         if name in self._documents:
             table, _ = self._documents[name]
             self.connection.execute(f"DELETE FROM {table}")
@@ -231,7 +213,6 @@ class SQLiteDatabase:
         if name not in self._documents:
             raise ExecutionError(f"document {name!r} is not loaded")
         table, _width = self._documents[name]
-        self._invalidate_staged()
         statement = f"DELETE FROM {table} WHERE l >= ? AND l <= ?"
         try:
             for low, high in delta.deleted_ranges:
@@ -297,119 +278,74 @@ class SQLiteDatabase:
 
         ``tracer`` opens one ``sql.statement`` span per statement executed;
         ``metrics`` counts statements and fetched rows.  ``guard``
-        installs a progress handler on the connection for the duration of
-        the run, so deadlines and budgets interrupt statements mid-flight
-        and surface as the guard's typed errors.
+        installs a progress handler on the connection while the
+        translation's statements run, so deadlines and budgets interrupt
+        them mid-flight and surface as the guard's typed errors.
         """
-        observer = _SQLObserver(tracer, metrics, "sqlite")
-        with _guarded_connection(self.connection, guard):
-            if guard is not None:
-                guard.check()
-            if mode == "single":
-                try:
-                    with observer.statement("single"):
-                        rows = self.connection.execute(
-                            translation.sql).fetchall()
-                except sqlite3.Error as error:
-                    raise wrap_driver_error(error, translation.sql,
-                                            guard) from error
-            elif mode == "staged":
-                rows = self._run_staged(translation, observer, guard)
-            else:
-                raise ValueError(f"unknown execution mode {mode!r}")
-            if guard is not None:
-                guard.account(tuples=len(rows))
+        observer = _SQLObserver(tracer, metrics)
+        if mode == "single":
+            try:
+                with _guarded_connection(self.connection, guard), \
+                        observer.statement("single"):
+                    rows = self.connection.execute(translation.sql).fetchall()
+            except sqlite3.Error as error:
+                raise wrap_driver_error(error, translation.sql,
+                                        guard) from error
+        elif mode == "staged":
+            rows = self._run_staged(translation, observer, guard)
+        else:
+            raise ValueError(f"unknown execution mode {mode!r}")
+        if guard is not None:
+            guard.account(tuples=len(rows))
         observer.rows_fetched(len(rows))
         return decode([(s, l, r) for (s, l, r) in rows])
 
     def _run_staged(self, translation: TranslationResult,
-                    observer: _SQLObserver | None = None,
-                    guard: "QueryGuard | None" = None,
+                    observer: _SQLObserver,
+                    guard: "QueryGuard | None",
                     ) -> list[tuple[str, int, int]]:
         """Stage the translation's CTEs as temp tables, run the final SELECT.
 
-        The temp schema is created once per translation and *reused* across
-        runs on this connection: the first run issues ``CREATE TEMP TABLE``
-        plus the ``l`` index per CTE; subsequent runs of the same
-        translation refresh each table with ``DELETE FROM`` + ``INSERT``
-        in dependency order.  Re-running identical statement text also
-        lets the driver's per-connection statement cache reuse the
-        prepared statements instead of re-parsing the (large) CTE SQL.
-        The cache is dropped when a document is (re)loaded and when a
-        different translation claims the same temp table names.
+        Each CTE becomes ``CREATE TEMP TABLE … AS`` (plus an index on ``l``
+        where the relation has one) in dependency order; every table is
+        dropped again before returning, whatever happened — a deadline at a
+        statement boundary, a failing statement — so the connection holds
+        no temp schema between runs and nothing to invalidate when a
+        document changes.
         """
-        observer = observer or _SQLObserver(None, None, "sqlite")
         cursor = self.connection.cursor()
-        key = translation.sql
-        plan = self._staged.get(key)
-        statement = translation.final_select
+        staged: list[str] = []
+        statement = ""
         try:
-            if plan is None:
-                plan = self._create_staged(translation, cursor, observer,
-                                           guard)
-            else:
-                for name, sql in plan:
+            with _guarded_connection(self.connection, guard):
+                for name, sql in translation.ctes:
                     if guard is not None:
                         guard.check()  # statement boundary
-                    statement = f"INSERT INTO {name} {sql}"
+                    statement = f"CREATE TEMP TABLE {name} AS {sql}"
+                    staged.append(name)
                     with observer.statement(name):
-                        cursor.execute(f"DELETE FROM {name}")
                         cursor.execute(statement)
-            statement = translation.final_select
-            with observer.statement("final_select"):
-                return cursor.execute(translation.final_select).fetchall()
+                    # Encoded relations carry an l column worth indexing;
+                    # helper views (sequences, root ids) have other
+                    # shapes — skip those.
+                    columns = {row[1] for row in
+                               cursor.execute(f"PRAGMA table_info({name})")}
+                    if "l" in columns:
+                        statement = f"CREATE INDEX temp.{name}_l ON {name} (l)"
+                        cursor.execute(statement)
+                statement = translation.final_select
+                with observer.statement("final_select"):
+                    return cursor.execute(statement).fetchall()
         except sqlite3.Error as error:
-            # The temp tables may be mid-refresh: rebuild from scratch on
-            # the next run of this translation.
-            self._drop_staged(key)
             raise wrap_driver_error(error, statement, guard) from error
-
-    def _create_staged(self, translation: TranslationResult,
-                       cursor: sqlite3.Cursor, observer: _SQLObserver,
-                       guard: "QueryGuard | None",
-                       ) -> list[tuple[str, str]]:
-        """First run of a translation: create + index its temp tables."""
-        key = translation.sql
-        # Another translation may already hold temp tables under the same
-        # generated names — evict those translations wholesale.
-        for name, _sql in translation.ctes:
-            owner = self._staged_owner.get(name)
-            if owner is not None and owner != key:
-                self._drop_staged(owner)
-        plan: list[tuple[str, str]] = []
-        for name, sql in translation.ctes:
-            if guard is not None:
-                guard.check()  # statement boundary
-            with observer.statement(name):
-                cursor.execute(f"CREATE TEMP TABLE {name} AS {sql}")
-            self._staged_owner[name] = key
-            # Encoded relations carry an l column worth indexing; helper
-            # views (sequences, root ids) have other shapes — skip those.
-            columns = {row[1] for row in
-                       cursor.execute(f"PRAGMA table_info({name})")}
-            if "l" in columns:
-                cursor.execute(
-                    f"CREATE INDEX temp.{name}_l ON {name} (l)"
-                )
-            plan.append((name, sql))
-        self._staged[key] = plan
-        return plan
-
-    def _drop_staged(self, key: str) -> None:
-        """Drop one translation's temp tables and forget its plan."""
-        names = [name for name, owner in self._staged_owner.items()
-                 if owner == key]
-        for name in names:
-            self.connection.execute(f"DROP TABLE IF EXISTS temp.{name}")
-            del self._staged_owner[name]
-        self._staged.pop(key, None)
-
-    def _invalidate_staged(self) -> None:
-        """Drop every cached staged schema (documents changed)."""
-        for name in list(self._staged_owner):
-            self.connection.execute(f"DROP TABLE IF EXISTS temp.{name}")
-        self._staged_owner.clear()
-        self._staged.clear()
+        finally:
+            # Outside the guarded block: an expired guard's progress
+            # handler must not interrupt the cleanup.  A connection that
+            # cannot drop (closed under the run) has no schema to leak.
+            with suppress(sqlite3.Error):
+                for name in staged:
+                    self.connection.execute(
+                        f"DROP TABLE IF EXISTS temp.{name}")
 
     def explain(self, expr: CoreExpr) -> str:
         """SQLite's query plan for the translated statement (diagnostics)."""

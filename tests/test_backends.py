@@ -6,15 +6,12 @@ suite of FLWR queries, including a nested-for join and an
 update-then-query cycle through :class:`XQuerySession`.
 """
 
-import sqlite3
-
 import pytest
 
 from repro import XQuerySession, compile_xquery, run_xquery
 from repro.backends import (
     Backend,
     BackendCapabilities,
-    DBAPIBackend,
     backend_capabilities,
     create_backend,
     register_backend,
@@ -147,19 +144,6 @@ class TestThirdPartyRegistration:
     def test_nameless_factory_rejected(self):
         with pytest.raises(ReproError, match="without a name"):
             register_backend(lambda: ToyBackend())
-
-    def test_dbapi_adapter_against_oracle(self):
-        register_backend(
-            lambda: DBAPIBackend(lambda: sqlite3.connect(":memory:"),
-                                 paramstyle="qmark"),
-            name="dbapi-sqlite",
-        )
-        try:
-            result = run_xquery(NAMES, {"a.xml": FIGURE1_SAMPLE},
-                                backend="dbapi-sqlite")
-            assert result.to_xml() == _oracle(NAMES)
-        finally:
-            unregister_backend("dbapi-sqlite")
 
 
 class TestUnknownBackendError:

@@ -18,7 +18,7 @@ from repro.concurrency import RWLock, ThreadLocalPool
 from repro.errors import DocumentNotFoundError, ReproError
 from repro.session import XQuerySession
 
-ALL_BACKENDS = ("engine", "interpreter", "naive", "sqlite", "dbapi")
+ALL_BACKENDS = ("engine", "interpreter", "naive", "sqlite")
 
 DOC_OLD = "<site>" + "".join(f"<a>{i}</a>" for i in range(4)) + "</site>"
 DOC_NEW = "<site>" + "".join(f"<b>{i}</b>" for i in range(6)) + "</site>"
@@ -189,16 +189,6 @@ class TestConcurrentRun:
 
         run_threads(len(ALL_BACKENDS) * 2, worker)
 
-    def test_dbapi_runs_on_foreign_threads(self, session):
-        """Pre-fix, sqlite3 raised ProgrammingError off the opening thread."""
-        expected = session.run(QUERY_ALL, backend="dbapi").to_xml()
-
-        def worker(_index: int) -> None:
-            assert session.run(QUERY_ALL,
-                               backend="dbapi").to_xml() == expected
-
-        run_threads(4, worker)
-
     def test_query_metrics_add_up(self, session):
         before = session.metrics.get(
             "repro_session_queries_total").value(backend="engine")
@@ -214,7 +204,7 @@ class TestConcurrentRun:
 
 
 class TestUpdateConsistency:
-    @pytest.mark.parametrize("backend", ["engine", "sqlite", "dbapi"])
+    @pytest.mark.parametrize("backend", ["engine", "sqlite"])
     def test_replacement_racing_queries_is_atomic(self, session, backend):
         """A query racing a document swap sees old or new — never a mix."""
         old = session.run(QUERY_ALL, backend=backend).to_xml()
@@ -373,11 +363,10 @@ class TestRunMany:
         assert session.run_many([]) == []
 
     def test_matches_serial_on_relational_backends(self, session):
-        for backend in ("sqlite", "dbapi"):
-            serial = [session.run(query, backend=backend).to_xml()
-                      for query in QUERIES]
-            batch = session.run_many(QUERIES, max_workers=3, backend=backend)
-            assert [result.to_xml() for result in batch] == serial
+        serial = [session.run(query, backend="sqlite").to_xml()
+                  for query in QUERIES]
+        batch = session.run_many(QUERIES, max_workers=3, backend="sqlite")
+        assert [result.to_xml() for result in batch] == serial
 
     def test_first_error_in_input_order_wins(self, session):
         batch = [QUERY_ALL,
@@ -487,7 +476,7 @@ class TestRunMany:
 
 
 class TestBackendClose:
-    @pytest.mark.parametrize("backend", ["sqlite", "dbapi"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_close_releases_every_threads_connection(self, session, backend):
         run_threads(3, lambda _index: session.run(QUERY_ALL, backend=backend))
         target = session.backend_instance(backend)

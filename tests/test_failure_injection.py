@@ -88,7 +88,7 @@ class TestWidthOverflowDegradation:
     #: four-node document past SQLite's 2**61 cap.
     QUERY = 'document("w.xml")' + "//a" * 5
 
-    @pytest.mark.parametrize("backend", ["sqlite", "dbapi"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_deep_nesting_overflows_sql_backends(self, backend):
         from repro.errors import WidthOverflowError
         from repro.session import XQuerySession
@@ -98,7 +98,7 @@ class TestWidthOverflowDegradation:
             with pytest.raises(WidthOverflowError):
                 session.run(self.QUERY, backend=backend)
 
-    @pytest.mark.parametrize("backend", ["sqlite", "dbapi"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_fallback_converts_overflow_to_degraded_answer(self, backend):
         from repro.backends.registry import reset_breakers
         from repro.session import XQuerySession

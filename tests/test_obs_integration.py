@@ -16,13 +16,12 @@ from repro.xmark.queries import FIGURE1_SAMPLE, QUERIES
 
 NAMES = 'document("a.xml")/site/people/person/name/text()'
 
-ALL_BACKENDS = ("engine", "sqlite", "interpreter", "naive", "dbapi")
+ALL_BACKENDS = ("engine", "sqlite", "interpreter", "naive")
 
 #: Span names proving backend-specific execution detail per backend.
 BACKEND_SPANS = {
     "engine": "op.children",
     "sqlite": "sql.statement",
-    "dbapi": "sql.statement",
     "interpreter": "interpret",
     "naive": "naive.evaluate",
 }
@@ -195,7 +194,7 @@ class TestMetrics:
         widths = session.metrics.get("repro_engine_interval_width")
         assert widths.count() > 0
 
-    @pytest.mark.parametrize("backend", ["sqlite", "dbapi"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_sql_metrics_on_traced_run(self, session, backend):
         session.run(NAMES, backend=backend, trace=True)
         statements = session.metrics.get("repro_sql_statements_total")

@@ -69,7 +69,7 @@ MATCHING_DOC = (
     "</r>"
 )
 
-BACKENDS = ("engine", "interpreter", "naive", "sqlite", "dbapi")
+BACKENDS = ("engine", "interpreter", "naive", "sqlite")
 
 
 def _engine_pair(query, document, strategy):
@@ -109,26 +109,11 @@ class TestFixedFamily:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(QUERIES))
     def test_all_backends_agree(self, name, backend):
-        if backend == "dbapi":
-            # Pre-existing limitation, independent of the planner: the
-            # verbatim single-statement WITH form expands decorrelated
-            # joins past SQLite's 65535 table-reference cap.  The dbapi
-            # path is covered by test_dbapi_agrees_on_selection below.
-            pytest.skip("decorrelated joins exceed SQLite's table-"
-                        "reference cap on the single-statement path")
         query = QUERIES[name]
         with XQuerySession() as session:
             session.add_document(DOC, MATCHING_DOC)
             expected = session.run(query, backend="interpreter").forest
             assert session.run(query, backend=backend).forest == expected
-
-    def test_dbapi_agrees_on_selection(self):
-        query = f'document("{DOC}")/r/b/c/text()'
-        with XQuerySession() as session:
-            session.add_document(DOC, MATCHING_DOC)
-            expected = session.run(query, backend="interpreter").forest
-            assert session.run(query, backend="dbapi").forest == expected
-            assert len(expected) == 3
 
     def test_figure1_join_q8_shape(self):
         from repro.xmark.queries import Q8

@@ -38,7 +38,11 @@ from repro.resilience import (
     coerce_budget,
     inject_faults,
 )
+from repro.api import compile_xquery
 from repro.session import XQuerySession
+from repro.sql.sqlite_backend import SQLiteDatabase
+from repro.xml.text_parser import parse_forest
+from repro.xquery.lowering import document_forest
 
 
 class FakeClock:
@@ -64,7 +68,7 @@ QUERY = 'for $x in document("a.xml")/a/b return $x/c'
 CROSS = ('for $x in document("a.xml")/a/b '
          'for $y in document("a.xml")/a/b return $y')
 
-ALL_BACKENDS = ("engine", "interpreter", "naive", "sqlite", "dbapi")
+ALL_BACKENDS = ("engine", "interpreter", "naive", "sqlite")
 
 
 @pytest.fixture(autouse=True)
@@ -109,7 +113,7 @@ class TestDeadlines:
         assert error.elapsed <= 2 * self.DEADLINE
         assert error.backend == backend
 
-    @pytest.mark.parametrize("backend", ["sqlite", "dbapi"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_sql_backends_time_out(self, big_session, backend):
         with pytest.raises(QueryTimeoutError) as exc:
             big_session.run(CROSS, backend=backend, guard=self._guard())
@@ -117,14 +121,45 @@ class TestDeadlines:
         assert error.deadline == self.DEADLINE
         assert error.elapsed <= 2 * self.DEADLINE
 
-    def test_dbapi_interrupted_mid_statement(self, big_session):
-        """The progress handler aborts one long statement in flight."""
+    def test_single_statement_interrupted_mid_flight(self):
+        """The progress handler alone aborts one long statement in flight:
+        the verbatim ``WITH`` form has no statement boundary to check at."""
         guard = self._guard()
-        with pytest.raises(QueryTimeoutError) as exc:
-            big_session.run(CROSS, backend="dbapi", guard=guard)
+        compiled = compile_xquery(CROSS)
+        with SQLiteDatabase() as database:
+            database.load_document(compiled.documents["a.xml"],
+                                   document_forest(parse_forest(BIG_DOC)))
+            translation = database.translate(compiled.core)
+            with pytest.raises(QueryTimeoutError) as exc:
+                database.run_translation(translation, mode="single",
+                                         guard=guard)
         # The driver's "interrupted" is chained, never surfaced raw.
         assert isinstance(exc.value.__cause__, sqlite3.OperationalError)
         assert guard.pending_error is None  # consumed, not leaked
+
+    def test_deadline_at_statement_boundary_leaves_no_temp_schema(self):
+        """A deadline tripping *between* two staged statements of a text's
+        first run must not poison the next run of that text (regression:
+        ``table c0_init_idx already exists``)."""
+        def temp_tables():
+            database = session.backend_instance("sqlite").database
+            return database.connection.execute(
+                "SELECT name FROM sqlite_temp_master WHERE type='table'"
+            ).fetchall()
+
+        # Two <b>s: no statement reaches one progress-handler stride, so
+        # the clock is read at statement boundaries only and expires
+        # after the first few CTEs are staged.
+        with XQuerySession() as session:
+            session.add_document("a.xml",
+                                 "<a><b><c>x</c></b><b><c>y</c></b></a>")
+            with pytest.raises(QueryTimeoutError) as exc:
+                session.run(QUERY, backend="sqlite", guard=self._guard())
+            assert exc.value.__cause__ is None  # a boundary check, no driver
+            assert temp_tables() == []
+            expected = session.run(QUERY, backend="interpreter").to_xml()
+            assert session.run(QUERY, backend="sqlite").to_xml() == expected
+            assert temp_tables() == []
 
     def test_timeout_never_falls_back(self, session):
         """Deadlines are request-level: no degradation to fallbacks."""

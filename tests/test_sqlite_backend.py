@@ -68,23 +68,6 @@ class TestExecution:
             assert db.execute(expr, mode="staged") == db.execute(
                 expr, mode="single")
 
-    def test_temp_tables_cached_across_runs(self):
-        # Staged temp tables persist after a run (the schema cache) and a
-        # repeat of the same translation reuses them instead of re-creating.
-        with SQLiteDatabase() as db:
-            db.load_document("x", f("<a/>"))
-            expr = FnApp("children", (Var("x"),))
-            first = db.execute(expr)
-            cached = db.connection.execute(
-                "SELECT name FROM sqlite_temp_master WHERE type='table'"
-            ).fetchall()
-            assert cached  # schema kept for reuse
-            assert db.execute(expr) == first
-            after = db.connection.execute(
-                "SELECT name FROM sqlite_temp_master WHERE type='table'"
-            ).fetchall()
-            assert after == cached  # reused, not re-created
-
     def test_temp_tables_dropped_on_document_load(self):
         with SQLiteDatabase() as db:
             db.load_document("x", f("<a><b/></a>"))
@@ -94,7 +77,7 @@ class TestExecution:
             leftovers = db.connection.execute(
                 "SELECT name FROM sqlite_temp_master WHERE type='table'"
             ).fetchall()
-            assert leftovers == []  # cache invalidated with the document
+            assert leftovers == []  # no run leaves temp schema behind
             assert db.execute(expr) == f("<c/>")
 
     def test_default_width_cap(self):
@@ -126,8 +109,34 @@ class TestExecution:
                 ctes=[("bad", "SELECT * FROM missing_table")],
                 final_select="SELECT s,l,r FROM bad",
             )
-            with pytest.raises(ExecutionError):
+            with pytest.raises(ExecutionError) as exc:
                 db.run_translation(broken)
+            # The failing CTE's own text, not the final SELECT's.
+            assert "missing_table" in exc.value.statement
+
+    @pytest.mark.parametrize("mode", ["staged", "single"])
+    def test_connection_closed_under_a_run_is_wrapped(self, mode):
+        # Backend.close() closes every thread's connection from the
+        # calling thread; a run caught by it reports the typed error —
+        # neither the cleanup nor the handler removal may replace it
+        # with the driver's.
+        from itertools import count
+
+        from repro.resilience import QueryGuard
+
+        db = SQLiteDatabase()
+        db.load_document("x", f("<a><b/></a>"))
+        translation = db.translate(FnApp("children", (Var("x"),)))
+        reads = count()
+
+        def clock() -> float:
+            if next(reads) == 1:  # the check on entry, handler installed
+                db.close()
+            return 0.0
+
+        guard = QueryGuard(deadline=1.0, clock=clock)
+        with pytest.raises(ExecutionError, match="closed database"):
+            db.run_translation(translation, mode=mode, guard=guard)
 
     def test_context_manager_closes(self):
         db = SQLiteDatabase()

@@ -379,7 +379,7 @@ class TestNoRowFormOnTheWritePath:
 
 # -- the session path end to end ---------------------------------------------
 
-DELTA_BACKENDS = ("engine", "sqlite", "dbapi", "procpool")
+DELTA_BACKENDS = ("engine", "sqlite", "procpool")
 
 
 class TestSessionEquivalence:
@@ -472,13 +472,11 @@ class TestCommitTouchesOnlyTheDeltasRows:
 
     QUERY = 'document("auction.xml")/site/regions/australia/item/name'
 
-    @pytest.mark.parametrize("backend", ["sqlite", "dbapi"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_total_changes_grows_by_the_delta_size(self, xmark_small,
                                                    backend):
         def connection():
-            target = session.backend_instance(backend)
-            owner = target.database if backend == "sqlite" else target
-            return owner.connection
+            return session.backend_instance(backend).database.connection
 
         def names():
             return session.run(self.QUERY).to_xml()
