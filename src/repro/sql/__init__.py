@@ -2,9 +2,10 @@
 
 The translator maps a core-language expression to a **single SQL
 statement** — a ``WITH`` chain of one common table expression per template
-instantiation — executable on stock SQLite.  Interval arithmetic uses
-integer division ``l / w`` to recover the environment index of a tuple, so
-no lateral joins are needed.
+instantiation — executable on stock SQLite.  Every relation carries its
+tuples' environment number ``e`` (``l / w``, stored) and depth ``d`` beside
+``(s, l, r)``, so "same environment" and "is a root" are indexable
+equalities and no lateral joins are needed.
 """
 
 from repro.sql.translator import SQLTranslator, TranslationResult, translate_query

@@ -3,7 +3,9 @@
 This backend demonstrates the paper's claim end to end: an arbitrarily
 nested FLWR expression becomes **one SQL statement** evaluated by a stock
 relational engine, with the result decoded back into an XML forest purely
-from the ``(s, l, r)`` rows.
+from the ``(s, l, r)`` rows.  Inside the statement every relation also
+carries ``e`` (environment) and ``d`` (depth), see
+:mod:`repro.sql.templates`; the shredded document supplies the first ``d``.
 
 SQLite integers are 64-bit; the translator is therefore capped at a width
 of ``2**61`` by default (coordinates exceed the width by at most one
@@ -20,6 +22,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.encoding.interval import IntervalTuple, decode, encode
 from repro.encoding.stats import apply_delta_to_stats, collect_stats
+from repro.engine.columns import IntervalColumns
 from repro.errors import ExecutionError, TransientBackendError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -129,8 +132,9 @@ class SQLiteDatabase:
     """A SQLite store for interval-encoded documents plus query execution.
 
     Documents are shredded with the canonical DFS encoder into tables
-    ``doc_<n>(s TEXT, l INTEGER PRIMARY KEY, r INTEGER)`` with an index on
-    ``s`` to support label lookups.
+    ``doc_<n>(e, s TEXT, l INTEGER PRIMARY KEY, r INTEGER, d INTEGER)``
+    — a document is one environment, so ``e`` is the constant 0 — with an
+    index on ``s`` to support label lookups.
 
     Instances are single-threaded: one ``SQLiteDatabase`` serves one
     thread at a time.  The connection is opened with
@@ -176,7 +180,8 @@ class SQLiteDatabase:
 
         The rebase half of the delta-update protocol: a session-supplied
         :class:`~repro.encoding.updates.DocumentUpdate` snapshot is loaded
-        without ever materializing (or re-encoding) a ``Forest``.
+        without ever materializing (or re-encoding) a ``Forest``.  ``d`` is
+        derived here, in the one stack pass that also feeds the statistics.
         """
         if name in self._documents:
             table, _ = self._documents[name]
@@ -185,20 +190,23 @@ class SQLiteDatabase:
             table = f"doc_{self._doc_counter}"
             self._doc_counter += 1
             self.connection.execute(
-                f"CREATE TABLE {table} "
-                f"(s TEXT NOT NULL, l INTEGER PRIMARY KEY, r INTEGER NOT NULL)"
+                f"CREATE TABLE {table} (e INTEGER NOT NULL DEFAULT 0, "
+                f"s TEXT NOT NULL, l INTEGER PRIMARY KEY, "
+                f"r INTEGER NOT NULL, d INTEGER NOT NULL)"
             )
             self.connection.execute(
                 f"CREATE INDEX {table}_s ON {table} (s, l)"
             )
-        insert = f"INSERT INTO {table} (s, l, r) VALUES (?, ?, ?)"
+        columns = IntervalColumns.from_tuples(rows)
+        insert = f"INSERT INTO {table} (s, l, r, d) VALUES (?, ?, ?, ?)"
         try:
-            self.connection.executemany(insert, rows)
+            self.connection.executemany(
+                insert, ((*row, d) for row, d in zip(rows, columns.d.tolist())))
             self.connection.commit()
         except sqlite3.Error as error:
             raise wrap_driver_error(error, insert) from error
         self._documents[name] = (table, int(width))
-        self._stats[name] = collect_stats(rows, max(width, 1))
+        self._stats[name] = collect_stats(columns, max(width, 1))
         return self._documents[name]
 
     def apply_delta(self, name: str, delta) -> tuple[str, int]:
@@ -207,8 +215,9 @@ class SQLiteDatabase:
         O(affected subtree): one ranged ``DELETE`` per deleted subtree
         (the range predicate is exactly the delta's inclusive left-endpoint
         bounds, served by the ``l`` primary key) plus one batched
-        ``INSERT`` for the contiguous run of new rows.  Statistics are
-        maintained incrementally, digest included.
+        ``INSERT`` for the contiguous run of new rows, whose depths the
+        delta carries.  Statistics are maintained incrementally, digest
+        included.
         """
         if name not in self._documents:
             raise ExecutionError(f"document {name!r} is not loaded")
@@ -218,8 +227,11 @@ class SQLiteDatabase:
             for low, high in delta.deleted_ranges:
                 self.connection.execute(statement, (low, high))
             if delta.inserted:
-                statement = f"INSERT INTO {table} (s, l, r) VALUES (?, ?, ?)"
-                self.connection.executemany(statement, delta.inserted)
+                statement = (f"INSERT INTO {table} (s, l, r, d) "
+                             f"VALUES (?, ?, ?, ?)")
+                self.connection.executemany(
+                    statement, ((*row, d) for row, d in
+                                zip(delta.inserted, delta.inserted_depths)))
             self.connection.commit()
         except sqlite3.Error as error:
             raise wrap_driver_error(error, statement) from error
@@ -303,15 +315,19 @@ class SQLiteDatabase:
     def _run_staged(self, translation: TranslationResult,
                     observer: _SQLObserver,
                     guard: "QueryGuard | None",
+                    plans: "list[tuple[str, list]] | None" = None,
                     ) -> list[tuple[str, int, int]]:
         """Stage the translation's CTEs as temp tables, run the final SELECT.
 
-        Each CTE becomes ``CREATE TEMP TABLE … AS`` (plus an index on ``l``
-        where the relation has one) in dependency order; every table is
-        dropped again before returning, whatever happened — a deadline at a
-        statement boundary, a failing statement — so the connection holds
-        no temp schema between runs and nothing to invalidate when a
-        document changes.
+        Each CTE becomes ``CREATE TEMP TABLE … AS`` in dependency order,
+        plus an index where the translator named one: ``(e, l)`` on a
+        relation — environment guards and subtree ranges both search it —
+        and a comparison view's own key.  Every table is dropped again
+        before returning, whatever happened — a deadline at a statement
+        boundary, a failing statement — so the connection holds no temp
+        schema between runs and nothing to invalidate when a document
+        changes.  ``plans`` collects ``(name, EXPLAIN QUERY PLAN rows)`` of
+        each CTE against the tables staged before it.
         """
         cursor = self.connection.cursor()
         staged: list[str] = []
@@ -321,17 +337,18 @@ class SQLiteDatabase:
                 for name, sql in translation.ctes:
                     if guard is not None:
                         guard.check()  # statement boundary
+                    if plans is not None:
+                        statement = f"EXPLAIN QUERY PLAN {sql}"
+                        plans.append((name, cursor.execute(statement).fetchall()))
                     statement = f"CREATE TEMP TABLE {name} AS {sql}"
                     staged.append(name)
                     with observer.statement(name):
                         cursor.execute(statement)
-                    # Encoded relations carry an l column worth indexing;
-                    # helper views (sequences, root ids) have other
-                    # shapes — skip those.
-                    columns = {row[1] for row in
-                               cursor.execute(f"PRAGMA table_info({name})")}
-                    if "l" in columns:
-                        statement = f"CREATE INDEX temp.{name}_l ON {name} (l)"
+                    key = ("e, l" if name in translation.relations
+                           else translation.view_keys.get(name))
+                    if key is not None:
+                        statement = (f"CREATE INDEX temp.{name}_key "
+                                     f"ON {name} ({key})")
                         cursor.execute(statement)
                 statement = translation.final_select
                 with observer.statement("final_select"):
@@ -347,12 +364,24 @@ class SQLiteDatabase:
                     self.connection.execute(
                         f"DROP TABLE IF EXISTS temp.{name}")
 
-    def explain(self, expr: CoreExpr) -> str:
-        """SQLite's query plan for the translated statement (diagnostics)."""
+    def explain(self, expr: CoreExpr, mode: str = "single") -> str:
+        """SQLite's query plan for the translated query (diagnostics).
+
+        ``"single"`` plans the one statement; ``"staged"`` runs the staged
+        form and reports every CTE's plan as ``name: step`` lines — what
+        shows whether a join searches an index or scans.
+        """
         translation = self.translate(expr)
-        rows = self.connection.execute(
-            f"EXPLAIN QUERY PLAN {translation.sql}"
-        ).fetchall()
+        if mode == "staged":
+            plans: list[tuple[str, list]] = []
+            self._run_staged(translation, _SQLObserver(None, None), None, plans)
+            return "\n".join(f"{name}: {row[3]}"
+                             for name, rows in plans for row in rows)
+        statement = f"EXPLAIN QUERY PLAN {translation.sql}"
+        try:
+            rows = self.connection.execute(statement).fetchall()
+        except sqlite3.Error as error:
+            raise wrap_driver_error(error, statement) from error
         return "\n".join(str(row) for row in rows)
 
 

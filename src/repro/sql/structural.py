@@ -14,71 +14,78 @@ differing position — *greater depth sorts greater* (a missing sibling makes
 the shallower forest smaller), then label order, with a proper prefix
 sorting smaller.  Interval encodings need not be tight, so comparisons must
 use these rank-normalized sequences, never raw endpoints.
+
+Every relation here is ``(e, s, l, r, d)`` (see :mod:`repro.sql.templates`):
+the depth is the carried ``d`` and the rank a window ``ROW_NUMBER``, so a
+sequence view is one pass over its relation.
 """
 
 from __future__ import annotations
 
 
-def env_sequence_sql(table: str, width: int) -> str:
+#: What a backend that materialises a view should index it on: the
+#: predicates below look a sequence up by owner and position, roots by
+#: environment.
+ENV_SEQUENCE_KEY = "e, pos"
+ROOT_SEQUENCE_KEY = "root, pos"
+ROOTS_ID_KEY = "e"
+
+
+def subtree_of(root: str, node: str = "u") -> str:
+    """Join predicate: ``node`` lies in the subtree of ``root`` (self included).
+
+    Blocks are disjoint, so the range alone implies the environment; the
+    ``e`` equality is what lets an ``(e, l)`` index — or, with no index at
+    all, an automatic one on ``e`` — serve the join.
+    """
+    return (f"{node}.e = {root}.e AND {node}.l >= {root}.l "
+            f"AND {node}.l <= {root}.r")
+
+
+def env_sequence_sql(table: str) -> str:
     """A per-environment DFS sequence view over an encoded relation.
 
-    Columns: ``env`` (block index), ``pos`` (1-based DFS rank within the
+    Columns: ``e`` (environment), ``pos`` (1-based DFS rank within the
     environment), ``depth`` (proper ancestors within the environment),
     ``s`` (label).
     """
     return (
-        f"SELECT u.l / {width} AS env,\n"
-        f"       (SELECT COUNT(*) FROM {table} a\n"
-        f"         WHERE a.l / {width} = u.l / {width} AND a.l <= u.l) AS pos,\n"
-        f"       (SELECT COUNT(*) FROM {table} a\n"
-        f"         WHERE a.l / {width} = u.l / {width}\n"
-        f"           AND a.l < u.l AND u.r < a.r) AS depth,\n"
-        f"       u.s AS s\n"
-        f"  FROM {table} u"
+        f"SELECT e, ROW_NUMBER() OVER (PARTITION BY e ORDER BY l) AS pos,\n"
+        f"       d AS depth, s\n"
+        f"  FROM {table}"
     )
 
 
-def root_sequence_sql(table: str, width: int) -> str:
+def root_sequence_sql(table: str) -> str:
     """A per-tree DFS sequence view: one sequence per root of each env.
 
-    Columns: ``env``, ``root`` (the root's left endpoint — a unique tree
+    Columns: ``e``, ``root`` (the root's left endpoint — a unique tree
     id), ``pos`` (1-based DFS rank within the tree), ``depth`` (ancestors
     within the tree), ``s``.
     """
     return (
-        f"SELECT r.l / {width} AS env, r.l AS root, u.s AS s,\n"
-        f"       (SELECT COUNT(*) FROM {table} a\n"
-        f"         WHERE a.l >= r.l AND a.r <= r.r AND a.l <= u.l) AS pos,\n"
-        f"       (SELECT COUNT(*) FROM {table} a\n"
-        f"         WHERE a.l >= r.l AND a.r <= r.r\n"
-        f"           AND a.l < u.l AND u.r < a.r) AS depth\n"
-        f"  FROM {table} r\n"
-        f"  JOIN {table} u ON r.l <= u.l AND u.r <= r.r\n"
-        f" WHERE NOT EXISTS (SELECT 1 FROM {table} v\n"
-        f"                    WHERE v.l < r.l AND r.r < v.r\n"
-        f"                      AND v.l / {width} = r.l / {width})"
+        f"SELECT rt.e AS e, rt.l AS root, u.s AS s,\n"
+        f"       ROW_NUMBER() OVER (PARTITION BY rt.l ORDER BY u.l) AS pos,\n"
+        f"       u.d AS depth\n"
+        f"  FROM {table} rt\n"
+        f"  JOIN {table} u ON {subtree_of('rt')}\n"
+        f" WHERE rt.d = 0"
     )
 
 
-def roots_id_sql(table: str, width: int) -> str:
-    """Just the (env, root-id, root label) triples of an encoded relation."""
-    return (
-        f"SELECT u.l / {width} AS env, u.l AS root, u.s AS s, u.l AS l, u.r AS r\n"
-        f"  FROM {table} u\n"
-        f" WHERE NOT EXISTS (SELECT 1 FROM {table} v\n"
-        f"                    WHERE v.l < u.l AND u.r < v.r\n"
-        f"                      AND v.l / {width} = u.l / {width})"
-    )
+def roots_id_sql(table: str) -> str:
+    """Just the roots of an encoded relation, ``root`` naming each tree."""
+    return f"SELECT e, l AS root, s, l, r FROM {table} WHERE d = 0"
 
 
 def forest_equal_predicate(seq_left: str, seq_right: str, env: str) -> str:
     """Boolean SQL: the env-``env`` forests of two sequence views are equal."""
     return (
-        f"((SELECT COUNT(*) FROM {seq_left} WHERE env = {env}) =\n"
-        f" (SELECT COUNT(*) FROM {seq_right} WHERE env = {env})\n"
+        f"((SELECT COUNT(*) FROM {seq_left} WHERE e = {env}) =\n"
+        f" (SELECT COUNT(*) FROM {seq_right} WHERE e = {env})\n"
         f" AND NOT EXISTS (SELECT 1 FROM {seq_left} xa\n"
-        f"                  JOIN {seq_right} xb ON xb.pos = xa.pos AND xb.env = {env}\n"
-        f"                 WHERE xa.env = {env}\n"
+        f"                  JOIN {seq_right} xb ON xb.pos = xa.pos AND xb.e = {env}\n"
+        f"                 WHERE xa.e = {env}\n"
         f"                   AND (xa.depth <> xb.depth OR xa.s <> xb.s)))"
     )
 
@@ -94,24 +101,24 @@ def forest_less_predicate(seq_left: str, seq_right: str, env: str) -> str:
     diff = "(xa.depth <> xb.depth OR xa.s <> xb.s)"
     earlier_diff = (
         f"EXISTS (SELECT 1 FROM {seq_left} xa2\n"
-        f"          JOIN {seq_right} xb2 ON xb2.pos = xa2.pos AND xb2.env = {env}\n"
-        f"         WHERE xa2.env = {env} AND xa2.pos < xa.pos\n"
+        f"          JOIN {seq_right} xb2 ON xb2.pos = xa2.pos AND xb2.e = {env}\n"
+        f"         WHERE xa2.e = {env} AND xa2.pos < xa.pos\n"
         f"           AND (xa2.depth <> xb2.depth OR xa2.s <> xb2.s))"
     )
     first_diff_smaller = (
         f"EXISTS (SELECT 1 FROM {seq_left} xa\n"
-        f"          JOIN {seq_right} xb ON xb.pos = xa.pos AND xb.env = {env}\n"
-        f"         WHERE xa.env = {env}\n"
+        f"          JOIN {seq_right} xb ON xb.pos = xa.pos AND xb.e = {env}\n"
+        f"         WHERE xa.e = {env}\n"
         f"           AND (xa.depth < xb.depth\n"
         f"                OR (xa.depth = xb.depth AND xa.s < xb.s))\n"
         f"           AND NOT {earlier_diff})"
     )
     proper_prefix = (
-        f"((SELECT COUNT(*) FROM {seq_left} WHERE env = {env}) <\n"
-        f" (SELECT COUNT(*) FROM {seq_right} WHERE env = {env})\n"
+        f"((SELECT COUNT(*) FROM {seq_left} WHERE e = {env}) <\n"
+        f" (SELECT COUNT(*) FROM {seq_right} WHERE e = {env})\n"
         f" AND NOT EXISTS (SELECT 1 FROM {seq_left} xa\n"
-        f"                  JOIN {seq_right} xb ON xb.pos = xa.pos AND xb.env = {env}\n"
-        f"                 WHERE xa.env = {env} AND {diff}))"
+        f"                  JOIN {seq_right} xb ON xb.pos = xa.pos AND xb.e = {env}\n"
+        f"                 WHERE xa.e = {env} AND {diff}))"
     )
     return f"({first_diff_smaller}\n OR {proper_prefix})"
 

@@ -1,18 +1,25 @@
 """Per-operator SQL templates (Section 4.1, lifted over environments, 4.2.1).
 
+Every relation of the SQL path is ``(e, s, l, r, d)``: the paper's
+``(s, l, r)`` plus two columns that are *derived once, where a row is
+produced, and carried after* — ``e`` the environment number (``l / w`` for
+a relation of width ``w``; blocks are disjoint, Definition 3.3, so it is a
+function of ``l`` and adds no information) and ``d`` the depth within that
+environment's forest.  They turn the two things every template asks — "is
+this a root", "same environment" — into ``d = 0`` and an equality on ``e``
+that an index can serve.
+
 Each XFn has a template builder producing the SQL for one CTE that computes
 ``T_XFn(e1,…,ek)`` from the argument CTEs, *already lifted* over the
 sequence of environments: instead of extracting each environment's local
 encoding, applying the single-forest template, and shifting back (the
 paper's three-layer presentation), the builders fold the shift arithmetic
-into the template using integer division — a tuple with left endpoint ``l``
-in a relation of width ``w`` belongs to environment ``l / w``, so
+into the template — a tuple of environment ``e`` moves from input width to
+output width by
 
-    l_out  =  l_in + (l_in / w_in) · (w_out − w_in) + local_offset
+    l_out  =  l_in + e · (w_out − w_in) + local_offset
 
-re-blocks a tuple from input width to output width in one expression.
-SQLite evaluates ``x / 0`` as NULL, so zero-width (provably empty) inputs
-are simply skipped by the builders that would divide by them.
+in one expression.  Zero-width (provably empty) inputs are skipped.
 
 Builders return :class:`TemplateResult`: the SQL text of the main CTE, the
 output width, and any helper CTEs (e.g. DFS-sequence views for ``sort`` /
@@ -31,8 +38,11 @@ from repro.sql.labels import (
     sql_string,
 )
 from repro.sql.structural import (
+    ROOT_SEQUENCE_KEY,
+    ROOTS_ID_KEY,
     root_sequence_sql,
     roots_id_sql,
+    subtree_of,
     tree_equal_predicate,
     tree_less_predicate,
 )
@@ -55,20 +65,13 @@ class TemplateResult:
 
     sql: str
     width: int
-    #: Helper CTEs as (name, sql), to be emitted before the main CTE.
-    helpers: list[tuple[str, str]] = field(default_factory=list)
+    #: Helper CTEs as (name, sql, index key or None), to be emitted before
+    #: the main CTE.
+    helpers: list[tuple[str, str, str | None]] = field(default_factory=list)
 
 
-_EMPTY_SQL = "SELECT NULL AS s, NULL AS l, NULL AS r WHERE 0"
-
-
-def _is_root(table: str, width: int, alias: str) -> str:
-    """Predicate: ``alias`` is a root within its environment block."""
-    return (
-        f"NOT EXISTS (SELECT 1 FROM {table} anc\n"
-        f"             WHERE anc.l < {alias}.l AND {alias}.r < anc.r\n"
-        f"               AND anc.l / {width} = {alias}.l / {width})"
-    )
+EMPTY_SQL = ("SELECT NULL AS e, NULL AS s, NULL AS l, NULL AS r, NULL AS d "
+             "WHERE 0")
 
 
 def build_template(fn: str, params: Mapping[str, str], args: list[Rel],
@@ -81,17 +84,34 @@ def build_template(fn: str, params: Mapping[str, str], args: list[Rel],
     return builder(params, args, index, namer)
 
 
+def _per_environment(index: str, label: str,
+                     source: str = "") -> TemplateResult:
+    """One childless node labelled ``label`` per environment of ``index``."""
+    sql = (
+        f"SELECT idx.i AS e, {label} AS s,\n"
+        f"       idx.i * 2 AS l, idx.i * 2 + 1 AS r, 0 AS d\n"
+        f"  FROM {index} idx{source}"
+    )
+    return TemplateResult(sql, 2)
+
+
+def _forest_to_forest(build: Callable[..., TemplateResult]):
+    """Lift ``build(params, arg, namer)`` to a builder: an empty argument is
+    an empty result, whatever the template."""
+    def builder(params, args, index, namer) -> TemplateResult:
+        (arg,) = args
+        if arg.width == 0:
+            return TemplateResult(EMPTY_SQL, 0)
+        return build(params, arg, namer)
+    return builder
+
+
 def _build_empty_forest(params, args, index, namer) -> TemplateResult:
-    return TemplateResult(_EMPTY_SQL, 0)
+    return TemplateResult(EMPTY_SQL, 0)
 
 
 def _build_text_const(params, args, index, namer) -> TemplateResult:
-    literal = sql_string(params["value"])
-    sql = (
-        f"SELECT {literal} AS s, idx.i * 2 AS l, idx.i * 2 + 1 AS r\n"
-        f"  FROM {index} idx"
-    )
-    return TemplateResult(sql, 2)
+    return _per_environment(index, sql_string(params["value"]))
 
 
 def _build_xnode(params, args, index, namer) -> TemplateResult:
@@ -99,16 +119,14 @@ def _build_xnode(params, args, index, namer) -> TemplateResult:
     label = sql_string(params["label"])
     width = arg.width + 2
     root_branch = (
-        f"SELECT {label} AS s, idx.i * {width} AS l,\n"
-        f"       idx.i * {width} + {width - 1} AS r\n"
+        f"SELECT idx.i AS e, {label} AS s, idx.i * {width} AS l,\n"
+        f"       idx.i * {width} + {width - 1} AS r, 0 AS d\n"
         f"  FROM {index} idx"
     )
     if arg.width == 0:
         return TemplateResult(root_branch, width)
-    delta = width - arg.width
     content_branch = (
-        f"SELECT s, l + (l / {arg.width}) * {delta} + 1 AS l,\n"
-        f"       r + (l / {arg.width}) * {delta} + 1 AS r\n"
+        f"SELECT e, s, l + e * 2 + 1 AS l, r + e * 2 + 1 AS r, d + 1 AS d\n"
         f"  FROM {arg.table}"
     )
     return TemplateResult(f"{root_branch}\nUNION ALL\n{content_branch}", width)
@@ -121,145 +139,104 @@ def _build_concat(params, args, index, namer) -> TemplateResult:
     if left.width > 0:
         delta = width - left.width
         branches.append(
-            f"SELECT s, l + (l / {left.width}) * {delta} AS l,\n"
-            f"       r + (l / {left.width}) * {delta} AS r\n"
+            f"SELECT e, s, l + e * {delta} AS l, r + e * {delta} AS r, d\n"
             f"  FROM {left.table}"
         )
     if right.width > 0:
         delta = width - right.width
         branches.append(
-            f"SELECT s, l + (l / {right.width}) * {delta} + {left.width} AS l,\n"
-            f"       r + (l / {right.width}) * {delta} + {left.width} AS r\n"
+            f"SELECT e, s, l + e * {delta} + {left.width} AS l,\n"
+            f"       r + e * {delta} + {left.width} AS r, d\n"
             f"  FROM {right.table}"
         )
     if not branches:
-        return TemplateResult(_EMPTY_SQL, 0)
+        return TemplateResult(EMPTY_SQL, 0)
     return TemplateResult("\nUNION ALL\n".join(branches), width)
 
 
-def _build_roots(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    sql = (
-        f"SELECT u.s, u.l, u.r FROM {arg.table} u\n"
-        f" WHERE {_is_root(arg.table, arg.width, 'u')}"
-    )
+@_forest_to_forest
+def _build_roots(params, arg, namer) -> TemplateResult:
+    sql = f"SELECT e, s, l, r, d FROM {arg.table} WHERE d = 0"
     return TemplateResult(sql, arg.width)
 
 
-def _build_children(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    sql = (
-        f"SELECT u.s, u.l, u.r FROM {arg.table} u\n"
-        f" WHERE EXISTS (SELECT 1 FROM {arg.table} anc\n"
-        f"                WHERE anc.l < u.l AND u.r < anc.r\n"
-        f"                  AND anc.l / {arg.width} = u.l / {arg.width})"
-    )
+@_forest_to_forest
+def _build_children(params, arg, namer) -> TemplateResult:
+    sql = f"SELECT e, s, l, r, d - 1 AS d FROM {arg.table} WHERE d >= 1"
     return TemplateResult(sql, arg.width)
 
 
-def _root_filter_template(arg: Rel, root_predicate: str) -> str:
-    """Keep whole trees whose root satisfies ``root_predicate`` (alias rt)."""
-    width = arg.width
-    return (
-        f"SELECT u.s, u.l, u.r FROM {arg.table} u\n"
-        f" WHERE EXISTS (\n"
-        f"   SELECT 1 FROM {arg.table} rt\n"
-        f"    WHERE rt.l <= u.l AND u.r <= rt.r\n"
-        f"      AND rt.l / {width} = u.l / {width}\n"
-        f"      AND {root_predicate}\n"
-        f"      AND {_is_root(arg.table, width, 'rt')})"
+def _root_filter(arg: Rel, root_predicate: str, helpers=()) -> TemplateResult:
+    """Keep whole trees whose root (alias ``rt``) satisfies ``root_predicate``:
+    a range join from the ``d = 0`` rows to their subtrees."""
+    sql = (
+        f"SELECT u.e, u.s, u.l, u.r, u.d\n"
+        f"  FROM {arg.table} rt\n"
+        f"  JOIN {arg.table} u ON {subtree_of('rt')}\n"
+        f" WHERE rt.d = 0 AND {root_predicate}"
     )
+    return TemplateResult(sql, arg.width, list(helpers))
 
 
-def _build_select(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    predicate = f"rt.s = {sql_string(params['label'])}"
-    return TemplateResult(_root_filter_template(arg, predicate), arg.width)
+@_forest_to_forest
+def _build_select(params, arg, namer) -> TemplateResult:
+    return _root_filter(arg, f"rt.s = {sql_string(params['label'])}")
 
 
-def _build_textnodes(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    return TemplateResult(
-        _root_filter_template(arg, is_text_predicate("rt.s")), arg.width
-    )
+@_forest_to_forest
+def _build_textnodes(params, arg, namer) -> TemplateResult:
+    return _root_filter(arg, is_text_predicate("rt.s"))
 
 
-def _build_elementnodes(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    return TemplateResult(
-        _root_filter_template(arg, is_element_predicate("rt.s")), arg.width
-    )
+@_forest_to_forest
+def _build_elementnodes(params, arg, namer) -> TemplateResult:
+    return _root_filter(arg, is_element_predicate("rt.s"))
 
 
-def _build_head(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    width = arg.width
-    predicate = (
-        f"NOT EXISTS (SELECT 1 FROM {arg.table} fr\n"
-        f"             WHERE fr.l < rt.l AND fr.l / {width} = rt.l / {width}\n"
-        f"               AND {_is_root(arg.table, width, 'fr')})"
-    )
-    return TemplateResult(_root_filter_template(arg, predicate), width)
+def _first_left(arg: Rel) -> str:
+    """Left endpoint of ``rt``'s environment's first row — its first root."""
+    return f"(SELECT MIN(fr.l) FROM {arg.table} fr WHERE fr.e = rt.e)"
 
 
-def _build_tail(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    width = arg.width
-    predicate = (
-        f"EXISTS (SELECT 1 FROM {arg.table} fr\n"
-        f"         WHERE fr.l < rt.l AND fr.l / {width} = rt.l / {width}\n"
-        f"           AND {_is_root(arg.table, width, 'fr')})"
-    )
-    return TemplateResult(_root_filter_template(arg, predicate), width)
+@_forest_to_forest
+def _build_head(params, arg, namer) -> TemplateResult:
+    return _root_filter(arg, f"rt.l = {_first_left(arg)}")
 
 
-def _build_reverse(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
+@_forest_to_forest
+def _build_tail(params, arg, namer) -> TemplateResult:
+    return _root_filter(arg, f"rt.l > {_first_left(arg)}")
+
+
+@_forest_to_forest
+def _build_reverse(params, arg, namer) -> TemplateResult:
     width = arg.width
     # Local reversal: a root spanning local [a, b] moves to [w-1-b, w-1-a],
     # and its descendants shift with it; in global coordinates the shift is
-    # (w - 1 - r.r - r.l + 2·i·w) with i = l / w.
-    shift = f"{width - 1} - rt.r - rt.l + 2 * (u.l / {width}) * {width}"
+    # (w - 1 - r.r - r.l + 2·e·w).
+    shift = f"{width - 1} - rt.r - rt.l + 2 * u.e * {width}"
     sql = (
-        f"SELECT u.s, u.l + {shift} AS l, u.r + {shift} AS r\n"
-        f"  FROM {arg.table} u\n"
-        f"  JOIN {arg.table} rt ON rt.l <= u.l AND u.r <= rt.r\n"
-        f"   AND rt.l / {width} = u.l / {width}\n"
-        f" WHERE {_is_root(arg.table, width, 'rt')}"
+        f"SELECT u.e, u.s, u.l + {shift} AS l, u.r + {shift} AS r, u.d\n"
+        f"  FROM {arg.table} rt\n"
+        f"  JOIN {arg.table} u ON {subtree_of('rt')}\n"
+        f" WHERE rt.d = 0"
     )
     return TemplateResult(sql, width)
 
 
-def _build_subtrees_dfs(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
+@_forest_to_forest
+def _build_subtrees_dfs(params, arg, namer) -> TemplateResult:
     win = arg.width
     wout = win * win
     # The copy rooted at node v is placed at block offset (v.l mod w_in)·w_in
-    # inside the (l/w_in)-th output block; nodes keep their offset from v.
-    base = f"(u.l / {win}) * {wout} + (v.l - (u.l / {win}) * {win}) * {win}"
+    # inside the e-th output block; nodes keep their offset — and their
+    # depth — from v.
+    base = f"u.e * {wout} + (v.l - u.e * {win}) * {win}"
     sql = (
-        f"SELECT u.s, {base} + (u.l - v.l) AS l, {base} + (u.r - v.l) AS r\n"
-        f"  FROM {arg.table} u\n"
-        f"  JOIN {arg.table} v ON v.l <= u.l AND u.r <= v.r\n"
-        f"   AND v.l / {win} = u.l / {win}"
+        f"SELECT u.e, u.s, {base} + (u.l - v.l) AS l,\n"
+        f"       {base} + (u.r - v.l) AS r, u.d - v.d AS d\n"
+        f"  FROM {arg.table} v\n"
+        f"  JOIN {arg.table} u ON {subtree_of('v')}"
     )
     return TemplateResult(sql, wout)
 
@@ -267,126 +244,93 @@ def _build_subtrees_dfs(params, args, index, namer) -> TemplateResult:
 def _build_count(params, args, index, namer) -> TemplateResult:
     (arg,) = args
     if arg.width == 0:
-        sql = (
-            f"SELECT '0' AS s, idx.i * 2 AS l, idx.i * 2 + 1 AS r\n"
-            f"  FROM {index} idx"
-        )
-        return TemplateResult(sql, 2)
-    width = arg.width
-    count_expr = (
-        f"(SELECT COUNT(*) FROM {arg.table} x\n"
-        f"  WHERE x.l / {width} = idx.i\n"
-        f"    AND {_is_root(arg.table, width, 'x')})"
-    )
-    sql = (
-        f"SELECT CAST({count_expr} AS TEXT) AS s,\n"
-        f"       idx.i * 2 AS l, idx.i * 2 + 1 AS r\n"
-        f"  FROM {index} idx"
-    )
-    return TemplateResult(sql, 2)
+        return _per_environment(index, "'0'")
+    return _per_environment(
+        index, "CAST(COUNT(x.l) AS TEXT)",
+        f"\n  LEFT JOIN {arg.table} x ON x.e = idx.i AND x.d = 0\n"
+        f" GROUP BY idx.i")
 
 
-def _build_data(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    width = arg.width
-    # Keep text roots, plus text children of non-text roots; descendants of
-    # kept tuples are dropped, so results decode as childless text nodes.
-    depth_expr = (
-        f"(SELECT COUNT(*) FROM {arg.table} anc\n"
-        f"  WHERE anc.l < u.l AND u.r < anc.r\n"
-        f"    AND anc.l / {width} = u.l / {width})"
-    )
-    text_ancestor = (
-        f"EXISTS (SELECT 1 FROM {arg.table} anc\n"
-        f"         WHERE anc.l < u.l AND u.r < anc.r\n"
-        f"           AND anc.l / {width} = u.l / {width}\n"
-        f"           AND {is_text_predicate('anc.s')})"
-    )
+@_forest_to_forest
+def _build_data(params, arg, namer) -> TemplateResult:
+    # Text roots, plus text children of non-text roots; descendants of kept
+    # tuples are dropped, so results decode as childless text nodes.
     sql = (
-        f"SELECT u.s, u.l, u.r FROM {arg.table} u\n"
-        f" WHERE {is_text_predicate('u.s')}\n"
-        f"   AND ({depth_expr} = 0\n"
-        f"        OR ({depth_expr} = 1 AND NOT {text_ancestor}))"
+        f"SELECT e, s, l, r, d FROM {arg.table}\n"
+        f" WHERE d = 0 AND {is_text_predicate('s')}\n"
+        f"UNION ALL\n"
+        f"SELECT u.e, u.s, u.l, u.r, 0 AS d\n"
+        f"  FROM {arg.table} rt\n"
+        f"  JOIN {arg.table} u ON {subtree_of('rt')}\n"
+        f" WHERE rt.d = 0 AND NOT {is_text_predicate('rt.s')}\n"
+        f"   AND u.d = 1 AND {is_text_predicate('u.s')}"
     )
-    return TemplateResult(sql, width)
+    return TemplateResult(sql, arg.width)
 
 
 def _build_string_fn(params, args, index, namer) -> TemplateResult:
     (arg,) = args
     if arg.width == 0:
-        sql = (
-            f"SELECT '' AS s, idx.i * 2 AS l, idx.i * 2 + 1 AS r\n"
-            f"  FROM {index} idx"
-        )
-        return TemplateResult(sql, 2)
-    width = arg.width
-    # GROUP_CONCAT over an ORDER BY subquery: SQLite feeds the aggregate in
-    # the subquery's order (documented-as-arbitrary but stable in practice
-    # and pinned by the test suite).
-    concat_expr = (
-        f"COALESCE((SELECT GROUP_CONCAT(x.s, '') FROM\n"
-        f"   (SELECT t.s AS s FROM {arg.table} t\n"
-        f"     WHERE t.l / {width} = idx.i AND {is_text_predicate('t.s')}\n"
-        f"     ORDER BY t.l) x), '')"
+        return _per_environment(index, "''")
+    # The whole-partition frame gives every text row of an environment the
+    # full concatenation in document order; DISTINCT keeps one.
+    texts = (
+        f"SELECT DISTINCT e, GROUP_CONCAT(s, '') OVER (\n"
+        f"           PARTITION BY e ORDER BY l\n"
+        f"           ROWS BETWEEN UNBOUNDED PRECEDING\n"
+        f"                    AND UNBOUNDED FOLLOWING) AS s\n"
+        f"          FROM {arg.table} WHERE {is_text_predicate('s')}"
     )
-    sql = (
-        f"SELECT {concat_expr} AS s, idx.i * 2 AS l, idx.i * 2 + 1 AS r\n"
-        f"  FROM {index} idx"
-    )
-    return TemplateResult(sql, 2)
+    return _per_environment(
+        index, "COALESCE(x.s, '')",
+        f"\n  LEFT JOIN ({texts}) x ON x.e = idx.i")
 
 
-def _build_distinct(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
-    width = arg.width
+@_forest_to_forest
+def _build_distinct(params, arg, namer) -> TemplateResult:
     seq = namer("rseq")
-    helpers = [(seq, root_sequence_sql(arg.table, width))]
     equal_earlier = tree_equal_predicate(seq, seq, "eb.l", "rt.l")
     predicate = (
         f"NOT EXISTS (SELECT 1 FROM {arg.table} eb\n"
-        f"             WHERE eb.l < rt.l AND eb.l / {width} = rt.l / {width}\n"
-        f"               AND {_is_root(arg.table, width, 'eb')}\n"
+        f"             WHERE eb.e = rt.e AND eb.d = 0 AND eb.l < rt.l\n"
         f"               AND {equal_earlier})"
     )
-    return TemplateResult(_root_filter_template(arg, predicate), width, helpers)
+    return _root_filter(
+        arg, predicate,
+        [(seq, root_sequence_sql(arg.table), ROOT_SEQUENCE_KEY)])
 
 
-def _build_sort(params, args, index, namer) -> TemplateResult:
-    (arg,) = args
-    if arg.width == 0:
-        return TemplateResult(_EMPTY_SQL, 0)
+@_forest_to_forest
+def _build_sort(params, arg, namer) -> TemplateResult:
     win = arg.width
     wout = win * win
     seq = namer("rseq")
     roots = namer("rids")
     rank = namer("rank")
-    less = tree_less_predicate(seq, seq, "b.root", "a.root")
-    equal = tree_equal_predicate(seq, seq, "b.root", "a.root")
+    less = tree_less_predicate(seq, seq, "b.root", "rt.root")
+    equal = tree_equal_predicate(seq, seq, "b.root", "rt.root")
     rank_sql = (
-        f"SELECT a.env AS env, a.root AS root, a.l AS l, a.r AS r,\n"
+        f"SELECT rt.e AS e, rt.l AS l, rt.r AS r,\n"
         f"       ((SELECT COUNT(*) FROM {roots} b\n"
-        f"          WHERE b.env = a.env AND {less})\n"
+        f"          WHERE b.e = rt.e AND {less})\n"
         f"        + (SELECT COUNT(*) FROM {roots} b\n"
-        f"            WHERE b.env = a.env AND b.root < a.root AND {equal})\n"
+        f"            WHERE b.e = rt.e AND b.root < rt.root AND {equal})\n"
         f"       ) AS rnk\n"
-        f"  FROM {roots} a"
+        f"  FROM {roots} rt"
     )
     helpers = [
-        (seq, root_sequence_sql(arg.table, win)),
-        (roots, roots_id_sql(arg.table, win)),
-        (rank, rank_sql),
+        (seq, root_sequence_sql(arg.table), ROOT_SEQUENCE_KEY),
+        (roots, roots_id_sql(arg.table), ROOTS_ID_KEY),
+        (rank, rank_sql, None),
     ]
-    # Tree ranked k in environment i lands at block offset k·w_in inside the
-    # i-th output block of width w_in²; nodes keep their offset from the root.
-    base = f"(u.l / {win}) * {wout} + k.rnk * {win}"
+    # Tree ranked k in environment e lands at block offset k·w_in inside the
+    # e-th output block of width w_in²; nodes keep their offset from the root.
+    base = f"u.e * {wout} + rt.rnk * {win}"
     sql = (
-        f"SELECT u.s, {base} + (u.l - k.root) AS l, {base} + (u.r - k.root) AS r\n"
-        f"  FROM {arg.table} u\n"
-        f"  JOIN {rank} k ON k.l <= u.l AND u.r <= k.r"
+        f"SELECT u.e, u.s, {base} + (u.l - rt.l) AS l,\n"
+        f"       {base} + (u.r - rt.l) AS r, u.d\n"
+        f"  FROM {rank} rt\n"
+        f"  JOIN {arg.table} u ON {subtree_of('rt')}"
     )
     return TemplateResult(sql, wout, helpers)
 

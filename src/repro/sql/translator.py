@@ -6,11 +6,13 @@ This is the Section 4.2 construction.  The translation context carries
 * a mapping from variables to :class:`~repro.sql.templates.Rel` — the CTE
   holding ``T_x`` plus its width ``w_x``.
 
-Every core construct appends CTEs:
+Every relation is ``(e, s, l, r, d)`` — the paper's triple plus the carried
+environment number and depth (see :mod:`repro.sql.templates`).  Every core
+construct appends CTEs:
 
 ``XFn``
     one CTE per operator template (Section 4.2.1), lifted over environments
-    with division-based re-blocking.
+    by re-blocking on ``e``.
 
 ``let x = e in e'``
     no new CTEs — the environment mapping is extended (Section 4.2.2).
@@ -21,19 +23,22 @@ Every core construct appends CTEs:
     (Section 4.2.3).
 
 ``for x in e do e'``
-    a roots CTE over ``T_e``, the new index ``I' = {root left endpoints}``
-    (these are exactly the paper's ``i·w_e + r.l`` in global coordinates),
-    the re-blocked ``T'_x`` and ``T'_y`` CTEs, and finally the body's CTEs;
-    the loop "exits" by just re-reading the body's CTE at width
-    ``w_e · w_e'`` (Section 4.2.4).
+    the new index ``I' = {root left endpoints}`` of ``T_e``'s ``d = 0``
+    rows (these are exactly the paper's ``i·w_e + r.l`` in global
+    coordinates), the re-blocked ``T'_x`` and ``T'_y`` CTEs, the body's
+    CTEs, and the loop's "exit": the body's rows re-read at width
+    ``w_e · w_e'`` keep ``l``, ``r`` and ``d``, and ``e`` — the one column
+    that names the block — is divided back by ``w_e`` (Section 4.2.4).
 
 The output is one statement::
 
     WITH c0_… AS (…), c1_… AS (…), … SELECT s, l, r FROM c…  ORDER BY l
 
-Invariant maintained throughout: every emitted CTE only contains tuples
-whose block index belongs to the context's index CTE, so block-deriving
-templates never resurrect filtered-out environments.
+Invariants maintained throughout: every emitted CTE only contains tuples
+whose ``e`` belongs to the context's index CTE, so no template resurrects
+a filtered-out environment; and in every relation of width ``w``,
+``e = l / w`` and ``d`` counts the row's proper ancestors in its block
+(``tests/test_sql_carried_columns.py`` recomputes both from ``(l, r)``).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from repro.errors import (
     WidthOverflowError,
 )
 from repro.sql import structural
-from repro.sql.templates import Rel, build_template
+from repro.sql.templates import EMPTY_SQL, Rel, build_template
 from repro.xquery.ast import (
     And,
     Condition,
@@ -72,13 +77,7 @@ from repro.xquery.ast import (
 ENV_SENTINEL = "__ENV__"
 
 _EMPTY_SEQ_SQL = (
-    "SELECT NULL AS env, NULL AS pos, NULL AS depth, NULL AS s WHERE 0"
-)
-_EMPTY_ROOTSEQ_SQL = (
-    "SELECT NULL AS env, NULL AS root, NULL AS s, NULL AS pos, NULL AS depth WHERE 0"
-)
-_EMPTY_ROOTS_SQL = (
-    "SELECT NULL AS env, NULL AS root, NULL AS s, NULL AS l, NULL AS r WHERE 0"
+    "SELECT NULL AS e, NULL AS pos, NULL AS depth, NULL AS s WHERE 0"
 )
 
 
@@ -111,6 +110,11 @@ class TranslationResult:
     ctes: list[tuple[str, str]] = field(default_factory=list)
     #: The final SELECT reading ``result_table``.
     final_select: str = ""
+    #: CTE name → width, for the CTEs that hold an encoding
+    #: ``(e, s, l, r, d)``; the rest are indices and comparison views.
+    relations: dict[str, int] = field(default_factory=dict)
+    #: CTE name → the columns a comparison view is looked up by.
+    view_keys: dict[str, str] = field(default_factory=dict)
 
     def __str__(self) -> str:
         return self.sql
@@ -135,6 +139,8 @@ class SQLTranslator:
         self.stats_by_var = dict(stats_by_var or {})
         self._counter = itertools.count()
         self._ctes: list[tuple[str, str]] = []
+        self._relations: dict[str, int] = {}
+        self._view_keys: dict[str, str] = {}
 
     # -- public API ------------------------------------------------------------
 
@@ -148,6 +154,8 @@ class SQLTranslator:
         """
         self._counter = itertools.count()
         self._ctes = []
+        self._relations = {}
+        self._view_keys = {}
         index = self._add("init_idx", "SELECT 0 AS i")
         ctx = _Ctx(index, {name: Rel(table, width)
                            for name, (table, width) in documents.items()})
@@ -158,17 +166,28 @@ class SQLTranslator:
         final_select = f"SELECT s, l, r FROM {result.table} ORDER BY l"
         sql = f"WITH {body}\n{final_select}"
         return TranslationResult(sql, result.width, len(self._ctes),
-                                 result.table, list(self._ctes), final_select)
+                                 result.table, list(self._ctes), final_select,
+                                 self._relations, self._view_keys)
 
     # -- CTE plumbing ------------------------------------------------------------
 
     def _fresh(self, hint: str) -> str:
         return f"c{next(self._counter)}_{hint}"
 
-    def _add(self, hint: str, sql: str) -> str:
-        name = self._fresh(hint)
+    def _add(self, hint: str, sql: str, key: str | None = None) -> str:
+        return self._emit(self._fresh(hint), sql, key)
+
+    def _emit(self, name: str, sql: str, key: str | None) -> str:
         self._ctes.append((name, sql))
+        if key is not None:
+            self._view_keys[name] = key
         return name
+
+    def _add_relation(self, hint: str, sql: str, width: int) -> Rel:
+        """Append a CTE that holds an encoding of ``width``."""
+        name = self._add(hint, sql)
+        self._relations[name] = width
+        return Rel(name, width)
 
     def _check_width(self, width: int, context: str) -> int:
         if self.max_width is not None and width > self.max_width:
@@ -205,11 +224,10 @@ class SQLTranslator:
         args = [self._translate(arg, ctx) for arg in expr.args]
         result = build_template(expr.fn, dict(expr.params), args,
                                 ctx.index, self._fresh)
-        for name, sql in result.helpers:
-            self._ctes.append((name, sql))
+        for helper in result.helpers:
+            self._emit(*helper)
         self._check_width(result.width, f"XFn {expr.fn}")
-        table = self._add(expr.fn, result.sql)
-        return Rel(table, result.width)
+        return self._add_relation(expr.fn, result.sql, result.width)
 
     def _translate_where(self, expr: Where, ctx: _Ctx) -> Rel:
         predicate = self._translate_condition(
@@ -224,41 +242,34 @@ class SQLTranslator:
             rel = ctx.vars.get(name)
             if rel is None or rel.width == 0:
                 continue
-            table = self._add(
+            inner_vars[name] = self._add_relation(
                 "restrict",
-                f"SELECT t.s, t.l, t.r FROM {rel.table} t\n"
-                f" WHERE t.l / {rel.width} IN (SELECT i FROM {filtered})",
-            )
-            inner_vars[name] = Rel(table, rel.width)
+                f"SELECT t.e, t.s, t.l, t.r, t.d FROM {filtered} idx\n"
+                f"  JOIN {rel.table} t ON t.e = idx.i",
+                rel.width)
         return self._translate(expr.body, _Ctx(filtered, inner_vars))
 
     def _translate_for(self, expr: For, ctx: _Ctx) -> Rel:
         source = self._translate(expr.source, ctx)
         if source.width == 0:
-            empty = self._add("for_empty",
-                              "SELECT NULL AS s, NULL AS l, NULL AS r WHERE 0")
-            return Rel(empty, 0)
+            return self._add_relation("for_empty", EMPTY_SQL, 0)
         ws = source.width
-        roots = self._add(
-            "for_roots",
-            f"SELECT u.s, u.l, u.r FROM {source.table} u\n"
-            f" WHERE NOT EXISTS (SELECT 1 FROM {source.table} v\n"
-            f"                    WHERE v.l < u.l AND u.r < v.r\n"
-            f"                      AND v.l / {ws} = u.l / {ws})",
-        )
         # I' — one environment per iterated tree; the global left endpoint of
         # a root is the paper's i·w_e + r.l in one number, and it is unique
-        # and document-ordered across all environments.
-        index = self._add("for_idx", f"SELECT rt.l AS i FROM {roots} rt")
-        bound = self._add(
+        # and document-ordered across all environments.  The root's old
+        # environment and right endpoint ride along for the two joins below.
+        index = self._add(
+            "for_idx",
+            f"SELECT l AS i, e, r FROM {source.table} WHERE d = 0")
+        bound = self._add_relation(
             "for_var",
-            f"SELECT u.s,\n"
-            f"       u.l - (u.l / {ws}) * {ws} + rt.l * {ws} AS l,\n"
-            f"       u.r - (u.l / {ws}) * {ws} + rt.l * {ws} AS r\n"
-            f"  FROM {source.table} u\n"
-            f"  JOIN {roots} rt ON rt.l <= u.l AND u.r <= rt.r",
-        )
-        inner_vars: dict[str, Rel] = {expr.var: Rel(bound, ws)}
+            f"SELECT rt.i AS e, u.s, u.l + (rt.i - u.e) * {ws} AS l,\n"
+            f"       u.r + (rt.i - u.e) * {ws} AS r, u.d\n"
+            f"  FROM {index} rt\n"
+            f"  JOIN {source.table} u\n"
+            f"    ON u.e = rt.e AND u.l >= rt.i AND u.l <= rt.r",
+            ws)
+        inner_vars: dict[str, Rel] = {expr.var: bound}
         outer_needed = free_variables(expr.body) - {expr.var}
         for name in sorted(outer_needed):
             rel = ctx.vars.get(name)
@@ -271,20 +282,25 @@ class SQLTranslator:
             # Duplicate the outer binding once per new environment — this
             # cross product is exactly the data blow-up that makes naive
             # nested-loop evaluation quadratic.
-            table = self._add(
+            inner_vars[name] = self._add_relation(
                 "for_outer",
-                f"SELECT y.s,\n"
-                f"       y.l - (y.l / {wy}) * {wy} + rt.l * {wy} AS l,\n"
-                f"       y.r - (y.l / {wy}) * {wy} + rt.l * {wy} AS r\n"
-                f"  FROM {rel.table} y\n"
-                f"  JOIN {roots} rt ON y.l / {wy} = rt.l / {ws}",
-            )
-            inner_vars[name] = Rel(table, wy)
+                f"SELECT rt.i AS e, y.s, y.l + (rt.i - y.e) * {wy} AS l,\n"
+                f"       y.r + (rt.i - y.e) * {wy} AS r, y.d\n"
+                f"  FROM {index} rt\n"
+                f"  JOIN {rel.table} y ON y.e = rt.e",
+                wy)
         for name, rel in ctx.vars.items():
             inner_vars.setdefault(name, rel)
         body = self._translate(expr.body, _Ctx(index, inner_vars))
+        if body.width == 0:
+            return body
         width = self._check_width(ws * body.width, f"for ${expr.var}")
-        return Rel(body.table, width)
+        # Exit: the rows stay where they are — block e of width w_body is
+        # the (e mod w_e)-th slice of block e / w_e of width w_e · w_body.
+        return self._add_relation(
+            "for_exit",
+            f"SELECT e / {ws} AS e, s, l, r, d FROM {body.table}",
+            width)
 
     # -- condition translation --------------------------------------------------------
 
@@ -323,10 +339,8 @@ class SQLTranslator:
             rel = self._translate(condition.expr, ctx)
             if rel.width == 0:
                 return "(1 = 1)"
-            return (
-                f"NOT EXISTS (SELECT 1 FROM {rel.table}\n"
-                f"             WHERE l / {rel.width} = {ENV_SENTINEL})"
-            )
+            return (f"NOT EXISTS (SELECT 1 FROM {rel.table}"
+                    f" WHERE e = {ENV_SENTINEL})")
         if isinstance(condition, Equal):
             left = self._env_sequence(self._translate(condition.left, ctx))
             right = self._env_sequence(self._translate(condition.right, ctx))
@@ -354,28 +368,26 @@ class SQLTranslator:
         right = self._translate(condition.right, ctx)
         if left.width == 0 or right.width == 0:
             return "(1 = 0)"
-        left_roots = self._add("se_roots",
-                               structural.roots_id_sql(left.table, left.width))
-        right_roots = self._add("se_roots",
-                                structural.roots_id_sql(right.table, right.width))
-        left_seq = self._add("se_seq",
-                             structural.root_sequence_sql(left.table, left.width))
-        right_seq = self._add("se_seq",
-                              structural.root_sequence_sql(right.table, right.width))
+        left_roots, right_roots = (
+            self._add("se_roots", structural.roots_id_sql(rel.table),
+                      structural.ROOTS_ID_KEY) for rel in (left, right))
+        left_seq, right_seq = (
+            self._add("se_seq", structural.root_sequence_sql(rel.table),
+                      structural.ROOT_SEQUENCE_KEY) for rel in (left, right))
         equal = structural.tree_equal_predicate(left_seq, right_seq,
                                                 "sa.root", "sb.root")
         return (
             f"EXISTS (SELECT 1 FROM {left_roots} sa\n"
-            f"          JOIN {right_roots} sb ON sb.env = {ENV_SENTINEL}\n"
-            f"         WHERE sa.env = {ENV_SENTINEL}\n"
+            f"          JOIN {right_roots} sb ON sb.e = {ENV_SENTINEL}\n"
+            f"         WHERE sa.e = {ENV_SENTINEL}\n"
             f"           AND {equal})"
         )
 
     def _env_sequence(self, rel: Rel) -> str:
         if rel.width == 0:
             return self._add("seq_empty", _EMPTY_SEQ_SQL)
-        return self._add("seq",
-                         structural.env_sequence_sql(rel.table, rel.width))
+        return self._add("seq", structural.env_sequence_sql(rel.table),
+                         structural.ENV_SEQUENCE_KEY)
 
 
 def translate_query_with_stats(expr: CoreExpr,

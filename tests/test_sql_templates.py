@@ -123,3 +123,10 @@ def test_roots_of_roots_fixpoint(forest):
     twice = FnApp("roots", (once,))
     assert (run_core_on_sqlite(once, {"x": forest})
             == run_core_on_sqlite(twice, {"x": forest}))
+
+
+def test_string_fn_concatenates_in_document_order(forest):
+    """The order is the window's ``ORDER BY l``, whatever order the rows
+    were produced in: ``reverse`` writes them back to front."""
+    check(FnApp("string_fn", (Var("x"),)), {"x": forest})
+    check(FnApp("string_fn", (FnApp("reverse", (Var("x"),)),)), {"x": forest})

@@ -100,6 +100,25 @@ class TestExecution:
             db.load_document("x", f("<a/>"))
             assert db.explain(FnApp("children", (Var("x"),)))
 
+    def test_explain_wraps_the_reference_cap(self, figure1_doc):
+        # SQLite clones a CTE's parse tree per reference; Q9's one-statement
+        # form passes its 65,535-references-per-table cap.  The driver's
+        # OperationalError must not leave explain() raw.
+        from repro.xmark.queries import Q9
+        from repro.xquery.lowering import document_forest, lower_query
+        from repro.xquery.parser import parse_xquery
+
+        core, documents = lower_query(parse_xquery(Q9))
+        with SQLiteDatabase() as db:
+            for name in documents.values():
+                db.load_document(name, document_forest(figure1_doc))
+            with pytest.raises(ExecutionError, match="too many references") \
+                    as caught:
+                db.explain(core)
+            assert caught.value.statement.startswith("EXPLAIN QUERY PLAN WITH")
+            # The staged form has no such cap: one plan line per step.
+            assert "for_var: SEARCH u USING" in db.explain(core, mode="staged")
+
     def test_execution_error_wrapped(self):
         from repro.sql.translator import TranslationResult
         with SQLiteDatabase() as db:

@@ -14,7 +14,7 @@ against the obvious oracle:
 * ``apply_delta_to_stats`` ≡ ``collect_stats`` on the spliced relation —
   digest included, so the plan cache cannot tell the paths apart;
 * SQLite's ranged ``DELETE`` + batched ``INSERT`` ≡ re-shredding the
-  table from scratch;
+  table from scratch — the carried ``e`` and ``d`` columns included;
 * the session's incremental ``apply_update`` ≡ the full re-encode path
   (``incremental=False``) on every delta-capable backend.
 
@@ -46,6 +46,15 @@ from tests.test_updates_model import (
     assert_columns_equal,
     assert_state_is_sound,
 )
+
+
+def shredded_afresh(rows, width):
+    """The ``(e, s, l, r, d)`` table a fresh ``load_encoded`` of ``rows``
+    holds: what every patched connection's table must equal."""
+    with SQLiteDatabase() as fresh:
+        table, _ = fresh.load_encoded("doc", list(rows), width)
+        return fresh.connection.execute(
+            f"SELECT e, s, l, r, d FROM {table} ORDER BY l").fetchall()
 
 
 def wrap_document_rows(encoded):
@@ -239,11 +248,13 @@ class TestDeltaOracle:
                         database.apply_delta("doc", delta)
                 else:
                     database.load_encoded("doc", update.rows(), update.width)
-            table, _width = database.documents["doc"]
+            table, width = database.documents["doc"]
             shredded = database.connection.execute(
-                f"SELECT s, l, r FROM {table} ORDER BY l").fetchall()
-            assert [tuple(row) for row in shredded] == \
+                f"SELECT e, s, l, r, d FROM {table} ORDER BY l").fetchall()
+            assert [row[1:4] for row in shredded] == \
                 wrap_document_rows(final.encoded)
+            assert shredded == shredded_afresh(
+                wrap_document_rows(final.encoded), width)
         finally:
             database.close()
 
@@ -517,3 +528,16 @@ class TestCommitTouchesOnlyTheDeltasRows:
                 assert session.recorder.updates()[-1].deltas == 1, kind
             assert "probe" in answer
             assert names() == answer
+
+            # The patched rows carry their depth: on both connections the
+            # table is what shredding the same rows afresh would hold.
+            def table_rows():
+                table, width = session.backend_instance(
+                    backend).database.documents["doc:auction.xml"]
+                return width, connection().execute(
+                    f"SELECT e, s, l, r, d FROM {table} ORDER BY l").fetchall()
+
+            for width, rows in (table_rows(), peer.submit(table_rows).result()):
+                assert "probe" in {row[1] for row in rows}
+                assert rows == shredded_afresh(
+                    [row[1:4] for row in rows], width)
