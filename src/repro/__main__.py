@@ -248,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="bound the admission queue at N waiting "
                              "queries; arrivals past it are shed with a "
                              "retry-after hint")
-    parser.add_argument("--adaptive-admission", action="store_true",
-                        help="adapt the concurrency limit to the observed "
-                             "p99 (AIMD) instead of keeping it static")
     parser.add_argument("--drain-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="on shutdown, give in-flight queries this long "
@@ -301,16 +298,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         admission = None
-        if (args.admission_limit is not None
-                or args.admission_queue is not None
-                or args.adaptive_admission):
+        if args.admission_limit is not None or args.admission_queue is not None:
             knobs: dict = {}
             if args.admission_limit is not None:
                 knobs["max_concurrency"] = args.admission_limit
             if args.admission_queue is not None:
                 knobs["max_queue_depth"] = args.admission_queue
-            if args.adaptive_admission:
-                knobs["adaptive"] = True
             admission = AdmissionConfig(**knobs)
 
         restore_sigterm: "tuple | None" = None

@@ -20,6 +20,7 @@ time:
 from __future__ import annotations
 
 import threading
+import time
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.backends.base import Backend
@@ -116,24 +117,25 @@ def iter_backends() -> Iterator[tuple[str, Callable[..., Backend]]]:
 
 # -- circuit breakers ---------------------------------------------------------
 
-def backend_breaker(name: str, **config: object) -> "CircuitBreaker":
+def backend_breaker(name: str,
+                    clock: "Callable[[], float] | None" = None,
+                    ) -> "CircuitBreaker":
     """The process-wide circuit breaker for a backend name (get-or-create).
 
     Breaker health is shared across every session in the process — the
     same scope at which backend factories live — so one session tripping
-    the ``sqlite`` breaker protects all of them.  ``config`` (e.g.
-    ``failure_threshold=``, ``recovery_seconds=``, ``clock=``) applies
-    only on first creation; pass it up front (tests, service bootstrap)
-    before any session touches the backend, or :func:`reset_breakers`
-    first.  Unregistered names are allowed: a breaker may outlive a
-    temporarily unregistered backend.
+    the ``sqlite`` breaker protects all of them.  ``clock`` (the tests'
+    fake-clock seam) applies only on first creation: pass it before any
+    session touches the backend, or :func:`reset_breakers` first.
+    Unregistered names are allowed: a breaker may outlive a temporarily
+    unregistered backend.
     """
     from repro.resilience.breaker import CircuitBreaker
 
     with _BREAKERS_LOCK:
         breaker = _BREAKERS.get(name)
         if breaker is None:
-            breaker = CircuitBreaker(name, **config)  # type: ignore[arg-type]
+            breaker = CircuitBreaker(name, clock=clock or time.monotonic)
             _BREAKERS[name] = breaker
         return breaker
 

@@ -745,34 +745,6 @@ class FlightRecorder:
             row["query"] = snippets.get(row["fingerprint"], "")
         return rows
 
-    def latency_quantile(self, quantile: float,
-                         backend: str | None = None) -> float | None:
-        """An aggregate latency quantile across every recorded series.
-
-        The histograms share fixed bucket bounds, so per-series cumulative
-        counts sum exactly.  Restrict to one ``backend`` if given; returns
-        ``None`` without data.  This is the p99 the adaptive concurrency
-        limiter steers on and the service-time source for admission's
-        queue-wait estimate.
-        """
-        histogram = self._h_latency
-        totals: list[int] | None = None
-        bounds: list[float] = []
-        for key in histogram.label_sets():
-            labels = dict(zip(histogram.label_names, key))
-            if backend is not None and labels.get("backend") != backend:
-                continue
-            cumulative = histogram.bucket_counts(**labels)
-            if totals is None:
-                bounds = [bound for bound, _ in cumulative]
-                totals = [count for _, count in cumulative]
-            else:
-                for position, (_, count) in enumerate(cumulative):
-                    totals[position] += count
-        if totals is None:
-            return None
-        return estimate_quantile(list(zip(bounds, totals)), quantile)
-
     def mean_latency_seconds(self, backend: str | None = None,
                              ) -> float | None:
         """Mean observed attempt latency (``None`` without data)."""

@@ -22,8 +22,8 @@ complexity results in PAPERS.md explain why such plans are inevitable):
 * :class:`AdmissionController` / :class:`BrownoutController`
   (:mod:`repro.resilience.admission`) — bounded admission queue with
   priority classes and deadline-aware shedding
-  (:class:`~repro.errors.OverloadError` with a retry-after hint), AIMD
-  adaptive concurrency, and SLO-burn-driven brownout degradation;
+  (:class:`~repro.errors.OverloadError` with a retry-after hint), a
+  static concurrency cap, and SLO-burn-driven brownout degradation;
 * :class:`CancellationToken` (:mod:`repro.resilience.guard`) —
   cooperative cancellation observed at every guard checkpoint, so a
   caller abort stops queued *and* running work
@@ -47,10 +47,9 @@ from repro.errors import (
 )
 from repro.resilience.admission import (
     BATCH,
-    DEFAULT_BROWNOUT_LEVELS,
+    BROWNOUT_LEVELS,
     INTERACTIVE,
     PRIORITIES,
-    AdaptiveLimiter,
     AdmissionConfig,
     AdmissionController,
     BrownoutController,
@@ -80,17 +79,16 @@ from repro.resilience.guard import (
 from repro.resilience.retry import NO_RETRY, RetryPolicy
 
 __all__ = [
-    "AdaptiveLimiter",
     "AdmissionConfig",
     "AdmissionController",
     "BATCH",
+    "BROWNOUT_LEVELS",
     "BrownoutController",
     "BrownoutLevel",
     "CLOSED",
     "CancellationToken",
     "CircuitBreaker",
     "CircuitOpenError",
-    "DEFAULT_BROWNOUT_LEVELS",
     "Degradation",
     "FaultPlan",
     "FaultyBackend",

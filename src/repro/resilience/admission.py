@@ -5,7 +5,7 @@ module closes the loop: the session *refuses, sheds, and degrades* under
 load instead of queueing unboundedly behind the worker pool until
 every caller blows its deadline at once (Koch's complexity results in
 PAPERS.md guarantee pathological queries exist; traffic bursts guarantee
-pathological arrival rates).  Three cooperating pieces:
+pathological arrival rates).  Two cooperating pieces:
 
 * :class:`AdmissionController` — a bounded admission queue with two
   priority classes (``interactive`` ahead of ``batch``), an in-flight
@@ -16,20 +16,18 @@ pathological arrival rates).  Three cooperating pieces:
   retry-after hint — failing in microseconds instead of timing out in
   seconds.
 
-* :class:`AdaptiveLimiter` — AIMD on the served p99 (drawn from the
-  recorder's ``repro_query_latency_seconds`` histograms): while p99
-  stays under the target the limit creeps up additively; when p99
-  breaches it the limit halves, keeping in-flight work below the point
-  where queueing delay compounds.
-
 * :class:`BrownoutController` — subscribes to the recorder's SLO burn
-  rate and steps through declarative :class:`BrownoutLevel` degradations
+  rate and steps through the fixed :data:`BROWNOUT_LEVELS` ladder
   (force the cheapest backend, disable tail sampling, shrink resource
   budgets, finally shed batch traffic entirely) with hysteresis: a level
-  is entered only after the burn stays hot for ``dwell_seconds`` and
-  left only after it stays cool for ``cool_seconds``, so the service
-  never flaps.  Every transition lands in the flight recorder's event
-  log and the ``repro_admission_brownout_level`` gauge.
+  is entered only after the burn stays hot for
+  ``AdmissionConfig.brownout_dwell_seconds`` and left only after it
+  stays cool for :data:`BROWNOUT_COOL_SECONDS`, so the service never
+  flaps.  Every transition lands in the flight recorder's event log and
+  the ``repro_admission_brownout_level`` gauge.
+
+The concurrency cap is static (``max_concurrency``); the thresholds
+below are constants, not knobs.
 
 All timing goes through an injectable monotonic ``clock`` and all
 latency data through the recorder, so the full overload story — flood,
@@ -43,7 +41,7 @@ import logging
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError, OverloadError
@@ -67,6 +65,20 @@ PRIORITIES = (INTERACTIVE, BATCH)
 
 #: Retry-after hint when no latency data exists yet to estimate from.
 DEFAULT_RETRY_AFTER = 0.05
+
+#: /healthz reports ``shedding`` for this long after the last shed, so
+#: load balancers polling coarsely still observe the episode.
+SHED_HEALTH_HOLD_SECONDS = 5.0
+
+#: Seconds between brownout evaluations on the admission path.
+EVALUATE_INTERVAL_SECONDS = 1.0
+
+#: Recent SLO burn rate that counts as hot (≥ 1.0 = objective missed).
+BROWNOUT_ENTER_BURN = 1.0
+#: Burn rate that counts as cool again (hysteresis: below the enter burn).
+BROWNOUT_EXIT_BURN = 0.5
+#: Seconds the burn must stay cool before stepping one level down.
+BROWNOUT_COOL_SECONDS = 15.0
 
 #: How long a real (non-injected) clock waiter sleeps between
 #: eligibility re-checks while queued.  Waiters are also notified on
@@ -105,7 +117,7 @@ def scale_budget(budget: "int | ResourceBudget | None",
 
 @dataclass(frozen=True)
 class BrownoutLevel:
-    """One declarative degradation step.
+    """One degradation step of the brownout ladder.
 
     Levels are cumulative by construction: each named level spells out
     the *complete* set of effects in force, so stepping levels never
@@ -123,10 +135,10 @@ class BrownoutLevel:
     shed_batch: bool = False
 
 
-#: The default ladder: normal service, then progressively cheaper and
-#: blunter service, ending in batch shedding.  ``engine`` is the
-#: cheapest backend (no SQL round-trips, columnar kernels in-process).
-DEFAULT_BROWNOUT_LEVELS: tuple[BrownoutLevel, ...] = (
+#: The ladder: normal service, then progressively cheaper and blunter
+#: service, ending in batch shedding.  ``engine`` is the cheapest
+#: backend (no SQL round-trips, columnar kernels in-process).
+BROWNOUT_LEVELS: tuple[BrownoutLevel, ...] = (
     BrownoutLevel("normal"),
     BrownoutLevel("cheap-backend", force_backend="engine"),
     BrownoutLevel("no-sampling", force_backend="engine",
@@ -140,110 +152,31 @@ DEFAULT_BROWNOUT_LEVELS: tuple[BrownoutLevel, ...] = (
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Knobs for one session's admission controller.
+    """The three settable values of one session's admission controller.
 
-    The defaults are deliberately generous — an unloaded session behaves
-    exactly as before, paying one uncontended lock per query — and the
-    adaptive limiter is opt-in (``adaptive=True``) because it deliberately
-    serializes work when latency degrades.
+    The defaults are deliberately generous: an unloaded session behaves
+    exactly as before, paying one uncontended lock per query.
     """
 
-    #: Hard cap on concurrently executing queries (the AIMD ceiling).
+    #: Hard cap on concurrently executing queries.
     max_concurrency: int = 64
-    #: The AIMD floor; the limiter never drops below this.
-    min_concurrency: int = 1
-    #: Starting concurrency limit (``None`` → ``max_concurrency``).
-    initial_concurrency: int | None = None
     #: Bound on queued (admitted-but-waiting) queries; arrivals past it shed.
     max_queue_depth: int = 256
-    #: Enable the AIMD limiter (otherwise the limit stays static).
-    adaptive: bool = False
-    #: p99 the limiter steers to (``None`` → the recorder's first SLO
-    #: target, or 1.0s without one).
-    target_p99_seconds: float | None = None
-    #: AIMD additive increase per adjustment when p99 is healthy.
-    increase: int = 1
-    #: AIMD multiplicative decrease factor when p99 breaches the target.
-    decrease: float = 0.5
-    #: Seconds between AIMD adjustments (and brownout evaluations).
-    adjust_interval_seconds: float = 1.0
-    #: A queued request waits at most this long before shedding
-    #: (``None`` → wait until its own deadline, or indefinitely).
-    queue_timeout_seconds: float | None = None
-    #: /healthz reports ``shedding`` for this long after the last shed,
-    #: so load balancers polling coarsely still observe the episode.
-    shed_health_hold_seconds: float = 5.0
-    #: Enable the brownout controller (requires a flight recorder).
-    brownout: bool = True
-    #: The degradation ladder (index 0 must be a no-op level).
-    brownout_levels: tuple[BrownoutLevel, ...] = DEFAULT_BROWNOUT_LEVELS
-    #: Burn rate that counts as hot (≥ 1.0 = objective being missed).
-    brownout_enter_burn: float = 1.0
-    #: Burn rate that counts as cool again (hysteresis: < enter).
-    brownout_exit_burn: float = 0.5
     #: Seconds the burn must stay hot before stepping one level up.
     brownout_dwell_seconds: float = 5.0
-    #: Seconds the burn must stay cool before stepping one level down.
-    brownout_cool_seconds: float = 15.0
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
             raise ExecutionError(
                 f"max_concurrency must be ≥ 1, got {self.max_concurrency}")
-        if not 1 <= self.min_concurrency <= self.max_concurrency:
-            raise ExecutionError(
-                f"min_concurrency must be in [1, {self.max_concurrency}], "
-                f"got {self.min_concurrency}")
         if self.max_queue_depth < 0:
             raise ExecutionError(
                 f"max_queue_depth cannot be negative, "
                 f"got {self.max_queue_depth}")
-        if not 0.0 < self.decrease < 1.0:
+        if self.brownout_dwell_seconds < 0:
             raise ExecutionError(
-                f"decrease must be a fraction in (0, 1), got {self.decrease}")
-        if self.brownout_exit_burn >= self.brownout_enter_burn:
-            raise ExecutionError(
-                "brownout hysteresis requires exit burn < enter burn, got "
-                f"exit={self.brownout_exit_burn} ≥ "
-                f"enter={self.brownout_enter_burn}")
-
-
-class AdaptiveLimiter:
-    """AIMD concurrency limit steered by the served p99.
-
-    ``observe_p99(p99, now)`` is fed the current p99 estimate (the
-    caller draws it from the flight recorder's
-    ``repro_query_latency_seconds`` histograms) at most once per
-    ``interval``: a breach multiplies the limit by ``decrease`` (floor
-    ``minimum``), health adds ``increase`` (ceiling ``maximum``) — the
-    classic TCP-style sawtooth that converges just below the knee where
-    queueing delay compounds.
-    """
-
-    def __init__(self, initial: int, minimum: int, maximum: int,
-                 target_p99: float, increase: int = 1,
-                 decrease: float = 0.5):
-        self.minimum = minimum
-        self.maximum = maximum
-        self.target_p99 = target_p99
-        self.increase = increase
-        self.decrease = decrease
-        self._limit = max(minimum, min(initial, maximum))
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def observe_p99(self, p99: float | None) -> int:
-        """One AIMD step against the current p99; returns the new limit."""
-        if p99 is None:
-            return self._limit
-        if p99 > self.target_p99:
-            self._limit = max(self.minimum,
-                              int(self._limit * self.decrease) or self.minimum)
-        elif self._limit < self.maximum:
-            self._limit = min(self.maximum, self._limit + self.increase)
-        return self._limit
+                f"brownout_dwell_seconds cannot be negative, "
+                f"got {self.brownout_dwell_seconds}")
 
 
 class BrownoutController:
@@ -262,8 +195,6 @@ class BrownoutController:
                  recorder: "FlightRecorder | None",
                  metrics: "MetricsRegistry | None" = None,
                  clock: Callable[[], float] = time.monotonic):
-        if not config.brownout_levels:
-            raise ExecutionError("brownout needs at least one level")
         self.config = config
         self.recorder = recorder
         self._clock = clock
@@ -284,7 +215,7 @@ class BrownoutController:
 
     @property
     def level(self) -> BrownoutLevel:
-        return self.config.brownout_levels[self._index]
+        return BROWNOUT_LEVELS[self._index]
 
     def burn_rate(self) -> float:
         """The worst recent burn across the recorder's SLOs (0 without)."""
@@ -295,27 +226,27 @@ class BrownoutController:
 
     def evaluate(self, now: float | None = None) -> BrownoutLevel:
         """Apply the hysteresis state machine once; returns the level."""
-        if self.recorder is None or not self.config.brownout:
+        if self.recorder is None:
             return self.level
         now = self._clock() if now is None else now
         burn = self.burn_rate()
         with self._lock:
-            config = self.config
-            if burn >= config.brownout_enter_burn:
+            if burn >= BROWNOUT_ENTER_BURN:
                 self._cool_since = None
                 if self._hot_since is None:
                     self._hot_since = now
-                elif (now - self._hot_since >= config.brownout_dwell_seconds
-                        and self._index < len(config.brownout_levels) - 1):
+                elif (now - self._hot_since
+                        >= self.config.brownout_dwell_seconds
+                        and self._index < len(BROWNOUT_LEVELS) - 1):
                     self._step(self._index + 1, burn)
                     self._hot_since = now  # re-arm: next step needs new dwell
-            elif burn < config.brownout_exit_burn:
+            elif burn < BROWNOUT_EXIT_BURN:
                 self._hot_since = None
                 if self._index == 0:
                     self._cool_since = None
                 elif self._cool_since is None:
                     self._cool_since = now
-                elif now - self._cool_since >= config.brownout_cool_seconds:
+                elif now - self._cool_since >= BROWNOUT_COOL_SECONDS:
                     self._step(self._index - 1, burn)
                     self._cool_since = now
             else:
@@ -345,16 +276,12 @@ class BrownoutController:
 class _Waiter:
     """One queued admission request (created and drained under the lock)."""
 
-    __slots__ = ("priority", "seq", "deadline_at", "timeout_at", "token",
-                 "shed")
+    __slots__ = ("priority", "deadline_at", "token", "shed")
 
-    def __init__(self, priority: str, seq: int,
-                 deadline_at: float | None, timeout_at: float | None,
+    def __init__(self, priority: str, deadline_at: float | None,
                  token: CancellationToken | None):
         self.priority = priority
-        self.seq = seq
         self.deadline_at = deadline_at
-        self.timeout_at = timeout_at
         self.token = token
         self.shed: str | None = None
 
@@ -362,15 +289,11 @@ class _Waiter:
 class Ticket:
     """Proof of admission; release it exactly once (sessions use finally)."""
 
-    __slots__ = ("priority", "token", "admitted_at", "waited_seconds",
-                 "_released")
+    __slots__ = ("priority", "token", "_released")
 
-    def __init__(self, priority: str, token: CancellationToken | None,
-                 admitted_at: float, waited_seconds: float):
+    def __init__(self, priority: str, token: CancellationToken | None):
         self.priority = priority
         self.token = token
-        self.admitted_at = admitted_at
-        self.waited_seconds = waited_seconds
         self._released = False
 
 
@@ -380,8 +303,9 @@ class AdmissionController:
     The fast path — in-flight below the limit, nothing queued — is one
     lock acquisition and two counter updates, which is what keeps the
     warm no-contention ``run`` overhead inside the < 2% bench budget.
-    Everything else (queueing, shedding, AIMD, brownout evaluation)
-    happens only under contention.
+    Everything else (queueing, shedding) happens only under contention,
+    and brownout is evaluated at most once per
+    :data:`EVALUATE_INTERVAL_SECONDS`.
     """
 
     def __init__(self, config: AdmissionConfig | None = None, *,
@@ -393,32 +317,17 @@ class AdmissionController:
         self._clock = clock
         self._cv = threading.Condition()
         self._in_flight = 0
-        self._seq = 0
         self._queues: dict[str, deque[_Waiter]] = {
             priority: deque() for priority in PRIORITIES}
         self._draining = False
         self._last_shed_at: float | None = None
-        self._last_adjust_at: float | None = None
+        self._last_evaluated_at: float | None = None
         self._inflight_tokens: "set[CancellationToken]" = set()
         self._sheds = 0
         self._admitted = 0
-        target = self.config.target_p99_seconds
-        if target is None:
-            target = 1.0
-            if recorder is not None and recorder.slos:
-                target = recorder.slos[0].target_seconds
-        self.limiter = AdaptiveLimiter(
-            initial=(self.config.initial_concurrency
-                     if self.config.initial_concurrency is not None
-                     else self.config.max_concurrency),
-            minimum=self.config.min_concurrency,
-            maximum=self.config.max_concurrency,
-            target_p99=target,
-            increase=self.config.increase,
-            decrease=self.config.decrease)
         self.brownout = BrownoutController(
             self.config, recorder, metrics=metrics, clock=clock)
-        self._g_queue_depth = self._g_inflight = self._g_limit = None
+        self._g_queue_depth = self._g_inflight = None
         self._m_sheds = self._m_admitted = None
         if metrics is not None:
             self._g_queue_depth = metrics.gauge(
@@ -427,9 +336,10 @@ class AdmissionController:
             self._g_inflight = metrics.gauge(
                 "repro_admission_inflight",
                 "queries currently executing under an admission ticket")
-            self._g_limit = metrics.gauge(
+            metrics.gauge(
                 "repro_admission_concurrency_limit",
-                "current (possibly adaptive) in-flight concurrency limit")
+                "in-flight concurrency cap (max_concurrency)",
+            ).set(self.config.max_concurrency)
             self._m_sheds = metrics.counter(
                 "repro_admission_sheds_total",
                 "queries refused by admission control",
@@ -439,7 +349,6 @@ class AdmissionController:
                 "queries granted an execution slot", ("priority",))
             self._g_queue_depth.set(0)
             self._g_inflight.set(0)
-            self._g_limit.set(self.limiter.limit)
 
     # -- introspection --------------------------------------------------------
 
@@ -453,7 +362,7 @@ class AdmissionController:
 
     @property
     def limit(self) -> int:
-        return self.limiter.limit
+        return self.config.max_concurrency
 
     @property
     def sheds(self) -> int:
@@ -478,8 +387,7 @@ class AdmissionController:
             return True
         if self._last_shed_at is None:
             return False
-        return (self._clock() - self._last_shed_at
-                < self.config.shed_health_hold_seconds)
+        return self._clock() - self._last_shed_at < SHED_HEALTH_HOLD_SECONDS
 
     def snapshot(self) -> dict[str, object]:
         """The /healthz ``admission`` block."""
@@ -488,7 +396,7 @@ class AdmissionController:
                 "queue_depth": self.queue_depth,
                 "max_queue_depth": self.config.max_queue_depth,
                 "in_flight": self._in_flight,
-                "concurrency_limit": self.limiter.limit,
+                "concurrency_limit": self.config.max_concurrency,
                 "admitted_total": self._admitted,
                 "sheds_total": self._sheds,
                 "draining": self._draining,
@@ -523,7 +431,7 @@ class AdmissionController:
         ahead = len(self._queues[INTERACTIVE])
         if priority == BATCH:
             ahead += len(self._queues[BATCH])
-        limit = max(self.limiter.limit, 1)
+        limit = self.config.max_concurrency
         busy = min(self._in_flight, limit)
         return (ahead + busy) * service / limit
 
@@ -543,13 +451,14 @@ class AdmissionController:
         """
         check_priority(priority)
         arrived = self._clock()
+        limit = self.config.max_concurrency
         with self._cv:
-            self._maybe_adjust(arrived)
+            self._maybe_evaluate(arrived)
             reason = self._shed_reason_on_arrival(priority, deadline, token)
             if reason is not None:
                 raise self._shed(reason, priority)
-            if self._in_flight < self.limiter.limit and not self._eligible():
-                return self._admit(priority, token, arrived)
+            if self._in_flight < limit and not self._eligible():
+                return self._admit(priority, token)
             waiter = self._enqueue(priority, deadline, arrived, token)
             try:
                 while True:
@@ -558,26 +467,20 @@ class AdmissionController:
                     if token is not None and token.cancelled:
                         self._dequeue(waiter)
                         token.raise_if_cancelled()
-                    now = self._clock()
                     if (waiter.deadline_at is not None
-                            and now >= waiter.deadline_at):
+                            and self._clock() >= waiter.deadline_at):
                         self._dequeue(waiter)
                         raise self._shed("deadline", priority)
-                    if (waiter.timeout_at is not None
-                            and now >= waiter.timeout_at):
-                        self._dequeue(waiter)
-                        raise self._shed("queue-timeout", priority)
-                    if (self._in_flight < self.limiter.limit
+                    if (self._in_flight < limit
                             and self._eligible() is waiter):
                         self._dequeue(waiter)
-                        return self._admit(priority, token, arrived)
+                        return self._admit(priority, token)
                     self._cv.wait(timeout=_WAIT_POLL_SECONDS)
             except BaseException:
                 self._dequeue(waiter)
                 raise
 
-    def release(self, ticket: Ticket,
-                latency_seconds: float | None = None) -> None:
+    def release(self, ticket: Ticket) -> None:
         """Return an admitted request's slot (idempotent per ticket)."""
         with self._cv:
             if ticket._released:
@@ -588,12 +491,11 @@ class AdmissionController:
                 self._inflight_tokens.discard(ticket.token)
             if self._g_inflight is not None:
                 self._g_inflight.set(self._in_flight)
-            self._maybe_adjust(self._clock())
+            self._maybe_evaluate(self._clock())
             self._cv.notify_all()
 
-    def _admit(self, priority: str, token: CancellationToken | None,
-               arrived: float) -> Ticket:
-        now = self._clock()
+    def _admit(self, priority: str,
+               token: CancellationToken | None) -> Ticket:
         self._in_flight += 1
         self._admitted += 1
         if token is not None:
@@ -602,7 +504,7 @@ class AdmissionController:
             self._g_inflight.set(self._in_flight)
         if self._m_admitted is not None:
             self._m_admitted.inc(priority=priority)
-        return Ticket(priority, token, now, max(0.0, now - arrived))
+        return Ticket(priority, token)
 
     def _eligible(self) -> "_Waiter | None":
         """The waiter that must admit next (strict priority, FIFO within)."""
@@ -615,11 +517,8 @@ class AdmissionController:
     def _enqueue(self, priority: str, deadline: float | None,
                  arrived: float,
                  token: CancellationToken | None) -> _Waiter:
-        self._seq += 1
         deadline_at = arrived + deadline if deadline is not None else None
-        timeout = self.config.queue_timeout_seconds
-        timeout_at = arrived + timeout if timeout is not None else None
-        waiter = _Waiter(priority, self._seq, deadline_at, timeout_at, token)
+        waiter = _Waiter(priority, deadline_at, token)
         self._queues[priority].append(waiter)
         if self._g_queue_depth is not None:
             self._g_queue_depth.set(self.queue_depth)
@@ -645,7 +544,7 @@ class AdmissionController:
             return "draining"
         if priority == BATCH and self.brownout.level.shed_batch:
             return "brownout"
-        would_queue = (self._in_flight >= self.limiter.limit
+        would_queue = (self._in_flight >= self.config.max_concurrency
                        or self._eligible() is not None)
         if not would_queue:
             return None
@@ -673,21 +572,16 @@ class AdmissionController:
         service = self.expected_service_seconds()
         if service is None:
             return DEFAULT_RETRY_AFTER
-        limit = max(self.limiter.limit, 1)
         backlog = self.queue_depth + self._in_flight
-        return max(DEFAULT_RETRY_AFTER, backlog * service / limit)
+        return max(DEFAULT_RETRY_AFTER,
+                   backlog * service / self.config.max_concurrency)
 
-    def _maybe_adjust(self, now: float) -> None:
-        """Throttled AIMD step + brownout evaluation (lock held)."""
-        interval = self.config.adjust_interval_seconds
-        if (self._last_adjust_at is not None
-                and now - self._last_adjust_at < interval):
+    def _maybe_evaluate(self, now: float) -> None:
+        """Throttled brownout evaluation (lock held)."""
+        if (self._last_evaluated_at is not None
+                and now - self._last_evaluated_at < EVALUATE_INTERVAL_SECONDS):
             return
-        self._last_adjust_at = now
-        if self.config.adaptive and self.recorder is not None:
-            self.limiter.observe_p99(self.recorder.latency_quantile(0.99))
-            if self._g_limit is not None:
-                self._g_limit.set(self.limiter.limit)
+        self._last_evaluated_at = now
         self.brownout.evaluate(now)
 
     # -- drain / shutdown -----------------------------------------------------
@@ -741,6 +635,6 @@ class AdmissionController:
 
     def __repr__(self) -> str:
         return (f"<AdmissionController in_flight={self._in_flight}/"
-                f"{self.limiter.limit} queued={self.queue_depth}/"
+                f"{self.config.max_concurrency} queued={self.queue_depth}/"
                 f"{self.config.max_queue_depth} sheds={self._sheds} "
                 f"brownout={self.brownout.level.name!r}>")

@@ -1,11 +1,13 @@
 """Per-backend circuit breakers (closed → open → half-open).
 
 A breaker protects the service from repeatedly paying for a backend that
-is failing deterministically: after ``failure_threshold`` consecutive
+is failing deterministically: after :data:`FAILURE_THRESHOLD` consecutive
 failures the circuit *opens* and requests skip the backend (falling back
-down the session's degradation chain) until ``recovery_seconds`` have
-passed, at which point it *half-opens* and admits a limited number of
-probe attempts — success closes the circuit, failure re-opens it.
+down the session's degradation chain) until :data:`RECOVERY_SECONDS`
+have passed, at which point it *half-opens* and admits one probe
+attempt — success closes the circuit, failure re-opens it, and an
+outcome that is evidence of neither (:meth:`CircuitBreaker.release_probe`)
+hands the probe slot back.
 
 The clock is injectable, so state transitions are tested without
 sleeping.  Breaker instances are owned per backend name by
@@ -21,7 +23,7 @@ import threading
 import time
 from typing import Callable
 
-from repro.errors import CircuitOpenError, ExecutionError
+from repro.errors import CircuitOpenError
 
 CLOSED = "closed"
 OPEN = "open"
@@ -30,8 +32,10 @@ HALF_OPEN = "half_open"
 #: Numeric encoding used by the ``repro_resilience_breaker_state`` gauge.
 STATE_VALUES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
-#: Observes transitions: (backend name, old state, new state).
-TransitionObserver = Callable[[str, str, str], None]
+#: Consecutive failures that open a closed circuit.
+FAILURE_THRESHOLD = 5
+#: Seconds an open circuit waits before admitting a half-open probe.
+RECOVERY_SECONDS = 30.0
 
 
 class CircuitBreaker:
@@ -39,37 +43,19 @@ class CircuitBreaker:
 
     Instances are shared by every session (and worker thread) in the
     process, so all state transitions happen under an internal lock —
-    half-open probe admission in particular stays exact under concurrent
-    :meth:`allow` calls.  ``on_transition`` observers run while the lock
-    is held and must not call back into the breaker.
+    the one half-open probe in particular stays exact under concurrent
+    :meth:`allow` calls.
     """
 
     def __init__(self, name: str = "",
-                 failure_threshold: int = 5,
-                 recovery_seconds: float = 30.0,
-                 half_open_probes: int = 1,
-                 clock: Callable[[], float] = time.monotonic,
-                 on_transition: TransitionObserver | None = None):
-        if failure_threshold < 1:
-            raise ExecutionError(
-                f"failure_threshold must be ≥ 1, got {failure_threshold}")
-        if recovery_seconds < 0:
-            raise ExecutionError(
-                f"recovery_seconds cannot be negative, got {recovery_seconds}")
-        if half_open_probes < 1:
-            raise ExecutionError(
-                f"half_open_probes must be ≥ 1, got {half_open_probes}")
+                 clock: Callable[[], float] = time.monotonic):
         self.name = name
-        self.failure_threshold = failure_threshold
-        self.recovery_seconds = recovery_seconds
-        self.half_open_probes = half_open_probes
-        self.on_transition = on_transition
         self._clock = clock
-        self._mutex = threading.RLock()
+        self._mutex = threading.Lock()
         self._state = CLOSED
         self._failures = 0
         self._opened_at: float | None = None
-        self._probes_in_flight = 0
+        self._probing = False
 
     # -- state ----------------------------------------------------------------
 
@@ -90,41 +76,31 @@ class CircuitBreaker:
         with self._mutex:
             if self._state != OPEN or self._opened_at is None:
                 return None
-            remaining = self._opened_at + self.recovery_seconds - self._clock()
+            remaining = self._opened_at + RECOVERY_SECONDS - self._clock()
             return max(remaining, 0.0)
-
-    def _transition(self, new_state: str) -> None:
-        old_state = self._state
-        if old_state == new_state:
-            return
-        self._state = new_state
-        if self.on_transition is not None:
-            self.on_transition(self.name, old_state, new_state)
 
     def _maybe_half_open(self) -> None:
         if (self._state == OPEN and self._opened_at is not None
-                and self._clock() - self._opened_at >= self.recovery_seconds):
-            self._probes_in_flight = 0
-            self._transition(HALF_OPEN)
+                and self._clock() - self._opened_at >= RECOVERY_SECONDS):
+            self._probing = False
+            self._state = HALF_OPEN
 
     # -- protocol -------------------------------------------------------------
 
     def allow(self) -> bool:
         """May the caller attempt the backend right now?
 
-        Half-open admits at most ``half_open_probes`` concurrent probes;
-        every admitted probe must be resolved with
-        :meth:`record_success` or :meth:`record_failure`.
+        Half-open admits one probe at a time; an admitted probe must be
+        resolved with :meth:`record_success`, :meth:`record_failure` or
+        :meth:`release_probe`.
         """
         with self._mutex:
             self._maybe_half_open()
             if self._state == CLOSED:
                 return True
-            if self._state == HALF_OPEN:
-                if self._probes_in_flight < self.half_open_probes:
-                    self._probes_in_flight += 1
-                    return True
-                return False
+            if self._state == HALF_OPEN and not self._probing:
+                self._probing = True
+                return True
             return False
 
     def check(self) -> None:
@@ -134,35 +110,34 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """An attempt succeeded: reset failures, close the circuit."""
-        with self._mutex:
-            self._failures = 0
-            self._probes_in_flight = 0
-            self._opened_at = None
-            self._transition(CLOSED)
+        self.reset()
 
     def record_failure(self) -> None:
         """An attempt failed: trip after the threshold; re-open half-open."""
         with self._mutex:
             self._failures += 1
-            if self._state == HALF_OPEN:
-                self._open()
-            elif (self._state == CLOSED
-                    and self._failures >= self.failure_threshold):
-                self._open()
+            if self._state == HALF_OPEN or (
+                    self._state == CLOSED
+                    and self._failures >= FAILURE_THRESHOLD):
+                self._opened_at = self._clock()
+                self._probing = False
+                self._state = OPEN
 
-    def _open(self) -> None:
-        self._opened_at = self._clock()
-        self._probes_in_flight = 0
-        self._transition(OPEN)
+    def release_probe(self) -> None:
+        """An attempt ended in no evidence either way (a width overflow,
+        a deadline, a budget, a cancellation): a half-open probe hands
+        its slot back so the next caller can probe instead."""
+        with self._mutex:
+            self._probing = False
 
     def reset(self) -> None:
         """Forget all history (tests, administrative reset)."""
         with self._mutex:
             self._failures = 0
-            self._probes_in_flight = 0
+            self._probing = False
             self._opened_at = None
-            self._transition(CLOSED)
+            self._state = CLOSED
 
     def __repr__(self) -> str:
         return (f"<CircuitBreaker {self.name!r} {self.state} "
-                f"failures={self._failures}/{self.failure_threshold}>")
+                f"failures={self._failures}/{FAILURE_THRESHOLD}>")

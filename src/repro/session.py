@@ -53,6 +53,7 @@ from repro.resilience.admission import (
     INTERACTIVE,
     AdmissionConfig,
     AdmissionController,
+    check_priority,
     scale_budget,
 )
 from repro.resilience.breaker import STATE_VALUES
@@ -110,7 +111,7 @@ class XQuerySession:
                  recorder: FlightRecorder | None = None,
                  slow_seconds: float | None = None,
                  slos: "Iterable[SLO] | None" = None,
-                 admission: "AdmissionConfig | AdmissionController | bool | None" = None):
+                 admission: "AdmissionConfig | bool | None" = None):
         self.backend = backend
         self.strategy = coerce_strategy(strategy)
         self.simplify = simplify
@@ -179,12 +180,10 @@ class XQuerySession:
             self.recorder = None
         #: Admission control (see ``docs/ROBUSTNESS.md``): on by default
         #: with generous limits, so an unloaded session behaves exactly
-        #: as before.  Pass an :class:`AdmissionConfig` to tune, a shared
-        #: :class:`AdmissionController` to reuse, or ``False`` to opt out.
+        #: as before.  Pass an :class:`AdmissionConfig` to size it, or
+        #: ``False`` to opt out.
         if admission is False:
             self.admission: AdmissionController | None = None
-        elif isinstance(admission, AdmissionController):
-            self.admission = admission
         else:
             config = admission if isinstance(admission, AdmissionConfig) \
                 else None
@@ -484,6 +483,7 @@ class XQuerySession:
         internal token the same way once it expires; both surface as
         :class:`~repro.errors.QueryCancelledError` in the results.
         """
+        check_priority(priority)
         batch = list(queries)
         if max_workers is not None and (
                 not isinstance(max_workers, int)
@@ -668,6 +668,7 @@ class XQuerySession:
         backends, fills engine/SQL metrics and surfaces on
         :attr:`QueryResult.trace`.
         """
+        check_priority(priority)
         admission = self.admission
         if admission is not None:
             level = admission.brownout.level
@@ -839,8 +840,11 @@ class XQuerySession:
                 return forest
             except BaseException as error:
                 failure = type(error).__name__
-                if breaker is not None and counts_against_breaker(error):
-                    breaker.record_failure()
+                if breaker is not None:
+                    if counts_against_breaker(error):
+                        breaker.record_failure()
+                    else:
+                        breaker.release_probe()
                 raise
             finally:
                 attempts.append(AttemptRecord(

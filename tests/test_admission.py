@@ -24,7 +24,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     BATCH,
     INTERACTIVE,
-    AdaptiveLimiter,
     AdmissionConfig,
     AdmissionController,
     BrownoutController,
@@ -35,7 +34,11 @@ from repro.resilience import (
     ResourceBudget,
     inject_faults,
 )
-from repro.resilience.admission import scale_budget
+from repro.resilience.admission import (
+    EVALUATE_INTERVAL_SECONDS,
+    SHED_HEALTH_HOLD_SECONDS,
+    scale_budget,
+)
 from repro.session import XQuerySession
 from repro.xmark.queries import FIGURE1_SAMPLE
 
@@ -78,16 +81,13 @@ class TestAdmissionConfig:
         config = AdmissionConfig()
         assert config.max_concurrency == 64
         assert config.max_queue_depth == 256
-        assert not config.adaptive
+        assert config.brownout_dwell_seconds == 5.0
 
     @pytest.mark.parametrize("knobs", [
         {"max_concurrency": 0},
-        {"min_concurrency": 0},
-        {"min_concurrency": 5, "max_concurrency": 4},
+        {"max_concurrency": -1},
+        {"brownout_dwell_seconds": -1.0},
         {"max_queue_depth": -1},
-        {"decrease": 1.0},
-        {"decrease": 0.0},
-        {"brownout_enter_burn": 1.0, "brownout_exit_burn": 1.0},
     ])
     def test_bad_knobs_rejected(self, knobs):
         with pytest.raises(ExecutionError):
@@ -121,47 +121,6 @@ class TestScaleBudget:
             == (50, 20, 4)
 
 
-# -- the AIMD limiter ---------------------------------------------------------
-
-
-class TestAdaptiveLimiter:
-    def make(self, **kwargs):
-        defaults = dict(initial=8, minimum=1, maximum=16, target_p99=0.1)
-        defaults.update(kwargs)
-        return AdaptiveLimiter(**defaults)
-
-    def test_no_data_holds_the_limit(self):
-        limiter = self.make()
-        assert limiter.observe_p99(None) == 8
-
-    def test_healthy_p99_increases_additively(self):
-        limiter = self.make()
-        assert limiter.observe_p99(0.05) == 9
-        assert limiter.observe_p99(0.05) == 10
-
-    def test_breach_halves_multiplicatively(self):
-        limiter = self.make()
-        assert limiter.observe_p99(0.5) == 4
-        assert limiter.observe_p99(0.5) == 2
-
-    def test_floor_and_ceiling(self):
-        limiter = self.make(initial=2, minimum=2)
-        for _ in range(5):
-            limiter.observe_p99(1.0)
-        assert limiter.limit == 2
-        for _ in range(50):
-            limiter.observe_p99(0.01)
-        assert limiter.limit == 16
-
-    def test_sawtooth_converges_below_the_knee(self):
-        limiter = self.make(initial=16)
-        seen = []
-        for round_ in range(12):
-            p99 = 0.5 if limiter.limit > 6 else 0.05
-            seen.append(limiter.observe_p99(p99))
-        assert max(seen[4:]) <= 8  # oscillates just under the knee
-
-
 # -- the admission controller -------------------------------------------------
 
 
@@ -176,7 +135,6 @@ class TestAdmissionController:
         ticket = controller.try_acquire()
         assert controller.in_flight == 1
         assert ticket.priority == INTERACTIVE
-        assert ticket.waited_seconds == 0.0
         controller.release(ticket)
         assert controller.in_flight == 0
 
@@ -201,7 +159,7 @@ class TestAdmissionController:
         assert controller.sheds == 1
         assert controller.shedding  # within the post-shed hold window
         controller.release(ticket)
-        clock.advance(10.0)  # past shed_health_hold_seconds
+        clock.advance(SHED_HEALTH_HOLD_SECONDS)
         assert not controller.shedding
 
     def test_deadline_shed_on_arrival_uses_estimated_wait(self):
@@ -401,28 +359,13 @@ class TestAdmissionController:
         assert metrics.get("repro_admission_inflight").value() == 0
         assert "in_flight=0/2" in repr(controller)
 
-    def test_adaptive_limit_follows_recorded_p99(self):
-        clock = FakeClock()
-        recorder = FlightRecorder(metrics=MetricsRegistry())
-        violating_record(recorder, count=0)
-        healthy_record(recorder, count=20, wall=5.0)  # p99 ≈ 5s, way hot
-        controller = self.make(clock=clock, recorder=recorder,
-                               max_concurrency=8, adaptive=True,
-                               target_p99_seconds=0.1,
-                               adjust_interval_seconds=1.0)
-        assert controller.limit == 8
-        clock.advance(2.0)  # past the adjust interval
-        ticket = controller.try_acquire()
-        controller.release(ticket)
-        assert controller.limit == 4  # halved on the p99 breach
-
     def test_static_limit_without_adaptive(self):
         clock = FakeClock()
         recorder = FlightRecorder(metrics=MetricsRegistry())
         healthy_record(recorder, count=20, wall=5.0)
         controller = self.make(clock=clock, recorder=recorder,
-                               max_concurrency=8, adaptive=False)
-        clock.advance(5.0)
+                               max_concurrency=8)
+        clock.advance(2 * EVALUATE_INTERVAL_SECONDS)
         ticket = controller.try_acquire()
         controller.release(ticket)
         assert controller.limit == 8
@@ -440,13 +383,9 @@ def hot_recorder(window: int = 8) -> FlightRecorder:
 
 
 class TestBrownout:
-    CONFIG = dict(brownout_enter_burn=1.0, brownout_exit_burn=0.5,
-                  brownout_dwell_seconds=5.0, brownout_cool_seconds=15.0)
-
-    def make(self, recorder, **overrides):
-        knobs = dict(self.CONFIG)
-        knobs.update(overrides)
-        return BrownoutController(AdmissionConfig(**knobs), recorder,
+    # Dwell 5 s (the default), cool 15 s, enter burn 1.0, exit burn 0.5.
+    def make(self, recorder):
+        return BrownoutController(AdmissionConfig(), recorder,
                                   metrics=MetricsRegistry())
 
     def test_needs_dwell_before_stepping(self):
@@ -513,14 +452,9 @@ class TestBrownout:
             == "cheap-backend"
 
     def test_no_recorder_never_browns_out(self):
-        controller = BrownoutController(AdmissionConfig(**self.CONFIG), None)
+        controller = BrownoutController(AdmissionConfig(), None)
         assert controller.evaluate(now=0.0).name == "normal"
         assert controller.burn_rate() == 0.0
-
-    def test_custom_levels_validated(self):
-        with pytest.raises(ExecutionError):
-            BrownoutController(
-                AdmissionConfig(brownout_levels=()), None)
 
 
 # -- session integration ------------------------------------------------------
@@ -550,10 +484,16 @@ class TestSessionAdmission:
             opted_out.add_document("a.xml", FIGURE1_SAMPLE)
             opted_out.run(QUERY)
 
-    def test_shared_controller(self):
-        controller = AdmissionController(AdmissionConfig())
-        with XQuerySession(admission=controller) as sharing:
-            assert sharing.admission is controller
+    @pytest.mark.parametrize("admission", [None, False],
+                             ids=["admission", "no-admission"])
+    def test_unknown_priority_refused_at_the_door(self, admission):
+        with XQuerySession(admission=admission) as door:
+            door.add_document("a.xml", FIGURE1_SAMPLE)
+            with pytest.raises(ExecutionError, match="priority"):
+                door.run(QUERY, priority="urgent")
+            with pytest.raises(ExecutionError, match="priority"):
+                door.run_many([QUERY], priority="urgent", return_errors=True)
+            assert door.recorder.records() == []
 
     def test_cancelled_token_raises_and_records(self, session):
         token = CancellationToken()
@@ -657,8 +597,7 @@ class TestOverloadHammer:
         rejects must carry retry-after hints, and every gauge must
         settle back to zero.
         """
-        config = AdmissionConfig(max_concurrency=2, max_queue_depth=2,
-                                 queue_timeout_seconds=5.0)
+        config = AdmissionConfig(max_concurrency=2, max_queue_depth=2)
         plan = FaultPlan(sleep=time.sleep).slow_on("execute", 0.05)
         with inject_faults("engine", plan):
             with XQuerySession(admission=config) as session:

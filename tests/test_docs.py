@@ -53,7 +53,7 @@ class TestDocFilesExist:
                      "repro_admission_sheds_total",
                      "repro_admission_brownout_level",
                      'priority="interactive"', "max_queue_depth",
-                     "adaptive"):
+                     "brownout_dwell_seconds"):
             assert term in text, term
         # README and the API reference both point at the section.
         assert "Overload protection" in (ROOT / "README.md").read_text()

@@ -20,10 +20,12 @@ from repro.errors import (
     CircuitOpenError,
     DocumentNotFoundError,
     ExecutionError,
+    QueryCancelledError,
     QueryTimeoutError,
     ReproError,
     ResourceBudgetError,
     TransientBackendError,
+    WidthOverflowError,
 )
 from repro.resilience import (
     CLOSED,
@@ -38,6 +40,7 @@ from repro.resilience import (
     coerce_budget,
     inject_faults,
 )
+from repro.resilience.breaker import FAILURE_THRESHOLD, RECOVERY_SECONDS
 from repro.api import compile_xquery
 from repro.session import XQuerySession
 from repro.sql.sqlite_backend import SQLiteDatabase
@@ -358,9 +361,8 @@ class TestRetryPolicy:
 
 class TestCircuitBreaker:
     def test_opens_at_threshold(self):
-        breaker = CircuitBreaker("db", failure_threshold=3,
-                                 clock=FakeClock())
-        for _ in range(2):
+        breaker = CircuitBreaker("db", clock=FakeClock())
+        for _ in range(FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         assert breaker.state == CLOSED
         breaker.record_failure()
@@ -369,14 +371,17 @@ class TestCircuitBreaker:
         with pytest.raises(CircuitOpenError):
             breaker.check()
 
+    def trip(self, breaker):
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure()
+        assert breaker.state == OPEN
+
     def test_half_open_probe_then_close(self):
         clock = FakeClock()
-        breaker = CircuitBreaker("db", failure_threshold=1,
-                                 recovery_seconds=30.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.retry_after == pytest.approx(30.0)
-        clock.advance(31.0)
+        breaker = CircuitBreaker("db", clock=clock)
+        self.trip(breaker)
+        assert breaker.retry_after == pytest.approx(RECOVERY_SECONDS)
+        clock.advance(RECOVERY_SECONDS + 1.0)
         assert breaker.state == HALF_OPEN
         assert breaker.allow()        # the single probe
         assert not breaker.allow()    # concurrent probes rejected
@@ -386,37 +391,48 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         clock = FakeClock()
-        breaker = CircuitBreaker("db", failure_threshold=1,
-                                 recovery_seconds=10.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(11.0)
+        breaker = CircuitBreaker("db", clock=clock)
+        self.trip(breaker)
+        clock.advance(RECOVERY_SECONDS + 1.0)
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == OPEN
 
-    def test_transitions_observed(self):
-        transitions = []
-        clock = FakeClock()
-        breaker = CircuitBreaker("db", failure_threshold=1,
-                                 recovery_seconds=5.0, clock=clock,
-                                 on_transition=lambda *args:
-                                 transitions.append(args))
-        breaker.record_failure()
-        clock.advance(6.0)
-        breaker.allow()
-        breaker.record_success()
-        assert transitions == [("db", CLOSED, OPEN),
-                               ("db", OPEN, HALF_OPEN),
-                               ("db", HALF_OPEN, CLOSED)]
-
     def test_registry_owns_one_breaker_per_backend(self):
-        first = backend_breaker("sqlite", failure_threshold=2)
-        again = backend_breaker("sqlite", failure_threshold=99)
-        assert again is first          # config applies on first creation only
-        assert first.failure_threshold == 2
+        first = backend_breaker("sqlite")
+        assert backend_breaker("sqlite") is first   # one per name
+        assert backend_breaker("engine") is not first
         reset_breakers("sqlite")
-        fresh = backend_breaker("sqlite")
+        fresh = backend_breaker("sqlite")           # reset gives a fresh one
         assert fresh is not first
+
+    @pytest.mark.parametrize("outcome", [
+        WidthOverflowError("width 2**70 does not fit in 64 bits"),
+        QueryTimeoutError(1.0, 2.0, backend="sqlite"),
+        ResourceBudgetError("tuples", 10, 11),
+        QueryCancelledError("caller gave up"),
+    ], ids=lambda error: type(error).__name__)
+    def test_inconclusive_probe_hands_its_slot_back(self, outcome):
+        """A half-open probe that ends in no evidence either way must not
+        wedge the breaker: the next guarded run probes again."""
+        clock = FakeClock()
+        breaker = backend_breaker("sqlite", clock=clock)
+        self.trip(breaker)
+        clock.advance(RECOVERY_SECONDS + 1.0)
+        plan = FaultPlan().fail_on("execute", calls=1, error=outcome)
+        with inject_faults("sqlite", plan):
+            with XQuerySession() as session:
+                session.add_document("a.xml", DOC)
+                # A budget makes the run consult the breaker; without a
+                # fallback every outcome, overflow included, surfaces.
+                with pytest.raises(type(outcome)):
+                    session.run(QUERY, backend="sqlite", budget=10**6)
+                assert breaker.state == HALF_OPEN
+                result = session.run(QUERY, backend="sqlite",
+                                     fallback=("engine",))
+        assert result.backend == "sqlite" and not result.degraded
+        assert breaker.state == CLOSED
+        assert plan.call_count("execute") == 2
 
 
 # -- fault injection ----------------------------------------------------------
@@ -479,24 +495,23 @@ class TestFaultPlan:
 
 class TestDegradation:
     def test_retry_breaker_fallback_and_recovery(self):
-        """The acceptance scenario: sqlite fails twice -> retry with
-        backoff -> circuit opens -> fallback answers -> open circuit is
-        skipped -> half-open probe closes it again.  All observable in
-        spans and metrics; no wall-clock sleeps anywhere."""
+        """The acceptance scenario: sqlite fails FAILURE_THRESHOLD times
+        -> retries with backoff -> circuit opens -> fallback answers ->
+        open circuit is skipped -> half-open probe closes it again.  All
+        observable in spans and metrics; no wall-clock sleeps anywhere."""
         breaker_clock = FakeClock()
-        breaker = backend_breaker("sqlite", failure_threshold=2,
-                                  recovery_seconds=30.0,
-                                  clock=breaker_clock)
+        breaker = backend_breaker("sqlite", clock=breaker_clock)
         sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=2, base_delay=0.05, jitter=0.0,
-                             sleep=sleeps.append)
-        plan = FaultPlan().fail_on("execute", calls=(1, 2))
+        policy = RetryPolicy(max_attempts=FAILURE_THRESHOLD, base_delay=0.05,
+                             jitter=0.0, sleep=sleeps.append)
+        failing = tuple(range(1, FAILURE_THRESHOLD + 1))
+        plan = FaultPlan().fail_on("execute", calls=failing)
         with inject_faults("sqlite", plan):
             with XQuerySession() as session:
                 session.add_document("a.xml", DOC)
 
-                # Run 1: two sqlite attempts fail, breaker opens, the
-                # engine fallback answers the query.
+                # Run 1: every sqlite attempt fails, the breaker opens,
+                # the engine fallback answers the query.
                 result = session.run(QUERY, backend="sqlite",
                                      fallback=("engine",), retry=policy,
                                      trace=True)
@@ -504,22 +519,26 @@ class TestDegradation:
                 assert result.degraded
                 assert [d.backend for d in result.degradations] == ["sqlite"]
                 assert result.degradations[0].kind == "TransientBackendError"
-                assert sleeps == [0.05]  # exactly one backoff, recorded
+                # One recorded backoff per retry, doubling each time.
+                assert sleeps == [0.05 * 2 ** k
+                                  for k in range(FAILURE_THRESHOLD - 1)]
                 assert breaker.state == OPEN
-                assert plan.call_count("execute") == 2
+                assert plan.call_count("execute") == FAILURE_THRESHOLD
 
-                # The span tree shows the whole story: two sqlite
-                # attempts, the retry backoff, then the engine attempt.
+                # The span tree shows the whole story: the sqlite attempts
+                # with a retry backoff between each, then the engine one.
                 names = [(span.name, span.attributes.get("backend"))
                          for span in result.trace.walk()
                          if span.name in ("attempt", "retry")]
-                assert names == [("attempt", "sqlite"), ("retry", "sqlite"),
-                                 ("attempt", "sqlite"), ("attempt", "engine")]
+                assert names == ([("attempt", "sqlite"), ("retry", "sqlite")]
+                                 * (FAILURE_THRESHOLD - 1)
+                                 + [("attempt", "sqlite"),
+                                    ("attempt", "engine")])
                 assert result.trace.attributes["degraded"] is True
 
                 metrics = session.metrics
                 assert metrics.get("repro_resilience_retries_total") \
-                    .value(backend="sqlite") == 1
+                    .value(backend="sqlite") == FAILURE_THRESHOLD - 1
                 assert metrics.get("repro_resilience_fallbacks_total") \
                     .value(source="sqlite", target="engine") == 1
                 assert metrics.get("repro_resilience_breaker_state") \
@@ -531,12 +550,13 @@ class TestDegradation:
                                       fallback=("engine",), retry=policy)
                 assert result2.backend == "engine"
                 assert result2.degradations[0].kind == "CircuitOpenError"
-                assert plan.call_count("execute") == 2  # untouched
+                assert plan.call_count("execute") == FAILURE_THRESHOLD
 
                 # Run 3: after the recovery window the half-open probe
-                # succeeds (the fault script only failed calls 1-2), so
-                # the circuit closes and sqlite answers again.
-                breaker_clock.advance(31.0)
+                # succeeds (the fault script failed only the first
+                # FAILURE_THRESHOLD calls), so the circuit closes and
+                # sqlite answers again.
+                breaker_clock.advance(RECOVERY_SECONDS + 1.0)
                 result3 = session.run(QUERY, backend="sqlite",
                                       fallback=("engine",), retry=policy)
                 assert result3.backend == "sqlite"

@@ -1,7 +1,8 @@
 """One record shape and one span shape for every way to run a query.
 
 The first slice of ROADMAP's composition matrix: every entry point and
-resilience knob × flight recording on/off × tracing on/off, generated,
+resilience knob × flight recording on/off × tracing on/off × admission
+control on/off, generated,
 asserting the same things in every cell — the answer is the Figure 3
 interpreter's, the flight record has the compile/prepare/execute phases
 and at least one attempt, ``QueryResult.trace`` is set iff tracing was
@@ -19,6 +20,7 @@ only once a caller reads ``result.forest``.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 
@@ -69,14 +71,24 @@ def _segments() -> set[str]:
         return set()
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("record", [True, False],
-                         ids=["recorded", "unrecorded"])
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_every_run_has_one_shape(mode, record, trace):
+def _shape_cells():
+    """mode × recorded × traced × admission; a cell with admission on
+    (the default) keeps the id it had before the admission axis."""
+    for mode, record, trace, admission in itertools.product(
+            sorted(MODES), (True, False), (False, True), (None, False)):
+        id_ = "-".join([mode, "recorded" if record else "unrecorded",
+                        "traced" if trace else "untraced"])
+        if admission is False:
+            id_ += "-no-admission"
+        yield pytest.param(mode, record, trace, admission, id=id_)
+
+
+@pytest.mark.parametrize("mode, record, trace, admission", _shape_cells())
+def test_every_run_has_one_shape(mode, record, trace, admission):
     before = _segments()
     # slow_seconds=0 tail-samples every run, so each record keeps its root.
-    with XQuerySession(record=record, slow_seconds=0.0) as session:
+    with XQuerySession(record=record, slow_seconds=0.0,
+                       admission=admission) as session:
         session.add_document("a.xml", FIGURE1_SAMPLE)
         results = MODES[mode](session, trace)
 
@@ -118,8 +130,12 @@ def test_every_run_has_one_shape(mode, record, trace):
         health = session.health()
         assert health["pool"]["active"] == 0
         assert health["pool"]["queued"] == 0
-        assert health["admission"]["in_flight"] == 0
-        assert health["admission"]["queue_depth"] == 0
+        if admission is False:
+            assert session.admission is None and "admission" not in health
+        else:
+            assert health["admission"]["admitted_total"] == len(results)
+            assert health["admission"]["in_flight"] == 0
+            assert health["admission"]["queue_depth"] == 0
     assert _segments() == before
 
 

@@ -154,12 +154,13 @@ class TestEndpoints:
 
     def test_healthz_503_when_all_breakers_open(self, session, server):
         from repro.backends.registry import backend_breaker, reset_breakers
+        from repro.resilience.breaker import FAILURE_THRESHOLD
 
         session.run(NAMES)  # instantiate the engine backend
         reset_breakers()
         try:
             breaker = backend_breaker("engine")
-            for _ in range(breaker.failure_threshold):
+            for _ in range(FAILURE_THRESHOLD):
                 breaker.record_failure()
             with pytest.raises(urllib.error.HTTPError) as exc:
                 get(server.url + "/healthz")
