@@ -191,8 +191,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="pretty-print the result")
     parser.add_argument("--explain", action="store_true",
                         help="print the physical plan instead of running; "
-                             "with --doc bindings the plan is annotated "
-                             "with estimated vs. observed cardinalities")
+                             "with --doc bindings the plan runs once and "
+                             "every evaluated node shows its observed "
+                             "tuples")
     parser.add_argument("--explain-verbose", action="store_true",
                         help="with --explain: include the compilation "
                              "pipeline trace (per-pass timings + snapshots)")
@@ -273,9 +274,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.explain or args.explain_verbose:
             if documents:
-                # With real documents: run once on the engine backend so
-                # the plan carries estimated vs. *observed* cardinalities
-                # per node ("est N → obs M tuples").
+                # With real documents: EXPLAIN ANALYZE runs the plan
+                # once on the engine backend ("obs N tuples" per node).
                 with XQuerySession(strategy=args.strategy) as session:
                     for uri, text in documents.items():
                         session.add_document(uri, text)

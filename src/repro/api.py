@@ -34,7 +34,12 @@ from typing import Mapping, Sequence, TypeAlias
 
 from repro.backends.base import ExecutionOptions, coerce_strategy
 from repro.backends.registry import create_backend
-from repro.compiler.pipeline import PipelineTrace, plan_stage, run_frontend
+from repro.compiler.pipeline import (
+    PipelineTrace,
+    optimize_stage,
+    plan_stage,
+    run_frontend,
+)
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import explain_plan
 from repro.engine.stats import EngineStats
@@ -142,39 +147,17 @@ class CompiledQuery:
                           base_vars=self.documents.values(),
                           decorrelate=decorrelate, trace=trace)
 
-    def optimized(self, strategy: str | JoinStrategy = "msj",
-                  decorrelate: bool = True,
-                  stats_by_var: Mapping[str, object] | None = None,
-                  observed: Mapping[int, int] | None = None,
-                  trace: PipelineTrace | None = None):
-        """Cost-optimize the plan against per-document statistics.
-
-        ``stats_by_var`` maps document variable names to
-        :class:`~repro.encoding.stats.DocumentStats` (defaults apply for
-        missing variables); ``observed`` maps stable node fingerprints to
-        actual tuple counts from a previous traced run.  Returns an
-        :class:`~repro.compiler.planner.OptimizedPlan` whose ``explain()``
-        renders per-node cardinality annotations.
-        """
-        from repro.compiler.cost import CostModel
-        from repro.compiler.pipeline import optimize_stage
-
-        plan = self.plan(strategy, decorrelate, trace=trace)
-        model = CostModel(stats_by_var, observed)
-        return optimize_stage(plan, model,
-                              base_vars=self.documents.values(), trace=trace)
-
     def explain(self, strategy: str | JoinStrategy = "msj",
                 verbose: bool = False) -> str:
-        """Human-readable physical plan.
+        """Human-readable physical plan — the one the engine runs.
 
         ``verbose=True`` prepends the pipeline trace — every pass that ran
         (``parse``, ``lower``, selected rewrites such as ``simplify``,
-        ``decorrelate``, ``plan``) with per-pass timings, details, and
-        before/after snapshots.
+        ``decorrelate``, ``plan``, ``isolate``) with per-pass timings,
+        details, and before/after snapshots.
         """
         trace = PipelineTrace(records=list(self.trace.records))
-        plan = self.plan(strategy, trace=trace)
+        plan = optimize_stage(self.plan(strategy, trace=trace), trace=trace)
         rendered = explain_plan(plan)
         if not verbose:
             return rendered

@@ -80,11 +80,6 @@ class ExecutionOptions:
 
     strategy: JoinStrategy = JoinStrategy.MSJ
     stats: EngineStats | None = None
-    decorrelate: bool = True
-    #: Cost-based physical optimization (join isolation, select pushdown,
-    #: conjunct reordering) over collected document statistics; ``False``
-    #: executes the faithful syntactic plan (the planning-off baseline).
-    optimize: bool = True
     metrics: MetricsRegistry | None = None
     guard: "QueryGuard | None" = None
     extra: dict[str, object] = field(default_factory=dict)

@@ -44,9 +44,9 @@ class ProcPoolBackend(Backend):
 
     Limitations relative to the in-process ``engine`` backend: runs are
     not traced span-by-span across the process boundary (the flight
-    recorder attributes the run to its worker instead), ``stats`` /
-    ``decorrelate=False`` / ``optimize=False`` knobs are not forwarded,
-    and queries are compiled with default settings in the worker.
+    recorder attributes the run to its worker instead), ``stats`` is
+    not forwarded, and queries are compiled with default settings in
+    the worker.
     """
 
     name = "procpool"

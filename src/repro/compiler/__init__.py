@@ -4,10 +4,13 @@
 * :mod:`repro.compiler.decorrelate` — the Section 5 rewrite recognizing
   nested ``for`` loops whose inner source is independent of the outer
   iteration variable, turning them into structural merge joins;
-* :mod:`repro.compiler.planner` — core AST → plan, per join strategy;
+* :mod:`repro.compiler.planner` — core AST → plan, per join strategy,
+  and the join-body isolation rule (:func:`~repro.compiler.planner.
+  optimize_plan`), analysed by :mod:`repro.compiler.joingraph`;
 * :mod:`repro.compiler.pipeline` — the staged pass manager: named,
   registered passes (``parse``, ``lower``, rewrites such as ``simplify``,
-  ``decorrelate``, ``plan``) with per-pass timings and snapshots.
+  ``decorrelate``, ``plan``, ``isolate``) with per-pass timings and
+  snapshots.
 """
 
 from repro.compiler.plan import JoinStrategy, PlanNode

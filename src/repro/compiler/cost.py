@@ -1,18 +1,12 @@
-"""Cardinality and cost estimation for the physical planner.
+"""Conjunct ranking arithmetic for the SQL translator.
 
-The planner's rewrites — residual pushdown, join-body isolation, conjunct
-ordering — are only worth making when the numbers say so.  This module
-supplies those numbers: given per-document :class:`~repro.encoding.stats.
-DocumentStats` (collected once at encode time) it propagates estimated
-cardinalities through plan operators, using exactly the width arithmetic
-the engine itself applies, so interval-endpoint overflow (which costs the
-engine a renormalise pass, or a renumbering of the environment index)
-can be *predicted* rather than suffered.
-
-Estimates are totals over the current environment sequence, mirroring
-the ``tuples`` attribute the engine records on operator spans — which is
-what lets observed span counts feed straight back into the next planning
-round via :class:`~repro.compiler.cache.PlanCache`.
+:func:`condition_weight` estimates how much work one ``where``-conjunct
+costs, so the SQL translator (:mod:`repro.sql.translator`) can emit a
+conjunction cheapest-first.  Estimates come from per-document
+:class:`~repro.encoding.stats.DocumentStats` and use the width
+arithmetic the engine applies; only the relative ranking matters.  The
+DI engine's plans do not read this module: they are syntax-directed
+(:func:`repro.compiler.planner.optimize_plan`).
 """
 
 from __future__ import annotations
@@ -23,17 +17,12 @@ from typing import Mapping, Sequence
 
 from repro.encoding.stats import DocumentStats
 
-#: Largest interval endpoint the columnar kernels hold; a width that
-#: would pass it is renormalised first (mirrors ``repro.engine.columns``).
-INT64_MAX = 2 ** 63 - 1
-
 #: Stand-in statistics for variables the backend has no stats for (e.g.
 #: planning before any document was prepared).  Shaped like a small
 #: mid-depth document so estimates stay finite and comparable.
 DEFAULT_STATS = DocumentStats(
     nodes=256, width=512, roots=1,
     label_counts={}, depth_histogram=(1, 15, 60, 180), fanout=4.0,
-    digest="default",
 )
 
 #: Selectivity of a label select when the label is absent from the
@@ -52,37 +41,22 @@ CONDITION_WEIGHT = {
     "SomeEqual": 4.0,
 }
 
-#: Rough fraction of environments surviving a condition, by type — used
-#: to damp cardinalities below a ``Where``, never for correctness.
-CONDITION_SELECTIVITY = {
-    "Empty": 0.5,
-    "Equal": 0.2,
-    "Less": 0.4,
-    "SomeEqual": 0.2,
-}
-
 
 @dataclass(frozen=True)
 class Estimate:
-    """Estimated result cardinality of one plan node.
+    """Estimated result cardinality of one core expression.
 
-    ``tuples``/``trees`` are totals across the whole environment sequence
-    (matching the span ``tuples`` attribute recorded by the engine);
+    ``tuples``/``trees`` are totals across the whole environment sequence;
     ``width`` is the *exact* static interval width, computed with the same
     rules the engine applies.  ``stats`` carries the provenance document's
     statistics when the value is (a projection of) a single document, so
     label selectivities stay available down a path expression.
-    ``observed`` marks estimates overridden by traced actuals.
     """
 
     tuples: float
     trees: float
     width: int
     stats: DocumentStats | None = None
-    observed: bool = False
-    #: The model's own prediction, kept when an observation overrides
-    #: ``tuples`` — ``--explain`` renders estimated vs. observed from it.
-    predicted: float | None = None
 
     def replace(self, **changes) -> "Estimate":
         return dataclasses.replace(self, **changes)
@@ -103,42 +77,17 @@ class CostModel:
     """Per-operator cardinality arithmetic over document statistics.
 
     ``stats_by_var`` maps document variable names to their collected
-    statistics; ``observed`` maps stable plan-node fingerprints to actual
-    tuple counts from a previous traced run of the same query shape.
+    statistics.
     """
 
-    def __init__(self, stats_by_var: Mapping[str, DocumentStats] | None = None,
-                 observed: Mapping[int, int] | None = None):
+    def __init__(self, stats_by_var: Mapping[str, DocumentStats] | None = None):
         self._stats = dict(stats_by_var or {})
-        self._observed = dict(observed or {})
-
-    @property
-    def has_observations(self) -> bool:
-        return bool(self._observed)
-
-    def document(self, name: str) -> DocumentStats | None:
-        return self._stats.get(name)
 
     def base(self, name: str) -> Estimate:
         """The estimate for a document variable in the base environment."""
         stats = self._stats.get(name, DEFAULT_STATS)
         return Estimate(tuples=float(stats.nodes), trees=float(stats.roots),
                         width=stats.width, stats=stats)
-
-    def observe(self, fingerprint: int, estimate: Estimate) -> Estimate:
-        """Override an estimate with the observed actual, if one exists.
-
-        Widths stay estimated — spans record tuple counts, and width is
-        exact anyway; only the cardinality is corrected.
-        """
-        actual = self._observed.get(fingerprint)
-        if actual is None:
-            return estimate
-        trees = estimate.trees
-        if estimate.tuples > 0:
-            trees = estimate.trees * (actual / estimate.tuples)
-        return estimate.replace(tuples=float(actual), trees=trees,
-                                observed=True, predicted=estimate.tuples)
 
     # -- operator rules ---------------------------------------------------------------
 
@@ -209,56 +158,11 @@ class CostModel:
         # Unknown operator: assume size-preserving.
         return arg
 
-    def join_pairs(self, outer_envs: float, inner_envs: float,
-                   existential: bool) -> float:
-        """Expected matched (outer, inner) environment pairs.
-
-        A key join on reasonably selective keys pairs each outer
-        environment with O(1) inner partners (and vice versa), so the
-        expectation is bounded by the smaller side; deep-Equal joins match
-        whole forests and are rarer still.
-        """
-        if outer_envs <= 0 or inner_envs <= 0:
-            return 0.0
-        pairs = min(outer_envs, inner_envs)
-        return pairs if existential else pairs * 0.5
-
     # -- condition costing ------------------------------------------------------------
 
     def condition_rank(self, kind: str, operand_tuples: float) -> float:
         """Relative evaluation cost of one comparison conjunct."""
         return CONDITION_WEIGHT.get(kind, 2.0) * max(operand_tuples, 1.0)
-
-    def condition_selectivity(self, kind: str) -> float:
-        return CONDITION_SELECTIVITY.get(kind, 0.5)
-
-
-def predict_overflow(index_bound: int, output_width: int) -> bool:
-    """Whether interval endpoints would exceed the int64 kernel range.
-
-    ``index_bound`` is an exclusive upper bound on the environment indexes
-    of the sequence a result re-blocks into; every left endpoint of a
-    width-``output_width`` result is below ``index_bound · output_width``.
-    The engine's own trigger is this same bound (``kernels.overflows``):
-    where it trips the evaluator pays an ``O(n log n)`` renormalise of the
-    relation, or renumbers the pair index — no cliff any more, but work
-    the planner can avoid by running the body over the small inner index
-    (join-graph isolation).
-    """
-    return index_bound * output_width > INT64_MAX
-
-
-def expr_weight(expr, stats_by_var: Mapping[str, DocumentStats] | None) -> float:
-    """Estimated tuples flowing through a core expression (or plan node).
-
-    Duck-typed over both the core AST (:mod:`repro.xquery.ast`) and the
-    physical plan (:mod:`repro.compiler.plan`): the SQL translator ranks
-    ``where``-conjuncts on core expressions with the same arithmetic the
-    engine planner applies to plan nodes.  Single-environment context
-    (``envs = 1``) — relative ranking is all that is needed.
-    """
-    model = CostModel(stats_by_var)
-    return weigh(expr, model).tuples
 
 
 def condition_weight(condition,
@@ -269,32 +173,25 @@ def condition_weight(condition,
 
 
 def weigh(expr, model: CostModel) -> Estimate:
-    """Single-environment estimate of an expression, duck-typed.
-
-    Works on core AST nodes and physical plan nodes alike — a quick,
-    context-free probe used for ranking, not for annotation.
-    """
+    """Single-environment estimate of a core expression, duck-typed —
+    a quick, context-free probe used for ranking."""
     name = type(expr).__name__
     if hasattr(expr, "fn"):
         args = [weigh(arg, model) for arg in expr.args]
         return model.apply_fn(expr.fn, tuple(expr.params), args, 1.0)
     if hasattr(expr, "name"):
         return model.base(expr.name)
-    if name in ("Let", "LetNode"):
+    if name in ("Let", "Where"):
         return weigh(expr.body, model)
-    if name in ("Where", "WhereNode"):
-        return weigh(expr.body, model)
-    if name in ("For", "ForNode"):
+    if name == "For":
         source = weigh(expr.source, model)
         body = weigh(expr.body, model)
         return body.scaled(max(source.trees, 1.0))
-    if name == "JoinForNode":
-        return weigh(expr.body, model)
     return Estimate(tuples=1.0, trees=1.0, width=2)
 
 
 def _condition_weight(condition, model: CostModel) -> float:
-    name = type(condition).__name__.removesuffix("Cond")
+    name = type(condition).__name__
     if name == "Empty":
         return model.condition_rank("Empty", weigh(condition.expr, model).tuples)
     if name in ("Equal", "SomeEqual", "Less"):

@@ -11,10 +11,10 @@ the body per pair.  That keeps every intermediate interval relation in
 the *small* inner index space — which is exactly what keeps endpoints
 inside int64 kernel range on multi-join queries like XMark Q9.
 
-This module is pure analysis: it decides what *could* be isolated,
-which residual conjuncts can sink below the join, and which outer
-bindings a join genuinely needs copied.  The cost-based decisions (is
-isolation worth it here?) live in :mod:`repro.compiler.planner`.
+This module is pure analysis: it decides what *can* be isolated and
+which outer bindings a join genuinely needs copied.
+:func:`repro.compiler.planner.optimize_plan` isolates every join the
+analysis allows — a rule, not a cost decision.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import repro.compiler.planner as planner
-from repro.compiler.plan import (
-    AndCond,
-    CondPlan,
-    JoinForNode,
-    PlanNode,
-    iter_plan,
-)
+from repro.compiler.plan import JoinForNode, PlanNode, iter_plan
 
 
 @dataclass(frozen=True)
@@ -36,11 +30,8 @@ class JoinAnalysis:
     """One join edge of the plan's join graph.
 
     ``isolable`` — the loop body reads only the join variable, so it can
-    run once on the inner expansion.  ``inner_conjuncts`` — residual
-    conjuncts over the join variable alone, safe to apply on the inner
-    side *before* pair matching.  ``residual_conjuncts`` — what must stay
-    on the pair sequence.  ``required_outer`` — the outer bindings the
-    pair sequence actually needs: the body's frees plus the remaining
+    run once on the inner expansion.  ``required_outer`` — the outer
+    bindings the pair sequence actually needs: the body's frees plus the
     residual's frees.  The join keys are *not* in it — ``key_outer`` is
     evaluated on the enclosing sequence before any pair is materialized,
     so its variables never need copying into pair space.
@@ -48,54 +39,20 @@ class JoinAnalysis:
 
     node: JoinForNode
     isolable: bool
-    inner_conjuncts: tuple[CondPlan, ...]
-    residual_conjuncts: tuple[CondPlan, ...]
     required_outer: frozenset[str]
-
-
-def split_conjuncts(condition: CondPlan | None) -> list[CondPlan]:
-    """Flatten a conjunction into its conjunct list (empty for ``None``)."""
-    if condition is None:
-        return []
-    if isinstance(condition, AndCond):
-        return split_conjuncts(condition.left) + split_conjuncts(condition.right)
-    return [condition]
-
-
-def merge_conjuncts(conjuncts: list[CondPlan]) -> CondPlan | None:
-    """Rebuild a left-deep conjunction (``None`` for the empty list)."""
-    if not conjuncts:
-        return None
-    merged = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        merged = AndCond(merged, conjunct)
-    return merged
 
 
 def analyze_join(node: JoinForNode) -> JoinAnalysis:
     """Split one join into its graph half and its plan-tail half."""
     var = node.var
     body_free = planner.plan_free(node.body)
-    isolable = body_free <= {var}
-
-    inner: list[CondPlan] = []
-    residual: list[CondPlan] = []
-    for conjunct in split_conjuncts(node.residual):
-        if planner.cond_free(conjunct) <= {var}:
-            inner.append(conjunct)
-        else:
-            residual.append(conjunct)
-
     required = set(body_free)
-    for conjunct in residual:
-        required |= planner.cond_free(conjunct)
+    if node.residual is not None:
+        required |= planner.cond_free(node.residual)
     required.discard(var)
-
     return JoinAnalysis(
         node=node,
-        isolable=isolable,
-        inner_conjuncts=tuple(inner),
-        residual_conjuncts=tuple(residual),
+        isolable=body_free <= {var},
         required_outer=frozenset(required),
     )
 

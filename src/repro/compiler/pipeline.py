@@ -2,7 +2,7 @@
 
 Compilation is an ordered sequence of *named passes* over a shared state:
 
-    parse → lower → [rewrites…] → decorrelate → plan
+    parse → lower → [rewrites…] → decorrelate → plan → isolate
 
 Each pass is a registry entry (:class:`CompilerPass`), so turning a
 rewrite on or off means selecting passes rather than threading booleans
@@ -27,8 +27,10 @@ Pass stages:
 
 ``plan``
     ``decorrelate`` (the Section 5 loop-to-join matcher, timed across all
-    match attempts) and ``plan`` (core → physical plan).  Run when a plan
-    is requested; the trace records how many loops decorrelated.
+    match attempts) and ``plan`` (core → physical plan), then ``isolate``
+    (join-body isolation, :func:`~repro.compiler.planner.optimize_plan`).
+    Run when a plan is requested; the trace records how many loops
+    decorrelated and how many joins were isolated.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.compiler import decorrelate as decorrelate_mod
-from repro.compiler.plan import JoinStrategy, PlanNode
-from repro.compiler.planner import compile_plan, explain_plan
+from repro.compiler.plan import JoinForNode, JoinStrategy, PlanNode, iter_plan
+from repro.compiler.planner import compile_plan, explain_plan, optimize_plan
 from repro.errors import ReproError
 from repro.obs.trace import Tracer
 from repro.xquery.ast import CoreExpr, core_to_str
@@ -196,11 +198,8 @@ register_pass(CompilerPass(
 register_pass(CompilerPass(
     "plan", "plan", "core language → DI physical plan"))
 register_pass(CompilerPass(
-    "joingraph", "plan",
-    "join-graph analysis: isolable bodies, residual partitions"))
-register_pass(CompilerPass(
-    "cost", "plan",
-    "cost-based physical optimization over document statistics"))
+    "isolate", "plan",
+    "join-body isolation: every join whose body reads only its variable"))
 
 
 def _register_simplify() -> None:
@@ -293,30 +292,20 @@ def plan_stage(core: CoreExpr, strategy: JoinStrategy,
     return plan
 
 
-def optimize_stage(plan: PlanNode, model=None, base_vars: Iterable[str] = (),
-                   trace: PipelineTrace | None = None):
-    """Run the ``joingraph`` and ``cost`` passes over a compiled plan.
+def optimize_stage(plan: PlanNode,
+                   trace: PipelineTrace | None = None) -> PlanNode:
+    """Run the ``isolate`` pass over a compiled plan.
 
-    Returns the :class:`~repro.compiler.planner.OptimizedPlan`.  The
-    ``joingraph`` record summarizes what the analysis found (how many
-    joins, how many with isolable bodies); the ``cost`` record carries
-    the rewrites the optimizer actually made.
+    The record counts the plan's joins and how many the rule isolated.
     """
-    from repro.compiler import joingraph
-    from repro.compiler.planner import optimize_plan
-
     if trace is None:
-        return optimize_plan(plan, model, base_vars=base_vars)
+        return optimize_plan(plan)
 
-    with trace.measure("joingraph") as record:
-        analyses = joingraph.join_graph(plan)
-        isolable = sum(1 for analysis in analyses if analysis.isolable)
-        record.detail = f"{len(analyses)} join(s), {isolable} isolable"
-
-    with trace.measure("cost") as record:
-        optimized = optimize_plan(plan, model, base_vars=base_vars)
-        record.detail = (f"{optimized.isolations} isolated, "
-                         f"{optimized.pushdowns} pushed, "
-                         f"{optimized.reorders} reordered")
-    record.after = optimized.explain()
+    with trace.measure("isolate") as record:
+        optimized = optimize_plan(plan)
+        joins = [node for node in iter_plan(optimized)
+                 if isinstance(node, JoinForNode)]
+        isolated = sum(1 for node in joins if node.isolate)
+        record.detail = f"{len(joins)} join(s), {isolated} isolated"
+    record.after = explain_plan(optimized)
     return optimized

@@ -121,10 +121,6 @@ class JoinForNode(PlanNode):
     existential: bool = True
     #: The pair-matching operator (see class docstring).
     strategy: JoinStrategy = JoinStrategy.MSJ
-    #: A residual conjunction over the join variable alone, applied to the
-    #: inner expansion *before* pair matching (select pushdown below the
-    #: join).  Filtered inner environments simply never pair.
-    inner_filter: CondPlan | None = None
     #: Join-graph isolation (Grust et al.): evaluate the body once per
     #: inner environment and gather the finished blocks into the matched
     #: pairs.  Only valid when the body reads no variable but ``var``.
@@ -194,8 +190,6 @@ def iter_plan(node: PlanNode) -> Iterator[PlanNode]:
                           current.key_inner, current.body))
             if current.residual is not None:
                 stack.extend(_condition_plans(current.residual))
-            if current.inner_filter is not None:
-                stack.extend(_condition_plans(current.inner_filter))
 
 
 def _condition_plans(condition: CondPlan) -> list[PlanNode]:

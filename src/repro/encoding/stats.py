@@ -1,29 +1,22 @@
-"""Per-document statistics collected once at encode time.
+"""Per-document statistics over an interval encoding.
 
-The cost-based planner (:mod:`repro.compiler.cost`) needs a summary of
-each document it plans against: how many nodes there are, how they are
-labelled, how deep the tree is, and how wide the fan-out runs.  All of
-that is derivable from the interval encoding alone — the ``(s, l, r)``
+The SQL translator ranks ``where``-conjuncts by estimated work
+(:func:`repro.compiler.cost.condition_weight`) and needs a summary of
+each document it translates against: how many nodes there are, how they
+are labelled, how deep the tree is, and how wide the fan-out runs.  All
+of that is derivable from the interval encoding alone — the ``(s, l, r)``
 triples carry the full tree shape, which the columnar encoding keeps as
 its depth and label-code columns — so :func:`collect_stats` reduces those
-columns at the same point where the backend shreds the document, and the
-result rides along on the backend's shared document state.
-
-Every :class:`DocumentStats` carries a stable :attr:`~DocumentStats.digest`
-of its contents.  The digest is the document half of a plan-cache key:
-two documents with identical statistics plan identically, and any update
-that changes the statistics changes the digest — which is what lets
-``session.apply_update`` invalidate exactly the plans that were optimized
-for the old contents.
+columns where the SQLite backend shreds the document, and
+:func:`apply_delta_to_stats` keeps them current across incremental
+updates.
 """
 
 from __future__ import annotations
 
-import hashlib
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +24,7 @@ from repro.xml.forest import is_element_label
 
 #: Depth histogram entries beyond this depth are folded into the last
 #: bucket; real documents rarely nest deeper, and a bounded histogram
-#: keeps digests and estimates O(1) in document depth.
+#: keeps estimates O(1) in document depth.
 MAX_DEPTH_BUCKETS = 64
 
 
@@ -45,9 +38,7 @@ class DocumentStats:
     per element node, ``elements`` the number of element nodes it divides
     by.  ``avg_subtree`` is the mean subtree size over all nodes — exactly
     ``Σ(depth+1)/nodes``, since each node contributes one tuple to every
-    ancestor-or-self subtree.  ``label_hash`` is the label half of the
-    digest: the sum, modulo 2⁶⁴, of one hash per ``(label, count)`` pair,
-    so an update adjusts it for the labels it touches and nothing else.
+    ancestor-or-self subtree.
     """
 
     nodes: int
@@ -56,9 +47,7 @@ class DocumentStats:
     label_counts: Mapping[str, int] = field(default_factory=dict)
     depth_histogram: tuple[int, ...] = ()
     fanout: float = 0.0
-    digest: str = ""
     elements: int = 0
-    label_hash: int = 0
 
     @property
     def max_depth(self) -> int:
@@ -99,9 +88,7 @@ def collect_stats(rel, width: int) -> DocumentStats:
     label_counts = dict(Counter(rel.s.tolist()))
     return _finished(
         nodes, width, histogram, label_counts,
-        elements=int(np.count_nonzero(rel.c & KIND_MASK == ELEMENT)),
-        label_hash=int(_pair_hashes(list(label_counts),
-                                    list(label_counts.values())).sum()))
+        elements=int(np.count_nonzero(rel.c & KIND_MASK == ELEMENT)))
 
 
 def apply_delta_to_stats(stats: DocumentStats,
@@ -109,11 +96,10 @@ def apply_delta_to_stats(stats: DocumentStats,
     """Statistics after an incremental update.
 
     Produces exactly what :func:`collect_stats` would compute over the
-    spliced relation — same counts, same histogram folding, same digest —
-    without touching the unaffected rows (the property suite in
+    spliced relation — same counts, same histogram folding — without
+    touching the unaffected rows (the property suite in
     ``tests/test_update_delta.py`` pins the equivalence).  The work is
-    O(delta) — at most two pair hashes per distinct label the delta
-    touches — beside one copy of the ``label_counts`` dictionary, which
+    O(delta) beside one copy of the ``label_counts`` dictionary, which
     is as large as the document's vocabulary.  Only valid for
     :attr:`~repro.encoding.updates.UpdateDelta.incremental` deltas; a
     relabel moves every endpoint and requires a fresh collection pass.
@@ -124,23 +110,13 @@ def apply_delta_to_stats(stats: DocumentStats,
     inserted = [row[0] for row in delta.inserted]
     change = Counter(inserted)
     change.subtract(delta.deleted_labels)
-    touched = [label for label, difference in change.items() if difference]
     label_counts = dict(stats.label_counts)
-    # The touched labels' (label, count) pairs leave the hash sum as they
-    # were and enter it as they become.
-    before = [label for label in touched if label in label_counts]
-    counts = [label_counts[label] for label in before]
-    for label in touched:
-        count = label_counts.get(label, 0) + change[label]
+    for label, difference in change.items():
+        count = label_counts.get(label, 0) + difference
         if count > 0:
             label_counts[label] = count
         else:
             label_counts.pop(label, None)
-    after = [label for label in touched if label in label_counts]
-    counts += [label_counts[label] for label in after]
-    hashes = _pair_hashes(before + after, counts)
-    label_hash = (stats.label_hash - int(hashes[:len(before)].sum())
-                  + int(hashes[len(before):].sum())) % 2 ** 64
     histogram = list(stats.depth_histogram)
     # collect_stats folds depths ≥ MAX_DEPTH_BUCKETS into the last bucket
     # (depth never exceeds nodes - 1, so small documents are unaffected).
@@ -156,21 +132,15 @@ def apply_delta_to_stats(stats: DocumentStats,
                 - sum(map(is_element_label, delta.deleted_labels)))
     return _finished(
         stats.nodes + len(inserted) - len(delta.deleted_labels),
-        delta.new_width, histogram, label_counts, elements, label_hash)
+        delta.new_width, histogram, label_counts, elements)
 
 
 def _finished(nodes: int, width: int, histogram: list[int],
-              label_counts: dict[str, int], elements: int,
-              label_hash: int) -> DocumentStats:
-    """The statistics record, derived fields and digest (stable across
-    processes, 16 hex characters) filled in."""
+              label_counts: dict[str, int], elements: int) -> DocumentStats:
+    """The statistics record with its derived fields filled in."""
     while histogram and histogram[-1] == 0:
         histogram.pop()
     roots = histogram[0] if histogram else 0
-    hasher = hashlib.sha256()
-    hasher.update(f"{nodes}|{int(width)}|{roots}|".encode())
-    hasher.update(",".join(map(str, histogram)).encode())
-    hasher.update(f"|{label_hash:016x}".encode())
     return DocumentStats(
         nodes=nodes,
         width=int(width),
@@ -178,46 +148,5 @@ def _finished(nodes: int, width: int, histogram: list[int],
         label_counts=label_counts,
         depth_histogram=tuple(histogram),
         fanout=(nodes - roots) / elements if elements else 0.0,
-        digest=hasher.hexdigest()[:16],
         elements=elements,
-        label_hash=label_hash,
     )
-
-
-def _pair_hashes(labels: Sequence[str], counts: Sequence[int]) -> np.ndarray:
-    """One 64-bit hash per ``(label, count)`` pair, given as two columns.
-
-    Their sum modulo 2⁶⁴ is the label half of the digest: independent of
-    order, and adjustable pair by pair.  Every process must compute the
-    same values, which rules out ``hash()`` (salted per process), and a
-    ``hashlib`` object per pair costs more than the sorted single-hasher
-    pass this replaces (12.9 against 10.7 ms over 15,411 labels): the two
-    halves of a word are the label's CRC-32 and Adler-32, the count is
-    added times an odd constant, and splitmix64's finaliser scatters it.
-    Nothing here allocates a container per pair — fifteen thousand tuples
-    are enough to set off a full collection over the loaded document.
-    """
-    texts = [label.encode() for label in labels]
-    size = len(texts)
-    word = (np.fromiter(map(zlib.crc32, texts), np.uint64, size)
-            | np.fromiter(map(zlib.adler32, texts), np.uint64, size)
-            << np.uint64(32))
-    word += np.array(counts, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    word = (word ^ word >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
-    word = (word ^ word >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-    return word ^ word >> np.uint64(31)
-
-
-def combine_digests(stats_by_var: Mapping[str, DocumentStats],
-                    variables: Iterable[str]) -> str:
-    """The combined stats digest over the document variables a plan reads.
-
-    Variables without collected statistics contribute a fixed marker, so
-    a plan built before its documents were prepared never shares a cache
-    key with one built after.
-    """
-    hasher = hashlib.sha256()
-    for var in sorted(set(variables)):
-        stats = stats_by_var.get(var)
-        hasher.update(f"{var}={stats.digest if stats else '?'};".encode())
-    return hasher.hexdigest()[:16]

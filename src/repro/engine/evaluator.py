@@ -129,9 +129,8 @@ class DIEngine:
         self.stats = stats
         self._validate = validate
         #: When a dict is supplied, every evaluated plan node records its
-        #: actual output tuple count under ``id(node)`` — the feedback the
-        #: cost-based planner folds into its next round (see
-        #: :mod:`repro.compiler.cache`).
+        #: actual output tuple count under ``id(node)`` — what EXPLAIN
+        #: ANALYZE renders (``explain_plan(annotations=…)``).
         self._observed = observed
         self._base: EnvSeq | None = None
         if tracer is not None and not tracer.enabled:
@@ -585,16 +584,6 @@ class DIEngine:
         bound = self._kernel("expand_variable", kernels.expand_variable,
                              source_rel, source_width, inner_index)
         inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
-        if node.inner_filter is not None:
-            # Select pushdown: filter the inner expansion before any key
-            # is computed or pair materialized — dropped environments
-            # simply never match (deep-Equal padding sees the filtered
-            # index, so they cannot sneak back in as empty-key matches).
-            satisfied = self._eval_condition(node.inner_filter, inner_seq)
-            inner_index = [i for i in inner_index if i in satisfied]
-            bound = self._kernel("filter_by_index", kernels.filter_by_index,
-                                 bound, source_width, inner_index)
-            inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
         inner_rel, inner_width = self.evaluate(node.key_inner, inner_seq)
         outer_rel, outer_width = self.evaluate(node.key_outer, seq)
 

@@ -13,8 +13,8 @@ setup.
 carries only a phase-level span tree (a handful of spans — no
 per-operator instrumentation unless the caller traced explicitly).  At
 completion the recorder decides whether the run was *anomalous* — slow
-(``slow_seconds`` threshold), errored, degraded to a fallback backend,
-or plan-cache-evicting — and only then retains the span tree on the
+(``slow_seconds`` threshold), errored, or degraded to a fallback
+backend — and only then retains the span tree on the
 record and emits one structured slow-query log line
 (:func:`repro.obs.logs.log_slow_query`).  Healthy fast queries drop
 their spans immediately, so the buffer costs O(capacity) regardless of
@@ -194,9 +194,6 @@ class QueryRecord:
     guard_verdict: str | None = None
     plan_cache: str | None = None   #: "hit" / "miss" (engine backend)
     plan_fingerprint: str | None = None
-    #: Worst est-vs-observed cardinality ratio known to the plan cache.
-    cardinality_deviation: float | None = None
-    plan_evicted: bool = False      #: observation evicted the cached plan
     sampled: bool = False
     sample_reasons: tuple[str, ...] = ()
     #: Full span tree, retained only for tail-sampled records.
@@ -226,8 +223,6 @@ class QueryRecord:
             "guard_verdict": self.guard_verdict,
             "plan_cache": self.plan_cache,
             "plan_fingerprint": self.plan_fingerprint,
-            "cardinality_deviation": self.cardinality_deviation,
-            "plan_evicted": self.plan_evicted,
             "sampled": self.sampled,
             "sample_reasons": list(self.sample_reasons),
             "thread": self.thread,
@@ -452,7 +447,6 @@ class FlightRecorder:
         if guard is not None:
             guard_verdict = outcome if outcome in ("timeout", "budget") \
                 else "ok"
-        deviation = extra.get("card_deviation")
         record = QueryRecord(
             seq=0,  # assigned under the lock below
             fingerprint=query_fingerprint(query),
@@ -469,9 +463,6 @@ class FlightRecorder:
             guard_verdict=guard_verdict,
             plan_cache=extra.get("plan_cache"),  # type: ignore[arg-type]
             plan_fingerprint=extra.get("plan_fingerprint"),  # type: ignore[arg-type]
-            cardinality_deviation=(float(deviation)
-                                   if deviation is not None else None),
-            plan_evicted=bool(extra.get("plan_evicted", False)),
             thread=threading.current_thread().name,
             worker=str(extra.get("worker", "") or ""),
             unix_time=time.time(),
@@ -568,8 +559,6 @@ class FlightRecorder:
             reasons.append("error")
         if record.degradations:
             reasons.append("degraded")
-        if record.plan_evicted:
-            reasons.append("plan-evicted")
         return tuple(reasons)
 
     def _observe_latency(self, record: QueryRecord) -> None:

@@ -9,8 +9,8 @@ Library modules log under ``repro.*`` (``repro.session``,
 The **slow-query log** also lives here: the flight recorder
 (:mod:`repro.obs.flight`) emits one structured ``key=value`` line per
 tail-sampled query on the ``repro.slowlog`` logger — greppable, one
-record per line, carrying the plan fingerprint and the est-vs-observed
-cardinality deviation the plan cache knows about.
+record per line, carrying the plan fingerprint and whether the plan
+cache hit.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ def format_slow_query(record: "QueryRecord") -> str:
         pairs.append(("plan", record.plan_fingerprint))
     if record.plan_cache:
         pairs.append(("plan_cache", record.plan_cache))
-    if record.cardinality_deviation is not None:
-        pairs.append(("est_vs_obs", round(record.cardinality_deviation, 3)))
-    if record.plan_evicted:
-        pairs.append(("plan_evicted", "true"))
     if record.degradations:
         pairs.append(("degraded_from",
                       ";".join(record.degradations)))

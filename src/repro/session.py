@@ -966,24 +966,20 @@ class XQuerySession:
     def explain(self, query: str,
                 strategy: str | JoinStrategy | None = None,
                 verbose: bool = False, analyze: bool = False) -> str:
-        """The physical plan, annotated when the engine backend has data.
+        """The physical plan the engine backend runs for ``query``.
 
-        ``analyze=True`` runs the query once (traced) on the engine
-        backend so observed per-node tuple counts flow into the plan
-        cache, then replans with the observations folded in — the
-        rendered plan shows ``est N → obs M tuples`` per node wherever
-        the estimate was corrected.
+        ``analyze=True`` (EXPLAIN ANALYZE) runs the engine's cached plan
+        once and shows ``obs N tuples`` on every node it evaluated; the
+        plan cache is left as it was found.
         """
         compiled = self.prepare(query)
         if not analyze:
             return compiled.explain(self._strategy(strategy), verbose=verbose)
-        self.run(query, backend="engine", strategy=strategy, trace=True)
         target = self.backend_instance("engine")
         options = ExecutionOptions(strategy=self._strategy(strategy))
         with self._state_lock.read_locked():
             target.prepare(self._prepare_bindings(compiled))
-            optimized = target.analyze_for(compiled, options)
-        rendered = optimized.explain()
+            rendered = target.analyze(compiled, options)
         if not verbose:
             return rendered
         return (f"{compiled.trace.render(verbose=True)}\n\n"

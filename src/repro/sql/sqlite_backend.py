@@ -216,8 +216,7 @@ class SQLiteDatabase:
         (the range predicate is exactly the delta's inclusive left-endpoint
         bounds, served by the ``l`` primary key) plus one batched
         ``INSERT`` for the contiguous run of new rows, whose depths the
-        delta carries.  Statistics are maintained incrementally, digest
-        included.
+        delta carries.  Statistics are maintained incrementally.
         """
         if name not in self._documents:
             raise ExecutionError(f"document {name!r} is not loaded")

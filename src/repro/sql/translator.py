@@ -308,9 +308,8 @@ class SQLTranslator:
         """Reassociate an ``And`` chain cheapest-conjunct-first.
 
         Conjunction is commutative and none of the translated predicates
-        can error, so emission order is free to choose; ranking uses the
-        same cost arithmetic as the engine planner
-        (:func:`repro.compiler.cost.condition_weight`).  Without a
+        can error, so emission order is free to choose; ranking uses
+        :func:`repro.compiler.cost.condition_weight`.  Without a
         statistics map the ranking still orders by condition class
         (occupancy checks before key-set comparisons).
         """

@@ -87,7 +87,7 @@ class TestDocFilesExist:
         assert "# Incremental updates" in text
         for term in ("UpdateDelta", "deleted_ranges", "relabeled",
                      "delta.wrapped()", "deltas_since", "delta_updates",
-                     "apply_delta_to_stats", "migrate_document",
+                     "apply_delta_to_stats", "CacheKey",
                      "incremental=False",
                      "repro_session_delta_updates_total",
                      "repro_update_lock_hold_seconds",

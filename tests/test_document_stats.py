@@ -1,13 +1,9 @@
-"""Tests for encode-time document statistics (repro.encoding.stats)."""
+"""Tests for per-document statistics (repro.encoding.stats)."""
 
 from __future__ import annotations
 
 from repro.encoding.interval import encode, encode_columns
-from repro.encoding.stats import (
-    DocumentStats,
-    collect_stats,
-    combine_digests,
-)
+from repro.encoding.stats import collect_stats
 from repro.xml.text_parser import parse_forest
 
 SAMPLE = (
@@ -70,33 +66,6 @@ class TestCollectStats:
         stats = collect_stats(rel, width)
         assert stats.roots == 2
         assert stats.nodes == 2
-
-
-class TestDigest:
-    def test_digest_stable(self):
-        forest = parse_forest(SAMPLE)
-        rel, width = _both_representations(forest)[0]
-        assert collect_stats(rel, width).digest \
-            == collect_stats(rel, width).digest
-
-    def test_digest_changes_with_content(self):
-        first = parse_forest(SAMPLE)
-        second = parse_forest(SAMPLE.replace("bob", "eve"))
-        stats = [collect_stats(rel, width)
-                 for rel, width in (_both_representations(first)[0],
-                                    _both_representations(second)[0])]
-        assert stats[0].digest != stats[1].digest
-
-    def test_combine_digests_order_insensitive(self):
-        stats = DocumentStats(nodes=1, width=2, roots=1, digest="abc")
-        by_var = {"x": stats, "y": stats}
-        assert combine_digests(by_var, ("x", "y")) \
-            == combine_digests(by_var, ("y", "x"))
-
-    def test_combine_digests_marks_unprepared(self):
-        stats = DocumentStats(nodes=1, width=2, roots=1, digest="abc")
-        assert combine_digests({"x": stats}, ("x",)) \
-            != combine_digests({}, ("x",))
 
 
 class TestDerived:

@@ -4,7 +4,8 @@ Every drawn case — a query of ``strategies.JOIN_FAMILY`` over a
 two-collection document whose records carry flat, attribute, repeated,
 missing and tree-valued keys — must get the Figure 3 interpreter's
 answer, byte for byte, from the DI engine under both join strategies,
-with and without cost-based planning, every plan node validated, under
+with and without the join-body isolation rule, every plan node
+validated, under
 the real int64 limit and under a 10-bit one (so ``renormalise`` and the
 pair-index compaction run; what then fits neither way may be refused
 with ``WidthOverflowError``, never answered wrongly), from SQLite, and
@@ -23,8 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import XQuerySession
-from repro.backends import engine as engine_backend
-from repro.backends.base import ExecutionOptions
+from repro.compiler.pipeline import optimize_stage, plan_stage
 from repro.compiler.plan import JoinStrategy
 from repro.engine.evaluator import DIEngine
 from repro.errors import WidthOverflowError
@@ -39,13 +39,6 @@ from tests.strategies import (
 )
 
 
-class ValidatingEngine(DIEngine):
-    """What the engine backend runs here: every node result checked."""
-
-    def __init__(self, **options):
-        super().__init__(validate=True, **options)
-
-
 @pytest.fixture(scope="module")
 def session():
     with pytest.MonkeyPatch.context() as patch:
@@ -55,8 +48,7 @@ def session():
 
 
 @pytest.fixture
-def int64_bits(request, shrink_int64, monkeypatch):
-    monkeypatch.setattr(engine_backend, "DIEngine", ValidatingEngine)
+def int64_bits(request, shrink_int64):
     return request.param, shrink_int64(request.param)
 
 
@@ -70,21 +62,21 @@ def answers(session: XQuerySession, query: str, bits: int) -> dict[str, str]:
     Under the 10-bit limit a case may be one that fits neither way; the
     typed refusal is then the answer (``REFUSED``), never a wrong one.
     """
-    engine = session.backend_instance("engine")
     compiled = session.prepare(query)
-    engine.prepare({var: document_forest(session.document(uri))
-                    for uri, var in compiled.documents.items()})
+    bindings = {var: document_forest(session.document(uri))
+                for uri, var in compiled.documents.items()}
     found = {}
     for strategy in JoinStrategy:
-        for optimize in (True, False):
+        syntactic = plan_stage(compiled.core, strategy,
+                               base_vars=compiled.documents.values())
+        for rule, plan in (("isolated", optimize_stage(syntactic)),
+                           ("syntactic", syntactic)):
             try:
-                answer = forest_to_xml(engine.execute(
-                    compiled, ExecutionOptions(strategy=strategy,
-                                               optimize=optimize)))
+                answer = forest_to_xml(
+                    DIEngine(validate=True).run_plan(plan, bindings))
             except WidthOverflowError:
                 answer = REFUSED
-            found[f"engine {strategy.value} optimize={optimize} "
-                  f"{bits} bits"] = answer
+            found[f"engine {strategy.value} {rule} {bits} bits"] = answer
     if bits == 63:  # the other backends never see the engine's limit
         for backend in ("sqlite", "procpool"):
             found[backend] = session.run(query, backend=backend).to_xml()

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.compiler.joingraph import (
-    analyze_join,
-    join_graph,
-    merge_conjuncts,
-    split_conjuncts,
-)
+from repro.compiler.joingraph import analyze_join, join_graph
 from repro.compiler.plan import (
     AndCond,
     EmptyCond,
@@ -33,32 +28,6 @@ def _join(var="x", body=None, residual=None):
     )
 
 
-class TestConjuncts:
-    def test_split_none(self):
-        assert split_conjuncts(None) == []
-
-    def test_split_single(self):
-        cond = EmptyCond(VarNode("x"))
-        assert split_conjuncts(cond) == [cond]
-
-    def test_split_nested_and(self):
-        a, b, c = (EmptyCond(VarNode(name)) for name in "abc")
-        assert split_conjuncts(AndCond(AndCond(a, b), c)) == [a, b, c]
-        assert split_conjuncts(AndCond(a, AndCond(b, c))) == [a, b, c]
-
-    def test_merge_roundtrip(self):
-        a, b, c = (EmptyCond(VarNode(name)) for name in "abc")
-        merged = merge_conjuncts([a, b, c])
-        assert split_conjuncts(merged) == [a, b, c]
-
-    def test_merge_empty_is_none(self):
-        assert merge_conjuncts([]) is None
-
-    def test_merge_single_is_identity(self):
-        cond = EmptyCond(VarNode("x"))
-        assert merge_conjuncts([cond]) is cond
-
-
 class TestAnalyzeJoin:
     def test_isolable_body(self):
         analysis = analyze_join(_join(body=_sel("x", "<name>")))
@@ -71,18 +40,11 @@ class TestAnalyzeJoin:
         assert not analysis.isolable
         assert analysis.required_outer == {"y"}
 
-    def test_inner_only_conjunct_sinks(self):
-        inner = EmptyCond(_sel("x", "<flag>"))
-        analysis = analyze_join(_join(residual=inner))
-        assert analysis.inner_conjuncts == (inner,)
-        assert analysis.residual_conjuncts == ()
-
     def test_mixed_conjunction_partitions(self):
         inner = EmptyCond(_sel("x", "<flag>"))
         outer = SomeEqualCond(VarNode("x"), VarNode("z"))
         analysis = analyze_join(_join(residual=AndCond(inner, outer)))
-        assert analysis.inner_conjuncts == (inner,)
-        assert analysis.residual_conjuncts == (outer,)
+        assert analysis.isolable
         # z is needed on the pair sequence; the join variable never is.
         assert analysis.required_outer == {"z"}
 

@@ -1,12 +1,12 @@
-"""Cost-based planning is semantically transparent.
+"""Join-body isolation is semantically transparent.
 
-The optimizer may isolate join bodies, sink inner-only conjuncts below
-the pair match, reorder conjunctions, and reorder joins — but the result
-forest must be *identical* to the faithful syntactic plan
-(``optimize=False``), on every backend, for every document.  A fixed
-query family covers each rewrite the planner can apply (decorrelated
-nested FLWORs with residuals, inner-only conjuncts, count-wrapped
-joins); a Hypothesis layer replays the family over random forests.
+The isolation rule (``optimize_stage``) rewrites every join whose body
+reads only its join variable — but the result forest must be
+*identical* to the faithful syntactic plan (``plan_stage`` alone), and
+to every backend, for every document.  A fixed query family covers
+decorrelated nested FLWORs with residuals, inner-only conjuncts,
+count-wrapped joins and a body that cannot be isolated; a Hypothesis
+layer replays the family over random forests.
 """
 
 from __future__ import annotations
@@ -14,16 +14,20 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import XQuerySession
-from repro.backends.base import ExecutionOptions, coerce_strategy
+from repro import XQuerySession, compile_xquery
+from repro.api import as_forest
+from repro.backends.base import coerce_strategy
+from repro.compiler.pipeline import optimize_stage, plan_stage
+from repro.engine.evaluator import DIEngine
 from repro.xmark.queries import FIGURE1_SAMPLE
+from repro.xquery.lowering import document_forest
 
 from tests.strategies import forests
 
 DOC = "d.xml"
 
-#: Each query exercises at least one planner rewrite when run against a
-#: document where the predicates actually match.
+#: Each query produces output on a document where the predicates
+#: actually match.
 QUERIES = {
     # Decorrelated nested FLWOR: isolable body, equality residual.
     "join": (
@@ -31,27 +35,28 @@ QUERIES = {
         f'for $y in document("{DOC}")/r/b '
         f'where $x/c = $y/c return <m>{{$y/c}}</m>'
     ),
-    # Inner-only second conjunct: select pushdown below the pair match,
-    # and a conjunction for the Where/SQL reordering path.
+    # Inner-only second conjunct: it stays in the residual on the pair
+    # sequence, and the conjunction exercises the SQL reordering path.
     "pushdown": (
         f'for $x in document("{DOC}")/r/a '
         f'for $y in document("{DOC}")/r/b '
         f'where $x/c = $y/c and $y/c = "x" return $x'
     ),
-    # Aggregate over the join output: exercises interchange decisions.
+    # Aggregate over the join output.
     "count": (
         f'count(for $x in document("{DOC}")/r/a '
         f'for $y in document("{DOC}")/r/b '
         f'where $x/c = $y/c return $y)'
     ),
-    # Three-way chain: join ordering.
+    # Three-way chain: the innermost loop becomes an isolated join whose
+    # residual reads both outer bindings.
     "chain": (
         f'for $x in document("{DOC}")/r/a '
         f'for $y in document("{DOC}")/r/b '
         f'for $z in document("{DOC}")/r/c '
         f'where $x/c = $y/c and $y/c = $z/c return <t>{{$z}}</t>'
     ),
-    # Body reads the outer binding too: NOT isolable — the planner must
+    # Body reads the outer binding too: NOT isolable — the rule must
     # leave it alone, and the conservative path must still be correct.
     "correlated-body": (
         f'for $x in document("{DOC}")/r/a '
@@ -73,16 +78,13 @@ BACKENDS = ("engine", "interpreter", "naive", "sqlite")
 
 
 def _engine_pair(query, document, strategy):
-    """(optimized, syntactic) result forests from the engine backend."""
-    with XQuerySession() as session:
-        session.add_document(DOC, document)
-        optimized = session.run(query, strategy=strategy).forest
-        compiled = session.prepare(query)
-        engine = session.backend_instance("engine")
-        options = ExecutionOptions(strategy=coerce_strategy(strategy),
-                                   optimize=False)
-        syntactic = engine.execute(compiled, options)
-        return optimized, syntactic
+    """(rule applied, rule not applied) result forests from ``DIEngine``."""
+    compiled = compile_xquery(query)
+    syntactic = plan_stage(compiled.core, coerce_strategy(strategy),
+                           base_vars=compiled.documents.values())
+    bindings = {compiled.documents[DOC]: document_forest(as_forest(document))}
+    return tuple(DIEngine().run_plan(plan, bindings)
+                 for plan in (optimize_stage(syntactic), syntactic))
 
 
 class TestFixedFamily:

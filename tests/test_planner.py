@@ -1,18 +1,29 @@
-"""Tests for plan compilation and the Section 5 decorrelation rewrite."""
+"""Tests for plan compilation, the Section 5 decorrelation rewrite and
+the join-body isolation rule."""
 
+import dataclasses
+
+import pytest
+
+from repro import compile_xquery
 from repro.compiler.decorrelate import (
     join_conjuncts,
     match_join,
     split_conjuncts,
 )
+from repro.compiler.joingraph import analyze_join
+from repro.compiler.pipeline import optimize_stage, plan_stage
 from repro.compiler.plan import (
+    CondPlan,
     FnNode,
     ForNode,
     JoinForNode,
     JoinStrategy,
     LetNode,
+    PlanNode,
     VarNode,
     WhereNode,
+    iter_plan,
 )
 from repro.compiler.planner import compile_plan, explain_plan, plan_free
 from repro.xquery.ast import (
@@ -251,3 +262,55 @@ class TestExplain:
         core = Where(And(Empty(Var("a")), Not(Empty(Var("b")))), Var("a"))
         text = explain_plan(compile_plan(core, JoinStrategy.MSJ))
         assert "And" in text and "Not" in text and "Empty" in text
+
+
+def _erase(value):
+    """``value`` with every field the isolation rule sets at its default."""
+    if isinstance(value, (PlanNode, CondPlan)):
+        fields = {field.name: _erase(getattr(value, field.name))
+                  for field in dataclasses.fields(value)}
+        for name in ("required_outer", "body_free"):
+            if name in fields:
+                fields[name] = frozenset()
+        if "isolate" in fields:
+            fields["isolate"] = False
+        return type(value)(**fields)
+    if isinstance(value, tuple):
+        return tuple(_erase(item) for item in value)
+    return value
+
+
+def _rule_texts():
+    from repro.xmark.queries import EXTRA_QUERIES, QUERIES
+    from tests.strategies import JOIN_FAMILY, JOIN_SOURCES
+
+    texts = {**QUERIES, **EXTRA_QUERIES}
+    texts.update({shape: template % {**JOIN_SOURCES, "K": "k"}
+                  for shape, template in JOIN_FAMILY.items()})
+    return texts
+
+
+class TestIsolationRule:
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    @pytest.mark.parametrize("name", sorted(_rule_texts()))
+    def test_every_isolable_join_and_nothing_else(self, name, strategy):
+        """``optimize_stage`` isolates exactly the joins whose body reads
+        only the join variable, drops their outer keys' copies, and
+        changes nothing else about the syntactic plan."""
+        compiled = compile_xquery(_rule_texts()[name])
+        syntactic = plan_stage(compiled.core, strategy,
+                               base_vars=compiled.documents.values())
+        optimized = optimize_stage(syntactic)
+        assert _erase(optimized) == _erase(syntactic)
+        for node in iter_plan(optimized):
+            if isinstance(node, JoinForNode):
+                analysis = analyze_join(node)
+                assert node.isolate == analysis.isolable
+                assert node.required_outer == analysis.required_outer
+
+    @pytest.mark.parametrize("name", ["Q1", "Q8", "Q8_ORIGINAL", "Q9"])
+    def test_the_rule_isolates_the_join_texts(self, name):
+        plan = optimize_stage(compile_xquery(_rule_texts()[name]).plan())
+        joins = [node for node in iter_plan(plan)
+                 if isinstance(node, JoinForNode)]
+        assert joins and all(node.isolate for node in joins)

@@ -106,44 +106,6 @@ def echo_child():
     parent.close()
 
 
-def _stats_child(conn, columns: IntervalColumns, width: int) -> None:
-    """Collect statistics over a relation that arrived by pickle and send
-    them home.  Top-level so spawn can import it."""
-    from repro.encoding.stats import collect_stats
-
-    conn.send(collect_stats(columns, width))
-    conn.close()
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_stats_digest_agrees_across_processes(start_method):
-    """The digest is half of a plan-cache key on both sides of the pipe,
-    so no per-process salt may enter it: a spawned child has its own
-    string-hash seed, and collects the same statistics."""
-    import multiprocessing
-
-    from repro.encoding.stats import collect_stats
-
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{start_method} unavailable")
-    columns, width = _encoding(generate_document(0.001, seed=7))
-    context = multiprocessing.get_context(start_method)
-    parent, child = context.Pipe()
-    process = context.Process(target=_stats_child,
-                              args=(child, columns, width), daemon=True)
-    process.start()
-    child.close()
-    try:
-        assert parent.poll(60), "child sent no statistics"
-        theirs = parent.recv()
-    finally:
-        process.join(timeout=10)
-        parent.close()
-    assert not process.is_alive()
-    assert theirs == collect_stats(columns, width)
-    assert theirs.digest and theirs.label_hash
-
-
 #: Rows with endpoints up to the top of the int64 range and labels of
 #: every class that may contain NUL or be empty: the segment's label table
 #: is delimited by lengths, so all of them — and no rows at all — go

@@ -4,9 +4,18 @@ import pytest
 
 from repro.errors import ReproError
 from repro.session import XQuerySession
-from repro.xmark.queries import FIGURE1_SAMPLE
+from repro.xmark.queries import EXTRA_QUERIES, FIGURE1_SAMPLE, QUERIES
 
 NAMES = 'document("a.xml")/site/people/person/name/text()'
+XMARK_TEXTS = {**QUERIES, **EXTRA_QUERIES}
+
+
+@pytest.fixture(scope="module")
+def xmark_text():
+    from repro.xmark.generator import generate_document
+    from repro.xml.serializer import forest_to_xml
+
+    return forest_to_xml(generate_document(0.001, seed=42))
 
 
 @pytest.fixture
@@ -131,6 +140,42 @@ class TestQuerying:
 
     def test_explain(self, session):
         assert "Fn:select" in session.explain(NAMES)
+
+    @pytest.mark.parametrize("strategy", ["msj", "nlj"])
+    @pytest.mark.parametrize("name", sorted(XMARK_TEXTS))
+    def test_explain_shows_the_plan_run_executes(self, name, strategy,
+                                                 xmark_text):
+        from repro.backends.base import ExecutionOptions, coerce_strategy
+        from repro.compiler.planner import explain_plan
+
+        query = XMARK_TEXTS[name]
+        with XQuerySession() as active:
+            active.add_document("auction.xml", xmark_text)
+            active.run(query, strategy=strategy)
+            engine = active.backend_instance("engine")
+            executed = engine.plan_for(
+                active.prepare(query),
+                ExecutionOptions(strategy=coerce_strategy(strategy)))
+            assert active.explain(query, strategy=strategy) \
+                == explain_plan(executed)
+
+    def test_explain_analyze_leaves_the_plan_cache_alone(self):
+        from repro.xmark.queries import Q8
+
+        with XQuerySession() as active:
+            active.add_document("auction.xml", FIGURE1_SAMPLE)
+            active.run(Q8)
+            cache = active.backend_instance("engine").plan_cache
+            (key,) = cache.keys()
+            plan = cache.peek(key)
+            before = cache.snapshot()
+            for _ in range(2):
+                analyzed = active.explain(Q8, analyze=True)
+                assert "isolated body" in analyzed
+                assert "obs 2 tuples" in analyzed
+            assert cache.keys() == [key]
+            assert cache.peek(key) is plan
+            assert cache.snapshot() == before
 
     def test_profile(self, session):
         profile = session.profile(NAMES)

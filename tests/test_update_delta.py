@@ -11,8 +11,8 @@ against the obvious oracle:
   snapshot rows;
 * ``splice_columns`` over :class:`IntervalColumns` ≡ columns rebuilt
   from the snapshot, depth and name-code columns included;
-* ``apply_delta_to_stats`` ≡ ``collect_stats`` on the spliced relation —
-  digest included, so the plan cache cannot tell the paths apart;
+* ``apply_delta_to_stats`` ≡ ``collect_stats`` on the spliced relation,
+  so the SQL translator ranks conjuncts the same either way;
 * SQLite's ranged ``DELETE`` + batched ``INSERT`` ≡ re-shredding the
   table from scratch — the carried ``e`` and ``d`` columns included;
 * the session's incremental ``apply_update`` ≡ the full re-encode path
@@ -230,7 +230,7 @@ class TestDeltaOracle:
         final_rows = wrap_document_rows(final.encoded)
         oracle = collect_stats(IntervalColumns.from_tuples(final_rows),
                                final.encoded.width + 2)
-        assert stats == oracle  # digest equality included
+        assert stats == oracle  # every field, label counts included
 
     @settings(max_examples=25, deadline=None)
     @given(edit_scripts())
@@ -272,7 +272,7 @@ class TestDeltaOracle:
 
 
 class TestStatsUpkeepIsDeltaSized:
-    """``apply_delta_to_stats`` along long chains, and what it costs."""
+    """``apply_delta_to_stats`` along long chains."""
 
     @staticmethod
     def _wrapped(doc: UpdatableDocument):
@@ -284,7 +284,7 @@ class TestStatsUpkeepIsDeltaSized:
         """Two dozen deltas and more under one parent, drawn so that
         labels leave the vocabulary and come back (``<probe>`` starts
         absent, ``<b>`` and ``y`` with one occurrence each); after every
-        delta every field equals a fresh collection, digest included."""
+        delta every field equals a fresh collection."""
         import random
 
         rng = random.Random(seed)
@@ -322,41 +322,6 @@ class TestStatsUpkeepIsDeltaSized:
                     came_back.add(label)
         assert spliced >= 24 and came_back
         assert columns.tuples() == self._wrapped(doc)[0].tuples()
-
-    @pytest.mark.parametrize("vocabulary", [3, 3000])
-    def test_hashes_only_the_labels_the_delta_touches(self, monkeypatch,
-                                                      vocabulary):
-        """A count that repeats exactly, whatever the vocabulary: at most
-        two pair hashes (old count out, new count in) per distinct label
-        the delta touches."""
-        from repro.encoding import stats as stats_module
-
-        doc = UpdatableDocument.from_forest(make_forest(element("a", [
-            element("t", [text(f"value {number}")])
-            for number in range(vocabulary)])), stride=64)
-        columns, width = self._wrapped(doc)
-        stats = collect_stats(columns, width)
-        assert len(stats.label_counts) == vocabulary + 3
-        hashed = []
-        pair_hashes = stats_module._pair_hashes
-
-        def counting(labels, counts):
-            hashed.extend(zip(labels, counts))
-            return pair_hashes(labels, counts)
-
-        monkeypatch.setattr(stats_module, "_pair_hashes", counting)
-        # <t> 'value 0' (both known: out and in) and <new> 'fresh' (in).
-        inserted = doc.insert_child(doc.encoded.tuples[0][1], 0, [
-            element("t", [text("value 0")]), element("new", [text("fresh")])])
-        after = apply_delta_to_stats(stats, inserted.last_delta.wrapped())
-        assert sorted(hashed) == [
-            ("<new>", 1), ("<t>", vocabulary), ("<t>", vocabulary + 1),
-            ("fresh", 1), ("value 0", 1), ("value 0", 2)]
-        del hashed[:]
-        victim = inserted.last_delta.inserted[2][1]   # the <new> subtree
-        deleted = inserted.delete_subtree(victim)
-        apply_delta_to_stats(after, deleted.last_delta.wrapped())
-        assert sorted(hashed) == [("<new>", 1), ("fresh", 1)]
 
 
 class TestNoRowFormOnTheWritePath:
