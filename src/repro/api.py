@@ -29,8 +29,9 @@ shows each pass with its timing and before/after snapshots.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Mapping, Sequence, TypeAlias
 
 from repro.backends.base import ExecutionOptions, coerce_strategy
 from repro.backends.registry import create_backend
@@ -52,6 +53,9 @@ from repro.xml.text_parser import parse_forest
 from repro.xquery.ast import CoreExpr
 from repro.xquery.lowering import document_forest
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.flight import QueryRecord
+
 #: Document inputs accepted by the API: XML text, a node, or a forest
 #: (in either form: ``UpdatableDocument.to_forest()`` gives the preorder one).
 DocumentInput: TypeAlias = str | Node | Forest | PreorderForest
@@ -70,13 +74,18 @@ class QueryResult:
     When the query ran traced (``session.run(…, trace=True)``), ``trace``
     is the root ``query`` span covering compile → prepare → execute, and
     :meth:`to_xml` appends a ``serialize`` span under it, completing the
-    lifecycle; export with :func:`repro.obs.write_chrome_trace`.
+    lifecycle; export with :func:`repro.obs.write_chrome_trace`.  When
+    the run was flight-recorded, the first :meth:`to_xml` adds its time
+    to the record as the ``serialize`` phase.
     """
 
     def __init__(self, forest: "Forest | PreorderForest",
                  trace: Span | None = None, tracer: Tracer | None = None,
                  backend: str | None = None, degradations: tuple = ()):
         self._forest = forest
+        #: The run's flight record, until the first serialization adds
+        #: its phase (set by the session).
+        self._record: "QueryRecord | None" = None
         #: Root span of the traced run (None when tracing was off).
         self.trace = trace
         #: The tracer that produced :attr:`trace` (for follow-up spans).
@@ -100,13 +109,22 @@ class QueryResult:
 
     def to_xml(self, indent: int | None = None) -> str:
         """Serialize the result as XML text."""
+        record, self._record = self._record, None
+        start = time.perf_counter()
         if self.tracer is None or self.trace is None:
-            return forest_to_xml(self._forest, indent=indent)
-        # The root span is closed by now; parent= grafts the serialize
-        # span under it regardless of the tracer's active stack.
-        with self.tracer.span("serialize", parent=self.trace) as span:
             text = forest_to_xml(self._forest, indent=indent)
-            span.set(bytes=len(text), trees=len(self._forest))
+        else:
+            # The root span is closed by now; parent= grafts the
+            # serialize span under it regardless of the tracer's active
+            # stack.
+            with self.tracer.span("serialize", parent=self.trace) as span:
+                text = forest_to_xml(self._forest, indent=indent)
+                span.set(bytes=len(text), trees=len(self._forest))
+        if record is not None:
+            # A new dict, not an update: /debug/queries readers snapshot
+            # the record from other threads.
+            record.phases = {**record.phases,
+                             "serialize": time.perf_counter() - start}
         return text
 
     def __iter__(self):

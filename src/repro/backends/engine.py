@@ -190,8 +190,9 @@ class EngineBackend(Backend):
             # Cached encodings are immutable IntervalColumns: every kernel
             # returns fresh columns, so runs (and threads) share the cached
             # document directly — no per-run re-copy.  The result leaves
-            # as plain lists (decode copies them out of the columns), so
-            # it pins no document and no shared-memory segment.
+            # as label codes and depths (decode copies them out of the
+            # columns), so it pins no document and no shared-memory
+            # segment.
             from repro.encoding.interval import decode
 
             rel, _width = engine.run_plan_values(plan, dict(values))

@@ -39,8 +39,9 @@ class ProcPoolBackend(Backend):
     :meth:`close`.  Workers compile query text themselves (each keeps a
     compiled-query cache) and run it on the shared document encodings,
     so per-query traffic over the pipe is the query string in and the
-    result in preorder form out (its labels and depths, two flat lists:
-    no tree is built in the worker, on the pipe, or here).
+    result in preorder form out (its distinct-label table and int32 row
+    positions, depths and subtree ends: no tree is built in the worker,
+    on the pipe, or here).
 
     Limitations relative to the in-process ``engine`` backend: runs are
     not traced span-by-span across the process boundary (the flight

@@ -501,9 +501,14 @@ class ProcessQueryPool:
                 ) -> "tuple[PreorderForest, str]":
         """Run one query on one worker; returns ``(forest, worker name)``.
 
-        The reply carries the result in preorder form — its labels and
-        depths, two flat lists — so nothing recursive crosses the pipe
-        and the parent serializes it without building a tree.
+        The reply carries the result in preorder form the way
+        :func:`~repro.engine.columns.export_columns` lays out a segment:
+        its distinct labels with the worker's codes, then each row's
+        position among them, depth and subtree end as int32 bytes
+        (``PreorderForest.__reduce__``).  Nothing recursive crosses the
+        pipe; the parent adopts the labels into its own dictionary once
+        per distinct label, when it first serializes the answer, and
+        builds no tree.
         """
         spec = self._spec(query, strategy, guard)
         token, deadline, deadline_at = self._limits(spec, guard)

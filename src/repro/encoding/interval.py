@@ -173,8 +173,9 @@ def decode(encoded: "EncodedForest | Sequence[IntervalTuple] | IntervalColumns"
     Tuple rows (in any order) come back as a tuple of :class:`Node` trees.
     An :class:`~repro.engine.columns.IntervalColumns` — an engine result —
     is checked column-wise and comes back in *preorder form*
-    (:class:`~repro.xml.forest.PreorderForest`): its labels and depths as
-    two plain lists, no node built until a caller touches one.
+    (:class:`~repro.xml.forest.PreorderForest`): its label codes, depths
+    and subtree ends as int32 arrays, no label string or node built
+    until a caller asks for one.
     """
     from repro.engine.columns import IntervalColumns
 
@@ -209,7 +210,9 @@ def _decode_columns(rel: "IntervalColumns") -> PreorderForest:
     exit of one DFS): every interval must close at the nesting level it
     opened at, and that level is the row's depth.  The serializer trusts
     the carried ``d`` column, so besides the two checks the row sweep
-    makes, document order and ``d`` itself are verified here.
+    makes, document order and ``d`` itself are verified here.  The same
+    stream gives each row's subtree end: the last row opened before the
+    row closes.
     """
     l, r, d = rel.l, rel.r, rel.d
     count = len(l)
@@ -233,13 +236,18 @@ def _decode_columns(rel: "IntervalColumns") -> PreorderForest:
     opened = level[opens]
     closes = ~opens
     closing = order[closes] - count
-    bad = level[closes] != opened[closing] - 1
+    shut = level[closes]
+    bad = shut != opened[closing] - 1
     if bad.any():
         fail(closing[bad.argmax()], "partially overlaps another")
     bad = opened - 1 != d
     if bad.any():
         fail(bad.argmax(), "does not sit at the depth its d column carries")
-    return PreorderForest(rel.s.tolist(), d.tolist())
+    # After event k, (k + 1 + level) / 2 events were opens: at a close,
+    # the last of them is the closing row's last descendant.
+    end = np.empty(count, dtype=np.int32)
+    end[closing] = (closes.nonzero()[0] + shut - 1) >> 1
+    return PreorderForest(rel.c.astype(np.int32), d.astype(np.int32), end)
 
 
 def validate_encoding(rows: Sequence[IntervalTuple], width: int | None = None) -> None:

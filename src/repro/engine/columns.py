@@ -42,26 +42,21 @@ operators take and return lists only, and
 :meth:`IntervalColumns.from_tuples` / :meth:`IntervalColumns.tuples`
 are the two crossings (the first passes columns through unchanged).  A
 result leaves through :func:`repro.encoding.interval.decode`, which reads
-the columns themselves: vector checks on ``l``/``r``/``d``, then ``s``
-and ``d`` copied out as plain lists (no view of a column survives it).
+the columns themselves: vector checks on ``l``/``r``/``d``, then ``c``
+and ``d`` copied out as int32 arrays (no view of a column survives it).
 
-The label dictionary is process-wide and append-only: it holds one
-entry per distinct label ever encoded *or constructed* in the process —
-element and attribute names, text values, ``count()`` / ``string()``
-results and query literals — does not shrink when a document is dropped,
-and has room for 2²⁹ ids (``repro_label_dictionary_entries`` is its
-size).  Reads are lock-free, assignments serialize on one lock, which
-is held across ``fork``.  Codes are process-local;
-:func:`export_columns` ships a relation's distinct labels with their
-codes so an attaching worker can adopt them (or, on a clash, remap its
-copy of ``c``), and pickling re-derives ``c`` on load.  See
-docs/CONCURRENCY.md.
+The label dictionary behind ``c`` is :mod:`repro.xml.labels`
+(process-wide, append-only, lock-free reads; its names are re-exported
+here).
+Codes are process-local; :func:`export_columns` ships a relation's
+distinct labels with their codes so an attaching worker can adopt them
+(or, on a clash, remap its copy of ``c``), and pickling re-derives
+``c`` on load.  See docs/CONCURRENCY.md.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from bisect import bisect_left, bisect_right
 from itertools import count as _counter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -70,6 +65,19 @@ import numpy as np
 
 from repro.encoding.interval import IntervalTuple
 from repro.errors import WidthOverflowError
+from repro.xml.labels import (  # noqa: F401 - re-exported
+    ATTRIBUTE,
+    ELEMENT,
+    KIND_MASK,
+    TEXT,
+    _codes,
+    _label_of,
+    _names_lock,
+    adopt_labels,
+    label_codes,
+    label_dictionary_entries,
+    name_code,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.shared_memory import SharedMemory
@@ -78,96 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Largest value int64 endpoint storage holds.
 INT64_MAX = 2 ** 63 - 1
-
-# -- label codes -----------------------------------------------------------------
-
-#: Node kinds, the low two bits of a label code.
-TEXT, ELEMENT, ATTRIBUTE = 0, 1, 2
-KIND_MASK = 3
-
-_names_lock = threading.Lock()
-_label_of: dict[int, str] = {}
-_next_name = _counter(1)
-# A child forked while another thread interns would inherit a held lock
-# and a half-written table: forks wait for the table to be whole.
-os.register_at_fork(before=_names_lock.acquire,
-                    after_in_parent=_names_lock.release,
-                    after_in_child=_names_lock.release)
-
-
-def _label_kind(label: str) -> int:
-    """Kind bits of a label (the ``xml.forest`` label conventions)."""
-    first = label[:1]
-    if first == "<" and label[-1:] == ">" and len(label) > 2:
-        return ELEMENT
-    if first == "@" and len(label) > 1:
-        return ATTRIBUTE
-    return TEXT
-
-
-class _LabelCodes(dict):
-    """label → code; a missing label is assigned one.  Assignment needs
-    ``_names_lock``: writers subscript under it, readers use ``get``."""
-
-    def __missing__(self, label: str) -> int:
-        kind = _label_kind(label)
-        while True:
-            code = next(_next_name) << 2 | kind
-            if code not in _label_of:  # adopted codes are taken
-                _label_of[code] = label
-                self[label] = code
-                return code
-
-
-_codes = _LabelCodes()
-
-
-def name_code(label: str, intern: bool = True) -> int | None:
-    """The code of ``label`` — a name or a text value.
-
-    ``intern=False`` is the query side: a label no relation in this
-    process ever carried has no code, and ``None`` says no row matches.
-    """
-    code = _codes.get(label)
-    if code is None and intern:
-        with _names_lock:
-            code = _codes[label]
-    return code
-
-
-def label_dictionary_entries() -> int:
-    """Distinct labels the process-wide dictionary holds (it only grows)."""
-    return len(_codes)
-
-
-def label_codes(labels: "Sequence[str]") -> np.ndarray:
-    """The ``c`` column for a label sequence (interning new labels, all
-    under one acquisition of the lock)."""
-    with _names_lock:
-        return np.fromiter(map(_codes.__getitem__, labels), np.int32,
-                           len(labels))
-
-
-def adopt_labels(labels: "Sequence[str]", codes: "Sequence[int]") -> list[int]:
-    """Make another process's label table valid here; the local codes.
-
-    An unknown label takes the foreign code when it is free, so columns
-    that carry it need no translation; where the answer differs from
-    ``codes`` (a label this process numbered otherwise, a code it gave
-    to another label) the caller translates its ``c`` column.
-    """
-    with _names_lock:
-        local = list(map(_codes.get, labels))
-        for at, code in enumerate(local):
-            if code is None:
-                label, code = labels[at], codes[at]
-                if code in _label_of:  # this process's, for another label
-                    code = _codes[label]
-                else:
-                    _codes[label] = code
-                    _label_of[code] = label
-                local[at] = code
-        return local
 
 
 # -- columns ---------------------------------------------------------------------

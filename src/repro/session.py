@@ -45,7 +45,7 @@ from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
 )
-from repro.obs.flight import SLO, AttemptRecord, FlightRecorder
+from repro.obs.flight import SLO, AttemptRecord, FlightRecorder, QueryRecord
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer, get_tracer
 from repro.resilience.admission import (
@@ -808,10 +808,12 @@ class XQuerySession:
             error = raised
             raise
         finally:
-            self._record(query, name, result=result, error=error,
-                         wall_seconds=time.perf_counter() - start,
-                         root=root, attempts=tuple(attempts), guard=guard,
-                         extra=options.extra)
+            record = self._record(query, name, result=result, error=error,
+                                  wall_seconds=time.perf_counter() - start,
+                                  root=root, attempts=tuple(attempts),
+                                  guard=guard, extra=options.extra)
+            if result is not None:
+                result._record = record  # to_xml adds the serialize phase
 
     def _attempt(self, compiled: CompiledQuery, name: str,
                  options: ExecutionOptions, tr: Tracer, full: bool,
@@ -862,15 +864,17 @@ class XQuerySession:
             breaker.record_success()
         return forest
 
-    def _record(self, query: str, name: str, **fields: object) -> None:
+    def _record(self, query: str, name: str,
+                **fields: object) -> "QueryRecord | None":
         """Flight-record one run (executed or refused at admission)."""
         recorder = self.recorder
         if recorder is None:
-            return
+            return None
         try:
-            recorder.record_run(query=query, backend=name, **fields)
+            return recorder.record_run(query=query, backend=name, **fields)
         except Exception:  # never let telemetry sink a query result
             logger.exception("flight recorder failed for %.60s", query)
+            return None
 
     def _phase_tracer(self) -> Tracer:
         """The calling thread's reusable phase-level tracer.

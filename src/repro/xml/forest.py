@@ -26,8 +26,19 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Iterator, Sequence
 
-ELEMENT_PREFIX = "<"
-ATTRIBUTE_PREFIX = "@"
+import numpy as np
+
+from repro.xml.labels import (
+    ATTRIBUTE,
+    ATTRIBUTE_PREFIX,
+    ELEMENT,
+    ELEMENT_PREFIX,
+    TEXT,
+    _label_of,
+    adopt_labels,
+    label_codes,
+    label_kind,
+)
 
 #: A forest is a tuple of nodes; this alias documents intent in signatures.
 Forest = tuple["Node", ...]
@@ -244,17 +255,17 @@ def forest(*nodes: Node) -> Forest:
 
 def is_element_label(label: str) -> bool:
     """True if ``label`` follows the ``"<tag>"`` element convention."""
-    return label.startswith(ELEMENT_PREFIX) and label.endswith(">") and len(label) > 2
+    return label_kind(label) == ELEMENT
 
 
 def is_attribute_label(label: str) -> bool:
     """True if ``label`` follows the ``"@name"`` attribute convention."""
-    return label.startswith(ATTRIBUTE_PREFIX) and len(label) > 1
+    return label_kind(label) == ATTRIBUTE
 
 
 def is_text_label(label: str) -> bool:
     """True if ``label`` is raw character data (neither element nor attribute)."""
-    return not is_element_label(label) and not is_attribute_label(label)
+    return label_kind(label) == TEXT
 
 
 # -- structural comparison ----------------------------------------------------
@@ -288,13 +299,30 @@ _build_lock = threading.Lock()
 
 
 class PreorderForest:
-    """A forest as its preorder ``(label, depth)`` stream.
+    """A forest as its preorder stream of label codes and depths.
 
-    ``labels`` and ``depths`` are parallel plain lists in document order,
-    roots at depth 0 — the canonical stream of :func:`_dfs_pairs`, which
-    determines the forest.  This is how a result leaves the DI engine
-    (:func:`repro.encoding.interval.decode` on columns): the serializer
-    emits XML straight from the two lists, and they pickle flat.
+    Three parallel int32 arrays in document order, roots at depth 0:
+
+    ``c``    each row's label code (:mod:`repro.xml.labels`: kind in the
+             low two bits, the label's id in the process-wide dictionary
+             above them);
+    ``d``    each row's depth — with ``c``, the canonical stream of
+             :func:`_dfs_pairs`, which determines the forest;
+    ``end``  the last row of each row's subtree.
+
+    This is how a result leaves the DI engine
+    (:func:`repro.encoding.interval.decode` on columns, which copies
+    ``c`` and ``d`` out of the relation — so a result pins no document
+    and no shared-memory segment — and reads ``end`` off the endpoint
+    sort it checks the encoding with).  The serializer emits XML from
+    the arrays and its per-label piece tables; :attr:`parent` is derived
+    from ``d`` when it asks for it.
+
+    A forest that crossed a process boundary arrives as its
+    distinct-label table and each row's position in it; the table is
+    adopted into this process's dictionary (once per distinct label)
+    the first time ``c`` is read, so reading only :attr:`labels` or the
+    trees never grows the dictionary.
 
     Read as a :data:`Forest` it behaves like the tuple of trees it
     denotes — ``len`` is the number of roots; iteration, indexing, ``==``
@@ -302,16 +330,77 @@ class PreorderForest:
     the :class:`Node` trees once, on first touch.
     """
 
-    __slots__ = ("labels", "depths", "_roots", "_trees")
+    __slots__ = ("d", "end", "_c", "_shipped", "_parent", "_roots",
+                 "_labels", "_trees")
 
-    def __init__(self, labels: list[str], depths: list[int]):
-        self.labels = labels
-        self.depths = depths
-        self._roots = depths.count(0)
+    def __init__(self, c: np.ndarray, d: np.ndarray, end: np.ndarray):
+        self._c = c
+        self.d = d
+        self.end = end
+        #: ``(labels, codes, positions)`` of a forest another process sent.
+        self._shipped: tuple | None = None
+        self._parent: np.ndarray | None = None
+        self._roots = int(np.count_nonzero(d == 0))
+        self._labels: list[str] | None = None
         self._trees: Forest | None = None
 
+    @classmethod
+    def from_lists(cls, labels: Sequence[str],
+                   depths: Sequence[int]) -> "PreorderForest":
+        """The preorder form of a ``(labels, depths)`` stream, its labels
+        interned (``depths`` must be a valid preorder depth sequence)."""
+        return cls(label_codes(labels), np.array(depths, dtype=np.int32),
+                   np.array(tree_links(depths)[0], dtype=np.int32))
+
+    @property
+    def c(self) -> np.ndarray:
+        """Each row's label code in this process's dictionary."""
+        c = self._c
+        if c is None:
+            labels, codes, positions = self._shipped
+            local = np.array(adopt_labels(labels, codes.tolist()),
+                             dtype=np.int32)
+            c = self._c = local[positions]
+        return c
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Each row's parent row, ``-1`` for a root (derived once)."""
+        parent = self._parent
+        if parent is None:
+            parent = self._parent = parent_rows(self.d)
+        return parent
+
+    @property
+    def labels(self) -> list[str]:
+        """The rows' labels as a list of strings (built once)."""
+        labels = self._labels
+        if labels is None:
+            if self._c is None:
+                table, _codes, positions = self._shipped
+                labels = list(map(table.__getitem__, positions.tolist()))
+            else:
+                labels = list(map(_label_of.__getitem__, self._c.tolist()))
+            self._labels = labels
+        return labels
+
+    @property
+    def depths(self) -> list[int]:
+        """The rows' depths as a list of ints."""
+        return self.d.tolist()
+
     def __reduce__(self):
-        return (PreorderForest, (self.labels, self.depths))
+        # What crosses a pipe: the distinct labels with their codes and
+        # each row's position among them, the way export_columns lays
+        # out a segment; integers as bytes, so no array is pickled.
+        if self._c is None:
+            labels, codes, positions = self._shipped
+        else:
+            codes, positions = np.unique(self._c, return_inverse=True)
+            labels = list(map(_label_of.__getitem__, codes.tolist()))
+        return (_arrived, (labels, codes.astype(np.int32).tobytes(),
+                           positions.astype(np.int32).tobytes(),
+                           self.d.tobytes(), self.end.tobytes()))
 
     def trees(self) -> Forest:
         """The forest as a real tuple of :class:`Node` trees (cached)."""
@@ -335,8 +424,8 @@ class PreorderForest:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PreorderForest):
-            return (self.labels == other.labels
-                    and self.depths == other.depths)
+            return (np.array_equal(self.d, other.d)
+                    and self.labels == other.labels)
         if isinstance(other, tuple):
             return self.trees() == other
         return NotImplemented
@@ -346,7 +435,58 @@ class PreorderForest:
 
     def __repr__(self) -> str:
         return (f"PreorderForest({self._roots} trees, "
-                f"{len(self.labels)} nodes)")
+                f"{len(self.d)} nodes)")
+
+
+def _arrived(labels: list[str], codes: bytes, positions: bytes, d: bytes,
+             end: bytes) -> PreorderForest:
+    """Unpickle a :class:`PreorderForest` (another process's codes)."""
+    forest = PreorderForest(None, np.frombuffer(d, dtype=np.int32),
+                            np.frombuffer(end, dtype=np.int32))
+    forest._shipped = (labels, np.frombuffer(codes, dtype=np.int32),
+                       np.frombuffer(positions, dtype=np.int32))
+    return forest
+
+
+def tree_links(depths: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each row's subtree end and parent row (``-1`` for a root), from a
+    preorder depth list, in one sweep with the open rows on a stack.
+
+    For a forest of nodes, which is walked node by node anyway; a
+    decoded result has its ends from :func:`repro.encoding.interval.decode`
+    and its parents from :func:`parent_rows`.
+    """
+    ends = list(range(len(depths)))
+    parents: list[int] = []
+    opened: list[int] = []
+    for row, depth in enumerate(depths):
+        while len(opened) > depth:
+            ends[opened.pop()] = row - 1
+        parents.append(opened[-1] if opened else -1)
+        opened.append(row)
+    for row in opened:
+        ends[row] = len(depths) - 1
+    return ends, parents
+
+
+def parent_rows(d: np.ndarray) -> np.ndarray:
+    """Each row's parent row (``-1`` for a root), from a preorder depth
+    column.
+
+    Sorted by depth (stably, so in document order at each depth), a
+    node's children are one run, opened by a first child — a row one
+    deeper than the row before it, which is the parent.
+    """
+    count = len(d)
+    by_depth = np.argsort(d, kind="stable")
+    first_child = np.zeros(count, dtype=np.bool_)
+    first_child[1:] = d[1:] > d[:-1]
+    run = np.where(first_child[by_depth], np.arange(count), 0)
+    np.maximum.accumulate(run, out=run)
+    parent = np.empty(count, dtype=np.intp)
+    # Roots sort first and no first child is among them: run 0, row 0.
+    parent[by_depth] = by_depth[run] - 1
+    return parent
 
 
 def preorder(trees: "Forest | PreorderForest") -> tuple[list[str], list[int]]:
@@ -355,9 +495,19 @@ def preorder(trees: "Forest | PreorderForest") -> tuple[list[str], list[int]]:
         return trees.labels, trees.depths
     labels: list[str] = []
     depths: list[int] = []
-    for depth, label in _dfs_pairs(trees):
-        labels.append(label)
-        depths.append(depth)
+    # One iterator per open level: a node with children suspends its
+    # level's iterator and opens the next one.
+    levels = [iter(trees)]
+    while levels:
+        depth = len(levels) - 1
+        for node in levels[-1]:
+            labels.append(node.label)
+            depths.append(depth)
+            if node.children:
+                levels.append(iter(node.children))
+                break
+        else:
+            levels.pop()
     return labels, depths
 
 

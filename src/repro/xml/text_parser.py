@@ -86,6 +86,9 @@ class _Parser:
     stack, so document depth is not limited by the recursion limit)."""
 
     def __init__(self, source: str, strip_whitespace: bool = True):
+        # Line-end normalization (XML 1.0 §2.11): a raw CR LF or CR is
+        # read as LF before anything else; a CR from ``&#13;`` survives.
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
         self.source = source
         self.pos = 0
         self.length = len(source)
@@ -303,8 +306,9 @@ class _Parser:
     def parse_attribute_value(self) -> str:
         """A quoted attribute value, with whitespace normalization.
 
-        Raw literal tab/newline/CR become spaces (XML 1.0 §3.3.3
-        attribute-value normalization for CDATA attributes); characters
+        Raw literal tab/newline become spaces (XML 1.0 §3.3.3
+        attribute-value normalization for CDATA attributes, after line
+        ends were normalized, so a raw CR LF is one space); characters
         produced by references — ``&#9;``, ``&#10;``, ``&#13;`` or any
         entity — are preserved verbatim.  The serializer emits those
         references for exactly this reason.
@@ -321,7 +325,7 @@ class _Parser:
                 return "".join(parts)
             if char == "&":
                 parts.append(self.parse_entity())
-            elif char in "\t\r\n":
+            elif char in "\t\n":
                 parts.append(" ")
                 self.pos += 1
             else:

@@ -108,12 +108,13 @@ class TestQueryResult:
     def test_forest_of_an_engine_result_is_built_on_first_access(
             self, nodes_built):
         trees = (element("a", (element("b"),)), text("c"))
-        result = QueryResult(PreorderForest(*preorder(trees)),
+        result = QueryResult(PreorderForest.from_lists(*preorder(trees)),
                              backend="engine")
         built = nodes_built()  # the expected trees above
         assert len(result) == 2
         assert result.to_xml() == "<a><b/></a>c"
-        assert result == QueryResult(PreorderForest(*preorder(trees)))
+        assert result == QueryResult(
+            PreorderForest.from_lists(*preorder(trees)))
         assert "2 trees" in repr(result)
         assert nodes_built() == built
         forest = result.forest
@@ -125,7 +126,7 @@ class TestQueryResult:
 
     def test_equality_is_by_content_across_representations(self):
         trees = (element("a"), text("b"))
-        lazy = QueryResult(PreorderForest(*preorder(trees)))
+        lazy = QueryResult(PreorderForest.from_lists(*preorder(trees)))
         eager = QueryResult(trees)
         assert lazy == eager and eager == lazy
         assert lazy == trees and trees == lazy.forest

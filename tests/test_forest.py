@@ -231,7 +231,7 @@ class TestPreorderForest:
              text("y"))
 
     def make(self) -> PreorderForest:
-        return PreorderForest(*preorder(self.TREES))
+        return PreorderForest.from_lists(*preorder(self.TREES))
 
     def test_preorder_lists(self):
         assert preorder(self.TREES) == (["<a>", "<b>", "x", "<c>", "y"],
@@ -253,13 +253,14 @@ class TestPreorderForest:
         assert result == self.TREES and self.TREES == result
         assert result != self.TREES[:1] and not result == "<a/>"
         assert hash(result) == hash(self.TREES)
-        assert not PreorderForest([], []) and PreorderForest([], []) == ()
+        empty = PreorderForest.from_lists([], [])
+        assert not empty and empty == ()
 
     def test_len_equality_and_pickling_build_nothing(self, nodes_built):
         result, same = self.make(), self.make()
         assert len(result) == 2
         assert result == same
-        assert result != PreorderForest(["<a>", "y"], [0, 0])
+        assert result != PreorderForest.from_lists(["<a>", "y"], [0, 0])
         assert pickle.loads(pickle.dumps(result)) == result
         assert "2 trees, 5 nodes" in repr(result)
         assert nodes_built() == 0
@@ -273,7 +274,8 @@ class TestPreorderForest:
         assert nodes_built() == 5
 
     def test_racing_first_touches_agree(self, nodes_built):
-        result = PreorderForest(["<a>"] * 2000, list(range(2000)))
+        result = PreorderForest.from_lists(["<a>"] * 2000,
+                                          list(range(2000)))
         seen: list[tuple] = []
         start = threading.Barrier(4)
 
@@ -291,7 +293,8 @@ class TestPreorderForest:
 
     def test_pickles_flat(self):
         # A 5000-deep chain: a Node tree would recurse per level.
-        deep = PreorderForest(["<a>"] * 5000, list(range(5000)))
+        deep = PreorderForest.from_lists(["<a>"] * 5000,
+                                        list(range(5000)))
         clone = pickle.loads(pickle.dumps(deep))
         assert (clone.labels, clone.depths) == (deep.labels, deep.depths)
         assert len(clone) == 1 and clone.trees()[0].depth == 5000

@@ -450,8 +450,10 @@ class TestProcessQueryPool:
 # -- session wiring ------------------------------------------------------------
 
 def test_worker_reply_is_flat_lists(tiny_encoding, nodes_built):
-    """What crosses the pipe: the result's labels and depths — no tree,
-    no NumPy array (a view would pin the worker's attached segment)."""
+    """What crosses the pipe: the result's distinct labels with their
+    codes, and each row's position among them, depth and subtree end as
+    int32 bytes — no tree, no NumPy array (a view would pin the worker's
+    attached segment)."""
     from repro.concurrency.procpool import _WorkerState
 
     state = _WorkerState()
@@ -472,6 +474,42 @@ def test_worker_reply_is_flat_lists(tiny_encoding, nodes_built):
     assert pickle.loads(wire) == (status, forest)
     assert nodes_built() == 0
     assert forest == _reference(NAMES, tiny_encoding).trees()
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_reply_labels_the_parent_never_interned(start_method):
+    """A worker-built tag and ``count()`` value ride back in the reply's
+    label table.  Reading the answer adopts nothing; serializing it
+    adopts each distinct label once — remapping a code the parent gave
+    to a label of its own since the fork — and the XML is the in-process
+    engine's, byte for byte."""
+    import multiprocessing
+    import uuid
+
+    from repro.engine.columns import name_code
+    from repro.xml.forest import Node
+    from repro.xml.serializer import forest_to_xml
+    from repro.xml.text_parser import parse_forest
+
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{start_method} unavailable")
+    tag = "w" + uuid.uuid4().hex[:8]
+    total = next(n for n in range(1000, 9000)
+                 if name_code(str(n), intern=False) is None)
+    query = f'<{tag}>{{count(document("auction.xml")/r/i)}}</{tag}>'
+    encoding = _encoding(parse_forest("<r>" + "<i/>" * total + "</r>")[0])
+    with ProcessQueryPool(workers=1, start_method=start_method) as pool:
+        pool.register_document(_doc_var(query), encoding)
+        # Under fork, the code the worker is about to give <tag>.
+        name_code(f"<{tag}-parent>")
+        forest, _ = pool.execute(query)
+        assert forest == (Node(f"<{tag}>", (Node(str(total)),)),)
+        assert name_code(f"<{tag}>", intern=False) is None
+        assert name_code(str(total), intern=False) is None
+        xml = forest_to_xml(forest)
+    assert name_code(f"<{tag}>", intern=False) is not None
+    assert xml == f"<{tag}>{total}</{tag}>"
+    assert xml == forest_to_xml(_reference(query, encoding))
 
 
 _RAISING_SIGTERM_SCRIPT = """

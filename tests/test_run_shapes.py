@@ -114,8 +114,11 @@ def test_every_run_has_one_shape(mode, record, trace, admission):
             assert len(records) == len(results)
             for entry in records:
                 assert entry.outcome == "ok"
-                assert {"compile", "prepare", "execute"} <= set(entry.phases)
-                assert sum(entry.phases.values()) <= entry.wall_seconds
+                assert {"compile", "prepare", "execute",
+                        "serialize"} <= set(entry.phases)
+                # Serialization happens after the run its record times.
+                assert sum(seconds for phase, seconds in entry.phases.items()
+                           if phase != "serialize") <= entry.wall_seconds
                 assert [attempt.error for attempt in entry.attempts] == [None]
                 assert entry.attempts[0].backend == entry.winner
                 assert entry.sampled and entry.trace.name == "query"
@@ -137,6 +140,40 @@ def test_every_run_has_one_shape(mode, record, trace, admission):
             assert health["admission"]["in_flight"] == 0
             assert health["admission"]["queue_depth"] == 0
     assert _segments() == before
+
+
+def test_the_first_serialization_is_a_phase_of_the_record():
+    """``to_xml`` times itself into the run's record — once, by replacing
+    the phases dict (``/debug/queries`` reads it from other threads) —
+    and ``POST /query`` records it too; with recording off nothing is
+    kept."""
+    with XQuerySession() as session:
+        session.add_document("a.xml", FIGURE1_SAMPLE)
+        result = session.run(QUERY)
+        (entry,) = session.recorder.records()
+        run_phases = entry.phases
+        assert {"compile", "prepare", "execute"} <= set(run_phases)
+        assert "serialize" not in run_phases
+        assert result.to_xml() == EXPECTED_XML
+        assert entry.phases is not run_phases and "serialize" not in run_phases
+        assert {"compile", "prepare", "execute", "serialize"} \
+            <= set(entry.phases)
+        first = entry.phases
+        assert result.to_xml() == EXPECTED_XML
+        assert entry.phases is first
+        server = QueryServer(session, port=0)
+        ((status, _, body),) = serve(server, http(server, "POST", "/query",
+                                                  QUERY.encode()))
+        assert (status, body) == (200, EXPECTED_XML.encode())
+        latest = session.recorder.records()[-1]
+        assert latest is not entry
+        assert {"compile", "prepare", "execute", "serialize"} \
+            <= set(latest.phases)
+    with XQuerySession(record=False) as session:
+        session.add_document("a.xml", FIGURE1_SAMPLE)
+        result = session.run(QUERY)
+        assert result._record is None
+        assert result.to_xml() == EXPECTED_XML
 
 
 @pytest.mark.parametrize("mode", ["fallback", "retry"])

@@ -6,11 +6,18 @@ node walk it replaced, escape tables included — is the reference it is
 compared against (as ``engine/operators.py`` is for the kernels).
 """
 
-import pytest
-from hypothesis import given, settings
+import threading
+import uuid
+import xml.etree.ElementTree as ElementTree
 
-from repro import run_xquery
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import XQuerySession, run_xquery
 from repro.encoding.interval import decode, encode_columns
+from repro.errors import WidthOverflowError
+from repro.xmark.queries import EXTRA_QUERIES, QUERIES
 from repro.xml.forest import (
     Node,
     PreorderForest,
@@ -26,7 +33,7 @@ from tests.strategies import LABELS, forests, xml_safe_forests
 
 # -- the reference: the recursive compact walk over nodes -------------------------
 
-TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
 ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", '"': "&quot;",
                 "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 
@@ -206,6 +213,146 @@ class TestEmitterAgainstReference:
     def test_parser_producible_forests_round_trip(self, trees):
         assert parse_forest(forest_to_xml(trees)) == trees
         assert parse_forest(forest_to_xml(from_columns(trees))) == trees
+
+
+#: Every XMark text, and the one the SQL path refuses at sf 0.001 (its
+#: static widths leave int64).
+XMARK_TEXTS = {**QUERIES, **EXTRA_QUERIES}
+SQL_REFUSES = {"Q19"}
+
+
+@pytest.fixture(scope="module")
+def xmark_session():
+    with XQuerySession(record=False) as session:
+        session.add_xmark_document("auction.xml", 0.001)
+        yield session
+
+
+class TestEmitterOnQueryResults:
+    """Every input the emitter takes — an engine result's codes, the
+    interpreter's nodes, a SQL result — gives the reference's bytes."""
+
+    @pytest.mark.parametrize("backend", ["engine", "interpreter", "sqlite"])
+    @pytest.mark.parametrize("name", sorted(XMARK_TEXTS))
+    def test_every_xmark_text(self, xmark_session, name, backend):
+        query = XMARK_TEXTS[name]
+        if backend == "sqlite" and name in SQL_REFUSES:
+            with pytest.raises(WidthOverflowError):
+                xmark_session.run(query, backend=backend)
+            return
+        result = xmark_session.run(query, backend=backend)
+        engine = backend == "engine"
+        assert isinstance(result._forest,
+                          PreorderForest if engine else tuple)
+        expected = reference_xml(result.forest)
+        assert result.to_xml() == expected
+        if engine:
+            assert forest_to_xml(result.forest) == expected
+
+    def test_an_id_names_one_label_whatever_its_kind(self):
+        """The piece tables are indexed by label id, so no two labels may
+        share one: a foreign code whose id this process gave a label of
+        another kind is remapped on adoption, and a foreign id adopted
+        ahead of the counter is skipped when the counter reaches it."""
+        from repro.xml import labels
+
+        tag = uuid.uuid4().hex[:8]
+        mine = labels.name_code(f"<e{tag}>")
+        forest_to_xml(from_columns((element(f"e{tag}"),)))  # fills its id
+        (theirs,) = labels.adopt_labels([f"t{tag}"],
+                                        [mine & ~labels.KIND_MASK])
+        assert theirs >> 2 != mine >> 2
+        with labels._names_lock:
+            ahead = next(labels._next_name) + 1
+        assert labels.adopt_labels([f"u{tag}"], [ahead << 2]) == [ahead << 2]
+        assert labels.name_code(f"<l{tag}>") >> 2 != ahead
+        trees = (element(f"e{tag}", (text(f"t{tag}"), text(f"u{tag}"))),
+                 element(f"l{tag}"))
+        assert forest_to_xml(from_columns(trees)) == reference_xml(trees)
+
+    def test_eight_threads_fill_the_piece_tables_at_once(self):
+        """Results whose labels the tables have never seen — thousands,
+        so the tables grow while they are read — serialized by eight
+        threads at once, each in its own order."""
+        tag = uuid.uuid4().hex[:8]
+        batches = [tuple(element(f"e{tag}-{batch}-{at}", (
+            attribute(f"a{at % 7}", f'v<{tag}"{batch}&{at}'),
+            text(f"t>{tag}\r{batch}-{at}"), element(f"e{tag}-{at % 3}")))
+            for at in range(40)) for batch in range(50)]
+        results = [from_columns(trees) for trees in batches]
+        expected = [reference_xml(trees) for trees in batches]
+        start = threading.Barrier(8)
+        outputs: list[list[tuple[int, str]]] = [[] for _ in range(8)]
+
+        def serialize(worker: int) -> None:
+            start.wait(timeout=30)
+            for at in range(len(results)):
+                at = (at * (worker + 1) + worker) % len(results)
+                outputs[worker].append((at, forest_to_xml(results[at])))
+
+        threads = [threading.Thread(target=serialize, args=(worker,))
+                   for worker in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(len(done) == len(results) for done in outputs)
+        assert all(xml == expected[at] for done in outputs for at, xml in done)
+
+
+#: Character data with every whitespace and line-end character and the
+#: characters the escape tables name (none that would read as a label).
+LINE_END_TEXT = st.text(alphabet="ab \t\n\r&>\"'", min_size=1, max_size=8)
+
+
+def from_etree(node: ElementTree.Element) -> Node:
+    """A conformant parser's reading, as an XF tree (attributes first)."""
+    children = [attribute(name, value) for name, value in node.attrib.items()]
+    if node.text:
+        children.append(text(node.text))
+    for child in node:
+        children.append(from_etree(child))
+        if child.tail:
+            children.append(text(child.tail))
+    return element(node.tag, children)
+
+
+@st.composite
+def line_end_trees(draw) -> Node:
+    """An element whose attribute values and text hold CRs, LFs and tabs
+    (no two text nodes adjacent, so a reparse keeps them apart)."""
+    names = draw(st.lists(st.sampled_from("xyz"), unique=True, max_size=3))
+    children = [attribute(name, draw(LINE_END_TEXT)) for name in names]
+    for value in draw(st.lists(LINE_END_TEXT, max_size=3)):
+        children += [text(value), element("c", (text(draw(LINE_END_TEXT)),))]
+    return element("r", children)
+
+
+class TestLineEnds:
+    """A CR survives a conformant parser (XML 1.0 §2.11 folds a raw CR
+    and CR LF to LF), and raw line ends read the way such a parser reads
+    them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_end_trees())
+    @example(element("r", (attribute("x", "a\r\nb"), text("x\r\ny\rz"))))
+    def test_serialized_line_ends_survive_a_conformant_parser(self, tree):
+        xml = forest_to_xml(tree)
+        ours = parse_forest(xml, strip_whitespace=False)
+        assert ours == (tree,)
+        assert (from_etree(ElementTree.fromstring(xml.encode("utf-8"))),) \
+            == ours
+
+    @settings(max_examples=200, deadline=None)
+    @given(LINE_END_TEXT, LINE_END_TEXT)
+    @example("a\r\nb", "x\r\ny\rz")
+    def test_raw_line_ends_read_like_a_conformant_parser(self, value,
+                                                         content):
+        # Only what must be a reference is one: the line ends stay raw.
+        quoted = value.replace("&", "&amp;").replace('"', "&quot;")
+        source = f'<r x="{quoted}">{content.replace("&", "&amp;")}</r>'
+        assert parse_forest(source, strip_whitespace=False) == (
+            from_etree(ElementTree.fromstring(source.encode("utf-8"))),)
 
 
 class TestDeepDocuments:
