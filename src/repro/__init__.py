@@ -22,7 +22,7 @@ Package layout (see DESIGN.md for the full inventory):
 * :mod:`repro.sql` — the single-statement SQL translation (SQLite backend);
 * :mod:`repro.engine` — the DI prototype with order-aware operators;
 * :mod:`repro.compiler` — physical plans, the merge-join decorrelation,
-  and the staged pass pipeline;
+  and the timed compilation chain;
 * :mod:`repro.backends` — the pluggable execution-backend registry;
 * :mod:`repro.obs` — query-lifecycle tracing, metrics, and exporters;
 * :mod:`repro.xmark` — the synthetic XMark workload generator and queries;

@@ -193,10 +193,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the physical plan instead of running; "
                              "with --doc bindings the plan runs once and "
                              "every evaluated node shows its observed "
-                             "tuples")
+                             "tuples, width, environments and time")
     parser.add_argument("--explain-verbose", action="store_true",
                         help="with --explain: include the compilation "
-                             "pipeline trace (per-pass timings + snapshots)")
+                             "passes (timings, the core text and the plan "
+                             "before isolation)")
     parser.add_argument("--sql", action="store_true",
                         help="print the translated single SQL statement "
                              "instead of running")

@@ -22,24 +22,25 @@ the CLI.  Ships with:
 * ``"interpreter"`` — the Figure 3 reference semantics (the oracle);
 * ``"naive"`` — the materializing nested-loop competitor baseline.
 
-Compilation runs through the staged pass pipeline
-(:mod:`repro.compiler.pipeline`); ``compile_xquery(q).explain(verbose=True)``
-shows each pass with its timing and before/after snapshots.
+Compilation is the fixed chain of :mod:`repro.compiler.pipeline`;
+``compile_xquery(q).explain(verbose=True)`` shows each pass with its
+timing, the core text and the plan before and after isolation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Mapping, TypeAlias
 
 from repro.backends.base import ExecutionOptions, coerce_strategy
 from repro.backends.registry import create_backend
 from repro.compiler.pipeline import (
-    PipelineTrace,
+    PassRecord,
+    frontend_stage,
     optimize_stage,
     plan_stage,
-    run_frontend,
+    render_passes,
 )
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import explain_plan
@@ -50,7 +51,7 @@ from repro.sql.translator import TranslationResult, translate_query
 from repro.xml.forest import Forest, Node, PreorderForest
 from repro.xml.serializer import forest_to_xml
 from repro.xml.text_parser import parse_forest
-from repro.xquery.ast import CoreExpr
+from repro.xquery.ast import CoreExpr, core_to_str
 from repro.xquery.lowering import document_forest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,32 +155,47 @@ class CompiledQuery:
     core: CoreExpr
     #: URI → core-language variable name for each document() reference.
     documents: dict[str, str]
-    #: Per-pass timings and snapshots from the compilation pipeline.
-    trace: PipelineTrace = field(default_factory=PipelineTrace, compare=False)
+    #: The ``parse`` and ``lower`` pass records.
+    passes: tuple[PassRecord, ...] = field(default=(), compare=False)
 
     def plan(self, strategy: str | JoinStrategy = "msj",
              decorrelate: bool = True,
-             trace: PipelineTrace | None = None) -> PlanNode:
-        """Compile to a DI-engine physical plan (via the plan passes)."""
+             records: list[PassRecord] | None = None) -> PlanNode:
+        """Compile to the syntactic DI-engine plan (before isolation).
+
+        ``records`` collects the ``decorrelate`` and ``plan`` passes.
+        """
         return plan_stage(self.core, coerce_strategy(strategy),
                           base_vars=self.documents.values(),
-                          decorrelate=decorrelate, trace=trace)
+                          decorrelate=decorrelate, records=records)
 
     def explain(self, strategy: str | JoinStrategy = "msj",
                 verbose: bool = False) -> str:
         """Human-readable physical plan — the one the engine runs.
 
-        ``verbose=True`` prepends the pipeline trace — every pass that ran
-        (``parse``, ``lower``, selected rewrites such as ``simplify``,
-        ``decorrelate``, ``plan``, ``isolate``) with per-pass timings,
-        details, and before/after snapshots.
+        ``verbose=True`` prepends :meth:`pipeline`.
         """
-        trace = PipelineTrace(records=list(self.trace.records))
-        plan = optimize_stage(self.plan(strategy, trace=trace), trace=trace)
-        rendered = explain_plan(plan)
         if not verbose:
-            return rendered
-        return f"{trace.render(verbose=True)}\n\nphysical plan:\n{rendered}"
+            return explain_plan(optimize_stage(self.plan(strategy)))
+        report, plan = self.pipeline(strategy)
+        return f"{report}\n\nphysical plan:\n{explain_plan(plan)}"
+
+    def pipeline(self, strategy: str | JoinStrategy = "msj"
+                 ) -> tuple[str, PlanNode]:
+        """Plan afresh, recording every pass: the pass table and the plan
+        it ends in.
+
+        The table lists ``parse``, ``lower``, ``decorrelate``, ``plan``
+        and ``isolate`` once each, with timings and details, the core
+        text after ``lower`` and the plan before isolation after
+        ``plan``; the returned plan is the one after isolation.
+        """
+        records = list(self.passes)
+        plan = self.plan(strategy, records=records)
+        optimized = optimize_stage(plan, records=records)
+        snapshots = {"lower": core_to_str(self.core),
+                     "plan": explain_plan(plan)}
+        return render_passes(records, snapshots), optimized
 
     def to_sql(self, documents: Mapping[str, tuple[str, int]],
                max_width: int | None = None) -> TranslationResult:
@@ -187,21 +203,10 @@ class CompiledQuery:
         return translate_query(self.core, documents, max_width=max_width)
 
 
-def compile_xquery(query: str, simplify: bool = False,
-                   passes: Sequence[str] | None = None) -> CompiledQuery:
-    """Parse and lower XQuery text to the core language.
-
-    ``passes`` selects registered rewrite passes by name, applied in
-    order (see :func:`repro.compiler.pipeline.registered_passes`).
-    ``simplify=True`` is shorthand for including the ``"simplify"`` pass —
-    semantics-preserving algebra that typically shrinks the generated
-    SQL's CTE chain.
-    """
-    rewrites = list(passes or ())
-    if simplify and "simplify" not in rewrites:
-        rewrites.append("simplify")
-    core, documents, trace = run_frontend(query, rewrites)
-    return CompiledQuery(query, core, documents, trace)
+def compile_xquery(query: str) -> CompiledQuery:
+    """Parse and lower XQuery text to the core language."""
+    core, documents, passes = frontend_stage(query)
+    return CompiledQuery(query, core, documents, passes)
 
 
 def run_xquery(query: str | CompiledQuery,

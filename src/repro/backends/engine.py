@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
 from repro.backends.registry import register_backend
-from repro.compiler.cache import CacheKey, PlanCache
-from repro.compiler.pipeline import optimize_stage, plan_stage
+from repro.compiler.cache import CacheKey, CachedPlan, PlanCache
+from repro.compiler.pipeline import PassRecord, optimize_stage, plan_stage
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import explain_plan
 from repro.engine.columns import splice_columns
-from repro.engine.evaluator import DIEngine, Value
+from repro.engine.evaluator import DIEngine, NodeObservation, Value
 from repro.xml.forest import Forest, PreorderForest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,18 +128,21 @@ class EngineBackend(Backend):
         """
         key = CacheKey(compiled.source, options.strategy.value)
         hit = True
-        plan = self._cache.get(key)
-        if plan is None:
+        entry = self._cache.get(key)
+        if entry is None:
             with self._lock:
-                plan = self._cache.peek(key)
-                if plan is None:
+                entry = self._cache.peek(key)
+                if entry is None:
                     hit = False
-                    plan = self._build(compiled, options.strategy)
-                    self._cache.put(key, plan)
+                    entry = self._build(compiled, options.strategy)
+                    self._cache.put(key, entry)
+        plan, passes = entry
         # ``options.extra`` is per-run (built fresh by the session), so
-        # these facts reach exactly the flight-recorder record of this run.
+        # these facts reach exactly the flight-recorder record and the
+        # trace of this run.
         options.extra["plan_cache"] = "hit" if hit else "miss"
         options.extra["plan_fingerprint"] = key.fingerprint()
+        options.extra["plan_passes"] = passes
         if options.metrics is not None:
             if hit:
                 options.metrics.counter(
@@ -151,31 +155,34 @@ class EngineBackend(Backend):
         return plan
 
     @staticmethod
-    def _build(compiled: "CompiledQuery", strategy: JoinStrategy) -> PlanNode:
-        return optimize_stage(
+    def _build(compiled: "CompiledQuery",
+               strategy: JoinStrategy) -> CachedPlan:
+        records: list[PassRecord] = []
+        plan = optimize_stage(
             plan_stage(compiled.core, strategy,
                        base_vars=compiled.documents.values(),
-                       trace=compiled.trace),
-            trace=compiled.trace)
-
-    def plan_for(self, compiled: "CompiledQuery",
-                 options: ExecutionOptions) -> PlanNode:
-        """The (cached) physical plan for a compiled query."""
-        return self.optimized_for(compiled, options)
+                       records=records),
+            records=records)
+        return plan, tuple(records)
 
     def analyze(self, compiled: "CompiledQuery",
                 options: ExecutionOptions) -> str:
         """EXPLAIN ANALYZE: the plan :meth:`optimized_for` serves, run
         once, each evaluated node annotated with its observed output
-        tuples.  The cache is only peeked at: no entry, counter or LRU
-        position moves."""
-        plan = (self._cache.peek(CacheKey(compiled.source,
-                                          options.strategy.value))
-                or self._build(compiled, options.strategy))
-        observed: dict[int, int] = {}
-        DIEngine(observed=observed).run_plan_values(
-            plan, dict(self._values(compiled)))
-        return explain_plan(plan, annotations=observed)
+        tuples, width, environments, inclusive time and (past one) call
+        count, then the run's total.  The cache is only peeked at: no
+        entry, counter or LRU position moves."""
+        entry = (self._cache.peek(CacheKey(compiled.source,
+                                           options.strategy.value))
+                 or self._build(compiled, options.strategy))
+        plan = entry[0]
+        observed: dict[int, NodeObservation] = {}
+        values = dict(self._values(compiled))
+        started = perf_counter()
+        DIEngine(observed=observed).run_plan_values(plan, values)
+        total = perf_counter() - started
+        return (f"{explain_plan(plan, annotations=observed)}\n"
+                f"total: {total * 1e3:.1f} ms")
 
     # -- execution --------------------------------------------------------------
 

@@ -7,30 +7,19 @@
 * :mod:`repro.compiler.planner` — core AST → plan, per join strategy,
   and the join-body isolation rule (:func:`~repro.compiler.planner.
   optimize_plan`), analysed by :mod:`repro.compiler.joingraph`;
-* :mod:`repro.compiler.pipeline` — the staged pass manager: named,
-  registered passes (``parse``, ``lower``, rewrites such as ``simplify``,
-  ``decorrelate``, ``plan``, ``isolate``) with per-pass timings and
-  snapshots.
+* :mod:`repro.compiler.pipeline` — the fixed chain ``parse`` → ``lower``
+  → ``decorrelate`` + ``plan`` → ``isolate``, each pass timed into a
+  :class:`~repro.compiler.pipeline.PassRecord`.
 """
 
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import compile_plan, explain_plan
-from repro.compiler.pipeline import (
-    CompilerPass,
-    PipelineTrace,
-    register_pass,
-    register_rewrite,
-    registered_passes,
-)
+from repro.compiler.pipeline import PassRecord
 
 __all__ = [
-    "CompilerPass",
     "JoinStrategy",
-    "PipelineTrace",
+    "PassRecord",
     "PlanNode",
     "compile_plan",
     "explain_plan",
-    "register_pass",
-    "register_rewrite",
-    "registered_passes",
 ]

@@ -14,7 +14,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.compiler.pipeline import PassRecord
 from repro.compiler.plan import PlanNode
+
+#: A plan-cache entry: the plan and the ``decorrelate`` / ``plan`` /
+#: ``isolate`` records of the build that made it.
+CachedPlan = tuple[PlanNode, tuple[PassRecord, ...]]
 
 
 @dataclass(frozen=True)
@@ -70,11 +75,11 @@ class CompiledCache:
 
 
 class PlanCache:
-    """Thread-safe LRU cache of physical plans."""
+    """Thread-safe LRU cache of physical plans (:data:`CachedPlan`)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: OrderedDict[CacheKey, PlanNode] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, CachedPlan] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -83,25 +88,25 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def peek(self, key: CacheKey) -> PlanNode | None:
+    def peek(self, key: CacheKey) -> CachedPlan | None:
         """Like :meth:`get` but touching neither counters nor LRU order
         (for the second look of double-checked locking)."""
         with self._lock:
             return self._entries.get(key)
 
-    def get(self, key: CacheKey) -> PlanNode | None:
+    def get(self, key: CacheKey) -> CachedPlan | None:
         with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return plan
+            return entry
 
-    def put(self, key: CacheKey, plan: PlanNode) -> None:
+    def put(self, key: CacheKey, entry: CachedPlan) -> None:
         with self._lock:
-            self._entries[key] = plan
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > PLAN_CACHE_SIZE:
                 self._entries.popitem(last=False)

@@ -24,7 +24,7 @@ function of the query text and the join strategy alone.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import PlanError
 from repro.compiler import decorrelate
@@ -65,6 +65,13 @@ from repro.xquery.ast import (
     free_variables,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.evaluator import NodeObservation
+
+#: ``id(plan node) → what it did in a run``, as ``DIEngine(observed=…)``
+#: records it.
+Annotations = Mapping[int, "NodeObservation"]
+
 
 def compile_plan(expr: CoreExpr, strategy: JoinStrategy = JoinStrategy.MSJ,
                  base_vars: Iterable[str] = (),
@@ -79,8 +86,8 @@ def compile_plan(expr: CoreExpr, strategy: JoinStrategy = JoinStrategy.MSJ,
     expansion, which duplicates outer bindings per iteration) — the
     ablation knob behind ``benchmarks/bench_ablation_decorrelation.py``.
     ``match_fn`` overrides the decorrelation matcher (same signature as
-    :func:`repro.compiler.decorrelate.match_join`); the staged pipeline
-    uses it to time the ``decorrelate`` pass without changing behaviour.
+    :func:`repro.compiler.decorrelate.match_join`); the pipeline uses it
+    to time the ``decorrelate`` pass without changing behaviour.
     """
     compiler = _Compiler(strategy, frozenset(base_vars), decorrelate_loops,
                          match_fn=match_fn)
@@ -272,16 +279,16 @@ def _optimize_cond(condition: CondPlan) -> CondPlan:
 
 
 def explain_plan(node: PlanNode, indent: int = 0,
-                 annotations: dict[int, int] | None = None) -> str:
+                 annotations: Annotations | None = None) -> str:
     """A readable multi-line rendering of a physical plan.
 
-    ``annotations`` (``id(node) → tuples``, as ``DIEngine(observed=…)``
-    records them during a run) appends each evaluated node's observed
-    output cardinality to its line.
+    ``annotations`` (EXPLAIN ANALYZE) appends to each evaluated node's
+    line ``— obs N tuples, w=W, E envs, X.X ms``: its output tuples,
+    width and environments, and inclusive time, with ``k×`` when the
+    node ran more than once.
     """
     pad = "  " * indent
-    observed = annotations.get(id(node)) if annotations else None
-    suffix = f"  — obs {observed} tuples" if observed is not None else ""
+    suffix = _observed(annotations, node)
     if isinstance(node, VarNode):
         return f"{pad}Var(${node.name}){suffix}"
     if isinstance(node, FnNode):
@@ -333,8 +340,17 @@ def explain_plan(node: PlanNode, indent: int = 0,
     raise PlanError(f"unknown plan node {type(node).__name__}")
 
 
+def _observed(annotations: Annotations | None, node: PlanNode) -> str:
+    seen = annotations.get(id(node)) if annotations else None
+    if seen is None:
+        return ""
+    calls = f", {seen.calls}×" if seen.calls > 1 else ""
+    return (f"  — obs {seen.tuples} tuples, w={seen.width}, "
+            f"{seen.envs} envs, {seen.seconds * 1e3:.1f} ms{calls}")
+
+
 def _explain_cond(condition: CondPlan, indent: int,
-                  annotations: dict[int, int] | None = None) -> str:
+                  annotations: Annotations | None = None) -> str:
     pad = "  " * indent
     if isinstance(condition, EmptyCond):
         return (f"{pad}Empty\n"
@@ -363,5 +379,3 @@ def _explain_cond(condition: CondPlan, indent: int,
                 f"{_explain_cond(condition.left, indent + 1, annotations)}\n"
                 f"{_explain_cond(condition.right, indent + 1, annotations)}")
     raise PlanError(f"unknown condition plan {type(condition).__name__}")
-
-

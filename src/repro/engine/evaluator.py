@@ -25,6 +25,7 @@ from the kernel; nothing wraps and nothing switches representation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -83,6 +84,19 @@ _KERNEL_SECONDS_BUCKETS = (
 )
 
 
+@dataclass
+class NodeObservation:
+    """What one plan node did in a run (EXPLAIN ANALYZE): its last
+    output's tuples, width and environments, and its summed inclusive
+    seconds over ``calls`` evaluations."""
+
+    tuples: int = 0
+    width: int = 0
+    envs: int = 0
+    seconds: float = 0.0
+    calls: int = 0
+
+
 class EnvSeq:
     """A dynamic-interval environment sequence inside the engine."""
 
@@ -125,11 +139,11 @@ class DIEngine:
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  guard: "QueryGuard | None" = None,
-                 observed: "dict[int, int] | None" = None):
+                 observed: "dict[int, NodeObservation] | None" = None):
         self.stats = stats
         self._validate = validate
-        #: When a dict is supplied, every evaluated plan node records its
-        #: actual output tuple count under ``id(node)`` — what EXPLAIN
+        #: When a dict is supplied, every evaluated plan node records a
+        #: :class:`NodeObservation` under ``id(node)`` — what EXPLAIN
         #: ANALYZE renders (``explain_plan(annotations=…)``).
         self._observed = observed
         self._base: EnvSeq | None = None
@@ -219,17 +233,23 @@ class DIEngine:
 
     def _evaluate_observed(self, node: PlanNode, seq: EnvSeq) -> Value:
         tracer = self._tracer
+        observed = self._observed
+        started = perf_counter() if observed is not None else 0.0
         if tracer is None:
             result = self._dispatch(node, seq)
         else:
             with tracer.span(_span_name(node), kind=type(node).__name__,
-                             category=_span_category(node),
-                             node_id=id(node)) as span:
+                             category=_span_category(node)) as span:
                 result = self._dispatch(node, seq)
                 span.set(tuples=len(result[0]), width=result[1],
                          envs=len(seq.index))
-        if self._observed is not None:
-            self._observed[id(node)] = len(result[0])
+        if observed is not None:
+            seen = observed.setdefault(id(node), NodeObservation())
+            seen.seconds += perf_counter() - started
+            seen.calls += 1
+            seen.tuples = len(result[0])
+            seen.width = result[1]
+            seen.envs = len(seq.index)
         if self._guard is not None:
             self._guard.account(tuples=len(result[0]), width=result[1],
                                 envs=len(seq.index))

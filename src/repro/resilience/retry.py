@@ -1,11 +1,13 @@
-"""Bounded retries with exponential backoff and deterministic jitter.
+"""Bounded retries with exponential backoff and seeded jitter.
 
-A :class:`RetryPolicy` wraps one backend attempt: transient failures
-(:class:`~repro.errors.TransientBackendError` by default) are retried up
-to ``max_attempts`` with exponentially growing, jittered delays.  Both
-the sleep function and the jitter RNG are injectable, so the test suite
-observes exact backoff sequences through a recorder instead of sleeping —
-no wall-clock dependence anywhere.
+A :class:`RetryPolicy` wraps one backend attempt: a
+:class:`~repro.errors.TransientBackendError` is retried up to
+``max_attempts`` with exponentially growing, jittered delays.  The
+schedule is fixed (:data:`BASE_DELAY`, :data:`MULTIPLIER`,
+:data:`MAX_DELAY`, :data:`JITTER`); the sleep function and the jitter
+RNG are injectable, so the test suite observes exact backoff sequences
+through a recorder instead of sleeping — no wall-clock dependence
+anywhere.
 """
 
 from __future__ import annotations
@@ -25,26 +27,27 @@ T = TypeVar("T")
 #: Called before each retry sleep: (attempt just failed, delay, error).
 RetryObserver = Callable[[int, float, BaseException], None]
 
+#: Attempt *k* waits ``min(MAX_DELAY, BASE_DELAY · MULTIPLIER^(k-1))``
+#: seconds, scaled by ``1 ± JITTER``.
+BASE_DELAY = 0.05
+MULTIPLIER = 2.0
+MAX_DELAY = 5.0
+JITTER = 0.1
+
+#: The failures worth another attempt.
+RETRY_ON: tuple[type[BaseException], ...] = (TransientBackendError,)
+
 
 @dataclass
 class RetryPolicy:
-    """How (and whether) to retry a failed backend attempt.
+    """How many times to try a backend attempt.
 
     * ``max_attempts`` — total attempts including the first (1 = no retry);
-    * ``base_delay`` / ``multiplier`` / ``max_delay`` — exponential
-      backoff: attempt *k* waits ``min(max_delay, base·multiplier^(k-1))``;
-    * ``jitter`` — symmetric fractional jitter (0.1 = ±10%), drawn from
-      ``rng`` (seeded by default, so schedules are reproducible);
-    * ``retry_on`` — exception types considered transient;
-    * ``sleep`` / ``rng`` — injectable for deterministic tests.
+    * ``sleep`` / ``rng`` — injectable for deterministic tests (``rng``
+      draws the jitter and is seeded, so schedules are reproducible).
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 5.0
-    jitter: float = 0.1
-    retry_on: tuple[type[BaseException], ...] = (TransientBackendError,)
     sleep: Callable[[float], None] = time.sleep
     rng: random.Random = field(default_factory=lambda: random.Random(0x5EED))
 
@@ -52,19 +55,11 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ExecutionError(
                 f"max_attempts must be ≥ 1, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ExecutionError("retry delays cannot be negative")
-        if not 0 <= self.jitter <= 1:
-            raise ExecutionError(
-                f"jitter must be a fraction in [0, 1], got {self.jitter}")
 
     def delay_for(self, attempt: int) -> float:
         """The backoff before retrying after failed attempt ``attempt``."""
-        raw = self.base_delay * (self.multiplier ** (attempt - 1))
-        delay = min(self.max_delay, raw)
-        if self.jitter:
-            delay *= 1.0 + self.jitter * self.rng.uniform(-1.0, 1.0)
-        return max(delay, 0.0)
+        delay = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** (attempt - 1))
+        return delay * (1.0 + JITTER * self.rng.uniform(-1.0, 1.0))
 
     def delays(self) -> Iterator[float]:
         """The full (jittered) backoff schedule, one per possible retry."""
@@ -72,7 +67,7 @@ class RetryPolicy:
             yield self.delay_for(attempt)
 
     def is_retryable(self, error: BaseException) -> bool:
-        return isinstance(error, self.retry_on)
+        return isinstance(error, RETRY_ON)
 
     def call(self, fn: Callable[[], T], *,
              guard: "QueryGuard | None" = None,
@@ -105,4 +100,4 @@ class RetryPolicy:
 
 
 #: The do-nothing policy: one attempt, no sleeping.
-NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
+NO_RETRY = RetryPolicy(max_attempts=1)

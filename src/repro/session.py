@@ -69,7 +69,6 @@ from repro.xml.forest import Forest
 from repro.xquery.lowering import document_forest, document_variable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.compiler.plan import PlanNode
     from repro.resilience.breaker import CircuitBreaker
 
 logger = logging.getLogger("repro.session")
@@ -106,7 +105,6 @@ class XQuerySession:
 
     def __init__(self, backend: str = "engine",
                  strategy: str | JoinStrategy = JoinStrategy.MSJ,
-                 simplify: bool = False,
                  record: bool = True,
                  recorder: FlightRecorder | None = None,
                  slow_seconds: float | None = None,
@@ -114,7 +112,6 @@ class XQuerySession:
                  admission: "AdmissionConfig | bool | None" = None):
         self.backend = backend
         self.strategy = coerce_strategy(strategy)
-        self.simplify = simplify
         self._documents: dict[str, Forest] = {}
         self._updatable: dict[str, UpdatableDocument] = {}
         self._compiled = CompiledCache()
@@ -361,8 +358,7 @@ class XQuerySession:
         if compiled is None:
             # Compile outside any lock (it can be slow); put() makes
             # concurrent compilers of the same text agree on one winner.
-            compiled = self._compiled.put(
-                query, compile_xquery(query, simplify=self.simplify))
+            compiled = self._compiled.put(query, compile_xquery(query))
         return compiled
 
     def run(self, query: str, backend: str | None = None,
@@ -785,13 +781,15 @@ class XQuerySession:
                     self._m_fallbacks.inc(source=name, target=backend)
                 root.set(backend=backend, degraded=bool(degradations))
                 # Compilation passes run (and are cached) outside this
-                # trace — parse/lower at the first compile, plan at
-                # whichever execute first planned.  A caller's trace
-                # gets them grafted under the compile span, cached or
-                # not; the recorder's phase-level tree skips them (they
-                # are the most expensive allocations on this path).
+                # trace — parse/lower at the first compile of the text,
+                # decorrelate/plan/isolate when the engine built the plan
+                # this run used.  A caller's trace gets them grafted under
+                # the compile span, cached or not; the recorder's
+                # phase-level tree skips them (they are the most
+                # expensive allocations on this path).
                 if full:
-                    for record in compiled.trace.records:
+                    for record in (compiled.passes
+                                   + options.extra.get("plan_passes", ())):
                         span = tr.record_span(f"pass.{record.name}",
                                               record.seconds,
                                               parent=compile_span,
@@ -973,8 +971,11 @@ class XQuerySession:
         """The physical plan the engine backend runs for ``query``.
 
         ``analyze=True`` (EXPLAIN ANALYZE) runs the engine's cached plan
-        once and shows ``obs N tuples`` on every node it evaluated; the
-        plan cache is left as it was found.
+        once and shows, on every node it evaluated, ``obs N tuples,
+        w=W, E envs, X.X ms`` (and ``k×`` past one call), then the run's
+        total; the plan cache is left as it was found.  ``verbose=True``
+        prepends the compilation pass table
+        (:meth:`~repro.api.CompiledQuery.pipeline`).
         """
         compiled = self.prepare(query)
         if not analyze:
@@ -986,17 +987,8 @@ class XQuerySession:
             rendered = target.analyze(compiled, options)
         if not verbose:
             return rendered
-        return (f"{compiled.trace.render(verbose=True)}\n\n"
-                f"physical plan:\n{rendered}")
-
-    def profile(self, query: str,
-                strategy: str | JoinStrategy | None = None):
-        """Run with per-node measurements (see :mod:`repro.engine.profile`)."""
-        from repro.engine.profile import profile_plan
-
-        compiled = self.prepare(query)
-        plan = self._plan(compiled, strategy)
-        return profile_plan(plan, self._bindings(compiled))
+        report, _plan = compiled.pipeline(options.strategy)
+        return f"{report}\n\nphysical plan:\n{rendered}"
 
     # -- backends --------------------------------------------------------------------
 
@@ -1078,21 +1070,6 @@ class XQuerySession:
         if strategy is None:
             return self.strategy
         return coerce_strategy(strategy)
-
-    def _plan(self, compiled: CompiledQuery,
-              strategy: str | JoinStrategy | None) -> "PlanNode":
-        target = self.backend_instance("engine")
-        options = ExecutionOptions(strategy=self._strategy(strategy))
-        plan_for = getattr(target, "plan_for", None)
-        if plan_for is not None:
-            return plan_for(compiled, options)
-        return compiled.plan(options.strategy)
-
-    def _bindings(self, compiled: CompiledQuery) -> dict[str, Forest]:
-        bindings = {}
-        for uri, var in compiled.documents.items():
-            bindings[var] = document_forest(self.document(uri))
-        return bindings
 
     def _prepare_bindings(
             self, compiled: CompiledQuery) -> "dict[str, object]":

@@ -427,7 +427,7 @@ class TestOverheadAndConcurrency:
             query = QUERIES["Q8"]
             compiled = active.prepare(query)
             target = active.backend_instance("engine")
-            target.prepare(active._bindings(compiled))
+            target.prepare(active._prepare_bindings(compiled))
             runner = target.runner(compiled, ExecutionOptions())
             runner()  # warm caches (plan, encodings)
 

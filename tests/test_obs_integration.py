@@ -13,6 +13,7 @@ from repro.obs.export import chrome_trace, parse_prometheus, render_prometheus
 from repro.obs.trace import NullTracer, Tracer, set_tracer
 from repro.session import XQuerySession
 from repro.xmark.queries import FIGURE1_SAMPLE, QUERIES
+from repro.xquery.lowering import document_forest
 
 NAMES = 'document("a.xml")/site/people/person/name/text()'
 
@@ -64,7 +65,7 @@ class TestTracedRuns:
         assert "pass.plan" in names
         operators = {name for name in names if name.startswith("op.")}
         assert operators, names
-        # Operator spans carry the measurements the profiler aggregates.
+        # Operator spans carry the node's output measurements.
         op = root.find("op.children")
         assert op.attributes["tuples"] >= 0
         assert "category" in op.attributes
@@ -252,8 +253,8 @@ class TestDisabledFastPath:
         engine = DIEngine(tracer=counting)
         compiled = session.prepare(NAMES)
         plan = compiled.plan()
-        bindings = session._bindings(compiled)
-        engine.run_plan(plan, bindings)
+        engine.run_plan(plan, {var: document_forest(session.document(uri))
+                               for uri, var in compiled.documents.items()})
         assert counting.calls == 0
 
     def test_disabled_overhead_is_small(self):
@@ -268,7 +269,7 @@ class TestDisabledFastPath:
             query = QUERIES["Q8"]
             compiled = active.prepare(query)
             target = active.backend_instance("engine")
-            target.prepare(active._bindings(compiled))
+            target.prepare(active._prepare_bindings(compiled))
             runner = target.runner(compiled, ExecutionOptions())
             runner()  # warm caches (plan, encodings)
 

@@ -63,6 +63,13 @@ class FakeClock:
         self.time += seconds
 
 
+class NoJitter:
+    """A jitter draw of zero: the policy's bare exponential schedule."""
+
+    def uniform(self, low: float, high: float) -> float:
+        return 0.0
+
+
 DOC = "<a>" + "<b><c>x</c></b>" * 40 + "</a>"
 #: A doc/query pair heavy enough in SQLite VM opcodes that the guard's
 #: progress handler (every 4000 opcodes) fires many times per statement.
@@ -272,20 +279,21 @@ class TestQueryGuard:
 
 class TestRetryPolicy:
     def test_deterministic_schedule_without_jitter(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
-                             jitter=0.0)
+        policy = RetryPolicy(max_attempts=4, rng=NoJitter())
         assert list(policy.delays()) == [0.05, 0.1, 0.2]
 
     def test_seeded_jitter_is_reproducible(self):
         first = list(RetryPolicy(max_attempts=5).delays())
         second = list(RetryPolicy(max_attempts=5).delays())
         assert first == second
-        assert first != list(RetryPolicy(max_attempts=5, jitter=0.0).delays())
+        bare = list(RetryPolicy(max_attempts=5, rng=NoJitter()).delays())
+        assert first != bare
+        assert all(0.9 * b <= f <= 1.1 * b for f, b in zip(first, bare))
 
     def test_retries_then_succeeds(self):
         sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.0,
-                             sleep=sleeps.append)
+        policy = RetryPolicy(max_attempts=3, sleep=sleeps.append,
+                             rng=NoJitter())
         attempts = []
 
         def flaky():
@@ -299,13 +307,15 @@ class TestRetryPolicy:
         assert sleeps == [0.05, 0.1]
 
     def test_attempts_exhausted_raises_last_error(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+        sleeps: list[float] = []
+        policy = RetryPolicy(max_attempts=2, sleep=sleeps.append)
 
         def always():
             raise TransientBackendError("down")
 
         with pytest.raises(TransientBackendError):
             policy.call(always)
+        assert len(sleeps) == 1
 
     def test_non_retryable_raises_immediately(self):
         sleeps: list[float] = []
@@ -323,9 +333,9 @@ class TestRetryPolicy:
 
     def test_never_sleeps_past_the_deadline(self):
         sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.0,
-                             sleep=sleeps.append)
-        guard = QueryGuard(deadline=1.0, clock=FakeClock(0.001))
+        policy = RetryPolicy(max_attempts=5, sleep=sleeps.append,
+                             rng=NoJitter())
+        guard = QueryGuard(deadline=0.01, clock=FakeClock(0.001))
         guard.start()
 
         def always():
@@ -333,12 +343,12 @@ class TestRetryPolicy:
 
         with pytest.raises(TransientBackendError):
             policy.call(always, guard=guard)
-        assert sleeps == []  # 10s backoff >= ~1s remaining: give up now
+        assert sleeps == []  # 0.05 s backoff >= ~0.01 s remaining: give up now
 
     def test_observer_sees_each_backoff(self):
         observed = []
-        policy = RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.0,
-                             sleep=lambda _s: None)
+        policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None,
+                             rng=NoJitter())
 
         def always():
             raise TransientBackendError("down")
@@ -352,8 +362,6 @@ class TestRetryPolicy:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ExecutionError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ExecutionError):
-            RetryPolicy(jitter=2.0)
 
 
 # -- circuit breaker ----------------------------------------------------------
@@ -502,8 +510,8 @@ class TestDegradation:
         breaker_clock = FakeClock()
         breaker = backend_breaker("sqlite", clock=breaker_clock)
         sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=FAILURE_THRESHOLD, base_delay=0.05,
-                             jitter=0.0, sleep=sleeps.append)
+        policy = RetryPolicy(max_attempts=FAILURE_THRESHOLD,
+                             sleep=sleeps.append, rng=NoJitter())
         failing = tuple(range(1, FAILURE_THRESHOLD + 1))
         plan = FaultPlan().fail_on("execute", calls=failing)
         with inject_faults("sqlite", plan):

@@ -51,7 +51,7 @@ MODES = {
     "fallback": lambda s, trace: [
         s.run(QUERY, fallback=("interpreter",), trace=trace)],
     "retry": lambda s, trace: [s.run(
-        QUERY, retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+        QUERY, retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None),
         trace=trace)],
     "run_many_thread": lambda s, trace: s.run_many(
         [QUERY, QUERY], tier="thread", trace=trace),

@@ -153,7 +153,7 @@ class TestQuerying:
             active.add_document("auction.xml", xmark_text)
             active.run(query, strategy=strategy)
             engine = active.backend_instance("engine")
-            executed = engine.plan_for(
+            executed = engine.optimized_for(
                 active.prepare(query),
                 ExecutionOptions(strategy=coerce_strategy(strategy)))
             assert active.explain(query, strategy=strategy) \
@@ -177,11 +177,6 @@ class TestQuerying:
             assert cache.peek(key) is plan
             assert cache.snapshot() == before
 
-    def test_profile(self, session):
-        profile = session.profile(NAMES)
-        assert profile.total_seconds > 0
-        assert "tuples" in profile.render()
-
     def test_stats(self, session):
         from repro.engine.stats import EngineStats
         stats = EngineStats()
@@ -191,11 +186,6 @@ class TestQuerying:
     def test_unknown_backend(self, session):
         with pytest.raises(ReproError):
             session.run(NAMES, backend="dbase3")
-
-    def test_simplify_session(self):
-        with XQuerySession(simplify=True) as active:
-            active.add_document("a.xml", FIGURE1_SAMPLE)
-            assert active.run(NAMES).to_xml() == "Jaak TempestiCong Rosca"
 
 
 class TestUpdates:
