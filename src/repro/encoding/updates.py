@@ -83,10 +83,9 @@ class UpdateDelta:
     exactly the predicate of a ranged SQL ``DELETE`` and of a
     ``bisect``-bounded columnar splice.  ``inserted`` is one contiguous
     run of new rows (gap-based placement never interleaves new rows with
-    existing endpoints).  Labels and depths of the affected rows ride
-    along so document statistics can be maintained incrementally; depths
-    are *true* document depths (deleted rows: in the base document,
-    inserted rows: in the result).
+    existing endpoints) and ``inserted_depths`` their *true* depths in
+    the result document, so appliers splice ``d`` without recomputing
+    it.  ``deleted_rows`` counts the rows the ranges remove.
 
     A spread (``relabeled=True``) moves every endpoint, so the delta
     carries no incremental information and appliers must rebase from the
@@ -96,8 +95,7 @@ class UpdateDelta:
     inserted: tuple[IntervalTuple, ...] = ()
     inserted_depths: tuple[int, ...] = ()
     deleted_ranges: tuple[tuple[int, int], ...] = ()
-    deleted_labels: tuple[str, ...] = ()
-    deleted_depths: tuple[int, ...] = ()
+    deleted_rows: int = 0
     old_width: int = 0
     new_width: int = 0
     relabeled: bool = False
@@ -116,7 +114,7 @@ class UpdateDelta:
     @property
     def size(self) -> int:
         """Affected rows (delta \"size\" on flight-recorder records)."""
-        return len(self.inserted) + len(self.deleted_labels)
+        return len(self.inserted) + self.deleted_rows
 
     def wrapped(self) -> "UpdateDelta":
         """The delta in *document-wrapped* coordinates.
@@ -133,8 +131,7 @@ class UpdateDelta:
             inserted_depths=tuple(d + 1 for d in self.inserted_depths),
             deleted_ranges=tuple((lo + 1, hi + 1)
                                  for (lo, hi) in self.deleted_ranges),
-            deleted_labels=self.deleted_labels,
-            deleted_depths=tuple(d + 1 for d in self.deleted_depths),
+            deleted_rows=self.deleted_rows,
             old_width=self.old_width + 2,
             new_width=self.new_width + 2,
             relabeled=self.relabeled,
@@ -307,8 +304,7 @@ class UpdatableDocument:
         stop = int(columns.l.searchsorted(high))
         delta = UpdateDelta(
             deleted_ranges=((low, high),),
-            deleted_labels=tuple(columns.s[start:stop].tolist()),
-            deleted_depths=tuple(columns.d[start:stop].tolist()),
+            deleted_rows=stop - start,
             old_width=self.width,
             new_width=self.width,
         )

@@ -108,7 +108,7 @@ def label_column(labels: "Sequence[str]") -> np.ndarray:
     return out
 
 
-def _derive_depths(lefts: list[int], rights: list[int]) -> np.ndarray:
+def derive_depths(lefts: list[int], rights: list[int]) -> np.ndarray:
     """``d`` from the intervals alone: open ancestors at each row."""
     depths: list[int] = []
     open_rights: list[int] = []
@@ -177,7 +177,7 @@ class IntervalColumns:
         ``depths`` is for producers that know them (the encoder's DFS);
         otherwise they are derived from the intervals.
         """
-        d = _derive_depths(lefts, rights) if depths is None \
+        d = derive_depths(lefts, rights) if depths is None \
             else np.array(depths, dtype=np.int32)
         return cls(label_column(labels), make_int_column(lefts),
                    make_int_column(rights), d, label_codes(labels))

@@ -500,8 +500,8 @@ class DIEngine:
             return set(seq.index) - self._eval_condition(condition.condition, seq)
         if isinstance(condition, AndCond):
             # Short-circuit: an empty left set makes the intersection
-            # empty, and the planner orders conjuncts cheapest-first to
-            # maximize how often this skips the expensive side.
+            # empty.  Conjuncts keep their source order (plans are
+            # syntax-directed), so "left" is the one written first.
             left = self._eval_condition(condition.left, seq)
             if not left:
                 return left

@@ -159,7 +159,7 @@ class QueryGuard:
                  clock: Callable[[], float] = time.monotonic,
                  check_interval: int = DEFAULT_CHECK_INTERVAL,
                  token: CancellationToken | None = None):
-        if deadline is not None and deadline <= 0:
+        if deadline is not None and not deadline > 0:  # NaN too
             raise ExecutionError(f"deadline must be positive, got {deadline}")
         if check_interval < 1:
             raise ExecutionError(

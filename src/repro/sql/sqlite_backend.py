@@ -21,14 +21,13 @@ from contextlib import contextmanager, nullcontext, suppress
 from typing import TYPE_CHECKING, Mapping
 
 from repro.encoding.interval import IntervalTuple, decode, encode
-from repro.encoding.stats import apply_delta_to_stats, collect_stats
-from repro.engine.columns import IntervalColumns
+from repro.engine.columns import derive_depths
 from repro.errors import ExecutionError, TransientBackendError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.xml.forest import Forest, Node
 from repro.xquery.ast import CoreExpr
-from repro.sql.translator import TranslationResult, translate_query_with_stats
+from repro.sql.translator import TranslationResult, translate_query
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.guard import QueryGuard
@@ -148,9 +147,6 @@ class SQLiteDatabase:
         self.connection.execute("PRAGMA journal_mode = OFF")
         self.connection.execute("PRAGMA synchronous = OFF")
         self._documents: dict[str, tuple[str, int]] = {}
-        #: name → DocumentStats collected at shred time; the translator
-        #: ranks ``where`` conjunctions on them (cheapest emitted first).
-        self._stats: dict[str, object] = {}
         self._doc_counter = 0
 
     def close(self) -> None:
@@ -181,7 +177,8 @@ class SQLiteDatabase:
         The rebase half of the delta-update protocol: a session-supplied
         :class:`~repro.encoding.updates.DocumentUpdate` snapshot is loaded
         without ever materializing (or re-encoding) a ``Forest``.  ``d`` is
-        derived here, in the one stack pass that also feeds the statistics.
+        derived here, in one interval stack pass; no label is coded, so
+        shredding leaves the process-wide label dictionary alone.
         """
         if name in self._documents:
             table, _ = self._documents[name]
@@ -197,16 +194,16 @@ class SQLiteDatabase:
             self.connection.execute(
                 f"CREATE INDEX {table}_s ON {table} (s, l)"
             )
-        columns = IntervalColumns.from_tuples(rows)
+        depths = derive_depths([row[1] for row in rows],
+                               [row[2] for row in rows]).tolist()
         insert = f"INSERT INTO {table} (s, l, r, d) VALUES (?, ?, ?, ?)"
         try:
             self.connection.executemany(
-                insert, ((*row, d) for row, d in zip(rows, columns.d.tolist())))
+                insert, ((*row, d) for row, d in zip(rows, depths)))
             self.connection.commit()
         except sqlite3.Error as error:
             raise wrap_driver_error(error, insert) from error
         self._documents[name] = (table, int(width))
-        self._stats[name] = collect_stats(columns, max(width, 1))
         return self._documents[name]
 
     def apply_delta(self, name: str, delta) -> tuple[str, int]:
@@ -216,7 +213,7 @@ class SQLiteDatabase:
         (the range predicate is exactly the delta's inclusive left-endpoint
         bounds, served by the ``l`` primary key) plus one batched
         ``INSERT`` for the contiguous run of new rows, whose depths the
-        delta carries.  Statistics are maintained incrementally.
+        delta carries.
         """
         if name not in self._documents:
             raise ExecutionError(f"document {name!r} is not loaded")
@@ -235,9 +232,6 @@ class SQLiteDatabase:
         except sqlite3.Error as error:
             raise wrap_driver_error(error, statement) from error
         self._documents[name] = (table, int(delta.new_width))
-        stats = self._stats.get(name)
-        if stats is not None:
-            self._stats[name] = apply_delta_to_stats(stats, delta)
         return self._documents[name]
 
     @property
@@ -245,23 +239,12 @@ class SQLiteDatabase:
         """Mapping of loaded variable names to ``(table, width)``."""
         return dict(self._documents)
 
-    @property
-    def stats(self) -> dict[str, object]:
-        """Per-document statistics collected at shred time."""
-        return dict(self._stats)
-
     # -- execution ---------------------------------------------------------------
 
     def translate(self, expr: CoreExpr,
                   max_width: int | None = SQLITE_MAX_WIDTH) -> TranslationResult:
-        """Translate ``expr`` against the loaded documents.
-
-        Shred-time statistics feed the translator's conjunct ordering, so
-        cheap selective predicates short-circuit expensive structural ones
-        in the emitted ``WHERE`` clauses.
-        """
-        return translate_query_with_stats(expr, self._documents, self._stats,
-                                          max_width=max_width)
+        """Translate ``expr`` against the loaded documents."""
+        return translate_query(expr, self._documents, max_width=max_width)
 
     def execute(self, expr: CoreExpr, mode: str = "staged") -> Forest:
         """Translate, run, and decode ``expr`` into an XF forest.

@@ -129,14 +129,8 @@ class SQLTranslator:
     the backend uses a conservative default of ``2**61``.
     """
 
-    def __init__(self, max_width: int | None = None,
-                 stats_by_var: Mapping[str, object] | None = None):
+    def __init__(self, max_width: int | None = None):
         self.max_width = max_width
-        #: Document variable → :class:`~repro.encoding.stats.DocumentStats`
-        #: collected at shred time; used to emit ``where`` conjunctions
-        #: cheapest-first (SQLite evaluates ``AND`` left to right, so the
-        #: selective cheap predicate short-circuits the expensive one).
-        self.stats_by_var = dict(stats_by_var or {})
         self._counter = itertools.count()
         self._ctes: list[tuple[str, str]] = []
         self._relations: dict[str, int] = {}
@@ -230,8 +224,7 @@ class SQLTranslator:
         return self._add_relation(expr.fn, result.sql, result.width)
 
     def _translate_where(self, expr: Where, ctx: _Ctx) -> Rel:
-        predicate = self._translate_condition(
-            self._order_conjunction(expr.condition), ctx)
+        predicate = self._translate_condition(expr.condition, ctx)
         filtered = self._add(
             "where_idx",
             f"SELECT idx.i AS i FROM {ctx.index} idx\n"
@@ -304,36 +297,12 @@ class SQLTranslator:
 
     # -- condition translation --------------------------------------------------------
 
-    def _order_conjunction(self, condition: Condition) -> Condition:
-        """Reassociate an ``And`` chain cheapest-conjunct-first.
-
-        Conjunction is commutative and none of the translated predicates
-        can error, so emission order is free to choose; ranking uses
-        :func:`repro.compiler.cost.condition_weight`.  Without a
-        statistics map the ranking still orders by condition class
-        (occupancy checks before key-set comparisons).
-        """
-        if not isinstance(condition, And):
-            return condition
-        from repro.compiler.cost import condition_weight
-
-        conjuncts: list[Condition] = []
-        stack = [condition]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, And):
-                stack.extend((current.right, current.left))
-            else:
-                conjuncts.append(current)
-        ranked = sorted(conjuncts,
-                        key=lambda c: condition_weight(c, self.stats_by_var))
-        ordered = ranked[0]
-        for conjunct in ranked[1:]:
-            ordered = And(ordered, conjunct)
-        return ordered
-
     def _translate_condition(self, condition: Condition, ctx: _Ctx) -> str:
-        """Translate φ to a boolean SQL expression over ``__ENV__``."""
+        """Translate φ to a boolean SQL expression over ``__ENV__``.
+
+        Conjunctions are emitted as written: evaluation order is left to
+        SQLite's planner, as the statement's join order is.
+        """
         if isinstance(condition, Empty):
             rel = self._translate(condition.expr, ctx)
             if rel.width == 0:
@@ -387,16 +356,6 @@ class SQLTranslator:
             return self._add("seq_empty", _EMPTY_SEQ_SQL)
         return self._add("seq", structural.env_sequence_sql(rel.table),
                          structural.ENV_SEQUENCE_KEY)
-
-
-def translate_query_with_stats(expr: CoreExpr,
-                               documents: Mapping[str, tuple[str, int]],
-                               stats_by_var: Mapping[str, object],
-                               max_width: int | None = None,
-                               ) -> TranslationResult:
-    """Like :func:`translate_query`, ranking conjuncts on real statistics."""
-    return SQLTranslator(max_width=max_width,
-                         stats_by_var=stats_by_var).translate(expr, documents)
 
 
 def translate_query(expr: CoreExpr,

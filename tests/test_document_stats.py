@@ -39,7 +39,6 @@ class TestCollectStats:
         stats = collect_stats(rel, width)
         # site(0) people(1) person(2)x2 name(3)x2 text(4)x2
         assert stats.depth_histogram == (1, 1, 2, 2, 2)
-        assert stats.max_depth == 4
 
     def test_representations_agree(self):
         forest = parse_forest(SAMPLE)
@@ -50,8 +49,8 @@ class TestCollectStats:
         stats = collect_stats([], 1)
         assert stats.nodes == 0
         assert stats.roots == 0
-        assert stats.avg_subtree == 1.0
-        assert stats.label_fraction("<a>") == 0.0
+        assert stats.depth_histogram == ()
+        assert stats.label_counts == {}
 
     def test_fanout_over_elements(self):
         forest = parse_forest("<a><b/><c/><d/></a>")
@@ -66,18 +65,3 @@ class TestCollectStats:
         stats = collect_stats(rel, width)
         assert stats.roots == 2
         assert stats.nodes == 2
-
-
-class TestDerived:
-    def test_avg_subtree(self):
-        forest = parse_forest("<a><b><c/></b></a>")
-        rel, width = _both_representations(forest)[0]
-        stats = collect_stats(rel, width)
-        # depths 0,1,2 → Σ(depth+1)/nodes = (1+2+3)/3
-        assert stats.avg_subtree == 2.0
-
-    def test_label_fraction(self):
-        forest = parse_forest(SAMPLE)
-        rel, width = _both_representations(forest)[0]
-        stats = collect_stats(rel, width)
-        assert stats.label_fraction("<person>") == 2 / 8

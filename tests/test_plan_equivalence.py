@@ -36,7 +36,7 @@ QUERIES = {
         f'where $x/c = $y/c return <m>{{$y/c}}</m>'
     ),
     # Inner-only second conjunct: it stays in the residual on the pair
-    # sequence, and the conjunction exercises the SQL reordering path.
+    # sequence, and the SQL path emits the conjunction as written.
     "pushdown": (
         f'for $x in document("{DOC}")/r/a '
         f'for $y in document("{DOC}")/r/b '

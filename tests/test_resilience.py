@@ -5,6 +5,8 @@ scripted faults — the suite never sleeps and never depends on the
 wall clock.
 """
 
+import json
+import math
 import sqlite3
 import types
 
@@ -272,6 +274,41 @@ class TestQueryGuard:
             QueryGuard(deadline=0.0)
         with pytest.raises(ExecutionError):
             QueryGuard(deadline=1.0, check_interval=0)
+
+
+@pytest.mark.parametrize("deadline", [-1.0, math.nan], ids=["negative", "nan"])
+class TestDeadlineMustBePositive:
+    """A deadline that is not ``> 0`` is refused at every door.  NaN
+    compares false with everything, so a ``<= 0`` test let it through as
+    a query with no deadline at all."""
+
+    def test_session_run(self, session, deadline):
+        with pytest.raises(ExecutionError, match="deadline must be positive"):
+            session.run(QUERY, deadline=deadline)
+
+    def test_cli_timeout(self, tmp_path, capsys, deadline):
+        from repro.__main__ import main
+
+        path = tmp_path / "a.xml"
+        path.write_text(DOC)
+        code = main([QUERY, "--doc", f"a.xml={path}",
+                     "--timeout", str(deadline)])
+        assert code == 1
+        assert "deadline must be positive" in capsys.readouterr().err
+
+    def test_http_query(self, session, deadline):
+        from repro.serving import QueryServer
+        from tests.test_serving import http, run
+
+        server = QueryServer(session, port=0)
+        # json.dumps writes NaN as the bare token, which json.loads accepts.
+        payload = json.dumps({"query": QUERY, "deadline": deadline}).encode()
+        ((status, _headers, body),) = run(
+            server, http(server, "POST", "/query", payload))
+        assert status == 400
+        reply = json.loads(body)
+        assert reply["error"] == "ExecutionError"
+        assert "deadline must be positive" in reply["detail"]
 
 
 # -- retry policy -------------------------------------------------------------

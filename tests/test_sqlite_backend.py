@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ExecutionError, WidthOverflowError
 from repro.sql.sqlite_backend import SQLiteDatabase, SQLITE_MAX_WIDTH
+from repro.xml.forest import element, text
+from repro.xml.labels import label_dictionary_entries
 from repro.xml.text_parser import parse_forest
 from repro.xquery.ast import FnApp, For, Var
 
@@ -51,6 +53,20 @@ class TestDocumentLoading:
         with SQLiteDatabase() as db:
             _, width = db.load_document("x", f("<a/>")[0])
             assert width == 2
+
+    def test_shredding_interns_no_label(self):
+        """No SQL reads a label code, so shredding codes no label: the
+        process-wide dictionary, which never evicts, does not grow."""
+        values = [f"shred-probe-{index}" for index in range(1000)]
+        trees = (element("shredroot", [element("shredvalue", [text(value)])
+                                       for value in values]),)
+        before = label_dictionary_entries()
+        with SQLiteDatabase() as db:
+            table, _ = db.load_document("x", trees)
+            depths = db.connection.execute(
+                f"SELECT d FROM {table} ORDER BY l").fetchall()
+        assert label_dictionary_entries() == before
+        assert [d for (d,) in depths] == [0] + [1, 2] * len(values)
 
 
 class TestExecution:

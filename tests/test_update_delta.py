@@ -11,8 +11,6 @@ against the obvious oracle:
   snapshot rows;
 * ``splice_columns`` over :class:`IntervalColumns` ≡ columns rebuilt
   from the snapshot, depth and name-code columns included;
-* ``apply_delta_to_stats`` ≡ ``collect_stats`` on the spliced relation,
-  so the SQL translator ranks conjuncts the same either way;
 * SQLite's ranged ``DELETE`` + batched ``INSERT`` ≡ re-shredding the
   table from scratch — the carried ``e`` and ``d`` columns included;
 * the session's incremental ``apply_update`` ≡ the full re-encode path
@@ -31,7 +29,6 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.encoding.stats import apply_delta_to_stats, collect_stats
 from repro.encoding.updates import (
     DocumentUpdate,
     UpdatableDocument,
@@ -185,7 +182,10 @@ class TestDeltaOracle:
         for update in _wrapped_updates(base, final):
             if update.deltas:
                 for delta in update.deltas:
-                    columns = splice_columns(columns, delta)
+                    spliced = splice_columns(columns, delta)
+                    assert len(spliced) == (len(columns) - delta.deleted_rows
+                                            + len(delta.inserted))
+                    columns = spliced
             else:
                 columns = IntervalColumns.from_tuples(update.rows())
         oracle = IntervalColumns.from_tuples(
@@ -210,27 +210,6 @@ class TestDeltaOracle:
         assert update.rows() == oracle.tuples()
         assert update.width == final.encoded.width + 2
         assert_columns_equal(update.columns(), oracle)
-
-    @settings(max_examples=60, deadline=None)
-    @given(edit_scripts())
-    def test_stats_digest_matches_recollect(self, script):
-        forest, stride, ops = script
-        base = UpdatableDocument.from_forest(forest, stride=stride)
-        final = _apply_ops(base, ops)
-        rows = wrap_document_rows(base.encoded)
-        stats = collect_stats(IntervalColumns.from_tuples(rows),
-                              base.encoded.width + 2)
-        for update in _wrapped_updates(base, final):
-            if update.deltas:
-                for delta in update.deltas:
-                    stats = apply_delta_to_stats(stats, delta)
-            else:
-                rebuilt = IntervalColumns.from_tuples(update.rows())
-                stats = collect_stats(rebuilt, update.width)
-        final_rows = wrap_document_rows(final.encoded)
-        oracle = collect_stats(IntervalColumns.from_tuples(final_rows),
-                               final.encoded.width + 2)
-        assert stats == oracle  # every field, label counts included
 
     @settings(max_examples=25, deadline=None)
     @given(edit_scripts())
@@ -257,71 +236,6 @@ class TestDeltaOracle:
                 wrap_document_rows(final.encoded), width)
         finally:
             database.close()
-
-    def test_stats_rejects_relabeled_delta(self):
-        base = UpdatableDocument.from_forest(
-            make_forest(element("a", [text("x")])), stride=1)
-        final = base.insert_child(list(base.encoded.tuples)[0][1], 0,
-                                  [element("b", [text("y")])])
-        delta = final.last_delta
-        assert delta is not None and delta.relabeled
-        rows = wrap_document_rows(base.encoded)
-        stats = collect_stats(IntervalColumns.from_tuples(rows), len(rows))
-        with pytest.raises(ValueError):
-            apply_delta_to_stats(stats, delta)
-
-
-class TestStatsUpkeepIsDeltaSized:
-    """``apply_delta_to_stats`` along long chains."""
-
-    @staticmethod
-    def _wrapped(doc: UpdatableDocument):
-        update = DocumentUpdate(doc.revision, None, (), doc)
-        return update.columns(), update.width
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_long_chain_where_labels_leave_and_return(self, seed):
-        """Two dozen deltas and more under one parent, drawn so that
-        labels leave the vocabulary and come back (``<probe>`` starts
-        absent, ``<b>`` and ``y`` with one occurrence each); after every
-        delta every field equals a fresh collection."""
-        import random
-
-        rng = random.Random(seed)
-        doc = UpdatableDocument.from_forest(make_forest(element("a", [
-            element("b", [text("y")]), element("c", [text("x")]),
-            element("d", [text("x")])])), stride=64)
-        columns, width = self._wrapped(doc)
-        stats = collect_stats(columns, width)
-        pool = [[element("probe", [text("only here")])],
-                [element("b", [text("y")])], [element("c", [text("x")])]]
-        spliced = 0
-        gone, came_back = set(), set()
-        for step in range(40):
-            rows = doc.encoded.tuples
-            if step % 2 == 0 or len(rows) == 1:
-                doc = doc.insert_child(rows[0][1], rng.randrange(4),
-                                       rng.choice(pool))
-            else:
-                doc = doc.delete_subtree(rng.choice(
-                    [row[1] for row in rows
-                     if row[0] in ("<b>", "<c>", "<probe>")]))
-            delta = doc.last_delta.wrapped()
-            if not delta.incremental:  # a spread: rebase, as backends do
-                columns, width = self._wrapped(doc)
-                stats = collect_stats(columns, width)
-                continue
-            spliced += 1
-            columns = splice_columns(columns, delta)
-            stats = apply_delta_to_stats(stats, delta)
-            assert stats == collect_stats(columns, width), step
-            for label in ("<b>", "y", "<probe>", "only here"):
-                if label not in stats.label_counts:
-                    gone.add(label)
-                elif label in gone:
-                    came_back.add(label)
-        assert spliced >= 24 and came_back
-        assert columns.tuples() == self._wrapped(doc)[0].tuples()
 
 
 class TestNoRowFormOnTheWritePath:

@@ -230,44 +230,43 @@ GOLDEN = [
      [('<r>', 3, 63), ('<a>', 7, 35), ('@k', 11, 23), ('1', 15, 19),
       ('x', 27, 31), ('<b>', 39, 59), ('<c>', 43, 47), ('<n>', 48, 49),
       ('y', 51, 55), ('<s>', 67, 71)],
-     ((('<n>', 48, 49),), (2,), (), (), (), 75, 75, False)),
+     ((('<n>', 48, 49),), (2,), (), 0, 75, 75, False)),
     ('delete_subtree', 75, 4, (0, 4, False),
      [('<r>', 3, 63), ('<b>', 39, 59), ('<c>', 43, 47), ('<n>', 48, 49),
       ('y', 51, 55), ('<s>', 67, 71)],
-     ((), (), ((7, 35),), ('<a>', '@k', '1', 'x'), (1, 2, 3, 2), 75, 75,
-      False)),
+     ((), (), ((7, 35),), 4, 75, 75, False)),
     ('insert_tree append widens', 76, 4, (2, 0, False),
      [('<r>', 3, 63), ('<b>', 39, 59), ('<c>', 43, 47), ('<n>', 48, 49),
       ('y', 51, 55), ('<s>', 67, 71), ('<z>', 72, 75), ('t', 73, 74)],
-     ((('<z>', 72, 75), ('t', 73, 74)), (0, 1), (), (), (), 75, 76, False)),
+     ((('<z>', 72, 75), ('t', 73, 74)), (0, 1), (), 0, 75, 76, False)),
     ('insert_tree middle fits', 76, 4, (1, 0, False),
      [('<r>', 3, 63), ('<b>', 39, 59), ('<c>', 43, 47), ('<n>', 48, 49),
       ('y', 51, 55), ('<m>', 64, 65), ('<s>', 67, 71), ('<z>', 72, 75),
       ('t', 73, 74)],
-     ((('<m>', 64, 65),), (0,), (), (), (), 76, 76, False)),
+     ((('<m>', 64, 65),), (0,), (), 0, 76, 76, False)),
     ('insert_child spreads', 151, 8, (3, 0, True),
      [('<r>', 7, 79), ('<b>', 15, 71), ('<p>', 16, 21), ('<q>', 17, 20),
       ('u', 18, 19), ('<c>', 23, 31), ('<n>', 39, 47), ('y', 55, 63),
       ('<m>', 87, 95), ('<s>', 103, 111), ('<z>', 119, 143),
       ('t', 127, 135)],
-     ((), (), (), (), (), 76, 151, True)),
+     ((), (), (), 0, 76, 151, True)),
     ('insert_tree prepend', 151, 8, (1, 0, False),
      [('<h>', 1, 4), ('<r>', 7, 79), ('<b>', 15, 71), ('<p>', 16, 21),
       ('<q>', 17, 20), ('u', 18, 19), ('<c>', 23, 31), ('<n>', 39, 47),
       ('y', 55, 63), ('<m>', 87, 95), ('<s>', 103, 111), ('<z>', 119, 143),
       ('t', 127, 135)],
-     ((('<h>', 1, 4),), (0,), (), (), (), 151, 151, False)),
+     ((('<h>', 1, 4),), (0,), (), 0, 151, 151, False)),
     ('relabel', 80, 8, (0, 0, True),
      [('<h>', 2, 5), ('<r>', 8, 53), ('<b>', 11, 50), ('<p>', 14, 29),
       ('<q>', 17, 26), ('u', 20, 23), ('<c>', 32, 35), ('<n>', 38, 41),
       ('y', 44, 47), ('<m>', 56, 59), ('<s>', 62, 65), ('<z>', 68, 77),
       ('t', 71, 74)],
-     ((), (), (), (), (), 151, 80, True)),
+     ((), (), (), 0, 151, 80, True)),
     ('delete last root', 80, 8, (0, 2, False),
      [('<h>', 2, 5), ('<r>', 8, 53), ('<b>', 11, 50), ('<p>', 14, 29),
       ('<q>', 17, 26), ('u', 20, 23), ('<c>', 32, 35), ('<n>', 38, 41),
       ('y', 44, 47), ('<m>', 56, 59), ('<s>', 62, 65)],
-     ((), (), ((68, 77),), ('<z>', 't'), (0, 1), 80, 80, False)),
+     ((), (), ((68, 77),), 2, 80, 80, False)),
 ]
 
 
