@@ -5,9 +5,8 @@ core expression / dynamic-interval plan — can be executed by different
 relational engines.  A :class:`Backend` is the unit of retargeting.  Each
 backend:
 
-* declares :class:`BackendCapabilities` (can it keep documents loaded
-  between queries, does it survive in-place document updates, what is its
-  maximum representable interval width);
+* declares :class:`BackendCapabilities` (its maximum representable
+  interval width, the join strategies it distinguishes);
 * follows a two-phase lifecycle — :meth:`Backend.prepare` loads documents
   (untimed setup, keyed by core variable name), :meth:`Backend.execute`
   evaluates a compiled query against them;
@@ -44,24 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports us)
 class BackendCapabilities:
     """What an execution backend can do, declared up front.
 
-    * ``prepared_documents`` — the backend keeps loaded documents between
-      queries (sessions skip re-loading and invalidate selectively);
-    * ``updates`` — prepared state survives in-place document updates via
-      :meth:`Backend.invalidate`; backends without this are torn down and
-      rebuilt by the session when a document changes;
-    * ``delta_updates`` — the backend can patch prepared state in place
-      from an :class:`~repro.encoding.updates.DocumentUpdate` via
-      :meth:`Backend.apply_update`, skipping the full re-encode;
     * ``max_width`` — largest statically inferred interval width the
       backend can represent (``None`` = no static cap: the interpreter
       has no widths, the DI engine renormalises them at run time);
     * ``strategies`` — join strategies the backend distinguishes (empty
       when the knob is meaningless, e.g. the SQL translation).
+
+    Whether a backend absorbs document updates in place is not declared:
+    it is what :meth:`Backend.apply_update` returns.
     """
 
-    prepared_documents: bool = False
-    updates: bool = True
-    delta_updates: bool = False
     max_width: int | None = None
     strategies: tuple[JoinStrategy, ...] = ()
     description: str = ""
@@ -184,9 +175,9 @@ class Backend(abc.ABC):
         """Patch prepared state for ``name`` in place from ``update``.
 
         Returns ``True`` when the backend absorbed the update (its
-        prepared state now reflects ``update.revision``); ``False`` means
-        the caller must fall back to :meth:`invalidate` + re-prepare.
-        Only meaningful on backends declaring ``delta_updates``.
+        prepared state now reflects ``update.revision``); ``False`` — the
+        default — means the caller must fall back to :meth:`invalidate`
+        + re-prepare.
         """
         return False
 

@@ -12,40 +12,37 @@ decides, per connection, between replaying a few deltas and reloading:
   the same major whose missing minors are all still in the bounded log
   replays just that tail (ranged ``DELETE`` + batched ``INSERT``).
 
-The adapter owns the rest: where a full load comes from and how a delta
-becomes SQL.  Every method is called with the owning backend's lock held.
+A reload after an update comes from the latest update's wrapped snapshot
+(:meth:`~repro.encoding.updates.DocumentUpdate.columns`), the columns
+every other backend adopts.  The adapter owns the rest: the load before
+any update and how a delta becomes SQL.  Every method is called with the
+owning backend's lock held.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.encoding.updates import UpdateDelta, splice_rows
-
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.encoding.interval import IntervalTuple
-    from repro.encoding.updates import DocumentUpdate
+    from repro.encoding.updates import DocumentUpdate, UpdateDelta
 
 #: Deltas kept per document; a connection farther behind than this
-#: reloads from the authoritative rows instead of replaying the tail.
+#: reloads from the latest snapshot instead of replaying the tail.
 DELTA_LOG_LIMIT = 32
 
 
 class DeltaLog:
-    """Generation pair, authoritative rows and bounded delta tail of one
+    """Generation pair, latest update and bounded delta tail of one
     prepared document."""
 
-    __slots__ = ("generation", "minor", "rows", "width", "revision", "_tail")
+    __slots__ = ("generation", "minor", "update", "_tail")
 
     def __init__(self) -> None:
         self.generation = object()
         self.minor = 0
-        #: The document-wrapped encoded relation, kept current by
-        #: splicing; ``None`` while the adapter still loads from a forest.
-        self.rows: "list[IntervalTuple] | None" = None
-        self.width: int | None = None
-        #: Updatable-document revision the state reflects (delta chaining).
-        self.revision: int | None = None
+        #: The latest absorbed update, the reload source; ``None`` while
+        #: the adapter still loads from a forest.
+        self.update: "DocumentUpdate | None" = None
         #: The deltas of minors ``minor - len(_tail) + 1 … minor``.
         self._tail: list[UpdateDelta] = []
 
@@ -68,26 +65,22 @@ class DeltaLog:
     def absorb(self, update: "DocumentUpdate") -> None:
         """Move to ``update.revision``.
 
-        When the recorded revision is the update's base, its deltas are
-        spliced into ``rows`` and appended to the log — only the minor
-        moves, and every connection replays the same deltas.  Any other
-        update (first after a forest load, relabel or width change in the
-        chain) rebases: ``rows`` become the update's wrapped snapshot
-        under a new major.
+        Committing the revision already held changes nothing.  When the
+        held revision is the update's base, its deltas are appended to the
+        log — only the minor moves, and every connection replays the same
+        deltas.  Any other update (first after a forest load, relabel or
+        width change in the chain) rebases: a new major, whose connections
+        reload from the update's snapshot.
         """
-        deltas = update.deltas
-        if (deltas and self.rows is not None
-                and self.revision == update.base_revision):
-            for delta in deltas:
-                self.rows = splice_rows(self.rows, delta)
-            self._tail.extend(deltas)
+        held = self.update.revision if self.update is not None else None
+        if held == update.revision:
+            return
+        if update.deltas and held == update.base_revision:
+            self._tail.extend(update.deltas)
             del self._tail[:-DELTA_LOG_LIMIT]
-            self.minor += len(deltas)
-            self.width = deltas[-1].new_width
+            self.minor += len(update.deltas)
         else:
             self.generation = object()
             self.minor = 0
             self._tail.clear()
-            self.rows = update.rows()
-            self.width = update.width
-        self.revision = update.revision
+        self.update = update

@@ -11,7 +11,6 @@ from repro.compiler.cache import CacheKey, CachedPlan, PlanCache
 from repro.compiler.pipeline import PassRecord, optimize_stage, plan_stage
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import explain_plan
-from repro.engine.columns import splice_columns
 from repro.engine.evaluator import DIEngine, NodeObservation, Value
 from repro.xml.forest import Forest, PreorderForest
 
@@ -33,9 +32,6 @@ class EngineBackend(Backend):
 
     name = "engine"
     capabilities = BackendCapabilities(
-        prepared_documents=True,
-        updates=True,
-        delta_updates=True,
         # No static cap: a width that would leave int64 is renormalised
         # at run time (twice the largest block, however deep the query).
         max_width=None,
@@ -46,7 +42,6 @@ class EngineBackend(Backend):
     def __init__(self) -> None:
         super().__init__()
         self._encoded: dict[str, Value] = {}
-        self._revisions: dict[str, int] = {}
         self._cache = PlanCache()
 
     @property
@@ -73,34 +68,18 @@ class EngineBackend(Backend):
             self._prepared[name] = ()
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
-        """Patch the cached encoding in place instead of re-encoding.
+        """Adopt the commit's wrapped snapshot as the cached encoding.
 
-        When the recorded revision matches the update's base, the carried
-        deltas are spliced into the immutable columnar encoding —
-        O(affected subtree) plus one C-level copy per column.  Otherwise
-        (first update after a forest-based prepare, or a relabel in the
-        chain) the encoding is rebased from the update's wrapped
-        snapshot, which still never materializes a ``Forest``.  Cached
-        plans are untouched either way.
+        The snapshot is immutable columns built once per commit and
+        shared with every other backend that holds columns, so adopting
+        it copies nothing and never materializes a ``Forest``.  Cached
+        plans are untouched.
         """
         with self._lock:
             self._check_open()
             if name not in self._prepared:
                 return False
-            value = self._encoded.get(name)
-            spliced = False
-            if (update.deltas and value is not None
-                    and self._revisions.get(name) == update.base_revision):
-                rel, width = value
-                if all(delta.old_width == width for delta in update.deltas):
-                    for delta in update.deltas:
-                        rel = splice_columns(rel, delta)
-                    spliced = True
-            if not spliced:
-                rel = update.columns()
-                width = update.width
-            self._encoded[name] = (rel, width)
-            self._revisions[name] = update.revision
+            self._encoded[name] = (update.columns(), update.width)
             # The stale forest (if any) must not linger; the sentinel
             # marks the variable prepared without one (adopt_encoded
             # idiom).
@@ -109,7 +88,6 @@ class EngineBackend(Backend):
 
     def _unload(self, name: str) -> None:
         self._encoded.pop(name, None)
-        self._revisions.pop(name, None)
 
     def _close(self) -> None:
         self._encoded.clear()

@@ -24,8 +24,6 @@ class InterpreterBackend(Backend):
 
     name = "interpreter"
     capabilities = BackendCapabilities(
-        prepared_documents=True,
-        updates=True,
         max_width=None,
         strategies=(),  # no join operator to choose
         description="Figure 3 denotational reference semantics (oracle)",

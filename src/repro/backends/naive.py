@@ -24,8 +24,6 @@ class NaiveBackend(Backend):
 
     name = "naive"
     capabilities = BackendCapabilities(
-        prepared_documents=True,
-        updates=True,
         max_width=None,
         strategies=(),
         description="nested-loop materializing competitor baseline",

@@ -52,9 +52,6 @@ class ProcPoolBackend(Backend):
 
     name = "procpool"
     capabilities = BackendCapabilities(
-        prepared_documents=True,
-        updates=True,
-        delta_updates=True,
         max_width=None,
         strategies=(JoinStrategy.MSJ, JoinStrategy.NLJ),
         description="process-parallel DI engine over shared-memory columns",
@@ -69,8 +66,6 @@ class ProcPoolBackend(Backend):
         self._workers = workers
         self._start_method = start_method
         self._pool: ProcessQueryPool | None = None
-        #: Updatable-document revision each registered document reflects.
-        self._revisions: dict[str, int] = {}
 
     @property
     def pool(self) -> ProcessQueryPool | None:
@@ -90,38 +85,26 @@ class ProcPoolBackend(Backend):
         self._ensure_pool().register_document(name, value)
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
-        """Splice the update into the pool's shared-memory encodings.
+        """Publish the commit's wrapped snapshot to every worker.
 
-        Revision match → each carried delta is spliced into the parent's
-        columns and re-exported as one fresh segment (see
-        :meth:`ProcessQueryPool.apply_delta`).  Otherwise the
-        document is re-registered wholesale from the update's wrapped
-        snapshot — still no ``Forest`` materialization.
+        The snapshot is exported as one fresh segment and the old one is
+        unlinked once every worker has adopted it — no ``Forest``
+        materialization, and the parent keeps no columns of its own.
         """
         with self._lock:
             self._check_open()
             if name not in self._prepared or self._pool is None:
                 return False
-            pool = self._pool
-            spliced = False
-            if (update.deltas
-                    and self._revisions.get(name) == update.base_revision):
-                spliced = all(pool.apply_delta(name, delta)
-                              for delta in update.deltas)
-            if not spliced:
-                pool.register_document(name,
-                                       (update.columns(), update.width))
-            self._revisions[name] = update.revision
+            self._pool.register_document(name,
+                                         (update.columns(), update.width))
             self._prepared[name] = ()
         return True
 
     def _unload(self, name: str) -> None:
-        self._revisions.pop(name, None)
         if self._pool is not None:
             self._pool.unregister_document(name)
 
     def _close(self) -> None:
-        self._revisions.clear()
         if self._pool is not None:
             self._pool.close()
             self._pool = None

@@ -55,9 +55,6 @@ class SQLiteBackend(Backend):
 
     name = "sqlite"
     capabilities = BackendCapabilities(
-        prepared_documents=True,
-        updates=True,
-        delta_updates=True,
         max_width=SQLITE_MAX_WIDTH,  # 64-bit integers, Section 4.3
         strategies=(),  # join choice belongs to SQLite's own planner
         description="Section 4 single-SQL-statement translation on SQLite",
@@ -68,7 +65,7 @@ class SQLiteBackend(Backend):
         #: name → shared document state, what ``_sync`` compares against.
         self._generations: dict[str, DeltaLog] = {}
         #: name → forest, the load source until the first update gives
-        #: the document authoritative rows.
+        #: the document a snapshot to reload from.
         self._forests: dict[str, Forest] = {}
         self._pool: ThreadLocalPool[_ThreadDatabase] = ThreadLocalPool(
             lambda: _ThreadDatabase(SQLiteDatabase()))
@@ -90,7 +87,7 @@ class SQLiteBackend(Backend):
 
         The tail is the same ranged ``DELETE`` + batched ``INSERT`` the
         updating thread ran; a full load comes from the forest or, after
-        the first update, the authoritative row snapshot.
+        the first update, the latest update's wrapped snapshot columns.
         """
         pending: list[tuple] = []
         with self._lock:
@@ -98,14 +95,14 @@ class SQLiteBackend(Backend):
                 have = state.loaded.get(name)
                 if have != doc.current:
                     pending.append((name, doc.current, doc.pending_for(have),
-                                    doc.rows, doc.width,
-                                    self._forests.get(name)))
-        for name, current, tail, rows, width, forest in pending:
+                                    doc.update, self._forests.get(name)))
+        for name, current, tail, update, forest in pending:
             if tail is not None:
                 for delta in tail:
                     state.database.apply_delta(name, delta)
-            elif rows is not None:
-                state.database.load_encoded(name, rows, width)
+            elif update is not None:
+                state.database.load_encoded(name, update.columns(),
+                                            update.width)
             else:
                 state.database.load_document(name, forest)
             state.loaded[name] = current
@@ -123,8 +120,8 @@ class SQLiteBackend(Backend):
 
         :meth:`DeltaLog.absorb` decides which; either way every
         per-thread connection catches up on its next sync — replaying the
-        deltas or re-shredding from the rebased rows — without a
-        ``Forest`` ever being materialized.
+        deltas or re-shredding from the update's snapshot columns —
+        without a ``Forest`` ever being materialized.
         """
         with self._lock:
             self._check_open()

@@ -48,11 +48,7 @@ import traceback
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.compiler.cache import CompiledCache
-from repro.engine.columns import (
-    IntervalColumns,
-    export_columns,
-    splice_columns,
-)
+from repro.engine.columns import export_columns
 from repro.errors import (
     ExecutionError,
     QueryCancelledError,
@@ -410,10 +406,8 @@ class ProcessQueryPool:
         self._workers: "list[_Worker | None]" = [None] * self.size
         self._rotation = 0
         self._closed = False
-        #: var → payload shipped to workers / parent-side value (the
-        #: splice source for deltas) / live segment.
+        #: var → payload shipped to workers / live segment.
         self._documents: dict[str, tuple] = {}
-        self._values: dict[str, tuple] = {}
         self._segments: "dict[str, SharedMemory]" = {}
         try:
             for index in range(self.size):
@@ -428,40 +422,17 @@ class ProcessQueryPool:
     def register_document(self, var: str, value: tuple) -> None:
         """Register (or replace) a document on every worker.
 
-        ``value`` is the engine encoding ``(relation, width)``; it goes
-        through shared memory.  Replacing a document unlinks the old
-        segment once every worker has adopted the new payload.
+        ``value`` is the engine encoding ``(IntervalColumns, width)``; it
+        is exported into one shared-memory segment.  Replacing a document
+        unlinks the old segment once every worker has adopted the new
+        payload.
         """
         columns, width = value
         self._check_open()
-        self._publish(var, IntervalColumns.from_tuples(columns), width)
-
-    def apply_delta(self, var: str, delta) -> bool:
-        """Splice an incremental ``UpdateDelta`` into a registered document.
-
-        The parent-side columns are patched copy-on-write
-        (:func:`~repro.engine.columns.splice_columns`) and every worker
-        adopts one fresh segment (a single C-level export of the spliced
-        columns).  Returns ``False`` when the delta cannot be spliced
-        (unknown variable, non-incremental delta, width mismatch) —
-        callers then re-register wholesale.
-        """
-        self._check_open()
-        if var not in self._values or not delta.incremental:
-            return False
-        columns, width = self._values[var]
-        if delta.old_width != width:
-            return False
-        self._publish(var, splice_columns(columns, delta), width)
-        return True
-
-    def _publish(self, var: str, columns: IntervalColumns,
-                 width: int) -> None:
-        """Export ``columns``, have every worker adopt them, unlink the old."""
-        payload, segment = self._export(columns, width)
+        descriptor, segment = export_columns(columns)
+        payload = (descriptor, width)
         old = self._segments.get(var)
         self._documents[var] = payload
-        self._values[var] = (columns, width)
         self._segments[var] = segment
         for index in range(self.size):
             self._request_worker(index, ("doc", var, payload))
@@ -471,7 +442,6 @@ class ProcessQueryPool:
     def unregister_document(self, var: str) -> None:
         """Drop a document everywhere and unlink its segment."""
         self._documents.pop(var, None)
-        self._values.pop(var, None)
         segment = self._segments.pop(var, None)
         if not self._closed:
             for index in range(self.size):
@@ -551,7 +521,6 @@ class ProcessQueryPool:
             self._unlink(shm)
         self._segments.clear()
         self._documents.clear()
-        self._values.clear()
 
     def __enter__(self) -> "ProcessQueryPool":
         return self
@@ -564,12 +533,6 @@ class ProcessQueryPool:
     def _check_open(self) -> None:
         if self._closed:
             raise ExecutionError("process pool is closed")
-
-    @staticmethod
-    def _export(columns: IntervalColumns, width: int
-                ) -> "tuple[tuple, SharedMemory]":
-        descriptor, shm = export_columns(columns)
-        return (descriptor, width), shm
 
     @staticmethod
     def _unlink(shm: "SharedMemory") -> None:

@@ -18,19 +18,18 @@ valid (now gappy) encoding.
 All operations return new :class:`UpdatableDocument` states; nothing is
 mutated, matching the package's value semantics.  Each operation also
 emits a typed :class:`UpdateDelta` — the O(affected-subtree) difference
-between the old and new encodings — which the session propagates to
-prepared backends so they can *patch* their document state (columnar
-splice, ranged SQL ``DELETE`` + batched ``INSERT``) instead of
-re-encoding and re-shredding the whole document.  The document is held
-as the engine holds it, :class:`~repro.engine.columns.IntervalColumns`,
-and an edit's new state is the engine's own ``splice_columns`` of its
-delta.  See ``docs/UPDATES.md``.
+between the old and new encodings.  The document is held as the engine
+holds it, :class:`~repro.engine.columns.IntervalColumns`, and an edit's
+new state is the engine's own ``splice_columns`` of its delta.  A commit
+hands backends one :class:`DocumentUpdate`: the engine tiers adopt its
+wrapped snapshot, and the relational adapter replays the deltas (ranged
+SQL ``DELETE`` + batched ``INSERT``) instead of re-shredding the whole
+document.  See ``docs/UPDATES.md``.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,15 +140,16 @@ class UpdateDelta:
 class DocumentUpdate:
     """Everything a backend needs to bring one prepared document current.
 
-    ``deltas`` are already in document-wrapped coordinates.  A backend
-    whose recorded revision equals ``base_revision`` applies them as an
-    O(affected-subtree) patch; any other backend (first update after a
-    forest-based prepare, divergent update branch, relabel in the chain)
-    *rebases* from the wrapped snapshot of the updated encoding —
-    :meth:`columns` for the engine tiers, :meth:`rows` for the relational
-    adapter's :class:`~repro.backends.deltalog.DeltaLog` — built lazily,
-    the columns once for every rebasing backend.  Either way no
-    :class:`~repro.xml.forest.Forest` is materialized.
+    One commit publishes one wrapped snapshot, :meth:`columns`, built on
+    first use and shared: every backend that holds columns (the engine
+    and its process tier) adopts it as is.  ``deltas`` — already in
+    document-wrapped coordinates — are for the one backend that cannot
+    adopt columns, the relational adapter: its
+    :class:`~repro.backends.deltalog.DeltaLog` replays them when it holds
+    ``base_revision`` and reloads from :meth:`columns` otherwise (first
+    update after a forest-based prepare, divergent update branch, relabel
+    in the chain).  Either way no :class:`~repro.xml.forest.Forest` is
+    materialized.
     """
 
     __slots__ = ("revision", "base_revision", "deltas", "_source", "_columns")
@@ -168,26 +168,31 @@ class DocumentUpdate:
         """Width of the wrapped snapshot (updatable width + 2)."""
         return self._source.width + 2
 
-    def rows(self) -> list[IntervalTuple]:
-        """The wrapped snapshot as rows, a fresh list per call."""
-        return self.columns().tuples()
-
     def columns(self) -> IntervalColumns:
         """The wrapped snapshot (cached): every endpoint and depth of the
         source one higher, under a document-node row spanning
         ``[0, width - 1]`` — the shape ``encode_columns`` produces for
-        ``document_forest(trees)``, in the document's gappy numbering."""
+        ``document_forest(trees)``, in the document's gappy numbering.
+        Each column is written once, into a preallocated array."""
         if self._columns is None:
             from repro.xquery.lowering import DOCUMENT_LABEL
 
+            def wrapped(top, column: np.ndarray, shift: int = 0):
+                out = np.empty(len(column) + 1, dtype=column.dtype)
+                out[0] = top
+                if shift:
+                    np.add(column, shift, out=out[1:])
+                else:
+                    out[1:] = column
+                return out
+
             source = self._source.columns
-            self._columns = IntervalColumns(*(
-                np.concatenate((np.array([top], dtype=column.dtype), column))
-                for top, column in ((DOCUMENT_LABEL, source.s),
-                                    (0, source.l + 1),
-                                    (self.width - 1, source.r + 1),
-                                    (0, source.d + 1),
-                                    (name_code(DOCUMENT_LABEL), source.c))))
+            self._columns = IntervalColumns(
+                wrapped(DOCUMENT_LABEL, source.s),
+                wrapped(0, source.l, 1),
+                wrapped(self.width - 1, source.r, 1),
+                wrapped(0, source.d, 1),
+                wrapped(name_code(DOCUMENT_LABEL), source.c))
         return self._columns
 
 
@@ -227,8 +232,7 @@ class UpdatableDocument:
     @property
     def encoded(self) -> EncodedForest:
         """The row form of this state, built on first read and cached; no
-        edit reads it, and of the commits only the relational adapter's
-        rebase (:meth:`DocumentUpdate.rows`)."""
+        edit or commit reads it."""
         if self._encoded is None:
             self._encoded = EncodedForest(self.columns.tuples(), self.width,
                                           sort=False)
@@ -444,27 +448,6 @@ class UpdatableDocument:
         )
         return self._derive(splice_columns(self.columns, delta), width,
                             UpdateStats(inserted_nodes=len(placed)), delta)
-
-
-def splice_rows(rows: list[IntervalTuple],
-                delta: UpdateDelta) -> list[IntervalTuple]:
-    """Apply a delta to a document-ordered ``(s, l, r)`` row list.
-
-    The row-form twin of :func:`repro.engine.columns.splice_columns`, in
-    the order its SQL replay runs (ranged deletes, then the insert):
-    positions are found by bisect on the left endpoints, everything else
-    is C-level list slicing.  The input list is never mutated.
-    """
-    def position(left: int) -> int:
-        return bisect_left(out, left, key=lambda row: row[1])
-
-    out = list(rows)
-    for lo, hi in delta.deleted_ranges:
-        del out[position(lo):position(hi + 1)]
-    if delta.inserted:
-        at = position(delta.inserted[0][1])
-        out[at:at] = delta.inserted
-    return out
 
 
 def _with_slack(columns: IntervalColumns, lefts: np.ndarray,

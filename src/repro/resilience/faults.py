@@ -223,7 +223,7 @@ class FaultyBackend(Backend):
     Faults fire *before* delegating, so a scripted ``execute`` failure
     never touches the inner backend — the call looks like a transport
     fault from the session's point of view.  Interceptable methods:
-    ``prepare``, ``execute``, ``close``.
+    ``prepare``, ``execute``, ``apply_update``, ``close``.
     """
 
     def __init__(self, inner: Backend, plan: FaultPlan):
@@ -251,6 +251,10 @@ class FaultyBackend(Backend):
     def prepare(self, documents: Mapping[str, Forest]) -> None:
         self.plan.apply("prepare")
         self.inner.prepare(documents)
+
+    def apply_update(self, name: str, update) -> bool:
+        self.plan.apply("apply_update")
+        return self.inner.apply_update(name, update)
 
     def invalidate(self, name: str) -> None:
         self.inner.invalidate(name)

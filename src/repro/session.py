@@ -6,10 +6,9 @@ application would use:
 
 * documents are registered once (from text, files, nodes, or generated
   XMark data) and reused across queries;
-* compiled queries are cached per query text; backends with the
-  ``prepared_documents`` capability keep their loaded state (shredded
-  SQLite tables, cached interval encodings, physical plans) between
-  queries;
+* compiled queries are cached per query text; backends keep their
+  loaded state (shredded SQLite tables, cached interval encodings,
+  physical plans) between queries;
 * backends are resolved through :mod:`repro.backends` — any registered
   name works, and each instance lives for the session and is closed
   uniformly by :meth:`XQuerySession.close`;
@@ -131,9 +130,9 @@ class XQuerySession:
         self._m_invalidations = self.metrics.counter(
             "repro_session_invalidations_total",
             "backend cache invalidations after document changes")
-        self._m_delta_updates = self.metrics.counter(
-            "repro_session_delta_updates_total",
-            "document updates absorbed by backends as incremental deltas",
+        self._m_updates_applied = self.metrics.counter(
+            "repro_session_updates_applied_total",
+            "document updates absorbed by backends without a reload",
             ("backend",))
         self._m_retries = self.metrics.counter(
             "repro_resilience_retries_total",
@@ -258,15 +257,16 @@ class XQuerySession:
         the old state, queries started afterwards see the new one — a
         concurrent reader never observes half an update.
 
-        By default the commit is *incremental*: the deltas recorded since
-        the previously committed revision are handed to every backend
-        whose capabilities declare ``delta_updates``, which splices them
-        into its existing encoding in O(affected subtree); the session's
-        own ``Forest`` view is re-materialized lazily on the next
-        :meth:`document` call.  Backends that cannot absorb the delta
-        fall back to the usual invalidate/close path.  Setting
-        ``incremental=False`` forces the original full re-encode path —
-        the oracle the property tests compare against.
+        By default the commit is *incremental*: every live backend gets
+        one :class:`DocumentUpdate` through ``Backend.apply_update`` —
+        the engine tiers adopt its wrapped snapshot, the relational
+        adapter replays the deltas recorded since the previously
+        committed revision — and the session's own ``Forest`` view is
+        re-materialized lazily on the next :meth:`document` call.  A
+        backend whose ``apply_update`` returns ``False`` (the default) or
+        raises is invalidated instead.  Setting ``incremental=False``
+        forces the original full re-encode path — the oracle the
+        property tests compare against.
         """
         started = time.perf_counter()
         if not incremental:
@@ -283,9 +283,10 @@ class XQuerySession:
                                 lock_started=lock_started, started=started)
             return
         # Build the document-coordinate update outside every lock: the
-        # delta chain since the committed base when unbroken, otherwise
-        # an empty chain whose lazily-built wrapped snapshot lets
-        # backends rebase without ever materializing a Forest.
+        # delta chain since the committed base when unbroken (what the
+        # relational adapter replays), otherwise an empty chain, plus the
+        # lazily-built wrapped snapshot every other backend adopts — no
+        # Forest is materialized.
         with self._state_lock.read_locked():
             base = self._updatable.get(uri)
         deltas = updated.deltas_since(base) if base is not None else None
@@ -304,21 +305,22 @@ class XQuerySession:
             with self._backend_lock:
                 items = list(self._backends.items())
             for name, target in items:
-                ok = False
-                if target.capabilities.delta_updates:
+                try:
                     ok = target.apply_update(var, update)
+                except Exception:
+                    # Readers are excluded and the document has already
+                    # moved on: a backend that failed half-way must not
+                    # keep serving its old state, so it reloads instead.
+                    logger.exception("apply_update failed on backend %r; "
+                                     "invalidating %r", name, uri)
+                    ok = False
                 if ok:
                     applied += 1
-                    self._m_delta_updates.inc(backend=name)
-                    logger.debug("delta-updated %r on backend %r", uri, name)
-                elif target.capabilities.updates:
-                    target.invalidate(var)
-                    invalidated += 1
-                    self._m_invalidations.inc()
+                    self._m_updates_applied.inc(backend=name)
+                    logger.debug("updated %r in place on backend %r",
+                                 uri, name)
                 else:
-                    target.close()
-                    with self._backend_lock:
-                        self._backends.pop(name, None)
+                    target.invalidate(var)
                     invalidated += 1
                     self._m_invalidations.inc()
         updated.release_base()
@@ -1090,10 +1092,8 @@ class XQuerySession:
         return bindings
 
     def _invalidate(self, uri: str) -> None:
-        """Drop backend state for one document after it changed.
+        """Drop every backend's state for one document after it changed.
 
-        Backends whose capabilities declare ``updates`` invalidate just the
-        affected document; the rest are closed and recreated lazily.
         Callers hold the session write lock, so no query is mid-flight
         while backend state is dropped; each live backend is counted
         exactly once in ``repro_session_invalidations_total``.
@@ -1102,11 +1102,6 @@ class XQuerySession:
         with self._backend_lock:
             items = list(self._backends.items())
         for name, target in items:
-            if target.capabilities.updates:
-                target.invalidate(var)
-            else:
-                target.close()
-                with self._backend_lock:
-                    self._backends.pop(name, None)
+            target.invalidate(var)
             self._m_invalidations.inc()
             logger.debug("invalidated %r on backend %r", uri, name)

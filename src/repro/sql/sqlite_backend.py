@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import sqlite3
 from contextlib import contextmanager, nullcontext, suppress
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.encoding.interval import IntervalTuple, decode, encode
+from repro.encoding.interval import decode, encode
 from repro.engine.columns import derive_depths
 from repro.errors import ExecutionError, TransientBackendError
 from repro.obs.metrics import MetricsRegistry
@@ -30,6 +30,7 @@ from repro.xquery.ast import CoreExpr
 from repro.sql.translator import TranslationResult, translate_query
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.columns import IntervalColumns
     from repro.resilience.guard import QueryGuard
 
 #: Driver messages indicating a condition worth retrying (another writer
@@ -163,23 +164,35 @@ class SQLiteDatabase:
     def load_document(self, name: str, trees: Forest | Node) -> tuple[str, int]:
         """Shred ``trees`` into a relation; returns ``(table, width)``.
 
-        Re-loading an existing ``name`` replaces its contents.
+        Re-loading an existing ``name`` replaces its contents.  ``d`` is
+        derived here, in one interval stack pass; no label is coded, so
+        shredding leaves the process-wide label dictionary alone.
         """
         if isinstance(trees, Node):
             trees = (trees,)
         encoded = encode(trees)
-        return self.load_encoded(name, list(encoded.tuples), encoded.width)
+        rows = encoded.tuples
+        depths = derive_depths([row[1] for row in rows],
+                               [row[2] for row in rows]).tolist()
+        return self._shred(name, ((*row, d) for row, d in zip(rows, depths)),
+                           encoded.width)
 
-    def load_encoded(self, name: str, rows: list[IntervalTuple],
+    def load_encoded(self, name: str, columns: "IntervalColumns",
                      width: int) -> tuple[str, int]:
-        """Shred pre-encoded ``(s, l, r)`` rows; returns ``(table, width)``.
+        """Shred an encoded relation; returns ``(table, width)``.
 
-        The rebase half of the delta-update protocol: a session-supplied
+        The reload half of the delta-update protocol: a session-supplied
         :class:`~repro.encoding.updates.DocumentUpdate` snapshot is loaded
-        without ever materializing (or re-encoding) a ``Forest``.  ``d`` is
-        derived here, in one interval stack pass; no label is coded, so
-        shredding leaves the process-wide label dictionary alone.
+        without ever materializing (or re-encoding) a ``Forest``, and its
+        carried ``d`` column is stored as is.
         """
+        return self._shred(name, zip(columns.s.tolist(), columns.l.tolist(),
+                                     columns.r.tolist(), columns.d.tolist()),
+                           width)
+
+    def _shred(self, name: str, rows: "Iterable[tuple[str, int, int, int]]",
+               width: int) -> tuple[str, int]:
+        """(Re)fill the table of ``name`` with ``(s, l, r, d)`` rows."""
         if name in self._documents:
             table, _ = self._documents[name]
             self.connection.execute(f"DELETE FROM {table}")
@@ -194,12 +207,9 @@ class SQLiteDatabase:
             self.connection.execute(
                 f"CREATE INDEX {table}_s ON {table} (s, l)"
             )
-        depths = derive_depths([row[1] for row in rows],
-                               [row[2] for row in rows]).tolist()
         insert = f"INSERT INTO {table} (s, l, r, d) VALUES (?, ?, ?, ?)"
         try:
-            self.connection.executemany(
-                insert, ((*row, d) for row, d in zip(rows, depths)))
+            self.connection.executemany(insert, rows)
             self.connection.commit()
         except sqlite3.Error as error:
             raise wrap_driver_error(error, insert) from error

@@ -104,8 +104,7 @@ class ToyBackend(Backend):
     """A third-party backend: delegates to the reference interpreter."""
 
     name = "toy"
-    capabilities = BackendCapabilities(
-        prepared_documents=True, updates=True, description="toy oracle clone")
+    capabilities = BackendCapabilities(description="toy oracle clone")
 
     def _runner(self, compiled, options):
         from repro.xquery.interpreter import Interpreter

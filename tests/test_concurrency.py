@@ -265,7 +265,7 @@ class TestUpdateConsistency:
             session.run(QUERY_ALL, backend=backend)
         invalidations = session.metrics.get(
             "repro_session_invalidations_total")
-        deltas = session.metrics.get("repro_session_delta_updates_total")
+        deltas = session.metrics.get("repro_session_updates_applied_total")
 
         def delta_total() -> float:
             return sum(value for _, value in deltas.samples())
@@ -275,11 +275,11 @@ class TestUpdateConsistency:
         session.apply_update("d.xml",
                              session.updatable("d.xml"))
         # Every live backend is accounted for exactly once: either it
-        # absorbed the update as a delta or it was invalidated/closed.
+        # absorbed the update in place or it was invalidated.
         absorbed = delta_total() - before_deltas
         invalidated = invalidations.value() - before
         assert absorbed + invalidated == len(ALL_BACKENDS)
-        assert absorbed >= 1  # at least the engine backend splices
+        assert absorbed >= 1  # at least the engine backend adopts it
 
     @pytest.mark.parametrize("backend", ("engine", "sqlite"))
     def test_delta_hammer_readers_never_see_half_a_delta(self, backend):

@@ -86,10 +86,10 @@ class TestDocFilesExist:
         text = (ROOT / "docs/UPDATES.md").read_text()
         assert "# Incremental updates" in text
         for term in ("UpdateDelta", "deleted_ranges", "relabeled",
-                     "delta.wrapped()", "deltas_since", "delta_updates",
+                     "delta.wrapped()", "deltas_since", "apply_update",
                      "deleted_rows", "CacheKey",
                      "incremental=False",
-                     "repro_session_delta_updates_total",
+                     "repro_session_updates_applied_total",
                      "repro_update_lock_hold_seconds",
                      "major/minor generation"):
             assert term in text, term

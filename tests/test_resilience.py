@@ -529,6 +529,42 @@ class TestFaultPlan:
                 with pytest.raises(TransientBackendError):
                     session.run(QUERY)
 
+    @staticmethod
+    def _commit_a_delete(session) -> tuple[int, int]:
+        """Delete the first ``<b>`` and commit; returns the commit's
+        ``(backends_applied, backends_invalidated)``."""
+        doc = session.updatable("a.xml")
+        first = next(row for row in doc.encoded.tuples if row[0] == "<b>")
+        session.apply_update("a.xml", doc.delete_subtree(first[1]))
+        record = session.recorder.updates()[-1]
+        return record.backends_applied, record.backends_invalidated
+
+    @pytest.mark.parametrize("backend", ["engine", "sqlite"])
+    def test_wrapped_backend_still_absorbs_updates(self, backend):
+        """Wrapping a backend for faults must not turn its in-place
+        update path into an invalidation."""
+        plan = FaultPlan()
+        with inject_faults(backend, plan):
+            with XQuerySession(backend=backend) as session:
+                session.add_document("a.xml", DOC)
+                assert len(session.run(QUERY)) == 40
+                assert self._commit_a_delete(session) == (1, 0)
+                assert len(session.run(QUERY)) == 39
+        assert plan.call_count("apply_update") == 1
+
+    def test_scripted_apply_update_failure_invalidates(self):
+        plan = FaultPlan().fail_on("apply_update", calls=1)
+        with inject_faults("engine", plan):
+            with XQuerySession() as session:
+                session.add_document("a.xml", DOC)
+                assert len(session.run(QUERY)) == 40
+                assert self._commit_a_delete(session) == (0, 1)
+                assert len(session.run(QUERY)) == 39
+                assert self._commit_a_delete(session) == (1, 0)
+                assert len(session.run(QUERY)) == 38
+        assert [(method, call) for method, call, _error in plan.raised] == \
+            [("apply_update", 1)]
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError):
             with inject_faults("no-such-backend", FaultPlan()):

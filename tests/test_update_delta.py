@@ -7,8 +7,6 @@ tests state that claim once per layer and let Hypothesis drive random
 insert/delete sequences (including spread-triggering ones at stride 1)
 against the obvious oracle:
 
-* ``splice_rows`` over the wrapped delta chain ≡ the update's wrapped
-  snapshot rows;
 * ``splice_columns`` over :class:`IntervalColumns` ≡ columns rebuilt
   from the snapshot, depth and name-code columns included;
 * SQLite's ranged ``DELETE`` + batched ``INSERT`` ≡ re-shredding the
@@ -18,27 +16,29 @@ against the obvious oracle:
 
 And one count instead of a timing: on the relational backends a commit
 changes as many table rows as its delta names, on every connection
-(:class:`TestCommitTouchesOnlyTheDeltasRows`).
+(:class:`TestCommitTouchesOnlyTheDeltasRows`).  The commit protocol
+itself: the engine tiers share the one wrapped snapshot a commit builds
+(:class:`TestOneSnapshotPerCommit`), and a lagging sqlite connection
+replays the delta log or reloads from that snapshot
+(:class:`TestDeltaLogBranches`).
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.encoding.updates import (
-    DocumentUpdate,
-    UpdatableDocument,
-    splice_rows,
-)
+from repro.backends.deltalog import DELTA_LOG_LIMIT
+from repro.encoding.updates import DocumentUpdate, UpdatableDocument
 from repro.engine.columns import IntervalColumns, splice_columns
 from repro.session import XQuerySession
 from repro.sql.sqlite_backend import SQLiteDatabase
 from repro.xml.forest import element, forest as make_forest, text
-from repro.xquery.lowering import DOCUMENT_LABEL
+from repro.xquery.lowering import DOCUMENT_LABEL, document_variable
 from tests.test_updates_model import (
     assert_columns_equal,
     assert_state_is_sound,
@@ -47,9 +47,11 @@ from tests.test_updates_model import (
 
 def shredded_afresh(rows, width):
     """The ``(e, s, l, r, d)`` table a fresh ``load_encoded`` of ``rows``
-    holds: what every patched connection's table must equal."""
+    (``d`` derived from the intervals) holds: what every patched
+    connection's table must equal."""
     with SQLiteDatabase() as fresh:
-        table, _ = fresh.load_encoded("doc", list(rows), width)
+        table, _ = fresh.load_encoded(
+            "doc", IntervalColumns.from_tuples(list(rows)), width)
         return fresh.connection.execute(
             f"SELECT e, s, l, r, d FROM {table} ORDER BY l").fetchall()
 
@@ -154,26 +156,6 @@ def _wrapped_updates(base: UpdatableDocument,
 class TestDeltaOracle:
     @settings(max_examples=60, deadline=None)
     @given(edit_scripts())
-    def test_splice_rows_matches_snapshot(self, script):
-        forest, stride, ops = script
-        base = UpdatableDocument.from_forest(forest, stride=stride)
-        final = _apply_ops(base, ops)
-        rows = wrap_document_rows(base.encoded)
-        width = base.encoded.width + 2
-        for update in _wrapped_updates(base, final):
-            if update.deltas:
-                for delta in update.deltas:
-                    assert delta.old_width == width and not delta.relabeled
-                    rows = splice_rows(rows, delta)
-                    width = delta.new_width
-            else:
-                rows = update.rows()
-                width = update.width
-        assert rows == wrap_document_rows(final.encoded)
-        assert width == final.encoded.width + 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(edit_scripts())
     def test_splice_columns_matches_rebuild(self, script):
         forest, stride, ops = script
         base = UpdatableDocument.from_forest(forest, stride=stride)
@@ -187,7 +169,7 @@ class TestDeltaOracle:
                                             + len(delta.inserted))
                     columns = spliced
             else:
-                columns = IntervalColumns.from_tuples(update.rows())
+                columns = update.columns()
         oracle = IntervalColumns.from_tuples(
             wrap_document_rows(final.encoded))
         assert columns.tuples() == oracle.tuples()
@@ -207,7 +189,6 @@ class TestDeltaOracle:
         update = DocumentUpdate(final.revision, None, (), final)
         oracle = IntervalColumns.from_tuples(
             wrap_document_rows(final.encoded))
-        assert update.rows() == oracle.tuples()
         assert update.width == final.encoded.width + 2
         assert_columns_equal(update.columns(), oracle)
 
@@ -220,13 +201,15 @@ class TestDeltaOracle:
         rows = wrap_document_rows(base.encoded)
         database = SQLiteDatabase()
         try:
-            database.load_encoded("doc", rows, base.encoded.width + 2)
+            database.load_encoded("doc", IntervalColumns.from_tuples(rows),
+                                  base.encoded.width + 2)
             for update in _wrapped_updates(base, final):
                 if update.deltas:
                     for delta in update.deltas:
                         database.apply_delta("doc", delta)
                 else:
-                    database.load_encoded("doc", update.rows(), update.width)
+                    database.load_encoded("doc", update.columns(),
+                                          update.width)
             table, width = database.documents["doc"]
             shredded = database.connection.execute(
                 f"SELECT e, s, l, r, d FROM {table} ORDER BY l").fetchall()
@@ -238,33 +221,68 @@ class TestDeltaOracle:
             database.close()
 
 
+SMALL = "<r><a>1</a><b><a>2</a></b></r>"
+ALL_A = "doc('d.xml')//a"
+
+
+def _shut_the_row_form(monkeypatch) -> None:
+    """Nail shut the two doors to the row form."""
+    from repro.encoding.interval import EncodedForest
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("row form built on the write path")
+
+    monkeypatch.setattr(IntervalColumns, "tuples", refuse)
+    monkeypatch.setattr(EncodedForest, "__init__", refuse)
+
+
+def _rebase_insert_delete(session, answer) -> None:
+    """Commit the rebasing no-op, an insert and its delete on ``SMALL``;
+    ``answer()`` reads ``ALL_A`` after each edit."""
+    doc = session.updatable("d.xml")
+    session.apply_update("d.xml", doc)     # the rebasing commit
+    parent = int(doc.columns.l[doc.columns.s.tolist().index("<b>")])
+    edited = doc.insert_child(parent, 0, [element("a", [text("3")])])
+    session.apply_update("d.xml", edited)
+    assert answer() == "<a>1</a><a>3</a><a>2</a>"
+    victim = edited.last_delta.inserted[0][1]
+    session.apply_update("d.xml", edited.delete_subtree(victim))
+    assert answer() == "<a>1</a><a>2</a>"
+    commits = session.recorder.updates()
+    assert [record.deltas for record in commits] == [0, 1, 1]
+    assert all(record.backends_applied == 1 for record in commits)
+
+
 class TestNoRowFormOnTheWritePath:
     def test_edit_and_commit_never_build_rows(self, monkeypatch):
         """With the two doors to the row form nailed shut, an edit and its
         commit on the engine backend still go through — rebase included."""
-        from repro.encoding.interval import EncodedForest
-
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("row form built on the write path")
-
         with XQuerySession(backend="engine") as session:
-            session.add_document("d.xml", "<r><a>1</a><b><a>2</a></b></r>")
-            query = "doc('d.xml')//a"
-            assert len(session.run(query)) == 2
-            monkeypatch.setattr(IntervalColumns, "tuples", refuse)
-            monkeypatch.setattr(EncodedForest, "__init__", refuse)
-            doc = session.updatable("d.xml")
-            session.apply_update("d.xml", doc)     # the rebasing commit
-            parent = int(doc.columns.l[doc.columns.s.tolist().index("<b>")])
-            edited = doc.insert_child(parent, 0, [element("a", [text("3")])])
-            session.apply_update("d.xml", edited)
-            assert session.run(query).to_xml() == "<a>1</a><a>3</a><a>2</a>"
-            victim = edited.last_delta.inserted[0][1]
-            session.apply_update("d.xml", edited.delete_subtree(victim))
-            assert session.run(query).to_xml() == "<a>1</a><a>2</a>"
-            commits = session.recorder.updates()
-            assert [record.deltas for record in commits] == [0, 1, 1]
-            assert all(record.backends_applied == 1 for record in commits)
+            session.add_document("d.xml", SMALL)
+            assert len(session.run(ALL_A)) == 2
+            _shut_the_row_form(monkeypatch)
+            _rebase_insert_delete(session,
+                                  lambda: session.run(ALL_A).to_xml())
+
+    @pytest.mark.parametrize("backend", ["sqlite", "procpool"])
+    def test_other_backends_never_build_rows(self, monkeypatch, backend):
+        """The same on the other two backends that absorb updates, each
+        answer read on a peer thread too: on sqlite the peer's connection
+        reloads from the snapshot columns after the rebasing commit, then
+        replays the delete."""
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "1")
+        with XQuerySession(backend=backend) as session, \
+                ThreadPoolExecutor(max_workers=1) as peer:
+            def answer() -> str:
+                mine = session.run(ALL_A).to_xml()
+                assert peer.submit(
+                    lambda: session.run(ALL_A).to_xml()).result() == mine
+                return mine
+
+            session.add_document("d.xml", SMALL)
+            assert answer() == "<a>1</a><a>2</a>"
+            _shut_the_row_form(monkeypatch)
+            _rebase_insert_delete(session, answer)
 
 
 # -- the session path end to end ---------------------------------------------
@@ -420,3 +438,112 @@ class TestCommitTouchesOnlyTheDeltasRows:
                 assert "probe" in {row[1] for row in rows}
                 assert rows == shredded_afresh(
                     [row[1:4] for row in rows], width)
+
+
+# -- the commit protocol ------------------------------------------------------
+
+def _flip(doc: UpdatableDocument) -> UpdatableDocument:
+    """Delete the ``<a>`` the previous flip inserted, or insert one under
+    ``<b>`` of ``SMALL``: alternating at one slot never spreads."""
+    if doc.last_delta is not None and doc.last_delta.inserted:
+        return doc.delete_subtree(doc.last_delta.inserted[0][1])
+    parent = int(doc.columns.l[doc.columns.s.tolist().index("<b>")])
+    return doc.insert_child(parent, 0, [element("a", [text("new")])])
+
+
+class TestOneSnapshotPerCommit:
+    def test_engine_and_pool_adopt_the_commits_snapshot(self, monkeypatch):
+        """The engine holds the commit's wrapped snapshot itself, and the
+        process tier is handed the same object: one build per commit."""
+        built: list[IntervalColumns] = []
+        columns = DocumentUpdate.columns
+        monkeypatch.setattr(DocumentUpdate, "columns",
+                            lambda update: built.append(columns(update))
+                            or built[-1])
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "1")
+        with XQuerySession() as session:
+            session.add_document("d.xml", SMALL)
+            for backend in ("engine", "procpool"):
+                session.run(ALL_A, backend=backend)
+            for _step in range(2):   # a rebase, then a delta
+                built.clear()
+                session.apply_update("d.xml",
+                                     _flip(session.updatable("d.xml")))
+                engine = session.backend_instance("engine")
+                held, _width = engine._encoded[document_variable("d.xml")]
+                assert len(built) == 2
+                assert built[0] is built[1] is held
+                assert session.run(ALL_A, backend="procpool").to_xml() == \
+                    session.run(ALL_A, backend="engine").to_xml()
+
+
+class TestDeltaLogBranches:
+    """Which branch of :class:`DeltaLog` a lagging sqlite connection
+    takes, counted on a peer thread's connection."""
+
+    def test_recommitting_the_held_revision_changes_no_row(self):
+        with XQuerySession(backend="sqlite") as session:
+            session.add_document("d.xml", SMALL)
+            session.run(ALL_A)
+            session.apply_update("d.xml", session.updatable("d.xml"))
+            connection = \
+                session.backend_instance("sqlite").database.connection
+            before = connection.total_changes
+            session.apply_update("d.xml", session.updatable("d.xml"))
+            assert connection.total_changes == before
+            record = session.recorder.updates()[-1]
+            assert (record.deltas, record.relabeled,
+                    record.backends_applied) == (0, False, 1)
+
+    def test_lagging_peer_replays_within_the_log_and_reloads_past_it(
+            self, monkeypatch):
+        loads: list[tuple[int, IntervalColumns]] = []
+        load_encoded = SQLiteDatabase.load_encoded
+
+        def spy(database, name, columns, width):
+            loads.append((threading.get_ident(), columns))
+            return load_encoded(database, name, columns, width)
+
+        monkeypatch.setattr(SQLiteDatabase, "load_encoded", spy)
+        with XQuerySession(backend="sqlite") as session, \
+                ThreadPoolExecutor(max_workers=1) as peer:
+            sqlite = session.backend_instance("sqlite")
+            session.add_document("d.xml", SMALL)
+            for backend in ("engine", "sqlite"):
+                session.run(ALL_A, backend=backend)
+            peer_id = peer.submit(threading.get_ident).result()
+            theirs = peer.submit(lambda: sqlite.database.connection).result()
+            log = sqlite._generations[document_variable("d.xml")]
+
+            def commits(edit, count: int) -> int:
+                """Commit ``count`` edits; returns their summed delta size."""
+                size = 0
+                for _step in range(count):
+                    edited = edit(session.updatable("d.xml"))
+                    session.apply_update("d.xml", edited)
+                    size += edited.last_delta.size
+                return size
+
+            def peer_catches_up() -> tuple[int, int]:
+                """The rows the peer's connection changed to answer, and
+                the snapshot loads it made; its answer is the engine's."""
+                changes, reloads = theirs.total_changes, len(loads)
+                answer = peer.submit(
+                    lambda: session.run(ALL_A).to_xml()).result()
+                assert answer == session.run(ALL_A, backend="engine").to_xml()
+                peer_loads = [columns for thread, columns in loads[reloads:]
+                              if thread == peer_id]
+                for columns in peer_loads:
+                    assert columns is log.update.columns()
+                return theirs.total_changes - changes, len(peer_loads)
+
+            commits(_flip, 1)                       # the first: a rebase
+            assert peer_catches_up()[1] == 1
+            size = commits(_flip, DELTA_LOG_LIMIT)  # all still in the log
+            assert peer_catches_up() == (size, 0)
+            commits(_flip, DELTA_LOG_LIMIT + 1)     # one past its reach
+            assert peer_catches_up()[1] == 1
+            commits(lambda doc: doc.relabel(), 1)   # a spread: new major
+            commits(_flip, 1)
+            assert session.recorder.updates()[-2].relabeled
+            assert peer_catches_up()[1] == 1
