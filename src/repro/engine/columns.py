@@ -258,10 +258,6 @@ class IntervalColumns:
             return iter(())
         return zip(*(column.tolist() for column in self.block_bounds(width)))
 
-    def envs_present(self, width: int) -> list[int]:
-        """The sorted environment indices with at least one tuple."""
-        return [env for env, _lo, _hi in self.iter_env_bounds(width)]
-
 
 def splice_columns(columns: "IntervalColumns",
                    delta: "UpdateDelta") -> "IntervalColumns":

@@ -1,9 +1,13 @@
 """Plan evaluation over dynamic-interval environment sequences.
 
 The evaluator executes physical plans (:mod:`repro.compiler.plan`) against
-an :class:`EnvSeq` — the in-engine form of Definition 3.3: a sorted index
-of environment ids plus one document-ordered interval relation (and width)
-per variable.  Every rule mirrors the SQL translation of Section 4, but
+an :class:`EnvSeq` — the in-engine form of Definition 3.3: the index
+relation ``I`` as a strictly ascending int64 array of environment ids,
+plus one document-ordered interval relation (and width) per variable.
+Conditions are boolean masks over that array and a join's matched pairs
+are two arrays, so no step walks the environments in Python (the
+nested-loop join's per-pair comparison excepted: it is the quadratic
+control arm).  Every rule mirrors the SQL translation of Section 4, but
 runs the linear whole-column kernels of :mod:`repro.engine.kernels`
 instead of joins, and executes decorrelated loops with the structural
 merge join of Section 5.  Every relation the evaluator reads or writes
@@ -25,9 +29,12 @@ from the kernel; nothing wraps and nothing switches representation.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.guard import QueryGuard
@@ -60,7 +67,12 @@ from repro.engine.stats import (
     JOIN,
     OTHER,
 )
-from repro.errors import ExecutionError, PlanError, UnboundVariableError
+from repro.errors import (
+    ExecutionError,
+    PlanError,
+    UnboundVariableError,
+    WidthOverflowError,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.xml.forest import Forest
@@ -83,6 +95,11 @@ _KERNEL_SECONDS_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
 )
 
+#: The index of the base environment sequence: environment 0 alone.
+_BASE_INDEX = np.zeros(1, dtype=np.int64)
+
+_NO_ENVS = np.empty(0, dtype=np.int64)
+
 
 @dataclass
 class NodeObservation:
@@ -98,11 +115,13 @@ class NodeObservation:
 
 
 class EnvSeq:
-    """A dynamic-interval environment sequence inside the engine."""
+    """A dynamic-interval environment sequence inside the engine:
+    ``index`` is a strictly ascending int64 array (never written in
+    place), ``vars`` one ``(relation, width)`` value per variable."""
 
     __slots__ = ("index", "vars")
 
-    def __init__(self, index: list[int], vars: dict[str, Value]):
+    def __init__(self, index: np.ndarray, vars: dict[str, Value]):
         self.index = index
         self.vars = vars
 
@@ -213,7 +232,7 @@ class DIEngine:
         A value given as a tuple list is turned into columns here, once;
         columns pass through untouched.
         """
-        self._base = EnvSeq([0], {
+        self._base = EnvSeq(_BASE_INDEX, {
             name: (IntervalColumns.from_tuples(rel), width)
             for name, (rel, width) in values.items()})
         try:
@@ -282,12 +301,14 @@ class DIEngine:
         else:
             raise PlanError(f"cannot evaluate {type(node).__name__}")
         if self._validate:
-            # Every node's result — including For/JoinFor, whose output
-            # width re-blocks per *enclosing* environment — must fall in
-            # blocks of the current sequence's index.
-            from repro.engine.validate import validate_value
-            validate_value(result[0], result[1], seq.index,
-                           context=type(node).__name__)
+            # The index evaluated under must be a strictly ascending int64
+            # array, and every node's result — including For/JoinFor,
+            # whose output width re-blocks per *enclosing* environment —
+            # must fall in blocks of it.
+            from repro.engine.validate import validate_index, validate_value
+            context = type(node).__name__
+            validate_index(seq.index, context=context)
+            validate_value(result[0], result[1], seq.index, context=context)
         return result
 
     # -- operators -------------------------------------------------------------------
@@ -318,8 +339,7 @@ class DIEngine:
             histogram.observe(perf_counter() - started, kernel=name)
         return result
 
-    def _fit(self, value: Value, envs: Sequence[int],
-             out_width: int) -> Value:
+    def _fit(self, value: Value, envs: np.ndarray, out_width: int) -> Value:
         """``value``, renormalised if what is about to be made of it —
         blocks of ``out_width``, as far out as the last of ``envs`` —
         would leave int64.  The trigger is the bound the kernels test,
@@ -451,21 +471,23 @@ class DIEngine:
 
     # -- where ------------------------------------------------------------------------
 
+    def _join_time(self):
+        """The Figure 10 *join* timer, or a no-op without stats."""
+        return nullcontext() if self.stats is None \
+            else self.stats.measure(JOIN)
+
     def _eval_where(self, node: WhereNode, seq: EnvSeq) -> Value:
         satisfied = self._eval_condition(node.condition, seq)
-        if self.stats is not None:
-            context = self.stats.measure(JOIN)
-        else:
-            context = _NullContext()
-        with context:
-            surviving = [i for i in seq.index if i in satisfied]
+        with self._join_time():
+            everyone = satisfied.all()
+            surviving = seq.index if everyone else seq.index[satisfied]
             inner_vars: dict[str, Value] = {}
             for name in node.body_free:
                 value = seq.vars.get(name)
                 if value is None:
                     continue
                 rel, width = value
-                if width == 0 or len(surviving) == len(seq.index):
+                if width == 0 or everyone:
                     inner_vars[name] = value
                 else:
                     inner_vars[name] = (
@@ -478,32 +500,37 @@ class DIEngine:
 
     # -- conditions -------------------------------------------------------------------
 
-    def _eval_condition(self, condition: CondPlan, seq: EnvSeq) -> set[int]:
-        """The set of environment indices satisfying the condition."""
+    def _eval_condition(self, condition: CondPlan,
+                        seq: EnvSeq) -> np.ndarray:
+        """A boolean mask over ``seq.index``: the environments that
+        satisfy the condition."""
         if isinstance(condition, EmptyCond):
             rel, width = self.evaluate(condition.expr, seq)
             # A width-0 relation has no blocks: every environment is empty.
-            return set(seq.index).difference(rel.envs_present(width))
+            if width == 0:
+                return np.ones(len(seq.index), dtype=np.bool_)
+            return ~_members(seq.index, rel.block_bounds(width)[0])
         if isinstance(condition, (EqualCond, SomeEqualCond)):
             left = self.evaluate(condition.left, seq)
             right = self.evaluate(condition.right, seq)
-            return set(self._kernel(
+            return _members(seq.index, self._kernel(
                 "equal_envs", kernels.equal_envs,
                 isinstance(condition, SomeEqualCond),
-                (*left, seq.index), (*right, seq.index)).tolist())
+                (*left, seq.index), (*right, seq.index)))
         if isinstance(condition, LessCond):
             left_keys = self._forest_keys(condition.left, seq)
             right_keys = self._forest_keys(condition.right, seq)
-            return {i for i in seq.index
-                    if left_keys.get(i, ()) < right_keys.get(i, ())}
+            return np.fromiter(
+                (left_keys.get(i, ()) < right_keys.get(i, ())
+                 for i in seq.index.tolist()), np.bool_, len(seq.index))
         if isinstance(condition, NotCond):
-            return set(seq.index) - self._eval_condition(condition.condition, seq)
+            return ~self._eval_condition(condition.condition, seq)
         if isinstance(condition, AndCond):
-            # Short-circuit: an empty left set makes the intersection
+            # Short-circuit: an empty left side makes the conjunction
             # empty.  Conjuncts keep their source order (plans are
             # syntax-directed), so "left" is the one written first.
             left = self._eval_condition(condition.left, seq)
-            if not left:
+            if not left.any():
                 return left
             return left & self._eval_condition(condition.right, seq)
         if isinstance(condition, OrCond):
@@ -523,11 +550,7 @@ class DIEngine:
         source = self.evaluate(node.source, seq)
         if source[1] == 0:
             return IntervalColumns.empty(), 0
-        if self.stats is not None:
-            context = self.stats.measure(JOIN)
-        else:
-            context = _NullContext()
-        with context:
+        with self._join_time():
             # Iterations are numbered by root left endpoint (< one block
             # past the last environment) and get a block of the source's
             # width each: the width squares.
@@ -537,58 +560,64 @@ class DIEngine:
             outer = {name: seq.vars[name]
                      for name in sorted(node.required_outer)
                      if name in seq.vars}
-            lefts = roots.l.tolist()
-            index, fan = self._compact(lefts, source_width, outer.values())
+            envs, offsets = np.divmod(roots.l, source_width)
+            index, fan = self._compact(envs, offsets, source_width,
+                                       outer.values())
             bound = self._kernel("expand_variable", kernels.expand_variable,
                                  source_rel, source_width, index)
             inner_vars: dict[str, Value] = {node.var: (bound, source_width)}
-            if outer:
-                # Copying the outer bindings into every iteration is the
-                # quadratic cost of nested-loop evaluation:
-                # |roots| × |binding blocks| tuples.
-                moves = [(left // source_width, env)
-                         for left, env in zip(lefts, index)]
-                for name, value in outer.items():
-                    inner_vars[name] = self._gather(value, moves)
+            # Copying the outer bindings into every iteration is the
+            # quadratic cost of nested-loop evaluation:
+            # |roots| × |binding blocks| tuples.
+            for name, value in outer.items():
+                inner_vars[name] = self._gather(value, envs, index)
         body_rel, body_width = self.evaluate(
             node.body, EnvSeq(index, inner_vars))
         width = fan * body_width
         return self._fit((body_rel, width), seq.index, width)
 
-    def _compact(self, index: list[int], width: int,
-                 outer: Iterable[Value]) -> tuple[list[int], int]:
+    def _compact(self, envs: np.ndarray, offsets: np.ndarray, width: int,
+                 outer: Iterable[Value]) -> tuple[np.ndarray, int]:
         """The iteration numbers a ``For``/``JoinFor`` body runs under.
 
-        Returns ``(numbers, fan)``: ``fan`` consecutive numbers belong to
-        each enclosing environment, so a body result of width ``w`` is,
-        read at width ``fan · w``, already laid out for the enclosing
-        sequence.  Section 4 numbers iterations ``env · width + offset``
-        (root left endpoints, or ``ix · width + iy`` pairs), which is
-        ``index`` as given, ``fan = width``.  Only when a block of a
-        binding at the last of those numbers would leave int64 — the
+        Iteration ``k`` belongs to enclosing environment ``envs[k]`` and
+        sits at ``offsets[k] < width`` in its block, ``(envs, offsets)``
+        strictly ascending.  Returns ``(numbers, fan)``: ``fan``
+        consecutive numbers belong to each enclosing environment, so a
+        body result of width ``w`` is, read at width ``fan · w``, already
+        laid out for the enclosing sequence.  Section 4 numbers
+        iterations ``env · width + offset`` (root left endpoints, or
+        ``ix · width + iy`` pairs), ``fan = width``.  Only when a block
+        of a binding at the last of those numbers would leave int64 — the
         source's own width, or an ``outer`` binding's — are they replaced
         by ``env · fan + rank``, ``fan`` the most iterations any one
-        environment has: the same order, with nothing skipped.
+        environment has: the same order, with nothing skipped.  Both
+        bounds are tested on the last number in Python integers, before
+        any array product that could wrap.
         """
+        if len(envs) == 0:
+            return envs, width
         widest = max([width] + [value[1] for value in outer])
-        if not kernels.overflows(index, widest):
-            return index, width
-        envs = [number // width for number in index]
-        first: dict[int, int] = {}
-        for position, env in enumerate(envs):
-            first.setdefault(env, position)
-        ranks = [position - first[env] for position, env in enumerate(envs)]
-        fan = max(ranks) + 1
-        return [env * fan + rank for env, rank in zip(envs, ranks)], fan
+        last = int(envs[-1]) * width + int(offsets[-1])
+        if not kernels.overflows((last,), widest):
+            return envs * width + offsets, width
+        ranks = np.arange(len(envs)) - np.searchsorted(envs, envs)
+        fan = int(ranks.max()) + 1
+        if int(envs[-1]) * fan + int(ranks[-1]) > kernels.INT64_MAX:
+            raise WidthOverflowError(
+                f"iteration numbers leave int64 even when dense: "
+                f"{fan} iterations in environment {int(envs[-1])}")
+        return envs * fan + ranks, fan
 
-    def _gather(self, value: Value, moves: list[tuple[int, int]]) -> Value:
-        """Copy environment blocks ``(origin, target)``, targets ascending."""
+    def _gather(self, value: Value, origins: np.ndarray,
+                targets: np.ndarray) -> Value:
+        """Copy the block of environment ``origins[k]`` to ``targets[k]``,
+        targets ascending."""
         if value[1] == 0:
             return value
-        last_target = [moves[-1][1]] if moves else []
-        rel, width = self._fit(value, last_target, value[1])
+        rel, width = self._fit(value, targets[-1:], value[1])
         return self._kernel("gather_blocks", kernels.gather_blocks,
-                            rel, width, moves), width
+                            rel, width, origins, targets), width
 
     def _eval_join_for(self, node: JoinForNode, seq: EnvSeq) -> Value:
         if self._base is None:
@@ -600,19 +629,15 @@ class DIEngine:
         source_rel, source_width = self._fit(
             source, self._base.index, source[1] * source[1])
         roots = self._kernel("roots", kernels.roots, source_rel)
-        inner_index = roots.l.tolist()
+        inner_index = roots.l
         bound = self._kernel("expand_variable", kernels.expand_variable,
                              source_rel, source_width, inner_index)
         inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
         inner_rel, inner_width = self.evaluate(node.key_inner, inner_seq)
         outer_rel, outer_width = self.evaluate(node.key_outer, seq)
 
-        if self.stats is not None:
-            context = self.stats.measure(JOIN)
-        else:
-            context = _NullContext()
-        with context:
-            pairs = self._match_pairs(
+        with self._join_time():
+            ix, iy = self._match_pairs(
                 outer_rel, outer_width, seq.index,
                 inner_rel, inner_width, inner_index,
                 existential=node.existential,
@@ -621,9 +646,8 @@ class DIEngine:
             outer = {name: seq.vars[name]
                      for name in sorted(node.required_outer)
                      if name in seq.vars}
-            pair_index, fan = self._compact(
-                [ix * source_width + iy for ix, iy in pairs], source_width,
-                outer.values())
+            pair_index, fan = self._compact(ix, iy, source_width,
+                                            outer.values())
             # Under isolation the body never reads the pair sequence, so
             # the join variable is only copied if the residual needs it.
             need_var = not node.isolate or (
@@ -632,17 +656,13 @@ class DIEngine:
             pair_vars: dict[str, Value] = {}
             if need_var:
                 pair_vars[node.var] = self._gather(
-                    (bound, source_width),
-                    [(iy, env) for (_ix, iy), env in zip(pairs, pair_index)])
-            if outer:
-                moves = [(ix, env)
-                         for (ix, _iy), env in zip(pairs, pair_index)]
-                for name, value in outer.items():
-                    pair_vars[name] = self._gather(value, moves)
+                    (bound, source_width), iy, pair_index)
+            for name, value in outer.items():
+                pair_vars[name] = self._gather(value, ix, pair_index)
         pair_seq = EnvSeq(pair_index, pair_vars)
         if node.residual is not None:
             satisfied = self._eval_condition(node.residual, pair_seq)
-            surviving = [i for i in pair_index if i in satisfied]
+            iy, surviving = iy[satisfied], pair_index[satisfied]
             filtered_vars = {
                 name: (self._kernel("filter_by_index",
                                     kernels.filter_by_index,
@@ -657,22 +677,21 @@ class DIEngine:
             # the surviving pairs.  Duplicate origins are fine (one inner
             # environment may match many outer environments).
             body = self.evaluate(node.body, inner_seq)
-            surviving_set = set(pair_seq.index)
-            body_rel, body_width = self._gather(
-                body, [(iy, env) for (_ix, iy), env in zip(pairs, pair_index)
-                       if env in surviving_set])
+            body_rel, body_width = self._gather(body, iy, pair_seq.index)
         else:
             body_rel, body_width = self.evaluate(node.body, pair_seq)
         width = fan * body_width
         return self._fit((body_rel, width), seq.index, width)
 
     def _match_pairs(self, outer_rel: IntervalColumns, outer_width: int,
-                     outer_index: list[int], inner_rel: IntervalColumns,
-                     inner_width: int, inner_index: list[int],
+                     outer_index: np.ndarray, inner_rel: IntervalColumns,
+                     inner_width: int, inner_index: np.ndarray,
                      existential: bool = True,
                      strategy: JoinStrategy = JoinStrategy.MSJ,
-                     ) -> list[tuple[int, int]]:
-        """Join key forests into matching (ix, iy) environment pairs.
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Join key forests into the matching environment pairs: two
+        int64 arrays ``(ix, iy)``, sorted by ``ix`` then ``iy``, each
+        pair once.
 
         Keys are integers (``kernels.key_ids``) — one per tree for an
         existential (SomeEqual) join, one per whole forest, the empty
@@ -685,7 +704,7 @@ class DIEngine:
           operator the paper's DI-NLJ plan uses.
         """
         if outer_width == 0 or inner_width == 0:
-            return []
+            return _NO_ENVS, _NO_ENVS
         (outer_envs, outer_ids), (inner_envs, inner_ids) = self._kernel(
             "key_ids", kernels.key_ids, existential,
             (outer_rel, outer_width, outer_index),
@@ -702,11 +721,31 @@ class DIEngine:
                     # honest quadratic nested-loop comparison operator.
                     if outer_key == inner_key:
                         pairs.add((outer_env, inner_env))
-            return sorted(pairs)
+            ix, iy = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+            return ix, iy
         left, right = self._kernel("match_ids", kernels.match_ids,
                                    outer_ids, inner_ids)
-        return sorted(set(zip(outer_envs[left].tolist(),
-                              inner_envs[right].tolist())))
+        return _distinct_pairs(outer_envs[left], inner_envs[right])
+
+
+def _members(index: np.ndarray, envs: np.ndarray) -> np.ndarray:
+    """A mask over the ascending ``index``: which of its environments
+    the ascending ``envs`` holds — one ``searchsorted``."""
+    if len(envs) == 0:
+        return np.zeros(len(index), dtype=np.bool_)
+    at = np.searchsorted(envs, index)
+    return envs[np.minimum(at, len(envs) - 1)] == index
+
+
+def _distinct_pairs(ix: np.ndarray,
+                    iy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ix, iy)`` sorted by ``ix`` then ``iy``, each pair once: one
+    ``lexsort`` and a neighbour compare."""
+    order = np.lexsort((iy, ix))
+    ix, iy = ix[order], iy[order]
+    fresh = np.ones(len(ix), dtype=np.bool_)
+    fresh[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    return ix[fresh], iy[fresh]
 
 
 def _chain_ticks(first: Callable[[], None] | None,
@@ -736,11 +775,3 @@ def _span_category(node: PlanNode) -> str:
     if isinstance(node, (ForNode, JoinForNode, WhereNode)):
         return JOIN
     return OTHER
-
-
-class _NullContext:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None

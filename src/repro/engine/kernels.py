@@ -351,25 +351,26 @@ def expand_variable(cols: IntervalColumns, width: int,
                            cols.d, cols.c)
 
 
-def gather_blocks(cols: IntervalColumns, width: int,
-                  moves: Sequence[tuple[int, int]]) -> IntervalColumns:
+def gather_blocks(cols: IntervalColumns, width: int, origins: Sequence[int],
+                  targets: Sequence[int]) -> IntervalColumns:
     """Fused slice→concat: copy env blocks to target envs in one pass.
 
-    ``moves`` is ``(origin_env, target_env)`` in ascending target order —
-    the copy plan behind nested-loop iteration and join pair
+    The block of ``origins[k]`` goes to ``targets[k]``, targets strictly
+    ascending — the copy plan behind nested-loop iteration and join pair
     construction (the evaluator's ``_gather``).
     """
-    if not moves or len(cols) == 0:
+    if len(origins) == 0 or len(cols) == 0:
         return IntervalColumns.empty()
-    pairs = _int64(moves)
+    origins, targets = _int64(origins), _int64(targets)
     # Origins past the last row name empty blocks; drop them so that only
     # blocks that exist are multiplied out.
-    pairs = pairs[pairs[:, 0] <= _last_env(cols, width)[0]]
-    _check_fits(pairs[-1:, 1], width, "gather_blocks")
-    origins = pairs[:, 0]
+    exists = origins <= _last_env(cols, width)[0]
+    if not exists.all():
+        origins, targets = origins[exists], targets[exists]
+    _check_fits(targets[-1:], width, "gather_blocks")
     return _emit_runs(cols, np.searchsorted(cols.l, origins * width),
                       np.searchsorted(cols.l, (origins + 1) * width),
-                      (pairs[:, 1] - origins) * width)
+                      (targets - origins) * width)
 
 
 # -- constructors ------------------------------------------------------------------
@@ -444,41 +445,60 @@ def xnode(label: str, content: IntervalColumns, content_width: int,
     ), width
 
 
-def _leaves(labels: list[str], index: Sequence[int],
-            codes: "np.ndarray | None" = None) -> tuple[IntervalColumns, int]:
+def _leaves(labels: np.ndarray, codes: np.ndarray,
+            index: np.ndarray) -> tuple[IntervalColumns, int]:
     """One childless node per environment of ``index``; width 2."""
     _check_fits(index[-1:], 2, "leaf constructor")
-    lefts = 2 * _int64(index)
-    return IntervalColumns(label_column(labels), lefts, lefts + 1,
-                           np.zeros(len(labels), dtype=np.int32),
-                           label_codes(labels) if codes is None else codes), 2
+    lefts = 2 * index
+    return IntervalColumns(labels, lefts, lefts + 1,
+                           np.zeros(len(index), dtype=np.int32), codes), 2
+
+
+def _per_env(index: np.ndarray, envs: np.ndarray, values: np.ndarray,
+             fill) -> np.ndarray:
+    """``values[k]`` at the position of ``envs[k]`` in the sorted
+    ``index`` and ``fill`` everywhere else; both ascend, and an env the
+    index does not hold is dropped."""
+    out = np.full(len(index), fill, dtype=values.dtype)
+    if len(index) and len(envs):
+        at = np.minimum(np.searchsorted(index, envs), len(index) - 1)
+        hit = index[at] == envs
+        out[at[hit]] = values[hit]
+    return out
 
 
 def text_const(value: str, index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """A single text node per environment; width 2."""
-    return _leaves([value] * len(index), index,
-                   np.full(len(index), name_code(value), dtype=np.int32))
+    envs = _int64(index)
+    return _leaves(np.full(len(envs), value, dtype=object),
+                   np.full(len(envs), name_code(value), dtype=np.int32), envs)
 
 
 def count_roots(cols: IntervalColumns, width: int,
                 index: Sequence[int]) -> tuple[IntervalColumns, int]:
-    """Per-environment root count as a text node; width 2."""
-    envs, tallies = np.unique(cols.l[cols.d == 0] // width,
-                              return_counts=True)
-    counts = dict(zip(envs.tolist(), tallies.tolist()))
-    return _leaves([str(counts.get(env, 0)) for env in index], index)
+    """Per-environment root count as a text node; width 2.  A label is
+    built per distinct count, not per environment."""
+    envs = _int64(index)
+    counts = _per_env(envs, *np.unique(cols.l[cols.d == 0] // width,
+                                       return_counts=True), 0)
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    labels = [str(count) for count in distinct.tolist()]
+    return _leaves(label_column(labels)[inverse],
+                   label_codes(labels)[inverse], envs)
 
 
 def string_fn(cols: IntervalColumns, width: int,
               index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """``string()``: per-env concatenation of text labels; width 2."""
     at = np.flatnonzero(cols.c & KIND_MASK == TEXT)
-    envs, first = np.unique(cols.l[at] // width, return_index=True)
+    present, first = np.unique(cols.l[at] // width, return_index=True)
     bounds = np.append(first, len(at)).tolist()
     texts = cols.s[at].tolist()
-    parts = {env: "".join(texts[lo:hi])
-             for env, lo, hi in zip(envs.tolist(), bounds, bounds[1:])}
-    return _leaves([parts.get(env, "") for env in index], index)
+    parts = ["".join(texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    envs = _int64(index)
+    return _leaves(_per_env(envs, present, label_column(parts), ""),
+                   _per_env(envs, present, label_codes(parts),
+                            name_code("")), envs)
 
 
 # -- structural-key kernels ---------------------------------------------------------

@@ -5,7 +5,9 @@ representation invariants everything else silently relies on:
 
 0. **one representation** — the relation is an
    :class:`~repro.engine.columns.IntervalColumns` with int64 endpoint
-   columns, the empty relation included;
+   columns, the empty relation included, and the environment index it
+   is evaluated under is a strictly increasing int64 array
+   (:func:`validate_index`);
 1. **document order** — the relation is sorted by left endpoint;
 2. **block containment** — every tuple lies inside the block of an
    environment present in the current index, and never crosses a block
@@ -46,7 +48,7 @@ def validate_value(rel: IntervalColumns, width: int,
             raise ExecutionError(
                 f"zero-width relation contains tuples{where}")
         return
-    allowed = set(index)
+    allowed = set(np.asarray(index).tolist())
     previous_left = None
     open_rights: list[int] = []
     current_env = None
@@ -86,11 +88,22 @@ def validate_value(rel: IntervalColumns, width: int,
                 f"carried {carried}, derived {derived}")
 
 
-def validate_index(index: Sequence[int], context: str = "") -> None:
-    """The environment index must be strictly increasing."""
+def validate_index(index: np.ndarray, context: str = "") -> None:
+    """The environment index must be a one-dimensional int64 array of
+    non-negative, strictly increasing numbers (a wrapped product shows
+    as a negative or falling number) — one vector compare."""
     where = f" (after {context})" if context else ""
-    for previous, current in zip(index, index[1:]):
-        if current <= previous:
-            raise ExecutionError(
-                f"environment index not strictly increasing{where}: "
-                f"{previous} then {current}")
+    if not isinstance(index, np.ndarray) or index.dtype != np.int64 \
+            or index.ndim != 1:
+        raise ExecutionError(
+            f"environment index is a {type(index).__name__}, not a "
+            f"one-dimensional int64 array{where}")
+    if len(index) and index[0] < 0:
+        raise ExecutionError(
+            f"environment index starts below 0{where}: {int(index[0])}")
+    falls = np.flatnonzero(index[1:] <= index[:-1])
+    if len(falls):
+        at = int(falls[0])
+        raise ExecutionError(
+            f"environment index not strictly increasing{where}: "
+            f"{int(index[at])} then {int(index[at + 1])}")

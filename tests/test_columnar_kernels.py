@@ -270,8 +270,10 @@ class TestShiftKernels:
             st.integers(min_value=0, max_value=30),
             min_size=len(origins), max_size=len(origins))))
         moves = list(zip(origins, targets))
-        check(kernels.gather_blocks, ops.gather_blocks, rows,
-              width, moves)
+        check(lambda cols, width, _moves: kernels.gather_blocks(
+                  cols, width, np.array(origins, dtype=np.int64),
+                  np.array(targets, dtype=np.int64)),
+              ops.gather_blocks, rows, width, moves)
 
 
 class TestConstructorKernels:
@@ -408,9 +410,10 @@ class TestStructuralKernels:
             expected = sorted(
                 (ix, iy) for ix, mine in side_keys[0].items()
                 for iy, theirs in side_keys[1].items() if mine & theirs)
-            assert DIEngine()._match_pairs(
-                *sides, existential=existential,
-                strategy=strategy) == expected
+            ix, iy = DIEngine()._match_pairs(
+                *sides, existential=existential, strategy=strategy)
+            assert ix.dtype == iy.dtype == np.int64
+            assert list(zip(ix.tolist(), iy.tolist())) == expected
 
     @given(keyed)
     def test_distinct_near_the_top_of_int64(self, data):
@@ -473,7 +476,7 @@ class TestDerivedColumns:
         "wrap": (lambda r, w: ops.xnode(
                      "<w>", r, w, sorted({row[1] // w for row in r})),
                  lambda c, w: kernels.xnode("<w>", c, w,
-                                            c.envs_present(w))),
+                                            c.block_bounds(w)[0])),
         "expand": (lambda r, w: (ops.expand_variable(
                        r, w, [row[1] for row in ops.roots(r)]), w),
                    lambda c, w: (kernels.expand_variable(
@@ -684,10 +687,10 @@ class TestOverflow:
         rows, width, index = data
         cols = IntervalColumns.from_tuples(rows)
         for shift in (2 ** 64, INT64_MAX // width):  # unstorable, unplaceable
-            moves = [(env, env + shift) for env in index]
             if rows:
                 with pytest.raises(WidthOverflowError):
-                    kernels.gather_blocks(cols, width, moves)
+                    kernels.gather_blocks(cols, width, index,
+                                          [env + shift for env in index])
                 with pytest.raises(WidthOverflowError):
                     kernels.xnode("<w>", cols, width,
                                   [env + shift for env in index])
@@ -757,7 +760,7 @@ class TestEmptyAndEdgeCases:
         assert kernels.concat(empty, 2, empty, 3).tuples() == []
         assert kernels.filter_by_index(empty, 4, [0, 1]).tuples() == []
         assert kernels.expand_variable(empty, 4, []).tuples() == []
-        assert kernels.gather_blocks(empty, 4, [(0, 1)]).tuples() == []
+        assert kernels.gather_blocks(empty, 4, [0], [1]).tuples() == []
         assert kernels.block_keys(empty, 4) == {}
         for existential in (True, False):
             ((envs, ids),) = kernels.key_ids(existential, (empty, 4, []))

@@ -1,15 +1,23 @@
 """Tests for the engine's debug-mode invariant validation."""
 
+import numpy as np
 import pytest
 
+from repro.api import compile_xquery
+from repro.compiler.planner import compile_plan
 from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine
 from repro.engine.validate import validate_index, validate_value
 from repro.errors import ExecutionError
 from repro.xmark.queries import EXTRA_QUERIES, QUERIES
+from repro.xml.text_parser import parse_forest
 from repro.xquery.lowering import document_forest
 
 cols = IntervalColumns.from_tuples
+
+
+def index(numbers):
+    return np.array(numbers, dtype=np.int64)
 
 
 class TestValidateValue:
@@ -56,15 +64,46 @@ class TestValidateValue:
 
 class TestValidateIndex:
     def test_increasing_ok(self):
-        validate_index([1, 5, 9])
+        validate_index(index([1, 5, 9]))
+        validate_index(index([]))
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ExecutionError):
-            validate_index([1, 1])
+        with pytest.raises(ExecutionError, match="strictly increasing"):
+            validate_index(index([1, 1]))
 
     def test_decreasing_rejected(self):
-        with pytest.raises(ExecutionError):
-            validate_index([5, 3])
+        with pytest.raises(ExecutionError, match="5 then 3"):
+            validate_index(index([1, 5, 3]))
+
+    def test_wrapped_number_rejected(self):
+        with pytest.raises(ExecutionError, match="below 0"):
+            validate_index(index([-2 ** 62, 0]))
+
+    @pytest.mark.parametrize("shape", [
+        [1, 5], np.array([1, 5], dtype=np.int32), np.array([[1, 5]])])
+    def test_other_representations_rejected(self, shape):
+        with pytest.raises(ExecutionError, match="int64 array"):
+            validate_index(shape)
+
+    def test_engine_checks_every_index(self, monkeypatch):
+        """``validate=True`` hands the index of every node it evaluates
+        to ``validate_index`` — the base and the iterations' alike."""
+        from repro.engine import validate
+
+        seen = []
+        check = validate.validate_index
+        monkeypatch.setattr(validate, "validate_index",
+                            lambda i, context="": seen.append(i)
+                            or check(i, context))
+        compiled = compile_xquery(
+            'for $x in document("d")/r/x where $x/text() = "b" return $x')
+        bindings = {var: document_forest(parse_forest(
+            "<r><x>b</x><x>a</x><x>b</x></r>"))
+            for var in compiled.documents.values()}
+        plan = compile_plan(compiled.core,
+                            base_vars=compiled.documents.values())
+        DIEngine(validate=True).run_plan(plan, bindings)
+        assert {len(i) for i in seen} >= {1, 2, 3}
 
 
 class TestEngineDebugMode:

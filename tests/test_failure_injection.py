@@ -5,6 +5,7 @@ tests feed each layer malformed inputs and assert the typed error
 surfaces (never a wrong answer, never a bare KeyError/IndexError).
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import harness
@@ -16,6 +17,9 @@ from repro.errors import (
     TranslationError,
     UnboundVariableError,
 )
+
+#: The engine's base environment index: environment 0 alone.
+BASE_INDEX = np.zeros(1, dtype=np.int64)
 
 
 class TestHarnessFailures:
@@ -138,8 +142,8 @@ class TestEngineFailures:
         from repro.engine.evaluator import DIEngine, EnvSeq
 
         engine = DIEngine(validate=True)
-        engine._base = EnvSeq([0], {})
-        corrupt = EnvSeq([0], {"x": (
+        engine._base = EnvSeq(BASE_INDEX, {})
+        corrupt = EnvSeq(BASE_INDEX, {"x": (
             IntervalColumns.from_tuples([("a", 5, 3)]), 10)})  # l > r
         with pytest.raises(ExecutionError, match="degenerate"):
             engine.evaluate(FnNode("children", (VarNode("x"),)), corrupt)
@@ -151,7 +155,7 @@ class TestEngineFailures:
 
         engine = DIEngine()
         with pytest.raises(UnboundVariableError):
-            engine.evaluate(VarNode("ghost"), EnvSeq([0], {}))
+            engine.evaluate(VarNode("ghost"), EnvSeq(BASE_INDEX, {}))
 
     def test_unknown_plan_node_typed(self):
         from repro.compiler.plan import PlanNode
@@ -161,7 +165,7 @@ class TestEngineFailures:
             __slots__ = ()
 
         with pytest.raises(PlanError):
-            DIEngine().evaluate(Rogue(), EnvSeq([0], {}))
+            DIEngine().evaluate(Rogue(), EnvSeq(BASE_INDEX, {}))
 
     def test_unknown_fn_typed(self):
         from repro.compiler.plan import FnNode
@@ -170,7 +174,7 @@ class TestEngineFailures:
         with pytest.raises(PlanError):
             DIEngine().evaluate(
                 FnNode("frobnicate", (FnNode("empty_forest"),)),
-                EnvSeq([0], {}))
+                EnvSeq(BASE_INDEX, {}))
 
 
 class TestTranslatorFailures:

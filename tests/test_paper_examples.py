@@ -8,6 +8,8 @@
 * Example 1.1 / Q8 — the running example's final answer.
 """
 
+import numpy as np
+
 from repro.api import compile_xquery, run_xquery
 from repro.compiler.plan import JoinStrategy
 from repro.compiler.planner import compile_plan
@@ -24,7 +26,7 @@ PATH_QUERY = 'document("auction.xml")/site/people/person'
 def _base_env(figure1_doc):
     from repro.xquery.lowering import document_forest
     encoded = encode(document_forest((figure1_doc,)))
-    return encoded, EnvSeq([0], {
+    return encoded, EnvSeq(np.zeros(1, dtype=np.int64), {
         "doc:auction.xml": (IntervalColumns.from_tuples(encoded.tuples),
                             encoded.width)})
 

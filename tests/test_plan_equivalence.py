@@ -78,12 +78,13 @@ BACKENDS = ("engine", "interpreter", "naive", "sqlite")
 
 
 def _engine_pair(query, document, strategy):
-    """(rule applied, rule not applied) result forests from ``DIEngine``."""
+    """(rule applied, rule not applied) result forests from ``DIEngine``,
+    every node's result and environment index validated."""
     compiled = compile_xquery(query)
     syntactic = plan_stage(compiled.core, coerce_strategy(strategy),
                            base_vars=compiled.documents.values())
     bindings = {compiled.documents[DOC]: document_forest(as_forest(document))}
-    return tuple(DIEngine().run_plan(plan, bindings)
+    return tuple(DIEngine(validate=True).run_plan(plan, bindings)
                  for plan in (optimize_stage(syntactic), syntactic))
 
 
