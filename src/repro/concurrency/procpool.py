@@ -471,10 +471,9 @@ class ProcessQueryPool:
                 ) -> "tuple[PreorderForest, str]":
         """Run one query on one worker; returns ``(forest, worker name)``.
 
-        The reply carries the result in preorder form the way
-        :func:`~repro.engine.columns.export_columns` lays out a segment:
-        its distinct labels with the worker's codes, then each row's
-        position among them, depth and subtree end as int32 bytes
+        The reply carries the result in preorder form: its distinct
+        labels with the worker's codes, then each row's position among
+        them, depth and subtree end as int32 bytes
         (``PreorderForest.__reduce__``).  Nothing recursive crosses the
         pipe; the parent adopts the labels into its own dictionary once
         per distinct label, when it first serializes the answer, and

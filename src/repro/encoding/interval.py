@@ -218,7 +218,7 @@ def _decode_columns(rel: "IntervalColumns") -> PreorderForest:
     count = len(l)
 
     def fail(row: int, problem: str) -> None:
-        raise EncodingError(f"interval for {rel.s[row]!r} "
+        raise EncodingError(f"interval for {rel[row][0]!r} "
                             f"[{l[row]},{r[row]}] {problem}")
 
     bad = l >= r

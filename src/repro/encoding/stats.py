@@ -64,7 +64,7 @@ def collect_stats(rel, width: int) -> DocumentStats:
         nodes=nodes,
         width=int(width),
         roots=roots,
-        label_counts=dict(Counter(rel.s.tolist())),
+        label_counts=dict(Counter(rel.labels().tolist())),
         depth_histogram=tuple(histogram),
         fanout=(nodes - roots) / elements if elements else 0.0,
         elements=elements,

@@ -188,7 +188,6 @@ class DocumentUpdate:
 
             source = self._source.columns
             self._columns = IntervalColumns(
-                wrapped(DOCUMENT_LABEL, source.s),
                 wrapped(0, source.l, 1),
                 wrapped(self.width - 1, source.r, 1),
                 wrapped(0, source.d, 1),
@@ -326,7 +325,7 @@ class UpdatableDocument:
         parent = self._position(parent_left)
         if self.columns.c[parent] & KIND_MASK != ELEMENT:
             raise EncodingError(
-                f"node {self.columns.s[parent]!r} at {parent_left} is not an "
+                f"node {self.columns[parent][0]!r} at {parent_left} is not an "
                 "element and cannot take children")
         return self._insert(parent, child_index, encode_columns(trees)[0])
 
@@ -458,8 +457,8 @@ def _with_slack(columns: IntervalColumns, lefts: np.ndarray,
     Returns the relation and its width."""
     slack = stride - 1
     rights = rights * stride + slack
-    spread = IntervalColumns(columns.s, lefts * stride + slack, rights,
-                             columns.d, columns.c)
+    spread = IntervalColumns(lefts * stride + slack, rights, columns.d,
+                             columns.c)
     return spread, (int(rights.max()) if len(rights) else 0) + stride
 
 
@@ -480,5 +479,5 @@ def _place_rows(new: IntervalColumns, low: int, high: int,
     start = low + 1 if allow_widening else low + 1 + (gap - span) // 2
     # Python integers: exact whatever the gap, and only delta-many.
     return tuple((s, start + l * step, start + r * step)
-                 for s, l, r in zip(new.s.tolist(), new.l.tolist(),
+                 for s, l, r in zip(new.labels().tolist(), new.l.tolist(),
                                     new.r.tolist()))

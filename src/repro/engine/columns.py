@@ -1,28 +1,34 @@
-"""Columnar interval relations: five parallel columns behind one class.
+"""Columnar interval relations: four numeric columns behind one class.
 
 :class:`IntervalColumns` stores a document-ordered relation of ``(s, l, r)``
-triples as five parallel NumPy columns, so the operator kernels of
+triples as four parallel NumPy columns, so the operator kernels of
 :mod:`repro.engine.kernels` evaluate every path step as one vector mask
 instead of touching tuples from interpreted Python:
 
-``s``  labels, an object array of strings;
 ``l``, ``r``  interval endpoints, int64;
 ``d``  int32 depth of each row below the root of its own tree *in this
        relation* — roots are exactly the rows with ``d == 0``, a node's
        children the ``d == 1`` rows inside its interval;
 ``c``  int32 code of the label (:func:`name_code`): node kind in the low
        two bits, the label's id in the process-wide dictionary above
-       them — names and text values alike, so ``c`` ↔ ``s`` is a
-       bijection and structural equality is integer equality.
+       them — names and text values alike, so a code names exactly one
+       label and structural equality is integer equality.
+
+The label strings are not a column.  Where a string is truly needed —
+:meth:`IntervalColumns.tuples`, pickling, shredding for SQLite,
+``string()``, error messages — it is :meth:`IntervalColumns.labels`, one
+gather (:func:`labels_of`) that reads the dictionary once per distinct
+code.
 
 Invariants every producer keeps (``validate_value`` checks them):
 
 * **Document order** — ``l`` is strictly increasing, so environment
   blocks and subtrees are contiguous runs found by binary search.
-* **Derived columns are functions of the triples** — ``d`` and ``c``
-  always equal what :meth:`IntervalColumns.from_tuples` derives from
-  ``(s, l, r)`` alone; kernels carry them (gather plus a per-run
-  rebase), they never recompute them.
+* **Carried columns** — ``d`` always equals the depths the intervals
+  imply (what :meth:`IntervalColumns.from_tuples` derives), and every
+  code of ``c`` is in the dictionary with its label's kind in the low
+  bits; kernels carry both (gather plus a per-run rebase), they never
+  recompute them.
 * **Immutability by convention** — kernels return fresh columns or
   read-only views of their input; nothing mutates a relation after
   construction, so backends share one cached encoding across runs and
@@ -50,8 +56,8 @@ The label dictionary behind ``c`` is :mod:`repro.xml.labels`
 here).
 Codes are process-local; :func:`export_columns` ships a relation's
 distinct labels with their codes so an attaching worker can adopt them
-(or, on a clash, remap its copy of ``c``), and pickling re-derives
-``c`` on load.  See docs/CONCURRENCY.md.
+(or, on a clash, remap its copy of ``c``), and pickling ships the labels
+and re-derives ``c`` on load.  See docs/CONCURRENCY.md.
 """
 
 from __future__ import annotations
@@ -102,10 +108,13 @@ def make_int_column(values: Iterable[int]) -> np.ndarray:
             "as 64-bit integers") from None
 
 
-def label_column(labels: "Sequence[str]") -> np.ndarray:
-    out = np.empty(len(labels), dtype=object)
-    out[:] = labels
-    return out
+def labels_of(codes: np.ndarray) -> np.ndarray:
+    """The labels of ``codes``, as an object array: one gather through
+    the dictionary, which is read once per distinct code."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    table = np.empty(len(distinct), dtype=object)
+    table[:] = list(map(_label_of.__getitem__, distinct.tolist()))
+    return table[inverse]
 
 
 def derive_depths(lefts: list[int], rights: list[int]) -> np.ndarray:
@@ -128,22 +137,21 @@ def _rebuild_columns(s: list[str], l: "bytes | list[int]",
             return np.frombuffer(state, dtype=np.int64)
         return make_int_column(state)
 
-    return IntervalColumns(label_column(s), column(l), column(r),
+    return IntervalColumns(column(l), column(r),
                            np.frombuffer(d, dtype=np.int32), label_codes(s))
 
 
 class IntervalColumns:
-    """An interval relation as five parallel columns, sorted by ``l``.
+    """An interval relation as four parallel columns, sorted by ``l``.
 
     The constructor trusts the caller on document order and on ``d``/``c``
-    matching the triples; use :meth:`from_tuples` for arbitrary input.
+    matching the rows; use :meth:`from_tuples` for arbitrary input.
     """
 
-    __slots__ = ("s", "l", "r", "d", "c")
+    __slots__ = ("l", "r", "d", "c")
 
-    def __init__(self, s: np.ndarray, l: np.ndarray, r: np.ndarray,
-                 d: np.ndarray, c: np.ndarray):
-        self.s = s
+    def __init__(self, l: np.ndarray, r: np.ndarray, d: np.ndarray,
+                 c: np.ndarray):
         self.l = l
         self.r = r
         self.d = d
@@ -179,42 +187,47 @@ class IntervalColumns:
         """
         d = derive_depths(lefts, rights) if depths is None \
             else np.array(depths, dtype=np.int32)
-        return cls(label_column(labels), make_int_column(lefts),
-                   make_int_column(rights), d, label_codes(labels))
+        return cls(make_int_column(lefts), make_int_column(rights), d,
+                   label_codes(labels))
 
     @classmethod
     def empty(cls) -> "IntervalColumns":
-        return cls(np.empty(0, dtype=object), np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
-                   np.empty(0, dtype=np.int32))
+        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                   np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
+
+    def labels(self) -> np.ndarray:
+        """The rows' labels, an object array (:func:`labels_of` of ``c``)."""
+        return labels_of(self.c)
 
     def tuples(self) -> list[IntervalTuple]:
         """Materialize the row form (for list-based consumers)."""
-        return list(zip(self.s.tolist(), self.l.tolist(), self.r.tolist()))
+        return list(zip(self.labels().tolist(), self.l.tolist(),
+                        self.r.tolist()))
 
     def __reduce__(self):
         # The pickling contract: every relation pickles self-contained,
         # by value — views of a shared-memory segment become private
-        # copies, and ``c`` is re-derived in the loading process's own
-        # name dictionary.  Cross-process results and serialized
+        # copies, and ``c`` is re-derived from the labels in the loading
+        # process's own dictionary.  Cross-process results and serialized
         # documents depend on this; see docs/CONCURRENCY.md.
-        return (_rebuild_columns, (self.s.tolist(), self.l.tobytes(),
+        return (_rebuild_columns, (self.labels().tolist(), self.l.tobytes(),
                                    self.r.tobytes(), self.d.tobytes()))
 
     # -- sequence protocol --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.s)
+        return len(self.l)
 
     def __bool__(self) -> bool:
-        return len(self.s) > 0
+        return len(self.l) > 0
 
     def __iter__(self) -> Iterator[IntervalTuple]:
         return iter(self.tuples())
 
     def __getitem__(self, item):
         if not isinstance(item, slice):
-            return (self.s[item], int(self.l[item]), int(self.r[item]))
+            return (_label_of[int(self.c[item])], int(self.l[item]),
+                    int(self.r[item]))
         if item.step not in (None, 1):
             return IntervalColumns.from_tuples(self.tuples()[item])
         d = self.d[item]
@@ -222,8 +235,7 @@ class IntervalColumns:
             # The slice starts below a root that stays outside it: rows
             # lose exactly the ancestors cut off, the running minimum.
             d = d - np.minimum.accumulate(d)
-        return IntervalColumns(self.s[item], self.l[item], self.r[item], d,
-                               self.c[item])
+        return IntervalColumns(self.l[item], self.r[item], d, self.c[item])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntervalColumns):
@@ -237,12 +249,6 @@ class IntervalColumns:
 
     # -- block arithmetic ---------------------------------------------------------
 
-    def env_bounds(self, width: int, env: int) -> tuple[int, int]:
-        """Index bounds ``[lo, hi)`` of environment ``env`` — O(log n)."""
-        lo = bisect_left(self.l, env * width)
-        hi = bisect_left(self.l, (env + 1) * width, lo=lo)
-        return lo, hi
-
     def block_bounds(self, width: int):
         """``(envs, starts, ends)`` arrays of the non-empty environment
         blocks — one vector compare of neighbouring ``l // width``."""
@@ -251,12 +257,6 @@ class IntervalColumns:
         change[1:] = env[1:] != env[:-1]
         starts = np.flatnonzero(change)
         return env[starts], starts, np.append(starts[1:], len(env))
-
-    def iter_env_bounds(self, width: int) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(env, lo, hi)`` for every non-empty block, in order."""
-        if width <= 0:
-            return iter(())
-        return zip(*(column.tolist() for column in self.block_bounds(width)))
 
 
 def splice_columns(columns: "IntervalColumns",
@@ -268,9 +268,9 @@ def splice_columns(columns: "IntervalColumns",
     O(log n) comparisons happen at Python speed — everything else is one
     ``concatenate`` per column.  Whole subtrees leave and arrive, so the
     depths of the surviving rows stand: the new rows' ``d`` is the
-    delta's ``inserted_depths`` and their ``c`` comes from their labels —
-    no recompute over the document.  The source relation is never
-    mutated; callers swap the returned relation in atomically.
+    delta's ``inserted_depths`` and their ``c`` the codes of their
+    labels — no recompute over the document.  The source relation is
+    never mutated; callers swap the returned relation in atomically.
     """
     lows = columns.l
     size = len(lows)
@@ -310,21 +310,20 @@ def splice_columns(columns: "IntervalColumns",
         spans = placed
     if not spans:
         return IntervalColumns.empty()
-    labels = [row[0] for row in delta.inserted]
 
     def pieces(old, new) -> list:
         return [new if span is None else old[span[0]:span[1]]
                 for span in spans]
 
     return IntervalColumns(
-        np.concatenate(pieces(columns.s, label_column(labels))),
         np.concatenate(pieces(columns.l, make_int_column(
             row[1] for row in delta.inserted))),
         np.concatenate(pieces(columns.r, make_int_column(
             row[2] for row in delta.inserted))),
         np.concatenate(pieces(columns.d, np.array(delta.inserted_depths,
                                                   dtype=np.int32))),
-        np.concatenate(pieces(columns.c, label_codes(labels))))
+        np.concatenate(pieces(columns.c, label_codes(
+            [row[0] for row in delta.inserted]))))
 
 
 # -- shared-memory export / attach ---------------------------------------------
@@ -340,14 +339,14 @@ _segment_counter = _counter()
 def _segment_views(buffer: memoryview, count: int, labels: int,
                    label_bytes: int) -> list[np.ndarray]:
     """The regions of a segment, zero-copy, in layout order: ``l``, ``r``
-    (int64), ``d``, ``c`` and each row's position in the label table
-    (int32), then the table — its codes and its label lengths in
-    characters (int32), and the labels' UTF-8 text (bytes)."""
+    (int64), ``d`` and ``c`` (int32), then the relation's label table —
+    its codes and its label lengths in characters (int32), and the
+    labels' UTF-8 text (bytes)."""
     views, offset = [], 0
     for dtype, size in ((np.int64, count), (np.int64, count),
                         (np.int32, count), (np.int32, count),
-                        (np.int32, count), (np.int32, labels),
-                        (np.int32, labels), (np.uint8, label_bytes)):
+                        (np.int32, labels), (np.int32, labels),
+                        (np.uint8, label_bytes)):
         views.append(np.frombuffer(buffer, dtype, size, offset))
         offset += views[-1].nbytes
     return views
@@ -388,16 +387,16 @@ class SharedColumns:
                 f"{self.labels} labels, {self.label_bytes} label bytes)")
 
     def attach(self) -> "AttachedColumns":
-        """Map the segment and rebuild the relation (integers zero-copy).
+        """Map the segment and rebuild the relation zero-copy.
 
         ``l``, ``r``, ``d`` and ``c`` of the returned relation are arrays
-        over the shared buffer — no bytes move.  The label table is
-        decoded once and adopted into this process's dictionary under one
-        lock acquisition, and ``s`` is one gather through it, by the
-        shipped row positions (Python strings cannot be shared); only
-        when a shipped code clashes with a local assignment is ``c``
-        translated into a private copy.  Keep the returned handle alive
-        as long as the relation is in use and call
+        over the shared buffer — no bytes move, and no label column is
+        built.  The label table is decoded once, only to be adopted into
+        this process's dictionary under one lock acquisition; only when a
+        shipped code clashes with a local assignment is ``c`` translated
+        into a private copy (each row finds its table entry by binary
+        search: the table's codes ascend).  Keep the returned handle
+        alive as long as the relation is in use and call
         :meth:`AttachedColumns.detach` when done; the segment is unlinked
         only by its creator.
         """
@@ -410,7 +409,7 @@ class SharedColumns:
         from multiprocessing.shared_memory import SharedMemory
 
         shm = SharedMemory(name=self.name)
-        l, r, d, c, at, codes, lengths, text = _segment_views(
+        l, r, d, c, codes, lengths, text = _segment_views(
             shm.buf, self.count, self.labels, self.label_bytes)
         text = text.tobytes().decode("utf-8")
         ends = np.cumsum(lengths).tolist()
@@ -418,9 +417,8 @@ class SharedColumns:
         shipped = codes.tolist()
         local = adopt_labels(labels, shipped)
         if local != shipped:
-            c = np.array(local, dtype=np.int32)[at]
-        return AttachedColumns(
-            IntervalColumns(label_column(labels)[at], l, r, d, c), shm)
+            c = np.array(local, dtype=np.int32)[np.searchsorted(codes, c)]
+        return AttachedColumns(IntervalColumns(l, r, d, c), shm)
 
 
 class AttachedColumns:
@@ -455,27 +453,26 @@ def export_columns(columns: IntervalColumns,
     """Copy a relation into a new shared-memory segment.
 
     Layout: ``count`` int64 ``l`` words, ``count`` int64 ``r`` words,
-    ``count`` int32 depths, ``count`` int32 label codes, ``count`` int32
-    positions in the relation's distinct-label table, then that table —
-    each label once: its int32 code (ascending), its int32 length in
-    characters, and last the labels' UTF-8 text, concatenated.  Any
-    label can be shared: nothing separates the entries but the lengths.
-    Returns the picklable descriptor and the creator-side handle — the
-    caller owns the segment and must ``close()`` + ``unlink()`` it when
-    the document is dropped
+    ``count`` int32 depths, ``count`` int32 label codes, then the
+    relation's distinct-label table — each label once: its int32 code
+    (ascending), its int32 length in characters, and last the labels'
+    UTF-8 text, concatenated.  Any label can be shared: nothing separates
+    the entries but the lengths.  Returns the picklable descriptor and
+    the creator-side handle — the caller owns the segment and must
+    ``close()`` + ``unlink()`` it when the document is dropped
     (:class:`repro.concurrency.procpool.ProcessQueryPool` does this on
     ``unregister_document``/``close``).
     """
     from multiprocessing.shared_memory import SharedMemory
 
-    codes, positions = np.unique(columns.c, return_inverse=True)
+    codes = np.unique(columns.c)
     labels = list(map(_label_of.__getitem__, codes.tolist()))
     text = "".join(labels).encode("utf-8")
     if name is None:
         name = f"{SHM_PREFIX}_{os.getpid()}_{next(_segment_counter)}"
-    size = 28 * len(columns) + 8 * len(labels) + len(text)
+    size = 24 * len(columns) + 8 * len(labels) + len(text)
     shm = SharedMemory(create=True, size=max(size, 1), name=name)
     _fill_segment(shm.buf, (columns.l, columns.r, columns.d, columns.c,
-                            positions, codes, list(map(len, labels)),
+                            codes, list(map(len, labels)),
                             np.frombuffer(text, np.uint8)))
     return SharedColumns(shm.name, len(columns), len(labels), len(text)), shm

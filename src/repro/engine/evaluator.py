@@ -518,11 +518,10 @@ class DIEngine:
                 isinstance(condition, SomeEqualCond),
                 (*left, seq.index), (*right, seq.index)))
         if isinstance(condition, LessCond):
-            left_keys = self._forest_keys(condition.left, seq)
-            right_keys = self._forest_keys(condition.right, seq)
-            return np.fromiter(
-                (left_keys.get(i, ()) < right_keys.get(i, ())
-                 for i in seq.index.tolist()), np.bool_, len(seq.index))
+            left = self.evaluate(condition.left, seq)
+            right = self.evaluate(condition.right, seq)
+            return self._kernel("less_envs", kernels.less_envs,
+                                (*left, seq.index), (*right, seq.index))
         if isinstance(condition, NotCond):
             return ~self._eval_condition(condition.condition, seq)
         if isinstance(condition, AndCond):
@@ -537,12 +536,6 @@ class DIEngine:
             return (self._eval_condition(condition.left, seq)
                     | self._eval_condition(condition.right, seq))
         raise PlanError(f"cannot evaluate condition {type(condition).__name__}")
-
-    def _forest_keys(self, node: PlanNode, seq: EnvSeq) -> dict[int, tuple]:
-        rel, width = self.evaluate(node, seq)
-        if width == 0:
-            return {}
-        return self._kernel("forest_keys", kernels.block_keys, rel, width)
 
     # -- iteration ---------------------------------------------------------------------
 

@@ -7,7 +7,9 @@ and nothing else.  Each kernel has a same-named tuple-list function in
 kernel never walks ``(s, l, r)`` tuples: it turns the question into a
 mask over the ``d`` (depth) and ``c`` (label code) columns, finds the
 extents of the rows it keeps with binary search on the sorted ``l``
-column, and materializes the answer through one gather.
+column, and materializes the answer through one gather.  Labels are
+codes throughout; only ``string_fn``, whose answer is a string, and the
+collation ranks below read the label dictionary.
 
 What the paper's linear scans became.  Algorithm 5.2 finds roots by
 streaming the relation with a running maximum of right endpoints; that
@@ -22,10 +24,20 @@ rediscover structure an earlier operator already knew.
 
 :func:`_emit_runs` is the single materialization point: every kernel
 that keeps or moves rows hands it run bounds ``[a, b)`` plus one
-coordinate offset per run, and it gathers all five columns, shifts the
+coordinate offset per run, and it gathers all four columns, shifts the
 endpoints, and rebases ``d`` by the depth of each run's first row (so a
 subtree copied out of its context becomes a tree of its own).  A single
 run comes back as a zero-copy view of the input.
+
+Order without strings.  ``sort`` and ``Less`` order trees by their
+canonical ``(depth, label)`` keys, compared as tuples.
+:func:`collation_keys` builds no tuple: each distinct code of the
+relations compared gets its collation rank — its place among their
+distinct labels in Python string order, the one read of the dictionary
+— and each row becomes the big-endian uint32 pair ``(d, rank)``; a
+span's key is its slice of those bytes.  Every row is eight bytes, so
+bytes compare pair by pair as the tuples do, a prefix before its
+extensions.
 
 Overflow discipline: widths multiply with query nesting while the rows
 stay few, and NumPy wraps silently on int64 overflow — never acceptable
@@ -41,8 +53,9 @@ fits.  There is no second body.
 
 from __future__ import annotations
 
+import operator
 from itertools import count as _counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,13 +65,11 @@ from repro.engine.columns import (
     KIND_MASK,
     TEXT,
     IntervalColumns,
-    label_column,
     label_codes,
+    labels_of,
     name_code,
 )
 from repro.errors import WidthOverflowError
-
-LabelPredicate = Callable[[str], bool]
 
 
 def overflows(envs: Sequence[int], width: int) -> bool:
@@ -99,8 +110,8 @@ def renormalise(cols: IntervalColumns,
     Definition 3.1 constrains only the relative order and nesting of a
     block's ``2n`` endpoints, so replacing them by their ranks
     ``0 … 2n-1`` encodes the same forests: one stable ``argsort``, the
-    ``s``/``d``/``c`` columns are shared with the input, and the new
-    width is twice the largest block — however loose ``width`` was.
+    ``d``/``c`` columns are shared with the input, and the new width is
+    twice the largest block — however loose ``width`` was.
     """
     count = len(cols)
     if count == 0:
@@ -114,7 +125,7 @@ def renormalise(cols: IntervalColumns,
         np.arange(2 * count)
     # Blocks are disjoint and ordered: block k's ranks start at 2·starts[k].
     base = np.repeat(envs * tight - 2 * starts, sizes)
-    return IntervalColumns(cols.s, rank[:count] + base, rank[count:] + base,
+    return IntervalColumns(rank[:count] + base, rank[count:] + base,
                            cols.d, cols.c), tight
 
 
@@ -127,7 +138,7 @@ def _rows(cols: IntervalColumns, index: np.ndarray, d=None) -> IntervalColumns:
     if len(index) and index[-1] - index[0] + 1 == len(index):
         index = slice(int(index[0]), int(index[-1]) + 1)
     depths = cols.d[index]
-    return IntervalColumns(cols.s[index], cols.l[index], cols.r[index],
+    return IntervalColumns(cols.l[index], cols.r[index],
                            depths if d is None else d(depths), cols.c[index])
 
 
@@ -136,7 +147,7 @@ def _emit_runs(cols: IntervalColumns, a: np.ndarray, b: np.ndarray,
     """Fused slice→shift→concat: ``cols[a[i]:b[i]] + offsets[i]`` per run.
 
     Runs come out in the order given (they may repeat or permute input
-    rows).  All five columns move by one gather — ``arange`` mapped back
+    rows).  All four columns move by one gather — ``arange`` mapped back
     to source positions via ``repeat`` — endpoints get one bulk add, and
     ``d`` is rebased by the depth of each run's first row.
     """
@@ -168,7 +179,7 @@ def _emit_runs(cols: IntervalColumns, a: np.ndarray, b: np.ndarray,
         l, r = l + shift, r + shift
     if base.any():
         d = d - spread(base)
-    return IntervalColumns(cols.s[source], l, r, d, cols.c[source])
+    return IntervalColumns(l, r, d, cols.c[source])
 
 
 def _subtree_ends(cols: IntervalColumns, starts: np.ndarray) -> np.ndarray:
@@ -209,15 +220,6 @@ def roots(cols: IntervalColumns) -> IntervalColumns:
 
 def children(cols: IntervalColumns) -> IntervalColumns:
     return _rows(cols, np.flatnonzero(cols.d > 0), lambda depths: depths - 1)
-
-
-def select_trees(cols: IntervalColumns,
-                 predicate: LabelPredicate) -> IntervalColumns:
-    """Whole trees whose root label satisfies an arbitrary ``predicate``
-    (called per root; the named tests below are mask compares instead)."""
-    starts = np.flatnonzero(cols.d == 0)
-    keep = [bool(predicate(label)) for label in cols.s[starts].tolist()]
-    return _subtrees(cols, starts[np.array(keep, dtype=np.bool_)])
 
 
 def select_label(cols: IntervalColumns, label: str) -> IntervalColumns:
@@ -347,8 +349,7 @@ def expand_variable(cols: IntervalColumns, width: int,
     _check_fits(root_lefts, width, "expand_variable")
     starts, ends, envs = _trees(cols, width)
     shift = np.repeat((_int64(root_lefts) - envs) * width, ends - starts)
-    return IntervalColumns(cols.s, cols.l + shift, cols.r + shift,
-                           cols.d, cols.c)
+    return IntervalColumns(cols.l + shift, cols.r + shift, cols.d, cols.c)
 
 
 def gather_blocks(cols: IntervalColumns, width: int, origins: Sequence[int],
@@ -406,7 +407,6 @@ def concat(left: IntervalColumns, left_width: int, right: IntervalColumns,
     left_shift = left_env * right_width
     right_shift = right_env * left_width + left_width
     return IntervalColumns(
-        _scatter(at_left, left.s, at_right, right.s),
         _scatter(at_left, left.l + left_shift, at_right, right.l + right_shift),
         _scatter(at_left, left.r + left_shift, at_right, right.r + right_shift),
         _scatter(at_left, left.d, at_right, right.d),
@@ -436,7 +436,6 @@ def xnode(label: str, content: IntervalColumns, content_width: int,
     at_content = np.arange(len(content)) + slot + 1
     shift = 2 * env_of + 1
     return IntervalColumns(
-        _scatter(at_root, label, at_content, content.s),
         _scatter(at_root, envs * width, at_content, content.l + shift),
         _scatter(at_root, envs * width + (width - 1), at_content,
                  content.r + shift),
@@ -445,12 +444,12 @@ def xnode(label: str, content: IntervalColumns, content_width: int,
     ), width
 
 
-def _leaves(labels: np.ndarray, codes: np.ndarray,
+def _leaves(codes: np.ndarray,
             index: np.ndarray) -> tuple[IntervalColumns, int]:
     """One childless node per environment of ``index``; width 2."""
     _check_fits(index[-1:], 2, "leaf constructor")
     lefts = 2 * index
-    return IntervalColumns(labels, lefts, lefts + 1,
+    return IntervalColumns(lefts, lefts + 1,
                            np.zeros(len(index), dtype=np.int32), codes), 2
 
 
@@ -470,8 +469,7 @@ def _per_env(index: np.ndarray, envs: np.ndarray, values: np.ndarray,
 def text_const(value: str, index: Sequence[int]) -> tuple[IntervalColumns, int]:
     """A single text node per environment; width 2."""
     envs = _int64(index)
-    return _leaves(np.full(len(envs), value, dtype=object),
-                   np.full(len(envs), name_code(value), dtype=np.int32), envs)
+    return _leaves(np.full(len(envs), name_code(value), dtype=np.int32), envs)
 
 
 def count_roots(cols: IntervalColumns, width: int,
@@ -482,9 +480,8 @@ def count_roots(cols: IntervalColumns, width: int,
     counts = _per_env(envs, *np.unique(cols.l[cols.d == 0] // width,
                                        return_counts=True), 0)
     distinct, inverse = np.unique(counts, return_inverse=True)
-    labels = [str(count) for count in distinct.tolist()]
-    return _leaves(label_column(labels)[inverse],
-                   label_codes(labels)[inverse], envs)
+    codes = label_codes([str(count) for count in distinct.tolist()])
+    return _leaves(codes[inverse], envs)
 
 
 def string_fn(cols: IntervalColumns, width: int,
@@ -493,27 +490,14 @@ def string_fn(cols: IntervalColumns, width: int,
     at = np.flatnonzero(cols.c & KIND_MASK == TEXT)
     present, first = np.unique(cols.l[at] // width, return_index=True)
     bounds = np.append(first, len(at)).tolist()
-    texts = cols.s[at].tolist()
+    texts = labels_of(cols.c[at]).tolist()
     parts = ["".join(texts[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     envs = _int64(index)
-    return _leaves(_per_env(envs, present, label_column(parts), ""),
-                   _per_env(envs, present, label_codes(parts),
+    return _leaves(_per_env(envs, present, label_codes(parts),
                             name_code("")), envs)
 
 
 # -- structural-key kernels ---------------------------------------------------------
-
-
-def block_keys(cols: IntervalColumns, width: int):
-    """Canonical structural key per environment, read off ``d`` and ``s``.
-
-    Returns ``{env: key}`` with keys identical to
-    :func:`repro.engine.structural.canonical_key` on the block.
-    """
-    depth = cols.d.tolist()
-    s = cols.s.tolist()
-    return {env: tuple(zip(depth[lo:hi], s[lo:hi]))
-            for env, lo, hi in cols.iter_env_bounds(width)}
 
 
 def span_ids(*sides) -> list[np.ndarray]:
@@ -524,8 +508,8 @@ def span_ids(*sides) -> list[np.ndarray]:
     relation, so its ``d`` values are its own depths.  The id of a
     one-row span is its ``c``.  When any span anywhere is longer (or
     empty), every span is numbered through one dict over byte slices of
-    the interleaved int32 ``(d, c)`` rows — ``c`` ↔ ``s`` is a
-    bijection, so equal bytes are equal keys; linear in key nodes.
+    the interleaved int32 ``(d, c)`` rows — a code names one label, so
+    equal bytes are equal keys; linear in key nodes.
     """
     if all((ends - starts == 1).all() for _cols, starts, ends in sides):
         return [cols.c[starts] for cols, starts, _ends in sides]
@@ -539,6 +523,31 @@ def span_ids(*sides) -> list[np.ndarray]:
         numbered.append(np.fromiter(map(ids.setdefault, keys, fresh),
                                     np.int64, len(keys)))
     return numbered
+
+
+def collation_keys(*sides) -> list[list[bytes]]:
+    """One byte string per span of rows, ordered as the spans' canonical
+    ``(depth, label)`` keys are — across every side, so one call's keys
+    compare.
+
+    A side is ``(cols, starts, ends)``, as for :func:`span_ids`.  Each
+    distinct code of all sides gets its collation rank, its place among
+    their distinct labels in Python string order (the dictionary is read
+    once per distinct code); each row becomes the big-endian uint32 pair
+    ``(d, rank)``, and a span's key is its slice of those eight-byte
+    rows.
+    """
+    codes = [cols.c for cols, _starts, _ends in sides]
+    distinct, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[np.argsort(labels_of(distinct))] = np.arange(len(distinct))
+    ranks = np.split(rank[inverse], np.cumsum([len(c) for c in codes])[:-1])
+    keys = []
+    for (cols, starts, ends), row_ranks in zip(sides, ranks):
+        blob = np.column_stack((cols.d, row_ranks)).astype(">u4").tobytes()
+        keys.append([blob[a:b] for a, b in zip((8 * starts).tolist(),
+                                               (8 * ends).tolist())])
+    return keys
 
 
 def first_occurrences(envs: np.ndarray, ids: np.ndarray):
@@ -623,6 +632,20 @@ def equal_envs(existential: bool, left, right) -> np.ndarray:
     return envs[hi > lo]
 
 
+def less_envs(left, right) -> np.ndarray:
+    """A mask over one index: the environments in which the ``left``
+    forest is structurally less than the ``right`` one (the empty forest
+    is less than any other).  A side is ``(cols, width, index)``, as for
+    :func:`equal_envs`; the collation ranks are taken over both sides at
+    once, so their keys compare."""
+    spans = [_block_spans(*side) for side in (left, right)]
+    left_keys, right_keys = collation_keys(
+        *((side[0], starts, ends)
+          for side, (starts, ends, _envs) in zip((left, right), spans)))
+    return np.fromiter(map(operator.lt, left_keys, right_keys), np.bool_,
+                       len(left_keys))
+
+
 def distinct(cols: IntervalColumns, width: int) -> IntervalColumns:
     """Structurally distinct trees per env, first occurrence kept."""
     starts, ends, envs = _trees(cols, width)
@@ -632,21 +655,20 @@ def distinct(cols: IntervalColumns, width: int) -> IntervalColumns:
 
 
 def sort(cols: IntervalColumns, width: int) -> tuple[IntervalColumns, int]:
-    """Per-env stable sort by structural tree order; width squares."""
+    """Per-env stable sort by structural tree order; width squares.
+
+    One stable sort of every tree's collation key (document order breaks
+    ties), then one stable ``argsort`` by environment.
+    """
     wout = width * width
     if len(cols) == 0:
         return cols, wout
     _check_squares(cols, width, "sort")
-    depth = cols.d.tolist()
-    s = cols.s.tolist()
     starts, ends, envs = _trees(cols, width)
-    # The interleaved canonical key: its tuple order is the structural
-    # order (a span id is not).
-    keys = [(env, tuple(zip(depth[a:b], s[a:b])))
-            for env, a, b in zip(envs.tolist(), starts.tolist(),
-                                 ends.tolist())]
+    (keys,) = collation_keys((cols, starts, ends))
     order = np.array(sorted(range(len(keys)), key=keys.__getitem__),
-                     dtype=np.int64)  # stable: doc order breaks ties
+                     dtype=np.int64)
+    order = order[np.argsort(envs[order], kind="stable")]
     env = envs[order]
     first = np.searchsorted(env, env)  # sorted position of each env's first
     rank = np.arange(len(order)) - first

@@ -14,8 +14,9 @@ representation invariants everything else silently relies on:
    boundary;
 3. **well-formed nesting** — within each block the intervals form a valid
    Definition 3.1 encoding;
-4. **derived columns** — the depth and label-code columns equal what the
-   ``(s, l, r)`` triples alone determine (kernels carry them instead of
+4. **carried columns** — the depth column equals what the intervals
+   alone determine, and every label code is in the dictionary with its
+   label's kind in the low two bits (kernels carry both instead of
    recomputing, so drift would otherwise be silent).
 
 The checks are linear passes; they exist for tests and debugging, not for
@@ -28,8 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.columns import IntervalColumns
+from repro.engine.columns import (
+    KIND_MASK,
+    IntervalColumns,
+    _label_of,
+    derive_depths,
+)
 from repro.errors import ExecutionError
+from repro.xml.labels import label_kind
 
 
 def validate_value(rel: IntervalColumns, width: int,
@@ -48,6 +55,7 @@ def validate_value(rel: IntervalColumns, width: int,
             raise ExecutionError(
                 f"zero-width relation contains tuples{where}")
         return
+    _validate_codes(rel.c, where)  # before any label is read through them
     allowed = set(np.asarray(index).tolist())
     previous_left = None
     open_rights: list[int] = []
@@ -78,14 +86,27 @@ def validate_value(rel: IntervalColumns, width: int,
                 f"tuple ({s!r},{l},{r}) partially overlaps an open "
                 f"interval{where}")
         open_rights.append(r)
-    fresh = IntervalColumns.from_tuples(rel.tuples())
-    for column in ("d", "c"):
-        carried = getattr(rel, column).tolist()
-        derived = getattr(fresh, column).tolist()
-        if carried != derived:
+    carried = rel.d.tolist()
+    derived = derive_depths(rel.l.tolist(), rel.r.tolist()).tolist()
+    if carried != derived:
+        raise ExecutionError(
+            f"column 'd' drifted from the intervals{where}: "
+            f"carried {carried}, derived {derived}")
+
+
+def _validate_codes(codes: np.ndarray, where: str) -> None:
+    """Every distinct code names a label of the dictionary and carries
+    that label's kind in its low two bits."""
+    for code in np.unique(codes).tolist():
+        label = _label_of.get(code)
+        if label is None:
             raise ExecutionError(
-                f"column {column!r} drifted from the triples{where}: "
-                f"carried {carried}, derived {derived}")
+                f"column 'c' drifted{where}: code {code} names no label")
+        if code & KIND_MASK != label_kind(label):
+            raise ExecutionError(
+                f"column 'c' drifted{where}: code {code} carries kind "
+                f"{code & KIND_MASK}, its label {label!r} is of kind "
+                f"{label_kind(label)}")
 
 
 def validate_index(index: np.ndarray, context: str = "") -> None:

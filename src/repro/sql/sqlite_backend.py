@@ -186,7 +186,8 @@ class SQLiteDatabase:
         without ever materializing (or re-encoding) a ``Forest``, and its
         carried ``d`` column is stored as is.
         """
-        return self._shred(name, zip(columns.s.tolist(), columns.l.tolist(),
+        return self._shred(name, zip(columns.labels().tolist(),
+                                     columns.l.tolist(),
                                      columns.r.tolist(), columns.d.tolist()),
                            width)
 

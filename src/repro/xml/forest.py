@@ -391,8 +391,8 @@ class PreorderForest:
 
     def __reduce__(self):
         # What crosses a pipe: the distinct labels with their codes and
-        # each row's position among them, the way export_columns lays
-        # out a segment; integers as bytes, so no array is pickled.
+        # each row's position among them; integers as bytes, so no array
+        # is pickled.
         if self._c is None:
             labels, codes, positions = self._shipped
         else:

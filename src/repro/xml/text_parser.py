@@ -18,6 +18,8 @@ instead of letting it turn into markup downstream.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XMLParseError
 from repro.xml.forest import (
     Forest,
@@ -41,6 +43,14 @@ _NAME_EXTRA = "_:.-"
 
 #: First characters of the labels that are not text (``xml.forest``).
 _LABEL_STARTS = ("<", "@")
+
+#: A character outside XML 1.0's ``Char`` production (§2.2): a C0
+#: control other than tab, LF and CR, a lone surrogate, U+FFFE or U+FFFF.
+_NOT_A_CHAR = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+#: The digits of a character reference: ``#N`` or ``#xH``.
+_CHAR_REFERENCE = re.compile(r"#(?:[xX]([0-9a-fA-F]+)|([0-9]+))")
 
 
 def _reads_as_label(value: str, start: int) -> XMLParseError:
@@ -86,6 +96,11 @@ class _Parser:
     stack, so document depth is not limited by the recursion limit)."""
 
     def __init__(self, source: str, strip_whitespace: bool = True):
+        bad = _NOT_A_CHAR.search(source)
+        if bad is not None:
+            raise XMLParseError(
+                f"character {bad.group()!r} is not allowed in XML",
+                bad.start())
         # Line-end normalization (XML 1.0 §2.11): a raw CR LF or CR is
         # read as LF before anything else; a CR from ``&#13;`` survives.
         source = source.replace("\r\n", "\n").replace("\r", "\n")
@@ -268,16 +283,16 @@ class _Parser:
             raise XMLParseError("unterminated entity reference", self.pos)
         name = self.source[self.pos:end]
         self.pos = end + 1
-        if name.startswith("#x") or name.startswith("#X"):
-            try:
-                return chr(int(name[2:], 16))
-            except ValueError:
-                raise XMLParseError(f"invalid character reference &{name};", self.pos)
         if name.startswith("#"):
-            try:
-                return chr(int(name[1:]))
-            except ValueError:
-                raise XMLParseError(f"invalid character reference &{name};", self.pos)
+            # Only a character of the Char production may be referenced.
+            number = _CHAR_REFERENCE.fullmatch(name)
+            if number is not None:
+                hexadecimal, decimal = number.groups()
+                code = int(hexadecimal, 16) if hexadecimal else int(decimal)
+                if code <= 0x10FFFF and not _NOT_A_CHAR.match(chr(code)):
+                    return chr(code)
+            raise XMLParseError(f"invalid character reference &{name};",
+                                self.pos)
         if name in _ENTITY_MAP:
             return _ENTITY_MAP[name]
         raise XMLParseError(f"unknown entity &{name};", self.pos)

@@ -16,6 +16,7 @@ must be the reference's forest for forest (``TestOverflow``).
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import numpy as np
@@ -65,15 +66,16 @@ def forests_in_order(rel, width):
 
 
 def assert_derived(rel: IntervalColumns) -> None:
-    """The invariant: ``d`` and ``c`` are functions of the triples — and
-    ``c`` of the label alone, names and text values alike."""
+    """The invariant: ``d`` is a function of the triples, and ``c`` codes
+    the labels — names and text values alike."""
     fresh = IntervalColumns.from_tuples(rel.tuples())
+    labels = rel.labels().tolist()
     assert rel.d.tolist() == fresh.d.tolist()
     assert rel.c.tolist() == fresh.c.tolist() \
-        == label_codes(rel.s.tolist()).tolist() \
-        == [name_code(label, intern=False) for label in rel.s.tolist()]
-    assert len(set(rel.c.tolist())) == len(set(rel.s.tolist()))
-    assert len(rel.s) == len(rel.l) == len(rel.r) == len(rel.d) == len(rel.c)
+        == label_codes(labels).tolist() \
+        == [name_code(label, intern=False) for label in labels]
+    assert len(set(rel.c.tolist())) == len(set(labels))
+    assert len(rel.l) == len(rel.r) == len(rel.d) == len(rel.c)
 
 
 @st.composite
@@ -147,8 +149,6 @@ class TestScanKernels:
     @given(blocked(), st.sampled_from(["<a>", "<b>", "x", "@id"]))
     def test_select_trees(self, data, label):
         rows, width, _index = data
-        check(kernels.select_trees, ops.select_trees, rows,
-              lambda s: s == label, width=width)
         check(kernels.select_label,
               lambda rel, lab: ops.select_trees(
                   rel, lambda s: s == lab), rows, label, width=width)
@@ -340,16 +340,21 @@ class TestStructuralKernels:
         assert_derived(cols)
 
     @given(blocked())
-    def test_block_keys(self, data):
-        rows, width, _index = data
+    def test_collation_keys_order_as_canonical_keys(self, data):
+        """Every environment block's byte key compares with every other
+        one — the empty block included — as their canonical
+        ``(depth, label)`` keys do."""
+        rows, width, index = data
         cols = IntervalColumns.from_tuples(rows)
-        expected = {env: canonical_key(list(block))
-                    for env, block in group_by_env(rows, width)}
-        assert kernels.block_keys(cols, width) == expected
-        if rows:
-            big = IntervalColumns.from_tuples(far(rows, width))
-            assert kernels.block_keys(big, width) == {
-                env + FAR_ENV: key for env, key in expected.items()}
+        starts, ends, _envs = kernels._block_spans(cols, width, index)
+        (keys,) = kernels.collation_keys((cols, starts, ends))
+        blocks = {env: list(block) for env, block in group_by_env(rows, width)}
+        canonical = [canonical_key(blocks.get(env, [])) for env in index]
+        for one, other in itertools.product(range(len(index)), repeat=2):
+            assert (keys[one] < keys[other]) \
+                == (canonical[one] < canonical[other])
+            assert (keys[one] == keys[other]) \
+                == (canonical[one] == canonical[other])
 
     @given(keyed, keyed)
     def test_span_ids_number_the_canonical_keys(self, outer, inner):
@@ -580,18 +585,24 @@ class TestDerivedColumns:
             shm.close()
             shm.unlink()
 
-    def test_validate_value_catches_drift(self):
-        import numpy as np
-        import pytest
-        from repro.engine.validate import validate_value
+    def test_validate_value_catches_drift(self, monkeypatch):
+        """A ``d`` that is not the intervals' depths, a code the
+        dictionary does not hold, and a code whose kind bits are not its
+        label's kind are each refused."""
+        from repro.engine import validate
+        from repro.engine.columns import ELEMENT, _label_of
         from repro.errors import ExecutionError
         cols = IntervalColumns.from_tuples([("<a>", 0, 3), ("x", 1, 2)])
         validate_value(cols, 4, [0])
-        for column in ("d", "c"):
-            broken = IntervalColumns(cols.s, cols.l, cols.r, cols.d, cols.c)
-            setattr(broken, column, np.array([0, 0], dtype=np.int32))
+        unknown = (max(_label_of) | 3) + 1  # an id past every one taken
+        flipped = int(cols.c[1]) | ELEMENT  # "x" under an element's bits
+        monkeypatch.setattr(validate, "_label_of",
+                            {**_label_of, flipped: "x"})
+        for d, c in ((np.array([0, 0], dtype=np.int32), cols.c),
+                     (cols.d, np.array([cols.c[0], unknown], dtype=np.int32)),
+                     (cols.d, np.array([cols.c[0], flipped], dtype=np.int32))):
             with pytest.raises(ExecutionError, match="drifted"):
-                validate_value(broken, 4, [0])
+                validate_value(IntervalColumns(cols.l, cols.r, d, c), 4, [0])
 
 
 class TestNameCodes:
@@ -605,10 +616,11 @@ class TestNameCodes:
         one, _ = encode_columns(parse_forest("<a k='1'><b>x</b>1</a>"))
         two, _ = encode_columns(parse_forest("<b><a k='2'>y</a>x</b>"))
         for cols in (one, two):
-            for label, code in zip(cols.s.tolist(), cols.c.tolist()):
+            for label, code in zip(cols.labels().tolist(), cols.c.tolist()):
                 assert code == name_code(label, intern=False)
-        assert one.c[one.s == "x"].tolist() == two.c[two.s == "x"].tolist()
-        assert len(set(one.c.tolist())) == len(set(one.s.tolist()))
+        assert one.c[one.labels() == "x"].tolist() \
+            == two.c[two.labels() == "x"].tolist()
+        assert len(set(one.c.tolist())) == len(set(one.labels().tolist()))
         size = len(_codes)
         assert name_code("text no relation carries", intern=False) is None
         assert name_code("<no-such-element>", intern=False) is None
@@ -646,7 +658,7 @@ class TestRenormalise:
         assert (again.tuples(), again_width) == (tight.tuples(), tight_width)
         for column, saved in zip((cols.l, cols.r, cols.d, cols.c), before):
             assert column.tolist() == saved.tolist()
-        assert tight.s is cols.s and tight.d is cols.d and tight.c is cols.c
+        assert tight.d is cols.d and tight.c is cols.c
 
     def test_width_beyond_int64_is_one_block(self):
         rows = [("<a>", 5, 2 ** 62), ("x", 7, 90)]
@@ -748,7 +760,6 @@ class TestEmptyAndEdgeCases:
         empty = IntervalColumns.empty()
         assert kernels.roots(empty).tuples() == []
         assert kernels.children(empty).tuples() == []
-        assert kernels.select_trees(empty, lambda s: True).tuples() == []
         assert kernels.head(empty, 4).tuples() == []
         assert kernels.tail(empty, 4).tuples() == []
         assert kernels.reverse(empty, 4).tuples() == []
@@ -761,7 +772,10 @@ class TestEmptyAndEdgeCases:
         assert kernels.filter_by_index(empty, 4, [0, 1]).tuples() == []
         assert kernels.expand_variable(empty, 4, []).tuples() == []
         assert kernels.gather_blocks(empty, 4, [0], [1]).tuples() == []
-        assert kernels.block_keys(empty, 4) == {}
+        base = np.zeros(1, dtype=np.int64)
+        assert kernels.collation_keys((empty, base, base)) == [[b""]]
+        assert kernels.less_envs((empty, 4, base),
+                                 (empty, 4, base)).tolist() == [False]
         for existential in (True, False):
             ((envs, ids),) = kernels.key_ids(existential, (empty, 4, []))
             assert len(envs) == len(ids) == 0

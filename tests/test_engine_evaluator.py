@@ -219,28 +219,30 @@ class TestXMarkQueries:
 
 
 class TestKeysAreIntegers:
-    """Structural equality is integer equality — held by two counts that
-    repeat exactly, not by a timing."""
+    """Structural equality is integer equality, and order a compare of
+    collation-ranked bytes — held by counts that repeat exactly, not by a
+    timing."""
 
     @staticmethod
     def counted_run(monkeypatch, query, forest):
-        """``(label comparisons, dict entries tried)`` of one engine run:
-        every label of the document counts being compared as a string,
-        and the numbers ``span_ids`` draws — one per ``dict.setdefault``
-        it makes — are counted as they are drawn."""
+        """``(labels read, dict entries tried, codes sorted)`` of one
+        engine run: every read of the label dictionary counts, the
+        numbers ``span_ids`` draws — one per ``dict.setdefault`` it
+        makes — are counted as they are drawn, and so are the distinct
+        codes of every relation ``sort`` is handed."""
         import itertools
 
-        from repro.engine import kernels
-        from repro.engine.columns import IntervalColumns, label_column
+        import numpy as np
 
-        counts = {"compared": 0, "setdefault": 0}
+        from repro.engine import columns, kernels
 
-        class Label(str):
-            __hash__ = str.__hash__
+        counts = {"read": 0, "setdefault": 0, "sorted": 0}
+        dictionary = columns._label_of
 
-            def __eq__(self, other):
-                counts["compared"] += 1
-                return str.__eq__(self, other)
+        class Counted(dict):
+            def __getitem__(self, code):
+                counts["read"] += 1
+                return dictionary[code]
 
         class Drawn:
             def __init__(self):
@@ -253,38 +255,51 @@ class TestKeysAreIntegers:
                 counts["setdefault"] += 1
                 return next(self.numbers)
 
+        sort = kernels.sort
+
+        def counted_sort(cols, width):
+            counts["sorted"] += len(np.unique(cols.c))
+            return sort(cols, width)
+
         monkeypatch.setattr(kernels, "_counter", Drawn)
+        monkeypatch.setattr(kernels, "sort", counted_sort)
         core, docs = lower_query(parse_xquery(query))
         plan = compile_plan(core, JoinStrategy.MSJ, base_vars=docs.values())
-        cols, width = DIEngine.prepare_document(document_forest(forest))
-        spied = IntervalColumns(
-            label_column([Label(label) for label in cols.s.tolist()]),
-            cols.l, cols.r, cols.d, cols.c)
-        assert spied.s[0] == cols.s[0] and counts["compared"] == 1
-        counts["compared"] = 0
+        value = DIEngine.prepare_document(document_forest(forest))
+        monkeypatch.setattr(columns, "_label_of", Counted())
         rel, _width = DIEngine().run_plan_values(
-            plan, {var: (spied, width) for var in docs.values()})
+            plan, {var: value for var in docs.values()})
         assert len(rel) > 0
-        return counts["compared"], counts["setdefault"]
+        return counts["read"], counts["setdefault"], counts["sorted"]
 
     def test_flat_keys_touch_no_string_and_no_dict(self, monkeypatch,
                                                    xmark_tiny):
         """Q8's keys are single attribute values: the id of a key is its
-        label code, the select on ``person`` is a mask compare."""
+        label code, the select on ``person`` is a mask compare, and no
+        label is read."""
         from repro.xmark.queries import Q8, Q9
         for query in (Q8, Q9):
             assert self.counted_run(monkeypatch, query, (xmark_tiny,)) \
-                == (0, 0)
+                == (0, 0, 0)
 
     def test_structured_keys_go_through_one_dict_of_bytes(self, monkeypatch):
         """A deep-equal join compares whole key forests: one entry tried
         per record — two on each side, the record without keys included
-        — and still no label compared."""
+        — and still no label read."""
         query = ('for $a in document("d")/r/a for $b in document("d")/r/b '
                  'where deep-equal($a/k, $b/k) return $b')
         forest = f("<r><a><k>x</k><k><t>y</t></k></a><a><k>x</k></a>"
                    "<b><k>x</k></b><b/></r>")
-        assert self.counted_run(monkeypatch, query, forest) == (0, 4)
+        assert self.counted_run(monkeypatch, query, forest) == (0, 4, 0)
+
+    def test_order_by_reads_each_sorted_label_once(self, monkeypatch,
+                                                   xmark_tiny):
+        """Q19's ``order by`` ranks the labels of the relation it sorts:
+        one dictionary read per distinct code, and none anywhere else."""
+        from repro.xmark.queries import Q19
+        read, _drawn, sorted_codes = self.counted_run(
+            monkeypatch, Q19, (xmark_tiny,))
+        assert read == sorted_codes > 0
 
 
 class TestStats:

@@ -55,7 +55,7 @@ def join_at(first_env: int, text: str, strategy: JoinStrategy):
 
     engine = DIEngine(validate=True)
     keys, _width = engine.run_plan_encoded(plan.source, bindings)
-    labels = keys.s[keys.d == 0].tolist()
+    labels = keys.labels()[keys.d == 0].tolist()
     envs = first_env + np.arange(len(labels), dtype=np.int64)
     bound = IntervalColumns.from_tuples(
         [(label, 2 * env, 2 * env + 1)

@@ -186,7 +186,7 @@ class TestDecodeColumns:
         assert tampered[row] != depth
         tampered[row] = depth
         with pytest.raises(EncodingError, match="depth"):
-            decode(IntervalColumns(rel.s, rel.l, rel.r, tampered, rel.c))
+            decode(IntervalColumns(rel.l, rel.r, tampered, rel.c))
 
 
 class TestValidate:

@@ -182,7 +182,7 @@ class TestDeltaOracle:
     @given(edit_scripts())
     def test_snapshot_columns_match_snapshot_rows(self, script):
         """``DocumentUpdate.columns()`` is what ``from_tuples`` derives
-        from the row-level reference, on all five columns."""
+        from the row-level reference, on every column."""
         forest, stride, ops = script
         final = _apply_ops(
             UpdatableDocument.from_forest(forest, stride=stride), ops)
@@ -241,7 +241,7 @@ def _rebase_insert_delete(session, answer) -> None:
     ``answer()`` reads ``ALL_A`` after each edit."""
     doc = session.updatable("d.xml")
     session.apply_update("d.xml", doc)     # the rebasing commit
-    parent = int(doc.columns.l[doc.columns.s.tolist().index("<b>")])
+    parent = int(doc.columns.l[doc.columns.labels().tolist().index("<b>")])
     edited = doc.insert_child(parent, 0, [element("a", [text("3")])])
     session.apply_update("d.xml", edited)
     assert answer() == "<a>1</a><a>3</a><a>2</a>"
@@ -447,7 +447,7 @@ def _flip(doc: UpdatableDocument) -> UpdatableDocument:
     ``<b>`` of ``SMALL``: alternating at one slot never spreads."""
     if doc.last_delta is not None and doc.last_delta.inserted:
         return doc.delete_subtree(doc.last_delta.inserted[0][1])
-    parent = int(doc.columns.l[doc.columns.s.tolist().index("<b>")])
+    parent = int(doc.columns.l[doc.columns.labels().tolist().index("<b>")])
     return doc.insert_child(parent, 0, [element("a", [text("new")])])
 
 

@@ -26,7 +26,7 @@ from repro.xml.forest import Forest, Node, element, text
 
 def assert_columns_equal(carried: IntervalColumns,
                          derived: IntervalColumns) -> None:
-    """Same values and same dtypes on all five columns."""
+    """Same values and same dtypes on every column."""
     for name in IntervalColumns.__slots__:
         left, right = getattr(carried, name), getattr(derived, name)
         assert left.dtype == right.dtype, name
@@ -34,7 +34,7 @@ def assert_columns_equal(carried: IntervalColumns,
 
 
 def assert_state_is_sound(document: UpdatableDocument) -> None:
-    """Definition 3.1 holds, and all five columns equal what
+    """Definition 3.1 holds, and every column equals what
     ``from_tuples`` derives from the rows alone."""
     document.encoded.validate()
     derived = IntervalColumns.from_tuples(document.encoded.tuples)

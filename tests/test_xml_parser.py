@@ -1,6 +1,10 @@
 """Unit tests for the XML text parser."""
 
+import xml.etree.ElementTree as ElementTree
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import XMLParseError
 from repro.xml.forest import element, text
@@ -170,6 +174,64 @@ class TestTextThatReadsAsALabel:
             "<a>&lt;b&gt; c</a><a>x&lt;b&gt;</a></r>")
         assert [node.label for node in root.iter_dfs() if node.is_text()] \
             == ["@", "<", "@", "<>", " @x", "<b> c", "x<b>"]
+
+
+class TestCharacters:
+    """Only XML 1.0's ``Char`` production (§2.2) may appear, raw or by
+    reference, and ``xml.etree`` is the oracle — in text and in
+    attribute values.  NUL and the other C0 controls used to load (and
+    to serialize to text no parser reads back), and ``&#xD800;`` a lone
+    surrogate that later failed to encode as UTF-8 on the process tier
+    and in ``POST /query``."""
+
+    #: The edges of the production.
+    EDGES = (0x0, 0x1, 0x8, 0x9, 0xA, 0xB, 0xC, 0xD, 0xE, 0x1F, 0x20, 0x7F,
+             0x85, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0xFFFD,
+             0xFFFE, 0xFFFF, 0x10000, 0x10FFFF)
+
+    @staticmethod
+    def sources(code):
+        yield f"<a>&#x{code:X};</a>"
+        yield f'<a k="&#{code};"/>'
+        char = chr(code)
+        if char not in "<&\"'":  # markup, not character data
+            yield f"<a>{char}</a>"
+            yield f'<a k="{char}"/>'
+
+    @staticmethod
+    def etree_reads(source):
+        try:
+            ElementTree.fromstring(source.encode("utf-8", "surrogatepass"))
+        except ElementTree.ParseError:
+            return False
+        return True
+
+    @staticmethod
+    def parses(source):
+        try:
+            parse_forest(source)
+        except XMLParseError:
+            return False
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(EDGES) | st.integers(0, 0x10FFFF))
+    def test_read_exactly_when_etree_reads_it(self, code):
+        for source in self.sources(code):
+            assert self.parses(source) == self.etree_reads(source), source
+
+    @pytest.mark.parametrize("source, offset", [
+        ("<a>\x00</a>", 3), ("<a>\x01</a>", 3), ('<a k="x\x1f"/>', 7)])
+    def test_raw_character_refused_at_its_offset(self, source, offset):
+        with pytest.raises(XMLParseError, match="not allowed") as excinfo:
+            parse_forest(source)
+        assert excinfo.value.position == offset
+
+    @pytest.mark.parametrize("reference", [
+        "&#xD800;", "&#0;", "&#xFFFE;", "&#x110000;", "&#x;", "&#-1;"])
+    def test_reference_to_a_non_character_refused(self, reference):
+        with pytest.raises(XMLParseError, match="invalid character reference"):
+            parse_forest(f"<a>{reference}</a>")
 
 
 class TestParseDocument:
