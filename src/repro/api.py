@@ -220,8 +220,10 @@ def run_xquery(query: str | CompiledQuery,
     text, a parsed :class:`Node`, or a forest.  ``backend`` is any name in
     the backend registry (``repro.backends.registered_backends()``);
     ``strategy`` selects nested-loop vs merge join for the engine backend.
-    ``stats`` (engine backend only) collects the Figure 10 time breakdown.
+    ``stats`` collects the Figure 10 time breakdown; it needs the engine
+    backend (``ValueError`` otherwise).
     """
+    EngineStats.check_backend(stats, backend)
     compiled = query if isinstance(query, CompiledQuery) else compile_xquery(query)
     bindings = _bind_documents(compiled, documents or {})
     options = ExecutionOptions(strategy=coerce_strategy(strategy), stats=stats)

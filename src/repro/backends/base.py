@@ -63,7 +63,9 @@ class ExecutionOptions:
     """Per-execution knobs passed to :meth:`Backend.execute`.
 
     Backends ignore options that do not apply to them (the interpreter has
-    no join strategy; only the DI engine fills ``stats``).  ``guard``
+    no join strategy).  ``stats`` is the engine's alone
+    (:meth:`EngineStats.check_backend`); it and ``metrics`` are read from
+    the engine's spans after the run.  ``guard``
     carries the query's deadline and resource budgets; every builtin
     backend enforces it cooperatively (engine/interpreter/naive step
     hooks, SQL progress handlers) — see :mod:`repro.resilience.guard`.

@@ -10,8 +10,10 @@ from repro.backends.registry import register_backend
 from repro.compiler.cache import CacheKey, CachedPlan, PlanCache
 from repro.compiler.pipeline import PassRecord, optimize_stage, plan_stage
 from repro.compiler.plan import JoinStrategy, PlanNode
-from repro.compiler.planner import explain_plan
-from repro.engine.evaluator import DIEngine, NodeObservation, Value
+from repro.compiler.planner import explain_plan, node_observations
+from repro.engine.evaluator import DIEngine, Value
+from repro.engine.stats import observe_metrics
+from repro.obs.trace import Tracer
 from repro.xml.forest import Forest, PreorderForest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -148,17 +150,19 @@ class EngineBackend(Backend):
         """EXPLAIN ANALYZE: the plan :meth:`optimized_for` serves, run
         once, each evaluated node annotated with its observed output
         tuples, width, environments, inclusive time and (past one) call
-        count, then the run's total.  The cache is only peeked at: no
-        entry, counter or LRU position moves."""
+        count — read from the op spans of one traced run — then the run's
+        total.  The cache is only peeked at: no entry, counter or LRU
+        position moves."""
         entry = (self._cache.peek(CacheKey(compiled.source,
                                            options.strategy.value))
                  or self._build(compiled, options.strategy))
         plan = entry[0]
-        observed: dict[int, NodeObservation] = {}
+        tracer = Tracer()
         values = dict(self._values(compiled))
         started = perf_counter()
-        DIEngine(observed=observed).run_plan_values(plan, values)
+        DIEngine(tracer=tracer).run_plan_values(plan, values)
         total = perf_counter() - started
+        observed = node_observations(tracer.roots)
         return (f"{explain_plan(plan, annotations=observed)}\n"
                 f"total: {total * 1e3:.1f} ms")
 
@@ -168,8 +172,11 @@ class EngineBackend(Backend):
                 options: ExecutionOptions) -> Callable[[], PreorderForest]:
         plan = self.optimized_for(compiled, options)
         values = self._values(compiled)
-        engine = DIEngine(stats=options.stats, tracer=self._tracer,
-                          metrics=options.metrics, guard=options.guard)
+        stats, metrics = options.stats, options.metrics
+        tracer = self._tracer
+        if tracer is None and stats is not None:
+            tracer = stats.tracer
+        engine = DIEngine(tracer=tracer, guard=options.guard)
 
         def run() -> PreorderForest:
             # Cached encodings are immutable IntervalColumns: every kernel
@@ -180,8 +187,20 @@ class EngineBackend(Backend):
             # segment.
             from repro.encoding.interval import decode
 
-            rel, _width = engine.run_plan_values(plan, dict(values))
-            return decode(rel)
+            if tracer is None:
+                return decode(engine.run_plan_values(plan, dict(values))[0])
+            # The run's own spans are what it adds under the open span:
+            # ``stats`` adopts them unless they are on its own tracer.
+            parent = tracer.current
+            spans = parent.children if parent is not None else tracer.roots
+            first = len(spans)
+            try:
+                return decode(engine.run_plan_values(plan, dict(values))[0])
+            finally:
+                if stats is not None and tracer is not stats.tracer:
+                    stats.tracer.roots.extend(spans[first:])
+                if metrics is not None:
+                    observe_metrics(metrics, spans[first:])
 
         return run
 

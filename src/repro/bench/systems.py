@@ -47,8 +47,6 @@ class SystemSpec:
     strategy: JoinStrategy | None = None
     #: Extra keyword arguments for the backend factory.
     backend_options: Mapping[str, Any] = field(default_factory=dict)
-    #: Whether the backend fills ``ExecutionOptions.stats`` (DI engine).
-    collects_stats: bool = False
     #: Whether the factory takes the harness ``memory_budget`` (the
     #: simulated "IM" limit only applies to the naive competitor).
     accepts_memory_budget: bool = False
@@ -57,10 +55,8 @@ class SystemSpec:
 #: Section 6 system rows → backend registry configurations.
 SYSTEM_SPECS: dict[str, SystemSpec] = {
     "naive": SystemSpec("naive", accepts_memory_budget=True),
-    "di-nlj": SystemSpec("engine", strategy=JoinStrategy.NLJ,
-                         collects_stats=True),
-    "di-msj": SystemSpec("engine", strategy=JoinStrategy.MSJ,
-                         collects_stats=True),
+    "di-nlj": SystemSpec("engine", strategy=JoinStrategy.NLJ),
+    "di-msj": SystemSpec("engine", strategy=JoinStrategy.MSJ),
     "sqlite": SystemSpec("sqlite"),
 }
 
@@ -105,7 +101,8 @@ def execute_cell(system: str, query_name: str, scale: float,
         backend_options = dict(spec.backend_options)
         if spec.accepts_memory_budget and memory_budget is not None:
             backend_options["memory_budget"] = memory_budget
-        stats = EngineStats() if (collect_breakdown and spec.collects_stats) else None
+        stats = EngineStats() if (collect_breakdown
+                                  and spec.backend == "engine") else None
         options = ExecutionOptions(stats=stats)
         if spec.strategy is not None:
             options.strategy = spec.strategy

@@ -141,8 +141,3 @@ def _split_key(conjunct: Equal | SomeEqual, var: str,
     if right_free == {var} and var not in left_free:
         return conjunct.left, conjunct.right
     return None
-
-
-def condition_mentions(condition: Condition, var: str) -> bool:
-    """True if ``condition`` references ``var``."""
-    return var in condition_free_variables(condition)

@@ -66,11 +66,41 @@ from repro.xquery.ast import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.evaluator import NodeObservation
+    from repro.obs.trace import Span
 
-#: ``id(plan node) → what it did in a run``, as ``DIEngine(observed=…)``
-#: records it.
-Annotations = Mapping[int, "NodeObservation"]
+
+@dataclasses.dataclass
+class NodeObservation:
+    """What one plan node did in a run (EXPLAIN ANALYZE): its last
+    output's tuples, width and environments, and its summed inclusive
+    seconds over ``calls`` evaluations."""
+
+    tuples: int = 0
+    width: int = 0
+    envs: int = 0
+    seconds: float = 0.0
+    calls: int = 0
+
+
+#: ``id(plan node) → what it did in a run``.
+Annotations = Mapping[int, NodeObservation]
+
+
+def node_observations(roots: Iterable[Span]) -> dict[int, NodeObservation]:
+    """The annotations of one traced engine run, read off its ``op.*``
+    spans (:func:`repro.engine.stats.op_spans`)."""
+    from repro.engine.stats import op_spans  # the engine imports us
+
+    observed: dict[int, NodeObservation] = {}
+    for span in op_spans(roots):
+        attributes = span.attributes
+        seen = observed.setdefault(attributes["node"], NodeObservation())
+        seen.seconds += span.seconds
+        seen.calls += 1
+        seen.tuples = attributes["tuples"]
+        seen.width = attributes["width"]
+        seen.envs = attributes["envs"]
+    return observed
 
 
 def compile_plan(expr: CoreExpr, strategy: JoinStrategy = JoinStrategy.MSJ,

@@ -29,9 +29,6 @@ from the kernel; nothing wraps and nothing switches representation.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
@@ -61,19 +58,13 @@ from repro.compiler.planner import cond_free
 from repro.encoding.interval import decode, encode_columns
 from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
-from repro.engine.stats import (
-    EngineStats,
-    FUNCTION_CATEGORIES,
-    JOIN,
-    OTHER,
-)
+from repro.engine.stats import span_category
 from repro.errors import (
     ExecutionError,
     PlanError,
     UnboundVariableError,
     WidthOverflowError,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.xml.forest import Forest
 
@@ -90,28 +81,10 @@ _UNARY_OPERATORS = frozenset({
 #: descendant path steps; see ``DIEngine._eval_fused_select``).
 _FUSED_SELECTS = frozenset({"children", "subtrees_dfs"})
 
-#: Latency buckets for the per-kernel histogram (seconds, exponential).
-_KERNEL_SECONDS_BUCKETS = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
-)
-
 #: The index of the base environment sequence: environment 0 alone.
 _BASE_INDEX = np.zeros(1, dtype=np.int64)
 
 _NO_ENVS = np.empty(0, dtype=np.int64)
-
-
-@dataclass
-class NodeObservation:
-    """What one plan node did in a run (EXPLAIN ANALYZE): its last
-    output's tuples, width and environments, and its summed inclusive
-    seconds over ``calls`` evaluations."""
-
-    tuples: int = 0
-    width: int = 0
-    envs: int = 0
-    seconds: float = 0.0
-    calls: int = 0
 
 
 class EnvSeq:
@@ -132,19 +105,19 @@ class EnvSeq:
 class DIEngine:
     """The dynamic-interval query engine.
 
-    ``stats`` — optional :class:`EngineStats` collecting the Figure 10
-    breakdown.  ``tick`` — optional callback invoked per evaluation step
-    (cooperative cancellation / work accounting for the bench harness).
-    ``tracer`` — optional :class:`~repro.obs.trace.Tracer`; when enabled,
-    every plan-node evaluation becomes a span carrying the node kind, its
-    Figure 10 category, and output tuples/width/environment counts.
-    ``metrics`` — optional :class:`~repro.obs.metrics.MetricsRegistry`
-    observing tuples produced per operator, environment-sequence sizes,
-    and interval widths.  ``guard`` — optional
-    :class:`~repro.resilience.guard.QueryGuard`; its deadline rides the
-    ``tick`` hook (checked at every evaluation step and inside the
-    quadratic copy/NLJ loops) and its tuple/env/width budgets are charged
-    per node result.
+    ``validate`` checks every node's result against Definition 3.3
+    (:mod:`repro.engine.validate`).  ``tracer`` — optional
+    :class:`~repro.obs.trace.Tracer`; when enabled, every plan-node
+    evaluation becomes an ``op.*`` span carrying the node kind, its
+    Figure 10 category, ``node=id(node)`` and its output
+    tuples/width/environment counts, and every kernel invocation an
+    ``engine.kernel.*`` span.  That is the engine's one record of a run:
+    the Figure 10 split, EXPLAIN ANALYZE and the engine metrics are all
+    read from it afterwards (:mod:`repro.engine.stats`).  ``guard`` —
+    optional :class:`~repro.resilience.guard.QueryGuard`; its deadline is
+    checked by :meth:`QueryGuard.tick` at every evaluation step, kernel
+    and nested-loop comparison, and its tuple/env/width budgets are
+    charged per node result.
 
     A disabled tracer is normalized to ``None`` at construction so the
     hot loop pays a single attribute test and allocates nothing per node
@@ -152,47 +125,20 @@ class DIEngine:
     dropped, keeping the unguarded fast path identical.
     """
 
-    def __init__(self, stats: EngineStats | None = None,
-                 tick: Callable[[], None] | None = None,
-                 validate: bool = False,
+    def __init__(self, validate: bool = False,
                  tracer: Tracer | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 guard: "QueryGuard | None" = None,
-                 observed: "dict[int, NodeObservation] | None" = None):
-        self.stats = stats
+                 guard: "QueryGuard | None" = None):
         self._validate = validate
-        #: When a dict is supplied, every evaluated plan node records a
-        #: :class:`NodeObservation` under ``id(node)`` — what EXPLAIN
-        #: ANALYZE renders (``explain_plan(annotations=…)``).
-        self._observed = observed
         self._base: EnvSeq | None = None
         if tracer is not None and not tracer.enabled:
             tracer = None
         self._tracer = tracer
-        self._metrics = metrics
         if guard is not None and not guard.enabled:
             guard = None
         self._guard = guard
+        self._tick: Callable[[], None] | None = None
         if guard is not None:
-            guard.start()
-            tick = _chain_ticks(tick, guard.tick)
-        self._tick = tick
-        if metrics is not None:
-            self._m_tuples = metrics.counter(
-                "repro_engine_tuples_total",
-                "tuples produced per engine operator", ("operator",))
-            self._m_envs = metrics.histogram(
-                "repro_engine_envseq_size",
-                "environment-sequence sizes seen per node evaluation")
-            self._m_width = metrics.histogram(
-                "repro_engine_interval_width",
-                "interval widths of node results")
-            self._m_kernel = metrics.histogram(
-                "repro_engine_kernel_seconds",
-                "wall seconds per engine kernel invocation", ("kernel",),
-                buckets=_KERNEL_SECONDS_BUCKETS)
-        else:
-            self._m_kernel = None
+            self._tick = guard.start().tick
 
     # -- public API --------------------------------------------------------------
 
@@ -245,38 +191,24 @@ class DIEngine:
     def evaluate(self, node: PlanNode, seq: EnvSeq) -> Value:
         if self._tick is not None:
             self._tick()
-        if self._tracer is None and self._metrics is None \
-                and self._guard is None and self._observed is None:
+        if self._tracer is None and self._guard is None:
             return self._dispatch(node, seq)  # the no-observability fast path
         return self._evaluate_observed(node, seq)
 
     def _evaluate_observed(self, node: PlanNode, seq: EnvSeq) -> Value:
         tracer = self._tracer
-        observed = self._observed
-        started = perf_counter() if observed is not None else 0.0
         if tracer is None:
             result = self._dispatch(node, seq)
         else:
             with tracer.span(_span_name(node), kind=type(node).__name__,
-                             category=_span_category(node)) as span:
+                             category=span_category(node),
+                             node=id(node)) as span:
                 result = self._dispatch(node, seq)
                 span.set(tuples=len(result[0]), width=result[1],
                          envs=len(seq.index))
-        if observed is not None:
-            seen = observed.setdefault(id(node), NodeObservation())
-            seen.seconds += perf_counter() - started
-            seen.calls += 1
-            seen.tuples = len(result[0])
-            seen.width = result[1]
-            seen.envs = len(seq.index)
         if self._guard is not None:
             self._guard.account(tuples=len(result[0]), width=result[1],
                                 envs=len(seq.index))
-        if self._metrics is not None:
-            self._m_envs.observe(len(seq.index))
-            self._m_width.observe(result[1])
-            if isinstance(node, FnNode):
-                self._m_tuples.inc(len(result[0]), operator=node.fn)
         return result
 
     def _dispatch(self, node: PlanNode, seq: EnvSeq) -> Value:
@@ -314,30 +246,22 @@ class DIEngine:
     # -- operators -------------------------------------------------------------------
 
     def _kernel(self, name: str, fn: Callable, *args):
-        """Run one operator kernel under per-kernel observability.
+        """Run one operator kernel, as an ``engine.kernel.*`` span when
+        tracing.
 
-        With tracing/metrics disabled this is a plain call — no span, no
+        With tracing disabled this is a plain call — no span, no
         timestamp, no allocation (the counting-tracer overhead test pins
-        this).  Otherwise the invocation becomes an ``engine.kernel.*``
-        span and one ``repro_engine_kernel_seconds`` observation.
+        this).
         """
         if self._tick is not None:
             self._tick()
         tracer = self._tracer
-        histogram = self._m_kernel
-        if tracer is None and histogram is None:
+        if tracer is None:
             return fn(*args)
-        started = perf_counter()
-        if tracer is not None:
-            # Tagged with ``kernel=`` (not ``category=``) so the Figure 10
-            # accounting passes through and charges the enclosing op span.
-            with tracer.span("engine.kernel." + name, kernel=name):
-                result = fn(*args)
-        else:
-            result = fn(*args)
-        if histogram is not None:
-            histogram.observe(perf_counter() - started, kernel=name)
-        return result
+        # Tagged with ``kernel=`` (not ``category=``) so the Figure 10
+        # accounting passes through and charges the enclosing op span.
+        with tracer.span("engine.kernel." + name, kernel=name):
+            return fn(*args)
 
     def _fit(self, value: Value, envs: np.ndarray, out_width: int) -> Value:
         """``value``, renormalised if what is about to be made of it —
@@ -356,19 +280,7 @@ class DIEngine:
                 and len(node.args[0].args) == 1:
             return self._eval_fused_select(node, seq)
         args = [self.evaluate(arg, seq) for arg in node.args]
-        if self.stats is None:  # the hot path allocates no closure
-            return self._apply_fn(node, args, seq)
-        return self._charged(node, lambda: self._apply_fn(node, args, seq))
-
-    def _charged(self, node: FnNode, apply: Callable[[], Value]) -> Value:
-        """Run one XFn application under its Figure 10 category."""
-        if self.stats is None:
-            return apply()
-        category = FUNCTION_CATEGORIES.get(node.fn, OTHER)
-        with self.stats.measure(category):
-            result = apply()
-            self.stats.add_tuples(category, len(result[0]))
-            return result
+        return self._apply_fn(node, args, seq)
 
     def _eval_fused_select(self, node: FnNode, seq: EnvSeq) -> Value:
         """The two path-step idioms, each as one kernel.
@@ -384,21 +296,15 @@ class DIEngine:
         inner = node.args[0]
         value = self.evaluate(inner.args[0], seq)
         label = node.param("label")
-
-        def apply() -> Value:
-            rel, width = value
-            if width == 0:
-                return IntervalColumns.empty(), 0
-            if inner.fn == "children":
-                return self._kernel("select_children",
-                                    kernels.select_children,
-                                    rel, label), width
-            rel, width = self._fit(value, seq.index, width * width)
-            return self._kernel("select_descendants",
-                                kernels.select_descendants,
-                                rel, width, label), width * width
-
-        return self._charged(node, apply)
+        rel, width = value
+        if width == 0:
+            return IntervalColumns.empty(), 0
+        if inner.fn == "children":
+            return self._kernel("select_children", kernels.select_children,
+                                rel, label), width
+        rel, width = self._fit(value, seq.index, width * width)
+        return self._kernel("select_descendants", kernels.select_descendants,
+                            rel, width, label), width * width
 
     def _apply_fn(self, node: FnNode, args: list[Value], seq: EnvSeq) -> Value:
         fn = node.fn
@@ -471,31 +377,24 @@ class DIEngine:
 
     # -- where ------------------------------------------------------------------------
 
-    def _join_time(self):
-        """The Figure 10 *join* timer, or a no-op without stats."""
-        return nullcontext() if self.stats is None \
-            else self.stats.measure(JOIN)
-
     def _eval_where(self, node: WhereNode, seq: EnvSeq) -> Value:
         satisfied = self._eval_condition(node.condition, seq)
-        with self._join_time():
-            everyone = satisfied.all()
-            surviving = seq.index if everyone else seq.index[satisfied]
-            inner_vars: dict[str, Value] = {}
-            for name in node.body_free:
-                value = seq.vars.get(name)
-                if value is None:
-                    continue
-                rel, width = value
-                if width == 0 or everyone:
-                    inner_vars[name] = value
-                else:
-                    inner_vars[name] = (
-                        self._kernel("filter_by_index",
-                                     kernels.filter_by_index,
-                                     rel, width, surviving),
-                        width,
-                    )
+        everyone = satisfied.all()
+        surviving = seq.index if everyone else seq.index[satisfied]
+        inner_vars: dict[str, Value] = {}
+        for name in node.body_free:
+            value = seq.vars.get(name)
+            if value is None:
+                continue
+            rel, width = value
+            if width == 0 or everyone:
+                inner_vars[name] = value
+            else:
+                inner_vars[name] = (
+                    self._kernel("filter_by_index", kernels.filter_by_index,
+                                 rel, width, surviving),
+                    width,
+                )
         return self.evaluate(node.body, EnvSeq(surviving, inner_vars))
 
     # -- conditions -------------------------------------------------------------------
@@ -543,27 +442,25 @@ class DIEngine:
         source = self.evaluate(node.source, seq)
         if source[1] == 0:
             return IntervalColumns.empty(), 0
-        with self._join_time():
-            # Iterations are numbered by root left endpoint (< one block
-            # past the last environment) and get a block of the source's
-            # width each: the width squares.
-            source_rel, source_width = self._fit(
-                source, seq.index, source[1] * source[1])
-            roots = self._kernel("roots", kernels.roots, source_rel)
-            outer = {name: seq.vars[name]
-                     for name in sorted(node.required_outer)
-                     if name in seq.vars}
-            envs, offsets = np.divmod(roots.l, source_width)
-            index, fan = self._compact(envs, offsets, source_width,
-                                       outer.values())
-            bound = self._kernel("expand_variable", kernels.expand_variable,
-                                 source_rel, source_width, index)
-            inner_vars: dict[str, Value] = {node.var: (bound, source_width)}
-            # Copying the outer bindings into every iteration is the
-            # quadratic cost of nested-loop evaluation:
-            # |roots| × |binding blocks| tuples.
-            for name, value in outer.items():
-                inner_vars[name] = self._gather(value, envs, index)
+        # Iterations are numbered by root left endpoint (< one block past
+        # the last environment) and get a block of the source's width
+        # each: the width squares.
+        source_rel, source_width = self._fit(
+            source, seq.index, source[1] * source[1])
+        roots = self._kernel("roots", kernels.roots, source_rel)
+        outer = {name: seq.vars[name]
+                 for name in sorted(node.required_outer)
+                 if name in seq.vars}
+        envs, offsets = np.divmod(roots.l, source_width)
+        index, fan = self._compact(envs, offsets, source_width,
+                                   outer.values())
+        bound = self._kernel("expand_variable", kernels.expand_variable,
+                             source_rel, source_width, index)
+        inner_vars: dict[str, Value] = {node.var: (bound, source_width)}
+        # Copying the outer bindings into every iteration is the quadratic
+        # cost of nested-loop evaluation: |roots| × |binding blocks| tuples.
+        for name, value in outer.items():
+            inner_vars[name] = self._gather(value, envs, index)
         body_rel, body_width = self.evaluate(
             node.body, EnvSeq(index, inner_vars))
         width = fan * body_width
@@ -629,29 +526,27 @@ class DIEngine:
         inner_rel, inner_width = self.evaluate(node.key_inner, inner_seq)
         outer_rel, outer_width = self.evaluate(node.key_outer, seq)
 
-        with self._join_time():
-            ix, iy = self._match_pairs(
-                outer_rel, outer_width, seq.index,
-                inner_rel, inner_width, inner_index,
-                existential=node.existential,
-                strategy=node.strategy,
-            )
-            outer = {name: seq.vars[name]
-                     for name in sorted(node.required_outer)
-                     if name in seq.vars}
-            pair_index, fan = self._compact(ix, iy, source_width,
-                                            outer.values())
-            # Under isolation the body never reads the pair sequence, so
-            # the join variable is only copied if the residual needs it.
-            need_var = not node.isolate or (
-                node.residual is not None
-                and node.var in cond_free(node.residual))
-            pair_vars: dict[str, Value] = {}
-            if need_var:
-                pair_vars[node.var] = self._gather(
-                    (bound, source_width), iy, pair_index)
-            for name, value in outer.items():
-                pair_vars[name] = self._gather(value, ix, pair_index)
+        ix, iy = self._match_pairs(
+            outer_rel, outer_width, seq.index,
+            inner_rel, inner_width, inner_index,
+            existential=node.existential,
+            strategy=node.strategy,
+        )
+        outer = {name: seq.vars[name]
+                 for name in sorted(node.required_outer)
+                 if name in seq.vars}
+        pair_index, fan = self._compact(ix, iy, source_width, outer.values())
+        # Under isolation the body never reads the pair sequence, so the
+        # join variable is only copied if the residual needs it.
+        need_var = not node.isolate or (
+            node.residual is not None
+            and node.var in cond_free(node.residual))
+        pair_vars: dict[str, Value] = {}
+        if need_var:
+            pair_vars[node.var] = self._gather(
+                (bound, source_width), iy, pair_index)
+        for name, value in outer.items():
+            pair_vars[name] = self._gather(value, ix, pair_index)
         pair_seq = EnvSeq(pair_index, pair_vars)
         if node.residual is not None:
             satisfied = self._eval_condition(node.residual, pair_seq)
@@ -741,30 +636,8 @@ def _distinct_pairs(ix: np.ndarray,
     return ix[fresh], iy[fresh]
 
 
-def _chain_ticks(first: Callable[[], None] | None,
-                 second: Callable[[], None]) -> Callable[[], None]:
-    """Compose an existing tick callback with a guard tick."""
-    if first is None:
-        return second
-
-    def tick() -> None:
-        first()
-        second()
-
-    return tick
-
-
 def _span_name(node: PlanNode) -> str:
     """Trace span name for one plan node (``op.<fn>`` for XFns)."""
     if isinstance(node, FnNode):
         return f"op.{node.fn}"
     return "op." + type(node).__name__.removesuffix("Node").lower()
-
-
-def _span_category(node: PlanNode) -> str:
-    """Figure 10 category carried as a span attribute (see stats.py)."""
-    if isinstance(node, FnNode):
-        return FUNCTION_CATEGORIES.get(node.fn, OTHER)
-    if isinstance(node, (ForNode, JoinForNode, WhereNode)):
-        return JOIN
-    return OTHER

@@ -209,13 +209,6 @@ class FaultPlan:
                 self.raised.append((method, count, error))
                 raise error
 
-    def reset_counters(self) -> None:
-        """Zero the call counters (the script itself is kept)."""
-        self._counters.clear()
-        self.calls.clear()
-        self.delays.clear()
-        self.raised.clear()
-
 
 class FaultyBackend(Backend):
     """A backend decorator acting out a :class:`FaultPlan`.

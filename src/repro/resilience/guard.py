@@ -207,10 +207,6 @@ class QueryGuard:
             return self.deadline
         return self._expires_at - self._clock()
 
-    @property
-    def tuples_used(self) -> int:
-        return self._tuples
-
     # -- enforcement ----------------------------------------------------------
 
     def tick(self) -> None:

@@ -383,6 +383,9 @@ class XQuerySession:
         :attr:`QueryResult.trace`.  ``tracer`` shares an existing tracer
         instead; with neither, the process-wide default tracer applies
         (a no-op unless :func:`repro.obs.set_tracer` installed one).
+        ``stats`` (an :class:`~repro.engine.stats.EngineStats`) collects
+        the Figure 10 split of the run; any backend but ``engine`` raises
+        ``ValueError`` before admission.
 
         Resilience (see ``docs/ROBUSTNESS.md``): ``deadline`` (seconds)
         and ``budget`` (max tuples, or a
@@ -674,6 +677,7 @@ class XQuerySession:
                 name = level.force_backend
             if level.budget_scale < 1.0:
                 budget = scale_budget(budget, level.budget_scale)
+        EngineStats.check_backend(stats, name)
         if guard is None and (deadline is not None or budget is not None
                               or token is not None):
             guard = QueryGuard(deadline=deadline, budget=budget, token=token)

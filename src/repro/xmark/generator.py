@@ -126,11 +126,6 @@ def seed_document_cache(scale: float, document: Node, seed: int = 42,
     _DOCUMENT_CACHE[(scale, seed, description_richness)] = document
 
 
-def clear_document_cache() -> None:
-    """Drop all cached documents (frees memory between experiment suites)."""
-    _DOCUMENT_CACHE.clear()
-
-
 class _Builder:
     def __init__(self, rng: random.Random, counts: XMarkCounts,
                  richness: float):

@@ -302,15 +302,21 @@ class TestKeysAreIntegers:
         assert read == sorted_codes > 0
 
 
+def _q8_stats(document) -> EngineStats:
+    """Q8's Figure 10 split over ``document``: the spans of one traced
+    run on the MSJ plan."""
+    from repro.xmark.queries import Q8
+    core, docs = lower_query(parse_xquery(Q8))
+    bindings = {var: document_forest((document,)) for var in docs.values()}
+    stats = EngineStats()
+    plan = compile_plan(core, JoinStrategy.MSJ, base_vars=docs.values())
+    DIEngine(tracer=stats.tracer).run_plan(plan, bindings)
+    return stats
+
+
 class TestStats:
     def test_breakdown_sums_to_total(self, xmark_tiny):
-        from repro.xmark.queries import Q8
-        core, docs = lower_query(parse_xquery(Q8))
-        bindings = {var: document_forest((xmark_tiny,))
-                    for var in docs.values()}
-        stats = EngineStats()
-        plan = compile_plan(core, JoinStrategy.MSJ, base_vars=docs.values())
-        DIEngine(stats=stats).run_plan(plan, bindings)
+        stats = _q8_stats(xmark_tiny)
         fractions = stats.fractions()
         assert abs(sum(fractions.values()) - 1.0) < 1e-6
         assert fractions["paths"] > 0
@@ -328,37 +334,44 @@ class TestStats:
             bindings = {var: document_forest((document,))
                         for var in docs.values()}
             stats = EngineStats()
-            DIEngine(stats=stats).run_plan(plan, bindings)
+            DIEngine(tracer=stats.tracer).run_plan(plan, bindings)
             shares.append(stats.fractions()["join"])
         # A 20× document: the quadratic pair comparison visibly gains on
         # the linear path extraction (it reaches dominance at the larger
         # sweep scales of EXPERIMENTS.md, like the paper's 98–99%).
         assert shares[1] > shares[0]
 
-    def test_stats_reset(self):
-        stats = EngineStats()
-        with stats.measure("paths"):
-            pass
+    def test_stats_reset(self, xmark_tiny):
+        stats = _q8_stats(xmark_tiny)
+        assert stats.total_seconds > 0 and stats.tuples
         stats.reset()
-        assert stats.total_seconds == 0
+        assert stats.total_seconds == 0 and stats.tuples == {}
 
-    def test_summary_renders(self):
-        stats = EngineStats()
-        with stats.measure("join"):
-            pass
-        assert "total=" in stats.summary()
+    def test_summary_renders(self, xmark_tiny):
+        summary = _q8_stats(xmark_tiny).summary()
+        assert "total=" in summary and "join=" in summary
 
 
 class TestTick:
     def test_tick_invoked(self, xmark_tiny):
+        """The engine's one tick is its guard's: a guard checking every
+        step reads its clock once per evaluation step and kernel, not
+        once per run."""
+        from repro.resilience.guard import QueryGuard
         from repro.xmark.queries import Q13
         core, docs = lower_query(parse_xquery(Q13))
         bindings = {var: document_forest((xmark_tiny,))
                     for var in docs.values()}
-        counter = []
+        reads = []
+
+        def clock() -> float:
+            reads.append(None)
+            return 0.0
+
+        guard = QueryGuard(deadline=60.0, clock=clock, check_interval=1)
         plan = compile_plan(core, JoinStrategy.MSJ, base_vars=docs.values())
-        DIEngine(tick=lambda: counter.append(None)).run_plan(plan, bindings)
-        assert counter
+        DIEngine(guard=guard).run_plan(plan, bindings)
+        assert len(reads) > 10
 
 
 # -- the empty sequence, everywhere ---------------------------------------------------

@@ -1,5 +1,6 @@
 """EXPLAIN ANALYZE: ``session.explain(analyze=True)`` and the per-node
-observations ``DIEngine(observed=…)`` records for it."""
+observations it reads off one traced run's op spans
+(``repro.compiler.planner.node_observations``)."""
 
 import re
 
@@ -7,7 +8,9 @@ import pytest
 
 from repro.compiler.plan import JoinForNode, iter_plan
 from repro.compiler.pipeline import optimize_stage
+from repro.compiler.planner import node_observations
 from repro.engine.evaluator import DIEngine
+from repro.obs.trace import Tracer
 from repro.session import XQuerySession
 from repro.xmark.queries import FIGURE1_SAMPLE, Q8
 from repro.xml.serializer import forest_to_xml
@@ -37,9 +40,9 @@ def q8_observed(session):
     plan = optimize_stage(compiled.plan())
     bindings = {var: document_forest(session.document(uri))
                 for uri, var in compiled.documents.items()}
-    observed = {}
-    result = DIEngine(observed=observed).run_plan(plan, bindings)
-    return plan, bindings, observed, result
+    tracer = Tracer()
+    result = DIEngine(tracer=tracer).run_plan(plan, bindings)
+    return plan, bindings, node_observations(tracer.roots), result
 
 
 class TestObservations:
