@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
 from repro.backends.registry import register_backend
@@ -12,6 +12,7 @@ from repro.compiler.pipeline import PassRecord, optimize_stage, plan_stage
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import explain_plan, node_observations
 from repro.engine.evaluator import DIEngine, Value
+from repro.engine.memo import DocumentMemo
 from repro.engine.stats import observe_metrics
 from repro.obs.trace import Tracer
 from repro.xml.forest import Forest, PreorderForest
@@ -30,6 +31,12 @@ class EngineBackend(Backend):
     (join-body isolation is a rule), so plans are cached in a
     :class:`~repro.compiler.cache.PlanCache` keyed on exactly those two,
     and no document load, update or replacement touches the cache.
+
+    Each bound document snapshot has a
+    :class:`~repro.engine.memo.DocumentMemo` beside it, created where the
+    document is bound and dropped with the binding: warm runs read its
+    base-environment path chains and join build sides instead of
+    re-scanning the document.
     """
 
     name = "engine"
@@ -44,6 +51,7 @@ class EngineBackend(Backend):
     def __init__(self) -> None:
         super().__init__()
         self._encoded: dict[str, Value] = {}
+        self._memos: dict[str, DocumentMemo] = {}
         self._cache = PlanCache()
 
     @property
@@ -51,8 +59,18 @@ class EngineBackend(Backend):
         """The plan cache (introspection / tests)."""
         return self._cache
 
+    def memo(self, name: str) -> DocumentMemo | None:
+        """The memo of the document bound to ``name`` (introspection)."""
+        return self._memos.get(name)
+
+    def _bind(self, name: str, value: Value) -> None:
+        """Bind a read-only document snapshot with a fresh memo of its
+        own."""
+        self._encoded[name] = value
+        self._memos[name] = DocumentMemo(*value)
+
     def _load(self, name: str, forest: Forest) -> None:
-        self._encoded[name] = DIEngine.prepare_document(forest)
+        self._bind(name, DIEngine.prepare_document(forest))
 
     def adopt_encoded(self, name: str, value: Value) -> None:
         """Bind an already-encoded relation as a prepared document.
@@ -64,7 +82,8 @@ class EngineBackend(Backend):
         """
         with self._lock:
             self._check_open()
-            self._encoded[name] = value
+            columns, width = value
+            self._bind(name, (columns.read_only(), width))
             # No forest to remember: an empty tuple marks the variable
             # prepared so _bindings() accepts it.
             self._prepared[name] = ()
@@ -81,7 +100,7 @@ class EngineBackend(Backend):
             self._check_open()
             if name not in self._prepared:
                 return False
-            self._encoded[name] = (update.columns(), update.width)
+            self._bind(name, (update.columns(), update.width))
             # The stale forest (if any) must not linger; the sentinel
             # marks the variable prepared without one (adopt_encoded
             # idiom).
@@ -90,9 +109,11 @@ class EngineBackend(Backend):
 
     def _unload(self, name: str) -> None:
         self._encoded.pop(name, None)
+        self._memos.pop(name, None)
 
     def _close(self) -> None:
         self._encoded.clear()
+        self._memos.clear()
         self._cache.clear()
 
     # -- planning ---------------------------------------------------------------
@@ -151,14 +172,14 @@ class EngineBackend(Backend):
         once, each evaluated node annotated with its observed output
         tuples, width, environments, inclusive time and (past one) call
         count — read from the op spans of one traced run — then the run's
-        total.  The cache is only peeked at: no entry, counter or LRU
-        position moves."""
+        total.  The run is cold: it reads no document memo.  The cache is
+        only peeked at: no entry, counter or LRU position moves."""
         entry = (self._cache.peek(CacheKey(compiled.source,
                                            options.strategy.value))
                  or self._build(compiled, options.strategy))
         plan = entry[0]
         tracer = Tracer()
-        values = dict(self._values(compiled))
+        values, _memos = self._values(compiled)
         started = perf_counter()
         DIEngine(tracer=tracer).run_plan_values(plan, values)
         total = perf_counter() - started
@@ -171,7 +192,7 @@ class EngineBackend(Backend):
     def _runner(self, compiled: "CompiledQuery",
                 options: ExecutionOptions) -> Callable[[], PreorderForest]:
         plan = self.optimized_for(compiled, options)
-        values = self._values(compiled)
+        values, memos = self._values(compiled)
         stats, metrics = options.stats, options.metrics
         tracer = self._tracer
         if tracer is None and stats is not None:
@@ -188,14 +209,14 @@ class EngineBackend(Backend):
             from repro.encoding.interval import decode
 
             if tracer is None:
-                return decode(engine.run_plan_values(plan, dict(values))[0])
+                return decode(engine.run_plan_values(plan, values, memos)[0])
             # The run's own spans are what it adds under the open span:
             # ``stats`` adopts them unless they are on its own tracer.
             parent = tracer.current
             spans = parent.children if parent is not None else tracer.roots
             first = len(spans)
             try:
-                return decode(engine.run_plan_values(plan, dict(values))[0])
+                return decode(engine.run_plan_values(plan, values, memos)[0])
             finally:
                 if stats is not None and tracer is not stats.tracer:
                     stats.tracer.roots.extend(spans[first:])
@@ -204,8 +225,12 @@ class EngineBackend(Backend):
 
         return run
 
-    def _values(self, compiled: "CompiledQuery") -> Mapping[str, Value]:
+    def _values(self, compiled: "CompiledQuery",
+                ) -> tuple[dict[str, Value], dict[str, DocumentMemo]]:
+        """The documents ``compiled`` reads and their memos, read
+        together under the lock: one snapshot each."""
         with self._lock:
             self._bindings(compiled)  # uniform missing-document error
-            return {var: self._encoded[var]
-                    for var in compiled.documents.values()}
+            names = compiled.documents.values()
+            return ({var: self._encoded[var] for var in names},
+                    {var: self._memos[var] for var in names})

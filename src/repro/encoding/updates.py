@@ -173,7 +173,8 @@ class DocumentUpdate:
         source one higher, under a document-node row spanning
         ``[0, width - 1]`` — the shape ``encode_columns`` produces for
         ``document_forest(trees)``, in the document's gappy numbering.
-        Each column is written once, into a preallocated array."""
+        Each column is written once, into a preallocated array, and is
+        read-only from then on: every backend shares the snapshot."""
         if self._columns is None:
             from repro.xquery.lowering import DOCUMENT_LABEL
 
@@ -191,7 +192,7 @@ class DocumentUpdate:
                 wrapped(0, source.l, 1),
                 wrapped(self.width - 1, source.r, 1),
                 wrapped(0, source.d, 1),
-                wrapped(name_code(DOCUMENT_LABEL), source.c))
+                wrapped(name_code(DOCUMENT_LABEL), source.c)).read_only()
         return self._columns
 
 

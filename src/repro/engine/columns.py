@@ -29,10 +29,13 @@ Invariants every producer keeps (``validate_value`` checks them):
   code of ``c`` is in the dictionary with its label's kind in the low
   bits; kernels carry both (gather plus a per-run rebase), they never
   recompute them.
-* **Immutability by convention** — kernels return fresh columns or
-  read-only views of their input; nothing mutates a relation after
-  construction, so backends share one cached encoding across runs and
-  threads.
+* **Immutability** — kernels return fresh columns or views of their
+  input; nothing mutates a relation after construction, so backends
+  share one cached encoding across runs and threads.  What is shared
+  is also enforced: a prepared document, a commit's snapshot and every
+  memo entry (:mod:`repro.engine.memo`) are :meth:`IntervalColumns.read_only`,
+  so an in-place write into one raises instead of corrupting every
+  later query.
 * **Endpoints are int64, always** — widths multiply with query nesting,
   but the rows stay few: the evaluator rank-compresses a relation
   (``kernels.renormalise``) before a kernel would leave int64, and an
@@ -194,6 +197,14 @@ class IntervalColumns:
     def empty(cls) -> "IntervalColumns":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
+
+    def read_only(self) -> "IntervalColumns":
+        """Make the four columns read-only in place and return ``self``:
+        what every query shares (a prepared document, a commit's
+        snapshot) then refuses an in-place write with ``ValueError``."""
+        for column in (self.l, self.r, self.d, self.c):
+            column.flags.writeable = False
+        return self
 
     def labels(self) -> np.ndarray:
         """The rows' labels, an object array (:func:`labels_of` of ``c``)."""

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.memo import Charge, DocumentMemo
     from repro.resilience.guard import QueryGuard
 
 from repro.compiler.plan import (
@@ -58,7 +59,7 @@ from repro.compiler.planner import cond_free
 from repro.encoding.interval import decode, encode_columns
 from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
-from repro.engine.stats import span_category
+from repro.engine.stats import FUNCTION_CATEGORIES, PATHS, span_category
 from repro.errors import (
     ExecutionError,
     PlanError,
@@ -80,6 +81,11 @@ _UNARY_OPERATORS = frozenset({
 #: Inner XFns that ``select`` fuses with into one kernel (the child and
 #: descendant path steps; see ``DIEngine._eval_fused_select``).
 _FUSED_SELECTS = frozenset({"children", "subtrees_dfs"})
+
+#: The XFns Figure 10 charges to paths: a unary run of them over one
+#: document variable, at the base environment, is a memoizable chain.
+_PATH_FNS = frozenset(fn for fn, category in FUNCTION_CATEGORIES.items()
+                      if category == PATHS)
 
 #: The index of the base environment sequence: environment 0 alone.
 _BASE_INDEX = np.zeros(1, dtype=np.int64)
@@ -119,6 +125,10 @@ class DIEngine:
     and nested-loop comparison, and its tuple/env/width budgets are
     charged per node result.
 
+    Document memos are per run, not per engine: a backend passes the
+    :class:`~repro.engine.memo.DocumentMemo` of each bound document to
+    :meth:`run_plan_values`, and without them every node is computed.
+
     A disabled tracer is normalized to ``None`` at construction so the
     hot loop pays a single attribute test and allocates nothing per node
     when tracing is off; a guard that enforces nothing is likewise
@@ -130,6 +140,12 @@ class DIEngine:
                  guard: "QueryGuard | None" = None):
         self._validate = validate
         self._base: EnvSeq | None = None
+        # The running plan's document memos, and — while a memoizable
+        # value is being computed — the guard charges it makes.  Memos
+        # are read only outside such a computation, so an entry is a
+        # maximal chain and never contains another.
+        self._memos: "Mapping[str, DocumentMemo] | None" = None
+        self._log: "list[Charge] | None" = None
         if tracer is not None and not tracer.enabled:
             tracer = None
         self._tracer = tracer
@@ -169,31 +185,112 @@ class DIEngine:
         forest per run.
         """
         columns, width = encode_columns(forest)
-        return (columns, max(width, 1))
+        return (columns.read_only(), max(width, 1))
 
     def run_plan_values(self, plan: PlanNode,
-                        values: Mapping[str, Value]) -> Value:
+                        values: Mapping[str, Value],
+                        memos: "Mapping[str, DocumentMemo] | None" = None,
+                        ) -> Value:
         """Evaluate ``plan`` over already-encoded document values.
 
         A value given as a tuple list is turned into columns here, once;
-        columns pass through untouched.
+        columns pass through untouched.  ``memos`` — a
+        :class:`~repro.engine.memo.DocumentMemo` per document variable,
+        kept by a backend beside each bound document — serves the path
+        chains evaluated at the base environment and every join's build
+        side from earlier runs on the same snapshot.  A served node
+        still opens its op span (tagged ``memo="hit"``), is charged to
+        the guard exactly as when computed, and is validated.  Without
+        memos every node is computed.
         """
         self._base = EnvSeq(_BASE_INDEX, {
             name: (IntervalColumns.from_tuples(rel), width)
             for name, (rel, width) in values.items()})
+        self._memos = memos or None
         try:
             return self.evaluate(plan, self._base)
         finally:
             self._base = None
+            self._memos = None
+            self._log = None
 
     # -- expression evaluation ------------------------------------------------------
 
     def evaluate(self, node: PlanNode, seq: EnvSeq) -> Value:
         if self._tick is not None:
             self._tick()
+        if self._memos is not None and self._log is None \
+                and seq.index is _BASE_INDEX:
+            memo = self._chain_memo(node, seq)
+            if memo is not None:
+                return self._memoized(node, seq, memo)
+        return self._compute(node, seq)
+
+    def _compute(self, node: PlanNode, seq: EnvSeq) -> Value:
         if self._tracer is None and self._guard is None:
-            return self._dispatch(node, seq)  # the no-observability fast path
+            result = self._dispatch(node, seq)  # the no-observability path
+            if self._log is not None:
+                self._log.append((len(result[0]), result[1], len(seq.index)))
+            return result
         return self._evaluate_observed(node, seq)
+
+    # -- the document memo -------------------------------------------------------
+
+    def _chain_memo(self, node: PlanNode,
+                    seq: EnvSeq) -> "DocumentMemo | None":
+        """The memo serving ``node`` at the base environment: ``node``
+        must be a path chain whose variable is still bound to its memo's
+        own document (no ``let`` has rebound it)."""
+        var = _chain_var(node)
+        memo = self._memos.get(var) if var is not None else None
+        if memo is None or not memo.binds(seq.vars.get(var, (None, 0))):
+            return None
+        return memo
+
+    def _memoized(self, node: PlanNode, seq: EnvSeq,
+                  memo: "DocumentMemo") -> Value:
+        """A path chain at the base environment, from ``memo`` or
+        computed and then kept there."""
+        entry = memo.get(node)
+        if entry is not None:
+            return self._serve(node, seq, entry.value, entry.charges)
+        value, charges = self._with_charges(self._compute, node, seq)
+        memo.put(node, value, charges)
+        return value
+
+    def _with_charges(self, compute: Callable, *args):
+        """``compute(*args)`` and the guard charges it made, in order;
+        the charges also reach whatever value encloses this one."""
+        outer, self._log = self._log, []
+        try:
+            value = compute(*args)
+            charges = tuple(self._log)
+        finally:
+            self._log = outer
+        if outer is not None:
+            outer.extend(charges)
+        return value, charges
+
+    def _serve(self, node: PlanNode, seq: EnvSeq, value: Value,
+               charges: "tuple[Charge, ...]") -> Value:
+        """Answer ``node`` with a memoized ``value`` as if computed:
+        its op span (tagged ``memo="hit"``), the guard charges computing
+        it made, and validation."""
+        tracer = self._tracer
+        if tracer is not None:
+            with tracer.span(_span_name(node), kind=type(node).__name__,
+                             category=span_category(node), node=id(node),
+                             memo="hit") as span:
+                span.set(tuples=len(value[0]), width=value[1],
+                         envs=len(seq.index))
+        if self._guard is not None:
+            for tuples, width, envs in charges:
+                self._guard.account(tuples=tuples, width=width, envs=envs)
+        if self._log is not None:
+            self._log.extend(charges)
+        if self._validate:
+            self._check(node, seq, value)
+        return value
 
     def _evaluate_observed(self, node: PlanNode, seq: EnvSeq) -> Value:
         tracer = self._tracer
@@ -209,6 +306,8 @@ class DIEngine:
         if self._guard is not None:
             self._guard.account(tuples=len(result[0]), width=result[1],
                                 envs=len(seq.index))
+        if self._log is not None:
+            self._log.append((len(result[0]), result[1], len(seq.index)))
         return result
 
     def _dispatch(self, node: PlanNode, seq: EnvSeq) -> Value:
@@ -233,15 +332,19 @@ class DIEngine:
         else:
             raise PlanError(f"cannot evaluate {type(node).__name__}")
         if self._validate:
-            # The index evaluated under must be a strictly ascending int64
-            # array, and every node's result — including For/JoinFor,
-            # whose output width re-blocks per *enclosing* environment —
-            # must fall in blocks of it.
-            from repro.engine.validate import validate_index, validate_value
-            context = type(node).__name__
-            validate_index(seq.index, context=context)
-            validate_value(result[0], result[1], seq.index, context=context)
+            self._check(node, seq, result)
         return result
+
+    @staticmethod
+    def _check(node: PlanNode, seq: EnvSeq, result: Value) -> None:
+        # The index evaluated under must be a strictly ascending int64
+        # array, and every node's result — including For/JoinFor, whose
+        # output width re-blocks per *enclosing* environment — must fall
+        # in blocks of it.
+        from repro.engine.validate import validate_index, validate_value
+        context = type(node).__name__
+        validate_index(seq.index, context=context)
+        validate_value(result[0], result[1], seq.index, context=context)
 
     # -- operators -------------------------------------------------------------------
 
@@ -515,15 +618,27 @@ class DIEngine:
         source = self.evaluate(node.source, self._base)
         if source[1] == 0:
             return IntervalColumns.empty(), 0
-        # Expand the source once, against the base environment.
-        source_rel, source_width = self._fit(
-            source, self._base.index, source[1] * source[1])
-        roots = self._kernel("roots", kernels.roots, source_rel)
-        inner_index = roots.l
-        bound = self._kernel("expand_variable", kernels.expand_variable,
-                             source_rel, source_width, inner_index)
-        inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
-        inner_rel, inner_width = self.evaluate(node.key_inner, inner_seq)
+        # The build side depends on the document alone: with a memo for
+        # the source's document it is computed once per snapshot.
+        memo = None
+        if self._memos is not None and self._log is None:
+            memo = self._chain_memo(node.source, self._base)
+        key = (node.source, node.var, node.key_inner)
+        entry = memo.get(key) if memo is not None else None
+        if entry is not None:
+            source_width, inner_index, bound, inner_key = entry.value
+            inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
+            self._serve(node.key_inner, inner_seq, inner_key, entry.charges)
+        else:
+            if memo is None:
+                build = self._build_side(node, source)
+            else:
+                build, charges = self._with_charges(self._build_side,
+                                                    node, source)
+                memo.put(key, build, charges)
+            source_width, inner_index, bound, inner_key = build
+            inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
+        inner_rel, inner_width = inner_key
         outer_rel, outer_width = self.evaluate(node.key_outer, seq)
 
         ix, iy = self._match_pairs(
@@ -570,6 +685,22 @@ class DIEngine:
             body_rel, body_width = self.evaluate(node.body, pair_seq)
         width = fan * body_width
         return self._fit((body_rel, width), seq.index, width)
+
+    def _build_side(self, node: JoinForNode, source: Value,
+                    ) -> tuple[int, np.ndarray, IntervalColumns, Value]:
+        """Expand the source once, against the base environment, and
+        evaluate the inner key under it: ``(source width, inner index,
+        the bound join variable, the inner key)``."""
+        source_rel, source_width = self._fit(
+            source, self._base.index, source[1] * source[1])
+        roots = self._kernel("roots", kernels.roots, source_rel)
+        inner_index = roots.l
+        bound = self._kernel("expand_variable", kernels.expand_variable,
+                             source_rel, source_width, inner_index)
+        inner_key = self.evaluate(
+            node.key_inner,
+            EnvSeq(inner_index, {node.var: (bound, source_width)}))
+        return source_width, inner_index, bound, inner_key
 
     def _match_pairs(self, outer_rel: IntervalColumns, outer_width: int,
                      outer_index: np.ndarray, inner_rel: IntervalColumns,
@@ -634,6 +765,17 @@ def _distinct_pairs(ix: np.ndarray,
     fresh = np.ones(len(ix), dtype=np.bool_)
     fresh[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
     return ix[fresh], iy[fresh]
+
+
+def _chain_var(node: PlanNode) -> str | None:
+    """The variable a path chain reads — a unary run of path XFns
+    down to a :class:`VarNode` — or ``None`` when ``node`` is no chain."""
+    while isinstance(node, FnNode) and node.fn in _PATH_FNS \
+            and len(node.args) == 1:
+        node = node.args[0]
+        if isinstance(node, VarNode):
+            return node.name
+    return None
 
 
 def _span_name(node: PlanNode) -> str:

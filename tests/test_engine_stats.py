@@ -70,10 +70,10 @@ class TestCoverage:
         walls = []
         run_plan_values = DIEngine.run_plan_values
 
-        def timed(self, plan, values):
+        def timed(self, plan, values, memos=None):
             started = time.perf_counter()
             try:
-                return run_plan_values(self, plan, values)
+                return run_plan_values(self, plan, values, memos)
             finally:
                 walls.append(time.perf_counter() - started)
 

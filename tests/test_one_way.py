@@ -4,10 +4,11 @@ Each row of :data:`GUARDS` names a pattern that must match no line of
 the Python sources under its paths, why (what the single remaining way
 is), and ``last_seen`` — the last commit whose tree still had it, so
 ``git grep -nE '<pattern>' <last_seen> -- <paths>`` shows the row
-firing.  :data:`DELETED_FILES` does the same for modules that must not
-come back.
+firing (``never`` for a surface that was never built).
+:data:`DELETED_FILES` does the same for modules that must not come back.
 """
 
+import dataclasses
 import inspect
 import re
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.evaluator import DIEngine
+from repro.resilience import AdmissionConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,6 +97,18 @@ GUARDS = (
           "one engine instrument: Figure 10, EXPLAIN ANALYZE and the engine "
           "metrics read the evaluator's op spans (repro.engine.stats)",
           "66dee77"),
+    Guard(r"AdaptiveLimiter|latency_quantile|queue_timeout_seconds|"
+          r"brownout_levels|half_open_probes|on_transition|adaptive-admission",
+          ("src/repro",),
+          "no tuning surface in admission or the breaker: the brownout "
+          "ladder, thresholds, recovery window and single probe are "
+          "constants (docs/ROBUSTNESS.md)", "3a6e0b2"),
+    Guard(r"(?i)memo(?!r)",
+          ("src/repro/session.py", "src/repro/backends/base.py",
+           "src/repro/__main__.py", "src/repro/serving.py"),
+          "the document memo has no setting: no session option, CLI flag or "
+          "environment variable turns it off or sizes it "
+          "(repro.engine.memo)", "never"),
 )
 
 DELETED_FILES = (
@@ -139,3 +153,10 @@ def test_engine_takes_three_options():
     deadline ticks inside the engine)."""
     assert list(inspect.signature(DIEngine).parameters) == \
         ["validate", "tracer", "guard"]
+
+
+def test_admission_takes_three_fields():
+    """Admission is tuned by three fields; everything else in it and in
+    the breaker is a constant."""
+    assert [field.name for field in dataclasses.fields(AdmissionConfig)] \
+        == ["max_concurrency", "max_queue_depth", "brownout_dwell_seconds"]
