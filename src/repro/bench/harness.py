@@ -9,6 +9,7 @@ as "OV" (a failure mode Section 4.3 predicts for fixed-width integers).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass, field
@@ -191,6 +192,30 @@ class SweepResult:
 
     def cell(self, system: str, scale: float) -> CellResult:
         return self.cells[(system, scale)]
+
+
+def estimate_slope(result: SweepResult, system: str) -> float | None:
+    """Least-squares log-log slope of one system's successful cells.
+
+    Slope ≈ 1 means linear scale-up, ≈ 2 quadratic; ``None`` when fewer
+    than two cells succeeded.
+    """
+    series = [
+        (math.log10(scale), math.log10(cell.seconds))
+        for scale in result.scales
+        for cell in [result.cell(system, scale)]
+        if cell.status == OK and cell.seconds and cell.seconds > 0
+    ]
+    if len(series) < 2:
+        return None
+    n = len(series)
+    mean_x = sum(x for x, _ in series) / n
+    mean_y = sum(y for _, y in series) / n
+    numerator = sum((x - mean_x) * (y - mean_y) for x, y in series)
+    denominator = sum((x - mean_x) ** 2 for x, _ in series)
+    if denominator == 0:
+        return None
+    return numerator / denominator
 
 
 def sweep(query: str, systems: Iterable[str], scales: Iterable[float],

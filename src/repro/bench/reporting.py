@@ -59,15 +59,6 @@ def format_breakdown_table(results: Mapping[str, SweepResult],
     return table
 
 
-def format_series(result: SweepResult) -> dict[str, list[tuple[float, str]]]:
-    """Per-system (scale, display) series — the figure-plotting view."""
-    return {
-        system: [(scale, result.cell(system, scale).display)
-                 for scale in result.scales]
-        for system in result.systems
-    }
-
-
 def _scale_label(scale: float) -> str:
     return f"sf={scale:g}"
 

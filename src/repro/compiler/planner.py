@@ -114,7 +114,8 @@ def compile_plan(expr: CoreExpr, strategy: JoinStrategy = JoinStrategy.MSJ,
     base-environment evaluation.  ``decorrelate_loops=False`` disables the
     Section 5 rewrite entirely (every loop becomes the naive environment
     expansion, which duplicates outer bindings per iteration) — the
-    ablation knob behind ``benchmarks/bench_ablation_decorrelation.py``.
+    ablation knob ``tests/test_planner.py::TestDecorrelationAblation``
+    turns.
     ``match_fn`` overrides the decorrelation matcher (same signature as
     :func:`repro.compiler.decorrelate.match_join`); the pipeline uses it
     to time the ``decorrelate`` pass without changing behaviour.

@@ -7,14 +7,12 @@ from repro.bench.harness import (
     IM,
     OK,
     CellResult,
+    SweepResult,
+    estimate_slope,
     run_cell,
     sweep,
 )
-from repro.bench.reporting import (
-    format_breakdown_table,
-    format_series,
-    format_timing_table,
-)
+from repro.bench.reporting import format_breakdown_table, format_timing_table
 from repro.bench.systems import SYSTEMS, execute_cell
 
 
@@ -28,6 +26,7 @@ class TestExecuteCell:
     def test_breakdown_collected(self):
         result = execute_cell("di-msj", "Q8", 0.0005, collect_breakdown=True)
         assert set(result["breakdown"]) >= {"paths", "join", "construction"}
+        assert sum(result["breakdown"].values()) == pytest.approx(1.0)
 
     def test_naive_cell(self):
         result = execute_cell("naive", "Q13", 0.0005)
@@ -118,10 +117,42 @@ class TestReporting:
         assert "Paths" in table
         assert "%" in table
 
-    def test_series(self, small_sweep):
-        series = format_series(small_sweep)
-        assert set(series) == {"naive", "di-msj"}
-        assert len(series["di-msj"]) == 1
+
+def make_sweep(cells: dict) -> SweepResult:
+    scales = sorted({scale for (_s, scale) in cells})
+    systems = sorted({system for (system, _sc) in cells})
+    result = SweepResult("Q8", scales, systems)
+    for (system, scale), value in cells.items():
+        if value is None:
+            result.cells[(system, scale)] = CellResult(
+                system, "Q8", scale, DNF)
+        else:
+            result.cells[(system, scale)] = CellResult(
+                system, "Q8", scale, OK, seconds=value)
+    return result
+
+
+class TestEstimateSlope:
+    @pytest.fixture
+    def sweep_linear_vs_quadratic(self):
+        cells = {}
+        for scale in (0.01, 0.1, 1.0):
+            cells[("linear", scale)] = 0.5 * scale
+            cells[("quadratic", scale)] = 3.0 * scale * scale
+        cells[("quadratic", 1.0)] = None  # DNF at the top
+        return make_sweep(cells)
+
+    def test_linear_slope(self, sweep_linear_vs_quadratic):
+        slope = estimate_slope(sweep_linear_vs_quadratic, "linear")
+        assert slope == pytest.approx(1.0, abs=0.05)
+
+    def test_quadratic_slope(self, sweep_linear_vs_quadratic):
+        slope = estimate_slope(sweep_linear_vs_quadratic, "quadratic")
+        assert slope == pytest.approx(2.0, abs=0.05)
+
+    def test_insufficient_data(self):
+        sweep = make_sweep({("s", 0.1): 1.0, ("s", 1.0): None})
+        assert estimate_slope(sweep, "s") is None
 
 
 class TestRunCellStartMethods:

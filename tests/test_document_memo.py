@@ -21,10 +21,12 @@ A bound document snapshot keeps a :class:`~repro.engine.memo.DocumentMemo`
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import threading
 from itertools import count
+from statistics import median
 
 import numpy as np
 import pytest
@@ -33,9 +35,11 @@ from repro import XQuerySession
 from repro.api import compile_xquery
 from repro.backends.base import ExecutionOptions
 from repro.backends.registry import create_backend
+from repro.compiler.plan import JoinStrategy
 from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine
 from repro.engine.memo import DocumentMemo
+from repro.engine.stats import EngineStats
 from repro.errors import QueryTimeoutError, ResourceBudgetError
 from repro.obs.trace import Tracer
 from repro.resilience.guard import QueryGuard, ResourceBudget
@@ -140,9 +144,9 @@ class TestWarmColdInterpreter:
 
 # -- a hit behaves like a miss ------------------------------------------------
 
-def _backend_for(query: str):
+def _backend_for(query: str, scale: float = SCALE):
     compiled = compile_xquery(query)
-    document = cached_document(SCALE, seed=42)
+    document = cached_document(scale, seed=42)
     backend = create_backend("engine")
     backend.prepare({var: document_forest(document)
                      for var in compiled.documents.values()})
@@ -347,6 +351,37 @@ class TestThreads:
             assert memo.nbytes == sum(entry.nbytes
                                       for entry in memo._entries.values())
             assert memo.nbytes <= memo.bound
+
+
+class TestWarmRun:
+    @staticmethod
+    def path_seconds_cold_then_warm() -> list[float]:
+        """Seconds charged to paths by two MSJ runs of Q8 at sf 0.05 on
+        one freshly prepared backend, collector off in each."""
+        backend, compiled = _backend_for(Q8, scale=0.05)
+        seconds = []
+        try:
+            for _ in range(2):
+                stats = EngineStats()
+                gc.collect()
+                gc.disable()
+                try:
+                    backend.execute(compiled, ExecutionOptions(
+                        strategy=JoinStrategy.MSJ, stats=stats))
+                finally:
+                    gc.enable()
+                seconds.append(stats.seconds["paths"])
+        finally:
+            backend.close()
+        return seconds
+
+    def test_warm_run_charges_fewer_path_seconds(self):
+        """On one backend the second run serves its document path chains
+        from the memo, so it charges fewer seconds to paths than the
+        first (median of three backends)."""
+        pairs = [self.path_seconds_cold_then_warm() for _ in range(3)]
+        cold, warm = (median(pair[run] for pair in pairs) for run in (0, 1))
+        assert warm < cold, (cold, warm)
 
 
 # -- the bound ----------------------------------------------------------------

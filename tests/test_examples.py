@@ -1,7 +1,6 @@
 """Smoke tests: every shipped example must run and print sane output."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -48,15 +47,6 @@ class TestExamples:
         out = capsys.readouterr().out
         # The paper's Figure 7 coordinates, byte for byte.
         assert "174" in out and "2088" in out
-
-    def test_join_scaling_quick(self, capsys, monkeypatch):
-        module = load_example("join_scaling")
-        monkeypatch.setattr(sys, "argv",
-                            ["join_scaling.py", "--quick", "--timeout", "30"])
-        module.main()
-        out = capsys.readouterr().out
-        assert "Q8 TIMINGS" in out
-        assert "BREAKDOWN" in out
 
 
 def test_all_examples_have_docstrings_and_main():

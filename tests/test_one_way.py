@@ -5,9 +5,12 @@ the Python sources under its paths, why (what the single remaining way
 is), and ``last_seen`` — the last commit whose tree still had it, so
 ``git grep -nE '<pattern>' <last_seen> -- <paths>`` shows the row
 firing (``never`` for a surface that was never built).
-:data:`DELETED_FILES` does the same for modules that must not come back.
+:data:`DELETED_FILES` does the same for modules that must not come back,
+and :data:`UNREACHABLE` names the only modules the package ships that no
+entry point imports.
 """
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -116,7 +119,32 @@ DELETED_FILES = (
     ("src/repro/backends/dbapi.py", "one relational adapter", "13c697e"),
     ("src/repro/compiler/cost.py", "SQL translation is syntax-directed",
      "1a9df99"),
+    ("benchmarks/conftest.py", "one figure harness: repro.bench runs every "
+     "Section 6 cell and tests/test_figures.py asserts its shapes",
+     "828c929"),
+    ("src/repro/bench/charts.py", "one figure harness, and EXPERIMENTS.md's "
+     "figures are tables", "828c929"),
+    ("examples/join_scaling.py", "one figure harness: "
+     "python -m repro.bench.run_experiments", "828c929"),
 )
+
+#: The entry points a user reaches the package through.
+ENTRY_POINTS = ("repro", "repro.api", "repro.__main__", "repro.serving")
+
+#: Modules under ``src/repro`` that no entry point imports, each with why
+#: it ships anyway (a dotted prefix covers a whole package).
+UNREACHABLE = {
+    "repro.bench": "the Section 6 figure harness, run as "
+                   "python -m repro.bench.run_experiments",
+    "repro.encoding.stats": "kept only for perfbench's encoding.stats "
+                            "tracing boundary (ROADMAP 2(e))",
+    "repro.engine.operators": "the tuple reference the kernel property "
+                              "suites compare against",
+    "repro.engine.relation": "the tuple reference the kernel property "
+                             "suites compare against",
+    "repro.engine.structural": "the tuple reference the kernel property "
+                               "suites compare against",
+}
 
 
 def _sources(paths: tuple[str, ...]) -> list[Path]:
@@ -145,6 +173,55 @@ def test_pattern_stays_deleted(guard):
 @pytest.mark.parametrize("path, reason, last_seen", DELETED_FILES)
 def test_module_stays_deleted(path, reason, last_seen):
     assert not (ROOT / path).exists(), f"{path} is back although {reason}"
+
+
+def _modules() -> dict[str, Path]:
+    modules = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imported(path: Path, modules: dict[str, Path]) -> set[str]:
+    """The modules ``path`` imports anywhere in its body, each with the
+    packages that importing it runs."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}"
+                         for alias in node.names)
+    return {prefix for name in names
+            for parts in [name.split(".")]
+            for prefix in (".".join(parts[:i])
+                           for i in range(1, len(parts) + 1))
+            if prefix in modules}
+
+
+def test_every_module_is_reachable_or_named():
+    """The package ships the system: every module is imported from an
+    entry point, or named in :data:`UNREACHABLE` with its reason — and
+    every name there is still a module no entry point reaches."""
+    modules = _modules()
+    reached, todo = set(), list(ENTRY_POINTS)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_imported(modules[name], modules) - reached)
+    unreachable = set(modules) - reached
+    unnamed = {name for name in unreachable
+               if not any(name == allowed or name.startswith(allowed + ".")
+                          for allowed in UNREACHABLE)}
+    assert not unnamed, f"no entry point imports {sorted(unnamed)}"
+    stale = {allowed for allowed in UNREACHABLE
+             if allowed not in unreachable}
+    assert not stale, f"named unreachable but imported: {sorted(stale)}"
 
 
 def test_engine_takes_three_options():

@@ -26,6 +26,8 @@ from repro.compiler.plan import (
     iter_plan,
 )
 from repro.compiler.planner import compile_plan, explain_plan, plan_free
+from repro.engine.evaluator import DIEngine
+from repro.xmark.generator import cached_document
 from repro.xquery.ast import (
     And,
     Empty,
@@ -39,7 +41,7 @@ from repro.xquery.ast import (
     Var,
     Where,
 )
-from repro.xquery.lowering import lower_query
+from repro.xquery.lowering import document_forest, lower_query
 from repro.xquery.parser import parse_xquery
 
 BASE = frozenset({"doc"})
@@ -225,6 +227,50 @@ class TestCompilePlan:
         plan = compile_plan(core, JoinStrategy.MSJ, base_vars=BASE)
         assert isinstance(plan, WhereNode)
         assert plan.body_free == {"a", "b"}
+
+
+class TestDecorrelationAblation:
+    """Section 5's rewrite on vs off, on Q8: with ``decorrelate_loops``
+    off even the merge engine copies the document per outer binding (the
+    naive expansion's quadratic data blow-up); with it on, the NLJ / MSJ
+    choice only changes the pair-matching operator."""
+
+    @pytest.fixture(scope="class")
+    def q8(self):
+        from repro.xmark.queries import Q8
+        compiled = compile_xquery(Q8)
+        document = cached_document(0.002, seed=42)
+        bindings = {var: document_forest(document)
+                    for var in compiled.documents.values()}
+        return compiled, bindings
+
+    @staticmethod
+    def plan(compiled, strategy: JoinStrategy, decorrelate_loops: bool):
+        return compile_plan(compiled.core, strategy,
+                            base_vars=compiled.documents.values(),
+                            decorrelate_loops=decorrelate_loops)
+
+    def test_all_configurations_agree(self, q8):
+        compiled, bindings = q8
+        results = {
+            DIEngine().run_plan(
+                self.plan(compiled, strategy, decorrelated), bindings)
+            for strategy in (JoinStrategy.NLJ, JoinStrategy.MSJ)
+            for decorrelated in (True, False)
+        }
+        assert len(results) == 1
+
+    def test_decorrelation_removes_data_blowup(self, q8):
+        """Without the rewrite, the expansion materializes outer copies;
+        the document variable must be absent from the decorrelated plan's
+        expansion requirements and present in the naive one's."""
+        compiled, _ = q8
+        naive = self.plan(compiled, JoinStrategy.MSJ, decorrelate_loops=False)
+        rewritten = self.plan(compiled, JoinStrategy.MSJ,
+                              decorrelate_loops=True)
+        doc_vars = set(compiled.documents.values())
+        assert naive.required_outer & doc_vars
+        assert not (rewritten.required_outer & doc_vars)
 
 
 class TestPlanFree:

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.api import compile_xquery
+from repro.encoding.interval import encode
 from repro.errors import TranslationError, UnboundVariableError
 from repro.sql.widths import infer_width, width_report
+from repro.xmark.generator import generate_document
+from repro.xmark.queries import QUERIES
 from repro.xquery.ast import Empty, FnApp, For, Let, Var, Where
-from repro.xquery.lowering import lower_query
+from repro.xquery.lowering import document_forest, lower_query
 from repro.xquery.parser import parse_xquery
 
 
@@ -110,3 +114,50 @@ class TestPaperWidths:
         # and polynomial (degree 2) in the document width.
         assert total > doc_width
         assert total < doc_width ** 3
+
+
+def _nested_loops(levels: int):
+    """for t1 in d do … for tN in d do concat(t1, tN)-ish nesting."""
+    body = FnApp("children", (Var(f"t{levels}"),))
+    expr = body
+    source = Var("d")
+    for level in range(levels, 0, -1):
+        expr = For(f"t{level}", source, expr)
+    return expr
+
+
+class TestWidthGrowth:
+    """Section 4.3: block widths are a polynomial in the document width
+    whose degree is the nesting depth, so fixed-width integers overflow
+    at some scale."""
+
+    def test_width_degree_matches_nesting(self):
+        """Width of an N-deep loop nest is doc_width^(N+…): degree =
+        depth."""
+        doc_width = 1000
+        widths = [infer_width(_nested_loops(levels), {"d": doc_width})
+                  for levels in (1, 2, 3)]
+        assert widths[0] == doc_width * doc_width
+        assert widths[1] == doc_width * widths[0]
+        assert widths[2] == doc_width * widths[1]
+
+    def test_q9_width_fits_sqlite_at_bench_scales(self):
+        """At the small benchmark scales Q9 stays under the 2^61 SQLite
+        cap."""
+        compiled = compile_xquery(QUERIES["Q9"])
+        document = generate_document(0.001, seed=42)
+        doc_width = encode(document_forest(document)).width
+        width = infer_width(
+            compiled.core,
+            {var: doc_width for var in compiled.documents.values()})
+        assert width < 2 ** 61
+
+    def test_q9_width_overflows_sqlite_at_paper_scales(self):
+        """At the paper's sf=1 (111 MB) Q9's width exceeds 64-bit SQLite —
+        the Section 4.3 trade-off of fixed-width machine integers."""
+        compiled = compile_xquery(QUERIES["Q9"])
+        paper_sf1_width = 2 * 2_000_000  # ~2M nodes at scale factor 1
+        width = infer_width(
+            compiled.core,
+            {var: paper_sf1_width for var in compiled.documents.values()})
+        assert width > 2 ** 61
