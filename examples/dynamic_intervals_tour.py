@@ -13,8 +13,8 @@ Run with:  python examples/dynamic_intervals_tour.py
 """
 
 from repro.encoding.interval import decode, encode
-from repro.engine import operators as ops
-from repro.engine.relation import group_by_env
+from repro.engine import kernels
+from repro.engine.columns import IntervalColumns
 from repro.xmark.queries import FIGURE1_SAMPLE
 from repro.xml.serializer import forest_to_xml
 from repro.xml.text_parser import parse_document
@@ -41,18 +41,17 @@ def main() -> None:
     show(encoded.tuples, limit=7)
 
     # -- 2. Figure 5: T_person in the initial environment --------------------
-    person = ops.select_label(
-        ops.children(ops.select_label(
-            ops.children(ops.select_label(
-                list(encoded.tuples), "<site>")), "<people>")), "<person>")
+    person = kernels.select_label(
+        IntervalColumns.from_tuples(encoded.tuples), "<site>")
+    for step in ("<people>", "<person>"):  # fused child steps
+        person = kernels.select_children(person, step)
     print("2. T_person — /site/people/person, initial environment I = {0}:\n")
-    show(person, limit=6)
+    show(person.tuples(), limit=6)
 
     # -- 3. Figure 7: entering `for $p in …/person` ---------------------------
     width = encoded.width
-    roots = ops.roots(person)
-    index = [row[1] for row in roots]
-    expanded = ops.expand_variable(person, width, index)
+    index = kernels.roots(person).l.tolist()
+    expanded = kernels.expand_variable(person, width, index).tuples()
     print(f"3. Entering the for loop: I' = {index} (the roots' left\n"
           f"   endpoints), and T'_p re-blocked at width {width} — compare\n"
           f"   the paper's Figure 7 (person0 at 174, person1 at 2088):\n")
@@ -62,8 +61,8 @@ def main() -> None:
 
     # -- 4. Environment-wise reading -------------------------------------------
     print("4. Each environment block decodes to its own forest:\n")
-    for env, block in group_by_env(expanded, width):
-        name = next(s for (s, _l, _r) in block if s.startswith("<name>"))
+    for env in index:
+        block = [row for row in expanded if row[1] // width == env]
         print(f"   env {env:>3}: {len(block)} tuples, "
               f"root {block[0][0]}, first child {block[1][0]}")
     print()

@@ -45,8 +45,8 @@ from repro.backends.registry import (
 
 # Importing the adapter modules registers the built-in backends.
 from repro.backends import engine as _engine  # noqa: F401  (registration)
+# (``interpreter`` registers both "interpreter" and "naive").
 from repro.backends import interpreter as _interpreter  # noqa: F401
-from repro.backends import naive as _naive  # noqa: F401
 from repro.backends import procpool as _procpool  # noqa: F401
 from repro.backends import sqlite as _sqlite  # noqa: F401
 

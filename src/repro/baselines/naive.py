@@ -1,18 +1,19 @@
-"""A nested-loop, materializing XQuery evaluator (the competitor class).
+"""The cost model of the nested-loop competitor class.
 
-This evaluator executes the Figure 3 semantics directly — every ``for``
-iteration re-evaluates its body, every intermediate forest is fully
-materialized — which is precisely the strategy the paper attributes to
-contemporary XQuery processors and the source of their quadratic scale-up
-on Q8/Q9.
+The competitor *is* the Figure 3 interpreter
+(:class:`~repro.xquery.interpreter.Interpreter`): every ``for`` iteration
+re-evaluates its body and every intermediate forest is fully
+materialized, which is precisely the strategy the paper attributes to
+contemporary XQuery processors and the source of their quadratic
+scale-up on Q8/Q9.  What makes it a *baseline* is the meter it runs
+with, :class:`BudgetMeter`, whose two resource models make the
+behaviour measurable without wall-clock dependence and reproduce the
+failure modes of the paper's tables:
 
-Two resource models make the behaviour measurable without wall-clock
-dependence and reproduce the failure modes of the paper's tables:
-
-* ``memory_budget`` — total *live* cells (nodes held by environments and
-  the forests being accumulated).  Exceeding it raises
-  :class:`MemoryLimitExceeded`, the analogue of the paper's "IM" entries
-  (systems whose memory demands exceeded the machine).
+* ``memory_budget`` — total *live* cells (nodes held by ``let``
+  bindings and by the forests a ``for`` is accumulating).  Exceeding it
+  raises :class:`MemoryLimitExceeded`, the analogue of the paper's "IM"
+  entries (systems whose memory demands exceeded the machine).
 * ``work_budget`` — total evaluation steps.  Exceeding it raises
   :class:`WorkLimitExceeded`, a deterministic stand-in for the two-hour
   "DNF" timeout.
@@ -20,28 +21,9 @@ dependence and reproduce the failure modes of the paper's tables:
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable
 
-from repro.errors import ReproError, UnboundVariableError
-from repro.xml import operations as ops
-from repro.xml.forest import Forest, forest_size
-from repro.xquery.ast import (
-    And,
-    Condition,
-    CoreExpr,
-    Empty,
-    Equal,
-    FnApp,
-    For,
-    Less,
-    Let,
-    Not,
-    Or,
-    SomeEqual,
-    Var,
-    Where,
-)
-from repro.xquery.functions import get_function
+from repro.errors import ReproError
 
 
 class MemoryLimitExceeded(ReproError):
@@ -52,28 +34,31 @@ class WorkLimitExceeded(ReproError):
     """The evaluator's work budget was exhausted ("DNF")."""
 
 
-class NaiveEvaluator:
-    """Tree-walking nested-loop evaluation with resource accounting.
+class BudgetMeter:
+    """Step and live-cell accounting for one interpreter run.
 
-    ``memory_budget`` / ``work_budget`` are in cells and steps; ``None``
-    disables the corresponding limit.  ``tick`` — optional callback
-    invoked once per evaluation step (cooperative deadlines: the session
-    passes a :class:`~repro.resilience.guard.QueryGuard` tick here).
+    The interpreter charges :meth:`step` once per expression and
+    condition evaluated and per ``for`` iteration, and by result size
+    per function application and per comparison; it :meth:`hold` s the
+    cells of every ``let`` binding and ``for`` piece while they are live
+    and :meth:`release` s them after.  ``memory_budget`` /
+    ``work_budget`` are in cells and steps; ``None`` disables the
+    corresponding limit.  ``tick`` — optional callback invoked once per
+    :meth:`step` call (cooperative deadlines: the session passes a
+    :class:`~repro.resilience.guard.QueryGuard` tick here).
     """
 
     def __init__(self, memory_budget: int | None = None,
                  work_budget: int | None = None,
-                 tick=None):
+                 tick: Callable[[], None] | None = None):
         self.memory_budget = memory_budget
         self.work_budget = work_budget
         self.work = 0
         self.peak_memory = 0
-        self._live = 0
+        self.live = 0
         self._tick = tick
 
-    # -- resource accounting -----------------------------------------------------
-
-    def _step(self, amount: int = 1) -> None:
+    def step(self, amount: int = 1) -> None:
         if self._tick is not None:
             self._tick()
         self.work += amount
@@ -82,96 +67,14 @@ class NaiveEvaluator:
                 f"work budget of {self.work_budget} steps exhausted"
             )
 
-    def _allocate(self, cells: int) -> None:
-        self._live += cells
-        if self._live > self.peak_memory:
-            self.peak_memory = self._live
-        if self.memory_budget is not None and self._live > self.memory_budget:
+    def hold(self, cells: int) -> None:
+        self.live += cells
+        if self.live > self.peak_memory:
+            self.peak_memory = self.live
+        if self.memory_budget is not None and self.live > self.memory_budget:
             raise MemoryLimitExceeded(
                 f"memory budget of {self.memory_budget} cells exhausted"
             )
 
-    def _release(self, cells: int) -> None:
-        self._live -= cells
-
-    # -- evaluation ------------------------------------------------------------------
-
-    def evaluate(self, expr: CoreExpr, env: Mapping[str, Forest]) -> Forest:
-        self._step()
-        if isinstance(expr, Var):
-            try:
-                return env[expr.name]
-            except KeyError:
-                raise UnboundVariableError(expr.name) from None
-        if isinstance(expr, FnApp):
-            spec = get_function(expr.fn)
-            args = tuple(self.evaluate(arg, env) for arg in expr.args)
-            result = spec.impl(args, dict(expr.params))
-            self._step(max(1, forest_size(result)))
-            return result
-        if isinstance(expr, Let):
-            bound = self.evaluate(expr.value, env)
-            cells = forest_size(bound)
-            self._allocate(cells)
-            try:
-                extended = dict(env)
-                extended[expr.var] = bound
-                return self.evaluate(expr.body, extended)
-            finally:
-                self._release(cells)
-        if isinstance(expr, Where):
-            if self.evaluate_condition(expr.condition, env):
-                return self.evaluate(expr.body, env)
-            return ()
-        if isinstance(expr, For):
-            return self._evaluate_for(expr, env)
-        raise TypeError(f"unknown expression type: {type(expr).__name__}")
-
-    def _evaluate_for(self, expr: For, env: Mapping[str, Forest]) -> Forest:
-        source = self.evaluate(expr.source, env)
-        extended = dict(env)
-        pieces: list[Forest] = []
-        accumulated = 0
-        try:
-            for tree in source:
-                self._step()
-                extended[expr.var] = (tree,)
-                piece = self.evaluate(expr.body, extended)
-                cells = forest_size(piece)
-                self._allocate(cells)
-                accumulated += cells
-                pieces.append(piece)
-            return tuple(node for piece in pieces for node in piece)
-        finally:
-            self._release(accumulated)
-
-    def evaluate_condition(self, condition: Condition,
-                           env: Mapping[str, Forest]) -> bool:
-        self._step()
-        if isinstance(condition, Equal):
-            left = self.evaluate(condition.left, env)
-            right = self.evaluate(condition.right, env)
-            self._step(forest_size(left) + forest_size(right))
-            return ops.equal(left, right)
-        if isinstance(condition, SomeEqual):
-            left = self.evaluate(condition.left, env)
-            right = self.evaluate(condition.right, env)
-            self._step(forest_size(left) + forest_size(right))
-            right_set = set(right)
-            return any(tree in right_set for tree in left)
-        if isinstance(condition, Less):
-            left = self.evaluate(condition.left, env)
-            right = self.evaluate(condition.right, env)
-            self._step(forest_size(left) + forest_size(right))
-            return ops.less(left, right)
-        if isinstance(condition, Empty):
-            return ops.empty(self.evaluate(condition.expr, env))
-        if isinstance(condition, Not):
-            return not self.evaluate_condition(condition.condition, env)
-        if isinstance(condition, And):
-            return (self.evaluate_condition(condition.left, env)
-                    and self.evaluate_condition(condition.right, env))
-        if isinstance(condition, Or):
-            return (self.evaluate_condition(condition.left, env)
-                    or self.evaluate_condition(condition.right, env))
-        raise TypeError(f"unknown condition type: {type(condition).__name__}")
+    def release(self, cells: int) -> None:
+        self.live -= cells

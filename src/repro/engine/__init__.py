@@ -6,17 +6,16 @@ physical operators so that translated XQuery plans run in linear (or
 for interval predicates.  This package is that engine:
 
 * :mod:`repro.engine.columns` / :mod:`repro.engine.kernels` — ordered
-  interval relations as five NumPy columns (the triples plus a depth and
-  a label-code column) and every operator as a whole-column kernel: the
-  one representation and the one algebra the evaluator runs;
-* :mod:`repro.engine.relation` / :mod:`repro.engine.operators` — the
-  same relations as plain tuple lists and the same operators as linear
-  single-pass functions over them (Roots is Algorithm 5.2, plus the
-  per-environment lifted forms of every Figure 2 operator): the
-  reference the kernels are tested against, imported by no production
-  module;
-* :mod:`repro.engine.structural` — ``DeepCompare`` (Algorithm 5.3) and the
-  canonical structural keys used for sorting and merge joins;
+  interval relations as four NumPy columns (``l``, ``r``, a depth and a
+  label-code column) and every operator as a whole-column kernel: the
+  one representation and the one algebra the evaluator runs.  Roots is
+  Algorithm 5.2's scan kept as the depth column (``d == 0``), and
+  Algorithm 5.3's structural comparison is integer span ids
+  (``span_ids`` → ``match_ids``) for equality and collation-ranked byte
+  keys (``collation_keys``) for order.  Each kernel is tested against
+  Definition 3.3 read literally: per environment, its decoded output is
+  the Figure 2 operator (:mod:`repro.xml.operations`) applied to the
+  decoded input;
 * :mod:`repro.engine.evaluator` — evaluation of compiled plans over
   dynamic-interval environment sequences, including the merge-join
   execution of decorrelated FLWR loops;

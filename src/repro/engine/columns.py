@@ -46,8 +46,7 @@ Tuple compatibility: an :class:`IntervalColumns` can be *read* as a
 sequence of ``(s, l, r)`` tuples of plain Python values — iteration,
 indexing, slicing and equality behave like a tuple list — which is what
 the tests' comparisons use.  Nothing inside the engine relies on it: the
-evaluator and the kernels take and return columns only, the reference
-operators take and return lists only, and
+evaluator and the kernels take and return columns only, and
 :meth:`IntervalColumns.from_tuples` / :meth:`IntervalColumns.tuples`
 are the two crossings (the first passes columns through unchanged).  A
 result leaves through :func:`repro.encoding.interval.decode`, which reads

@@ -1,13 +1,15 @@
 """Whole-column operator kernels over :class:`IntervalColumns`.
 
 This is the engine's one algebra: the evaluator calls these functions
-and nothing else.  Each kernel has a same-named tuple-list function in
-:mod:`repro.engine.operators`, which the kernel property suite in
-``tests/`` holds it pointwise equal to; nothing here imports it.  A
-kernel never walks ``(s, l, r)`` tuples: it turns the question into a
-mask over the ``d`` (depth) and ``c`` (label code) columns, finds the
-extents of the rows it keeps with binary search on the sorted ``l``
-column, and materializes the answer through one gather.  Labels are
+and nothing else.  Each kernel is held to Definition 3.3 read literally
+by the kernel property suites in ``tests/``: for every environment
+block, decoding its output gives the Figure 2 operator the interpreter
+runs (``xquery.functions.FUNCTIONS[fn].impl``) applied to the decoded
+input, at the width Section 4.3's rule gives.  A kernel never walks
+``(s, l, r)`` tuples: it turns the question into a mask over the ``d``
+(depth) and ``c`` (label code) columns, finds the extents of the rows
+it keeps with binary search on the sorted ``l`` column, and
+materializes the answer through one gather.  Labels are
 codes throughout; only ``string_fn``, whose answer is a string, and the
 collation ranks below read the label dictionary.
 

@@ -3,8 +3,8 @@
 The paper notes (Section 5) that deep comparison *can* be expressed in SQL
 with counting, and introduces a physical operator because the SQL form is
 slow.  This module is that SQL form: it is used by the SQLite backend — the
-"stock relational engine" path — while the DI engine uses the linear
-``DeepCompare`` operator.
+"stock relational engine" path — while the DI engine compares integer
+span ids and collation-ranked byte keys (:mod:`repro.engine.kernels`).
 
 The key observation: a forest is uniquely determined by its DFS sequence of
 ``(position, depth, label)`` triples, where ``position`` is the 1-based DFS

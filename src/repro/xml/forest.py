@@ -16,9 +16,10 @@ the recursive lexicographic order:
 * trees compare by label first, then by their children forests;
 * forests compare tree-by-tree, a strict prefix being smaller.
 
-This order coincides with what the stream-based ``DeepCompare`` operator
-(Algorithm 5.3) computes over interval encodings; the equivalence is
-exercised by property-based tests.
+This order coincides with what Algorithm 5.3 (``DeepCompare``) computes
+over interval encodings; the engine decides it with the collation-ranked
+byte keys of :func:`repro.engine.kernels.collation_keys`, and the
+equivalence is exercised by property-based tests.
 """
 
 from __future__ import annotations

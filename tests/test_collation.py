@@ -1,16 +1,17 @@
 """Order without strings: ``sort`` and ``<`` compare collation-ranked bytes.
 
-``kernels.sort`` and the ``Less`` condition order trees by their
-canonical ``(depth, label)`` keys in Python tuple order.  The kernels
-build no such tuple: each distinct code gets its collation rank — its
-place among the distinct labels present, in string order — and a span's
-key is the bytes of its big-endian ``(d, rank)`` rows
-(``kernels.collation_keys``).  These properties hold that equal to the
-tuple order on drawn forests whose labels make the dictionary's code
-order disagree with string order: every case's labels are new to the
-dictionary and interned in reverse string order, and they mix ASCII,
-accented, CJK, private-use and astral characters (UTF-16 order would put
-the astral ones before the private-use ones).  Trees repeat, trees are
+``kernels.sort`` and the ``Less`` condition order trees by Figure 2's
+structural order — the canonical ``(depth, label)`` sequence in Python
+tuple order.  The kernels build no such tuple: each distinct code gets
+its collation rank — its place among the distinct labels present, in
+string order — and a span's key is the bytes of its big-endian
+``(d, rank)`` rows (``kernels.collation_keys``).  These properties hold
+the kernels to Figure 2's ``sort`` and ``less`` per environment
+(Definition 3.3, :mod:`tests.def33`) on drawn forests whose labels make
+the dictionary's code order disagree with string order: every case's
+labels are new to the dictionary and interned in reverse string order,
+and they mix ASCII, accented, CJK, private-use and astral characters
+(UTF-16 order would put the astral ones before the private-use ones).  Trees repeat, trees are
 preorder prefixes of others, and equal labels sit at different depths.
 """
 
@@ -27,12 +28,11 @@ from hypothesis import strategies as st
 from repro import XQuerySession
 from repro.encoding.interval import encode
 from repro.engine import kernels
-from repro.engine import operators as ops
 from repro.engine.columns import IntervalColumns, name_code
-from repro.engine.relation import group_by_env
-from repro.engine.structural import canonical_key
-from repro.xml.forest import Node, build_trees
+from repro.xml import operations as fig2
+from repro.xml.forest import Node, build_trees, preorder
 
+from tests.def33 import check, env_forests
 from tests.strategies import forests
 
 #: Label stems: prefixes of one another, case, a precomposed and a
@@ -70,21 +70,21 @@ def tree_pool(draw, labels: list[str]):
     if not trees:
         return (Node(draw(st.sampled_from(labels))),)
     tree = draw(st.sampled_from(trees))
-    key = canonical_key(encode(tree).tuples)
-    cut = draw(st.integers(min_value=1, max_value=len(key)))
-    trees += [tree, *build_trees([label for _depth, label in key[:cut]],
-                                 [depth for depth, _label in key[:cut]])]
+    labels, depths = preorder((tree,))
+    cut = draw(st.integers(min_value=1, max_value=len(labels)))
+    trees += [tree, *build_trees(labels[:cut], depths[:cut])]
     return tuple(draw(st.permutations(trees)))
 
 
 def blocked(forest_of_env: dict, slack: int):
-    """``(rows, width)``: each environment's forest in its own block."""
+    """``(rows, width, index)``: each environment's forest in its own
+    block."""
     encodings = {env: encode(forest) for env, forest in forest_of_env.items()}
     width = max([enc.width for enc in encodings.values()] + [1]) + slack
     rows = [(s, l + env * width, r + env * width)
             for env, enc in sorted(encodings.items())
             for s, l, r in enc.tuples]
-    return rows, width
+    return rows, width, sorted(forest_of_env)
 
 
 def drawn_labels(draw, min_size: int = 1) -> list[str]:
@@ -95,7 +95,8 @@ def drawn_labels(draw, min_size: int = 1) -> list[str]:
 
 @st.composite
 def sort_cases(draw):
-    """``(rows, width)`` over fresh labels, one to three environments."""
+    """``(rows, width, index)`` over fresh labels, one to three
+    environments."""
     labels = drawn_labels(draw)
     envs = draw(st.sets(st.integers(min_value=0, max_value=5), min_size=1,
                         max_size=3))
@@ -116,9 +117,10 @@ def less_cases(draw):
         chosen = {env: tuple(draw(st.lists(st.sampled_from(pool),
                                            max_size=3)))
                   for env in index}
-        sides.append(blocked({env: forest for env, forest in chosen.items()
-                              if forest},
-                             draw(st.integers(min_value=0, max_value=2))))
+        rows, width, _envs = blocked(
+            {env: forest for env, forest in chosen.items() if forest},
+            draw(st.integers(min_value=0, max_value=2)))
+        sides.append((rows, width))
     return sides, index
 
 
@@ -133,12 +135,9 @@ class TestSort:
     @settings(max_examples=200, deadline=None)
     @given(sort_cases())
     def test_kernel_sort_is_the_reference_sort(self, case):
-        rows, width = case
-        expected, expected_width = ops.sort(rows, width)
-        result, result_width = kernels.sort(
-            IntervalColumns.from_tuples(rows), width)
-        assert result_width == expected_width
-        assert result.tuples() == expected
+        rows, width, index = case
+        check("sort", lambda cols, w, _envs: kernels.sort(cols, w),
+              [(rows, width)], index)
 
     def test_code_point_order_not_utf16_order(self):
         """U+10000 sorts after U+FFFD, though its UTF-16 surrogates come
@@ -153,11 +152,12 @@ class TestLess:
     @settings(max_examples=200, deadline=None)
     @given(less_cases())
     def test_less_envs_is_the_tuple_order(self, case):
+        """Per environment, the mask is Figure 2's ``less`` of the two
+        decoded forests."""
         (left, right), index = case
-        blocks = [{env: list(block) for env, block in group_by_env(rows, width)}
-                  for rows, width in (left, right)]
-        expected = [canonical_key(blocks[0].get(env, []))
-                    < canonical_key(blocks[1].get(env, [])) for env in index]
+        expected = [fig2.less(one, other) for one, other in zip(
+            *(env_forests(rows, width, index)
+              for rows, width in (left, right)))]
         envs = np.array(index, dtype=np.int64)
         mask = kernels.less_envs(
             *((IntervalColumns.from_tuples(rows), width, envs)

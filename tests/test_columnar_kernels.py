@@ -1,23 +1,27 @@
-"""Property suite: every columnar kernel equals its list-based reference.
+"""Property suite: every columnar kernel against Definition 3.3.
 
-For each operator the engine has two implementations — the original
-tuple-at-a-time functions of :mod:`repro.engine.operators` (the semantic
-ground truth) and the same-named whole-column kernels of
-:mod:`repro.engine.kernels`.  These properties assert pointwise equality
-(same tuples, same order, same width) on randomized blocked relations,
-near the origin and far from it (the same blocks 2**40 environments out,
-where a 32-bit slip or a wrapped product would show).  After every
+Each whole-column kernel of :mod:`repro.engine.kernels` is held to the
+XFn it implements, read literally (:mod:`tests.def33`): on randomized
+blocked relations, decoding every environment block of its output gives
+the Figure 2 operator the interpreter runs applied to the decoded input
+block, at Section 4.3's width, with the output passing
+``validate_value`` — near the origin, 2**40 environments out and just
+below 2**62.  The environment-index kernels (``filter_by_index``,
+``expand_variable``, ``gather_blocks``) move decoded forests between
+environments, and the structural-key kernels number and order decoded
+trees as the Figure 2 ``equal`` / ``less`` / ``sort`` do.  After every
 kernel the carried depth and name-code columns must equal what
 ``from_tuples`` derives from the triples alone.  Edge cases: empty
 relations, minimal widths, and outputs that would leave int64 — there
 the kernel must raise, ``renormalise`` must make it fit, and the answer
-must be the reference's forest for forest (``TestOverflow``).
+must still be Figure 2's forest for forest (``TestOverflow``).
 """
 
 from __future__ import annotations
 
 import itertools
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +31,6 @@ from hypothesis import strategies as st
 from repro.compiler.plan import JoinStrategy
 from repro.encoding.interval import decode, encode
 from repro.engine import kernels
-from repro.engine import operators as ops
 from repro.engine.columns import (
     INT64_MAX,
     IntervalColumns,
@@ -35,34 +38,19 @@ from repro.engine.columns import (
     name_code,
 )
 from repro.engine.evaluator import DIEngine
-from repro.engine.structural import canonical_key, tree_keys
-from repro.engine.relation import group_by_env, tree_slices
 from repro.engine.validate import validate_value
 from repro.errors import WidthOverflowError
+from repro.xml import operations as fig2
+from repro.xml.forest import compare_forests
+from repro.xquery.functions import FUNCTIONS
 
+from tests.def33 import check, env_forests, placements, unary
 from tests.strategies import LABELS, forests
 
-#: Env shift that keeps every coordinate inside int64 but far from zero.
-FAR_ENV = 2 ** 40
 
-
-def far(rows, width):
-    """The same blocks ``FAR_ENV`` environments further out."""
-    return [(s, l + FAR_ENV * width, r + FAR_ENV * width)
-            for (s, l, r) in rows]
-
-
-def near_top(rows, width):
-    """The same blocks with endpoints just below 2**62: environment
-    numbers that no product or packed key may be computed from."""
-    shift = (2 ** 62 // width - 8) * width
-    return [(s, l + shift, r + shift) for (s, l, r) in rows]
-
-
-def forests_in_order(rel, width):
-    """The forest of every non-empty environment block, in block order."""
-    return [decode(list(block)) for _env, block in group_by_env(list(rel),
-                                                                width)]
+def placed(rows, width, shift):
+    """The same blocks ``shift`` environments further out."""
+    return [(s, l + shift * width, r + shift * width) for s, l, r in rows]
 
 
 def assert_derived(rel: IntervalColumns) -> None:
@@ -114,64 +102,42 @@ keyed = blocked(max_depth=1, labels=("<a>", "@k", "x")) \
     | blocked(labels=("<a>", "@k", "x")) | blocked(labels=("<a>",))
 
 
-def check(kernel, reference, rows, *args, width=None):
-    """Kernel(columns) must equal reference(rows), near and far.
-
-    With ``width`` given the relation is also run ``FAR_ENV`` blocks out;
-    kernels that take env-indexed arguments shift those themselves and
-    call this once per placement.
-    """
-    inputs = [list(rows)]
-    if width is not None and rows:
-        inputs.append(far(rows, width))
-    for variant in inputs:
-        expected = reference(list(variant), *args)
-        result = kernel(IntervalColumns.from_tuples(variant), *args)
-        if isinstance(expected, tuple):  # (relation, width) operators
-            assert isinstance(result, tuple)
-            assert result[1] == expected[1]
-            result, expected = result[0], expected[0]
-        assert result.tuples() == expected
-        assert_derived(result)
+def trees_in_order(rows, width, index):
+    """Every decoded top-level tree, in document order."""
+    return [tree for forest in env_forests(rows, width, index)
+            for tree in forest]
 
 
 class TestScanKernels:
     @given(blocked())
     def test_roots(self, data):
-        rows, width, _index = data
-        check(kernels.roots, ops.roots, rows, width=width)
+        unary("roots", lambda cols, _w: kernels.roots(cols), *data)
 
     @given(blocked())
     def test_children(self, data):
-        rows, width, _index = data
-        check(kernels.children, ops.children, rows, width=width)
+        unary("children", lambda cols, _w: kernels.children(cols), *data)
 
     @given(blocked(), st.sampled_from(["<a>", "<b>", "x", "@id"]))
     def test_select_trees(self, data, label):
-        rows, width, _index = data
-        check(kernels.select_label,
-              lambda rel, lab: ops.select_trees(
-                  rel, lambda s: s == lab), rows, label, width=width)
+        unary("select", lambda cols, _w: kernels.select_label(cols, label),
+              *data, label=label)
 
     @given(blocked(), st.sampled_from(["<a>", "<b>", "x", "@id"]))
     def test_select_children_fusion(self, data, label):
-        """The fused path-step kernel equals select after children."""
-        rows, width, _index = data
-        check(kernels.select_children,
-              lambda rel, lab: ops.select_trees(
-                  ops.children(rel), lambda s: s == lab),
-              rows, label, width=width)
+        """The fused path-step kernel is select after children."""
+        unary(("children", "select"),
+              lambda cols, _w: kernels.select_children(cols, label),
+              *data, label=label)
 
     @given(blocked(max_envs=3),
            st.sampled_from(["<a>", "<b>", "x", "@id", "<never-seen>"]))
     def test_select_descendants_fusion(self, data, label):
-        """The fused ``//name`` kernel equals select after subtrees_dfs,
-        row for row."""
+        """The fused ``//name`` kernel is select after subtrees_dfs —
+        and, row for row, the two kernels it fuses."""
+        unary(("subtrees_dfs", "select"),
+              lambda cols, w: kernels.select_descendants(cols, w, label),
+              *data, label=label)
         rows, width, _index = data
-        check(kernels.select_descendants,
-              lambda rel, w, lab: ops.select_trees(
-                  ops.subtrees_dfs(rel, w), lambda s: s == lab),
-              rows, width, label, width=width)
         cols = IntervalColumns.from_tuples(rows)
         assert kernels.select_descendants(cols, width, label).tuples() == \
             kernels.select_label(kernels.subtrees_dfs(cols, width),
@@ -179,89 +145,94 @@ class TestScanKernels:
 
     @given(blocked())
     def test_textnode_and_elementnode_trees(self, data):
-        rows, width, _index = data
-        from repro.xml.forest import is_element_label, is_text_label
-        check(kernels.textnode_trees,
-              lambda rel: ops.select_trees(rel, is_text_label), rows,
-              width=width)
-        check(kernels.elementnode_trees,
-              lambda rel: ops.select_trees(rel, is_element_label),
-              rows, width=width)
+        unary("textnodes", lambda cols, _w: kernels.textnode_trees(cols),
+              *data)
+        unary("elementnodes",
+              lambda cols, _w: kernels.elementnode_trees(cols), *data)
 
     @given(blocked())
     def test_head(self, data):
-        rows, width, _index = data
-        check(kernels.head, ops.head, rows, width, width=width)
+        unary("head", kernels.head, *data)
 
     @given(blocked())
     def test_tail(self, data):
-        rows, width, _index = data
-        check(kernels.tail, ops.tail, rows, width, width=width)
+        unary("tail", kernels.tail, *data)
 
     @given(blocked())
     def test_data(self, data):
-        rows, width, _index = data
-        check(kernels.data, ops.data, rows, width, width=width)
+        unary("data", kernels.data, *data)
 
 
 class TestShiftKernels:
     @given(blocked())
     def test_reverse(self, data):
-        rows, width, _index = data
-        check(kernels.reverse, ops.reverse, rows, width, width=width)
+        unary("reverse", kernels.reverse, *data)
 
     @given(blocked(max_envs=3))
     def test_subtrees_dfs(self, data):
-        rows, width, _index = data
-        check(kernels.subtrees_dfs, ops.subtrees_dfs, rows, width, width=width)
+        unary("subtrees_dfs", kernels.subtrees_dfs, *data)
 
     @given(blocked())
     def test_distinct(self, data):
-        rows, width, _index = data
-        check(kernels.distinct, ops.distinct, rows, width, width=width)
+        unary("distinct", kernels.distinct, *data)
 
     @given(blocked())
     def test_sort(self, data):
-        rows, width, _index = data
-        check(kernels.sort, ops.sort, rows, width, width=width)
+        unary("sort", kernels.sort, *data)
 
     @given(blocked(), st.lists(st.integers(min_value=0, max_value=8),
                                unique=True).map(sorted))
     def test_filter_by_index(self, data, index):
-        rows, width, _index = data
-        check(kernels.filter_by_index, ops.filter_by_index, rows,
-              width, index)
-        check(kernels.filter_by_index, ops.filter_by_index,
-              far(rows, width), width, [env + FAR_ENV for env in index])
+        """The environments of ``index`` keep their forests; no other
+        environment keeps a row."""
+        rows, width, drawn_index = data
+        for shift in placements(width, index + drawn_index):
+            envs = [env + shift for env in index]
+            moved = placed(rows, width, shift)
+            result = kernels.filter_by_index(
+                IntervalColumns.from_tuples(moved), width, envs)
+            validate_value(result, width, envs)
+            assert env_forests(result, width, envs) \
+                == env_forests(moved, width, envs)
+            assert_derived(result)
+
+    @staticmethod
+    def check_expand(rows, width, index, targets):
+        """Tree ``k`` lands, unchanged, alone in environment
+        ``targets[k]``."""
+        trees = [(tree,) for tree in trees_in_order(rows, width, index)]
+        for shift in placements(width, targets + index):
+            envs = [target + shift for target in targets]
+            result = kernels.expand_variable(
+                IntervalColumns.from_tuples(placed(rows, width, shift)),
+                width, envs)
+            validate_value(result, width, envs)
+            assert env_forests(result, width, envs) == trees
+            assert_derived(result)
 
     @given(blocked())
     def test_expand_variable(self, data):
-        rows, width, _index = data
-        root_lefts = [row[1] for row in ops.roots(rows)]
-        check(kernels.expand_variable, ops.expand_variable, rows,
-              width, root_lefts)
-        check(kernels.expand_variable, ops.expand_variable,
-              far(rows, width), width,
-              [left + FAR_ENV * width for left in root_lefts])
+        """Section 4's numbering: each tree's environment is its root's
+        left endpoint."""
+        rows, width, index = data
+        cols = IntervalColumns.from_tuples(rows)
+        self.check_expand(rows, width, index, cols.l[cols.d == 0].tolist())
 
     @given(blocked(), st.data())
     def test_expand_variable_into_any_numbering(self, data, drawn):
-        """Tree ``k`` lands, unchanged, in the block it is told to — the
-        root left endpoints are one ascending numbering among many."""
-        rows, width, _index = data
-        cols = IntervalColumns.from_tuples(rows)
-        trees = [decode(list(tree)) for tree in tree_slices(rows)]
+        """The root left endpoints are one ascending numbering among
+        many."""
+        rows, width, index = data
+        count = len(trees_in_order(rows, width, index))
         targets = sorted(drawn.draw(st.sets(
-            st.integers(min_value=0, max_value=3 * len(trees)),
-            min_size=len(trees), max_size=len(trees))))
-        result = kernels.expand_variable(cols, width, targets)
-        assert_derived(result)
-        assert [(env, decode(list(block))) for env, block
-                in group_by_env(result.tuples(), width)] \
-            == list(zip(targets, trees))
+            st.integers(min_value=0, max_value=3 * count),
+            min_size=count, max_size=count)))
+        self.check_expand(rows, width, index, targets)
 
     @given(blocked(), st.data())
     def test_gather_blocks(self, data, drawn):
+        """Environment ``targets[k]`` receives the forest of
+        ``origins[k]`` (empty when that holds no rows)."""
         rows, width, index = data
         origins = drawn.draw(st.lists(
             st.sampled_from(index + [7, 8]), min_size=0, max_size=6)
@@ -269,72 +240,60 @@ class TestShiftKernels:
         targets = sorted(drawn.draw(st.sets(
             st.integers(min_value=0, max_value=30),
             min_size=len(origins), max_size=len(origins))))
-        moves = list(zip(origins, targets))
-        check(lambda cols, width, _moves: kernels.gather_blocks(
-                  cols, width, np.array(origins, dtype=np.int64),
-                  np.array(targets, dtype=np.int64)),
-              ops.gather_blocks, rows, width, moves)
+        for shift in placements(width, targets + origins):
+            moved = placed(rows, width, shift)
+            envs = [target + shift for target in targets]
+            result = kernels.gather_blocks(
+                IntervalColumns.from_tuples(moved), width,
+                np.array([origin + shift for origin in origins],
+                         dtype=np.int64),
+                np.array(envs, dtype=np.int64))
+            validate_value(result, width, envs)
+            assert env_forests(result, width, envs) == env_forests(
+                moved, width, [origin + shift for origin in origins])
+            assert_derived(result)
 
 
 class TestConstructorKernels:
     @given(blocked(), blocked())
     def test_concat(self, left_data, right_data):
-        left_rows, left_width, _li = left_data
-        right_rows, right_width, _ri = right_data
-        variants = [(left_rows, right_rows)]
-        if left_rows or right_rows:
-            # Same env ids on both sides, so the blocks still pair up.
-            variants.append((far(left_rows, left_width),
-                             far(right_rows, right_width)))
-        for left, right in variants:
-            expected = ops.concat(left, left_width, right, right_width)
-            result = kernels.concat(
-                IntervalColumns.from_tuples(left), left_width,
-                IntervalColumns.from_tuples(right), right_width)
-            assert result.tuples() == expected
-            assert_derived(result)
+        left_rows, left_width, left_index = left_data
+        right_rows, right_width, right_index = right_data
+        check("concat", lambda left, lw, right, rw, _envs:
+              kernels.concat(left, lw, right, rw),
+              [(left_rows, left_width), (right_rows, right_width)],
+              sorted(set(left_index) | set(right_index)))
 
     @given(blocked(), st.sampled_from(["<w>", "<a>"]))
     def test_xnode(self, data, label):
         rows, width, index = data
-        variants = [(rows, index)]
-        if rows:
-            variants.append((far(rows, width),
-                             [env + FAR_ENV for env in index]))
-        for variant, envs in variants:
-            expected = ops.xnode(label, list(variant), width, envs)
-            result = kernels.xnode(label, IntervalColumns.from_tuples(variant),
-                                   width, envs)
-            assert result[1] == expected[1]
-            assert result[0].tuples() == expected[0]
-            assert_derived(result[0])
+        check("xnode", lambda cols, w, envs: kernels.xnode(label, cols, w,
+                                                           envs),
+              [(rows, width)], index, {"label": label})
 
     @given(st.lists(st.integers(min_value=0, max_value=40),
                     unique=True).map(sorted),
            st.sampled_from(["", "x", "some text"]))
     def test_text_const(self, index, value):
-        expected = ops.text_const(value, index)
-        result = kernels.text_const(value, index)
-        assert result[1] == expected[1]
-        assert result[0].tuples() == expected[0]
-        assert_derived(result[0])
+        check("text_const", lambda envs: kernels.text_const(value, envs),
+              [], index, {"value": value})
 
     @given(blocked())
     def test_count_roots(self, data):
         rows, width, index = data
-        check(kernels.count_roots, ops.count_roots, rows, width, index)
+        check("count", kernels.count_roots, [(rows, width)], index)
 
     @given(blocked())
     def test_string_fn(self, data):
         rows, width, index = data
-        check(kernels.string_fn, ops.string_fn, rows, width, index)
+        check("string_fn", kernels.string_fn, [(rows, width)], index)
 
 
 class TestStructuralKernels:
     @given(blocked())
     def test_encoder_depths_match_derivation(self, data):
         """The encoder's DFS depths are what ``from_tuples`` derives."""
-        from repro.encoding.interval import decode, encode_columns
+        from repro.encoding.interval import encode_columns
         rows, _width, _index = data
         cols, _w = encode_columns(decode(rows))
         assert_derived(cols)
@@ -342,36 +301,33 @@ class TestStructuralKernels:
     @given(blocked())
     def test_collation_keys_order_as_canonical_keys(self, data):
         """Every environment block's byte key compares with every other
-        one — the empty block included — as their canonical
-        ``(depth, label)`` keys do."""
+        one — the empty block included — as Figure 2's structural order
+        compares their decoded forests."""
         rows, width, index = data
         cols = IntervalColumns.from_tuples(rows)
         starts, ends, _envs = kernels._block_spans(cols, width, index)
         (keys,) = kernels.collation_keys((cols, starts, ends))
-        blocks = {env: list(block) for env, block in group_by_env(rows, width)}
-        canonical = [canonical_key(blocks.get(env, [])) for env in index]
+        forests_ = env_forests(rows, width, index)
         for one, other in itertools.product(range(len(index)), repeat=2):
-            assert (keys[one] < keys[other]) \
-                == (canonical[one] < canonical[other])
-            assert (keys[one] == keys[other]) \
-                == (canonical[one] == canonical[other])
+            order = compare_forests(forests_[one], forests_[other])
+            assert (keys[one] < keys[other]) == (order < 0)
+            assert (keys[one] == keys[other]) == (order == 0)
 
     @given(keyed, keyed)
     def test_span_ids_number_the_canonical_keys(self, outer, inner):
-        """Two spans get one id exactly when their canonical keys are
+        """Two spans get one id exactly when their decoded trees are
         equal — across both sides, flat keys (every tree one node: the
         id is the label code) and structured ones (one dict over the
         ``(d, c)`` bytes) alike."""
-        sides, keys = [], []
-        for rows, width, _index in (outer, inner):
+        sides, trees = [], []
+        for rows, width, index in (outer, inner):
             cols = IntervalColumns.from_tuples(rows)
             starts, ends, _envs = kernels._trees(cols, width)
             sides.append((cols, starts, ends))
-            keys += [key for _env, block in group_by_env(rows, width)
-                     for key in tree_keys(list(block))]
+            trees += trees_in_order(rows, width, index)
         ids = np.concatenate(kernels.span_ids(*sides)).tolist()
-        assert len(ids) == len(keys)
-        assert len(set(zip(ids, keys))) == len(set(ids)) == len(set(keys))
+        assert len(ids) == len(trees)
+        assert len(set(zip(ids, trees))) == len(set(ids)) == len(set(trees))
 
     def test_span_ids_read_depths_and_whole_spans(self):
         """The two halves of a structured key: same labels in another
@@ -392,29 +348,29 @@ class TestStructuralKernels:
     @given(keyed, keyed, st.booleans(), st.sampled_from(list(JoinStrategy)))
     def test_match_pairs_equal_brute_force(self, outer, inner, existential,
                                            strategy):
-        """The join matcher against keys compared one pair at a time:
-        per tree (``tree_keys``) for an existential join, per environment
-        of the index — the empty forest included — for a deep-Equal one;
-        near the origin and with environment numbers near 2**62."""
-        def keys(rows, width, index):
-            blocks = {env: list(block)
-                      for env, block in group_by_env(rows, width)}
+        """The join matcher against Figure 3's conditions decided one
+        pair of environments at a time: ``SomeEqual`` (some tree of one
+        equals some tree of the other) for an existential join, deep
+        ``Equal`` of the two forests — the empty forest included — for
+        the other; near the origin and with environment numbers near
+        2**62."""
+        def matches(mine, theirs):
             if existential:
-                return {env: set(tree_keys(blocks[env])) for env in blocks}
-            return {env: {canonical_key(blocks.get(env, []))}
-                    for env in index}
+                return any(tree in set(theirs) for tree in mine)
+            return fig2.equal(mine, theirs)
 
-        for place in (lambda rows, width: rows, near_top):
-            sides, side_keys = [], []
+        for top in (False, True):
+            sides, side_forests = [], []
             for rows, width, index in (outer, inner):
-                placed = place(rows, width)
-                shift = (placed[0][1] - rows[0][1]) // width if rows else 0
-                index = [env + shift for env in index]
-                sides += [IntervalColumns.from_tuples(placed), width, index]
-                side_keys.append(keys(placed, width, index))
+                shift = placements(width, index)[2] if top else 0
+                envs = [env + shift for env in index]
+                moved = placed(rows, width, shift)
+                sides += [IntervalColumns.from_tuples(moved), width, envs]
+                side_forests.append(list(zip(
+                    envs, env_forests(moved, width, envs))))
             expected = sorted(
-                (ix, iy) for ix, mine in side_keys[0].items()
-                for iy, theirs in side_keys[1].items() if mine & theirs)
+                (ix, iy) for ix, mine in side_forests[0]
+                for iy, theirs in side_forests[1] if matches(mine, theirs))
             ix, iy = DIEngine()._match_pairs(
                 *sides, existential=existential, strategy=strategy)
             assert ix.dtype == iy.dtype == np.int64
@@ -422,21 +378,38 @@ class TestStructuralKernels:
 
     @given(keyed)
     def test_distinct_near_the_top_of_int64(self, data):
-        rows, width, _index = data
-        placed = near_top(rows, width)
-        result = kernels.distinct(IntervalColumns.from_tuples(placed), width)
-        assert result.tuples() == ops.distinct(placed, width)
-        assert_derived(result)
+        unary("distinct", kernels.distinct, *data)
 
     @given(blocked())
     def test_tree_slices_on_columns(self, data):
-        rows, width, _index = data
-        cols = IntervalColumns.from_tuples(rows)
-        for (_e, block), (_e2, ref) in zip(group_by_env(cols, width),
-                                           group_by_env(rows, width)):
-            got = [list(slice_) for slice_ in tree_slices(block)]
-            want = [list(slice_) for slice_ in tree_slices(list(ref))]
-            assert got == want
+        """``_trees`` splits the relation into its top-level trees: each
+        span decodes to one tree of its environment's forest, in order."""
+        rows, width, index = data
+        starts, ends, envs = kernels._trees(IntervalColumns.from_tuples(rows),
+                                            width)
+        assert [(env, decode(rows[a:b])) for env, a, b
+                in zip(envs.tolist(), starts.tolist(), ends.tolist())] \
+            == [(env, (tree,)) for env, forest
+                in zip(index, env_forests(rows, width, index))
+                for tree in forest]
+
+
+def fig2_step(*fns, **params):
+    """Figure 2's ``fns`` (innermost first) on every environment's
+    forest."""
+    def step(forests_):
+        for fn in fns:
+            forests_ = [FUNCTIONS[fn].impl((forest,), params)
+                        for forest in forests_]
+        return forests_
+    return step
+
+
+def expand_step(cols, width, _index):
+    """Enter a ``for``: every tree to the environment of its root's
+    left endpoint."""
+    lefts = cols.l[cols.d == 0].tolist()
+    return kernels.expand_variable(cols, width, lefts), width, lefts
 
 
 class TestDerivedColumns:
@@ -444,48 +417,40 @@ class TestDerivedColumns:
     goes: through any chain of kernels, slicing, pickling, and a
     shared-memory export/attach."""
 
-    #: name → (list form, kernel form) of width-aware unary steps, each
-    #: mapping ``(rel, width)`` to ``(rel, width)``.
+    #: name → (Figure 2 form over the forests of the index, kernel form
+    #: mapping ``(rel, width, index)`` to ``(rel, width, index)``).
     STEPS = {
-        "roots": (lambda r, w: (ops.roots(r), w),
-                  lambda c, w: (kernels.roots(c), w)),
-        "children": (lambda r, w: (ops.children(r), w),
-                     lambda c, w: (kernels.children(c), w)),
-        "select": (lambda r, w: (ops.select_trees(
-                       r, lambda s: s == "<a>"), w),
-                   lambda c, w: (kernels.select_label(c, "<a>"), w)),
-        "child_step": (lambda r, w: (ops.select_trees(
-                           ops.children(r), lambda s: s == "<b>"), w),
-                       lambda c, w: (kernels.select_children(c, "<b>"), w)),
+        "roots": (fig2_step("roots"),
+                  lambda c, w, i: (kernels.roots(c), w, i)),
+        "children": (fig2_step("children"),
+                     lambda c, w, i: (kernels.children(c), w, i)),
+        "select": (fig2_step("select", label="<a>"),
+                   lambda c, w, i: (kernels.select_label(c, "<a>"), w, i)),
+        "child_step": (fig2_step("children", "select", label="<b>"),
+                       lambda c, w, i: (kernels.select_children(c, "<b>"),
+                                        w, i)),
         "descendant_step": (
-            lambda r, w: (ops.select_trees(
-                ops.subtrees_dfs(r, w), lambda s: s == "<a>"), w * w),
-            lambda c, w: (kernels.select_descendants(c, w, "<a>"), w * w)),
-        "subtrees": (lambda r, w: (ops.subtrees_dfs(r, w), w * w),
-                     lambda c, w: (kernels.subtrees_dfs(c, w), w * w)),
-        "elements": (lambda r, w: (ops.elementnode_trees(r), w),
-                     lambda c, w: (kernels.elementnode_trees(c), w)),
-        "head": (lambda r, w: (ops.head(r, w), w),
-                 lambda c, w: (kernels.head(c, w), w)),
-        "tail": (lambda r, w: (ops.tail(r, w), w),
-                 lambda c, w: (kernels.tail(c, w), w)),
-        "data": (lambda r, w: (ops.data(r, w), w),
-                 lambda c, w: (kernels.data(c, w), w)),
-        "reverse": (lambda r, w: (ops.reverse(r, w), w),
-                    lambda c, w: (kernels.reverse(c, w), w)),
-        "distinct": (lambda r, w: (ops.distinct(r, w), w),
-                     lambda c, w: (kernels.distinct(c, w), w)),
-        "sort": (ops.sort, kernels.sort),
-        "twice": (lambda r, w: (ops.concat(r, w, r, w), 2 * w),
-                  lambda c, w: (kernels.concat(c, w, c, w), 2 * w)),
-        "wrap": (lambda r, w: ops.xnode(
-                     "<w>", r, w, sorted({row[1] // w for row in r})),
-                 lambda c, w: kernels.xnode("<w>", c, w,
-                                            c.block_bounds(w)[0])),
-        "expand": (lambda r, w: (ops.expand_variable(
-                       r, w, [row[1] for row in ops.roots(r)]), w),
-                   lambda c, w: (kernels.expand_variable(
-                       c, w, [row[1] for row in kernels.roots(c)]), w)),
+            fig2_step("subtrees_dfs", "select", label="<a>"),
+            lambda c, w, i: (kernels.select_descendants(c, w, "<a>"),
+                             w * w, i)),
+        "subtrees": (fig2_step("subtrees_dfs"),
+                     lambda c, w, i: (kernels.subtrees_dfs(c, w), w * w, i)),
+        "elements": (fig2_step("elementnodes"),
+                     lambda c, w, i: (kernels.elementnode_trees(c), w, i)),
+        "head": (fig2_step("head"), lambda c, w, i: (kernels.head(c, w), w, i)),
+        "tail": (fig2_step("tail"), lambda c, w, i: (kernels.tail(c, w), w, i)),
+        "data": (fig2_step("data"), lambda c, w, i: (kernels.data(c, w), w, i)),
+        "reverse": (fig2_step("reverse"),
+                    lambda c, w, i: (kernels.reverse(c, w), w, i)),
+        "distinct": (fig2_step("distinct"),
+                     lambda c, w, i: (kernels.distinct(c, w), w, i)),
+        "sort": (fig2_step("sort"), lambda c, w, i: (*kernels.sort(c, w), i)),
+        "twice": (lambda fs: [forest + forest for forest in fs],
+                  lambda c, w, i: (kernels.concat(c, w, c, w), 2 * w, i)),
+        "wrap": (fig2_step("xnode", label="<w>"),
+                 lambda c, w, i: (*kernels.xnode("<w>", c, w, i), i)),
+        "expand": (lambda fs: [(tree,) for forest in fs for tree in forest],
+                   expand_step),
     }
 
     @settings(max_examples=150, deadline=None)
@@ -493,26 +458,22 @@ class TestDerivedColumns:
            st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=5))
     def test_kernel_chains(self, data, chain):
         """Chains squaring the width a few times run off the end of int64
-        on their own (the reference side is Python integers and keeps
-        going): there the kernel raises, the chain renormalises as the
-        evaluator would, and from then on the two sides agree forest for
-        forest instead of coordinate for coordinate."""
-        rows, list_width, _index = data
-        cols, width = IntervalColumns.from_tuples(rows), list_width
-        same_coordinates = True
+        on their own: there the kernel raises, the chain renormalises as
+        the evaluator would, and every environment still decodes to
+        Figure 2's forest after every step."""
+        rows, width, index = data
+        cols = IntervalColumns.from_tuples(rows)
+        expected = env_forests(rows, width, index)
         for name in chain:
-            list_step, kernel_step = self.STEPS[name]
-            rows, list_width = list_step(rows, list_width)
+            reference_step, kernel_step = self.STEPS[name]
+            expected = reference_step(expected)
             try:
-                cols, width = kernel_step(cols, width)
+                cols, width, index = kernel_step(cols, width, index)
             except WidthOverflowError:
-                same_coordinates = False
-                cols, width = kernel_step(*kernels.renormalise(cols, width))
-            if same_coordinates:
-                assert width == list_width
-                assert cols.tuples() == rows, name
-            assert forests_in_order(cols, width) \
-                == forests_in_order(rows, list_width), name
+                cols, width, index = kernel_step(
+                    *kernels.renormalise(cols, width), index)
+            validate_value(cols, width, index, context=name)
+            assert env_forests(cols, width, index) == expected, name
             assert cols.l.dtype == cols.r.dtype == np.int64
             assert_derived(cols)
 
@@ -639,19 +600,17 @@ class TestRenormalise:
 
     @given(blocked())
     def test_same_forests_tightest_width(self, data):
-        rows, width, _index = data
+        rows, width, index = data
         cols = IntervalColumns.from_tuples(rows)
         before = [column.copy() for column in (cols.l, cols.r, cols.d, cols.c)]
         tight, tight_width = kernels.renormalise(cols, width)
-        blocks = list(group_by_env(rows, width))
-        assert tight_width == 2 * max((len(block) for _env, block in blocks),
-                                      default=0)
+        sizes = Counter(l // width for _s, l, _r in rows)
+        assert tight_width == 2 * max(sizes.values(), default=0)
         # The same forest in every environment, under the same number.
-        assert [(env, decode(list(block))) for env, block
-                in group_by_env(tight.tuples(), tight_width)] \
-            == [(env, decode(list(block))) for env, block in blocks]
+        validate_value(tight, tight_width, index)
+        assert env_forests(tight, tight_width, index) \
+            == env_forests(rows, width, index)
         assert_derived(tight)
-        validate_value(tight, tight_width, [env for env, _block in blocks])
         assert tight.l.dtype == tight.r.dtype == np.int64
         # Idempotent, and the input is not written to.
         again, again_width = kernels.renormalise(tight, tight_width)
@@ -725,8 +684,11 @@ class TestOverflow:
         assert tight_width == 2
         result = kernels.subtrees_dfs(tight, tight_width)
         assert result.l.dtype == np.int64
-        assert forests_in_order(result, tight_width ** 2) \
-            == forests_in_order(ops.subtrees_dfs(rows, width), width ** 2)
+        envs = [0, 2 ** 30]
+        validate_value(result, tight_width ** 2, envs)
+        assert env_forests(result, tight_width ** 2, envs) == [
+            FUNCTIONS["subtrees_dfs"].impl((forest,), {})
+            for forest in env_forests(rows, width, envs)]
 
     def test_descendant_chain_runs_off_int64(self):
         """The CI overflow case, ``//a//a//a//a//a``: every ``//`` squares
@@ -796,7 +758,5 @@ class TestEmptyAndEdgeCases:
         cols = IntervalColumns.from_tuples(rows)
         assert kernels.roots(cols).tuples() == rows
         assert kernels.children(cols).tuples() == []
-        assert kernels.reverse(cols, 2).tuples() == \
-            ops.reverse(rows, 2)
-        assert kernels.sort(cols, 2)[0].tuples() == \
-            ops.sort(rows, 2)[0]
+        unary("reverse", kernels.reverse, rows, 2, [0, 1, 3])
+        unary("sort", kernels.sort, rows, 2, [0, 1, 3])

@@ -5,7 +5,8 @@ import pytest
 
 from repro import run_xquery
 from repro.encoding.dynamic import decode_sequence
-from repro.engine import operators as ops
+from repro.engine import kernels
+from repro.engine.columns import IntervalColumns
 from repro.xml.text_parser import parse_forest
 
 
@@ -31,32 +32,32 @@ class TestSparseEnvironments:
     """Operators over blocked relations with holes in the index."""
 
     # Environment blocks at sparse indices 3 and 17, width 10.
-    REL = [("<a>", 30, 35), ("<b>", 31, 32), ("x", 33, 34),
-           ("<c>", 170, 171)]
+    REL = IntervalColumns.from_tuples([("<a>", 30, 35), ("<b>", 31, 32),
+                                       ("x", 33, 34), ("<c>", 170, 171)])
     INDEX = [3, 9, 17]
 
     def test_count_covers_empty_envs(self):
-        result, width = ops.count_roots(self.REL, 10, self.INDEX)
-        decoded = decode_sequence(self.INDEX, result, width)
+        result, width = kernels.count_roots(self.REL, 10, self.INDEX)
+        decoded = decode_sequence(self.INDEX, result.tuples(), width)
         assert [forest[0].label for forest in decoded] == ["1", "0", "1"]
 
     def test_xnode_emits_in_every_env(self):
-        result, width = ops.xnode("<w>", self.REL, 10, self.INDEX)
-        decoded = decode_sequence(self.INDEX, result, width)
+        result, width = kernels.xnode("<w>", self.REL, 10, self.INDEX)
+        decoded = decode_sequence(self.INDEX, result.tuples(), width)
         assert [len(forest) for forest in decoded] == [1, 1, 1]
         assert [len(forest[0].children) for forest in decoded] == [1, 0, 1]
 
     def test_concat_with_disjoint_envs(self):
-        left = [("<a>", 30, 31)]     # env 3 only
-        right = [("<b>", 170, 171)]  # env 17 only
-        result = ops.concat(left, 10, right, 10)
-        decoded = decode_sequence([3, 17], result, 20)
+        left = IntervalColumns.from_tuples([("<a>", 30, 31)])     # env 3
+        right = IntervalColumns.from_tuples([("<b>", 170, 171)])  # env 17
+        result = kernels.concat(left, 10, right, 10)
+        decoded = decode_sequence([3, 17], result.tuples(), 20)
         assert decoded[0] == f("<a/>")
         assert decoded[1] == f("<b/>")
 
     def test_string_fn_sparse(self):
-        result, width = ops.string_fn(self.REL, 10, self.INDEX)
-        decoded = decode_sequence(self.INDEX, result, width)
+        result, width = kernels.string_fn(self.REL, 10, self.INDEX)
+        decoded = decode_sequence(self.INDEX, result.tuples(), width)
         assert [forest[0].label for forest in decoded] == ["x", "", ""]
 
 

@@ -1,17 +1,21 @@
-"""The DI engine's linear operators must agree with the reference algebra.
+"""The DI engine's kernels on hand-picked forests, under Definition 3.3.
 
-Strategy: encode a forest (or a sequence of forests as environment blocks),
-run the engine operator, decode, and compare against
-:mod:`repro.xml.operations` applied per environment.
+Strategy: encode a forest (or a sequence of forests as environment
+blocks), run the kernel, decode every environment block, and compare
+against the Figure 2 operator (:mod:`repro.xml.operations`, through
+``FUNCTIONS[fn].impl``) applied per environment — :mod:`tests.def33`.
 """
 
 import pytest
 
-from repro.encoding.dynamic import decode_sequence, encode_sequence
-from repro.encoding.interval import decode, encode
-from repro.engine import operators as engine_ops
-from repro.xml import operations as ref_ops
+from repro.encoding.dynamic import encode_sequence
+from repro.encoding.interval import encode
+from repro.engine import kernels
+from repro.engine.columns import IntervalColumns
+from repro.engine.validate import validate_value
 from repro.xml.text_parser import parse_forest
+
+from tests.def33 import check, unary
 
 FORESTS = {
     "single": "<a/>",
@@ -31,167 +35,159 @@ SEQUENCES = [
 
 @pytest.fixture(params=sorted(FORESTS))
 def single(request):
-    trees = parse_forest(FORESTS[request.param])
-    encoded = encode(trees)
-    return trees, list(encoded.tuples), encoded.width
+    """``(rows, width, index)`` of one forest in environment 0."""
+    encoded = encode(parse_forest(FORESTS[request.param]))
+    return list(encoded.tuples), encoded.width, [0]
 
 
 @pytest.fixture(params=range(len(SEQUENCES)))
 def sequence(request):
+    """``(rows, width, index)`` of a sequence of forests, one per
+    environment block."""
     forests = [parse_forest(s) for s in SEQUENCES[request.param]]
     index, relation = encode_sequence(forests)
-    return forests, index, list(relation.tuples), relation.width
+    return list(relation.tuples), relation.width, list(index)
 
 
 class TestSingleForestOperators:
     def test_roots(self, single):
-        trees, rel, _w = single
-        assert decode(engine_ops.roots(rel)) == ref_ops.roots(trees)
+        unary("roots", lambda cols, _w: kernels.roots(cols), *single)
 
     def test_children(self, single):
-        trees, rel, _w = single
-        assert decode(engine_ops.children(rel)) == ref_ops.children(trees)
+        unary("children", lambda cols, _w: kernels.children(cols), *single)
 
     def test_select(self, single):
-        trees, rel, _w = single
-        assert (decode(engine_ops.select_label(rel, "<a>"))
-                == ref_ops.select("<a>", trees))
+        unary("select", lambda cols, _w: kernels.select_label(cols, "<a>"),
+              *single, label="<a>")
 
     def test_textnodes(self, single):
-        trees, rel, _w = single
-        assert (decode(engine_ops.textnode_trees(rel))
-                == ref_ops.textnodes(trees))
+        unary("textnodes", lambda cols, _w: kernels.textnode_trees(cols),
+              *single)
 
     def test_head(self, single):
-        trees, rel, w = single
-        assert decode(engine_ops.head(rel, w)) == ref_ops.head(trees)
+        unary("head", kernels.head, *single)
 
     def test_tail(self, single):
-        trees, rel, w = single
-        assert decode(engine_ops.tail(rel, w)) == ref_ops.tail(trees)
+        unary("tail", kernels.tail, *single)
 
     def test_reverse(self, single):
-        trees, rel, w = single
-        assert decode(engine_ops.reverse(rel, w)) == ref_ops.reverse(trees)
+        unary("reverse", kernels.reverse, *single)
 
     def test_subtrees_dfs(self, single):
-        trees, rel, w = single
-        assert (decode(engine_ops.subtrees_dfs(rel, w))
-                == ref_ops.subtrees_dfs(trees))
+        unary("subtrees_dfs", kernels.subtrees_dfs, *single)
 
     def test_data(self, single):
-        trees, rel, w = single
-        assert decode(engine_ops.data(rel, w)) == ref_ops.data(trees)
+        unary("data", kernels.data, *single)
 
     def test_distinct(self, single):
-        trees, rel, w = single
-        assert decode(engine_ops.distinct(rel, w)) == ref_ops.distinct(trees)
+        unary("distinct", kernels.distinct, *single)
 
     def test_sort(self, single):
-        trees, rel, w = single
-        sorted_rel, _wout = engine_ops.sort(rel, w)
-        assert decode(sorted_rel) == ref_ops.sort(trees)
+        unary("sort", kernels.sort, *single)
 
 
 class TestPerEnvironmentOperators:
-    """Operators applied to blocked relations act per environment."""
-
-    def _check(self, sequence, run_engine, run_reference, width_out=None):
-        forests, index, rel, width = sequence
-        result = run_engine(rel, width)
-        out_width = width_out if width_out is not None else width
-        decoded = decode_sequence(index, result, out_width)
-        assert decoded == [run_reference(forest) for forest in forests]
+    """Kernels applied to blocked relations act per environment."""
 
     def test_roots(self, sequence):
-        self._check(sequence, lambda rel, w: engine_ops.roots(rel),
-                    ref_ops.roots)
+        unary("roots", lambda cols, _w: kernels.roots(cols), *sequence)
 
     def test_children(self, sequence):
-        self._check(sequence, lambda rel, w: engine_ops.children(rel),
-                    ref_ops.children)
+        unary("children", lambda cols, _w: kernels.children(cols), *sequence)
 
     def test_head(self, sequence):
-        self._check(sequence, engine_ops.head, ref_ops.head)
+        unary("head", kernels.head, *sequence)
 
     def test_tail(self, sequence):
-        self._check(sequence, engine_ops.tail, ref_ops.tail)
+        unary("tail", kernels.tail, *sequence)
 
     def test_reverse(self, sequence):
-        self._check(sequence, engine_ops.reverse, ref_ops.reverse)
+        unary("reverse", kernels.reverse, *sequence)
 
     def test_data(self, sequence):
-        self._check(sequence, engine_ops.data, ref_ops.data)
+        unary("data", kernels.data, *sequence)
 
     def test_distinct(self, sequence):
-        self._check(sequence, engine_ops.distinct, ref_ops.distinct)
+        unary("distinct", kernels.distinct, *sequence)
 
     def test_subtrees(self, sequence):
-        forests, index, rel, width = sequence
-        result = engine_ops.subtrees_dfs(rel, width)
-        decoded = decode_sequence(index, result, width * width)
-        assert decoded == [ref_ops.subtrees_dfs(forest) for forest in forests]
+        unary("subtrees_dfs", kernels.subtrees_dfs, *sequence)
 
     def test_sort(self, sequence):
-        forests, index, rel, width = sequence
-        result, wout = engine_ops.sort(rel, width)
-        assert wout == width * width
-        decoded = decode_sequence(index, result, wout)
-        assert decoded == [ref_ops.sort(forest) for forest in forests]
+        unary("sort", kernels.sort, *sequence)
 
     def test_concat(self, sequence):
-        forests, index, rel, width = sequence
-        result = engine_ops.concat(rel, width, rel, width)
-        decoded = decode_sequence(index, result, 2 * width)
-        assert decoded == [ref_ops.concat(forest, forest)
-                           for forest in forests]
+        rows, width, index = sequence
+        check("concat", lambda one, w1, other, w2, _envs:
+              kernels.concat(one, w1, other, w2), [(rows, width)] * 2, index)
 
     def test_xnode(self, sequence):
-        forests, index, rel, width = sequence
-        result, wout = engine_ops.xnode("<w>", rel, width, index)
-        decoded = decode_sequence(index, result, wout)
-        assert decoded == [ref_ops.xnode("<w>", forest)
-                           for forest in forests]
+        rows, width, index = sequence
+        check("xnode", lambda cols, w, envs: kernels.xnode("<w>", cols, w,
+                                                           envs),
+              [(rows, width)], index, {"label": "<w>"})
 
     def test_xnode_emits_for_empty_envs(self):
-        forests = [parse_forest("<a/>"), ()]
-        index, relation = encode_sequence(forests)
-        result, wout = engine_ops.xnode("<w>", relation.tuples,
-                                        relation.width, index)
-        decoded = decode_sequence(index, result, wout)
-        assert [len(forest) for forest in decoded] == [1, 1]
+        index, relation = encode_sequence([parse_forest("<a/>"), ()])
+        check("xnode", lambda cols, w, envs: kernels.xnode("<w>", cols, w,
+                                                           envs),
+              [(list(relation.tuples), relation.width)], list(index),
+              {"label": "<w>"})
 
     def test_text_const(self, sequence):
-        _forests, index, _rel, _width = sequence
-        result, wout = engine_ops.text_const("v", index)
-        decoded = decode_sequence(index, result, wout)
-        assert all(forest == (parse_forest("<x/>")[0].__class__("v"),)
-                   or forest[0].label == "v" for forest in decoded)
+        _rows, _width, index = sequence
+        check("text_const", lambda envs: kernels.text_const("v", envs), [],
+              index, {"value": "v"})
 
     def test_count(self, sequence):
-        forests, index, rel, width = sequence
-        result, wout = engine_ops.count_roots(rel, width, index)
-        decoded = decode_sequence(index, result, wout)
-        assert decoded == [ref_ops.count_forest(forest)
-                           for forest in forests]
+        rows, width, index = sequence
+        check("count", kernels.count_roots, [(rows, width)], index)
+
+
+# Width-preserving kernels as ``(rel, width) -> (rel, width)``; a
+# parameter's test id is its name.
+def head(rel, width):
+    return kernels.head(rel, width), width
+
+
+def tail(rel, width):
+    return kernels.tail(rel, width), width
+
+
+def reverse(rel, width):
+    return kernels.reverse(rel, width), width
+
+
+def subtrees_dfs(rel, width):
+    return kernels.subtrees_dfs(rel, width), width * width
+
+
+def data(rel, width):
+    return kernels.data(rel, width), width
+
+
+def distinct(rel, width):
+    return kernels.distinct(rel, width), width
 
 
 class TestOutputsSorted:
-    """Every operator must preserve the document-order invariant."""
+    """Every kernel must preserve the document-order invariant (and the
+    rest of what ``validate_value`` checks), at its output width."""
 
     @pytest.mark.parametrize("operator", [
-        lambda rel, w: engine_ops.roots(rel),
-        lambda rel, w: engine_ops.children(rel),
-        lambda rel, w: engine_ops.select_label(rel, "<a>"),
-        engine_ops.head,
-        engine_ops.tail,
-        engine_ops.reverse,
-        engine_ops.subtrees_dfs,
-        engine_ops.data,
-        engine_ops.distinct,
-        lambda rel, w: engine_ops.sort(rel, w)[0],
+        lambda rel, w: (kernels.roots(rel), w),
+        lambda rel, w: (kernels.children(rel), w),
+        lambda rel, w: (kernels.select_label(rel, "<a>"), w),
+        head,
+        tail,
+        reverse,
+        subtrees_dfs,
+        data,
+        distinct,
+        lambda rel, w: kernels.sort(rel, w),
     ])
     def test_sorted_output(self, operator, sequence):
-        from repro.engine.relation import check_sorted
-        _forests, _index, rel, width = sequence
-        check_sorted(operator(rel, width))
+        rows, width, index = sequence
+        result, out_width = operator(IntervalColumns.from_tuples(rows), width)
+        validate_value(result, out_width, index)
+        assert result.l.tolist() == sorted(result.l.tolist())

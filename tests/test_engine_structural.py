@@ -1,5 +1,6 @@
-"""Tests for DeepCompare (Algorithm 5.3), canonical structural keys and
-the merge join on tree-valued keys (Section 6.2)."""
+"""Tests for structural comparison (Algorithm 5.3) as the kernels decide
+it — collation-ranked byte keys for order, integer span ids for equality
+— and the merge join on tree-valued keys (Section 6.2)."""
 
 import random
 
@@ -10,20 +11,14 @@ from repro.compiler.plan import JoinStrategy
 from repro.compiler.planner import compile_plan
 from repro.encoding.interval import encode
 from repro.engine import kernels
+from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine
-from repro.engine.structural import (
-    EQUAL,
-    GREATER,
-    LESS,
-    canonical_key,
-    deep_compare,
-    forests_equal,
-    tree_keys,
-)
 from repro.xml.forest import Node, compare_forests, element, text
 from repro.xml.text_parser import parse_forest
 from repro.xquery.interpreter import evaluate
 from repro.xquery.lowering import document_forest
+
+LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def enc(source: str):
@@ -32,6 +27,27 @@ def enc(source: str):
 
 def sign(value: int) -> int:
     return (value > 0) - (value < 0)
+
+
+def whole(*relations):
+    """One ``(cols, starts, ends)`` side per row list, its whole forest
+    one span."""
+    return [(IntervalColumns.from_tuples(rows), np.array([0]),
+             np.array([len(rows)])) for rows in relations]
+
+
+def deep_compare(left, right) -> int:
+    """Three-way structural order of two encoded forests, from their
+    collation keys (``kernels.collation_keys``)."""
+    one, other = (keys[0] for keys in kernels.collation_keys(
+        *whole(left, right)))
+    return sign((one > other) - (one < other))
+
+
+def forests_equal(left, right) -> bool:
+    """Structural equality from the span ids (``kernels.span_ids``)."""
+    one, other = kernels.span_ids(*whole(left, right))
+    return one[0] == other[0]
 
 
 class TestDeepCompare:
@@ -81,28 +97,28 @@ class TestDeepCompare:
 
 class TestCanonicalKey:
     def test_key_structure(self):
-        key = canonical_key(enc("<a><b/></a><c/>"))
-        assert key == ((0, "<a>"), (1, "<b>"), (0, "<c>"))
+        """A key is the big-endian ``(depth, collation rank)`` DFS
+        sequence."""
+        ((key,),) = kernels.collation_keys(*whole(enc("<a><b/></a><c/>")))
+        assert np.frombuffer(key, dtype=">u4").reshape(-1, 2).tolist() \
+            == [[0, 0], [1, 1], [0, 2]]
 
     def test_key_comparison_matches_deep_compare(self):
         sources = ["<a/>", "<a/><b/>", "<a><b/></a>", "<b/>", "",
                    "<a><b><c/></b></a>", "<a/><a/>"]
         for left in sources:
             for right in sources:
-                key_cmp = sign((canonical_key(enc(left))
-                                > canonical_key(enc(right)))
-                               - (canonical_key(enc(left))
-                                  < canonical_key(enc(right))))
-                assert key_cmp == deep_compare(enc(left), enc(right))
+                assert forests_equal(enc(left), enc(right)) \
+                    == (deep_compare(enc(left), enc(right)) == EQUAL)
 
     def test_keys_hashable_for_dedup(self):
-        assert canonical_key(enc("<a/>")) == canonical_key(
-            [("<a>", 5, 90)])
-        assert hash(canonical_key(enc("<a/>")))
+        assert forests_equal(enc("<a/>"), [("<a>", 5, 90)])
 
     def test_tree_keys_per_tree(self):
-        keys = tree_keys(enc("<a><b/></a><c/>"))
-        assert keys == [((0, "<a>"), (1, "<b>")), ((0, "<c>"),)]
+        rel = IntervalColumns.from_tuples(enc("<a><b/></a><c/><a><b/></a>"))
+        starts, ends, _envs = kernels._trees(rel, 10)
+        (ids,) = kernels.span_ids((rel, starts, ends))
+        assert ids[0] == ids[2] != ids[1]
 
     def test_forests_equal(self):
         assert forests_equal(enc("<a><b/></a>"), [("<a>", 0, 9), ("<b>", 3, 4)])

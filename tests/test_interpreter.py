@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.naive import BudgetMeter
 from repro.errors import UnboundVariableError, UnknownFunctionError
 from repro.xml.forest import element, text
 from repro.xml.text_parser import parse_forest
@@ -148,7 +149,7 @@ class TestConditions:
 class TestTick:
     def test_tick_called(self):
         calls = []
-        interpreter = Interpreter(tick=lambda: calls.append(1))
+        interpreter = Interpreter(BudgetMeter(tick=lambda: calls.append(1)))
         interpreter.evaluate(For("t", Var("x"), Var("t")),
                              {"x": f("<a/><b/>")})
         # At least one tick per expression node and per iteration.

@@ -21,6 +21,7 @@ import pytest
 
 from repro.engine.evaluator import DIEngine
 from repro.resilience import AdmissionConfig
+from repro.xquery.interpreter import Interpreter
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,13 +42,6 @@ GUARDS = (
           "one body: every engine relation is int64 IntervalColumns, with "
           "no second algebra or bignum fallback behind the kernels",
           "d7c5588"),
-    Guard(r"^\s*(from|import)\s+repro\.engine(\.operators|\s+import\s.*"
-          r"\boperators\b)",
-          ("src/repro/engine", "src/repro/backends", "src/repro/concurrency",
-           "src/repro/compiler"),
-          "engine/operators.py is the kernels' test reference; no "
-          "production module imports it", "d7c5588",
-          exempt=("src/repro/engine/operators.py",)),
     Guard(r"merge_matching_keys|block_tree_key_sets", ("src",),
           "structural equality is integer equality (kernels.span_ids -> "
           "match_ids), not per-tree tuple keys merged in Python",
@@ -106,6 +100,10 @@ GUARDS = (
           "no tuning surface in admission or the breaker: the brownout "
           "ladder, thresholds, recovery window and single probe are "
           "constants (docs/ROBUSTNESS.md)", "3a6e0b2"),
+    Guard(r"NaiveEvaluator", ("src/repro",),
+          "one Figure 3 interpreter: the naive baseline is "
+          "xquery.interpreter.Interpreter run with a baselines.naive."
+          "BudgetMeter", "ff0fd0b"),
     Guard(r"(?i)memo(?!r)",
           ("src/repro/session.py", "src/repro/backends/base.py",
            "src/repro/__main__.py", "src/repro/serving.py"),
@@ -126,6 +124,15 @@ DELETED_FILES = (
      "figures are tables", "828c929"),
     ("examples/join_scaling.py", "one figure harness: "
      "python -m repro.bench.run_experiments", "828c929"),
+    ("src/repro/engine/operators.py", "one reference per semantics: the "
+     "kernels are checked against Figure 2 under Def 3.3 (tests/def33.py)",
+     "ff0fd0b"),
+    ("src/repro/engine/relation.py", "one relation representation, "
+     "IntervalColumns, and its block arithmetic", "ff0fd0b"),
+    ("src/repro/engine/structural.py", "structural order and equality are "
+     "kernels.collation_keys and kernels.span_ids -> match_ids", "ff0fd0b"),
+    ("src/repro/backends/naive.py", "backends/interpreter.py registers both "
+     "interpreter and naive", "ff0fd0b"),
 )
 
 #: The entry points a user reaches the package through.
@@ -138,12 +145,6 @@ UNREACHABLE = {
                    "python -m repro.bench.run_experiments",
     "repro.encoding.stats": "kept only for perfbench's encoding.stats "
                             "tracing boundary (ROADMAP 2(e))",
-    "repro.engine.operators": "the tuple reference the kernel property "
-                              "suites compare against",
-    "repro.engine.relation": "the tuple reference the kernel property "
-                             "suites compare against",
-    "repro.engine.structural": "the tuple reference the kernel property "
-                               "suites compare against",
 }
 
 
@@ -230,6 +231,12 @@ def test_engine_takes_three_options():
     deadline ticks inside the engine)."""
     assert list(inspect.signature(DIEngine).parameters) == \
         ["validate", "tracer", "guard"]
+
+
+def test_interpreter_takes_one_option():
+    """One Figure 3 interpreter: the oracle and the naive baseline differ
+    only in the meter it is charged through."""
+    assert list(inspect.signature(Interpreter).parameters) == ["meter"]
 
 
 def test_admission_takes_three_fields():

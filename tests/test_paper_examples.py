@@ -15,7 +15,6 @@ from repro.compiler.plan import JoinStrategy
 from repro.compiler.planner import compile_plan
 from repro.encoding.interval import encode
 from repro.engine import kernels
-from repro.engine import operators as ops
 from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine, EnvSeq
 from repro.xmark.queries import FIGURE1_SAMPLE
@@ -29,6 +28,16 @@ def _base_env(figure1_doc):
     return encoded, EnvSeq(np.zeros(1, dtype=np.int64), {
         "doc:auction.xml": (IntervalColumns.from_tuples(encoded.tuples),
                             encoded.width)})
+
+
+def _person_rel(encoded):
+    """``T_person`` at the Figure 4 coordinates: three fused child steps
+    over the raw encoding (no document wrapper)."""
+    rel = kernels.select_label(IntervalColumns.from_tuples(encoded.tuples),
+                               "<site>")
+    for step in ("<people>", "<person>"):
+        rel = kernels.select_children(rel, step)
+    return rel
 
 
 class TestFigure4:
@@ -84,18 +93,11 @@ class TestFigure7:
         # Build T_person at exactly the paper's coordinates (no document
         # wrapper — the figure works from the raw Figure 4 encoding).
         encoded = encode((figure1_doc,))
-        person_rel = ops.select_label(
-            ops.children(ops.select_label(
-                ops.children(ops.select_label(
-                    list(encoded.tuples), "<site>")),
-                "<people>")),
-            "<person>")
+        person_rel = _person_rel(encoded)
         width = 86
-        roots = ops.roots(person_rel)
-        index = [row[1] for row in roots]
+        index = kernels.roots(person_rel).l.tolist()
         assert index == [2, 24]  # the paper's I' = {2, 24}
-        expanded = kernels.expand_variable(
-            IntervalColumns.from_tuples(person_rel), width, index)
+        expanded = kernels.expand_variable(person_rel, width, index)
         rows = {(s, l, r) for (s, l, r) in expanded}
         # Paper Figure 7, environment i = 2:
         assert ("<person>", 174, 195) in rows
@@ -110,15 +112,9 @@ class TestFigure7:
     def test_blocks_bracket_persons(self, figure1_doc):
         """Each new environment block [i·w, (i+1)·w) brackets its person."""
         encoded = encode((figure1_doc,))
-        person_rel = ops.select_label(
-            ops.children(ops.select_label(
-                ops.children(ops.select_label(
-                    list(encoded.tuples), "<site>")),
-                "<people>")),
-            "<person>")
-        index = [row[1] for row in ops.roots(person_rel)]
-        expanded = kernels.expand_variable(
-            IntervalColumns.from_tuples(person_rel), 86, index)
+        person_rel = _person_rel(encoded)
+        index = kernels.roots(person_rel).l.tolist()
+        expanded = kernels.expand_variable(person_rel, 86, index)
         for s, l, r in expanded:
             block = l // 86
             assert block in (2, 24)

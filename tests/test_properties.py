@@ -1,30 +1,43 @@
 """Property-based tests (hypothesis) for the core invariants.
 
 These pin the cross-representation contracts everything else rests on:
-encode/decode inverses, structural-order agreement between the forest
-model, DeepCompare, and canonical keys, and operator agreement between the
-reference algebra and the DI engine.
+encode/decode inverses; structural-order agreement between the forest
+model and the engine's structural keys (the collation-ranked byte keys
+and integer span ids of :mod:`repro.engine.kernels`, which decide
+Algorithm 5.3's order and equality); and operator agreement
+between Figure 2 and the engine's kernels on whole forests, under
+Definition 3.3 (:mod:`tests.def33`).
 """
 
 import functools
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding.dynamic import decode_sequence, encode_sequence
 from repro.encoding.interval import decode, encode, validate_encoding
-from repro.engine import operators as engine_ops
-from repro.engine.structural import canonical_key, deep_compare
+from repro.engine import kernels
+from repro.engine.columns import IntervalColumns
 from repro.xml import operations as ref_ops
 from repro.xml.forest import compare_forests, compare_trees
 from repro.xml.serializer import forest_to_xml
 from repro.xml.text_parser import parse_forest
 
+from tests.def33 import check, unary
 from tests.strategies import forests, xml_safe_forests
 
 
 def sign(value: int) -> int:
     return (value > 0) - (value < 0)
+
+
+def whole_spans(*encodings):
+    """One ``(cols, starts, ends)`` side per encoding: its whole relation
+    as one span."""
+    return [(IntervalColumns.from_tuples(encoded.tuples), np.array([0]),
+             np.array([len(encoded.tuples)])) for encoded in encodings]
 
 
 class TestEncodingProperties:
@@ -65,18 +78,20 @@ class TestStructuralOrderProperties:
     @given(forests(max_trees=3, max_depth=3),
            forests(max_trees=3, max_depth=3))
     def test_deep_compare_agrees_with_model(self, left, right):
-        expected = sign(compare_forests(left, right))
-        got = deep_compare(list(encode(left).tuples),
-                           list(encode(right).tuples))
-        assert got == expected
+        """Algorithm 5.3's three-way order, as the kernels decide it
+        (collation-ranked byte keys), is the model's."""
+        one, other = (keys[0] for keys in kernels.collation_keys(
+            *whole_spans(encode(left), encode(right))))
+        assert sign((one > other) - (one < other)) \
+            == sign(compare_forests(left, right))
 
     @given(forests(max_trees=3, max_depth=3),
            forests(max_trees=3, max_depth=3))
     def test_canonical_key_agrees_with_model(self, left, right):
-        expected = sign(compare_forests(left, right))
-        left_key = canonical_key(list(encode(left).tuples))
-        right_key = canonical_key(list(encode(right).tuples))
-        assert sign((left_key > right_key) - (left_key < right_key)) == expected
+        """Equal span ids exactly for equal forests."""
+        one, other = (ids[0] for ids in kernels.span_ids(
+            *whole_spans(encode(left), encode(right))))
+        assert (one == other) == (compare_forests(left, right) == 0)
 
     @given(forests(max_trees=2, max_depth=3),
            forests(max_trees=2, max_depth=3))
@@ -98,10 +113,13 @@ class TestStructuralOrderProperties:
 
     @given(forests(max_trees=3, max_depth=3))
     def test_equal_forests_share_canonical_key(self, trees):
-        loose = encode(trees, start=17)
-        tight = encode(trees)
-        assert canonical_key(list(loose.tuples)) == canonical_key(
-            list(tight.tuples))
+        """Keys read nesting, not coordinates: a loose encoding keys as
+        the tight one does."""
+        encodings = whole_spans(encode(trees, start=17), encode(trees))
+        loose, tight = kernels.span_ids(*encodings)
+        assert loose[0] == tight[0]
+        loose, tight = kernels.collation_keys(*encodings)
+        assert loose == tight
 
 
 class TestAlgebraProperties:
@@ -146,71 +164,63 @@ class TestAlgebraProperties:
 
 
 class TestEngineAgreementProperties:
-    """The DI engine's streaming operators match the reference algebra."""
+    """The DI engine's kernels on one whole forest (a single environment,
+    deeper and wider than the blocked relations of
+    :mod:`tests.test_columnar_kernels`) decode to Figure 2's answer."""
 
     @staticmethod
-    def _encode(trees):
+    def _check(fn, kernel, trees, **params):
         encoded = encode(trees)
-        return list(encoded.tuples), max(encoded.width, 1)
+        unary(fn, kernel, encoded.tuples, max(encoded.width, 1), [0],
+              **params)
 
     @given(forests())
     def test_roots(self, trees):
-        rel, _w = self._encode(trees)
-        assert decode(engine_ops.roots(rel)) == ref_ops.roots(trees)
+        self._check("roots", lambda cols, _w: kernels.roots(cols), trees)
 
     @given(forests())
     def test_children(self, trees):
-        rel, _w = self._encode(trees)
-        assert decode(engine_ops.children(rel)) == ref_ops.children(trees)
+        self._check("children", lambda cols, _w: kernels.children(cols),
+                    trees)
 
     @given(forests())
     def test_select(self, trees):
-        rel, _w = self._encode(trees)
-        assert (decode(engine_ops.select_label(rel, "<a>"))
-                == ref_ops.select("<a>", trees))
+        self._check("select",
+                    lambda cols, _w: kernels.select_label(cols, "<a>"),
+                    trees, label="<a>")
 
     @given(forests())
     def test_head_tail(self, trees):
-        rel, width = self._encode(trees)
-        assert decode(engine_ops.head(rel, width)) == ref_ops.head(trees)
-        assert decode(engine_ops.tail(rel, width)) == ref_ops.tail(trees)
+        self._check("head", kernels.head, trees)
+        self._check("tail", kernels.tail, trees)
 
     @given(forests())
     def test_reverse(self, trees):
-        rel, width = self._encode(trees)
-        assert decode(engine_ops.reverse(rel, width)) == ref_ops.reverse(trees)
+        self._check("reverse", kernels.reverse, trees)
 
     @given(forests(max_trees=3, max_depth=3))
     def test_subtrees(self, trees):
-        rel, width = self._encode(trees)
-        assert (decode(engine_ops.subtrees_dfs(rel, width))
-                == ref_ops.subtrees_dfs(trees))
+        self._check("subtrees_dfs", kernels.subtrees_dfs, trees)
 
     @given(forests())
     def test_distinct(self, trees):
-        rel, width = self._encode(trees)
-        assert (decode(engine_ops.distinct(rel, width))
-                == ref_ops.distinct(trees))
+        self._check("distinct", kernels.distinct, trees)
 
     @given(forests())
     def test_sort(self, trees):
-        rel, width = self._encode(trees)
-        sorted_rel, _wout = engine_ops.sort(rel, width)
-        assert decode(sorted_rel) == ref_ops.sort(trees)
+        self._check("sort", kernels.sort, trees)
 
     @given(forests())
     def test_data(self, trees):
-        rel, width = self._encode(trees)
-        assert decode(engine_ops.data(rel, width)) == ref_ops.data(trees)
+        self._check("data", kernels.data, trees)
 
     @given(forests(max_trees=3, max_depth=3),
            forests(max_trees=3, max_depth=3))
     def test_concat(self, left, right):
-        left_rel, left_width = self._encode(left)
-        right_rel, right_width = self._encode(right)
-        result = engine_ops.concat(left_rel, left_width,
-                                   right_rel, right_width)
-        assert decode(result) == ref_ops.concat(left, right)
+        sides = [(encoded.tuples, max(encoded.width, 1))
+                 for encoded in (encode(left), encode(right))]
+        check("concat", lambda one, w1, other, w2, _envs:
+              kernels.concat(one, w1, other, w2), sides, [0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@
 The compact serializer is one iterative emitter over a preorder
 ``(label, depth)`` stream; :func:`reference_xml` below — the recursive
 node walk it replaced, escape tables included — is the reference it is
-compared against (as ``engine/operators.py`` is for the kernels).
+compared against.
 """
 
 import threading

@@ -4,7 +4,8 @@ import pytest
 
 from repro import run_xquery
 from repro.encoding.interval import encode
-from repro.engine import operators as engine_ops
+from repro.engine import kernels
+from repro.engine.columns import IntervalColumns
 from repro.xml import operations as ref_ops
 from repro.xml.forest import text
 from repro.xml.text_parser import parse_forest
@@ -39,14 +40,14 @@ class TestEngine:
     def test_matches_reference_per_env(self):
         trees = f("<a>He<b>llo</b></a><c>!</c>")
         encoded = encode(trees)
-        result, width = engine_ops.string_fn(
-            list(encoded.tuples), encoded.width, [0])
+        result, width = kernels.string_fn(
+            IntervalColumns.from_tuples(encoded.tuples), encoded.width, [0])
         assert width == 2
-        assert result == [("Hello!", 0, 1)]
+        assert result.tuples() == [("Hello!", 0, 1)]
 
     def test_empty_env_yields_empty_string(self):
-        result, _w = engine_ops.string_fn([], 10, [0, 1])
-        assert result == [("", 0, 1), ("", 2, 3)]
+        result, _w = kernels.string_fn(IntervalColumns.empty(), 10, [0, 1])
+        assert result.tuples() == [("", 0, 1), ("", 2, 3)]
 
 
 class TestAllBackends:

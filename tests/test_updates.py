@@ -346,12 +346,11 @@ class TestRelabel:
 
     def test_queries_work_after_updates(self):
         """Updated encodings feed straight back into query evaluation."""
-        from repro.engine import operators as ops
+        from repro.encoding.interval import decode
+        from repro.engine import kernels
 
         document = doc("<a><b>1</b></a>", stride=8)
         root = document.encoded.tuples[0]
         document = document.insert_child(root[1], 99, f("<b>2</b>"))
-        rel = document.encoded.tuples
-        selected = ops.select_label(ops.children(rel), "<b>")
-        from repro.encoding.interval import decode
-        assert decode(selected) == f("<b>1</b><b>2</b>")
+        selected = kernels.select_children(document.columns, "<b>")
+        assert decode(selected.tuples()) == f("<b>1</b><b>2</b>")
