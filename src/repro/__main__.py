@@ -27,14 +27,12 @@ import time
 
 from repro.api import compile_xquery
 from repro.backends.registry import registered_backends
-from repro.encoding.interval import encode
 from repro.errors import OverloadError, QueryCancelledError, ReproError
 from repro.obs.export import render_prometheus, write_chrome_trace
 from repro.obs.logs import setup_console_logging
 from repro.resilience.admission import INTERACTIVE, PRIORITIES, AdmissionConfig
 from repro.session import XQuerySession
-from repro.xml.text_parser import parse_forest
-from repro.xquery.lowering import document_forest
+from repro.xml.text_parser import read_document
 
 
 class _GracefulShutdown(Exception):
@@ -293,8 +291,8 @@ def main(argv: list[str] | None = None) -> int:
             for uri, var in compiled.documents.items():
                 if uri not in documents:
                     raise ReproError(f"missing --doc binding for {uri!r}")
-                wrapped = document_forest(parse_forest(documents[uri]))
-                tables[var] = (f"doc_{len(tables)}", encode(wrapped).width)
+                _columns, width = read_document(documents[uri])
+                tables[var] = (f"doc_{len(tables)}", width)
             print(compiled.to_sql(tables).sql)
             return 0
 

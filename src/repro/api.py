@@ -44,13 +44,14 @@ from repro.compiler.pipeline import (
 )
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import explain_plan
+from repro.engine.evaluator import DIEngine, Value
 from repro.engine.stats import EngineStats
 from repro.errors import ReproError
 from repro.obs.trace import Span, Tracer
 from repro.sql.translator import TranslationResult, translate_query
 from repro.xml.forest import Forest, Node, PreorderForest
 from repro.xml.serializer import forest_to_xml
-from repro.xml.text_parser import parse_forest
+from repro.xml.text_parser import parse_forest, read_document
 from repro.xquery.ast import CoreExpr, core_to_str
 from repro.xquery.lowering import document_forest
 
@@ -233,14 +234,25 @@ def run_xquery(query: str | CompiledQuery,
 
 
 def _bind_documents(compiled: CompiledQuery,
-                    documents: Mapping[str, DocumentInput]) -> dict[str, Forest]:
-    bindings: dict[str, Forest] = {}
+                    documents: Mapping[str, DocumentInput],
+                    ) -> dict[str, Value]:
+    bindings = {}
     for uri, var in compiled.documents.items():
         if uri not in documents:
             raise ReproError(f"query references document({uri!r}) but no "
                              f"such document was supplied")
-        bindings[var] = document_forest(as_forest(documents[uri]))
+        bindings[var] = as_snapshot(documents[uri])
     return bindings
+
+
+def as_snapshot(value: DocumentInput) -> Value:
+    """The wrapped read-only snapshot a backend binds for a
+    :data:`DocumentInput`: text is read straight into columns
+    (:func:`~repro.xml.text_parser.read_document`, no tree built); a node
+    or forest is encoded under the document node."""
+    if isinstance(value, str):
+        return read_document(value)
+    return DIEngine.prepare_document(document_forest(as_forest(value)))
 
 
 def as_forest(value: DocumentInput) -> Forest:

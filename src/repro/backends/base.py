@@ -7,9 +7,10 @@ backend:
 
 * declares :class:`BackendCapabilities` (its maximum representable
   interval width, the join strategies it distinguishes);
-* follows a two-phase lifecycle — :meth:`Backend.prepare` loads documents
-  (untimed setup, keyed by core variable name), :meth:`Backend.execute`
-  evaluates a compiled query against them;
+* follows a two-phase lifecycle — :meth:`Backend.prepare` binds documents
+  (untimed setup, keyed by core variable name, each the session's one
+  read-only snapshot), :meth:`Backend.execute` evaluates a compiled
+  query against them;
 * owns its resources: every backend is a context manager and
   :meth:`Backend.close` is idempotent.
 
@@ -36,6 +37,7 @@ from repro.xml.forest import Forest
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports us)
     from repro.api import CompiledQuery
     from repro.encoding.updates import DocumentUpdate
+    from repro.engine.evaluator import Value
     from repro.resilience.guard import QueryGuard
 
 
@@ -126,7 +128,7 @@ class Backend(abc.ABC):
         # Re-entrant: close() → _close() and prepare() → _load() may take
         # it again from subclass hooks.
         self._lock = threading.RLock()
-        self._prepared: dict[str, Forest] = {}
+        self._prepared: dict[str, Value] = {}
         self._closed = False
         self._tls = threading.local()
 
@@ -153,25 +155,21 @@ class Backend(abc.ABC):
 
     # -- document lifecycle ---------------------------------------------------
 
-    def prepare(
-        self, documents: "Mapping[str, Forest | Callable[[], Forest]]",
-    ) -> None:
-        """Load ``documents`` (core variable name → forest), skipping names
+    def prepare(self, documents: "Mapping[str, Value]") -> None:
+        """Bind ``documents`` (core variable name → the document's wrapped
+        read-only snapshot ``(IntervalColumns, width)``), skipping names
         already prepared.  Call :meth:`invalidate` first to force a reload.
 
-        A binding may be a zero-argument callable producing the forest;
-        it is resolved only when the name actually needs loading, so
-        sessions can offer every binding on every query without paying to
-        materialize documents the backend already holds.
+        The snapshot is shared, never copied for a backend: the engine
+        binds it as it is, the process tier exports it, SQLite shreds it
+        and the interpreters decode it.
         """
         with self._lock:
             self._check_open()
-            for name, forest in documents.items():
+            for name, value in documents.items():
                 if name not in self._prepared:
-                    if callable(forest):
-                        forest = forest()
-                    self._load(name, forest)
-                    self._prepared[name] = forest
+                    self._load(name, value)
+                    self._prepared[name] = value
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
         """Patch prepared state for ``name`` in place from ``update``.
@@ -248,8 +246,8 @@ class Backend(abc.ABC):
                 options: ExecutionOptions) -> Callable[[], Forest]:
         """Build the measured-work callable (documents already prepared)."""
 
-    def _load(self, name: str, forest: Forest) -> None:
-        """Materialize one document; default keeps only the forest."""
+    def _load(self, name: str, value: "Value") -> None:
+        """Bind one document snapshot; the default keeps only the snapshot."""
 
     def _unload(self, name: str) -> None:
         """Drop backend state for one document."""
@@ -261,9 +259,9 @@ class Backend(abc.ABC):
         if self._closed:
             raise ReproError(f"backend {self.name!r} is closed")
 
-    def _bindings(self, compiled: "CompiledQuery") -> dict[str, Forest]:
-        """The prepared forests the compiled query actually references."""
-        bindings: dict[str, Forest] = {}
+    def _bindings(self, compiled: "CompiledQuery") -> "dict[str, Value]":
+        """The prepared snapshots the compiled query actually references."""
+        bindings = {}
         with self._lock:
             for uri, var in compiled.documents.items():
                 try:

@@ -12,11 +12,12 @@ decides, per connection, between replaying a few deltas and reloading:
   the same major whose missing minors are all still in the bounded log
   replays just that tail (ranged ``DELETE`` + batched ``INSERT``).
 
-A reload after an update comes from the latest update's wrapped snapshot
-(:meth:`~repro.encoding.updates.DocumentUpdate.columns`), the columns
-every other backend adopts.  The adapter owns the rest: the load before
-any update and how a delta becomes SQL.  Every method is called with the
-owning backend's lock held.
+A reload comes from the document's latest snapshot: the one it was
+prepared with, and after an update that update's wrapped snapshot
+(:meth:`~repro.encoding.updates.DocumentUpdate.columns`) — the columns
+every other backend adopts.  The adapter owns the rest: how a snapshot
+and a delta become SQL.  Every method is called with the owning
+backend's lock held.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class DeltaLog:
     def __init__(self) -> None:
         self.generation = object()
         self.minor = 0
-        #: The latest absorbed update, the reload source; ``None`` while
-        #: the adapter still loads from a forest.
+        #: The latest absorbed update, the reload source once there is
+        #: one; before it, the adapter reloads the prepared snapshot.
         self.update: "DocumentUpdate | None" = None
         #: The deltas of minors ``minor - len(_tail) + 1 … minor``.
         self._tail: list[UpdateDelta] = []
@@ -68,8 +69,8 @@ class DeltaLog:
         Committing the revision already held changes nothing.  When the
         held revision is the update's base, its deltas are appended to the
         log — only the minor moves, and every connection replays the same
-        deltas.  Any other update (first after a forest load, relabel or
-        width change in the chain) rebases: a new major, whose connections
+        deltas.  Any other update (first after a load, relabel or width
+        change in the chain) rebases: a new major, whose connections
         reload from the update's snapshot.
         """
         held = self.update.revision if self.update is not None else None

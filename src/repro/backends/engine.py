@@ -15,7 +15,7 @@ from repro.engine.evaluator import DIEngine, Value
 from repro.engine.memo import DocumentMemo
 from repro.engine.stats import observe_metrics
 from repro.obs.trace import Tracer
-from repro.xml.forest import Forest, PreorderForest
+from repro.xml.forest import PreorderForest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import CompiledQuery
@@ -26,9 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class EngineBackend(Backend):
     """Execute plans on :class:`~repro.engine.evaluator.DIEngine`.
 
-    Documents are interval-encoded once at :meth:`prepare` time.  A
-    physical plan depends only on the query text and the join strategy
-    (join-body isolation is a rule), so plans are cached in a
+    A document is bound as the session hands it over — its one wrapped
+    read-only snapshot, at :meth:`prepare` or :meth:`apply_update` —
+    and nothing is encoded or copied here.  A physical plan depends only
+    on the query text and the join strategy (join-body isolation is a
+    rule), so plans are cached in a
     :class:`~repro.compiler.cache.PlanCache` keyed on exactly those two,
     and no document load, update or replacement touches the cache.
 
@@ -69,27 +71,23 @@ class EngineBackend(Backend):
         self._encoded[name] = value
         self._memos[name] = DocumentMemo(*value)
 
-    def _load(self, name: str, forest: Forest) -> None:
-        self._bind(name, DIEngine.prepare_document(forest))
+    def _load(self, name: str, value: Value) -> None:
+        columns, width = value
+        self._bind(name, (columns.read_only(), width))
 
     def adopt_encoded(self, name: str, value: Value) -> None:
-        """Bind an already-encoded relation as a prepared document.
+        """Bind ``value`` as ``name``, replacing any earlier binding.
 
-        The cross-process path: pool workers receive the parent's
-        immutable columnar encoding (attached from shared memory or
-        unpickled) and adopt it directly instead of re-encoding a
-        forest.
+        The cross-process path: a pool worker receives the parent's
+        snapshot attached from shared memory and adopts it directly.
         """
         with self._lock:
             self._check_open()
-            columns, width = value
-            self._bind(name, (columns.read_only(), width))
-            # No forest to remember: an empty tuple marks the variable
-            # prepared so _bindings() accepts it.
-            self._prepared[name] = ()
+            self._load(name, value)
+            self._prepared[name] = value
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
-        """Adopt the commit's wrapped snapshot as the cached encoding.
+        """Adopt the commit's wrapped snapshot as the bound document.
 
         The snapshot is immutable columns built once per commit and
         shared with every other backend that holds columns, so adopting
@@ -100,11 +98,9 @@ class EngineBackend(Backend):
             self._check_open()
             if name not in self._prepared:
                 return False
-            self._bind(name, (update.columns(), update.width))
-            # The stale forest (if any) must not linger; the sentinel
-            # marks the variable prepared without one (adopt_encoded
-            # idiom).
-            self._prepared[name] = ()
+            value = (update.columns(), update.width)
+            self._bind(name, value)
+            self._prepared[name] = value
         return True
 
     def _unload(self, name: str) -> None:

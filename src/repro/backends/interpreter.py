@@ -10,20 +10,23 @@ from typing import TYPE_CHECKING, Callable
 from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
 from repro.backends.registry import register_backend
 from repro.baselines.naive import BudgetMeter
+from repro.encoding.interval import decode
 from repro.xml.forest import Forest
 from repro.xquery.interpreter import Interpreter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import CompiledQuery
+    from repro.engine.evaluator import Value
 
 
 @register_backend
 class InterpreterBackend(Backend):
     """Evaluate core expressions with the denotational reference semantics.
 
-    Deliberately does nothing clever: documents are kept as plain forests
-    and every run is a direct transcription of the Figure 3 equations.
-    Every other backend is conformance-tested against this one.
+    Deliberately does nothing clever: each bound snapshot is decoded
+    once into plain trees and every run is a direct transcription of the
+    Figure 3 equations.  Every other backend is conformance-tested
+    against this one.
     """
 
     name = "interpreter"
@@ -34,13 +37,27 @@ class InterpreterBackend(Backend):
     )
     _span = "interpret"  # the span one traced run opens
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._forests: dict[str, Forest] = {}
+
+    def _load(self, name: str, value: "Value") -> None:
+        self._forests[name] = decode(value[0]).trees()
+
+    def _unload(self, name: str) -> None:
+        self._forests.pop(name, None)
+
+    def _close(self) -> None:
+        self._forests.clear()
+
     def _meter(self, tick: Callable[[], None] | None) -> BudgetMeter | None:
         """The oracle meters nothing but a guard's deadline."""
         return None if tick is None else BudgetMeter(tick=tick)
 
     def _runner(self, compiled: "CompiledQuery",
                 options: ExecutionOptions) -> Callable[[], Forest]:
-        bindings = self._bindings(compiled)
+        bindings = {var: self._forests[var]
+                    for var in self._bindings(compiled)}
         guard = options.guard
         tick = None
         if guard is not None and guard.enabled:

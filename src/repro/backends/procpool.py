@@ -1,9 +1,9 @@
 """Backend adapter for the process-parallel execution tier.
 
-Each prepared document is interval-encoded **once** in the parent, then
-published to a persistent :class:`~repro.concurrency.procpool
-.ProcessQueryPool` through shared memory (zero-copy attach in every
-worker).  ``execute`` fans one query to one warm worker.
+Each prepared document is the session's wrapped snapshot, exported once
+to a persistent :class:`~repro.concurrency.procpool.ProcessQueryPool`
+through shared memory (zero-copy attach in every worker); nothing is
+encoded here.  ``execute`` fans one query to one warm worker.
 
 The adapter deliberately reuses the whole :class:`Backend` contract:
 sessions prepare/invalidate/close it exactly like the in-process engine
@@ -22,7 +22,7 @@ from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
 from repro.backends.registry import register_backend
 from repro.compiler.plan import JoinStrategy
 from repro.concurrency.procpool import ProcessQueryPool
-from repro.engine.evaluator import DIEngine
+from repro.engine.evaluator import Value
 from repro.xml.forest import Forest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,8 +80,7 @@ class ProcPoolBackend(Backend):
 
     # -- document lifecycle ---------------------------------------------------
 
-    def _load(self, name: str, forest: Forest) -> None:
-        value = DIEngine.prepare_document(forest)
+    def _load(self, name: str, value: Value) -> None:
         self._ensure_pool().register_document(name, value)
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
@@ -95,9 +94,9 @@ class ProcPoolBackend(Backend):
             self._check_open()
             if name not in self._prepared or self._pool is None:
                 return False
-            self._pool.register_document(name,
-                                         (update.columns(), update.width))
-            self._prepared[name] = ()
+            value = (update.columns(), update.width)
+            self._pool.register_document(name, value)
+            self._prepared[name] = value
         return True
 
     def _unload(self, name: str) -> None:

@@ -14,6 +14,7 @@ from repro.xml.forest import Forest
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api import CompiledQuery
     from repro.encoding.updates import DocumentUpdate
+    from repro.engine.evaluator import Value
 
 
 class _ThreadDatabase:
@@ -64,9 +65,6 @@ class SQLiteBackend(Backend):
         super().__init__()
         #: name → shared document state, what ``_sync`` compares against.
         self._generations: dict[str, DeltaLog] = {}
-        #: name → forest, the load source until the first update gives
-        #: the document a snapshot to reload from.
-        self._forests: dict[str, Forest] = {}
         self._pool: ThreadLocalPool[_ThreadDatabase] = ThreadLocalPool(
             lambda: _ThreadDatabase(SQLiteDatabase()))
 
@@ -86,8 +84,8 @@ class SQLiteBackend(Backend):
         """Bring ``state`` current: delta-tail replay or full (re)shred.
 
         The tail is the same ranged ``DELETE`` + batched ``INSERT`` the
-        updating thread ran; a full load comes from the forest or, after
-        the first update, the latest update's wrapped snapshot columns.
+        updating thread ran; a full load shreds the latest update's
+        wrapped snapshot or, before any update, the prepared one.
         """
         pending: list[tuple] = []
         with self._lock:
@@ -95,8 +93,8 @@ class SQLiteBackend(Backend):
                 have = state.loaded.get(name)
                 if have != doc.current:
                     pending.append((name, doc.current, doc.pending_for(have),
-                                    doc.update, self._forests.get(name)))
-        for name, current, tail, update, forest in pending:
+                                    doc.update, self._prepared.get(name)))
+        for name, current, tail, update, prepared in pending:
             if tail is not None:
                 for delta in tail:
                     state.database.apply_delta(name, delta)
@@ -104,15 +102,17 @@ class SQLiteBackend(Backend):
                 state.database.load_encoded(name, update.columns(),
                                             update.width)
             else:
-                state.database.load_document(name, forest)
+                state.database.load_encoded(name, *prepared)
             state.loaded[name] = current
 
-    def _load(self, name: str, forest: Forest) -> None:
+    def _load(self, name: str, value: "Value") -> None:
         # Called under the backend lock (base.prepare).  A fresh log is a
         # new major generation; shred eagerly for the calling thread so
-        # prepare stays the untimed phase (benchmark methodology).
+        # prepare stays the untimed phase (benchmark methodology).  The
+        # sync reads the load source from the prepared map, which
+        # base.prepare fills only once this returns.
         self._generations[name] = DeltaLog()
-        self._forests[name] = forest
+        self._prepared[name] = value
         self._thread_database()
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
@@ -129,9 +129,9 @@ class SQLiteBackend(Backend):
             if doc is None or name not in self._prepared:
                 return False
             doc.absorb(update)
-            # The stale forest must not linger here or in the prepared
-            # map; the empty-tuple sentinel marks prepared-without-forest.
-            self._forests.pop(name, None)
+            # The prepared snapshot is stale: the log reloads from the
+            # update, and the empty-tuple sentinel marks the name prepared
+            # without building the update's columns here.
             self._prepared[name] = ()
         # Shred eagerly for the calling thread (outside the backend lock;
         # prepare/update is the untimed phase).
@@ -142,7 +142,6 @@ class SQLiteBackend(Backend):
         # Dropping the generation is enough: per-thread tables for the
         # old contents are replaced wholesale by the next load's sync.
         self._generations.pop(name, None)
-        self._forests.pop(name, None)
 
     def _close(self) -> None:
         self._pool.close_all()

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.api import compile_xquery
+from repro.api import as_snapshot, compile_xquery
 from repro.backends.base import ExecutionOptions
 from repro.backends.registry import create_backend
 from repro.compiler.plan import JoinStrategy
@@ -36,7 +36,6 @@ from repro.engine.stats import EngineStats
 from repro.obs.trace import Tracer
 from repro.xmark.generator import cached_document
 from repro.xmark.queries import QUERIES
-from repro.xquery.lowering import document_forest
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,6 @@ def execute_cell(system: str, query_name: str, scale: float,
         document = cached_document(scale, seed=seed)
         with tracer.span("compile"):
             compiled = compile_xquery(QUERIES[query_name])
-        bindings = {
-            var: document_forest(document)
-            for _uri, var in compiled.documents.items()
-        }
-
         backend_options = dict(spec.backend_options)
         if spec.accepts_memory_budget and memory_budget is not None:
             backend_options["memory_budget"] = memory_budget
@@ -112,7 +106,9 @@ def execute_cell(system: str, query_name: str, scale: float,
             # seconds; measure it separately so trajectories can report
             # prepare (load + plan/translate) vs execute per cell.
             with tracer.span("prepare") as prepare_span:
-                backend.prepare(bindings)
+                snapshot = as_snapshot(document)
+                backend.prepare({var: snapshot
+                                 for var in compiled.documents.values()})
                 runner = backend.runner(compiled, options)
 
             # Benchmark hygiene: when the harness forks a cell out of a large

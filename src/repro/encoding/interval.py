@@ -24,7 +24,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.errors import EncodingError
-from repro.xml.forest import Forest, Node, PreorderForest, build_trees
+from repro.xml.forest import (
+    Forest,
+    Node,
+    PreorderForest,
+    build_trees,
+    preorder,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - engine.columns imports this module
     from repro.engine.columns import IntervalColumns
@@ -121,45 +127,18 @@ def encode(trees: Forest | Node, start: int = 0) -> EncodedForest:
     return EncodedForest(rows, counter if counter > start else start, sort=False)
 
 
-def encode_columns(trees: Forest | Node, start: int = 0):
+def encode_columns(trees: Forest | Node):
     """Encode straight into columnar form: ``(IntervalColumns, width)``.
 
-    Same DFS counter scheme as :func:`encode`, but the triples land
-    directly in the columns the DI engine operates on — no intermediate
-    tuple list, no re-copy when the encoding is cached — and the walk
-    records each node's depth on the way, so the engine's ``d`` column
-    costs one append per node and ``c`` one dictionary lookup.
+    The numbering of :func:`encode` from the forest's preorder stream
+    (:meth:`~repro.engine.columns.IntervalColumns.from_preorder`) — the
+    same builder the text reader feeds, so a document read from text and
+    the same trees encoded here are equal column for column.
     """
     from repro.engine.columns import IntervalColumns
 
-    if isinstance(trees, Node):
-        trees = (trees,)
-    labels: list[str] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    depths: list[int] = []
-    counter = start
-    # Entries are (node, depth) on the way down and (None, row) on the
-    # way back up.
-    stack: list[tuple[Node | None, int]] = [
-        (tree, 0) for tree in reversed(trees)]
-    while stack:
-        node, value = stack.pop()
-        if node is None:
-            rights[value] = counter
-            counter += 1
-            continue
-        stack.append((None, len(labels)))
-        labels.append(node.label)
-        lefts.append(counter)
-        rights.append(-1)
-        depths.append(value)
-        counter += 1
-        value += 1
-        for child in reversed(node.children):
-            stack.append((child, value))
-    columns = IntervalColumns.from_lists(labels, lefts, rights, depths)
-    return columns, (counter if counter > start else start)
+    return IntervalColumns.from_preorder(
+        *preorder((trees,) if isinstance(trees, Node) else trees))
 
 
 def decode(encoded: "EncodedForest | Sequence[IntervalTuple] | IntervalColumns"

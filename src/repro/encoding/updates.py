@@ -50,6 +50,7 @@ from repro.engine.columns import (
 )
 from repro.errors import EncodingError
 from repro.xml.forest import Forest, Node
+from repro.xml.labels import DOCUMENT_LABEL
 
 #: Default spread stride: integers of slack left after each endpoint.
 DEFAULT_STRIDE = 16
@@ -147,8 +148,8 @@ class DocumentUpdate:
     adopt columns, the relational adapter: its
     :class:`~repro.backends.deltalog.DeltaLog` replays them when it holds
     ``base_revision`` and reloads from :meth:`columns` otherwise (first
-    update after a forest-based prepare, divergent update branch, relabel
-    in the chain).  Either way no :class:`~repro.xml.forest.Forest` is
+    update after a load, divergent update branch, relabel in the
+    chain).  Either way no :class:`~repro.xml.forest.Forest` is
     materialized.
     """
 
@@ -176,8 +177,6 @@ class DocumentUpdate:
         Each column is written once, into a preallocated array, and is
         read-only from then on: every backend shares the snapshot."""
         if self._columns is None:
-            from repro.xquery.lowering import DOCUMENT_LABEL
-
             def wrapped(top, column: np.ndarray, shift: int = 0):
                 out = np.empty(len(column) + 1, dtype=column.dtype)
                 out[0] = top
@@ -228,6 +227,18 @@ class UpdatableDocument:
                     stride: int = DEFAULT_STRIDE) -> "UpdatableDocument":
         tight, _width = encode_columns(trees)
         return cls(*_with_slack(tight, tight.l, tight.r, stride), stride)
+
+    @classmethod
+    def from_snapshot(cls, columns: IntervalColumns, width: int,
+                      stride: int = DEFAULT_STRIDE) -> "UpdatableDocument":
+        """The document of a wrapped snapshot (a session's loaded document,
+        or :meth:`DocumentUpdate.columns`'s shape): its rows below the
+        document-node row, one level up, with slack — no decode and no
+        re-encode.  A loaded snapshot is tight, so this is
+        :meth:`from_forest` of its trees."""
+        l, r = columns.l[1:] - 1, columns.r[1:] - 1
+        inner = IntervalColumns(l, r, columns.d[1:] - 1, columns.c[1:])
+        return cls(*_with_slack(inner, l, r, stride), stride)
 
     @property
     def encoded(self) -> EncodedForest:

@@ -193,6 +193,33 @@ class IntervalColumns:
                    label_codes(labels))
 
     @classmethod
+    def from_preorder(cls, labels: Sequence[str], depths: Sequence[int],
+                      ) -> "tuple[IntervalColumns, int]":
+        """Example 3.2's DFS numbering of a preorder stream, and its width.
+
+        ``labels`` and ``depths`` are a forest in document order (a valid
+        preorder depth sequence: first 0, none more than one deeper than
+        the row before).  Row ``i`` opens after ``i`` opens and
+        ``i - d[i]`` closes, so ``l = 2i - d``; the closes take the other
+        counter values, and at each depth rows close in the order they
+        open, so ordering both by depth pairs every row with its ``r``.
+        Labels are interned in document order.
+        """
+        d = np.array(depths, dtype=np.int32)
+        count = len(d)
+        lefts = np.arange(0, 2 * count, 2, dtype=np.int64) - d
+        opens = np.zeros(2 * count, dtype=np.bool_)
+        opens[lefts] = True
+        closes = np.flatnonzero(~opens)
+        # Close ``m`` follows ``closes[m] - m`` opens and ``m`` closes, so
+        # it leaves the nesting level at the closed row's depth:
+        shut = closes - np.arange(1, 2 * count, 2)
+        rights = np.empty(count, dtype=np.int64)
+        rights[np.argsort(d, kind="stable")] = \
+            closes[np.argsort(shut, kind="stable")]
+        return cls(lefts, rights, d, label_codes(labels)), 2 * count
+
+    @classmethod
     def empty(cls) -> "IntervalColumns":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                    np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))

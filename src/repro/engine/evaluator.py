@@ -177,12 +177,11 @@ class DIEngine:
 
     @staticmethod
     def prepare_document(forest: Forest) -> Value:
-        """Encode a document binding once, for reuse across plans.
-
-        The returned ``(relation, width)`` value is what
-        :meth:`run_plan_values` expects; backends that keep documents
-        loaded between queries cache these instead of re-shredding the
-        forest per run.
+        """Encode a document binding (a forest, already wrapped) once,
+        for reuse across plans: the read-only ``(relation, width)`` value
+        :meth:`run_plan_values` expects.  A session's documents arrive
+        already in this form (:func:`repro.xml.text_parser.read_document`);
+        this is the adapter for a forest in hand.
         """
         columns, width = encode_columns(forest)
         return (columns.read_only(), max(width, 1))

@@ -16,9 +16,6 @@ complexity results in PAPERS.md explain why such plans are inevitable):
 * :class:`CircuitBreaker` (:mod:`repro.resilience.breaker`) — per-backend
   closed/open/half-open health tracking, owned by the backend registry
   (:func:`repro.backends.registry.backend_breaker`);
-* :class:`FaultPlan` / :func:`inject_faults`
-  (:mod:`repro.resilience.faults`) — deterministic scripted faults
-  (errors *and* latency injection) that exercise every path above;
 * :class:`AdmissionController` / :class:`BrownoutController`
   (:mod:`repro.resilience.admission`) — bounded admission queue with
   priority classes and deadline-aware shedding
@@ -69,7 +66,6 @@ from repro.resilience.fallback import (
     counts_against_breaker,
     is_degradable,
 )
-from repro.resilience.faults import FaultPlan, FaultyBackend, inject_faults
 from repro.resilience.guard import (
     CancellationToken,
     QueryGuard,
@@ -90,8 +86,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "Degradation",
-    "FaultPlan",
-    "FaultyBackend",
     "HALF_OPEN",
     "INTERACTIVE",
     "NO_RETRY",
@@ -110,6 +104,5 @@ __all__ = [
     "build_chain",
     "coerce_budget",
     "counts_against_breaker",
-    "inject_faults",
     "is_degradable",
 ]

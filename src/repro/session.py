@@ -5,10 +5,11 @@
 application would use:
 
 * documents are registered once (from text, files, nodes, or generated
-  XMark data) and reused across queries;
+  XMark data) as one read-only snapshot of interval columns each — text
+  is read straight into it — and every backend binds that snapshot;
 * compiled queries are cached per query text; backends keep their
-  loaded state (shredded SQLite tables, cached interval encodings,
-  physical plans) between queries;
+  loaded state (shredded SQLite tables, bound snapshots, physical plans)
+  between queries;
 * backends are resolved through :mod:`repro.backends` — any registered
   name works, and each instance lives for the session and is closed
   uniformly by :meth:`XQuerySession.close`;
@@ -28,12 +29,19 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.api import CompiledQuery, DocumentInput, QueryResult, as_forest, compile_xquery
+from repro.api import (
+    CompiledQuery,
+    DocumentInput,
+    QueryResult,
+    as_snapshot,
+    compile_xquery,
+)
 from repro.backends.base import Backend, ExecutionOptions, coerce_strategy
 from repro.backends.registry import backend_breaker, create_backend
 from repro.compiler.cache import CompiledCache
 from repro.compiler.plan import JoinStrategy
 from repro.concurrency import RWLock
+from repro.encoding.interval import decode
 from repro.encoding.updates import DocumentUpdate, UpdatableDocument
 from repro.engine.columns import label_dictionary_entries
 from repro.engine.stats import EngineStats
@@ -65,9 +73,10 @@ from repro.resilience.fallback import (
 from repro.resilience.guard import CancellationToken, QueryGuard, ResourceBudget
 from repro.resilience.retry import NO_RETRY, RetryPolicy
 from repro.xml.forest import Forest
-from repro.xquery.lowering import document_forest, document_variable
+from repro.xquery.lowering import document_variable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.evaluator import Value
     from repro.resilience.breaker import CircuitBreaker
 
 logger = logging.getLogger("repro.session")
@@ -111,7 +120,12 @@ class XQuerySession:
                  admission: "AdmissionConfig | bool | None" = None):
         self.backend = backend
         self.strategy = coerce_strategy(strategy)
-        self._documents: dict[str, Forest] = {}
+        #: uri → the document's one read-only snapshot: ``(columns,
+        #: width)`` as loaded, or the last commit's :class:`DocumentUpdate`
+        #: (its columns built once, on first read).
+        self._documents: dict[str, "Value | DocumentUpdate"] = {}
+        #: uri → the document's trees, decoded from the snapshot on demand.
+        self._forests: dict[str, Forest] = {}
         self._updatable: dict[str, UpdatableDocument] = {}
         self._compiled = CompiledCache()
         self._backends: dict[str, Backend] = {}
@@ -192,15 +206,20 @@ class XQuerySession:
     # -- document management ---------------------------------------------------
 
     def add_document(self, uri: str, source: DocumentInput) -> None:
-        """Register (or replace) the document bound to ``document(uri)``."""
-        forest = as_forest(source)  # parse before excluding readers
+        """Register (or replace) the document bound to ``document(uri)``.
+
+        XML text is read straight into the document's snapshot (no tree
+        is built); a node or forest is encoded once.
+        """
+        snapshot = as_snapshot(source)  # read before excluding readers
         with self._state_lock.write_locked():
-            self._documents[uri] = forest
+            self._documents[uri] = snapshot
+            self._forests.pop(uri, None)
             self._updatable.pop(uri, None)
             self._invalidate(uri)
         self._m_documents.inc()
-        logger.debug("registered document %r (%d tree(s))",
-                     uri, len(forest))
+        logger.debug("registered document %r (%d nodes)",
+                     uri, len(snapshot[0]) - 1)
 
     def add_document_file(self, uri: str, path: str | Path) -> None:
         """Register a document from an XML file."""
@@ -219,20 +238,26 @@ class XQuerySession:
             return sorted(self._documents)
 
     def document(self, uri: str) -> Forest:
+        """The document's trees, decoded from its snapshot on first
+        demand and cached (concurrent first readers may each decode once
+        — the assignments agree, so the race is benign)."""
         with self._state_lock.read_locked():
-            try:
-                forest = self._documents[uri]
-            except KeyError:
-                raise DocumentNotFoundError(uri, self.documents) from None
+            forest = self._forests.get(uri)
             if forest is None:
-                # The delta fast path of apply_update leaves the Forest
-                # unmaterialized; decode from the committed encoding on
-                # first demand and cache.  Concurrent first readers may
-                # each decode once — the assignments agree, so the race
-                # is benign.
-                forest = self._updatable[uri].to_forest()
-                self._documents[uri] = forest
+                columns, _width = self._snapshot(uri)
+                forest = self._forests[uri] = decode(columns[1:])
             return forest
+
+    def _snapshot(self, uri: str) -> "Value":
+        """The document's snapshot as ``(columns, width)`` (callers hold
+        the state lock)."""
+        try:
+            snapshot = self._documents[uri]
+        except KeyError:
+            raise DocumentNotFoundError(uri, sorted(self._documents)) from None
+        if isinstance(snapshot, DocumentUpdate):
+            return snapshot.columns(), snapshot.width
+        return snapshot
 
     # -- updates --------------------------------------------------------------------
 
@@ -240,12 +265,14 @@ class XQuerySession:
         """The updatable encoding of a document (created on first use)."""
         with self._state_lock.read_locked():
             existing = self._updatable.get(uri)
+            if existing is None:
+                snapshot = self._snapshot(uri)
         if existing is not None:
             return existing
-        # The first encoding is the slow part — build it outside any
-        # lock (readers keep running); setdefault makes concurrent
+        # Built outside any lock (readers keep running) from the snapshot
+        # itself, no decode and no re-encode; setdefault makes concurrent
         # builders agree on one winner, mirroring prepare().
-        built = UpdatableDocument.from_forest(self.document(uri))
+        built = UpdatableDocument.from_snapshot(*snapshot)
         with self._state_lock.write_locked():
             return self._updatable.setdefault(uri, built)
 
@@ -261,19 +288,23 @@ class XQuerySession:
         one :class:`DocumentUpdate` through ``Backend.apply_update`` —
         the engine tiers adopt its wrapped snapshot, the relational
         adapter replays the deltas recorded since the previously
-        committed revision — and the session's own ``Forest`` view is
-        re-materialized lazily on the next :meth:`document` call.  A
-        backend whose ``apply_update`` returns ``False`` (the default) or
-        raises is invalidated instead.  Setting ``incremental=False``
-        forces the original full re-encode path — the oracle the
-        property tests compare against.
+        committed revision — and the session keeps that update as the
+        document's snapshot (its ``Forest`` view is re-decoded lazily on
+        the next :meth:`document` call).  A backend whose
+        ``apply_update`` returns ``False`` (the default) or raises is
+        invalidated instead.  Setting ``incremental=False`` forces a full
+        decode and re-encode, and a reload on every backend — the oracle
+        the property tests compare against.
         """
         started = time.perf_counter()
         if not incremental:
-            forest = updated.to_forest()  # decode outside the write lock
+            # Decode and encode afresh outside the write lock.
+            forest = updated.to_forest()
+            snapshot = as_snapshot(forest)
             lock_started = time.perf_counter()
             with self._state_lock.write_locked():
-                self._documents[uri] = forest
+                self._documents[uri] = snapshot
+                self._forests[uri] = forest
                 self._updatable[uri] = updated
                 with self._backend_lock:
                     invalidated = len(self._backends)
@@ -285,8 +316,8 @@ class XQuerySession:
         # Build the document-coordinate update outside every lock: the
         # delta chain since the committed base when unbroken (what the
         # relational adapter replays), otherwise an empty chain, plus the
-        # lazily-built wrapped snapshot every other backend adopts — no
-        # Forest is materialized.
+        # lazily-built wrapped snapshot every other backend adopts and
+        # the session keeps — no Forest is materialized.
         with self._state_lock.read_locked():
             base = self._updatable.get(uri)
         deltas = updated.deltas_since(base) if base is not None else None
@@ -300,7 +331,8 @@ class XQuerySession:
         invalidated = 0
         lock_started = time.perf_counter()
         with self._state_lock.write_locked():
-            self._documents[uri] = None  # re-decoded lazily by document()
+            self._documents[uri] = update
+            self._forests.pop(uri, None)  # re-decoded lazily by document()
             self._updatable[uri] = updated
             with self._backend_lock:
                 items = list(self._backends.items())
@@ -832,7 +864,8 @@ class XQuerySession:
             try:
                 with tr.span("attempt", backend=name):
                     with tr.span("prepare") as prepare_span:
-                        target.prepare(self._prepare_bindings(compiled))
+                        target.prepare(
+                            self._prepare_bindings(compiled, target))
                         prepare_span.set(documents=len(compiled.documents))
                     if full:
                         target.instrument(tr)
@@ -989,7 +1022,7 @@ class XQuerySession:
         target = self.backend_instance("engine")
         options = ExecutionOptions(strategy=self._strategy(strategy))
         with self._state_lock.read_locked():
-            target.prepare(self._prepare_bindings(compiled))
+            target.prepare(self._prepare_bindings(compiled, target))
             rendered = target.analyze(compiled, options)
         if not verbose:
             return rendered
@@ -1077,23 +1110,21 @@ class XQuerySession:
             return self.strategy
         return coerce_strategy(strategy)
 
-    def _prepare_bindings(
-            self, compiled: CompiledQuery) -> "dict[str, object]":
-        """Lazy bindings for ``Backend.prepare``: var → Forest thunk.
+    def _prepare_bindings(self, compiled: CompiledQuery,
+                          target: Backend) -> "dict[str, Value]":
+        """Bindings for ``target.prepare``: var → the document's snapshot,
+        for the documents ``target`` has not prepared yet.
 
-        ``prepare`` only materializes a ``Forest`` for documents the
-        backend has not loaded yet, so the thunks keep already-prepared
-        (and delta-updated) documents from forcing a full decode on
-        every run.  Missing documents still fail eagerly, here.
+        A prepared name is left out, so a backend that absorbed a commit
+        as deltas never makes the commit build its wrapped snapshot
+        (:meth:`DocumentUpdate.columns` is O(document)).  Missing
+        documents fail here, before any backend is touched.
         """
-        bindings: dict[str, object] = {}
-        for uri, var in compiled.documents.items():
-            with self._state_lock.read_locked():
-                if uri not in self._documents:
-                    raise DocumentNotFoundError(uri, self.documents)
-            bindings[var] = \
-                (lambda u=uri: document_forest(self.document(u)))
-        return bindings
+        prepared = target.prepared
+        with self._state_lock.read_locked():
+            return {var: self._snapshot(uri)
+                    for uri, var in compiled.documents.items()
+                    if var not in prepared}
 
     def _invalidate(self, uri: str) -> None:
         """Drop every backend's state for one document after it changed.

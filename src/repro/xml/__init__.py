@@ -1,7 +1,8 @@
 """XML substrate: the ordered-forest data model of Definition 2.1.
 
 This subpackage provides the in-memory ``XF`` model (ordered forests of
-rooted, node-labeled, ordered trees), parsing from and serialization to XML
+rooted, node-labeled, ordered trees), the XML text reader (straight into
+a document's interval columns, or into trees) and serialization back to
 text, and the operator algebra of Figure 2 of the paper.
 
 Label conventions (Section 2 of the paper):
@@ -43,7 +44,7 @@ from repro.xml.operations import (
     xnode,
 )
 from repro.xml.serializer import forest_to_xml
-from repro.xml.text_parser import parse_document, parse_forest
+from repro.xml.text_parser import parse_document, parse_forest, read_document
 
 __all__ = [
     "ELEMENT_PREFIX",
@@ -66,6 +67,7 @@ __all__ = [
     "less",
     "parse_document",
     "parse_forest",
+    "read_document",
     "reverse",
     "roots",
     "select",

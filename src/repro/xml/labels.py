@@ -35,6 +35,12 @@ import numpy as np
 ELEMENT_PREFIX = "<"
 ATTRIBUTE_PREFIX = "@"
 
+#: Label of the synthetic document node that wraps each bound document.
+#: XPath's leading ``/`` steps are child steps from the document node, so
+#: ``document("x")/site`` must find ``site`` among the *children* of the
+#: bound value.  ``#`` cannot occur in an XML name, so the label is safe.
+DOCUMENT_LABEL = "<#document>"
+
 #: Node kinds, the low two bits of a label code.
 TEXT, ELEMENT, ATTRIBUTE = 0, 1, 2
 KIND_MASK = 3

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from repro.errors import LoweringError
 from repro.xml.forest import Forest, Node
+from repro.xml.labels import DOCUMENT_LABEL
 from repro.xquery.ast import (
     And,
     Condition,
@@ -62,12 +63,6 @@ from repro.xquery.ast import (
     Var,
     Where,
 )
-
-#: Label of the synthetic document node that wraps each bound document.
-#: XPath's leading ``/`` steps are child steps from the document node, so
-#: ``document("x")/site`` must find ``site`` among the *children* of the
-#: bound value.  ``#`` cannot occur in an XML name, so the label is safe.
-DOCUMENT_LABEL = "<#document>"
 
 
 def document_forest(trees: Forest | Node) -> Forest:

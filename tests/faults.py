@@ -1,4 +1,4 @@
-"""Deterministic fault injection for backends.
+"""Deterministic fault injection for backends (a test helper).
 
 The resilience machinery is only trustworthy if every path — retry,
 breaker trip, half-open probe, fallback — can be exercised on demand.  A
@@ -8,8 +8,8 @@ breaker trip, half-open probe, fallback — can be exercised on demand.  A
 * raise a chosen exception on the k-th call of a method
   (:meth:`FaultPlan.fail_on`);
 * delay the k-th call by a fixed amount through an injectable sleep
-  (:meth:`FaultPlan.delay_on`) — tests pass a recorder, production
-  chaos runs may pass ``time.sleep``;
+  (:meth:`FaultPlan.delay_on`) — tests pass a recorder, or
+  ``time.sleep`` for a real delay;
 * slow *every* call of a method with a deterministic per-attempt delay
   schedule (:meth:`FaultPlan.slow_on`) — the latency fault that makes
   overload, shedding, and brownout paths testable without real load;
@@ -20,6 +20,7 @@ Activation is a context manager: :func:`inject_faults` re-registers a
 backend name with a wrapping factory and restores the original on exit,
 so sessions created inside the block transparently receive the faulty
 backend — exactly how a real deployment would meet a flaky engine.
+Only the tests use it; the package ships no fault injection.
 
     plan = FaultPlan().fail_on("execute", calls=(1, 2),
                                error=TransientBackendError("connection reset"))
@@ -33,13 +34,16 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.backends.base import Backend, ExecutionOptions
 from repro.backends.registry import _REGISTRY, register_backend
 from repro.errors import ReproError, TransientBackendError
 from repro.obs.trace import Tracer
 from repro.xml.forest import Forest
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.evaluator import Value
 
 
 def _default_error() -> Exception:
@@ -241,7 +245,7 @@ class FaultyBackend(Backend):
     def instrument(self, tracer: Tracer | None) -> None:
         self.inner.instrument(tracer)
 
-    def prepare(self, documents: Mapping[str, Forest]) -> None:
+    def prepare(self, documents: "Mapping[str, Value]") -> None:
         self.plan.apply("prepare")
         self.inner.prepare(documents)
 

@@ -29,10 +29,8 @@ from repro.resilience import (
     BrownoutController,
     BrownoutLevel,
     CancellationToken,
-    FaultPlan,
     QueryGuard,
     ResourceBudget,
-    inject_faults,
 )
 from repro.resilience.admission import (
     EVALUATE_INTERVAL_SECONDS,
@@ -41,6 +39,8 @@ from repro.resilience.admission import (
 )
 from repro.session import XQuerySession
 from repro.xmark.queries import FIGURE1_SAMPLE
+
+from tests.faults import FaultPlan, inject_faults
 
 
 class FakeClock:

@@ -19,7 +19,7 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.errors import ReproError, UnknownBackendError
-from repro.xml.text_parser import parse_forest
+from repro.xml.text_parser import parse_forest, read_document
 from repro.xmark.queries import FIGURE1_SAMPLE, Q8
 
 ORACLE = "interpreter"
@@ -107,9 +107,14 @@ class ToyBackend(Backend):
     capabilities = BackendCapabilities(description="toy oracle clone")
 
     def _runner(self, compiled, options):
+        from repro.encoding.interval import decode
         from repro.xquery.interpreter import Interpreter
 
-        bindings = self._bindings(compiled)
+        # A backend is handed each document's snapshot; this one walks
+        # trees, so it decodes them.
+        bindings = {var: decode(columns).trees()
+                    for var, (columns, _width)
+                    in self._bindings(compiled).items()}
         return lambda: Interpreter().evaluate(compiled.core, bindings)
 
 
@@ -167,7 +172,7 @@ class TestUnknownBackendError:
 class TestLifecycle:
     def test_close_is_idempotent(self):
         backend = create_backend("sqlite")
-        backend.prepare({"doc:a.xml": parse_forest(FIGURE1_SAMPLE)})
+        backend.prepare({"doc:a.xml": read_document(FIGURE1_SAMPLE)})
         backend.close()
         backend.close()
 
@@ -179,12 +184,9 @@ class TestLifecycle:
 
     def test_prepare_skips_loaded_documents(self):
         compiled = compile_xquery(NAMES)
-        forest = parse_forest(FIGURE1_SAMPLE)
+        snapshot = read_document(FIGURE1_SAMPLE)
         with create_backend("sqlite") as backend:
-            from repro.xquery.lowering import document_forest
-
-            bindings = {var: document_forest(forest)
-                        for var in compiled.documents.values()}
+            bindings = {var: snapshot for var in compiled.documents.values()}
             backend.prepare(bindings)
             tables = backend.database.documents
             backend.prepare(bindings)  # second prepare: no new tables
@@ -192,11 +194,10 @@ class TestLifecycle:
 
     def test_invalidate_forces_reload(self):
         with create_backend("interpreter") as backend:
-            forest = parse_forest("<a/>")
-            backend.prepare({"x": forest})
+            backend.prepare({"x": read_document("<a/>")})
             assert backend.prepared == ("x",)
             backend.invalidate("x")
             assert backend.prepared == ()
-            replacement = parse_forest("<b/>")
+            replacement = read_document("<b/>")
             backend.prepare({"x": replacement})
             assert backend._prepared["x"] is replacement

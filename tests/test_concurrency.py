@@ -409,7 +409,7 @@ class TestRunMany:
         # never runs ``work()``, so its queued-gauge decrement must
         # happen in ``_settle_cancelled`` — this used to leak.
         from repro.errors import QueryCancelledError
-        from repro.resilience import FaultPlan, inject_faults
+        from tests.faults import FaultPlan, inject_faults
 
         plan = FaultPlan(sleep=time.sleep).slow_on("execute", 0.2)
         with inject_faults("engine", plan):
@@ -457,7 +457,7 @@ class TestRunMany:
 
     def test_fallback_composes(self):
         from repro.backends.registry import reset_breakers
-        from repro.resilience import FaultPlan, inject_faults
+        from tests.faults import FaultPlan, inject_faults
 
         reset_breakers()
         plan = FaultPlan().fail_on("execute", calls=(1, 2))

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro import XQuerySession
-from repro.api import compile_xquery
+from repro.api import as_snapshot, compile_xquery
 from repro.backends.base import ExecutionOptions
 from repro.backends.registry import create_backend
 from repro.compiler.plan import JoinStrategy
@@ -148,7 +148,7 @@ def _backend_for(query: str, scale: float = SCALE):
     compiled = compile_xquery(query)
     document = cached_document(scale, seed=42)
     backend = create_backend("engine")
-    backend.prepare({var: document_forest(document)
+    backend.prepare({var: as_snapshot(document)
                      for var in compiled.documents.values()})
     return backend, compiled
 
@@ -217,7 +217,7 @@ class TestHitBehavesLikeMiss:
             stopped = 0
             for ticks in range(1, 400):
                 backend.invalidate(VAR)
-                backend.prepare({VAR: document_forest(
+                backend.prepare({VAR: as_snapshot(
                     cached_document(SCALE, seed=42))})
                 clock = count()
                 guard = QueryGuard(deadline=ticks + 0.5,

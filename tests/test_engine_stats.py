@@ -14,7 +14,7 @@ from statistics import median
 
 import pytest
 
-from repro.api import compile_xquery, run_xquery
+from repro.api import as_snapshot, compile_xquery, run_xquery
 from repro.backends.base import ExecutionOptions
 from repro.backends.registry import create_backend
 from repro.compiler.plan import JoinStrategy
@@ -23,7 +23,6 @@ from repro.engine.stats import CATEGORIES, EngineStats
 from repro.session import XQuerySession
 from repro.xmark.generator import cached_document
 from repro.xmark.queries import FIGURE1_SAMPLE, QUERIES
-from repro.xquery.lowering import document_forest
 
 NAMES = 'document("a.xml")/site/people/person/name/text()'
 
@@ -80,7 +79,7 @@ class TestCoverage:
         monkeypatch.setattr(DIEngine, "run_plan_values", timed)
         compiled = compile_xquery(QUERIES[name])
         document = cached_document(0.01, seed=42)
-        bindings = {var: document_forest(document)
+        bindings = {var: as_snapshot(document)
                     for var in compiled.documents.values()}
         shares = []
         with create_backend("engine") as backend:

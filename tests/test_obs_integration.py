@@ -269,7 +269,7 @@ class TestDisabledFastPath:
             query = QUERIES["Q8"]
             compiled = active.prepare(query)
             target = active.backend_instance("engine")
-            target.prepare(active._prepare_bindings(compiled))
+            target.prepare(active._prepare_bindings(compiled, target))
             runner = target.runner(compiled, ExecutionOptions())
             runner()  # warm caches (plan, encodings)
 

@@ -104,6 +104,15 @@ GUARDS = (
           "one Figure 3 interpreter: the naive baseline is "
           "xquery.interpreter.Interpreter run with a baselines.naive."
           "BudgetMeter", "ff0fd0b"),
+    Guard(r"class _Parser", ("src/repro/xml",),
+          "one XML reader: text_parser's master-regex tokeniser feeds both "
+          "the snapshot (read_document) and the trees (parse_forest)",
+          "182b6c6"),
+    Guard(r"as_forest\(|prepare_document\(|from_forest\(",
+          ("src/repro/session.py", "src/repro/backends"),
+          "one load path: the session reads a document into one read-only "
+          "snapshot that every backend binds and session.updatable builds "
+          "from, with no tree in between", "182b6c6"),
     Guard(r"(?i)memo(?!r)",
           ("src/repro/session.py", "src/repro/backends/base.py",
            "src/repro/__main__.py", "src/repro/serving.py"),
@@ -133,6 +142,8 @@ DELETED_FILES = (
      "kernels.collation_keys and kernels.span_ids -> match_ids", "ff0fd0b"),
     ("src/repro/backends/naive.py", "backends/interpreter.py registers both "
      "interpreter and naive", "ff0fd0b"),
+    ("src/repro/resilience/faults.py", "fault injection is a test helper "
+     "(tests/faults.py); the package ships none", "182b6c6"),
 )
 
 #: The entry points a user reaches the package through.

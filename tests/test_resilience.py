@@ -35,12 +35,10 @@ from repro.resilience import (
     OPEN,
     STATE_VALUES,
     CircuitBreaker,
-    FaultPlan,
     QueryGuard,
     ResourceBudget,
     RetryPolicy,
     coerce_budget,
-    inject_faults,
 )
 from repro.resilience.breaker import FAILURE_THRESHOLD, RECOVERY_SECONDS
 from repro.api import compile_xquery
@@ -48,6 +46,8 @@ from repro.session import XQuerySession
 from repro.sql.sqlite_backend import SQLiteDatabase
 from repro.xml.text_parser import parse_forest
 from repro.xquery.lowering import document_forest
+
+from tests.faults import FaultPlan, inject_faults
 
 
 class FakeClock:

@@ -28,12 +28,13 @@ import pytest
 
 from repro import run_xquery
 from repro.obs.flight import query_fingerprint
-from repro.resilience import FaultPlan, RetryPolicy, inject_faults
+from repro.resilience import RetryPolicy
 from repro.serving import QueryServer
 from repro.session import XQuerySession
 from repro.xmark.queries import EXTRA_QUERIES, FIGURE1_SAMPLE, QUERIES
 from repro.xml.serializer import forest_to_xml
 
+from tests.faults import FaultPlan, inject_faults
 from tests.test_serving import http, run as serve
 
 QUERY = 'document("a.xml")//name'
