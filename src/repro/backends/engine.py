@@ -38,7 +38,9 @@ class EngineBackend(Backend):
     :class:`~repro.engine.memo.DocumentMemo` beside it, created where the
     document is bound and dropped with the binding: warm runs read its
     base-environment path chains and join build sides instead of
-    re-scanning the document.
+    re-scanning the document.  A commit that is one incremental delta
+    from the revision bound here links the new memo to the old one, which
+    lends it every entry the delta cannot reach.
     """
 
     name = "engine"
@@ -65,15 +67,16 @@ class EngineBackend(Backend):
         """The memo of the document bound to ``name`` (introspection)."""
         return self._memos.get(name)
 
-    def _bind(self, name: str, value: Value) -> None:
-        """Bind a read-only document snapshot with a fresh memo of its
-        own."""
-        self._encoded[name] = value
-        self._memos[name] = DocumentMemo(*value)
+    def document_stats(self) -> dict[str, dict[str, int]]:
+        """Each bound document's memo numbers
+        (:meth:`~repro.engine.memo.DocumentMemo.stats`), by name."""
+        with self._lock:
+            return {name: memo.stats() for name, memo in self._memos.items()}
 
     def _load(self, name: str, value: Value) -> None:
         columns, width = value
-        self._bind(name, (columns.read_only(), width))
+        self._encoded[name] = value = (columns.read_only(), width)
+        self._memos[name] = DocumentMemo(*value)
 
     def adopt_encoded(self, name: str, value: Value) -> None:
         """Bind ``value`` as ``name``, replacing any earlier binding.
@@ -92,14 +95,24 @@ class EngineBackend(Backend):
         The snapshot is immutable columns built once per commit and
         shared with every other backend that holds columns, so adopting
         it copies nothing and never materializes a ``Forest``.  Cached
-        plans are untouched.
+        plans are untouched.  The new memo carries entries over from the
+        old one when the update is exactly one incremental delta from
+        the revision bound here; otherwise it starts empty.
         """
         with self._lock:
             self._check_open()
             if name not in self._prepared:
                 return False
             value = (update.columns(), update.width)
-            self._bind(name, value)
+            previous = self._memos.get(name)
+            delta = None
+            if len(update.deltas) == 1 and update.deltas[0].incremental \
+                    and update.base_revision is not None \
+                    and update.base_revision == previous.revision:
+                delta = update.deltas[0]
+            self._encoded[name] = value
+            self._memos[name] = DocumentMemo(*value, update.revision,
+                                             previous, delta)
             self._prepared[name] = value
         return True
 

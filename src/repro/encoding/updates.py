@@ -138,6 +138,54 @@ class UpdateDelta:
         )
 
 
+@dataclass(frozen=True)
+class DeltaSpine:
+    """Where one edit meets the snapshots either side of it.
+
+    ``codes`` are the label codes of the *spine*: the edit point's
+    ancestors, plus the inserted rows or the deleted rows — every row
+    whose subtree gained or lost rows.  The old snapshot's rows
+    ``[start, stop)`` are the deleted ones (none for an insert, where
+    ``start == stop`` is the insertion row), and every old row from
+    ``stop`` on sits ``shift`` rows further in the new snapshot.  Gap
+    placement leaves every surviving row's ``(l, r, d, c)`` as it was.
+    """
+
+    codes: frozenset[int]
+    start: int
+    stop: int
+    shift: int
+
+    @classmethod
+    def of(cls, delta: UpdateDelta, before: IntervalColumns,
+           after: IntervalColumns) -> "DeltaSpine | None":
+        """The spine of ``delta`` between the wrapped snapshots ``before``
+        and ``after``; ``None`` unless the delta is one incremental insert
+        or one subtree deletion (or nothing at all)."""
+        if not delta.incremental or (delta.inserted and delta.deleted_ranges):
+            return None
+        if delta.inserted:
+            low = delta.inserted[0][1]
+            start = int(before.l.searchsorted(low))
+            stop, shift = start, len(delta.inserted)
+            edited = after.c[start:start + shift]
+        elif len(delta.deleted_ranges) == 1:
+            (low, _high), = delta.deleted_ranges
+            start = int(before.l.searchsorted(low))
+            stop = start + delta.deleted_rows
+            shift = start - stop
+            edited = before.c[start:stop]
+        elif not delta.deleted_ranges:
+            return cls(frozenset(), len(before), len(before), 0)
+        else:
+            return None
+        # The ancestors open before the edit and close after it (nesting:
+        # a row that opens before ``low`` and closes past it encloses it).
+        above = before.c[:start][before.r[:start] > low]
+        return cls(frozenset(np.concatenate((above, edited)).tolist()),
+                   start, stop, shift)
+
+
 class DocumentUpdate:
     """Everything a backend needs to bring one prepared document current.
 

@@ -152,6 +152,10 @@ class DIEngine:
         if guard is not None and not guard.enabled:
             guard = None
         self._guard = guard
+        # A tuple budget needs every memo entry's charges to be this
+        # snapshot's own: entries carried over a commit are recomputed.
+        self._exact = guard is not None and \
+            guard.budget.max_tuples is not None
         self._tick: Callable[[], None] | None = None
         if guard is not None:
             self._tick = guard.start().tick
@@ -197,10 +201,12 @@ class DIEngine:
         :class:`~repro.engine.memo.DocumentMemo` per document variable,
         kept by a backend beside each bound document — serves the path
         chains evaluated at the base environment and every join's build
-        side from earlier runs on the same snapshot.  A served node
-        still opens its op span (tagged ``memo="hit"``), is charged to
-        the guard exactly as when computed, and is validated.  Without
-        memos every node is computed.
+        side from earlier runs on the same snapshot, or on the one before
+        a commit whose delta cannot have changed them (a run with a tuple
+        budget recomputes those).  A served node still opens its op span
+        (tagged ``memo="hit"``), is charged to the guard exactly as when
+        computed, and is validated.  Without memos every node is
+        computed.
         """
         self._base = EnvSeq(_BASE_INDEX, {
             name: (IntervalColumns.from_tuples(rel), width)
@@ -250,7 +256,7 @@ class DIEngine:
                   memo: "DocumentMemo") -> Value:
         """A path chain at the base environment, from ``memo`` or
         computed and then kept there."""
-        entry = memo.get(node)
+        entry = memo.get(node, self._exact)
         if entry is not None:
             return self._serve(node, seq, entry.value, entry.charges)
         value, charges = self._with_charges(self._compute, node, seq)
@@ -623,7 +629,7 @@ class DIEngine:
         if self._memos is not None and self._log is None:
             memo = self._chain_memo(node.source, self._base)
         key = (node.source, node.var, node.key_inner)
-        entry = memo.get(key) if memo is not None else None
+        entry = memo.get(key, self._exact) if memo is not None else None
         if entry is not None:
             source_width, inner_index, bound, inner_key = entry.value
             inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})

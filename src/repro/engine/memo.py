@@ -1,4 +1,4 @@
-"""Document-derived results kept for one bound document snapshot.
+"""Document-derived results kept for a bound document snapshot.
 
 Section 5 evaluates a decorrelated ``for``'s source "once, against the
 base environment", and Join Graph Isolation (Grust, Mayr and
@@ -19,9 +19,24 @@ Nothing evaluated under an iteration is kept, nor construction,
 conditions, pair matching or isolated bodies: this is not a result
 cache.
 
-**Lifetime.**  A memo belongs to one snapshot: it is created wherever a
-backend binds a document and dropped with that binding, so a commit or
-a replacement never serves a stale entry.
+**Lifetime.**  A memo is created wherever a backend binds a document
+and dropped with that binding, and it never serves an entry its own
+snapshot would compute differently.  A commit that is one incremental
+:class:`~repro.encoding.updates.UpdateDelta` away from the bound
+snapshot links the new memo to the old one, and a miss adopts the old
+entry under the same key when the delta cannot reach it.  Gap-based
+edits leave every surviving row's ``(l, r, d, c)`` as it was, and every
+chain XFn decides a row's membership from its ancestors-or-self, so an
+entry can change only if each ``select`` label of its chain is on the
+delta's spine (:class:`~repro.encoding.updates.DeltaSpine`); a chain
+with no ``select`` always recomputes, and a join's build side follows
+its source chain.  Views of the old columns are re-sliced from the new
+ones (a view across the edit recomputes), and a new memo cuts its
+predecessor's own link, so a chain of commits keeps at most one earlier
+snapshot alive.  A carried entry's guard charges are the old
+snapshot's, so a run with a tuple budget recomputes it.  Any other
+commit — the first after a load, several deltas, a spread, a width
+change — binds an empty memo.
 
 **Bound.**  The bytes the entries own count against the document's own
 column bytes; an insert that would cross it evicts least-recently-used
@@ -42,33 +57,48 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.engine.columns import IntervalColumns
+from repro.compiler.plan import FnNode
+from repro.encoding.updates import DeltaSpine, UpdateDelta
+from repro.engine.columns import IntervalColumns, name_code
 
 #: One guard charge, as the evaluator makes it per node result:
 #: ``(tuples, width, envs)``.
 Charge = tuple[int, int, int]
 
+#: A commit snapshot's four column buffers, by ``id``: each one's
+#: ``(address, the next snapshot's column)``.
+_Views = dict[int, tuple[int, np.ndarray]]
+
 
 class MemoEntry:
     """One memoized value, the guard charges that computing it made (in
-    order), the bytes it owns and its last use."""
+    order), the bytes it owns, its last use, and whether it was carried
+    over a commit (its charges then describe the old snapshot)."""
 
-    __slots__ = ("value", "charges", "nbytes", "used")
+    __slots__ = ("value", "charges", "nbytes", "used", "carried")
 
     def __init__(self, value: object, charges: tuple[Charge, ...],
-                 nbytes: int, used: int):
+                 nbytes: int, used: int, carried: bool = False):
         self.value = value
         self.charges = charges
         self.nbytes = nbytes
         self.used = used
+        self.carried = carried
 
 
 class DocumentMemo:
-    """The memo of one bound document snapshot ``(columns, width)``."""
+    """The memo of one bound document snapshot ``(columns, width)``, at
+    commit ``revision`` (``None``: a loaded document).  ``previous`` and
+    ``delta``, when given, are the memo of the snapshot this one is
+    ``delta`` away from, whose entries it may carry over."""
 
-    def __init__(self, columns: IntervalColumns, width: int):
+    def __init__(self, columns: IntervalColumns, width: int,
+                 revision: int | None = None,
+                 previous: "DocumentMemo | None" = None,
+                 delta: UpdateDelta | None = None):
         self.columns = columns
         self.width = width
+        self.revision = revision
         # The buffers behind the document's columns and their bytes (the
         # bound), read at the first insert.
         self._document: set[int] | None = None
@@ -77,9 +107,25 @@ class DocumentMemo:
         self.nbytes = 0
         #: Entries dropped to stay inside the bound, ever.
         self.evictions = 0
+        #: Entries adopted from the previous snapshot's memo.
+        self.carried = 0
+        #: Entries the previous memo held that the delta could reach (or
+        #: whose views straddle the edit), so they were computed afresh.
+        self.recomputed = 0
         self._entries: dict[Hashable, MemoEntry] = {}
         self._lock = threading.Lock()
         self._clock = count()
+        if previous is not None:
+            with previous._lock:  # one link back, never a chain
+                previous._release()
+        # Until the first miss: the memo this one may carry from.  From
+        # then on: its entries not tried yet, the delta's spine and its
+        # column buffers.
+        self._previous = previous if delta is not None else None
+        self._delta = delta
+        self._pending: dict[Hashable, MemoEntry] = {}
+        self._spine: DeltaSpine | None = None
+        self._views: _Views = {}
 
     @property
     def bound(self) -> int:
@@ -99,48 +145,123 @@ class DocumentMemo:
 
     def __repr__(self) -> str:
         return (f"DocumentMemo({len(self)} entries, {self.nbytes} of "
-                f"{self.bound} bytes, {self.evictions} evicted)")
+                f"{self.bound} bytes, {self.evictions} evicted, "
+                f"{self.carried} carried, {self.recomputed} recomputed)")
+
+    def stats(self) -> dict[str, int]:
+        """The numbers :meth:`__repr__` shows, by name."""
+        return {"entries": len(self), "bytes": self.nbytes,
+                "bound": self.bound, "evictions": self.evictions,
+                "carried": self.carried, "recomputed": self.recomputed}
 
     def binds(self, value: tuple[IntervalColumns, int]) -> bool:
         """Whether ``value`` is this memo's document itself."""
         return value[0] is self.columns and value[1] == self.width
 
-    def get(self, key: Hashable) -> MemoEntry | None:
-        """The entry under ``key``, marked used; no lock taken."""
+    def get(self, key: Hashable, exact: bool = False) -> MemoEntry | None:
+        """The entry under ``key``, marked used — on a miss, the previous
+        snapshot's, if it survives the delta.  ``exact`` refuses a carried
+        entry, whose charges are not this snapshot's.  A hit takes no
+        lock."""
         entry = self._entries.get(key)
-        if entry is not None:
-            entry.used = next(self._clock)
+        if entry is None and (self._pending or self._previous is not None):
+            entry = self._adopt(key)
+        if entry is None or (exact and entry.carried):
+            return None
+        entry.used = next(self._clock)
         return entry
 
     def put(self, key: Hashable, value: object,
             charges: tuple[Charge, ...]) -> None:
         """Keep a completely computed ``value``: its arrays become
         read-only, and least-recently-used entries make room for it.  A
-        key already present keeps its entry."""
-        document = self._document_roots()
+        key already present keeps its entry, unless that was carried."""
         arrays = _arrays(value)
+        nbytes = self._owned(arrays)
+        if nbytes > self._bound:
+            return
+        for array in arrays:
+            array.flags.writeable = False
+        with self._lock:
+            self._keep(key, MemoEntry(value, charges, nbytes,
+                                      next(self._clock)))
+
+    def _owned(self, arrays: list[np.ndarray]) -> int:
+        """The bytes of the buffers behind ``arrays`` that are not the
+        document's own."""
+        document = self._document_roots()
         owned: dict[int, int] = {}
         for array in arrays:
             root = _root(array)
             if id(root) not in document:
                 owned[id(root)] = root.nbytes
-        nbytes = sum(owned.values())
-        bound = self._bound
-        if nbytes > bound:
-            return
-        for array in arrays:
-            array.flags.writeable = False
-        entry = MemoEntry(value, charges, nbytes, next(self._clock))
-        with self._lock:
-            entries = self._entries
-            if key in entries:
+        return sum(owned.values())
+
+    def _keep(self, key: Hashable, entry: MemoEntry) -> None:
+        """Insert ``entry`` (the lock held), evicting to stay in bound."""
+        entries = self._entries
+        present = entries.get(key)
+        if present is not None:
+            if not present.carried:
                 return
-            while entries and self.nbytes + nbytes > bound:
-                victim = min(entries, key=lambda k: entries[k].used)
-                self.nbytes -= entries.pop(victim).nbytes
-                self.evictions += 1
-            entries[key] = entry
-            self.nbytes += nbytes
+            self.nbytes -= entries.pop(key).nbytes
+        while entries and self.nbytes + entry.nbytes > self._bound:
+            victim = min(entries, key=lambda k: entries[k].used)
+            self.nbytes -= entries.pop(victim).nbytes
+            self.evictions += 1
+        entries[key] = entry
+        self.nbytes += entry.nbytes
+
+    # -- carrying entries over a commit -----------------------------------
+
+    def _adopt(self, key: Hashable) -> MemoEntry | None:
+        """The previous memo's entry under ``key``, kept here if the delta
+        cannot reach it; each key is tried once."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                return entry
+            if self._previous is not None:
+                self._begin_carrying()
+            old = self._pending.pop(key, None)
+            value = None
+            if old is not None and _survives(key, self._spine):
+                value = _reslice(old.value, self._views, self._spine)
+            if not self._pending:
+                self._release()
+            if old is None:
+                return None
+            if value is None:
+                self.recomputed += 1
+                return None
+            # Re-sliced views own nothing here, as they owned nothing
+            # there, and every other array is the old entry's own.
+            entry = MemoEntry(value, old.charges, old.nbytes, 0, carried=True)
+            if entry.nbytes > self.bound:
+                return None
+            self.carried += 1
+            self._keep(key, entry)
+            return entry
+
+    def _begin_carrying(self) -> None:
+        """At the first miss after the commit (the lock held): the
+        spine, the entries to try and the old columns' buffers."""
+        previous, self._previous = self._previous, None
+        self._spine = DeltaSpine.of(self._delta, previous.columns,
+                                    self.columns)
+        if self._spine is None:  # no edit shape a spine describes
+            return
+        self._pending = dict(previous._entries)
+        self._views = {
+            id(_root(old)): (old.__array_interface__["data"][0], new)
+            for old, new in zip(_arrays(previous.columns),
+                                _arrays(self.columns))}
+
+    def _release(self) -> None:
+        """Carry nothing more, and keep nothing of the previous snapshot."""
+        self._previous = None
+        self._pending = {}
+        self._views = {}
 
 
 def _arrays(value: object) -> list[np.ndarray]:
@@ -165,3 +286,48 @@ def _root(array: np.ndarray) -> np.ndarray:
     while isinstance(array.base, np.ndarray):
         array = array.base
     return array
+
+
+def _survives(key: Hashable, spine: DeltaSpine) -> bool:
+    """Whether the delta of ``spine`` cannot reach the entry under
+    ``key``: some ``select`` label of its chain (a join build side's:
+    of its source chain) is on no spine row."""
+    node = key[0] if isinstance(key, tuple) else key
+    while isinstance(node, FnNode) and node.args:
+        if node.fn == "select" and name_code(
+                node.param("label"), intern=False) not in spine.codes:
+            return True
+        node = node.args[0]
+    return False
+
+
+def _reslice(item: object, views: _Views, spine: DeltaSpine) -> object:
+    """``item`` (a memoized value, or part of one) with every view of the
+    old snapshot's columns taken again, over the same rows, from the new
+    one's; ``None`` when a view straddles the edit.  Arrays of its own
+    are kept as they are."""
+    if isinstance(item, IntervalColumns):
+        parts = [_reslice(array, views, spine) for array in _arrays(item)]
+        return None if any(part is None for part in parts) \
+            else IntervalColumns(*parts)
+    if isinstance(item, tuple):
+        parts = [_reslice(part, views, spine) for part in item]
+        return None if any(part is None for part in parts) else tuple(parts)
+    if not isinstance(item, np.ndarray):
+        return item
+    view = views.get(id(_root(item)))
+    if view is None:
+        return item
+    address, new = view
+    if not len(item):
+        return new[:0]
+    size = new.itemsize
+    first = (item.__array_interface__["data"][0] - address) // size
+    step = item.strides[0] // size
+    last = first + (len(item) - 1) * step
+    if step > 0 and last < spine.start:
+        return new[first:last + 1:step]
+    if step > 0 and first >= spine.stop:
+        first, last = first + spine.shift, last + spine.shift
+        return new[first:last + 1:step]
+    return None

@@ -37,6 +37,7 @@ from repro.api import (
     compile_xquery,
 )
 from repro.backends.base import Backend, ExecutionOptions, coerce_strategy
+from repro.backends.engine import EngineBackend
 from repro.backends.registry import backend_breaker, create_backend
 from repro.compiler.cache import CompiledCache
 from repro.compiler.plan import JoinStrategy
@@ -972,7 +973,11 @@ class XQuerySession:
         batch-shedding brownout, or within the post-shed hold window);
         ``"unavailable"`` when *every* active backend's breaker is open.
         The HTTP endpoint maps the last two to 503 so a browned-out
-        instance rotates out — see :mod:`repro.serving`.
+        instance rotates out — see :mod:`repro.serving`.  ``documents``
+        maps each document to the engine's numbers for it (entries,
+        bytes, bound, evictions, carried, recomputed:
+        :meth:`~repro.backends.engine.EngineBackend.document_stats`), or
+        to ``None`` where the engine has not bound it.
         """
         breakers = {name: backend_breaker(name).state
                     for name in self.active_backends}
@@ -988,7 +993,7 @@ class XQuerySession:
         payload: dict[str, object] = {
             "status": status,
             "backend": self.backend,
-            "documents": self.documents,
+            "documents": self._document_health(),
             "active_backends": self.active_backends,
             "breakers": breakers,
             "pool": {
@@ -1003,6 +1008,13 @@ class XQuerySession:
             payload["flight"] = self.recorder.stats()
             payload["slos"] = self.recorder.slo_status()
         return payload
+
+    def _document_health(self) -> dict[str, dict[str, int] | None]:
+        engine = self._backends.get("engine")
+        bound = engine.document_stats() \
+            if isinstance(engine, EngineBackend) else {}
+        return {uri: bound.get(document_variable(uri))
+                for uri in self.documents}
 
     def explain(self, query: str,
                 strategy: str | JoinStrategy | None = None,

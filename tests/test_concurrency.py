@@ -342,6 +342,78 @@ class TestUpdateConsistency:
                 ranks = [rank[xml] for xml in history]  # KeyError = torn read
                 assert ranks == sorted(ranks)
 
+    def test_memo_carrying_readers_race_update_commits(self):
+        """Readers against commits that carry memo entries over.
+
+        Four readers loop XMark Q1 / Q17 / Q13 on the engine while one
+        writer alternates inserting an item (Q13's region) or a person
+        (Q17's) with deleting it again — each commit one incremental
+        delta, so the engine's new memo adopts every entry the delta
+        cannot reach.  Every answer must be the interpreter's on one of
+        the snapshots, never a mix of two.
+        """
+        from repro import run_xquery
+        from repro.xmark.generator import generate_xml
+        from repro.xmark.queries import DOCUMENT, EXTRA_QUERIES, QUERIES
+        from repro.xml.forest import element, text
+        from repro.xquery.lowering import document_variable
+
+        texts = {**QUERIES, **EXTRA_QUERIES}
+        queries = [texts["Q1"], texts["Q17"], texts["Q13"]]
+        inserts = (("<australia>", element("item", [
+                        element("location", [text("Utopia")]),
+                        element("name", [text("new item")])])),
+                   ("<people>", element("person", [
+                        element("name", [text("new person")])])))
+        with XQuerySession() as session:
+            session.add_document(DOCUMENT, generate_xml(0.002))
+            for query in queries:
+                session.run(query)
+            session.apply_update(DOCUMENT, session.updatable(DOCUMENT))
+            base = session.updatable(DOCUMENT)
+            lefts = {label: next(row[1] for row in base.encoded.tuples
+                                 if row[0] == label) for label, _ in inserts}
+            states = [base] + [base.insert_child(lefts[label], 0, [tree])
+                               for label, tree in inserts]
+            allowed = [{run_xquery(query, {DOCUMENT: state.to_forest()},
+                                   backend="interpreter").to_xml()
+                        for state in states} for query in queries]
+            assert all(len(answers) >= 2 for answers in allowed[1:])
+            stop = threading.Event()
+
+            def reader(index: int) -> None:
+                turn = index
+                while not stop.is_set():
+                    turn += 1
+                    which = turn % len(queries)
+                    answer = session.run(queries[which]).to_xml()
+                    assert answer in allowed[which], (which, "torn read")
+
+            def writer() -> None:
+                try:
+                    for cycle in range(12):
+                        label, tree = inserts[cycle % 2]
+                        doc = session.updatable(DOCUMENT)
+                        inserted = doc.insert_child(lefts[label], 0, [tree])
+                        session.apply_update(DOCUMENT, inserted)
+                        time.sleep(0.003)  # let readers overlap commits
+                        assert not inserted.last_stats.relabeled
+                        session.apply_update(DOCUMENT, inserted.delete_subtree(
+                            inserted.last_delta.inserted[0][1]))
+                        time.sleep(0.003)
+                finally:
+                    stop.set()
+
+            run_threads(5, lambda index: (
+                writer() if index == 4 else reader(index)))
+            for which, query in enumerate(queries):
+                assert session.run(query).to_xml() == run_xquery(
+                    query, {DOCUMENT: base.to_forest()},
+                    backend="interpreter").to_xml()
+            memo = session.backend_instance("engine").memo(
+                document_variable(DOCUMENT))
+            assert memo.carried > 0, memo
+
     def test_full_reencode_invalidates_each_backend_once(self, session):
         for backend in ALL_BACKENDS:
             session.run(QUERY_ALL, backend=backend)

@@ -35,7 +35,8 @@ from repro import XQuerySession
 from repro.api import as_snapshot, compile_xquery
 from repro.backends.base import ExecutionOptions
 from repro.backends.registry import create_backend
-from repro.compiler.plan import JoinStrategy
+from repro.compiler.plan import FnNode, JoinStrategy
+from repro.encoding.updates import DocumentUpdate, UpdatableDocument
 from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine
 from repro.engine.memo import DocumentMemo
@@ -48,6 +49,7 @@ from repro.xmark.queries import (DOCUMENT, EXTRA_QUERIES, Q8, Q8_ORIGINAL,
                                  QUERIES)
 from repro.xml.forest import element, text
 from repro.xml.serializer import forest_to_xml
+from repro.xml.labels import DOCUMENT_LABEL
 from repro.xquery.lowering import document_forest, document_variable
 
 SCALE = 0.001
@@ -103,31 +105,74 @@ def assert_warm_cold_interpreter(session: XQuerySession,
         assert second == oracle, (name, "second run")
 
 
+def _select_labels(key) -> set[str]:
+    """The ``select`` labels of a memo key's chain (a build side's: of
+    its source chain)."""
+    node, labels = key[0] if isinstance(key, tuple) else key, set()
+    while isinstance(node, FnNode) and node.args:
+        if node.fn == "select":
+            labels.add(node.param("label"))
+        node = node.args[0]
+    return labels
+
+
 class TestWarmColdInterpreter:
     def test_after_every_step_of_an_edit_script(self, xmark_xml):
+        """Answers, and which entries each commit carries: an entry whose
+        chain has a ``select`` label on no row of the spine — the edited
+        node's ancestors and the inserted or deleted rows — is carried;
+        the rest are recomputed.  The first commit after the load carries
+        nothing (its coordinates change)."""
         rng = random.Random(7)
+        carrying = []
         with XQuerySession() as session:
             session.add_document(DOCUMENT, xmark_xml)
             assert_warm_cold_interpreter(session)
             for step in range(4):
                 doc = session.updatable(DOCUMENT)
-                rows = [row for row in doc.encoded.tuples
+                tuples = doc.encoded.tuples
+                rows = [row for row in tuples
                         if row[0] in ("<person>", "<closed_auction>",
                                       "<item>")]
                 if step % 2 == 0:
-                    doc = doc.delete_subtree(rng.choice(rows)[1])
+                    edited = rng.choice(rows)
+                    doc = doc.delete_subtree(edited[1])
+                    spine = {row[0] for row in tuples
+                             if edited[1] <= row[1] <= edited[2]}
                 else:
-                    parents = [row for row in doc.encoded.tuples
+                    parents = [row for row in tuples
                                if row[0] in ("<people>", "<europe>")]
-                    parent = rng.choice(parents)
-                    label = "person" if parent[0] == "<people>" else "item"
-                    doc = doc.insert_child(parent[1], 0, [element(
+                    edited = parents[step // 2]  # europe, then people
+                    label = "person" if edited[0] == "<people>" else "item"
+                    doc = doc.insert_child(edited[1], 0, [element(
                         label, [element("name", [text(f"new{step}")])])])
+                    spine = {row[0] for row in doc.last_delta.inserted}
+                spine |= {DOCUMENT_LABEL} | {
+                    row[0] for row in tuples
+                    if row[1] <= edited[1] and row[2] >= edited[2]}
                 memo = session.backend_instance("engine").memo(VAR)
+                before = set(memo._entries)
                 session.apply_update(DOCUMENT, doc)
                 assert session.backend_instance("engine").memo(VAR) \
-                    is not memo, "a commit must not keep the old memo"
+                    is not memo, "a commit binds a memo of its own"
                 assert_warm_cold_interpreter(session)
+                memo = session.backend_instance("engine").memo(VAR)
+                carried = {key for key, entry in memo._entries.items()
+                           if entry.carried}
+                survivors = {key for key in before
+                             if _select_labels(key) - spine}
+                if step == 0 or doc.last_stats.relabeled:
+                    # After the load, or a spread: every endpoint moved.
+                    assert (memo.carried, memo.recomputed) == (0, 0)
+                    continue
+                assert carried == survivors, (step, edited)
+                assert (memo.carried, memo.recomputed) == (
+                    len(survivors), len(before - survivors)), (step, edited)
+                assert 0 < memo.carried < len(before)
+                carrying.append(edited[0])
+        # Everything after the load: a deletion and both inserts.
+        assert len(carrying) == 3 and \
+            {"<people>", "<europe>"} <= set(carrying), carrying
 
     def test_after_add_document_replaces_the_document(self, xmark_xml):
         with XQuerySession() as session:
@@ -160,26 +205,54 @@ def _outcome(backend, compiled, guard):
         return (error.resource, error.limit, error.used)
 
 
+def _committed(compiled):
+    """``(cold, warm)`` engines on a commit that inserts a person: the
+    warm one bound the revision before, ran ``compiled`` there, and
+    carries its memo over; the cold one loads the commit's snapshot."""
+    doc = UpdatableDocument.from_snapshot(
+        *as_snapshot(cached_document(SCALE, seed=42)))
+    people = next(row for row in doc.encoded.tuples if row[0] == "<people>")
+    edited = doc.insert_child(people[1], 0, [element(
+        "person", [element("name", [text("new")])])])
+    cold, warm = create_backend("engine"), create_backend("engine")
+    warm.prepare({VAR: as_snapshot(cached_document(SCALE, seed=42))})
+    warm.apply_update(VAR, DocumentUpdate(doc.revision, None, (), doc))
+    warm.execute(compiled)
+    update = DocumentUpdate(edited.revision, doc.revision,
+                            (edited.last_delta.wrapped(),), edited)
+    warm.apply_update(VAR, update)
+    cold.prepare({VAR: (update.columns(), update.width)})
+    return cold, warm
+
+
 class TestHitBehavesLikeMiss:
     @pytest.mark.parametrize("name", ["Q8", "Q9", "Q13"])
     def test_tuple_budget_refuses_cold_and_warm_alike(self, name):
+        """Warm on one snapshot, and warm after a commit — where the
+        carried entries' charges are the old snapshot's, so a tuple
+        budget recomputes them — refuse exactly as cold."""
         refusals = 0
+        carried = 0
         for limit in (1, 10, 100, 1_000, 10_000, 100_000):
             cold, compiled = _backend_for(QUERIES[name])
             warm, _ = _backend_for(QUERIES[name])
+            cold_after, warm_after = _committed(compiled)
             try:
                 warm.execute(compiled)  # fills the memo
                 assert len(warm.memo(VAR)) > 0
                 outcomes = [
                     _outcome(backend, compiled, QueryGuard(
                         budget=ResourceBudget(max_tuples=limit)))
-                    for backend in (cold, warm)]
+                    for backend in (cold, warm, cold_after, warm_after)]
+                carried += warm_after.memo(VAR).carried
             finally:
-                cold.close()
-                warm.close()
+                for backend in (cold, warm, cold_after, warm_after):
+                    backend.close()
             assert outcomes[0] == outcomes[1], (limit, outcomes)
+            assert outcomes[2] == outcomes[3], (limit, "after", outcomes)
             refusals += isinstance(outcomes[0], tuple)
         assert 0 < refusals < 6
+        assert carried > 0
 
     def test_a_hit_opens_its_op_span_tagged(self):
         backend, compiled = _backend_for(Q8)

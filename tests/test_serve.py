@@ -119,6 +119,7 @@ class TestEndpoints:
             assert "endpoints" in json.loads(error.read())
 
     def test_healthz_200_while_healthy(self, session, server):
+        session.run(NAMES)
         status, _headers, body = get(server.url + "/healthz")
         payload = json.loads(body)
         assert status == 200
@@ -126,6 +127,11 @@ class TestEndpoints:
         assert payload["backend"] == "engine"
         assert "flight" in payload and "slos" in payload
         assert payload["admission"]["draining"] is False
+        # The engine's memo numbers for each document it has bound.
+        memo = payload["documents"]["a.xml"]
+        assert memo["entries"] >= 1 and memo["carried"] == 0
+        assert set(memo) == {"entries", "bytes", "bound", "evictions",
+                             "carried", "recomputed"}
 
     def test_healthz_503_while_shedding(self, session, server):
         # Draining is the simplest shedding state to enter on demand; a
