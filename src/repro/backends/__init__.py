@@ -9,7 +9,7 @@ import:
 
 * ``engine`` — the DI prototype (Section 5), merge-sort or nested-loop
   joins, cached document encodings and plans;
-* ``sqlite`` — the Section 4 single-SQL-statement translation on SQLite;
+* ``sqlite`` — the Section 4 SQL translation on SQLite, run staged;
 * ``interpreter`` — the Figure 3 reference semantics (the conformance
   oracle);
 * ``naive`` — the materializing nested-loop competitor baseline;

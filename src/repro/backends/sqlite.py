@@ -38,7 +38,10 @@ class _ThreadDatabase:
 
 @register_backend
 class SQLiteBackend(Backend):
-    """Run the single-statement SQL translation on a stock SQLite engine.
+    """Run the Section 4 SQL translation, staged, on a stock SQLite
+    engine: one temporary table per CTE of the translation, in order
+    (``run_translation``'s default ``mode="staged"``; docs/PERFORMANCE.md
+    says why not the single statement).
 
     The shredded tables live in ``:memory:`` databases, which SQLite
     keeps **per connection**, so the backend keeps one
@@ -58,7 +61,7 @@ class SQLiteBackend(Backend):
     capabilities = BackendCapabilities(
         max_width=SQLITE_MAX_WIDTH,  # 64-bit integers, Section 4.3
         strategies=(),  # join choice belongs to SQLite's own planner
-        description="Section 4 single-SQL-statement translation on SQLite",
+        description="Section 4 SQL translation on SQLite, staged",
     )
 
     def __init__(self) -> None:

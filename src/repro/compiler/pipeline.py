@@ -3,7 +3,8 @@
 The paper's compiler is a fixed sequence of plain calls: lower the
 surface query to the core language (Figure 3), decorrelate independent
 nested loops into joins while building the DI plan (Section 5), then
-isolate every join body that reads only its variable
+isolate every join body that reads only its variable and lift the path
+chains of base-environment ``for`` bodies, in one walk
 (:func:`~repro.compiler.planner.optimize_plan`).  Each stage times its
 passes with ``time.perf_counter`` into :class:`PassRecord` entries:
 
@@ -25,7 +26,8 @@ from time import perf_counter
 from typing import Iterable, Mapping
 
 from repro.compiler import decorrelate as decorrelate_mod
-from repro.compiler.plan import JoinForNode, JoinStrategy, PlanNode, iter_plan
+from repro.compiler.plan import (ForNode, JoinForNode, JoinStrategy, PlanNode,
+                                 iter_plan)
 from repro.compiler.planner import compile_plan, optimize_plan
 from repro.xquery.ast import CoreExpr
 from repro.xquery.lowering import lower_query
@@ -102,18 +104,24 @@ def plan_stage(core: CoreExpr, strategy: JoinStrategy,
 
 def optimize_stage(plan: PlanNode,
                    records: list[PassRecord] | None = None) -> PlanNode:
-    """Isolate join bodies; with ``records``, append an ``isolate``
-    record counting the plan's joins and how many the rule isolated."""
+    """Isolate join bodies and lift ``for`` body chains; with
+    ``records``, append an ``isolate`` record counting the plan's joins,
+    how many the rule isolated, and the chains it lifted."""
     if records is None:
         return optimize_plan(plan)
     started = perf_counter()
     optimized = optimize_plan(plan)
     seconds = perf_counter() - started
-    joins = [node for node in iter_plan(optimized)
-             if isinstance(node, JoinForNode)]
-    isolated = sum(1 for node in joins if node.isolate)
-    records.append(PassRecord("isolate", seconds,
-                              f"{len(joins)} join(s), {isolated} isolated"))
+    joins = isolated = lifted = 0
+    for node in iter_plan(optimized):
+        if isinstance(node, JoinForNode):
+            joins += 1
+            isolated += node.isolate
+        elif isinstance(node, ForNode):
+            lifted += len(node.lifted)
+    records.append(PassRecord(
+        "isolate", seconds,
+        f"{joins} join(s), {isolated} isolated, {lifted} chain(s) lifted"))
     return optimized
 
 

@@ -8,6 +8,10 @@ The plan mirrors the core AST one-to-one except for iteration:
   When the source depends on the sequence being expanded this is the
   nested-loop strategy (DI-NLJ), with its quadratic data blow-up.
 
+  A ``for`` at the base environment over a document path may carry
+  :class:`Lifted` chains: its body's paths over its own variable,
+  evaluated once over the source and moved into the iteration blocks.
+
 * :class:`JoinForNode` is the Section 5 decorrelated form: the source is
   evaluated once against the *base* environment, join keys are computed on
   both sides, environments are matched by a structural merge join, and only
@@ -22,6 +26,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterator
+
+
+#: The path XFns: each keeps or drops whole rows per tree and keeps
+#: their coordinates (``subtrees_dfs`` widens the block).  A unary run of
+#: them down to a variable is a *path chain* — what the document memo
+#: keeps and what ``optimize_plan`` lifts out of a ``for`` body.
+PATH_FNS = frozenset({"children", "select", "textnodes", "elementnodes",
+                      "subtrees_dfs", "data", "roots"})
 
 
 class JoinStrategy(enum.Enum):
@@ -77,6 +89,19 @@ class WhereNode(PlanNode):
 
 
 @dataclass(frozen=True, slots=True)
+class Lifted:
+    """A path chain of a ``for`` body over the ``for``'s own variable,
+    bound once per iteration to the variable ``name`` the body reads
+    instead.  ``chain`` reads the ``for``'s variable; ``rooted`` is the
+    same chain over the ``for``'s source — a document-rooted chain, the
+    key its value is memoized under."""
+
+    name: str
+    chain: PlanNode
+    rooted: PlanNode
+
+
+@dataclass(frozen=True, slots=True)
 class ForNode(PlanNode):
     """Naive iteration: expand environments per source tree."""
 
@@ -85,6 +110,12 @@ class ForNode(PlanNode):
     body: PlanNode
     #: Outer variables to copy into the expanded sequence.
     required_outer: frozenset[str] = frozenset()
+    #: Chains over ``var`` evaluated over the source and re-blocked
+    #: (``optimize_plan``'s lift rule), in the order the body reads them.
+    lifted: tuple[Lifted, ...] = ()
+    #: Whether the body reads ``var`` other than through ``lifted``: if
+    #: not, the source is never expanded.
+    reads_var: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +201,17 @@ class OrCond(CondPlan):
     right: CondPlan
 
 
+def chain_var(node: PlanNode) -> str | None:
+    """The variable a path chain reads — a unary run of :data:`PATH_FNS`
+    down to a :class:`VarNode` — or ``None`` when ``node`` is no chain."""
+    while isinstance(node, FnNode) and node.fn in PATH_FNS \
+            and len(node.args) == 1:
+        node = node.args[0]
+        if isinstance(node, VarNode):
+            return node.name
+    return None
+
+
 def iter_plan(node: PlanNode) -> Iterator[PlanNode]:
     """Yield ``node`` and every nested plan node, pre-order."""
     stack: list[PlanNode] = [node]
@@ -185,6 +227,7 @@ def iter_plan(node: PlanNode) -> Iterator[PlanNode]:
             stack.append(current.body)
         elif isinstance(current, ForNode):
             stack.extend((current.source, current.body))
+            stack.extend(lifted.chain for lifted in current.lifted)
         elif isinstance(current, JoinForNode):
             stack.extend((current.source, current.key_outer,
                           current.key_inner, current.body))

@@ -16,9 +16,11 @@ environment expansion copies exactly the bindings the body reads —
 ``JoinForNode`` sources and inner keys read the base environment and are
 excluded, which is where the asymptotic savings come from.
 
-:func:`optimize_plan` then applies the one plan rewrite, join-body
-isolation, as a rule on the plan's shape: the physical plan is a
-function of the query text and the join strategy alone.
+:func:`optimize_plan` then applies two rules on the plan's shape, in
+one walk — join-body isolation, and lifting a base-environment ``for``
+body's path chains over its own variable out to the source: the
+physical plan is a function of the query text and the join strategy
+alone.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.errors import PlanError
 from repro.compiler import decorrelate
 from repro.compiler import joingraph  # module-style: joingraph imports us back
 from repro.compiler.plan import (
+    PATH_FNS,
     AndCond,
     CondPlan,
     EmptyCond,
@@ -40,12 +43,14 @@ from repro.compiler.plan import (
     JoinStrategy,
     LessCond,
     LetNode,
+    Lifted,
     NotCond,
     OrCond,
     PlanNode,
     SomeEqualCond,
     VarNode,
     WhereNode,
+    chain_var,
 )
 from repro.xquery.ast import (
     And,
@@ -232,7 +237,7 @@ def plan_free(node: PlanNode) -> frozenset[str]:
     if isinstance(node, WhereNode):
         return cond_free(node.condition) | plan_free(node.body)
     if isinstance(node, ForNode):
-        return plan_free(node.source) | (plan_free(node.body) - {node.var})
+        return plan_free(node.source) | (plan_free(node.body) - _bound(node))
     if isinstance(node, JoinForNode):
         result = plan_free(node.key_outer) | (plan_free(node.body) - {node.var})
         if node.residual is not None:
@@ -254,40 +259,97 @@ def cond_free(condition: CondPlan) -> frozenset[str]:
     raise PlanError(f"unknown condition plan {type(condition).__name__}")
 
 
-def optimize_plan(plan: PlanNode) -> PlanNode:
-    """Join-body isolation as a rule (Grust, Mayr and Rittinger).
+def _bound(node: ForNode) -> set[str]:
+    """The variables a ``for`` binds in its body: its own and its lifted
+    chains' (which read nothing else)."""
+    return {node.var, *(lifted.name for lifted in node.lifted)}
 
-    Every join whose body reads nothing but its join variable is
-    isolated: the body runs once per inner environment and the finished
-    blocks are gathered into the matched pairs, keeping intermediate
-    endpoints in the small inner index space.  Along the way every
-    ``required_outer`` / ``body_free`` is rebuilt from the rewritten
-    children, and a join stops copying its outer key's variables into
-    pair space (the key is evaluated before any pair exists).
+
+def optimize_plan(plan: PlanNode) -> PlanNode:
+    """The plan rules, in one walk.
+
+    * **Join-body isolation** (Grust, Mayr and Rittinger).  Every join
+      whose body reads nothing but its join variable is isolated: the
+      body runs once per inner environment and the finished blocks are
+      gathered into the matched pairs, keeping intermediate endpoints in
+      the small inner index space.
+    * **Lifting.**  A ``for`` evaluated at the base environment whose
+      source is a path chain over a document variable gets each distinct
+      maximal chain of its body over its own variable (with at most one
+      ``//``) as a :class:`~repro.compiler.plan.Lifted` binding, and the
+      body reads a fresh variable ``$var#k`` instead.  Under Definition
+      3.3 the expansion shifts source tree ``k`` by whole blocks and a
+      path chain keeps or drops whole rows per tree, so the chain over
+      the expanded variable is the chain over the source — a
+      document-rooted chain — moved into the iteration blocks
+      (``kernels.reblock``).  Chains inside inner ``for`` and join
+      bodies are lifted too (they are loop-invariant there), never below
+      a ``let``, ``for`` or join that rebinds the variable.
+
+    Along the way every ``required_outer`` / ``body_free`` is rebuilt
+    from the rewritten children, and a join stops copying its outer
+    key's variables into pair space (the key is evaluated before any
+    pair exists).
     """
+    return _optimize(plan, None, frozenset())
+
+
+class _Lift:
+    """The chains of one ``for`` body being lifted: ``var`` is the
+    ``for``'s variable, ``chains`` maps each distinct chain to its fresh
+    variable, and ``reads_var`` records a read of ``var`` itself."""
+
+    __slots__ = ("var", "chains", "reads_var")
+
+    def __init__(self, var: str):
+        self.var = var
+        self.chains: dict[PlanNode, str] = {}
+        self.reads_var = False
+
+    def name(self, chain: PlanNode) -> str:
+        return self.chains.setdefault(chain,
+                                      f"{self.var}#{len(self.chains) + 1}")
+
+
+def _optimize(plan: PlanNode, lift: _Lift | None,
+              base: frozenset[str] | None) -> PlanNode:
+    """``plan`` rewritten.  ``lift`` — the ``for`` body being lifted
+    from, if ``plan`` is inside one; ``base`` — when ``plan`` is
+    evaluated at the base environment, the variables enclosing ``let``s
+    bind (so not documents), else ``None``."""
     if isinstance(plan, VarNode):
+        if lift is not None and plan.name == lift.var:
+            lift.reads_var = True
         return plan
     if isinstance(plan, FnNode):
-        return FnNode(plan.fn, tuple(optimize_plan(arg) for arg in plan.args),
-                      plan.params)
+        if lift is not None and _liftable(plan, lift.var):
+            return VarNode(lift.name(plan))
+        return FnNode(plan.fn, tuple(_optimize(arg, lift, base)
+                                     for arg in plan.args), plan.params)
     if isinstance(plan, LetNode):
-        return LetNode(plan.var, optimize_plan(plan.value),
-                       optimize_plan(plan.body))
+        return LetNode(plan.var, _optimize(plan.value, lift, base),
+                       _optimize(plan.body, _unless(lift, plan.var),
+                                 None if base is None else base | {plan.var}))
     if isinstance(plan, WhereNode):
-        body = optimize_plan(plan.body)
-        return WhereNode(_optimize_cond(plan.condition), body, plan_free(body))
+        body = _optimize(plan.body, lift, None)
+        return WhereNode(_optimize_cond(plan.condition, lift, base), body,
+                         plan_free(body))
     if isinstance(plan, ForNode):
-        body = optimize_plan(plan.body)
-        return ForNode(plan.var, optimize_plan(plan.source), body,
-                       plan_free(body) - {plan.var})
+        source = _optimize(plan.source, lift, base)
+        var = chain_var(source)
+        if base is not None and var is not None and var not in base:
+            return _lift_for(plan.var, source, plan.body)
+        body = _optimize(plan.body, _unless(lift, plan.var), None)
+        return ForNode(plan.var, source, body, plan_free(body) - {plan.var})
     if isinstance(plan, JoinForNode):
-        residual = (_optimize_cond(plan.residual)
+        inner = _unless(lift, plan.var)
+        residual = (_optimize_cond(plan.residual, inner, None)
                     if plan.residual is not None else None)
         rebuilt = dataclasses.replace(
-            plan, source=optimize_plan(plan.source),
-            key_outer=optimize_plan(plan.key_outer),
-            key_inner=optimize_plan(plan.key_inner),
-            body=optimize_plan(plan.body), residual=residual)
+            plan, source=_optimize(plan.source, None, None),
+            key_outer=_optimize(plan.key_outer, lift, base),
+            key_inner=_optimize(plan.key_inner, None, None),
+            body=_optimize(plan.body, inner, None), residual=residual)
         analysis = joingraph.analyze_join(rebuilt)
         return dataclasses.replace(rebuilt,
                                    required_outer=analysis.required_outer,
@@ -295,17 +357,54 @@ def optimize_plan(plan: PlanNode) -> PlanNode:
     raise PlanError(f"unknown plan node {type(plan).__name__}")
 
 
-def _optimize_cond(condition: CondPlan) -> CondPlan:
+def _unless(lift: _Lift | None, var: str) -> _Lift | None:
+    """``lift``, unless ``var`` rebinds its variable."""
+    return None if lift is None or lift.var == var else lift
+
+
+def _liftable(node: FnNode, var: str) -> bool:
+    """Whether ``node`` is a path chain over ``var`` with at most one
+    ``//`` (``subtrees_dfs``)."""
+    descendants = 0
+    while isinstance(node, FnNode) and node.fn in PATH_FNS \
+            and len(node.args) == 1:
+        descendants += node.fn == "subtrees_dfs"
+        node = node.args[0]
+    return isinstance(node, VarNode) and node.name == var \
+        and descendants <= 1
+
+
+def _lift_for(var: str, source: PlanNode, body: PlanNode) -> ForNode:
+    """A base-environment ``for`` over a document chain, its body's
+    chains over ``var`` lifted."""
+    lift = _Lift(var)
+    body = _optimize(body, lift, None)
+    lifted = tuple(Lifted(name, chain, _rebase(chain, source))
+                   for chain, name in lift.chains.items())
+    bound = {var, *lift.chains.values()}
+    return ForNode(var, source, body, plan_free(body) - bound, lifted,
+                   lift.reads_var or not lifted)
+
+
+def _rebase(chain: PlanNode, source: PlanNode) -> PlanNode:
+    """``chain`` with the variable it reads replaced by ``source``."""
+    if isinstance(chain, VarNode):
+        return source
+    return FnNode(chain.fn, (_rebase(chain.args[0], source),), chain.params)
+
+
+def _optimize_cond(condition: CondPlan, lift: _Lift | None,
+                   base: frozenset[str] | None) -> CondPlan:
     if isinstance(condition, EmptyCond):
-        return EmptyCond(optimize_plan(condition.expr))
+        return EmptyCond(_optimize(condition.expr, lift, base))
     if isinstance(condition, (EqualCond, SomeEqualCond, LessCond)):
-        return type(condition)(optimize_plan(condition.left),
-                               optimize_plan(condition.right))
+        return type(condition)(_optimize(condition.left, lift, base),
+                               _optimize(condition.right, lift, base))
     if isinstance(condition, NotCond):
-        return NotCond(_optimize_cond(condition.condition))
+        return NotCond(_optimize_cond(condition.condition, lift, base))
     if isinstance(condition, (AndCond, OrCond)):
-        return type(condition)(_optimize_cond(condition.left),
-                               _optimize_cond(condition.right))
+        return type(condition)(_optimize_cond(condition.left, lift, base),
+                               _optimize_cond(condition.right, lift, base))
     raise PlanError(f"unknown condition plan {type(condition).__name__}")
 
 
@@ -340,10 +439,19 @@ def explain_plan(node: PlanNode, indent: int = 0,
                 f"{explain_plan(node.body, indent + 1, annotations)}")
     if isinstance(node, ForNode):
         required = ", ".join(sorted(node.required_outer)) or "-"
-        return (f"{pad}For ${node.var} [nested-loop expansion; copies: {required}]"
-                f"{suffix}\n"
-                f"{explain_plan(node.source, indent + 1, annotations)}\n"
-                f"{explain_plan(node.body, indent + 1, annotations)}")
+        markers = ["nested-loop expansion"]
+        if node.lifted:
+            markers.append(f"{len(node.lifted)} lifted" + (
+                "" if node.reads_var else f", ${node.var} not expanded"))
+        markers.append(f"copies: {required}")
+        lines = [f"{pad}For ${node.var} [{'; '.join(markers)}]{suffix}",
+                 explain_plan(node.source, indent + 1, annotations)]
+        for lifted in node.lifted:
+            lines.append(f"{pad}  lifted ${lifted.name} (over the source, "
+                         "re-blocked):")
+            lines.append(explain_plan(lifted.chain, indent + 2, annotations))
+        lines.append(explain_plan(node.body, indent + 1, annotations))
+        return "\n".join(lines)
     if isinstance(node, JoinForNode):
         required = ", ".join(sorted(node.required_outer)) or "-"
         operator = ("structural merge join"

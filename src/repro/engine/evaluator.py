@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.memo import Charge, DocumentMemo
+    from repro.engine.memo import Charge, DocumentMemo, MemoEntry
     from repro.resilience.guard import QueryGuard
 
 from repro.compiler.plan import (
@@ -48,18 +48,20 @@ from repro.compiler.plan import (
     JoinStrategy,
     LessCond,
     LetNode,
+    Lifted,
     NotCond,
     OrCond,
     PlanNode,
     SomeEqualCond,
     VarNode,
     WhereNode,
+    chain_var,
 )
 from repro.compiler.planner import cond_free
 from repro.encoding.interval import decode, encode_columns
 from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
-from repro.engine.stats import FUNCTION_CATEGORIES, PATHS, span_category
+from repro.engine.stats import span_category
 from repro.errors import (
     ExecutionError,
     PlanError,
@@ -81,11 +83,6 @@ _UNARY_OPERATORS = frozenset({
 #: Inner XFns that ``select`` fuses with into one kernel (the child and
 #: descendant path steps; see ``DIEngine._eval_fused_select``).
 _FUSED_SELECTS = frozenset({"children", "subtrees_dfs"})
-
-#: The XFns Figure 10 charges to paths: a unary run of them over one
-#: document variable, at the base environment, is a memoizable chain.
-_PATH_FNS = frozenset(fn for fn, category in FUNCTION_CATEGORIES.items()
-                      if category == PATHS)
 
 #: The index of the base environment sequence: environment 0 alone.
 _BASE_INDEX = np.zeros(1, dtype=np.int64)
@@ -228,7 +225,7 @@ class DIEngine:
                 and seq.index is _BASE_INDEX:
             memo = self._chain_memo(node, seq)
             if memo is not None:
-                return self._memoized(node, seq, memo)
+                return self._memoized(node, seq, memo)[0]
         return self._compute(node, seq)
 
     def _compute(self, node: PlanNode, seq: EnvSeq) -> Value:
@@ -239,6 +236,29 @@ class DIEngine:
             return result
         return self._evaluate_observed(node, seq)
 
+    def _evaluate_observed(self, node: PlanNode, seq: EnvSeq) -> Value:
+        tracer = self._tracer
+        if tracer is None:
+            result = self._dispatch(node, seq)
+        else:
+            with tracer.span(_span_name(node), kind=type(node).__name__,
+                             category=span_category(node),
+                             node=id(node)) as span:
+                result = self._dispatch(node, seq)
+                span.set(tuples=len(result[0]), width=result[1],
+                         envs=len(seq.index))
+        self._charge(result, seq)
+        return result
+
+    def _charge(self, result: Value, seq: EnvSeq) -> None:
+        """Charge one node result to the guard and to the memoizable value
+        being computed, if any."""
+        if self._guard is not None:
+            self._guard.account(tuples=len(result[0]), width=result[1],
+                                envs=len(seq.index))
+        if self._log is not None:
+            self._log.append((len(result[0]), result[1], len(seq.index)))
+
     # -- the document memo -------------------------------------------------------
 
     def _chain_memo(self, node: PlanNode,
@@ -246,22 +266,24 @@ class DIEngine:
         """The memo serving ``node`` at the base environment: ``node``
         must be a path chain whose variable is still bound to its memo's
         own document (no ``let`` has rebound it)."""
-        var = _chain_var(node)
+        var = chain_var(node)
         memo = self._memos.get(var) if var is not None else None
         if memo is None or not memo.binds(seq.vars.get(var, (None, 0))):
             return None
         return memo
 
-    def _memoized(self, node: PlanNode, seq: EnvSeq,
-                  memo: "DocumentMemo") -> Value:
+    def _memoized(self, node: PlanNode, seq: EnvSeq, memo: "DocumentMemo",
+                  ) -> "tuple[Value, tuple[Charge, ...]]":
         """A path chain at the base environment, from ``memo`` or
-        computed and then kept there."""
+        computed and then kept there, and the guard charges computing it
+        makes."""
         entry = memo.get(node, self._exact)
         if entry is not None:
-            return self._serve(node, seq, entry.value, entry.charges)
+            return self._serve(node, seq, entry.value, entry.charges), \
+                entry.charges
         value, charges = self._with_charges(self._compute, node, seq)
         memo.put(node, value, charges)
-        return value
+        return value, charges
 
     def _with_charges(self, compute: Callable, *args):
         """``compute(*args)`` and the guard charges it made, in order;
@@ -288,32 +310,18 @@ class DIEngine:
                              memo="hit") as span:
                 span.set(tuples=len(value[0]), width=value[1],
                          envs=len(seq.index))
+        self._replay(charges)
+        if self._validate:
+            self._check(node, seq, value)
+        return value
+
+    def _replay(self, charges: "tuple[Charge, ...]") -> None:
+        """Charge what computing a memoized value charged."""
         if self._guard is not None:
             for tuples, width, envs in charges:
                 self._guard.account(tuples=tuples, width=width, envs=envs)
         if self._log is not None:
             self._log.extend(charges)
-        if self._validate:
-            self._check(node, seq, value)
-        return value
-
-    def _evaluate_observed(self, node: PlanNode, seq: EnvSeq) -> Value:
-        tracer = self._tracer
-        if tracer is None:
-            result = self._dispatch(node, seq)
-        else:
-            with tracer.span(_span_name(node), kind=type(node).__name__,
-                             category=span_category(node),
-                             node=id(node)) as span:
-                result = self._dispatch(node, seq)
-                span.set(tuples=len(result[0]), width=result[1],
-                         envs=len(seq.index))
-        if self._guard is not None:
-            self._guard.account(tuples=len(result[0]), width=result[1],
-                                envs=len(seq.index))
-        if self._log is not None:
-            self._log.append((len(result[0]), result[1], len(seq.index)))
-        return result
 
     def _dispatch(self, node: PlanNode, seq: EnvSeq) -> Value:
         if isinstance(node, VarNode):
@@ -547,7 +555,13 @@ class DIEngine:
     # -- iteration ---------------------------------------------------------------------
 
     def _eval_for(self, node: ForNode, seq: EnvSeq) -> Value:
-        source = self.evaluate(node.source, seq)
+        memo = self._lift_memo(node, seq)
+        if memo is None:
+            source, prefix = self.evaluate(node.source, seq), ()
+        else:
+            if self._tick is not None:
+                self._tick()
+            source, prefix = self._memoized(node.source, seq, memo)
         if source[1] == 0:
             return IntervalColumns.empty(), 0
         # Iterations are numbered by root left endpoint (< one block past
@@ -562,9 +576,25 @@ class DIEngine:
         envs, offsets = np.divmod(roots.l, source_width)
         index, fan = self._compact(envs, offsets, source_width,
                                    outer.values())
-        bound = self._kernel("expand_variable", kernels.expand_variable,
-                             source_rel, source_width, index)
-        inner_vars: dict[str, Value] = {node.var: (bound, source_width)}
+        # A lifted chain is re-blocked from the source's own coordinates:
+        # when the source had to be renormalised (its width squared
+        # leaves int64 even at the base), the chains run per iteration.
+        lifting = source_rel is source[0]
+        inner_vars: dict[str, Value] = {}
+        if node.reads_var or not lifting:
+            bound = self._kernel("expand_variable", kernels.expand_variable,
+                                 source_rel, source_width, index)
+            inner_vars[node.var] = (bound, source_width)
+        if node.lifted and lifting:
+            chain_seq = EnvSeq(seq.index, {node.var: source})
+            for lifted in node.lifted:
+                inner_vars[lifted.name] = self._eval_lifted(
+                    lifted, chain_seq, memo, prefix, roots.l, index)
+        elif node.lifted:
+            chain_seq = EnvSeq(index, {node.var: inner_vars[node.var]})
+            for lifted in node.lifted:
+                inner_vars[lifted.name] = self.evaluate(lifted.chain,
+                                                        chain_seq)
         # Copying the outer bindings into every iteration is the quadratic
         # cost of nested-loop evaluation: |roots| × |binding blocks| tuples.
         for name, value in outer.items():
@@ -573,6 +603,79 @@ class DIEngine:
             node.body, EnvSeq(index, inner_vars))
         width = fan * body_width
         return self._fit((body_rel, width), seq.index, width)
+
+    def _lift_memo(self, node: ForNode,
+                   seq: EnvSeq) -> "DocumentMemo | None":
+        """The memo of a ``for`` with lifted chains at the base
+        environment: its source's, which keeps the chains too."""
+        if not node.lifted or self._memos is None or self._log is not None \
+                or seq.index is not _BASE_INDEX:
+            return None
+        return self._chain_memo(node.source, seq)
+
+    def _eval_lifted(self, lifted: Lifted, chain_seq: EnvSeq,
+                     memo: "DocumentMemo | None",
+                     prefix: "tuple[Charge, ...]", root_lefts: np.ndarray,
+                     index: np.ndarray) -> Value:
+        """One lifted chain's value per iteration: the chain over the
+        ``for``'s source (``chain_seq`` binds the loop variable to it) —
+        served from ``memo`` under its document-rooted key, or computed
+        from the source without walking from the document root —
+        re-blocked into ``index``, all under the chain's own op span.
+
+        A kept entry's charges are those of the document-rooted chain:
+        the source's (``prefix``, the source's own result charged as the
+        chain's variable) then the chain's, so a hit charges the chain's
+        part, as computing it does, and a text that evaluates the rooted
+        chain directly shares the entry."""
+        if self._tick is not None:
+            self._tick()
+        chain = lifted.chain
+        entry = memo.get(lifted.rooted, self._exact) \
+            if memo is not None else None
+        tracer = self._tracer
+        if tracer is None:
+            return self._reblock(lifted, chain_seq, memo, entry, prefix,
+                                 root_lefts, index)
+        tags = {"memo": "hit"} if entry is not None else {}
+        with tracer.span(_span_name(chain), kind=type(chain).__name__,
+                         category=span_category(chain), node=id(chain),
+                         **tags) as span:
+            result = self._reblock(lifted, chain_seq, memo, entry, prefix,
+                                   root_lefts, index)
+            span.set(tuples=len(result[0]), width=result[1],
+                     envs=len(index))
+        return result
+
+    def _reblock(self, lifted: Lifted, chain_seq: EnvSeq,
+                 memo: "DocumentMemo | None", entry: "MemoEntry | None",
+                 prefix: "tuple[Charge, ...]", root_lefts: np.ndarray,
+                 index: np.ndarray) -> Value:
+        """The work of :meth:`_eval_lifted`, inside its span."""
+        chain = lifted.chain
+        if entry is not None:
+            value = entry.value
+            self._replay(entry.charges[len(prefix) - 1:])
+            if self._validate:
+                self._check(chain, chain_seq, value)
+        elif memo is not None:
+            value, charges = self._with_charges(self._dispatch_and_charge,
+                                                chain, chain_seq)
+            memo.put(lifted.rooted, value, prefix[:-1] + charges)
+        else:
+            value = self._dispatch_and_charge(chain, chain_seq)
+        (_source, source_width), = chain_seq.vars.values()
+        result = self._kernel("reblock", kernels.reblock, *value,
+                              root_lefts, source_width, index)
+        if self._validate:
+            self._check(chain, EnvSeq(index, {}), result)
+        return result
+
+    def _dispatch_and_charge(self, node: PlanNode, seq: EnvSeq) -> Value:
+        """``node`` computed and charged, under no op span of its own."""
+        result = self._dispatch(node, seq)
+        self._charge(result, seq)
+        return result
 
     def _compact(self, envs: np.ndarray, offsets: np.ndarray, width: int,
                  outer: Iterable[Value]) -> tuple[np.ndarray, int]:
@@ -770,17 +873,6 @@ def _distinct_pairs(ix: np.ndarray,
     fresh = np.ones(len(ix), dtype=np.bool_)
     fresh[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
     return ix[fresh], iy[fresh]
-
-
-def _chain_var(node: PlanNode) -> str | None:
-    """The variable a path chain reads — a unary run of path XFns
-    down to a :class:`VarNode` — or ``None`` when ``node`` is no chain."""
-    while isinstance(node, FnNode) and node.fn in _PATH_FNS \
-            and len(node.args) == 1:
-        node = node.args[0]
-        if isinstance(node, VarNode):
-            return node.name
-    return None
 
 
 def _span_name(node: PlanNode) -> str:

@@ -105,21 +105,27 @@ def _int64(values) -> np.ndarray:
             "environment index beyond int64 (compact the index)") from None
 
 
-def renormalise(cols: IntervalColumns,
-                width: int) -> tuple[IntervalColumns, int]:
+def renormalise(cols: IntervalColumns, width: int,
+                blocks: "tuple[np.ndarray, np.ndarray, np.ndarray] | None"
+                = None) -> tuple[IntervalColumns, int]:
     """Rank-compress the endpoints inside every environment block.
 
     Definition 3.1 constrains only the relative order and nesting of a
     block's ``2n`` endpoints, so replacing them by their ranks
     ``0 … 2n-1`` encodes the same forests: one stable ``argsort``, the
     ``d``/``c`` columns are shared with the input, and the new width is
-    twice the largest block — however loose ``width`` was.
+    twice the largest block — however loose ``width`` was.  ``blocks``,
+    when given, is ``(envs, starts, ends)``: consecutive row runs, in
+    ascending coordinates, each compressed into the block of its
+    environment (:func:`reblock` moves a chain's trees this way); by
+    default each environment's block of ``width`` stays where it is.
     """
     count = len(cols)
     if count == 0:
         return cols, 0
     # A block wider than int64 holds every row there can be.
-    envs, starts, ends = cols.block_bounds(min(width, INT64_MAX))
+    envs, starts, ends = blocks if blocks is not None \
+        else cols.block_bounds(min(width, INT64_MAX))
     sizes = ends - starts
     tight = 2 * int(sizes.max())
     rank = np.empty(2 * count, dtype=np.int64)
@@ -352,6 +358,40 @@ def expand_variable(cols: IntervalColumns, width: int,
     starts, ends, envs = _trees(cols, width)
     shift = np.repeat((_int64(root_lefts) - envs) * width, ends - starts)
     return IntervalColumns(cols.l + shift, cols.r + shift, cols.d, cols.c)
+
+
+def reblock(cols: IntervalColumns, width: int, root_lefts: np.ndarray,
+            source_width: int, targets: np.ndarray
+            ) -> tuple[IntervalColumns, int]:
+    """A path chain's result over a ``for`` source, moved into the
+    iteration blocks: ``chain(expand_variable(S))`` from ``chain(S)``.
+
+    ``S`` has width ``source_width`` and its top-level trees start at
+    the ascending ``root_lefts``; tree ``k`` is iteration ``targets[k]``.
+    Every path XFn keeps or drops whole rows per tree and keeps their
+    coordinates — ``//`` widens the block to ``source_width²`` and puts
+    the copy of the subtree rooted at ``y`` at block coordinate ``y`` —
+    so a row's tree is one ``searchsorted`` of its (block) coordinate
+    on ``root_lefts``, and it moves by whole blocks of the chain's
+    ``width``, as :func:`expand_variable` moves its tree.  When those
+    blocks would leave int64 the trees are rank-compressed into them
+    instead (:func:`renormalise`), and the width is the tight one.
+    """
+    if len(cols) == 0:
+        return cols, width
+    scale = width // source_width
+    trees = np.searchsorted(root_lefts, cols.l // scale, "right") - 1
+    targets = _int64(targets)
+    if overflows(targets[-1:], width):
+        present, starts = np.unique(trees, return_index=True)
+        ends = np.append(starts[1:], len(cols))
+        moved, tight = renormalise(cols, width,
+                                   (targets[present], starts, ends))
+        _check_fits(targets[-1:], tight, "reblock")
+        return moved, tight
+    shift = ((targets - root_lefts // source_width) * width)[trees]
+    return IntervalColumns(cols.l + shift, cols.r + shift,
+                           cols.d, cols.c), width
 
 
 def gather_blocks(cols: IntervalColumns, width: int, origins: Sequence[int],

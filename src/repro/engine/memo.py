@@ -11,13 +11,19 @@ The evaluator serves two kinds of entry from it:
 
 * a **path chain at the base environment** — a run of the XFns Figure
   10 charges to paths over one document variable — keyed by the plan
-  node itself (structural equality, so different texts share a path);
+  node itself (structural equality, so different texts share a path).
+  A chain the planner lifted out of a ``for`` body
+  (:class:`~repro.compiler.plan.Lifted`) is one too: it is computed from
+  the loop's source value, at the base environment, and kept under the
+  document-rooted chain (``Lifted.rooted``) that a text reading the
+  path directly would key it by; moving it into the iterations
+  (``kernels.reblock``) happens on every run;
 * a ``JoinForNode``'s **build side** — the expanded inner sequence and
   its inner key — keyed by ``(source, var, key_inner)``.
 
-Nothing evaluated under an iteration is kept, nor construction,
-conditions, pair matching or isolated bodies: this is not a result
-cache.
+Only document-rooted chains at the base environment are kept: nothing
+evaluated under an iteration, nor construction, conditions, pair
+matching or isolated bodies.  This is not a result cache.
 
 **Lifetime.**  A memo is created wherever a backend binds a document
 and dropped with that binding, and it never serves an entry its own
@@ -39,20 +45,21 @@ commit — the first after a load, several deltas, a spread, a width
 change — binds an empty memo.
 
 **Bound.**  The bytes the entries own count against the document's own
-column bytes; an insert that would cross it evicts least-recently-used
-entries first, and an entry larger than the whole bound is not kept.
-An array counts by the buffer it keeps alive (a view, by its base),
-except the document's own columns, which the memo does not add.
+column bytes, first fit: an entry that would cross the bound is not
+kept (``refused`` counts them) and nothing is evicted to make room, so
+a mix whose entries overflow the bound keeps serving the ones it kept
+first instead of trading them round after round.  An array counts by
+the buffer it keeps alive (a view, by its base), except the document's
+own columns, which the memo does not add.
 
 **Safety.**  An entry is inserted only after it has been computed
-completely, and its arrays are made read-only first.  Inserts and
-evictions take one lock; hits read without it.
+completely, and its arrays are made read-only first.  Inserts take one
+lock; hits read without it.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import count
 from typing import Hashable
 
 import numpy as np
@@ -72,17 +79,16 @@ _Views = dict[int, tuple[int, np.ndarray]]
 
 class MemoEntry:
     """One memoized value, the guard charges that computing it made (in
-    order), the bytes it owns, its last use, and whether it was carried
-    over a commit (its charges then describe the old snapshot)."""
+    order), the bytes it owns, and whether it was carried over a commit
+    (its charges then describe the old snapshot)."""
 
-    __slots__ = ("value", "charges", "nbytes", "used", "carried")
+    __slots__ = ("value", "charges", "nbytes", "carried")
 
     def __init__(self, value: object, charges: tuple[Charge, ...],
-                 nbytes: int, used: int, carried: bool = False):
+                 nbytes: int, carried: bool = False):
         self.value = value
         self.charges = charges
         self.nbytes = nbytes
-        self.used = used
         self.carried = carried
 
 
@@ -105,8 +111,8 @@ class DocumentMemo:
         self._bound = 0
         #: Bytes the live entries own.
         self.nbytes = 0
-        #: Entries dropped to stay inside the bound, ever.
-        self.evictions = 0
+        #: Entries not kept because the bound was full, ever.
+        self.refused = 0
         #: Entries adopted from the previous snapshot's memo.
         self.carried = 0
         #: Entries the previous memo held that the delta could reach (or
@@ -114,7 +120,6 @@ class DocumentMemo:
         self.recomputed = 0
         self._entries: dict[Hashable, MemoEntry] = {}
         self._lock = threading.Lock()
-        self._clock = count()
         if previous is not None:
             with previous._lock:  # one link back, never a chain
                 previous._release()
@@ -145,13 +150,13 @@ class DocumentMemo:
 
     def __repr__(self) -> str:
         return (f"DocumentMemo({len(self)} entries, {self.nbytes} of "
-                f"{self.bound} bytes, {self.evictions} evicted, "
+                f"{self.bound} bytes, {self.refused} refused, "
                 f"{self.carried} carried, {self.recomputed} recomputed)")
 
     def stats(self) -> dict[str, int]:
         """The numbers :meth:`__repr__` shows, by name."""
         return {"entries": len(self), "bytes": self.nbytes,
-                "bound": self.bound, "evictions": self.evictions,
+                "bound": self.bound, "refused": self.refused,
                 "carried": self.carried, "recomputed": self.recomputed}
 
     def binds(self, value: tuple[IntervalColumns, int]) -> bool:
@@ -159,32 +164,27 @@ class DocumentMemo:
         return value[0] is self.columns and value[1] == self.width
 
     def get(self, key: Hashable, exact: bool = False) -> MemoEntry | None:
-        """The entry under ``key``, marked used — on a miss, the previous
-        snapshot's, if it survives the delta.  ``exact`` refuses a carried
-        entry, whose charges are not this snapshot's.  A hit takes no
-        lock."""
+        """The entry under ``key`` — on a miss, the previous snapshot's,
+        if it survives the delta.  ``exact`` refuses a carried entry,
+        whose charges are not this snapshot's.  A hit takes no lock."""
         entry = self._entries.get(key)
         if entry is None and (self._pending or self._previous is not None):
             entry = self._adopt(key)
         if entry is None or (exact and entry.carried):
             return None
-        entry.used = next(self._clock)
         return entry
 
     def put(self, key: Hashable, value: object,
             charges: tuple[Charge, ...]) -> None:
-        """Keep a completely computed ``value``: its arrays become
-        read-only, and least-recently-used entries make room for it.  A
-        key already present keeps its entry, unless that was carried."""
+        """Keep a completely computed ``value`` if it fits in what the
+        bound has left; its arrays become read-only.  A key already
+        present keeps its entry, unless that was carried."""
         arrays = _arrays(value)
         nbytes = self._owned(arrays)
-        if nbytes > self._bound:
-            return
         for array in arrays:
             array.flags.writeable = False
         with self._lock:
-            self._keep(key, MemoEntry(value, charges, nbytes,
-                                      next(self._clock)))
+            self._keep(key, MemoEntry(value, charges, nbytes))
 
     def _owned(self, arrays: list[np.ndarray]) -> int:
         """The bytes of the buffers behind ``arrays`` that are not the
@@ -197,20 +197,20 @@ class DocumentMemo:
                 owned[id(root)] = root.nbytes
         return sum(owned.values())
 
-    def _keep(self, key: Hashable, entry: MemoEntry) -> None:
-        """Insert ``entry`` (the lock held), evicting to stay in bound."""
+    def _keep(self, key: Hashable, entry: MemoEntry) -> bool:
+        """Insert ``entry`` (the lock held) if it fits; whether it did."""
         entries = self._entries
         present = entries.get(key)
         if present is not None:
             if not present.carried:
-                return
+                return True
             self.nbytes -= entries.pop(key).nbytes
-        while entries and self.nbytes + entry.nbytes > self._bound:
-            victim = min(entries, key=lambda k: entries[k].used)
-            self.nbytes -= entries.pop(victim).nbytes
-            self.evictions += 1
+        if self.nbytes + entry.nbytes > self.bound:
+            self.refused += 1
+            return False
         entries[key] = entry
         self.nbytes += entry.nbytes
+        return True
 
     # -- carrying entries over a commit -----------------------------------
 
@@ -236,11 +236,10 @@ class DocumentMemo:
                 return None
             # Re-sliced views own nothing here, as they owned nothing
             # there, and every other array is the old entry's own.
-            entry = MemoEntry(value, old.charges, old.nbytes, 0, carried=True)
-            if entry.nbytes > self.bound:
+            entry = MemoEntry(value, old.charges, old.nbytes, carried=True)
+            if not self._keep(key, entry):
                 return None
             self.carried += 1
-            self._keep(key, entry)
             return entry
 
     def _begin_carrying(self) -> None:

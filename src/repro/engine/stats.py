@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.compiler.plan import (FnNode, ForNode, JoinForNode, PlanNode,
-                                 WhereNode)
+from repro.compiler.plan import (PATH_FNS, FnNode, ForNode, JoinForNode,
+                                 PlanNode, WhereNode)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
@@ -30,13 +30,7 @@ CATEGORIES = (PATHS, JOIN, CONSTRUCTION, OTHER)
 
 #: Category of each XFn for Figure 10 attribution.
 FUNCTION_CATEGORIES = {
-    "children": PATHS,
-    "select": PATHS,
-    "textnodes": PATHS,
-    "elementnodes": PATHS,
-    "subtrees_dfs": PATHS,
-    "data": PATHS,
-    "roots": PATHS,
+    **dict.fromkeys(sorted(PATH_FNS), PATHS),
     "xnode": CONSTRUCTION,
     "concat": CONSTRUCTION,
     "text_const": CONSTRUCTION,

@@ -975,7 +975,8 @@ class XQuerySession:
         The HTTP endpoint maps the last two to 503 so a browned-out
         instance rotates out — see :mod:`repro.serving`.  ``documents``
         maps each document to the engine's numbers for it (entries,
-        bytes, bound, evictions, carried, recomputed:
+        bytes, bound, refused — entries not kept because the first-fit
+        bound was full — carried, recomputed:
         :meth:`~repro.backends.engine.EngineBackend.document_stats`), or
         to ``None`` where the engine has not bound it.
         """

@@ -10,7 +10,7 @@ keeping a single source position shared by both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import XQuerySyntaxError
 
@@ -25,14 +25,30 @@ _OPERATORS = (":=", "!=", "<=", ">=", "//", "=", "<", ">", "/", "(", ")",
 _NAME_EXTRA = "_-."
 
 
+def line_col(source: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of offset ``pos`` in ``source``."""
+    line = source.count("\n", 0, pos) + 1
+    return line, pos - source.rfind("\n", 0, pos)
+
+
 @dataclass(frozen=True)
 class Token:
-    """One lexical token with its source position (for error messages)."""
+    """One lexical token at offset ``pos`` of ``source``; its line and
+    column (for error messages) are computed when asked — two scans of
+    the source, which no token that parses cleanly needs."""
 
     type: str  # NAME, KEYWORD, VARIABLE, STRING, NUMBER, OP, EOF
     value: str
-    line: int
-    column: int
+    pos: int
+    source: str = field(default="", repr=False, compare=False)
+
+    @property
+    def line(self) -> int:
+        return line_col(self.source, self.pos)[0]
+
+    @property
+    def column(self) -> int:
+        return line_col(self.source, self.pos)[1]
 
     def is_op(self, *values: str) -> bool:
         return self.type == "OP" and self.value in values
@@ -56,13 +72,9 @@ class Scanner:
 
     # -- position / error helpers -------------------------------------------
 
-    def _line_col(self, pos: int) -> tuple[int, int]:
-        line = self.source.count("\n", 0, pos) + 1
-        last_newline = self.source.rfind("\n", 0, pos)
-        return line, pos - last_newline
-
     def error(self, message: str, pos: int | None = None) -> XQuerySyntaxError:
-        line, column = self._line_col(self.pos if pos is None else pos)
+        line, column = line_col(self.source,
+                                self.pos if pos is None else pos)
         return XQuerySyntaxError(message, line, column)
 
     # -- expression mode ------------------------------------------------------
@@ -106,37 +118,36 @@ class Scanner:
 
     def _scan(self) -> Token:
         self._skip_ignorable()
-        start = self.pos
-        line, column = self._line_col(start)
-        if start >= len(self.source):
-            return Token("EOF", "", line, column)
+        source, start = self.source, self.pos
+        if start >= len(source):
+            return Token("EOF", "", start, source)
         char = self.source[start]
 
         if char == "$":
             self.pos += 1
             name = self._scan_name("variable name")
-            return Token("VARIABLE", name, line, column)
+            return Token("VARIABLE", name, start, source)
 
         if char in "\"'":
-            return Token("STRING", self._scan_string(char), line, column)
+            return Token("STRING", self._scan_string(char), start, source)
 
         if char.isdigit():
             end = start
             while end < len(self.source) and (self.source[end].isdigit() or self.source[end] == "."):
                 end += 1
             self.pos = end
-            return Token("NUMBER", self.source[start:end], line, column)
+            return Token("NUMBER", self.source[start:end], start, source)
 
         if char.isalpha() or char == "_":
             name = self._scan_name("name")
             if name in KEYWORDS:
-                return Token("KEYWORD", name, line, column)
-            return Token("NAME", name, line, column)
+                return Token("KEYWORD", name, start, source)
+            return Token("NAME", name, start, source)
 
         for operator in _OPERATORS:
             if self.source.startswith(operator, start):
                 self.pos = start + len(operator)
-                return Token("OP", operator, line, column)
+                return Token("OP", operator, start, source)
 
         raise self.error(f"unexpected character {char!r}", start)
 

@@ -39,7 +39,9 @@ def shrink_int64(monkeypatch):
     tier-1 size do what only large ones do under the real limit: trip
     the kernels' overflow bound, and with it the evaluator's two
     remedies.  ``shrink_int64(bits)`` returns a counter of how often
-    each ran (``"renormalise"``, ``"compact"``).
+    each ran (``"renormalise"``, ``"compact"``); ``kernels.reblock``
+    rank-compressing a lifted chain's iteration blocks counts as
+    ``"renormalise"`` (it calls that kernel).
     """
     from collections import Counter
 
@@ -50,9 +52,9 @@ def shrink_int64(monkeypatch):
         remedies: Counter = Counter()
         renormalise, compact = kernels.renormalise, DIEngine._compact
 
-        def counted_renormalise(cols, width):
+        def counted_renormalise(cols, width, blocks=None):
             remedies["renormalise"] += 1
-            return renormalise(cols, width)
+            return renormalise(cols, width, blocks)
 
         def counted_compact(self, envs, offsets, width, outer):
             numbers, fan = compact(self, envs, offsets, width, outer)

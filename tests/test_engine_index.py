@@ -64,8 +64,12 @@ def join_at(first_env: int, text: str, strategy: JoinStrategy):
               for var in compiled.documents.values()}
     engine._base = EnvSeq(np.zeros(1, dtype=np.int64), values)
     try:
-        rel, _width = engine.evaluate(
-            plan.body, EnvSeq(envs, {plan.var: (bound, 2)}))
+        seq = EnvSeq(envs, {plan.var: (bound, 2)})
+        # The body reads the loop's lifted chains: bind them per
+        # environment, as the chains over the expanded variable.
+        seq.vars.update({lifted.name: engine.evaluate(lifted.chain, seq)
+                         for lifted in plan.lifted})
+        rel, _width = engine.evaluate(plan.body, seq)
     finally:
         engine._base = None
     (doc_width,) = {width for _rel, width in values.values()}

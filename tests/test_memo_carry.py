@@ -201,9 +201,11 @@ class TestWhatIsCarried:
             # open auctions, and Q8's / Q9's join build sides and sources
             # closed auctions and europe's items.
             assert memo.carried == len(carried) >= 5
-            # /site/people/person (Q8, Q9, Q17) and //person/name: every
-            # select label on the spine.
-            assert memo.recomputed == 2
+            # /site/people/person (Q8, Q9, Q17), the chains Q8, Q9 and Q17
+            # lift out of it, /@id and /name/text() (an inserted person
+            # has both), and //person/name: every select label on the
+            # spine.  Q17's lifted /homepage/text() is carried.
+            assert memo.recomputed == 4
             assert "carried" in repr(memo) and "recomputed" in repr(memo)
             # /healthz reports the same numbers.
             assert session.health()["documents"] == {DOCUMENT: memo.stats()}

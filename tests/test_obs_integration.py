@@ -122,9 +122,10 @@ class TestTracedRuns:
 
     def test_residual_filter_runs_as_an_observed_kernel(self, session):
         """A join's residual conjunct filters every pair variable — here
-        ``$t`` and ``$p`` — and each of those filters is a kernel
-        invocation like any other: one span, one histogram observation
-        (and so one ``tick``, where a deadline is checked)."""
+        ``$t`` and the outer loop's two lifted chains over ``$p``,
+        ``$p/name`` and ``$p/name/text()`` — and each of those filters is
+        a kernel invocation like any other: one span, one histogram
+        observation (and so one ``tick``, where a deadline is checked)."""
         query = (
             'for $p in document("a.xml")/site/people/person '
             'for $t in document("a.xml")/site/closed_auctions/closed_auction '
@@ -135,9 +136,9 @@ class TestTracedRuns:
         join = result.trace.find("op.joinfor")
         filters = [span for span in join.children
                    if span.name == "engine.kernel.filter_by_index"]
-        assert len(filters) == 2
+        assert len(filters) == 3
         histogram = session.metrics.get("repro_engine_kernel_seconds")
-        assert histogram.count(kernel="filter_by_index") == 2
+        assert histogram.count(kernel="filter_by_index") == 3
 
     def test_fused_descendant_step_is_observable(self, session):
         """``//name`` runs as one ``select_descendants`` kernel, and every

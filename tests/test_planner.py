@@ -310,10 +310,20 @@ class TestExplain:
         assert "And" in text and "Not" in text and "Empty" in text
 
 
-def _erase(value):
-    """``value`` with every field the isolation rule sets at its default."""
+def _erase(value, chains=None):
+    """``value`` with every field the isolation rule sets at its default,
+    and every lifted chain put back where the lift rule took it from."""
+    chains = chains or {}
+    if isinstance(value, VarNode) and value.name in chains:
+        return _erase(chains[value.name])
+    if isinstance(value, ForNode) and value.lifted:
+        inner = {**chains, **{lifted.name: lifted.chain
+                              for lifted in value.lifted}}
+        return _erase(dataclasses.replace(
+            value, body=_erase(value.body, inner), lifted=(),
+            reads_var=True), chains)
     if isinstance(value, (PlanNode, CondPlan)):
-        fields = {field.name: _erase(getattr(value, field.name))
+        fields = {field.name: _erase(getattr(value, field.name), chains)
                   for field in dataclasses.fields(value)}
         for name in ("required_outer", "body_free"):
             if name in fields:
@@ -322,7 +332,7 @@ def _erase(value):
             fields["isolate"] = False
         return type(value)(**fields)
     if isinstance(value, tuple):
-        return tuple(_erase(item) for item in value)
+        return tuple(_erase(item, chains) for item in value)
     return value
 
 
@@ -341,8 +351,9 @@ class TestIsolationRule:
     @pytest.mark.parametrize("name", sorted(_rule_texts()))
     def test_every_isolable_join_and_nothing_else(self, name, strategy):
         """``optimize_stage`` isolates exactly the joins whose body reads
-        only the join variable, drops their outer keys' copies, and
-        changes nothing else about the syntactic plan."""
+        only the join variable, drops their outer keys' copies, and —
+        the chains it lifted put back — changes nothing else about the
+        syntactic plan."""
         compiled = compile_xquery(_rule_texts()[name])
         syntactic = plan_stage(compiled.core, strategy,
                                base_vars=compiled.documents.values())

@@ -130,7 +130,7 @@ class TestEndpoints:
         # The engine's memo numbers for each document it has bound.
         memo = payload["documents"]["a.xml"]
         assert memo["entries"] >= 1 and memo["carried"] == 0
-        assert set(memo) == {"entries", "bytes", "bound", "evictions",
+        assert set(memo) == {"entries", "bytes", "bound", "refused",
                              "carried", "recomputed"}
 
     def test_healthz_503_while_shedding(self, session, server):
