@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.memo import Charge, DocumentMemo, MemoEntry
+    from repro.engine.memo import DocumentMemo
     from repro.resilience.guard import QueryGuard
 
 from repro.compiler.plan import (
@@ -125,6 +125,8 @@ class DIEngine:
     Document memos are per run, not per engine: a backend passes the
     :class:`~repro.engine.memo.DocumentMemo` of each bound document to
     :meth:`run_plan_values`, and without them every node is computed.
+    An engine whose guard carries a resource budget neither reads nor
+    fills a memo, so every charge is the node's own.
 
     A disabled tracer is normalized to ``None`` at construction so the
     hot loop pays a single attribute test and allocates nothing per node
@@ -137,22 +139,17 @@ class DIEngine:
                  guard: "QueryGuard | None" = None):
         self._validate = validate
         self._base: EnvSeq | None = None
-        # The running plan's document memos, and — while a memoizable
-        # value is being computed — the guard charges it makes.  Memos
-        # are read only outside such a computation, so an entry is a
-        # maximal chain and never contains another.
+        # The running plan's document memos.  ``_filling`` is set while a
+        # memo entry is being computed: memos are not read then, so an
+        # entry is a maximal chain and never contains another.
         self._memos: "Mapping[str, DocumentMemo] | None" = None
-        self._log: "list[Charge] | None" = None
+        self._filling = False
         if tracer is not None and not tracer.enabled:
             tracer = None
         self._tracer = tracer
         if guard is not None and not guard.enabled:
             guard = None
         self._guard = guard
-        # A tuple budget needs every memo entry's charges to be this
-        # snapshot's own: entries carried over a commit are recomputed.
-        self._exact = guard is not None and \
-            guard.budget.max_tuples is not None
         self._tick: Callable[[], None] | None = None
         if guard is not None:
             self._tick = guard.start().tick
@@ -199,41 +196,42 @@ class DIEngine:
         kept by a backend beside each bound document — serves the path
         chains evaluated at the base environment and every join's build
         side from earlier runs on the same snapshot, or on the one before
-        a commit whose delta cannot have changed them (a run with a tuple
-        budget recomputes those).  A served node still opens its op span
-        (tagged ``memo="hit"``), is charged to the guard exactly as when
-        computed, and is validated.  Without memos every node is
-        computed.
+        a commit whose delta cannot have changed them.  A served node
+        still opens its op span (tagged ``memo="hit"``) and is validated,
+        but charges the guard nothing: under a guard with a resource
+        budget the memos are neither read nor filled.  Without memos, or
+        under such a guard, every node is computed.
         """
         self._base = EnvSeq(_BASE_INDEX, {
             name: (IntervalColumns.from_tuples(rel), width)
             for name, (rel, width) in values.items()})
-        self._memos = memos or None
+        budgeted = self._guard is not None and bool(self._guard.budget)
+        self._memos = None if budgeted else memos or None
         try:
             return self.evaluate(plan, self._base)
         finally:
             self._base = None
             self._memos = None
-            self._log = None
 
     # -- expression evaluation ------------------------------------------------------
 
     def evaluate(self, node: PlanNode, seq: EnvSeq) -> Value:
         if self._tick is not None:
             self._tick()
-        if self._memos is not None and self._log is None \
-                and seq.index is _BASE_INDEX:
-            memo = self._chain_memo(node, seq)
-            if memo is not None:
-                return self._memoized(node, seq, memo)[0]
-        return self._compute(node, seq)
+        if self._memos is None or self._filling \
+                or seq.index is not _BASE_INDEX:  # the hot path: no memo
+            return self._compute(node, seq)
+        memo = self._chain_memo(node, seq)
+        if memo is None:
+            return self._compute(node, seq)
+        value, hit = self._memoized(memo, node, self._compute, node, seq)
+        if hit:
+            self._serve(node, seq, value)
+        return value
 
     def _compute(self, node: PlanNode, seq: EnvSeq) -> Value:
         if self._tracer is None and self._guard is None:
-            result = self._dispatch(node, seq)  # the no-observability path
-            if self._log is not None:
-                self._log.append((len(result[0]), result[1], len(seq.index)))
-            return result
+            return self._dispatch(node, seq)  # the no-observability path
         return self._evaluate_observed(node, seq)
 
     def _evaluate_observed(self, node: PlanNode, seq: EnvSeq) -> Value:
@@ -251,58 +249,49 @@ class DIEngine:
         return result
 
     def _charge(self, result: Value, seq: EnvSeq) -> None:
-        """Charge one node result to the guard and to the memoizable value
-        being computed, if any."""
+        """Account one node result to the guard."""
         if self._guard is not None:
             self._guard.account(tuples=len(result[0]), width=result[1],
                                 envs=len(seq.index))
-        if self._log is not None:
-            self._log.append((len(result[0]), result[1], len(seq.index)))
 
     # -- the document memo -------------------------------------------------------
 
     def _chain_memo(self, node: PlanNode,
                     seq: EnvSeq) -> "DocumentMemo | None":
-        """The memo serving ``node`` at the base environment: ``node``
-        must be a path chain whose variable is still bound to its memo's
-        own document (no ``let`` has rebound it)."""
+        """The memo that serves and keeps ``node``, if any: ``node`` must
+        be a path chain at the base environment whose variable is still
+        bound to its memo's own document (no ``let`` has rebound it), and
+        no memo entry may be being computed."""
+        if self._memos is None or self._filling \
+                or seq.index is not _BASE_INDEX:
+            return None
         var = chain_var(node)
         memo = self._memos.get(var) if var is not None else None
         if memo is None or not memo.binds(seq.vars.get(var, (None, 0))):
             return None
         return memo
 
-    def _memoized(self, node: PlanNode, seq: EnvSeq, memo: "DocumentMemo",
-                  ) -> "tuple[Value, tuple[Charge, ...]]":
-        """A path chain at the base environment, from ``memo`` or
-        computed and then kept there, and the guard charges computing it
-        makes."""
-        entry = memo.get(node, self._exact)
+    def _memoized(self, memo: "DocumentMemo | None", key: object,
+                  compute: Callable, *args) -> tuple[object, bool]:
+        """``(value, hit)``: the value ``memo`` keeps under ``key``, or
+        else ``compute(*args)`` — reading no memo meanwhile — kept there.
+        Without a memo the value is computed."""
+        if memo is None:
+            return compute(*args), False
+        entry = memo.get(key)
         if entry is not None:
-            return self._serve(node, seq, entry.value, entry.charges), \
-                entry.charges
-        value, charges = self._with_charges(self._compute, node, seq)
-        memo.put(node, value, charges)
-        return value, charges
-
-    def _with_charges(self, compute: Callable, *args):
-        """``compute(*args)`` and the guard charges it made, in order;
-        the charges also reach whatever value encloses this one."""
-        outer, self._log = self._log, []
+            return entry.value, True
+        filling, self._filling = self._filling, True
         try:
             value = compute(*args)
-            charges = tuple(self._log)
         finally:
-            self._log = outer
-        if outer is not None:
-            outer.extend(charges)
-        return value, charges
+            self._filling = filling
+        memo.put(key, value)
+        return value, False
 
-    def _serve(self, node: PlanNode, seq: EnvSeq, value: Value,
-               charges: "tuple[Charge, ...]") -> Value:
-        """Answer ``node`` with a memoized ``value`` as if computed:
-        its op span (tagged ``memo="hit"``), the guard charges computing
-        it made, and validation."""
+    def _serve(self, node: PlanNode, seq: EnvSeq, value: Value) -> None:
+        """Answer ``node`` with a memoized ``value`` as if computed: its
+        op span (tagged ``memo="hit"``) and validation."""
         tracer = self._tracer
         if tracer is not None:
             with tracer.span(_span_name(node), kind=type(node).__name__,
@@ -310,18 +299,8 @@ class DIEngine:
                              memo="hit") as span:
                 span.set(tuples=len(value[0]), width=value[1],
                          envs=len(seq.index))
-        self._replay(charges)
         if self._validate:
             self._check(node, seq, value)
-        return value
-
-    def _replay(self, charges: "tuple[Charge, ...]") -> None:
-        """Charge what computing a memoized value charged."""
-        if self._guard is not None:
-            for tuples, width, envs in charges:
-                self._guard.account(tuples=tuples, width=width, envs=envs)
-        if self._log is not None:
-            self._log.extend(charges)
 
     def _dispatch(self, node: PlanNode, seq: EnvSeq) -> Value:
         if isinstance(node, VarNode):
@@ -555,13 +534,7 @@ class DIEngine:
     # -- iteration ---------------------------------------------------------------------
 
     def _eval_for(self, node: ForNode, seq: EnvSeq) -> Value:
-        memo = self._lift_memo(node, seq)
-        if memo is None:
-            source, prefix = self.evaluate(node.source, seq), ()
-        else:
-            if self._tick is not None:
-                self._tick()
-            source, prefix = self._memoized(node.source, seq, memo)
+        source = self.evaluate(node.source, seq)
         if source[1] == 0:
             return IntervalColumns.empty(), 0
         # Iterations are numbered by root left endpoint (< one block past
@@ -586,10 +559,11 @@ class DIEngine:
                                  source_rel, source_width, index)
             inner_vars[node.var] = (bound, source_width)
         if node.lifted and lifting:
+            memo = self._chain_memo(node.source, seq)
             chain_seq = EnvSeq(seq.index, {node.var: source})
             for lifted in node.lifted:
                 inner_vars[lifted.name] = self._eval_lifted(
-                    lifted, chain_seq, memo, prefix, roots.l, index)
+                    lifted, chain_seq, memo, roots.l, index)
         elif node.lifted:
             chain_seq = EnvSeq(index, {node.var: inner_vars[node.var]})
             for lifted in node.lifted:
@@ -604,72 +578,50 @@ class DIEngine:
         width = fan * body_width
         return self._fit((body_rel, width), seq.index, width)
 
-    def _lift_memo(self, node: ForNode,
-                   seq: EnvSeq) -> "DocumentMemo | None":
-        """The memo of a ``for`` with lifted chains at the base
-        environment: its source's, which keeps the chains too."""
-        if not node.lifted or self._memos is None or self._log is not None \
-                or seq.index is not _BASE_INDEX:
-            return None
-        return self._chain_memo(node.source, seq)
-
     def _eval_lifted(self, lifted: Lifted, chain_seq: EnvSeq,
-                     memo: "DocumentMemo | None",
-                     prefix: "tuple[Charge, ...]", root_lefts: np.ndarray,
+                     memo: "DocumentMemo | None", root_lefts: np.ndarray,
                      index: np.ndarray) -> Value:
         """One lifted chain's value per iteration: the chain over the
         ``for``'s source (``chain_seq`` binds the loop variable to it) —
-        served from ``memo`` under its document-rooted key, or computed
-        from the source without walking from the document root —
-        re-blocked into ``index``, all under the chain's own op span.
-
-        A kept entry's charges are those of the document-rooted chain:
-        the source's (``prefix``, the source's own result charged as the
-        chain's variable) then the chain's, so a hit charges the chain's
-        part, as computing it does, and a text that evaluates the rooted
-        chain directly shares the entry."""
+        served from ``memo``, or computed from the source without walking
+        from the document root and kept there, under its document-rooted
+        key, which a text evaluating the rooted chain directly shares —
+        re-blocked into ``index``, all under the chain's own op span."""
         if self._tick is not None:
             self._tick()
         chain = lifted.chain
-        entry = memo.get(lifted.rooted, self._exact) \
-            if memo is not None else None
         tracer = self._tracer
         if tracer is None:
-            return self._reblock(lifted, chain_seq, memo, entry, prefix,
-                                 root_lefts, index)
-        tags = {"memo": "hit"} if entry is not None else {}
+            return self._reblock(lifted, chain_seq, memo, root_lefts,
+                                 index)[0]
         with tracer.span(_span_name(chain), kind=type(chain).__name__,
-                         category=span_category(chain), node=id(chain),
-                         **tags) as span:
-            result = self._reblock(lifted, chain_seq, memo, entry, prefix,
-                                   root_lefts, index)
+                         category=span_category(chain),
+                         node=id(chain)) as span:
+            result, hit = self._reblock(lifted, chain_seq, memo, root_lefts,
+                                        index)
+            if hit:
+                span.set(memo="hit")
             span.set(tuples=len(result[0]), width=result[1],
                      envs=len(index))
         return result
 
     def _reblock(self, lifted: Lifted, chain_seq: EnvSeq,
-                 memo: "DocumentMemo | None", entry: "MemoEntry | None",
-                 prefix: "tuple[Charge, ...]", root_lefts: np.ndarray,
-                 index: np.ndarray) -> Value:
-        """The work of :meth:`_eval_lifted`, inside its span."""
+                 memo: "DocumentMemo | None", root_lefts: np.ndarray,
+                 index: np.ndarray) -> tuple[Value, bool]:
+        """The work of :meth:`_eval_lifted`, inside its span, and whether
+        the memo served the chain."""
         chain = lifted.chain
-        if entry is not None:
-            value = entry.value
-            self._replay(entry.charges[len(prefix) - 1:])
-            if self._validate:
-                self._check(chain, chain_seq, value)
-        elif memo is not None:
-            value, charges = self._with_charges(self._dispatch_and_charge,
-                                                chain, chain_seq)
-            memo.put(lifted.rooted, value, prefix[:-1] + charges)
-        else:
-            value = self._dispatch_and_charge(chain, chain_seq)
+        value, hit = self._memoized(memo, lifted.rooted,
+                                    self._dispatch_and_charge, chain,
+                                    chain_seq)
+        if hit and self._validate:
+            self._check(chain, chain_seq, value)
         (_source, source_width), = chain_seq.vars.values()
         result = self._kernel("reblock", kernels.reblock, *value,
                               root_lefts, source_width, index)
         if self._validate:
             self._check(chain, EnvSeq(index, {}), result)
-        return result
+        return result, hit
 
     def _dispatch_and_charge(self, node: PlanNode, seq: EnvSeq) -> Value:
         """``node`` computed and charged, under no op span of its own."""
@@ -728,24 +680,14 @@ class DIEngine:
             return IntervalColumns.empty(), 0
         # The build side depends on the document alone: with a memo for
         # the source's document it is computed once per snapshot.
-        memo = None
-        if self._memos is not None and self._log is None:
-            memo = self._chain_memo(node.source, self._base)
-        key = (node.source, node.var, node.key_inner)
-        entry = memo.get(key, self._exact) if memo is not None else None
-        if entry is not None:
-            source_width, inner_index, bound, inner_key = entry.value
-            inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
-            self._serve(node.key_inner, inner_seq, inner_key, entry.charges)
-        else:
-            if memo is None:
-                build = self._build_side(node, source)
-            else:
-                build, charges = self._with_charges(self._build_side,
-                                                    node, source)
-                memo.put(key, build, charges)
-            source_width, inner_index, bound, inner_key = build
-            inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
+        build, hit = self._memoized(
+            self._chain_memo(node.source, self._base),
+            (node.source, node.var, node.key_inner),
+            self._build_side, node, source)
+        source_width, inner_index, bound, inner_key = build
+        inner_seq = EnvSeq(inner_index, {node.var: (bound, source_width)})
+        if hit:
+            self._serve(node.key_inner, inner_seq, inner_key)
         inner_rel, inner_width = inner_key
         outer_rel, outer_width = self.evaluate(node.key_outer, seq)
 

@@ -39,10 +39,8 @@ with no ``select`` always recomputes, and a join's build side follows
 its source chain.  Views of the old columns are re-sliced from the new
 ones (a view across the edit recomputes), and a new memo cuts its
 predecessor's own link, so a chain of commits keeps at most one earlier
-snapshot alive.  A carried entry's guard charges are the old
-snapshot's, so a run with a tuple budget recomputes it.  Any other
-commit — the first after a load, several deltas, a spread, a width
-change — binds an empty memo.
+snapshot alive.  Any other commit — the first after a load, several
+deltas, a spread, a width change — binds an empty memo.
 
 **Bound.**  The bytes the entries own count against the document's own
 column bytes, first fit: an entry that would cross the bound is not
@@ -68,28 +66,19 @@ from repro.compiler.plan import FnNode
 from repro.encoding.updates import DeltaSpine, UpdateDelta
 from repro.engine.columns import IntervalColumns, name_code
 
-#: One guard charge, as the evaluator makes it per node result:
-#: ``(tuples, width, envs)``.
-Charge = tuple[int, int, int]
-
 #: A commit snapshot's four column buffers, by ``id``: each one's
 #: ``(address, the next snapshot's column)``.
 _Views = dict[int, tuple[int, np.ndarray]]
 
 
 class MemoEntry:
-    """One memoized value, the guard charges that computing it made (in
-    order), the bytes it owns, and whether it was carried over a commit
-    (its charges then describe the old snapshot)."""
+    """One memoized value and the bytes it owns."""
 
-    __slots__ = ("value", "charges", "nbytes", "carried")
+    __slots__ = ("value", "nbytes")
 
-    def __init__(self, value: object, charges: tuple[Charge, ...],
-                 nbytes: int, carried: bool = False):
+    def __init__(self, value: object, nbytes: int):
         self.value = value
-        self.charges = charges
         self.nbytes = nbytes
-        self.carried = carried
 
 
 class DocumentMemo:
@@ -163,28 +152,24 @@ class DocumentMemo:
         """Whether ``value`` is this memo's document itself."""
         return value[0] is self.columns and value[1] == self.width
 
-    def get(self, key: Hashable, exact: bool = False) -> MemoEntry | None:
+    def get(self, key: Hashable) -> MemoEntry | None:
         """The entry under ``key`` — on a miss, the previous snapshot's,
-        if it survives the delta.  ``exact`` refuses a carried entry,
-        whose charges are not this snapshot's.  A hit takes no lock."""
+        if it survives the delta.  A hit takes no lock."""
         entry = self._entries.get(key)
         if entry is None and (self._pending or self._previous is not None):
             entry = self._adopt(key)
-        if entry is None or (exact and entry.carried):
-            return None
         return entry
 
-    def put(self, key: Hashable, value: object,
-            charges: tuple[Charge, ...]) -> None:
+    def put(self, key: Hashable, value: object) -> None:
         """Keep a completely computed ``value`` if it fits in what the
         bound has left; its arrays become read-only.  A key already
-        present keeps its entry, unless that was carried."""
+        present keeps its entry."""
         arrays = _arrays(value)
         nbytes = self._owned(arrays)
         for array in arrays:
             array.flags.writeable = False
         with self._lock:
-            self._keep(key, MemoEntry(value, charges, nbytes))
+            self._keep(key, MemoEntry(value, nbytes))
 
     def _owned(self, arrays: list[np.ndarray]) -> int:
         """The bytes of the buffers behind ``arrays`` that are not the
@@ -199,16 +184,12 @@ class DocumentMemo:
 
     def _keep(self, key: Hashable, entry: MemoEntry) -> bool:
         """Insert ``entry`` (the lock held) if it fits; whether it did."""
-        entries = self._entries
-        present = entries.get(key)
-        if present is not None:
-            if not present.carried:
-                return True
-            self.nbytes -= entries.pop(key).nbytes
+        if key in self._entries:
+            return True
         if self.nbytes + entry.nbytes > self.bound:
             self.refused += 1
             return False
-        entries[key] = entry
+        self._entries[key] = entry
         self.nbytes += entry.nbytes
         return True
 
@@ -236,7 +217,7 @@ class DocumentMemo:
                 return None
             # Re-sliced views own nothing here, as they owned nothing
             # there, and every other array is the old entry's own.
-            entry = MemoEntry(value, old.charges, old.nbytes, carried=True)
+            entry = MemoEntry(value, old.nbytes)
             if not self._keep(key, entry):
                 return None
             self.carried += 1

@@ -20,6 +20,7 @@ application would use:
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import threading
@@ -27,7 +28,7 @@ import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.api import (
     CompiledQuery,
@@ -96,8 +97,9 @@ class XQuerySession:
     (:attr:`recorder`): every :meth:`run` / :meth:`run_many` call —
     no flags required — lands in its ring buffer with wall/phase
     timings, outcome, plan-cache facts, and per-attempt latencies;
-    anomalous runs (slow, errored, degraded, plan-evicting) keep their
-    full span tree and emit one structured slow-query log line.
+    anomalous runs (slow, errored — a timeout or a refused budget
+    included — or degraded) keep their full span tree and emit one
+    structured slow-query log line.
     :meth:`serve_telemetry` exposes ``/metrics`` + ``/healthz`` +
     ``/debug/queries`` over HTTP.  See ``docs/OBSERVABILITY.md``.
 
@@ -137,6 +139,8 @@ class XQuerySession:
         self._executor_lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
         self._executor_workers = 0
+        #: Pools replaced by a larger one, still finishing their work.
+        self._retired: list[ThreadPoolExecutor] = []
         self.metrics = MetricsRegistry()
         self._m_queries = self.metrics.counter(
             "repro_session_queries_total", "queries run", ("backend",))
@@ -536,7 +540,6 @@ class XQuerySession:
                 if token is not None else CancellationToken()
         workers = max_workers if max_workers is not None \
             else max(1, min(len(batch), os.cpu_count() or 4))
-        executor = self._ensure_executor(workers)
         active = self._effective_tracer(trace, tracer)
         self._m_batches.inc()
         self._g_pool_queued.inc(len(batch))
@@ -560,10 +563,9 @@ class XQuerySession:
             finally:
                 self._g_pool_active.dec()
 
-        futures: "list[Future[QueryResult]]" = [
-            executor.submit(work, index, query)
-            for index, query in enumerate(batch)
-        ]
+        futures: "list[Future[QueryResult]]" = self._submit(workers, [
+            functools.partial(work, index, query)
+            for index, query in enumerate(batch)])
         deadline_at = (time.monotonic() + batch_deadline
                        if batch_deadline is not None else None)
         results: "list[QueryResult | BaseException]" = []
@@ -617,13 +619,10 @@ class XQuerySession:
         cores instead of threads.  See docs/CONCURRENCY.md.
         """
         import asyncio
-        import functools
 
-        loop = asyncio.get_running_loop()
-        executor = self._ensure_executor(
-            max(2, min(32, (os.cpu_count() or 4) * 2)))
-        return await loop.run_in_executor(
-            executor, functools.partial(self.run, query, **kwargs))
+        future, = self._submit(max(2, min(32, (os.cpu_count() or 4) * 2)),
+                               [functools.partial(self.run, query, **kwargs)])
+        return await asyncio.wrap_future(future)
 
     def _settle_cancelled(self, futures: "list[Future[QueryResult]]") -> None:
         """Cancel still-queued batch futures without leaking pool gauges.
@@ -664,25 +663,31 @@ class XQuerySession:
             return "procpool"
         return backend
 
-    def _ensure_executor(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent batch pool, grown (never shrunk) to ``workers``.
+    def _submit(self, workers: int,
+                calls: "list[Callable[[], QueryResult]]",
+                ) -> "list[Future[QueryResult]]":
+        """Submit ``calls`` to the persistent pool, grown (never shrunk)
+        to ``workers``.
 
-        Growing rebuilds the pool once; a smaller request reuses the
+        Growing replaces the pool once; a smaller request reuses the
         existing warm pool — idle threads are cheap, cold relational
-        connections are not.
+        connections are not.  Replacing the pool and submitting to it
+        happen under one lock, so no call reaches a pool that is shut
+        down; a replaced pool finishes what it holds (:meth:`close`
+        waits for it).
         """
         with self._executor_lock:
-            if (self._executor is not None
-                    and workers > self._executor_workers):
-                self._executor.shutdown(wait=True)
-                self._executor = None
-            if self._executor is None:
+            executor = self._executor
+            if executor is None or workers > self._executor_workers:
+                if executor is not None:
+                    executor.shutdown(wait=False)
+                    self._retired.append(executor)
                 workers = max(workers, self._executor_workers)
-                self._executor = ThreadPoolExecutor(
+                executor = self._executor = ThreadPoolExecutor(
                     max_workers=workers, thread_name_prefix="repro-worker")
                 self._executor_workers = workers
                 self._g_pool_workers.set(workers)
-            return self._executor
+            return [executor.submit(call) for call in calls]
 
     def _run(self, query: str, name: str, active: Tracer | None, *,
              strategy: str | JoinStrategy | None,
@@ -1098,9 +1103,12 @@ class XQuerySession:
         with self._executor_lock:
             executor, self._executor = self._executor, None
             self._executor_workers = 0
+            pools, self._retired = self._retired, []
         if executor is not None:
-            executor.shutdown(wait=True)
+            pools.append(executor)
             self._g_pool_workers.set(0)
+        for pool in pools:
+            pool.shutdown(wait=True)
         with self._state_lock.write_locked():
             with self._backend_lock:
                 backends = list(self._backends.values())

@@ -9,6 +9,7 @@ file with ``PYTHONDEVMODE=1``; keep individual tests fast.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -502,6 +503,32 @@ class TestRunMany:
         assert session._executor is first  # warm pool reused
         session.run_many(QUERIES, max_workers=3)
         assert session._executor is not first  # resized → rebuilt
+
+    def test_growing_the_pool_refuses_no_racing_batch(self):
+        """Eight threads on a fresh session each run batches with one to
+        eight workers, for a second: the pool is replaced while other
+        batches submit to it, and none of them may reach the replaced
+        pool ("cannot schedule new futures after shutdown")."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            stop = time.monotonic() + 1.0
+            while time.monotonic() < stop:
+                with XQuerySession() as session:
+                    session.add_document("d.xml", DOC_OLD)
+                    expected = session.run(QUERY_ALL).to_xml()
+
+                    def grow(_index: int) -> None:
+                        for workers in range(1, 9):
+                            results = session.run_many(
+                                [QUERY_ALL] * 4, max_workers=workers,
+                                tier="thread")
+                            assert [result.to_xml() for result in results] \
+                                == [expected] * 4
+
+                    run_threads(8, grow)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_usable_after_close(self, session):
         session.run_many(QUERIES, max_workers=2)

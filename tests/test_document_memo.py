@@ -8,9 +8,14 @@ A bound document snapshot keeps a :class:`~repro.engine.memo.DocumentMemo`
   Figure 3 interpreter: after every step of a random edit script
   committed through ``session.apply_update``, after ``add_document``
   replaces the document, and on ``procpool``;
-* **a hit behaves like a miss** — a tuple budget refuses a query warm
-  exactly as cold, a hit opens its op span tagged ``memo="hit"``, and a
-  run stopped by its deadline leaves no entry it did not finish;
+* **a hit behaves like a miss** — a hit opens its op span tagged
+  ``memo="hit"``, a run stopped by its deadline leaves no entry it did
+  not finish, and a run with a resource budget reads and fills no memo,
+  so it refuses a query warm exactly as cold, on ``engine`` and on
+  ``procpool``;
+* **a renormalised source** — a ``for`` whose source had to be
+  renormalised runs its lifted chains per iteration, and neither reads
+  nor keeps them;
 * **one snapshot** — a commit, a replacement or an invalidation drops
   the memo with the binding;
 * **the bound** — entries own at most the document's column bytes,
@@ -35,8 +40,11 @@ from repro import XQuerySession
 from repro.api import as_snapshot, compile_xquery
 from repro.backends.base import ExecutionOptions
 from repro.backends.registry import create_backend
-from repro.compiler.plan import FnNode, JoinStrategy
+from repro.compiler.pipeline import optimize_stage
+from repro.compiler.plan import FnNode, ForNode, JoinStrategy, iter_plan
+from repro.encoding.interval import decode
 from repro.encoding.updates import DocumentUpdate, UpdatableDocument
+from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
 from repro.engine.evaluator import DIEngine
 from repro.engine.memo import DocumentMemo
@@ -50,6 +58,8 @@ from repro.xmark.queries import (DOCUMENT, EXTRA_QUERIES, Q8, Q8_ORIGINAL,
 from repro.xml.forest import element, text
 from repro.xml.serializer import forest_to_xml
 from repro.xml.labels import DOCUMENT_LABEL
+from repro.xml.text_parser import parse_forest
+from repro.xquery.interpreter import evaluate
 from repro.xquery.lowering import document_forest, document_variable
 
 SCALE = 0.001
@@ -116,6 +126,21 @@ def _select_labels(key) -> set[str]:
     return labels
 
 
+def _adopted(memo: DocumentMemo) -> set:
+    """The keys ``memo`` goes on to adopt from the memo before its commit
+    (filled as runs miss; one thread)."""
+    keys, adopt = set(), memo._adopt
+
+    def spy(key):
+        entry = adopt(key)
+        if entry is not None:
+            keys.add(key)
+        return entry
+
+    memo._adopt = spy
+    return keys
+
+
 class TestWarmColdInterpreter:
     def test_after_every_step_of_an_edit_script(self, xmark_xml):
         """Answers, and which entries each commit carries: an entry whose
@@ -153,12 +178,10 @@ class TestWarmColdInterpreter:
                 memo = session.backend_instance("engine").memo(VAR)
                 before = set(memo._entries)
                 session.apply_update(DOCUMENT, doc)
-                assert session.backend_instance("engine").memo(VAR) \
-                    is not memo, "a commit binds a memo of its own"
+                old, memo = memo, session.backend_instance("engine").memo(VAR)
+                assert memo is not old, "a commit binds a memo of its own"
+                carried = _adopted(memo)
                 assert_warm_cold_interpreter(session)
-                memo = session.backend_instance("engine").memo(VAR)
-                carried = {key for key, entry in memo._entries.items()
-                           if entry.carried}
                 survivors = {key for key in before
                              if _select_labels(key) - spine}
                 if step == 0 or doc.last_stats.relabeled:
@@ -205,6 +228,30 @@ def _outcome(backend, compiled, guard):
         return (error.resource, error.limit, error.used)
 
 
+def _ops(tracer):
+    return [span for root in tracer.roots for span in root.walk()
+            if span.name.startswith("op.")]
+
+
+def _hits(tracer):
+    return [span for span in _ops(tracer)
+            if span.attributes.get("memo") == "hit"]
+
+
+def _traced(backend, run):
+    """``run()`` on ``backend`` under a tracer of its own, the memo's
+    numbers before and after, and the op spans it served from the memo."""
+    memo, tracer = backend.memo(VAR), Tracer()
+    before = (memo.stats(), dict(memo._entries))
+    backend.instrument(tracer)
+    try:
+        with tracer.span("run"):
+            outcome = run()
+    finally:
+        backend.instrument(None)
+    return outcome, before, (memo.stats(), dict(memo._entries)), _hits(tracer)
+
+
 def _committed(compiled):
     """``(cold, warm)`` engines on a commit that inserts a person: the
     warm one bound the revision before, ran ``compiled`` there, and
@@ -228,11 +275,11 @@ def _committed(compiled):
 class TestHitBehavesLikeMiss:
     @pytest.mark.parametrize("name", ["Q8", "Q9", "Q13"])
     def test_tuple_budget_refuses_cold_and_warm_alike(self, name):
-        """Warm on one snapshot, and warm after a commit — where the
-        carried entries' charges are the old snapshot's, so a tuple
-        budget recomputes them — refuse exactly as cold."""
+        """Warm on one snapshot, and warm after a commit whose memo could
+        carry entries over, refuse exactly as cold: a run with a budget
+        reads and fills no memo — its numbers and entries stay as they
+        were, and it opens no ``memo="hit"`` span."""
         refusals = 0
-        carried = 0
         for limit in (1, 10, 100, 1_000, 10_000, 100_000):
             cold, compiled = _backend_for(QUERIES[name])
             warm, _ = _backend_for(QUERIES[name])
@@ -240,11 +287,14 @@ class TestHitBehavesLikeMiss:
             try:
                 warm.execute(compiled)  # fills the memo
                 assert len(warm.memo(VAR)) > 0
-                outcomes = [
-                    _outcome(backend, compiled, QueryGuard(
-                        budget=ResourceBudget(max_tuples=limit)))
-                    for backend in (cold, warm, cold_after, warm_after)]
-                carried += warm_after.memo(VAR).carried
+                outcomes = []
+                for backend in (cold, warm, cold_after, warm_after):
+                    guard = QueryGuard(
+                        budget=ResourceBudget(max_tuples=limit))
+                    outcome, before, after, hits = _traced(
+                        backend, lambda: _outcome(backend, compiled, guard))
+                    assert after == before and hits == [], (limit, hits)
+                    outcomes.append(outcome)
             finally:
                 for backend in (cold, warm, cold_after, warm_after):
                     backend.close()
@@ -252,7 +302,54 @@ class TestHitBehavesLikeMiss:
             assert outcomes[2] == outcomes[3], (limit, "after", outcomes)
             refusals += isinstance(outcomes[0], tuple)
         assert 0 < refusals < 6
-        assert carried > 0
+
+    def test_tuple_budget_refuses_alike_on_procpool(self, xmark_xml):
+        """``procpool``'s workers, warmed by unbudgeted runs, refuse
+        exactly as a cold in-process engine — before and after a commit
+        the workers replay."""
+        limits = (10, 1_000, 100_000)
+
+        def outcomes(session, backend):
+            found = []
+            for limit in limits:
+                try:
+                    found.append(len(session.run(
+                        Q8, backend=backend,
+                        budget=ResourceBudget(max_tuples=limit)).forest))
+                except ResourceBudgetError as error:
+                    found.append((error.resource, error.limit, error.used))
+            return found
+
+        with XQuerySession() as pooled, XQuerySession() as cold:
+            for session in (pooled, cold):
+                session.add_document(DOCUMENT, xmark_xml)
+            for step in range(2):
+                for _ in range(4):  # every worker's memo, likely
+                    pooled.run(Q8, backend="procpool")
+                expected = outcomes(cold, "engine")
+                assert outcomes(pooled, "procpool") == expected, step
+                assert any(isinstance(found, tuple) for found in expected)
+                for session in (pooled, cold):
+                    doc = session.updatable(DOCUMENT)
+                    people = next(row for row in doc.encoded.tuples
+                                  if row[0] == "<people>")
+                    session.apply_update(DOCUMENT, doc.insert_child(
+                        people[1], 0, [element("person", [
+                            element("name", [text("new")])])]))
+
+    def test_a_deadline_only_run_still_hits(self):
+        backend, compiled = _backend_for(Q8)
+        try:
+            expected = forest_to_xml(backend.execute(compiled))
+            guard = QueryGuard(deadline=600.0)
+            forest, before, after, hits = _traced(
+                backend, lambda: backend.execute(
+                    compiled, ExecutionOptions(guard=guard)))
+        finally:
+            backend.close()
+        assert forest_to_xml(forest) == expected
+        assert after == before
+        assert len(hits) == 5, [span.name for span in hits]
 
     def test_a_hit_opens_its_op_span_tagged(self):
         backend, compiled = _backend_for(Q8)
@@ -266,23 +363,15 @@ class TestHitBehavesLikeMiss:
         finally:
             backend.close()
 
-        def ops(tracer):
-            return [span for span in tracer.roots[0].walk()
-                    if span.name.startswith("op.")]
-
-        def hits(tracer):
-            return [span for span in ops(tracer)
-                    if span.attributes.get("memo") == "hit"]
-
         # Cold, nothing is served, not even the /site step the For's and
         # the join's sources share: an entry is a whole chain.
-        assert hits(cold) == []
+        assert _hits(cold) == []
         # Warm: the For's source chain, the two chains lifted out of its
         # body ($p/@id and $p/name/text()), the join's source chain and
         # its inner key.
-        assert len(hits(warm)) == 5, [span.name for span in hits(warm)]
-        assert all("tuples" in span.attributes for span in hits(warm))
-        assert len(ops(warm)) < len(ops(cold))
+        assert len(_hits(warm)) == 5, [span.name for span in _hits(warm)]
+        assert all("tuples" in span.attributes for span in _hits(warm))
+        assert len(_ops(warm)) < len(_ops(cold))
 
     def test_a_deadline_mid_chain_leaves_no_entry(self):
         backend, compiled = _backend_for(Q8)
@@ -313,6 +402,38 @@ class TestHitBehavesLikeMiss:
         finally:
             backend.close()
 
+    def test_a_failed_fill_leaves_the_engine_memoizing(self, monkeypatch):
+        """A chain whose computation raises is not kept, and the engine
+        that ran it fills the memo on its next run and is served from it
+        on the one after."""
+        backend, compiled = _backend_for(Q8)
+        try:
+            plan = backend.optimized_for(compiled, ExecutionOptions())
+            values, memos = backend._values(compiled)
+            expected = decode(DIEngine().run_plan_values(plan, values)[0])
+            select_children, calls = kernels.select_children, []
+
+            def fails_first(*args):
+                calls.append(args)
+                if len(calls) == 1:
+                    raise RuntimeError("injected")
+                return select_children(*args)
+
+            monkeypatch.setattr(kernels, "select_children", fails_first)
+            engine = DIEngine()
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.run_plan_values(plan, values, memos)
+            assert len(memos[VAR]) == 0
+            steps = []
+            for _run in range(2):
+                before = len(calls)
+                assert decode(engine.run_plan_values(
+                    plan, values, memos)[0]) == expected
+                steps.append(len(calls) - before)
+            assert len(memos[VAR]) > 0 and steps[1] < steps[0], steps
+        finally:
+            backend.close()
+
     def test_validate_checks_a_hit(self, monkeypatch):
         backend, compiled = _backend_for(Q8)
         try:
@@ -335,6 +456,52 @@ class TestHitBehavesLikeMiss:
             assert 0 < len(checked) < cold_checks
         finally:
             backend.close()
+
+
+# -- a renormalised source ----------------------------------------------------
+
+#: The loop's trees sit past a sibling of 9 rows, so their coordinates
+#: in the document and in the renormalised source are far apart.
+_SMALL = "<r><z>" + "<y/>" * 8 + "</z>" + "".join(
+    f"<a id='{i}'><k>x{i}</k></a>" for i in range(3)) + "</r>"
+_LOOP = 'for $x in document("d.xml")/r/a return <o>{$x/k/text()}</o>'
+_ROOTED = 'document("d.xml")/r/a/k/text()'
+
+
+@pytest.mark.parametrize("order", [(_LOOP, _ROOTED), (_ROOTED, _LOOP)],
+                         ids=["loop-first", "rooted-first"])
+def test_a_renormalised_sources_lifted_chain_skips_the_memo(order,
+                                                            shrink_int64):
+    """At 10 bits the loop's source ``/r/a`` is renormalised: its lifted
+    ``$x/k/text()`` is in the source's coordinates, not the document's,
+    so it is neither kept under nor served from the rooted chain's key,
+    which the other text fills.  Both texts match the interpreter in
+    either order on one memo."""
+    remedies = shrink_int64(10)
+    snapshot = as_snapshot(_SMALL)
+    memo = DocumentMemo(*snapshot)
+    loop = optimize_stage(compile_xquery(_LOOP).plan())
+    (lifted,), = [node.lifted for node in iter_plan(loop)
+                  if isinstance(node, ForNode)]
+    for query in order:
+        compiled = compile_xquery(query)
+        var, = compiled.documents.values()
+        kept = lifted.rooted in memo._entries
+        before, tracer = remedies["renormalise"], Tracer()
+        rel, _width = DIEngine(validate=True, tracer=tracer).run_plan_values(
+            optimize_stage(compiled.plan()), {var: snapshot}, {var: memo})
+        expected = forest_to_xml(evaluate(compiled.core, {
+            var: document_forest(parse_forest(_SMALL))}))
+        assert forest_to_xml(decode(rel)) == expected, query
+        if query == _LOOP:
+            assert remedies["renormalise"] > before
+            assert not [span for root in tracer.roots
+                        for span in root.walk()
+                        if span.attributes.get("memo") == "hit"]
+            # Rooted first, the key was filled and could have served it.
+            assert kept == (order[0] == _ROOTED)
+            # Loop first, it keeps nothing there.
+            assert (lifted.rooted in memo._entries) == kept
 
 
 # -- lifetime and sharing -----------------------------------------------------
@@ -481,12 +648,12 @@ class TestBound:
         nothing; a smaller one that still fits is kept."""
         memo = DocumentMemo(_document(100), 200)
         for key in "abc":
-            memo.put(key, _entry(40), ())
+            memo.put(key, _entry(40))
         assert len(memo) == 2 and memo.refused == 1
         assert memo.get("c") is None
         assert memo.get("a") is not None and memo.get("b") is not None
-        memo.put("d", _entry(10), ())
-        memo.put("e", _entry(40), ())
+        memo.put("d", _entry(10))
+        memo.put("e", _entry(40))
         assert memo.get("d") is not None and memo.get("e") is None
         assert memo.nbytes <= memo.bound
         assert memo.refused == 2 and len(memo) == 3
@@ -515,20 +682,20 @@ class TestBound:
 
     def test_an_entry_larger_than_the_bound_is_not_kept(self):
         memo = DocumentMemo(_document(10), 20)
-        memo.put("big", _entry(11), ())
+        memo.put("big", _entry(11))
         assert len(memo) == 0 and memo.nbytes == 0
 
     def test_views_of_the_document_cost_nothing(self):
         document = _document(10)
         memo = DocumentMemo(document, 20)
-        memo.put("view", (document[0:5], 20), ())
+        memo.put("view", (document[0:5], 20))
         assert len(memo) == 1 and memo.nbytes == 0
 
     def test_a_key_already_present_keeps_its_entry(self):
         memo = DocumentMemo(_document(100), 200)
         first = _entry(10)
-        memo.put("k", first, ())
-        memo.put("k", _entry(10), ())
+        memo.put("k", first)
+        memo.put("k", _entry(10))
         assert memo.get("k").value is first
 
 

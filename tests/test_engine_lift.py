@@ -11,8 +11,9 @@ evaluated once over the source and re-blocked into the iterations.
   ``count($r//item)``, and a source that is no document chain;
 * **evaluation** — answers equal the unlifted plan's and the Figure 3
   interpreter's, an iteration index compacted for an outer binding
-  re-blocks by iteration number, and a body that reads its variable
-  only through lifted chains never expands it.
+  re-blocks by iteration number, a renormalised source runs its chains
+  per iteration, and a body that reads its variable only through lifted
+  chains never expands it.
 """
 
 from __future__ import annotations
@@ -313,6 +314,27 @@ def test_a_compacted_index_reblocks_by_iteration_number(shrink_int64):
     answer = DIEngine(validate=True).run_plan(plan, bindings)
     assert remedies["compact"] > 0
     assert answer == evaluate(compiled.core, bindings)
+
+
+def test_a_source_too_wide_even_renormalised_runs_per_iteration(
+        shrink_int64):
+    """At 10 bits the loop's 19-row source is renormalised to width 38,
+    whose square still leaves int64: lifted over it, ``$x/c//b`` would
+    be renormalised again inside the chain and lose the trees
+    ``reblock`` maps its rows to, so the chains run per iteration over
+    the expansion, and the answer is the interpreter's."""
+    remedies = shrink_int64(10)
+    source = ("<r><z/><a/><a><b/><c><c>t</c><c><c/><c/><b/></c></c></a>"
+              "<a><d><c><d>t</d><d>t</d><d>t</d></c></d></a></r>")
+    query = 'for $x in document("d.xml")/r/a return <o>{$x/c//b}</o>'
+    compiled, _syntactic, plan = _plan(query)
+    assert _loops(plan)[0].lifted
+    bindings = {var: document_forest(parse_forest(source))
+                for var in compiled.documents.values()}
+    answer = DIEngine(validate=True).run_plan(plan, bindings)
+    assert remedies["renormalise"] > 0
+    assert forest_to_xml(answer) == forest_to_xml(
+        evaluate(compiled.core, bindings))
 
 
 def test_a_body_reading_only_lifted_chains_expands_nothing():

@@ -195,12 +195,10 @@ class TestWhatIsCarried:
             self, xmark_xml):
         with _session(xmark_xml) as session:
             memo = _commit(session, ("person", 0))
-            carried = {key for key, entry in memo._entries.items()
-                       if entry.carried}
             # Q13 and Q19 read australia's items (no <person> there), Q1
             # open auctions, and Q8's / Q9's join build sides and sources
             # closed auctions and europe's items.
-            assert memo.carried == len(carried) >= 5
+            assert memo.carried >= 5
             # /site/people/person (Q8, Q9, Q17), the chains Q8, Q9 and Q17
             # lift out of it, /@id and /name/text() (an inserted person
             # has both), and //person/name: every select label on the

@@ -119,6 +119,10 @@ GUARDS = (
           "the document memo has no setting: no session option, CLI flag or "
           "environment variable turns it off or sizes it "
           "(repro.engine.memo)", "never"),
+    Guard(r"Charge|_replay|_with_charges|_exact", ("src/repro/engine",),
+          "the document memo holds values: a run with a resource budget "
+          "reads and fills no memo, so no guard charges are logged, kept "
+          "or replayed", "7bf4ce5"),
 )
 
 DELETED_FILES = (
