@@ -3,8 +3,9 @@
 The paper's compiler is a fixed sequence of plain calls: lower the
 surface query to the core language (Figure 3), decorrelate independent
 nested loops into joins while building the DI plan (Section 5), then
-isolate every join body that reads only its variable and lift the path
-chains of base-environment ``for`` bodies, in one walk
+isolate every join body that reads only its variable, count the
+isolated joins read only through ``count`` / ``empty``, and lift the
+path chains of base-environment ``for`` bodies, in one walk
 (:func:`~repro.compiler.planner.optimize_plan`).  Each stage times its
 passes with ``time.perf_counter`` into :class:`PassRecord` entries:
 
@@ -104,24 +105,27 @@ def plan_stage(core: CoreExpr, strategy: JoinStrategy,
 
 def optimize_stage(plan: PlanNode,
                    records: list[PassRecord] | None = None) -> PlanNode:
-    """Isolate join bodies and lift ``for`` body chains; with
-    ``records``, append an ``isolate`` record counting the plan's joins,
-    how many the rule isolated, and the chains it lifted."""
+    """Isolate join bodies, count the joins read only by ``count`` /
+    ``empty`` and lift ``for`` body chains; with ``records``, append an
+    ``isolate`` record counting the plan's joins, how many the rules
+    isolated and counted, and the chains they lifted."""
     if records is None:
         return optimize_plan(plan)
     started = perf_counter()
     optimized = optimize_plan(plan)
     seconds = perf_counter() - started
-    joins = isolated = lifted = 0
+    joins = isolated = counted = lifted = 0
     for node in iter_plan(optimized):
         if isinstance(node, JoinForNode):
             joins += 1
             isolated += node.isolate
+            counted += node.counts
         elif isinstance(node, ForNode):
             lifted += len(node.lifted)
     records.append(PassRecord(
         "isolate", seconds,
-        f"{joins} join(s), {isolated} isolated, {lifted} chain(s) lifted"))
+        f"{joins} join(s), {isolated} isolated, {counted} counted, "
+        f"{lifted} chain(s) lifted"))
     return optimized
 
 

@@ -15,7 +15,9 @@ The plan mirrors the core AST one-to-one except for iteration:
 * :class:`JoinForNode` is the Section 5 decorrelated form: the source is
   evaluated once against the *base* environment, join keys are computed on
   both sides, environments are matched by a structural merge join, and only
-  the matching pairs are materialized (DI-MSJ).
+  the matching pairs are materialized (DI-MSJ).  A join read only through
+  ``count`` / ``empty`` is *counted*: it groups its pairs per outer
+  environment and materializes none (Section 6.2's "join + group").
 
 Plan nodes precompute ``required_outer`` — the outer variables the body
 actually references — so expansion copies no more data than necessary.
@@ -156,6 +158,11 @@ class JoinForNode(PlanNode):
     #: inner environment and gather the finished blocks into the matched
     #: pairs.  Only valid when the body reads no variable but ``var``.
     isolate: bool = False
+    #: Join + group (``optimize_plan``'s count rule, isolated joins only):
+    #: yield per outer environment the number of trees the body gives
+    #: over the matched pairs, as ``count`` would — one text node, width
+    #: 2 — and build no pair.
+    counts: bool = False
 
 
 # -- condition plan nodes -------------------------------------------------------

@@ -16,8 +16,9 @@ environment expansion copies exactly the bindings the body reads —
 ``JoinForNode`` sources and inner keys read the base environment and are
 excluded, which is where the asymptotic savings come from.
 
-:func:`optimize_plan` then applies two rules on the plan's shape, in
-one walk — join-body isolation, and lifting a base-environment ``for``
+:func:`optimize_plan` then applies three rules on the plan's shape, in
+one walk — join-body isolation, counting an isolated join read only
+through ``count`` / ``empty``, and lifting a base-environment ``for``
 body's path chains over its own variable out to the source: the
 physical plan is a function of the query text and the join strategy
 alone.
@@ -273,6 +274,12 @@ def optimize_plan(plan: PlanNode) -> PlanNode:
       body runs once per inner environment and the finished blocks are
       gathered into the matched pairs, keeping intermediate endpoints in
       the small inner index space.
+    * **Join + group** (Section 6.2).  An isolated join read as
+      ``count(J)`` or ``empty(J)``, or bound by a ``let`` whose every
+      read is ``count($a)`` or ``empty($a)``, is *counted*: it yields
+      its ``count`` per outer environment and builds no pair.  The reads
+      become ``$a`` and ``$a = "0"``; ``count(J)`` becomes the join and
+      ``empty(J)`` the join ``= "0"``.
     * **Lifting.**  A ``for`` evaluated at the base environment whose
       source is a path chain over a document variable gets each distinct
       maximal chain of its body over its own variable (with at most one
@@ -324,12 +331,21 @@ def _optimize(plan: PlanNode, lift: _Lift | None,
     if isinstance(plan, FnNode):
         if lift is not None and _liftable(plan, lift.var):
             return VarNode(lift.name(plan))
-        return FnNode(plan.fn, tuple(_optimize(arg, lift, base)
-                                     for arg in plan.args), plan.params)
+        args = tuple(_optimize(arg, lift, base) for arg in plan.args)
+        if plan.fn == "count" and _countable(args[0]):
+            return dataclasses.replace(args[0], counts=True)
+        return FnNode(plan.fn, args, plan.params)
     if isinstance(plan, LetNode):
-        return LetNode(plan.var, _optimize(plan.value, lift, base),
-                       _optimize(plan.body, _unless(lift, plan.var),
-                                 None if base is None else base | {plan.var}))
+        value = _optimize(plan.value, lift, base)
+        body = _optimize(plan.body, _unless(lift, plan.var),
+                         None if base is None else base | {plan.var})
+        if _countable(value):
+            try:
+                body, value = (_counted(body, plan.var),
+                               dataclasses.replace(value, counts=True))
+            except _ReadAsForest:
+                pass
+        return LetNode(plan.var, value, body)
     if isinstance(plan, WhereNode):
         body = _optimize(plan.body, lift, None)
         return WhereNode(_optimize_cond(plan.condition, lift, base), body,
@@ -393,10 +409,81 @@ def _rebase(chain: PlanNode, source: PlanNode) -> PlanNode:
     return FnNode(chain.fn, (_rebase(chain.args[0], source),), chain.params)
 
 
+def _countable(node: PlanNode) -> bool:
+    """Whether ``node`` is an isolated join not yet counted."""
+    return isinstance(node, JoinForNode) and node.isolate \
+        and not node.counts
+
+
+def _is_zero(count: PlanNode) -> EqualCond:
+    """``empty`` read off a count: ``count = "0"``."""
+    return EqualCond(count, FnNode("text_const", (), (("value", "0"),)))
+
+
+class _ReadAsForest(Exception):
+    """A counted variable is read other than through ``count`` /
+    ``empty``, or rebound."""
+
+
+def _counted(plan: PlanNode, var: str) -> PlanNode:
+    """``plan`` with every ``count($var)`` read as ``$var`` and every
+    ``empty($var)`` as ``$var = "0"``; raises :class:`_ReadAsForest`
+    when it reads ``$var`` any other way, or rebinds it."""
+    if isinstance(plan, VarNode):
+        if plan.name == var:
+            raise _ReadAsForest(var)
+        return plan
+    if isinstance(plan, (LetNode, ForNode, JoinForNode)) and plan.var == var:
+        raise _ReadAsForest(var)
+    if isinstance(plan, FnNode):
+        if plan.fn == "count" and plan.args == (VarNode(var),):
+            return plan.args[0]
+        return FnNode(plan.fn, tuple(_counted(arg, var) for arg in plan.args),
+                      plan.params)
+    if isinstance(plan, LetNode):
+        return LetNode(plan.var, _counted(plan.value, var),
+                       _counted(plan.body, var))
+    if isinstance(plan, WhereNode):
+        return dataclasses.replace(
+            plan, condition=_counted_cond(plan.condition, var),
+            body=_counted(plan.body, var))
+    if isinstance(plan, ForNode):
+        return dataclasses.replace(plan, source=_counted(plan.source, var),
+                                   body=_counted(plan.body, var))
+    if isinstance(plan, JoinForNode):
+        # The source and inner key read the base environment alone.
+        return dataclasses.replace(
+            plan, key_outer=_counted(plan.key_outer, var),
+            body=_counted(plan.body, var),
+            residual=(_counted_cond(plan.residual, var)
+                      if plan.residual is not None else None))
+    raise PlanError(f"unknown plan node {type(plan).__name__}")
+
+
+def _counted_cond(condition: CondPlan, var: str) -> CondPlan:
+    """:func:`_counted` for a condition."""
+    if isinstance(condition, EmptyCond):
+        if condition.expr == VarNode(var):
+            return _is_zero(condition.expr)
+        return EmptyCond(_counted(condition.expr, var))
+    if isinstance(condition, (EqualCond, SomeEqualCond, LessCond)):
+        return type(condition)(_counted(condition.left, var),
+                               _counted(condition.right, var))
+    if isinstance(condition, NotCond):
+        return NotCond(_counted_cond(condition.condition, var))
+    if isinstance(condition, (AndCond, OrCond)):
+        return type(condition)(_counted_cond(condition.left, var),
+                               _counted_cond(condition.right, var))
+    raise PlanError(f"unknown condition plan {type(condition).__name__}")
+
+
 def _optimize_cond(condition: CondPlan, lift: _Lift | None,
                    base: frozenset[str] | None) -> CondPlan:
     if isinstance(condition, EmptyCond):
-        return EmptyCond(_optimize(condition.expr, lift, base))
+        expr = _optimize(condition.expr, lift, base)
+        if _countable(expr):
+            return _is_zero(dataclasses.replace(expr, counts=True))
+        return EmptyCond(expr)
     if isinstance(condition, (EqualCond, SomeEqualCond, LessCond)):
         return type(condition)(_optimize(condition.left, lift, base),
                                _optimize(condition.right, lift, base))
@@ -460,6 +547,8 @@ def explain_plan(node: PlanNode, indent: int = 0,
         markers = [operator]
         if node.isolate:
             markers.append("isolated body")
+        if node.counts:
+            markers.append("counted: no pairs built")
         markers.append(f"copies: {required}")
         lines = [
             f"{pad}JoinFor ${node.var} [{'; '.join(markers)}]{suffix}",

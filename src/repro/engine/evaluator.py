@@ -677,6 +677,9 @@ class DIEngine:
             raise ExecutionError("JoinForNode requires a base environment")
         source = self.evaluate(node.source, self._base)
         if source[1] == 0:
+            if node.counts:
+                return self._kernel("count_pairs", kernels.count_pairs,
+                                    _NO_ENVS, seq.index)
             return IntervalColumns.empty(), 0
         # The build side depends on the document alone: with a memo for
         # the source's document it is computed once per snapshot.
@@ -697,6 +700,45 @@ class DIEngine:
             existential=node.existential,
             strategy=node.strategy,
         )
+        if node.counts:
+            if node.residual is not None:
+                pair_seq, _fan = self._pair_seq(node, ix, iy, bound,
+                                                source_width, seq)
+                satisfied = self._eval_condition(node.residual, pair_seq)
+                ix, iy = ix[satisfied], iy[satisfied]
+            return self._count_pairs(node, ix, iy, inner_seq, seq.index)
+        pair_seq, fan = self._pair_seq(node, ix, iy, bound, source_width,
+                                       seq)
+        if node.residual is not None:
+            satisfied = self._eval_condition(node.residual, pair_seq)
+            iy, surviving = iy[satisfied], pair_seq.index[satisfied]
+            filtered_vars = {
+                name: (self._kernel("filter_by_index",
+                                    kernels.filter_by_index,
+                                    rel, width, surviving), width)
+                for name, (rel, width) in pair_seq.vars.items()
+            }
+            pair_seq = EnvSeq(surviving, filtered_vars)
+        if node.isolate:
+            # Join-graph isolation: the body depends on the join variable
+            # alone, so evaluate it once per *inner* environment — the
+            # small index space — then gather the finished blocks into
+            # the surviving pairs.  Duplicate origins are fine (one inner
+            # environment may match many outer environments).
+            body = self.evaluate(node.body, inner_seq)
+            body_rel, body_width = self._gather(body, iy, pair_seq.index)
+        else:
+            body_rel, body_width = self.evaluate(node.body, pair_seq)
+        width = fan * body_width
+        return self._fit((body_rel, width), seq.index, width)
+
+    def _pair_seq(self, node: JoinForNode, ix: np.ndarray, iy: np.ndarray,
+                  bound: IntervalColumns, source_width: int,
+                  seq: EnvSeq) -> tuple[EnvSeq, int]:
+        """The matched pairs as an environment sequence, and its ``fan``
+        (:meth:`_compact`): each pair numbered, with the outer bindings
+        the join needs and — unless the body is isolated and the
+        residual does not read it — the join variable copied in."""
         outer = {name: seq.vars[name]
                  for name in sorted(node.required_outer)
                  if name in seq.vars}
@@ -712,29 +754,24 @@ class DIEngine:
                 (bound, source_width), iy, pair_index)
         for name, value in outer.items():
             pair_vars[name] = self._gather(value, ix, pair_index)
-        pair_seq = EnvSeq(pair_index, pair_vars)
-        if node.residual is not None:
-            satisfied = self._eval_condition(node.residual, pair_seq)
-            iy, surviving = iy[satisfied], pair_index[satisfied]
-            filtered_vars = {
-                name: (self._kernel("filter_by_index",
-                                    kernels.filter_by_index,
-                                    rel, width, surviving), width)
-                for name, (rel, width) in pair_vars.items()
-            }
-            pair_seq = EnvSeq(surviving, filtered_vars)
-        if node.isolate:
-            # Join-graph isolation: the body depends on the join variable
-            # alone, so evaluate it once per *inner* environment — the
-            # small index space — then gather the finished blocks into
-            # the surviving pairs.  Duplicate origins are fine (one inner
-            # environment may match many outer environments).
-            body = self.evaluate(node.body, inner_seq)
-            body_rel, body_width = self._gather(body, iy, pair_seq.index)
-        else:
-            body_rel, body_width = self.evaluate(node.body, pair_seq)
-        width = fan * body_width
-        return self._fit((body_rel, width), seq.index, width)
+        return EnvSeq(pair_index, pair_vars), fan
+
+    def _count_pairs(self, node: JoinForNode, ix: np.ndarray,
+                     iy: np.ndarray, inner_seq: EnvSeq,
+                     index: np.ndarray) -> Value:
+        """A counted join's answer (Section 6.2's join + group): per
+        environment of ``index``, the trees the body yields summed over
+        its matched pairs ``(ix, iy)``.  The isolated body runs once per
+        inner environment and is counted there; a body that is the join
+        variable holds one tree per pair and is not evaluated at all."""
+        weights = None
+        if node.body != VarNode(node.var):
+            per_inner = self._kernel("root_counts", kernels.root_counts,
+                                     *self.evaluate(node.body, inner_seq),
+                                     inner_seq.index)
+            weights = per_inner[np.searchsorted(inner_seq.index, iy)]
+        return self._kernel("count_pairs", kernels.count_pairs, ix, index,
+                            weights)
 
     def _build_side(self, node: JoinForNode, source: Value,
                     ) -> tuple[int, np.ndarray, IntervalColumns, Value]:

@@ -514,16 +514,55 @@ def text_const(value: str, index: Sequence[int]) -> tuple[IntervalColumns, int]:
     return _leaves(np.full(len(envs), name_code(value), dtype=np.int32), envs)
 
 
+def _count_leaves(counts: np.ndarray,
+                  envs: np.ndarray) -> tuple[IntervalColumns, int]:
+    """``count``'s answer: ``counts[k]`` as a text node in environment
+    ``envs[k]``; width 2.  A label is built per distinct count, not per
+    environment, and looked up in a table indexed by the count."""
+    seen = np.bincount(counts, minlength=1)
+    distinct = np.flatnonzero(seen)
+    table = np.empty(len(seen), dtype=np.int32)
+    table[distinct] = label_codes([str(count)
+                                   for count in distinct.tolist()])
+    return _leaves(table[counts], envs)
+
+
+def _tally(owners: np.ndarray, envs: np.ndarray,
+           weights: np.ndarray | None = None) -> np.ndarray:
+    """Per environment of ``envs``, how many of ``owners`` (ascending,
+    each one of ``envs``) it is — or the sum of their ``weights``: one
+    ``searchsorted``."""
+    bounds = np.append(np.searchsorted(owners, envs), len(owners))
+    if weights is None:
+        return np.diff(bounds)
+    summed = np.concatenate(([0], np.cumsum(weights)))
+    return summed[bounds[1:]] - summed[bounds[:-1]]
+
+
+def root_counts(cols: IntervalColumns, width: int,
+                index: Sequence[int]) -> np.ndarray:
+    """The number of trees in each environment's block, per environment
+    of ``index``."""
+    return _tally(cols.l[cols.d == 0] // width, _int64(index))
+
+
 def count_roots(cols: IntervalColumns, width: int,
                 index: Sequence[int]) -> tuple[IntervalColumns, int]:
-    """Per-environment root count as a text node; width 2.  A label is
-    built per distinct count, not per environment."""
+    """Per-environment root count as a text node; width 2."""
     envs = _int64(index)
-    counts = _per_env(envs, *np.unique(cols.l[cols.d == 0] // width,
-                                       return_counts=True), 0)
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    codes = label_codes([str(count) for count in distinct.tolist()])
-    return _leaves(codes[inverse], envs)
+    return _count_leaves(root_counts(cols, width, envs), envs)
+
+
+def count_pairs(ix: np.ndarray, index: Sequence[int],
+                weights: np.ndarray | None = None,
+                ) -> tuple[IntervalColumns, int]:
+    """A join's ``count`` without its pairs (Section 6.2's join +
+    group): per environment of ``index``, the number of pairs whose
+    outer environment ``ix`` (ascending, each one of ``index``) it is —
+    or the sum of their ``weights``, the trees each pair's body holds —
+    as a text node; width 2."""
+    envs = _int64(index)
+    return _count_leaves(_tally(ix, envs, weights), envs)
 
 
 def string_fn(cols: IntervalColumns, width: int,

@@ -47,7 +47,8 @@ FUNCTION_CATEGORIES = {
 def span_category(node: PlanNode) -> str:
     """The Figure 10 category a plan node's ``op.*`` span carries: an
     XFn's from :data:`FUNCTION_CATEGORIES`; the loops and ``where`` —
-    iteration, pair matching, filtering and block copies — are the join."""
+    iteration, pair matching and counting, filtering and block copies —
+    are the join."""
     if isinstance(node, FnNode):
         return FUNCTION_CATEGORIES.get(node.fn, OTHER)
     if isinstance(node, (ForNode, JoinForNode, WhereNode)):

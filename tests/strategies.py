@@ -165,6 +165,30 @@ JOIN_FAMILY = {
     "reflexive": 'for $a in %(A)s where $a/%(K)s = $a/%(K)s '
                  'return <o a="{$a/@id/text()}"/>',
     "distinct": 'for $a in %(A)s return <d>{distinct($a/%(K)s)}</d>',
+    # Counted joins (join + group): a body of zero or many trees per
+    # pair, so the count is not the number of pairs ...
+    "counted_body": 'for $a in %(A)s let $m := for $b in %(B)s '
+                    'where $b/%(K)s = $a/%(K)s return $b/%(K)s '
+                    'return <o a="{$a/@id/text()}">{count($m)}</o>',
+    # ... a residual second conjunct, counted after it filters ...
+    "counted_residual": 'for $a in %(A)s let $m := for $b in %(B)s '
+                        'where $b/%(K)s = $a/%(K)s '
+                        'and not($b/@k = $a/@k) return $b '
+                        'where not(empty($m)) '
+                        'return <o a="{$a/@id/text()}">{count($m)}</o>',
+    # ... count over the join written inline ...
+    "counted_inline": 'for $a in %(A)s return <o a="{$a/@id/text()}">'
+                      '{count(for $b in %(B)s where $b/%(K)s = $a/%(K)s '
+                      'return $b)}</o>',
+    # ... a quantifier, which lowers to not(empty(join)) ...
+    "quantified": 'for $a in %(A)s '
+                  'where some $b in %(B)s satisfies $b/%(K)s = $a/%(K)s '
+                  'return <o a="{$a/@id/text()}"/>',
+    # ... and the control: $m read as a forest too, so nothing is counted.
+    "counted_and_read": 'for $a in %(A)s let $m := for $b in %(B)s '
+                        'where $b/%(K)s = $a/%(K)s return $b '
+                        'return <o a="{$a/@id/text()}" n="{count($m)}">'
+                        '{$m/@id/text()}</o>',
 }
 
 

@@ -41,7 +41,7 @@ from repro.engine.evaluator import DIEngine
 from repro.engine.validate import validate_value
 from repro.errors import WidthOverflowError
 from repro.xml import operations as fig2
-from repro.xml.forest import compare_forests
+from repro.xml.forest import Node, compare_forests
 from repro.xquery.functions import FUNCTIONS
 
 from tests.def33 import check, env_forests, placements, unary
@@ -282,6 +282,43 @@ class TestConstructorKernels:
     def test_count_roots(self, data):
         rows, width, index = data
         check("count", kernels.count_roots, [(rows, width)], index)
+
+    @given(blocked(), st.data())
+    def test_count_pairs(self, data, drawn):
+        """A counted join (Section 6.2's join + group): per outer
+        environment, Figure 2's ``count`` of the forest its pairs' inner
+        blocks concatenate to — summed per-inner-block ``root_counts`` —
+        and, unweighted, of one tree per pair; under Def 3.3 at each
+        placement."""
+        rows, width, inner = data  # the body's blocks, per inner env
+        outer = sorted(drawn.draw(st.sets(
+            st.integers(min_value=0, max_value=9), max_size=5)))
+        pairs = sorted(drawn.draw(st.sets(st.tuples(
+            st.sampled_from(outer), st.sampled_from(inner)), max_size=8))
+            if outer and inner else [])
+        blocks = dict(zip(inner, env_forests(rows, width, inner)))
+        count = FUNCTIONS["count"].impl
+        weighted = [count((tuple(tree for x, y in pairs if x == env
+                                 for tree in blocks[y]),), {})
+                    for env in outer]
+        unweighted = [count((tuple(Node(str(y)) for x, y in pairs
+                                   if x == env),), {})
+                      for env in outer]
+        for shift in placements(max(width, 2), outer + inner):
+            envs = [env + shift for env in outer]
+            ix = np.array([x + shift for x, _y in pairs], dtype=np.int64)
+            iy = np.array([y + shift for _x, y in pairs], dtype=np.int64)
+            inner_envs = np.array([y + shift for y in inner], dtype=np.int64)
+            per_inner = kernels.root_counts(IntervalColumns.from_tuples(
+                placed(rows, width, shift)), width, inner_envs)
+            weights = per_inner[np.searchsorted(inner_envs, iy)]
+            for given_weights, expected in ((weights, weighted),
+                                            (None, unweighted)):
+                result, out_width = kernels.count_pairs(ix, envs,
+                                                        given_weights)
+                assert out_width == 2
+                validate_value(result, 2, envs)
+                assert env_forests(result, 2, envs) == expected
 
     @given(blocked())
     def test_string_fn(self, data):

@@ -4,15 +4,15 @@ Every drawn case — a query of ``strategies.JOIN_FAMILY`` over a
 two-collection document whose records carry flat, attribute, repeated,
 missing and tree-valued keys — must get the Figure 3 interpreter's
 answer, byte for byte, from the DI engine under both join strategies,
-with and without the join-body isolation rule, every plan node
-validated, under
+with and without the plan rules (join-body isolation, counted joins,
+lifted chains), every plan node validated, under
 the real int64 limit and under a 10-bit one (so ``renormalise`` and the
 pair-index compaction run; what then fits neither way may be refused
 with ``WidthOverflowError``, never answered wrongly), from SQLite, and
 from a pool worker that attached the document through shared memory.
 
 The profile is deterministic (``derandomize=True``, 25 examples for each
-of the nine shapes under each limit): a disagreement is a reproducible
+of the fourteen shapes under each limit): a disagreement is a reproducible
 failure, to be committed below as a named regression.
 """
 

@@ -15,6 +15,8 @@ from repro.compiler.joingraph import analyze_join
 from repro.compiler.pipeline import optimize_stage, plan_stage
 from repro.compiler.plan import (
     CondPlan,
+    EmptyCond,
+    EqualCond,
     FnNode,
     ForNode,
     JoinForNode,
@@ -310,20 +312,48 @@ class TestExplain:
         assert "And" in text and "Not" in text and "Empty" in text
 
 
-def _erase(value, chains=None):
+#: ``empty`` read off a counted join: ``count = "0"``.
+_ZERO = FnNode("text_const", (), (("value", "0"),))
+
+
+def _erase(value, chains=None, counted=frozenset()):
     """``value`` with every field the isolation rule sets at its default,
-    and every lifted chain put back where the lift rule took it from."""
+    every lifted chain put back where the lift rule took it from, and
+    every counted join's reads put back as ``count`` / ``empty``:
+    ``counted`` holds the ``let`` variables bound to one.  (A ``let``
+    bound to ``count(J)`` would read as the let form; no text here has
+    one.)"""
     chains = chains or {}
     if isinstance(value, VarNode) and value.name in chains:
-        return _erase(chains[value.name])
+        return _erase(chains[value.name], None, counted)
+    if isinstance(value, VarNode) and value.name in counted:
+        return FnNode("count", (value,))
+    if isinstance(value, EqualCond) and value.right == _ZERO:
+        left = value.left
+        if isinstance(left, VarNode) and left.name in counted:
+            return EmptyCond(left)
+        if isinstance(left, JoinForNode) and left.counts:
+            return EmptyCond(_erase(dataclasses.replace(left, counts=False),
+                                    chains, counted))
+    if isinstance(value, LetNode) and isinstance(value.value, JoinForNode) \
+            and value.value.counts:
+        return LetNode(value.var,
+                       _erase(dataclasses.replace(value.value, counts=False),
+                              chains, counted),
+                       _erase(value.body, chains, counted | {value.var}))
+    if isinstance(value, JoinForNode) and value.counts:
+        return FnNode("count", (_erase(
+            dataclasses.replace(value, counts=False), chains, counted),))
     if isinstance(value, ForNode) and value.lifted:
         inner = {**chains, **{lifted.name: lifted.chain
                               for lifted in value.lifted}}
-        return _erase(dataclasses.replace(
-            value, body=_erase(value.body, inner), lifted=(),
-            reads_var=True), chains)
+        erased = _erase(dataclasses.replace(value, lifted=(),
+                                            reads_var=True), chains, counted)
+        return dataclasses.replace(erased,
+                                   body=_erase(value.body, inner, counted))
     if isinstance(value, (PlanNode, CondPlan)):
-        fields = {field.name: _erase(getattr(value, field.name), chains)
+        fields = {field.name: _erase(getattr(value, field.name), chains,
+                                     counted)
                   for field in dataclasses.fields(value)}
         for name in ("required_outer", "body_free"):
             if name in fields:
@@ -332,7 +362,7 @@ def _erase(value, chains=None):
             fields["isolate"] = False
         return type(value)(**fields)
     if isinstance(value, tuple):
-        return tuple(_erase(item, chains) for item in value)
+        return tuple(_erase(item, chains, counted) for item in value)
     return value
 
 
@@ -371,3 +401,111 @@ class TestIsolationRule:
         joins = [node for node in iter_plan(plan)
                  if isinstance(node, JoinForNode)]
         assert joins and all(node.isolate for node in joins)
+
+
+def _counted_joins(text: str, strategy=JoinStrategy.MSJ) -> list[bool]:
+    """``counts`` of every join of ``text``'s optimized plan, pre-order."""
+    compiled = compile_xquery(text)
+    plan = optimize_stage(plan_stage(compiled.core, strategy,
+                                     base_vars=compiled.documents.values()))
+    return [node.counts for node in iter_plan(plan)
+            if isinstance(node, JoinForNode)]
+
+
+def _adhoc_q8() -> str:
+    from perfbench.inputs import ADHOC_SHAPES
+    return ADHOC_SHAPES["q8"].format(tag="row0", role="buyer", step="name")
+
+
+class TestCountRule:
+    """Section 6.2's "join + group": an isolated join read only through
+    ``count`` / ``empty`` counts its pairs and builds none."""
+
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    @pytest.mark.parametrize("name, counted", [
+        ("Q8", [True]), ("Q8_ORIGINAL", [True]), ("adhoc q8", [True]),
+        ("Q9", [False, False])])
+    def test_the_rule_counts_q8_and_not_q9(self, name, counted, strategy):
+        text = _adhoc_q8() if name == "adhoc q8" else _rule_texts()[name]
+        assert _counted_joins(text, strategy) == counted
+
+    def test_the_let_form_rewrites_the_reads(self):
+        from repro.xmark.queries import Q8
+        compiled = compile_xquery(Q8)
+        plan = optimize_stage(compiled.plan())
+        let = plan.body
+        assert isinstance(let, LetNode) and let.value.counts
+        # where not(empty($a)) ... {count($a)}
+        condition = let.body.condition.condition
+        assert condition == EqualCond(VarNode("a"), FnNode(
+            "text_const", (), (("value", "0"),)))
+        assert "count" not in {node.fn for node in iter_plan(let.body)
+                               if isinstance(node, FnNode)}
+        assert "counted: no pairs built" in explain_plan(plan)
+
+    @pytest.mark.parametrize("text, counted", [
+        # count(J) and empty(J) inline, and a quantifier
+        ('for $x in document("d")/r/x return '
+         '<o>{count(for $y in document("d")/r/y '
+         'where $y/k = $x/k return $y)}</o>', [True]),
+        ('for $x in document("d")/r/x where empty('
+         'for $y in document("d")/r/y where $y/k = $x/k return $y) '
+         'return $x', [True]),
+        ('for $x in document("d")/r/x where some $y in document("d")/r/y '
+         'satisfies $y/k = $x/k return $x', [True]),
+        # $a read as a forest anywhere
+        ('for $x in document("d")/r/x let $a := for $y in document("d")/r/y '
+         'where $y/k = $x/k return $y return <o>{count($a)}{$a}</o>',
+         [False]),
+        # a join whose body reads the outer variable is not isolated
+        ('for $x in document("d")/r/x let $a := for $y in document("d")/r/y '
+         'where $y/k = $x/k return $x return <o>{count($a)}</o>', [False]),
+        # count(count(J)) counts the join once
+        ('for $x in document("d")/r/x return <o>{count(count('
+         'for $y in document("d")/r/y where $y/k = $x/k return $y))}</o>',
+         [True]),
+        # $a rebound under its let
+        ('for $x in document("d")/r/x let $a := for $y in document("d")/r/y '
+         'where $y/k = $x/k return $y return '
+         '<o>{count($a)}{for $a in $x/k return $a}</o>', [False]),
+    ])
+    def test_where_the_rule_fires(self, text, counted):
+        assert _counted_joins(text) == counted
+
+    def test_a_plain_for_binding_is_not_counted(self):
+        text = ('for $x in document("d")/r/x let $a := $x/k '
+                'return <o>{count($a)}</o>')
+        compiled = compile_xquery(text)
+        plan = optimize_stage(compiled.plan())
+        assert not [node for node in iter_plan(plan)
+                    if isinstance(node, JoinForNode)]
+        assert "count" in {node.fn for node in iter_plan(plan)
+                           if isinstance(node, FnNode)}
+
+    def test_counted_answers_match_the_interpreter(self):
+        from repro import run_xquery
+        doc = ('<r><x><k>a</k></x><x><k>b</k></x><x/>'
+               '<y><k>a</k></y><y><k>a</k><k>b</k></y></r>')
+        for text in ('for $x in document("d")/r/x return <o>{count(count('
+                     'for $y in document("d")/r/y where $y/k = $x/k '
+                     'return $y))}</o>',
+                     'for $x in document("d")/r/x let $a := for $y in '
+                     'document("d")/r/y where $y/k = $x/k return $y/k '
+                     'return <o n="{count($a)}">{if (empty($a)) '
+                     'then <none/> else <some/>}</o>'):
+            answers = {run_xquery(text, {"d": doc}, backend=backend,
+                                  strategy=strategy).to_xml()
+                       for backend, strategy in (("interpreter", "msj"),
+                                                 ("engine", "msj"),
+                                                 ("engine", "nlj"))}
+            assert len(answers) == 1, answers
+
+    def test_the_pass_record_counts_them(self):
+        from repro.compiler.pipeline import PassRecord
+        from repro.xmark.queries import Q8
+        compiled = compile_xquery(Q8)
+        records: list[PassRecord] = []
+        optimize_stage(compiled.plan(), records)
+        (record,) = records
+        assert record.detail == ("1 join(s), 1 isolated, 1 counted, "
+                                 "2 chain(s) lifted")
