@@ -106,26 +106,28 @@ def plan_stage(core: CoreExpr, strategy: JoinStrategy,
 def optimize_stage(plan: PlanNode,
                    records: list[PassRecord] | None = None) -> PlanNode:
     """Isolate join bodies, count the joins read only by ``count`` /
-    ``empty`` and lift ``for`` body chains; with ``records``, append an
-    ``isolate`` record counting the plan's joins, how many the rules
-    isolated and counted, and the chains they lifted."""
+    ``empty``, rank ``order by`` iterations and lift ``for`` body
+    chains; with ``records``, append an ``isolate`` record counting the
+    plan's joins, how many the rules isolated and counted, the loops
+    they ordered and the chains they lifted."""
     if records is None:
         return optimize_plan(plan)
     started = perf_counter()
     optimized = optimize_plan(plan)
     seconds = perf_counter() - started
-    joins = isolated = counted = lifted = 0
+    joins = isolated = counted = ordered = lifted = 0
     for node in iter_plan(optimized):
         if isinstance(node, JoinForNode):
             joins += 1
             isolated += node.isolate
             counted += node.counts
         elif isinstance(node, ForNode):
+            ordered += node.order is not None
             lifted += len(node.lifted)
     records.append(PassRecord(
         "isolate", seconds,
         f"{joins} join(s), {isolated} isolated, {counted} counted, "
-        f"{lifted} chain(s) lifted"))
+        f"{ordered} ordered, {lifted} chain(s) lifted"))
     return optimized
 
 

@@ -11,6 +11,8 @@ The plan mirrors the core AST one-to-one except for iteration:
   A ``for`` at the base environment over a document path may carry
   :class:`Lifted` chains: its body's paths over its own variable,
   evaluated once over the source and moved into the iteration blocks.
+  A ``for`` with an :class:`Ordering` is an ``order by`` FLWR: its
+  iterations are ranked and its body's blocks emitted in rank order.
 
 * :class:`JoinForNode` is the Section 5 decorrelated form: the source is
   evaluated once against the *base* environment, join keys are computed on
@@ -104,6 +106,21 @@ class Lifted:
 
 
 @dataclass(frozen=True, slots=True)
+class Ordering:
+    """The ``order by`` of an ordered ``for`` (``optimize_plan``'s order
+    rule).  ``key`` — the atomized key, read where the ``return`` is;
+    ``ties`` — the clause variables (the ``for``'s, then each ``let``'s)
+    whose values break equal keys, in turn, before iteration order does;
+    ``descending`` reverses the whole order.  The ``for``'s body is its
+    clause chain — a ``let`` per tie after the first, then at most one
+    ``where`` — ending in the return expression (:func:`clause_chain`)."""
+
+    key: PlanNode
+    ties: tuple[str, ...]
+    descending: bool = False
+
+
+@dataclass(frozen=True, slots=True)
 class ForNode(PlanNode):
     """Naive iteration: expand environments per source tree."""
 
@@ -118,6 +135,9 @@ class ForNode(PlanNode):
     #: Whether the body reads ``var`` other than through ``lifted``: if
     #: not, the source is never expanded.
     reads_var: bool = True
+    #: An ``order by`` (``optimize_plan``'s order rule): the iterations
+    #: are ranked within each enclosing environment.
+    order: Ordering | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,6 +239,22 @@ def chain_var(node: PlanNode) -> str | None:
     return None
 
 
+def clause_chain(body: PlanNode
+                 ) -> tuple[list[LetNode], WhereNode | None, PlanNode]:
+    """An ordered ``for``'s ``body`` taken apart: its ``let``s, taken
+    greedily, its ``where`` if it has one, and the return expression
+    they lead to — which the order rule never lets start with a ``let``
+    or a ``where``."""
+    lets = []
+    while isinstance(body, LetNode):
+        lets.append(body)
+        body = body.body
+    where = None
+    if isinstance(body, WhereNode):
+        where, body = body, body.body
+    return lets, where, body
+
+
 def iter_plan(node: PlanNode) -> Iterator[PlanNode]:
     """Yield ``node`` and every nested plan node, pre-order."""
     stack: list[PlanNode] = [node]
@@ -235,6 +271,8 @@ def iter_plan(node: PlanNode) -> Iterator[PlanNode]:
         elif isinstance(current, ForNode):
             stack.extend((current.source, current.body))
             stack.extend(lifted.chain for lifted in current.lifted)
+            if current.order is not None:
+                stack.append(current.order.key)
         elif isinstance(current, JoinForNode):
             stack.extend((current.source, current.key_outer,
                           current.key_inner, current.body))

@@ -16,12 +16,13 @@ environment expansion copies exactly the bindings the body reads —
 ``JoinForNode`` sources and inner keys read the base environment and are
 excluded, which is where the asymptotic savings come from.
 
-:func:`optimize_plan` then applies three rules on the plan's shape, in
+:func:`optimize_plan` then applies four rules on the plan's shape, in
 one walk — join-body isolation, counting an isolated join read only
-through ``count`` / ``empty``, and lifting a base-environment ``for``
-body's path chains over its own variable out to the source: the
-physical plan is a function of the query text and the join strategy
-alone.
+through ``count`` / ``empty``, ranking an ``order by``'s iterations
+instead of sorting packed tuples, and lifting a base-environment
+``for`` body's path chains over its own variable out to the source:
+the physical plan is a function of the query text and the join
+strategy alone.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ from repro.compiler.plan import (
     LetNode,
     Lifted,
     NotCond,
+    Ordering,
     OrCond,
     PlanNode,
     SomeEqualCond,
     VarNode,
     WhereNode,
     chain_var,
+    clause_chain,
 )
 from repro.xquery.ast import (
     And,
@@ -238,7 +241,8 @@ def plan_free(node: PlanNode) -> frozenset[str]:
     if isinstance(node, WhereNode):
         return cond_free(node.condition) | plan_free(node.body)
     if isinstance(node, ForNode):
-        return plan_free(node.source) | (plan_free(node.body) - _bound(node))
+        return plan_free(node.source) | _body_free(
+            node.var, node.body, node.lifted, node.order)
     if isinstance(node, JoinForNode):
         result = plan_free(node.key_outer) | (plan_free(node.body) - {node.var})
         if node.residual is not None:
@@ -260,10 +264,14 @@ def cond_free(condition: CondPlan) -> frozenset[str]:
     raise PlanError(f"unknown condition plan {type(condition).__name__}")
 
 
-def _bound(node: ForNode) -> set[str]:
-    """The variables a ``for`` binds in its body: its own and its lifted
-    chains' (which read nothing else)."""
-    return {node.var, *(lifted.name for lifted in node.lifted)}
+def _body_free(var: str, body: PlanNode, lifted: tuple[Lifted, ...],
+               order: Ordering | None) -> frozenset[str]:
+    """The outer variables a ``for``'s body — and its ordering — read:
+    what the iterations copy in."""
+    free = plan_free(body)
+    if order is not None:
+        free |= plan_free(order.key) - set(order.ties)
+    return free - {var, *(chain.name for chain in lifted)}
 
 
 def optimize_plan(plan: PlanNode) -> PlanNode:
@@ -292,6 +300,15 @@ def optimize_plan(plan: PlanNode) -> PlanNode:
       (``kernels.reblock``).  Chains inside inner ``for`` and join
       bodies are lifted too (they are loop-invariant there), never below
       a ``let``, ``for`` or join that rebinds the variable.
+    * **Ordering.**  A lowered ``order by`` — ``for $#o in sort(S)``,
+      or ``reverse(sort(S))``, whose body unpacks each clause variable
+      from the ``<#tuple>`` trees ``S`` packs — becomes the ``for`` of
+      ``S`` itself with an :class:`~repro.compiler.plan.Ordering`: its
+      clause chain ends in the return expression instead of the tuple,
+      and the iterations are ranked by the key, then by each clause
+      variable's value, as the packed trees compare.  ``S`` must be a
+      ``for`` of one clause, its ``let``s and at most one ``where``; a
+      stream decorrelated into a join keeps the sort.
 
     Along the way every ``required_outer`` / ``body_free`` is rebuilt
     from the rewritten children, and a join stops copying its outer
@@ -351,12 +368,13 @@ def _optimize(plan: PlanNode, lift: _Lift | None,
         return WhereNode(_optimize_cond(plan.condition, lift, base), body,
                          plan_free(body))
     if isinstance(plan, ForNode):
+        plan = _ordered(plan) or plan
         source = _optimize(plan.source, lift, base)
         var = chain_var(source)
         if base is not None and var is not None and var not in base:
-            return _lift_for(plan.var, source, plan.body)
-        body = _optimize(plan.body, _unless(lift, plan.var), None)
-        return ForNode(plan.var, source, body, plan_free(body) - {plan.var})
+            return _lift_for(plan, source)
+        body, order = _for_body(plan, _unless(lift, plan.var))
+        return _for_node(plan.var, source, body, order)
     if isinstance(plan, JoinForNode):
         inner = _unless(lift, plan.var)
         residual = (_optimize_cond(plan.residual, inner, None)
@@ -390,16 +408,119 @@ def _liftable(node: FnNode, var: str) -> bool:
         and descendants <= 1
 
 
-def _lift_for(var: str, source: PlanNode, body: PlanNode) -> ForNode:
-    """A base-environment ``for`` over a document chain, its body's
-    chains over ``var`` lifted."""
-    lift = _Lift(var)
-    body = _optimize(body, lift, None)
+def _lift_for(plan: ForNode, source: PlanNode) -> ForNode:
+    """A base-environment ``for`` over a document chain (``source``),
+    its body's chains over its variable lifted.  An ordered one reads
+    its variable to break ties."""
+    lift = _Lift(plan.var)
+    body, order = _for_body(plan, lift)
     lifted = tuple(Lifted(name, chain, _rebase(chain, source))
                    for chain, name in lift.chains.items())
-    bound = {var, *lift.chains.values()}
-    return ForNode(var, source, body, plan_free(body) - bound, lifted,
-                   lift.reads_var or not lifted)
+    return _for_node(plan.var, source, body, order, lifted,
+                     lift.reads_var or not lifted or order is not None)
+
+
+def _for_body(plan: ForNode, lift: _Lift | None
+              ) -> tuple[PlanNode, Ordering | None]:
+    """``plan``'s body and ordering rewritten, with ``lift``."""
+    if plan.order is None:
+        return _optimize(plan.body, lift, None), None
+    return _optimize_ordered(plan.body, plan.order, lift)
+
+
+def _for_node(var: str, source: PlanNode, body: PlanNode,
+              order: Ordering | None, lifted: tuple[Lifted, ...] = (),
+              reads_var: bool = True) -> ForNode:
+    """A rewritten ``for``, its ``required_outer`` read off its parts."""
+    return ForNode(var, source, body, _body_free(var, body, lifted, order),
+                   lifted, reads_var, order)
+
+
+def _optimize_ordered(body: PlanNode, order: Ordering, lift: _Lift | None
+                      ) -> tuple[PlanNode, Ordering]:
+    """An ordered ``for``'s clause chain and ordering rewritten.  The
+    ranking reads every tie as a forest, so no clause ``let`` is
+    counted; the key is read inside every clause variable's scope, and
+    the ``where`` passes on what the ordering reads."""
+    lets, where, tail = clause_chain(body)
+    values = []
+    for let in lets:
+        values.append(_optimize(let.value, lift, None))
+        lift = _unless(lift, let.var)
+    body = _optimize(tail, lift, None)
+    order = dataclasses.replace(order, key=_optimize(order.key, lift, None))
+    if where is not None:
+        body = WhereNode(_optimize_cond(where.condition, lift, None), body,
+                         plan_free(body) | plan_free(order.key)
+                         | set(order.ties))
+    for let, value in zip(reversed(lets), reversed(values)):
+        body = LetNode(let.var, value, body)
+    return body, order
+
+
+def _ordered(plan: ForNode) -> ForNode | None:
+    """The order rule: ``plan`` as an ordered ``for``, when it is the
+    lowering of an ``order by`` (``xquery.lowering._lower_ordered_flwr``)
+    over a ``for`` stream of one clause, its ``let``s and at most one
+    ``where``; else ``None``."""
+    source, descending = plan.source, False
+    if _is_fn(source, "reverse"):
+        source, descending = source.args[0], True
+    if not _is_fn(source, "sort"):
+        return None
+    stream = source.args[0]
+    if not isinstance(stream, ForNode) or stream.order is not None:
+        return None
+    lets, where, packed = clause_chain(stream.body)
+    ties = (stream.var, *(let.var for let in lets))
+    key = _packed_key(packed, ties)
+    if key is None or len(set(ties)) < len(ties):
+        return None
+    tail = plan.body
+    for name in ties:
+        if not isinstance(tail, LetNode) or tail.var != name \
+                or tail.value != _unpacked(plan.var, name):
+            return None
+        tail = tail.body
+    # A return that starts with a ``let`` or ``where`` would read as a
+    # clause of the stream's (``clause_chain``).
+    if isinstance(tail, (LetNode, WhereNode)) or plan.var in plan_free(tail):
+        return None
+    if where is not None:
+        tail = dataclasses.replace(where, body=tail)
+    for let in reversed(lets):
+        tail = dataclasses.replace(let, body=tail)
+    return ForNode(stream.var, stream.source, tail,
+                   order=Ordering(key, ties, descending))
+
+
+def _is_fn(node: PlanNode, fn: str, arity: int = 1) -> bool:
+    return isinstance(node, FnNode) and node.fn == fn \
+        and len(node.args) == arity
+
+
+def _packed_key(packed: PlanNode, ties: tuple[str, ...]) -> PlanNode | None:
+    """The key of a ``<#tuple>`` packing the ``ties``' values after it,
+    or ``None`` when ``packed`` is no such tuple."""
+    if not _is_fn(packed, "xnode") \
+            or packed.params != (("label", "<#tuple>"),):
+        return None
+    packed = packed.args[0]
+    for name in reversed(ties):
+        if not _is_fn(packed, "concat", 2) or packed.args[1] != FnNode(
+                "xnode", (VarNode(name),), (("label", f"<#v_{name}>"),)):
+            return None
+        packed = packed.args[0]
+    if not _is_fn(packed, "xnode") or packed.params != (("label", "<#key>"),):
+        return None
+    return packed.args[0]
+
+
+def _unpacked(carrier: str, name: str) -> FnNode:
+    """How the lowering reads ``name``'s value back out of a tuple."""
+    return FnNode("children", (FnNode(
+        "select", (FnNode("children", (VarNode(carrier),)),),
+        (("label", f"<#v_{name}>"),)),))
 
 
 def _rebase(chain: PlanNode, source: PlanNode) -> PlanNode:
@@ -448,8 +569,10 @@ def _counted(plan: PlanNode, var: str) -> PlanNode:
             plan, condition=_counted_cond(plan.condition, var),
             body=_counted(plan.body, var))
     if isinstance(plan, ForNode):
+        order = plan.order and dataclasses.replace(
+            plan.order, key=_counted(plan.order.key, var))
         return dataclasses.replace(plan, source=_counted(plan.source, var),
-                                   body=_counted(plan.body, var))
+                                   body=_counted(plan.body, var), order=order)
     if isinstance(plan, JoinForNode):
         # The source and inner key read the base environment alone.
         return dataclasses.replace(
@@ -527,6 +650,8 @@ def explain_plan(node: PlanNode, indent: int = 0,
     if isinstance(node, ForNode):
         required = ", ".join(sorted(node.required_outer)) or "-"
         markers = ["nested-loop expansion"]
+        if node.order is not None:
+            markers.append(_order_marker(node.order, annotations))
         if node.lifted:
             markers.append(f"{len(node.lifted)} lifted" + (
                 "" if node.reads_var else f", ${node.var} not expanded"))
@@ -537,6 +662,13 @@ def explain_plan(node: PlanNode, indent: int = 0,
             lines.append(f"{pad}  lifted ${lifted.name} (over the source, "
                          "re-blocked):")
             lines.append(explain_plan(lifted.chain, indent + 2, annotations))
+        if node.order is not None:
+            ties = ", ".join(f"${name}" for name in node.order.ties)
+            direction = "descending" if node.order.descending else "ascending"
+            lines.append(f"{pad}  order by ({direction}; ties {ties}, "
+                         "then iteration order):")
+            lines.append(explain_plan(node.order.key, indent + 2,
+                                      annotations))
         lines.append(explain_plan(node.body, indent + 1, annotations))
         return "\n".join(lines)
     if isinstance(node, JoinForNode):
@@ -566,6 +698,14 @@ def explain_plan(node: PlanNode, indent: int = 0,
         lines.append(explain_plan(node.body, indent + 2, annotations))
         return "\n".join(lines)
     raise PlanError(f"unknown plan node {type(node).__name__}")
+
+
+def _order_marker(order: Ordering, annotations: Annotations | None) -> str:
+    """An ordered ``for``'s marker; under EXPLAIN ANALYZE it counts the
+    iterations ranked — the environments its key was read in."""
+    seen = annotations.get(id(order.key)) if annotations else None
+    ranked = f"{seen.envs} iterations" if seen is not None else "iterations"
+    return f"ordered: {ranked} ranked, no tuple built"
 
 
 def _observed(annotations: Annotations | None, node: PlanNode) -> str:

@@ -115,8 +115,14 @@ def labels_of(codes: np.ndarray) -> np.ndarray:
     the dictionary, which is read once per distinct code."""
     distinct, inverse = np.unique(codes, return_inverse=True)
     table = np.empty(len(distinct), dtype=object)
-    table[:] = list(map(_label_of.__getitem__, distinct.tolist()))
+    table[:] = distinct_labels(distinct)
     return table[inverse]
+
+
+def distinct_labels(codes: np.ndarray) -> list[str]:
+    """The labels of ``codes``, which are already distinct: one read of
+    the dictionary apiece."""
+    return list(map(_label_of.__getitem__, codes.tolist()))
 
 
 def derive_depths(lefts: list[int], rights: list[int]) -> np.ndarray:

@@ -56,6 +56,7 @@ from repro.compiler.plan import (
     VarNode,
     WhereNode,
     chain_var,
+    clause_chain,
 )
 from repro.compiler.planner import cond_free
 from repro.encoding.interval import decode, encode_columns
@@ -473,6 +474,11 @@ class DIEngine:
     # -- where ------------------------------------------------------------------------
 
     def _eval_where(self, node: WhereNode, seq: EnvSeq) -> Value:
+        return self.evaluate(node.body, self._where_seq(node, seq))
+
+    def _where_seq(self, node: WhereNode, seq: EnvSeq) -> EnvSeq:
+        """The environments of ``seq`` that satisfy ``node``'s condition,
+        with the variables its body reads."""
         satisfied = self._eval_condition(node.condition, seq)
         everyone = satisfied.all()
         surviving = seq.index if everyone else seq.index[satisfied]
@@ -490,7 +496,7 @@ class DIEngine:
                                  rel, width, surviving),
                     width,
                 )
-        return self.evaluate(node.body, EnvSeq(surviving, inner_vars))
+        return EnvSeq(surviving, inner_vars)
 
     # -- conditions -------------------------------------------------------------------
 
@@ -573,10 +579,39 @@ class DIEngine:
         # cost of nested-loop evaluation: |roots| × |binding blocks| tuples.
         for name, value in outer.items():
             inner_vars[name] = self._gather(value, envs, index)
-        body_rel, body_width = self.evaluate(
-            node.body, EnvSeq(index, inner_vars))
+        body_seq = EnvSeq(index, inner_vars)
+        if node.order is None:
+            body_rel, body_width = self.evaluate(node.body, body_seq)
+        else:
+            body_rel, body_width = self._eval_ordered(node, body_seq, fan)
         width = fan * body_width
         return self._fit((body_rel, width), seq.index, width)
+
+    def _eval_ordered(self, node: ForNode, seq: EnvSeq, fan: int) -> Value:
+        """An ordered ``for``'s body over its iterations ``seq`` (``fan``
+        to each enclosing environment, :meth:`_compact`), laid out in
+        ``order by`` order.  The clause chain runs once; where it ends,
+        the return expression and the key are evaluated, and the
+        surviving iterations of each enclosing environment are ranked by
+        the key, then the ties' values, then iteration order — as the
+        lowering's packed ``<#tuple>`` trees sort — and each one's block
+        of the return moves to the slot of its rank: one gather."""
+        order = node.order
+        lets, where, tail = clause_chain(node.body)
+        for let in lets:
+            seq = EnvSeq(seq.index, {**seq.vars,
+                                     let.var: self.evaluate(let.value, seq)})
+        if where is not None:
+            seq = self._where_seq(where, seq)
+        value = self.evaluate(tail, seq)
+        if len(seq.index) < 2 or value[1] == 0:
+            return value  # nothing to move
+        keys = [self.evaluate(order.key, seq)]
+        keys += [seq.vars[name] for name in order.ties]
+        origins, targets = self._kernel(
+            "order_iterations", kernels.order_iterations, keys, seq.index,
+            fan, order.descending)
+        return self._gather(value, origins, targets)
 
     def _eval_lifted(self, lifted: Lifted, chain_seq: EnvSeq,
                      memo: "DocumentMemo | None", root_lefts: np.ndarray,

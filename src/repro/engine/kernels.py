@@ -32,7 +32,9 @@ subtree copied out of its context becomes a tree of its own).  A single
 run comes back as a zero-copy view of the input.
 
 Order without strings.  ``sort`` and ``Less`` order trees by their
-canonical ``(depth, label)`` keys, compared as tuples.
+canonical ``(depth, label)`` keys, compared as tuples, and
+:func:`order_iterations` ranks an ordered loop's iterations by tuples
+of them.
 :func:`collation_keys` builds no tuple: each distinct code of the
 relations compared gets its collation rank — its place among their
 distinct labels in Python string order, the one read of the dictionary
@@ -67,6 +69,7 @@ from repro.engine.columns import (
     KIND_MASK,
     TEXT,
     IntervalColumns,
+    distinct_labels,
     label_codes,
     labels_of,
     name_code,
@@ -618,16 +621,20 @@ def collation_keys(*sides) -> list[list[bytes]]:
     ``(d, rank)``, and a span's key is its slice of those eight-byte
     rows.
     """
-    codes = [cols.c for cols, _starts, _ends in sides]
-    distinct, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    distinct, inverse = np.unique(
+        np.concatenate([cols.c for cols, _starts, _ends in sides]),
+        return_inverse=True)
+    labels = distinct_labels(distinct)
     rank = np.empty(len(distinct), dtype=np.int64)
-    rank[np.argsort(labels_of(distinct))] = np.arange(len(distinct))
-    ranks = np.split(rank[inverse], np.cumsum([len(c) for c in codes])[:-1])
-    keys = []
-    for (cols, starts, ends), row_ranks in zip(sides, ranks):
-        blob = np.column_stack((cols.d, row_ranks)).astype(">u4").tobytes()
-        keys.append([blob[a:b] for a, b in zip((8 * starts).tolist(),
-                                               (8 * ends).tolist())])
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = \
+        np.arange(len(distinct))
+    depths = np.concatenate([cols.d for cols, _starts, _ends in sides])
+    blob = np.column_stack((depths, rank[inverse])).astype(">u4").tobytes()
+    keys, base = [], 0
+    for cols, starts, ends in sides:
+        keys.append([blob[a:b] for a, b in zip((8 * (starts + base)).tolist(),
+                                               (8 * (ends + base)).tolist())])
+        base += len(cols)
     return keys
 
 
@@ -735,6 +742,17 @@ def distinct(cols: IntervalColumns, width: int) -> IntervalColumns:
     return _emit_runs(cols, starts[keep], ends[keep])
 
 
+def _ranked(order: list[int], envs: np.ndarray):
+    """``(order, env, rank)``: the positions of ``order`` grouped by
+    their environments ``envs`` — each keeping its positions in
+    ``order``'s order — each one's environment, and its rank there."""
+    order = np.array(order, dtype=np.int64)
+    order = order[np.argsort(envs[order], kind="stable")]
+    env = envs[order]
+    first = np.searchsorted(env, env)  # sorted position of each env's first
+    return order, env, np.arange(len(order)) - first
+
+
 def sort(cols: IntervalColumns, width: int) -> tuple[IntervalColumns, int]:
     """Per-env stable sort by structural tree order; width squares.
 
@@ -747,12 +765,37 @@ def sort(cols: IntervalColumns, width: int) -> tuple[IntervalColumns, int]:
     _check_squares(cols, width, "sort")
     starts, ends, envs = _trees(cols, width)
     (keys,) = collation_keys((cols, starts, ends))
-    order = np.array(sorted(range(len(keys)), key=keys.__getitem__),
-                     dtype=np.int64)
-    order = order[np.argsort(envs[order], kind="stable")]
-    env = envs[order]
-    first = np.searchsorted(env, env)  # sorted position of each env's first
-    rank = np.arange(len(order)) - first
+    order, env, rank = _ranked(sorted(range(len(keys)), key=keys.__getitem__),
+                               envs)
     a = starts[order]
     return _emit_runs(cols, a, ends[order],
                       env * wout + rank * width - cols.l[a]), wout
+
+
+def order_iterations(values: Sequence[tuple[IntervalColumns, int]],
+                     index: Sequence[int], fan: int, descending: bool
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``order by`` without tuples: the iterations of ``index`` in order
+    within each enclosing environment ``index // fan``, as ``(origins,
+    targets)`` for :func:`gather_blocks` — iteration ``origins[k]`` goes
+    to ``env · fan + rank``.
+
+    An iteration's sort key is the tuple of the collation keys of its
+    blocks of the ``values`` ``(cols, width)``, in turn: the atomized
+    key, then each clause variable's value.  That orders the iterations
+    as the packed trees ``<#tuple><#key>k</#key><#v_x>x</#v_x>…</#tuple>``
+    of the same values sort — key first, then each value, a value that
+    is a prefix of another before it — and equal tuples keep index
+    order.  ``descending`` reverses the whole order, as ``reverse`` does
+    the sorted forest.  No tuple is built and no width squares.
+    """
+    index = _int64(index)
+    sides = [(cols, *_block_spans(cols, width, index)[:2])
+             for cols, width in values]
+    keys = list(zip(*collation_keys(*sides)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if descending:
+        order.reverse()
+    order, env, rank = _ranked(order, index // fan)
+    return index[order], env * fan + rank
+

@@ -287,14 +287,20 @@ class _Lowerer:
 
         The clause tuple is packed into a ``<#tuple>`` tree whose first
         child holds the atomized key; structural tree order then sorts by
-        the key first (labels are all equal), and the stable ``sort``
-        preserves document order among equal keys — XQuery's stable
-        ordering.  After sorting, the bindings are unpacked and the return
-        expression runs per tuple:
+        the key first (labels are all equal).  Equal keys are ordered by
+        the packed values' structural order, clause variable by clause
+        variable, and the stable ``sort`` keeps document order only among
+        tuples equal throughout — a deviation from XQuery, whose stable
+        order keeps document order among equal keys.  After sorting, the
+        bindings are unpacked and the return expression runs per tuple:
 
             for #o in sort(for … return <#tuple><#key>k</#key>
                                          <#v_x>{$x}</#v_x>…</#tuple>)
             do let x = children(select <#v_x> (children(#o))) … in return
+
+        The engine's optimized plans rank the stream's iterations in the
+        same order instead and build no tuple (``optimize_plan``'s order
+        rule, docs/PLANNER.md).
         """
         order_by: SOrderBy = flwr.order_by
         variables = [clause.var for clause in flwr.clauses]

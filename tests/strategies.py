@@ -192,11 +192,46 @@ JOIN_FAMILY = {
 }
 
 
+#: The order-by family over the same documents: repeated, missing and
+#: tree-valued keys make equal keys — broken by the bound values, then
+#: by document order — and empty keys common.
+_ROW = '<o a="{$a/@id/text()}"/>'
+ORDER_FAMILY = {
+    "plain": 'for $a in %(A)s order by $a/%(K)s return ' + _ROW,
+    "descending": 'for $a in %(A)s order by $a/%(K)s descending '
+                  'return ' + _ROW,
+    "where": 'for $a in %(A)s where not($a/@k = "b") '
+             'order by $a/%(K)s return ' + _ROW,
+    # A let-bound key, itself a tie after the loop variable.
+    "let_key": 'for $a in %(A)s let $v := $a/%(K)s order by $v '
+               'return <o a="{$a/@id/text()}">{$v}</o>',
+    # A key and a tie over a let-bound join: the ranking reads $m as a
+    # forest, so the count rule must leave the join uncounted.
+    "count_key": 'for $a in %(A)s let $m := for $b in %(B)s '
+                 'where $b/%(K)s = $a/%(K)s return $b '
+                 'order by count($m) return <o a="{$a/@id/text()}">'
+                 '{count($m)}</o>',
+    "attribute_key": 'for $a in %(A)s order by $a/@k descending '
+                     'return ' + _ROW,
+    # Each outer environment ranks its own iterations.
+    "nested": 'for $a in %(A)s return <g a="{$a/@id/text()}">'
+              '{for $k in $a/k order by $k descending return $k}</g>',
+    # Controls the order rule must not fire on: two for clauses ...
+    "two_fors": 'for $a in %(A)s for $b in %(B)s order by $b/%(K)s '
+                'return <p a="{$a/@id/text()}" b="{$b/@id/text()}"/>',
+    # ... and a correlated stream, which decorrelates to a join.
+    "join_stream": 'for $a in %(A)s return <g a="{$a/@id/text()}">'
+                   '{for $b in %(B)s where $b/%(K)s = $a/%(K)s '
+                   'order by $b/@k return $b/@id/text()}</g>',
+}
+
+
 @st.composite
-def join_cases(draw, shape: str):
+def join_cases(draw, shape: str, family: dict[str, str] = JOIN_FAMILY):
     """``(query text, document forest)`` — the ``shape`` query of
-    :data:`JOIN_FAMILY`, on a drawn key step, over a two-collection
-    document whose records carry the keys it compares."""
+    ``family`` (:data:`JOIN_FAMILY`, or :data:`ORDER_FAMILY`), on a
+    drawn key step, over a two-collection document whose records carry
+    the keys it compares."""
     # One pool of keys for both collections, so that equal keys — flat
     # and structured — are common, across records and inside one.
     keys = [draw(_key_trees()) for _ in range(draw(st.sampled_from((2, 1, 3))))]
@@ -205,4 +240,16 @@ def join_cases(draw, shape: str):
              for tag in ("a", "b")]
     document = Node("<r>", (Node("<as>", sides[0]), Node("<bs>", sides[1])))
     step = draw(st.sampled_from(("k", "@k", "k/text()", "k/t")))
-    return JOIN_FAMILY[shape] % {**JOIN_SOURCES, "K": step}, (document,)
+    return family[shape] % {**JOIN_SOURCES, "K": step}, (document,)
+
+
+@st.composite
+def order_cases(draw, shape: str):
+    """:func:`join_cases` for the :data:`ORDER_FAMILY` ``shape``, each
+    collection's records in descending ``@id`` order: the bound values
+    compare by ``@id`` first, so equal keys fall to them against
+    document order."""
+    query, (document,) = draw(join_cases(shape, ORDER_FAMILY))
+    return query, (Node(document.label, [
+        Node(side.label, reversed(side.children))
+        for side in document.children]),)

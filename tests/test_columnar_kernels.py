@@ -180,6 +180,54 @@ class TestShiftKernels:
     def test_sort(self, data):
         unary("sort", kernels.sort, *data)
 
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_order_iterations(self, drawn):
+        """An ``order by`` without tuples: within each enclosing
+        environment the iterations come out as Figure 2's ``sort`` —
+        reversed when descending — orders their packed tuples
+        ``<#tuple><#key>v₀</#key><#v_1>v₁</#v_1>…</#tuple>``, each one
+        moved to the slot of its rank.  Two labels and deep trees make
+        values that tie on long prefixes, or are prefixes of others,
+        common."""
+        iterations = drawn.draw(st.lists(st.integers(0, 11), min_size=1,
+                                         unique=True).map(sorted))
+        fan = drawn.draw(st.sampled_from((4, 12, 3)))
+        descending = drawn.draw(st.booleans())
+        values, forests_of = [], []
+        for _ in range(drawn.draw(st.integers(2, 3))):
+            value = [drawn.draw(forests(max_trees=2, max_depth=4,
+                                        labels=("<a>", "x")))
+                     for _ in iterations]
+            rows, width = [], max(max((encode(f).width for f in value)),
+                                  1)
+            for env, forest in zip(iterations, value):
+                rows += [(s, l + env * width, r + env * width)
+                         for s, l, r in encode(forest).tuples]
+            values.append((IntervalColumns.from_tuples(rows), width))
+            forests_of.append(value)
+        packed = [Node("<#tuple>", [Node("<#key>", tuple(parts[0]))] + [
+            Node(f"<#v_{at}>", tuple(part))
+            for at, part in enumerate(parts[1:], 1)])
+            for parts in zip(*forests_of)]
+        origins, targets = kernels.order_iterations(
+            values, iterations, fan, descending)
+        position = {env: at for at, env in enumerate(iterations)}
+        envs = sorted({env // fan for env in iterations})
+        for outer in envs:
+            mine = [packed[position[env]] for env in iterations
+                    if env // fan == outer]
+            expected = list(fig2.sort(tuple(mine)))
+            if descending:
+                expected.reverse()
+            moved = [(int(origin), int(target))
+                     for origin, target in zip(origins, targets)
+                     if origin // fan == outer]
+            assert [packed[position[origin]] for origin, _ in moved] \
+                == expected
+            assert [target for _, target in moved] \
+                == [outer * fan + rank for rank in range(len(mine))]
+
     @given(blocked(), st.lists(st.integers(min_value=0, max_value=8),
                                unique=True).map(sorted))
     def test_filter_by_index(self, data, index):

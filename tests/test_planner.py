@@ -2,6 +2,7 @@
 the join-body isolation rule."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -318,12 +319,17 @@ _ZERO = FnNode("text_const", (), (("value", "0"),))
 
 def _erase(value, chains=None, counted=frozenset()):
     """``value`` with every field the isolation rule sets at its default,
-    every lifted chain put back where the lift rule took it from, and
-    every counted join's reads put back as ``count`` / ``empty``:
-    ``counted`` holds the ``let`` variables bound to one.  (A ``let``
-    bound to ``count(J)`` would read as the let form; no text here has
-    one.)"""
+    every lifted chain put back where the lift rule took it from, every
+    counted join's reads put back as ``count`` / ``empty`` — ``counted``
+    holds the ``let`` variables bound to one — every ordered ``for`` put
+    back as the lowering's packed sort, and every sorted tuple's carrier
+    named ``#ord``.  (A ``let`` bound to ``count(J)`` would read as the
+    let form; no text here has one.)"""
     chains = chains or {}
+    if isinstance(value, str) and re.fullmatch(r"#ord\d+", value):
+        return "#ord"
+    if isinstance(value, ForNode) and value.order is not None:
+        return _packed_sort(value, chains, counted)
     if isinstance(value, VarNode) and value.name in chains:
         return _erase(chains[value.name], None, counted)
     if isinstance(value, VarNode) and value.name in counted:
@@ -368,12 +374,52 @@ def _erase(value, chains=None, counted=frozenset()):
 
 def _rule_texts():
     from repro.xmark.queries import EXTRA_QUERIES, QUERIES
-    from tests.strategies import JOIN_FAMILY, JOIN_SOURCES
+    from tests.strategies import JOIN_FAMILY, JOIN_SOURCES, ORDER_FAMILY
 
     texts = {**QUERIES, **EXTRA_QUERIES}
     texts.update({shape: template % {**JOIN_SOURCES, "K": "k"}
                   for shape, template in JOIN_FAMILY.items()})
+    texts.update({f"order_{shape}": template % {**JOIN_SOURCES, "K": "k"}
+                  for shape, template in ORDER_FAMILY.items()})
     return texts
+
+
+def _xnode(child, label):
+    return FnNode("xnode", (child,), (("label", label),))
+
+
+def _packed_sort(loop, chains, counted):
+    """The ordered ``loop`` erased back into the lowering's ``order by``
+    (``_lower_ordered_flwr``): its clause chain packs the key and the
+    ties into ``<#tuple>`` trees, ``sort`` (and ``reverse``) orders
+    them, and a ``for`` over the carrier unpacks each tie before the
+    return.  The loop's lifted chains are put back wherever it reads
+    them, the return included."""
+    chains = {**chains, **{lifted.name: lifted.chain
+                           for lifted in loop.lifted}}
+    order = loop.order
+    body, lets = loop.body, []
+    while isinstance(body, LetNode):
+        lets.append(body)
+        body = body.body
+    packed = _xnode(order.key, "<#key>")
+    for name in order.ties:
+        packed = FnNode("concat", (packed,
+                                   _xnode(VarNode(name), f"<#v_{name}>")))
+    stream_body = _xnode(packed, "<#tuple>")
+    if isinstance(body, WhereNode):
+        stream_body = WhereNode(body.condition, stream_body)
+        body = body.body
+    for let in reversed(lets):
+        stream_body = LetNode(let.var, let.value, stream_body)
+    source = FnNode("sort", (ForNode(loop.var, loop.source, stream_body),))
+    if order.descending:
+        source = FnNode("reverse", (source,))
+    for name in reversed(order.ties):
+        body = LetNode(name, FnNode("children", (FnNode(
+            "select", (FnNode("children", (VarNode("#ord"),)),),
+            (("label", f"<#v_{name}>"),)),)), body)
+    return _erase(ForNode("#ord", source, body), chains, counted)
 
 
 class TestIsolationRule:
@@ -508,4 +554,147 @@ class TestCountRule:
         optimize_stage(compiled.plan(), records)
         (record,) = records
         assert record.detail == ("1 join(s), 1 isolated, 1 counted, "
-                                 "2 chain(s) lifted")
+                                 "0 ordered, 2 chain(s) lifted")
+
+
+def _ordered_loops(text: str, strategy=JoinStrategy.MSJ) -> list:
+    """The ``order`` of every ``for`` the order rule made ordered in
+    ``text``'s optimized plan, pre-order."""
+    compiled = compile_xquery(text)
+    plan = optimize_stage(plan_stage(compiled.core, strategy,
+                                     base_vars=compiled.documents.values()))
+    return [node.order for node in iter_plan(plan)
+            if isinstance(node, ForNode) and node.order is not None]
+
+
+#: The ``order by`` texts of ``tests/test_surface_extensions.py`` — but
+#: the one whose ``where $p/age/text() = "36"`` decorrelates into a
+#: constant-key join, whose stream keeps the packed sort.
+_PEOPLE = 'for $p in document("d")/site/people/person '
+_SURFACE_ORDER_TEXTS = [
+    _PEOPLE + 'order by $p/name/text() return $p/name/text()',
+    _PEOPLE + 'order by $p/name/text() descending return $p/name/text()',
+    _PEOPLE + 'order by $p/age/text() return $p/name/text()',
+    _PEOPLE + 'let $n := $p/name/text() order by $n return <x>{$n}</x>',
+    _PEOPLE + 'order by $p/name/text() return <p id="{$p/@id}"/>',
+    'for $b in document("d.xml")/site/i let $k := $b/loc/text() '
+    'order by $k descending return $b/n',
+]
+
+
+#: Q8 ordered by its count: the ``let``-bound join is a tie.
+_Q8_ORDERED = (
+    'for $p in document("auction.xml")/site/people/person '
+    'let $a := for $t in document("auction.xml")/site/closed_auctions/'
+    'closed_auction where $t/buyer/@person = $p/@id return $t '
+    'order by count($a) descending '
+    'return <item person="{$p/name/text()}">{count($a)}</item>')
+
+
+class TestOrderRule:
+    """An ``order by`` ranks its iterations: the packed ``<#tuple>``
+    sort becomes an ordered ``for`` over the stream's own clauses."""
+
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    @pytest.mark.parametrize("text", ["Q19", *_SURFACE_ORDER_TEXTS])
+    def test_the_rule_fires(self, text, strategy):
+        text = _rule_texts().get(text, text)
+        (order,) = _ordered_loops(text, strategy)
+        assert order.descending == ("descending" in text)
+
+    def test_q19_plan(self):
+        from repro.xmark.queries import Q19
+        plan = optimize_stage(compile_xquery(Q19).plan())
+        assert isinstance(plan, ForNode) and plan.var == "b"
+        assert plan.order.ties == ("b", "k") and not plan.order.descending
+        assert plan.order.key == FnNode("data", (VarNode("k"),))
+        assert plan.reads_var and len(plan.lifted) == 2
+        # No sort, no tuple: the body is the let and the return.
+        assert not [node for node in iter_plan(plan)
+                    if isinstance(node, FnNode) and (
+                        node.fn == "sort" or "#" in dict(node.params).get(
+                            "label", ""))]
+        assert isinstance(plan.body, LetNode) and plan.body.var == "k"
+
+    @pytest.mark.parametrize("text", [
+        # a user-written sort
+        'for $x in sort(document("d")/r/x) return $x',
+        'for $x in reverse(sort(for $y in document("d")/r/x return $y)) '
+        'return $x',
+        # two for clauses, or a let before the for
+        'for $x in document("d")/r/x for $y in $x/y order by $y '
+        'return $y',
+        'let $r := document("d")/r for $x in $r/x order by $x return $x',
+        # a stream decorrelated into a join: correlated, or on a
+        # constant key
+        'for $x in document("d")/r/x return <o>{for $y in '
+        'document("d")/r/y where $y/k = $x/k order by $y/@id '
+        'return $y}</o>',
+        _PEOPLE + 'where $p/age/text() = "36" order by $p/name/text() '
+        'descending return $p/name/text()',
+        # a return that starts with a let: it would read as a clause
+        'for $x in document("d")/r/x order by $x '
+        'return let $y := $x/y return $y',
+    ])
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    def test_where_the_rule_does_not_fire(self, text, strategy):
+        assert _ordered_loops(text, strategy) == []
+
+    def test_a_where_passes_on_what_the_ordering_reads(self):
+        text = ('for $x in document("d")/r/x let $v := $x/v '
+                'where not(empty($x/w)) order by $x/w return <o/>')
+        (plan,) = [node for node in iter_plan(
+            optimize_stage(compile_xquery(text).plan()))
+            if isinstance(node, ForNode)]
+        where = plan.body.body
+        assert isinstance(where, WhereNode)
+        assert {"x", "v"} <= where.body_free
+
+    def test_explain_says_what_ran(self):
+        from repro import XQuerySession
+        from repro.xmark.queries import Q19
+        from repro.compiler.pipeline import PassRecord
+        plan = optimize_stage(compile_xquery(Q19).plan())
+        text = explain_plan(plan)
+        assert "ordered: iterations ranked, no tuple built" in text
+        assert "order by (ascending; ties $b, $k, then iteration order):" \
+            in text
+        records: list[PassRecord] = []
+        optimize_stage(compile_xquery(Q19).plan(), records)
+        assert records[0].detail == ("0 join(s), 0 isolated, 0 counted, "
+                                     "1 ordered, 2 chain(s) lifted")
+        with XQuerySession(admission=False, record=False) as session:
+            session.add_document("auction.xml", (cached_document(0.002),))
+            analyzed = session.explain(Q19, analyze=True)
+        ranked = analyzed.splitlines()[0]
+        assert re.search(r"ordered: \d+ iterations ranked, no tuple built",
+                         ranked), ranked
+        assert "Fn:sort" not in analyzed and "#tuple" not in analyzed
+
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    def test_a_tie_bound_to_a_join_is_not_counted(self, strategy):
+        """The ranking reads every tie as a forest — and here the key
+        reads ``$a`` too — so the count rule leaves the ``let``'s join
+        uncounted, although the return reads ``$a`` only through
+        ``count``."""
+        compiled = compile_xquery(_Q8_ORDERED)
+        plan = optimize_stage(plan_stage(
+            compiled.core, strategy, base_vars=compiled.documents.values()))
+        (loop,) = [node for node in iter_plan(plan)
+                   if isinstance(node, ForNode) and node.order is not None]
+        assert loop.order.ties == ("p", "a")
+        (join,) = [node for node in iter_plan(plan)
+                   if isinstance(node, JoinForNode)]
+        assert join.isolate and not join.counts
+
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    @pytest.mark.parametrize("text", ["Q19", _Q8_ORDERED])
+    def test_answers_match_the_packed_sort(self, text, strategy):
+        compiled = compile_xquery(_rule_texts().get(text, text))
+        bindings = {var: document_forest((cached_document(0.002),))
+                    for var in compiled.documents.values()}
+        syntactic = plan_stage(compiled.core, strategy,
+                               base_vars=compiled.documents.values())
+        optimized = optimize_stage(syntactic)
+        assert DIEngine(validate=True).run_plan(optimized, bindings) \
+            == DIEngine().run_plan(syntactic, bindings)
