@@ -39,9 +39,12 @@ class _ThreadDatabase:
 @register_backend
 class SQLiteBackend(Backend):
     """Run the Section 4 SQL translation, staged, on a stock SQLite
-    engine: one temporary table per CTE of the translation, in order
-    (``run_translation``'s default ``mode="staged"``; docs/PERFORMANCE.md
-    says why not the single statement).
+    engine: one temporary table per CTE of the translation, filled in
+    order (``run_translation``'s default ``mode="staged"``;
+    docs/PERFORMANCE.md says why not the single statement).  Each
+    connection keeps its recently run translations and their tables
+    (:meth:`~repro.sql.sqlite_backend.SQLiteDatabase.staged`), so a warm
+    run neither translates nor issues DDL.
 
     The shredded tables live in ``:memory:`` databases, which SQLite
     keeps **per connection**, so the backend keeps one
@@ -155,7 +158,7 @@ class SQLiteBackend(Backend):
                 options: ExecutionOptions) -> Callable[[], Forest]:
         self._bindings(compiled)  # uniform missing-document error
         database = self.database
-        translation = database.translate(compiled.core)
+        translation = database.staged(compiled.core)
         # self._tracer is read at call time, not build time, so a runner
         # built once can be driven both traced and untraced.
         return lambda: database.run_translation(

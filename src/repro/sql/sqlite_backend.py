@@ -16,7 +16,9 @@ Section 4.3 trade-off of fixed-size machine integers.
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
+from collections import OrderedDict
 from contextlib import contextmanager, nullcontext, suppress
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -127,6 +129,10 @@ def _guarded_connection(connection: sqlite3.Connection,
 #: Conservative width cap for 64-bit backends (see module docstring).
 SQLITE_MAX_WIDTH = 2 ** 61
 
+#: Staged translations whose temp tables one connection keeps; the least
+#: recently run one past this has its tables dropped.
+STAGED_CACHE_SIZE = 8
+
 
 class SQLiteDatabase:
     """A SQLite store for interval-encoded documents plus query execution.
@@ -136,6 +142,11 @@ class SQLiteDatabase:
     — a document is one environment, so ``e`` is the constant 0 — with an
     index on ``s`` to support label lookups.
 
+    Staged runs keep their temp tables: :meth:`staged` translates each
+    core expression once under a table prefix of its own, its tables are
+    built on its first run, and every run refills them, reads the result
+    and empties them again (:meth:`_run_staged`).
+
     Instances are single-threaded: one ``SQLiteDatabase`` serves one
     thread at a time.  The connection is opened with
     ``check_same_thread=False`` only so the owning backend can close
@@ -144,11 +155,24 @@ class SQLiteDatabase:
     """
 
     def __init__(self, path: str = ":memory:"):
-        self.connection = sqlite3.connect(path, check_same_thread=False)
+        # Room to keep every retained translation's statements prepared:
+        # an INSERT and a DELETE per CTE plus the final SELECT, and Q9,
+        # the longest XMark translation, has 78 CTEs.
+        self.connection = sqlite3.connect(
+            path, check_same_thread=False,
+            cached_statements=STAGED_CACHE_SIZE * 160)
         self.connection.execute("PRAGMA journal_mode = OFF")
         self.connection.execute("PRAGMA synchronous = OFF")
         self._documents: dict[str, tuple[str, int]] = {}
         self._doc_counter = 0
+        #: ``staged`` keys (core expression, loaded ``(table, width)``
+        #: map) → their translations, least recently used first.
+        self._translations: OrderedDict[tuple, TranslationResult] = \
+            OrderedDict()
+        self._prefixes = itertools.count()
+        #: Table prefix → the translation whose tables this connection
+        #: holds, least recently run first.
+        self._schemas: OrderedDict[str, TranslationResult] = OrderedDict()
 
     def close(self) -> None:
         self.connection.close()
@@ -254,25 +278,49 @@ class SQLiteDatabase:
 
     def translate(self, expr: CoreExpr,
                   max_width: int | None = SQLITE_MAX_WIDTH) -> TranslationResult:
-        """Translate ``expr`` against the loaded documents."""
+        """Translate ``expr`` against the loaded documents, under the
+        default table prefix (what ``--sql`` prints); the backend runs
+        :meth:`staged` translations instead."""
         return translate_query(expr, self._documents, max_width=max_width)
+
+    def staged(self, expr: CoreExpr) -> TranslationResult:
+        """The connection's retained translation of ``expr``.
+
+        Translated on first sight against the loaded documents' ``(table,
+        width)`` map, under a prefix of its own, so its temp tables live
+        beside every other retained translation's; the
+        :data:`STAGED_CACHE_SIZE` most recently used are kept.
+        """
+        key = (expr, tuple(sorted(self._documents.items())))
+        translation = self._translations.get(key)
+        if translation is None:
+            translation = translate_query(
+                expr, self._documents, max_width=SQLITE_MAX_WIDTH,
+                prefix=f"q{next(self._prefixes)}_c")
+            self._translations[key] = translation
+            while len(self._translations) > STAGED_CACHE_SIZE:
+                self._translations.popitem(last=False)
+        else:
+            self._translations.move_to_end(key)
+        return translation
 
     def execute(self, expr: CoreExpr, mode: str = "staged") -> Forest:
         """Translate, run, and decode ``expr`` into an XF forest.
 
         ``mode`` selects execution strategy:
 
-        * ``"staged"`` (default) — materialize each CTE as a temp table in
-          dependency order, then run the final SELECT.  Semantically
-          identical to the single statement, but immune to SQLite's
-          per-table reference limit (SQLite clones CTE parse trees once
-          per reference, so deeply composed single statements can exceed
-          65535 references).
+        * ``"staged"`` (default) — fill one temp table per CTE in
+          dependency order, then run the final SELECT (see
+          :meth:`run_translation`).  Semantically identical to the single
+          statement, but immune to SQLite's per-table reference limit
+          (SQLite clones CTE parse trees once per reference, so deeply
+          composed single statements can exceed 65535 references).
         * ``"single"`` — run the one-statement ``WITH`` form verbatim, as
           written in the paper; suitable for small/shallow queries.
         """
-        translation = self.translate(expr)
-        return self.run_translation(translation, mode=mode)
+        if mode == "staged":
+            return self.run_translation(self.staged(expr))
+        return self.run_translation(self.translate(expr), mode=mode)
 
     def run_translation(self, translation: TranslationResult,
                         mode: str = "staged",
@@ -308,40 +356,26 @@ class SQLiteDatabase:
     def _run_staged(self, translation: TranslationResult,
                     observer: _SQLObserver,
                     guard: "QueryGuard | None",
-                    plans: "list[tuple[str, list]] | None" = None,
                     ) -> list[tuple[str, int, int]]:
-        """Stage the translation's CTEs as temp tables, run the final SELECT.
+        """Fill the translation's temp tables in order, run the final SELECT.
 
-        Each CTE becomes ``CREATE TEMP TABLE … AS`` in dependency order,
-        plus an index where the translator named one: ``(e, l)`` on a
-        relation — environment guards and subtree ranges both search it —
-        and a comparison view's own key.  Every table is dropped again
-        before returning, whatever happened — a deadline at a statement
-        boundary, a failing statement — so the connection holds no temp
-        schema between runs and nothing to invalidate when a document
-        changes.  ``plans`` collects ``(name, EXPLAIN QUERY PLAN rows)`` of
-        each CTE against the tables staged before it.
+        The tables are the translation's retained schema (built by
+        :meth:`_retain` on its first run); each CTE is one ``INSERT …
+        SELECT``.  Every table is emptied again before returning, whatever
+        happened — a deadline at a statement boundary, a failing
+        statement — and the emptying is committed, so between runs the
+        connection holds only empty tables and no open transaction.
         """
+        self._retain(translation, guard)
         cursor = self.connection.cursor()
-        staged: list[str] = []
         statement = ""
         try:
             with _guarded_connection(self.connection, guard):
                 for name, sql in translation.ctes:
                     if guard is not None:
                         guard.check()  # statement boundary
-                    if plans is not None:
-                        statement = f"EXPLAIN QUERY PLAN {sql}"
-                        plans.append((name, cursor.execute(statement).fetchall()))
-                    statement = f"CREATE TEMP TABLE {name} AS {sql}"
-                    staged.append(name)
+                    statement = f"INSERT INTO temp.{name} {sql}"
                     with observer.statement(name):
-                        cursor.execute(statement)
-                    key = ("e, l" if name in translation.relations
-                           else translation.view_keys.get(name))
-                    if key is not None:
-                        statement = (f"CREATE INDEX temp.{name}_key "
-                                     f"ON {name} ({key})")
                         cursor.execute(statement)
                 statement = translation.final_select
                 with observer.statement("final_select"):
@@ -350,32 +384,105 @@ class SQLiteDatabase:
             raise wrap_driver_error(error, statement, guard) from error
         finally:
             # Outside the guarded block: an expired guard's progress
-            # handler must not interrupt the cleanup.  A connection that
-            # cannot drop (closed under the run) has no schema to leak.
+            # handler must not interrupt the cleanup.
+            self._empty(translation)
+
+    def _retain(self, translation: TranslationResult,
+                guard: "QueryGuard | None" = None) -> None:
+        """Make sure the translation's (empty) temp tables exist.
+
+        On the translation's first run each CTE becomes an empty table of
+        its columns, plus an index where the translator named one: ``(e,
+        l)`` on a relation — environment guards and subtree ranges both
+        search it — and a comparison view's own key.  The build is one
+        transaction, with ``guard`` checked between its statements (none
+        reads a row): it commits whole or rolls back whole.  A
+        translation that falls out of the :data:`STAGED_CACHE_SIZE` most
+        recently run ones, or whose prefix another translation takes, has
+        its tables dropped.
+        """
+        prefix = translation.prefix
+        if self._schemas.get(prefix) is translation:
+            self._schemas.move_to_end(prefix)
+            return
+        if prefix in self._schemas:
+            self._drop(self._schemas.pop(prefix))
+        while len(self._schemas) >= STAGED_CACHE_SIZE:
+            self._drop(self._schemas.popitem(last=False)[1])
+        cursor = self.connection.cursor()
+        statement = "BEGIN"
+        try:
+            cursor.execute(statement)
+            for name, sql in translation.ctes:
+                if guard is not None:
+                    guard.check()  # statement boundary
+                statement = (f"CREATE TEMP TABLE {name} AS "
+                             f"SELECT * FROM ({sql}) WHERE 0")
+                cursor.execute(statement)
+                key = ("e, l" if name in translation.relations
+                       else translation.view_keys.get(name))
+                if key is not None:
+                    statement = (f"CREATE INDEX temp.{name}_key "
+                                 f"ON {name} ({key})")
+                    cursor.execute(statement)
+            statement = "COMMIT"
+            self.connection.commit()
+        except BaseException as error:
+            # A closed connection has no schema to leak.
             with suppress(sqlite3.Error):
-                for name in staged:
-                    self.connection.execute(
-                        f"DROP TABLE IF EXISTS temp.{name}")
+                self.connection.rollback()
+            if isinstance(error, sqlite3.Error):
+                raise wrap_driver_error(error, statement, guard) from error
+            raise
+        self._schemas[prefix] = translation
+
+    def _drop(self, translation: TranslationResult) -> None:
+        # A connection that cannot drop (closed under the run) has no
+        # schema to leak.
+        with suppress(sqlite3.Error):
+            for name, _ in translation.ctes:
+                self.connection.execute(f"DROP TABLE IF EXISTS temp.{name}")
+
+    def _empty(self, translation: TranslationResult) -> None:
+        """Delete every row of a retained translation's tables and commit;
+        a schema that cannot be emptied is dropped instead, so no later
+        run adds to stale rows."""
+        try:
+            for name, _ in translation.ctes:
+                self.connection.execute(f"DELETE FROM temp.{name}")
+            self.connection.commit()
+        except sqlite3.Error:
+            self._schemas.pop(translation.prefix, None)
+            with suppress(sqlite3.Error):
+                self.connection.rollback()
+            self._drop(translation)
 
     def explain(self, expr: CoreExpr, mode: str = "single") -> str:
         """SQLite's query plan for the translated query (diagnostics).
 
-        ``"single"`` plans the one statement; ``"staged"`` runs the staged
-        form and reports every CTE's plan as ``name: step`` lines — what
-        shows whether a join searches an index or scans.
+        ``"single"`` plans the one statement; ``"staged"`` plans every
+        CTE's ``INSERT`` against the retained schema, without running
+        the query, as ``name: step`` lines — what shows whether a join
+        searches an index or scans.
         """
-        translation = self.translate(expr)
         if mode == "staged":
-            plans: list[tuple[str, list]] = []
-            self._run_staged(translation, _SQLObserver(None, None), None, plans)
-            return "\n".join(f"{name}: {row[3]}"
-                             for name, rows in plans for row in rows)
-        statement = f"EXPLAIN QUERY PLAN {translation.sql}"
-        try:
-            rows = self.connection.execute(statement).fetchall()
-        except sqlite3.Error as error:
-            raise wrap_driver_error(error, statement) from error
-        return "\n".join(str(row) for row in rows)
+            translation = self.staged(expr)
+            self._retain(translation)
+            statements = [(name, f"EXPLAIN QUERY PLAN INSERT INTO "
+                                 f"temp.{name} {sql}")
+                          for name, sql in translation.ctes]
+        else:
+            statements = [("", "EXPLAIN QUERY PLAN "
+                               f"{self.translate(expr).sql}")]
+        lines = []
+        for name, statement in statements:
+            try:
+                rows = self.connection.execute(statement).fetchall()
+            except sqlite3.Error as error:
+                raise wrap_driver_error(error, statement) from error
+            lines += [f"{name}: {row[3]}" if name else str(row)
+                      for row in rows]
+        return "\n".join(lines)
 
 
 def run_core_on_sqlite(expr: CoreExpr, bindings: Mapping[str, Forest],

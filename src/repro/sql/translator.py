@@ -115,6 +115,9 @@ class TranslationResult:
     relations: dict[str, int] = field(default_factory=dict)
     #: CTE name → the columns a comparison view is looked up by.
     view_keys: dict[str, str] = field(default_factory=dict)
+    #: What every CTE name starts with; translations that share a prefix
+    #: share table names when staged.
+    prefix: str = "c"
 
     def __str__(self) -> str:
         return self.sql
@@ -126,11 +129,15 @@ class SQLTranslator:
     ``max_width`` bounds the per-expression block width; exceeding it
     raises :class:`WidthOverflowError`.  SQLite stores 64-bit integers and
     coordinates can exceed the width by one environment-index factor, so
-    the backend uses a conservative default of ``2**61``.
+    the backend uses a conservative default of ``2**61``.  ``prefix``
+    starts every CTE name (``c0_init_idx`` …), so translations given
+    different prefixes can keep their tables side by side on one
+    connection.
     """
 
-    def __init__(self, max_width: int | None = None):
+    def __init__(self, max_width: int | None = None, prefix: str = "c"):
         self.max_width = max_width
+        self.prefix = prefix
         self._counter = itertools.count()
         self._ctes: list[tuple[str, str]] = []
         self._relations: dict[str, int] = {}
@@ -161,12 +168,13 @@ class SQLTranslator:
         sql = f"WITH {body}\n{final_select}"
         return TranslationResult(sql, result.width, len(self._ctes),
                                  result.table, list(self._ctes), final_select,
-                                 self._relations, self._view_keys)
+                                 self._relations, self._view_keys,
+                                 self.prefix)
 
     # -- CTE plumbing ------------------------------------------------------------
 
     def _fresh(self, hint: str) -> str:
-        return f"c{next(self._counter)}_{hint}"
+        return f"{self.prefix}{next(self._counter)}_{hint}"
 
     def _add(self, hint: str, sql: str, key: str | None = None) -> str:
         return self._emit(self._fresh(hint), sql, key)
@@ -360,6 +368,7 @@ class SQLTranslator:
 
 def translate_query(expr: CoreExpr,
                     documents: Mapping[str, tuple[str, int]],
-                    max_width: int | None = None) -> TranslationResult:
+                    max_width: int | None = None,
+                    prefix: str = "c") -> TranslationResult:
     """Convenience wrapper around :class:`SQLTranslator`."""
-    return SQLTranslator(max_width=max_width).translate(expr, documents)
+    return SQLTranslator(max_width, prefix).translate(expr, documents)

@@ -55,8 +55,10 @@ GUARDS = (
           "f316acc"),
     Guard(r"DBAPIBackend|paramstyle|_staged_owner|_invalidate_staged",
           ("src/repro",),
-          "one relational adapter, sqlite, and a staged run drops its temp "
-          "tables before it returns: no schema cache", "13c697e"),
+          "one relational adapter, sqlite; a retained staged schema is "
+          "owned by its translation's table prefix and never invalidated: "
+          "every run refills it from the current document tables",
+          "13c697e"),
     Guard(r"anc\.l <|_is_root\(|[lr] / \{", ("src/repro/sql",),
           "Section 4 SQL carries e and d: roots is d = 0, an environment "
           "guard an equality on e (docs/TRANSLATION.md)", "3a8b19d"),

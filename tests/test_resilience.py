@@ -5,6 +5,7 @@ scripted faults — the suite never sleeps and never depends on the
 wall clock.
 """
 
+import itertools
 import json
 import math
 import sqlite3
@@ -48,6 +49,7 @@ from repro.xml.text_parser import parse_forest
 from repro.xquery.lowering import document_forest
 
 from tests.faults import FaultPlan, inject_faults
+from tests.test_sqlite_backend import held_rows
 
 
 class FakeClock:
@@ -152,12 +154,12 @@ class TestDeadlines:
     def test_deadline_at_statement_boundary_leaves_no_temp_schema(self):
         """A deadline tripping *between* two staged statements of a text's
         first run must not poison the next run of that text (regression:
-        ``table c0_init_idx already exists``)."""
+        ``table c0_init_idx already exists``): no retained table holds a
+        row after either run."""
         def temp_tables():
             database = session.backend_instance("sqlite").database
-            return database.connection.execute(
-                "SELECT name FROM sqlite_temp_master WHERE type='table'"
-            ).fetchall()
+            return [name for name, rows
+                    in held_rows(database.connection).items() if rows]
 
         # Two <b>s: no statement reaches one progress-handler stride, so
         # the clock is read at statement boundaries only and expires
@@ -172,6 +174,58 @@ class TestDeadlines:
             expected = session.run(QUERY, backend="interpreter").to_xml()
             assert session.run(QUERY, backend="sqlite").to_xml() == expected
             assert temp_tables() == []
+
+    def test_deadline_anywhere_in_a_staged_run_leaves_no_rows(self):
+        """Trip the deadline after 1, 2, 3, … clock reads of a text's
+        first run, on a fresh connection each time, until it has tripped
+        between the statements that build the tables, between the
+        ``INSERT``s that fill them, and inside one ``INSERT`` (the
+        progress handler's check).  Each trip leaves no row, no open
+        transaction and either no table or the whole retained schema;
+        the next run answers as the interpreter does."""
+        class TripAfter:
+            """Time stands still for ``reads`` reads, then jumps past
+            every deadline."""
+
+            def __init__(self, reads: int):
+                self.reads = reads
+
+            def __call__(self) -> float:
+                self.reads -= 1
+                return 0.0 if self.reads >= 0 else 1e9
+
+        compiled = compile_xquery(CROSS)
+        with XQuerySession() as session:
+            session.add_document("a.xml", DOC)
+            expected = session.run(CROSS, backend="interpreter").forest
+        trips = set()
+        for reads in itertools.count(1):
+            with SQLiteDatabase() as database:
+                database.load_document(compiled.documents["a.xml"],
+                                       document_forest(parse_forest(DOC)))
+                translation = database.staged(compiled.core)
+                guard = QueryGuard(deadline=1.0, clock=TripAfter(reads),
+                                   check_interval=1)
+                try:
+                    database.run_translation(translation, guard=guard)
+                except QueryTimeoutError as error:
+                    held = held_rows(database.connection)
+                    assert not any(held.values())
+                    assert not database.connection.in_transaction
+                    if isinstance(error.__cause__, sqlite3.OperationalError):
+                        trips.add("inside an INSERT")
+                        assert held
+                    else:
+                        assert error.__cause__ is None
+                        trips.add("filling" if held else "building")
+                    assert not held or set(held) == \
+                        {name for name, _ in translation.ctes}
+                else:
+                    break
+                assert database.run_translation(translation) == expected
+            if len(trips) == 3:
+                break
+        assert trips == {"building", "filling", "inside an INSERT"}
 
     def test_timeout_never_falls_back(self, session):
         """Deadlines are request-level: no degradation to fallbacks."""

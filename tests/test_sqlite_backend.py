@@ -14,6 +14,15 @@ def f(source: str):
     return parse_forest(source)
 
 
+def held_rows(connection) -> dict[str, int]:
+    """Row count of every temp table ``connection`` holds."""
+    tables = connection.execute(
+        "SELECT name FROM sqlite_temp_master WHERE type='table'").fetchall()
+    return {name: connection.execute(
+        f"SELECT COUNT(*) FROM temp.{name}").fetchone()[0]
+        for (name,) in tables}
+
+
 class TestDocumentLoading:
     def test_load_returns_table_and_width(self):
         with SQLiteDatabase() as db:
@@ -90,10 +99,9 @@ class TestExecution:
             expr = FnApp("children", (Var("x"),))
             assert db.execute(expr) == f("<b/>")
             db.load_document("x", f("<a><c/></a>"))
-            leftovers = db.connection.execute(
-                "SELECT name FROM sqlite_temp_master WHERE type='table'"
-            ).fetchall()
-            assert leftovers == []  # no run leaves temp schema behind
+            # The run keeps its tables, but no row: the reloaded document
+            # is read afresh.
+            assert not any(held_rows(db.connection).values())
             assert db.execute(expr) == f("<c/>")
 
     def test_default_width_cap(self):
@@ -180,3 +188,159 @@ class TestExecution:
         import sqlite3
         with pytest.raises(sqlite3.ProgrammingError):
             db.connection.execute("SELECT 1")
+
+
+# -- the retained staged schema -------------------------------------------------
+
+MIX_DOC = 'document("auction.xml")'
+#: Five texts, each translated under its own table prefix.
+MIX = (
+    f"{MIX_DOC}/site/regions//item/name",
+    f"count({MIX_DOC}/site/people/person)",
+    f"for $p in {MIX_DOC}/site/people/person "
+    f"where not(empty($p/homepage)) return <h>{{$p/name/text()}}</h>",
+    f"for $i in {MIX_DOC}/site/regions/australia/item "
+    f"return <item name=\"{{$i/name/text()}}\">{{$i/description}}</item>",
+    f"for $a in {MIX_DOC}/site/open_auctions/open_auction "
+    f"return $a/initial",
+)
+
+
+def is_ddl(statement: str) -> bool:
+    return statement.lstrip().upper().startswith(("CREATE", "DROP"))
+
+
+class TestRetainedSchema:
+    """A staged translation keeps its tables: built on its first run,
+    refilled and emptied on every run, dropped when it falls out of the
+    :data:`STAGED_CACHE_SIZE` most recently run."""
+
+    def test_warm_pass_runs_no_ddl(self):
+        from repro import XQuerySession
+
+        with XQuerySession() as session:
+            session.add_xmark_document("auction.xml", 0.0003)
+            expected = [session.run(text, backend="interpreter").to_xml()
+                        for text in MIX]
+            connection = session.backend_instance("sqlite").database.connection
+            for warm in (False, True):
+                statements: list[str] = []
+                connection.set_trace_callback(statements.append)
+                for text, answer in zip(MIX, expected):
+                    assert session.run(text, backend="sqlite").to_xml() \
+                        == answer
+                    assert not connection.in_transaction
+                    assert not any(held_rows(connection).values())
+                connection.set_trace_callback(None)
+                assert any(s.startswith("INSERT") for s in statements)
+                ddl = [s for s in statements if is_ddl(s)]
+                assert bool(ddl) is not warm, ddl[:3]
+
+    def test_more_texts_than_the_bound(self):
+        from repro.sql.sqlite_backend import STAGED_CACHE_SIZE
+
+        with SQLiteDatabase() as db:
+            db.load_document("x", f("<a><b/><c/></a>"))
+            texts = [FnApp("xnode", (FnApp("children", (Var("x"),)),),
+                           (("label", f"<w{index}>"),))
+                     for index in range(STAGED_CACHE_SIZE + 3)]
+            for count, expr in enumerate(texts, 1):
+                db.execute(expr)
+                recent = texts[max(0, count - STAGED_CACHE_SIZE):count]
+                retained = {name for kept in recent
+                            for name, _ in db.staged(kept).ctes}
+                assert set(held_rows(db.connection)) == retained
+                assert not any(held_rows(db.connection).values())
+            # The evicted first text builds its tables again and answers.
+            assert db.execute(texts[0]) == db.execute(texts[0], mode="single")
+
+    def test_prefixes_keep_translations_apart(self):
+        with SQLiteDatabase() as db:
+            db.load_document("x", f("<a><b/><c/></a>"))
+            one, two = (db.staged(FnApp(fn, (Var("x"),)))
+                        for fn in ("children", "subtrees_dfs"))
+            assert one.prefix != two.prefix
+            assert not {name for name, _ in one.ctes} & \
+                {name for name, _ in two.ctes}
+            # The default prefix is the one --sql prints.
+            assert db.translate(Var("x")).ctes[0][0] == "c0_init_idx"
+
+    def test_a_shared_prefix_replaces_the_tables(self):
+        """Translations made by ``translate`` all take the default prefix,
+        so running one drops another's tables before building its own."""
+        with SQLiteDatabase() as db:
+            db.load_document("x", f("<a><b/><c/></a>"))
+            first = db.translate(FnApp("children", (Var("x"),)))
+            second = db.translate(FnApp("xnode", (Var("x"),),
+                                        (("label", "<w>"),)))
+            assert db.run_translation(first) == f("<b/><c/>")
+            assert db.run_translation(second) == f("<w><a><b/><c/></a></w>")
+            assert set(held_rows(db.connection)) == \
+                {name for name, _ in second.ctes}
+            assert db.run_translation(first) == f("<b/><c/>")
+
+    def test_staged_explain_runs_nothing(self):
+        with SQLiteDatabase() as db:
+            db.load_document("x", f("<a><b/></a>"))
+            statements: list[str] = []
+            db.connection.set_trace_callback(statements.append)
+            plan = db.explain(FnApp("children", (Var("x"),)), mode="staged")
+            db.connection.set_trace_callback(None)
+            assert "_children: SCAN doc_0" in plan
+            assert not [s for s in statements if s.startswith("INSERT")]
+            assert not any(held_rows(db.connection).values())
+
+
+class TestRetainedSchemaUnderUpdates:
+    """A retained schema outlives the document rows it was filled from:
+    every run reads the current tables, on the committing thread's
+    connection and on a peer thread's."""
+
+    def test_insert_and_delete_after_warming(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro import XQuerySession
+
+        query = ("for $b in doc('d.xml')//b "
+                 "return <n>{count($b/a)}{$b/a}</n>")
+        with XQuerySession() as session, \
+                ThreadPoolExecutor(max_workers=1) as peer:
+            session.add_document("d.xml", "<r><b><a>1</a></b><b/></r>")
+
+            def answers() -> tuple[str, str, str]:
+                engine = session.run(query, backend="engine").to_xml()
+                mine = session.run(query, backend="sqlite").to_xml()
+                theirs = peer.submit(lambda: session.run(
+                    query, backend="sqlite").to_xml()).result()
+                return engine, mine, theirs
+
+            doc = session.updatable("d.xml")
+            session.apply_update("d.xml", doc)     # the rebasing commit
+            warm = answers()
+            assert warm[0] == warm[1] == warm[2]
+            sqlite = session.backend_instance("sqlite")
+            connections = (sqlite.database.connection,
+                           peer.submit(lambda: sqlite.database.connection
+                                       ).result())
+            statements: list[str] = []
+            for connection in connections:
+                connection.set_trace_callback(statements.append)
+            labels = doc.columns.labels().tolist()
+            parent = int(doc.columns.l[labels.index("<b>", 2)])
+            edited = doc.insert_child(parent, 0, [element("a", [text("2")])])
+            session.apply_update("d.xml", edited)
+            inserted = answers()
+            assert inserted[0] == inserted[1] == inserted[2] != warm[0]
+            victim = edited.last_delta.inserted[0][1]
+            session.apply_update("d.xml", edited.delete_subtree(victim))
+            assert answers() == warm
+            for connection in connections:
+                connection.set_trace_callback(None)
+            # Both connections changed the rows their retained
+            # translations read (the delete as a replayed ranged DELETE);
+            # neither built a table.
+            assert sum(s.startswith("DELETE FROM doc_0 WHERE l >=")
+                       for s in statements) == 2
+            assert not [s for s in statements if is_ddl(s)]
+            assert [record.deltas for record in
+                    session.recorder.updates()] == [0, 1, 1]
