@@ -36,11 +36,14 @@ class DeltaLog:
     """Generation pair, latest update and bounded delta tail of one
     prepared document."""
 
-    __slots__ = ("generation", "minor", "update", "_tail")
+    __slots__ = ("generation", "minor", "revision", "update", "_tail")
 
-    def __init__(self) -> None:
+    def __init__(self, revision: int | None = None) -> None:
         self.generation = object()
         self.minor = 0
+        #: The revision the log holds: the commit the prepared snapshot
+        #: is (``None``: a document as loaded), then each absorbed one.
+        self.revision = revision
         #: The latest absorbed update, the reload source once there is
         #: one; before it, the adapter reloads the prepared snapshot.
         self.update: "DocumentUpdate | None" = None
@@ -73,7 +76,7 @@ class DeltaLog:
         change in the chain) rebases: a new major, whose connections
         reload from the update's snapshot.
         """
-        held = self.update.revision if self.update is not None else None
+        held = self.revision
         if held == update.revision:
             return
         if update.deltas and held == update.base_revision:
@@ -84,4 +87,5 @@ class DeltaLog:
             self.generation = object()
             self.minor = 0
             self._tail.clear()
+        self.revision = update.revision
         self.update = update

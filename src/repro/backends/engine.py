@@ -11,6 +11,7 @@ from repro.compiler.cache import CacheKey, CachedPlan, PlanCache
 from repro.compiler.pipeline import PassRecord, optimize_stage, plan_stage
 from repro.compiler.plan import JoinStrategy, PlanNode
 from repro.compiler.planner import explain_plan, node_observations
+from repro.encoding.updates import snapshot_revision
 from repro.engine.evaluator import DIEngine, Value
 from repro.engine.memo import DocumentMemo
 from repro.engine.stats import observe_metrics
@@ -75,8 +76,8 @@ class EngineBackend(Backend):
 
     def _load(self, name: str, value: Value) -> None:
         columns, width = value
-        self._encoded[name] = value = (columns.read_only(), width)
-        self._memos[name] = DocumentMemo(*value)
+        self._encoded[name] = bound = (columns.read_only(), width)
+        self._memos[name] = DocumentMemo(*bound, snapshot_revision(value))
 
     def adopt_encoded(self, name: str, value: Value) -> None:
         """Bind ``value`` as ``name``, replacing any earlier binding.

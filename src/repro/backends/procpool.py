@@ -7,10 +7,11 @@ encoded here.  ``execute`` fans one query to one warm worker.
 
 The adapter deliberately reuses the whole :class:`Backend` contract:
 sessions prepare/invalidate/close it exactly like the in-process engine
-backend, worker crashes surface as the transient
-:class:`~repro.errors.WorkerDiedError` (retried / circuit-broken /
-fallback-routed by the PR-3 machinery), and closing the backend unlinks
-every shared-memory segment.
+backend, a worker crash is absorbed by the pool (one respawn and
+resubmit) and a second one in a row surfaces as the transient
+:class:`~repro.errors.WorkerDiedError`, which a session's fallback chain
+moves on from, and closing the backend unlinks every shared-memory
+segment.
 """
 
 from __future__ import annotations

@@ -19,24 +19,13 @@ time:
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.backends.base import Backend
 from repro.errors import ReproError, UnknownBackendError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.breaker import CircuitBreaker
-
 #: name → zero-config factory producing a fresh Backend instance.
 _REGISTRY: dict[str, Callable[..., Backend]] = {}
-
-#: name → the process-wide circuit breaker guarding that backend.
-_BREAKERS: dict[str, "CircuitBreaker"] = {}
-
-#: Guards _BREAKERS get-or-create so concurrent sessions share one breaker.
-_BREAKERS_LOCK = threading.Lock()
 
 
 def register_backend(factory: Callable[..., Backend] | None = None, *,
@@ -113,37 +102,3 @@ def iter_backends() -> Iterator[tuple[str, Callable[..., Backend]]]:
     """(name, factory) pairs in sorted order."""
     for name in registered_backends():
         yield name, _REGISTRY[name]
-
-
-# -- circuit breakers ---------------------------------------------------------
-
-def backend_breaker(name: str,
-                    clock: "Callable[[], float] | None" = None,
-                    ) -> "CircuitBreaker":
-    """The process-wide circuit breaker for a backend name (get-or-create).
-
-    Breaker health is shared across every session in the process — the
-    same scope at which backend factories live — so one session tripping
-    the ``sqlite`` breaker protects all of them.  ``clock`` (the tests'
-    fake-clock seam) applies only on first creation: pass it before any
-    session touches the backend, or :func:`reset_breakers` first.
-    Unregistered names are allowed: a breaker may outlive a temporarily
-    unregistered backend.
-    """
-    from repro.resilience.breaker import CircuitBreaker
-
-    with _BREAKERS_LOCK:
-        breaker = _BREAKERS.get(name)
-        if breaker is None:
-            breaker = CircuitBreaker(name, clock=clock or time.monotonic)
-            _BREAKERS[name] = breaker
-        return breaker
-
-
-def reset_breakers(name: str | None = None) -> None:
-    """Drop breaker state for one backend, or for all of them."""
-    with _BREAKERS_LOCK:
-        if name is None:
-            _BREAKERS.clear()
-        else:
-            _BREAKERS.pop(name, None)

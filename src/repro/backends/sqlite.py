@@ -8,6 +8,7 @@ from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
 from repro.backends.deltalog import DeltaLog
 from repro.backends.registry import register_backend
 from repro.concurrency import ThreadLocalPool
+from repro.encoding.updates import snapshot_revision
 from repro.sql.sqlite_backend import SQLITE_MAX_WIDTH, SQLiteDatabase
 from repro.xml.forest import Forest
 
@@ -113,11 +114,13 @@ class SQLiteBackend(Backend):
 
     def _load(self, name: str, value: "Value") -> None:
         # Called under the backend lock (base.prepare).  A fresh log is a
-        # new major generation; shred eagerly for the calling thread so
-        # prepare stays the untimed phase (benchmark methodology).  The
-        # sync reads the load source from the prepared map, which
-        # base.prepare fills only once this returns.
-        self._generations[name] = DeltaLog()
+        # new major generation, holding the revision of the commit the
+        # snapshot is (if any), so that commit's successor replays; shred
+        # eagerly for the calling thread so prepare stays the untimed
+        # phase (benchmark methodology).  The sync reads the load source
+        # from the prepared map, which base.prepare fills only once this
+        # returns.
+        self._generations[name] = DeltaLog(snapshot_revision(value))
         self._prepared[name] = value
         self._thread_database()
 

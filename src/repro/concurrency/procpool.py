@@ -18,12 +18,13 @@ queries fanned out to warm workers, one query per worker at a time:
   pool runs identically under ``fork``, ``spawn``, and ``forkserver``
   (``fork`` is preferred when available for its cheap startup; override
   with ``start_method=`` or ``REPRO_START_METHOD``).
-* **Crash → respawn, typed.**  A worker dying mid-request surfaces as
-  :class:`~repro.errors.WorkerDiedError` — a
-  :class:`~repro.errors.TransientBackendError`, so the PR-3 retry /
-  circuit-breaker / fallback machinery applies unchanged — and the pool
-  respawns the worker (with its documents) before the error propagates,
-  so a retry lands on a fresh process.
+* **Crash → respawn and resubmit, once.**  A worker dying mid-request
+  is respawned (with its documents) and the query is resubmitted once to
+  the fresh process, unless the query's guard expired or was cancelled
+  meanwhile; the caller sees nothing.  A second death in a row surfaces
+  as :class:`~repro.errors.WorkerDiedError` (a
+  :class:`~repro.errors.TransientBackendError`, so a session's fallback
+  chain moves on), with the worker respawned again for the next caller.
 * **Cancellation and deadlines cross the boundary.**  The parent polls
   the caller's :class:`~repro.resilience.CancellationToken` while
   waiting on the pipe and kills the worker on a trip
@@ -471,6 +472,12 @@ class ProcessQueryPool:
                 ) -> "tuple[PreorderForest, str]":
         """Run one query on one worker; returns ``(forest, worker name)``.
 
+        A worker that dies mid-request is respawned and the query
+        resubmitted once to the fresh process — after ``guard`` is
+        checked, so a deadline that passed or a cancel that came in the
+        meantime wins.  A second death in a row raises
+        :class:`~repro.errors.WorkerDiedError`.
+
         The reply carries the result in preorder form: its distinct
         labels with the worker's codes, then each row's position among
         them, depth and subtree end as int32 bytes
@@ -479,25 +486,18 @@ class ProcessQueryPool:
         per distinct label, when it first serializes the answer, and
         builds no tree.
         """
-        spec = self._spec(query, strategy, guard)
-        token, deadline, deadline_at = self._limits(spec, guard)
         index = self._acquire_any()
-        worker: "_Worker | None" = None
         try:
-            worker = self._ensure(index)
             try:
-                reply = worker.request(("query", spec), token=token,
-                                       deadline_at=deadline_at,
-                                       deadline=deadline)
-            except (WorkerDiedError, QueryCancelledError, QueryTimeoutError):
-                # The worker is dead (crash) or was killed (cancel /
-                # hung); respawn before surfacing so a retry — or the
-                # next caller — lands on a fresh process.
-                self._respawn(index)
-                raise
+                reply, name = self._query(index, query, strategy, guard)
+            except WorkerDiedError as died:
+                if guard is not None:
+                    guard.check()
+                logger.warning("%s; resubmitting to a fresh worker", died)
+                reply, name = self._query(index, query, strategy, guard)
         finally:
             self._release(index)
-        return self._unwrap(reply), worker.name
+        return self._unwrap(reply), name
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -599,6 +599,28 @@ class ProcessQueryPool:
             self._spawn(index)
         except Exception:  # pragma: no cover - respawned lazily by _ensure
             logger.exception("failed to respawn pool worker %d", index)
+
+    def _query(self, index: int, query: str,
+               strategy: "JoinStrategy | str",
+               guard: "QueryGuard | None") -> "tuple[tuple, str]":
+        """One query message pair on worker ``index`` (slot held).
+
+        A worker that died (crash) or was killed (cancel, hung) is
+        respawned before the error surfaces, so a resubmit — or the next
+        caller — lands on a fresh process.  The spec is built per call:
+        a resubmit ships the deadline that is left.
+        """
+        spec = self._spec(query, strategy, guard)
+        token, deadline, deadline_at = self._limits(spec, guard)
+        worker = self._ensure(index)
+        try:
+            reply = worker.request(("query", spec), token=token,
+                                   deadline_at=deadline_at,
+                                   deadline=deadline)
+        except (WorkerDiedError, QueryCancelledError, QueryTimeoutError):
+            self._respawn(index)
+            raise
+        return reply, worker.name
 
     def _request_worker(self, index: int, message: tuple) -> "tuple | None":
         """One targeted message pair (document broadcasts, warmup).

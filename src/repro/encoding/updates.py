@@ -186,6 +186,30 @@ class DeltaSpine:
                    start, stop, shift)
 
 
+class Snapshot(tuple):
+    """A committed document's wrapped snapshot ``(columns, width)``,
+    unpacked like any other, that also carries the ``revision`` of the
+    commit it is.  A backend first prepared from it holds that revision,
+    so the next commit, whose deltas start there, is one it can replay
+    (SQLite's :class:`~repro.backends.deltalog.DeltaLog`) or carry its
+    memo across (the engine's :class:`~repro.engine.memo.DocumentMemo`).
+    """
+
+    revision: int
+
+    def __new__(cls, columns: IntervalColumns, width: int,
+                revision: int) -> "Snapshot":
+        snapshot = super().__new__(cls, (columns, width))
+        snapshot.revision = revision
+        return snapshot
+
+
+def snapshot_revision(value: tuple) -> int | None:
+    """The commit revision a prepared ``(columns, width)`` is, or
+    ``None`` for a document as loaded."""
+    return value.revision if isinstance(value, Snapshot) else None
+
+
 class DocumentUpdate:
     """Everything a backend needs to bring one prepared document current.
 

@@ -126,22 +126,23 @@ class ExecutionError(ReproError):
 
 
 class TransientBackendError(ExecutionError):
-    """A backend failure that is expected to succeed on retry.
+    """A backend failure that a second try might not repeat.
 
-    Raised for driver-level conditions such as a locked/busy database or
-    an injected transport fault; :class:`repro.resilience.RetryPolicy`
-    retries these by default, and repeated occurrences trip the
-    per-backend circuit breaker.
+    Raised for driver-level conditions such as a locked/busy database,
+    and for a dead process-pool worker (:class:`WorkerDiedError`).  No
+    session-wide policy retries it: a run tries each backend of its
+    fallback chain once, and this error, like any
+    :class:`ExecutionError`, moves the run on to the next one.
     """
 
 
 class WorkerDiedError(TransientBackendError):
-    """Raised when a process-pool worker died while serving a request.
+    """Raised when a process-pool worker died twice serving one request.
 
-    The pool respawns the worker immediately, so the failure is transient
-    by construction: :class:`repro.resilience.RetryPolicy` retries it by
-    default and repeated deaths trip the per-backend circuit breaker,
-    exactly like any other transient backend fault (see
+    The pool absorbs one death itself: it respawns the worker and
+    resubmits the query once to the fresh process, unless the query's
+    guard has expired or been cancelled meanwhile.  A second death in a
+    row is not a fluke of one process, so it surfaces as this error (see
     :mod:`repro.concurrency.procpool`).
     """
 
@@ -193,8 +194,8 @@ class QueryCancelledError(ExecutionError):
     checkpoints as deadlines (engine tick strides, SQL progress
     handlers, statement boundaries), so queued *and* running work stops
     promptly without threads or signals.  Cancellation is caller- or
-    operator-initiated, so it never retries, never falls back, never
-    trips a circuit breaker, and never burns SLO error budget.
+    operator-initiated, so it never falls back, is never resubmitted,
+    and never burns SLO error budget.
     """
 
     def __init__(self, reason: str = "cancelled"):
@@ -223,21 +224,6 @@ class OverloadError(ExecutionError):
         hint = (f"; retry after {retry_after:.3f}s"
                 if retry_after is not None else "")
         super().__init__(f"query shed by admission control: {reason}{hint}")
-
-
-class CircuitOpenError(ExecutionError):
-    """Raised (or recorded as a degradation) when a backend's circuit is open.
-
-    The breaker opened after consecutive failures; ``retry_after`` is the
-    time remaining until the breaker half-opens and allows a probe.
-    """
-
-    def __init__(self, backend: str, retry_after: float | None = None):
-        self.backend = backend
-        self.retry_after = retry_after
-        hint = (f"; retry in {retry_after:.3f}s"
-                if retry_after is not None else "")
-        super().__init__(f"circuit breaker for backend {backend!r} is open{hint}")
 
 
 class BenchmarkTimeout(ReproError):

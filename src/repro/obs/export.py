@@ -31,7 +31,7 @@ class PrometheusFormatError(ReproError):
 # -- /healthz ------------------------------------------------------------------
 
 #: ``health()["status"]`` values that flip ``/healthz`` to HTTP 503.
-UNHEALTHY_STATUSES = ("shedding", "unavailable")
+UNHEALTHY_STATUSES = ("shedding",)
 
 
 def retry_after_seconds(hint: object) -> str | None:

@@ -185,7 +185,7 @@ class QueryRecord:
     error: str | None               #: exception class name, when raised
     wall_seconds: float
     #: Phase durations: ``compile``, plus ``prepare`` and ``execute``
-    #: summed over the attempts (and ``retry`` backoff, when any).
+    #: summed over the attempts (one per backend tried).
     phases: dict[str, float] = field(default_factory=dict)
     trees: int | None = None        #: result forest size, when known
     attempts: tuple[AttemptRecord, ...] = ()
@@ -436,7 +436,7 @@ class FlightRecorder:
         if root is not None:
             for child in root.children:
                 # An attempt's prepare/execute are the run's own phases,
-                # summed over every attempt (retries, fallbacks).
+                # summed over every attempt (one per backend tried).
                 for span in (child.children if child.name == "attempt"
                              else (child,)):
                     phases[span.name] = phases.get(span.name, 0.0) \

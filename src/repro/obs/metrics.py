@@ -103,7 +103,7 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A value that can go up and down (breaker states, live resources)."""
+    """A value that can go up and down (pool gauges, live resources)."""
 
     kind = "gauge"
 

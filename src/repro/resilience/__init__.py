@@ -10,12 +10,6 @@ complexity results in PAPERS.md explain why such plans are inevitable):
   every evaluator loop and via SQLite progress handlers, raising the
   typed :class:`~repro.errors.QueryTimeoutError` /
   :class:`~repro.errors.ResourceBudgetError`;
-* :class:`RetryPolicy` (:mod:`repro.resilience.retry`) — bounded
-  attempts with exponential backoff and seeded jitter; sleep and RNG are
-  injectable for deterministic tests;
-* :class:`CircuitBreaker` (:mod:`repro.resilience.breaker`) — per-backend
-  closed/open/half-open health tracking, owned by the backend registry
-  (:func:`repro.backends.registry.backend_breaker`);
 * :class:`AdmissionController` / :class:`BrownoutController`
   (:mod:`repro.resilience.admission`) — bounded admission queue with
   priority classes and deadline-aware shedding
@@ -26,16 +20,18 @@ complexity results in PAPERS.md explain why such plans are inevitable):
   caller abort stops queued *and* running work
   (:class:`~repro.errors.QueryCancelledError`).
 
-Graceful degradation ties them together:
-``session.run(query, deadline=…, budget=…, fallback=("engine",))``
-retries transient failures, skips open circuits, and falls back down the
-chain (e.g. ``sqlite → engine``) instead of failing the request, with
-every degradation recorded on the returned
-:class:`~repro.api.QueryResult`.  See ``docs/ROBUSTNESS.md``.
+Graceful degradation (:mod:`repro.resilience.fallback`) ties them
+together: ``session.run(query, deadline=…, budget=…,
+fallback=("engine",))`` tries each backend of the chain once, in order
+(e.g. ``sqlite → engine``), instead of failing the request, with every
+degradation recorded on the returned :class:`~repro.api.QueryResult`.
+There is no session-wide retry and no circuit breaker: the one
+transient fault a real run meets, a dead process-pool worker, is
+absorbed inside the pool (:mod:`repro.concurrency.procpool`).  See
+``docs/ROBUSTNESS.md``.
 """
 
 from repro.errors import (
-    CircuitOpenError,
     OverloadError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -53,17 +49,9 @@ from repro.resilience.admission import (
     BrownoutLevel,
     Ticket,
 )
-from repro.resilience.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    STATE_VALUES,
-    CircuitBreaker,
-)
 from repro.resilience.fallback import (
     Degradation,
     build_chain,
-    counts_against_breaker,
     is_degradable,
 )
 from repro.resilience.guard import (
@@ -72,7 +60,6 @@ from repro.resilience.guard import (
     ResourceBudget,
     coerce_budget,
 )
-from repro.resilience.retry import NO_RETRY, RetryPolicy
 
 __all__ = [
     "AdmissionConfig",
@@ -81,15 +68,9 @@ __all__ = [
     "BROWNOUT_LEVELS",
     "BrownoutController",
     "BrownoutLevel",
-    "CLOSED",
     "CancellationToken",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "Degradation",
-    "HALF_OPEN",
     "INTERACTIVE",
-    "NO_RETRY",
-    "OPEN",
     "OverloadError",
     "PRIORITIES",
     "QueryCancelledError",
@@ -97,12 +78,9 @@ __all__ = [
     "QueryTimeoutError",
     "ResourceBudget",
     "ResourceBudgetError",
-    "RetryPolicy",
-    "STATE_VALUES",
     "Ticket",
     "TransientBackendError",
     "build_chain",
     "coerce_budget",
-    "counts_against_breaker",
     "is_degradable",
 ]

@@ -1,11 +1,11 @@
 """Graceful degradation: fallback chains and their audit records.
 
-A session run may name a *fallback chain* of backends: when the primary
-fails in a degradable way (an execution failure, a width overflow on a
-fixed-integer SQL engine, an open circuit), the next backend in the
-chain answers instead.  Every backend given up on is recorded as a
-:class:`Degradation` on the result, so callers can distinguish a clean
-answer from a degraded one.
+A session run may name a *fallback chain* of backends, tried once each
+in order: when a backend fails in a degradable way (an execution
+failure, a width overflow on a fixed-integer SQL engine), the next one
+in the chain answers instead.  Every backend given up on is recorded as
+a :class:`Degradation` on the result, so callers can distinguish a
+clean answer from a degraded one.
 
 Degradable failures are *backend-level*: the backend could not produce
 the answer, but another one might.  Request-level failures — the query's
@@ -13,6 +13,11 @@ own deadline (:class:`~repro.errors.QueryTimeoutError`) or resource
 budget (:class:`~repro.errors.ResourceBudgetError`) — are never
 degraded: retrying the same work elsewhere cannot make it fit the same
 limits.
+
+The one trigger outside the tests: SQLite's 64-bit interval widths
+(Section 4.3) overflow on a deep enough descendant chain
+(:class:`~repro.errors.WidthOverflowError`), and the engine, which
+renormalises at run time, answers.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import (
-    CircuitOpenError,
     ExecutionError,
     OverloadError,
     QueryCancelledError,
@@ -34,9 +38,9 @@ from repro.errors import (
 class Degradation:
     """One backend the session gave up on while answering a query."""
 
-    #: Name of the backend that failed or was skipped.
+    #: Name of the backend that failed.
     backend: str
-    #: Exception class name (``"WidthOverflowError"``, ``"CircuitOpenError"``…).
+    #: Exception class name (``"WidthOverflowError"``, ``"ExecutionError"``…).
     kind: str
     #: The error message (truncated to keep results printable).
     reason: str
@@ -67,20 +71,4 @@ def is_degradable(error: BaseException) -> bool:
     if isinstance(error, (QueryTimeoutError, ResourceBudgetError,
                           QueryCancelledError, OverloadError)):
         return False  # request-level: no backend can change the verdict
-    return isinstance(error, (ExecutionError, WidthOverflowError,
-                              CircuitOpenError))
-
-
-def counts_against_breaker(error: BaseException) -> bool:
-    """Whether ``error`` is evidence of backend ill-health.
-
-    Width overflows are deterministic capability limits (the same query
-    fails the same way forever — a healthy backend saying "can't"), and
-    timeouts/budgets are request-level, so none of those should push a
-    circuit toward open.
-    """
-    if isinstance(error, (QueryTimeoutError, ResourceBudgetError,
-                          CircuitOpenError, QueryCancelledError,
-                          OverloadError)):
-        return False
-    return isinstance(error, ExecutionError)
+    return isinstance(error, (ExecutionError, WidthOverflowError))

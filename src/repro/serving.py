@@ -16,11 +16,10 @@ Every listener answers the same routes (:data:`ENDPOINTS`):
   ``Retry-After`` header from the admission controller's hint, timeouts
   to 504, cancellations to 499, other query errors — a malformed option
   included — to 400, a body over ``MAX_BODY_BYTES`` to 413.
-* ``GET /healthz`` — :meth:`XQuerySession.health` as JSON (breaker
-  states, pool gauges, admission snapshot, documents, recorder counters),
-  graded for load balancers by :func:`repro.obs.export.health_reply`:
-  200 for ``ok`` / ``degraded``, 503 + ``Retry-After`` for ``shedding``
-  / ``unavailable``.
+* ``GET /healthz`` — :meth:`XQuerySession.health` as JSON (pool
+  gauges, admission snapshot, documents, recorder counters), graded for
+  load balancers by :func:`repro.obs.export.health_reply`: 200 for
+  ``ok``, 503 + ``Retry-After`` for ``shedding``.
 * ``GET /metrics`` — the session registry in Prometheus text format
   (:func:`repro.obs.export.render_prometheus`), flight-recorder latency
   histograms and SLO burn gauges included.

@@ -39,16 +39,15 @@ from repro.api import (
 )
 from repro.backends.base import Backend, ExecutionOptions, coerce_strategy
 from repro.backends.engine import EngineBackend
-from repro.backends.registry import backend_breaker, create_backend
+from repro.backends.registry import create_backend
 from repro.compiler.cache import CompiledCache
 from repro.compiler.plan import JoinStrategy
 from repro.concurrency import RWLock
 from repro.encoding.interval import decode
-from repro.encoding.updates import DocumentUpdate, UpdatableDocument
+from repro.encoding.updates import DocumentUpdate, Snapshot, UpdatableDocument
 from repro.engine.columns import label_dictionary_entries
 from repro.engine.stats import EngineStats
 from repro.errors import (
-    CircuitOpenError,
     DocumentNotFoundError,
     OverloadError,
     QueryCancelledError,
@@ -65,21 +64,13 @@ from repro.resilience.admission import (
     check_priority,
     scale_budget,
 )
-from repro.resilience.breaker import STATE_VALUES
-from repro.resilience.fallback import (
-    Degradation,
-    build_chain,
-    counts_against_breaker,
-    is_degradable,
-)
+from repro.resilience.fallback import Degradation, build_chain, is_degradable
 from repro.resilience.guard import CancellationToken, QueryGuard, ResourceBudget
-from repro.resilience.retry import NO_RETRY, RetryPolicy
 from repro.xml.forest import Forest
 from repro.xquery.lowering import document_variable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.evaluator import Value
-    from repro.resilience.breaker import CircuitBreaker
 
 logger = logging.getLogger("repro.session")
 
@@ -153,19 +144,12 @@ class XQuerySession:
             "repro_session_updates_applied_total",
             "document updates absorbed by backends without a reload",
             ("backend",))
-        self._m_retries = self.metrics.counter(
-            "repro_resilience_retries_total",
-            "backend attempts retried after transient failures", ("backend",))
         self._m_fallbacks = self.metrics.counter(
             "repro_resilience_fallbacks_total",
             "queries answered by a fallback backend", ("source", "target"))
         self._m_timeouts = self.metrics.counter(
             "repro_resilience_timeouts_total",
             "queries cancelled at their deadline", ("backend",))
-        self._g_breaker = self.metrics.gauge(
-            "repro_resilience_breaker_state",
-            "circuit state per backend (0 closed, 1 half-open, 2 open)",
-            ("backend",))
         self._m_batches = self.metrics.counter(
             "repro_session_batches_total", "query batches run via run_many")
         self._g_pool_workers = self.metrics.gauge(
@@ -254,14 +238,16 @@ class XQuerySession:
             return forest
 
     def _snapshot(self, uri: str) -> "Value":
-        """The document's snapshot as ``(columns, width)`` (callers hold
+        """The document's snapshot as ``(columns, width)`` — after a
+        commit a :class:`Snapshot` carrying its revision (callers hold
         the state lock)."""
         try:
             snapshot = self._documents[uri]
         except KeyError:
             raise DocumentNotFoundError(uri, sorted(self._documents)) from None
         if isinstance(snapshot, DocumentUpdate):
-            return snapshot.columns(), snapshot.width
+            return Snapshot(snapshot.columns(), snapshot.width,
+                            snapshot.revision)
         return snapshot
 
     # -- updates --------------------------------------------------------------------
@@ -409,7 +395,6 @@ class XQuerySession:
             budget: "int | ResourceBudget | None" = None,
             guard: QueryGuard | None = None,
             fallback: "tuple[str, ...] | list[str]" = (),
-            retry: RetryPolicy | None = None,
             priority: str = INTERACTIVE,
             token: CancellationToken | None = None) -> QueryResult:
         """Run a query against the registered documents.
@@ -429,13 +414,11 @@ class XQuerySession:
         :class:`~repro.resilience.ResourceBudget`) build a
         :class:`~repro.resilience.QueryGuard` enforced inside every
         backend; pass ``guard`` to share one across calls instead.
-        ``fallback`` names backends tried in order when the primary fails
-        degradably (execution failure, width overflow, open circuit) —
-        the result records what was skipped in
-        :attr:`QueryResult.degradations`.  ``retry`` re-runs transient
-        failures per a :class:`~repro.resilience.RetryPolicy` before
-        degrading.  Deadline and budget violations are request-level and
-        never fall back.
+        ``fallback`` names backends tried once each, in order, when the
+        primary fails degradably (execution failure, width overflow) —
+        the result records what was given up on in
+        :attr:`QueryResult.degradations`.  Deadline and budget violations
+        are request-level and never fall back.
 
         Overload protection (on by default): the run first passes the
         session's :class:`~repro.resilience.AdmissionController` —
@@ -451,7 +434,7 @@ class XQuerySession:
                          self._effective_tracer(trace, tracer),
                          strategy=strategy, stats=stats, deadline=deadline,
                          budget=budget, guard=guard, fallback=fallback,
-                         retry=retry, priority=priority, token=token)
+                         priority=priority, token=token)
 
     #: Backends the process tier can substitute for: the ``procpool``
     #: workers run the DI engine, so only engine-family primaries are
@@ -468,7 +451,6 @@ class XQuerySession:
                  deadline: float | None = None,
                  budget: "int | ResourceBudget | None" = None,
                  fallback: "tuple[str, ...] | list[str]" = (),
-                 retry: RetryPolicy | None = None,
                  return_errors: bool = False,
                  priority: str = BATCH,
                  token: CancellationToken | None = None,
@@ -479,8 +461,8 @@ class XQuerySession:
         Each query goes through :meth:`run` on a pool thread, so the full
         per-query machinery composes unchanged: ``deadline``/``budget``
         build a fresh :class:`~repro.resilience.QueryGuard` per query
-        (guards are stateful and never shared), and ``fallback``/``retry``
-        apply to each query independently.  Results come back **in input
+        (guards are stateful and never shared), and ``fallback`` applies
+        to each query independently.  Results come back **in input
         order** regardless of completion order.
 
         The pool is persistent: repeated batches reuse the same worker
@@ -558,8 +540,7 @@ class XQuerySession:
                     return self.run(query, backend=backend, strategy=strategy,
                                     tracer=active, deadline=deadline,
                                     budget=budget, fallback=fallback,
-                                    retry=retry, priority=priority,
-                                    token=batch_token)
+                                    priority=priority, token=batch_token)
             finally:
                 self._g_pool_active.dec()
 
@@ -610,8 +591,8 @@ class XQuerySession:
 
         The asyncio front of the serving stack: the query executes via
         :meth:`run` (every keyword argument passes through — backend,
-        strategy, deadline/budget/guard, fallback/retry, priority,
-        token) on the session's persistent worker pool while the event
+        strategy, deadline/budget/guard, fallback, priority, token)
+        on the session's persistent worker pool while the event
         loop stays free, so one process can hold thousands of in-flight
         requests.  Pair with ``backend="procpool"`` to push the actual
         evaluation into worker processes: the pool thread then only
@@ -696,7 +677,6 @@ class XQuerySession:
              budget: "int | ResourceBudget | None",
              guard: QueryGuard | None,
              fallback: "tuple[str, ...] | list[str]",
-             retry: RetryPolicy | None,
              priority: str,
              token: CancellationToken | None) -> QueryResult:
         """The one run path: resolve → admit → compile → attempt → record.
@@ -749,30 +729,26 @@ class XQuerySession:
         options = ExecutionOptions(
             strategy=self._strategy(strategy), stats=stats,
             metrics=self.metrics if full else None, guard=guard)
-        # A plain run (no guard, fallback or retry) neither consults nor
-        # feeds a circuit breaker.
-        guarded = guard is not None or bool(fallback) or retry is not None
         try:
             with self._state_lock.read_locked():
                 return self._run_chain(
-                    query, build_chain(name, tuple(fallback)), options,
-                    retry if retry is not None else NO_RETRY, tr, full,
-                    guarded)
+                    query, build_chain(name, tuple(fallback)), options, tr,
+                    full)
         finally:
             if ticket is not None:
                 admission.release(ticket)
 
     def _run_chain(self, query: str, chain: list[str],
-                   options: ExecutionOptions, policy: RetryPolicy,
-                   tr: Tracer, full: bool, guarded: bool) -> QueryResult:
-        """Compile, try each backend of ``chain`` in turn, record the run.
+                   options: ExecutionOptions, tr: Tracer,
+                   full: bool) -> QueryResult:
+        """Compile, try each backend of ``chain`` once, record the run.
 
         The span tree is the same for every run: ``query`` → ``compile``,
-        then one ``attempt`` (→ ``prepare``, ``execute``) per try, with
-        ``retry`` / ``skip`` markers between them.  The flight record is
-        written in the ``finally`` — success, degradation and raised
-        errors all land in the ring buffer, each with one
-        :class:`AttemptRecord` per try, failures included.
+        then one ``attempt`` (→ ``prepare``, ``execute``) per backend
+        tried.  The flight record is written in the ``finally`` —
+        success, degradation and raised errors all land in the ring
+        buffer, each with one :class:`AttemptRecord` per backend tried,
+        failures included.
         """
         name = chain[0]
         guard = options.guard
@@ -791,16 +767,10 @@ class XQuerySession:
                     if guard is not None:
                         guard.backend = backend
                         guard.start().check()  # never start an attempt past limit
-                    breaker = backend_breaker(backend) if guarded else None
                     try:
-                        if breaker is not None and not breaker.allow():
-                            tr.record_span("skip", 0.0, backend=backend,
-                                           error="CircuitOpenError")
-                            raise CircuitOpenError(
-                                backend, retry_after=breaker.retry_after)
                         forest = self._attempt(compiled, backend, options, tr,
-                                               full, breaker, policy,
-                                               attempts)
+                                               full, attempts)
+                        break
                     except Exception as raised:
                         if isinstance(raised, QueryTimeoutError):
                             self._m_timeouts.inc(backend=backend)
@@ -813,12 +783,6 @@ class XQuerySession:
                         degradations.append(
                             Degradation.from_error(backend, raised))
                         last_error = raised
-                        continue
-                    finally:
-                        if breaker is not None:
-                            self._g_breaker.set(STATE_VALUES[breaker.state],
-                                                backend=backend)
-                    break
                 else:
                     raise last_error
                 if degradations:
@@ -859,53 +823,32 @@ class XQuerySession:
 
     def _attempt(self, compiled: CompiledQuery, name: str,
                  options: ExecutionOptions, tr: Tracer, full: bool,
-                 breaker: "CircuitBreaker | None", policy: RetryPolicy,
                  attempts: list[AttemptRecord]) -> Forest:
-        """One backend's (possibly retried) prepare + execute."""
+        """One backend's prepare + execute, recorded as one attempt."""
         target = self.backend_instance(name)
-
-        def once() -> Forest:
-            begin = time.perf_counter()
-            failure: str | None = None
-            try:
-                with tr.span("attempt", backend=name):
-                    with tr.span("prepare") as prepare_span:
-                        target.prepare(
-                            self._prepare_bindings(compiled, target))
-                        prepare_span.set(documents=len(compiled.documents))
+        begin = time.perf_counter()
+        failure: str | None = None
+        try:
+            with tr.span("attempt", backend=name):
+                with tr.span("prepare") as prepare_span:
+                    target.prepare(self._prepare_bindings(compiled, target))
+                    prepare_span.set(documents=len(compiled.documents))
+                if full:
+                    target.instrument(tr)
+                try:
+                    with tr.span("execute") as execute_span:
+                        forest = target.execute(compiled, options)
+                        execute_span.set(trees=len(forest))
+                finally:
                     if full:
-                        target.instrument(tr)
-                    try:
-                        with tr.span("execute") as execute_span:
-                            forest = target.execute(compiled, options)
-                            execute_span.set(trees=len(forest))
-                    finally:
-                        if full:
-                            target.instrument(None)
-                return forest
-            except BaseException as error:
-                failure = type(error).__name__
-                if breaker is not None:
-                    if counts_against_breaker(error):
-                        breaker.record_failure()
-                    else:
-                        breaker.release_probe()
-                raise
-            finally:
-                attempts.append(AttemptRecord(
-                    name, time.perf_counter() - begin, failure))
-
-        def on_retry(attempt: int, delay: float, error: BaseException) -> None:
-            self._m_retries.inc(backend=name)
-            tr.record_span("retry", delay, backend=name, attempt=attempt,
-                           error=type(error).__name__)
-            logger.debug("retrying backend %r after %s (attempt %d, "
-                         "backoff %.3fs)", name, error, attempt, delay)
-
-        forest = policy.call(once, guard=options.guard, on_retry=on_retry)
-        if breaker is not None:
-            breaker.record_success()
-        return forest
+                        target.instrument(None)
+            return forest
+        except BaseException as error:
+            failure = type(error).__name__
+            raise
+        finally:
+            attempts.append(AttemptRecord(
+                name, time.perf_counter() - begin, failure))
 
     def _record(self, query: str, name: str,
                 **fields: object) -> "QueryRecord | None":
@@ -972,36 +915,24 @@ class XQuerySession:
     def health(self) -> dict[str, object]:
         """The liveness snapshot behind ``/healthz``.
 
-        ``status`` is graded for load balancers: ``"ok"``; ``"degraded"``
-        when some backend's breaker is open; ``"shedding"`` while
-        admission control is refusing work (draining, queue at bound,
-        batch-shedding brownout, or within the post-shed hold window);
-        ``"unavailable"`` when *every* active backend's breaker is open.
-        The HTTP endpoint maps the last two to 503 so a browned-out
-        instance rotates out — see :mod:`repro.serving`.  ``documents``
+        ``status`` is graded for load balancers: ``"ok"``, or
+        ``"shedding"`` while admission control is refusing work
+        (draining, queue at bound, batch-shedding brownout, or within the
+        post-shed hold window).  The HTTP endpoint maps ``"shedding"`` to
+        503 so a browned-out instance rotates out — see
+        :mod:`repro.serving`.  ``documents``
         maps each document to the engine's numbers for it (entries,
         bytes, bound, refused — entries not kept because the first-fit
         bound was full — carried, recomputed:
         :meth:`~repro.backends.engine.EngineBackend.document_stats`), or
         to ``None`` where the engine has not bound it.
         """
-        breakers = {name: backend_breaker(name).state
-                    for name in self.active_backends}
-        open_states = [state == "open" for state in breakers.values()]
-        if open_states and all(open_states):
-            status = "unavailable"
-        elif self.admission is not None and self.admission.shedding:
-            status = "shedding"
-        elif any(open_states):
-            status = "degraded"
-        else:
-            status = "ok"
+        shedding = self.admission is not None and self.admission.shedding
         payload: dict[str, object] = {
-            "status": status,
+            "status": "shedding" if shedding else "ok",
             "backend": self.backend,
             "documents": self._document_health(),
             "active_backends": self.active_backends,
-            "breakers": breakers,
             "pool": {
                 "workers": int(self._g_pool_workers.value()),
                 "active": int(self._g_pool_active.value()),

@@ -35,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.columns import IntervalColumns
     from repro.resilience.guard import QueryGuard
 
-#: Driver messages indicating a condition worth retrying (another writer
-#: holds the file lock, the schema changed under a prepared statement).
+#: Driver messages indicating a transient condition (another writer holds
+#: the file lock, the schema changed under a prepared statement).
 _TRANSIENT_MARKERS = ("database is locked", "database is busy",
                       "database schema has changed")
 
@@ -48,7 +48,7 @@ def wrap_driver_error(error: BaseException, statement: str,
     No ``sqlite3.OperationalError`` / ``sqlite3.DataError`` (or any other
     driver type) may escape the public API: callers get an
     :class:`ExecutionError` carrying the offending statement (truncated),
-    or a :class:`TransientBackendError` for retry-worthy lock/busy
+    or a :class:`TransientBackendError` for transient lock/busy
     conditions.  When ``guard`` interrupted the statement through its
     progress handler, the guard's own typed error (timeout/budget) is
     returned instead of the driver's ``interrupted``.

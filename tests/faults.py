@@ -1,37 +1,30 @@
 """Deterministic fault injection for backends (a test helper).
 
-The resilience machinery is only trustworthy if every path — retry,
-breaker trip, half-open probe, fallback — can be exercised on demand.  A
-:class:`FaultPlan` scripts faults against a wrapped
-:class:`~repro.backends.base.Backend`:
+The degradation paths — fallback down a chain, an update that fails on
+one backend, admission under a slow backend — are only trustworthy if
+they can be exercised on demand.  A :class:`FaultPlan` scripts faults
+against a wrapped :class:`~repro.backends.base.Backend`:
 
 * raise a chosen exception on the k-th call of a method
   (:meth:`FaultPlan.fail_on`);
-* delay the k-th call by a fixed amount through an injectable sleep
-  (:meth:`FaultPlan.delay_on`) — tests pass a recorder, or
-  ``time.sleep`` for a real delay;
-* slow *every* call of a method with a deterministic per-attempt delay
-  schedule (:meth:`FaultPlan.slow_on`) — the latency fault that makes
+* slow *every* call of a method by a fixed delay through an injectable
+  sleep (:meth:`FaultPlan.slow_on`) — the latency fault that makes
   overload, shedding, and brownout paths testable without real load;
-* fail calls with a seeded probability (:meth:`FaultPlan.fail_randomly`)
-  for soak-style runs that stay reproducible.
+  tests pass a recorder, or ``time.sleep`` for a real delay.
 
 Activation is a context manager: :func:`inject_faults` re-registers a
 backend name with a wrapping factory and restores the original on exit,
 so sessions created inside the block transparently receive the faulty
-backend — exactly how a real deployment would meet a flaky engine.
-Only the tests use it; the package ships no fault injection.
+backend.  Only the tests use it; the package ships no fault injection.
 
-    plan = FaultPlan().fail_on("execute", calls=(1, 2),
-                               error=TransientBackendError("connection reset"))
+    plan = FaultPlan().fail_on("execute", calls=1)
     with inject_faults("sqlite", plan):
-        with XQuerySession(backend="sqlite") as session:
-            ...   # first two executes fail, the third succeeds
+        with XQuerySession() as session:
+            ...   # the first execute fails; fallback=("engine",) answers
 """
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
@@ -40,147 +33,70 @@ from repro.backends.base import Backend, ExecutionOptions
 from repro.backends.registry import _REGISTRY, register_backend
 from repro.errors import ReproError, TransientBackendError
 from repro.obs.trace import Tracer
-from repro.xml.forest import Forest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.evaluator import Value
 
 
-def _default_error() -> Exception:
-    return TransientBackendError("injected fault")
-
-
-@dataclass
+@dataclass(frozen=True)
 class _ScriptedFault:
-    """One scripted behaviour for a method: which calls, what happens."""
+    """One scripted behaviour for a method: on which calls (every call
+    when ``calls`` is empty) it sleeps ``delay`` seconds, then raises
+    what ``error`` makes, if anything."""
 
     method: str
     calls: frozenset[int] = frozenset()
     error: Callable[[], Exception] | None = None
     delay: float = 0.0
-    probability: float = 0.0
-    #: Trigger on every call (latency faults), not just listed ones.
-    every: bool = False
-    #: Per-attempt delay schedule, indexed by call number (cycled).
-    schedule: tuple[float, ...] = ()
 
 
 @dataclass
 class FaultPlan:
     """A deterministic script of backend misbehaviour.
 
-    Call counters are per method name and 1-based; the plan records every
-    intercepted call in :attr:`calls` so tests can assert exactly how far
-    an execution got.  ``seed`` drives the probabilistic faults;
-    ``sleep`` performs injected delays (default: record only, never
-    sleep — pass ``time.sleep`` to really stall).
+    Call counters are per method name and 1-based (:meth:`call_count`),
+    so tests can assert exactly how far an execution got.  ``sleep``
+    performs injected delays (default: record only, never sleep — pass
+    ``time.sleep`` to really stall).
     """
 
-    seed: int = 0
     sleep: Callable[[float], None] | None = None
     faults: list[_ScriptedFault] = field(default_factory=list)
-    #: Every intercepted (method, call number) in order.
-    calls: list[tuple[str, int]] = field(default_factory=list)
     #: Delays performed, as (method, seconds).
     delays: list[tuple[str, float]] = field(default_factory=list)
     #: Errors raised, as (method, call number, exception).
     raised: list[tuple[str, int, Exception]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
         self._counters: dict[str, int] = {}
 
     # -- scripting ------------------------------------------------------------
 
     def fail_on(self, method: str, calls: "int | tuple[int, ...]" = 1,
-                error: "Exception | Callable[[], Exception] | None" = None,
-                ) -> "FaultPlan":
-        """Raise on the given (1-based) call numbers of ``method``.
-
-        ``error`` may be an exception instance (re-raised each time) or a
-        zero-argument factory; defaults to a
-        :class:`~repro.errors.TransientBackendError`.
-        """
+                error: Exception | None = None) -> "FaultPlan":
+        """Raise on the given (1-based) call numbers of ``method``:
+        ``error`` each time, or a fresh
+        :class:`~repro.errors.TransientBackendError` by default."""
         if isinstance(calls, int):
             calls = (calls,)
         if error is None:
-            factory: Callable[[], Exception] = _default_error
-        elif isinstance(error, BaseException):
-            captured = error
-
-            def factory() -> Exception:
-                return captured
+            def make() -> Exception:
+                return TransientBackendError("injected fault")
         else:
-            factory = error
-        self.faults.append(_ScriptedFault(method, frozenset(calls), factory))
+            def make() -> Exception:
+                return error
+        self.faults.append(_ScriptedFault(method, frozenset(calls), make))
         return self
 
-    def delay_on(self, method: str, calls: "int | tuple[int, ...]" = 1,
-                 seconds: float = 0.1) -> "FaultPlan":
-        """Delay the given call numbers of ``method`` by ``seconds``."""
-        if isinstance(calls, int):
-            calls = (calls,)
-        self.faults.append(
-            _ScriptedFault(method, frozenset(calls), None, delay=seconds))
-        return self
-
-    def slow_on(self, method: str,
-                seconds: "float | tuple[float, ...] | list[float]",
-                calls: "int | tuple[int, ...] | None" = None) -> "FaultPlan":
-        """Slow ``method`` down — the latency fault behind overload tests.
-
-        By default **every** call is delayed (``calls`` restricts to
-        specific 1-based call numbers).  ``seconds`` may be one float
-        (the same delay each attempt) or a sequence applied by call
-        number and cycled once exhausted, so a backend that degrades
-        ``0.1 → 0.5 → 2.0`` per attempt is scripted deterministically.
-        Delays go through the plan's injected ``sleep``: pass
-        ``time.sleep`` to really stall, or a fake clock's ``advance`` so
-        shed/brownout paths run without wall-clock waits.
-        """
-        if isinstance(seconds, (int, float)):
-            schedule: tuple[float, ...] = (float(seconds),)
-        else:
-            schedule = tuple(float(delay) for delay in seconds)
-        if not schedule or any(delay < 0 for delay in schedule):
+    def slow_on(self, method: str, seconds: float) -> "FaultPlan":
+        """Delay every call of ``method`` by ``seconds``, through the
+        plan's injected ``sleep``: pass ``time.sleep`` to really stall,
+        or a callback so shed/brownout paths run without wall-clock
+        waits."""
+        if seconds < 0:
             raise ReproError(
-                f"slow_on needs non-negative delays, got {seconds!r}")
-        if calls is None:
-            numbers: frozenset[int] = frozenset()
-            every = True
-        else:
-            if isinstance(calls, int):
-                calls = (calls,)
-            numbers = frozenset(calls)
-            every = False
-        self.faults.append(
-            _ScriptedFault(method, numbers, None, every=every,
-                           schedule=schedule))
-        return self
-
-    def fail_randomly(self, method: str, probability: float,
-                      error: "Exception | Callable[[], Exception] | None" = None,
-                      ) -> "FaultPlan":
-        """Fail each call of ``method`` with the given probability.
-
-        Draws come from the plan's seeded RNG, so a given seed produces
-        the same failure pattern on every run.
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ReproError(
-                f"probability must be in [0, 1], got {probability}")
-        if error is None:
-            factory: Callable[[], Exception] = _default_error
-        elif isinstance(error, BaseException):
-            captured = error
-
-            def factory() -> Exception:
-                return captured
-        else:
-            factory = error
-        self.faults.append(
-            _ScriptedFault(method, frozenset(), factory,
-                           probability=probability))
+                f"slow_on needs a non-negative delay, got {seconds!r}")
+        self.faults.append(_ScriptedFault(method, delay=float(seconds)))
         return self
 
     # -- interception ---------------------------------------------------------
@@ -189,25 +105,17 @@ class FaultPlan:
         return self._counters.get(method, 0)
 
     def apply(self, method: str) -> None:
-        """Record one call of ``method`` and act out any scripted fault."""
+        """Count one call of ``method`` and act out any scripted fault."""
         count = self._counters.get(method, 0) + 1
         self._counters[method] = count
-        self.calls.append((method, count))
         for fault in self.faults:
-            if fault.method != method:
+            if fault.method != method or (fault.calls
+                                          and count not in fault.calls):
                 continue
-            triggered = (fault.every or count in fault.calls or
-                         (fault.probability > 0.0
-                          and self._rng.random() < fault.probability))
-            if not triggered:
-                continue
-            delay = fault.delay
-            if fault.schedule:
-                delay = fault.schedule[(count - 1) % len(fault.schedule)]
-            if delay > 0.0:
-                self.delays.append((method, delay))
+            if fault.delay > 0.0:
+                self.delays.append((method, fault.delay))
                 if self.sleep is not None:
-                    self.sleep(delay)
+                    self.sleep(fault.delay)
             if fault.error is not None:
                 error = fault.error()
                 self.raised.append((method, count, error))
@@ -264,16 +172,7 @@ class FaultyBackend(Backend):
         self.plan.apply("execute")
         return self.inner.execute(compiled, options)
 
-    def runner(self, compiled, options: ExecutionOptions | None = None):
-        inner_run = self.inner.runner(compiled, options)
-
-        def run() -> Forest:
-            self.plan.apply("execute")
-            return inner_run()
-
-        return run
-
-    def _runner(self, compiled, options):  # pragma: no cover - via runner()
+    def _runner(self, compiled, options):  # pragma: no cover - via execute
         return self.inner.runner(compiled, options)
 
     def close(self) -> None:

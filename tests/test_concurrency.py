@@ -555,23 +555,18 @@ class TestRunMany:
         assert len(results) == 12
 
     def test_fallback_composes(self):
-        from repro.backends.registry import reset_breakers
         from tests.faults import FaultPlan, inject_faults
 
-        reset_breakers()
         plan = FaultPlan().fail_on("execute", calls=(1, 2))
-        try:
-            with inject_faults("sqlite", plan):
-                with XQuerySession() as faulty:
-                    faulty.add_document("d.xml", DOC_OLD)
-                    results = faulty.run_many(
-                        [QUERY_ALL, QUERY_ALL], max_workers=2,
-                        backend="sqlite", fallback=("engine",))
-            for result in results:
-                assert result.backend == "engine"
-                assert result.degraded
-        finally:
-            reset_breakers()  # don't leak sqlite failures to other tests
+        with inject_faults("sqlite", plan):
+            with XQuerySession() as faulty:
+                faulty.add_document("d.xml", DOC_OLD)
+                results = faulty.run_many(
+                    [QUERY_ALL, QUERY_ALL], max_workers=2,
+                    backend="sqlite", fallback=("engine",))
+        for result in results:
+            assert result.backend == "engine"
+            assert result.degraded
 
 
 class TestBackendClose:

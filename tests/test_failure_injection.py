@@ -104,10 +104,8 @@ class TestWidthOverflowDegradation:
 
     @pytest.mark.parametrize("backend", ["sqlite"])
     def test_fallback_converts_overflow_to_degraded_answer(self, backend):
-        from repro.backends.registry import reset_breakers
         from repro.session import XQuerySession
 
-        reset_breakers()
         with XQuerySession() as session:
             session.add_document("w.xml", self.DOC)
             result = session.run(self.QUERY, backend=backend,
@@ -118,21 +116,6 @@ class TestWidthOverflowDegradation:
             # The unbounded-integer engine agrees with itself undegraded.
             plain = session.run(self.QUERY, backend="engine")
             assert result.forest == plain.forest
-
-    def test_overflow_does_not_trip_the_breaker(self):
-        """A deterministic capability limit is not backend ill-health."""
-        from repro.backends.registry import backend_breaker, reset_breakers
-        from repro.resilience import CLOSED
-        from repro.session import XQuerySession
-
-        reset_breakers()
-        with XQuerySession() as session:
-            session.add_document("w.xml", self.DOC)
-            for _ in range(6):  # past any default failure threshold
-                session.run(self.QUERY, backend="sqlite",
-                            fallback=("engine",))
-        assert backend_breaker("sqlite").state == CLOSED
-        reset_breakers()
 
 
 class TestEngineFailures:

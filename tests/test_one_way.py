@@ -79,8 +79,8 @@ GUARDS = (
     Guard(r"register_rewrite|registered_passes|register_pass|PipelineTrace|"
           r"profile_plan|compiler\.simplify|simplify=|plan_for|base_delay=",
           ("src/repro",),
-          "one compile path (plain calls) and one EXPLAIN ANALYZE; the "
-          "retry backoff schedule is constants", "6a883af"),
+          "one compile path (plain calls) and one EXPLAIN ANALYZE, and no "
+          "retry backoff to configure", "6a883af"),
     Guard(r"splice_rows|delta_updates|prepared_documents|_revisions",
           ("src/repro",),
           "one commit path: every backend adopts DocumentUpdate.columns(); "
@@ -99,9 +99,8 @@ GUARDS = (
     Guard(r"AdaptiveLimiter|latency_quantile|queue_timeout_seconds|"
           r"brownout_levels|half_open_probes|on_transition|adaptive-admission",
           ("src/repro",),
-          "no tuning surface in admission or the breaker: the brownout "
-          "ladder, thresholds, recovery window and single probe are "
-          "constants (docs/ROBUSTNESS.md)", "3a6e0b2"),
+          "no tuning surface in admission: the brownout ladder and its "
+          "thresholds are constants (docs/ROBUSTNESS.md)", "3a6e0b2"),
     Guard(r"NaiveEvaluator", ("src/repro",),
           "one Figure 3 interpreter: the naive baseline is "
           "xquery.interpreter.Interpreter run with a baselines.naive."
@@ -125,6 +124,13 @@ GUARDS = (
           "the document memo holds values: a run with a resource budget "
           "reads and fills no memo, so no guard charges are logged, kept "
           "or replayed", "7bf4ce5"),
+    Guard(r"RetryPolicy|NO_RETRY|CircuitBreaker|CircuitOpenError|"
+          r"backend_breaker|reset_breakers|counts_against_breaker|retry=",
+          ("src/repro",),
+          "a run tries each backend of its fallback chain once, with no "
+          "retry policy or circuit breaker; a dead pool worker is "
+          "respawned and its query resubmitted once inside the pool "
+          "(concurrency/procpool.py)", "8c1d7bb"),
 )
 
 DELETED_FILES = (
@@ -150,6 +156,11 @@ DELETED_FILES = (
      "interpreter and naive", "ff0fd0b"),
     ("src/repro/resilience/faults.py", "fault injection is a test helper "
      "(tests/faults.py); the package ships none", "182b6c6"),
+    ("src/repro/resilience/retry.py", "no session-wide retry: a run tries "
+     "each backend once, and the pool resubmits after a worker death",
+     "8c1d7bb"),
+    ("src/repro/resilience/breaker.py", "no circuit breaker: /healthz "
+     "grades ok and shedding only", "8c1d7bb"),
 )
 
 #: The entry points a user reaches the package through.
@@ -257,7 +268,7 @@ def test_interpreter_takes_one_option():
 
 
 def test_admission_takes_three_fields():
-    """Admission is tuned by three fields; everything else in it and in
-    the breaker is a constant."""
+    """Admission is tuned by three fields; everything else in it is a
+    constant."""
     assert [field.name for field in dataclasses.fields(AdmissionConfig)] \
         == ["max_concurrency", "max_queue_depth", "brownout_dwell_seconds"]

@@ -259,16 +259,81 @@ class TestProcessQueryPool:
         assert after != before
 
     def test_crashed_worker_respawns(self, tiny_encoding):
+        """One killed worker is absorbed: the pool respawns it, resubmits
+        the query to the fresh process, and the first call answers."""
         with ProcessQueryPool(workers=1) as pool:
             pool.register_document(_doc_var(NAMES), tiny_encoding)
-            pool._workers[0].process.kill()
-            pool._workers[0].process.join(timeout=5)
+            dead = pool._workers[0]
+            dead.process.kill()
+            dead.process.join(timeout=5)
+            forest, worker = pool.execute(NAMES)
+            assert forest == _reference(NAMES, tiny_encoding)
+            assert worker == "procpool-0"
+            assert pool._workers[0] is not dead and pool._workers[0].alive
+
+    def test_crashing_twice_in_a_row_surfaces_worker_died(
+            self, tiny_encoding, monkeypatch):
+        """A query whose worker dies again after the resubmit surfaces as
+        WorkerDiedError, with a fresh worker left for the next caller."""
+        import multiprocessing
+
+        from repro.concurrency import procpool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the crash is patched into forked workers")
+        # Every worker forked while this holds dies on its first query.
+        monkeypatch.setattr(procpool._WorkerState, "_query",
+                            lambda _state, _spec: os._exit(3))
+        with ProcessQueryPool(workers=1, start_method="fork") as pool:
+            pool.register_document(_doc_var(NAMES), tiny_encoding)
+            spawned = []
+            spawn = pool._spawn
+            pool._spawn = lambda index: spawned.append(index) or spawn(index)
             with pytest.raises(WorkerDiedError) as exc:
                 pool.execute(NAMES)
-            # Transient: the retry/breaker/fallback machinery applies.
             assert isinstance(exc.value, TransientBackendError)
-            # The pool respawned before surfacing, so a retry succeeds.
+            assert spawned == [0, 0]  # one respawn per death
+            monkeypatch.undo()
+            # The worker left behind was forked under the patch: its death
+            # is absorbed, and the resubmit reaches a healthy process.
             forest, _worker = pool.execute(NAMES)
+            assert forest == _reference(NAMES, tiny_encoding)
+            assert spawned == [0, 0, 0]
+
+    @pytest.mark.parametrize("expiry", ["deadline", "cancel"])
+    def test_crashed_worker_is_not_resubmitted_past_the_guard(
+            self, tiny_encoding, expiry):
+        """A deadline that passes or a cancel that comes while the worker
+        dies wins over the resubmit."""
+        now = [0.0]
+        token = CancellationToken()
+        guard = QueryGuard(deadline=1.0, clock=lambda: now[0],
+                           token=token).start()
+        with ProcessQueryPool(workers=1) as pool:
+            pool.register_document(_doc_var(NAMES), tiny_encoding)
+            sent = []
+            query = pool._query
+
+            def dying_slowly(*args):
+                sent.append(args[1])
+                try:
+                    return query(*args)
+                finally:
+                    if expiry == "deadline":
+                        now[0] = 2.0
+                    else:
+                        token.cancel("caller gone")
+
+            pool._query = dying_slowly
+            dead = pool._workers[0]
+            dead.process.kill()
+            dead.process.join(timeout=5)
+            with pytest.raises(QueryTimeoutError if expiry == "deadline"
+                               else QueryCancelledError):
+                pool.execute(NAMES, guard=guard)
+            assert sent == [NAMES]
+            del pool._query
+            forest, _worker = pool.execute(NAMES)  # respawned, healthy
             assert forest == _reference(NAMES, tiny_encoding)
 
     def test_cancellation_kills_the_worker(self, pool):

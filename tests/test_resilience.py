@@ -1,8 +1,7 @@
-"""Resilience-layer tests: guards, retries, breakers, faults, degradation.
+"""Resilience-layer tests: guards, faults, degradation.
 
-All timing is driven by injected fake clocks, sleep recorders, and
-scripted faults — the suite never sleeps and never depends on the
-wall clock.
+All timing is driven by injected fake clocks and scripted faults — the
+suite never sleeps and never depends on the wall clock.
 """
 
 import itertools
@@ -13,35 +12,16 @@ import types
 
 import pytest
 
-from repro.backends.registry import (
-    _REGISTRY,
-    backend_breaker,
-    registered_backends,
-    reset_breakers,
-)
+from repro.backends.registry import _REGISTRY, registered_backends
 from repro.errors import (
-    CircuitOpenError,
     DocumentNotFoundError,
     ExecutionError,
-    QueryCancelledError,
     QueryTimeoutError,
     ReproError,
     ResourceBudgetError,
     TransientBackendError,
-    WidthOverflowError,
 )
-from repro.resilience import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    STATE_VALUES,
-    CircuitBreaker,
-    QueryGuard,
-    ResourceBudget,
-    RetryPolicy,
-    coerce_budget,
-)
-from repro.resilience.breaker import FAILURE_THRESHOLD, RECOVERY_SECONDS
+from repro.resilience import QueryGuard, ResourceBudget, coerce_budget
 from repro.api import compile_xquery
 from repro.session import XQuerySession
 from repro.sql.sqlite_backend import SQLiteDatabase
@@ -67,13 +47,6 @@ class FakeClock:
         self.time += seconds
 
 
-class NoJitter:
-    """A jitter draw of zero: the policy's bare exponential schedule."""
-
-    def uniform(self, low: float, high: float) -> float:
-        return 0.0
-
-
 DOC = "<a>" + "<b><c>x</c></b>" * 40 + "</a>"
 #: A doc/query pair heavy enough in SQLite VM opcodes that the guard's
 #: progress handler (every 4000 opcodes) fires many times per statement.
@@ -83,13 +56,6 @@ CROSS = ('for $x in document("a.xml")/a/b '
          'for $y in document("a.xml")/a/b return $y')
 
 ALL_BACKENDS = ("engine", "interpreter", "naive", "sqlite")
-
-
-@pytest.fixture(autouse=True)
-def _clean_breakers():
-    reset_breakers()
-    yield
-    reset_breakers()
 
 
 @pytest.fixture
@@ -365,175 +331,6 @@ class TestDeadlineMustBePositive:
         assert "deadline must be positive" in reply["detail"]
 
 
-# -- retry policy -------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_deterministic_schedule_without_jitter(self):
-        policy = RetryPolicy(max_attempts=4, rng=NoJitter())
-        assert list(policy.delays()) == [0.05, 0.1, 0.2]
-
-    def test_seeded_jitter_is_reproducible(self):
-        first = list(RetryPolicy(max_attempts=5).delays())
-        second = list(RetryPolicy(max_attempts=5).delays())
-        assert first == second
-        bare = list(RetryPolicy(max_attempts=5, rng=NoJitter()).delays())
-        assert first != bare
-        assert all(0.9 * b <= f <= 1.1 * b for f, b in zip(first, bare))
-
-    def test_retries_then_succeeds(self):
-        sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=3, sleep=sleeps.append,
-                             rng=NoJitter())
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise TransientBackendError("blip")
-            return "answer"
-
-        assert policy.call(flaky) == "answer"
-        assert len(attempts) == 3
-        assert sleeps == [0.05, 0.1]
-
-    def test_attempts_exhausted_raises_last_error(self):
-        sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=2, sleep=sleeps.append)
-
-        def always():
-            raise TransientBackendError("down")
-
-        with pytest.raises(TransientBackendError):
-            policy.call(always)
-        assert len(sleeps) == 1
-
-    def test_non_retryable_raises_immediately(self):
-        sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=5, sleep=sleeps.append)
-        calls = []
-
-        def hard_failure():
-            calls.append(1)
-            raise ExecutionError("broken SQL")
-
-        with pytest.raises(ExecutionError):
-            policy.call(hard_failure)
-        assert len(calls) == 1
-        assert sleeps == []
-
-    def test_never_sleeps_past_the_deadline(self):
-        sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=5, sleep=sleeps.append,
-                             rng=NoJitter())
-        guard = QueryGuard(deadline=0.01, clock=FakeClock(0.001))
-        guard.start()
-
-        def always():
-            raise TransientBackendError("down")
-
-        with pytest.raises(TransientBackendError):
-            policy.call(always, guard=guard)
-        assert sleeps == []  # 0.05 s backoff >= ~0.01 s remaining: give up now
-
-    def test_observer_sees_each_backoff(self):
-        observed = []
-        policy = RetryPolicy(max_attempts=3, sleep=lambda _s: None,
-                             rng=NoJitter())
-
-        def always():
-            raise TransientBackendError("down")
-
-        with pytest.raises(TransientBackendError):
-            policy.call(always,
-                        on_retry=lambda *args: observed.append(args))
-        assert [(attempt, delay) for attempt, delay, _e in observed] == \
-            [(1, 0.05), (2, 0.1)]
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ExecutionError):
-            RetryPolicy(max_attempts=0)
-
-
-# -- circuit breaker ----------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_opens_at_threshold(self):
-        breaker = CircuitBreaker("db", clock=FakeClock())
-        for _ in range(FAILURE_THRESHOLD - 1):
-            breaker.record_failure()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        with pytest.raises(CircuitOpenError):
-            breaker.check()
-
-    def trip(self, breaker):
-        for _ in range(FAILURE_THRESHOLD):
-            breaker.record_failure()
-        assert breaker.state == OPEN
-
-    def test_half_open_probe_then_close(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker("db", clock=clock)
-        self.trip(breaker)
-        assert breaker.retry_after == pytest.approx(RECOVERY_SECONDS)
-        clock.advance(RECOVERY_SECONDS + 1.0)
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow()        # the single probe
-        assert not breaker.allow()    # concurrent probes rejected
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.consecutive_failures == 0
-
-    def test_half_open_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker("db", clock=clock)
-        self.trip(breaker)
-        clock.advance(RECOVERY_SECONDS + 1.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-
-    def test_registry_owns_one_breaker_per_backend(self):
-        first = backend_breaker("sqlite")
-        assert backend_breaker("sqlite") is first   # one per name
-        assert backend_breaker("engine") is not first
-        reset_breakers("sqlite")
-        fresh = backend_breaker("sqlite")           # reset gives a fresh one
-        assert fresh is not first
-
-    @pytest.mark.parametrize("outcome", [
-        WidthOverflowError("width 2**70 does not fit in 64 bits"),
-        QueryTimeoutError(1.0, 2.0, backend="sqlite"),
-        ResourceBudgetError("tuples", 10, 11),
-        QueryCancelledError("caller gave up"),
-    ], ids=lambda error: type(error).__name__)
-    def test_inconclusive_probe_hands_its_slot_back(self, outcome):
-        """A half-open probe that ends in no evidence either way must not
-        wedge the breaker: the next guarded run probes again."""
-        clock = FakeClock()
-        breaker = backend_breaker("sqlite", clock=clock)
-        self.trip(breaker)
-        clock.advance(RECOVERY_SECONDS + 1.0)
-        plan = FaultPlan().fail_on("execute", calls=1, error=outcome)
-        with inject_faults("sqlite", plan):
-            with XQuerySession() as session:
-                session.add_document("a.xml", DOC)
-                # A budget makes the run consult the breaker; without a
-                # fallback every outcome, overflow included, surfaces.
-                with pytest.raises(type(outcome)):
-                    session.run(QUERY, backend="sqlite", budget=10**6)
-                assert breaker.state == HALF_OPEN
-                result = session.run(QUERY, backend="sqlite",
-                                     fallback=("engine",))
-        assert result.backend == "sqlite" and not result.degraded
-        assert breaker.state == CLOSED
-        assert plan.call_count("execute") == 2
-
-
 # -- fault injection ----------------------------------------------------------
 
 
@@ -549,25 +346,12 @@ class TestFaultPlan:
 
     def test_delay_recorded_through_injected_sleep(self):
         slept: list[float] = []
-        plan = FaultPlan(sleep=slept.append).delay_on("prepare", calls=1,
-                                                      seconds=0.25)
+        plan = FaultPlan(sleep=slept.append).slow_on("prepare", 0.25)
         plan.apply("prepare")
-        assert slept == [0.25]
-        assert plan.delays == [("prepare", 0.25)]
-
-    def test_seeded_random_faults_reproduce(self):
-        def pattern(seed: int) -> list[int]:
-            plan = FaultPlan(seed=seed).fail_randomly("execute", 0.5)
-            hits = []
-            for call in range(1, 21):
-                try:
-                    plan.apply("execute")
-                except TransientBackendError:
-                    hits.append(call)
-            return hits
-
-        assert pattern(7) == pattern(7)
-        assert pattern(7) != pattern(8)
+        plan.apply("prepare")
+        assert slept == [0.25, 0.25]
+        assert plan.delays == [("prepare", 0.25)] * 2
+        assert plan.raised == []
 
     def test_inject_faults_restores_registry(self, session):
         original = _REGISTRY["engine"]
@@ -629,79 +413,40 @@ class TestFaultPlan:
 
 
 class TestDegradation:
-    def test_retry_breaker_fallback_and_recovery(self):
-        """The acceptance scenario: sqlite fails FAILURE_THRESHOLD times
-        -> retries with backoff -> circuit opens -> fallback answers ->
-        open circuit is skipped -> half-open probe closes it again.  All
-        observable in spans and metrics; no wall-clock sleeps anywhere."""
-        breaker_clock = FakeClock()
-        breaker = backend_breaker("sqlite", clock=breaker_clock)
-        sleeps: list[float] = []
-        policy = RetryPolicy(max_attempts=FAILURE_THRESHOLD,
-                             sleep=sleeps.append, rng=NoJitter())
-        failing = tuple(range(1, FAILURE_THRESHOLD + 1))
-        plan = FaultPlan().fail_on("execute", calls=failing)
+    def test_fallback_answers_and_records_the_failure(self):
+        """The primary fails once, the next backend of the chain answers:
+        each backend is tried once, in order, and the failure shows in
+        the result, the span tree and the metrics."""
+        plan = FaultPlan().fail_on("execute", calls=1)
         with inject_faults("sqlite", plan):
             with XQuerySession() as session:
                 session.add_document("a.xml", DOC)
-
-                # Run 1: every sqlite attempt fails, the breaker opens,
-                # the engine fallback answers the query.
                 result = session.run(QUERY, backend="sqlite",
-                                     fallback=("engine",), retry=policy,
-                                     trace=True)
+                                     fallback=("engine",), trace=True)
                 assert result.backend == "engine"
                 assert result.degraded
                 assert [d.backend for d in result.degradations] == ["sqlite"]
                 assert result.degradations[0].kind == "TransientBackendError"
-                # One recorded backoff per retry, doubling each time.
-                assert sleeps == [0.05 * 2 ** k
-                                  for k in range(FAILURE_THRESHOLD - 1)]
-                assert breaker.state == OPEN
-                assert plan.call_count("execute") == FAILURE_THRESHOLD
-
-                # The span tree shows the whole story: the sqlite attempts
-                # with a retry backoff between each, then the engine one.
+                # A transient error is tried once, like any other.
+                assert plan.call_count("execute") == 1
                 names = [(span.name, span.attributes.get("backend"))
                          for span in result.trace.walk()
-                         if span.name in ("attempt", "retry")]
-                assert names == ([("attempt", "sqlite"), ("retry", "sqlite")]
-                                 * (FAILURE_THRESHOLD - 1)
-                                 + [("attempt", "sqlite"),
-                                    ("attempt", "engine")])
+                         if span.name == "attempt"]
+                assert names == [("attempt", "sqlite"), ("attempt", "engine")]
                 assert result.trace.attributes["degraded"] is True
-
-                metrics = session.metrics
-                assert metrics.get("repro_resilience_retries_total") \
-                    .value(backend="sqlite") == FAILURE_THRESHOLD - 1
-                assert metrics.get("repro_resilience_fallbacks_total") \
+                assert session.metrics.get("repro_resilience_fallbacks_total") \
                     .value(source="sqlite", target="engine") == 1
-                assert metrics.get("repro_resilience_breaker_state") \
-                    .value(backend="sqlite") == STATE_VALUES[OPEN]
+                attempts = session.recorder.records()[-1].attempts
+                assert [(a.backend, a.error) for a in attempts] == \
+                    [("sqlite", "TransientBackendError"), ("engine", None)]
 
-                # Run 2: the open circuit is skipped without touching
-                # sqlite at all; the answer degrades immediately.
-                result2 = session.run(QUERY, backend="sqlite",
-                                      fallback=("engine",), retry=policy)
-                assert result2.backend == "engine"
-                assert result2.degradations[0].kind == "CircuitOpenError"
-                assert plan.call_count("execute") == FAILURE_THRESHOLD
-
-                # Run 3: after the recovery window the half-open probe
-                # succeeds (the fault script failed only the first
-                # FAILURE_THRESHOLD calls), so the circuit closes and
-                # sqlite answers again.
-                breaker_clock.advance(RECOVERY_SECONDS + 1.0)
-                result3 = session.run(QUERY, backend="sqlite",
-                                      fallback=("engine",), retry=policy)
-                assert result3.backend == "sqlite"
-                assert not result3.degraded
-                assert breaker.state == CLOSED
-                assert session.metrics.get("repro_resilience_breaker_state") \
-                    .value(backend="sqlite") == STATE_VALUES[CLOSED]
-
-                # Every run returned the same (correct) forest.
-                assert result.forest == result2.forest == result3.forest
+                # The fault script failed only the first call: the next
+                # run is answered by sqlite itself, undegraded.
+                again = session.run(QUERY, backend="sqlite",
+                                    fallback=("engine",))
+                assert again.backend == "sqlite" and not again.degraded
+                assert plan.call_count("execute") == 2
+                assert result.forest == again.forest
                 assert len(result.forest) == 40
 
     def test_chain_exhausted_raises_last_error(self, session):

@@ -28,11 +28,12 @@ import pytest
 
 from repro import run_xquery
 from repro.obs.flight import query_fingerprint
-from repro.resilience import RetryPolicy
 from repro.serving import QueryServer
 from repro.session import XQuerySession
 from repro.xmark.queries import EXTRA_QUERIES, FIGURE1_SAMPLE, QUERIES
 from repro.xml.serializer import forest_to_xml
+from repro.xml.text_parser import read_document
+from repro.xquery.lowering import document_variable
 
 from tests.faults import FaultPlan, inject_faults
 from tests.test_serving import http, run as serve
@@ -44,16 +45,30 @@ EXPECTED = _ORACLE.forest
 EXPECTED_XML = _ORACLE.to_xml()
 
 
-#: mode → (session, trace) → list of QueryResult
+def _worker_died_once(session: XQuerySession, trace: bool) -> list:
+    """The process tier, its first worker killed before the run: the pool
+    respawns it and resubmits the query, so the caller sees one clean
+    attempt."""
+    target = session.backend_instance("procpool")
+    target.prepare({document_variable("a.xml"):
+                    read_document(FIGURE1_SAMPLE)})
+    dead = target.pool._workers[0]  # the first query goes to worker 0
+    dead.process.kill()
+    dead.process.join(timeout=5)
+    results = [session.run(QUERY, backend="procpool", trace=trace)]
+    assert target.pool._workers[0] is not dead  # the death did happen
+    return results
+
+
+#: mode → (session, trace) → list of QueryResult; ``retry`` is the one
+#: retry there is, the process pool's resubmit after a worker died.
 MODES = {
     "plain": lambda s, trace: [s.run(QUERY, trace=trace)],
     "deadline": lambda s, trace: [s.run(QUERY, deadline=30.0, trace=trace)],
     "budget": lambda s, trace: [s.run(QUERY, budget=100_000, trace=trace)],
     "fallback": lambda s, trace: [
         s.run(QUERY, fallback=("interpreter",), trace=trace)],
-    "retry": lambda s, trace: [s.run(
-        QUERY, retry=RetryPolicy(max_attempts=2, sleep=lambda _s: None),
-        trace=trace)],
+    "retry": _worker_died_once,
     "run_many_thread": lambda s, trace: s.run_many(
         [QUERY, QUERY], tier="thread", trace=trace),
     "run_many_process": lambda s, trace: s.run_many(
@@ -180,20 +195,25 @@ def test_the_first_serialization_is_a_phase_of_the_record():
 @pytest.mark.parametrize("mode", ["fallback", "retry"])
 def test_a_degraded_or_retried_run_serializes_the_same(mode):
     """The two resilience cells with a fault that really fires: the
-    interpreter's plain ``Node`` forest and the engine's second attempt
-    go through the same emitter as an undisturbed run."""
-    plan = FaultPlan().fail_on("execute", 1)
+    interpreter's plain ``Node`` forest after an injected engine failure,
+    and the answer of a pool worker respawned after a crash, go through
+    the same emitter as an undisturbed run."""
+    plan = FaultPlan()
+    if mode == "fallback":
+        plan.fail_on("execute", 1)
     with inject_faults("engine", plan):
         with XQuerySession() as session:
             session.add_document("a.xml", FIGURE1_SAMPLE)
             (result,) = MODES[mode](session, False)
             attempts = session.recorder.records()[-1].attempts
-    assert len(plan.raised) == 1
-    assert [attempt.error for attempt in attempts] == \
-        ["TransientBackendError", None]
-    assert result.backend == ("interpreter" if mode == "fallback"
-                              else "engine")
-    assert result.degraded == (mode == "fallback")
+    if mode == "fallback":
+        assert len(plan.raised) == 1
+        assert [attempt.error for attempt in attempts] == \
+            ["TransientBackendError", None]
+        assert (result.backend, result.degraded) == ("interpreter", True)
+    else:
+        assert [attempt.error for attempt in attempts] == [None]
+        assert (result.backend, result.degraded) == ("procpool", False)
     assert result.to_xml() == EXPECTED_XML
     assert result.forest == EXPECTED
 

@@ -25,6 +25,7 @@ replays the delta log or reloads from that snapshot
 
 from __future__ import annotations
 
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -533,6 +534,50 @@ class TestDeltaLogBranches:
             record = session.recorder.updates()[-1]
             assert (record.deltas, record.relabeled,
                     record.backends_applied) == (0, False, 1)
+
+    def test_a_backend_prepared_after_a_commit_replays_the_next_delta(self):
+        """A backend first prepared after a commit binds the commit's
+        snapshot with its revision: SQLite's next single-delta commit
+        replays that delta (no reshred of ``doc_0``) and the engine's
+        memo is linked across it."""
+        with XQuerySession() as session:
+            session.add_document("d.xml", SMALL)
+            doc = session.updatable("d.xml")
+            session.apply_update("d.xml", doc)  # no backend is live yet
+            for backend in ("engine", "sqlite"):
+                session.run(ALL_A, backend=backend)
+            engine = session.backend_instance("engine")
+            var = document_variable("d.xml")
+            assert engine.memo(var).revision == doc.revision
+            connection = \
+                session.backend_instance("sqlite").database.connection
+            statements: list[str] = []
+            connection.set_trace_callback(statements.append)
+            answers = []
+            edited = doc
+            for _commit in range(2):  # an insert, then its delete
+                edited = _flip(edited)
+                session.apply_update("d.xml", edited)
+                answers.append(tuple(session.run(ALL_A, backend=backend)
+                                     .to_xml()
+                                     for backend in ("engine", "sqlite")))
+                stats = engine.memo(var).stats()
+                assert stats["carried"] + stats["recomputed"] > 0
+            connection.set_trace_callback(None)
+            records = session.recorder.updates()[-2:]
+        assert [record.deltas for record in records] == [1, 1]
+        assert all(engine_xml == sqlite_xml
+                   for engine_xml, sqlite_xml in answers)
+        assert answers[0][0] != answers[1][0]
+        shapes = [re.sub(r"\d+", "N", statement.split(" VALUES")[0])
+                  for statement in statements
+                  if statement.startswith(("DELETE FROM doc_",
+                                           "INSERT INTO doc_"))]
+        # One INSERT batch of the insert's two rows, then one ranged
+        # DELETE: not ``DELETE FROM doc_0`` and one INSERT per row of
+        # the document, a reshred.
+        assert shapes == ["INSERT INTO doc_N (s, l, r, d)"] * 2 + \
+            ["DELETE FROM doc_N WHERE l >= N AND l <= N"]
 
     def test_lagging_peer_replays_within_the_log_and_reloads_past_it(
             self, monkeypatch):
