@@ -150,8 +150,9 @@ def decode(encoded: "EncodedForest | Sequence[IntervalTuple] | IntervalColumns"
     degenerate (``l >= r``) or partially overlapping intervals.
 
     Tuple rows (in any order) come back as a tuple of :class:`Node` trees.
-    An :class:`~repro.engine.columns.IntervalColumns` — an engine result —
-    is checked column-wise and comes back in *preorder form*
+    An :class:`~repro.engine.columns.IntervalColumns` — an engine or SQL
+    result — is checked column-wise (:func:`validate_columns`) and comes
+    back in *preorder form*
     (:class:`~repro.xml.forest.PreorderForest`): its label codes, depths
     and subtree ends as int32 arrays, no label string or node built
     until a caller asks for one.
@@ -159,7 +160,9 @@ def decode(encoded: "EncodedForest | Sequence[IntervalTuple] | IntervalColumns"
     from repro.engine.columns import IntervalColumns
 
     if isinstance(encoded, IntervalColumns):
-        return _decode_columns(encoded)
+        return PreorderForest(encoded.c.astype(np.int32),
+                              encoded.d.astype(np.int32),
+                              validate_columns(encoded))
     rows = sorted(encoded.tuples if isinstance(encoded, EncodedForest)
                   else encoded, key=lambda row: row[1])
     labels: list[str] = []
@@ -181,17 +184,19 @@ def decode(encoded: "EncodedForest | Sequence[IntervalTuple] | IntervalColumns"
     return build_trees(labels, depths)
 
 
-def _decode_columns(rel: "IntervalColumns") -> PreorderForest:
-    """The checks of :func:`decode` as vector compares on the columns.
+def validate_columns(rel: "IntervalColumns") -> np.ndarray:
+    """The checks of :func:`decode` as vector compares on the columns;
+    returns each row's subtree end (its last descendant's row).
 
     Sorted by value, the 2n endpoints of a valid encoding *are* the tag
     stream of the serialized forest (Example 3.2: ``l`` on entry, ``r`` on
     exit of one DFS): every interval must close at the nesting level it
     opened at, and that level is the row's depth.  The serializer trusts
     the carried ``d`` column, so besides the two checks the row sweep
-    makes, document order and ``d`` itself are verified here.  The same
-    stream gives each row's subtree end: the last row opened before the
-    row closes.
+    makes, document order and ``d`` itself are verified here — an engine
+    result's, an SQL result's (whose ``d`` the translation's templates
+    compute), an inserted run's.  The same stream gives each row's
+    subtree end: the last row opened before the row closes.
     """
     l, r, d = rel.l, rel.r, rel.d
     count = len(l)
@@ -226,7 +231,7 @@ def _decode_columns(rel: "IntervalColumns") -> PreorderForest:
     # the last of them is the closing row's last descendant.
     end = np.empty(count, dtype=np.int32)
     end[closing] = (closes.nonzero()[0] + shut - 1) >> 1
-    return PreorderForest(rel.c.astype(np.int32), d.astype(np.int32), end)
+    return end
 
 
 def validate_encoding(rows: Sequence[IntervalTuple], width: int | None = None) -> None:

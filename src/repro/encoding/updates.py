@@ -30,7 +30,7 @@ document.  See ``docs/UPDATES.md``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,16 +39,17 @@ from repro.encoding.interval import (
     IntervalTuple,
     decode,
     encode_columns,
-    validate_encoding,
+    validate_columns,
 )
 from repro.engine.columns import (
     ELEMENT,
+    INT64_MAX,
     KIND_MASK,
     IntervalColumns,
     name_code,
     splice_columns,
 )
-from repro.errors import EncodingError
+from repro.errors import EncodingError, WidthOverflowError
 from repro.xml.forest import Forest, Node
 from repro.xml.labels import DOCUMENT_LABEL
 
@@ -83,17 +84,17 @@ class UpdateDelta:
     exactly the predicate of a ranged SQL ``DELETE`` and of a
     ``bisect``-bounded columnar splice.  ``inserted`` is one contiguous
     run of new rows (gap-based placement never interleaves new rows with
-    existing endpoints) and ``inserted_depths`` their *true* depths in
-    the result document, so appliers splice ``d`` without recomputing
-    it.  ``deleted_rows`` counts the rows the ranges remove.
+    existing endpoints), an :class:`IntervalColumns` whose ``d`` is each
+    row's *true* depth in the result document and whose ``c`` codes its
+    label, so appliers splice it as it is.  ``deleted_rows`` counts the
+    rows the ranges remove.
 
     A spread (``relabeled=True``) moves every endpoint, so the delta
     carries no incremental information and appliers must rebase from the
     update's full snapshot.
     """
 
-    inserted: tuple[IntervalTuple, ...] = ()
-    inserted_depths: tuple[int, ...] = ()
+    inserted: IntervalColumns = field(default_factory=IntervalColumns.empty)
     deleted_ranges: tuple[tuple[int, int], ...] = ()
     deleted_rows: int = 0
     old_width: int = 0
@@ -124,11 +125,12 @@ class UpdateDelta:
         their encodings are the updatable encoding wrapped the same way
         (:meth:`DocumentUpdate.columns`): every endpoint shifted by +1
         under a document-node row spanning ``[0, width + 1]``.  The same
-        fixed shift maps a delta.
+        fixed shift maps a delta (placement leaves the room for it:
+        :func:`_place_rows`).
         """
+        new = self.inserted
         return UpdateDelta(
-            inserted=tuple((s, l + 1, r + 1) for (s, l, r) in self.inserted),
-            inserted_depths=tuple(d + 1 for d in self.inserted_depths),
+            inserted=IntervalColumns(new.l + 1, new.r + 1, new.d + 1, new.c),
             deleted_ranges=tuple((lo + 1, hi + 1)
                                  for (lo, hi) in self.deleted_ranges),
             deleted_rows=self.deleted_rows,
@@ -165,7 +167,7 @@ class DeltaSpine:
         if not delta.incremental or (delta.inserted and delta.deleted_ranges):
             return None
         if delta.inserted:
-            low = delta.inserted[0][1]
+            low = int(delta.inserted.l[0])
             start = int(before.l.searchsorted(low))
             stop, shift = start, len(delta.inserted)
             edited = after.c[start:start + shift]
@@ -512,20 +514,19 @@ class UpdatableDocument:
         # — the parent of the slot or something around that parent — and
         # ``high`` is no further than where that parent closes.  The
         # width exceeds the new right endpoints by construction.
-        validate_encoding(placed)
+        validate_columns(placed)
         lows = self.columns.l
         if lows.searchsorted(low, side="right") != lows.searchsorted(high):
             raise EncodingError(
                 f"existing rows open inside the gap ({low}, {high})")
-        first = min(row[1] for row in placed)
-        last = max(row[2] for row in placed)
+        first, last = int(placed.l.min()), int(placed.r.max())
         if first <= low or (last >= high and not appending):
             raise EncodingError(f"rows placed at [{first}, {last}], outside "
                                 f"the gap ({low}, {high})")
         width = max(self.width, last + 1)
         delta = UpdateDelta(
-            inserted=placed,
-            inserted_depths=tuple((new.d + depth).tolist()),
+            inserted=IntervalColumns(placed.l, placed.r, placed.d + depth,
+                                     placed.c),
             old_width=self.width,
             new_width=width,
         )
@@ -547,8 +548,9 @@ def _with_slack(columns: IntervalColumns, lefts: np.ndarray,
 
 
 def _place_rows(new: IntervalColumns, low: int, high: int,
-                allow_widening: bool) -> tuple[IntervalTuple, ...]:
-    """Fit tight rows into the open interval (low, high)."""
+                allow_widening: bool) -> IntervalColumns:
+    """Fit tight rows into the open interval (low, high); ``d`` and ``c``
+    stay ``new``'s."""
     needed = 2 * len(new)
     if allow_widening:
         high = max(high, low + needed + 1)
@@ -561,7 +563,12 @@ def _place_rows(new: IntervalColumns, low: int, high: int,
     step = gap // needed
     span = (needed - 1) * step + 1
     start = low + 1 if allow_widening else low + 1 + (gap - span) // 2
-    # Python integers: exact whatever the gap, and only delta-many.
-    return tuple((s, start + l * step, start + r * step)
-                 for s, l, r in zip(new.labels().tolist(), new.l.tolist(),
-                                    new.r.tolist()))
+    # The last endpoint is ``start + span - 1``.  Two more must fit: the
+    # document-wrapped form (:meth:`UpdateDelta.wrapped`) shifts every
+    # endpoint by one and closes the document node past the width.
+    if start + span - 1 > INT64_MAX - 2:
+        raise WidthOverflowError(
+            "interval endpoint beyond int64: the engine stores endpoints "
+            "as 64-bit integers")
+    return IntervalColumns(start + new.l * step, start + new.r * step,
+                           new.d, new.c)

@@ -137,6 +137,34 @@ def derive_depths(lefts: list[int], rights: list[int]) -> np.ndarray:
     return np.array(depths, dtype=np.int32)
 
 
+def dfs_numbering(depths: Sequence[int],
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Example 3.2's DFS numbering of a preorder depth sequence: the
+    ``(l, r, d)`` columns, ``l``/``r`` int64 and ``d`` int32; the width
+    is ``2 * len(depths)``.
+
+    ``depths`` is a forest in document order (a valid preorder depth
+    sequence: first 0, none more than one deeper than the row before).
+    Row ``i`` opens after ``i`` opens and ``i - d[i]`` closes, so
+    ``l = 2i - d``; the closes take the other counter values, and at
+    each depth rows close in the order they open, so ordering both by
+    depth pairs every row with its ``r``.
+    """
+    d = np.array(depths, dtype=np.int32)
+    count = len(d)
+    lefts = np.arange(0, 2 * count, 2, dtype=np.int64) - d
+    opens = np.zeros(2 * count, dtype=np.bool_)
+    opens[lefts] = True
+    closes = np.flatnonzero(~opens)
+    # Close ``m`` follows ``closes[m] - m`` opens and ``m`` closes, so it
+    # leaves the nesting level at the closed row's depth:
+    shut = closes - np.arange(1, 2 * count, 2)
+    rights = np.empty(count, dtype=np.int64)
+    rights[np.argsort(d, kind="stable")] = \
+        closes[np.argsort(shut, kind="stable")]
+    return lefts, rights, d
+
+
 def _rebuild_columns(s: list[str], l: "bytes | list[int]",
                      r: "bytes | list[int]", d: bytes) -> "IntervalColumns":
     def column(state):
@@ -190,8 +218,9 @@ class IntervalColumns:
                    depths: list[int] | None = None) -> "IntervalColumns":
         """Columns from parallel Python lists in document order.
 
-        ``depths`` is for producers that know them (the encoder's DFS);
-        otherwise they are derived from the intervals.
+        ``depths`` is for producers that carry them (a SQL result's ``d``,
+        which ``decode`` checks); otherwise they are derived from the
+        intervals.
         """
         d = derive_depths(lefts, rights) if depths is None \
             else np.array(depths, dtype=np.int32)
@@ -201,29 +230,10 @@ class IntervalColumns:
     @classmethod
     def from_preorder(cls, labels: Sequence[str], depths: Sequence[int],
                       ) -> "tuple[IntervalColumns, int]":
-        """Example 3.2's DFS numbering of a preorder stream, and its width.
-
-        ``labels`` and ``depths`` are a forest in document order (a valid
-        preorder depth sequence: first 0, none more than one deeper than
-        the row before).  Row ``i`` opens after ``i`` opens and
-        ``i - d[i]`` closes, so ``l = 2i - d``; the closes take the other
-        counter values, and at each depth rows close in the order they
-        open, so ordering both by depth pairs every row with its ``r``.
-        Labels are interned in document order.
-        """
-        d = np.array(depths, dtype=np.int32)
-        count = len(d)
-        lefts = np.arange(0, 2 * count, 2, dtype=np.int64) - d
-        opens = np.zeros(2 * count, dtype=np.bool_)
-        opens[lefts] = True
-        closes = np.flatnonzero(~opens)
-        # Close ``m`` follows ``closes[m] - m`` opens and ``m`` closes, so
-        # it leaves the nesting level at the closed row's depth:
-        shut = closes - np.arange(1, 2 * count, 2)
-        rights = np.empty(count, dtype=np.int64)
-        rights[np.argsort(d, kind="stable")] = \
-            closes[np.argsort(shut, kind="stable")]
-        return cls(lefts, rights, d, label_codes(labels)), 2 * count
+        """:func:`dfs_numbering` of a preorder stream, its labels interned
+        in document order; returns the relation and its width."""
+        l, r, d = dfs_numbering(depths)
+        return cls(l, r, d, label_codes(labels)), 2 * len(d)
 
     @classmethod
     def empty(cls) -> "IntervalColumns":
@@ -310,63 +320,39 @@ def splice_columns(columns: "IntervalColumns",
     located with ``bisect`` on the sorted ``l`` column, so only
     O(log n) comparisons happen at Python speed — everything else is one
     ``concatenate`` per column.  Whole subtrees leave and arrive, so the
-    depths of the surviving rows stand: the new rows' ``d`` is the
-    delta's ``inserted_depths`` and their ``c`` the codes of their
-    labels — no recompute over the document.  The source relation is
-    never mutated; callers swap the returned relation in atomically.
+    depths of the surviving rows stand, and the inserted run carries its
+    own ``d`` and ``c``: no recompute over the document, no label coded.
+    The source relation is never mutated; callers swap the returned
+    relation in atomically.
     """
     lows = columns.l
-    size = len(lows)
-    # Keep-spans of the source, minus every deleted range (a deleted
-    # subtree rooted at (lo, hi) is exactly the rows with lo <= l <= hi).
-    drops: list[tuple[int, int]] = []
+    new = delta.inserted
+    # Row runs to cut: a deleted subtree rooted at (lo, hi) is exactly the
+    # rows with lo <= l <= hi, and the inserted run — contiguous in
+    # l-order — goes in at its bisect position, an empty cut.
+    cuts = [(bisect_left(lows, new.l[0]),) * 2] if new else []
     for lo, hi in delta.deleted_ranges:
         start = bisect_left(lows, lo)
         stop = bisect_right(lows, hi, lo=start)
         if start < stop:
-            drops.append((start, stop))
-    drops.sort()
+            cuts.append((start, stop))
     spans: list[tuple[int, int] | None] = []  # None marks the inserted run
     cursor = 0
-    for start, stop in drops:
+    for start, stop in sorted(cuts):
         if cursor < start:
             spans.append((cursor, start))
+        if start == stop:
+            spans.append(None)
         cursor = max(cursor, stop)
-    if cursor < size:
-        spans.append((cursor, size))
-    if delta.inserted:
-        # The inserted run is contiguous in l-order: place it at its
-        # bisect position, splitting the keep-span it falls inside.
-        at = bisect_left(lows, delta.inserted[0][1])
-        placed: list[tuple[int, int] | None] = []
-        for start, stop in spans:
-            if at is not None and at <= start:
-                placed.append(None)
-                at = None
-            if at is not None and at < stop:
-                placed += [(start, at), None, (at, stop)]
-                at = None
-            else:
-                placed.append((start, stop))
-        if at is not None:
-            placed.append(None)
-        spans = placed
+    if cursor < len(lows):
+        spans.append((cursor, len(lows)))
     if not spans:
         return IntervalColumns.empty()
-
-    def pieces(old, new) -> list:
-        return [new if span is None else old[span[0]:span[1]]
-                for span in spans]
-
-    return IntervalColumns(
-        np.concatenate(pieces(columns.l, make_int_column(
-            row[1] for row in delta.inserted))),
-        np.concatenate(pieces(columns.r, make_int_column(
-            row[2] for row in delta.inserted))),
-        np.concatenate(pieces(columns.d, np.array(delta.inserted_depths,
-                                                  dtype=np.int32))),
-        np.concatenate(pieces(columns.c, label_codes(
-            [row[0] for row in delta.inserted]))))
+    return IntervalColumns(*(
+        np.concatenate([getattr(new, name) if span is None
+                        else getattr(columns, name)[span[0]:span[1]]
+                        for span in spans])
+        for name in IntervalColumns.__slots__))
 
 
 # -- shared-memory export / attach ---------------------------------------------

@@ -128,8 +128,8 @@ class ExecutionError(ReproError):
 class TransientBackendError(ExecutionError):
     """A backend failure that a second try might not repeat.
 
-    Raised for driver-level conditions such as a locked/busy database,
-    and for a dead process-pool worker (:class:`WorkerDiedError`).  No
+    Raised for a dead process-pool worker (:class:`WorkerDiedError`); no
+    SQLite message is one, every database being a private connection.  No
     session-wide policy retries it: a run tries each backend of its
     fallback chain once, and this error, like any
     :class:`ExecutionError`, moves the run on to the next one.

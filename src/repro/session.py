@@ -775,16 +775,15 @@ class XQuerySession:
                         if isinstance(raised, QueryTimeoutError):
                             self._m_timeouts.inc(backend=backend)
                         # Deadline, budget and cancellation are verdicts on
-                        # the request: no other backend changes them.
-                        if not is_degradable(raised):
+                        # the request: no other backend changes them.  The
+                        # last backend (the chain has no duplicates) has
+                        # none to degrade to.
+                        if not is_degradable(raised) or backend == chain[-1]:
                             raise
                         logger.debug("degrading from backend %r: %s",
                                      backend, raised)
                         degradations.append(
                             Degradation.from_error(backend, raised))
-                        last_error = raised
-                else:
-                    raise last_error
                 if degradations:
                     self._m_fallbacks.inc(source=name, target=backend)
                 root.set(backend=backend, degraded=bool(degradations))

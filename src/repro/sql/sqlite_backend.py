@@ -3,7 +3,7 @@
 This backend demonstrates the paper's claim end to end: an arbitrarily
 nested FLWR expression becomes **one SQL statement** evaluated by a stock
 relational engine, with the result decoded back into an XML forest purely
-from the ``(s, l, r)`` rows.  Inside the statement every relation also
+from its ``(s, l, r, d)`` columns.  Inside the statement every relation
 carries ``e`` (environment) and ``d`` (depth), see
 :mod:`repro.sql.templates`; the shredded document supplies the first ``d``.
 
@@ -22,23 +22,19 @@ from collections import OrderedDict
 from contextlib import contextmanager, nullcontext, suppress
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.encoding.interval import decode, encode
-from repro.engine.columns import derive_depths
-from repro.errors import ExecutionError, TransientBackendError
+from repro.encoding.interval import decode
+from repro.engine.columns import IntervalColumns, dfs_numbering
+from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.xml.forest import Forest, Node
+from repro.xml.forest import Forest, Node, preorder
 from repro.xquery.ast import CoreExpr
 from repro.sql.translator import TranslationResult, translate_query
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.columns import IntervalColumns
-    from repro.resilience.guard import QueryGuard
+    import numpy as np
 
-#: Driver messages indicating a transient condition (another writer holds
-#: the file lock, the schema changed under a prepared statement).
-_TRANSIENT_MARKERS = ("database is locked", "database is busy",
-                      "database schema has changed")
+    from repro.resilience.guard import QueryGuard
 
 
 def wrap_driver_error(error: BaseException, statement: str,
@@ -47,23 +43,18 @@ def wrap_driver_error(error: BaseException, statement: str,
 
     No ``sqlite3.OperationalError`` / ``sqlite3.DataError`` (or any other
     driver type) may escape the public API: callers get an
-    :class:`ExecutionError` carrying the offending statement (truncated),
-    or a :class:`TransientBackendError` for transient lock/busy
-    conditions.  When ``guard`` interrupted the statement through its
-    progress handler, the guard's own typed error (timeout/budget) is
-    returned instead of the driver's ``interrupted``.
+    :class:`ExecutionError` carrying the offending statement (truncated).
+    Every database is a private connection, so no other writer can lock
+    it: nothing here is transient.  When ``guard`` interrupted the
+    statement through its progress handler, the guard's own typed error
+    (timeout/budget) is returned instead of the driver's ``interrupted``.
     """
     if guard is not None and guard.pending_error is not None:
         pending = guard.take_pending()
         pending.__cause__ = error
         return pending
-    message = str(error)
-    if any(marker in message for marker in _TRANSIENT_MARKERS):
-        wrapped: ExecutionError = TransientBackendError(
-            f"transient SQL failure: {message}", statement=statement)
-    else:
-        wrapped = ExecutionError(f"SQL execution failed: {message}",
-                                 statement=statement)
+    wrapped = ExecutionError(f"SQL execution failed: {error}",
+                             statement=statement)
     wrapped.__cause__ = error
     return wrapped
 
@@ -124,6 +115,12 @@ def _guarded_connection(connection: sqlite3.Connection,
         yield
     finally:
         connection.set_progress_handler(None, 0)
+
+
+def _rows(labels: Iterable[str], l: np.ndarray, r: np.ndarray,
+          d: np.ndarray) -> Iterable[tuple[str, int, int, int]]:
+    """``(s, l, r, d)`` rows for ``executemany``, from parallel columns."""
+    return zip(labels, l.tolist(), r.tolist(), d.tolist())
 
 
 #: Conservative width cap for 64-bit backends (see module docstring).
@@ -188,18 +185,16 @@ class SQLiteDatabase:
     def load_document(self, name: str, trees: Forest | Node) -> tuple[str, int]:
         """Shred ``trees`` into a relation; returns ``(table, width)``.
 
-        Re-loading an existing ``name`` replaces its contents.  ``d`` is
-        derived here, in one interval stack pass; no label is coded, so
-        shredding leaves the process-wide label dictionary alone.
+        Re-loading an existing ``name`` replaces its contents.  Labels and
+        depths are the forest's preorder stream, endpoints its DFS
+        numbering (:func:`~repro.engine.columns.dfs_numbering`, the one
+        the text reader uses); no label is coded, so shredding leaves the
+        process-wide label dictionary alone.
         """
-        if isinstance(trees, Node):
-            trees = (trees,)
-        encoded = encode(trees)
-        rows = encoded.tuples
-        depths = derive_depths([row[1] for row in rows],
-                               [row[2] for row in rows]).tolist()
-        return self._shred(name, ((*row, d) for row, d in zip(rows, depths)),
-                           encoded.width)
+        labels, depths = preorder((trees,) if isinstance(trees, Node)
+                                  else trees)
+        l, r, d = dfs_numbering(depths)
+        return self._shred(name, _rows(labels, l, r, d), 2 * len(d))
 
     def load_encoded(self, name: str, columns: "IntervalColumns",
                      width: int) -> tuple[str, int]:
@@ -210,10 +205,8 @@ class SQLiteDatabase:
         without ever materializing (or re-encoding) a ``Forest``, and its
         carried ``d`` column is stored as is.
         """
-        return self._shred(name, zip(columns.labels().tolist(),
-                                     columns.l.tolist(),
-                                     columns.r.tolist(), columns.d.tolist()),
-                           width)
+        return self._shred(name, _rows(columns.labels(), columns.l,
+                                       columns.r, columns.d), width)
 
     def _shred(self, name: str, rows: "Iterable[tuple[str, int, int, int]]",
                width: int) -> tuple[str, int]:
@@ -247,8 +240,8 @@ class SQLiteDatabase:
         O(affected subtree): one ranged ``DELETE`` per deleted subtree
         (the range predicate is exactly the delta's inclusive left-endpoint
         bounds, served by the ``l`` primary key) plus one batched
-        ``INSERT`` for the contiguous run of new rows, whose depths the
-        delta carries.
+        ``INSERT`` for the contiguous run of new rows, which carries its
+        depths.
         """
         if name not in self._documents:
             raise ExecutionError(f"document {name!r} is not loaded")
@@ -257,12 +250,12 @@ class SQLiteDatabase:
         try:
             for low, high in delta.deleted_ranges:
                 self.connection.execute(statement, (low, high))
-            if delta.inserted:
+            new = delta.inserted
+            if new:
                 statement = (f"INSERT INTO {table} (s, l, r, d) "
                              f"VALUES (?, ?, ?, ?)")
                 self.connection.executemany(
-                    statement, ((*row, d) for row, d in
-                                zip(delta.inserted, delta.inserted_depths)))
+                    statement, _rows(new.labels(), new.l, new.r, new.d))
             self.connection.commit()
         except sqlite3.Error as error:
             raise wrap_driver_error(error, statement) from error
@@ -329,6 +322,11 @@ class SQLiteDatabase:
                         guard: "QueryGuard | None" = None) -> Forest:
         """Run an already-translated query and decode the result.
 
+        The final select's ``(s, l, r, d)`` rows become columns that leave
+        through :func:`~repro.encoding.interval.decode`, checked (``d``
+        included) like an engine result.  Their labels are document labels
+        and query constants, which an engine run of the text interns too.
+
         ``tracer`` opens one ``sql.statement`` span per statement executed;
         ``metrics`` counts statements and fetched rows.  ``guard``
         installs a progress handler on the connection while the
@@ -351,12 +349,13 @@ class SQLiteDatabase:
         if guard is not None:
             guard.account(tuples=len(rows))
         observer.rows_fetched(len(rows))
-        return decode([(s, l, r) for (s, l, r) in rows])
+        return decode(IntervalColumns.from_lists(*zip(*rows)) if rows
+                      else IntervalColumns.empty())
 
     def _run_staged(self, translation: TranslationResult,
                     observer: _SQLObserver,
                     guard: "QueryGuard | None",
-                    ) -> list[tuple[str, int, int]]:
+                    ) -> list[tuple[str, int, int, int]]:
         """Fill the translation's temp tables in order, run the final SELECT.
 
         The tables are the translation's retained schema (built by

@@ -32,7 +32,7 @@ construct appends CTEs:
 
 The output is one statement::
 
-    WITH c0_… AS (…), c1_… AS (…), … SELECT s, l, r FROM c…  ORDER BY l
+    WITH c0_… AS (…), c1_… AS (…), … SELECT s, l, r, d FROM c…  ORDER BY l
 
 Invariants maintained throughout: every emitted CTE only contains tuples
 whose ``e`` belongs to the context's index CTE, so no template resurrects
@@ -164,7 +164,7 @@ class SQLTranslator:
         body = ",\n".join(
             f"{name} AS MATERIALIZED (\n{sql}\n)" for name, sql in self._ctes
         )
-        final_select = f"SELECT s, l, r FROM {result.table} ORDER BY l"
+        final_select = f"SELECT s, l, r, d FROM {result.table} ORDER BY l"
         sql = f"WITH {body}\n{final_select}"
         return TranslationResult(sql, result.width, len(self._ctes),
                                  result.table, list(self._ctes), final_select,

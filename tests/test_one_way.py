@@ -131,6 +131,14 @@ GUARDS = (
           "retry policy or circuit breaker; a dead pool worker is "
           "respawned and its query resubmitted once inside the pool "
           "(concurrency/procpool.py)", "8c1d7bb"),
+    Guard(r"inserted_depths|_TRANSIENT_MARKERS", ("src/repro",),
+          "an insert delta is one IntervalColumns run carrying its own d "
+          "and c; no SQLite message is transient, every database being a "
+          "private :memory: connection", "a80e91f"),
+    Guard(r"(?<![.\w-])encode\b|derive_depths", ("src/repro/sql",),
+          "SQLite shreds a forest's preorder stream through dfs_numbering "
+          "and its results leave as columns through decode: the SQL path "
+          "runs no tuple encoder", "a80e91f"),
 )
 
 DELETED_FILES = (

@@ -458,6 +458,32 @@ class TestDegradation:
                 with pytest.raises(ExecutionError):
                     inner.run(QUERY, backend="engine", fallback=())
 
+    def test_the_last_backend_has_nothing_to_degrade_to(self, caplog,
+                                                        monkeypatch):
+        """A failure on the chain's last backend is re-raised as it is:
+        no "degrading" log line and no :class:`Degradation` for it."""
+        from repro.resilience.fallback import Degradation
+
+        built = []
+        from_error = Degradation.from_error
+        monkeypatch.setattr(Degradation, "from_error", classmethod(
+            lambda cls, backend, error: built.append(backend)
+            or from_error(backend, error)))
+        plan = FaultPlan().fail_on("execute", calls=(1, 2))
+        with inject_faults("sqlite", plan):
+            with XQuerySession() as inner:
+                inner.add_document("a.xml", DOC)
+                with caplog.at_level("DEBUG", logger="repro.session"):
+                    with pytest.raises(TransientBackendError):
+                        inner.run(QUERY, backend="sqlite")
+                    assert not built
+                    assert "degrading" not in caplog.text
+                    # Before the last backend, a failure still degrades.
+                    result = inner.run(QUERY, backend="sqlite",
+                                       fallback=("engine",))
+        assert result.backend == "engine" and built == ["sqlite"]
+        assert "degrading from backend 'sqlite'" in caplog.text
+
     def test_compile_errors_do_not_degrade(self, session):
         with pytest.raises(ReproError):
             session.run("for $x in", fallback=("interpreter",))
@@ -474,13 +500,15 @@ class TestTypedErrors:
         assert "a.xml" in str(exc.value)
         assert isinstance(exc.value, ReproError)
 
-    def test_locked_database_is_transient(self):
+    def test_a_lock_message_wraps_as_a_plain_execution_error(self):
+        """Every database is a private ``:memory:`` connection, so no
+        driver message is transient — a lock message included."""
         from repro.sql.sqlite_backend import wrap_driver_error
 
         error = wrap_driver_error(
             sqlite3.OperationalError("database is locked"),
             "INSERT INTO doc_0 VALUES (?, ?, ?)")
-        assert isinstance(error, TransientBackendError)
+        assert type(error) is ExecutionError
         assert "INSERT INTO doc_0" in str(error)
         assert error.statement.startswith("INSERT")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError, WidthOverflowError
+from repro.errors import EncodingError, ExecutionError, WidthOverflowError
 from repro.sql.sqlite_backend import SQLiteDatabase, SQLITE_MAX_WIDTH
 from repro.xml.forest import element, text
 from repro.xml.labels import label_dictionary_entries
@@ -150,12 +150,30 @@ class TestExecution:
                 sql="SELECT nonsense FROM nowhere",
                 width=1, cte_count=0, result_table="nowhere",
                 ctes=[("bad", "SELECT * FROM missing_table")],
-                final_select="SELECT s,l,r FROM bad",
+                final_select="SELECT s,l,r,d FROM bad",
             )
             with pytest.raises(ExecutionError) as exc:
                 db.run_translation(broken)
             # The failing CTE's own text, not the final SELECT's.
             assert "missing_table" in exc.value.statement
+
+    @pytest.mark.parametrize("mode", ["staged", "single"])
+    def test_a_wrong_depth_in_the_result_is_refused(self, mode):
+        """The final select's ``d`` is checked like an engine result's:
+        a row that does not sit at the depth it carries is named."""
+        from repro.sql.translator import TranslationResult
+        with SQLiteDatabase() as db:
+            table, width = db.load_document("x", f("<a><b/><c/></a>"))
+            final = "SELECT s, l, r, d + (s = '<c>') FROM bad ORDER BY l"
+            wrong = TranslationResult(
+                sql=f"WITH bad AS (SELECT * FROM {table}) {final}",
+                width=width, cte_count=1, result_table="bad",
+                ctes=[("bad", f"SELECT * FROM {table}")],
+                final_select=final,
+            )
+            with pytest.raises(EncodingError,
+                               match=r"'<c>' \[3,4\] does not sit at the depth"):
+                db.run_translation(wrong, mode=mode)
 
     @pytest.mark.parametrize("mode", ["staged", "single"])
     def test_connection_closed_under_a_run_is_wrapped(self, mode):

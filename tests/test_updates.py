@@ -2,16 +2,19 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.encoding import updates
 from repro.encoding.interval import encode_columns
+from repro.engine.columns import INT64_MAX, IntervalColumns, name_code
 from repro.encoding.updates import (
     DEFAULT_STRIDE,
+    DocumentUpdate,
     UpdatableDocument,
     UpdateDelta,
 )
-from repro.errors import EncodingError
+from repro.errors import EncodingError, WidthOverflowError
 from repro.xml.serializer import forest_to_xml
 from repro.xml.text_parser import parse_forest
 
@@ -198,10 +201,13 @@ class TestLocalValidityRule:
         document = doc("<a><b/><c/></a>")
         _a, b, c = document.encoded.tuples
         place = updates._place_rows
-        monkeypatch.setattr(
-            updates, "_place_rows",
-            lambda *args: tuple((s, l + shift, r + shift)
-                                for (s, l, r) in place(*args)))
+
+        def shifted(*args):
+            rows = place(*args)
+            return IntervalColumns(rows.l + shift, rows.r + shift, rows.d,
+                                   rows.c)
+
+        monkeypatch.setattr(updates, "_place_rows", shifted)
         new, _ = encode_columns(f("<n/>"))
         with pytest.raises(EncodingError, match="outside the gap"):
             document._insert_between(b[2], c[1], new, depth=1)
@@ -211,7 +217,8 @@ class TestLocalValidityRule:
         (_s, low, high), = document.encoded.tuples
         monkeypatch.setattr(
             updates, "_place_rows",
-            lambda *args: (("<n>", low + 1, low + 3), ("<m>", low + 2, low + 4)))
+            lambda *args: IntervalColumns.from_tuples(
+                [("<n>", low + 1, low + 3), ("<m>", low + 2, low + 4)]))
         new, _ = encode_columns(f("<n/><m/>"))
         with pytest.raises(EncodingError, match="overlaps"):
             document._insert_between(low, high, new, depth=1)
@@ -288,8 +295,14 @@ def test_golden_endpoints():
         assert state.encoded.tuples == rows, step
         assert (state.width, state.stride) == (width, stride), step
         assert dataclasses.astuple(state.last_stats) == stats, step
-        expected = None if delta is None else UpdateDelta(*delta)
-        assert state.last_delta == expected, step
+        if delta is None:
+            assert state.last_delta is None, step
+            continue
+        rows, depths, *fields = delta
+        got = state.last_delta
+        assert got.inserted.tuples() == list(rows), step
+        assert got.inserted.d.tolist() == list(depths), step
+        assert got == UpdateDelta(got.inserted, *fields), step
 
 
 def test_deep_text_loads_edits_and_queries():
@@ -306,13 +319,31 @@ def test_deep_text_loads_edits_and_queries():
         document = session.updatable("d.xml")
         edited = document.insert_child(left_of(document, "<leaf>"), 1,
                                        f("<n>y</n>"))
-        assert edited.last_delta.inserted_depths == (depth, depth + 1)
+        assert edited.last_delta.inserted.d.tolist() == [depth, depth + 1]
         session.apply_update("d.xml", edited)
         assert session.run(leaf).to_xml() == "<leaf>x<n>y</n></leaf>"
         assert session.run('document("d.xml")/a').to_xml() == \
             opening + "<leaf>x<n>y</n></leaf>" + closing
         assert forest_to_xml(session.document("d.xml")) == \
             opening + "<leaf>x<n>y</n></leaf>" + closing
+
+
+@pytest.mark.parametrize("room", [1, 3, 4])
+def test_an_endpoint_past_int64_is_refused(room):
+    """An append whose endpoints (or their document-wrapped form) would
+    leave int64 raises :class:`WidthOverflowError`; nothing wraps."""
+    top = INT64_MAX - room
+    document = UpdatableDocument(IntervalColumns(
+        np.array([0]), np.array([top]), np.zeros(1, dtype=np.int32),
+        np.array([name_code("<a>")], dtype=np.int32)), top + 1)
+    if room < 4:
+        with pytest.raises(WidthOverflowError):
+            document.insert_tree(1, f("<n/>"))
+        return
+    edited = document.insert_tree(1, f("<n/>"))
+    assert edited.columns.tuples()[-1] == ("<n>", top + 1, top + 2)
+    wrapped = DocumentUpdate(edited.revision, None, (), edited).columns()
+    assert wrapped.r.tolist() == [INT64_MAX, top + 1, top + 3]
 
 
 class TestInsertTree:
