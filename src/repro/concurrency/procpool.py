@@ -196,9 +196,7 @@ class _WorkerState:
         from repro.resilience.guard import QueryGuard, ResourceBudget
 
         compiled = self._compile(spec["query"])
-        budget = ResourceBudget(max_tuples=spec.get("max_tuples"),
-                                max_envs=spec.get("max_envs"),
-                                max_width=spec.get("max_width"))
+        budget = ResourceBudget(max_tuples=spec.get("max_tuples"))
         deadline = spec.get("deadline")
         guard = (QueryGuard(deadline=deadline, budget=budget)
                  if deadline is not None or budget else None)
@@ -554,11 +552,8 @@ class ProcessQueryPool:
             remaining = guard.remaining
             if remaining is not None:
                 spec["deadline"] = max(remaining, 1e-3)
-            budget = guard.budget
-            if budget:
-                spec["max_tuples"] = budget.max_tuples
-                spec["max_envs"] = budget.max_envs
-                spec["max_width"] = budget.max_width
+            if guard.budget:
+                spec["max_tuples"] = guard.budget.max_tuples
         return spec
 
     def _limits(self, spec: Mapping[str, object],

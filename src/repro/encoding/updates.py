@@ -541,10 +541,18 @@ def _with_slack(columns: IntervalColumns, lefts: np.ndarray,
     endpoint ``e`` becomes ``e·stride + stride - 1`` (uniform slack).
     Returns the relation and its width."""
     slack = stride - 1
-    rights = rights * stride + slack
-    spread = IntervalColumns(lefts * stride + slack, rights, columns.d,
-                             columns.c)
-    return spread, (int(rights.max()) if len(rights) else 0) + stride
+    # The width in Python ints first: the multiply below runs in int64
+    # and would wrap.  Two past the width must fit as well — the
+    # document-wrapped snapshot is ``width + 2`` wide.
+    width = ((int(rights.max()) if len(rights) else 0) * stride + slack
+             + stride)
+    if width > INT64_MAX - 2:
+        raise WidthOverflowError(
+            f"stride {stride} spreads the document past int64: the engine "
+            f"stores endpoints as 64-bit integers")
+    spread = IntervalColumns(lefts * stride + slack, rights * stride + slack,
+                             columns.d, columns.c)
+    return spread, width
 
 
 def _place_rows(new: IntervalColumns, low: int, high: int,

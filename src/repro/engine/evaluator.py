@@ -120,8 +120,8 @@ class DIEngine:
     read from it afterwards (:mod:`repro.engine.stats`).  ``guard`` —
     optional :class:`~repro.resilience.guard.QueryGuard`; its deadline is
     checked by :meth:`QueryGuard.tick` at every evaluation step, kernel
-    and nested-loop comparison, and its tuple/env/width budgets are
-    charged per node result.
+    and nested-loop comparison, and its tuple budget is charged per node
+    result.
 
     Document memos are per run, not per engine: a backend passes the
     :class:`~repro.engine.memo.DocumentMemo` of each bound document to
@@ -246,14 +246,13 @@ class DIEngine:
                 result = self._dispatch(node, seq)
                 span.set(tuples=len(result[0]), width=result[1],
                          envs=len(seq.index))
-        self._charge(result, seq)
+        self._charge(result)
         return result
 
-    def _charge(self, result: Value, seq: EnvSeq) -> None:
+    def _charge(self, result: Value) -> None:
         """Account one node result to the guard."""
         if self._guard is not None:
-            self._guard.account(tuples=len(result[0]), width=result[1],
-                                envs=len(seq.index))
+            self._guard.account(len(result[0]))
 
     # -- the document memo -------------------------------------------------------
 
@@ -661,7 +660,7 @@ class DIEngine:
     def _dispatch_and_charge(self, node: PlanNode, seq: EnvSeq) -> Value:
         """``node`` computed and charged, under no op span of its own."""
         result = self._dispatch(node, seq)
-        self._charge(result, seq)
+        self._charge(result)
         return result
 
     def _compact(self, envs: np.ndarray, offsets: np.ndarray, width: int,

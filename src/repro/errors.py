@@ -174,8 +174,8 @@ class QueryTimeoutError(ExecutionError):
 class ResourceBudgetError(ExecutionError):
     """Raised when a query exhausts a configured resource budget.
 
-    ``resource`` names the budget dimension (``tuples``, ``envs``,
-    ``width``), mirroring the Koch-style polynomial blow-up the guard is
+    ``resource`` names the budget dimension (``tuples``, the one there
+    is), mirroring the Koch-style polynomial blow-up the guard is
     designed to cap (see PAPERS.md).
     """
 
@@ -207,9 +207,9 @@ class OverloadError(ExecutionError):
     """Raised when admission control refuses a query instead of queueing it.
 
     The session is protecting itself: the admission queue is at its
-    bound, the estimated queue wait would already blow the request's
-    deadline, the brownout controller is shedding this priority class,
-    or the session is draining for shutdown.  ``retry_after`` is the
+    bound (``reason`` ``"queue-full"``), the request's deadline expired
+    while it was queued (``"deadline"``), or the session is draining for
+    shutdown (``"draining"``).  ``retry_after`` is the
     load shedder's hint (seconds) for when capacity is expected back —
     clients and load balancers should back off at least that long.
     """

@@ -360,8 +360,6 @@ class FlightRecorder:
         self._next_seq = 0
         self._total = 0
         self._sampled = 0
-        #: Brownout may flip this off to shed the tail-sampling cost.
-        self._sampling_enabled = True
         self._events: deque[dict[str, object]] = deque(
             maxlen=DEFAULT_EVENT_CAPACITY)
         self._next_event_seq = 0
@@ -467,8 +465,7 @@ class FlightRecorder:
             worker=str(extra.get("worker", "") or ""),
             unix_time=time.time(),
         )
-        reasons = (self._sample_reasons(record)
-                   if self._sampling_enabled else ())
+        reasons = self._sample_reasons(record)
         if reasons:
             record.sampled = True
             record.sample_reasons = reasons
@@ -568,8 +565,8 @@ class FlightRecorder:
         *spent* is visible, not just what the winner charged.  A run that
         never reached a backend (shed or cancelled at admission, compile
         error) has no attempt and observes nothing: its near-zero wall
-        time would poison the mean service time that admission's wait
-        estimate is built on.
+        time would poison the mean service time that admission's
+        retry-after hint is built on.
         """
         for attempt in record.attempts:
             self._h_latency.observe(attempt.seconds,
@@ -577,14 +574,6 @@ class FlightRecorder:
                                     backend=attempt.backend)
 
     # -- operator events ------------------------------------------------------
-
-    @property
-    def sampling_enabled(self) -> bool:
-        return self._sampling_enabled
-
-    def set_sampling(self, enabled: bool) -> None:
-        """Enable/disable tail sampling (brownout sheds it under load)."""
-        self._sampling_enabled = bool(enabled)
 
     def note_event(self, kind: str, **fields: object) -> dict[str, object]:
         """Append one operator event (brownout transition, drain, …).
@@ -656,7 +645,6 @@ class FlightRecorder:
                 "tail_sampled_total": self._sampled,
                 "outcomes": dict(self._outcomes),
                 "slow_seconds": self.slow_seconds,
-                "sampling_enabled": self._sampling_enabled,
                 "events": len(self._events),
                 "updates": len(self._updates),
                 "updates_total": self._updates_total,

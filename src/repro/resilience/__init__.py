@@ -6,15 +6,16 @@ cutoffs (Section 6 kills runaway quadratic plans at a CPU budget; Koch's
 complexity results in PAPERS.md explain why such plans are inevitable):
 
 * :class:`QueryGuard` (:mod:`repro.resilience.guard`) — a per-query
-  deadline plus tuple/environment/width budgets, checked cooperatively in
-  every evaluator loop and via SQLite progress handlers, raising the
+  deadline plus a tuple budget, checked cooperatively in every
+  evaluator loop and via SQLite progress handlers, raising the
   typed :class:`~repro.errors.QueryTimeoutError` /
   :class:`~repro.errors.ResourceBudgetError`;
 * :class:`AdmissionController` / :class:`BrownoutController`
-  (:mod:`repro.resilience.admission`) — bounded admission queue with
-  priority classes and deadline-aware shedding
-  (:class:`~repro.errors.OverloadError` with a retry-after hint), a
-  static concurrency cap, and SLO-burn-driven brownout degradation;
+  (:mod:`repro.resilience.admission`) — a static concurrency cap, a
+  bounded admission queue with two priority classes that sheds
+  (:class:`~repro.errors.OverloadError` with a retry-after hint) when
+  full, draining, or a queued request's deadline expires, and an
+  SLO-burn-driven brownout onto the cheapest backend;
 * :class:`CancellationToken` (:mod:`repro.resilience.guard`) —
   cooperative cancellation observed at every guard checkpoint, so a
   caller abort stops queued *and* running work

@@ -1,26 +1,22 @@
 """Overload-safe serving: admission control, backpressure, brownout.
 
-PR 3 gave every query a guard; PR 7 made the service observable.  This
-module closes the loop: the session *refuses, sheds, and degrades* under
-load instead of queueing unboundedly behind the worker pool until
-every caller blows its deadline at once (Koch's complexity results in
-PAPERS.md guarantee pathological queries exist; traffic bursts guarantee
-pathological arrival rates).  Two cooperating pieces:
+The session *refuses* work it cannot take instead of queueing
+unboundedly behind the worker pool until every caller blows its
+deadline at once.  A pathological *query* is the per-query guard's to
+bound (deadline and tuple budget, :mod:`repro.resilience.guard`); this
+module bounds pathological *arrival rates*.  Two pieces:
 
-* :class:`AdmissionController` — a bounded admission queue with two
-  priority classes (``interactive`` ahead of ``batch``), an in-flight
-  concurrency cap, and deadline-aware shedding: a request whose
-  *estimated* queue wait (from the flight recorder's latency
-  histograms) already exceeds its deadline is rejected **on arrival**
-  with a typed :class:`~repro.errors.OverloadError` carrying a
-  retry-after hint — failing in microseconds instead of timing out in
-  seconds.
+* :class:`AdmissionController` — an in-flight concurrency cap and a
+  bounded admission queue with two priority classes (``interactive``
+  ahead of ``batch``).  An arrival past the queue bound, a queued
+  request whose own deadline expires while it waits, and any arrival
+  while the session drains are refused with a typed
+  :class:`~repro.errors.OverloadError` carrying a retry-after hint.
 
 * :class:`BrownoutController` — subscribes to the recorder's SLO burn
-  rate and steps through the fixed :data:`BROWNOUT_LEVELS` ladder
-  (force the cheapest backend, disable tail sampling, shrink resource
-  budgets, finally shed batch traffic entirely) with hysteresis: a level
-  is entered only after the burn stays hot for
+  rate and steps along the two-entry :data:`BROWNOUT_LEVELS` ladder
+  (normal, then every query on the cheapest backend) with hysteresis:
+  the cheap-backend level is entered only after the burn stays hot for
   ``AdmissionConfig.brownout_dwell_seconds`` and left only after it
   stays cool for :data:`BROWNOUT_COOL_SECONDS`, so the service never
   flaps.  Every transition lands in the flight recorder's event log and
@@ -45,11 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError, OverloadError
-from repro.resilience.guard import (
-    CancellationToken,
-    ResourceBudget,
-    coerce_budget,
-)
+from repro.resilience.guard import CancellationToken
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.flight import FlightRecorder
@@ -93,60 +85,22 @@ def check_priority(priority: str) -> str:
     return priority
 
 
-def scale_budget(budget: "int | ResourceBudget | None",
-                 scale: float) -> "int | ResourceBudget | None":
-    """A brownout level's shrunken view of a caller resource budget.
-
-    ``None`` (unlimited) stays unlimited — brownout tightens what the
-    caller already bounded rather than inventing limits — and every
-    shrunken cap keeps a floor of 1 so a budget never becomes impossible.
-    """
-    if budget is None or scale >= 1.0:
-        return budget
-    resource = coerce_budget(budget)
-    if not resource:
-        return budget
-
-    def shrink(cap: int | None) -> int | None:
-        return max(1, int(cap * scale)) if cap is not None else None
-
-    return ResourceBudget(max_tuples=shrink(resource.max_tuples),
-                          max_envs=shrink(resource.max_envs),
-                          max_width=shrink(resource.max_width))
-
-
 @dataclass(frozen=True)
 class BrownoutLevel:
-    """One degradation step of the brownout ladder.
-
-    Levels are cumulative by construction: each named level spells out
-    the *complete* set of effects in force, so stepping levels never
-    needs to diff or merge anything.
-    """
+    """One step of the brownout ladder."""
 
     name: str
     #: Override the session's default backend with this (cheapest) one.
     force_backend: str | None = None
-    #: Turn off tail sampling / trace retention in the flight recorder.
-    disable_sampling: bool = False
-    #: Multiply caller resource budgets by this factor (≤ 1.0).
-    budget_scale: float = 1.0
-    #: Refuse all batch-priority work outright.
-    shed_batch: bool = False
 
 
-#: The ladder: normal service, then progressively cheaper and blunter
-#: service, ending in batch shedding.  ``engine`` is the cheapest
-#: backend (no SQL round-trips, columnar kernels in-process).
+#: The ladder: normal service, then every query on ``engine``, the
+#: cheapest backend (no SQL round-trips, columnar kernels in-process).
+#: It stops there: batch work is still admitted however long the burn
+#: stays hot — the concurrency cap and the queue bound are what refuse.
 BROWNOUT_LEVELS: tuple[BrownoutLevel, ...] = (
     BrownoutLevel("normal"),
     BrownoutLevel("cheap-backend", force_backend="engine"),
-    BrownoutLevel("no-sampling", force_backend="engine",
-                  disable_sampling=True),
-    BrownoutLevel("tight-budgets", force_backend="engine",
-                  disable_sampling=True, budget_scale=0.25),
-    BrownoutLevel("shed-batch", force_backend="engine",
-                  disable_sampling=True, budget_scale=0.25, shed_batch=True),
 )
 
 
@@ -180,15 +134,14 @@ class AdmissionConfig:
 
 
 class BrownoutController:
-    """Steps through degradation levels on sustained SLO burn.
+    """Steps along the brownout ladder on sustained SLO burn.
 
     ``evaluate(now)`` reads the recorder's *recent* burn rate (a sliding
     window — the cumulative burn of the gauge never recovers after an
     incident, which would leave the service browned out forever) and
     applies the hysteresis clock described in the module docstring.
-    Transitions are idempotent side effects: the level's
-    ``disable_sampling`` flag is pushed onto the recorder, the gauge is
-    updated, and a ``brownout`` event lands in the recorder's event log.
+    A transition updates the gauge and lands a ``brownout`` event in the
+    recorder's event log.
     """
 
     def __init__(self, config: AdmissionConfig,
@@ -266,7 +219,6 @@ class BrownoutController:
         if self._gauge is not None:
             self._gauge.set(index)
         if self.recorder is not None:
-            self.recorder.set_sampling(not new.disable_sampling)
             self.recorder.note_event(
                 "brownout", level=new.name, index=index,
                 previous=old.name, direction=direction,
@@ -376,11 +328,11 @@ class AdmissionController:
     def shedding(self) -> bool:
         """Whether /healthz should advertise this instance as shedding.
 
-        True while draining, while the brownout ladder sheds batch work,
-        while the queue is at its bound, and for a hold window after the
-        last shed (so coarse pollers still observe short episodes).
+        True while draining, while the queue is at its bound, and for a
+        hold window after the last shed (so coarse pollers still observe
+        short episodes).
         """
-        if self._draining or self.brownout.level.shed_batch:
+        if self._draining:
             return True
         if (self.config.max_queue_depth > 0
                 and self.queue_depth >= self.config.max_queue_depth):
@@ -409,31 +361,11 @@ class AdmissionController:
                 "retry_after": round(self._retry_after_hint(), 6),
             }
 
-    # -- wait estimation ------------------------------------------------------
-
     def expected_service_seconds(self) -> float | None:
         """Mean served latency from the recorder (None without data)."""
         if self.recorder is None:
             return None
         return self.recorder.mean_latency_seconds()
-
-    def estimate_queue_wait(self, priority: str) -> float | None:
-        """Estimated wait for a new arrival of ``priority`` (None = unknown).
-
-        Little's-law style: the work ahead of the arrival — everyone in
-        a same-or-higher-priority queue plus the currently running
-        queries — served at ``limit``-way concurrency, each taking the
-        recorder's observed mean latency.
-        """
-        service = self.expected_service_seconds()
-        if service is None:
-            return None
-        ahead = len(self._queues[INTERACTIVE])
-        if priority == BATCH:
-            ahead += len(self._queues[BATCH])
-        limit = self.config.max_concurrency
-        busy = min(self._in_flight, limit)
-        return (ahead + busy) * service / limit
 
     # -- the protocol ---------------------------------------------------------
 
@@ -443,9 +375,8 @@ class AdmissionController:
         """Admit, queue, or shed one request; blocks while queued.
 
         ``deadline`` is the request's *total* remaining time in seconds:
-        the request is shed on arrival when the estimated queue wait
-        exceeds it, and shed from the queue when it expires while
-        waiting.  A tripped ``token`` sheds immediately.  Raises
+        a queued request is shed when it expires while waiting.  A
+        tripped ``token`` sheds immediately.  Raises
         :class:`OverloadError`; on success returns the :class:`Ticket`
         that :meth:`release` takes back.
         """
@@ -454,7 +385,7 @@ class AdmissionController:
         limit = self.config.max_concurrency
         with self._cv:
             self._maybe_evaluate(arrived)
-            reason = self._shed_reason_on_arrival(priority, deadline, token)
+            reason = self._shed_reason_on_arrival(token)
             if reason is not None:
                 raise self._shed(reason, priority)
             if self._in_flight < limit and not self._eligible():
@@ -534,26 +465,16 @@ class AdmissionController:
             self._g_queue_depth.set(self.queue_depth)
         self._cv.notify_all()
 
-    def _shed_reason_on_arrival(self, priority: str,
-                                deadline: float | None,
-                                token: CancellationToken | None,
+    def _shed_reason_on_arrival(self, token: CancellationToken | None,
                                 ) -> str | None:
         if token is not None and token.cancelled:
             token.raise_if_cancelled()
         if self._draining:
             return "draining"
-        if priority == BATCH and self.brownout.level.shed_batch:
-            return "brownout"
         would_queue = (self._in_flight >= self.config.max_concurrency
                        or self._eligible() is not None)
-        if not would_queue:
-            return None
-        if self.queue_depth >= self.config.max_queue_depth:
+        if would_queue and self.queue_depth >= self.config.max_queue_depth:
             return "queue-full"
-        if deadline is not None:
-            wait = self.estimate_queue_wait(priority)
-            if wait is not None and wait > deadline:
-                return "deadline"
         return None
 
     def _shed(self, reason: str, priority: str) -> OverloadError:

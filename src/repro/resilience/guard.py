@@ -16,10 +16,10 @@ tests drive deadlines deterministically without wall-clock sleeps —
 the same discipline as the paper's "DNF at two CPU hours" protocol, but
 enforced inside the process instead of by killing it.
 
-Budgets model the complexity results of Koch ("On the Complexity of
-Nonrecursive XQuery", PAPERS.md): tuples produced, environment-sequence
-sizes, and interval widths all grow polynomially with query nesting
-depth, so each gets its own cap (:class:`ResourceBudget`).
+The budget models the complexity results of Koch ("On the Complexity
+of Nonrecursive XQuery", PAPERS.md): the tuples a query produces grow
+polynomially with its nesting depth, so they get a cap
+(:class:`ResourceBudget`).
 """
 
 from __future__ import annotations
@@ -53,33 +53,24 @@ class CancellationToken:
     One token may govern many queries (a whole ``run_many`` batch): the
     caller holds the token, every query's :class:`QueryGuard` observes
     it at the guard's existing checkpoints, and :meth:`cancel` flips it
-    exactly once — later calls keep the first reason.  Linking
-    (``CancellationToken(parent=...)``) lets a batch token aggregate a
-    caller token, so cancelling either stops the work.
+    exactly once — later calls keep the first reason.
     """
 
-    __slots__ = ("_event", "_reason", "_lock", "_parent")
+    __slots__ = ("_event", "_reason", "_lock")
 
-    def __init__(self, parent: "CancellationToken | None" = None):
+    def __init__(self):
         self._event = threading.Event()
         self._reason: str | None = None
         self._lock = threading.Lock()
-        self._parent = parent
 
     @property
     def cancelled(self) -> bool:
-        if self._event.is_set():
-            return True
-        return self._parent is not None and self._parent.cancelled
+        return self._event.is_set()
 
     @property
     def reason(self) -> str:
         """The first cancel reason (``""`` while not cancelled)."""
-        if self._reason is not None:
-            return self._reason
-        if self._parent is not None and self._parent.cancelled:
-            return self._parent.reason
-        return ""
+        return self._reason or ""
 
     def cancel(self, reason: str = "cancelled") -> bool:
         """Trip the token; returns False if it was already cancelled."""
@@ -96,7 +87,7 @@ class CancellationToken:
             raise QueryCancelledError(self.reason or "cancelled")
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until cancelled (own event only) or ``timeout`` passes."""
+        """Block until cancelled or ``timeout`` passes."""
         return self._event.wait(timeout)
 
     def __repr__(self) -> str:
@@ -106,25 +97,16 @@ class CancellationToken:
 
 @dataclass(frozen=True)
 class ResourceBudget:
-    """Caps on the work one query may perform (``None`` = unlimited).
+    """The cap on the work one query may perform (``None`` = unlimited).
 
-    * ``max_tuples`` — total interval tuples produced across all operator
-      evaluations;
-    * ``max_envs`` — largest environment-sequence index seen at any node;
-    * ``max_width`` — largest dynamic-interval width of any node result,
-      as the engine carries it: the product of Section 4's width rules
-      until a block of that width would leave int64, from there on the
-      renormalised width (twice the rows of the largest environment
-      block) — so beyond roughly 2**62 this caps rows, not nesting depth.
+    ``max_tuples`` counts the interval tuples produced across all
+    operator evaluations (on SQLite: the rows of the result).
     """
 
     max_tuples: int | None = None
-    max_envs: int | None = None
-    max_width: int | None = None
 
     def __bool__(self) -> bool:
-        return (self.max_tuples is not None or self.max_envs is not None
-                or self.max_width is not None)
+        return self.max_tuples is not None
 
 
 def coerce_budget(value: "int | ResourceBudget | None") -> ResourceBudget:
@@ -229,23 +211,16 @@ class QueryGuard:
             raise QueryTimeoutError(self.deadline, self.elapsed,
                                     backend=self.backend)
 
-    def account(self, tuples: int = 0, width: int = 0, envs: int = 0) -> None:
-        """Charge one node result against the budgets.
+    def account(self, tuples: int) -> None:
+        """Charge one node result's tuples against the budget.
 
         Called from the engine's observed evaluation path; raises
-        :class:`ResourceBudgetError` on the first violated cap.
+        :class:`ResourceBudgetError` once the cap is passed.
         """
-        budget = self.budget
-        if tuples:
-            self._tuples += tuples
-            if (budget.max_tuples is not None
-                    and self._tuples > budget.max_tuples):
-                raise ResourceBudgetError("tuples", budget.max_tuples,
-                                          self._tuples)
-        if budget.max_envs is not None and envs > budget.max_envs:
-            raise ResourceBudgetError("envs", budget.max_envs, envs)
-        if budget.max_width is not None and width > budget.max_width:
-            raise ResourceBudgetError("width", budget.max_width, width)
+        self._tuples += tuples
+        cap = self.budget.max_tuples
+        if cap is not None and self._tuples > cap:
+            raise ResourceBudgetError("tuples", cap, self._tuples)
 
     def check(self) -> None:
         """Full check (deadline + consumed budgets); statement boundaries."""
@@ -300,10 +275,6 @@ class QueryGuard:
             parts.append(f"deadline={self.deadline}s")
         if self.budget.max_tuples is not None:
             parts.append(f"max_tuples={self.budget.max_tuples}")
-        if self.budget.max_envs is not None:
-            parts.append(f"max_envs={self.budget.max_envs}")
-        if self.budget.max_width is not None:
-            parts.append(f"max_width={self.budget.max_width}")
         if self.token is not None:
             parts.append("cancellable")
         return f"<QueryGuard {' '.join(parts) or 'unlimited'}>"

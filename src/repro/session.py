@@ -25,8 +25,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
@@ -62,7 +61,6 @@ from repro.resilience.admission import (
     AdmissionConfig,
     AdmissionController,
     check_priority,
-    scale_budget,
 )
 from repro.resilience.fallback import Degradation, build_chain, is_degradable
 from repro.resilience.guard import CancellationToken, QueryGuard, ResourceBudget
@@ -454,7 +452,6 @@ class XQuerySession:
                  return_errors: bool = False,
                  priority: str = BATCH,
                  token: CancellationToken | None = None,
-                 batch_deadline: float | None = None,
                  ) -> "list[QueryResult | BaseException]":
         """Run a batch of queries concurrently on the session's worker pool.
 
@@ -499,9 +496,8 @@ class XQuerySession:
         flood of background work never starves interactive callers.
         ``token`` cancels the whole batch — queued queries shed at
         admission, running ones stop at the next guard checkpoint — and
-        ``batch_deadline`` (seconds for the *whole batch*) trips an
-        internal token the same way once it expires; both surface as
-        :class:`~repro.errors.QueryCancelledError` in the results.
+        surfaces as :class:`~repro.errors.QueryCancelledError` in the
+        results; ``deadline`` bounds each query on its own.
         """
         check_priority(priority)
         batch = list(queries)
@@ -514,12 +510,6 @@ class XQuerySession:
         if not batch:
             return []
         backend = self._tier_backend(tier, backend, len(batch))
-        batch_token = token
-        if batch_deadline is not None:
-            # A private token (linked to the caller's, if any) that the
-            # gather loop below trips when the whole batch runs long.
-            batch_token = CancellationToken(parent=token) \
-                if token is not None else CancellationToken()
         workers = max_workers if max_workers is not None \
             else max(1, min(len(batch), os.cpu_count() or 4))
         active = self._effective_tracer(trace, tracer)
@@ -529,8 +519,8 @@ class XQuerySession:
         def work(index: int, query: str) -> QueryResult:
             # Queued→active hand-off and the active decrement both live in
             # ``finally`` blocks, so a raising worker can never strand a
-            # gauge; queries cancelled *before* a worker picks them up are
-            # settled by ``_settle_cancelled`` in the gather loop instead.
+            # gauge.  No future is cancelled before a worker picks it up:
+            # a cancelled batch token sheds each query at admission.
             self._g_pool_queued.dec()
             try:
                 self._g_pool_active.inc()
@@ -540,48 +530,22 @@ class XQuerySession:
                     return self.run(query, backend=backend, strategy=strategy,
                                     tracer=active, deadline=deadline,
                                     budget=budget, fallback=fallback,
-                                    priority=priority, token=batch_token)
+                                    priority=priority, token=token)
             finally:
                 self._g_pool_active.dec()
 
         futures: "list[Future[QueryResult]]" = self._submit(workers, [
             functools.partial(work, index, query)
             for index, query in enumerate(batch)])
-        deadline_at = (time.monotonic() + batch_deadline
-                       if batch_deadline is not None else None)
         results: "list[QueryResult | BaseException]" = []
         first_error: BaseException | None = None
-        expired = False
         for future in futures:
-            error: BaseException | None = None
             try:
-                if deadline_at is not None and not expired:
-                    remaining = deadline_at - time.monotonic()
-                    results.append(future.result(timeout=max(0.0, remaining)))
-                else:
-                    results.append(future.result())
-                continue
-            except FutureTimeoutError:
-                expired = True
-                assert batch_token is not None
-                batch_token.cancel("batch deadline")
-                self._settle_cancelled(futures)
-                try:
-                    results.append(future.result())
-                    continue
-                except CancelledError:
-                    error = QueryCancelledError("batch deadline")
-                except BaseException as raised:
-                    error = raised
-            except CancelledError:
-                reason = (batch_token.reason if batch_token is not None
-                          else "") or "cancelled"
-                error = QueryCancelledError(reason)
-            except BaseException as raised:  # collected, re-raised below
-                error = raised
-            results.append(error)
-            if first_error is None:
-                first_error = error
+                results.append(future.result())
+            except BaseException as error:  # collected, re-raised below
+                results.append(error)
+                if first_error is None:
+                    first_error = error
         if first_error is not None and not return_errors:
             raise first_error
         return results
@@ -604,17 +568,6 @@ class XQuerySession:
         future, = self._submit(max(2, min(32, (os.cpu_count() or 4) * 2)),
                                [functools.partial(self.run, query, **kwargs)])
         return await asyncio.wrap_future(future)
-
-    def _settle_cancelled(self, futures: "list[Future[QueryResult]]") -> None:
-        """Cancel still-queued batch futures without leaking pool gauges.
-
-        A future cancelled before a worker picks it up never runs
-        ``work()``, so its queued-gauge decrement must happen here — this
-        is the leak the gauge regression test pins down.
-        """
-        for future in futures:
-            if future.cancel():
-                self._g_pool_queued.dec()
 
     def _tier_backend(self, tier: str, backend: str | None,
                       batch_size: int) -> str | None:
@@ -693,8 +646,6 @@ class XQuerySession:
             level = admission.brownout.level
             if level.force_backend is not None:
                 name = level.force_backend
-            if level.budget_scale < 1.0:
-                budget = scale_budget(budget, level.budget_scale)
         EngineStats.check_backend(stats, name)
         if guard is None and (deadline is not None or budget is not None
                               or token is not None):
@@ -916,9 +867,9 @@ class XQuerySession:
 
         ``status`` is graded for load balancers: ``"ok"``, or
         ``"shedding"`` while admission control is refusing work
-        (draining, queue at bound, batch-shedding brownout, or within the
-        post-shed hold window).  The HTTP endpoint maps ``"shedding"`` to
-        503 so a browned-out instance rotates out — see
+        (draining, queue at bound, or within the post-shed hold window).
+        The HTTP endpoint maps ``"shedding"`` to 503 so a shedding
+        instance rotates out — see
         :mod:`repro.serving`.  ``documents``
         maps each document to the engine's numbers for it (entries,
         bytes, bound, refused — entries not kept because the first-fit

@@ -347,7 +347,7 @@ class SQLiteDatabase:
         else:
             raise ValueError(f"unknown execution mode {mode!r}")
         if guard is not None:
-            guard.account(tuples=len(rows))
+            guard.account(len(rows))
         observer.rows_fetched(len(rows))
         return decode(IntervalColumns.from_lists(*zip(*rows)) if rows
                       else IntervalColumns.empty())

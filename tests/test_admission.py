@@ -13,16 +13,12 @@ import time
 
 import pytest
 
-from repro.errors import (
-    ExecutionError,
-    OverloadError,
-    QueryCancelledError,
-    ResourceBudgetError,
-)
+from repro.errors import ExecutionError, OverloadError, QueryCancelledError
 from repro.obs.flight import SLO, AttemptRecord, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     BATCH,
+    BROWNOUT_LEVELS,
     INTERACTIVE,
     AdmissionConfig,
     AdmissionController,
@@ -30,12 +26,11 @@ from repro.resilience import (
     BrownoutLevel,
     CancellationToken,
     QueryGuard,
-    ResourceBudget,
 )
 from repro.resilience.admission import (
+    DEFAULT_RETRY_AFTER,
     EVALUATE_INTERVAL_SECONDS,
     SHED_HEALTH_HOLD_SECONDS,
-    scale_budget,
 )
 from repro.session import XQuerySession
 from repro.xmark.queries import FIGURE1_SAMPLE
@@ -99,28 +94,6 @@ class TestAdmissionConfig:
             controller.try_acquire("urgent")
 
 
-class TestScaleBudget:
-    def test_none_stays_unlimited(self):
-        assert scale_budget(None, 0.25) is None
-
-    def test_int_budget_shrinks(self):
-        scaled = scale_budget(100, 0.25)
-        assert scaled.max_tuples == 25
-
-    def test_floor_of_one(self):
-        assert scale_budget(2, 0.25).max_tuples == 1
-
-    def test_full_scale_is_identity(self):
-        budget = ResourceBudget(max_tuples=10)
-        assert scale_budget(budget, 1.0) is budget
-
-    def test_all_dimensions_shrink(self):
-        budget = ResourceBudget(max_tuples=100, max_envs=40, max_width=8)
-        scaled = scale_budget(budget, 0.5)
-        assert (scaled.max_tuples, scaled.max_envs, scaled.max_width) \
-            == (50, 20, 4)
-
-
 # -- the admission controller -------------------------------------------------
 
 
@@ -162,27 +135,42 @@ class TestAdmissionController:
         clock.advance(SHED_HEALTH_HOLD_SECONDS)
         assert not controller.shedding
 
-    def test_deadline_shed_on_arrival_uses_estimated_wait(self):
+    def test_a_short_deadline_queues_instead_of_shedding_on_arrival(self):
+        """No wait is estimated on arrival: a request whose deadline is
+        shorter than the mean service time still queues, and admits when
+        the slot frees before its deadline passes."""
         recorder = FlightRecorder(metrics=MetricsRegistry())
         healthy_record(recorder, count=4, wall=2.0)  # mean service 2s
         controller = self.make(recorder=recorder, max_concurrency=1,
                                max_queue_depth=8)
-        ticket = controller.try_acquire()
-        # Estimated wait for the next arrival is ~2s; a 0.5s deadline
-        # cannot be met, so the arrival sheds instantly.
-        with pytest.raises(OverloadError) as exc:
-            controller.try_acquire(deadline=0.5)
-        assert exc.value.reason == "deadline"
-        # A deadline the estimate fits is admitted to the queue instead
-        # (released slot makes it runnable immediately).
-        controller.release(ticket)
-        ticket2 = controller.try_acquire(deadline=60.0)
-        controller.release(ticket2)
+        first = controller.try_acquire()
+        admitted = []
+
+        def waiter():
+            ticket = controller.try_acquire(deadline=0.5)
+            admitted.append(ticket)
+            controller.release(ticket)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while controller.queue_depth == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert controller.queue_depth == 1
+        assert controller.sheds == 0
+        controller.release(first)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(admitted) == 1 and controller.sheds == 0
 
     def test_no_latency_data_means_no_deadline_estimate(self):
-        controller = self.make(max_concurrency=1, max_queue_depth=8)
-        assert controller.estimate_queue_wait(INTERACTIVE) is None
+        controller = self.make(max_concurrency=1, max_queue_depth=0)
         assert controller.expected_service_seconds() is None
+        ticket = controller.try_acquire()
+        with pytest.raises(OverloadError) as exc:
+            controller.try_acquire()
+        assert exc.value.retry_after == DEFAULT_RETRY_AFTER
+        controller.release(ticket)
 
     def test_queued_waiter_admits_when_slot_frees(self):
         controller = self.make(max_concurrency=1,
@@ -395,14 +383,20 @@ class TestBrownout:
         assert controller.evaluate(now=5.0).name == "cheap-backend"
 
     def test_steps_one_level_per_dwell(self):
-        controller = self.make(hot_recorder())
+        """The ladder has two levels and stops at the cheap backend: a
+        burn held hot for many dwell periods steps once."""
+        assert [level.name for level in BROWNOUT_LEVELS] \
+            == ["normal", "cheap-backend"]
+        recorder = hot_recorder()
+        controller = self.make(recorder)
         controller.evaluate(now=0.0)
+        assert controller.evaluate(now=4.9).name == "normal"
         assert controller.evaluate(now=5.0).name == "cheap-backend"
-        assert controller.evaluate(now=6.0).name == "cheap-backend"
-        assert controller.evaluate(now=10.0).name == "no-sampling"
-        assert controller.evaluate(now=15.0).name == "tight-budgets"
-        assert controller.evaluate(now=20.0).name == "shed-batch"
-        assert controller.evaluate(now=25.0).name == "shed-batch"  # top
+        for dwell in range(2, 21):
+            assert controller.evaluate(now=5.0 * dwell).name \
+                == "cheap-backend"
+        assert controller.index == 1
+        assert len(recorder.events(kind="brownout")) == 1
 
     def test_recovery_needs_cool_period(self):
         recorder = hot_recorder()
@@ -432,24 +426,26 @@ class TestBrownout:
         assert controller.evaluate(now=26.9).name == "cheap-backend"
         assert controller.evaluate(now=27.0).name == "normal"
 
-    def test_transitions_recorded_and_sampling_toggled(self):
+    def test_transitions_recorded(self):
+        metrics = MetricsRegistry()
         recorder = hot_recorder()
-        controller = self.make(recorder)
+        controller = BrownoutController(AdmissionConfig(), recorder,
+                                        metrics=metrics)
+        gauge = metrics.get("repro_admission_brownout_level")
         controller.evaluate(now=0.0)
         controller.evaluate(now=5.0)   # → cheap-backend
-        controller.evaluate(now=10.0)  # → no-sampling
-        assert not recorder.sampling_enabled
+        assert gauge.value() == 1
         events = recorder.events(kind="brownout")
-        assert [event["level"] for event in events] \
-            == ["cheap-backend", "no-sampling"]
+        assert [event["level"] for event in events] == ["cheap-backend"]
         assert events[-1]["direction"] == "enter"
         assert events[-1]["burn_rate"] > 0
         healthy_record(recorder, count=64)
-        controller.evaluate(now=11.0)
-        controller.evaluate(now=26.0)  # cool → back to cheap-backend
-        assert recorder.sampling_enabled  # restored on the way down
-        assert recorder.events(kind="brownout")[-1]["level"] \
-            == "cheap-backend"
+        controller.evaluate(now=6.0)
+        controller.evaluate(now=21.0)  # cool → back to normal
+        assert gauge.value() == 0
+        assert [(event["level"], event["direction"]) for event in
+                recorder.events(kind="brownout")] \
+            == [("cheap-backend", "enter"), ("normal", "exit")]
 
     def test_no_recorder_never_browns_out(self):
         controller = BrownoutController(AdmissionConfig(), None)
@@ -564,18 +560,20 @@ class TestSessionAdmission:
         result = session.run(QUERY, backend="interpreter")
         assert result.backend == "engine"
 
-    def test_brownout_sheds_batch_priority(self, session):
+    def test_brownout_still_admits_batch_priority(self, session):
+        """However long the burn stays hot, the ladder stops at the
+        cheap backend: batch work is served there, not shed."""
         brownout = session.admission.brownout
         violating_record(session.recorder,
                          count=session.recorder.recent_window)
-        now = 0.0
-        brownout.evaluate(now=now)
-        while brownout.level.name != "shed-batch":
-            now += brownout.config.brownout_dwell_seconds
-            brownout.evaluate(now=now)
-        with pytest.raises(OverloadError, match="brownout"):
-            session.run(QUERY, priority=BATCH)
-        session.run(QUERY, priority=INTERACTIVE)  # still served
+        dwell = brownout.config.brownout_dwell_seconds
+        for step in range(20):
+            brownout.evaluate(now=step * dwell)
+        assert brownout.level.name == "cheap-backend"
+        assert not session.admission.shedding
+        result = session.run(QUERY, priority=BATCH, backend="interpreter")
+        assert result.backend == "engine"
+        assert session.admission.sheds == 0
 
     def test_close_drains_and_reopens(self, session):
         session.run(QUERY)
@@ -623,28 +621,6 @@ class TestOverloadHammer:
         assert metrics.get("repro_admission_inflight").value() == 0
         assert metrics.get("repro_session_pool_queued").value() == 0
         assert metrics.get("repro_session_pool_active").value() == 0
-
-    def test_batch_deadline_cancels_queued_and_running(self):
-        """A batch deadline stops slow work without leaking gauges."""
-        config = AdmissionConfig(max_concurrency=1, max_queue_depth=64)
-        plan = FaultPlan(sleep=time.sleep).slow_on("execute", 0.2)
-        with inject_faults("engine", plan):
-            with XQuerySession(admission=config) as session:
-                session.add_document("a.xml", FIGURE1_SAMPLE)
-                results = session.run_many([QUERY] * 8, max_workers=4,
-                                           batch_deadline=0.3,
-                                           return_errors=True)
-        cancelled = [r for r in results
-                     if isinstance(r, QueryCancelledError)]
-        assert cancelled, "the batch deadline must cancel stragglers"
-        for error in cancelled:
-            assert "batch deadline" in str(error)
-        # Cancelled queries released their admission slots and budgets.
-        snapshot = session.admission.snapshot()
-        assert snapshot["in_flight"] == 0
-        assert snapshot["queue_depth"] == 0
-        assert session.metrics.get("repro_session_pool_queued").value() == 0
-        assert session.metrics.get("repro_session_pool_active").value() == 0
 
     def test_cancelled_queries_release_guard_budgets(self):
         """A shared caller token aborts the batch; budgets don't leak."""

@@ -478,17 +478,23 @@ class TestRunMany:
             "repro_session_pool_active").value() == 0
 
     def test_pool_gauges_settle_when_batch_cancelled(self, session):
-        # Regression: a future cancelled before a worker picks it up
-        # never runs ``work()``, so its queued-gauge decrement must
-        # happen in ``_settle_cancelled`` — this used to leak.
+        # A batch token cancelled mid-batch: queued queries still pass
+        # through ``work()`` and shed at admission, so neither gauge is
+        # stranded.
         from repro.errors import QueryCancelledError
+        from repro.resilience import CancellationToken
         from tests.faults import FaultPlan, inject_faults
 
+        token = CancellationToken()
         plan = FaultPlan(sleep=time.sleep).slow_on("execute", 0.2)
         with inject_faults("engine", plan):
-            results = session.run_many(list(QUERIES) * 4, max_workers=2,
-                                       batch_deadline=0.1,
-                                       return_errors=True)
+            timer = threading.Timer(0.1, token.cancel, args=("abort",))
+            timer.start()
+            try:
+                results = session.run_many(list(QUERIES) * 4, max_workers=2,
+                                           token=token, return_errors=True)
+            finally:
+                timer.cancel()
         assert any(isinstance(result, QueryCancelledError)
                    for result in results)
         assert session.metrics.get(

@@ -139,6 +139,14 @@ GUARDS = (
           "SQLite shreds a forest's preorder stream through dfs_numbering "
           "and its results leave as columns through decode: the SQL path "
           "runs no tuple encoder", "a80e91f"),
+    Guard(r"estimate_queue_wait|scale_budget|budget_scale|shed_batch|"
+          r"disable_sampling|set_sampling|batch_deadline|_settle_cancelled|"
+          r"max_envs", ("src/repro",),
+          "overload control keeps what traffic reaches: the cap, the queue "
+          "and drain shed, the brownout ladder stops at its cheap-backend "
+          "step, no wait is estimated on arrival, a batch is bounded per "
+          "query (deadline=) or by its caller's token, and a budget caps "
+          "tuples alone", "8e59093"),
 )
 
 DELETED_FILES = (

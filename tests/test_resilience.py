@@ -220,12 +220,6 @@ class TestBudgets:
         with pytest.raises(ResourceBudgetError):
             session.run(QUERY, backend="sqlite", budget=3)
 
-    def test_width_budget_on_engine(self, session):
-        budget = ResourceBudget(max_width=2)
-        with pytest.raises(ResourceBudgetError) as exc:
-            session.run(QUERY, budget=budget)
-        assert exc.value.resource == "width"
-
     def test_budget_violations_never_fall_back(self, session):
         with pytest.raises(ResourceBudgetError):
             session.run(QUERY, budget=5, fallback=("interpreter",))
@@ -239,7 +233,7 @@ class TestBudgets:
     def test_coerce_budget(self):
         assert coerce_budget(None) == ResourceBudget()
         assert coerce_budget(7) == ResourceBudget(max_tuples=7)
-        budget = ResourceBudget(max_envs=3)
+        budget = ResourceBudget(max_tuples=3)
         assert coerce_budget(budget) is budget
         with pytest.raises(ExecutionError):
             coerce_budget("lots")

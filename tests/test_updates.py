@@ -346,6 +346,24 @@ def test_an_endpoint_past_int64_is_refused(room):
     assert wrapped.r.tolist() == [INT64_MAX, top + 1, top + 3]
 
 
+def test_a_stride_past_int64_is_refused():
+    """Spreading with slack checks the width before the int64 multiply:
+    a stride whose spread would leave int64 raises
+    :class:`WidthOverflowError` instead of wrapping to negative
+    endpoints, from a forest and on relabel alike."""
+    # Six tight endpoints: the width is 5·stride + (stride - 1) + stride.
+    largest = (INT64_MAX - 1) // 7
+    document = doc("<a><b/><c/></a>", stride=largest)
+    assert document.width == 7 * largest - 1 <= INT64_MAX - 2
+    assert (document.columns.l > 0).all()
+    assert document.to_forest() == f("<a><b/><c/></a>")
+    for stride in (largest + 1, 2 ** 62, 2 ** 64):
+        with pytest.raises(WidthOverflowError):
+            doc("<a><b/><c/></a>", stride=stride)
+        with pytest.raises(WidthOverflowError):
+            doc("<a><b/><c/></a>").relabel(stride)
+
+
 class TestInsertTree:
     def test_prepend(self):
         document = doc("<b/>", stride=10)
