@@ -108,13 +108,13 @@ class Backend(abc.ABC):
       :attr:`prepared` snapshot serialize on an internal lock, so
       concurrent prepares/invalidations never corrupt the prepared map;
     * :meth:`execute` / :meth:`runner` may be called concurrently from
-      any number of threads — the relational adapter keeps one connection
-      per calling thread (see :class:`repro.concurrency.ThreadLocalPool`)
-      and in-process adapters keep per-call state only;
+      any number of threads — the relational adapter runs each query on
+      its one connection under this lock, in turn, and in-process
+      adapters keep per-call state only;
     * :meth:`instrument` is **per thread**: each worker attaches its own
       tracer (or ``None``) without disturbing spans other threads emit;
-    * :meth:`close` may be called from any thread and releases every
-      thread's resources in one idempotent sweep.
+    * :meth:`close` may be called from any thread and releases the
+      backend's resources in one idempotent call.
 
     The full contract, per adapter, is documented in
     ``docs/CONCURRENCY.md``.
@@ -221,7 +221,7 @@ class Backend(abc.ABC):
     # -- resource management --------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources (every thread's); idempotent."""
+        """Release backend resources; idempotent."""
         with self._lock:
             if self._closed:
                 return

@@ -5,9 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.backends.base import Backend, BackendCapabilities, ExecutionOptions
-from repro.backends.deltalog import DeltaLog
 from repro.backends.registry import register_backend
-from repro.concurrency import ThreadLocalPool
 from repro.encoding.updates import snapshot_revision
 from repro.sql.sqlite_backend import SQLITE_MAX_WIDTH, SQLiteDatabase
 from repro.xml.forest import Forest
@@ -18,47 +16,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.evaluator import Value
 
 
-class _ThreadDatabase:
-    """One worker thread's database plus what it has materialized.
-
-    ``loaded`` maps document name → the ``(major, minor)`` generation
-    pair shredded into this database; comparing it against the backend's
-    current generation map tells a thread exactly which documents it must
-    (re)load — and whether a delta-tail replay suffices.
-    """
-
-    __slots__ = ("database", "loaded")
-
-    def __init__(self, database: SQLiteDatabase):
-        self.database = database
-        self.loaded: dict[str, tuple[object, int]] = {}
-
-    def close(self) -> None:
-        self.database.close()
-
-
 @register_backend
 class SQLiteBackend(Backend):
     """Run the Section 4 SQL translation, staged, on a stock SQLite
     engine: one temporary table per CTE of the translation, filled in
     order (``run_translation``'s default ``mode="staged"``;
-    docs/PERFORMANCE.md says why not the single statement).  Each
+    docs/PERFORMANCE.md says why not the single statement).  The
     connection keeps its recently run translations and their tables
     (:meth:`~repro.sql.sqlite_backend.SQLiteDatabase.staged`), so a warm
     run neither translates nor issues DDL.
 
-    The shredded tables live in ``:memory:`` databases, which SQLite
-    keeps **per connection**, so the backend keeps one
-    :class:`~repro.sql.sqlite_backend.SQLiteDatabase` per worker thread
-    (lazily, via :class:`~repro.concurrency.ThreadLocalPool`).  Every
-    ``prepare``/``invalidate`` moves the document's generation (see
-    :class:`~repro.backends.deltalog.DeltaLog`); each thread re-shreds
-    exactly the documents whose generation it has not materialized
-    yet — or replays the delta tail — so all threads observe a
-    consistent snapshot without sharing a connection.
-
-    :meth:`~Backend.close` closes every thread's connection in one
-    idempotent sweep, from whatever thread calls it.
+    One :class:`~repro.sql.sqlite_backend.SQLiteDatabase` — one
+    ``:memory:`` connection — holds every prepared document for all
+    threads, and every use of it holds the backend lock: a load's shred,
+    a commit, each run's statements, and :meth:`~Backend.close`.  Runs
+    on one backend therefore take turns, and a commit is applied once.
+    A run queued on the lock past its deadline, or whose token is
+    cancelled meanwhile, stops at the guard check its first statement
+    makes.
     """
 
     name = "sqlite"
@@ -70,100 +45,74 @@ class SQLiteBackend(Backend):
 
     def __init__(self) -> None:
         super().__init__()
-        #: name → shared document state, what ``_sync`` compares against.
-        self._generations: dict[str, DeltaLog] = {}
-        self._pool: ThreadLocalPool[_ThreadDatabase] = ThreadLocalPool(
-            lambda: _ThreadDatabase(SQLiteDatabase()))
+        self.database = SQLiteDatabase()
+        #: name → the commit revision its table holds (``None``: the
+        #: document as loaded).
+        self._held: dict[str, int | None] = {}
 
-    # -- per-thread database management ----------------------------------------
-
-    @property
-    def database(self) -> SQLiteDatabase:
-        """The calling thread's database, synced to the current documents."""
-        return self._thread_database().database
-
-    def _thread_database(self) -> _ThreadDatabase:
-        state = self._pool.get()
-        self._sync(state)
-        return state
-
-    def _sync(self, state: _ThreadDatabase) -> None:
-        """Bring ``state`` current: delta-tail replay or full (re)shred.
-
-        The tail is the same ranged ``DELETE`` + batched ``INSERT`` the
-        updating thread ran; a full load shreds the latest update's
-        wrapped snapshot or, before any update, the prepared one.
-        """
-        pending: list[tuple] = []
-        with self._lock:
-            for name, doc in self._generations.items():
-                have = state.loaded.get(name)
-                if have != doc.current:
-                    pending.append((name, doc.current, doc.pending_for(have),
-                                    doc.update, self._prepared.get(name)))
-        for name, current, tail, update, prepared in pending:
-            if tail is not None:
-                for delta in tail:
-                    state.database.apply_delta(name, delta)
-            elif update is not None:
-                state.database.load_encoded(name, update.columns(),
-                                            update.width)
-            else:
-                state.database.load_encoded(name, *prepared)
-            state.loaded[name] = current
+    # -- documents ----------------------------------------------------------------
 
     def _load(self, name: str, value: "Value") -> None:
-        # Called under the backend lock (base.prepare).  A fresh log is a
-        # new major generation, holding the revision of the commit the
-        # snapshot is (if any), so that commit's successor replays; shred
-        # eagerly for the calling thread so prepare stays the untimed
-        # phase (benchmark methodology).  The sync reads the load source
-        # from the prepared map, which base.prepare fills only once this
-        # returns.
-        self._generations[name] = DeltaLog(snapshot_revision(value))
-        self._prepared[name] = value
-        self._thread_database()
+        # Under the backend lock (base.prepare); shredding here keeps
+        # prepare the untimed phase (benchmark methodology).
+        self.database.load_encoded(name, *value)
+        self._held[name] = snapshot_revision(value)
 
     def apply_update(self, name: str, update: "DocumentUpdate") -> bool:
-        """Absorb an update as a delta-log append (or a snapshot rebase).
+        """Bring the table of ``name`` to ``update.revision``.
 
-        :meth:`DeltaLog.absorb` decides which; either way every
-        per-thread connection catches up on its next sync — replaying the
-        deltas or re-shredding from the update's snapshot columns —
+        Committing the revision already held changes nothing.  When the
+        held revision is the update's base, its deltas are replayed — a
+        ranged ``DELETE`` plus one batched ``INSERT`` each.  Any other
+        update (the first after a load, a relabel or width change in the
+        chain) reshreds the table from the update's wrapped snapshot,
         without a ``Forest`` ever being materialized.
         """
         with self._lock:
             self._check_open()
-            doc = self._generations.get(name)
-            if doc is None or name not in self._prepared:
+            if name not in self._prepared:
                 return False
-            doc.absorb(update)
-            # The prepared snapshot is stale: the log reloads from the
-            # update, and the empty-tuple sentinel marks the name prepared
-            # without building the update's columns here.
+            held = self._held[name]
+            if held != update.revision:
+                if update.deltas and held == update.base_revision:
+                    for delta in update.deltas:
+                        self.database.apply_delta(name, delta)
+                else:
+                    self.database.load_encoded(name, update.columns(),
+                                               update.width)
+                self._held[name] = update.revision
+            # The prepared snapshot is stale; the empty-tuple sentinel
+            # marks the name prepared without building the update's
+            # columns here.
             self._prepared[name] = ()
-        # Shred eagerly for the calling thread (outside the backend lock;
-        # prepare/update is the untimed phase).
-        self._thread_database()
         return True
 
     def _unload(self, name: str) -> None:
-        # Dropping the generation is enough: per-thread tables for the
-        # old contents are replaced wholesale by the next load's sync.
-        self._generations.pop(name, None)
+        # The table stays; the next load of the name refills it.
+        self._held.pop(name, None)
 
     def _close(self) -> None:
-        self._pool.close_all()
+        with self._lock:
+            self.database.close()
 
     # -- execution --------------------------------------------------------------
 
     def _runner(self, compiled: "CompiledQuery",
                 options: ExecutionOptions) -> Callable[[], Forest]:
-        self._bindings(compiled)  # uniform missing-document error
         database = self.database
-        translation = database.staged(compiled.core)
-        # self._tracer is read at call time, not build time, so a runner
-        # built once can be driven both traced and untraced.
-        return lambda: database.run_translation(
-            translation, tracer=self._tracer, metrics=options.metrics,
-            guard=options.guard)
+        with self._lock:
+            self._bindings(compiled)  # uniform missing-document error
+            database.staged(compiled.core)  # translate in the untimed phase
+
+        def run() -> Forest:
+            with self._lock:
+                self._check_open()
+                # Staged again under the lock: a commit since the runner
+                # was built may have changed a document's width.  The
+                # tracer is read at call time, so a runner built once can
+                # be driven both traced and untraced.
+                return database.run_translation(
+                    database.staged(compiled.core), tracer=self._tracer,
+                    metrics=options.metrics, guard=options.guard)
+
+        return run

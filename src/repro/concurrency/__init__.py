@@ -2,8 +2,6 @@
 
 * :class:`~repro.concurrency.rwlock.RWLock` — the readers–writer lock
   guarding session state (queries read, updates write);
-* :class:`~repro.concurrency.pool.ThreadLocalPool` — per-thread
-  connections/databases with uniform close-all semantics;
 * :class:`~repro.concurrency.procpool.ProcessQueryPool` — the
   process-parallel execution tier over shared-memory columnar
   encodings.
@@ -13,8 +11,7 @@ The thread-safety contract these enable is documented in
 serving").
 """
 
-from repro.concurrency.pool import ThreadLocalPool
 from repro.concurrency.procpool import ProcessQueryPool
 from repro.concurrency.rwlock import RWLock
 
-__all__ = ["ProcessQueryPool", "RWLock", "ThreadLocalPool"]
+__all__ = ["ProcessQueryPool", "RWLock"]

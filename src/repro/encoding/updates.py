@@ -193,7 +193,8 @@ class Snapshot(tuple):
     unpacked like any other, that also carries the ``revision`` of the
     commit it is.  A backend first prepared from it holds that revision,
     so the next commit, whose deltas start there, is one it can replay
-    (SQLite's :class:`~repro.backends.deltalog.DeltaLog`) or carry its
+    (:meth:`SQLiteBackend.apply_update
+    <repro.backends.sqlite.SQLiteBackend.apply_update>`) or carry its
     memo across (the engine's :class:`~repro.engine.memo.DocumentMemo`).
     """
 
@@ -219,11 +220,10 @@ class DocumentUpdate:
     first use and shared: every backend that holds columns (the engine
     and its process tier) adopts it as is.  ``deltas`` — already in
     document-wrapped coordinates — are for the one backend that cannot
-    adopt columns, the relational adapter: its
-    :class:`~repro.backends.deltalog.DeltaLog` replays them when it holds
-    ``base_revision`` and reloads from :meth:`columns` otherwise (first
-    update after a load, divergent update branch, relabel in the
-    chain).  Either way no :class:`~repro.xml.forest.Forest` is
+    adopt columns, the relational adapter: it replays them when its
+    table holds ``base_revision`` and reloads from :meth:`columns`
+    otherwise (first update after a load, divergent update branch,
+    relabel in the chain).  Either way no :class:`~repro.xml.forest.Forest` is
     materialized.
     """
 

@@ -375,6 +375,10 @@ class FlightRecorder:
         #: Sliding window of violation booleans per SLO (recent burn).
         self._slo_recent: dict[str, deque[bool]] = {
             slo.name: deque(maxlen=recent_window) for slo in self.slos}
+        #: Summed seconds and count of every attempt observed, the
+        #: running form of the histogram's mean (under ``_lock``).
+        self._latency_sum = 0.0
+        self._latency_count = 0
         self._h_latency = self.metrics.histogram(
             "repro_query_latency_seconds",
             "per-attempt query latency (failed attempts included)",
@@ -572,6 +576,11 @@ class FlightRecorder:
             self._h_latency.observe(attempt.seconds,
                                     fingerprint=record.fingerprint,
                                     backend=attempt.backend)
+        if record.attempts:
+            with self._lock:
+                self._latency_sum += sum(attempt.seconds
+                                         for attempt in record.attempts)
+                self._latency_count += len(record.attempts)
 
     # -- operator events ------------------------------------------------------
 
@@ -722,21 +731,12 @@ class FlightRecorder:
             row["query"] = snippets.get(row["fingerprint"], "")
         return rows
 
-    def mean_latency_seconds(self, backend: str | None = None,
-                             ) -> float | None:
+    def mean_latency_seconds(self) -> float | None:
         """Mean observed attempt latency (``None`` without data)."""
-        histogram = self._h_latency
-        total_sum = 0.0
-        total_count = 0
-        for key in histogram.label_sets():
-            labels = dict(zip(histogram.label_names, key))
-            if backend is not None and labels.get("backend") != backend:
-                continue
-            total_sum += histogram.sum(**labels)
-            total_count += histogram.count(**labels)
-        if total_count <= 0:
-            return None
-        return total_sum / total_count
+        with self._lock:
+            if not self._latency_count:
+                return None
+            return self._latency_sum / self._latency_count
 
     def reset(self) -> None:
         """Drop buffered records and aggregate counts (SLOs persist)."""

@@ -463,12 +463,11 @@ class XQuerySession:
         order** regardless of completion order.
 
         The pool is persistent: repeated batches reuse the same worker
-        threads, which keeps the relational backend's per-thread
-        connections warm.  A ``max_workers`` *larger* than the current
-        pool grows it (one rebuild); a smaller request reuses the warm
-        pool unchanged.  ``max_workers`` must be a positive integer —
-        ``0`` or a negative value raises :class:`ValueError` instead of
-        silently falling back to the default size.
+        threads.  A ``max_workers`` *larger* than the current pool grows
+        it (one rebuild); a smaller request reuses the pool unchanged.
+        ``max_workers`` must be a positive integer — ``0`` or a negative
+        value raises :class:`ValueError` instead of silently falling back
+        to the default size.
 
         ``tier`` picks the execution substrate for engine-family
         batches:  ``"thread"`` is the thread pool above (one interpreter:
@@ -604,11 +603,11 @@ class XQuerySession:
         to ``workers``.
 
         Growing replaces the pool once; a smaller request reuses the
-        existing warm pool — idle threads are cheap, cold relational
-        connections are not.  Replacing the pool and submitting to it
-        happen under one lock, so no call reaches a pool that is shut
-        down; a replaced pool finishes what it holds (:meth:`close`
-        waits for it).
+        existing pool — idle threads are cheap, and replacing the pool
+        to shrink it would only start threads again.  Replacing the pool
+        and submitting to it happen under one lock, so no call reaches a
+        pool that is shut down; a replaced pool finishes what it holds
+        (:meth:`close` waits for it).
         """
         with self._executor_lock:
             executor = self._executor

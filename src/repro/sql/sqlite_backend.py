@@ -1,11 +1,15 @@
 """Execute translated queries on SQLite.
 
 This backend demonstrates the paper's claim end to end: an arbitrarily
-nested FLWR expression becomes **one SQL statement** evaluated by a stock
-relational engine, with the result decoded back into an XML forest purely
-from its ``(s, l, r, d)`` columns.  Inside the statement every relation
-carries ``e`` (environment) and ``d`` (depth), see
-:mod:`repro.sql.templates`; the shredded document supplies the first ``d``.
+nested FLWR expression becomes one SQL translation — a ``WITH`` statement
+of CTEs, what ``--sql`` prints — evaluated by a stock relational engine,
+with the result decoded back into an XML forest purely from its ``(s, l,
+r, d)`` columns.  The backend runs the translation's *staged* form: one
+temp table per CTE, filled in order, then the final ``SELECT``
+(:meth:`SQLiteDatabase.run_translation`; ``mode="single"`` runs the one
+statement as written).  Every relation carries ``e`` (environment) and
+``d`` (depth), see :mod:`repro.sql.templates`; the shredded document
+supplies the first ``d``.
 
 SQLite integers are 64-bit; the translator is therefore capped at a width
 of ``2**61`` by default (coordinates exceed the width by at most one
@@ -144,11 +148,11 @@ class SQLiteDatabase:
     built on its first run, and every run refills them, reads the result
     and empties them again (:meth:`_run_staged`).
 
-    Instances are single-threaded: one ``SQLiteDatabase`` serves one
-    thread at a time.  The connection is opened with
-    ``check_same_thread=False`` only so the owning backend can close
-    every per-thread database from whichever thread calls ``close()``
-    (see :class:`repro.concurrency.ThreadLocalPool`).
+    An instance is not locked: it serves one caller at a time, and the
+    owning :class:`~repro.backends.sqlite.SQLiteBackend` makes every
+    call under its lock.  The connection is opened with
+    ``check_same_thread=False`` so that whichever thread holds that lock
+    may use it.
     """
 
     def __init__(self, path: str = ":memory:"):

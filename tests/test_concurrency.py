@@ -1,23 +1,34 @@
 """Concurrent query serving: one session, many threads.
 
-Covers the RWLock / ThreadLocalPool primitives, concurrent ``run`` across
-every builtin backend, update-vs-query consistency (a racing update yields
-the old or the new answer, never a mix), ``run_many`` semantics, and that
-metric totals add up under contention.  The CI race-hunting job loops this
+Covers the RWLock primitive, concurrent ``run`` across every builtin
+backend, update-vs-query consistency (a racing update yields the old or
+the new answer, never a mix), ``run_many`` semantics, that metric totals
+add up under contention, and the SQLite backend's one connection (a
+document shredded once, a queued run stopped by its guard).  The CI race-hunting job loops this
 file with ``PYTHONDEVMODE=1``; keep individual tests fast.
 """
 
 from __future__ import annotations
 
+import functools
+import sqlite3
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.concurrency import RWLock, ThreadLocalPool
-from repro.errors import DocumentNotFoundError, ReproError
+from repro.concurrency import RWLock
+from repro.errors import (
+    DocumentNotFoundError,
+    QueryCancelledError,
+    QueryTimeoutError,
+    ReproError,
+)
+from repro.resilience.guard import CancellationToken, QueryGuard
 from repro.session import XQuerySession
+from repro.sql.sqlite_backend import SQLiteDatabase
+from tests.test_sqlite_backend import held_rows
 
 ALL_BACKENDS = ("engine", "interpreter", "naive", "sqlite")
 
@@ -126,38 +137,6 @@ class TestRWLock:
 
         run_threads(4, dispatch)
         assert wrote.is_set()
-
-
-class TestThreadLocalPool:
-    def test_one_resource_per_thread(self):
-        pool = ThreadLocalPool(lambda: object())
-        seen: dict[int, object] = {}
-
-        def worker(index: int) -> None:
-            first = pool.get()
-            assert pool.get() is first  # stable within a thread
-            seen[index] = first
-
-        run_threads(3, worker)
-        assert len({id(resource) for resource in seen.values()}) == 3
-        assert pool.size == 3
-
-    def test_close_all_closes_everything(self):
-        closed: list[int] = []
-        pool = ThreadLocalPool(lambda: object(),
-                               close=lambda r: closed.append(id(r)))
-        run_threads(3, lambda _index: pool.get())
-        pool.close_all()
-        pool.close_all()  # idempotent
-        assert len(closed) == 3
-        assert pool.closed
-
-    def test_get_after_close_raises(self):
-        pool = ThreadLocalPool(lambda: object(), close=lambda r: None)
-        pool.get()
-        pool.close_all()
-        with pytest.raises(ReproError):
-            pool.get()
 
 
 @pytest.fixture()
@@ -578,13 +557,15 @@ class TestRunMany:
 class TestBackendClose:
     @pytest.mark.parametrize("backend", ["sqlite"])
     def test_close_releases_every_threads_connection(self, session, backend):
+        """Every thread runs on the backend's one connection; close
+        releases it, once, and a later run is refused."""
         run_threads(3, lambda _index: session.run(QUERY_ALL, backend=backend))
         target = session.backend_instance(backend)
-        pool = target._pool
-        assert pool.size >= 3
+        connection = target.database.connection
         target.close()
         target.close()  # idempotent
-        assert pool.closed
+        with pytest.raises(sqlite3.ProgrammingError):
+            connection.execute("SELECT 1")
         with pytest.raises(ReproError):
             target.execute(None)  # type: ignore[arg-type]
 
@@ -592,4 +573,150 @@ class TestBackendClose:
         session.run(QUERY_ALL, backend="sqlite")
         target = session.backend_instance("sqlite")
         run_threads(4, lambda _index: target.close())
-        assert target._pool.closed
+        with pytest.raises(sqlite3.ProgrammingError):
+            target.database.connection.execute("SELECT 1")
+
+
+class _AnnouncingLock:
+    """Stands in for a backend's lock: a thread that finds the lock held
+    by another sets ``waiting`` before it blocks on it."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.waiting = threading.Event()
+
+    def __enter__(self):
+        if not self.lock.acquire(blocking=False):
+            self.waiting.set()
+            self.lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.lock.release()
+
+
+class TestOneSQLiteConnection:
+    """The SQLite backend keeps one database for every thread: a document
+    is shredded once, and runs take turns on its connection."""
+
+    def test_a_document_is_shredded_once_per_backend(self, session,
+                                                     monkeypatch):
+        loads: list[str] = []
+        load_encoded = SQLiteDatabase.load_encoded
+
+        def spy(database, name, columns, width):
+            loads.append(name)
+            return load_encoded(database, name, columns, width)
+
+        monkeypatch.setattr(SQLiteDatabase, "load_encoded", spy)
+        batch = list(QUERIES) * 3
+        expected = [session.run(query, backend="sqlite").to_xml()
+                    for query in batch]
+        assert len(loads) == 1
+
+        def run_batch() -> None:
+            results = session.run_many(batch, backend="sqlite",
+                                       tier="thread", max_workers=4)
+            assert [result.to_xml() for result in results] == expected
+
+        run_batch()
+        assert len(loads) == 1
+        # The first commit after updatable() rebases: one reshred, which
+        # every worker of the next batch reads.
+        session.apply_update("d.xml", session.updatable("d.xml"))
+        run_batch()
+        assert len(loads) == 2
+
+    @pytest.mark.parametrize("stop", ["deadline", "token"])
+    def test_a_run_queued_on_the_connection_stops_at_its_guard(
+            self, session, monkeypatch, stop):
+        """A run waiting for the connection while its deadline passes (or
+        its token is cancelled) raises the guard's error once it gets the
+        connection, before any statement fills a table, and the
+        connection answers the next query."""
+        query = QUERIES[2]
+        expected = session.run(query, backend="interpreter").to_xml()
+        assert session.run(query, backend="sqlite").to_xml() == expected
+        target = session.backend_instance("sqlite")
+        lock = _AnnouncingLock(target._lock)
+        monkeypatch.setattr(target, "_lock", lock)
+        now = [0.0]
+        monkeypatch.setattr("repro.session.QueryGuard", functools.partial(
+            QueryGuard, clock=lambda: now[0]))
+        token = CancellationToken()
+        stops = {"deadline": {"deadline": 1.0}, "token": {"token": token}}
+        raised: list[BaseException] = []
+
+        def queued() -> None:
+            try:
+                session.run(query, backend="sqlite", **stops[stop])
+            except BaseException as error:  # noqa: BLE001 — checked below
+                raised.append(error)
+
+        thread = threading.Thread(target=queued)
+        with lock.lock:
+            thread.start()
+            assert lock.waiting.wait(JOIN), "the run never queued"
+            if stop == "deadline":
+                now[0] += 2.0
+            else:
+                token.cancel()
+        thread.join(JOIN)
+        assert not thread.is_alive(), "queued run hung"
+        (error,) = raised
+        assert isinstance(error, {"deadline": QueryTimeoutError,
+                                  "token": QueryCancelledError}[stop])
+        assert not any(held_rows(target.database.connection).values())
+        assert session.run(query, backend="sqlite").to_xml() == expected
+
+    def test_readers_racing_delta_commits_lose_no_update(self, session):
+        """More threads than cores, a short switch interval: five readers
+        loop on the one connection while a writer commits twenty deltas,
+        each inserting an ``<a>`` or deleting it again.  Every answer is
+        one of the two states, and the last is the interpreter's."""
+        from repro import run_xquery
+        from repro.xml.forest import element, text
+
+        session.run(QUERY_ALL, backend="sqlite")
+        session.apply_update("d.xml", session.updatable("d.xml"))  # rebase
+        base = session.updatable("d.xml")
+        site = next(row[1] for row in base.encoded.tuples
+                    if row[0] == "<site>")
+        grown = base.insert_child(site, 0, [element("a", [text("new")])])
+        allowed = {run_xquery(QUERY_ALL, {"d.xml": state.to_forest()},
+                              backend="interpreter").to_xml()
+                   for state in (base, grown)}
+        stop = threading.Event()
+        answers: list[str] = []
+
+        def reader(_index: int) -> None:
+            while not stop.is_set():
+                answers.append(
+                    session.run(QUERY_ALL, backend="sqlite").to_xml())
+
+        def writer(_index: int) -> None:
+            try:
+                for _step in range(20):
+                    doc = session.updatable("d.xml")
+                    inserted = doc.last_delta is not None and \
+                        doc.last_delta.inserted
+                    session.apply_update("d.xml", doc.delete_subtree(
+                        doc.last_delta.inserted[0][1]) if inserted else
+                        doc.insert_child(site, 0,
+                                         [element("a", [text("new")])]))
+            finally:
+                stop.set()
+
+        targets = [writer] + [reader] * 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(len(targets), lambda index: targets[index](index))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers and set(answers) <= allowed
+        final = session.run(QUERY_ALL, backend="sqlite").to_xml()
+        assert final == session.run(QUERY_ALL,
+                                    backend="interpreter").to_xml()
+        assert [record.deltas for record in
+                session.recorder.updates()[-20:]] == [1] * 20

@@ -91,7 +91,7 @@ class TestDocFilesExist:
                      "incremental=False",
                      "repro_session_updates_applied_total",
                      "repro_update_lock_hold_seconds",
-                     "major/minor generation"):
+                     "revision rule"):
             assert term in text, term
         # README and the API reference both point at the doc.
         assert "docs/UPDATES.md" in (ROOT / "README.md").read_text()

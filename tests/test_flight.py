@@ -412,6 +412,30 @@ class TestPercentiles:
     def test_render_empty(self):
         assert render_percentile_table([]) == "no recorded queries"
 
+    def test_mean_latency_spans_every_series(self):
+        """The mean admission sizes its retry-after hint on is over every
+        attempt observed: two fingerprints × two backends, a fallback's
+        failed attempt included, and a refused run adding nothing."""
+        recorder = FlightRecorder()
+        assert recorder.mean_latency_seconds() is None
+        observed = []
+        for query, attempts in (
+                ("q1", (("engine", 0.004),)),
+                ("q2", (("sqlite", 0.010), ("engine", 0.002))),
+                ("q1", (("sqlite", 0.025),)),
+                ("q2", ())):  # refused at admission: no attempt
+            recorder.record_run(
+                query=query, backend=attempts[0][0] if attempts else "engine",
+                result=(), wall_seconds=0.0,
+                attempts=tuple(AttemptRecord(backend, seconds)
+                               for backend, seconds in attempts))
+            observed += [seconds for _backend, seconds in attempts]
+        series = {(row["fingerprint"], row["backend"])
+                  for row in recorder.percentiles()}
+        assert len(series) == 4
+        assert recorder.mean_latency_seconds() == pytest.approx(
+            sum(observed) / len(observed))
+
 
 class TestOverheadAndConcurrency:
     def test_recorder_overhead_is_small(self):

@@ -147,6 +147,12 @@ GUARDS = (
           "step, no wait is estimated on arrival, a batch is bounded per "
           "query (deadline=) or by its caller's token, and a budget caps "
           "tuples alone", "8e59093"),
+    Guard(r"ThreadLocalPool|DeltaLog|DELTA_LOG_LIMIT|_ThreadDatabase",
+          ("src/repro",),
+          "one SQLite database per backend: every thread runs on its one "
+          "connection under the backend lock, and a commit is applied to "
+          "it once, with no per-thread copies or delta log to sync",
+          "aa7af04"),
 )
 
 DELETED_FILES = (
@@ -177,6 +183,10 @@ DELETED_FILES = (
      "8c1d7bb"),
     ("src/repro/resilience/breaker.py", "no circuit breaker: /healthz "
      "grades ok and shedding only", "8c1d7bb"),
+    ("src/repro/backends/deltalog.py", "one SQLite database per backend, "
+     "a commit applied to it once", "aa7af04"),
+    ("src/repro/concurrency/pool.py", "one SQLite connection per backend, "
+     "not one per thread", "aa7af04"),
 )
 
 #: The entry points a user reaches the package through.

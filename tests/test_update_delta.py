@@ -14,26 +14,24 @@ against the obvious oracle:
 * the session's incremental ``apply_update`` ≡ the full re-encode path
   (``incremental=False``) on every delta-capable backend.
 
-And one count instead of a timing: on the relational backends a commit
-changes as many table rows as its delta names, on every connection
+And one count instead of a timing: on the relational backend a commit
+changes as many table rows as its delta names
 (:class:`TestCommitTouchesOnlyTheDeltasRows`).  The commit protocol
 itself: the engine tiers share the one wrapped snapshot a commit builds
-(:class:`TestOneSnapshotPerCommit`), and a lagging sqlite connection
-replays the delta log or reloads from that snapshot
-(:class:`TestDeltaLogBranches`).
+(:class:`TestOneSnapshotPerCommit`), and SQLite replays a commit's deltas
+when its table holds the commit's base revision, and does nothing when it
+holds the commit itself (:class:`TestRevisionRule`).
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.backends.deltalog import DELTA_LOG_LIMIT
 from repro.encoding.updates import DocumentUpdate, UpdatableDocument
 from repro.engine.columns import IntervalColumns, splice_columns
 from repro.session import XQuerySession
@@ -48,8 +46,8 @@ from tests.test_updates_model import (
 
 def shredded_afresh(rows, width):
     """The ``(e, s, l, r, d)`` table a fresh ``load_encoded`` of ``rows``
-    (``d`` derived from the intervals) holds: what every patched
-    connection's table must equal."""
+    (``d`` derived from the intervals) holds: what a patched table must
+    equal."""
     with SQLiteDatabase() as fresh:
         table, _ = fresh.load_encoded(
             "doc", IntervalColumns.from_tuples(list(rows)), width)
@@ -58,12 +56,11 @@ def shredded_afresh(rows, width):
 
 
 def synced_rows(connection, run) -> tuple[int, str]:
-    """The rows ``connection`` changed to catch up inside ``run()``'s
-    query, and its answer.
+    """The rows ``connection`` changed inside ``run()``'s query beyond
+    its own temp-table rows, and its answer.
 
-    A staged SQLite run inserts and deletes its own temp-table rows too;
-    the same query once more, with nothing left to catch up, changes
-    exactly those, so they are subtracted.
+    A staged SQLite run inserts and deletes its own temp-table rows; the
+    same query once more changes exactly those, so they are subtracted.
     """
     before = connection.total_changes
     answer = run()
@@ -283,9 +280,9 @@ class TestNoRowFormOnTheWritePath:
     @pytest.mark.parametrize("backend", ["sqlite", "procpool"])
     def test_other_backends_never_build_rows(self, monkeypatch, backend):
         """The same on the other two backends that absorb updates, each
-        answer read on a peer thread too: on sqlite the peer's connection
-        reloads from the snapshot columns after the rebasing commit, then
-        replays the delete."""
+        answer read on a peer thread too: on sqlite the one connection
+        both threads read reshreds from the snapshot columns at the
+        rebasing commit, then replays the delete."""
         monkeypatch.setenv("REPRO_POOL_WORKERS", "1")
         with XQuerySession(backend=backend) as session, \
                 ThreadPoolExecutor(max_workers=1) as peer:
@@ -388,9 +385,8 @@ class TestCommitTouchesOnlyTheDeltasRows:
 
     ``sqlite3.Connection.total_changes`` counts the rows every INSERT and
     DELETE on that connection touched.  A commit through the delta path
-    must move it by the delta's own row count — on the committing
-    thread's connection at once, on a peer thread's connection when its
-    next query replays the :class:`DeltaLog` tail — while re-shredding
+    must move it by the delta's own row count, at once, and the next
+    query by no more than its own temp-table rows — while re-shredding
     the table would move it by twice the document's.
     """
 
@@ -405,17 +401,14 @@ class TestCommitTouchesOnlyTheDeltasRows:
         def names():
             return session.run(self.QUERY).to_xml()
 
-        with XQuerySession(backend=backend) as session, \
-                ThreadPoolExecutor(max_workers=1) as peer:
+        with XQuerySession(backend=backend) as session:
             session.add_document("auction.xml", xmark_small)
             names()
-            peer.submit(names).result()
             # The first commit after updatable() rebases the loaded
             # tables onto the gapped numbering; deltas chain from there.
             session.apply_update("auction.xml",
                                  session.updatable("auction.xml"))
-            mine, theirs = connection(), peer.submit(connection).result()
-            assert mine is not theirs
+            mine = connection()
 
             doc = session.updatable("auction.xml")
             document_rows = len(doc.encoded.tuples)
@@ -432,29 +425,22 @@ class TestCommitTouchesOnlyTheDeltasRows:
                 edited = edit(session.updatable("auction.xml"))
                 delta = edited.last_delta
                 assert 0 < delta.size < document_rows // 10, (kind, delta.size)
-                before = mine.total_changes, theirs.total_changes
+                before = mine.total_changes
                 session.apply_update("auction.xml", edited, incremental=True)
-                assert mine.total_changes - before[0] == delta.size, kind
-                assert theirs.total_changes == before[1], kind
-                changed, answer = synced_rows(
-                    theirs, lambda: peer.submit(names).result())
-                assert changed == delta.size, kind
+                assert mine.total_changes - before == delta.size, kind
+                changed, answer = synced_rows(mine, names)
+                assert changed == 0, kind
                 assert session.recorder.updates()[-1].deltas == 1, kind
             assert "probe" in answer
-            assert names() == answer
 
-            # The patched rows carry their depth: on both connections the
-            # table is what shredding the same rows afresh would hold.
-            def table_rows():
-                table, width = session.backend_instance(
-                    backend).database.documents["doc:auction.xml"]
-                return width, connection().execute(
-                    f"SELECT e, s, l, r, d FROM {table} ORDER BY l").fetchall()
-
-            for width, rows in (table_rows(), peer.submit(table_rows).result()):
-                assert "probe" in {row[1] for row in rows}
-                assert rows == shredded_afresh(
-                    [row[1:4] for row in rows], width)
+            # The patched rows carry their depth: the table is what
+            # shredding the same rows afresh would hold.
+            table, width = session.backend_instance(
+                backend).database.documents["doc:auction.xml"]
+            rows = mine.execute(
+                f"SELECT e, s, l, r, d FROM {table} ORDER BY l").fetchall()
+            assert "probe" in {row[1] for row in rows}
+            assert rows == shredded_afresh([row[1:4] for row in rows], width)
 
 
 # -- the commit protocol ------------------------------------------------------
@@ -517,9 +503,10 @@ class TestOneSnapshotPerCommit:
                 ALL_A, backend="interpreter").to_xml()
 
 
-class TestDeltaLogBranches:
-    """Which branch of :class:`DeltaLog` a lagging sqlite connection
-    takes, counted on a peer thread's connection."""
+class TestRevisionRule:
+    """What ``SQLiteBackend.apply_update`` does with a commit, by the
+    revision its table holds: nothing for the held revision itself, a
+    replay of the deltas for a commit based on it."""
 
     def test_recommitting_the_held_revision_changes_no_row(self):
         with XQuerySession(backend="sqlite") as session:
@@ -578,56 +565,3 @@ class TestDeltaLogBranches:
         # the document, a reshred.
         assert shapes == ["INSERT INTO doc_N (s, l, r, d)"] * 2 + \
             ["DELETE FROM doc_N WHERE l >= N AND l <= N"]
-
-    def test_lagging_peer_replays_within_the_log_and_reloads_past_it(
-            self, monkeypatch):
-        loads: list[tuple[int, IntervalColumns]] = []
-        load_encoded = SQLiteDatabase.load_encoded
-
-        def spy(database, name, columns, width):
-            loads.append((threading.get_ident(), columns))
-            return load_encoded(database, name, columns, width)
-
-        monkeypatch.setattr(SQLiteDatabase, "load_encoded", spy)
-        with XQuerySession(backend="sqlite") as session, \
-                ThreadPoolExecutor(max_workers=1) as peer:
-            sqlite = session.backend_instance("sqlite")
-            session.add_document("d.xml", SMALL)
-            for backend in ("engine", "sqlite"):
-                session.run(ALL_A, backend=backend)
-            peer_id = peer.submit(threading.get_ident).result()
-            theirs = peer.submit(lambda: sqlite.database.connection).result()
-            log = sqlite._generations[document_variable("d.xml")]
-
-            def commits(edit, count: int) -> int:
-                """Commit ``count`` edits; returns their summed delta size."""
-                size = 0
-                for _step in range(count):
-                    edited = edit(session.updatable("d.xml"))
-                    session.apply_update("d.xml", edited)
-                    size += edited.last_delta.size
-                return size
-
-            def peer_catches_up() -> tuple[int, int]:
-                """The rows the peer's connection changed to answer, and
-                the snapshot loads it made; its answer is the engine's."""
-                reloads = len(loads)
-                changes, answer = synced_rows(theirs, lambda: peer.submit(
-                    lambda: session.run(ALL_A).to_xml()).result())
-                assert answer == session.run(ALL_A, backend="engine").to_xml()
-                peer_loads = [columns for thread, columns in loads[reloads:]
-                              if thread == peer_id]
-                for columns in peer_loads:
-                    assert columns is log.update.columns()
-                return changes, len(peer_loads)
-
-            commits(_flip, 1)                       # the first: a rebase
-            assert peer_catches_up()[1] == 1
-            size = commits(_flip, DELTA_LOG_LIMIT)  # all still in the log
-            assert peer_catches_up() == (size, 0)
-            commits(_flip, DELTA_LOG_LIMIT + 1)     # one past its reach
-            assert peer_catches_up()[1] == 1
-            commits(lambda doc: doc.relabel(), 1)   # a spread: new major
-            commits(_flip, 1)
-            assert session.recorder.updates()[-2].relabeled
-            assert peer_catches_up()[1] == 1
