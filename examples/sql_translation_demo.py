@@ -13,7 +13,6 @@ Run with:  python examples/sql_translation_demo.py
 from repro import compile_xquery
 from repro.encoding.interval import encode
 from repro.sql.sqlite_backend import SQLiteDatabase
-from repro.sql.widths import width_report
 from repro.xmark.queries import FIGURE1_SAMPLE, Q8
 from repro.xml.serializer import forest_to_xml
 from repro.xml.text_parser import parse_document
@@ -24,23 +23,21 @@ def main() -> None:
     document = parse_document(FIGURE1_SAMPLE)
     compiled = compile_xquery(Q8)
 
-    # -- width inference (Section 4.3) ---------------------------------------
     wrapped = document_forest(document)
-    doc_width = encode(wrapped).width
-    report = width_report(
-        compiled.core, {var: doc_width for var in compiled.documents.values()}
-    )
-    print(f"Document width: {doc_width}")
-    print(f"Largest compile-time block width: {report.max_width}")
-    print("Width growth along the expression (last 8 inference steps):")
-    for description, width in report.entries[-8:]:
-        print(f"  {description:<14} -> {width}")
-
-    # -- the single SQL statement ----------------------------------------------
     with SQLiteDatabase() as database:
         for _uri, var in compiled.documents.items():
             database.load_document(var, wrapped)
         translation = database.translate(compiled.core)
+
+        # -- width inference (Section 4.3), done by the translator ------------
+        print(f"Document width: {encode(wrapped).width}")
+        print(f"Largest compile-time block width: "
+              f"{max(translation.relations.values())}")
+        print("Width growth along the expression (last 8 relations):")
+        for name, width in list(translation.relations.items())[-8:]:
+            print(f"  {name:<16} -> {width}")
+
+        # -- the single SQL statement ------------------------------------------
         print(f"\nTranslation: {translation.cte_count} CTEs, "
               f"result width {translation.width}")
         print("\n--- the single SQL statement (first 40 lines) ---")

@@ -17,10 +17,12 @@ Quick start::
 Package layout (see DESIGN.md for the full inventory):
 
 * :mod:`repro.xml` — the XF forest model and Figure 2 operator algebra;
-* :mod:`repro.encoding` — interval and dynamic-interval encodings;
+* :mod:`repro.encoding` — the interval encoding (Definition 3.1) and its
+  updates;
 * :mod:`repro.xquery` — surface parser, lowering, reference interpreter;
 * :mod:`repro.sql` — the single-statement SQL translation (SQLite backend);
-* :mod:`repro.engine` — the DI prototype with order-aware operators;
+* :mod:`repro.engine` — the DI prototype with order-aware operators, over
+  dynamic-interval environment sequences (Definition 3.3);
 * :mod:`repro.compiler` — physical plans, the merge-join decorrelation,
   and the timed compilation chain;
 * :mod:`repro.backends` — the pluggable execution-backend registry;

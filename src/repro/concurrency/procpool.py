@@ -193,13 +193,13 @@ class _WorkerState:
     def _query(self, spec: Mapping[str, object]) -> tuple:
         from repro.backends.base import ExecutionOptions
         from repro.compiler.plan import JoinStrategy
-        from repro.resilience.guard import QueryGuard, ResourceBudget
+        from repro.resilience.guard import QueryGuard
 
         compiled = self._compile(spec["query"])
-        budget = ResourceBudget(max_tuples=spec.get("max_tuples"))
+        budget = spec.get("max_tuples")
         deadline = spec.get("deadline")
         guard = (QueryGuard(deadline=deadline, budget=budget)
-                 if deadline is not None or budget else None)
+                 if deadline is not None or budget is not None else None)
         options = ExecutionOptions(strategy=JoinStrategy(spec["strategy"]),
                                    guard=guard)
         return ("ok", self._backend.execute(compiled, options))
@@ -552,8 +552,8 @@ class ProcessQueryPool:
             remaining = guard.remaining
             if remaining is not None:
                 spec["deadline"] = max(remaining, 1e-3)
-            if guard.budget:
-                spec["max_tuples"] = guard.budget.max_tuples
+            if guard.budget is not None:
+                spec["max_tuples"] = guard.budget
         return spec
 
     def _limits(self, spec: Mapping[str, object],

@@ -1,4 +1,7 @@
-"""Interval and dynamic-interval encodings of XML forests (Section 3)."""
+"""The interval encoding of XML forests (Section 3, Definition 3.1) and
+its gap-based updates.  Definition 3.3's environment sequences live in
+the engine (:class:`~repro.engine.evaluator.EnvSeq`, checked by
+:func:`~repro.engine.validate.validate_value`)."""
 
 from repro.encoding.interval import (
     EncodedForest,
@@ -7,19 +10,11 @@ from repro.encoding.interval import (
     encode,
     validate_encoding,
 )
-from repro.encoding.dynamic import (
-    EnvironmentSequence,
-    decode_sequence,
-    encode_sequence,
-)
 
 __all__ = [
     "EncodedForest",
-    "EnvironmentSequence",
     "IntervalTuple",
     "decode",
-    "decode_sequence",
     "encode",
-    "encode_sequence",
     "validate_encoding",
 ]

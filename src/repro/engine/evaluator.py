@@ -206,7 +206,7 @@ class DIEngine:
         self._base = EnvSeq(_BASE_INDEX, {
             name: (IntervalColumns.from_tuples(rel), width)
             for name, (rel, width) in values.items()})
-        budgeted = self._guard is not None and bool(self._guard.budget)
+        budgeted = self._guard is not None and self._guard.budget is not None
         self._memos = None if budgeted else memos or None
         try:
             return self.evaluate(plan, self._base)

@@ -58,8 +58,6 @@ from repro.resilience.fallback import (
 from repro.resilience.guard import (
     CancellationToken,
     QueryGuard,
-    ResourceBudget,
-    coerce_budget,
 )
 
 __all__ = [
@@ -77,11 +75,9 @@ __all__ = [
     "QueryCancelledError",
     "QueryGuard",
     "QueryTimeoutError",
-    "ResourceBudget",
     "ResourceBudgetError",
     "Ticket",
     "TransientBackendError",
     "build_chain",
-    "coerce_budget",
     "is_degradable",
 ]

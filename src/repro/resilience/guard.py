@@ -1,6 +1,6 @@
 """Cooperative per-query resource governance.
 
-A :class:`QueryGuard` carries one query's deadline and resource budgets
+A :class:`QueryGuard` carries one query's deadline and tuple budget
 and is checked at cheap points in every evaluator:
 
 * the DI engine's operator loop calls :meth:`QueryGuard.tick` per
@@ -18,15 +18,14 @@ enforced inside the process instead of by killing it.
 
 The budget models the complexity results of Koch ("On the Complexity
 of Nonrecursive XQuery", PAPERS.md): the tuples a query produces grow
-polynomially with its nesting depth, so they get a cap
-(:class:`ResourceBudget`).
+polynomially with its nesting depth, so they get a cap (``budget=``,
+a number of tuples).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import (
@@ -95,38 +94,13 @@ class CancellationToken:
         return f"<CancellationToken {state}>"
 
 
-@dataclass(frozen=True)
-class ResourceBudget:
-    """The cap on the work one query may perform (``None`` = unlimited).
-
-    ``max_tuples`` counts the interval tuples produced across all
-    operator evaluations (on SQLite: the rows of the result).
-    """
-
-    max_tuples: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.max_tuples is not None
-
-
-def coerce_budget(value: "int | ResourceBudget | None") -> ResourceBudget:
-    """Normalize a user-supplied budget (an int means ``max_tuples``)."""
-    if value is None:
-        return ResourceBudget()
-    if isinstance(value, ResourceBudget):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return ResourceBudget(max_tuples=value)
-    raise ExecutionError(
-        f"cannot interpret {value!r} as a resource budget; "
-        f"pass an int (max tuples) or a ResourceBudget")
-
-
 class QueryGuard:
-    """One query's deadline and budgets, checked cooperatively.
+    """One query's deadline and budget, checked cooperatively.
 
     ``deadline`` is in seconds from :meth:`start` (which :meth:`tick` and
-    :meth:`check` call implicitly on first use).  ``clock`` is any
+    :meth:`check` call implicitly on first use).  ``budget`` caps the
+    interval tuples produced across all operator evaluations (on SQLite:
+    the rows of the result); ``None`` is unlimited.  ``clock`` is any
     monotonic float-seconds callable — tests inject fakes.  The guard is
     intentionally allocation-free on the hot path: :meth:`tick` is a
     counter decrement in the common case and reads the clock only every
@@ -137,17 +111,22 @@ class QueryGuard:
                  "_clock", "_expires_at", "_tuples", "_countdown", "_pending")
 
     def __init__(self, deadline: float | None = None,
-                 budget: "int | ResourceBudget | None" = None,
+                 budget: int | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  check_interval: int = DEFAULT_CHECK_INTERVAL,
                  token: CancellationToken | None = None):
         if deadline is not None and not deadline > 0:  # NaN too
             raise ExecutionError(f"deadline must be positive, got {deadline}")
+        if budget is not None and (isinstance(budget, bool)
+                                   or not isinstance(budget, int)
+                                   or budget < 0):
+            raise ExecutionError(
+                f"budget must be ≥ 0 tuples (an int) or None, got {budget!r}")
         if check_interval < 1:
             raise ExecutionError(
                 f"check_interval must be ≥ 1, got {check_interval}")
         self.deadline = deadline
-        self.budget = coerce_budget(budget)
+        self.budget = budget
         #: Cooperative cancellation signal, observed at every checkpoint.
         self.token = token
         #: Backend name attached to timeout errors (set per attempt).
@@ -164,7 +143,7 @@ class QueryGuard:
     @property
     def enabled(self) -> bool:
         """Whether this guard enforces anything at all."""
-        return (self.deadline is not None or bool(self.budget)
+        return (self.deadline is not None or self.budget is not None
                 or self.token is not None)
 
     def start(self) -> "QueryGuard":
@@ -218,17 +197,14 @@ class QueryGuard:
         :class:`ResourceBudgetError` once the cap is passed.
         """
         self._tuples += tuples
-        cap = self.budget.max_tuples
-        if cap is not None and self._tuples > cap:
-            raise ResourceBudgetError("tuples", cap, self._tuples)
+        if self.budget is not None and self._tuples > self.budget:
+            raise ResourceBudgetError("tuples", self.budget, self._tuples)
 
     def check(self) -> None:
-        """Full check (deadline + consumed budgets); statement boundaries."""
+        """Full check (deadline + consumed budget); statement boundaries."""
         self.check_deadline()
-        budget = self.budget
-        if (budget.max_tuples is not None
-                and self._tuples > budget.max_tuples):
-            raise ResourceBudgetError("tuples", budget.max_tuples, self._tuples)
+        if self.budget is not None and self._tuples > self.budget:
+            raise ResourceBudgetError("tuples", self.budget, self._tuples)
 
     # -- SQL integration ------------------------------------------------------
 
@@ -273,8 +249,8 @@ class QueryGuard:
         parts = []
         if self.deadline is not None:
             parts.append(f"deadline={self.deadline}s")
-        if self.budget.max_tuples is not None:
-            parts.append(f"max_tuples={self.budget.max_tuples}")
+        if self.budget is not None:
+            parts.append(f"budget={self.budget}")
         if self.token is not None:
             parts.append("cancellable")
         return f"<QueryGuard {' '.join(parts) or 'unlimited'}>"

@@ -63,7 +63,7 @@ from repro.resilience.admission import (
     check_priority,
 )
 from repro.resilience.fallback import Degradation, build_chain, is_degradable
-from repro.resilience.guard import CancellationToken, QueryGuard, ResourceBudget
+from repro.resilience.guard import CancellationToken, QueryGuard
 from repro.xml.forest import Forest
 from repro.xquery.lowering import document_variable
 
@@ -390,7 +390,7 @@ class XQuerySession:
             trace: bool = False,
             tracer: Tracer | None = None,
             deadline: float | None = None,
-            budget: "int | ResourceBudget | None" = None,
+            budget: int | None = None,
             guard: QueryGuard | None = None,
             fallback: "tuple[str, ...] | list[str]" = (),
             priority: str = INTERACTIVE,
@@ -408,8 +408,7 @@ class XQuerySession:
         ``ValueError`` before admission.
 
         Resilience (see ``docs/ROBUSTNESS.md``): ``deadline`` (seconds)
-        and ``budget`` (max tuples, or a
-        :class:`~repro.resilience.ResourceBudget`) build a
+        and ``budget`` (max tuples, ≥ 0) build a
         :class:`~repro.resilience.QueryGuard` enforced inside every
         backend; pass ``guard`` to share one across calls instead.
         ``fallback`` names backends tried once each, in order, when the
@@ -447,7 +446,7 @@ class XQuerySession:
                  trace: bool = False,
                  tracer: Tracer | None = None,
                  deadline: float | None = None,
-                 budget: "int | ResourceBudget | None" = None,
+                 budget: int | None = None,
                  fallback: "tuple[str, ...] | list[str]" = (),
                  return_errors: bool = False,
                  priority: str = BATCH,
@@ -626,7 +625,7 @@ class XQuerySession:
              strategy: str | JoinStrategy | None,
              stats: EngineStats | None,
              deadline: float | None,
-             budget: "int | ResourceBudget | None",
+             budget: int | None,
              guard: QueryGuard | None,
              fallback: "tuple[str, ...] | list[str]",
              priority: str,

@@ -10,14 +10,11 @@ equalities and no lateral joins are needed.
 
 from repro.sql.translator import SQLTranslator, TranslationResult, translate_query
 from repro.sql.sqlite_backend import SQLiteDatabase, run_core_on_sqlite
-from repro.sql.widths import infer_width, width_report
 
 __all__ = [
     "SQLTranslator",
     "SQLiteDatabase",
     "TranslationResult",
-    "infer_width",
     "run_core_on_sqlite",
     "translate_query",
-    "width_report",
 ]

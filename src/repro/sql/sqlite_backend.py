@@ -460,31 +460,22 @@ class SQLiteDatabase:
                 self.connection.rollback()
             self._drop(translation)
 
-    def explain(self, expr: CoreExpr, mode: str = "single") -> str:
-        """SQLite's query plan for the translated query (diagnostics).
-
-        ``"single"`` plans the one statement; ``"staged"`` plans every
-        CTE's ``INSERT`` against the retained schema, without running
-        the query, as ``name: step`` lines — what shows whether a join
-        searches an index or scans.
+    def explain(self, expr: CoreExpr) -> str:
+        """SQLite's query plan for the staged form the backend runs
+        (diagnostics): every CTE's ``INSERT`` planned against the
+        retained schema, without running the query, as ``name: step``
+        lines — what shows whether a join searches an index or scans.
         """
-        if mode == "staged":
-            translation = self.staged(expr)
-            self._retain(translation)
-            statements = [(name, f"EXPLAIN QUERY PLAN INSERT INTO "
-                                 f"temp.{name} {sql}")
-                          for name, sql in translation.ctes]
-        else:
-            statements = [("", "EXPLAIN QUERY PLAN "
-                               f"{self.translate(expr).sql}")]
+        translation = self.staged(expr)
+        self._retain(translation)
         lines = []
-        for name, statement in statements:
+        for name, sql in translation.ctes:
+            statement = f"EXPLAIN QUERY PLAN INSERT INTO temp.{name} {sql}"
             try:
                 rows = self.connection.execute(statement).fetchall()
             except sqlite3.Error as error:
                 raise wrap_driver_error(error, statement) from error
-            lines += [f"{name}: {row[3]}" if name else str(row)
-                      for row in rows]
+            lines += [f"{name}: {row[3]}" for row in rows]
         return "\n".join(lines)
 
 

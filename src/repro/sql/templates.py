@@ -21,9 +21,11 @@ output width by
 
 in one expression.  Zero-width (provably empty) inputs are skipped.
 
-Builders return :class:`TemplateResult`: the SQL text of the main CTE, the
-output width, and any helper CTEs (e.g. DFS-sequence views for ``sort`` /
-``distinct``).
+Output widths are Section 4.3's, read from the XFn registry
+(:func:`~repro.xquery.functions.width_of`) once per instantiation and
+handed to the builder.  Builders return :class:`TemplateResult`: the SQL
+text of the main CTE and any helper CTEs (e.g. DFS-sequence views for
+``sort`` / ``distinct``).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.sql.structural import (
     tree_equal_predicate,
     tree_less_predicate,
 )
+from repro.xquery.functions import width_of
 
 #: Allocate a fresh CTE name with the given hint.
 Namer = Callable[[str], str]
@@ -64,7 +67,6 @@ class TemplateResult:
     """Output of a template builder."""
 
     sql: str
-    width: int
     #: Helper CTEs as (name, sql, index key or None), to be emitted before
     #: the main CTE.
     helpers: list[tuple[str, str, str | None]] = field(default_factory=list)
@@ -75,66 +77,69 @@ EMPTY_SQL = ("SELECT NULL AS e, NULL AS s, NULL AS l, NULL AS r, NULL AS d "
 
 
 def build_template(fn: str, params: Mapping[str, str], args: list[Rel],
-                   index: str, namer: Namer) -> TemplateResult:
-    """Build the SQL template for ``fn`` over already-translated arguments."""
+                   index: str, namer: Namer) -> tuple[TemplateResult, int]:
+    """Build the SQL template for ``fn`` over already-translated
+    arguments; returns it with its output width, the registry's."""
     try:
         builder = _BUILDERS[fn]
     except KeyError:
         raise TranslationError(f"no SQL template for XFn {fn!r}") from None
-    return builder(params, args, index, namer)
+    width = width_of(fn, tuple(arg.width for arg in args), params)
+    return builder(params, args, width, index, namer), width
 
 
-def _per_environment(index: str, label: str,
+def _per_environment(index: str, label: str, width: int,
                      source: str = "") -> TemplateResult:
-    """One childless node labelled ``label`` per environment of ``index``."""
+    """One childless node labelled ``label`` per environment of ``index``,
+    in blocks of ``width``."""
     sql = (
         f"SELECT idx.i AS e, {label} AS s,\n"
-        f"       idx.i * 2 AS l, idx.i * 2 + 1 AS r, 0 AS d\n"
+        f"       idx.i * {width} AS l, idx.i * {width} + 1 AS r, 0 AS d\n"
         f"  FROM {index} idx{source}"
     )
-    return TemplateResult(sql, 2)
+    return TemplateResult(sql)
 
 
 def _forest_to_forest(build: Callable[..., TemplateResult]):
-    """Lift ``build(params, arg, namer)`` to a builder: an empty argument is
-    an empty result, whatever the template."""
-    def builder(params, args, index, namer) -> TemplateResult:
+    """Lift ``build(params, arg, width, namer)`` to a builder: an empty
+    argument is an empty result, whatever the template."""
+    def builder(params, args, width, index, namer) -> TemplateResult:
         (arg,) = args
         if arg.width == 0:
-            return TemplateResult(EMPTY_SQL, 0)
-        return build(params, arg, namer)
+            return TemplateResult(EMPTY_SQL)
+        return build(params, arg, width, namer)
     return builder
 
 
-def _build_empty_forest(params, args, index, namer) -> TemplateResult:
-    return TemplateResult(EMPTY_SQL, 0)
+def _build_empty_forest(params, args, width, index, namer) -> TemplateResult:
+    return TemplateResult(EMPTY_SQL)
 
 
-def _build_text_const(params, args, index, namer) -> TemplateResult:
-    return _per_environment(index, sql_string(params["value"]))
+def _build_text_const(params, args, width, index, namer) -> TemplateResult:
+    return _per_environment(index, sql_string(params["value"]), width)
 
 
-def _build_xnode(params, args, index, namer) -> TemplateResult:
+def _build_xnode(params, args, width, index, namer) -> TemplateResult:
     (arg,) = args
     label = sql_string(params["label"])
-    width = arg.width + 2
     root_branch = (
         f"SELECT idx.i AS e, {label} AS s, idx.i * {width} AS l,\n"
         f"       idx.i * {width} + {width - 1} AS r, 0 AS d\n"
         f"  FROM {index} idx"
     )
     if arg.width == 0:
-        return TemplateResult(root_branch, width)
+        return TemplateResult(root_branch)
+    delta = width - arg.width
     content_branch = (
-        f"SELECT e, s, l + e * 2 + 1 AS l, r + e * 2 + 1 AS r, d + 1 AS d\n"
+        f"SELECT e, s, l + e * {delta} + 1 AS l, r + e * {delta} + 1 AS r, "
+        f"d + 1 AS d\n"
         f"  FROM {arg.table}"
     )
-    return TemplateResult(f"{root_branch}\nUNION ALL\n{content_branch}", width)
+    return TemplateResult(f"{root_branch}\nUNION ALL\n{content_branch}")
 
 
-def _build_concat(params, args, index, namer) -> TemplateResult:
+def _build_concat(params, args, width, index, namer) -> TemplateResult:
     left, right = args
-    width = left.width + right.width
     branches: list[str] = []
     if left.width > 0:
         delta = width - left.width
@@ -150,20 +155,19 @@ def _build_concat(params, args, index, namer) -> TemplateResult:
             f"  FROM {right.table}"
         )
     if not branches:
-        return TemplateResult(EMPTY_SQL, 0)
-    return TemplateResult("\nUNION ALL\n".join(branches), width)
+        return TemplateResult(EMPTY_SQL)
+    return TemplateResult("\nUNION ALL\n".join(branches))
 
 
 @_forest_to_forest
-def _build_roots(params, arg, namer) -> TemplateResult:
-    sql = f"SELECT e, s, l, r, d FROM {arg.table} WHERE d = 0"
-    return TemplateResult(sql, arg.width)
+def _build_roots(params, arg, width, namer) -> TemplateResult:
+    return TemplateResult(f"SELECT e, s, l, r, d FROM {arg.table} WHERE d = 0")
 
 
 @_forest_to_forest
-def _build_children(params, arg, namer) -> TemplateResult:
-    sql = f"SELECT e, s, l, r, d - 1 AS d FROM {arg.table} WHERE d >= 1"
-    return TemplateResult(sql, arg.width)
+def _build_children(params, arg, width, namer) -> TemplateResult:
+    return TemplateResult(
+        f"SELECT e, s, l, r, d - 1 AS d FROM {arg.table} WHERE d >= 1")
 
 
 def _root_filter(arg: Rel, root_predicate: str, helpers=()) -> TemplateResult:
@@ -175,21 +179,21 @@ def _root_filter(arg: Rel, root_predicate: str, helpers=()) -> TemplateResult:
         f"  JOIN {arg.table} u ON {subtree_of('rt')}\n"
         f" WHERE rt.d = 0 AND {root_predicate}"
     )
-    return TemplateResult(sql, arg.width, list(helpers))
+    return TemplateResult(sql, list(helpers))
 
 
 @_forest_to_forest
-def _build_select(params, arg, namer) -> TemplateResult:
+def _build_select(params, arg, width, namer) -> TemplateResult:
     return _root_filter(arg, f"rt.s = {sql_string(params['label'])}")
 
 
 @_forest_to_forest
-def _build_textnodes(params, arg, namer) -> TemplateResult:
+def _build_textnodes(params, arg, width, namer) -> TemplateResult:
     return _root_filter(arg, is_text_predicate("rt.s"))
 
 
 @_forest_to_forest
-def _build_elementnodes(params, arg, namer) -> TemplateResult:
+def _build_elementnodes(params, arg, width, namer) -> TemplateResult:
     return _root_filter(arg, is_element_predicate("rt.s"))
 
 
@@ -199,18 +203,17 @@ def _first_left(arg: Rel) -> str:
 
 
 @_forest_to_forest
-def _build_head(params, arg, namer) -> TemplateResult:
+def _build_head(params, arg, width, namer) -> TemplateResult:
     return _root_filter(arg, f"rt.l = {_first_left(arg)}")
 
 
 @_forest_to_forest
-def _build_tail(params, arg, namer) -> TemplateResult:
+def _build_tail(params, arg, width, namer) -> TemplateResult:
     return _root_filter(arg, f"rt.l > {_first_left(arg)}")
 
 
 @_forest_to_forest
-def _build_reverse(params, arg, namer) -> TemplateResult:
-    width = arg.width
+def _build_reverse(params, arg, width, namer) -> TemplateResult:
     # Local reversal: a root spanning local [a, b] moves to [w-1-b, w-1-a],
     # and its descendants shift with it; in global coordinates the shift is
     # (w - 1 - r.r - r.l + 2·e·w).
@@ -221,13 +224,12 @@ def _build_reverse(params, arg, namer) -> TemplateResult:
         f"  JOIN {arg.table} u ON {subtree_of('rt')}\n"
         f" WHERE rt.d = 0"
     )
-    return TemplateResult(sql, width)
+    return TemplateResult(sql)
 
 
 @_forest_to_forest
-def _build_subtrees_dfs(params, arg, namer) -> TemplateResult:
+def _build_subtrees_dfs(params, arg, wout, namer) -> TemplateResult:
     win = arg.width
-    wout = win * win
     # The copy rooted at node v is placed at block offset (v.l mod w_in)·w_in
     # inside the e-th output block; nodes keep their offset — and their
     # depth — from v.
@@ -238,21 +240,21 @@ def _build_subtrees_dfs(params, arg, namer) -> TemplateResult:
         f"  FROM {arg.table} v\n"
         f"  JOIN {arg.table} u ON {subtree_of('v')}"
     )
-    return TemplateResult(sql, wout)
+    return TemplateResult(sql)
 
 
-def _build_count(params, args, index, namer) -> TemplateResult:
+def _build_count(params, args, width, index, namer) -> TemplateResult:
     (arg,) = args
     if arg.width == 0:
-        return _per_environment(index, "'0'")
+        return _per_environment(index, "'0'", width)
     return _per_environment(
-        index, "CAST(COUNT(x.l) AS TEXT)",
+        index, "CAST(COUNT(x.l) AS TEXT)", width,
         f"\n  LEFT JOIN {arg.table} x ON x.e = idx.i AND x.d = 0\n"
         f" GROUP BY idx.i")
 
 
 @_forest_to_forest
-def _build_data(params, arg, namer) -> TemplateResult:
+def _build_data(params, arg, width, namer) -> TemplateResult:
     # Text roots, plus text children of non-text roots; descendants of kept
     # tuples are dropped, so results decode as childless text nodes.
     sql = (
@@ -265,13 +267,13 @@ def _build_data(params, arg, namer) -> TemplateResult:
         f" WHERE rt.d = 0 AND NOT {is_text_predicate('rt.s')}\n"
         f"   AND u.d = 1 AND {is_text_predicate('u.s')}"
     )
-    return TemplateResult(sql, arg.width)
+    return TemplateResult(sql)
 
 
-def _build_string_fn(params, args, index, namer) -> TemplateResult:
+def _build_string_fn(params, args, width, index, namer) -> TemplateResult:
     (arg,) = args
     if arg.width == 0:
-        return _per_environment(index, "''")
+        return _per_environment(index, "''", width)
     # The whole-partition frame gives every text row of an environment the
     # full concatenation in document order; DISTINCT keeps one.
     texts = (
@@ -282,12 +284,12 @@ def _build_string_fn(params, args, index, namer) -> TemplateResult:
         f"          FROM {arg.table} WHERE {is_text_predicate('s')}"
     )
     return _per_environment(
-        index, "COALESCE(x.s, '')",
+        index, "COALESCE(x.s, '')", width,
         f"\n  LEFT JOIN ({texts}) x ON x.e = idx.i")
 
 
 @_forest_to_forest
-def _build_distinct(params, arg, namer) -> TemplateResult:
+def _build_distinct(params, arg, width, namer) -> TemplateResult:
     seq = namer("rseq")
     equal_earlier = tree_equal_predicate(seq, seq, "eb.l", "rt.l")
     predicate = (
@@ -301,9 +303,8 @@ def _build_distinct(params, arg, namer) -> TemplateResult:
 
 
 @_forest_to_forest
-def _build_sort(params, arg, namer) -> TemplateResult:
+def _build_sort(params, arg, wout, namer) -> TemplateResult:
     win = arg.width
-    wout = win * win
     seq = namer("rseq")
     roots = namer("rids")
     rank = namer("rank")
@@ -332,7 +333,7 @@ def _build_sort(params, arg, namer) -> TemplateResult:
         f"  FROM {rank} rt\n"
         f"  JOIN {arg.table} u ON {subtree_of('rt')}"
     )
-    return TemplateResult(sql, wout, helpers)
+    return TemplateResult(sql, helpers)
 
 
 _BUILDERS: dict[str, Callable[..., TemplateResult]] = {

@@ -224,12 +224,12 @@ class SQLTranslator:
 
     def _translate_fnapp(self, expr: FnApp, ctx: _Ctx) -> Rel:
         args = [self._translate(arg, ctx) for arg in expr.args]
-        result = build_template(expr.fn, dict(expr.params), args,
-                                ctx.index, self._fresh)
+        result, width = build_template(expr.fn, dict(expr.params), args,
+                                       ctx.index, self._fresh)
         for helper in result.helpers:
             self._emit(*helper)
-        self._check_width(result.width, f"XFn {expr.fn}")
-        return self._add_relation(expr.fn, result.sql, result.width)
+        self._check_width(width, f"XFn {expr.fn}")
+        return self._add_relation(expr.fn, result.sql, width)
 
     def _translate_where(self, expr: Where, ctx: _Ctx) -> Rel:
         predicate = self._translate_condition(expr.condition, ctx)

@@ -1,5 +1,12 @@
 """Definition 3.3 read literally: the one reference for the kernels.
 
+A sequence of environments is an index ``I`` plus, per variable, one
+relation in which environment ``i``'s forest occupies the block ``[i·w,
+(i+1)·w)``.  :func:`encode_sequence` builds such a relation from forests
+and :func:`env_forests` reads it back block by block; read without ``I``,
+the same relation is the concatenation of the blocks (Section 3's free
+loop exit).
+
 A relational operator implements an XFn when, for every environment of
 the index, decoding its output block gives the Figure 2 operator —
 ``FUNCTIONS[fn].impl``, the function the interpreter runs — applied to
@@ -14,13 +21,28 @@ anything but the width.
 
 from __future__ import annotations
 
-from repro.encoding.interval import decode
+from repro.encoding.interval import decode, encode
 from repro.engine.columns import IntervalColumns
 from repro.engine.validate import validate_value
 from repro.xquery.functions import FUNCTIONS
 
 #: Env shift that keeps every coordinate inside int64 but far from zero.
 FAR_ENV = 2 ** 40
+
+
+def encode_sequence(forests, width: int | None = None):
+    """``(index, rows, width)`` of ``forests`` as environments ``0 … n-1``;
+    ``width`` defaults to the widest forest's encoding width (Def 3.3's
+    ``w = max w_k``)."""
+    encodings = [encode(forest) for forest in forests]
+    if width is None:
+        width = max((enc.width for enc in encodings), default=0)
+    rows = []
+    for i, enc in enumerate(encodings):
+        assert enc.width <= width, (
+            f"forest {i} needs width {enc.width}, exceeding block width {width}")
+        rows += [(s, l + i * width, r + i * width) for s, l, r in enc.tuples]
+    return list(range(len(forests))), rows, width
 
 
 def env_forests(rel, width: int, index) -> list:

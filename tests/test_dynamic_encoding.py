@@ -1,16 +1,18 @@
-"""Unit tests for dynamic interval encodings of environment sequences."""
+"""Definition 3.3's reading of environment sequences (``tests/def33.py``).
+
+The refusals of a relation that does not fit its index — a row outside
+every indexed block, a row crossing a block boundary, rows at width 0 —
+are :func:`~repro.engine.validate.validate_value`'s, tested in
+``tests/test_engine_validate.py``.
+"""
 
 import pytest
 
-from repro.encoding.dynamic import (
-    EnvironmentSequence,
-    decode_sequence,
-    encode_sequence,
-)
-from repro.encoding.interval import encode
-from repro.errors import EncodingError
+from repro.encoding.interval import decode
 from repro.xml.forest import text
 from repro.xml.text_parser import parse_forest
+
+from tests.def33 import encode_sequence, env_forests
 
 
 def f(source: str):
@@ -19,124 +21,48 @@ def f(source: str):
 
 class TestEncodeSequence:
     def test_blocks_are_disjoint(self):
-        index, relation = encode_sequence([f("<a/>"), f("<b/><c/>")])
+        index, rows, width = encode_sequence([f("<a/>"), f("<b/><c/>")])
         assert index == [0, 1]
-        assert relation.width == 4  # widest forest: two nodes
-        assert relation.tuples == [
-            ("<a>", 0, 1), ("<b>", 4, 5), ("<c>", 6, 7),
-        ]
+        assert width == 4  # widest forest: two nodes
+        assert rows == [("<a>", 0, 1), ("<b>", 4, 5), ("<c>", 6, 7)]
 
     def test_empty_forests_leave_empty_blocks(self):
-        index, relation = encode_sequence([(), f("<a/>"), ()])
+        index, rows, _width = encode_sequence([(), f("<a/>"), ()])
         assert index == [0, 1, 2]
-        assert relation.tuples == [("<a>", 2, 3)]
+        assert rows == [("<a>", 2, 3)]
 
     def test_explicit_width(self):
-        _, relation = encode_sequence([f("<a/>")], width=100)
-        assert relation.width == 100
+        _, rows, width = encode_sequence([f("<a/>"), f("<b/>")], width=100)
+        assert width == 100
+        assert rows == [("<a>", 0, 1), ("<b>", 100, 101)]
 
     def test_width_too_small_rejected(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(AssertionError, match="exceeding block width"):
             encode_sequence([f("<a><b/></a>")], width=2)
 
     def test_empty_sequence(self):
-        index, relation = encode_sequence([])
-        assert index == []
-        assert relation.tuples == []
+        assert encode_sequence([]) == ([], [], 0)
 
 
 class TestDecodeSequence:
     def test_roundtrip(self):
         forests = [f("<a/>"), (), f("<b><c/></b>")]
-        index, relation = encode_sequence(forests)
-        assert decode_sequence(index, relation, relation.width) == forests
-
-    def test_tuple_outside_index_rejected(self):
-        with pytest.raises(EncodingError):
-            decode_sequence([0], [("x", 10, 11)], 4)
-
-    def test_block_crossing_rejected(self):
-        with pytest.raises(EncodingError):
-            decode_sequence([0, 1], [("x", 3, 5)], 4)
-
-    def test_zero_width_with_rows_rejected(self):
-        with pytest.raises(EncodingError):
-            decode_sequence([0], [("x", 0, 1)], 0)
+        index, rows, width = encode_sequence(forests)
+        assert env_forests(rows, width, index) == forests
 
     def test_zero_width_empty_ok(self):
-        assert decode_sequence([0, 1], [], 0) == [(), ()]
+        assert env_forests([], 0, [0, 1]) == [(), ()]
 
     def test_sparse_index(self):
         # Environment indices need not be consecutive (the for-rule uses
         # root left endpoints as indices).
         rows = [("x", 20, 21), ("y", 52, 53)]
-        assert decode_sequence([5, 13], rows, 4) == [
-            (text("x"),), (text("y"),),
-        ]
+        assert env_forests(rows, 4, [5, 13]) == [(text("x"),), (text("y"),)]
 
 
 class TestEnvironmentSequence:
-    def test_initial(self, figure1_forest):
-        seq = EnvironmentSequence.initial({"doc": figure1_forest})
-        assert seq.index == [0]
-        assert seq.forests("doc") == [figure1_forest]
-
-    def test_unsorted_index_rejected(self):
-        with pytest.raises(EncodingError):
-            EnvironmentSequence([2, 1], {}, {})
-
-    def test_duplicate_index_rejected(self):
-        with pytest.raises(EncodingError):
-            EnvironmentSequence([1, 1], {}, {})
-
-    def test_tables_widths_must_match(self):
-        with pytest.raises(EncodingError):
-            EnvironmentSequence([0], {"x": []}, {})
-
-    def test_environments_iteration(self):
-        index, relation = encode_sequence([f("<a/>"), f("<b/>")])
-        seq = EnvironmentSequence(index, {"x": relation.tuples},
-                                  {"x": relation.width})
-        envs = list(seq.environments())
-        assert envs == [{"x": f("<a/>")}, {"x": f("<b/>")}]
-
-    def test_block_and_local_block(self):
-        index, relation = encode_sequence([f("<a/>"), f("<b/>")])
-        seq = EnvironmentSequence(index, {"x": relation.tuples},
-                                  {"x": relation.width})
-        assert seq.block("x", 1) == [("<b>", 2, 3)]
-        assert seq.local_block("x", 1) == [("<b>", 0, 1)]
-
-    def test_with_binding(self):
-        seq = EnvironmentSequence([0], {}, {})
-        encoded = encode(f("<a/>"))
-        extended = seq.with_binding("y", encoded.tuples, encoded.width)
-        assert extended.forests("y") == [f("<a/>")]
-        assert seq.variables == []  # original untouched
-
-    def test_restricted(self):
-        index, relation = encode_sequence([f("<a/>"), f("<b/>"), f("<c/>")])
-        seq = EnvironmentSequence(index, {"x": relation.tuples},
-                                  {"x": relation.width})
-        restricted = seq.restricted([0, 2])
-        assert restricted.index == [0, 2]
-        assert restricted.forests("x") == [f("<a/>"), f("<c/>")]
-
-    def test_restricted_unknown_index_rejected(self):
-        seq = EnvironmentSequence([0], {}, {})
-        with pytest.raises(EncodingError):
-            seq.restricted([5])
-
-    def test_validate(self):
-        index, relation = encode_sequence([f("<a/>")])
-        seq = EnvironmentSequence(index, {"x": relation.tuples},
-                                  {"x": relation.width})
-        seq.validate()
-
     def test_dual_reading_as_single_forest(self):
-        """A blocked relation read without the index is the concatenation."""
-        from repro.encoding.interval import decode
-        forests = [f("<a/>"), f("<b/><c/>")]
-        _, relation = encode_sequence(forests)
-        combined = decode(relation.tuples)
-        assert combined == f("<a/><b/><c/>")
+        """A blocked relation read without the index is the concatenation:
+        leaving a ``for`` loop costs nothing (Section 3)."""
+        _, rows, _width = encode_sequence([f("<a/>"), f("<b/><c/>")])
+        assert decode(rows) == f("<a/><b/><c/>")

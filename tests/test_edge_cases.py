@@ -4,10 +4,12 @@ degenerate queries, deep nesting, odd labels."""
 import pytest
 
 from repro import run_xquery
-from repro.encoding.dynamic import decode_sequence
 from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
+from repro.engine.validate import validate_value
 from repro.xml.text_parser import parse_forest
+
+from tests.def33 import env_forests
 
 
 def f(source: str):
@@ -16,6 +18,13 @@ def f(source: str):
 
 BACKENDS = [("interpreter", "msj"), ("engine", "nlj"),
             ("engine", "msj"), ("sqlite", "msj")]
+
+
+def blocks(rel, width: int, index) -> list:
+    """One forest per environment of ``index``, once ``rel`` is checked
+    to lie inside the index's blocks."""
+    validate_value(rel, width, index)
+    return env_forests(rel, width, index)
 
 
 def run_all(query: str, documents):
@@ -38,12 +47,12 @@ class TestSparseEnvironments:
 
     def test_count_covers_empty_envs(self):
         result, width = kernels.count_roots(self.REL, 10, self.INDEX)
-        decoded = decode_sequence(self.INDEX, result.tuples(), width)
+        decoded = blocks(result, width, self.INDEX)
         assert [forest[0].label for forest in decoded] == ["1", "0", "1"]
 
     def test_xnode_emits_in_every_env(self):
         result, width = kernels.xnode("<w>", self.REL, 10, self.INDEX)
-        decoded = decode_sequence(self.INDEX, result.tuples(), width)
+        decoded = blocks(result, width, self.INDEX)
         assert [len(forest) for forest in decoded] == [1, 1, 1]
         assert [len(forest[0].children) for forest in decoded] == [1, 0, 1]
 
@@ -51,13 +60,13 @@ class TestSparseEnvironments:
         left = IntervalColumns.from_tuples([("<a>", 30, 31)])     # env 3
         right = IntervalColumns.from_tuples([("<b>", 170, 171)])  # env 17
         result = kernels.concat(left, 10, right, 10)
-        decoded = decode_sequence([3, 17], result.tuples(), 20)
+        decoded = blocks(result, 20, [3, 17])
         assert decoded[0] == f("<a/>")
         assert decoded[1] == f("<b/>")
 
     def test_string_fn_sparse(self):
         result, width = kernels.string_fn(self.REL, 10, self.INDEX)
-        decoded = decode_sequence(self.INDEX, result.tuples(), width)
+        decoded = blocks(result, width, self.INDEX)
         assert [forest[0].label for forest in decoded] == ["x", "", ""]
 
 

@@ -8,14 +8,13 @@ against the Figure 2 operator (:mod:`repro.xml.operations`, through
 
 import pytest
 
-from repro.encoding.dynamic import encode_sequence
 from repro.encoding.interval import encode
 from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
 from repro.engine.validate import validate_value
 from repro.xml.text_parser import parse_forest
 
-from tests.def33 import check, unary
+from tests.def33 import check, encode_sequence, unary
 
 FORESTS = {
     "single": "<a/>",
@@ -45,8 +44,8 @@ def sequence(request):
     """``(rows, width, index)`` of a sequence of forests, one per
     environment block."""
     forests = [parse_forest(s) for s in SEQUENCES[request.param]]
-    index, relation = encode_sequence(forests)
-    return list(relation.tuples), relation.width, list(index)
+    index, rows, width = encode_sequence(forests)
+    return rows, width, index
 
 
 class TestSingleForestOperators:
@@ -128,11 +127,10 @@ class TestPerEnvironmentOperators:
               [(rows, width)], index, {"label": "<w>"})
 
     def test_xnode_emits_for_empty_envs(self):
-        index, relation = encode_sequence([parse_forest("<a/>"), ()])
+        index, rows, width = encode_sequence([parse_forest("<a/>"), ()])
         check("xnode", lambda cols, w, envs: kernels.xnode("<w>", cols, w,
                                                            envs),
-              [(list(relation.tuples), relation.width)], list(index),
-              {"label": "<w>"})
+              [(rows, width)], index, {"label": "<w>"})
 
     def test_text_const(self, sequence):
         _rows, _width, index = sequence

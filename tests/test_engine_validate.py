@@ -33,7 +33,7 @@ class TestValidateValue:
         validate_value(cols([]), width=0, index=[0])
 
     def test_zero_width_with_tuples_rejected(self):
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="zero-width"):
             validate_value(cols([("a", 0, 1)]), width=0, index=[0])
 
     def test_unsorted_rejected(self):

@@ -153,6 +153,12 @@ GUARDS = (
           "connection under the backend lock, and a commit is applied to "
           "it once, with no per-thread copies or delta log to sync",
           "aa7af04"),
+    Guard(r"EnvironmentSequence|decode_sequence|infer_width|width_report|"
+          r"ResourceBudget(?!Error)|coerce_budget", ("src/repro",),
+          "Definition 3.3 and Section 4.3 each live once: the engine's "
+          "EnvSeq and validate_value read environment sequences "
+          "(tests/def33.py encodes them), the SQL translator infers widths "
+          "from the XFn registry, and a budget is an int", "4ca86ae"),
 )
 
 DELETED_FILES = (
@@ -187,6 +193,11 @@ DELETED_FILES = (
      "a commit applied to it once", "aa7af04"),
     ("src/repro/concurrency/pool.py", "one SQLite connection per backend, "
      "not one per thread", "aa7af04"),
+    ("src/repro/encoding/dynamic.py", "Definition 3.3 is the engine's "
+     "EnvSeq, checked by validate_value; tests/def33.py encodes and "
+     "decodes blocks", "4ca86ae"),
+    ("src/repro/sql/widths.py", "the SQL translator is the one Section 4.3 "
+     "width inference", "4ca86ae"),
 )
 
 #: The entry points a user reaches the package through.

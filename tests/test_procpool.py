@@ -35,7 +35,7 @@ from repro.errors import (
     TransientBackendError,
     WorkerDiedError,
 )
-from repro.resilience import CancellationToken, QueryGuard, ResourceBudget
+from repro.resilience import CancellationToken, QueryGuard
 from repro.session import XQuerySession
 from repro.xmark.generator import generate_document
 
@@ -374,7 +374,7 @@ class TestProcessQueryPool:
     def test_worker_side_budget_error_is_typed(self, pool):
         # The worker raises inside its own process; the parent must see
         # the same typed exception, not a pickled stand-in.
-        guard = QueryGuard(budget=ResourceBudget(max_tuples=1))
+        guard = QueryGuard(budget=1)
         with pytest.raises(ResourceBudgetError) as exc:
             pool.execute(NAMES, guard=guard)
         assert exc.value.resource == "tuples"

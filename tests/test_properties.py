@@ -16,16 +16,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.dynamic import decode_sequence, encode_sequence
 from repro.encoding.interval import decode, encode, validate_encoding
 from repro.engine import kernels
 from repro.engine.columns import IntervalColumns
+from repro.engine.validate import validate_value
 from repro.xml import operations as ref_ops
 from repro.xml.forest import compare_forests, compare_trees
 from repro.xml.serializer import forest_to_xml
 from repro.xml.text_parser import parse_forest
 
-from tests.def33 import check, unary
+from tests.def33 import check, encode_sequence, env_forests, unary
 from tests.strategies import forests, xml_safe_forests
 
 
@@ -57,9 +57,9 @@ class TestEncodingProperties:
 
     @given(st.lists(forests(max_trees=2, max_depth=3), max_size=4))
     def test_sequence_roundtrip(self, forest_list):
-        index, relation = encode_sequence(forest_list)
-        decoded = decode_sequence(index, relation, relation.width)
-        assert decoded == forest_list
+        index, rows, width = encode_sequence(forest_list)
+        validate_value(IntervalColumns.from_tuples(rows), width, index)
+        assert env_forests(rows, width, index) == forest_list
 
     @given(forests())
     def test_width_bounds_endpoints(self, trees):

@@ -21,7 +21,7 @@ from repro.errors import (
     ResourceBudgetError,
     TransientBackendError,
 )
-from repro.resilience import QueryGuard, ResourceBudget, coerce_budget
+from repro.resilience import QueryGuard
 from repro.api import compile_xquery
 from repro.session import XQuerySession
 from repro.sql.sqlite_backend import SQLiteDatabase
@@ -230,15 +230,13 @@ class TestBudgets:
         assert result.backend == "engine"
         assert not result.degraded
 
-    def test_coerce_budget(self):
-        assert coerce_budget(None) == ResourceBudget()
-        assert coerce_budget(7) == ResourceBudget(max_tuples=7)
-        budget = ResourceBudget(max_tuples=3)
-        assert coerce_budget(budget) is budget
-        with pytest.raises(ExecutionError):
-            coerce_budget("lots")
-        with pytest.raises(ExecutionError):
-            coerce_budget(True)
+    def test_budget_is_an_int_or_none(self):
+        assert QueryGuard(budget=None).budget is None
+        assert QueryGuard(budget=7).budget == 7
+        assert QueryGuard(budget=0).enabled
+        for bad in ("lots", True, 2.5):
+            with pytest.raises(ExecutionError, match="budget must be"):
+                QueryGuard(budget=bad)
 
 
 # -- the guard itself ---------------------------------------------------------
@@ -323,6 +321,25 @@ class TestDeadlineMustBePositive:
         reply = json.loads(body)
         assert reply["error"] == "ExecutionError"
         assert "deadline must be positive" in reply["detail"]
+
+
+class TestBudgetMustBeNonNegative:
+    """A negative budget is refused at the door, not run until the first
+    tuple trips "used 0, limit -1"."""
+
+    @pytest.mark.parametrize("backend", ["engine", "sqlite"])
+    def test_session_run(self, session, backend):
+        with pytest.raises(ExecutionError, match="budget must be ≥ 0"):
+            session.run(QUERY, backend=backend, budget=-1)
+
+    def test_cli_max_tuples(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "a.xml"
+        path.write_text(DOC)
+        code = main([QUERY, "--doc", f"a.xml={path}", "--max-tuples", "-1"])
+        assert code == 1
+        assert "budget must be ≥ 0" in capsys.readouterr().err
 
 
 # -- fault injection ----------------------------------------------------------

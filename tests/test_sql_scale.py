@@ -48,7 +48,7 @@ def test_sqlite_answers_five_thousand_nodes(session, tag):
 
 def test_subtree_joins_search_an_index(session):
     database = session.backend_instance("sqlite").database
-    plan = database.explain(session.prepare(QUERIES["Q13"]).core, mode="staged")
+    plan = database.explain(session.prepare(QUERIES["Q13"]).core)
     steps = [line.split(": ", 1) for line in plan.splitlines()]
     for kind in ("select", "for_var"):
         inner = [step for name, step in steps

@@ -127,7 +127,7 @@ class TestExecution:
     def test_explain_wraps_the_reference_cap(self, figure1_doc):
         # SQLite clones a CTE's parse tree per reference; Q9's one-statement
         # form passes its 65,535-references-per-table cap.  The driver's
-        # OperationalError must not leave explain() raw.
+        # OperationalError must not leave the single-statement run raw.
         from repro.xmark.queries import Q9
         from repro.xquery.lowering import document_forest, lower_query
         from repro.xquery.parser import parse_xquery
@@ -138,10 +138,11 @@ class TestExecution:
                 db.load_document(name, document_forest(figure1_doc))
             with pytest.raises(ExecutionError, match="too many references") \
                     as caught:
-                db.explain(core)
-            assert caught.value.statement.startswith("EXPLAIN QUERY PLAN WITH")
-            # The staged form has no such cap: one plan line per step.
-            assert "for_var: SEARCH u USING" in db.explain(core, mode="staged")
+                db.execute(core, mode="single")
+            assert caught.value.statement.startswith("WITH")
+            # The staged form, the one explain() plans, has no such cap:
+            # one plan line per step.
+            assert "for_var: SEARCH u USING" in db.explain(core)
 
     def test_execution_error_wrapped(self):
         from repro.sql.translator import TranslationResult
@@ -302,7 +303,7 @@ class TestRetainedSchema:
             db.load_document("x", f("<a><b/></a>"))
             statements: list[str] = []
             db.connection.set_trace_callback(statements.append)
-            plan = db.explain(FnApp("children", (Var("x"),)), mode="staged")
+            plan = db.explain(FnApp("children", (Var("x"),)))
             db.connection.set_trace_callback(None)
             assert "_children: SCAN doc_0" in plan
             assert not [s for s in statements if s.startswith("INSERT")]
